@@ -278,18 +278,22 @@ impl NfInstanceActor {
         // root (the store signals commits; one store→root hop of latency).
         // Off-path NFs process *copies* whose vectors never reach the chain
         // tail, so they do not participate in the delete protocol.
-        let tokens = self.client.take_packet_tokens();
+        let tokens: Vec<u32> = self
+            .client
+            .take_packet_tokens()
+            .map(|(_key, token)| token)
+            .collect();
         if duplicate {
             self.metrics.duplicate_state_updates += tokens.len() as u64;
         }
         if !self.params.off_path {
-            for (_key, token) in &tokens {
-                tp.absorb_update_token(*token);
+            for token in tokens {
+                tp.absorb_update_token(token);
                 ctx.send_with_extra_delay(
                     self.root,
                     Msg::CommitSignal {
                         clock: tp.clock,
-                        token: *token,
+                        token,
                     },
                     (finish - now) + self.config.costs.store_one_way,
                 );

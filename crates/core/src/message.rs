@@ -79,7 +79,7 @@ impl TaggedPacket {
 /// corresponding update commits: high 16 bits = instance id, low 16 bits =
 /// a stable 16-bit hash of the object identity (§5.4).
 pub fn xor_token(instance: InstanceId, key: &StateKey) -> u32 {
-    let obj = (key.canonical().shard_hash() & 0xffff) as u32;
+    let obj = (key.shard_hash() & 0xffff) as u32;
     ((instance.0 & 0xffff) << 16) | obj
 }
 

@@ -96,6 +96,13 @@ impl PacketLog {
         self.entries.values().cloned().collect()
     }
 
+    /// Counter of the smallest clock currently logged. A log is fed by one
+    /// root, so this is the smallest counter it holds — what bounds the
+    /// store's replay floor: nothing a log still holds may be forgotten.
+    pub fn first_counter(&self) -> Option<u64> {
+        self.entries.first_key_value().map(|(c, _)| c.counter())
+    }
+
     /// Whether `clock` is currently logged.
     pub fn contains(&self, clock: &Clock) -> bool {
         self.entries.contains_key(clock)

@@ -25,6 +25,7 @@ use crate::dag::StateObjectSpec;
 use crate::message::xor_token;
 use chc_packet::ScopeKey;
 use chc_sim::SimDuration;
+use chc_store::ops::apply_in_place;
 use chc_store::store::ApplyResult;
 use chc_store::{
     Clock, InstanceId, ObjectKey, Operation, ReadLogEntry, StateKey, StateScope, StoreError,
@@ -34,6 +35,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::vec::Drain;
 
 /// Abstraction over how a client reaches its datastore instance, so the same
 /// client library runs on the single-threaded simulated store and on the
@@ -188,6 +190,52 @@ pub struct StateClientStats {
     pub local_ops: u64,
 }
 
+/// One object the client knows: what its declaration resolves to, so an
+/// access costs one name comparison instead of a map probe per question.
+struct ObjectSlot {
+    /// Shared name handle: building a key clones the handle, not the name.
+    name: Arc<str>,
+    per_flow: bool,
+    shared: bool,
+    strategy: CacheStrategy,
+    /// Whether this instance currently has exclusive access (relevant for
+    /// [`CacheStrategy::CacheIfExclusive`]).
+    exclusive: bool,
+}
+
+impl ObjectSlot {
+    /// What an object the NF never declared resolves to: shared, on the
+    /// conservative blocking path until exclusivity is granted.
+    fn undeclared(name: &str) -> ObjectSlot {
+        ObjectSlot {
+            name: Arc::from(name),
+            per_flow: false,
+            shared: true,
+            strategy: CacheStrategy::CacheIfExclusive,
+            exclusive: false,
+        }
+    }
+
+    fn key(&self, vertex: VertexId, instance: InstanceId, scope_key: Option<ScopeKey>) -> StateKey {
+        let object = ObjectKey::shared_name(Arc::clone(&self.name), scope_key);
+        if self.per_flow {
+            StateKey::per_flow(vertex, instance, object)
+        } else {
+            StateKey::shared(vertex, object)
+        }
+    }
+}
+
+/// One access, resolved: the fully qualified key and how to treat it.
+struct Access {
+    key: StateKey,
+    strategy: CacheStrategy,
+    shared: bool,
+    exclusive: bool,
+    /// May the object be served from the local cache right now?
+    cacheable: bool,
+}
+
 /// The per-instance client-side datastore library.
 pub struct StateClient {
     vertex: VertexId,
@@ -195,11 +243,9 @@ pub struct StateClient {
     store: Box<dyn StateHandle>,
     mode: ExternalizationMode,
     costs: CostModel,
-    /// Declared objects: name → (spec, strategy).
-    specs: HashMap<String, (StateObjectSpec, CacheStrategy)>,
-    /// Object names this instance currently has exclusive access to
-    /// (relevant for [`CacheStrategy::CacheIfExclusive`]).
-    exclusive: HashSet<String>,
+    /// The NF's objects, resolved once: a handful per NF, so a call finds
+    /// its object by scanning this list.
+    objects: Vec<ObjectSlot>,
     /// Local cache (also the entire state in traditional mode).
     cache: HashMap<StateKey, Value>,
     /// Callback registrations already made (avoid duplicates).
@@ -249,11 +295,14 @@ impl StateClient {
         costs: CostModel,
         objects: &[StateObjectSpec],
     ) -> StateClient {
-        let specs = objects
+        let objects = objects
             .iter()
-            .map(|o| {
-                let strategy = CacheStrategy::select(o.scope, o.access);
-                (o.name.clone(), (o.clone(), strategy))
+            .map(|o| ObjectSlot {
+                name: Arc::from(o.name.as_str()),
+                per_flow: o.scope == StateScope::PerFlow,
+                shared: o.scope.is_shared(),
+                strategy: CacheStrategy::select(o.scope, o.access),
+                exclusive: true,
             })
             .collect();
         StateClient {
@@ -262,8 +311,7 @@ impl StateClient {
             store,
             mode,
             costs,
-            specs,
-            exclusive: objects.iter().map(|o| o.name.clone()).collect(),
+            objects,
             cache: HashMap::new(),
             callbacks_registered: HashSet::new(),
             wal: WriteAheadLog::new(),
@@ -356,7 +404,7 @@ impl StateClient {
         if buf.is_empty() {
             return 0;
         }
-        let ops = std::mem::take(buf);
+        let mut ops = std::mem::take(buf);
         let results = self.store.apply_batch(self.instance, &ops);
         for ((key, _, _), result) in ops.iter().zip(results) {
             let Ok(result) = result else { continue };
@@ -367,11 +415,8 @@ impl StateClient {
         }
         let drained = ops.len();
         // Hand the allocation back to the buffer.
-        let mut ops = ops;
         ops.clear();
-        if let Some(buf) = self.write_behind.as_mut() {
-            *buf = ops;
-        }
+        self.write_behind = Some(ops);
         drained
     }
 
@@ -389,38 +434,42 @@ impl StateClient {
         &self.read_log
     }
 
+    fn slot(&self, object: &str) -> Option<&ObjectSlot> {
+        self.objects.iter().find(|o| &*o.name == object)
+    }
+
     /// The fully qualified key used for an object.
     pub fn state_key(&self, object: &str, scope_key: Option<ScopeKey>) -> StateKey {
-        let obj = match scope_key {
-            Some(sk) => ObjectKey::scoped(object, sk),
-            None => ObjectKey::named(object),
-        };
-        let per_flow = self
-            .specs
-            .get(object)
-            .map(|(spec, _)| spec.scope == StateScope::PerFlow)
-            .unwrap_or(false);
-        if per_flow {
-            StateKey::per_flow(self.vertex, self.instance, obj)
-        } else {
-            StateKey::shared(self.vertex, obj)
+        match self.slot(object) {
+            Some(slot) => slot.key(self.vertex, self.instance, scope_key),
+            None => ObjectSlot::undeclared(object).key(self.vertex, self.instance, scope_key),
         }
     }
 
-    fn strategy_of(&self, object: &str) -> CacheStrategy {
-        self.specs
-            .get(object)
-            .map(|(_, s)| *s)
-            // Objects that were never declared default to the conservative
-            // blocking path.
-            .unwrap_or(CacheStrategy::CacheIfExclusive)
-    }
-
-    fn is_shared_object(&self, object: &str) -> bool {
-        self.specs
-            .get(object)
-            .map(|(spec, _)| spec.scope.is_shared())
-            .unwrap_or(true)
+    /// Resolve one access: one scan of the object list answers what the key
+    /// is, which strategy applies and whether the cache may serve it.
+    fn access(&self, object: &str, scope_key: Option<ScopeKey>) -> Access {
+        let undeclared;
+        let slot = match self.slot(object) {
+            Some(slot) => slot,
+            None => {
+                undeclared = ObjectSlot::undeclared(object);
+                &undeclared
+            }
+        };
+        let cacheable = self.mode.caching()
+            && match slot.strategy {
+                CacheStrategy::NonBlockingNoCache => false,
+                CacheStrategy::CacheWithPeriodicFlush | CacheStrategy::CacheWithCallbacks => true,
+                CacheStrategy::CacheIfExclusive => slot.exclusive,
+            };
+        Access {
+            key: slot.key(self.vertex, self.instance, scope_key),
+            strategy: slot.strategy,
+            shared: slot.shared,
+            exclusive: slot.exclusive,
+            cacheable,
+        }
     }
 
     fn charge_rtt(&mut self) {
@@ -438,18 +487,6 @@ impl StateClient {
         self.stats.non_blocking_ops += 1;
     }
 
-    /// Does the strategy allow serving this object from cache right now?
-    fn may_cache(&self, object: &str) -> bool {
-        if !self.mode.caching() {
-            return false;
-        }
-        match self.strategy_of(object) {
-            CacheStrategy::NonBlockingNoCache => false,
-            CacheStrategy::CacheWithPeriodicFlush | CacheStrategy::CacheWithCallbacks => true,
-            CacheStrategy::CacheIfExclusive => self.exclusive.contains(object),
-        }
-    }
-
     /// Latency accumulated for the current packet; resets the accumulator.
     /// The instance runtime adds this to the packet's processing time.
     pub fn take_charge(&mut self) -> SimDuration {
@@ -457,17 +494,20 @@ impl StateClient {
     }
 
     /// XOR tokens of updates issued to the store for the current packet;
-    /// resets the list. The runtime folds them into the packet's commit
-    /// vector and emits the corresponding commit signals.
-    pub fn take_packet_tokens(&mut self) -> Vec<(StateKey, u32)> {
-        std::mem::take(&mut self.packet_tokens)
+    /// resets the list (dropping the returned iterator empties it, and the
+    /// list keeps its allocation for the next packet). The runtime folds
+    /// them into the packet's commit vector and emits the corresponding
+    /// commit signals.
+    pub fn take_packet_tokens(&mut self) -> Drain<'_, (StateKey, u32)> {
+        self.packet_tokens.drain(..)
     }
 
     /// Callback notifications produced by the store while this client issued
     /// updates (instances other than this one that registered for the changed
-    /// objects); the runtime delivers them as messages. Resets the list.
-    pub fn take_pending_callbacks(&mut self) -> Vec<(InstanceId, StateKey, Value)> {
-        std::mem::take(&mut self.pending_callbacks)
+    /// objects); the runtime delivers them as messages. Resets the list,
+    /// like [`StateClient::take_packet_tokens`].
+    pub fn take_pending_callbacks(&mut self) -> Drain<'_, (InstanceId, StateKey, Value)> {
+        self.pending_callbacks.drain(..)
     }
 
     // ------------------------------------------------------------------
@@ -476,12 +516,18 @@ impl StateClient {
 
     /// Read an object's value.
     pub fn read(&mut self, object: &str, scope_key: Option<ScopeKey>, clock: Clock) -> Value {
-        let key = self.state_key(object, scope_key);
+        let Access {
+            key,
+            strategy,
+            shared,
+            cacheable,
+            ..
+        } = self.access(object, scope_key);
         if !self.mode.externalized() {
             self.stats.local_ops += 1;
             return self.cache.get(&key).cloned().unwrap_or_default();
         }
-        if self.may_cache(object) {
+        if cacheable {
             if let Some(v) = self.cache.get(&key).cloned() {
                 self.charge_cache_hit();
                 return v;
@@ -498,9 +544,9 @@ impl StateClient {
             Ok(r) => r,
             Err(_) => return Value::None,
         };
-        let value = result.outcome.returned.clone();
+        let value = result.outcome.returned;
         // Record the read (value + TS) for datastore recovery, shared objects only.
-        if self.recovery_logging && self.is_shared_object(object) {
+        if self.recovery_logging && shared {
             self.read_log.push(ReadLogEntry {
                 clock,
                 key: key.clone(),
@@ -510,11 +556,9 @@ impl StateClient {
         }
         // Populate the cache and, for read-heavy objects, register the
         // store callback that will keep it fresh.
-        if self.may_cache(object) {
+        if cacheable {
             self.cache.insert(key.clone(), value.clone());
-            if self.strategy_of(object).uses_callbacks()
-                && self.callbacks_registered.insert(key.clone())
-            {
+            if strategy.uses_callbacks() && self.callbacks_registered.insert(key.clone()) {
                 self.store.register_callback(&key, self.instance);
             }
         }
@@ -533,35 +577,30 @@ impl StateClient {
         op: Operation,
         clock: Clock,
     ) -> Value {
-        let key = self.state_key(object, scope_key);
+        let Access {
+            key,
+            strategy,
+            shared,
+            exclusive,
+            cacheable,
+        } = self.access(object, scope_key);
 
         // Traditional NF: purely local state.
         if !self.mode.externalized() {
             self.stats.local_ops += 1;
-            let current = self.cache.get(&key).cloned().unwrap_or_default();
-            let (new_value, returned) = chc_store::ops::apply_operation(&key, &current, &op, None)
-                .unwrap_or((current, Value::None));
-            self.cache.insert(key, new_value);
-            return returned;
+            return self.apply_to_cached(&key, &op);
         }
 
-        let strategy = self.strategy_of(object);
-        let cached = self.may_cache(object);
         let blocking_required = !op.is_non_blocking_eligible();
 
-        if cached && !blocking_required && strategy != CacheStrategy::CacheWithCallbacks {
+        if cacheable && !blocking_required && strategy != CacheStrategy::CacheWithCallbacks {
             // Apply to the local copy; flush to the store with non-blocking
             // semantics (the flush keeps the store authoritative for fault
             // tolerance but is off the packet's critical path).
-            let current = self.cache.get(&key).cloned().unwrap_or_default();
-            let (new_value, returned) =
-                match chc_store::ops::apply_operation(&key, &current, &op, None) {
-                    Ok(v) => v,
-                    Err(_) => (current.clone(), Value::None),
-                };
-            self.cache.insert(key.clone(), new_value);
+            let returned = self.apply_to_cached(&key, &op);
             self.charge_cache_hit();
-            self.flush_op(&key, &op, clock);
+            self.stats.non_blocking_ops += 1;
+            self.flush_op(key, op, clock);
             return returned;
         }
 
@@ -572,8 +611,7 @@ impl StateClient {
         //  * other updates are non-blocking: one RTT when the NF waits for
         //    the ACK (modes #1/#2), one async-issue cost when it does not
         //    (mode #3); the framework then owns retransmission.
-        let lost_exclusive =
-            strategy == CacheStrategy::CacheIfExclusive && !self.exclusive.contains(object);
+        let lost_exclusive = strategy == CacheStrategy::CacheIfExclusive && !exclusive;
         if blocking_required || lost_exclusive || strategy == CacheStrategy::CacheWithCallbacks {
             self.charge_rtt();
         } else if self.mode.skip_acks() {
@@ -584,18 +622,10 @@ impl StateClient {
             // objects take this shortcut (a cached copy would need the
             // authoritative value below; in practice only
             // `NonBlockingNoCache` objects reach this arm).
-            if self.write_behind.is_some() && !self.cache.contains_key(&key) {
-                if self.recovery_logging && self.is_shared_object(object) {
-                    self.wal.append(clock, key.clone(), op.clone());
-                }
-                self.packet_tokens
-                    .push((key.clone(), xor_token(self.instance, &key)));
-                let tag = self.tag(clock);
-                let buf = self.write_behind.as_mut().expect("checked above");
-                buf.push((key, op, tag));
-                if buf.len() >= self.write_behind_cap {
-                    self.drain_write_behind();
-                }
+            let uncached =
+                strategy == CacheStrategy::NonBlockingNoCache || !self.cache.contains_key(&key);
+            if self.write_behind.is_some() && uncached {
+                self.flush_op(key, op, clock);
                 return Value::None;
             }
         } else {
@@ -609,8 +639,8 @@ impl StateClient {
             Ok(r) => r,
             Err(_) => return Value::None,
         };
-        if self.recovery_logging && self.is_shared_object(object) {
-            self.wal.append(clock, key.clone(), op.clone());
+        if self.recovery_logging && shared {
+            self.wal.append(clock, key.clone(), op);
         }
         let ApplyResult {
             outcome,
@@ -633,28 +663,41 @@ impl StateClient {
         outcome.returned
     }
 
-    /// Flush one cached update to the store (non-blocking semantics).
+    /// Apply `op` to the local copy of `key` where it lies (creating it on
+    /// first touch); an inapplicable operation leaves the copy alone and
+    /// returns nothing, as the store would answer with an error.
+    fn apply_to_cached(&mut self, key: &StateKey, op: &Operation) -> Value {
+        let cached = match self.cache.get_mut(key) {
+            Some(cached) => cached,
+            None => self.cache.entry(key.clone()).or_default(),
+        };
+        match apply_in_place(key, cached, op, None) {
+            Ok((returned, _)) => returned,
+            Err(_) => Value::None,
+        }
+    }
+
+    /// Hand one update to the store with non-blocking semantics.
     ///
     /// With write-behind enabled the op is buffered for a batched drain
     /// instead of applied inline; the WAL append and XOR token still happen
     /// immediately (neither depends on the apply result), so recovery logs
     /// and the Figure 6 commit tokens are identical either way.
-    fn flush_op(&mut self, key: &StateKey, op: &Operation, clock: Clock) {
-        self.stats.non_blocking_ops += 1;
+    fn flush_op(&mut self, key: StateKey, op: Operation, clock: Clock) {
         if self.recovery_logging && key.instance.is_none() {
             self.wal.append(clock, key.clone(), op.clone());
         }
         self.packet_tokens
-            .push((key.clone(), xor_token(self.instance, key)));
+            .push((key.clone(), xor_token(self.instance, &key)));
         let tag = self.tag(clock);
         if let Some(buf) = self.write_behind.as_mut() {
-            buf.push((key.clone(), op.clone(), tag));
+            buf.push((key, op, tag));
             if buf.len() >= self.write_behind_cap {
                 self.drain_write_behind();
             }
             return;
         }
-        if let Ok(result) = self.store.apply(self.instance, key, op, tag) {
+        if let Ok(result) = self.store.apply(self.instance, &key, &op, tag) {
             for other in &result.notify {
                 self.pending_callbacks
                     .push((*other, key.clone(), result.new_value.clone()));
@@ -686,10 +729,15 @@ impl StateClient {
     /// object (driven by the upstream splitter's partitioning). Losing
     /// exclusivity flushes the cached copy to the store.
     pub fn set_exclusive(&mut self, object: &str, exclusive: bool, clock: Clock) {
-        if exclusive {
-            self.exclusive.insert(object.to_string());
-        } else {
-            self.exclusive.remove(object);
+        match self.objects.iter_mut().find(|o| &*o.name == object) {
+            Some(slot) => slot.exclusive = exclusive,
+            None if exclusive => self.objects.push(ObjectSlot {
+                exclusive: true,
+                ..ObjectSlot::undeclared(object)
+            }),
+            None => {}
+        }
+        if !exclusive {
             // Buffered increments on this object must reach the store before
             // the authoritative `Set` below, or they would re-apply on top
             // of it at the next drain.
@@ -699,7 +747,7 @@ impl StateClient {
             let keys: Vec<StateKey> = self
                 .cache
                 .keys()
-                .filter(|k| k.object.name == object)
+                .filter(|k| &*k.object.name == object)
                 .cloned()
                 .collect();
             for key in keys {
@@ -714,7 +762,7 @@ impl StateClient {
 
     /// True if the instance currently has exclusive access to the object.
     pub fn is_exclusive(&self, object: &str) -> bool {
-        self.exclusive.contains(object)
+        self.slot(object).is_some_and(|o| o.exclusive)
     }
 
     /// Flush every cached per-flow object (and optionally release ownership),
@@ -774,20 +822,13 @@ impl StateClient {
     /// checks the store; if the old owner has not released the state yet it
     /// must buffer the flow's packets until the handover notification.
     pub fn per_flow_owned_elsewhere(&self, conn_key: ScopeKey) -> bool {
-        self.specs
-            .values()
-            .filter(|(spec, _)| spec.scope == StateScope::PerFlow)
-            .any(|(spec, _)| {
-                let key = StateKey::per_flow(
-                    self.vertex,
-                    self.instance,
-                    ObjectKey::scoped(&spec.name, conn_key),
-                );
-                match self.store.owner_of(&key) {
-                    Some(owner) => owner != self.instance,
-                    None => false,
-                }
-            })
+        self.objects.iter().filter(|o| o.per_flow).any(|o| {
+            let key = o.key(self.vertex, self.instance, Some(conn_key));
+            match self.store.owner_of(&key) {
+                Some(owner) => owner != self.instance,
+                None => false,
+            }
+        })
     }
 
     /// Drop all cached state (used to model an NF crash: everything the
@@ -978,10 +1019,10 @@ mod tests {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
-        let tokens = c.take_packet_tokens();
+        let tokens: Vec<(StateKey, u32)> = c.take_packet_tokens().collect();
         assert_eq!(tokens.len(), 1);
         assert_ne!(tokens[0].1, 0);
-        assert!(c.take_packet_tokens().is_empty(), "taking resets the list");
+        assert_eq!(c.take_packet_tokens().len(), 0, "taking resets the list");
     }
 
     #[test]

@@ -55,11 +55,12 @@
 //!   where the root died.
 //!
 //! The healthy path pays none of this: with an empty plan no log is kept,
-//! no watermark is published and no duplicate tracking runs.
+//! no watermark is published and no duplicate tracking runs — the store's
+//! replay floor starts at the top, so clocked updates are never logged.
 
 use crate::config::{RingWait, RuntimeConfig, ScaleEvent};
 use crate::fault::{FaultReport, RootTakeover, ShardRecovery};
-use crate::replay::{run_supervisor, ReplacementSeed, ReplaySource};
+use crate::replay::{raise_replay_floor, run_supervisor, ReplacementSeed, ReplaySource};
 use crate::report::{RuntimeInstanceReport, RuntimeReport};
 use crate::spsc::{ring, Consumer, Producer, RingProbe};
 use crate::telemetry::{
@@ -814,6 +815,11 @@ pub fn run_chain_realtime(
     for sf in &fault.shard_faults {
         server.set_shard_journaling(sf.shard, true);
     }
+    if !fault_mode {
+        // No fault plan, no replay source: no clocked update can ever be a
+        // duplicate, so the store keeps no duplicate-suppression log at all.
+        server.forget_through(u64::MAX);
+    }
     let t0 = Instant::now();
     // Root stamp time per clock counter (ns since t0), published to the sink
     // through the rings' release/acquire edges.
@@ -985,6 +991,10 @@ pub fn run_chain_realtime(
                 let done = Arc::clone(&done_injecting);
                 let sources = commit_sources.clone();
                 let scopes = vertex_commit_scopes.clone();
+                // A re-injected copy travels the chain with no log holding
+                // it and no watermark covering it: while the supervisor
+                // runs, the store's replay floor stays below the drill.
+                let floor_cap = reinject_set.iter().min().map_or(u64::MAX, |c| c - 1);
                 scope.spawn(move || {
                     run_supervisor(
                         scope,
@@ -997,6 +1007,7 @@ pub fn run_chain_realtime(
                         shared,
                         sources,
                         scopes,
+                        floor_cap,
                         done,
                     )
                 })
@@ -1265,6 +1276,9 @@ pub fn run_chain_realtime(
                 }
             }
         }
+        // Every thread has joined — nothing is in flight, the re-injection
+        // drill included — so the store may forget what the logs forgot.
+        raise_replay_floor(&server, &logs, frontier);
         FaultReport {
             recoveries,
             shard_recoveries,
@@ -1291,6 +1305,8 @@ pub fn run_chain_realtime(
         .chain(failed_instances.iter())
         .map(|r| r.suppressed_duplicates)
         .sum();
+    let store_update_log_len = server.update_log_len();
+    let store_replay_floor = server.replay_floor();
     let invariants = finalize_sentinel(
         &telemetry,
         &SentinelInputs {
@@ -1315,6 +1331,9 @@ pub fn run_chain_realtime(
             xor_dirty: ledger
                 .as_ref()
                 .map_or(0, |l| l.dirty_confirmed().len() as u64),
+            dedup_log_len: store_update_log_len as u64,
+            dedup_widest_packet: server.update_log_widest_packet() as u64,
+            replay_floor: store_replay_floor,
         },
     );
 
@@ -1335,6 +1354,8 @@ pub fn run_chain_realtime(
         failed_instances,
         store_ops: server.total_ops(),
         store_ops_per_shard: server.ops_per_shard(),
+        store_update_log_len,
+        store_replay_floor,
         final_state: server.dump(),
         fault: fault_report,
         telemetry: telemetry_report,

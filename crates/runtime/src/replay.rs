@@ -62,11 +62,26 @@
 //! frontier, egress logs also run the paper's per-packet XOR deletes
 //! (Figure 6): any entry whose clock the ledger proves delivered and fully
 //! cancelled is dropped individually, frontier or not.
+//!
+//! ## The store's replay floor
+//!
+//! The same step bounds the store's duplicate-suppression log. A clocked
+//! update can only be a duplicate if some replay source re-issues its
+//! packet, and there are exactly three: the root log, a vertex egress log,
+//! and the re-injection drill's buffer. Right after truncation the root log
+//! holds nothing at or below the root frontier; every egress log's scope is
+//! a subset of the root's commit sources, so its own frontier is at least
+//! as high and it holds nothing there either (XOR deletes only remove
+//! more). The supervisor therefore raises [`StoreServer::forget_through`]
+//! to the root frontier — capped below the smallest re-injection counter
+//! for as long as it runs, because a re-injected copy is in flight after it
+//! left the buffer and no watermark covers it. Truncation pauses while
+//! replays may be in flight, and so does the floor.
 
 use crate::engine::{DyingInstance, EngineShared, InstancePlan, InstanceResult, OutLink};
 use crate::fault::{FailoverAbort, InstanceKill, InstanceRecovery};
 use chc_core::{TaggedPacket, VertexLogs, XorDeleteLedger};
-use chc_store::{InstanceId, VertexId};
+use chc_store::{InstanceId, StoreServer, VertexId};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,6 +153,7 @@ pub(crate) fn run_supervisor<'scope, 'env>(
     shared: Arc<EngineShared>,
     mut sources: Vec<InstanceId>,
     mut vertex_scopes: Vec<(VertexId, Vec<InstanceId>)>,
+    floor_cap: u64,
     done_injecting: Arc<AtomicBool>,
 ) -> SupervisorOutcome<'scope> {
     let mut outcome = SupervisorOutcome {
@@ -221,6 +237,7 @@ pub(crate) fn run_supervisor<'scope, 'env>(
                     }
                 }
             }
+            raise_replay_floor(&shared.server, &logs, frontier.min(floor_cap));
         }
 
         if done_injecting.load(Ordering::Acquire) && (seeds.is_empty() || disconnected) {
@@ -237,6 +254,23 @@ pub(crate) fn run_supervisor<'scope, 'env>(
         }
     }
     outcome
+}
+
+/// Tell the store that no packet log can replay a clock at or below `floor`
+/// any more (see the module docs for why the root frontier is that bound).
+pub(crate) fn raise_replay_floor(server: &StoreServer, logs: &VertexLogs, floor: u64) {
+    if floor == 0 {
+        return;
+    }
+    debug_assert!(
+        logs.root().first_counter().is_none_or(|c| c > floor)
+            && logs
+                .armed()
+                .filter_map(|v| logs.vertex(v)?.first_counter())
+                .all(|c| c > floor),
+        "a packet log still holds a clock at or below the replay floor {floor}"
+    );
+    server.forget_through(floor);
 }
 
 /// Begin one failover: remove the seed, hand the failed instance's store

@@ -82,6 +82,14 @@ pub struct RuntimeReport {
     pub store_ops: u64,
     /// Operations served by each store shard.
     pub store_ops_per_shard: Vec<u64>,
+    /// Clock-tagged updates the store still held for duplicate suppression
+    /// at the end of the run: 0 without a fault plan (the replay floor
+    /// starts at the top), otherwise bounded by the packets from
+    /// `store_replay_floor` up.
+    pub store_update_log_len: usize,
+    /// The store's final replay floor: the lowest clock counter a packet
+    /// log could still have replayed.
+    pub store_replay_floor: u64,
     /// Final store content as `(canonical key, value, owner)`.
     pub final_state: Vec<(StateKey, Value, Option<InstanceId>)>,
     /// Recovery metrics, present when a fault plan was active: per-failover

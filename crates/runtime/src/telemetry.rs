@@ -322,6 +322,10 @@ pub(crate) fn run_monitor(
             out.series.push(GaugeSeries::new("store.durable_bytes"));
             out.series.len() - 2
         });
+    // The duplicate-suppression log: flat when the replay floor keeps up
+    // with the commit frontier, zero on a run with no fault plan.
+    out.series.push(GaugeSeries::new("store.update_log_len"));
+    let dedup_idx = out.series.len() - 1;
     out.series.push(GaugeSeries::new("replay.packets"));
     let replay_idx = out.series.len() - 1;
 
@@ -367,6 +371,7 @@ pub(crate) fn run_monitor(
             out.series[idx].push(t_ns, targets.server.durable_segments() as f64);
             out.series[idx + 1].push(t_ns, targets.server.durable_bytes() as f64);
         }
+        out.series[dedup_idx].push(t_ns, targets.server.update_log_len() as f64);
         out.series[replay_idx].push(t_ns, telemetry.replay_progress.get() as f64);
     };
 
@@ -456,6 +461,12 @@ pub(crate) struct SentinelInputs {
     /// Delivered clock counters whose XOR delete-token residue never
     /// cancelled (0 when the ledger was off or the protocol closed).
     pub(crate) xor_dirty: u64,
+    /// Updates the store retains for duplicate suppression, all shards.
+    pub(crate) dedup_log_len: u64,
+    /// Most updates one packet ever held per shard log, summed over shards.
+    pub(crate) dedup_widest_packet: u64,
+    /// The store's replay floor (lowest counter still replayable).
+    pub(crate) replay_floor: u64,
 }
 
 /// Shutdown pass of the invariant sentinel: drain the journal tail (the
@@ -538,6 +549,28 @@ pub(crate) fn finalize_sentinel(
             detail: format!(
                 "{} duplicate clocks reached the sink without a re-injection drill",
                 inputs.duplicates
+            ),
+        });
+    }
+
+    // The dedup log keeps nothing below the replay floor, so it holds at
+    // most the updates of the packets from the floor up — none at all on a
+    // run without a fault plan, whose floor starts at the top.
+    let replayable = (inputs.injected + 1).saturating_sub(inputs.replay_floor);
+    let dedup_bound = replayable.saturating_mul(inputs.dedup_widest_packet);
+    if inputs.dedup_log_len > dedup_bound {
+        telemetry.violation(Violation {
+            invariant: chc_telemetry::InvariantKind::DedupLogBound,
+            t_ns,
+            observed: inputs.dedup_log_len,
+            expected: dedup_bound,
+            detail: format!(
+                "store dedup log holds {} updates, above the {replayable} packets from \
+                 replay floor {} to injected {} x {} updates per packet",
+                inputs.dedup_log_len,
+                inputs.replay_floor,
+                inputs.injected,
+                inputs.dedup_widest_packet
             ),
         });
     }

@@ -257,6 +257,80 @@ fn combined_kill_and_checkpointed_shard_restart_stay_exact() {
 }
 
 #[test]
+fn pruned_dedup_log_still_covers_kill_restart_and_reinjection() {
+    // Every replay source at once: an instance kill (root-log replay), a
+    // checkpointed restart of every shard (journal replay of a pruned log)
+    // and a re-injection drill whose copies reach the store unsuppressed in
+    // a run that keeps pruning behind the commit frontier. The store's
+    // duplicate suppression must still absorb every re-issued update, with
+    // a log no longer than the packets the logs never truncated.
+    let trace = trace_for(41);
+    let quarter = (trace.len() / 4) as u64;
+    let healthy = run(
+        &firewall_nat(),
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(8),
+        &trace,
+    );
+    // A healthy run has no replay source: the floor starts at the top and
+    // the store never logs an update.
+    assert_eq!(healthy.store_update_log_len, 0);
+    assert_eq!(healthy.store_replay_floor, u64::MAX);
+
+    let reinjected = [quarter / 2, quarter + 3, 2 * quarter + 5];
+    let mut plan = FaultPlan::new()
+        .kill(FW, 0, 3 * quarter)
+        .reinject(reinjected);
+    for shard in 0..4 {
+        plan = plan.restart_shard(shard, 2 * quarter, Some(quarter));
+    }
+    let faulted = run(
+        &firewall_nat(),
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(8).with_fault(plan),
+        &trace,
+    );
+    assert_eq!(faulted.duplicates, 0);
+    assert_no_violations(&faulted);
+    assert_eq!(sorted_ids(&healthy), sorted_ids(&faulted));
+    assert_eq!(healthy.shared_digest(), faulted.shared_digest());
+    let fault = faulted.fault.as_ref().unwrap();
+    assert_eq!(fault.recoveries.len(), 1);
+    assert_eq!(fault.shard_recoveries.len(), 4);
+    assert_eq!(fault.reinjected, reinjected.len() as u64);
+    assert!(fault.aborts.is_empty());
+    // The log holds updates only for packets from the floor up — exactly
+    // the packets the root log still holds after its final truncation. A
+    // firewall → NAT packet induces at most a handful of store updates.
+    let replayable = (faulted.injected + 1).saturating_sub(faulted.store_replay_floor);
+    assert!(replayable <= fault.log_final_len as u64);
+    assert!(
+        faulted.store_update_log_len as u64 <= 8 * replayable,
+        "{} updates retained for {replayable} replayable packets",
+        faulted.store_update_log_len
+    );
+
+    // The same drill with queue-level suppression off: the re-injected
+    // copies run the NFs again and only the store's log keeps state exact.
+    let mut plan = FaultPlan::new().reinject(reinjected);
+    for shard in 0..4 {
+        plan = plan.restart_shard(shard, 2 * quarter, Some(quarter));
+    }
+    let unsuppressed = run(
+        &firewall_nat(),
+        ChainConfig {
+            duplicate_suppression: false,
+            ..ChainConfig::default()
+        },
+        RuntimeConfig::with_batch_size(8).with_fault(plan),
+        &trace,
+    );
+    assert_no_violations(&unsuppressed);
+    assert_eq!(unsuppressed.duplicates, reinjected.len() as u64);
+    assert_eq!(healthy.shared_digest(), unsuppressed.shared_digest());
+}
+
+#[test]
 fn reinjection_is_counted_exactly_at_the_sink() {
     let trace = trace_for(7);
     // Re-inject three logged packets after the trace. With queue-level

@@ -247,7 +247,7 @@ impl AppendOnlyBackend {
                 op,
                 clock,
             } => {
-                let _ = instance.apply(requester, &key, &op, clock);
+                let _ = instance.replay_journaled(requester, &key, &op, clock);
                 stats.replayed_ops += 1;
             }
             PlainRecord::Callback { key, instance: who } => {
@@ -266,7 +266,7 @@ impl AppendOnlyBackend {
             }
             PlainRecord::ApplyBatch { requester, ops } => {
                 for (key, op, clock) in ops {
-                    let _ = instance.apply(requester, &key, &op, clock);
+                    let _ = instance.replay_journaled(requester, &key, &op, clock);
                     stats.replayed_ops += 1;
                 }
             }

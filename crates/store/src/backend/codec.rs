@@ -483,7 +483,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut dec = Dec::new(&bytes[..cut]);
             if let Some(k) = dec.state_key() {
-                assert_eq!(k.object.name, "x");
+                assert_eq!(&*k.object.name, "x");
                 assert!(dec.operation().is_none());
             }
         }

@@ -121,7 +121,8 @@ impl BackendConfig {
 /// registrations, and per-flow ownership reassignments.
 #[derive(Clone)]
 pub enum JournalRecord {
-    /// One applied operation.
+    /// One applied operation (emulated duplicates mutate nothing and are
+    /// not journaled).
     Apply {
         /// Instance that issued the operation.
         requester: InstanceId,
@@ -157,7 +158,7 @@ pub enum JournalRecord {
         to: InstanceId,
     },
     /// One batched [`crate::server::StoreServer::apply_batch`] submission to
-    /// this shard: the successfully applied ops in execution order. Replay is
+    /// this shard: the applied (not emulated) ops in execution order. Replay is
     /// element-wise, so recovery from a batched journal is identical to
     /// recovery from the same ops journaled one record each.
     ApplyBatch {
@@ -232,7 +233,9 @@ pub trait StorageBackend: Send {
     /// Rebuild the in-memory state from the latest checkpoint plus the
     /// journal suffix. Re-applying journal records with their original
     /// duplicate-suppression clocks reconstructs both the values and the
-    /// metadata exactly as they stood before the crash.
+    /// metadata exactly as they stood before the crash. The rebuilt
+    /// instance may sit below the server's replay floor (a decoded image
+    /// starts at zero); the server raises it before releasing the shard.
     fn recover(&mut self) -> ShardRecoveryStats;
 
     /// Number of durable segment files currently held (0 for in-memory
@@ -250,7 +253,10 @@ pub trait StorageBackend: Send {
 
 /// Shared journal-replay step: re-apply one record to `instance`, updating
 /// `stats`. Both engines funnel recovery through this so replay semantics
-/// cannot drift between them.
+/// cannot drift between them. Applies go through
+/// [`StoreInstance::replay_journaled`]: the journal holds only operations
+/// that were applied live, so replay never second-guesses them against the
+/// duplicate-suppression log.
 pub(crate) fn replay_record(
     instance: &mut StoreInstance,
     record: &JournalRecord,
@@ -263,7 +269,7 @@ pub(crate) fn replay_record(
             op,
             clock,
         } => {
-            let _ = instance.apply(*requester, key, op, *clock);
+            let _ = instance.replay_journaled(*requester, key, op, *clock);
             stats.replayed_ops += 1;
         }
         JournalRecord::Callback { key, instance: who } => {
@@ -280,7 +286,7 @@ pub(crate) fn replay_record(
         }
         JournalRecord::ApplyBatch { requester, ops } => {
             for (key, op, clock) in ops {
-                let _ = instance.apply(*requester, key, op, *clock);
+                let _ = instance.replay_journaled(*requester, key, op, *clock);
                 stats.replayed_ops += 1;
             }
         }

@@ -9,7 +9,10 @@
 
 use chc_packet::{Scope, ScopeKey};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a logical chain vertex (an NF type in the logical DAG).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -120,7 +123,10 @@ pub enum AccessPattern {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ObjectKey {
     /// The state object's name as declared by the NF (e.g. `"pkt_count"`).
-    pub name: String,
+    /// A shared handle: cloning a key bumps a reference count instead of
+    /// copying the name, so keys can be built and moved per operation
+    /// without touching the allocator.
+    pub name: Arc<str>,
     /// The scope-key instance this object refers to (`None` for singleton
     /// objects such as a global list of free ports).
     pub scope_key: Option<ScopeKey>,
@@ -129,18 +135,18 @@ pub struct ObjectKey {
 impl ObjectKey {
     /// A singleton object with no per-scope specialisation.
     pub fn named(name: &str) -> ObjectKey {
-        ObjectKey {
-            name: name.to_string(),
-            scope_key: None,
-        }
+        ObjectKey::shared_name(Arc::from(name), None)
     }
 
     /// An object specialised for a scope key (per-flow, per-host, ...).
     pub fn scoped(name: &str, key: ScopeKey) -> ObjectKey {
-        ObjectKey {
-            name: name.to_string(),
-            scope_key: Some(key),
-        }
+        ObjectKey::shared_name(Arc::from(name), Some(key))
+    }
+
+    /// An object under an already-shared name handle (no allocation): what a
+    /// client that resolved its declared objects once uses per operation.
+    pub fn shared_name(name: Arc<str>, scope_key: Option<ScopeKey>) -> ObjectKey {
+        ObjectKey { name, scope_key }
     }
 }
 
@@ -219,6 +225,172 @@ impl StateKey {
         h
     }
 }
+
+/// The identity of an object as the shard maps see it: vertex + object,
+/// without the owner metadata (a per-flow key and its shared form name the
+/// same stored object, which is what lets a handover find it), together with
+/// the stable [`StateKey::shard_hash`] the server already computed to pick
+/// the shard.
+///
+/// Implemented by the owned map key ([`CanonKey`]) and by a borrowed
+/// [`Probe`] over any `&StateKey`, so a map keyed by `CanonKey` is looked up
+/// without building — or cloning — a canonical key.
+pub(crate) trait CanonView {
+    /// `shard_hash()` of the object.
+    fn hash64(&self) -> u64;
+    /// Owning vertex.
+    fn vertex(&self) -> VertexId;
+    /// Object identity within the vertex.
+    fn object(&self) -> &ObjectKey;
+}
+
+impl Hash for dyn CanonView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash64());
+    }
+}
+
+impl PartialEq for dyn CanonView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash64() == other.hash64()
+            && self.vertex() == other.vertex()
+            && self.object() == other.object()
+    }
+}
+
+impl Eq for dyn CanonView + '_ {}
+
+/// Owned canonical key of a shard map, carrying its hash so neither a probe
+/// nor a table resize ever re-reads the name bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct CanonKey {
+    hash: u64,
+    vertex: VertexId,
+    object: ObjectKey,
+}
+
+impl CanonKey {
+    /// The canonical form of `key`.
+    pub(crate) fn of(key: &StateKey) -> CanonKey {
+        CanonKey {
+            hash: key.shard_hash(),
+            vertex: key.vertex,
+            object: key.object.clone(),
+        }
+    }
+
+    /// The canonical key as a (shared-form) [`StateKey`].
+    pub(crate) fn to_state_key(&self) -> StateKey {
+        StateKey::shared(self.vertex, self.object.clone())
+    }
+}
+
+impl CanonView for CanonKey {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+    fn vertex(&self) -> VertexId {
+        self.vertex
+    }
+    fn object(&self) -> &ObjectKey {
+        &self.object
+    }
+}
+
+impl Hash for CanonKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for CanonKey {
+    fn eq(&self, other: &CanonKey) -> bool {
+        (self as &dyn CanonView) == (other as &dyn CanonView)
+    }
+}
+
+impl Eq for CanonKey {}
+
+impl<'a> Borrow<dyn CanonView + 'a> for CanonKey {
+    fn borrow(&self) -> &(dyn CanonView + 'a) {
+        self
+    }
+}
+
+/// A borrowed canonical view of any key, with its hash computed once.
+pub(crate) struct Probe<'a> {
+    hash: u64,
+    key: &'a StateKey,
+}
+
+impl<'a> Probe<'a> {
+    /// View `key` canonically, hashing it here.
+    pub(crate) fn new(key: &'a StateKey) -> Probe<'a> {
+        Probe::hashed(key, key.shard_hash())
+    }
+
+    /// View `key` canonically under an already-computed `shard_hash()`.
+    pub(crate) fn hashed(key: &'a StateKey, hash: u64) -> Probe<'a> {
+        debug_assert_eq!(hash, key.shard_hash());
+        Probe { hash, key }
+    }
+
+    /// The probed key as given (owner metadata included).
+    pub(crate) fn key(&self) -> &'a StateKey {
+        self.key
+    }
+
+    /// An owned canonical key for inserting the probed object.
+    pub(crate) fn to_canon(&self) -> CanonKey {
+        CanonKey {
+            hash: self.hash,
+            vertex: self.key.vertex,
+            object: self.key.object.clone(),
+        }
+    }
+}
+
+impl CanonView for Probe<'_> {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+    fn vertex(&self) -> VertexId {
+        self.key.vertex
+    }
+    fn object(&self) -> &ObjectKey {
+        &self.key.object
+    }
+}
+
+/// Hasher of the shard maps: the key already carries a 64-bit FNV-1a hash,
+/// so hashing is one fold. Every key of one shard shares `hash % shards`;
+/// folding the high half down keeps the table's bucket index (taken from the
+/// low bits) independent of that residue.
+///
+/// This trades SipHash's resistance to crafted collisions for speed on keys
+/// derived from packet headers; `shard_hash` has the same exposure already.
+#[derive(Default)]
+pub(crate) struct PrehashedHasher(u64);
+
+impl Hasher for PrehashedHasher {
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// A shard map keyed by canonical object identity.
+pub(crate) type CanonMap<V> =
+    std::collections::HashMap<CanonKey, V, BuildHasherDefault<PrehashedHasher>>;
 
 impl fmt::Display for StateKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -31,6 +31,7 @@
 //!   store instance).
 
 pub mod backend;
+mod dedup;
 pub mod error;
 pub mod key;
 pub mod ops;

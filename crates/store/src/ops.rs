@@ -153,84 +153,118 @@ impl OpOutcome {
 /// argument, produce `(new_value, returned_value)`.
 pub type CustomOpFn = fn(&Value, &Value) -> (Value, Value);
 
-/// Apply `op` to `current`, producing the new stored value and the value to
-/// return to the caller. `custom` resolves custom operation names.
-///
-/// This is the single place where operation semantics are defined; both the
-/// simulated store and the threaded server call it.
 /// Resolver mapping a custom-operation name to its registered function.
 pub type CustomOpResolver<'a> = &'a dyn Fn(&str) -> Option<CustomOpFn>;
 
+/// Apply `op` to the stored `value` in place. Returns the value handed back
+/// to the caller and whether the stored value changed (what decides callback
+/// notifications). On error `value` is untouched.
+///
+/// This is the single place where operation semantics are defined; the
+/// store, the client-side cache and [`apply_operation`] all go through it.
+/// List operations mutate the list where it lies, so a pop on a long pool
+/// costs a pop, not a copy of the pool.
+pub fn apply_in_place(
+    key: &StateKey,
+    value: &mut Value,
+    op: &Operation,
+    custom: Option<CustomOpResolver<'_>>,
+) -> Result<(Value, bool), StoreError> {
+    // Scalar results are built first and compared against the stored value;
+    // list operations know whether they changed anything without comparing.
+    let replace = |value: &mut Value, new: Value| {
+        let changed = *value != new;
+        *value = new;
+        changed
+    };
+    Ok(match op {
+        Operation::Get => (value.clone(), false),
+        Operation::Set(v) => {
+            let changed = replace(value, v.clone());
+            (v.clone(), changed)
+        }
+        Operation::Delete => {
+            let changed = !value.is_none();
+            (std::mem::take(value), changed)
+        }
+        Operation::Increment(d) => {
+            let v = Value::Int(value.as_int() + d);
+            let changed = replace(value, v.clone());
+            (v, changed)
+        }
+        Operation::Decrement(d) => {
+            let v = Value::Int(value.as_int() - d);
+            let changed = replace(value, v.clone());
+            (v, changed)
+        }
+        Operation::AddPair(a, b) => {
+            let (x, y) = value.as_pair();
+            let v = Value::Pair(x + a, y + b);
+            let changed = replace(value, v.clone());
+            (v, changed)
+        }
+        Operation::PushBack(item) => {
+            let list = list_mut(key, value, "push")?;
+            list.push_back(item.clone());
+            (Value::Int(list.len() as i64), true)
+        }
+        Operation::PushFront(item) => {
+            let list = list_mut(key, value, "push")?;
+            list.push_front(item.clone());
+            (Value::Int(list.len() as i64), true)
+        }
+        Operation::PopFront => {
+            // A pop on a missing value leaves an empty list behind.
+            let created = value.is_none();
+            let popped = list_mut(key, value, "pop")?.pop_front();
+            let changed = created || popped.is_some();
+            (popped.unwrap_or(Value::None), changed)
+        }
+        Operation::PopBack => {
+            let created = value.is_none();
+            let popped = list_mut(key, value, "pop")?.pop_back();
+            let changed = created || popped.is_some();
+            (popped.unwrap_or(Value::None), changed)
+        }
+        Operation::CompareAndUpdate { condition, new } => {
+            let changed = condition.eval(value) && replace(value, new.clone());
+            (value.clone(), changed)
+        }
+        Operation::Custom { name, arg } => {
+            let f = custom
+                .and_then(|resolve| resolve(name))
+                .ok_or_else(|| StoreError::UnknownCustomOp(name.clone()))?;
+            let (new, returned) = f(value, arg);
+            let changed = replace(value, new);
+            (returned, changed)
+        }
+    })
+}
+
+/// Apply `op` to `current`, producing the new stored value and the value to
+/// return to the caller, leaving `current` alone (see [`apply_in_place`]).
 pub fn apply_operation(
     key: &StateKey,
     current: &Value,
     op: &Operation,
     custom: Option<CustomOpResolver<'_>>,
 ) -> Result<(Value, Value), StoreError> {
-    let out = match op {
-        Operation::Get => (current.clone(), current.clone()),
-        Operation::Set(v) => (v.clone(), v.clone()),
-        Operation::Delete => (Value::None, current.clone()),
-        Operation::Increment(d) => {
-            let v = Value::Int(current.as_int() + d);
-            (v.clone(), v)
-        }
-        Operation::Decrement(d) => {
-            let v = Value::Int(current.as_int() - d);
-            (v.clone(), v)
-        }
-        Operation::AddPair(a, b) => {
-            let (x, y) = current.as_pair();
-            let v = Value::Pair(x + a, y + b);
-            (v.clone(), v)
-        }
-        Operation::PushBack(item) => {
-            let mut list = take_list(key, current, "push")?;
-            list.push_back(item.clone());
-            let len = list.len() as i64;
-            (Value::List(list), Value::Int(len))
-        }
-        Operation::PushFront(item) => {
-            let mut list = take_list(key, current, "push")?;
-            list.push_front(item.clone());
-            let len = list.len() as i64;
-            (Value::List(list), Value::Int(len))
-        }
-        Operation::PopFront => {
-            let mut list = take_list(key, current, "pop")?;
-            let popped = list.pop_front().unwrap_or(Value::None);
-            (Value::List(list), popped)
-        }
-        Operation::PopBack => {
-            let mut list = take_list(key, current, "pop")?;
-            let popped = list.pop_back().unwrap_or(Value::None);
-            (Value::List(list), popped)
-        }
-        Operation::CompareAndUpdate { condition, new } => {
-            if condition.eval(current) {
-                (new.clone(), new.clone())
-            } else {
-                (current.clone(), current.clone())
-            }
-        }
-        Operation::Custom { name, arg } => {
-            let f = custom
-                .and_then(|resolve| resolve(name))
-                .ok_or_else(|| StoreError::UnknownCustomOp(name.clone()))?;
-            f(current, arg)
-        }
-    };
-    Ok(out)
+    let mut value = current.clone();
+    let (returned, _) = apply_in_place(key, &mut value, op, custom)?;
+    Ok((value, returned))
 }
 
-fn take_list(
+/// The list stored at `value`, turning a missing value into an empty list.
+fn list_mut<'v>(
     key: &StateKey,
-    current: &Value,
+    value: &'v mut Value,
     op: &'static str,
-) -> Result<VecDeque<Value>, StoreError> {
-    match current {
-        Value::List(l) => Ok(l.clone()),
-        Value::None => Ok(VecDeque::new()),
+) -> Result<&'v mut VecDeque<Value>, StoreError> {
+    if value.is_none() {
+        *value = Value::List(VecDeque::new());
+    }
+    match value {
+        Value::List(list) => Ok(list),
         _ => Err(StoreError::TypeMismatch {
             key: key.clone(),
             op,

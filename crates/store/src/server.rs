@@ -12,7 +12,7 @@
 //! with no shared locking. The real-thread Criterion benchmark
 //! (`benches/store_ops.rs`) measures this type directly.
 //!
-//! Two fault-tolerance facilities back the real-thread failover protocols:
+//! Three fault-tolerance facilities back the real-thread failover protocols:
 //!
 //! * **Per-shard journaling** (§5.4): with journaling enabled, every applied
 //!   operation (plus callback registrations, custom-op registrations and
@@ -30,7 +30,13 @@
 //!   on-path components ([`StoreServer::commit_frontier`]) to truncate its
 //!   packet log, bounding replay memory.
 //!
-//! Both facilities run on a pluggable [`StorageBackend`]
+//! * **Replay floor**: the supervisor that truncates those packet logs also
+//!   tells the store which clocks no log can replay any more
+//!   ([`StoreServer::forget_through`]); below that floor updates are neither
+//!   looked up nor logged for duplicate suppression, and each shard prunes
+//!   its log under the lock hold it takes anyway.
+//!
+//! The first two facilities run on a pluggable [`StorageBackend`]
 //! (see [`crate::backend`]): the in-memory engine above is the default, and
 //! the append-only flat-file engine persists the journal to per-shard
 //! segment files with checkpoint compaction, making `restart_shard` O(delta
@@ -42,11 +48,11 @@ use crate::backend::{
     StorageBackend,
 };
 use crate::error::StoreError;
-use crate::key::{Clock, InstanceId, StateKey};
+use crate::key::{Clock, InstanceId, Probe, StateKey};
 use crate::ops::{CustomOpFn, Operation};
 use crate::store::{ApplyResult, Checkpoint, StoreInstance};
 use crate::value::Value;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,6 +79,12 @@ pub struct StoreServer {
     /// clock counter. Low-rate (one publication per ring batch), so a mutexed
     /// map is the right tool.
     commits: Mutex<HashMap<InstanceId, u64>>,
+    /// The replay floor: the lowest clock counter a packet log may still
+    /// replay; everything below is dead to duplicate suppression. Shards pick it
+    /// up lazily, under the lock hold they take anyway. `Relaxed` suffices:
+    /// the value publishes no other data, and a shard that reads a stale
+    /// (lower) floor merely keeps a few log entries a little longer.
+    replay_floor: AtomicU64,
     /// Keeps the append-only engine's ephemeral scratch directory alive for
     /// the server's lifetime (removed when the server is dropped).
     _scratch: Option<ScratchDir>,
@@ -131,6 +143,7 @@ impl StoreServer {
                 .collect(),
             backend_kind: config.kind,
             commits: Mutex::new(HashMap::new()),
+            replay_floor: AtomicU64::new(0),
             _scratch: scratch,
         })
     }
@@ -148,7 +161,12 @@ impl StoreServer {
     /// The shard an object is pinned to. Stable for the server's lifetime:
     /// "each state object is only handled by a single thread" (§4.3).
     pub fn shard_index(&self, key: &StateKey) -> usize {
-        (key.shard_hash() % self.shards.len() as u64) as usize
+        self.shard_of_hash(key.shard_hash())
+    }
+
+    /// The shard a key with this `shard_hash()` is pinned to.
+    fn shard_of_hash(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
     }
 
     /// One pinned handle per shard (see [`ShardHandle`]); client threads use
@@ -175,6 +193,18 @@ impl StoreServer {
         &self.shards[self.shard_index(key)]
     }
 
+    /// Lock one shard and bring it up to the current replay floor, so every
+    /// apply, checkpoint and recovery under this hold sees a log pruned at
+    /// the floor.
+    fn lock_at_floor<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, Box<dyn StorageBackend>> {
+        let mut backend = shard.backend.lock();
+        let floor = self.replay_floor.load(Ordering::Relaxed);
+        if floor > backend.instance().replay_floor() {
+            backend.instance_mut().raise_floor(floor);
+        }
+        backend
+    }
+
     /// Register a custom operation on every shard.
     pub fn register_custom_op(&self, name: &str, f: CustomOpFn) {
         for shard in &self.shards {
@@ -183,20 +213,30 @@ impl StoreServer {
     }
 
     /// Apply an operation on one shard, journaling it when the shard's
-    /// journal is enabled. The journal append happens under the shard's
-    /// backend lock so the journal order is exactly the execution order.
+    /// journal is enabled and the operation mutated something — an emulated
+    /// duplicate changes nothing, and replaying it after its original's log
+    /// entry was pruned would apply it a second time. The journal append
+    /// happens under the shard's backend lock so the journal order is
+    /// exactly the execution order. `hash` is `key.shard_hash()`.
     fn apply_on_shard(
         &self,
         shard: &Shard,
+        hash: u64,
         requester: InstanceId,
         key: &StateKey,
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
         shard.ops.fetch_add(1, Ordering::Relaxed);
-        let mut backend = shard.backend.lock();
-        let result = backend.instance_mut().apply(requester, key, op, clock);
-        if result.is_ok() && backend.journaling() {
+        let mut backend = self.lock_at_floor(shard);
+        let result = backend.instance_mut().apply_probed(
+            &Probe::hashed(key, hash),
+            requester,
+            op,
+            clock,
+            true,
+        );
+        if backend.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
             backend.append(&JournalRecord::Apply {
                 requester,
                 key: key.clone(),
@@ -215,7 +255,9 @@ impl StoreServer {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_on_shard(self.shard_of(key), requester, key, op, clock)
+        let hash = key.shard_hash();
+        let shard = &self.shards[self.shard_of_hash(hash)];
+        self.apply_on_shard(shard, hash, requester, key, op, clock)
     }
 
     /// Apply a slice of operations, taking each involved shard's lock **once
@@ -223,7 +265,7 @@ impl StoreServer {
     ///
     /// Results come back in submission order. Within a shard, ops execute in
     /// submission order, and the shard's journal receives a single
-    /// [`JournalRecord::ApplyBatch`] covering the batch's successful ops —
+    /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops —
     /// replayed element-wise, so crash/recover semantics are identical to
     /// the same ops applied sequentially. Ops on different shards may
     /// interleave with concurrent writers exactly as sequential applies
@@ -236,31 +278,52 @@ impl StoreServer {
         if let [(key, op, clock)] = ops {
             return vec![self.apply(requester, key, op, *clock)];
         }
-        let mut results: Vec<Option<Result<ApplyResult, StoreError>>> =
-            (0..ops.len()).map(|_| None).collect();
-        // Bucket op indices by shard; shard counts are small, so a dense
-        // per-shard index list beats sorting.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (key, _, _)) in ops.iter().enumerate() {
-            buckets[self.shard_index(key)].push(i);
+        // Each key is hashed once; a write-behind drain fits the inline
+        // array, so the only allocation of a batch is its result vector.
+        let mut inline = [0u64; 64];
+        let mut spilled = Vec::new();
+        let hashes: &mut [u64] = match inline.get_mut(..ops.len()) {
+            Some(inline) => inline,
+            None => {
+                spilled.resize(ops.len(), 0);
+                &mut spilled
+            }
+        };
+        for (hash, (key, _, _)) in hashes.iter_mut().zip(ops) {
+            *hash = key.shard_hash();
         }
-        for (shard, bucket) in self.shards.iter().zip(&buckets) {
-            if bucket.is_empty() {
+        // Every slot is overwritten below: each op belongs to one shard.
+        let mut results: Vec<Result<ApplyResult, StoreError>> =
+            ops.iter().map(|_| Err(StoreError::Unavailable)).collect();
+        for (index, shard) in self.shards.iter().enumerate() {
+            let mine = |hash: &u64| self.shard_of_hash(*hash) == index;
+            let count = hashes.iter().filter(|h| mine(h)).count();
+            if count == 0 {
                 continue;
             }
-            shard.ops.fetch_add(bucket.len() as u64, Ordering::Relaxed);
-            let mut backend = shard.backend.lock();
-            for &i in bucket {
+            shard.ops.fetch_add(count as u64, Ordering::Relaxed);
+            let mut backend = self.lock_at_floor(shard);
+            for (i, hash) in hashes.iter().enumerate().filter(|(_, h)| mine(h)) {
                 let (key, op, clock) = &ops[i];
-                results[i] = Some(backend.instance_mut().apply(requester, key, op, *clock));
+                results[i] = backend.instance_mut().apply_probed(
+                    &Probe::hashed(key, *hash),
+                    requester,
+                    op,
+                    *clock,
+                    true,
+                );
             }
             // Journal append under the backend lock hold, like
-            // `apply_on_shard`: journal order is exactly execution order.
+            // `apply_on_shard`: journal order is exactly execution order,
+            // and emulated duplicates stay out of it.
             if backend.journaling() {
-                let applied: Vec<(StateKey, Operation, Option<Clock>)> = bucket
+                let applied: Vec<(StateKey, Operation, Option<Clock>)> = hashes
                     .iter()
-                    .filter(|&&i| matches!(results[i], Some(Ok(_))))
-                    .map(|&i| ops[i].clone())
+                    .enumerate()
+                    .filter(|(i, h)| {
+                        mine(h) && matches!(&results[*i], Ok(r) if !r.outcome.emulated)
+                    })
+                    .map(|(i, _)| ops[i].clone())
                     .collect();
                 if !applied.is_empty() {
                     backend.append(&JournalRecord::ApplyBatch {
@@ -271,9 +334,6 @@ impl StoreServer {
             }
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every op was bucketed to exactly one shard"))
-            .collect()
     }
 
     /// Read a value without metadata effects.
@@ -387,7 +447,7 @@ impl StoreServer {
     /// custom-op registrations and not the duplicate-suppression log. On the
     /// append-only engine this also compacts the on-disk segments.
     pub fn checkpoint_shard(&self, shard: usize) -> usize {
-        self.shards[shard].backend.lock().checkpoint()
+        self.lock_at_floor(&self.shards[shard]).checkpoint()
     }
 
     /// Fail-stop one shard: its in-memory state is wiped. The durable side
@@ -401,7 +461,19 @@ impl StoreServer {
     /// duplicate-suppression clocks reconstructs both the values and the
     /// metadata exactly as they stood before the crash.
     pub fn recover_shard(&self, shard: usize) -> ShardRecoveryStats {
-        self.shards[shard].backend.lock().recover()
+        let mut backend = self.shards[shard].backend.lock();
+        self.recover_locked(&mut **backend)
+    }
+
+    /// Recover under the caller's lock hold. The rebuilt instance starts at
+    /// floor zero (journal replay logs the whole suffix again); raising it
+    /// to the server's floor before the lock is released prunes that again.
+    fn recover_locked(&self, backend: &mut dyn StorageBackend) -> ShardRecoveryStats {
+        let stats = backend.recover();
+        backend
+            .instance_mut()
+            .raise_floor(self.replay_floor.load(Ordering::Relaxed));
+        stats
     }
 
     /// Crash and recover one shard under a single lock hold: concurrent
@@ -411,7 +483,7 @@ impl StoreServer {
     pub fn restart_shard(&self, shard: usize) -> ShardRecoveryStats {
         let mut backend = self.shards[shard].backend.lock();
         backend.crash();
-        backend.recover()
+        self.recover_locked(&mut **backend)
     }
 
     // ------------------------------------------------------------------
@@ -459,6 +531,45 @@ impl StoreServer {
         for shard in &self.shards {
             shard.backend.lock().instance_mut().forget_clock(clock);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The replay floor (bounding the duplicate-suppression log)
+    // ------------------------------------------------------------------
+
+    /// Declare that no packet log can replay a clock whose counter is at or
+    /// below `counter` any more. From here on such clocks are neither looked
+    /// up nor logged, and every shard drops what it holds for them the next
+    /// time its lock is taken. Monotonic: a lower value is ignored. A run
+    /// that can never replay anything passes `u64::MAX`.
+    pub fn forget_through(&self, counter: u64) {
+        self.replay_floor
+            .fetch_max(counter.saturating_add(1), Ordering::Relaxed);
+    }
+
+    /// The replay floor: the lowest clock counter a packet log may still
+    /// replay (one above the last [`StoreServer::forget_through`]; 0 while
+    /// nothing has been forgotten).
+    pub fn replay_floor(&self) -> u64 {
+        self.replay_floor.load(Ordering::Relaxed)
+    }
+
+    /// Clock-tagged updates currently retained for duplicate suppression,
+    /// across all shards, each pruned at the current floor first. O(shards).
+    pub fn update_log_len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| self.lock_at_floor(s).instance().update_log_len())
+            .sum()
+    }
+
+    /// Summed over shards, the most updates a single packet has ever held
+    /// in a shard's log: what one packet above the floor can cost.
+    pub fn update_log_widest_packet(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.backend.lock().instance().update_log_widest_packet())
+            .sum()
     }
 
     /// Every stored object across all shards as `(canonical key, value,
@@ -513,15 +624,18 @@ impl ShardHandle {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        if !self.owns(key) {
+        let hash = key.shard_hash();
+        let actual = self.server.shard_of_hash(hash);
+        if actual != self.index {
             return Err(StoreError::WrongShard {
                 key: key.clone(),
                 shard: self.index,
-                actual: self.server.shard_index(key),
+                actual,
             });
         }
         let shard = &self.server.shards[self.index];
-        self.server.apply_on_shard(shard, requester, key, op, clock)
+        self.server
+            .apply_on_shard(shard, hash, requester, key, op, clock)
     }
 
     /// Read a value pinned to this shard without metadata effects.

@@ -13,21 +13,27 @@
 //! across threads for the real-thread throughput benchmarks (the paper pins
 //! each state object to exactly one store thread to avoid locking overhead).
 
+use crate::dedup::DedupLog;
 use crate::error::StoreError;
-use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
-use crate::ops::{apply_operation, CustomOpFn, OpOutcome, Operation};
+use crate::key::{
+    CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, Probe, StateKey, VertexId,
+};
+use crate::ops::{apply_in_place, CustomOpFn, OpOutcome, Operation};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An entry stored at a canonical key.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Entry {
     value: Value,
     /// For per-flow objects: the instance currently allowed to update the
     /// object. `None` for shared objects (any instance of the vertex may
     /// issue operations; the store serializes them).
     owner: Option<InstanceId>,
+    /// Dense id, assigned at creation and stable for the instance's life
+    /// (entries are never removed): how the dedup log names this object.
+    id: u32,
 }
 
 /// Kinds of non-deterministic values an NF may request from the store
@@ -89,23 +95,21 @@ pub struct ApplyResult {
 /// A single CHC datastore instance. See the module documentation.
 #[derive(Default, Clone)]
 pub struct StoreInstance {
-    entries: HashMap<StateKey, Entry>,
+    entries: CanonMap<Entry>,
     custom_ops: HashMap<String, CustomOpFn>,
-    /// Duplicate-suppression log: the update operations issued for
-    /// (canonical key, packet clock) along with the value each returned.
-    /// Kept only while the packet is still being processed somewhere in the
-    /// chain (the root's delete clears it). A packet may legitimately issue
-    /// several *different* updates against the same object (e.g. seeding a
-    /// list), so emulation matches on the operation as well.
-    update_log: HashMap<(StateKey, Clock), Vec<(Operation, Value)>>,
-    /// Reverse index so `forget_clock` can clean `update_log` cheaply.
-    clock_index: HashMap<Clock, Vec<StateKey>>,
+    /// Duplicate-suppression log: per packet clock, the updates it induced
+    /// here and what each returned. Kept only while some packet log could
+    /// still replay the packet — the root's delete forgets one clock, the
+    /// replay floor a whole prefix.
+    dedup: DedupLog,
+    /// The replay floor: the lowest clock counter a packet log may still
+    /// replay. Updates of packets below it cannot be duplicates, so they
+    /// are neither looked up nor logged. Zero until someone raises it.
+    floor: u64,
     /// Last operation clock per requesting instance (the `TS` metadata).
     ts: HashMap<InstanceId, Clock>,
-    /// Logged non-deterministic values per (clock, slot) — Appendix A.
-    nondet_log: HashMap<(Clock, u32), Value>,
     /// Callback registrations per canonical key.
-    callbacks: HashMap<StateKey, HashSet<InstanceId>>,
+    callbacks: CanonMap<HashSet<InstanceId>>,
     /// Fail-stop flag: a failed instance answers nothing.
     failed: bool,
     /// Counters for reports.
@@ -168,27 +172,21 @@ impl StoreInstance {
         }
     }
 
-    fn ownership_check(
-        &self,
-        requester: InstanceId,
-        key: &StateKey,
-        canonical: &StateKey,
-    ) -> Result<(), StoreError> {
-        if !key.is_per_flow() {
-            return Ok(());
-        }
-        if let Some(entry) = self.entries.get(canonical) {
-            if let Some(owner) = entry.owner {
-                if owner != requester {
-                    return Err(StoreError::NotOwner {
-                        key: key.clone(),
-                        requester,
-                        owner: Some(owner),
-                    });
-                }
-            }
-        }
-        Ok(())
+    fn entry(&self, key: &StateKey) -> Option<&Entry> {
+        self.entries.get(&Probe::new(key) as &dyn CanonView)
+    }
+
+    fn entry_mut(&mut self, key: &StateKey) -> Option<&mut Entry> {
+        self.entries.get_mut(&Probe::new(key) as &dyn CanonView)
+    }
+
+    /// The entry at `key`, created empty and unowned if absent.
+    fn entry_or_create(&mut self, key: &StateKey) -> &mut Entry {
+        let id = self.entries.len() as u32;
+        self.entries.entry(CanonKey::of(key)).or_insert(Entry {
+            id,
+            ..Entry::default()
+        })
     }
 
     /// Apply an operation on behalf of `requester`.
@@ -197,7 +195,9 @@ impl StoreInstance {
     /// when present it drives the `TS` metadata and duplicate suppression:
     /// if an update for the same `(key, clock)` was already applied the store
     /// *emulates* the operation, returning the previously returned value
-    /// without mutating state (§5.3, Figure 5b).
+    /// without mutating state (§5.3, Figure 5b). A clock below the replay
+    /// floor ([`StoreInstance::forget_through`]) cannot be a duplicate: it
+    /// still moves `TS`, but is neither looked up nor logged.
     pub fn apply(
         &mut self,
         requester: InstanceId,
@@ -205,81 +205,106 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.check_available()?;
-        let canonical = key.canonical();
-        self.ownership_check(requester, key, &canonical)?;
+        self.apply_probed(&Probe::new(key), requester, op, clock, true)
+    }
 
-        // Duplicate suppression: only mutating ops are logged/emulated, and a
-        // re-issued operation is recognised by (key, clock, operation).
-        if let Some(c) = clock {
-            if !op.is_read_only() {
-                if let Some(entries) = self.update_log.get(&(canonical.clone(), c)) {
-                    if let Some((_, prev)) = entries.iter().find(|(logged, _)| logged == op) {
-                        self.ops_emulated += 1;
-                        let current = self
-                            .entries
-                            .get(&canonical)
-                            .map(|e| e.value.clone())
-                            .unwrap_or_default();
-                        return Ok(ApplyResult {
-                            outcome: OpOutcome::emulated(prev.clone()),
-                            notify: Vec::new(),
-                            new_value: current,
-                        });
-                    }
-                }
+    /// Re-apply a journaled operation during shard recovery. The journal
+    /// holds exactly the operations that were applied live (emulated ones
+    /// are not journaled), so replay applies without consulting the log —
+    /// whatever the floor was then or is now — and logs the update again
+    /// only if its clock can still be replayed.
+    pub fn replay_journaled(
+        &mut self,
+        requester: InstanceId,
+        key: &StateKey,
+        op: &Operation,
+        clock: Option<Clock>,
+    ) -> Result<ApplyResult, StoreError> {
+        self.apply_probed(&Probe::new(key), requester, op, clock, false)
+    }
+
+    /// [`StoreInstance::apply`] under a canonical view whose hash the caller
+    /// already computed (the server hashes a key once, to pick the shard).
+    pub(crate) fn apply_probed(
+        &mut self,
+        probe: &Probe<'_>,
+        requester: InstanceId,
+        op: &Operation,
+        clock: Option<Clock>,
+        suppress_duplicates: bool,
+    ) -> Result<ApplyResult, StoreError> {
+        self.check_available()?;
+        let key = probe.key();
+        // Only mutating ops of packets that can still be replayed take part
+        // in duplicate suppression.
+        let replayable = clock.filter(|c| !op.is_read_only() && c.counter() >= self.floor);
+
+        // A missing object is built on the side and only installed once the
+        // operation succeeded (a failed first touch leaves no entry behind).
+        let mut fresh = None;
+        let (entry, created) = match self.entries.get_mut(probe as &dyn CanonView) {
+            Some(entry) => (entry, false),
+            None => {
+                let entry = fresh.insert(Entry {
+                    value: Value::None,
+                    owner: key.instance,
+                    id: self.entries.len() as u32,
+                });
+                (entry, true)
+            }
+        };
+
+        if key.is_per_flow() {
+            if let Some(owner) = entry.owner.filter(|o| *o != requester) {
+                return Err(StoreError::NotOwner {
+                    key: key.clone(),
+                    requester,
+                    owner: Some(owner),
+                });
             }
         }
 
-        let current = self
-            .entries
-            .get(&canonical)
-            .map(|e| e.value.clone())
-            .unwrap_or_default();
+        // A re-issued operation is recognised by (key, clock, operation).
+        let packet = replayable.map(|c| self.dedup.packet(c));
+        if let Some(packet) = packet.as_ref().filter(|_| suppress_duplicates && !created) {
+            if let Some(prev) = packet.find(entry.id, op) {
+                self.ops_emulated += 1;
+                return Ok(ApplyResult {
+                    outcome: OpOutcome::emulated(prev),
+                    notify: Vec::new(),
+                    new_value: entry.value.clone(),
+                });
+            }
+        }
+
         let custom = &self.custom_ops;
         let resolver = |name: &str| custom.get(name).copied();
-        let (new_value, returned) = apply_operation(key, &current, op, Some(&resolver))?;
-
-        let mutated = !op.is_read_only() && new_value != current;
-        // Install the new value (creating the entry and, for per-flow keys,
-        // recording the owner on first touch).
-        let entry = self
-            .entries
-            .entry(canonical.clone())
-            .or_insert_with(|| Entry {
-                value: Value::None,
-                owner: key.instance,
-            });
+        let (returned, changed) = apply_in_place(key, &mut entry.value, op, Some(&resolver))?;
+        // First touch of a per-flow object records its owner.
         if key.is_per_flow() && entry.owner.is_none() {
             entry.owner = key.instance;
-        }
-        if !op.is_read_only() {
-            entry.value = new_value.clone();
         }
 
         if let Some(c) = clock {
             self.ts.insert(requester, c);
-            if !op.is_read_only() {
-                self.update_log
-                    .entry((canonical.clone(), c))
-                    .or_default()
-                    .push((op.clone(), returned.clone()));
-                self.clock_index
-                    .entry(c)
-                    .or_default()
-                    .push(canonical.clone());
-            }
+        }
+        if let Some(packet) = packet {
+            packet.record(entry.id, op, &returned);
         }
         self.ops_applied += 1;
 
-        let notify: Vec<InstanceId> = if mutated {
+        let notify: Vec<InstanceId> = if changed && !self.callbacks.is_empty() {
             self.callbacks
-                .get(&canonical)
+                .get(probe as &dyn CanonView)
                 .map(|set| set.iter().copied().filter(|i| *i != requester).collect())
                 .unwrap_or_default()
         } else {
             Vec::new()
         };
+        let new_value = entry.value.clone();
+        if let Some(fresh) = fresh {
+            self.entries.insert(probe.to_canon(), fresh);
+        }
 
         Ok(ApplyResult {
             outcome: OpOutcome::applied(returned),
@@ -290,10 +315,7 @@ impl StoreInstance {
 
     /// Read a value without touching metadata (used by reports and tests).
     pub fn peek(&self, key: &StateKey) -> Value {
-        self.entries
-            .get(&key.canonical())
-            .map(|e| e.value.clone())
-            .unwrap_or_default()
+        self.entry(key).map(|e| e.value.clone()).unwrap_or_default()
     }
 
     /// Current `TS` metadata (last clock applied per instance).
@@ -305,8 +327,8 @@ impl StoreInstance {
     pub fn keys_of_vertex(&self, vertex: VertexId) -> Vec<StateKey> {
         self.entries
             .keys()
-            .filter(|k| k.vertex == vertex)
-            .cloned()
+            .filter(|k| k.vertex() == vertex)
+            .map(CanonKey::to_state_key)
             .collect()
     }
 
@@ -314,8 +336,8 @@ impl StoreInstance {
     pub fn keys_named(&self, name: &str) -> Vec<StateKey> {
         self.entries
             .keys()
-            .filter(|k| k.object.name == name)
-            .cloned()
+            .filter(|k| &*k.object().name == name)
+            .map(CanonKey::to_state_key)
             .collect()
     }
 
@@ -325,7 +347,7 @@ impl StoreInstance {
 
     /// Current owner of a per-flow object, if any.
     pub fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
-        self.entries.get(&key.canonical()).and_then(|e| e.owner)
+        self.entry(key).and_then(|e| e.owner)
     }
 
     /// Disassociate `instance` from the object (step 5 of the handover).
@@ -337,7 +359,7 @@ impl StoreInstance {
         instance: InstanceId,
     ) -> Result<(), StoreError> {
         self.check_available()?;
-        if let Some(entry) = self.entries.get_mut(&key.canonical()) {
+        if let Some(entry) = self.entry_mut(key) {
             match entry.owner {
                 Some(o) if o == instance => entry.owner = None,
                 Some(o) => {
@@ -361,11 +383,7 @@ impl StoreInstance {
         instance: InstanceId,
     ) -> Result<(), StoreError> {
         self.check_available()?;
-        let canonical = key.canonical();
-        let entry = self.entries.entry(canonical).or_insert_with(|| Entry {
-            value: Value::None,
-            owner: None,
-        });
+        let entry = self.entry_or_create(key);
         match entry.owner {
             None => {
                 entry.owner = Some(instance);
@@ -401,14 +419,14 @@ impl StoreInstance {
     /// Register `instance` to be notified whenever the object changes.
     pub fn register_callback(&mut self, key: &StateKey, instance: InstanceId) {
         self.callbacks
-            .entry(key.canonical())
+            .entry(CanonKey::of(key))
             .or_default()
             .insert(instance);
     }
 
     /// Remove a callback registration.
     pub fn unregister_callback(&mut self, key: &StateKey, instance: InstanceId) {
-        if let Some(set) = self.callbacks.get_mut(&key.canonical()) {
+        if let Some(set) = self.callbacks.get_mut(&Probe::new(key) as &dyn CanonView) {
             set.remove(&instance);
         }
     }
@@ -416,7 +434,7 @@ impl StoreInstance {
     /// Instances registered for callbacks on `key`.
     pub fn callback_registrations(&self, key: &StateKey) -> Vec<InstanceId> {
         self.callbacks
-            .get(&key.canonical())
+            .get(&Probe::new(key) as &dyn CanonView)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
@@ -425,20 +443,47 @@ impl StoreInstance {
     // Duplicate-suppression log maintenance
     // ------------------------------------------------------------------
 
-    /// Forget all duplicate-suppression log entries for `clock`. Called when
-    /// the root deletes the packet (it is no longer in flight anywhere).
+    /// Forget everything logged for `clock` — its updates and its
+    /// non-deterministic values. Called when the root deletes the packet (it
+    /// is no longer in flight anywhere).
     pub fn forget_clock(&mut self, clock: Clock) {
-        if let Some(keys) = self.clock_index.remove(&clock) {
-            for k in keys {
-                self.update_log.remove(&(k, clock));
-            }
-        }
-        self.nondet_log.retain(|(c, _), _| *c != clock);
+        self.dedup.forget_clock(clock);
     }
 
-    /// Number of clock-tagged update log entries currently retained.
+    /// Raise the replay floor to just above `counter`: forget everything
+    /// logged for packets with a clock counter at or below it (whichever
+    /// root stamped them), and stop looking up or logging such clocks. The
+    /// caller asserts that no packet log can replay them any more. The floor
+    /// never moves down.
+    pub fn forget_through(&mut self, counter: u64) {
+        self.raise_floor(counter.saturating_add(1));
+    }
+
+    /// Raise the replay floor to `floor` (see
+    /// [`StoreInstance::replay_floor`]); a lower value is ignored.
+    pub(crate) fn raise_floor(&mut self, floor: u64) {
+        if floor > self.floor {
+            self.floor = floor;
+            self.dedup.forget_below(floor);
+        }
+    }
+
+    /// The replay floor: the lowest clock counter that may still be
+    /// replayed; counters below it are neither looked up nor logged (0 until
+    /// [`StoreInstance::forget_through`] raises it).
+    pub fn replay_floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// Number of clock-tagged updates currently retained. O(1).
     pub fn update_log_len(&self) -> usize {
-        self.update_log.values().map(|v| v.len()).sum()
+        self.dedup.len()
+    }
+
+    /// Most updates a single packet has ever held in the log of this
+    /// instance (what one packet above the floor can cost).
+    pub fn update_log_widest_packet(&self) -> usize {
+        self.dedup.widest_slot()
     }
 
     // ------------------------------------------------------------------
@@ -448,12 +493,13 @@ impl StoreInstance {
     /// Return the non-deterministic value for `(clock, slot)`, computing and
     /// logging `candidate` on first request. A replayed packet (same clock)
     /// observes the identical value, keeping straggler clones and failover
-    /// instances deterministic.
+    /// instances deterministic. Below the replay floor there is no replay to
+    /// keep deterministic, so the candidate is returned unlogged.
     pub fn nondet_value(&mut self, clock: Clock, slot: u32, candidate: Value) -> Value {
-        self.nondet_log
-            .entry((clock, slot))
-            .or_insert(candidate)
-            .clone()
+        if clock.counter() < self.floor {
+            return candidate;
+        }
+        self.dedup.nondet_value(clock, slot, candidate)
     }
 
     // ------------------------------------------------------------------
@@ -462,10 +508,11 @@ impl StoreInstance {
 
     /// Take a checkpoint of all state plus the `TS` metadata.
     pub fn checkpoint(&self, taken_at_ns: u64) -> Checkpoint {
-        let mut entries = BTreeMap::new();
-        for (k, e) in &self.entries {
-            entries.insert(k.to_string(), (k.clone(), e.value.clone(), e.owner));
-        }
+        let entries = self
+            .entries()
+            .into_iter()
+            .map(|(k, v, o)| (k.to_string(), (k, v, o)))
+            .collect();
         Checkpoint {
             entries,
             ts: self.ts.clone(),
@@ -478,30 +525,19 @@ impl StoreInstance {
     pub fn restore(&mut self, checkpoint: &Checkpoint) {
         self.entries.clear();
         for (key, value, owner) in checkpoint.entries.values() {
-            self.entries.insert(
-                key.clone(),
-                Entry {
-                    value: value.clone(),
-                    owner: *owner,
-                },
-            );
+            self.install(key, value.clone(), *owner);
         }
         self.ts = checkpoint.ts.clone();
-        self.update_log.clear();
-        self.clock_index.clear();
+        self.dedup.clear_updates();
         self.failed = false;
     }
 
     /// Directly install a value (used when recovering per-flow state from the
     /// caches of NF instances, which hold the freshest copy, §5.4).
     pub fn install(&mut self, key: &StateKey, value: Value, owner: Option<InstanceId>) {
-        self.entries.insert(
-            key.canonical(),
-            Entry {
-                value,
-                owner: owner.or(key.instance),
-            },
-        );
+        let entry = self.entry_or_create(key);
+        entry.value = value;
+        entry.owner = owner.or(key.instance);
     }
 
     /// Every stored object as `(canonical key, value, owner)`. Used by the
@@ -510,7 +546,7 @@ impl StoreInstance {
     pub fn entries(&self) -> Vec<(StateKey, Value, Option<InstanceId>)> {
         self.entries
             .iter()
-            .map(|(k, e)| (k.clone(), e.value.clone(), e.owner))
+            .map(|(k, e)| (k.to_state_key(), e.value.clone(), e.owner))
             .collect()
     }
 
@@ -521,26 +557,45 @@ impl StoreInstance {
     /// Capture the *complete* instance — values, ownership, `TS`, the
     /// duplicate-suppression log, logged non-determinism, callback
     /// registrations and counters — as plain data a durable backend can
-    /// encode byte-by-byte. Custom operations are captured by *name* only
-    /// (function pointers are not serializable); the backend re-resolves
-    /// them from its resident registration table on restore. Sequences are
-    /// deterministically ordered so the same state always encodes to the
-    /// same bytes.
+    /// encode byte-by-byte. The log holds nothing at or below the replay
+    /// floor, so neither does the image: its size follows the packets still
+    /// replayable, not the history. Custom operations are captured by *name*
+    /// only (function pointers are not serializable); the backend
+    /// re-resolves them from its resident registration table on restore.
+    /// Sequences are deterministically ordered so the same state always
+    /// encodes to the same bytes.
     pub fn durable_image(&self) -> DurableImage {
         let mut entries: Vec<(StateKey, Value, Option<InstanceId>)> = self.entries();
         entries.sort_by_key(|(k, _, _)| k.to_string());
-        let mut update_log: UpdateLogImage = self
-            .update_log
+        // The log names objects by entry id; the image names them by key.
+        let mut key_of: Vec<Option<&CanonKey>> = vec![None; self.entries.len()];
+        for (key, entry) in &self.entries {
+            key_of[entry.id as usize] = Some(key);
+        }
+        let mut logged: Vec<(String, Clock, StateKey, (Operation, Value))> = self
+            .dedup
             .iter()
-            .map(|((k, c), ops)| (k.clone(), *c, ops.clone()))
+            .map(|(clock, entry, op, returned)| {
+                let key = key_of[entry as usize].expect("logged updates name live entries");
+                let key = key.to_state_key();
+                (key.to_string(), clock, key, (op, returned))
+            })
             .collect();
-        update_log.sort_by_key(|(k, c, _)| (k.to_string(), *c));
+        // Stable: the updates of one (key, clock) keep their order.
+        logged.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        let mut update_log: UpdateLogImage = Vec::new();
+        for (_, clock, key, update) in logged {
+            match update_log.last_mut() {
+                Some((k, c, ops)) if *c == clock && *k == key => ops.push(update),
+                _ => update_log.push((key, clock, vec![update])),
+            }
+        }
         let mut ts: Vec<(InstanceId, Clock)> = self.ts.iter().map(|(i, c)| (*i, *c)).collect();
         ts.sort_unstable_by_key(|(i, _)| *i);
         let mut nondet_log: Vec<(Clock, u32, Value)> = self
-            .nondet_log
-            .iter()
-            .map(|((c, slot), v)| (*c, *slot, v.clone()))
+            .dedup
+            .nondet_iter()
+            .map(|(c, slot, v)| (c, slot, v.clone()))
             .collect();
         nondet_log.sort_by_key(|(c, slot, _)| (*c, *slot));
         let mut callbacks: Vec<(StateKey, Vec<InstanceId>)> = self
@@ -549,7 +604,7 @@ impl StoreInstance {
             .map(|(k, set)| {
                 let mut who: Vec<InstanceId> = set.iter().copied().collect();
                 who.sort_unstable();
-                (k.clone(), who)
+                (k.to_state_key(), who)
             })
             .collect();
         callbacks.sort_by_key(|(k, _)| k.to_string());
@@ -571,32 +626,33 @@ impl StoreInstance {
     /// Rebuild an instance from a [`DurableImage`]. `resolve` maps captured
     /// custom-operation names back to registered functions (names it cannot
     /// resolve are dropped — the owning backend re-registers its resident
-    /// table on top regardless). The clock reverse index is reconstructed
-    /// from the update log.
+    /// table on top regardless). The replay floor is the server's knowledge,
+    /// not the image's: the rebuilt instance starts at floor zero and the
+    /// server raises it again under the lock hold that recovered the shard.
     pub fn from_durable_image(
         image: DurableImage,
         resolve: &dyn Fn(&str) -> Option<CustomOpFn>,
     ) -> StoreInstance {
         let mut instance = StoreInstance::new();
         for (key, value, owner) in image.entries {
-            instance.entries.insert(key, Entry { value, owner });
+            let entry = instance.entry_or_create(&key);
+            entry.value = value;
+            entry.owner = owner;
         }
         instance.ts = image.ts.into_iter().collect();
         for (key, clock, ops) in image.update_log {
-            instance
-                .clock_index
-                .entry(clock)
-                .or_default()
-                .push(key.clone());
-            instance.update_log.insert((key, clock), ops);
+            let id = instance.entry_or_create(&key).id;
+            for (op, returned) in ops {
+                instance.dedup.packet(clock).record(id, &op, &returned);
+            }
         }
-        instance.nondet_log = image
-            .nondet_log
-            .into_iter()
-            .map(|(c, slot, v)| ((c, slot), v))
-            .collect();
+        for (clock, slot, value) in image.nondet_log {
+            instance.dedup.nondet_value(clock, slot, value);
+        }
         for (key, who) in image.callbacks {
-            instance.callbacks.insert(key, who.into_iter().collect());
+            instance
+                .callbacks
+                .insert(CanonKey::of(&key), who.into_iter().collect());
         }
         for name in image.custom_op_names {
             if let Some(f) = resolve(&name) {
@@ -769,6 +825,47 @@ mod tests {
             .unwrap();
         assert!(!third.outcome.emulated);
         assert_eq!(store.peek(&key), Value::Int(2));
+    }
+
+    #[test]
+    fn replay_floor_prunes_the_log_and_stops_logging_below_it() {
+        let mut store = StoreInstance::new();
+        let key = shared("pkt_count");
+        let incr = Operation::Increment(1);
+        for c in 1..=6 {
+            let clock = Clock::with_root((c % 2) as u8, c);
+            store
+                .apply(InstanceId(0), &key, &incr, Some(clock))
+                .unwrap();
+        }
+        assert_eq!(store.update_log_len(), 6);
+        // No packet log can replay counters 1..=4 any more, whichever root.
+        store.forget_through(4);
+        assert_eq!(store.replay_floor(), 5);
+        assert_eq!(store.update_log_len(), 2);
+        // Below the floor an update cannot be a duplicate: it applies, moves
+        // `TS`, and leaves no trace in the log.
+        let late = Clock::with_root(0, 3);
+        let r = store.apply(InstanceId(7), &key, &incr, Some(late)).unwrap();
+        assert!(!r.outcome.emulated);
+        assert_eq!(store.peek(&key), Value::Int(7));
+        assert_eq!(store.ts()[&InstanceId(7)], late);
+        assert_eq!(store.update_log_len(), 2);
+        // At and above it, suppression works as before.
+        let live = Clock::with_root(1, 5);
+        let r = store.apply(InstanceId(0), &key, &incr, Some(live)).unwrap();
+        assert!(r.outcome.emulated);
+        // The floor never moves down.
+        store.forget_through(2);
+        assert_eq!(store.replay_floor(), 5);
+        // Journal replay applies what was applied live, without asking the
+        // log, and logs it again only while it is replayable.
+        let r = store
+            .replay_journaled(InstanceId(0), &key, &incr, Some(live))
+            .unwrap();
+        assert!(!r.outcome.emulated);
+        assert_eq!(store.peek(&key), Value::Int(8));
+        assert_eq!(store.update_log_len(), 3);
     }
 
     #[test]

@@ -220,6 +220,99 @@ fn append_only_restart_replays_only_the_suffix() {
     assert_eq!(stats.replayed_ops, history as usize, "O(history) baseline");
 }
 
+/// Restart cost follows the replay floor, not the history: with the floor
+/// trailing the writer the way the runtime's supervisor moves it, a shard
+/// with 32k operations behind it checkpoints, restores and replays exactly
+/// what one with 2k does — the image carries no duplicate-suppression entry
+/// below the floor, so on the durable engine it is byte-for-byte as small.
+#[test]
+fn restart_cost_follows_the_floor_not_the_history() {
+    const TAIL: u64 = 16;
+    for kind in KINDS {
+        let run = |history: u64| {
+            let server = journaled(kind, 1);
+            let write = |c: u64| {
+                server
+                    .apply(
+                        InstanceId(0),
+                        &key("h", (c % 4) as usize),
+                        &Operation::Increment(1),
+                        Some(Clock::with_root(0, c)),
+                    )
+                    .unwrap();
+            };
+            for c in 1..=history {
+                write(c);
+                if c % 512 == 0 {
+                    server.forget_through(c - 64);
+                }
+            }
+            server.forget_through(history);
+            server.checkpoint_shard(0);
+            for c in history + 1..=history + TAIL {
+                write(c);
+            }
+            let stats = server.restart_shard(0);
+            (stats, server.update_log_len(), server.durable_bytes())
+        };
+        let (short, short_log, short_bytes) = run(2_000);
+        let (long, long_log, long_bytes) = run(32_000);
+        assert_eq!(short.replayed_ops, TAIL as usize, "{kind:?}");
+        assert_eq!(short.restored_from_checkpoint, 4, "{kind:?}");
+        assert_eq!(long, short, "{kind:?}: restart work tracked history");
+        assert_eq!(
+            (short_log, long_log),
+            (TAIL as usize, TAIL as usize),
+            "{kind:?}"
+        );
+        assert_eq!(
+            long_bytes, short_bytes,
+            "{kind:?}: image size tracked history"
+        );
+    }
+}
+
+/// An emulated duplicate mutates nothing, so it is not journaled: a journal
+/// suffix that held an original *and* its duplicate would apply both once the
+/// floor had pruned the original's log entry.
+#[test]
+fn emulated_duplicates_stay_out_of_the_journal() {
+    for kind in KINDS {
+        let server = journaled(kind, 1);
+        let k = key("dup", 0);
+        let clock = Some(Clock::with_root(0, 5));
+        let op = Operation::Increment(1);
+        let first = server.apply(InstanceId(0), &k, &op, clock).unwrap();
+        let again = server.apply(InstanceId(0), &k, &op, clock).unwrap();
+        let batch = server.apply_batch(
+            InstanceId(0),
+            &[
+                (k.clone(), op.clone(), clock),
+                (k.clone(), op.clone(), clock),
+            ],
+        );
+        assert!(
+            !first.outcome.emulated && again.outcome.emulated,
+            "{kind:?}"
+        );
+        assert!(
+            batch.iter().all(|r| r.as_ref().unwrap().outcome.emulated),
+            "{kind:?}"
+        );
+        assert_eq!(
+            server.shard_journal_len(0),
+            1,
+            "{kind:?}: duplicates journaled"
+        );
+        // The packet completes, its entry is pruned, the shard restarts.
+        server.forget_through(5);
+        let stats = server.restart_shard(0);
+        assert_eq!(stats.replayed_ops, 1, "{kind:?}");
+        assert_eq!(server.peek(&k), Value::Int(1), "{kind:?}: double-applied");
+        assert_eq!(server.update_log_len(), 0, "{kind:?}");
+    }
+}
+
 proptest! {
     /// Server-level recovery equivalence on both engines: a random op
     /// sequence with a random mid-stream checkpoint, then restart every
@@ -256,6 +349,67 @@ proptest! {
                 replayed <= n - checkpoint_at,
                 "replay must be bounded by the post-checkpoint suffix"
             );
+        }
+    }
+
+    /// Crashed-and-recovered ≡ never-crashed, with a moving replay floor:
+    /// fresh updates, re-issued duplicates (above the floor they are
+    /// emulated, below it they apply — identically on both sides), floor
+    /// advances, checkpoints and shard restarts in random order. Every
+    /// answer, the final state and the retained log match a server that saw
+    /// the same traffic and never crashed.
+    #[test]
+    fn floor_advances_and_duplicates_recover_identically(seed in any::<u64>()) {
+        for kind in KINDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shards = rng.gen_range(1..=3usize);
+            let server = journaled(kind, shards);
+            let oracle = StoreServer::with_backend(shards, BackendKind::Memory);
+            let mut issued: Vec<(StateKey, Operation, Clock)> = Vec::new();
+            let mut next = 1u64;
+            for _ in 0..rng.gen_range(10..=80usize) {
+                match rng.gen_range(0..12u32) {
+                    0 => {
+                        let through = rng.gen_range(0..=next);
+                        server.forget_through(through);
+                        oracle.forget_through(through);
+                    }
+                    1 => {
+                        server.checkpoint_shard(rng.gen_range(0..shards));
+                    }
+                    2 => {
+                        server.restart_shard(rng.gen_range(0..shards));
+                    }
+                    roll => {
+                        let (k, op, clock) = if roll < 6 && !issued.is_empty() {
+                            issued[rng.gen_range(0..issued.len())].clone()
+                        } else {
+                            let fresh = (
+                                key("f", rng.gen_range(0..5)),
+                                Operation::Increment(rng.gen_range(1..4)),
+                                Clock::with_root(rng.gen_range(0..2), next),
+                            );
+                            next += 1;
+                            issued.push(fresh.clone());
+                            fresh
+                        };
+                        let got = server.apply(InstanceId(0), &k, &op, Some(clock)).unwrap();
+                        let want = oracle.apply(InstanceId(0), &k, &op, Some(clock)).unwrap();
+                        prop_assert_eq!(got, want, "{:?} {:?} {}", kind, op, clock);
+                    }
+                }
+            }
+            for s in 0..shards {
+                server.restart_shard(s);
+            }
+            prop_assert_eq!(sorted_dump(&server), sorted_dump(&oracle));
+            prop_assert_eq!(server.update_log_len(), oracle.update_log_len());
+            // What is still on record answers the same after the restart.
+            for (k, op, clock) in &issued {
+                let got = server.apply(InstanceId(0), k, op, Some(*clock)).unwrap();
+                let want = oracle.apply(InstanceId(0), k, op, Some(*clock)).unwrap();
+                prop_assert_eq!(got, want);
+            }
         }
     }
 

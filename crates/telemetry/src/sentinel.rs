@@ -68,6 +68,10 @@ pub enum InvariantKind {
     /// residue never cancelled (a delete token folded in but not back out,
     /// or vice versa — Figure 6's commit vector did not close).
     XorResidue,
+    /// The store's duplicate-suppression log holds more than the packets
+    /// above the replay floor can account for (entries that should have
+    /// been pruned at the floor, or a healthy run that logged at all).
+    DedupLogBound,
 }
 
 impl InvariantKind {
@@ -82,6 +86,7 @@ impl InvariantKind {
             InvariantKind::FailoverPhase => 6,
             InvariantKind::RootHandoff => 7,
             InvariantKind::XorResidue => 8,
+            InvariantKind::DedupLogBound => 9,
         }
     }
 
@@ -96,6 +101,7 @@ impl InvariantKind {
             6 => InvariantKind::FailoverPhase,
             7 => InvariantKind::RootHandoff,
             8 => InvariantKind::XorResidue,
+            9 => InvariantKind::DedupLogBound,
             _ => return None,
         })
     }
@@ -111,6 +117,7 @@ impl InvariantKind {
             InvariantKind::FailoverPhase => "failover_phase",
             InvariantKind::RootHandoff => "root_handoff",
             InvariantKind::XorResidue => "xor_residue",
+            InvariantKind::DedupLogBound => "dedup_log_bound",
         }
     }
 }
@@ -627,6 +634,7 @@ mod tests {
             InvariantKind::FailoverPhase,
             InvariantKind::RootHandoff,
             InvariantKind::XorResidue,
+            InvariantKind::DedupLogBound,
         ] {
             assert_eq!(InvariantKind::from_code(k.code()), Some(k));
             assert_eq!(invariant_name(k.code()), k.name());
