@@ -30,6 +30,7 @@
 
 pub mod cache;
 pub mod chain;
+pub mod clock_window;
 pub mod coe;
 pub mod config;
 pub mod dag;
@@ -45,10 +46,11 @@ pub mod vertexlog;
 
 pub use cache::CacheStrategy;
 pub use chain::{ChainController, ChainHandles, ChainMetrics};
+pub use clock_window::ClockWindow;
 pub use config::{ChainConfig, CostModel, ExternalizationMode};
 pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};
 pub use instance::NfInstanceActor;
-pub use message::{Msg, PacketMark, TaggedPacket};
+pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};
 pub use nf::{Action, NetworkFunction, NfContext, ProcessResult};
 pub use root::RootActor;
 pub use rootlog::PacketLog;

@@ -124,11 +124,21 @@ impl Splitter {
     /// explicit overrides and scheduled scale events. Pure (no mark state),
     /// so the real-thread runtime can route from a shared immutable splitter.
     pub fn instance_for(&self, pkt: &Packet, clock: Clock) -> usize {
-        let key = self.scope_key(pkt);
-        match self.overrides.get(&key) {
-            Some(idx) => *idx,
-            None => (key.stable_hash() % self.instances_at(clock) as u64) as usize,
+        let instances = self.instances_at(clock);
+        // A vertex with one instance and no reallocation has nothing to
+        // decide, so the common chain pays neither the scope hash nor the
+        // override probe.
+        let reallocated = !self.overrides.is_empty();
+        if instances == 1 && !reallocated {
+            return 0;
         }
+        let key = self.scope_key(pkt);
+        if reallocated {
+            if let Some(idx) = self.overrides.get(&key) {
+                return *idx;
+            }
+        }
+        (key.stable_hash() % instances as u64) as usize
     }
 
     /// Route a packet carrying a logical clock: like [`Splitter::route`] but

@@ -32,9 +32,10 @@ pub struct TelemetryConfig {
     /// Per-stage span timing on the packet path: per-vertex queue wait,
     /// service time and store RTT, plus the sink's final-hop wait, so the
     /// report carries a latency *decomposition* rather than a single
-    /// root→sink number. Costs one clock read per packet per vertex (each
-    /// packet's egress stamp doubles as the next packet's ingress stamp),
-    /// plus one per ring batch.
+    /// root→sink number. Sampled: only the timed packets (one clock counter
+    /// in [`chc_core::TIMED_PERIOD`], plus every packet of a traced flow)
+    /// cost two clock reads and three histogram records per vertex; the
+    /// rest pay nothing.
     pub spans: bool,
     /// Structured event journal of control-plane moments (instance
     /// spawn/kill, failover phases, commit-frontier advances, scale cuts,
@@ -48,7 +49,8 @@ pub struct TelemetryConfig {
     /// (`1_000_000` traces everything, `10_000` is 1%, `0` disables).
     /// Sampled flows' packets carry a [`chc_packet::TraceTag`] and every
     /// hop records a span; the collected spans export as Chrome trace-event
-    /// JSON. Requires `spans` (tracing reuses the telescoping hop stamps).
+    /// JSON. Requires `spans` (a traced packet is a timed packet: its
+    /// spans are built from the same hop stamps).
     pub trace_sample_ppm: u32,
     /// Online invariant sentinel: a consumer thread over the event journal
     /// plus in-line checks on the delivery stream and a copy-conservation

@@ -8,12 +8,19 @@
 //!   rings, runs the unmodified [`chc_core::NetworkFunction`] against a
 //!   [`StateClient`] backed by the sharded [`StoreServer`], and forwards
 //!   outputs through the scope-aware splitters,
-//! * a **sink** thread collects chain output, de-duplicates by clock and
-//!   measures root→sink wall-clock latency.
+//! * a **sink** thread ([`crate::sink`]) collects chain output,
+//!   de-duplicates by clock and measures root→sink wall-clock latency on the
+//!   timed packets.
 //!
 //! Every (producer, consumer) pair is connected by exactly one bounded SPSC
 //! ring ([`crate::spsc`]), so the packet path takes no locks; packets move in
-//! configurable batches that amortize ring and store-client overhead.
+//! configurable batches that amortize ring and store-client overhead. Each
+//! thread owns its wiring as plain vectors ([`crate::wiring`]), clock-keyed
+//! sets are bitmaps indexed by the clock counter ([`ClockWindow`]), and only
+//! one packet in [`chc_core::TIMED_PERIOD`] (plus every traced one) pays
+//! for clock reads and histogram records — so an untimed packet on a healthy
+//! run crosses a hop without hashing, reading a clock or touching a shared
+//! counter.
 //!
 //! Routing is the *same* scope-aware [`Splitter`] logic the simulator uses,
 //! driven purely by `(packet, logical clock)` — including pre-planned
@@ -62,27 +69,29 @@ use crate::config::{RingWait, RuntimeConfig, ScaleEvent};
 use crate::fault::{FaultReport, RootTakeover, ShardRecovery};
 use crate::replay::{raise_replay_floor, run_supervisor, ReplacementSeed, ReplaySource};
 use crate::report::{RuntimeInstanceReport, RuntimeReport};
-use crate::spsc::{ring, Consumer, Producer, RingProbe};
+use crate::sink::run_sink;
 use crate::telemetry::{
     assemble_report, finalize_sentinel, run_monitor, run_sentinel, MonitorTargets, RunTelemetry,
-    SentinelInputs, SentinelState, TimedHandle, VertexStageMetrics,
+    SentinelInputs, SentinelState, StoreTimer, TimedHandle, VertexStageMetrics,
+};
+use crate::wiring::{
+    forwards_in_order, idle_wait, links_mut, Downstream, InputRing, OutLink, RingPlan,
 };
 use chc_core::dag::DagError;
 use chc_core::{
-    delete_token, ChainConfig, LogicalDag, NetworkFunction, NfContext, Splitter, StateClient,
-    TaggedPacket, VertexLogs, XorDeleteLedger, STANDBY_ROOT_ID,
+    delete_token, Action, ChainConfig, ClockWindow, LogicalDag, NetworkFunction, NfContext,
+    Splitter, StateClient, TaggedPacket, VertexLogs, XorDeleteLedger, STANDBY_ROOT_ID,
 };
-use chc_packet::{flow_sampled, PacketId, Scope, Trace, TraceTag};
+use chc_packet::{flow_sampled, Scope, Trace, TraceTag};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, InstanceId, StateKey, StoreServer, Value, VertexId, SINK_COMMIT_SOURCE};
-use chc_telemetry::{
-    EventKind, FlowOrderChecker, SpanEvent, SpanKind, StreamingHistogram, TraceLane,
-};
+use chc_telemetry::{EventKind, FlowOrderChecker, SpanEvent, SpanKind, TraceLane};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Errors surfaced while planning a real-thread run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,115 +254,6 @@ pub(crate) struct InstancePlan {
     pub(crate) objects: Vec<chc_core::StateObjectSpec>,
 }
 
-/// A buffered outgoing edge to one downstream instance.
-pub(crate) struct OutLink {
-    pub(crate) producer: Producer<TaggedPacket>,
-    pub(crate) buf: Vec<TaggedPacket>,
-    /// Conservation-ledger handle, when the sentinel is on. Pushes count at
-    /// flush time: copies sitting in an unflushed buffer when an instance
-    /// fail-stops die with it and are deliberately never "in the network".
-    pub(crate) sentinel: Option<Arc<SentinelState>>,
-}
-
-impl OutLink {
-    fn new(
-        producer: Producer<TaggedPacket>,
-        batch: usize,
-        sentinel: Option<Arc<SentinelState>>,
-    ) -> OutLink {
-        OutLink {
-            producer,
-            buf: Vec::with_capacity(batch),
-            sentinel,
-        }
-    }
-
-    /// Queue one packet; drain the buffer through the ring once it holds a
-    /// full batch (spinning on downstream backpressure — the DAG is acyclic
-    /// and the sink always drains, so this cannot deadlock).
-    pub(crate) fn push(&mut self, tp: TaggedPacket, batch: usize) {
-        self.buf.push(tp);
-        if self.buf.len() >= batch {
-            self.flush();
-        }
-    }
-
-    /// Queue one packet, draining full batches with a *bounded* flush.
-    /// Returns `false` when the flush gave up; the un-pushed remainder stays
-    /// buffered (and was never booked as in the network).
-    pub(crate) fn push_bounded(
-        &mut self,
-        tp: TaggedPacket,
-        batch: usize,
-        max_spins: usize,
-    ) -> bool {
-        self.buf.push(tp);
-        if self.buf.len() >= batch {
-            return self.try_flush(max_spins);
-        }
-        true
-    }
-
-    /// Drain the buffer through the ring, yielding on downstream
-    /// backpressure for at most `max_spins` consecutive empty pushes.
-    /// Returns `false` if the ring stayed full that long — the consumer has
-    /// stopped draining and spinning further would hang the caller. Only
-    /// packets actually pushed are booked in the conservation ledger.
-    pub(crate) fn try_flush(&mut self, max_spins: usize) -> bool {
-        let mut spins = 0usize;
-        while !self.buf.is_empty() {
-            let n = self.producer.push_batch(&mut self.buf);
-            if n == 0 {
-                spins += 1;
-                if spins >= max_spins {
-                    return false;
-                }
-                thread::yield_now();
-            } else {
-                if let Some(s) = &self.sentinel {
-                    s.ledger.ring_pushed.add(n as u64);
-                }
-                spins = 0;
-            }
-        }
-        true
-    }
-
-    /// Unbounded flush: on the packet path the DAG is acyclic and the sink
-    /// always drains, so this cannot deadlock.
-    pub(crate) fn flush(&mut self) {
-        let _ = self.try_flush(usize::MAX);
-    }
-}
-
-/// One input ring of an instance (or the sink), with the bookkeeping the
-/// commit protocol needs: the highest clock counter popped so far, and
-/// whether the ring is a replay ring (replay traffic is redundant by
-/// construction, so it never holds back a commit watermark).
-pub(crate) struct InputRing {
-    pub(crate) rx: Consumer<TaggedPacket>,
-    pub(crate) last_counter: u64,
-    pub(crate) replay: bool,
-}
-
-impl InputRing {
-    fn live(rx: Consumer<TaggedPacket>) -> InputRing {
-        InputRing {
-            rx,
-            last_counter: 0,
-            replay: false,
-        }
-    }
-
-    fn replay(rx: Consumer<TaggedPacket>) -> InputRing {
-        InputRing {
-            rx,
-            last_counter: 0,
-            replay: true,
-        }
-    }
-}
-
 /// Callback notifications (store → instance) for read-heavy cached objects.
 /// Unlike the packet path this is many-producers → one-consumer and very low
 /// rate, so a mutexed vector is the right tool.
@@ -362,8 +262,9 @@ type Inbox = Arc<Mutex<Vec<(StateKey, Value)>>>;
 /// Engine state shared by every thread of one run.
 pub(crate) struct EngineShared {
     pub(crate) server: Arc<StoreServer>,
-    pub(crate) splitters: Arc<HashMap<VertexId, Splitter>>,
-    pub(crate) inboxes: Arc<HashMap<InstanceId, Inbox>>,
+    /// Callback inboxes indexed by instance id (ids are dense: planned
+    /// instances first, then the replacements in fault-plan order).
+    pub(crate) inboxes: Vec<Inbox>,
     pub(crate) config: ChainConfig,
     pub(crate) batch: usize,
     pub(crate) record_logs: bool,
@@ -373,7 +274,15 @@ pub(crate) struct EngineShared {
     pub(crate) fault_mode: bool,
     /// True when instances suppress duplicate clocks at their input queues.
     pub(crate) dedup: bool,
-    /// Run-wide telemetry: span stamps, stage histograms, event journal.
+    /// Raised by an instance or the root as it fail-stops, before it hands
+    /// its wiring on. From then on replayed clocks can fill gaps below a
+    /// watermark, so no instance prunes its duplicate window any further.
+    /// Relaxed on both sides: the flag publishes no data, and its
+    /// visibility rides the hand-off itself — fault channel, replacement
+    /// spawn, then the rings' release/acquire edges — so whoever pops a
+    /// packet sent after the fail-stop also sees the flag.
+    pub(crate) fail_stopped: AtomicBool,
+    /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: Arc<RunTelemetry>,
     /// The root's injection log plus the per-vertex egress logs of every
     /// armed upstream of a killed non-entry vertex.
@@ -399,7 +308,7 @@ pub(crate) struct EngineShared {
 pub(crate) struct DyingInstance {
     pub(crate) slot: usize,
     pub(crate) inputs: Vec<InputRing>,
-    pub(crate) outs: HashMap<VertexId, Vec<OutLink>>,
+    pub(crate) outs: Vec<Downstream>,
     pub(crate) sink_link: Option<OutLink>,
 }
 
@@ -422,6 +331,7 @@ pub(crate) struct InstanceResult {
     pub(crate) alerts: Vec<(Clock, String)>,
     pub(crate) batches_in: u64,
     pub(crate) replay_egress_gated: u64,
+    pub(crate) dedup_window_bytes: usize,
     pub(crate) failed: bool,
 }
 
@@ -436,6 +346,7 @@ impl InstanceResult {
             alerts: self.alerts,
             batches_in: self.batches_in,
             replay_egress_gated: self.replay_egress_gated,
+            dedup_window_bytes: self.dedup_window_bytes,
         }
     }
 }
@@ -447,7 +358,7 @@ pub fn run_chain_realtime(
     rt: &RuntimeConfig,
     trace: &Trace,
 ) -> Result<RuntimeReport, RuntimeError> {
-    dag.topo_order()?;
+    let topo = dag.topo_order()?;
     if let Some(scale) = rt.scale {
         if dag.vertex(scale.vertex).is_none() {
             return Err(RuntimeError::UnknownScaleVertex(scale.vertex));
@@ -525,7 +436,6 @@ pub fn run_chain_realtime(
         splitter.schedule_scale(scale.first_counter, v.parallelism + 1);
         next_instance += 1;
     }
-    let splitters = Arc::new(splitters);
 
     // Instance indices per vertex, in id order (= index order).
     let mut by_vertex: HashMap<VertexId, Vec<usize>> = HashMap::new();
@@ -697,33 +607,25 @@ pub fn run_chain_realtime(
         .sentinel
         .then(|| Arc::new(SentinelState::new()));
 
-    // inputs[i]: consumers feeding instance i; outs[i][vertex][k]: producer
-    // from instance i to instance k of the downstream vertex.
-    let mut inputs: Vec<Vec<InputRing>> = (0..plans.len()).map(|_| Vec::new()).collect();
-    let mut outs: Vec<HashMap<VertexId, Vec<OutLink>>> =
-        (0..plans.len()).map(|_| HashMap::new()).collect();
-
-    // Occupancy probes for the gauge monitor, labelled by edge.
-    let monitor_on = rt.telemetry.sample_interval.is_some();
-    let mut ring_probes: Vec<(String, RingProbe)> = Vec::new();
+    let slots_of = |v: &VertexId| by_vertex.get(v).map(Vec::as_slice).unwrap_or(&[]);
+    let mut rings = RingPlan {
+        inputs: (0..plans.len()).map(|_| Vec::new()).collect(),
+        sink_inputs: Vec::new(),
+        probes: Vec::new(),
+        monitor_on: rt.telemetry.sample_interval.is_some(),
+        depth,
+        batch,
+        sentinel: sentinel_state.clone(),
+    };
 
     // Root → entry instances.
-    let mut root_outs: HashMap<VertexId, Vec<OutLink>> = HashMap::new();
-    for entry in &entries {
-        let mut links = Vec::new();
-        for &target in by_vertex.get(entry).map(|v| v.as_slice()).unwrap_or(&[]) {
-            let (tx, rx) = ring(depth);
-            if monitor_on {
-                ring_probes.push((
-                    format!("root->v{}.{}", entry.0, links.len()),
-                    tx.depth_probe(),
-                ));
-            }
-            inputs[target].push(InputRing::live(rx));
-            links.push(OutLink::new(tx, batch, sentinel_state.clone()));
-        }
-        root_outs.insert(*entry, links);
-    }
+    let root_outs: Vec<Downstream> = entries
+        .iter()
+        .map(|entry| Downstream {
+            splitter: splitters[entry].clone(),
+            links: rings.fan_out("root", *entry, slots_of(entry), Some(true)),
+        })
+        .collect();
 
     // Supervisor → instances of each *killed* vertex: one replay ring per
     // instance, idle until a failover replays that vertex's replay source.
@@ -731,84 +633,53 @@ pub fn run_chain_realtime(
     // keep their order; and the rings sit at the killed vertex's own depth —
     // its replacement inherits them with the rest of the wiring, so replays
     // enter the chain exactly where the loss happened.
-    let mut replay_outs: HashMap<VertexId, Vec<OutLink>> = HashMap::new();
-    if !seeds.is_empty() {
-        let killed: BTreeSet<VertexId> = fault.kills.iter().map(|k| k.vertex).collect();
-        for kv in &killed {
-            let mut links = Vec::new();
-            for &target in by_vertex.get(kv).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let (tx, rx) = ring(depth);
-                if monitor_on {
-                    ring_probes.push((
-                        format!("replay->v{}.{}", kv.0, links.len()),
-                        tx.depth_probe(),
-                    ));
-                }
-                inputs[target].push(InputRing::replay(rx));
-                links.push(OutLink::new(tx, batch, sentinel_state.clone()));
-            }
-            replay_outs.insert(*kv, links);
-        }
-    }
+    let killed: BTreeSet<VertexId> = fault.kills.iter().map(|k| k.vertex).collect();
+    let replay_outs: HashMap<VertexId, Downstream> = killed
+        .iter()
+        .map(|kv| {
+            let links = rings.fan_out("replay", *kv, slots_of(kv), None);
+            let splitter = splitters[kv].clone();
+            (*kv, Downstream { splitter, links })
+        })
+        .collect();
 
     // Instance → downstream instances (on-path producers only; off-path
-    // vertices consume copies and emit nothing, as in the simulator).
-    for i in 0..plans.len() {
+    // vertices consume copies and emit nothing, as in the simulator), then
+    // tail instances → sink. In topological order, so an instance's inputs
+    // are complete — and its output order known — before its outputs are
+    // wired.
+    let mut outs: Vec<Vec<Downstream>> = (0..plans.len()).map(|_| Vec::new()).collect();
+    let mut sink_outs: Vec<Option<OutLink>> = (0..plans.len()).map(|_| None).collect();
+    for &i in topo.iter().flat_map(&slots_of) {
         if plans[i].off_path {
             continue;
         }
-        for d in plans[i].downstream.clone() {
-            let mut links = Vec::new();
-            for &target in by_vertex.get(&d).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let (tx, rx) = ring(depth);
-                if monitor_on {
-                    ring_probes.push((
-                        format!(
-                            "v{}.{}->v{}.{}",
-                            plans[i].vertex.0,
-                            slot_index[i],
-                            d.0,
-                            links.len()
-                        ),
-                        tx.depth_probe(),
-                    ));
-                }
-                inputs[target].push(InputRing::live(rx));
-                links.push(OutLink::new(tx, batch, sentinel_state.clone()));
-            }
-            outs[i].insert(d, links);
+        let from = format!("v{}.{}", plans[i].vertex.0, slot_index[i]);
+        let ordered = forwards_in_order(&rings.inputs[i]);
+        for d in &plans[i].downstream {
+            outs[i].push(Downstream {
+                splitter: splitters[d].clone(),
+                links: rings.fan_out(&from, *d, slots_of(d), Some(ordered)),
+            });
+        }
+        if plans[i].is_tail {
+            sink_outs[i] = Some(rings.sink_link(&from));
         }
     }
+    let RingPlan {
+        inputs,
+        sink_inputs,
+        probes: mut ring_probes,
+        ..
+    } = rings;
 
-    // Tail instances → sink.
-    let mut sink_inputs: Vec<InputRing> = Vec::new();
-    let mut sink_outs: Vec<Option<OutLink>> = (0..plans.len()).map(|_| None).collect();
-    for (i, p) in plans.iter().enumerate() {
-        if p.is_tail && !p.off_path {
-            let (tx, rx) = ring(depth);
-            if monitor_on {
-                ring_probes.push((
-                    format!("v{}.{}->sink", p.vertex.0, slot_index[i]),
-                    tx.depth_probe(),
-                ));
-            }
-            sink_inputs.push(InputRing::live(rx));
-            sink_outs[i] = Some(OutLink::new(tx, batch, sentinel_state.clone()));
-        }
-    }
-
-    // Callback inboxes, addressed by instance id (replacements included).
-    let mut inbox_map: HashMap<InstanceId, Inbox> = plans
-        .iter()
-        .map(|p| (p.instance, Arc::new(Mutex::new(Vec::new()))))
+    // Callback inboxes, indexed by instance id (replacements included).
+    let inboxes: Vec<Inbox> = (0..next_instance)
+        .map(|_| Arc::new(Mutex::new(Vec::new())))
         .collect();
-    for seed in seeds.values() {
-        inbox_map.insert(seed.plan.instance, Arc::new(Mutex::new(Vec::new())));
-    }
-    let inboxes: Arc<HashMap<InstanceId, Inbox>> = Arc::new(inbox_map);
 
     // ------------------------------------------------------------------
-    // Shared infrastructure: store, latency stamps, packet log.
+    // Shared infrastructure: store, telemetry, packet log.
     // ------------------------------------------------------------------
 
     let server = StoreServer::with_backend(rt.store_shards, rt.store_backend);
@@ -820,16 +691,9 @@ pub fn run_chain_realtime(
         // duplicate, so the store keeps no duplicate-suppression log at all.
         server.forget_through(u64::MAX);
     }
-    let t0 = Instant::now();
-    // Root stamp time per clock counter (ns since t0), published to the sink
-    // through the rings' release/acquire edges.
-    let stamps: Arc<Vec<AtomicU64>> =
-        Arc::new((0..trace.len()).map(|_| AtomicU64::new(0)).collect());
-
     let telemetry = Arc::new(RunTelemetry::new(
         rt.telemetry,
-        t0,
-        trace.len(),
+        Instant::now(),
         dag.vertices().iter().map(|v| v.id),
         sentinel_state,
     ));
@@ -849,14 +713,14 @@ pub fn run_chain_realtime(
 
     let shared = Arc::new(EngineShared {
         server: Arc::clone(&server),
-        splitters: Arc::clone(&splitters),
-        inboxes: Arc::clone(&inboxes),
+        inboxes,
         config,
         batch,
         record_logs: rt.record_recovery_logs,
         clock_tags: rt.clock_tag_updates,
         fault_mode,
         dedup,
+        fail_stopped: AtomicBool::new(false),
         telemetry: Arc::clone(&telemetry),
         logs: Arc::clone(&logs),
         ledger: ledger.clone(),
@@ -897,6 +761,20 @@ pub fn run_chain_realtime(
         })
         .collect();
     let done_injecting = Arc::new(AtomicBool::new(false));
+    let root_ctx = RootShared {
+        trace,
+        telemetry: &telemetry,
+        logs: &logs,
+        server: &server,
+        scale: rt.scale,
+        trace_ppm: rt.telemetry.trace_sample_ppm,
+        fault_mode,
+        batch,
+        reinject_set: &reinject_set,
+        shard_checkpoints: &shard_checkpoints,
+        shard_restarts: &shard_restarts,
+        inject_spans: true,
+    };
 
     let result =
         thread::scope(|scope| {
@@ -926,7 +804,6 @@ pub fn run_chain_realtime(
             drop(fault_tx);
 
             // ---------------- sink thread ----------------
-            let sink_stamps = Arc::clone(&stamps);
             let sink_commit = fault_mode.then(|| Arc::clone(&server));
             let sink_telemetry = Arc::clone(&telemetry);
             // Per-flow delivery-order checking rides the sink thread (one
@@ -940,8 +817,6 @@ pub fn run_chain_realtime(
             let sink_handle = scope.spawn(move || {
                 run_sink(
                     sink_inputs,
-                    sink_stamps,
-                    t0,
                     batch,
                     sink_commit,
                     sink_ledger,
@@ -1017,39 +892,11 @@ pub fn run_chain_realtime(
             // Pre-spawned before injection starts: it blocks on the handover
             // channel, shadowing the root's clock counter, and wakes only if
             // the plan fail-stops the root mid-trace.
-            let root_ctx = RootShared {
-                trace,
-                entries: &entries,
-                splitters: &splitters,
-                stamps: &stamps,
-                telemetry: &telemetry,
-                logs: &logs,
-                server: &server,
-                scale: rt.scale,
-                trace_ppm: rt.telemetry.trace_sample_ppm,
-                fault_mode,
-                batch,
-                t0,
-                reinject_set: &reinject_set,
-                shard_checkpoints: &shard_checkpoints,
-                shard_restarts: &shard_restarts,
-                inject_spans: true,
-            };
             let (standby_tx, standby_rx) = mpsc::channel::<RootIo>();
             let standby_handle = fault.root_kill.map(|kill_at| {
-                let telemetry = Arc::clone(&telemetry);
-                let logs = Arc::clone(&logs);
                 let ledger = ledger.clone();
-                let splitters = Arc::clone(&splitters);
-                let stamps = Arc::clone(&stamps);
-                let server = Arc::clone(&server);
                 let done = Arc::clone(&done_injecting);
-                let entries = &entries;
-                let reinject_set = &reinject_set;
-                let shard_checkpoints = &shard_checkpoints;
-                let shard_restarts = &shard_restarts;
-                let trace_ppm = rt.telemetry.trace_sample_ppm;
-                let scale = rt.scale;
+                let (telemetry, logs) = (root_ctx.telemetry, root_ctx.logs);
                 scope.spawn(
                     move || -> (u64, u64, Vec<ShardRecovery>, Option<RootTakeover>) {
                         let Ok(mut io) = standby_rx.recv() else {
@@ -1058,26 +905,12 @@ pub fn run_chain_realtime(
                             return (0, 0, Vec::new(), None);
                         };
                         let started = Instant::now();
+                        // The Root trace lane is single-writer; the standby
+                        // skips Inject spans rather than interleave with the
+                        // dead root's lane.
                         let ctx = RootShared {
-                            trace,
-                            entries,
-                            splitters: &splitters,
-                            stamps: &stamps,
-                            telemetry: &telemetry,
-                            logs: &logs,
-                            server: &server,
-                            scale,
-                            trace_ppm,
-                            fault_mode: true,
-                            batch,
-                            t0,
-                            reinject_set,
-                            shard_checkpoints,
-                            shard_restarts,
-                            // The Root trace lane is single-writer; the
-                            // standby skips Inject spans rather than
-                            // interleave with the dead root's lane.
                             inject_spans: false,
+                            ..root_ctx
                         };
                         // Replay the unconfirmed suffix of the root log
                         // through the inherited live rings, marked as
@@ -1104,11 +937,7 @@ pub fn run_chain_realtime(
                             replayed += 1;
                             telemetry.replay_progress.inc();
                         }
-                        for links in io.outs.values_mut() {
-                            for link in links {
-                                link.flush();
-                            }
-                        }
+                        links_mut(&mut io.outs).for_each(OutLink::flush);
                         let resumed_at = io.counter + 1;
                         telemetry.event(EventKind::RootTakeover {
                             resumed_at,
@@ -1148,11 +977,8 @@ pub fn run_chain_realtime(
                 telemetry.event(EventKind::RootKilled {
                     at_counter: kill_at,
                 });
-                for links in io.outs.values_mut() {
-                    for link in links {
-                        link.buf.clear();
-                    }
-                }
+                shared.fail_stopped.store(true, Ordering::Relaxed);
+                links_mut(&mut io.outs).for_each(|link| link.buf.clear());
                 root_counter = io.counter;
                 standby_tx
                     .send(io)
@@ -1350,6 +1176,7 @@ pub fn run_chain_realtime(
         injected,
         elapsed: sink.finished_at,
         latency: sink.latency,
+        sink_window_bytes: sink.window_bytes,
         instances,
         failed_instances,
         store_ops: server.total_ops(),
@@ -1375,11 +1202,9 @@ fn zip3<A, B, C>(
 
 /// Everything the stamping loop reads, shared between the root (the calling
 /// thread) and the warm standby that takes over if the plan kills the root.
+#[derive(Clone, Copy)]
 struct RootShared<'a> {
     trace: &'a Trace,
-    entries: &'a [VertexId],
-    splitters: &'a HashMap<VertexId, Splitter>,
-    stamps: &'a [AtomicU64],
     telemetry: &'a RunTelemetry,
     logs: &'a VertexLogs,
     server: &'a StoreServer,
@@ -1387,7 +1212,6 @@ struct RootShared<'a> {
     trace_ppm: u32,
     fault_mode: bool,
     batch: usize,
-    t0: Instant,
     reinject_set: &'a HashSet<u64>,
     shard_checkpoints: &'a HashMap<u64, Vec<usize>>,
     shard_restarts: &'a HashMap<u64, Vec<usize>>,
@@ -1398,10 +1222,11 @@ struct RootShared<'a> {
 }
 
 /// The injection state handed from the dead root to the warm standby: the
-/// live output rings, the re-injection buffer, and the clock counter the
-/// standby shadows — injection resumes exactly where the root died.
+/// live output rings (one fan-out per entry vertex), the re-injection
+/// buffer, and the clock counter the standby shadows — injection resumes
+/// exactly where the root died.
 struct RootIo {
-    outs: HashMap<VertexId, Vec<OutLink>>,
+    outs: Vec<Downstream>,
     reinject_buf: Vec<TaggedPacket>,
     counter: u64,
 }
@@ -1453,19 +1278,20 @@ fn run_root_injection(
                 });
             }
         }
-        let clock = Clock::with_root(0, counter);
-        let now_ns = ctx.t0.elapsed().as_nanos() as u64;
-        ctx.stamps[(counter - 1) as usize].store(now_ns, Ordering::Relaxed);
-        // Span epoch: the root "lets go" of the packet at injection.
-        if let Some(slot) = ctx.telemetry.hop_slot(counter) {
-            slot.store(now_ns, Ordering::Relaxed);
-        }
-        let mut tp = TaggedPacket::new(pkt.clone(), clock);
+        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, counter));
         // Flow-sampled causal tracing: tag before the packet-log insert so
         // replayed copies carry the tag too.
         if ctx.telemetry.tracer.is_some() && flow_sampled(pkt.flow_key(), ctx.trace_ppm) {
             tp.trace = Some(TraceTag::new(counter));
-            if ctx.inject_spans {
+        }
+        // Span epoch of a timed packet: the root "lets go" of it at
+        // injection. Stamped before the log insert too, so a replayed copy
+        // still measures from the original injection.
+        if tp.is_timed() {
+            let now_ns = ctx.telemetry.now_ns();
+            tp.inject_ns = now_ns;
+            tp.hop_ns = now_ns;
+            if tp.trace.is_some() && ctx.inject_spans {
                 ctx.telemetry.trace_span(SpanEvent {
                     trace_id: counter,
                     lane: TraceLane::Root,
@@ -1491,10 +1317,8 @@ fn run_root_injection(
 
 /// Route one stamped packet to the entry instances through the live rings.
 fn route_to_entries(ctx: &RootShared<'_>, io: &mut RootIo, tp: &TaggedPacket) {
-    for entry in ctx.entries {
-        let idx = ctx.splitters[entry].instance_for(&tp.packet, tp.clock);
-        let links = io.outs.get_mut(entry).expect("entry links");
-        links[idx].push(tp.clone(), ctx.batch);
+    for entry in &mut io.outs {
+        entry.route(tp, ctx.batch);
     }
 }
 
@@ -1510,11 +1334,9 @@ fn finish_injection(ctx: &RootShared<'_>, io: &mut RootIo) -> u64 {
         route_to_entries(ctx, io, &tp);
         reinjected += 1;
     }
-    for links in io.outs.values_mut() {
-        for link in links {
-            link.flush();
-            link.producer.close();
-        }
+    for link in links_mut(&mut io.outs) {
+        link.flush();
+        link.producer.close();
     }
     reinjected
 }
@@ -1526,14 +1348,14 @@ fn finish_injection(ctx: &RootShared<'_>, io: &mut RootIo) -> u64 {
 pub(crate) fn run_instance(
     mut plan: InstancePlan,
     mut inputs: Vec<InputRing>,
-    mut outs: HashMap<VertexId, Vec<OutLink>>,
+    mut outs: Vec<Downstream>,
     mut sink_link: Option<OutLink>,
     shared: Arc<EngineShared>,
     mut kill: Option<KillSwitch>,
     replacement: bool,
 ) -> InstanceResult {
     // Span state: on-path instances time queue wait, service and store RTT
-    // per packet; the store handle below feeds the same per-vertex
+    // of the timed packets; the store handle below feeds the same per-vertex
     // histograms. Off-path instances consume copies outside the delivery
     // path, so timing them would break the decomposition's telescoping.
     let spans = shared.telemetry.config.spans && !plan.off_path;
@@ -1543,7 +1365,7 @@ pub(crate) fn run_instance(
         .get(&plan.vertex)
         .cloned()
         .unwrap_or_default();
-    let pending_store_ns = Arc::new(AtomicU64::new(0));
+    let store_timer = Rc::new(StoreTimer::default());
 
     // The client is constructed *inside* the thread: it is deliberately not
     // Send (the simulator backend is single-threaded); only the store handle
@@ -1551,8 +1373,8 @@ pub(crate) fn run_instance(
     let handle: Box<dyn chc_core::StateHandle> = if spans {
         Box::new(TimedHandle {
             inner: Arc::clone(&shared.server),
-            store_hist: Arc::clone(&stage),
-            pending_ns: Arc::clone(&pending_store_ns),
+            stage: Arc::clone(&stage),
+            timer: Rc::clone(&store_timer),
         })
     } else {
         Box::new(Arc::clone(&shared.server))
@@ -1571,7 +1393,7 @@ pub(crate) fn run_instance(
         client.set_write_behind(true, shared.store_batch);
     }
 
-    let my_inbox = Arc::clone(&shared.inboxes[&plan.instance]);
+    let my_inbox = Arc::clone(&shared.inboxes[plan.instance.0 as usize]);
     let mut result = InstanceResult {
         vertex: plan.vertex,
         instance: plan.instance,
@@ -1581,13 +1403,18 @@ pub(crate) fn run_instance(
         alerts: Vec::new(),
         batches_in: 0,
         replay_egress_gated: 0,
+        dedup_window_bytes: 0,
         failed: false,
     };
     let mut work: Vec<TaggedPacket> = Vec::with_capacity(shared.batch);
-    let mut seen: HashSet<Clock> = HashSet::new();
+    // Clocks seen at this input queue (fault mode only). Pruned at the
+    // instance's own watermark while that watermark is exact: every live
+    // ring clock-ordered — fixed at wiring time, `prunable` — and nothing
+    // fail-stopped yet (see `prune_seen`).
+    let mut seen = ClockWindow::new();
+    let prunable = shared.dedup && inputs.iter().filter(|r| !r.replay).all(|r| r.ordered);
     let mut killed_at_clock = 0u64;
     let mut idle_streak = 0u32;
-    let tracing = shared.telemetry.tracer.is_some();
     let lane = TraceLane::Vertex {
         vertex: plan.vertex.0,
         instance: plan.instance.0 as u64,
@@ -1616,17 +1443,7 @@ pub(crate) fn run_instance(
             moved += n;
             result.batches_in += 1;
             let live = !input.replay;
-            // One clock read per packet: the batch pop time serves as the
-            // first packet's ingress, and each packet's egress read doubles
-            // as the next packet's ingress (the instance starts packet i+1
-            // the moment it lets go of packet i, so the chained stamp is
-            // exact, not an approximation).
-            let mut prev_t = if spans && live {
-                shared.telemetry.now_ns()
-            } else {
-                0
-            };
-            for (pos, tp) in work.drain(..).enumerate() {
+            for (pos, mut tp) in work.drain(..).enumerate() {
                 if live {
                     // Fail-stop trigger: die *before* processing the packet.
                     // Everything still queued (this batch's tail included)
@@ -1644,114 +1461,79 @@ pub(crate) fn run_instance(
                             // have its store effects applied, exactly as on
                             // the per-op path — the buffer is part of the
                             // process image and would otherwise die here.
-                            drain_store_buffer(&mut client, &stage, &shared);
+                            drain_store_buffer(&mut client, &shared);
                             break 'run;
                         }
                     }
                     input.last_counter = input.last_counter.max(tp.clock.counter());
                 }
-                let traced = if tracing {
-                    tp.trace.map(|t| t.id)
-                } else {
-                    None
-                };
+                let traced = tp.trace.map(|t| t.id);
                 // Duplicate suppression at the input queue (§5.3): the clock
                 // is unique per input packet, so a repeat is always a replay
                 // or re-injection; it is counted, never silently processed.
                 if shared.dedup && !seen.insert(tp.clock) {
                     result.suppressed_duplicates += 1;
                     if let Some(id) = traced {
-                        // Live suppressions reuse the chained stamp: a fresh
-                        // clock read could land past the next service span's
-                        // begin and break the lane's timestamp order.
-                        let t_ns = if spans && live {
-                            prev_t
-                        } else {
-                            shared.telemetry.now_ns()
-                        };
                         shared.telemetry.trace_span(SpanEvent {
                             trace_id: id,
                             lane,
                             kind: SpanKind::Suppress,
-                            t_ns,
+                            t_ns: shared.telemetry.now_ns(),
                             dur_ns: 0,
                         });
                     }
                     continue;
                 }
-                // Span timing covers live traffic only: replayed packets'
-                // hop stamps are stale, and their processing is recovery
-                // work, not steady-state service time.
-                let span_slot = if spans && live {
-                    shared.telemetry.hop_slot(tp.clock.counter())
-                } else {
-                    None
-                };
-                let mut queue_wait = 0u64;
-                let t_in = span_slot.map(|slot| {
-                    queue_wait = prev_t.saturating_sub(slot.load(Ordering::Relaxed));
-                    stage.queue_ns.record(queue_wait);
-                    pending_store_ns.store(0, Ordering::Relaxed);
-                    prev_t
-                });
-                // Replayed traced packets still get a service span (marked
-                // replay) so a trace shows the killed vertex's packets being
+                // Span timing covers live timed packets only: a replayed
+                // packet's hop stamp is stale, and its processing is
+                // recovery work, not steady-state service time. A replayed
+                // *traced* packet still gets a service span (marked replay)
+                // so a trace shows the killed vertex's packets being
                 // re-processed by the replacement; it never feeds the stage
                 // histograms.
-                let replay_t_in = if traced.is_some() && !live {
-                    pending_store_ns.store(0, Ordering::Relaxed);
-                    Some(shared.telemetry.now_ns())
-                } else {
-                    None
-                };
-                process_packet(
-                    tp,
-                    &mut plan,
-                    &mut client,
-                    &shared,
-                    &mut outs,
-                    &mut sink_link,
-                    &mut result,
-                );
-                if let (Some(slot), Some(t_in)) = (span_slot, t_in) {
+                let timed = spans && live && tp.is_timed();
+                let t_in = (timed || (traced.is_some() && !live)).then(|| {
+                    store_timer.arm();
+                    shared.telemetry.now_ns()
+                });
+                let action = run_nf(&tp, &mut plan, &mut client, &shared, &mut result);
+                if let Some(t_in) = t_in {
                     let t_out = shared.telemetry.now_ns();
-                    let store_ns = pending_store_ns.swap(0, Ordering::Relaxed);
-                    stage.store_ns.record(store_ns);
-                    stage
-                        .service_ns
-                        .record(t_out.saturating_sub(t_in).saturating_sub(store_ns));
+                    let store_ns = store_timer.disarm();
+                    let dur_ns = t_out.saturating_sub(t_in);
+                    let mut queue_wait_ns = 0;
+                    if timed {
+                        queue_wait_ns = t_in.saturating_sub(tp.hop_ns);
+                        stage.queue_ns.record(queue_wait_ns);
+                        stage.store_ns.record(store_ns);
+                        stage.service_ns.record(dur_ns.saturating_sub(store_ns));
+                        // This stage lets go: the next hop measures its
+                        // queue wait from here.
+                        tp.hop_ns = t_out;
+                    }
                     if let Some(id) = traced {
                         shared.telemetry.trace_span(SpanEvent {
                             trace_id: id,
                             lane,
                             kind: SpanKind::Service {
-                                queue_wait_ns: queue_wait,
+                                queue_wait_ns,
                                 store_ns,
-                                replay: false,
+                                replay: !live,
                             },
                             t_ns: t_in,
-                            dur_ns: t_out.saturating_sub(t_in),
+                            dur_ns,
                         });
                     }
-                    // This stage lets go: the next hop measures its queue
-                    // wait from here, and so does this stage's next packet.
-                    slot.store(t_out, Ordering::Relaxed);
-                    prev_t = t_out;
-                } else if let (Some(id), Some(t_in)) = (traced, replay_t_in) {
-                    let t_out = shared.telemetry.now_ns();
-                    let store_ns = pending_store_ns.swap(0, Ordering::Relaxed);
-                    shared.telemetry.trace_span(SpanEvent {
-                        trace_id: id,
-                        lane,
-                        kind: SpanKind::Service {
-                            queue_wait_ns: 0,
-                            store_ns,
-                            replay: true,
-                        },
-                        t_ns: t_in,
-                        dur_ns: t_out.saturating_sub(t_in),
-                    });
                 }
+                forward(
+                    tp,
+                    action,
+                    &plan,
+                    &shared,
+                    &mut outs,
+                    &mut sink_link,
+                    &mut result,
+                );
             }
         }
 
@@ -1762,18 +1544,21 @@ pub(crate) fn run_instance(
             // watermark (commit implies durable — a confirmed packet's
             // store effects survive any later crash); outside fault mode it
             // bounds write-behind latency to one wake-up.
-            drain_store_buffer(&mut client, &stage, &shared);
+            drain_store_buffer(&mut client, &shared);
             if shared.fault_mode {
                 // Commit implies durable: flush the batched outputs before
                 // publishing the watermark, so a crash after publication can
                 // never lose a confirmed packet's effects.
                 flush_all(&mut outs, &mut sink_link);
                 publish_watermark(&shared, &plan, &mut inputs, replacement);
+                if prunable {
+                    prune_seen(&mut seen, &shared, &inputs);
+                }
             }
         } else {
             // Idle: release buffered output so downstream instances are not
             // starved by a partially filled batch, then check for shutdown.
-            drain_store_buffer(&mut client, &stage, &shared);
+            drain_store_buffer(&mut client, &shared);
             flush_all(&mut outs, &mut sink_link);
             if kill.is_some()
                 && inputs
@@ -1797,12 +1582,7 @@ pub(crate) fn run_instance(
     if result.failed {
         // Fail-stop: unflushed output batches die with the process; the
         // wiring goes to the supervisor for the replacement thread.
-        for links in outs.values_mut() {
-            for link in links {
-                link.buf.clear();
-            }
-        }
-        if let Some(link) = &mut sink_link {
+        for link in links_mut(&mut outs).chain(&mut sink_link) {
             link.buf.clear();
         }
         let k = kill.take().expect("fail-stop without a kill switch");
@@ -1814,6 +1594,7 @@ pub(crate) fn run_instance(
             instance: plan.instance.0 as u64,
             clock: killed_at_clock,
         });
+        shared.fail_stopped.store(true, Ordering::Relaxed);
         let _ = k.tx.send(DyingInstance {
             slot: k.slot,
             inputs,
@@ -1825,44 +1606,30 @@ pub(crate) fn run_instance(
 
     // Healthy shutdown: whatever the last (partial) batch buffered must
     // reach the store before the streams close and the final watermark.
-    drain_store_buffer(&mut client, &stage, &shared);
-    for links in outs.values_mut() {
-        for link in links {
-            link.flush();
-            link.producer.close();
-        }
-    }
-    if let Some(link) = &mut sink_link {
+    drain_store_buffer(&mut client, &shared);
+    for link in links_mut(&mut outs).chain(&mut sink_link) {
         link.flush();
         link.producer.close();
     }
     if shared.fault_mode {
         publish_watermark(&shared, &plan, &mut inputs, replacement);
+        if prunable {
+            prune_seen(&mut seen, &shared, &inputs);
+        }
     }
+    result.dedup_window_bytes = seen.resident_bytes();
     result
 }
 
-/// One iteration of the idle backoff on a thread whose input rings are all
-/// empty. `Spin` and `Yield` are the classic busy policies; `Park` yields a
-/// few times (covering the common sub-microsecond gap between batches),
-/// then blocks on the first still-open ring until its producer pushes or
-/// closes. The park timeout is the safety net for items arriving on *other*
-/// rings while parked — the wake only covers the parked ring — and for any
-/// protocol bug; on an oversubscribed host a bounded oversleep beats the
-/// scheduler churn of thousands of yielding wake-ups per second.
-fn idle_wait(policy: RingWait, streak: u32, inputs: &mut [InputRing]) {
-    match policy {
-        RingWait::Spin => std::hint::spin_loop(),
-        RingWait::Yield => thread::yield_now(),
-        RingWait::Park => {
-            if streak < 4 {
-                thread::yield_now();
-            } else if let Some(r) = inputs.iter_mut().find(|r| r.rx.has_open_producer()) {
-                // `park_if_empty` refuses (returns immediately) if items
-                // landed between our empty poll and the arm — the caller
-                // just loops and pops them.
-                r.rx.park_if_empty(Duration::from_micros(200));
-            }
+/// Hand the callbacks a store update produced for *other* instances to
+/// their inboxes.
+fn forward_callbacks(client: &mut StateClient, shared: &EngineShared) {
+    for (other, key, value) in client.take_pending_callbacks() {
+        if let Some(inbox) = shared.inboxes.get(other.0 as usize) {
+            inbox
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((key, value));
         }
     }
 }
@@ -1872,42 +1639,35 @@ fn idle_wait(policy: RingWait, streak: u32, inputs: &mut [InputRing]) {
 /// boundaries and before every barrier the buffered ops must not cross —
 /// commit-watermark publication, the fail-stop kill point, and shutdown.
 /// (Blocking reads/pops, exclusivity loss and per-flow flushes drain inside
-/// [`StateClient`] itself.) Records the achieved batch depth so the
-/// telemetry report shows how well the fast path coalesces.
-fn drain_store_buffer(client: &mut StateClient, stage: &VertexStageMetrics, shared: &EngineShared) {
-    let drained = client.drain_write_behind();
-    if drained == 0 {
-        return;
-    }
-    stage.flush_depth.record(drained as u64);
-    for (other, key, value) in client.take_pending_callbacks() {
-        if let Some(inbox) = shared.inboxes.get(&other) {
-            inbox
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((key, value));
-        }
+/// [`StateClient`] itself.)
+fn drain_store_buffer(client: &mut StateClient, shared: &EngineShared) {
+    if client.drain_write_behind() > 0 {
+        forward_callbacks(client, shared);
     }
 }
 
-fn flush_all(outs: &mut HashMap<VertexId, Vec<OutLink>>, sink_link: &mut Option<OutLink>) {
-    for links in outs.values_mut() {
-        for link in links {
-            link.flush();
-        }
-    }
-    if let Some(link) = sink_link {
-        link.flush();
-    }
+fn flush_all(outs: &mut [Downstream], sink_link: &mut Option<OutLink>) {
+    links_mut(outs).chain(sink_link).for_each(OutLink::flush);
 }
 
-/// Publish this instance's commit watermark: the highest counter such that
-/// every live packet with a smaller-or-equal counter routed here has been
-/// processed and flushed. Each live ring delivers counters monotonically, so
-/// the minimum of the per-ring maxima is exactly that frontier. Replay rings
-/// are excluded (their traffic is redundant by construction); a replacement
-/// stays silent until its replay ring drains, after which its inherited
-/// watermark is true again because every logged packet has been re-flushed.
+/// The highest counter such that every live packet with a smaller-or-equal
+/// counter routed to this instance has been popped: each live ring delivers
+/// counters monotonically, so the minimum of the per-ring maxima is exactly
+/// that frontier. Replay rings are excluded (their traffic is redundant by
+/// construction).
+fn live_watermark(inputs: &[InputRing]) -> u64 {
+    inputs
+        .iter()
+        .filter(|r| !r.replay)
+        .map(|r| r.last_counter)
+        .min()
+        .unwrap_or(0)
+}
+
+/// Publish this instance's commit watermark ([`live_watermark`], after the
+/// caller processed and flushed everything it popped). A replacement stays
+/// silent until its replay ring drains, after which its inherited watermark
+/// is true again because every logged packet has been re-flushed.
 fn publish_watermark(
     shared: &EngineShared,
     plan: &InstancePlan,
@@ -1920,32 +1680,44 @@ fn publish_watermark(
     if replacement && inputs.iter_mut().any(|r| r.replay && !r.rx.is_exhausted()) {
         return;
     }
-    let wm = inputs
-        .iter()
-        .filter(|r| !r.replay)
-        .map(|r| r.last_counter)
-        .min()
-        .unwrap_or(0);
+    let wm = live_watermark(inputs);
     if wm > 0 {
         shared.server.publish_commit(plan.instance, wm);
     }
 }
 
-/// Run one packet through the NF and forward the outcome.
-fn process_packet(
-    mut tp: TaggedPacket,
+/// Forget the duplicate window up to the instance's own watermark. Sound
+/// only for an instance whose live rings are all clock-ordered (the caller's
+/// `prunable`) and only until the first fail-stop anywhere in the chain: each
+/// ordered ring has then delivered every clock at or below its maximum,
+/// routing is clock-pure, so every clock at or below the watermark that can
+/// still arrive here — a replay, a re-injection — was already processed
+/// here. After a fail-stop that no longer holds: the packets that died in
+/// the failed component's output buffers come back *below* the watermarks
+/// of everything downstream, which has meanwhile seen newer traffic, and
+/// must not be mistaken for repeats — so from then on the window only grows
+/// (one bit per packet). The flag is read after the pops that fed the
+/// watermark, so a watermark that includes post-failure traffic always
+/// sees it raised.
+fn prune_seen(seen: &mut ClockWindow, shared: &EngineShared, inputs: &[InputRing]) {
+    if !shared.fail_stopped.load(Ordering::Relaxed) {
+        seen.forget_through(Clock::with_root(0, live_watermark(inputs)));
+    }
+}
+
+/// Run one packet through the NF, leaving the forwarding to [`forward`] so a
+/// timed packet's egress stamp can be taken in between.
+fn run_nf(
+    tp: &TaggedPacket,
     plan: &mut InstancePlan,
     client: &mut StateClient,
     shared: &EngineShared,
-    outs: &mut HashMap<VertexId, Vec<OutLink>>,
-    sink_link: &mut Option<OutLink>,
     result: &mut InstanceResult,
-) {
+) -> Action {
     let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
     let mut ctx = NfContext::new(client, tp.clock, now);
     let action = plan.nf.process(&tp.packet, &mut ctx);
-    let alerts = ctx.take_alerts();
-    for alert in alerts {
+    for alert in ctx.take_alerts() {
         result.alerts.push((tp.clock, alert));
     }
     result.processed += 1;
@@ -1954,236 +1726,63 @@ fn process_packet(
     // *is* the cost. The accumulators still need draining.
     let _ = client.take_charge();
     let _ = client.take_packet_tokens();
-    for (other, key, value) in client.take_pending_callbacks() {
-        if let Some(inbox) = shared.inboxes.get(&other) {
-            inbox
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((key, value));
-        }
-    }
-
-    match action {
-        chc_core::Action::Drop => {
-            result.dropped_by_nf += 1;
-        }
-        chc_core::Action::Forward(out_pkt) => {
-            tp.packet = out_pkt;
-            if plan.off_path {
-                // Off-path NFs consume copies; nothing flows onward.
-                return;
-            }
-            // FTMB-style egress logging: this vertex is the on-path upstream
-            // of some killed non-entry vertex, so its live output stream is
-            // that kill's replay source. The XOR delete token is folded into
-            // the envelope *before* logging and forwarding, so the logged
-            // copy and the delivered copy carry identical vectors and the
-            // sink's fold cancels the ledger entry exactly (Figure 6).
-            // Replayed packets are not re-logged (their tokens are already
-            // accounted; re-folding would un-cancel them).
-            if plan.log_egress && tp.replay_for.is_none() {
-                let token = delete_token(plan.instance, tp.clock.counter());
-                tp.absorb_update_token(token);
-                if let Some(ledger) = &shared.ledger {
-                    ledger.fold(tp.clock.counter(), token);
-                }
-                if let Some(mut log) = shared.logs.vertex(plan.vertex) {
-                    log.insert(tp.clone());
-                }
-            }
-            if plan.is_tail {
-                // A tail replacement bounds its re-delivery window with the
-                // XOR ledger: a replayed packet whose clock the sink already
-                // confirmed is processed for its (store-deduped) state
-                // effects but not re-emitted to the end host.
-                let gated = tp.replay_for.is_some()
-                    && shared
-                        .ledger
-                        .as_ref()
-                        .is_some_and(|l| l.confirmed(tp.clock.counter()));
-                if gated {
-                    result.replay_egress_gated += 1;
-                } else if let Some(link) = sink_link {
-                    link.push(tp.clone(), shared.batch);
-                }
-            }
-            for d in &plan.downstream {
-                let Some(splitter) = shared.splitters.get(d) else {
-                    continue;
-                };
-                let idx = splitter.instance_for(&tp.packet, tp.clock);
-                if let Some(links) = outs.get_mut(d) {
-                    links[idx].push(tp.clone(), shared.batch);
-                }
-            }
-        }
-    }
+    forward_callbacks(client, shared);
+    action
 }
 
-/// What the sink thread hands back.
-struct SinkResult {
-    delivered_ids: Vec<PacketId>,
-    /// Every packet popped from the sink rings, replay-suppressed included
-    /// (the conservation ledger classifies each pop exactly once).
-    arrivals: u64,
-    duplicates: u64,
-    duplicate_clocks: Vec<Clock>,
-    /// Replay-marked copies absorbed because their clock already delivered —
-    /// the expected, bounded shadow of replay recovery, kept out of the
-    /// duplicate accounting entirely.
-    replay_window_suppressed: u64,
-    bytes: u64,
-    latency: StreamingHistogram,
-    finished_at: std::time::Duration,
-}
-
-/// Body of the sink thread. With `commit` set (fault mode), the sink also
-/// publishes its delivery frontier so the root's packet log can be
-/// truncated: a packet is confirmed only once the *end host* has it.
-#[allow(clippy::too_many_arguments)]
-fn run_sink(
-    mut inputs: Vec<InputRing>,
-    stamps: Arc<Vec<AtomicU64>>,
-    t0: Instant,
-    batch: usize,
-    commit: Option<Arc<StoreServer>>,
-    ledger: Option<Arc<XorDeleteLedger>>,
-    telemetry: Arc<RunTelemetry>,
-    mut flow_order: Option<FlowOrderChecker>,
-    ring_wait: RingWait,
-) -> SinkResult {
-    let spans = telemetry.config.spans;
-    let tracing = telemetry.tracer.is_some();
-    let mut seen: HashSet<Clock> = HashSet::new();
-    let mut out = SinkResult {
-        delivered_ids: Vec::new(),
-        arrivals: 0,
-        duplicates: 0,
-        duplicate_clocks: Vec::new(),
-        replay_window_suppressed: 0,
-        bytes: 0,
-        latency: StreamingHistogram::new(),
-        finished_at: std::time::Duration::ZERO,
+/// Forward the outcome of one processed packet.
+fn forward(
+    mut tp: TaggedPacket,
+    action: Action,
+    plan: &InstancePlan,
+    shared: &EngineShared,
+    outs: &mut [Downstream],
+    sink_link: &mut Option<OutLink>,
+    result: &mut InstanceResult,
+) {
+    let Action::Forward(out_pkt) = action else {
+        result.dropped_by_nf += 1;
+        return;
     };
-    let mut work: Vec<TaggedPacket> = Vec::with_capacity(batch);
-    let mut idle_streak = 0u32;
-    loop {
-        let mut moved = 0usize;
-        for input in &mut inputs {
-            work.clear();
-            let n = input.rx.pop_batch(&mut work, batch);
-            if n == 0 {
-                continue;
-            }
-            if let Some(s) = &telemetry.sentinel {
-                s.ledger.ring_popped.add(n as u64);
-            }
-            moved += n;
-            let now_ns = t0.elapsed().as_nanos() as u64;
-            for tp in work.drain(..) {
-                input.last_counter = input.last_counter.max(tp.clock.counter());
-                out.arrivals += 1;
-                let traced = if tracing {
-                    tp.trace.map(|t| t.id)
-                } else {
-                    None
-                };
-                if !seen.insert(tp.clock) {
-                    if tp.replay_for.is_some() {
-                        // The bounded re-delivery window of replay-based
-                        // recovery: an expected shadow copy, absorbed and
-                        // counted apart from the duplicate accounting — it
-                        // never reaches `duplicate_clocks`.
-                        out.replay_window_suppressed += 1;
-                    } else {
-                        out.delivered_ids.push(tp.packet.id);
-                        out.duplicates += 1;
-                        out.duplicate_clocks.push(tp.clock);
-                    }
-                    if let Some(id) = traced {
-                        telemetry.trace_span(SpanEvent {
-                            trace_id: id,
-                            lane: TraceLane::Sink,
-                            kind: SpanKind::Deliver {
-                                wait_ns: 0,
-                                duplicate: true,
-                            },
-                            t_ns: now_ns,
-                            dur_ns: 0,
-                        });
-                    }
-                    continue;
-                }
-                out.delivered_ids.push(tp.packet.id);
-                out.bytes += tp.packet.len as u64;
-                let counter = tp.clock.counter();
-                if let Some(l) = &ledger {
-                    // First (and only) delivery of this clock: cancel every
-                    // logged copy's token and mark the counter confirmed —
-                    // this is what lets tail replacements gate re-emission
-                    // and the supervisor delete individual log entries.
-                    l.fold(counter, tp.xor_vector);
-                    l.mark_delivered(counter);
-                }
-                let mut wait_ns = 0u64;
-                if counter >= 1 && (counter as usize) <= stamps.len() {
-                    let stamped = stamps[(counter - 1) as usize].load(Ordering::Relaxed);
-                    out.latency.record(now_ns.saturating_sub(stamped));
-                    if spans {
-                        // Final hop: last vertex egress → sink arrival,
-                        // using the same arrival time as the e2e sample so
-                        // the decomposition telescopes exactly.
-                        if let Some(slot) = telemetry.hop_slot(counter) {
-                            wait_ns = now_ns.saturating_sub(slot.load(Ordering::Relaxed));
-                            telemetry.sink_wait.record(wait_ns);
-                        }
-                    }
-                }
-                if let Some(id) = traced {
-                    telemetry.trace_span(SpanEvent {
-                        trace_id: id,
-                        lane: TraceLane::Sink,
-                        kind: SpanKind::Deliver {
-                            wait_ns,
-                            duplicate: false,
-                        },
-                        t_ns: now_ns,
-                        dur_ns: 0,
-                    });
-                }
-                // Per-flow clock-order invariant, first-copy live arrivals
-                // only: replayed copies are recovery traffic and may
-                // legitimately arrive late.
-                if let Some(checker) = &mut flow_order {
-                    if tp.replay_for.is_none() {
-                        if let Some(v) = checker.observe(tp.packet.flow_key().0, counter, now_ns) {
-                            telemetry.violation(v);
-                        }
-                    }
-                }
-            }
+    tp.packet = out_pkt;
+    if plan.off_path {
+        // Off-path NFs consume copies; nothing flows onward.
+        return;
+    }
+    // FTMB-style egress logging: this vertex is the on-path upstream of some
+    // killed non-entry vertex, so its live output stream is that kill's
+    // replay source. The XOR delete token is folded into the envelope
+    // *before* logging and forwarding, so the logged copy and the delivered
+    // copy carry identical vectors and the sink's fold cancels the ledger
+    // entry exactly (Figure 6). Replayed packets are not re-logged (their
+    // tokens are already accounted; re-folding would un-cancel them).
+    if plan.log_egress && tp.replay_for.is_none() {
+        let token = delete_token(plan.instance, tp.clock.counter());
+        tp.absorb_update_token(token);
+        if let Some(ledger) = &shared.ledger {
+            ledger.fold(tp.clock.counter(), token);
         }
-        if moved > 0 {
-            idle_streak = 0;
-            if let Some(server) = &commit {
-                let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
-                if wm > 0 {
-                    server.publish_commit(SINK_COMMIT_SOURCE, wm);
-                }
-            }
-        } else {
-            if inputs.iter_mut().all(|r| r.rx.is_exhausted()) {
-                break;
-            }
-            idle_streak += 1;
-            idle_wait(ring_wait, idle_streak, &mut inputs);
+        if let Some(mut log) = shared.logs.vertex(plan.vertex) {
+            log.insert(tp.clone());
         }
     }
-    if let (Some(checker), Some(state)) = (&flow_order, &telemetry.sentinel) {
-        state
-            .deliveries_checked
-            .store(checker.checked, Ordering::Relaxed);
+    if plan.is_tail {
+        // A tail replacement bounds its re-delivery window with the XOR
+        // ledger: a replayed packet whose clock the sink already confirmed
+        // is processed for its (store-deduped) state effects but not
+        // re-emitted to the end host.
+        let gated = tp.replay_for.is_some()
+            && shared
+                .ledger
+                .as_ref()
+                .is_some_and(|l| l.confirmed(tp.clock.counter()));
+        if gated {
+            result.replay_egress_gated += 1;
+        } else if let Some(link) = sink_link {
+            link.push(tp.clone(), shared.batch);
+        }
     }
-    out.finished_at = t0.elapsed();
-    out
+    for d in outs {
+        d.route(&tp, shared.batch);
+    }
 }

@@ -62,8 +62,10 @@ pub mod engine;
 pub mod fault;
 pub mod replay;
 pub mod report;
+mod sink;
 pub mod spsc;
 pub mod telemetry;
+mod wiring;
 
 pub use config::{RingWait, RuntimeConfig, ScaleEvent, TelemetryConfig};
 pub use engine::{run_chain_realtime, RuntimeError};

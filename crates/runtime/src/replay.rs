@@ -78,8 +78,9 @@
 //! left the buffer and no watermark covers it. Truncation pauses while
 //! replays may be in flight, and so does the floor.
 
-use crate::engine::{DyingInstance, EngineShared, InstancePlan, InstanceResult, OutLink};
+use crate::engine::{DyingInstance, EngineShared, InstancePlan, InstanceResult};
 use crate::fault::{FailoverAbort, InstanceKill, InstanceRecovery};
+use crate::wiring::{Downstream, OutLink};
 use chc_core::{TaggedPacket, VertexLogs, XorDeleteLedger};
 use chc_store::{InstanceId, StoreServer, VertexId};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -146,7 +147,7 @@ pub(crate) fn run_supervisor<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     rx: mpsc::Receiver<DyingInstance>,
     mut seeds: HashMap<usize, ReplacementSeed>,
-    mut replay_outs: HashMap<VertexId, Vec<OutLink>>,
+    mut replay_outs: HashMap<VertexId, Downstream>,
     replay_sources: HashMap<VertexId, ReplaySource>,
     logs: Arc<VertexLogs>,
     ledger: Option<Arc<XorDeleteLedger>>,
@@ -245,13 +246,11 @@ pub(crate) fn run_supervisor<'scope, 'env>(
         }
     }
 
-    for links in replay_outs.values_mut() {
-        for link in links {
-            // Bounded: an aborted failover may have left a stalled ring
-            // behind, and the wind-down must not hang on it.
-            let _ = link.try_flush(REPLAY_MAX_SPINS);
-            link.producer.close();
-        }
+    for link in replay_outs.values_mut().flat_map(|d| &mut d.links) {
+        // Bounded: an aborted failover may have left a stalled ring behind,
+        // and the wind-down must not hang on it.
+        let _ = link.try_flush(REPLAY_MAX_SPINS);
+        link.producer.close();
     }
     outcome
 }
@@ -393,7 +392,7 @@ fn run_replay<'scope, 'env>(
     job: ReplayJob,
     rx: &mpsc::Receiver<DyingInstance>,
     seeds: &mut HashMap<usize, ReplacementSeed>,
-    replay_outs: &mut HashMap<VertexId, Vec<OutLink>>,
+    replay_outs: &mut HashMap<VertexId, Downstream>,
     replay_sources: &HashMap<VertexId, ReplaySource>,
     logs: &Arc<VertexLogs>,
     shared: &Arc<EngineShared>,
@@ -420,8 +419,7 @@ fn run_replay<'scope, 'env>(
     };
     let mut replayed = 0u64;
     let mut stalled = false;
-    if let Some(links) = replay_outs.remove(&job.kill.vertex) {
-        let mut links = links;
+    if let Some(Downstream { splitter, links }) = replay_outs.get_mut(&job.kill.vertex) {
         for mut tp in snapshot {
             tp.replay_for = Some(replacement);
             if shared.telemetry.tracer.is_some() {
@@ -435,7 +433,7 @@ fn run_replay<'scope, 'env>(
                     });
                 }
             }
-            let idx = shared.splitters[&job.kill.vertex].instance_for(&tp.packet, tp.clock);
+            let idx = splitter.instance_for(&tp.packet, tp.clock);
             let pushed = links[idx].push_bounded(tp, shared.batch, RESCUE_QUANTUM)
                 || flush_with_rescue(
                     &mut links[idx],
@@ -483,7 +481,6 @@ fn run_replay<'scope, 'env>(
                 link.buf.clear();
             }
         }
-        replay_outs.insert(job.kill.vertex, links);
     }
     if stalled {
         shared.telemetry.event(EventKind::FailoverAbort {

@@ -36,6 +36,10 @@ pub struct RuntimeInstanceReport {
     /// clock-deduped at the store), so they sit outside
     /// `suppressed_duplicates`.
     pub replay_egress_gated: u64,
+    /// Resident bytes of the input queue's duplicate window
+    /// ([`chc_core::ClockWindow`]) when the instance exited: 0 on a run
+    /// without a fault plan, which tracks no duplicates at all.
+    pub dedup_window_bytes: usize,
 }
 
 /// Result of one [`crate::run_chain_realtime`] run.
@@ -66,11 +70,16 @@ pub struct RuntimeReport {
     pub injected: u64,
     /// Wall-clock duration from first injection to sink completion.
     pub elapsed: Duration,
-    /// Root→sink latency per delivered packet (wall clock). A bounded
-    /// streaming histogram: recording is lock-free on the sink's hot path
-    /// and summaries need only `&self`; percentiles carry ≤ ~3% bucket
-    /// quantization (count/mean/min/max stay exact).
+    /// Root→sink latency (wall clock) of the delivered *timed* packets —
+    /// every [`chc_core::TIMED_PERIOD`]-th clock counter plus every packet
+    /// of a traced flow — so its `len()` is that count, not `delivered`. A
+    /// bounded streaming histogram: summaries need only `&self`;
+    /// percentiles carry ≤ ~3% bucket quantization (count/mean/min/max stay
+    /// exact).
     pub latency: StreamingHistogram,
+    /// Resident bytes of the sink's duplicate window at exit: one bit per
+    /// injected clock, rounded up to [`chc_core::ClockWindow`] pages.
+    pub sink_window_bytes: usize,
     /// Per-instance counters of every instance alive at the end of the run
     /// (failover replacements included).
     pub instances: Vec<RuntimeInstanceReport>,

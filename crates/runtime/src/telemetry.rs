@@ -2,28 +2,31 @@
 //! the packet path, a store-RTT-timing state handle, the gauge monitor
 //! thread, and the telemetry section of the final report.
 //!
-//! ## Span points and the decomposition identity
+//! ## Timed packets and the decomposition identity
 //!
-//! Per-packet timing uses a single shared `last_hop` array indexed by the
-//! packet's clock counter, the same idiom as the engine's root-stamp array.
-//! The root writes the injection time; each on-path instance reads it as
-//! "when the previous stage let go of this packet", measures its own queue
-//! wait and service time, and overwrites it with its egress time; the sink
-//! reads the last value as its final-hop wait. The hops therefore
-//! *telescope*: summed over the chain,
+//! Span timing is sampled: a packet is *timed* when its clock counter is a
+//! multiple of [`chc_core::TIMED_PERIOD`] or it carries a trace tag
+//! ([`TaggedPacket::is_timed`](chc_core::TaggedPacket::is_timed)) — a pure
+//! function of the trace, so every hop agrees without coordination. Only
+//! timed packets cost clock reads and histogram records; the rest cross a
+//! hop for a ring slot and an NF call.
+//!
+//! The stamps ride in the packet's envelope. The root writes the injection
+//! time into `inject_ns` and `hop_ns`; each on-path instance reads `hop_ns`
+//! as "when the previous stage let go of this packet", measures its own
+//! queue wait and service time, and overwrites it with its egress time
+//! before forwarding; the sink reads the last value as its final-hop wait
+//! and `inject_ns` for the end-to-end sample. The hops therefore
+//! *telescope*: for every timed packet,
 //!
 //! ```text
-//! mean(e2e) ≈ Σ_vertex (queue + service + store) + sink_wait
+//! e2e = Σ_vertex (queue + service + store) + sink_wait
 //! ```
 //!
-//! holds exactly in the mean (up to clock-read jitter), which is the
-//! consistency check the benchmark and tests assert. Store RTT is measured
-//! inside [`TimedHandle`] and *subtracted* from the enclosing service time,
-//! so the three per-vertex components are disjoint.
-//!
-//! Writes to `last_hop` are relaxed: each counter's slot is handed from
-//! stage to stage through the SPSC rings' release/acquire edges, exactly
-//! like the root-stamp array the sink already reads.
+//! holds exactly, which is the consistency check the benchmark and tests
+//! assert on the histogram means. Store RTT is measured inside
+//! [`TimedHandle`] and *subtracted* from the enclosing service time, so the
+//! three per-vertex components are disjoint.
 
 use crate::config::TelemetryConfig;
 use crate::spsc::RingProbe;
@@ -34,7 +37,9 @@ use chc_telemetry::{
     Sentinel, SentinelReport, SpanEvent, StreamingHistogram, TelemetrySeries, TraceCollector,
     Violation,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -48,10 +53,12 @@ pub(crate) struct VertexStageMetrics {
     pub(crate) queue_ns: StreamingHistogram,
     /// NF processing time, store round trips excluded.
     pub(crate) service_ns: StreamingHistogram,
-    /// Synchronous store RTT accumulated while processing one packet.
+    /// Store round trips: one sample per timed packet (the store time inside
+    /// its service span, usually 0) and one per write-behind drain that ran
+    /// outside such a span.
     pub(crate) store_ns: StreamingHistogram,
-    /// Ops per write-behind drain (the store fast path's batch size as
-    /// actually achieved; empty when write-behind is off).
+    /// Ops per write-behind drain, recorded where every drain passes
+    /// ([`TimedHandle::apply_batch`]); empty when write-behind is off.
     pub(crate) flush_depth: StreamingHistogram,
 }
 
@@ -87,9 +94,6 @@ pub(crate) struct RunTelemetry {
     pub(crate) config: TelemetryConfig,
     /// Run epoch; all event and series timestamps are relative to this.
     pub(crate) t0: Instant,
-    /// Per-counter "previous stage let go at" stamp (ns since `t0`),
-    /// indexed by `clock.counter() - 1`. Empty when spans are off.
-    pub(crate) last_hop: Vec<AtomicU64>,
     /// Stage histograms per vertex.
     pub(crate) stages: HashMap<VertexId, Arc<VertexStageMetrics>>,
     /// Final hop: last vertex egress → sink arrival.
@@ -101,7 +105,7 @@ pub(crate) struct RunTelemetry {
     /// Causal-trace span collector, when flow-sampled tracing is on.
     pub(crate) tracer: Option<TraceCollector>,
     /// Invariant-sentinel state, when the sentinel is on. `Arc` so the
-    /// ledger can be shared with every [`crate::engine::OutLink`].
+    /// ledger can be shared with every [`crate::wiring::OutLink`].
     pub(crate) sentinel: Option<Arc<SentinelState>>,
 }
 
@@ -109,15 +113,12 @@ impl RunTelemetry {
     pub(crate) fn new(
         config: TelemetryConfig,
         t0: Instant,
-        trace_len: usize,
         vertices: impl IntoIterator<Item = VertexId>,
         sentinel: Option<Arc<SentinelState>>,
     ) -> RunTelemetry {
-        let slots = if config.spans { trace_len } else { 0 };
         RunTelemetry {
             config,
             t0,
-            last_hop: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             stages: vertices
                 .into_iter()
                 .map(|v| (v, Arc::new(VertexStageMetrics::default())))
@@ -167,29 +168,48 @@ impl RunTelemetry {
                 .push(v);
         }
     }
+}
 
-    /// The `last_hop` slot for a clock counter, when spans are on and the
-    /// counter lies within the trace (replay traffic reuses live counters,
-    /// so the bound always holds for live packets).
-    #[inline]
-    pub(crate) fn hop_slot(&self, counter: u64) -> Option<&AtomicU64> {
-        if counter >= 1 {
-            self.last_hop.get((counter - 1) as usize)
-        } else {
-            None
-        }
+/// The per-thread switch between an instance loop and its [`TimedHandle`]:
+/// the loop arms it around a timed packet's NF call, the handle adds the
+/// store time it measures meanwhile, and the loop takes the sum back to
+/// split the span into service and store. Both ends live on the instance
+/// thread, so plain cells do.
+#[derive(Default)]
+pub(crate) struct StoreTimer {
+    armed: Cell<bool>,
+    ns: Cell<u64>,
+}
+
+impl StoreTimer {
+    /// Start accumulating store time for the packet about to be processed.
+    pub(crate) fn arm(&self) {
+        self.ns.set(0);
+        self.armed.set(true);
+    }
+
+    fn add(&self, ns: u64) {
+        self.ns.set(self.ns.get() + ns);
+    }
+
+    /// Stop, returning the store time accumulated since [`StoreTimer::arm`].
+    pub(crate) fn disarm(&self) -> u64 {
+        self.armed.set(false);
+        self.ns.take()
     }
 }
 
-/// A [`StateHandle`] that times every synchronous store operation.
+/// A [`StateHandle`] that times store operations for the span decomposition.
 ///
-/// RTT samples go to the owning vertex's `store_ns` histogram; the same
-/// nanoseconds also accumulate into `pending_ns`, which the instance thread
-/// swaps out per packet to subtract store time from its service time.
+/// A per-op [`apply`](StateHandle::apply) is timed only while the instance
+/// loop has the [`StoreTimer`] armed, i.e. inside a timed packet; otherwise
+/// it is a plain call. A write-behind drain is always timed — there is one
+/// per ring batch, not one per packet — and lands in the armed packet's
+/// store time or, outside one, as its own `store_ns` sample.
 pub(crate) struct TimedHandle {
     pub(crate) inner: Arc<StoreServer>,
-    pub(crate) store_hist: Arc<VertexStageMetrics>,
-    pub(crate) pending_ns: Arc<AtomicU64>,
+    pub(crate) stage: Arc<VertexStageMetrics>,
+    pub(crate) timer: Rc<StoreTimer>,
 }
 
 impl StateHandle for TimedHandle {
@@ -200,27 +220,35 @@ impl StateHandle for TimedHandle {
         op: &chc_store::Operation,
         clock: Option<Clock>,
     ) -> Result<chc_store::store::ApplyResult, chc_store::StoreError> {
+        if !self.timer.armed.get() {
+            return self.inner.apply(requester, key, op, clock);
+        }
         let started = Instant::now();
         let result = self.inner.apply(requester, key, op, clock);
         let ns = started.elapsed().as_nanos() as u64;
-        self.store_hist.store_ns.record(ns);
-        self.pending_ns.fetch_add(ns, Ordering::Relaxed);
+        self.timer.add(ns);
         result
     }
 
     // Without this override the trait's default would fall back to per-op
-    // `apply` — timed, but defeating the one-lock-per-shard batching the
-    // write-behind drain exists for.
+    // `apply`, defeating the one-lock-per-shard batching the write-behind
+    // drain exists for.
     fn apply_batch(
         &self,
         requester: InstanceId,
         ops: &[(StateKey, chc_store::Operation, Option<Clock>)],
     ) -> Vec<Result<chc_store::store::ApplyResult, chc_store::StoreError>> {
+        // Every drain passes here — the cap-triggered ones inside
+        // `StateClient::flush_op` as well as the ring-batch boundary ones.
+        self.stage.flush_depth.record(ops.len() as u64);
         let started = Instant::now();
         let results = self.inner.apply_batch(requester, ops);
         let ns = started.elapsed().as_nanos() as u64;
-        self.store_hist.store_ns.record(ns);
-        self.pending_ns.fetch_add(ns, Ordering::Relaxed);
+        if self.timer.armed.get() {
+            self.timer.add(ns);
+        } else {
+            self.stage.store_ns.record(ns);
+        }
         results
     }
 
@@ -650,7 +678,9 @@ pub(crate) fn finalize_sentinel(
     })
 }
 
-/// Latency decomposition of one chain stage (all instances of one vertex).
+/// Latency decomposition of one chain stage (all instances of one vertex),
+/// sampled on the timed packets: `queue.count` and `service.count` are the
+/// timed live packets the vertex processed, not every packet.
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// The vertex this stage aggregates.
@@ -659,10 +689,12 @@ pub struct StageReport {
     pub queue: HistSummary,
     /// NF processing time, store round trips excluded.
     pub service: HistSummary,
-    /// Synchronous store RTT per packet (sum of the packet's store ops).
+    /// Synchronous store RTT: one sample per timed packet (the store time
+    /// inside its service span) plus one per write-behind drain that ran
+    /// between packets.
     pub store: HistSummary,
-    /// Ops per write-behind drain at this stage (zero-count when the store
-    /// fast path was off).
+    /// Ops per write-behind drain at this stage, every drain counted
+    /// (zero-count when the store fast path was off).
     pub flush_depth: HistSummary,
 }
 
@@ -699,9 +731,10 @@ pub struct TelemetryReport {
 
 impl TelemetryReport {
     /// Sum of the per-stage mean components plus the final sink hop — the
-    /// spans' reconstruction of the end-to-end mean latency. Packets take
-    /// exactly one instance per vertex, and the hop stamps telescope, so
-    /// this tracks the e2e histogram's mean up to clock-read jitter.
+    /// spans' reconstruction of the end-to-end mean latency. Timed packets
+    /// take exactly one instance per vertex and their hop stamps telescope,
+    /// so this tracks the e2e histogram's mean; packets an NF drops and the
+    /// drain samples in `store` are the divergence sources.
     pub fn decomposed_mean_ns(&self) -> f64 {
         self.stages
             .iter()

@@ -2,12 +2,13 @@
 //! series, the per-stage latency decomposition, and the control-plane
 //! event journal — including its causal ordering across a failover.
 
-use chc_core::{ChainConfig, LogicalDag, VertexSpec};
+use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
 use chc_nf::{Firewall, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeReport, TelemetryConfig};
 use chc_store::VertexId;
 use chc_telemetry::EventKind;
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -31,6 +32,19 @@ fn trace_for(seed: u64) -> Trace {
 
 fn run(rt: RuntimeConfig, trace: &Trace) -> RuntimeReport {
     run_chain_realtime(&firewall_nat(), ChainConfig::default(), &rt, trace).unwrap()
+}
+
+/// Delivered packets of an untraced run that were timed: packet `i` of the
+/// trace carries clock counter `i + 1`, and every `TIMED_PERIOD`-th counter
+/// is timed.
+fn timed_delivered(trace: &Trace, report: &RuntimeReport) -> usize {
+    let delivered: HashSet<_> = report.delivered_ids.iter().copied().collect();
+    trace
+        .packets
+        .iter()
+        .enumerate()
+        .filter(|(i, p)| (*i as u64 + 1).is_multiple_of(TIMED_PERIOD) && delivered.contains(&p.id))
+        .count()
 }
 
 #[test]
@@ -79,18 +93,23 @@ fn stage_decomposition_tracks_the_end_to_end_latency() {
     let report = run(RuntimeConfig::with_batch_size(8), &trace);
     let telemetry = report.telemetry.as_ref().expect("telemetry on by default");
 
-    // One stage per vertex, in vertex order, each having seen every live
-    // packet that reached it.
+    // One stage per vertex, in vertex order, each having timed every timed
+    // packet that reached it: one counter in TIMED_PERIOD at the entry, the
+    // delivered ones among them at the sink.
     let vertices: Vec<VertexId> = telemetry.stages.iter().map(|s| s.vertex).collect();
     assert_eq!(vertices, vec![FW, NAT]);
     let fw = &telemetry.stages[0];
     assert_eq!(fw.queue.count, fw.service.count);
-    assert_eq!(fw.service.count, report.injected);
-    assert_eq!(telemetry.sink_wait.count as usize, report.delivered);
+    assert_eq!(fw.service.count, report.injected / TIMED_PERIOD);
+    let timed = timed_delivered(&trace, &report);
+    assert!(timed > 0 && timed < report.delivered);
+    assert_eq!(telemetry.sink_wait.count as usize, timed);
+    assert_eq!(report.latency.len(), timed);
 
     // The hop stamps telescope (queue + service + store per vertex, plus
-    // the final sink hop), so the reconstructed mean must track the e2e
-    // histogram's mean; firewall drops and clock-read jitter are the only
+    // the final sink hop) on every timed packet, so the reconstructed mean
+    // must track the e2e histogram's mean; timed packets the firewall drops
+    // and the between-packet drain samples in `store` are the only
     // divergence sources.
     let e2e = report.latency.mean();
     let decomposed = telemetry.decomposed_mean_ns();
@@ -114,7 +133,7 @@ fn disabling_telemetry_removes_the_report_section() {
         "disabled() turns the sentinel off"
     );
     // The end-to-end histogram is independent of the telemetry switches.
-    assert!(report.latency.len() == report.delivered);
+    assert_eq!(report.latency.len(), timed_delivered(&trace, &report));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! sentinel must stay silent on correct runs and flag a seeded
 //! commit-frontier regression.
 
-use chc_core::{ChainConfig, LogicalDag, VertexSpec};
+use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
 use chc_nf::{Firewall, Nat};
 use chc_packet::{flow_sampled, Trace, TraceConfig, TraceGenerator, TRACE_PPM_FULL};
 use chc_runtime::{
@@ -199,6 +199,91 @@ fn flow_sampling_is_deterministic_and_flow_complete() {
 
     // And the export still validates at partial sampling.
     validate_chrome_trace(&chrome_trace_json(spans)).expect("invalid Chrome trace");
+}
+
+#[test]
+fn traced_packets_are_timed_and_their_hops_telescope_exactly() {
+    let trace = trace_for(29);
+    let ppm = 500_000; // half the flows
+    let report = run(
+        RuntimeConfig::with_batch_size(8).with_trace_sample_ppm(ppm),
+        &trace,
+    );
+    assert_sentinel_clean(&report);
+    let telemetry = report.telemetry.as_ref().unwrap();
+    assert_eq!(telemetry.trace_dropped, 0);
+
+    // Timed = every TIMED_PERIOD-th counter plus every packet of a traced
+    // flow, both pure functions of the trace; the sink samples exactly the
+    // delivered ones among them.
+    let delivered: std::collections::HashSet<_> = report.delivered_ids.iter().copied().collect();
+    let is_traced = |i: usize| flow_sampled(trace.packets[i].flow_key(), ppm);
+    let timed_delivered = (0..trace.len())
+        .filter(|&i| is_traced(i) || (i as u64 + 1).is_multiple_of(TIMED_PERIOD))
+        .filter(|&i| delivered.contains(&trace.packets[i].id))
+        .count();
+    assert_eq!(report.latency.len(), timed_delivered);
+    assert_eq!(telemetry.sink_wait.count as usize, timed_delivered);
+
+    // Every traced packet, whatever its counter, was timed at every hop it
+    // reached: its service spans carry the queue wait measured from the
+    // envelope's hop stamp, and for a delivered packet the spans add up to
+    // the end-to-end latency to the nanosecond —
+    // e2e = Σ (queue + service + store) + sink_wait, with service + store
+    // the span's duration.
+    let mut checked = 0;
+    for i in (0..trace.len()).filter(|&i| is_traced(i)) {
+        let id = i as u64 + 1;
+        let of_packet: Vec<_> = telemetry
+            .trace_spans
+            .iter()
+            .filter(|s| s.trace_id == id)
+            .collect();
+        let inject = of_packet
+            .iter()
+            .find(|s| matches!(s.kind, SpanKind::Inject))
+            .expect("traced packet without an inject span");
+        let mut hops = 0u64;
+        let mut egress = inject.t_ns;
+        for s in &of_packet {
+            if let SpanKind::Service {
+                queue_wait_ns,
+                store_ns,
+                replay,
+            } = s.kind
+            {
+                assert!(!replay);
+                assert_eq!(
+                    s.t_ns,
+                    egress + queue_wait_ns,
+                    "queue wait starts at the previous egress"
+                );
+                assert!(store_ns <= s.dur_ns);
+                hops += queue_wait_ns + s.dur_ns;
+                egress = s.t_ns + s.dur_ns;
+            }
+        }
+        assert!(hops > 0, "traced packet {id} has no service span");
+        let deliver = of_packet.iter().find_map(|s| match s.kind {
+            SpanKind::Deliver { wait_ns, duplicate } => Some((s.t_ns, wait_ns, duplicate)),
+            _ => None,
+        });
+        assert_eq!(
+            deliver.is_some(),
+            delivered.contains(&trace.packets[i].id),
+            "deliver span of packet {id}"
+        );
+        if let Some((t_ns, wait_ns, duplicate)) = deliver {
+            assert!(!duplicate);
+            assert_eq!(
+                t_ns - inject.t_ns,
+                hops + wait_ns,
+                "packet {id} does not telescope"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no traced packet was delivered");
 }
 
 #[test]

@@ -42,7 +42,9 @@
 
 use crate::journal::{Event, EventKind};
 use crate::metrics::Counter;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Which invariant a violation belongs to. Codes are stable (journal events
 /// carry them numerically to keep `EventKind` `Copy`).
@@ -325,30 +327,95 @@ impl Sentinel {
 /// ordering is only required within each side of the cut.
 #[derive(Debug, Default)]
 pub struct FlowOrderChecker {
-    last: HashMap<u128, u64>,
+    last: HashMap<u128, u64, FlowKeyHash>,
     scale_cut: Option<u64>,
     /// Arrivals checked.
     pub checked: u64,
+}
+
+/// Hash state for the checker's 128-bit flow keys: one seeded multiply-fold
+/// instead of SipHash over sixteen bytes, on the sink's per-delivery path.
+/// The seed is drawn per checker from std's `RandomState`, so colliding keys
+/// cannot be prepared ahead of a run.
+#[derive(Debug, Clone, Copy)]
+struct FlowKeyHash {
+    seed: u64,
+}
+
+impl Default for FlowKeyHash {
+    fn default() -> FlowKeyHash {
+        FlowKeyHash {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for FlowKeyHash {
+    type Hasher = FlowKeyHasher;
+
+    fn build_hasher(&self) -> FlowKeyHasher {
+        FlowKeyHasher(self.seed)
+    }
+}
+
+/// See [`FlowKeyHash`]. Starts at the seed; `write_u128` is the only call
+/// a `u128` key makes.
+struct FlowKeyHasher(u64);
+
+impl Hasher for FlowKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
+        let folded = ((key as u64) ^ self.0).wrapping_mul(ODD) ^ (key >> 64) as u64;
+        let mixed = folded.wrapping_mul(ODD);
+        // The table indexes with the low bits, a product carries its entropy
+        // in the high ones.
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl FlowOrderChecker {
     /// A checker; `scale_cut` per the type docs.
     pub fn new(scale_cut: Option<u64>) -> FlowOrderChecker {
         FlowOrderChecker {
-            last: HashMap::new(),
             scale_cut,
-            checked: 0,
+            ..FlowOrderChecker::default()
         }
     }
 
     /// Observe a live (non-replay, non-duplicate) delivery of flow `flow`
-    /// with clock counter `counter` at `t_ns`.
-    pub fn observe(&mut self, flow: u128, counter: u64, t_ns: u64) -> Option<Violation> {
+    /// with clock counter `counter`. `t_ns` supplies the violation's
+    /// timestamp and is only called when there is one, so a correct run
+    /// reads no clock here.
+    pub fn observe(
+        &mut self,
+        flow: u128,
+        counter: u64,
+        t_ns: impl FnOnce() -> u64,
+    ) -> Option<Violation> {
         self.checked += 1;
-        let prev = self.last.get(&flow).copied();
-        let entry = self.last.entry(flow).or_insert(0);
-        *entry = (*entry).max(counter);
-        let prev = prev?;
+        let prev = match self.last.entry(flow) {
+            Entry::Vacant(slot) => {
+                slot.insert(counter);
+                return None;
+            }
+            Entry::Occupied(mut slot) => {
+                let prev = *slot.get();
+                if counter > prev {
+                    slot.insert(counter);
+                }
+                prev
+            }
+        };
         let same_side = match self.scale_cut {
             Some(cut) => (prev >= cut) == (counter >= cut),
             None => true,
@@ -356,7 +423,7 @@ impl FlowOrderChecker {
         if same_side && counter <= prev {
             return Some(Violation {
                 invariant: InvariantKind::FlowOrdering,
-                t_ns,
+                t_ns: t_ns(),
                 observed: counter,
                 expected: prev + 1,
                 detail: format!("flow {flow:#x}: clock {counter} delivered after {prev}"),
@@ -534,10 +601,10 @@ mod tests {
     #[test]
     fn flow_order_checker_flags_regressions_only_within_a_side() {
         let mut c = FlowOrderChecker::new(None);
-        assert!(c.observe(0xaa, 5, 0).is_none());
-        assert!(c.observe(0xaa, 9, 0).is_none());
-        assert!(c.observe(0xbb, 7, 0).is_none(), "other flow independent");
-        let v = c.observe(0xaa, 8, 0).expect("regression caught");
+        assert!(c.observe(0xaa, 5, || 0).is_none());
+        assert!(c.observe(0xaa, 9, || 0).is_none());
+        assert!(c.observe(0xbb, 7, || 0).is_none(), "other flow independent");
+        let v = c.observe(0xaa, 8, || 0).expect("regression caught");
         assert_eq!(v.invariant, InvariantKind::FlowOrdering);
         assert_eq!(c.checked, 4);
 
@@ -545,11 +612,11 @@ mod tests {
         // packets (the flow moved instances) — but order within each side
         // still holds.
         let mut c = FlowOrderChecker::new(Some(100));
-        assert!(c.observe(0xcc, 150, 0).is_none());
-        assert!(c.observe(0xcc, 90, 0).is_none(), "cross-cut is exempt");
-        assert!(c.observe(0xcc, 160, 0).is_none());
+        assert!(c.observe(0xcc, 150, || 0).is_none());
+        assert!(c.observe(0xcc, 90, || 0).is_none(), "cross-cut is exempt");
+        assert!(c.observe(0xcc, 160, || 0).is_none());
         assert!(
-            c.observe(0xcc, 155, 0).is_some(),
+            c.observe(0xcc, 155, || 0).is_some(),
             "post-cut regression still caught"
         );
     }

@@ -58,7 +58,7 @@ fn main() {
         report.store_ops, report.store_ops_per_shard
     );
     if let Some(telemetry) = &report.telemetry {
-        println!("latency decomposition (mean per packet):");
+        println!("latency decomposition (mean per timed packet, 1 in 16):");
         for stage in &telemetry.stages {
             println!(
                 "  vertex {}: queue {:.1} us + service {:.1} us + store {:.1} us",
