@@ -1,59 +1,73 @@
 //! Criterion microbenchmark of the datastore (§7.1 "Datastore performance").
 //!
 //! The paper measures ≈5.1 M ops/s on a 4-thread store instance with 128-bit
-//! keys and 64-bit values. This bench measures single-op latency of the
+//! keys and 64-bit values. `store_ops` measures single-op latency of the
 //! sharded [`StoreServer`] (get / set / increment) and of the offloaded
-//! operations the NFs rely on, on real threads.
+//! operations the NFs rely on, on real threads; keys are built once, outside
+//! the timed closures, so the numbers are the store's and not `Arc::from`'s.
+//!
+//! `client_access` measures what one state access costs on the client side
+//! and what the op it buffers costs when drained (DESIGN.md, "What one state
+//! access costs"): a cached per-flow read, a buffered increment (over a
+//! handle that does nothing, so only the client's share is timed), and a
+//! 32-op write-behind batch applied by the server below and above the replay
+//! floor — divide those two by 32 for the cost of one drained op.
 
-use chc_packet::ScopeKey;
-use chc_store::{InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value, VertexId};
+use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
+use chc_packet::{FlowKey, ScopeKey};
+use chc_store::store::ApplyResult;
+use chc_store::{
+    AccessPattern, BackendKind, Clock, InstanceId, ObjectKey, Operation, StateKey, StoreError,
+    StoreServer, TsSnapshot, Value, VertexId,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn key(i: u16) -> StateKey {
-    StateKey::shared(VertexId(1), ObjectKey::scoped("bench", ScopeKey::Port(i)))
-}
+const KEYS: usize = 1_000;
 
 fn store_ops(c: &mut Criterion) {
     let server = StoreServer::new(4);
     // Pre-populate 100k-entry-equivalent working set (1k distinct keys here
     // to keep setup fast; sharding behaviour is identical).
-    for i in 0..1_000u16 {
+    let keys: Vec<StateKey> = (0..KEYS as u16)
+        .map(|i| StateKey::shared(VertexId(1), ObjectKey::scoped("bench", ScopeKey::Port(i))))
+        .collect();
+    for key in &keys {
         server
-            .apply(InstanceId(0), &key(i), &Operation::Set(Value::Int(0)), None)
+            .apply(InstanceId(0), key, &Operation::Set(Value::Int(0)), None)
             .unwrap();
     }
     let mut group = c.benchmark_group("store_ops");
     group.sample_size(30);
-    let mut i = 0u16;
+    let mut i = 0usize;
     group.bench_function("increment", |b| {
         b.iter(|| {
-            i = i.wrapping_add(1) % 1_000;
+            i = (i + 1) % KEYS;
             black_box(
                 server
-                    .apply(InstanceId(0), &key(i), &Operation::Increment(1), None)
+                    .apply(InstanceId(0), &keys[i], &Operation::Increment(1), None)
                     .unwrap(),
             );
         })
     });
     group.bench_function("get", |b| {
         b.iter(|| {
-            i = i.wrapping_add(1) % 1_000;
+            i = (i + 1) % KEYS;
             black_box(
                 server
-                    .apply(InstanceId(0), &key(i), &Operation::Get, None)
+                    .apply(InstanceId(0), &keys[i], &Operation::Get, None)
                     .unwrap(),
             );
         })
     });
     group.bench_function("set", |b| {
         b.iter(|| {
-            i = i.wrapping_add(1) % 1_000;
+            i = (i + 1) % KEYS;
             black_box(
                 server
                     .apply(
                         InstanceId(0),
-                        &key(i),
+                        &keys[i],
                         &Operation::Set(Value::Int(i as i64)),
                         None,
                     )
@@ -88,5 +102,149 @@ fn store_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, store_ops);
+/// A store that accepts everything and does nothing: what is left of an
+/// access is the client's own work.
+struct NullStore;
+
+impl StateHandle for NullStore {
+    fn apply(
+        &self,
+        _: InstanceId,
+        _: &StateKey,
+        _: &Operation,
+        _: Option<Clock>,
+    ) -> Result<ApplyResult, StoreError> {
+        Err(StoreError::Unavailable)
+    }
+    fn apply_batch(
+        &self,
+        _: InstanceId,
+        _: &[(StateKey, Operation, Option<Clock>)],
+    ) -> Vec<Result<ApplyResult, StoreError>> {
+        Vec::new()
+    }
+    fn register_callback(&self, _: &StateKey, _: InstanceId) {}
+    fn release_ownership(&self, _: &StateKey, _: InstanceId) -> Result<(), StoreError> {
+        Ok(())
+    }
+    fn acquire_ownership(&self, _: &StateKey, _: InstanceId) -> Result<(), StoreError> {
+        Ok(())
+    }
+    fn owner_of(&self, _: &StateKey) -> Option<InstanceId> {
+        None
+    }
+    fn nondet(&self, _: Clock, _: u32, candidate: Value) -> Value {
+        candidate
+    }
+    fn ts_snapshot(&self) -> TsSnapshot {
+        TsSnapshot::default()
+    }
+    fn is_failed(&self) -> bool {
+        false
+    }
+}
+
+/// The flows of the benchmark's `steady` workload, in number.
+const FLOWS: usize = 160;
+
+fn flow(i: usize) -> Option<ScopeKey> {
+    // Spread over both words of the key, as 5-tuples are.
+    let i = i as u128;
+    Some(ScopeKey::Flow(FlowKey((i << 96) | (i << 48) | 6)))
+}
+
+fn client_access(c: &mut Criterion) {
+    let mut group = c.benchmark_group("client_access");
+    group.sample_size(30);
+
+    // Configured like the engine's instance clients.
+    let mut client = StateClient::new(
+        VertexId(2),
+        InstanceId(0),
+        Box::new(NullStore),
+        ExternalizationMode::ExternalizedCachedNonBlocking,
+        CostModel::default(),
+        &[StateObjectSpec::per_flow(
+            "conn_bytes",
+            AccessPattern::ReadWriteOften,
+        )],
+    );
+    client.set_recovery_logging(false);
+    client.set_write_behind(true, 32);
+    let packet_done = |client: &mut StateClient| {
+        let _ = client.take_charge();
+        let _ = client.take_packet_tokens();
+    };
+    for i in 0..FLOWS {
+        client.update(
+            "conn_bytes",
+            flow(i),
+            Operation::Increment(64),
+            Clock::with_root(0, 1),
+        );
+        packet_done(&mut client);
+    }
+    let mut n = 0usize;
+    group.bench_function("cached_read", |b| {
+        b.iter(|| {
+            n += 1;
+            let clock = Clock::with_root(0, n as u64);
+            let v = client.read("conn_bytes", flow(n % FLOWS), clock);
+            packet_done(&mut client);
+            v
+        })
+    });
+    group.bench_function("buffered_increment", |b| {
+        b.iter(|| {
+            n += 1;
+            let clock = Clock::with_root(0, n as u64);
+            let v = client.update(
+                "conn_bytes",
+                flow(n % FLOWS),
+                Operation::Increment(64),
+                clock,
+            );
+            packet_done(&mut client);
+            v
+        })
+    });
+
+    // The other end of a buffered op: one write-behind drain of 32 ops on
+    // the sharded server. Below the floor nothing is looked up or logged;
+    // above it every op is logged for duplicate suppression and the log is
+    // pruned as the floor trails 1,024 packets behind, as the supervisor's
+    // truncation keeps it.
+    let object = |i: usize| ObjectKey::scoped("conn_bytes", flow(i).expect("a flow"));
+    for (name, logged) in [
+        ("drain_x32_below_floor", false),
+        ("drain_x32_above_floor", true),
+    ] {
+        let server = StoreServer::with_backend(4, BackendKind::Memory);
+        if !logged {
+            server.forget_through(u64::MAX);
+        }
+        let mut batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..32)
+            .map(|i| {
+                let key = StateKey::per_flow(VertexId(2), InstanceId(0), object(i));
+                (key, Operation::Increment(64), None)
+            })
+            .collect();
+        let mut counter = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for (_, _, clock) in &mut batch {
+                    counter += 1;
+                    *clock = Some(Clock::with_root(0, counter));
+                }
+                if logged {
+                    server.forget_through(counter.saturating_sub(1_024));
+                }
+                server.apply_batch(InstanceId(0), &batch)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, store_ops, client_access);
 criterion_main!(benches);

@@ -278,11 +278,7 @@ impl NfInstanceActor {
         // root (the store signals commits; one store→root hop of latency).
         // Off-path NFs process *copies* whose vectors never reach the chain
         // tail, so they do not participate in the delete protocol.
-        let tokens: Vec<u32> = self
-            .client
-            .take_packet_tokens()
-            .map(|(_key, token)| token)
-            .collect();
+        let tokens: Vec<u32> = self.client.take_packet_tokens().collect();
         if duplicate {
             self.metrics.duplicate_state_updates += tokens.len() as u64;
         }

@@ -103,7 +103,8 @@ impl TaggedPacket {
 
 /// The token XORed into packet vectors and signalled by the store when the
 /// corresponding update commits: high 16 bits = instance id, low 16 bits =
-/// a stable 16-bit hash of the object identity (§5.4).
+/// the low 16 bits of the hash of the object identity that the key carries
+/// (§5.4). Nothing is hashed here.
 pub fn xor_token(instance: InstanceId, key: &StateKey) -> u32 {
     let obj = (key.shard_hash() & 0xffff) as u32;
     ((instance.0 & 0xffff) << 16) | obj

@@ -25,14 +25,15 @@ use crate::dag::StateObjectSpec;
 use crate::message::xor_token;
 use chc_packet::ScopeKey;
 use chc_sim::SimDuration;
+use chc_store::key::{KeyPrefix, PrehashedMap, Scoped};
 use chc_store::ops::apply_in_place;
-use chc_store::store::ApplyResult;
+use chc_store::store::{shared_key, ApplyResult};
 use chc_store::{
-    Clock, InstanceId, ObjectKey, Operation, ReadLogEntry, StateKey, StateScope, StoreError,
-    StoreInstance, StoreServer, TsSnapshot, Value, VertexId, WriteAheadLog,
+    Clock, InstanceId, Operation, ReadLogEntry, StateKey, StateScope, StoreError, StoreInstance,
+    StoreServer, TsSnapshot, Value, VertexId, WriteAheadLog,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::vec::Drain;
@@ -190,50 +191,71 @@ pub struct StateClientStats {
     pub local_ops: u64,
 }
 
-/// One object the client knows: what its declaration resolves to, so an
-/// access costs one name comparison instead of a map probe per question.
+/// One object the client knows: what its declaration resolves to and the
+/// local copies it holds, so an access costs one name comparison, the hash
+/// of its scope key and one probe of this object's own table.
 struct ObjectSlot {
-    /// Shared name handle: building a key clones the handle, not the name.
-    name: Arc<str>,
-    per_flow: bool,
-    shared: bool,
+    /// Vertex + name, hashed once; an access hashes only its scope key, and
+    /// a key is assembled from the two when an op leaves for the store.
+    prefix: KeyPrefix,
+    /// The owner this object's keys carry: this instance for a per-flow
+    /// object, nobody for a shared (cross-flow) one.
+    owner: Option<InstanceId>,
     strategy: CacheStrategy,
     /// Whether this instance currently has exclusive access (relevant for
     /// [`CacheStrategy::CacheIfExclusive`]).
     exclusive: bool,
+    /// Local copies by scope key (the object's entire state in traditional
+    /// mode), under the hash a key to the store would carry.
+    table: PrehashedMap<Scoped, Value>,
 }
 
 impl ObjectSlot {
-    /// What an object the NF never declared resolves to: shared, on the
-    /// conservative blocking path until exclusivity is granted.
-    fn undeclared(name: &str) -> ObjectSlot {
-        ObjectSlot {
-            name: Arc::from(name),
-            per_flow: false,
-            shared: true,
-            strategy: CacheStrategy::CacheIfExclusive,
-            exclusive: false,
+    /// May the object be served from the local table right now?
+    fn cacheable(&self, mode: ExternalizationMode) -> bool {
+        mode.caching()
+            && match self.strategy {
+                CacheStrategy::NonBlockingNoCache => false,
+                CacheStrategy::CacheWithPeriodicFlush | CacheStrategy::CacheWithCallbacks => true,
+                CacheStrategy::CacheIfExclusive => self.exclusive,
+            }
+    }
+
+    fn key(&self, at: Scoped) -> StateKey {
+        self.prefix.key(self.owner, at)
+    }
+
+    /// Apply `op` to the local copy at `at` where it lies (creating it on
+    /// first touch); an inapplicable operation leaves the copy alone and
+    /// returns nothing, as the store would answer with an error.
+    fn apply_local(&mut self, at: Scoped, op: &Operation) -> Value {
+        let (prefix, owner) = (&self.prefix, self.owner);
+        let cached = self.table.entry(at).or_default();
+        match apply_in_place(|| prefix.key(owner, at), cached, op, None) {
+            Ok((returned, _)) => returned,
+            Err(_) => Value::None,
         }
     }
 
-    fn key(&self, vertex: VertexId, instance: InstanceId, scope_key: Option<ScopeKey>) -> StateKey {
-        let object = ObjectKey::shared_name(Arc::clone(&self.name), scope_key);
-        if self.per_flow {
-            StateKey::per_flow(vertex, instance, object)
-        } else {
-            StateKey::shared(vertex, object)
+    /// Hand every local copy to the store as an authoritative `Set` (and
+    /// optionally release its ownership) and forget it. Returns how many.
+    fn flush(
+        &mut self,
+        store: &dyn StateHandle,
+        instance: InstanceId,
+        clock: Clock,
+        release_ownership: bool,
+    ) -> usize {
+        let flushed = self.table.len();
+        for (at, value) in self.table.drain() {
+            let key = self.prefix.key(self.owner, at);
+            let _ = store.apply(instance, &key, &Operation::Set(value), Some(clock));
+            if release_ownership {
+                let _ = store.release_ownership(&key, instance);
+            }
         }
+        flushed
     }
-}
-
-/// One access, resolved: the fully qualified key and how to treat it.
-struct Access {
-    key: StateKey,
-    strategy: CacheStrategy,
-    shared: bool,
-    exclusive: bool,
-    /// May the object be served from the local cache right now?
-    cacheable: bool,
 }
 
 /// The per-instance client-side datastore library.
@@ -243,11 +265,10 @@ pub struct StateClient {
     store: Box<dyn StateHandle>,
     mode: ExternalizationMode,
     costs: CostModel,
-    /// The NF's objects, resolved once: a handful per NF, so a call finds
-    /// its object by scanning this list.
+    /// The NF's objects, resolved once, each with its local copies: a
+    /// handful per NF, so a call finds its object by scanning this list. An
+    /// object the NF never declared joins on first use.
     objects: Vec<ObjectSlot>,
-    /// Local cache (also the entire state in traditional mode).
-    cache: HashMap<StateKey, Value>,
     /// Callback registrations already made (avoid duplicates).
     callbacks_registered: HashSet<StateKey>,
     /// Write-ahead log of shared-state updates (store recovery, §5.4).
@@ -276,7 +297,7 @@ pub struct StateClient {
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
     /// XOR tokens of store updates issued for the current packet (Figure 6).
-    packet_tokens: Vec<(StateKey, u32)>,
+    packet_tokens: Vec<u32>,
     /// Callback notifications the store produced for *other* instances while
     /// this client updated shared objects; the instance runtime turns them
     /// into `CallbackUpdate` messages.
@@ -298,11 +319,11 @@ impl StateClient {
         let objects = objects
             .iter()
             .map(|o| ObjectSlot {
-                name: Arc::from(o.name.as_str()),
-                per_flow: o.scope == StateScope::PerFlow,
-                shared: o.scope.is_shared(),
+                prefix: KeyPrefix::new(vertex, Arc::from(o.name.as_str())),
+                owner: (o.scope == StateScope::PerFlow).then_some(instance),
                 strategy: CacheStrategy::select(o.scope, o.access),
                 exclusive: true,
+                table: PrehashedMap::default(),
             })
             .collect();
         StateClient {
@@ -312,7 +333,6 @@ impl StateClient {
             mode,
             costs,
             objects,
-            cache: HashMap::new(),
             callbacks_registered: HashSet::new(),
             wal: WriteAheadLog::new(),
             read_log: Vec::new(),
@@ -435,40 +455,32 @@ impl StateClient {
     }
 
     fn slot(&self, object: &str) -> Option<&ObjectSlot> {
-        self.objects.iter().find(|o| &*o.name == object)
+        self.objects.iter().find(|o| o.prefix.name() == object)
     }
 
-    /// The fully qualified key used for an object.
+    /// Index of `object`'s slot. An object the NF never declared is
+    /// registered here, once: shared, on the conservative blocking path
+    /// until exclusivity is granted.
+    fn slot_index(&mut self, object: &str) -> usize {
+        if let Some(i) = self.objects.iter().position(|o| o.prefix.name() == object) {
+            return i;
+        }
+        self.objects.push(ObjectSlot {
+            prefix: KeyPrefix::new(self.vertex, Arc::from(object)),
+            owner: None,
+            strategy: CacheStrategy::CacheIfExclusive,
+            exclusive: false,
+            table: PrehashedMap::default(),
+        });
+        self.objects.len() - 1
+    }
+
+    /// The fully qualified key used for an object (of one no access has
+    /// named yet: the shared key it would get).
     pub fn state_key(&self, object: &str, scope_key: Option<ScopeKey>) -> StateKey {
         match self.slot(object) {
-            Some(slot) => slot.key(self.vertex, self.instance, scope_key),
-            None => ObjectSlot::undeclared(object).key(self.vertex, self.instance, scope_key),
-        }
-    }
-
-    /// Resolve one access: one scan of the object list answers what the key
-    /// is, which strategy applies and whether the cache may serve it.
-    fn access(&self, object: &str, scope_key: Option<ScopeKey>) -> Access {
-        let undeclared;
-        let slot = match self.slot(object) {
-            Some(slot) => slot,
-            None => {
-                undeclared = ObjectSlot::undeclared(object);
-                &undeclared
-            }
-        };
-        let cacheable = self.mode.caching()
-            && match slot.strategy {
-                CacheStrategy::NonBlockingNoCache => false,
-                CacheStrategy::CacheWithPeriodicFlush | CacheStrategy::CacheWithCallbacks => true,
-                CacheStrategy::CacheIfExclusive => slot.exclusive,
-            };
-        Access {
-            key: slot.key(self.vertex, self.instance, scope_key),
-            strategy: slot.strategy,
-            shared: slot.shared,
-            exclusive: slot.exclusive,
-            cacheable,
+            Some(slot) => slot.key(slot.prefix.scoped(scope_key)),
+            None => shared_key(self.vertex, object, scope_key),
         }
     }
 
@@ -498,7 +510,7 @@ impl StateClient {
     /// list keeps its allocation for the next packet). The runtime folds
     /// them into the packet's commit vector and emits the corresponding
     /// commit signals.
-    pub fn take_packet_tokens(&mut self) -> Drain<'_, (StateKey, u32)> {
+    pub fn take_packet_tokens(&mut self) -> Drain<'_, u32> {
         self.packet_tokens.drain(..)
     }
 
@@ -514,25 +526,25 @@ impl StateClient {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Read an object's value.
+    /// Read an object's value. A hit in the object's table — and every
+    /// read in traditional mode — builds no key and hashes only the scope key.
     pub fn read(&mut self, object: &str, scope_key: Option<ScopeKey>, clock: Clock) -> Value {
-        let Access {
-            key,
-            strategy,
-            shared,
-            cacheable,
-            ..
-        } = self.access(object, scope_key);
+        let i = self.slot_index(object);
+        let slot = &self.objects[i];
+        let at = slot.prefix.scoped(scope_key);
         if !self.mode.externalized() {
             self.stats.local_ops += 1;
-            return self.cache.get(&key).cloned().unwrap_or_default();
+            return slot.table.get(&at).cloned().unwrap_or_default();
         }
+        let cacheable = slot.cacheable(self.mode);
         if cacheable {
-            if let Some(v) = self.cache.get(&key).cloned() {
+            if let Some(v) = slot.table.get(&at).cloned() {
                 self.charge_cache_hit();
                 return v;
             }
         }
+        let key = slot.key(at);
+        let (shared, uses_callbacks) = (slot.owner.is_none(), slot.strategy.uses_callbacks());
         // Blocking read from the store. Buffered write-behind ops on this
         // key (or any other) must be visible to it: drain first.
         self.drain_write_behind();
@@ -554,11 +566,11 @@ impl StateClient {
                 ts: self.store.ts_snapshot(),
             });
         }
-        // Populate the cache and, for read-heavy objects, register the
+        // Populate the table and, for read-heavy objects, register the
         // store callback that will keep it fresh.
         if cacheable {
-            self.cache.insert(key.clone(), value.clone());
-            if strategy.uses_callbacks() && self.callbacks_registered.insert(key.clone()) {
+            self.objects[i].table.insert(at, value.clone());
+            if uses_callbacks && self.callbacks_registered.insert(key.clone()) {
                 self.store.register_callback(&key, self.instance);
             }
         }
@@ -577,32 +589,36 @@ impl StateClient {
         op: Operation,
         clock: Clock,
     ) -> Value {
-        let Access {
-            key,
-            strategy,
-            shared,
-            exclusive,
-            cacheable,
-        } = self.access(object, scope_key);
+        let i = self.slot_index(object);
+        let mode = self.mode;
+        let slot = &mut self.objects[i];
+        let at = slot.prefix.scoped(scope_key);
 
         // Traditional NF: purely local state.
-        if !self.mode.externalized() {
+        if !mode.externalized() {
             self.stats.local_ops += 1;
-            return self.apply_to_cached(&key, &op);
+            return slot.apply_local(at, &op);
         }
 
+        let strategy = slot.strategy;
         let blocking_required = !op.is_non_blocking_eligible();
 
-        if cacheable && !blocking_required && strategy != CacheStrategy::CacheWithCallbacks {
+        if slot.cacheable(mode)
+            && !blocking_required
+            && strategy != CacheStrategy::CacheWithCallbacks
+        {
             // Apply to the local copy; flush to the store with non-blocking
             // semantics (the flush keeps the store authoritative for fault
             // tolerance but is off the packet's critical path).
-            let returned = self.apply_to_cached(&key, &op);
+            let returned = slot.apply_local(at, &op);
+            let key = slot.key(at);
             self.charge_cache_hit();
             self.stats.non_blocking_ops += 1;
             self.flush_op(key, op, clock);
             return returned;
         }
+        let key = slot.key(at);
+        let (shared, exclusive) = (slot.owner.is_none(), slot.exclusive);
 
         // Offloaded to the store. Blocking cost depends on the operation and
         // the externalization mode:
@@ -622,8 +638,8 @@ impl StateClient {
             // objects take this shortcut (a cached copy would need the
             // authoritative value below; in practice only
             // `NonBlockingNoCache` objects reach this arm).
-            let uncached =
-                strategy == CacheStrategy::NonBlockingNoCache || !self.cache.contains_key(&key);
+            let uncached = strategy == CacheStrategy::NonBlockingNoCache
+                || !self.objects[i].table.contains_key(&at);
             if self.write_behind.is_some() && uncached {
                 self.flush_op(key, op, clock);
                 return Value::None;
@@ -648,33 +664,18 @@ impl StateClient {
             new_value,
         } = result;
         // `key` and `new_value` are cloned only for callbacks (rare); the
-        // cache update consumes `new_value`, the token consumes `key`.
+        // table update consumes `new_value`.
         for other in &notify {
             self.pending_callbacks
                 .push((*other, key.clone(), new_value.clone()));
         }
-        let token = xor_token(self.instance, &key);
+        self.packet_tokens.push(xor_token(self.instance, &key));
         // Keep any cached copy coherent with the store's authoritative value
         // (e.g. read-heavy objects updated by this very instance).
-        if let Some(cached) = self.cache.get_mut(&key) {
+        if let Some(cached) = self.objects[i].table.get_mut(&at) {
             *cached = new_value;
         }
-        self.packet_tokens.push((key, token));
         outcome.returned
-    }
-
-    /// Apply `op` to the local copy of `key` where it lies (creating it on
-    /// first touch); an inapplicable operation leaves the copy alone and
-    /// returns nothing, as the store would answer with an error.
-    fn apply_to_cached(&mut self, key: &StateKey, op: &Operation) -> Value {
-        let cached = match self.cache.get_mut(key) {
-            Some(cached) => cached,
-            None => self.cache.entry(key.clone()).or_default(),
-        };
-        match apply_in_place(key, cached, op, None) {
-            Ok((returned, _)) => returned,
-            Err(_) => Value::None,
-        }
     }
 
     /// Hand one update to the store with non-blocking semantics.
@@ -687,8 +688,7 @@ impl StateClient {
         if self.recovery_logging && key.instance.is_none() {
             self.wal.append(clock, key.clone(), op.clone());
         }
-        self.packet_tokens
-            .push((key.clone(), xor_token(self.instance, &key)));
+        self.packet_tokens.push(xor_token(self.instance, &key));
         let tag = self.tag(clock);
         if let Some(buf) = self.write_behind.as_mut() {
             buf.push((key, op, tag));
@@ -722,41 +722,26 @@ impl StateClient {
     /// Handle a store callback: refresh the cached copy of a read-heavy
     /// object (the NF author never sees this; §4.3 "Cross-flow state").
     pub fn handle_callback(&mut self, key: &StateKey, value: Value) {
-        self.cache.insert(key.canonical(), value);
+        let i = self.slot_index(&key.object.name);
+        let slot = &mut self.objects[i];
+        let at = slot.prefix.scoped(key.object.scope_key);
+        slot.table.insert(at, value);
     }
 
     /// Grant or revoke exclusive access to a write/read-often cross-flow
     /// object (driven by the upstream splitter's partitioning). Losing
-    /// exclusivity flushes the cached copy to the store.
+    /// exclusivity flushes the cached copies to the store.
     pub fn set_exclusive(&mut self, object: &str, exclusive: bool, clock: Clock) {
-        match self.objects.iter_mut().find(|o| &*o.name == object) {
-            Some(slot) => slot.exclusive = exclusive,
-            None if exclusive => self.objects.push(ObjectSlot {
-                exclusive: true,
-                ..ObjectSlot::undeclared(object)
-            }),
-            None => {}
-        }
+        let i = self.slot_index(object);
+        self.objects[i].exclusive = exclusive;
         if !exclusive {
             // Buffered increments on this object must reach the store before
-            // the authoritative `Set` below, or they would re-apply on top
-            // of it at the next drain.
+            // the authoritative `Set`s below, or they would re-apply on top
+            // of them at the next drain. Flushing lets other instances
+            // observe the values and empties the table (subsequent updates
+            // go to the store).
             self.drain_write_behind();
-            // Flush cached values of this object so other instances observe
-            // them, then drop the cache (subsequent updates go to the store).
-            let keys: Vec<StateKey> = self
-                .cache
-                .keys()
-                .filter(|k| &*k.object.name == object)
-                .cloned()
-                .collect();
-            for key in keys {
-                if let Some(value) = self.cache.remove(&key) {
-                    let _ =
-                        self.store
-                            .apply(self.instance, &key, &Operation::Set(value), Some(clock));
-                }
-            }
+            self.objects[i].flush(&*self.store, self.instance, clock, false);
         }
     }
 
@@ -774,34 +759,21 @@ impl StateClient {
         // Same ordering constraint as exclusivity loss: buffered ops
         // precede the authoritative `Set` flushes.
         self.drain_write_behind();
-        let keys: Vec<StateKey> = self
-            .cache
-            .keys()
-            .filter(|k| k.is_per_flow())
-            .cloned()
-            .collect();
-        let mut flushed = 0;
-        for key in keys {
-            if let Some(value) = self.cache.remove(&key) {
-                let _ = self
-                    .store
-                    .apply(self.instance, &key, &Operation::Set(value), Some(clock));
-                flushed += 1;
-            }
-            if release_ownership {
-                let _ = self.store.release_ownership(&key, self.instance);
-            }
-        }
-        flushed
+        let (store, instance) = (&*self.store, self.instance);
+        self.objects
+            .iter_mut()
+            .filter(|o| o.owner.is_some())
+            .map(|o| o.flush(store, instance, clock, release_ownership))
+            .sum()
     }
 
     /// Snapshot of the cached per-flow objects (used to recover a failed
     /// store instance: the caches hold the freshest per-flow values).
     pub fn cached_per_flow(&self) -> Vec<(StateKey, Value)> {
-        self.cache
+        self.objects
             .iter()
-            .filter(|(k, _)| k.is_per_flow())
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter(|o| o.owner.is_some())
+            .flat_map(|o| o.table.iter().map(|(at, v)| (o.key(*at), v.clone())))
             .collect()
     }
 
@@ -822,12 +794,11 @@ impl StateClient {
     /// checks the store; if the old owner has not released the state yet it
     /// must buffer the flow's packets until the handover notification.
     pub fn per_flow_owned_elsewhere(&self, conn_key: ScopeKey) -> bool {
-        self.objects.iter().filter(|o| o.per_flow).any(|o| {
-            let key = o.key(self.vertex, self.instance, Some(conn_key));
-            match self.store.owner_of(&key) {
-                Some(owner) => owner != self.instance,
-                None => false,
-            }
+        self.objects.iter().filter(|o| o.owner.is_some()).any(|o| {
+            let key = o.key(o.prefix.scoped(Some(conn_key)));
+            self.store
+                .owner_of(&key)
+                .is_some_and(|owner| owner != self.instance)
         })
     }
 
@@ -836,7 +807,9 @@ impl StateClient {
     /// Un-drained write-behind ops are part of that loss — a crash forfeits
     /// them exactly as it forfeits the cache they were applied to.
     pub fn drop_all_local_state(&mut self) {
-        self.cache.clear();
+        for slot in &mut self.objects {
+            slot.table.clear();
+        }
         if let Some(buf) = self.write_behind.as_mut() {
             buf.clear();
         }
@@ -1019,9 +992,9 @@ mod tests {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
-        let tokens: Vec<(StateKey, u32)> = c.take_packet_tokens().collect();
+        let tokens: Vec<u32> = c.take_packet_tokens().collect();
         assert_eq!(tokens.len(), 1);
-        assert_ne!(tokens[0].1, 0);
+        assert_ne!(tokens[0], 0);
         assert_eq!(c.take_packet_tokens().len(), 0, "taking resets the list");
     }
 

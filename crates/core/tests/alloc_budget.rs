@@ -138,6 +138,40 @@ fn buffered_update_and_cached_read_on_a_seen_key_allocate_nothing() {
     assert_eq!(client.write_behind_depth(), 32);
 }
 
+#[test]
+fn an_undeclared_object_allocates_on_its_first_access_only() {
+    // The NF never declared "surprise": the client registers it on first
+    // use (shared, blocking until exclusivity is granted) instead of
+    // building and dropping a name handle per access. Each access is a store
+    // round trip whose op is below the floor — nothing logged, nothing
+    // allocated on either side.
+    let server = StoreServer::with_backend(4, chc_store::BackendKind::Memory);
+    server.forget_through(u64::MAX);
+    let mut client = client(Box::new(Arc::clone(&server)));
+    let scope = Some(ScopeKey::Port(443));
+    let access = |client: &mut StateClient, n: u64| {
+        let clock = Clock::with_root(0, n);
+        client.update("surprise", scope, Operation::Increment(1), clock);
+        assert_eq!(client.read("surprise", scope, clock), Value::Int(n as i64));
+        assert_eq!(
+            client.state_key("surprise", scope).object.scope_key,
+            scope,
+            "a registered name resolves through its slot"
+        );
+        let _ = client.take_packet_tokens();
+    };
+    assert!(allocations_in(|| access(&mut client, 1)) > 0);
+    assert!(!client.is_exclusive("surprise"));
+    let allocated = allocations_in(|| {
+        for n in 2..18 {
+            access(&mut client, n);
+        }
+    });
+    assert_eq!(allocated, 0, "an undeclared object allocated per access");
+    assert!(!client.is_exclusive("surprise"));
+    assert_eq!(client.stats().blocking_ops, 2 * 17);
+}
+
 fn counter(i: u64) -> StateKey {
     StateKey::shared(
         VertexId(1),

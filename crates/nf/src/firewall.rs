@@ -7,7 +7,6 @@
 use chc_core::{Action, NetworkFunction, NfContext, StateObjectSpec};
 use chc_packet::{Packet, Scope, ScopeKey};
 use chc_store::{AccessPattern, Value};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Name of the per-host blocked-packet counter.
@@ -17,15 +16,18 @@ pub const BLACKLISTED: &str = "blacklisted";
 
 /// A port/blacklist firewall.
 pub struct Firewall {
-    blocked_ports: HashSet<u16>,
+    /// Sorted and deduplicated: a policy is a handful of ports, looked up
+    /// once per packet by binary search.
+    blocked_ports: Vec<u16>,
 }
 
 impl Firewall {
     /// Create a firewall blocking the given destination ports.
     pub fn new(blocked_ports: impl IntoIterator<Item = u16>) -> Firewall {
-        Firewall {
-            blocked_ports: blocked_ports.into_iter().collect(),
-        }
+        let mut blocked_ports: Vec<u16> = blocked_ports.into_iter().collect();
+        blocked_ports.sort_unstable();
+        blocked_ports.dedup();
+        Firewall { blocked_ports }
     }
 
     /// A firewall with the conventional "block telnet and NetBIOS" policy.
@@ -69,7 +71,7 @@ impl NetworkFunction for Firewall {
             chc_packet::Direction::FromResponder => packet.tuple.src_port,
         };
         let blacklisted = ctx.read(BLACKLISTED, Some(host)).as_int() != 0;
-        if blacklisted || self.blocked_ports.contains(&service_port) {
+        if blacklisted || self.blocked_ports.binary_search(&service_port).is_ok() {
             ctx.increment(BLOCKED_COUNT, Some(host), 1);
             return Action::Drop;
         }

@@ -357,11 +357,7 @@ impl<'a> Dec<'a> {
             1 => ObjectKey::scoped(&name, self.scope_key()?),
             _ => return None,
         };
-        Some(StateKey {
-            vertex,
-            instance,
-            object,
-        })
+        Some(StateKey::new(vertex, instance, object))
     }
 
     pub(crate) fn opt_clock(&mut self) -> Option<Option<Clock>> {

@@ -159,9 +159,111 @@ impl fmt::Display for ObjectKey {
     }
 }
 
+/// One step of the key hash: a 64×64→128-bit multiply of the running hash
+/// mixed with the next word, high half folded onto the low. The only hash
+/// function of the store and core crates.
+#[inline]
+fn fold(hash: u64, word: u64) -> u64 {
+    let wide = u128::from(hash ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// Hash of what every key of one declared object shares: vertex and name.
+fn prefix_hash(vertex: VertexId, name: &str) -> u64 {
+    let mut hash = fold(0x2545_f491_4f6c_dd1d, u64::from(vertex.0));
+    for chunk in name.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hash = fold(hash, u64::from_le_bytes(word));
+    }
+    // The length separates "ab" + "\0" from "ab": chunks are zero-padded.
+    fold(hash, name.len() as u64)
+}
+
+/// The hash of one key: the object's prefix hash folded with the scope
+/// key's variant and words — three multiplies whatever the variant. A pure
+/// function of (vertex, name, scope key), with no per-process seed: `hash %
+/// shards` places objects, and the append-only engine reopens directories an
+/// earlier process wrote.
+#[inline]
+fn scoped_hash(prefix: u64, scope_key: Option<ScopeKey>) -> u64 {
+    let (variant, a, b) = match scope_key {
+        None => (0, 0, 0),
+        Some(ScopeKey::Flow(flow)) => (1, flow.0 as u64, (flow.0 >> 64) as u64),
+        Some(ScopeKey::HostPair(a, b)) => (2, u64::from(u32::from(a)), u64::from(u32::from(b))),
+        Some(ScopeKey::Host(a)) => (3, u64::from(u32::from(a)), 0),
+        Some(ScopeKey::Port(p)) => (4, u64::from(p), 0),
+        Some(ScopeKey::Global) => (5, 0, 0),
+    };
+    fold(fold(fold(prefix, variant), a), b)
+}
+
+/// What every key of one declared object shares — vertex and name — with
+/// its part of the key hash computed once. A client keeps one per object
+/// and derives each access's [`Scoped`] hash, and each key that leaves for
+/// the store, from it.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix {
+    vertex: VertexId,
+    name: Arc<str>,
+    hash: u64,
+}
+
+impl KeyPrefix {
+    /// The prefix of object `name` of `vertex`.
+    pub fn new(vertex: VertexId, name: Arc<str>) -> KeyPrefix {
+        let hash = prefix_hash(vertex, &name);
+        KeyPrefix { vertex, name, hash }
+    }
+
+    /// The object's declared name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The object's instance at `scope_key`, hashed here and nowhere else.
+    #[inline]
+    pub fn scoped(&self, scope_key: Option<ScopeKey>) -> Scoped {
+        Scoped {
+            hash: scoped_hash(self.hash, scope_key),
+            scope_key,
+        }
+    }
+
+    /// The full key of `at` (which [`KeyPrefix::scoped`] of this prefix
+    /// made), owned by `instance`: a reference-count bump, no hashing.
+    pub fn key(&self, instance: Option<InstanceId>, at: Scoped) -> StateKey {
+        debug_assert_eq!(at.hash, scoped_hash(self.hash, at.scope_key));
+        StateKey {
+            vertex: self.vertex,
+            instance,
+            object: ObjectKey::shared_name(Arc::clone(&self.name), at.scope_key),
+            hash: at.hash,
+        }
+    }
+}
+
+/// A scope key together with the hash of the key it selects under one
+/// [`KeyPrefix`]: the `Copy` key of that object's client-side table.
+/// (`hash` leads in both structs so derived equality rejects on it first.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scoped {
+    hash: u64,
+    scope_key: Option<ScopeKey>,
+}
+
+impl Hash for Scoped {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// A complete datastore key with its CHC metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateKey {
+    /// [`scoped_hash`] of (vertex, name, scope key), computed where the key
+    /// was built. Private, so every key is built in this module.
+    hash: u64,
     /// Logical vertex that owns the object.
     pub vertex: VertexId,
     /// Owning instance for per-flow objects; `None` for shared objects.
@@ -171,22 +273,25 @@ pub struct StateKey {
 }
 
 impl StateKey {
-    /// Key of a per-flow object owned by `instance`.
-    pub fn per_flow(vertex: VertexId, instance: InstanceId, object: ObjectKey) -> StateKey {
+    /// A key built from its parts, hashed here.
+    pub(crate) fn new(vertex: VertexId, instance: Option<InstanceId>, object: ObjectKey) -> Self {
+        let hash = scoped_hash(prefix_hash(vertex, &object.name), object.scope_key);
         StateKey {
             vertex,
-            instance: Some(instance),
+            instance,
             object,
+            hash,
         }
+    }
+
+    /// Key of a per-flow object owned by `instance`.
+    pub fn per_flow(vertex: VertexId, instance: InstanceId, object: ObjectKey) -> StateKey {
+        StateKey::new(vertex, Some(instance), object)
     }
 
     /// Key of a shared (cross-flow) object.
     pub fn shared(vertex: VertexId, object: ObjectKey) -> StateKey {
-        StateKey {
-            vertex,
-            instance: None,
-            object,
-        }
+        StateKey::new(vertex, None, object)
     }
 
     /// True if this key carries per-flow ownership metadata.
@@ -199,188 +304,99 @@ impl StateKey {
     /// vertex + object identity is stable).
     pub fn canonical(&self) -> StateKey {
         StateKey {
-            vertex: self.vertex,
             instance: None,
-            object: self.object.clone(),
+            ..self.clone()
         }
     }
 
-    /// Stable 64-bit hash used to shard objects across store threads /
-    /// instances (each object lives on exactly one shard, §4.3).
+    /// Stable 64-bit hash of the object identity (vertex, name, scope key;
+    /// not the owner), carried by the key since it was built. Shards objects
+    /// across store threads (each object lives on exactly one shard, §4.3),
+    /// indexes the shard maps and the client tables, and names the object in
+    /// commit tokens.
+    #[inline]
     pub fn shard_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat_bytes = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat_bytes(&self.vertex.0.to_be_bytes());
-        eat_bytes(self.object.name.as_bytes());
-        if let Some(sk) = &self.object.scope_key {
-            eat_bytes(&sk.stable_hash().to_be_bytes());
-        }
-        h
-    }
-}
-
-/// The identity of an object as the shard maps see it: vertex + object,
-/// without the owner metadata (a per-flow key and its shared form name the
-/// same stored object, which is what lets a handover find it), together with
-/// the stable [`StateKey::shard_hash`] the server already computed to pick
-/// the shard.
-///
-/// Implemented by the owned map key ([`CanonKey`]) and by a borrowed
-/// [`Probe`] over any `&StateKey`, so a map keyed by `CanonKey` is looked up
-/// without building — or cloning — a canonical key.
-pub(crate) trait CanonView {
-    /// `shard_hash()` of the object.
-    fn hash64(&self) -> u64;
-    /// Owning vertex.
-    fn vertex(&self) -> VertexId;
-    /// Object identity within the vertex.
-    fn object(&self) -> &ObjectKey;
-}
-
-impl Hash for dyn CanonView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash64());
-    }
-}
-
-impl PartialEq for dyn CanonView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash64() == other.hash64()
-            && self.vertex() == other.vertex()
-            && self.object() == other.object()
-    }
-}
-
-impl Eq for dyn CanonView + '_ {}
-
-/// Owned canonical key of a shard map, carrying its hash so neither a probe
-/// nor a table resize ever re-reads the name bytes.
-#[derive(Debug, Clone)]
-pub(crate) struct CanonKey {
-    hash: u64,
-    vertex: VertexId,
-    object: ObjectKey,
-}
-
-impl CanonKey {
-    /// The canonical form of `key`.
-    pub(crate) fn of(key: &StateKey) -> CanonKey {
-        CanonKey {
-            hash: key.shard_hash(),
-            vertex: key.vertex,
-            object: key.object.clone(),
-        }
-    }
-
-    /// The canonical key as a (shared-form) [`StateKey`].
-    pub(crate) fn to_state_key(&self) -> StateKey {
-        StateKey::shared(self.vertex, self.object.clone())
-    }
-}
-
-impl CanonView for CanonKey {
-    fn hash64(&self) -> u64 {
         self.hash
     }
-    fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-    fn object(&self) -> &ObjectKey {
-        &self.object
-    }
 }
 
-impl Hash for CanonKey {
+impl Hash for StateKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
 }
 
-impl PartialEq for CanonKey {
-    fn eq(&self, other: &CanonKey) -> bool {
-        (self as &dyn CanonView) == (other as &dyn CanonView)
-    }
+/// A key as the shard maps see it: vertex + object under the carried hash,
+/// without the owner metadata (a per-flow key and its shared form name the
+/// same stored object, which is what lets a handover find it). A trait
+/// object so that a map keyed by [`CanonKey`] is looked up with a borrowed
+/// `&StateKey` — no canonical copy, no hashing.
+pub(crate) trait CanonView {
+    /// The key viewed.
+    fn key(&self) -> &StateKey;
 }
 
-impl Eq for CanonKey {}
-
-impl<'a> Borrow<dyn CanonView + 'a> for CanonKey {
-    fn borrow(&self) -> &(dyn CanonView + 'a) {
+impl CanonView for StateKey {
+    fn key(&self) -> &StateKey {
         self
     }
 }
 
-/// A borrowed canonical view of any key, with its hash computed once.
-pub(crate) struct Probe<'a> {
-    hash: u64,
-    key: &'a StateKey,
-}
-
-impl<'a> Probe<'a> {
-    /// View `key` canonically, hashing it here.
-    pub(crate) fn new(key: &'a StateKey) -> Probe<'a> {
-        Probe::hashed(key, key.shard_hash())
-    }
-
-    /// View `key` canonically under an already-computed `shard_hash()`.
-    pub(crate) fn hashed(key: &'a StateKey, hash: u64) -> Probe<'a> {
-        debug_assert_eq!(hash, key.shard_hash());
-        Probe { hash, key }
-    }
-
-    /// The probed key as given (owner metadata included).
-    pub(crate) fn key(&self) -> &'a StateKey {
-        self.key
-    }
-
-    /// An owned canonical key for inserting the probed object.
-    pub(crate) fn to_canon(&self) -> CanonKey {
-        CanonKey {
-            hash: self.hash,
-            vertex: self.key.vertex,
-            object: self.key.object.clone(),
-        }
+impl Hash for dyn CanonView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key().hash);
     }
 }
 
-impl CanonView for Probe<'_> {
-    fn hash64(&self) -> u64 {
-        self.hash
-    }
-    fn vertex(&self) -> VertexId {
-        self.key.vertex
-    }
-    fn object(&self) -> &ObjectKey {
-        &self.key.object
+impl PartialEq for dyn CanonView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.key(), other.key());
+        a.hash == b.hash && a.vertex == b.vertex && a.object == b.object
     }
 }
 
-/// Hasher of the shard maps: the key already carries a 64-bit FNV-1a hash,
-/// so hashing is one fold. Every key of one shard shares `hash % shards`;
+impl Eq for dyn CanonView + '_ {}
+
+/// Owned key of a shard map: a [`StateKey`] in canonical form.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct CanonKey(StateKey);
+
+impl CanonKey {
+    /// The canonical form of `key`.
+    pub(crate) fn of(key: &StateKey) -> CanonKey {
+        CanonKey(key.canonical())
+    }
+
+    /// The canonical (shared-form) key.
+    pub(crate) fn state_key(&self) -> &StateKey {
+        &self.0
+    }
+}
+
+impl<'a> Borrow<dyn CanonView + 'a> for CanonKey {
+    fn borrow(&self) -> &(dyn CanonView + 'a) {
+        &self.0
+    }
+}
+
+/// Hasher of every map whose keys carry their hash ([`StateKey`], the shard
+/// maps' canonical keys, [`Scoped`]): the key writes that one word and the
+/// hasher hands it on. Every key of one shard shares `hash % shards`;
 /// folding the high half down keeps the table's bucket index (taken from the
 /// low bits) independent of that residue.
 ///
 /// This trades SipHash's resistance to crafted collisions for speed on keys
-/// derived from packet headers; `shard_hash` has the same exposure already.
+/// derived from packet headers (DESIGN.md, "What one state access costs").
 #[derive(Default)]
-pub(crate) struct PrehashedHasher(u64);
+pub struct PrehashedHasher(u64);
 
 impl Hasher for PrehashedHasher {
     fn write_u64(&mut self, hash: u64) {
         self.0 = hash;
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a prehashed map's key writes its carried hash as one u64");
     }
 
     fn finish(&self) -> u64 {
@@ -388,9 +404,11 @@ impl Hasher for PrehashedHasher {
     }
 }
 
+/// A map whose keys carry their hash.
+pub type PrehashedMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<PrehashedHasher>>;
+
 /// A shard map keyed by canonical object identity.
-pub(crate) type CanonMap<V> =
-    std::collections::HashMap<CanonKey, V, BuildHasherDefault<PrehashedHasher>>;
+pub(crate) type CanonMap<V> = PrehashedMap<CanonKey, V>;
 
 impl fmt::Display for StateKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

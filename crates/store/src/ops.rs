@@ -163,9 +163,10 @@ pub type CustomOpResolver<'a> = &'a dyn Fn(&str) -> Option<CustomOpFn>;
 /// This is the single place where operation semantics are defined; the
 /// store, the client-side cache and [`apply_operation`] all go through it.
 /// List operations mutate the list where it lies, so a pop on a long pool
-/// costs a pop, not a copy of the pool.
+/// costs a pop, not a copy of the pool. `key` is called only to name the
+/// object in an error, so a caller that holds no key builds none otherwise.
 pub fn apply_in_place(
-    key: &StateKey,
+    key: impl FnOnce() -> StateKey,
     value: &mut Value,
     op: &Operation,
     custom: Option<CustomOpResolver<'_>>,
@@ -250,13 +251,13 @@ pub fn apply_operation(
     custom: Option<CustomOpResolver<'_>>,
 ) -> Result<(Value, Value), StoreError> {
     let mut value = current.clone();
-    let (returned, _) = apply_in_place(key, &mut value, op, custom)?;
+    let (returned, _) = apply_in_place(|| key.clone(), &mut value, op, custom)?;
     Ok((value, returned))
 }
 
 /// The list stored at `value`, turning a missing value into an empty list.
 fn list_mut<'v>(
-    key: &StateKey,
+    key: impl FnOnce() -> StateKey,
     value: &'v mut Value,
     op: &'static str,
 ) -> Result<&'v mut VecDeque<Value>, StoreError> {
@@ -265,10 +266,7 @@ fn list_mut<'v>(
     }
     match value {
         Value::List(list) => Ok(list),
-        _ => Err(StoreError::TypeMismatch {
-            key: key.clone(),
-            op,
-        }),
+        _ => Err(StoreError::TypeMismatch { key: key(), op }),
     }
 }
 

@@ -48,7 +48,7 @@ use crate::backend::{
     StorageBackend,
 };
 use crate::error::StoreError;
-use crate::key::{Clock, InstanceId, Probe, StateKey};
+use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
 use crate::store::{ApplyResult, Checkpoint, StoreInstance};
 use crate::value::Value;
@@ -160,13 +160,9 @@ impl StoreServer {
 
     /// The shard an object is pinned to. Stable for the server's lifetime:
     /// "each state object is only handled by a single thread" (§4.3).
+    /// Reads the hash the key carries; nothing is hashed here.
     pub fn shard_index(&self, key: &StateKey) -> usize {
-        self.shard_of_hash(key.shard_hash())
-    }
-
-    /// The shard a key with this `shard_hash()` is pinned to.
-    fn shard_of_hash(&self, hash: u64) -> usize {
-        (hash % self.shards.len() as u64) as usize
+        (key.shard_hash() % self.shards.len() as u64) as usize
     }
 
     /// One pinned handle per shard (see [`ShardHandle`]); client threads use
@@ -217,11 +213,10 @@ impl StoreServer {
     /// duplicate changes nothing, and replaying it after its original's log
     /// entry was pruned would apply it a second time. The journal append
     /// happens under the shard's backend lock so the journal order is
-    /// exactly the execution order. `hash` is `key.shard_hash()`.
+    /// exactly the execution order.
     fn apply_on_shard(
         &self,
         shard: &Shard,
-        hash: u64,
         requester: InstanceId,
         key: &StateKey,
         op: &Operation,
@@ -229,13 +224,7 @@ impl StoreServer {
     ) -> Result<ApplyResult, StoreError> {
         shard.ops.fetch_add(1, Ordering::Relaxed);
         let mut backend = self.lock_at_floor(shard);
-        let result = backend.instance_mut().apply_probed(
-            &Probe::hashed(key, hash),
-            requester,
-            op,
-            clock,
-            true,
-        );
+        let result = backend.instance_mut().apply(requester, key, op, clock);
         if backend.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
             backend.append(&JournalRecord::Apply {
                 requester,
@@ -255,9 +244,7 @@ impl StoreServer {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        let hash = key.shard_hash();
-        let shard = &self.shards[self.shard_of_hash(hash)];
-        self.apply_on_shard(shard, hash, requester, key, op, clock)
+        self.apply_on_shard(self.shard_of(key), requester, key, op, clock)
     }
 
     /// Apply a slice of operations, taking each involved shard's lock **once
@@ -278,52 +265,33 @@ impl StoreServer {
         if let [(key, op, clock)] = ops {
             return vec![self.apply(requester, key, op, *clock)];
         }
-        // Each key is hashed once; a write-behind drain fits the inline
-        // array, so the only allocation of a batch is its result vector.
-        let mut inline = [0u64; 64];
-        let mut spilled = Vec::new();
-        let hashes: &mut [u64] = match inline.get_mut(..ops.len()) {
-            Some(inline) => inline,
-            None => {
-                spilled.resize(ops.len(), 0);
-                &mut spilled
-            }
-        };
-        for (hash, (key, _, _)) in hashes.iter_mut().zip(ops) {
-            *hash = key.shard_hash();
-        }
-        // Every slot is overwritten below: each op belongs to one shard.
+        // The only allocation of a batch is its result vector; every slot
+        // is overwritten below, since each op belongs to one shard.
         let mut results: Vec<Result<ApplyResult, StoreError>> =
             ops.iter().map(|_| Err(StoreError::Unavailable)).collect();
         for (index, shard) in self.shards.iter().enumerate() {
-            let mine = |hash: &u64| self.shard_of_hash(*hash) == index;
-            let count = hashes.iter().filter(|h| mine(h)).count();
+            let mine =
+                |(key, _, _): &(StateKey, Operation, Option<Clock>)| self.shard_index(key) == index;
+            let count = ops.iter().filter(|op| mine(op)).count();
             if count == 0 {
                 continue;
             }
             shard.ops.fetch_add(count as u64, Ordering::Relaxed);
             let mut backend = self.lock_at_floor(shard);
-            for (i, hash) in hashes.iter().enumerate().filter(|(_, h)| mine(h)) {
-                let (key, op, clock) = &ops[i];
-                results[i] = backend.instance_mut().apply_probed(
-                    &Probe::hashed(key, *hash),
-                    requester,
-                    op,
-                    *clock,
-                    true,
-                );
+            for (i, (key, op, clock)) in ops.iter().enumerate().filter(|(_, op)| mine(op)) {
+                results[i] = backend.instance_mut().apply(requester, key, op, *clock);
             }
             // Journal append under the backend lock hold, like
             // `apply_on_shard`: journal order is exactly execution order,
             // and emulated duplicates stay out of it.
             if backend.journaling() {
-                let applied: Vec<(StateKey, Operation, Option<Clock>)> = hashes
+                let applied: Vec<(StateKey, Operation, Option<Clock>)> = ops
                     .iter()
-                    .enumerate()
-                    .filter(|(i, h)| {
-                        mine(h) && matches!(&results[*i], Ok(r) if !r.outcome.emulated)
+                    .zip(&results)
+                    .filter(|(op, result)| {
+                        mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
                     })
-                    .map(|(i, _)| ops[i].clone())
+                    .map(|(op, _)| op.clone())
                     .collect();
                 if !applied.is_empty() {
                     backend.append(&JournalRecord::ApplyBatch {
@@ -624,8 +592,7 @@ impl ShardHandle {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        let hash = key.shard_hash();
-        let actual = self.server.shard_of_hash(hash);
+        let actual = self.server.shard_index(key);
         if actual != self.index {
             return Err(StoreError::WrongShard {
                 key: key.clone(),
@@ -634,8 +601,7 @@ impl ShardHandle {
             });
         }
         let shard = &self.server.shards[self.index];
-        self.server
-            .apply_on_shard(shard, hash, requester, key, op, clock)
+        self.server.apply_on_shard(shard, requester, key, op, clock)
     }
 
     /// Read a value pinned to this shard without metadata effects.

@@ -15,9 +15,7 @@
 
 use crate::dedup::DedupLog;
 use crate::error::StoreError;
-use crate::key::{
-    CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, Probe, StateKey, VertexId,
-};
+use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, StateKey, VertexId};
 use crate::ops::{apply_in_place, CustomOpFn, OpOutcome, Operation};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -173,11 +171,11 @@ impl StoreInstance {
     }
 
     fn entry(&self, key: &StateKey) -> Option<&Entry> {
-        self.entries.get(&Probe::new(key) as &dyn CanonView)
+        self.entries.get(key as &dyn CanonView)
     }
 
     fn entry_mut(&mut self, key: &StateKey) -> Option<&mut Entry> {
-        self.entries.get_mut(&Probe::new(key) as &dyn CanonView)
+        self.entries.get_mut(key as &dyn CanonView)
     }
 
     /// The entry at `key`, created empty and unowned if absent.
@@ -205,7 +203,7 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_probed(&Probe::new(key), requester, op, clock, true)
+        self.apply_inner(requester, key, op, clock, true)
     }
 
     /// Re-apply a journaled operation during shard recovery. The journal
@@ -220,21 +218,21 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_probed(&Probe::new(key), requester, op, clock, false)
+        self.apply_inner(requester, key, op, clock, false)
     }
 
-    /// [`StoreInstance::apply`] under a canonical view whose hash the caller
-    /// already computed (the server hashes a key once, to pick the shard).
-    pub(crate) fn apply_probed(
+    /// [`StoreInstance::apply`], or with `suppress_duplicates` off
+    /// [`StoreInstance::replay_journaled`]. Nothing here hashes: the maps
+    /// are probed under the hash `key` carries.
+    fn apply_inner(
         &mut self,
-        probe: &Probe<'_>,
         requester: InstanceId,
+        key: &StateKey,
         op: &Operation,
         clock: Option<Clock>,
         suppress_duplicates: bool,
     ) -> Result<ApplyResult, StoreError> {
         self.check_available()?;
-        let key = probe.key();
         // Only mutating ops of packets that can still be replayed take part
         // in duplicate suppression.
         let replayable = clock.filter(|c| !op.is_read_only() && c.counter() >= self.floor);
@@ -242,7 +240,7 @@ impl StoreInstance {
         // A missing object is built on the side and only installed once the
         // operation succeeded (a failed first touch leaves no entry behind).
         let mut fresh = None;
-        let (entry, created) = match self.entries.get_mut(probe as &dyn CanonView) {
+        let (entry, created) = match self.entries.get_mut(key as &dyn CanonView) {
             Some(entry) => (entry, false),
             None => {
                 let entry = fresh.insert(Entry {
@@ -279,7 +277,8 @@ impl StoreInstance {
 
         let custom = &self.custom_ops;
         let resolver = |name: &str| custom.get(name).copied();
-        let (returned, changed) = apply_in_place(key, &mut entry.value, op, Some(&resolver))?;
+        let (returned, changed) =
+            apply_in_place(|| key.clone(), &mut entry.value, op, Some(&resolver))?;
         // First touch of a per-flow object records its owner.
         if key.is_per_flow() && entry.owner.is_none() {
             entry.owner = key.instance;
@@ -295,7 +294,7 @@ impl StoreInstance {
 
         let notify: Vec<InstanceId> = if changed && !self.callbacks.is_empty() {
             self.callbacks
-                .get(probe as &dyn CanonView)
+                .get(key as &dyn CanonView)
                 .map(|set| set.iter().copied().filter(|i| *i != requester).collect())
                 .unwrap_or_default()
         } else {
@@ -303,7 +302,7 @@ impl StoreInstance {
         };
         let new_value = entry.value.clone();
         if let Some(fresh) = fresh {
-            self.entries.insert(probe.to_canon(), fresh);
+            self.entries.insert(CanonKey::of(key), fresh);
         }
 
         Ok(ApplyResult {
@@ -327,8 +326,9 @@ impl StoreInstance {
     pub fn keys_of_vertex(&self, vertex: VertexId) -> Vec<StateKey> {
         self.entries
             .keys()
-            .filter(|k| k.vertex() == vertex)
-            .map(CanonKey::to_state_key)
+            .map(CanonKey::state_key)
+            .filter(|k| k.vertex == vertex)
+            .cloned()
             .collect()
     }
 
@@ -336,8 +336,9 @@ impl StoreInstance {
     pub fn keys_named(&self, name: &str) -> Vec<StateKey> {
         self.entries
             .keys()
-            .filter(|k| &*k.object().name == name)
-            .map(CanonKey::to_state_key)
+            .map(CanonKey::state_key)
+            .filter(|k| &*k.object.name == name)
+            .cloned()
             .collect()
     }
 
@@ -426,7 +427,7 @@ impl StoreInstance {
 
     /// Remove a callback registration.
     pub fn unregister_callback(&mut self, key: &StateKey, instance: InstanceId) {
-        if let Some(set) = self.callbacks.get_mut(&Probe::new(key) as &dyn CanonView) {
+        if let Some(set) = self.callbacks.get_mut(key as &dyn CanonView) {
             set.remove(&instance);
         }
     }
@@ -434,7 +435,7 @@ impl StoreInstance {
     /// Instances registered for callbacks on `key`.
     pub fn callback_registrations(&self, key: &StateKey) -> Vec<InstanceId> {
         self.callbacks
-            .get(&Probe::new(key) as &dyn CanonView)
+            .get(key as &dyn CanonView)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
@@ -546,7 +547,7 @@ impl StoreInstance {
     pub fn entries(&self) -> Vec<(StateKey, Value, Option<InstanceId>)> {
         self.entries
             .iter()
-            .map(|(k, e)| (k.to_state_key(), e.value.clone(), e.owner))
+            .map(|(k, e)| (k.state_key().clone(), e.value.clone(), e.owner))
             .collect()
     }
 
@@ -577,7 +578,7 @@ impl StoreInstance {
             .iter()
             .map(|(clock, entry, op, returned)| {
                 let key = key_of[entry as usize].expect("logged updates name live entries");
-                let key = key.to_state_key();
+                let key = key.state_key().clone();
                 (key.to_string(), clock, key, (op, returned))
             })
             .collect();
@@ -604,7 +605,7 @@ impl StoreInstance {
             .map(|(k, set)| {
                 let mut who: Vec<InstanceId> = set.iter().copied().collect();
                 who.sort_unstable();
-                (k.to_state_key(), who)
+                (k.state_key().clone(), who)
             })
             .collect();
         callbacks.sort_by_key(|(k, _)| k.to_string());
