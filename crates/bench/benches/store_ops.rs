@@ -12,16 +12,23 @@
 //! handle that does nothing, so only the client's share is timed), and a
 //! 32-op write-behind batch applied by the server below and above the replay
 //! floor — divide those two by 32 for the cost of one drained op.
+//!
+//! `pool_pop` measures a blocking pop on the NAT's 4,096-port pool at each
+//! layer it crosses — the store instance, the sharded server, and a
+//! [`StateClient`] that holds a copy of the pool as the engine's NAT client
+//! does. Each iteration pops a port and pushes it back, so the pool stays
+//! full; the figure is the pair's.
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
-use chc_packet::{FlowKey, ScopeKey};
+use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::store::ApplyResult;
 use chc_store::{
     AccessPattern, BackendKind, Clock, InstanceId, ObjectKey, Operation, StateKey, StoreError,
-    StoreServer, TsSnapshot, Value, VertexId,
+    StoreInstance, StoreServer, TsSnapshot, Value, VertexId,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const KEYS: usize = 1_000;
 
@@ -246,5 +253,80 @@ fn client_access(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, store_ops, client_access);
+fn pool_pop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool_pop");
+    group.sample_size(30);
+    let pool = || Value::list_of_ints(20_000..24_096);
+    let key = StateKey::shared(VertexId(2), ObjectKey::named("free_ports"));
+    let who = InstanceId(0);
+    // No fault plan, no replay: the floor is at the top and nothing is
+    // logged, as in a healthy engine run.
+    let mut n = 0u64;
+    let mut clock = move || {
+        n += 1;
+        Clock::with_root(0, n)
+    };
+
+    let mut instance = StoreInstance::new();
+    instance.forget_through(u64::MAX);
+    instance
+        .apply(who, &key, &Operation::Set(pool()), None)
+        .unwrap();
+    group.bench_function("store_instance", |b| {
+        b.iter(|| {
+            let popped = instance
+                .apply(who, &key, &Operation::PopFront, Some(clock()))
+                .unwrap();
+            let port = Operation::PushBack(popped.outcome.returned);
+            instance.apply(who, &key, &port, Some(clock())).unwrap()
+        })
+    });
+
+    let server = StoreServer::with_backend(4, BackendKind::Memory);
+    server.forget_through(u64::MAX);
+    server
+        .apply(who, &key, &Operation::Set(pool()), None)
+        .unwrap();
+    group.bench_function("store_server", |b| {
+        b.iter(|| {
+            let popped = server
+                .apply(who, &key, &Operation::PopFront, Some(clock()))
+                .unwrap();
+            let port = Operation::PushBack(popped.outcome.returned);
+            server.apply(who, &key, &port, Some(clock())).unwrap()
+        })
+    });
+
+    // Configured like the engine's NAT client: the pool is write/read-often
+    // and this instance's alone, so the client holds a copy of it. The push
+    // is buffered and the next pop drains it ahead of itself.
+    let server = StoreServer::with_backend(4, BackendKind::Memory);
+    server.forget_through(u64::MAX);
+    let mut client = StateClient::new(
+        VertexId(2),
+        who,
+        Box::new(Arc::clone(&server)),
+        ExternalizationMode::ExternalizedCachedNonBlocking,
+        CostModel::default(),
+        &[StateObjectSpec::cross_flow(
+            "free_ports",
+            Scope::Global,
+            AccessPattern::ReadWriteOften,
+        )],
+    );
+    client.set_recovery_logging(false);
+    client.set_write_behind(true, 32);
+    client.update("free_ports", None, Operation::Set(pool()), clock());
+    group.bench_function("state_client", |b| {
+        b.iter(|| {
+            let port = client.update("free_ports", None, Operation::PopFront, clock());
+            client.update("free_ports", None, Operation::PushBack(port), clock());
+            let _ = client.take_charge();
+            let _ = client.take_packet_tokens();
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, store_ops, client_access, pool_pop);
 criterion_main!(benches);

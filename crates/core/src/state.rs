@@ -33,6 +33,7 @@ use chc_store::{
     StoreServer, TsSnapshot, Value, VertexId, WriteAheadLog,
 };
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -427,10 +428,8 @@ impl StateClient {
         let mut ops = std::mem::take(buf);
         let results = self.store.apply_batch(self.instance, &ops);
         for ((key, _, _), result) in ops.iter().zip(results) {
-            let Ok(result) = result else { continue };
-            for other in &result.notify {
-                self.pending_callbacks
-                    .push((*other, key.clone(), result.new_value.clone()));
+            if let Ok(result) = result {
+                self.queue_callbacks(key, &result);
             }
         }
         let drained = ops.len();
@@ -438,6 +437,18 @@ impl StateClient {
         ops.clear();
         self.write_behind = Some(ops);
         drained
+    }
+
+    /// Queue what the store wants other instances told about `key`. Only an
+    /// object with subscribers has anyone to notify, and that is when the
+    /// store sends its value along.
+    fn queue_callbacks(&mut self, key: &StateKey, result: &ApplyResult) {
+        if let Some(value) = &result.new_value {
+            for other in &result.notify {
+                self.pending_callbacks
+                    .push((*other, key.clone(), value.clone()));
+            }
+        }
     }
 
     /// The clock tag to attach to a store operation, if tagging is on.
@@ -602,11 +613,11 @@ impl StateClient {
 
         let strategy = slot.strategy;
         let blocking_required = !op.is_non_blocking_eligible();
+        // A copy this client keeps current itself, by applying to it every
+        // op it issues (a `CacheWithCallbacks` copy is the store's to keep).
+        let maintained = slot.cacheable(mode) && strategy != CacheStrategy::CacheWithCallbacks;
 
-        if slot.cacheable(mode)
-            && !blocking_required
-            && strategy != CacheStrategy::CacheWithCallbacks
-        {
+        if maintained && !blocking_required {
             // Apply to the local copy; flush to the store with non-blocking
             // semantics (the flush keeps the store authoritative for fault
             // tolerance but is off the packet's critical path).
@@ -635,8 +646,8 @@ impl StateClient {
             // Fire-and-forget: the NF does not wait for the ACK in this
             // mode, so with write-behind on the op coalesces into the batch
             // buffer and there is no store result to return. Only uncached
-            // objects take this shortcut (a cached copy would need the
-            // authoritative value below; in practice only
+            // objects take this shortcut (a held copy is settled against
+            // the store's answer below; in practice only
             // `NonBlockingNoCache` objects reach this arm).
             let uncached = strategy == CacheStrategy::NonBlockingNoCache
                 || !self.objects[i].table.contains_key(&at);
@@ -655,27 +666,39 @@ impl StateClient {
             Ok(r) => r,
             Err(_) => return Value::None,
         };
-        if self.recovery_logging && shared {
-            self.wal.append(clock, key.clone(), op);
-        }
-        let ApplyResult {
-            outcome,
-            notify,
-            new_value,
-        } = result;
-        // `key` and `new_value` are cloned only for callbacks (rare); the
-        // table update consumes `new_value`.
-        for other in &notify {
-            self.pending_callbacks
-                .push((*other, key.clone(), new_value.clone()));
-        }
+        self.queue_callbacks(&key, &result);
         self.packet_tokens.push(xor_token(self.instance, &key));
-        // Keep any cached copy coherent with the store's authoritative value
-        // (e.g. read-heavy objects updated by this very instance).
-        if let Some(cached) = self.objects[i].table.get_mut(&at) {
-            *cached = new_value;
+        // The store returned the op's result, not the object: a local copy
+        // stays coherent by whichever of three rules fits who maintains it.
+        if let Entry::Occupied(mut copy) = self.objects[i].table.entry(at) {
+            match result.new_value {
+                // The object has subscribers (a client that cached a
+                // read-heavy object registered itself): the store sent its
+                // value, as it sends it to every other subscriber.
+                Some(value) => {
+                    copy.insert(value);
+                }
+                // A copy this client maintains: the drain above made it
+                // equal to the store, so the op the store just applied
+                // keeps it equal — and an op the store only emulated moved
+                // neither.
+                None if maintained => {
+                    if !result.outcome.emulated {
+                        let _ = apply_in_place(|| key.clone(), copy.get_mut(), &op, None);
+                    }
+                }
+                // Nobody keeps this copy current (a callback filed it for
+                // an object this client neither maintains nor subscribes
+                // to): once the store has moved on it is wrong.
+                None => {
+                    copy.remove();
+                }
+            }
         }
-        outcome.returned
+        if self.recovery_logging && shared {
+            self.wal.append(clock, key, op);
+        }
+        result.outcome.returned
     }
 
     /// Hand one update to the store with non-blocking semantics.
@@ -698,10 +721,7 @@ impl StateClient {
             return;
         }
         if let Ok(result) = self.store.apply(self.instance, &key, &op, tag) {
-            for other in &result.notify {
-                self.pending_callbacks
-                    .push((*other, key.clone(), result.new_value.clone()));
-            }
+            self.queue_callbacks(&key, &result);
         }
     }
 
@@ -967,6 +987,51 @@ mod tests {
         c.take_charge();
         c.update("likelihood", None, Operation::Increment(1), clock(6));
         assert!(c.take_charge() < SimDuration::from_micros(1));
+    }
+
+    #[test]
+    fn after_an_offloaded_op_a_copy_follows_whoever_maintains_it() {
+        let store = SharedStore::new();
+        let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        let in_store =
+            |c: &StateClient, name: &str| store.with(|s| s.peek(&c.state_key(name, None)));
+        let pool = |ports: &[i64]| Value::list_of_ints(ports.iter().copied());
+
+        // This client's own copy (write/read-often, exclusive): the store
+        // answers a blocking pop with the head and the copy pops too.
+        c.update(
+            "likelihood",
+            None,
+            Operation::Set(pool(&[7, 8, 9])),
+            clock(1),
+        );
+        let pop = Operation::PopFront;
+        assert_eq!(
+            c.update("likelihood", None, pop.clone(), clock(2)),
+            Value::Int(7)
+        );
+        assert_eq!(c.read("likelihood", None, clock(3)), pool(&[8, 9]));
+        // The same pop replayed: the store emulates it — the port it
+        // remembers, nothing moved — and so the copy must not move either.
+        assert_eq!(c.update("likelihood", None, pop, clock(2)), Value::Int(7));
+        assert_eq!(c.read("likelihood", None, clock(3)), pool(&[8, 9]));
+        assert_eq!(in_store(&c, "likelihood"), pool(&[8, 9]));
+
+        // A copy the store keeps current (read-heavy; the read that cached
+        // it registered the callback): the store sends the value back.
+        assert_eq!(c.read("config", None, clock(4)), Value::None);
+        c.update("config", None, Operation::Increment(5), clock(5));
+        assert_eq!(c.read("config", None, clock(6)), Value::Int(5));
+        assert_eq!(c.stats().cache_hits, 4, "three reads and the seeding set");
+
+        // A copy nobody keeps current (a callback filed it for an object
+        // this client neither caches nor subscribes to) is dropped: losing
+        // exclusivity, which writes surviving copies back, writes nothing.
+        let key = c.state_key("pkt_count", None);
+        c.handle_callback(&key, Value::Int(100));
+        c.update("pkt_count", None, Operation::Increment(1), clock(7));
+        c.set_exclusive("pkt_count", false, clock(8));
+        assert_eq!(in_store(&c, "pkt_count"), Value::Int(1));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use chc_core::{
 };
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::{
-    AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StoreInstance, StoreServer,
-    Value, VertexId,
+    AccessPattern, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey, StoreInstance,
+    StoreServer, Value, VertexId,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,6 +92,7 @@ fn client(store: Box<dyn StateHandle>) -> StateClient {
                 AccessPattern::WriteMostlyReadRarely,
             ),
             StateObjectSpec::per_flow("conn_bytes", AccessPattern::ReadWriteOften),
+            StateObjectSpec::cross_flow("free_ports", Scope::Global, AccessPattern::ReadWriteOften),
         ],
     );
     // Configured like the engine's instance clients.
@@ -170,6 +171,51 @@ fn an_undeclared_object_allocates_on_its_first_access_only() {
     assert_eq!(allocated, 0, "an undeclared object allocated per access");
     assert!(!client.is_exclusive("surprise"));
     assert_eq!(client.stats().blocking_ops, 2 * 17);
+}
+
+#[test]
+fn a_blocking_pop_on_a_pool_the_client_holds_copies_nothing() {
+    // The NAT's port pool: 4,096 entries, write/read-often and this
+    // instance's alone, so the client holds a copy; a pop is offloaded all
+    // the same, because the NF consumes what it returns. The store answers
+    // with the head, not the pool, and the client pops its own copy.
+    const POOL: i64 = 4_096;
+    let store = SharedStore::new();
+    // No fault plan, no replay: the floor starts at the top.
+    store.with(|s| s.forget_through(u64::MAX));
+    let mut client = client(Box::new(store.clone()));
+    let seed = Operation::CompareAndUpdate {
+        condition: Condition::Absent,
+        new: Value::list_of_ints(20_000..20_000 + POOL),
+    };
+    let pop = |client: &mut StateClient, n: u64| {
+        let port = client.update(
+            "free_ports",
+            None,
+            Operation::PopFront,
+            Clock::with_root(0, n),
+        );
+        let _ = client.take_charge();
+        let _ = client.take_packet_tokens();
+        port
+    };
+    client.update("free_ports", None, seed, Clock::with_root(0, 1));
+    // The first pop drains the seeding op to the store ahead of itself.
+    assert_eq!(pop(&mut client, 2), Value::Int(20_000));
+    let before = client.stats();
+    let allocated = allocations_in(|| {
+        for n in 3..19 {
+            assert_eq!(pop(&mut client, n), Value::Int(20_000 + n as i64 - 2));
+        }
+    });
+    assert_eq!(allocated, 0, "a pop copied something");
+    assert_eq!(client.stats().blocking_ops - before.blocking_ops, 16);
+    // The copy moved with the store: the read below is served from it.
+    let held = client.read("free_ports", None, Clock::with_root(0, 19));
+    assert_eq!(client.stats().cache_hits - before.cache_hits, 1);
+    assert_eq!(held.as_list().map(|l| l.len()), Some(POOL as usize - 17));
+    let key = client.state_key("free_ports", None);
+    assert_eq!(held, store.with(|s| s.peek(&key)));
 }
 
 fn counter(i: u64) -> StateKey {

@@ -6,11 +6,21 @@
 //! out naively: one `HashMap<(name, scope key), Value>` for everything,
 //! every key built up front through the public constructors, whole-cache
 //! scans for flushes. Random sequences of reads, updates (cached, offloaded,
-//! blocking, inapplicable), exclusivity changes, per-flow flushes, callbacks
-//! (including a name first seen through one), crashes and drains — in every
-//! externalization mode, write-behind on and off — must agree on every
-//! returned value, on the statistics and logs, on `cached_per_flow()` as a
-//! set, and on the store's contents after a drain.
+//! blocking, inapplicable), replays of the last few updates under their
+//! clocks, exclusivity changes, per-flow flushes, callbacks (including a name
+//! first seen through one), crashes and drains — in every externalization
+//! mode, write-behind on and off — must agree on every returned value, on the
+//! statistics and logs, on `cached_per_flow()` as a set, and on the store's
+//! contents after a drain.
+//!
+//! One thing the model does not port: the old client refreshed its copy from
+//! the object every store result carried. The store now returns an op's
+//! result and sends the object to callback subscribers only, so the model
+//! never reads `ApplyResult::new_value` — it asks its store who subscribes
+//! and what the value is — and states the client's three rules for a copy
+//! after an offloaded op outright: install the store's value if the object
+//! has subscribers, apply the op to a copy the client maintains itself
+//! unless the store emulated it, drop any other copy.
 //!
 //! Callbacks are only delivered for cross-flow objects, as in the system
 //! (the store registers them for `CacheWithCallbacks` objects alone): the
@@ -34,7 +44,7 @@ use chc_store::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 const VERTEX: VertexId = VertexId(1);
@@ -159,9 +169,11 @@ impl Model {
             }
     }
 
-    fn notified(&mut self, key: &StateKey, notify: &[InstanceId], new_value: &Value) {
+    /// What a callback carries: the store's value right after the op.
+    fn notified(&mut self, key: &StateKey, notify: &[InstanceId]) {
         for other in notify {
-            self.pending.push((*other, key.clone(), new_value.clone()));
+            let value = self.store.with(|s| s.peek(key));
+            self.pending.push((*other, key.clone(), value));
         }
     }
 
@@ -173,7 +185,7 @@ impl Model {
             .unwrap_or_default()
         {
             if let Ok(r) = self.store.apply(INSTANCE, &key, &op, clock) {
-                self.notified(&key, &r.notify, &r.new_value);
+                self.notified(&key, &r.notify);
             }
         }
     }
@@ -244,7 +256,7 @@ impl Model {
             return;
         }
         if let Ok(r) = self.store.apply(INSTANCE, &key, &op, Some(clock)) {
-            self.notified(&key, &r.notify, &r.new_value);
+            self.notified(&key, &r.notify);
         }
     }
 
@@ -292,10 +304,27 @@ impl Model {
         if key.instance.is_none() {
             self.wal_len += 1;
         }
-        self.notified(&key, &result.notify, &result.new_value);
+        self.notified(&key, &result.notify);
         self.tokens += 1;
-        if let Some(cached) = self.cache.get_mut(&slot) {
-            *cached = result.new_value;
+        // The old client overwrote its copy with the value every result
+        // carried. The store now sends that value to subscribers only, so a
+        // copy is refreshed by whoever maintains it, or dropped.
+        if self.cache.contains_key(&slot) {
+            let subscribed = !self
+                .store
+                .with(|s| s.callback_registrations(&key))
+                .is_empty();
+            if subscribed {
+                self.cache.insert(slot, self.store.with(|s| s.peek(&key)));
+            } else if cacheable && strategy != CacheStrategy::CacheWithCallbacks {
+                // This client's own copy, equal to the store since the
+                // drain: it moves exactly when the store did.
+                if !result.outcome.emulated {
+                    self.apply_to_cached(&key, slot, &op);
+                }
+            } else {
+                self.cache.remove(&slot);
+            }
         }
         result.outcome.returned
     }
@@ -357,11 +386,13 @@ impl Model {
 
 fn draw_op(rng: &mut StdRng) -> Operation {
     match rng.gen_range(0..10u32) {
-        0..=3 => Operation::Increment(rng.gen_range(1..4)),
-        4 | 5 => Operation::Set(Value::Int(rng.gen_range(0..5))),
-        6 => Operation::Delete,
+        0..=2 => Operation::Increment(rng.gen_range(1..4)),
+        3 => Operation::Set(Value::Int(rng.gen_range(0..5))),
+        // A pool, so that pops have something to hand out.
+        4 => Operation::Set(Value::list_of_ints(0..rng.gen_range(2..9))),
+        5 => Operation::Delete,
         // Blocking: the NF consumes what a pop returns.
-        7 => Operation::PopFront,
+        6 | 7 => Operation::PopFront,
         // Builds a list on an absent object, inapplicable to an integer.
         8 => Operation::PushBack(Value::Int(rng.gen_range(0..3))),
         _ => Operation::Decrement(1),
@@ -408,12 +439,18 @@ proptest! {
         model_store.register_callback(&watched, WATCHER);
 
         let steps = rng.gen_range(40..=160u64);
+        let (mut name, mut scope_key) = (NAMES[0], None);
+        let mut recent = VecDeque::new();
         for step in 1..=steps {
             let clock = Clock::with_root(0, step);
-            let name = NAMES[rng.gen_range(0..NAMES.len())];
-            let scope_key = scope_keys()[rng.gen_range(0..8usize)];
+            // Half the steps stay on the previous step's object, so runs of
+            // operations on one copy (fill, pop, pop) are common.
+            if rng.gen_bool(0.5) {
+                name = NAMES[rng.gen_range(0..NAMES.len())];
+                scope_key = scope_keys()[rng.gen_range(0..8usize)];
+            }
             let context = format!("{mode:?} wb {write_behind:?} step {step} {name} {scope_key:?}");
-            match rng.gen_range(0..24u32) {
+            match rng.gen_range(0..26u32) {
                 0..=7 => {
                     let got = client.read(name, scope_key, clock);
                     prop_assert_eq!(got, model.read(name, scope_key, clock), "read {}", context);
@@ -423,6 +460,20 @@ proptest! {
                     let got = client.update(name, scope_key, op.clone(), clock);
                     let want = model.update(name, scope_key, op.clone(), clock);
                     prop_assert_eq!(got, want, "{:?} {}", op, context);
+                    recent.push_back((name, scope_key, op, clock));
+                    if recent.len() > 4 {
+                        recent.pop_front();
+                    }
+                }
+                24 | 25 => {
+                    // A replay: the last few updates again, in order, under
+                    // their clocks. The store emulates those it applied,
+                    // and what the client does to its copies must follow.
+                    for (name, scope_key, op, clock) in recent.iter().cloned() {
+                        let got = client.update(name, scope_key, op.clone(), clock);
+                        let want = model.update(name, scope_key, op.clone(), clock);
+                        prop_assert_eq!(got, want, "replayed {:?} at {} {}", op, clock, context);
+                    }
                 }
                 18 => {
                     let exclusive = rng.gen_bool(0.5);

@@ -7,10 +7,11 @@
 //! state digest, with zero duplicates at the sink (R1/R6).
 
 use chc_core::{ChainConfig, LogicalDag, VertexSpec};
+use chc_nf::nat::{FREE_PORTS, PORT_MAP};
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{PacketId, Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeError, RuntimeReport};
-use chc_store::{InstanceId, VertexId};
+use chc_store::{InstanceId, Value, VertexId};
 use std::rc::Rc;
 
 const FW: VertexId = VertexId(1);
@@ -84,6 +85,34 @@ fn sorted_ids(report: &RuntimeReport) -> Vec<PacketId> {
 fn assert_no_violations(report: &RuntimeReport) {
     let inv = report.invariants.as_ref().expect("sentinel on by default");
     assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
+}
+
+/// The default NAT's ports are conserved: those the `port_map` entries hold
+/// are pairwise distinct and, with what is left in `free_ports`, exactly the
+/// initial pool. The shared digest cannot see this — it leaves per-flow
+/// objects out and reads the pool as a multiset — so a pop answered with a
+/// port some other connection already holds would pass it.
+fn assert_pool_conserved(report: &RuntimeReport) {
+    let mut ports = Vec::new();
+    for (key, value, _) in report
+        .final_state
+        .iter()
+        .filter(|(k, _, _)| k.vertex == NAT)
+    {
+        match &*key.object.name {
+            PORT_MAP => ports.push(value.as_int()),
+            FREE_PORTS => {
+                let free = value.as_list().expect("the pool is a list");
+                ports.extend(free.iter().map(Value::as_int));
+            }
+            _ => {}
+        }
+    }
+    ports.sort_unstable();
+    assert!(
+        ports.iter().copied().eq(20_000..20_000 + 4_096),
+        "ports handed out twice or lost: {ports:?}"
+    );
 }
 
 #[test]
@@ -516,6 +545,10 @@ fn mid_chain_kill_replays_from_the_upstream_egress_log() {
     assert_no_violations(&faulted);
     assert_eq!(sorted_ids(&healthy), sorted_ids(&faulted));
     assert_eq!(healthy.shared_digest(), faulted.shared_digest());
+    // Whatever the replacement re-processed, on a copy of the pool it read
+    // back from the store, no port was handed out twice and none was lost.
+    assert_pool_conserved(&healthy);
+    assert_pool_conserved(&faulted);
 
     let fault = faulted.fault.as_ref().expect("fault report missing");
     assert_eq!(fault.recoveries.len(), 1);

@@ -31,10 +31,9 @@
 
 use super::codec::{fnv32, Dec, Enc};
 use super::{BackendKind, JournalRecord, ShardRecoveryStats, StorageBackend};
-use crate::key::{Clock, InstanceId, StateKey};
+use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
 use crate::store::{DurableImage, StoreInstance};
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -96,9 +95,10 @@ pub struct AppendOnlyBackend {
     ckpt_seq: Option<u64>,
     ckpt_bytes: u64,
     /// Canonical key → (segment seq, record offset) of the newest durable
-    /// record touching that key. Resident, rebuilt on open, cleared on
-    /// compaction (older history lives in the image).
-    index: HashMap<String, (u64, u64)>,
+    /// record touching that key, probed under the hash the key carries.
+    /// Resident, rebuilt on open, cleared on compaction (older history lives
+    /// in the image).
+    index: CanonMap<(u64, u64)>,
     /// Resident custom-op registrations, re-installed on every recovery
     /// (function pointers cannot be persisted).
     custom_ops: Vec<(String, CustomOpFn)>,
@@ -151,14 +151,14 @@ impl AppendOnlyBackend {
 
         // Re-scan live segments: rebuild the key index and the pending
         // count, and find each segment's intact length.
-        let mut index = HashMap::new();
+        let mut index = CanonMap::default();
         let mut pending_records = 0usize;
         let mut segments = Vec::new();
         for &seq in &segs {
             let (records, bytes) = scan_segment(&seg_path(&dir, seq));
             for (offset, record) in &records {
                 for key in record_keys(record) {
-                    index.insert(key, (seq, *offset));
+                    index.insert(CanonKey::of(key), (seq, *offset));
                 }
             }
             pending_records += records.len();
@@ -215,15 +215,12 @@ impl AppendOnlyBackend {
 
     /// The resident key → (segment, offset) map's view of one canonical key.
     pub fn offset_of(&self, key: &StateKey) -> Option<(u64, u64)> {
-        self.index.get(&key.canonical().to_string()).copied()
+        self.index.get(key as &dyn CanonView).copied()
     }
 
-    fn write_frame(file: &mut File, path: &Path, payload: &[u8]) -> u64 {
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        file.write_all(&frame)
+    /// Write one finished frame ([`Enc::into_frame`]); returns its length.
+    fn write_frame(file: &mut File, path: &Path, frame: &[u8]) -> u64 {
+        file.write_all(frame)
             .unwrap_or_else(|e| panic!("append {}: {e}", path.display()));
         file.flush()
             .unwrap_or_else(|e| panic!("flush {}: {e}", path.display()));
@@ -326,19 +323,22 @@ impl StorageBackend for AppendOnlyBackend {
         self.pending_records
     }
 
-    fn append(&mut self, record: &JournalRecord) {
+    fn append(&mut self, record: JournalRecord) {
         if !self.enabled {
             return;
         }
-        let (payload, keys) = encode_record(record);
+        let frame = encode_record(&record);
         let seg = self.segments.last_mut().expect("active segment");
-        let offset = seg.bytes;
-        let seq = seg.seq;
-        let path = seg_path(&self.dir, seq);
-        let written = Self::write_frame(&mut self.active, &path, &payload);
-        self.segments.last_mut().expect("active segment").bytes = offset + written;
-        for key in keys {
-            self.index.insert(key, (seq, offset));
+        let at = (seg.seq, seg.bytes);
+        let path = seg_path(&self.dir, seg.seq);
+        seg.bytes += Self::write_frame(&mut self.active, &path, &frame);
+        let mut touched = |key: &StateKey| {
+            self.index.insert(CanonKey::of(key), at);
+        };
+        match &record {
+            JournalRecord::Apply { key, .. } | JournalRecord::Callback { key, .. } => touched(key),
+            JournalRecord::ApplyBatch { ops, .. } => ops.iter().for_each(|(k, _, _)| touched(k)),
+            JournalRecord::CustomOp { .. } | JournalRecord::Reassign { .. } => {}
         }
         self.pending_records += 1;
         // Periodic compaction: fold the journal into a checkpoint image so
@@ -352,17 +352,16 @@ impl StorageBackend for AppendOnlyBackend {
         self.instance.register_custom_op(name, f);
         self.custom_ops.retain(|(n, _)| n != name);
         self.custom_ops.push((name.to_string(), f));
-        let record = JournalRecord::CustomOp {
+        self.append(JournalRecord::CustomOp {
             name: name.to_string(),
             f,
-        };
-        self.append(&record);
+        });
     }
 
     fn checkpoint(&mut self) -> usize {
         let image = self.instance.durable_image();
         let captured = image.entries.len();
-        let payload = encode_image(&image);
+        let frame = encode_image(&image);
         let seq = self.segments.last().expect("active segment").seq;
         // Write the image to a temp name and rename: the newest intact
         // `ckpt-*.img` is the recovery anchor, so it must appear atomically.
@@ -370,7 +369,7 @@ impl StorageBackend for AppendOnlyBackend {
         let final_path = ckpt_path(&self.dir, seq);
         let mut file =
             File::create(&tmp).unwrap_or_else(|e| panic!("create {}: {e}", tmp.display()));
-        let written = Self::write_frame(&mut file, &tmp, &payload);
+        let written = Self::write_frame(&mut file, &tmp, &frame);
         drop(file);
         fs::rename(&tmp, &final_path)
             .unwrap_or_else(|e| panic!("rename {}: {e}", final_path.display()));
@@ -513,10 +512,10 @@ fn read_image(path: &Path) -> Option<DurableImage> {
     decode_image(payload)
 }
 
-/// Encode one journal record. The payload leads with its canonical keyspace
-/// string(s) so segments are prefix-scannable; returns the touched keys for
-/// the resident offset index.
-fn encode_record(record: &JournalRecord) -> (Vec<u8>, Vec<String>) {
+/// Encode one journal record as a finished frame. The payload of a
+/// single-key record leads with its canonical keyspace string, so segments
+/// are prefix-scannable.
+fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let mut e = Enc::new();
     match record {
         JournalRecord::Apply {
@@ -526,47 +525,39 @@ fn encode_record(record: &JournalRecord) -> (Vec<u8>, Vec<String>) {
             clock,
         } => {
             e.u8(0);
-            let canon = key.canonical().to_string();
-            e.str(&canon);
+            e.display(&key.canonical());
             e.u32(requester.0);
             e.state_key(key);
             e.operation(op);
             e.opt_clock(*clock);
-            (e.into_bytes(), vec![canon])
         }
         JournalRecord::Callback { key, instance } => {
             e.u8(1);
-            let canon = key.canonical().to_string();
-            e.str(&canon);
+            e.display(&key.canonical());
             e.u32(instance.0);
             e.state_key(key);
-            (e.into_bytes(), vec![canon])
         }
         JournalRecord::CustomOp { name, .. } => {
             e.u8(2);
             e.str(name);
-            (e.into_bytes(), Vec::new())
         }
         JournalRecord::Reassign { from, to } => {
             e.u8(3);
             e.u32(from.0);
             e.u32(to.0);
-            (e.into_bytes(), Vec::new())
         }
         JournalRecord::ApplyBatch { requester, ops } => {
             e.u8(4);
             e.u32(requester.0);
             e.u32(ops.len() as u32);
-            let mut keys = Vec::with_capacity(ops.len());
             for (key, op, clock) in ops {
-                keys.push(key.canonical().to_string());
                 e.state_key(key);
                 e.operation(op);
                 e.opt_clock(*clock);
             }
-            (e.into_bytes(), keys)
         }
     }
+    e.into_frame()
 }
 
 fn decode_record(payload: &[u8]) -> Option<PlainRecord> {
@@ -657,7 +648,7 @@ fn encode_image(image: &DurableImage) -> Vec<u8> {
     e.u8(u8::from(image.failed));
     e.u64(image.ops_applied);
     e.u64(image.ops_emulated);
-    e.into_bytes()
+    e.into_frame()
 }
 
 fn decode_image(payload: &[u8]) -> Option<DurableImage> {
@@ -707,17 +698,12 @@ fn decode_image(payload: &[u8]) -> Option<DurableImage> {
     d.is_exhausted().then_some(image)
 }
 
-/// Canonical keys a decoded record touches (index rebuild on open).
-fn record_keys(record: &PlainRecord) -> Vec<String> {
+/// Keys a decoded record touches (index rebuild on open).
+fn record_keys(record: &PlainRecord) -> Vec<&StateKey> {
     match record {
-        PlainRecord::Apply { key, .. } | PlainRecord::Callback { key, .. } => {
-            vec![key.canonical().to_string()]
-        }
+        PlainRecord::Apply { key, .. } | PlainRecord::Callback { key, .. } => vec![key],
         PlainRecord::CustomOp { .. } | PlainRecord::Reassign { .. } => Vec::new(),
-        PlainRecord::ApplyBatch { ops, .. } => ops
-            .iter()
-            .map(|(k, _, _)| k.canonical().to_string())
-            .collect(),
+        PlainRecord::ApplyBatch { ops, .. } => ops.iter().map(|(k, _, _)| k).collect(),
     }
 }
 
@@ -789,7 +775,7 @@ mod tests {
         let requester = InstanceId(1);
         let result = b.instance_mut().apply(requester, key, &op, clock);
         assert!(result.is_ok());
-        b.append(&JournalRecord::Apply {
+        b.append(JournalRecord::Apply {
             requester,
             key: key.clone(),
             op,

@@ -15,6 +15,7 @@ use crate::ops::{Condition, Operation};
 use crate::value::Value;
 use chc_packet::{FlowKey, ScopeKey};
 use std::collections::VecDeque;
+use std::io::Write;
 use std::net::Ipv4Addr;
 
 /// FNV-1a over the payload; stored with every record so a torn or bit-rotted
@@ -28,18 +29,29 @@ pub(crate) fn fnv32(data: &[u8]) -> u32 {
     h
 }
 
+/// Bytes of the frame header every durable record and image is written
+/// behind: `[u32 len][u32 fnv32(payload)]`, little-endian.
+pub(crate) const FRAME_HEADER: usize = 8;
+
 /// Append-side encoder: a growable byte buffer with fixed-width primitives.
-#[derive(Default)]
+/// The buffer starts with room for the frame header, so a payload is built
+/// where it is written from, once.
 pub(crate) struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
     pub(crate) fn new() -> Enc {
-        Enc::default()
+        Enc {
+            buf: vec![0; FRAME_HEADER],
+        }
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// The finished frame: the header, filled in here, then the payload.
+    pub(crate) fn into_frame(mut self) -> Vec<u8> {
+        let (header, payload) = self.buf.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&fnv32(payload).to_le_bytes());
         self.buf
     }
 
@@ -74,6 +86,16 @@ impl Enc {
 
     pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+
+    /// `v`'s printed form, encoded as [`Enc::str`] encodes it, printed
+    /// straight into the buffer.
+    pub(crate) fn display(&mut self, v: &impl std::fmt::Display) {
+        let at = self.buf.len();
+        self.u32(0);
+        write!(self.buf, "{v}").expect("writing to a Vec cannot fail");
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     pub(crate) fn value(&mut self, v: &Value) {
@@ -376,8 +398,8 @@ mod tests {
     fn round_trip_value(v: Value) {
         let mut enc = Enc::new();
         enc.value(&v);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
+        let frame = enc.into_frame();
+        let mut dec = Dec::new(&frame[FRAME_HEADER..]);
         assert_eq!(dec.value(), Some(v));
         assert!(dec.is_exhausted());
     }
@@ -457,8 +479,8 @@ mod tests {
                 enc.operation(op);
                 enc.opt_clock(Some(Clock::with_root(3, 12345)));
                 enc.opt_clock(None);
-                let bytes = enc.into_bytes();
-                let mut dec = Dec::new(&bytes);
+                let frame = enc.into_frame();
+                let mut dec = Dec::new(&frame[FRAME_HEADER..]);
                 assert_eq!(dec.state_key().as_ref(), Some(key));
                 assert_eq!(dec.operation().as_ref(), Some(op));
                 assert_eq!(dec.opt_clock(), Some(Some(Clock::with_root(3, 12345))));
@@ -469,11 +491,30 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_leads_with_length_and_checksum_and_display_encodes_as_str() {
+        let key = StateKey::per_flow(
+            VertexId(2),
+            InstanceId(9),
+            ObjectKey::scoped("port_map", ScopeKey::Flow(FlowKey(7 << 64 | 3))),
+        );
+        let (mut printed, mut copied) = (Enc::new(), Enc::new());
+        printed.display(&key);
+        copied.str(&key.to_string());
+        let frame = printed.into_frame();
+        assert_eq!(frame, copied.into_frame());
+        let payload = &frame[FRAME_HEADER..];
+        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame[4..FRAME_HEADER], fnv32(payload).to_le_bytes());
+        assert_eq!(Dec::new(payload).str(), Some(key.to_string()));
+    }
+
+    #[test]
     fn truncated_input_decodes_to_none_not_panic() {
         let mut enc = Enc::new();
         enc.state_key(&StateKey::shared(VertexId(1), ObjectKey::named("x")));
         enc.operation(&Operation::Set(Value::Bytes(vec![1, 2, 3, 4])));
-        let bytes = enc.into_bytes();
+        let frame = enc.into_frame();
+        let bytes = &frame[FRAME_HEADER..];
         // Every strict prefix must decode cleanly to None somewhere, never
         // panic or loop.
         for cut in 0..bytes.len() {

@@ -61,9 +61,9 @@ impl StorageBackend for MemoryBackend {
         self.records.len()
     }
 
-    fn append(&mut self, record: &JournalRecord) {
+    fn append(&mut self, record: JournalRecord) {
         if self.enabled {
-            self.records.push(record.clone());
+            self.records.push(record);
         }
     }
 

@@ -119,7 +119,6 @@ impl BackendConfig {
 /// everything needed to rebuild a shard's in-memory state exactly: applied
 /// operations with their duplicate-suppression clocks, callback and custom-op
 /// registrations, and per-flow ownership reassignments.
-#[derive(Clone)]
 pub enum JournalRecord {
     /// One applied operation (emulated duplicates mutate nothing and are
     /// not journaled).
@@ -212,8 +211,9 @@ pub trait StorageBackend: Send {
 
     /// Durably record one mutation. Called under the shard lock immediately
     /// after the in-memory apply succeeded, so durable order is exactly
-    /// execution order. No-op while journaling is off.
-    fn append(&mut self, record: &JournalRecord);
+    /// execution order. No-op while journaling is off. Takes the record: the
+    /// in-memory engine keeps it, so the caller builds it once.
+    fn append(&mut self, record: JournalRecord);
 
     /// Register a custom operation: installs it on the live instance, keeps
     /// it resolvable across recoveries, and journals the registration when

@@ -162,9 +162,12 @@ pub type CustomOpResolver<'a> = &'a dyn Fn(&str) -> Option<CustomOpFn>;
 ///
 /// This is the single place where operation semantics are defined; the
 /// store, the client-side cache and [`apply_operation`] all go through it.
-/// List operations mutate the list where it lies, so a pop on a long pool
-/// costs a pop, not a copy of the pool. `key` is called only to name the
-/// object in an error, so a caller that holds no key builds none otherwise.
+/// List operations mutate the list where it lies, so in this function a pop
+/// on a long pool costs a pop, not a copy of the pool; whether the object is
+/// copied afterwards is the caller's affair (the store copies it only for
+/// callback subscribers, [`crate::store::ApplyResult::new_value`]). `key` is
+/// called only to name the object in an error, so a caller that holds no key
+/// builds none otherwise.
 pub fn apply_in_place(
     key: impl FnOnce() -> StateKey,
     value: &mut Value,

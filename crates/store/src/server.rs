@@ -226,7 +226,7 @@ impl StoreServer {
         let mut backend = self.lock_at_floor(shard);
         let result = backend.instance_mut().apply(requester, key, op, clock);
         if backend.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
-            backend.append(&JournalRecord::Apply {
+            backend.append(JournalRecord::Apply {
                 requester,
                 key: key.clone(),
                 op: op.clone(),
@@ -285,16 +285,20 @@ impl StoreServer {
             // `apply_on_shard`: journal order is exactly execution order,
             // and emulated duplicates stay out of it.
             if backend.journaling() {
-                let applied: Vec<(StateKey, Operation, Option<Clock>)> = ops
-                    .iter()
-                    .zip(&results)
-                    .filter(|(op, result)| {
-                        mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
-                    })
-                    .map(|(op, _)| op.clone())
-                    .collect();
+                // Sized to the shard's share of the batch, not grown by
+                // doubling: the in-memory engine keeps this vector for as
+                // long as it keeps the record.
+                let mut applied = Vec::with_capacity(count);
+                applied.extend(
+                    ops.iter()
+                        .zip(&results)
+                        .filter(|(op, result)| {
+                            mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
+                        })
+                        .map(|(op, _)| op.clone()),
+                );
                 if !applied.is_empty() {
-                    backend.append(&JournalRecord::ApplyBatch {
+                    backend.append(JournalRecord::ApplyBatch {
                         requester,
                         ops: applied,
                     });
@@ -314,7 +318,7 @@ impl StoreServer {
         let mut backend = self.shard_of(key).backend.lock();
         backend.instance_mut().register_callback(key, instance);
         if backend.journaling() {
-            backend.append(&JournalRecord::Callback {
+            backend.append(JournalRecord::Callback {
                 key: key.clone(),
                 instance,
             });
@@ -330,7 +334,7 @@ impl StoreServer {
             let mut backend = shard.backend.lock();
             moved += backend.instance_mut().reassign_owner(from, to);
             if backend.journaling() {
-                backend.append(&JournalRecord::Reassign { from, to });
+                backend.append(JournalRecord::Reassign { from, to });
             }
         }
         moved

@@ -86,8 +86,26 @@ pub struct ApplyResult {
     /// Instances (other than the requester) that registered callbacks on the
     /// object and must be notified of the new value.
     pub notify: Vec<InstanceId>,
-    /// The new value of the object after the operation (what callbacks carry).
-    pub new_value: Value,
+    /// The object's value after the operation — what callbacks carry — when
+    /// the object has callback subscribers, the requester included. Whole
+    /// values travel to subscribers only (§4.3); without one the requester
+    /// gets `outcome` and nothing is copied.
+    pub new_value: Option<Value>,
+}
+
+/// Who holds a copy of the object at `key` that callbacks keep current. Only
+/// they are sent its value; an op on anything else copies nothing but its
+/// own result.
+fn subscribers<'a>(
+    callbacks: &'a CanonMap<HashSet<InstanceId>>,
+    key: &StateKey,
+) -> Option<&'a HashSet<InstanceId>> {
+    if callbacks.is_empty() {
+        return None;
+    }
+    callbacks
+        .get(key as &dyn CanonView)
+        .filter(|set| !set.is_empty())
 }
 
 /// A single CHC datastore instance. See the module documentation.
@@ -270,7 +288,7 @@ impl StoreInstance {
                 return Ok(ApplyResult {
                     outcome: OpOutcome::emulated(prev),
                     notify: Vec::new(),
-                    new_value: entry.value.clone(),
+                    new_value: subscribers(&self.callbacks, key).map(|_| entry.value.clone()),
                 });
             }
         }
@@ -292,15 +310,20 @@ impl StoreInstance {
         }
         self.ops_applied += 1;
 
-        let notify: Vec<InstanceId> = if changed && !self.callbacks.is_empty() {
-            self.callbacks
-                .get(key as &dyn CanonView)
-                .map(|set| set.iter().copied().filter(|i| *i != requester).collect())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        // Subscribers are sent the object. Without one — the common case,
+        // one branch — the op copies nothing but its own result.
+        let (notify, new_value) = match subscribers(&self.callbacks, key) {
+            None => (Vec::new(), None),
+            Some(set) => {
+                let others = set.iter().copied().filter(|i| *i != requester);
+                let notify = if changed {
+                    others.collect()
+                } else {
+                    Vec::new()
+                };
+                (notify, Some(entry.value.clone()))
+            }
         };
-        let new_value = entry.value.clone();
         if let Some(fresh) = fresh {
             self.entries.insert(CanonKey::of(key), fresh);
         }
@@ -566,29 +589,38 @@ impl StoreInstance {
     /// Sequences are deterministically ordered so the same state always
     /// encodes to the same bytes.
     pub fn durable_image(&self) -> DurableImage {
-        let mut entries: Vec<(StateKey, Value, Option<InstanceId>)> = self.entries();
-        entries.sort_by_key(|(k, _, _)| k.to_string());
-        // The log names objects by entry id; the image names them by key.
-        let mut key_of: Vec<Option<&CanonKey>> = vec![None; self.entries.len()];
-        for (key, entry) in &self.entries {
-            key_of[entry.id as usize] = Some(key);
+        // Key order is the order of the keys' printed forms: print each key
+        // once, and remember where each entry landed, by id.
+        let mut ordered: Vec<(&CanonKey, &Entry)> = self.entries.iter().collect();
+        ordered.sort_by_cached_key(|(key, _)| key.state_key().to_string());
+        let mut rank_of = vec![0u32; ordered.len()];
+        for (rank, (_, entry)) in ordered.iter().enumerate() {
+            rank_of[entry.id as usize] = rank as u32;
         }
-        let mut logged: Vec<(String, Clock, StateKey, (Operation, Value))> = self
+        let entries = ordered
+            .iter()
+            .map(|(key, entry)| (key.state_key().clone(), entry.value.clone(), entry.owner))
+            .collect();
+        // The log names objects by entry id; the image names them by key and
+        // orders them by (key, clock) — which is (rank, clock), so nothing
+        // is printed or cloned per logged update.
+        let mut logged: Vec<(u32, Clock, (Operation, Value))> = self
             .dedup
             .iter()
-            .map(|(clock, entry, op, returned)| {
-                let key = key_of[entry as usize].expect("logged updates name live entries");
-                let key = key.state_key().clone();
-                (key.to_string(), clock, key, (op, returned))
-            })
+            .map(|(clock, entry, op, returned)| (rank_of[entry as usize], clock, (op, returned)))
             .collect();
         // Stable: the updates of one (key, clock) keep their order.
-        logged.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        logged.sort_by_key(|(rank, clock, _)| (*rank, *clock));
         let mut update_log: UpdateLogImage = Vec::new();
-        for (_, clock, key, update) in logged {
+        let mut open = None;
+        for (rank, clock, update) in logged {
             match update_log.last_mut() {
-                Some((k, c, ops)) if *c == clock && *k == key => ops.push(update),
-                _ => update_log.push((key, clock, vec![update])),
+                Some((_, _, ops)) if open == Some((rank, clock)) => ops.push(update),
+                _ => {
+                    let key = ordered[rank as usize].0.state_key().clone();
+                    update_log.push((key, clock, vec![update]));
+                    open = Some((rank, clock));
+                }
             }
         }
         let mut ts: Vec<(InstanceId, Clock)> = self.ts.iter().map(|(i, c)| (*i, *c)).collect();
@@ -608,7 +640,7 @@ impl StoreInstance {
                 (k.state_key().clone(), who)
             })
             .collect();
-        callbacks.sort_by_key(|(k, _)| k.to_string());
+        callbacks.sort_by_cached_key(|(k, _)| k.to_string());
         let mut custom_op_names: Vec<String> = self.custom_ops.keys().cloned().collect();
         custom_op_names.sort();
         DurableImage {
@@ -935,7 +967,7 @@ mod tests {
             .unwrap();
         // The updater itself is not notified.
         assert_eq!(res.notify, vec![InstanceId(2)]);
-        assert_eq!(res.new_value, Value::Int(5));
+        assert_eq!(res.new_value, Some(Value::Int(5)));
         // A read does not trigger callbacks.
         let res = store
             .apply(InstanceId(2), &key, &Operation::Get, None)
@@ -946,6 +978,34 @@ mod tests {
             .apply(InstanceId(1), &key, &Operation::Increment(1), None)
             .unwrap();
         assert!(res.notify.is_empty());
+    }
+
+    #[test]
+    fn the_value_goes_to_subscribers_only_applied_or_emulated() {
+        let mut store = StoreInstance::new();
+        let (watched, plain) = (shared("config"), shared("free_ports"));
+        // The requester counts: a client that cached the object registered
+        // itself, and its copy is the store's to keep current.
+        store.register_callback(&watched, InstanceId(1));
+        let clock = Some(Clock::with_root(0, 7));
+        let push = Operation::PushBack(Value::Int(3));
+        let after = Value::list_of_ints([3]);
+        for (key, sent) in [(&watched, Some(after)), (&plain, None)] {
+            let applied = store.apply(InstanceId(1), key, &push, clock).unwrap();
+            assert!(!applied.outcome.emulated);
+            assert_eq!(applied.new_value, sent, "{key} applied");
+            let emulated = store.apply(InstanceId(1), key, &push, clock).unwrap();
+            assert!(emulated.outcome.emulated);
+            assert_eq!(emulated.new_value, sent, "{key} emulated");
+            // An op that changes nothing notifies nobody but is answered
+            // the same way.
+            let read = store.apply(InstanceId(2), key, &Operation::Get, None);
+            assert_eq!(read.unwrap().new_value, sent, "{key} read");
+        }
+        // The last subscriber gone, the object is like any other.
+        store.unregister_callback(&watched, InstanceId(1));
+        let r = store.apply(InstanceId(1), &watched, &push, None).unwrap();
+        assert_eq!(r.new_value, None);
     }
 
     #[test]

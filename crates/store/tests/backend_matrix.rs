@@ -161,7 +161,11 @@ fn custom_ops_survive_restart_on_both_backends() {
                 None,
             )
             .unwrap();
-        assert_eq!(r.new_value, Value::Int(6), "{kind:?}: custom op lost");
+        assert_eq!(
+            r.outcome.returned,
+            Value::Int(6),
+            "{kind:?}: custom op lost"
+        );
     }
 }
 
@@ -432,7 +436,7 @@ proptest! {
         let apply = |b: &mut AppendOnlyBackend, c: u64| {
             let op = Operation::Increment(1);
             b.instance_mut().apply(requester, &k, &op, Some(Clock::with_root(0, c))).unwrap();
-            b.append(&JournalRecord::Apply {
+            b.append(JournalRecord::Apply {
                 requester,
                 key: k.clone(),
                 op,

@@ -159,14 +159,14 @@ proptest! {
             backend.instance_mut().apply(requester, k, &op, clock(imaged.len() + i)).unwrap();
         }
         for (i, k) in singles.iter().enumerate() {
-            backend.append(&JournalRecord::Apply {
+            backend.append(JournalRecord::Apply {
                 requester,
                 key: k.clone(),
                 op: op.clone(),
                 clock: clock(imaged.len() + i),
             });
         }
-        backend.append(&JournalRecord::ApplyBatch {
+        backend.append(JournalRecord::ApplyBatch {
             requester,
             ops: batch
                 .iter()
@@ -175,7 +175,7 @@ proptest! {
                 .collect(),
         });
         backend.instance_mut().register_callback(&keys[0], InstanceId(9));
-        backend.append(&JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) });
+        backend.append(JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) });
         drop(backend);
 
         let mut reopened = AppendOnlyBackend::open(&dir, 1 << 20);
