@@ -310,7 +310,6 @@ mod tests {
             None,
             None,
             None,
-            None,
         )
     }
 
@@ -443,7 +442,6 @@ mod tests {
             &[record("realtime", 8, 50_000.0)],
             Some(&sweep[0]),
             Some(&sweep),
-            None,
             None,
             None,
         );

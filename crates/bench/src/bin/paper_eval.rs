@@ -9,7 +9,7 @@
 //! kill-position sweep (entry, mid, tail and root kills on the same trace),
 //! and the telemetry experiment (per-stage latency decomposition, gauge
 //! time series, instrumentation overhead including 1%-sampled causal
-//! tracing and the invariant sentinel), the store fast-path sweep, and the
+//! tracing and the invariant sentinel), and the
 //! storage-backend comparison (journaled throughput + restart cost vs
 //! journal depth on the in-memory and append-only engines), and writes the
 //! machine-readable records to `path`, so bench trajectories can be
@@ -29,7 +29,7 @@ use chc_bench::{
     compare_with_baseline, parse_baseline, records_to_json, run_all, runtime_chain_experiment,
     runtime_recovery_by_position_experiment, runtime_recovery_experiment,
     runtime_telemetry_experiment, runtime_trace_experiment_at, scale_for_packets,
-    store_backend_experiment, store_batch_experiment, Scale, KILL_POSITIONS,
+    store_backend_experiment, Scale, KILL_POSITIONS,
 };
 use std::time::Duration;
 
@@ -42,8 +42,7 @@ Options:
                             of --scale (mutually exclusive with --scale)
   --only <section>          print only report sections whose header contains <section>
   --json <path>             also run the runtime / recovery / telemetry benchmarks
-                            plus the store fast-path sweep (write-behind on/off ×
-                            store batch caps × ring-wait policies) and write
+                            plus the storage-backend comparison and write
                             machine-readable records to <path>
   --sample-ms <u64>         gauge sampling cadence for the telemetry benchmark,
                             in milliseconds (default 5; requires --json)
@@ -222,9 +221,6 @@ fn main() {
             runtime_telemetry_experiment(scale, Duration::from_millis(sample_ms));
         println!("==== telemetry ====");
         println!("{tel_text}");
-        let (sb_text, store_batch) = store_batch_experiment(scale);
-        println!("==== store-batch ====");
-        println!("{sb_text}");
         let (be_text, store_backend) = store_backend_experiment(scale);
         println!("==== store-backend ====");
         println!("{be_text}");
@@ -234,7 +230,6 @@ fn main() {
             Some(&recovery),
             Some(&by_position),
             Some(&telemetry),
-            Some(&store_batch),
             Some(&store_backend),
         );
         match std::fs::write(path, &json) {

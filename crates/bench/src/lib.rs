@@ -25,7 +25,7 @@ pub use runtime_bench::{
     bench_realtime, bench_simulator, position_plan, records_to_json, runtime_chain_experiment,
     runtime_recovery_by_position_experiment, runtime_recovery_experiment,
     runtime_telemetry_experiment, runtime_trace_experiment, runtime_trace_experiment_at,
-    scale_for_packets, store_backend_experiment, store_batch_experiment, RecoveryRecord,
-    RuntimeBenchRecord, StoreBackendRecord, StoreBatchRecord, TelemetryBenchRecord, TraceRunRecord,
-    BENCH_CHAIN, DEFAULT_BATCH_SIZES, KILL_POSITIONS,
+    scale_for_packets, store_backend_experiment, RecoveryRecord, RuntimeBenchRecord,
+    StoreBackendRecord, TelemetryBenchRecord, TraceRunRecord, BENCH_CHAIN, DEFAULT_BATCH_SIZES,
+    KILL_POSITIONS,
 };

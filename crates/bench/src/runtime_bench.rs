@@ -11,7 +11,6 @@ use crate::Scale;
 use chc_core::{ChainConfig, ChainController, LogicalDag, SinkActor, VertexSpec};
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator, TRACE_PPM_FULL};
-use chc_runtime::RingWait;
 use chc_runtime::{
     chrome_trace_json, run_chain_realtime, validate_chrome_trace, RuntimeConfig, SpanKind,
     TelemetryConfig, TelemetryReport, TraceShape,
@@ -244,176 +243,15 @@ pub fn runtime_chain_experiment(scale: Scale) -> (String, Vec<RuntimeBenchRecord
     (out, records)
 }
 
-/// One arm of the store fast-path sweep: throughput with the write-behind
-/// buffer on or off, at a given buffer cap and ring-wait policy.
-///
-/// The JSON deliberately carries no `"substrate"` key — that key anchors
-/// the `--baseline` reader's throughput-row extractor, and these rows are
-/// informational (new experiments must never retroactively gate against a
-/// baseline that predates them).
-#[derive(Debug, Clone)]
-pub struct StoreBatchRecord {
-    /// Whether the per-instance write-behind buffer was enabled.
-    pub write_behind: bool,
-    /// Effective buffer cap in ops (equals `ring_batch` when the knob was
-    /// left at 0; 0 when write-behind was off).
-    pub store_batch: usize,
-    /// Ring batch size of the run.
-    pub ring_batch: usize,
-    /// Ring waiting policy (`"spin"`, `"yield"` or `"park"`).
-    pub ring_wait: String,
-    /// Packets injected at the root.
-    pub packets: u64,
-    /// Best-of-three wall-clock throughput.
-    pub pps: f64,
-    /// Logical operations served by the datastore. Batching changes the
-    /// number of round trips and lock acquisitions, not the op count, so
-    /// this must match across arms on the same trace.
-    pub store_ops: u64,
-    /// Mean ops per write-behind drain across all stages (0 when off).
-    pub flush_depth_mean: f64,
-    /// Invariant-sentinel violations — must be zero in every arm.
-    pub invariant_violations: usize,
-}
-
-impl StoreBatchRecord {
-    /// Render as a JSON object (hand-rolled, like [`RuntimeBenchRecord`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"chain\":\"{BENCH_CHAIN}\",\"experiment\":\"store_batch\",\
-             \"write_behind\":{},\"store_batch\":{},\"ring_batch\":{},\
-             \"ring_wait\":\"{}\",\"packets\":{},\"pps\":{:.1},\"store_ops\":{},\
-             \"flush_depth_mean\":{:.2},\"invariant_violations\":{}}}",
-            self.write_behind,
-            self.store_batch,
-            self.ring_batch,
-            self.ring_wait,
-            self.packets,
-            self.pps,
-            self.store_ops,
-            self.flush_depth_mean,
-            self.invariant_violations
-        )
-    }
-}
-
-fn ring_wait_label(wait: RingWait) -> &'static str {
-    match wait {
-        RingWait::Spin => "spin",
-        RingWait::Yield => "yield",
-        RingWait::Park => "park",
-    }
-}
-
-/// Run one sweep arm: best-of-three at ring batch 64 with the given store
-/// fast-path knobs.
-fn one_store_batch_arm(
-    dag: &LogicalDag,
-    trace: &Trace,
-    write_behind: bool,
-    store_batch: usize,
-    ring_wait: RingWait,
-) -> StoreBatchRecord {
-    const RING_BATCH: usize = 64;
-    let cfg = RuntimeConfig::with_batch_size(RING_BATCH)
-        .with_write_behind(write_behind)
-        .with_store_batch(store_batch)
-        .with_ring_wait(ring_wait);
-    let report = (0..3)
-        .map(|_| run_chain_realtime(dag, ChainConfig::default(), &cfg, trace).expect("valid dag"))
-        .max_by(|a, b| a.pps().total_cmp(&b.pps()))
-        .expect("at least one run");
-    assert_eq!(report.duplicates, 0, "healthy runs deliver exactly once");
-    // Depth-weighted mean ops per drain across the chain's stages.
-    let (drains, drained_ops) = report
-        .telemetry
-        .as_ref()
-        .map(|t| {
-            t.stages.iter().fold((0u64, 0.0f64), |(n, ops), s| {
-                (
-                    n + s.flush_depth.count,
-                    ops + s.flush_depth.count as f64 * s.flush_depth.mean_ns,
-                )
-            })
-        })
-        .unwrap_or((0, 0.0));
-    StoreBatchRecord {
-        write_behind,
-        store_batch: if write_behind {
-            cfg.effective_store_batch()
-        } else {
-            0
-        },
-        ring_batch: RING_BATCH,
-        ring_wait: ring_wait_label(ring_wait).to_string(),
-        packets: report.injected,
-        pps: report.pps(),
-        store_ops: report.store_ops,
-        flush_depth_mean: if drains > 0 {
-            drained_ops / drains as f64
-        } else {
-            0.0
-        },
-        invariant_violations: report
-            .invariants
-            .as_ref()
-            .map(|i| i.violations.len())
-            .unwrap_or(0),
-    }
-}
-
-/// The store fast-path sweep behind the `store_batch` records of
-/// `paper_eval --json`: write-behind off vs on across buffer caps, plus a
-/// `yield` arm at each setting so the ring-wait default stays justified by
-/// recorded data. All arms run ring batch 64 (the baseline gate's
-/// throughput-lean configuration) on the same trace.
-pub fn store_batch_experiment(scale: Scale) -> (String, Vec<StoreBatchRecord>) {
-    let trace = bench_trace(scale);
-    let dag = bench_chain();
-    let arms: [(bool, usize, RingWait); 6] = [
-        (false, 0, RingWait::Yield),
-        (false, 0, RingWait::Park),
-        (true, 8, RingWait::Park),
-        (true, 64, RingWait::Park),
-        (true, 256, RingWait::Park),
-        (true, 64, RingWait::Yield),
-    ];
-    let records: Vec<StoreBatchRecord> = arms
-        .iter()
-        .map(|&(wb, sb, rw)| one_store_batch_arm(&dag, &trace, wb, sb, rw))
-        .collect();
-
-    let mut out = String::from(
-        "Store fast path — write-behind batching × ring-wait policy (ring batch 64)\n",
-    );
-    let _ = writeln!(
-        out,
-        "  {:<12} {:>11} {:>6} {:>11} {:>10} {:>11} {:>10}",
-        "write-behind", "store batch", "wait", "pps", "store ops", "flush depth", "violations"
-    );
-    for r in &records {
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>11} {:>6} {:>11.0} {:>10} {:>11.1} {:>10}",
-            if r.write_behind { "on" } else { "off" },
-            r.store_batch,
-            r.ring_wait,
-            r.pps,
-            r.store_ops,
-            r.flush_depth_mean,
-            r.invariant_violations
-        );
-    }
-    (out, records)
-}
-
 /// One arm of the storage-backend comparison: either a multi-threaded
 /// store-op throughput run (`mode == "ops"`) or a recovery-time measurement
 /// at a given journal depth (`mode == "recovery"`), on the in-memory or the
 /// append-only flat-file engine.
 ///
-/// Like [`StoreBatchRecord`], the JSON carries no `"substrate"` key so the
-/// `--baseline` reader never gates these informational rows.
+/// The JSON deliberately carries no `"substrate"` key — that key anchors the
+/// `--baseline` reader's throughput-row extractor, and these rows are
+/// informational (new experiments must never retroactively gate against a
+/// baseline that predates them).
 #[derive(Debug, Clone)]
 pub struct StoreBackendRecord {
     /// Backend label (`"memory"` or `"append-only"`).
@@ -1255,7 +1093,6 @@ pub fn records_to_json(
     recovery: Option<&RecoveryRecord>,
     by_position: Option<&[RecoveryRecord]>,
     telemetry: Option<&TelemetryBenchRecord>,
-    store_batch: Option<&[StoreBatchRecord]>,
     store_backend: Option<&[StoreBackendRecord]>,
 ) -> String {
     let rows: Vec<String> = records
@@ -1282,16 +1119,8 @@ pub fn records_to_json(
         Some(t) => format!(",\n  \"telemetry\": {}", t.to_json()),
         None => String::new(),
     };
-    // One sweep arm per line; these rows carry no "substrate" field so the
+    // One arm per line; these rows carry no "substrate" field so the
     // baseline reader never mistakes them for gated throughput rows.
-    let store_batch_field = match store_batch {
-        Some(rs) if !rs.is_empty() => {
-            let rows: Vec<String> = rs.iter().map(|r| format!("    {}", r.to_json())).collect();
-            format!(",\n  \"store_batch\": [\n{}\n  ]", rows.join(",\n"))
-        }
-        _ => String::new(),
-    };
-    // Same no-"substrate" convention as the store_batch rows.
     let store_backend_field = match store_backend {
         Some(rs) if !rs.is_empty() => {
             let rows: Vec<String> = rs.iter().map(|r| format!("    {}", r.to_json())).collect();
@@ -1300,13 +1129,12 @@ pub fn records_to_json(
         _ => String::new(),
     };
     format!(
-        "{{\n  \"generated_by\": \"paper_eval\",\n  \"scale\": {},\n  \"runtime_chain\": [\n{}\n  ]{}{}{}{}{}\n}}\n",
+        "{{\n  \"generated_by\": \"paper_eval\",\n  \"scale\": {},\n  \"runtime_chain\": [\n{}\n  ]{}{}{}{}\n}}\n",
         scale.0,
         rows.join(",\n"),
         recovery_field,
         by_position_field,
         telemetry_field,
-        store_batch_field,
         store_backend_field
     )
 }
@@ -1336,56 +1164,12 @@ mod tests {
         assert_eq!(sim.substrate, "simulator");
         assert!(sim.delivered > 0 && sim.pps > 0.0);
 
-        let json = records_to_json(Scale(0.05), &[sim], None, None, None, None, None);
+        let json = records_to_json(Scale(0.05), &[sim], None, None, None, None);
         assert!(json.contains("\"runtime_chain\""));
         assert!(json.contains("\"substrate\":\"simulator\""));
         assert!(json.contains("\"generated_by\": \"paper_eval\""));
         // Balanced braces/brackets (cheap well-formedness check without a
         // JSON parser in the workspace).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn store_batch_sweep_records_every_arm_cleanly() {
-        let (text, records) = store_batch_experiment(Scale(0.02));
-        assert!(text.contains("write-behind"));
-        assert_eq!(records.len(), 6);
-        assert!(records.iter().any(|r| !r.write_behind));
-        assert!(records.iter().any(|r| r.write_behind));
-        for r in &records {
-            assert!(r.packets > 0 && r.pps > 0.0 && r.store_ops > 0);
-            assert_eq!(r.invariant_violations, 0, "sentinel must stay clean");
-            if r.write_behind {
-                assert!(r.store_batch > 0, "effective cap recorded");
-            } else {
-                assert_eq!(r.store_batch, 0);
-                assert_eq!(r.flush_depth_mean, 0.0, "no drains with the buffer off");
-            }
-        }
-        // Batching changes round trips, not logical work: every arm serves
-        // the same ops on the same trace, and the write-behind arms must
-        // actually drain through the batched path.
-        let off = records.iter().find(|r| !r.write_behind).unwrap();
-        let on = records.iter().find(|r| r.write_behind).unwrap();
-        assert_eq!(
-            on.store_ops, off.store_ops,
-            "write-behind must not change the logical op count"
-        );
-        assert!(
-            records
-                .iter()
-                .any(|r| r.write_behind && r.flush_depth_mean > 0.0),
-            "no write-behind arm recorded a batched drain"
-        );
-
-        let json = records_to_json(Scale(0.02), &[], None, None, None, Some(&records), None);
-        assert!(json.contains("\"store_batch\""));
-        assert!(json.contains("\"experiment\":\"store_batch\""));
-        // These rows must never look like baseline-gated throughput rows.
-        for line in json.lines().filter(|l| l.contains("\"store_batch\":")) {
-            assert!(!line.contains("\"substrate\""));
-        }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -1435,7 +1219,7 @@ mod tests {
             }
         }
 
-        let json = records_to_json(Scale(0.02), &[], None, None, None, None, Some(&records));
+        let json = records_to_json(Scale(0.02), &[], None, None, None, Some(&records));
         assert!(json.contains("\"store_backend\""));
         assert!(json.contains("\"experiment\":\"store_backend\""));
         assert!(json.contains("\"backend\":\"memory\""));
@@ -1482,7 +1266,7 @@ mod tests {
             );
         }
 
-        let json = records_to_json(Scale(0.05), &[], Some(&record), None, None, None, None);
+        let json = records_to_json(Scale(0.05), &[], Some(&record), None, None, None);
         assert!(json.contains("\"recovery\""));
         assert!(json.contains("\"packets_replayed\""));
         assert!(json.contains("\"failover_begin\""));
@@ -1513,7 +1297,7 @@ mod tests {
             );
         }
 
-        let json = records_to_json(Scale(0.05), &[], None, Some(&records), None, None, None);
+        let json = records_to_json(Scale(0.05), &[], None, Some(&records), None, None);
         assert!(json.contains("\"recovery_by_position\""));
         for p in KILL_POSITIONS {
             assert!(json.contains(&format!("\"position\":\"{p}\"")));
@@ -1554,7 +1338,7 @@ mod tests {
         assert_eq!(record.invariant_violations, 0, "sentinel must stay clean");
         assert_eq!(record.report.trace_dropped, 0);
 
-        let json = records_to_json(Scale(0.05), &[], None, None, Some(&record), None, None);
+        let json = records_to_json(Scale(0.05), &[], None, None, Some(&record), None);
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"gauges\""));

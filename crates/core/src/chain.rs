@@ -15,7 +15,7 @@ use crate::root::{RootActor, RootStats};
 use crate::sink::SinkActor;
 use crate::splitter::{PartitionTable, Splitter};
 use crate::state::{SharedStore, StateClient};
-use chc_packet::{PacketId, Scope, ScopeKey, Trace};
+use chc_packet::{PacketId, ScopeKey, Trace};
 use chc_sim::{
     ActorId, LinkConfig, SimDuration, Simulation, SimulationReport, Summary, VirtualTime,
 };
@@ -214,20 +214,8 @@ impl ChainController {
         let partition = Rc::new(RefCell::new(PartitionTable::new()));
         let topology = Rc::new(RefCell::new(Topology::default()));
 
-        // One splitter per vertex, partitioning on the coarsest *partitionable*
-        // scope of the vertex's state objects: coarser scopes minimise shared
-        // state, but the global scope cannot spread load across instances, so
-        // it is skipped (§4.1 walks from coarse to fine until load balances).
         for v in dag.vertices() {
-            let scope = v
-                .scopes()
-                .into_iter()
-                .filter(|s| *s != Scope::Global)
-                .max()
-                .unwrap_or(Scope::FiveTuple);
-            partition
-                .borrow_mut()
-                .insert(Splitter::new(v.id, scope, v.parallelism));
+            partition.borrow_mut().insert(Splitter::for_vertex(v));
         }
 
         let sink = sim.add_actor(Box::new(SinkActor::new()));

@@ -14,6 +14,7 @@
 //! pushes the same "final scope" to all upstream splitters), so routing is
 //! consistent chain-wide and reallocation decisions are made in one place.
 
+use crate::dag::VertexSpec;
 use crate::message::PacketMark;
 use chc_packet::{Packet, Scope, ScopeKey};
 use chc_store::{Clock, VertexId};
@@ -70,6 +71,24 @@ impl Splitter {
             mirror: None,
             scale_plan: Vec::new(),
         }
+    }
+
+    /// The splitter a vertex is deployed with, on either substrate:
+    /// partitioned on the coarsest *partitionable* scope of the vertex's
+    /// state objects. Coarser scopes minimise shared state, but the global
+    /// scope cannot spread load across instances, so it is skipped (§4.1
+    /// walks from coarse to fine until load balances); a vertex with no
+    /// partitionable scope splits per flow. This one rule decides which
+    /// instance sees which flow, so the simulator and the real-thread engine
+    /// both call it and partition a trace identically.
+    pub fn for_vertex(v: &VertexSpec) -> Splitter {
+        let scope = v
+            .scopes()
+            .into_iter()
+            .filter(|s| *s != Scope::Global)
+            .max()
+            .unwrap_or(Scope::FiveTuple);
+        Splitter::new(v.id, scope, v.parallelism)
     }
 
     /// Schedule an elastic scale event: packets with clock counter

@@ -280,10 +280,6 @@ pub struct StateClient {
     /// real-thread runtime disables it for long throughput runs that never
     /// exercise store recovery, since both logs grow with the packet count.
     recovery_logging: bool,
-    /// Whether store operations carry the packet's logical clock. Clock tags
-    /// drive duplicate suppression and `TS` metadata (§5.3/§5.4); benchmarks
-    /// that measure the bare store fast path may switch them off.
-    clock_tagging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
     /// default (ops flush inline); the real-thread runtime enables it and
@@ -338,7 +334,6 @@ impl StateClient {
             wal: WriteAheadLog::new(),
             read_log: Vec::new(),
             recovery_logging: true,
-            clock_tagging: true,
             write_behind: None,
             write_behind_cap: 0,
             charge: SimDuration::ZERO,
@@ -380,14 +375,6 @@ impl StateClient {
     /// not grow with the packet count.
     pub fn set_recovery_logging(&mut self, enabled: bool) {
         self.recovery_logging = enabled;
-    }
-
-    /// Enable or disable clock tags on store operations. Tags are required
-    /// for duplicate suppression during replay/cloning and for `TS`-based
-    /// store recovery, and are on by default; pure throughput benchmarks may
-    /// disable them to measure the untagged fast path.
-    pub fn set_clock_tagging(&mut self, enabled: bool) {
-        self.clock_tagging = enabled;
     }
 
     /// Enable or disable write-behind coalescing of non-blocking flushes.
@@ -448,15 +435,6 @@ impl StateClient {
                 self.pending_callbacks
                     .push((*other, key.clone(), value.clone()));
             }
-        }
-    }
-
-    /// The clock tag to attach to a store operation, if tagging is on.
-    fn tag(&self, clock: Clock) -> Option<Clock> {
-        if self.clock_tagging {
-            Some(clock)
-        } else {
-            None
         }
     }
 
@@ -562,7 +540,7 @@ impl StateClient {
         self.charge_rtt();
         let result = match self
             .store
-            .apply(self.instance, &key, &Operation::Get, self.tag(clock))
+            .apply(self.instance, &key, &Operation::Get, Some(clock))
         {
             Ok(r) => r,
             Err(_) => return Value::None,
@@ -662,7 +640,7 @@ impl StateClient {
         // Offloaded ops observe the store directly (pops read it, blocking
         // updates return its value): buffered write-behind ops go first.
         self.drain_write_behind();
-        let result = match self.store.apply(self.instance, &key, &op, self.tag(clock)) {
+        let result = match self.store.apply(self.instance, &key, &op, Some(clock)) {
             Ok(r) => r,
             Err(_) => return Value::None,
         };
@@ -712,15 +690,14 @@ impl StateClient {
             self.wal.append(clock, key.clone(), op.clone());
         }
         self.packet_tokens.push(xor_token(self.instance, &key));
-        let tag = self.tag(clock);
         if let Some(buf) = self.write_behind.as_mut() {
-            buf.push((key, op, tag));
+            buf.push((key, op, Some(clock)));
             if buf.len() >= self.write_behind_cap {
                 self.drain_write_behind();
             }
             return;
         }
-        if let Ok(result) = self.store.apply(self.instance, &key, &op, tag) {
+        if let Ok(result) = self.store.apply(self.instance, &key, &op, Some(clock)) {
             self.queue_callbacks(&key, &result);
         }
     }

@@ -102,85 +102,57 @@ impl TelemetryConfig {
     }
 }
 
-/// How a thread waits on an empty (or full) SPSC ring.
-///
-/// The engine's instance and sink threads outnumber the host's cores in
-/// every CI/bench environment this repo targets, so the waiting policy is a
-/// first-order throughput knob: a spinning consumer steals the cycles its
-/// own producer needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingWait {
-    /// Pure `spin_loop` busy-wait. Lowest latency when every thread has a
-    /// dedicated core; pathological when threads are oversubscribed.
-    Spin,
-    /// Brief spin, then `thread::yield_now` — the scheduler decides who
-    /// runs. The engine's historical behaviour.
-    Yield,
-    /// Brief spin, a few yields, then park the thread; the producer wakes
-    /// it on the next push. Frees the core for whoever has work.
-    Park,
-}
-
-/// Tuning knobs of the real-thread engine.
+/// Configuration of one real-thread run. Every field names who needs it
+/// settable; a value nothing varies is fixed in the code instead (DESIGN.md,
+/// "Store fast path", records the sweep that retired the last such knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Packets moved per ring transfer and processed per wake-up. Larger
     /// batches amortize queue and store-client overhead at the cost of
     /// per-packet latency (§7's hardware runs batch at the NIC; here the
-    /// batch rides the SPSC rings).
+    /// batch rides the SPSC rings). It is also the write-behind buffer's
+    /// cap. Varied by `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must
+    /// agree) and by `paper_eval --json`'s two batch rows.
     pub batch_size: usize,
     /// Capacity of each inter-instance ring, in packets (rounded up to a
-    /// power of two). Bounds memory and provides backpressure.
+    /// power of two, and never under two batches). Bounds memory and
+    /// provides backpressure. A size that selects no code path; no recorded
+    /// row varies it.
     pub queue_depth: usize,
     /// Number of store shards. The paper pins each object to exactly one
     /// store thread; here each shard is an independently locked instance of
-    /// the sharded [`chc_store::StoreServer`].
+    /// the sharded [`chc_store::StoreServer`]. A size that selects no code
+    /// path; no recorded row varies it (the benchmark's shard faults assume
+    /// the default 4).
     pub store_shards: usize,
     /// Storage engine the store server runs its shards on. Defaults to the
     /// engine named by the `CHC_STORE_BACKEND` environment variable (the CI
-    /// knob), which is the in-memory engine unless overridden. The whole
-    /// engine — write-behind fast path, failover supervisor, shard restarts —
-    /// runs unmodified on either engine.
+    /// knob), which is the in-memory engine unless overridden. Set by the
+    /// benchmark's `failover_durable` workload and by `paper_eval`'s
+    /// `store_backend` rows.
     pub store_backend: BackendKind,
-    /// Optional pre-planned elastic scale-out event.
+    /// Optional pre-planned elastic scale-out event. Set by the substrate
+    /// equivalence suite and the `realtime_chain` example.
     pub scale: Option<ScaleEvent>,
-    /// Record client-side WAL / read logs (needed only when a store recovery
-    /// drill will run against this chain; they grow with the packet count).
-    pub record_recovery_logs: bool,
-    /// Tag store operations with packet clocks (duplicate suppression and
-    /// `TS` metadata). Disable only for bare-metal throughput measurements.
-    pub clock_tag_updates: bool,
     /// Pre-planned fail-stop failures the engine must execute and recover
     /// from (instance kills with replay, store shard restarts, packet
     /// re-injection). An empty plan keeps the zero-overhead healthy path:
-    /// no packet log, no commit publishing, no duplicate tracking.
+    /// no packet log, no commit publishing, no duplicate tracking. Set by
+    /// the benchmark's `failover*` workloads and the failover suites.
     pub fault: FaultPlan,
     /// What to measure beyond the end-to-end latency histogram (spans,
-    /// event journal, gauge sampling). See [`TelemetryConfig`].
+    /// event journal, gauge sampling). See [`TelemetryConfig`]. The
+    /// benchmark's ladder rungs 4–6 are this field's three settings.
     pub telemetry: TelemetryConfig,
-    /// Legacy failover validation: reject kills at non-entry vertices
-    /// (`KillNotAtEntry`) and at on-path chain tails (`KillAtChainTail`), as
-    /// the engine did before per-vertex egress logs and the XOR delete
-    /// window made every position recoverable. Off by default; kept as an
-    /// escape hatch for reproducing the old entry-only behaviour.
-    pub legacy_entry_only_failover: bool,
     /// Write-behind store fast path: each instance's `StateClient` buffers
-    /// non-blocking store ops and drains them as one
-    /// [`chc_store::StoreServer::apply_batch`] per ring batch (and before
-    /// every correctness barrier — commit publish, blocking read/pop,
-    /// exclusivity loss, kill). On by default; switch off to reproduce the
-    /// per-op submission path (the equivalence tests assert identical
-    /// delivery either way).
+    /// non-blocking store ops, up to one ring batch of them, and drains them
+    /// as one [`chc_store::StoreServer::apply_batch`] per ring batch (and
+    /// before every correctness barrier — commit publish, blocking read/pop,
+    /// exclusivity loss, kill). On by default. Settable because
+    /// `runtime_equivalence.rs::write_behind_preserves_chain_output_equivalence`
+    /// uses the per-op path as its reference, and because the last sweep left
+    /// open whether the buffer still pays for its barriers (ROADMAP item 4).
     pub write_behind: bool,
-    /// Cap on the write-behind buffer, in ops. `0` (the default) sizes it
-    /// to track `batch_size`: the buffer then drains exactly at ring-batch
-    /// boundaries unless an op-heavy batch overflows it first.
-    pub store_batch: usize,
-    /// Ring waiting policy for instance and sink threads. Defaults to
-    /// [`RingWait::Park`]: on the shared-core hosts this repo benches on,
-    /// parked consumers stop stealing cycles from their producers (`Spin`
-    /// is strictly worse whenever threads exceed cores).
-    pub ring_wait: RingWait,
 }
 
 impl Default for RuntimeConfig {
@@ -191,14 +163,9 @@ impl Default for RuntimeConfig {
             store_shards: 4,
             store_backend: BackendKind::from_env(),
             scale: None,
-            record_recovery_logs: false,
-            clock_tag_updates: true,
             fault: FaultPlan::default(),
             telemetry: TelemetryConfig::default(),
-            legacy_entry_only_failover: false,
             write_behind: true,
-            store_batch: 0,
-            ring_wait: RingWait::Park,
         }
     }
 }
@@ -218,12 +185,6 @@ impl RuntimeConfig {
             vertex,
             first_counter,
         });
-        self
-    }
-
-    /// Builder-style store-shard setter.
-    pub fn with_store_shards(mut self, shards: usize) -> RuntimeConfig {
-        self.store_shards = shards.max(1);
         self
     }
 
@@ -262,46 +223,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Builder-style invariant-sentinel switch.
-    pub fn with_sentinel(mut self, on: bool) -> RuntimeConfig {
-        self.telemetry.sentinel = on;
-        self
-    }
-
-    /// Builder-style switch back to the legacy entry-only failover
-    /// validation (rejects non-entry and tail kills).
-    pub fn with_legacy_entry_only_failover(mut self, on: bool) -> RuntimeConfig {
-        self.legacy_entry_only_failover = on;
-        self
-    }
-
     /// Builder-style write-behind switch.
     pub fn with_write_behind(mut self, on: bool) -> RuntimeConfig {
         self.write_behind = on;
         self
-    }
-
-    /// Builder-style write-behind buffer cap (`0` tracks `batch_size`).
-    pub fn with_store_batch(mut self, cap: usize) -> RuntimeConfig {
-        self.store_batch = cap;
-        self
-    }
-
-    /// Builder-style ring-wait policy setter.
-    pub fn with_ring_wait(mut self, wait: RingWait) -> RuntimeConfig {
-        self.ring_wait = wait;
-        self
-    }
-
-    /// The write-behind buffer cap an instance client should use: the
-    /// explicit `store_batch` if set, otherwise the ring batch size (drain
-    /// at batch boundaries, never later).
-    pub fn effective_store_batch(&self) -> usize {
-        if self.store_batch > 0 {
-            self.store_batch
-        } else {
-            self.batch_size.max(1)
-        }
     }
 }
 
@@ -313,10 +238,10 @@ mod tests {
     fn defaults_and_builders() {
         let cfg = RuntimeConfig::default();
         assert!(cfg.batch_size > 0 && cfg.queue_depth >= cfg.batch_size);
-        assert!(cfg.clock_tag_updates && !cfg.record_recovery_logs);
+        assert!(cfg.store_shards > 0);
         let cfg = RuntimeConfig::with_batch_size(0);
         assert_eq!(cfg.batch_size, 1);
-        let cfg = cfg.with_scale(VertexId(2), 500).with_store_shards(0);
+        let cfg = cfg.with_scale(VertexId(2), 500);
         assert_eq!(
             cfg.scale,
             Some(ScaleEvent {
@@ -324,7 +249,6 @@ mod tests {
                 first_counter: 500
             })
         );
-        assert_eq!(cfg.store_shards, 1);
         assert!(cfg.fault.is_empty());
         let cfg = cfg.with_fault(FaultPlan::new().kill(VertexId(1), 0, 100));
         assert_eq!(cfg.fault.kills.len(), 1);
@@ -343,18 +267,12 @@ mod tests {
 
     #[test]
     fn store_fast_path_knobs() {
-        let cfg = RuntimeConfig::default();
-        assert!(cfg.write_behind);
-        assert_eq!(cfg.ring_wait, RingWait::Park);
-        // store_batch = 0 tracks the ring batch size.
-        assert_eq!(cfg.effective_store_batch(), cfg.batch_size);
-        let cfg = RuntimeConfig::with_batch_size(64)
-            .with_store_batch(256)
-            .with_ring_wait(RingWait::Spin)
-            .with_write_behind(false);
-        assert_eq!(cfg.effective_store_batch(), 256);
-        assert_eq!(cfg.ring_wait, RingWait::Spin);
+        // One switch is left: the buffer's cap is the ring batch and the
+        // ring wait is fixed (park), both decided in the code.
+        assert!(RuntimeConfig::default().write_behind);
+        let cfg = RuntimeConfig::with_batch_size(64).with_write_behind(false);
         assert!(!cfg.write_behind);
+        assert_eq!(cfg.batch_size, 64);
     }
 
     #[test]
@@ -365,12 +283,10 @@ mod tests {
         let off = TelemetryConfig::disabled();
         assert!(off.is_disabled() && !off.sentinel);
 
-        let cfg = RuntimeConfig::default()
-            .with_trace_sample_ppm(2_000_000)
-            .with_sentinel(false);
+        let cfg = RuntimeConfig::default().with_trace_sample_ppm(2_000_000);
         assert_eq!(cfg.telemetry.trace_sample_ppm, chc_packet::TRACE_PPM_FULL);
         assert!(cfg.telemetry.tracing_on());
-        assert!(!cfg.telemetry.sentinel);
+        assert!(cfg.telemetry.sentinel, "tracing leaves the sentinel alone");
 
         // Tracing implies spans even from a disabled base.
         let base = RuntimeConfig {

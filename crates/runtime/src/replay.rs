@@ -78,15 +78,17 @@
 //! left the buffer and no watermark covers it. Truncation pauses while
 //! replays may be in flight, and so does the floor.
 
-use crate::engine::{DyingInstance, EngineShared, InstancePlan, InstanceResult};
-use crate::fault::{FailoverAbort, InstanceKill, InstanceRecovery};
+use crate::engine::EngineShared;
+use crate::fault::{FailoverAbort, InstanceRecovery};
+use crate::instance::{run_instance, DyingInstance, InstanceResult};
+use crate::plan::{ChainPlan, InstancePlan, ReplaySource};
 use crate::wiring::{Downstream, OutLink};
-use chc_core::{TaggedPacket, VertexLogs, XorDeleteLedger};
+use chc_core::{TaggedPacket, VertexLogs};
 use chc_store::{InstanceId, StoreServer, VertexId};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -103,161 +105,371 @@ const REPLAY_MAX_SPINS: usize = 1_000_000;
 /// its replacement starts draining) promptly.
 const RESCUE_QUANTUM: usize = 20_000;
 
-/// Where the supervisor reads the replay stream for one killed vertex.
-pub(crate) enum ReplaySource {
-    /// The killed vertex is a chain entry: replay the root's injection log.
-    Root,
-    /// The killed vertex sits mid-chain or at the tail: replay the merged
-    /// egress logs of its on-path upstream vertices, sorted by clock.
-    Upstream(Vec<VertexId>),
-}
-
-/// Everything prepared ahead of time for one planned failover: the kill it
-/// answers, the id being replaced, and the fully-built replacement plan
-/// (fresh NF code, pre-assigned instance id). Built on the planning thread
-/// because NF builders are `Rc`-based and must not cross threads.
-pub(crate) struct ReplacementSeed {
-    pub(crate) kill: InstanceKill,
-    pub(crate) old_instance: InstanceId,
-    pub(crate) plan: InstancePlan,
-}
+/// The replacement threads the supervisor spawned, for the engine to join.
+pub(crate) type Replacements<'scope> = Vec<thread::ScopedJoinHandle<'scope, InstanceResult>>;
 
 /// What the supervisor hands back when it winds down.
-pub(crate) struct SupervisorOutcome<'scope> {
+pub(crate) struct SupervisorOutcome {
     pub(crate) recoveries: Vec<InstanceRecovery>,
     pub(crate) aborts: Vec<FailoverAbort>,
-    pub(crate) replacements: Vec<thread::ScopedJoinHandle<'scope, InstanceResult>>,
+    /// The root log's commit sources and each egress log's commit scope as
+    /// the run left them — every failed instance's id already replaced by
+    /// its replacement's — for the final truncation pass.
+    pub(crate) sources: Vec<InstanceId>,
+    pub(crate) vertex_scopes: Vec<(VertexId, Vec<InstanceId>)>,
 }
 
 /// A begun failover whose replay has not run yet: the replacement thread is
 /// already up and draining the inherited wiring.
 struct ReplayJob {
-    kill: InstanceKill,
+    vertex: VertexId,
+    index: usize,
     old_instance: InstanceId,
     replacement: InstanceId,
     started: Instant,
 }
 
-/// Body of the supervisor thread. Exits once the root finished injecting and
-/// every armed kill either executed or provably can no longer fire (its
-/// instance drained its live rings and dropped the fault channel), then
-/// closes the replay rings so the chain can drain.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_supervisor<'scope, 'env>(
+/// The supervisor thread's state. Everything a failover touches lives here,
+/// so beginning one — from the main loop or from inside a stalled replay —
+/// is a method call.
+pub(crate) struct Supervisor<'scope, 'env> {
     scope: &'scope thread::Scope<'scope, 'env>,
     rx: mpsc::Receiver<DyingInstance>,
-    mut seeds: HashMap<usize, ReplacementSeed>,
-    mut replay_outs: HashMap<VertexId, Downstream>,
-    replay_sources: HashMap<VertexId, ReplaySource>,
-    logs: Arc<VertexLogs>,
-    ledger: Option<Arc<XorDeleteLedger>>,
-    shared: Arc<EngineShared>,
-    mut sources: Vec<InstanceId>,
-    mut vertex_scopes: Vec<(VertexId, Vec<InstanceId>)>,
+    shared: &'env EngineShared,
+    replay_sources: &'env BTreeMap<VertexId, ReplaySource>,
     floor_cap: u64,
-    done_injecting: Arc<AtomicBool>,
-) -> SupervisorOutcome<'scope> {
-    let mut outcome = SupervisorOutcome {
-        recoveries: Vec::new(),
-        aborts: Vec::new(),
-        replacements: Vec::new(),
-    };
-    let mut disconnected = false;
-    loop {
-        match rx.recv_timeout(Duration::from_micros(500)) {
-            Ok(dying) => {
-                let mut pending = VecDeque::new();
-                if let Some(job) = begin_failover(
-                    scope,
-                    dying,
-                    &mut seeds,
-                    &shared,
-                    &mut sources,
-                    &mut vertex_scopes,
-                    &mut outcome,
-                ) {
-                    pending.push_back(job);
-                }
-                while let Some(job) = pending.pop_front() {
-                    // Begin every failover that is already queued before
-                    // replaying: each begun replacement is a live consumer
-                    // this replay may need (see the module docs).
-                    while begin_next_pending(
-                        scope,
-                        &rx,
-                        &mut seeds,
-                        &shared,
-                        &mut sources,
-                        &mut vertex_scopes,
-                        &mut pending,
-                        &mut outcome,
-                    ) {}
-                    run_replay(
-                        scope,
-                        job,
-                        &rx,
-                        &mut seeds,
-                        &mut replay_outs,
-                        &replay_sources,
-                        &logs,
-                        &shared,
-                        &mut sources,
-                        &mut vertex_scopes,
-                        &mut pending,
-                        &mut outcome,
-                    );
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                disconnected = true;
-                // A disconnected channel returns immediately; pace the loop.
-                thread::sleep(Duration::from_micros(200));
-            }
-        }
+    /// The replacement prepared for each armed slot, until its kill fires.
+    seeds: HashMap<usize, InstancePlan>,
+    /// Failovers begun but not yet replayed.
+    pending: VecDeque<ReplayJob>,
+    replacements: Replacements<'scope>,
+    outcome: SupervisorOutcome,
+}
 
-        // Frontier truncation: exact before the first failover, paused while
-        // more kills are armed, harmless after the last one (see module
-        // docs). Each log truncates against its own commit scope; egress
-        // logs additionally run the per-packet XOR delete sweep.
-        if outcome.recoveries.is_empty() || seeds.is_empty() {
-            let frontier = shared.server.commit_frontier(&sources);
-            let dropped = logs.root().truncate_confirmed(0, frontier);
-            if dropped > 0 {
-                shared.telemetry.event(EventKind::CommitFrontier {
-                    frontier,
-                    dropped: dropped as u64,
-                });
-            }
-            for (v, srcs) in &vertex_scopes {
-                let vf = shared.server.commit_frontier(srcs);
-                if let Some(mut vl) = logs.vertex(*v) {
-                    vl.truncate_confirmed(0, vf);
-                    if let Some(l) = &ledger {
-                        vl.delete_where(|c| l.deletable(c.counter()));
+impl<'scope, 'env> Supervisor<'scope, 'env> {
+    pub(crate) fn new(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        rx: mpsc::Receiver<DyingInstance>,
+        plan: &'env ChainPlan,
+        seeds: HashMap<usize, InstancePlan>,
+        shared: &'env EngineShared,
+    ) -> Self {
+        Supervisor {
+            scope,
+            rx,
+            shared,
+            replay_sources: &plan.replay_sources,
+            floor_cap: plan.floor_cap,
+            seeds,
+            pending: VecDeque::new(),
+            replacements: Vec::new(),
+            outcome: SupervisorOutcome {
+                recoveries: Vec::new(),
+                aborts: Vec::new(),
+                sources: plan.commit_sources.clone(),
+                vertex_scopes: plan.vertex_commit_scopes.clone(),
+            },
+        }
+    }
+
+    /// Body of the supervisor thread. Exits once the root finished injecting
+    /// and every armed kill either executed or provably can no longer fire
+    /// (its instance drained its live rings and dropped the fault channel),
+    /// then closes the replay rings so the chain can drain.
+    pub(crate) fn run(
+        mut self,
+        mut replay_outs: HashMap<VertexId, Downstream>,
+        done_injecting: &AtomicBool,
+    ) -> (SupervisorOutcome, Replacements<'scope>) {
+        let mut disconnected = false;
+        loop {
+            match self.rx.recv_timeout(Duration::from_micros(500)) {
+                Ok(dying) => {
+                    self.begin_failover(dying);
+                    while let Some(job) = self.pending.pop_front() {
+                        // Begin every failover that is already queued before
+                        // replaying: each begun replacement is a live
+                        // consumer this replay may need (see the module
+                        // docs).
+                        while self.begin_next_pending() {}
+                        self.run_replay(job, &mut replay_outs);
                     }
                 }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    disconnected = true;
+                    // A disconnected channel returns immediately; pace the
+                    // loop.
+                    thread::sleep(Duration::from_micros(200));
+                }
             }
-            raise_replay_floor(&shared.server, &logs, frontier.min(floor_cap));
+
+            // Frontier truncation: exact before the first failover, paused
+            // while more kills are armed, harmless after the last one (see
+            // module docs).
+            if self.outcome.recoveries.is_empty() || self.seeds.is_empty() {
+                truncate_logs(
+                    self.shared,
+                    &self.outcome.sources,
+                    &self.outcome.vertex_scopes,
+                    self.floor_cap,
+                );
+            }
+
+            if done_injecting.load(Ordering::Acquire) && (self.seeds.is_empty() || disconnected) {
+                break;
+            }
         }
 
-        if done_injecting.load(Ordering::Acquire) && (seeds.is_empty() || disconnected) {
-            break;
+        for link in replay_outs.values_mut().flat_map(|d| &mut d.links) {
+            // Bounded: an aborted failover may have left a stalled ring
+            // behind, and the wind-down must not hang on it.
+            let _ = link.try_flush(REPLAY_MAX_SPINS);
+            link.producer.close();
+        }
+        (self.outcome, self.replacements)
+    }
+
+    /// Begin one failover: remove the seed, hand the failed instance's store
+    /// state to the replacement, and spawn the replacement thread on the
+    /// inherited wiring. Never blocks. Queues the replay still to run; a
+    /// hand-off with no seed is recorded as an abort instead.
+    fn begin_failover(&mut self, dying: DyingInstance) {
+        let started = Instant::now();
+        let shared = self.shared;
+        let seed = self.seeds.remove(&dying.slot);
+        let Some((seed, old_instance)) = seed.and_then(|s| s.replaces.map(|old| (s, old))) else {
+            // A wiring hand-off without a seed cannot happen (only armed
+            // instances hold the channel); if it ever does, surface the lost
+            // wiring as an aborted failover instead of silently dropping it.
+            shared.telemetry.event(EventKind::FailoverAbort {
+                vertex: u32::MAX,
+                index: dying.slot as u32,
+                instance: u64::MAX,
+            });
+            self.outcome.aborts.push(FailoverAbort {
+                vertex: VertexId(u32::MAX),
+                index: dying.slot,
+                reason: "no replacement seed for the failed slot".to_string(),
+            });
+            return;
+        };
+        let (vertex, index, replacement) = (seed.vertex, seed.index, seed.instance);
+        shared.telemetry.event(EventKind::FailoverBegin {
+            vertex: vertex.0,
+            index: index as u32,
+            instance: old_instance.0 as u64,
+        });
+
+        // 1. The replacement takes over the failed instance's per-flow
+        //    state, and its place in every commit scope.
+        shared.server.reassign_owner(old_instance, replacement);
+        let scopes = self.outcome.vertex_scopes.iter_mut().map(|(_, srcs)| srcs);
+        for s in std::iter::once(&mut self.outcome.sources)
+            .chain(scopes)
+            .flatten()
+        {
+            if *s == old_instance {
+                *s = replacement;
+            }
+        }
+
+        // 2. Spawn the replacement thread on the inherited wiring.
+        let handle = self
+            .scope
+            .spawn(move || run_instance(seed, dying.wiring, shared, None));
+        self.replacements.push(handle);
+        shared.telemetry.event(EventKind::ReplacementSpawn {
+            vertex: vertex.0,
+            index: index as u32,
+            instance: replacement.0 as u64,
+        });
+        self.pending.push_back(ReplayJob {
+            vertex,
+            index,
+            old_instance,
+            replacement,
+            started,
+        });
+    }
+
+    /// Begin the next failover waiting on the fault channel, if any. Returns
+    /// whether a hand-off was consumed (begun or recorded as an abort).
+    fn begin_next_pending(&mut self) -> bool {
+        match self.rx.try_recv() {
+            Ok(dying) => {
+                self.begin_failover(dying);
+                true
+            }
+            Err(_) => false,
         }
     }
 
-    for link in replay_outs.values_mut().flat_map(|d| &mut d.links) {
-        // Bounded: an aborted failover may have left a stalled ring behind,
-        // and the wind-down must not hang on it.
-        let _ = link.try_flush(REPLAY_MAX_SPINS);
-        link.producer.close();
+    /// Step 3 of one failover: replay the killed vertex's replay source
+    /// through *its* replay rings. Routing is the same clock-pure splitter
+    /// logic as live traffic, so replayed packets reach exactly the
+    /// instances the originals were (or would have been) routed to;
+    /// survivors suppress them by clock. No ledger filtering here: replaying
+    /// the full snapshot keeps the stream identical to what the killed
+    /// instance could have seen, and every already-absorbed copy is
+    /// suppressed downstream anyway.
+    fn run_replay(&mut self, job: ReplayJob, replay_outs: &mut HashMap<VertexId, Downstream>) {
+        let shared = self.shared;
+        let (vertex, index) = (job.vertex.0, job.index as u32);
+        let replacement = job.replacement;
+        let snapshot: Vec<TaggedPacket> = match self.replay_sources.get(&job.vertex) {
+            Some(ReplaySource::Upstream(ups)) => {
+                let mut merged = Vec::new();
+                for u in ups {
+                    if let Some(log) = shared.logs.vertex(*u) {
+                        merged.extend(log.snapshot());
+                    }
+                }
+                merged.sort_by_key(|tp| tp.clock);
+                merged
+            }
+            _ => shared.logs.root().snapshot(),
+        };
+        let mut replayed = 0u64;
+        let mut stalled = false;
+        if let Some(Downstream { splitter, links }) = replay_outs.get_mut(&job.vertex) {
+            for mut tp in snapshot {
+                tp.replay_for = Some(replacement);
+                if shared.telemetry.tracer.is_some() {
+                    if let Some(tag) = tp.trace {
+                        shared.telemetry.trace_span(SpanEvent {
+                            trace_id: tag.id,
+                            lane: TraceLane::Supervisor,
+                            kind: SpanKind::ReplayInject,
+                            t_ns: shared.telemetry.now_ns(),
+                            dur_ns: 0,
+                        });
+                    }
+                }
+                let link = &mut links[splitter.instance_for(&tp.packet, tp.clock)];
+                if !(link.push_bounded(tp, shared.batch, RESCUE_QUANTUM)
+                    || self.flush_with_rescue(link))
+                {
+                    stalled = true;
+                    break;
+                }
+                replayed += 1;
+                shared.telemetry.replay_progress.inc();
+            }
+            if !stalled {
+                stalled = !links
+                    .iter_mut()
+                    .all(|link| link.try_flush(RESCUE_QUANTUM) || self.flush_with_rescue(link));
+            }
+            if stalled {
+                // Abandon the replay rather than hang the run: drop whatever
+                // is still buffered (unflushed copies are never booked as "in
+                // the network") so the wind-down flush stays bounded too.
+                for link in links.iter_mut() {
+                    link.buf.clear();
+                }
+            }
+        }
+        if stalled {
+            shared.telemetry.event(EventKind::FailoverAbort {
+                vertex,
+                index,
+                instance: replacement.0 as u64,
+            });
+            self.outcome.aborts.push(FailoverAbort {
+                vertex: job.vertex,
+                index: job.index,
+                reason: "replay ring stalled: the replacement stopped draining".to_string(),
+            });
+            return;
+        }
+        shared.telemetry.event(EventKind::ReplayComplete {
+            vertex,
+            index,
+            instance: replacement.0 as u64,
+            packets_replayed: replayed,
+        });
+
+        let recovery_wall = job.started.elapsed();
+        shared.telemetry.event(EventKind::FailoverEnd {
+            vertex,
+            index,
+            instance: replacement.0 as u64,
+            recovery_ns: recovery_wall.as_nanos() as u64,
+        });
+        self.outcome.recoveries.push(InstanceRecovery {
+            vertex: job.vertex,
+            index: job.index,
+            failed_instance: job.old_instance,
+            replacement,
+            packets_replayed: replayed,
+            recovery_wall,
+        });
     }
-    outcome
+
+    /// Keep flushing a backed-up replay link, beginning any overlapping
+    /// failover that arrives meanwhile (its replacement is the consumer the
+    /// flush may be waiting on, so each begun failover resets the stall
+    /// budget). Returns `false` once [`REPLAY_MAX_SPINS`] empty pushes passed
+    /// with no new fail-stop arriving — the consumer genuinely stopped.
+    fn flush_with_rescue(&mut self, link: &mut OutLink) -> bool {
+        let mut budget = REPLAY_MAX_SPINS;
+        loop {
+            if self.begin_next_pending() {
+                budget = REPLAY_MAX_SPINS;
+            }
+            if link.try_flush(RESCUE_QUANTUM) {
+                return true;
+            }
+            budget = budget.saturating_sub(RESCUE_QUANTUM);
+            if budget == 0 {
+                return false;
+            }
+        }
+    }
+}
+
+/// One truncation pass (see the module docs): cut the root log at the commit
+/// frontier of `sources` and journal the advance; cut every armed egress log
+/// at the frontier of its own scope, then sweep it for entries the XOR
+/// ledger proves both delivered and fully cancelled (Figure 6's per-packet
+/// deletes, which cover what the frontier cannot); and let the store forget
+/// what the logs forgot, up to `floor_cap`. The supervisor runs it between
+/// fault events. The engine runs it once more after every thread joined:
+/// every surviving component has published its last watermark by then, so
+/// that cut is the tightest the commit protocol can justify, and nothing is
+/// in flight — the re-injection drill included — so it is uncapped. Returns
+/// the root frontier.
+pub(crate) fn truncate_logs(
+    shared: &EngineShared,
+    sources: &[InstanceId],
+    vertex_scopes: &[(VertexId, Vec<InstanceId>)],
+    floor_cap: u64,
+) -> u64 {
+    let frontier = shared.server.commit_frontier(sources);
+    let dropped = shared.logs.root().truncate_confirmed(0, frontier);
+    if dropped > 0 {
+        shared.telemetry.event(EventKind::CommitFrontier {
+            frontier,
+            dropped: dropped as u64,
+        });
+    }
+    for (v, srcs) in vertex_scopes {
+        let vf = shared.server.commit_frontier(srcs);
+        if let Some(mut vl) = shared.logs.vertex(*v) {
+            vl.truncate_confirmed(0, vf);
+            if let Some(l) = &shared.ledger {
+                vl.delete_where(|c| l.deletable(c.counter()));
+            }
+        }
+    }
+    raise_replay_floor(&shared.server, &shared.logs, frontier.min(floor_cap));
+    frontier
 }
 
 /// Tell the store that no packet log can replay a clock at or below `floor`
 /// any more (see the module docs for why the root frontier is that bound).
-pub(crate) fn raise_replay_floor(server: &StoreServer, logs: &VertexLogs, floor: u64) {
+fn raise_replay_floor(server: &StoreServer, logs: &VertexLogs, floor: u64) {
     if floor == 0 {
         return;
     }
@@ -272,290 +484,93 @@ pub(crate) fn raise_replay_floor(server: &StoreServer, logs: &VertexLogs, floor:
     server.forget_through(floor);
 }
 
-/// Begin one failover: remove the seed, hand the failed instance's store
-/// state to the replacement, and spawn the replacement thread on the
-/// inherited wiring. Never blocks. Returns the replay job still to run, or
-/// `None` when the hand-off had no seed (recorded as an abort).
-fn begin_failover<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    dying: DyingInstance,
-    seeds: &mut HashMap<usize, ReplacementSeed>,
-    shared: &Arc<EngineShared>,
-    sources: &mut [InstanceId],
-    vertex_scopes: &mut [(VertexId, Vec<InstanceId>)],
-    outcome: &mut SupervisorOutcome<'scope>,
-) -> Option<ReplayJob> {
-    let started = Instant::now();
-    let Some(seed) = seeds.remove(&dying.slot) else {
-        // A wiring hand-off without a seed cannot happen (only armed
-        // instances hold the channel); if it ever does, surface the lost
-        // wiring as an aborted failover instead of silently dropping it.
-        shared.telemetry.event(EventKind::FailoverAbort {
-            vertex: u32::MAX,
-            index: dying.slot as u32,
-            instance: u64::MAX,
-        });
-        outcome.aborts.push(FailoverAbort {
-            vertex: VertexId(u32::MAX),
-            index: dying.slot,
-            reason: "no replacement seed for the failed slot".to_string(),
-        });
-        return None;
-    };
-    let replacement = seed.plan.instance;
-    shared.telemetry.event(EventKind::FailoverBegin {
-        vertex: seed.kill.vertex.0,
-        index: seed.kill.index as u32,
-        instance: seed.old_instance.0 as u64,
-    });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+    use crate::fault::FaultPlan;
+    use crate::plan::tests::{fw_nat_lb, FW, NAT};
+    use chc_core::{delete_token, ChainConfig};
+    use chc_packet::{TraceConfig, TraceGenerator};
+    use chc_store::{Clock, SINK_COMMIT_SOURCE};
 
-    // 1. The replacement takes over the failed instance's per-flow state.
-    shared.server.reassign_owner(seed.old_instance, replacement);
-    for s in sources.iter_mut() {
-        if *s == seed.old_instance {
-            *s = replacement;
-        }
-    }
-    for (_, srcs) in vertex_scopes.iter_mut() {
-        for s in srcs.iter_mut() {
-            if *s == seed.old_instance {
-                *s = replacement;
-            }
-        }
+    /// fw→nat→lb with a planned NAT kill: the firewall's egress log is
+    /// armed, its scope is NAT + LB + sink, the root's is all four sources.
+    fn armed_run() -> (ChainPlan, EngineShared) {
+        let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
+        let rt = rt.with_fault(FaultPlan::new().kill(NAT, 0, 15));
+        let plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, 20).expect("valid plan");
+        let shared = EngineShared::new(&plan, config, &rt);
+        (plan, shared)
     }
 
-    // 2. Spawn the replacement thread on the inherited wiring.
-    let shared_clone = Arc::clone(shared);
-    let kill = seed.kill;
-    let old_instance = seed.old_instance;
-    let handle = scope.spawn(move || {
-        crate::engine::run_instance(
-            seed.plan,
-            dying.inputs,
-            dying.outs,
-            dying.sink_link,
-            shared_clone,
-            None,
-            true,
-        )
-    });
-    outcome.replacements.push(handle);
-    shared.telemetry.event(EventKind::ReplacementSpawn {
-        vertex: kill.vertex.0,
-        index: kill.index as u32,
-        instance: replacement.0 as u64,
-    });
-    Some(ReplayJob {
-        kill,
-        old_instance,
-        replacement,
-        started,
-    })
-}
-
-/// Begin the next failover waiting on the fault channel, if any. Returns
-/// whether a hand-off was consumed (begun or recorded as an abort).
-#[allow(clippy::too_many_arguments)]
-fn begin_next_pending<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    rx: &mpsc::Receiver<DyingInstance>,
-    seeds: &mut HashMap<usize, ReplacementSeed>,
-    shared: &Arc<EngineShared>,
-    sources: &mut [InstanceId],
-    vertex_scopes: &mut [(VertexId, Vec<InstanceId>)],
-    pending: &mut VecDeque<ReplayJob>,
-    outcome: &mut SupervisorOutcome<'scope>,
-) -> bool {
-    match rx.try_recv() {
-        Ok(dying) => {
-            if let Some(job) =
-                begin_failover(scope, dying, seeds, shared, sources, vertex_scopes, outcome)
-            {
-                pending.push_back(job);
-            }
-            true
-        }
-        Err(_) => false,
+    fn held(shared: &EngineShared, vertex: Option<VertexId>) -> Vec<u64> {
+        let log = match vertex {
+            Some(v) => shared.logs.vertex(v).expect("armed"),
+            None => shared.logs.root(),
+        };
+        log.snapshot().iter().map(|tp| tp.clock.counter()).collect()
     }
-}
 
-/// Step 3 of one failover: replay the killed vertex's replay source through
-/// *its* replay rings. Routing is the same clock-pure splitter logic as
-/// live traffic, so replayed packets reach exactly the instances the
-/// originals were (or would have been) routed to; survivors suppress them
-/// by clock. No ledger filtering here: replaying the full snapshot keeps
-/// the stream identical to what the killed instance could have seen, and
-/// every already-absorbed copy is suppressed downstream anyway.
-#[allow(clippy::too_many_arguments)]
-fn run_replay<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    job: ReplayJob,
-    rx: &mpsc::Receiver<DyingInstance>,
-    seeds: &mut HashMap<usize, ReplacementSeed>,
-    replay_outs: &mut HashMap<VertexId, Downstream>,
-    replay_sources: &HashMap<VertexId, ReplaySource>,
-    logs: &Arc<VertexLogs>,
-    shared: &Arc<EngineShared>,
-    sources: &mut [InstanceId],
-    vertex_scopes: &mut [(VertexId, Vec<InstanceId>)],
-    pending: &mut VecDeque<ReplayJob>,
-    outcome: &mut SupervisorOutcome<'scope>,
-) {
-    let vertex = job.kill.vertex.0;
-    let index = job.kill.index as u32;
-    let replacement = job.replacement;
-    let snapshot: Vec<TaggedPacket> = match replay_sources.get(&job.kill.vertex) {
-        Some(ReplaySource::Upstream(ups)) => {
-            let mut merged = Vec::new();
-            for u in ups {
-                if let Some(log) = logs.vertex(*u) {
-                    merged.extend(log.snapshot());
+    #[test]
+    fn one_pass_cuts_each_log_at_its_own_frontier_sweeps_and_raises_the_floor() {
+        let (plan, shared) = armed_run();
+        let ledger = shared.ledger.as_ref().expect("a kill needs the ledger");
+        let trace = TraceGenerator::new(TraceConfig::small(1)).generate();
+        // Counters 1..=10 injected, and logged again — tokenized — as they
+        // left the firewall (instance 0).
+        let mut egress = Vec::new();
+        for (pkt, counter) in trace.iter().zip(1..=10u64) {
+            let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, counter));
+            assert!(shared.logs.root().insert(tp.clone()));
+            let token = delete_token(InstanceId(0), counter);
+            tp.absorb_update_token(token);
+            ledger.fold(counter, token);
+            assert!(shared.logs.vertex(FW).expect("armed").insert(tp.clone()));
+            egress.push(tp);
+        }
+        // Watermarks: the firewall is furthest along, the sink last — and
+        // the end host already has counter 7, ahead of every frontier.
+        for (source, watermark) in [(0, 8), (1, 6), (2, 5)] {
+            shared.server.publish_commit(InstanceId(source), watermark);
+        }
+        shared.server.publish_commit(SINK_COMMIT_SOURCE, 4);
+        ledger.fold(7, egress[6].xor_vector);
+        ledger.mark_delivered(7);
+
+        // Supervisor-style pass, the floor capped below a drill at 4.
+        let (sources, scopes) = (&plan.commit_sources, &plan.vertex_commit_scopes);
+        assert_eq!(truncate_logs(&shared, sources, scopes, 3), 4);
+        assert_eq!(held(&shared, None), [5, 6, 7, 8, 9, 10]);
+        // The egress log's frontier is the sink's 4 too (the firewall's own
+        // 8 is not in its scope); the XOR sweep also deletes the delivered 7.
+        assert_eq!(held(&shared, Some(FW)), [5, 6, 8, 9, 10]);
+        assert_eq!(shared.server.replay_floor(), 4, "capped at 3, so 4 up");
+
+        // Final-style pass: everyone confirmed through 9, nothing in flight.
+        for source in sources {
+            shared.server.publish_commit(*source, 9);
+        }
+        assert_eq!(truncate_logs(&shared, sources, scopes, u64::MAX), 9);
+        assert_eq!(held(&shared, None), [10]);
+        assert_eq!(held(&shared, Some(FW)), [10]);
+        assert_eq!(shared.server.replay_floor(), 10);
+        assert_eq!(shared.logs.root().truncated(), 9);
+
+        // A failover's id substitution is all a pass needs: with the NAT's
+        // id replaced by a replacement that has published nothing, the
+        // frontier — and every cut — falls back to zero progress.
+        let moved: Vec<InstanceId> = (sources.iter())
+            .map(|s| {
+                if *s == InstanceId(1) {
+                    InstanceId(3)
+                } else {
+                    *s
                 }
-            }
-            merged.sort_by_key(|tp| tp.clock);
-            merged
-        }
-        _ => logs.root().snapshot(),
-    };
-    let mut replayed = 0u64;
-    let mut stalled = false;
-    if let Some(Downstream { splitter, links }) = replay_outs.get_mut(&job.kill.vertex) {
-        for mut tp in snapshot {
-            tp.replay_for = Some(replacement);
-            if shared.telemetry.tracer.is_some() {
-                if let Some(tag) = tp.trace {
-                    shared.telemetry.trace_span(SpanEvent {
-                        trace_id: tag.id,
-                        lane: TraceLane::Supervisor,
-                        kind: SpanKind::ReplayInject,
-                        t_ns: shared.telemetry.now_ns(),
-                        dur_ns: 0,
-                    });
-                }
-            }
-            let idx = splitter.instance_for(&tp.packet, tp.clock);
-            let pushed = links[idx].push_bounded(tp, shared.batch, RESCUE_QUANTUM)
-                || flush_with_rescue(
-                    &mut links[idx],
-                    scope,
-                    rx,
-                    seeds,
-                    shared,
-                    sources,
-                    vertex_scopes,
-                    pending,
-                    outcome,
-                );
-            if !pushed {
-                stalled = true;
-                break;
-            }
-            replayed += 1;
-            shared.telemetry.replay_progress.inc();
-        }
-        if !stalled {
-            for link in links.iter_mut() {
-                if !(link.try_flush(RESCUE_QUANTUM)
-                    || flush_with_rescue(
-                        link,
-                        scope,
-                        rx,
-                        seeds,
-                        shared,
-                        sources,
-                        vertex_scopes,
-                        pending,
-                        outcome,
-                    ))
-                {
-                    stalled = true;
-                    break;
-                }
-            }
-        }
-        if stalled {
-            // Abandon the replay rather than hang the run: drop whatever is
-            // still buffered (unflushed copies are never booked as "in the
-            // network") so the wind-down flush stays bounded too.
-            for link in links.iter_mut() {
-                link.buf.clear();
-            }
-        }
-    }
-    if stalled {
-        shared.telemetry.event(EventKind::FailoverAbort {
-            vertex,
-            index,
-            instance: replacement.0 as u64,
-        });
-        outcome.aborts.push(FailoverAbort {
-            vertex: job.kill.vertex,
-            index: job.kill.index,
-            reason: "replay ring stalled: the replacement stopped draining".to_string(),
-        });
-        return;
-    }
-    shared.telemetry.event(EventKind::ReplayComplete {
-        vertex,
-        index,
-        instance: replacement.0 as u64,
-        packets_replayed: replayed,
-    });
-
-    let recovery_wall = job.started.elapsed();
-    shared.telemetry.event(EventKind::FailoverEnd {
-        vertex,
-        index,
-        instance: replacement.0 as u64,
-        recovery_ns: recovery_wall.as_nanos() as u64,
-    });
-    outcome.recoveries.push(InstanceRecovery {
-        vertex: job.kill.vertex,
-        index: job.kill.index,
-        failed_instance: job.old_instance,
-        replacement,
-        packets_replayed: replayed,
-        recovery_wall,
-    });
-}
-
-/// Keep flushing a backed-up replay link, beginning any overlapping
-/// failover that arrives meanwhile (its replacement is the consumer the
-/// flush may be waiting on, so each begun failover resets the stall
-/// budget). Returns `false` once [`REPLAY_MAX_SPINS`] empty pushes passed
-/// with no new fail-stop arriving — the consumer genuinely stopped.
-#[allow(clippy::too_many_arguments)]
-fn flush_with_rescue<'scope, 'env>(
-    link: &mut OutLink,
-    scope: &'scope thread::Scope<'scope, 'env>,
-    rx: &mpsc::Receiver<DyingInstance>,
-    seeds: &mut HashMap<usize, ReplacementSeed>,
-    shared: &Arc<EngineShared>,
-    sources: &mut [InstanceId],
-    vertex_scopes: &mut [(VertexId, Vec<InstanceId>)],
-    pending: &mut VecDeque<ReplayJob>,
-    outcome: &mut SupervisorOutcome<'scope>,
-) -> bool {
-    let mut budget = REPLAY_MAX_SPINS;
-    loop {
-        if begin_next_pending(
-            scope,
-            rx,
-            seeds,
-            shared,
-            sources,
-            vertex_scopes,
-            pending,
-            outcome,
-        ) {
-            budget = REPLAY_MAX_SPINS;
-        }
-        if link.try_flush(RESCUE_QUANTUM) {
-            return true;
-        }
-        budget = budget.saturating_sub(RESCUE_QUANTUM);
-        if budget == 0 {
-            return false;
-        }
+            })
+            .collect();
+        assert_eq!(truncate_logs(&shared, &moved, scopes, u64::MAX), 0);
+        assert_eq!(held(&shared, None), [10]);
+        assert_eq!(shared.server.replay_floor(), 10, "the floor is monotonic");
     }
 }

@@ -2,15 +2,13 @@
 //! [`ClockWindow`], accounts every duplicate, and measures root→sink latency
 //! on the timed packets from the stamps their envelopes carry.
 
-use crate::config::RingWait;
-use crate::telemetry::RunTelemetry;
+use crate::engine::EngineShared;
 use crate::wiring::{idle_wait, InputRing};
-use chc_core::{ClockWindow, TaggedPacket, XorDeleteLedger};
+use chc_core::{ClockWindow, TaggedPacket};
 use chc_packet::PacketId;
-use chc_store::{Clock, StoreServer, SINK_COMMIT_SOURCE};
+use chc_store::{Clock, SINK_COMMIT_SOURCE};
 use chc_telemetry::{FlowOrderChecker, SpanEvent, SpanKind, StreamingHistogram, TraceLane};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What the sink thread hands back.
@@ -32,18 +30,26 @@ pub(crate) struct SinkResult {
     pub(crate) window_bytes: usize,
 }
 
-/// Body of the sink thread. With `commit` set (fault mode), the sink also
-/// publishes its delivery frontier so the root's packet log can be
-/// truncated: a packet is confirmed only once the *end host* has it.
+/// Body of the sink thread. In fault mode the sink also publishes its
+/// delivery frontier so the root's packet log can be truncated: a packet is
+/// confirmed only once the *end host* has it. `scale_cut` is the first
+/// counter of a pre-planned scale-out, if any.
 pub(crate) fn run_sink(
     mut inputs: Vec<InputRing>,
-    batch: usize,
-    commit: Option<Arc<StoreServer>>,
-    ledger: Option<Arc<XorDeleteLedger>>,
-    telemetry: Arc<RunTelemetry>,
-    mut flow_order: Option<FlowOrderChecker>,
-    ring_wait: RingWait,
+    shared: &EngineShared,
+    scale_cut: Option<u64>,
 ) -> SinkResult {
+    let batch = shared.batch;
+    let telemetry = &shared.telemetry;
+    let ledger = &shared.ledger;
+    let commit = shared.fault_mode.then_some(&shared.server);
+    // Per-flow delivery-order checking rides this thread (one map lookup per
+    // live arrival); a scale cut exempts cross-cut pairs because the cut
+    // re-routes flows.
+    let mut flow_order = telemetry
+        .sentinel
+        .is_some()
+        .then(|| FlowOrderChecker::new(scale_cut));
     let spans = telemetry.config.spans;
     // Kept whole for the run: one bit per delivered clock beside the 64-bit
     // `delivered_ids` entry, so every late duplicate is still accounted.
@@ -109,7 +115,7 @@ pub(crate) fn run_sink(
                 out.delivered_ids.push(tp.packet.id);
                 out.bytes += tp.packet.len as u64;
                 let counter = tp.clock.counter();
-                if let Some(l) = &ledger {
+                if let Some(l) = ledger {
                     // First (and only) delivery of this clock: cancel every
                     // logged copy's token and mark the counter confirmed —
                     // this is what lets tail replacements gate re-emission
@@ -156,7 +162,7 @@ pub(crate) fn run_sink(
         }
         if moved > 0 {
             idle_streak = 0;
-            if let Some(server) = &commit {
+            if let Some(server) = commit {
                 let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
                 if wm > 0 {
                     server.publish_commit(SINK_COMMIT_SOURCE, wm);
@@ -167,7 +173,7 @@ pub(crate) fn run_sink(
                 break;
             }
             idle_streak += 1;
-            idle_wait(ring_wait, idle_streak, &mut inputs);
+            idle_wait(idle_streak, &mut inputs);
         }
     }
     if let (Some(checker), Some(state)) = (&flow_order, &telemetry.sentinel) {

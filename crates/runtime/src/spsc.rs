@@ -268,15 +268,13 @@ impl<T> Consumer<T> {
     }
 
     /// Park this thread until the producer publishes an item, closes the
-    /// ring, or `timeout` elapses — the blocking leg of [`RingWait::Park`]
-    /// (callers spin/yield briefly first; see `chc_runtime::config`).
+    /// ring, or `timeout` elapses — the blocking leg of the engine's idle
+    /// wait (instance and sink threads yield a few times first).
     ///
     /// Returns `false` without parking if items are already available or the
     /// ring is closed. The timeout is a lost-wake safety net only — the
     /// arm/wake fences make a genuine lost wake impossible — and bounds the
     /// latency of any future protocol bug to one timeout period.
-    ///
-    /// [`RingWait::Park`]: crate::config::RingWait::Park
     pub fn park_if_empty(&mut self, timeout: Duration) -> bool {
         *self.ring.sleeper.lock().expect("sleeper lock poisoned") = Some(thread::current());
         self.ring.waiting.store(true, Ordering::SeqCst);

@@ -29,16 +29,19 @@
 //! three per-vertex components are disjoint.
 
 use crate::config::TelemetryConfig;
+use crate::engine::EngineShared;
+use crate::fault::FaultReport;
+use crate::report::RuntimeReport;
 use crate::spsc::RingProbe;
-use chc_core::{StateHandle, VertexLogs};
+use chc_core::StateHandle;
 use chc_store::{Clock, InstanceId, StateKey, StoreServer, Value, VertexId};
 use chc_telemetry::{
     ConservationLedger, Counter, Event, EventJournal, EventKind, GaugeSeries, HistSummary,
-    Sentinel, SentinelReport, SpanEvent, StreamingHistogram, TelemetrySeries, TraceCollector,
-    Violation,
+    InvariantKind, Sentinel, SentinelReport, SpanEvent, StreamingHistogram, TelemetrySeries,
+    TraceCollector, Violation,
 };
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,7 +81,7 @@ pub(crate) struct SentinelState {
 }
 
 impl SentinelState {
-    pub(crate) fn new() -> SentinelState {
+    fn new() -> SentinelState {
         SentinelState {
             ledger: ConservationLedger::new(),
             violations: Mutex::new(Vec::new()),
@@ -114,7 +117,6 @@ impl RunTelemetry {
         config: TelemetryConfig,
         t0: Instant,
         vertices: impl IntoIterator<Item = VertexId>,
-        sentinel: Option<Arc<SentinelState>>,
     ) -> RunTelemetry {
         RunTelemetry {
             config,
@@ -127,7 +129,7 @@ impl RunTelemetry {
             journal: config.journal.then(EventJournal::new),
             replay_progress: Counter::new(),
             tracer: config.tracing_on().then(TraceCollector::new),
-            sentinel,
+            sentinel: config.sentinel.then(|| Arc::new(SentinelState::new())),
         }
     }
 
@@ -289,34 +291,28 @@ impl StateHandle for TimedHandle {
     }
 }
 
-/// Everything the monitor thread watches. Built at wiring time on the
-/// planning thread; consumed by [`run_monitor`].
-pub(crate) struct MonitorTargets {
-    /// Labelled ring occupancy probes (`ring.<edge>.depth`).
-    pub(crate) rings: Vec<(String, RingProbe)>,
-    /// The store, for per-shard op counts.
-    pub(crate) server: Arc<StoreServer>,
-    /// Shards with journaling on (`shard.<i>.wal_depth`).
-    pub(crate) journaled_shards: Vec<usize>,
-    /// The engine's packet logs, in fault mode (`rootlog.len`, plus
-    /// `vertexlog.len` — total across armed vertex egress logs — when any
-    /// vertex is armed).
-    pub(crate) log: Option<Arc<VertexLogs>>,
-}
-
 /// Body of the monitor thread: samples every gauge at `interval`, always
 /// taking one initial sample immediately and one final sample when `stop`
 /// is raised, so even a very short run yields at least two points per
 /// series. Returns the collected time series.
+///
+/// Gauges: `ring.<edge>.depth` per labelled probe in `rings`; per-shard op
+/// rates; `shard.<i>.wal_depth` per shard of `journaled_shards`; in fault
+/// mode `rootlog.len`, plus `vertexlog.len` — total across armed vertex
+/// egress logs — when any vertex is armed.
 pub(crate) fn run_monitor(
-    targets: MonitorTargets,
-    telemetry: Arc<RunTelemetry>,
+    rings: Vec<(String, RingProbe)>,
+    journaled_shards: &BTreeSet<usize>,
+    shared: &EngineShared,
     interval: Duration,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> TelemetrySeries {
-    let shard_count = targets.server.shard_count();
+    let telemetry = &shared.telemetry;
+    let server = &*shared.server;
+    let log = shared.fault_mode.then_some(&shared.logs);
+    let shard_count = server.shard_count();
     let mut out = TelemetrySeries::new();
-    for (label, _) in &targets.rings {
+    for (label, _) in &rings {
         out.series
             .push(GaugeSeries::new(format!("ring.{label}.depth")));
     }
@@ -326,30 +322,25 @@ pub(crate) fn run_monitor(
             .push(GaugeSeries::new(format!("shard.{s}.ops_per_sec")));
     }
     let wal_base = out.series.len();
-    for s in &targets.journaled_shards {
+    for s in journaled_shards {
         out.series
             .push(GaugeSeries::new(format!("shard.{s}.wal_depth")));
     }
-    let log_idx = targets.log.is_some().then(|| {
+    let log_idx = log.is_some().then(|| {
         out.series.push(GaugeSeries::new("rootlog.len"));
         out.series.len() - 1
     });
-    let vlog_idx = targets
-        .log
-        .as_ref()
-        .is_some_and(|l| l.armed().next().is_some())
-        .then(|| {
-            out.series.push(GaugeSeries::new("vertexlog.len"));
-            out.series.len() - 1
-        });
+    let vlog_idx = log.is_some_and(|l| l.armed().next().is_some()).then(|| {
+        out.series.push(GaugeSeries::new("vertexlog.len"));
+        out.series.len() - 1
+    });
     // Durable-engine gauges: segment files and on-disk bytes across shards.
     // Only meaningful (and only emitted) on the append-only backend.
-    let durable_idx =
-        (targets.server.backend_kind() == chc_store::BackendKind::AppendOnly).then(|| {
-            out.series.push(GaugeSeries::new("store.segments"));
-            out.series.push(GaugeSeries::new("store.durable_bytes"));
-            out.series.len() - 2
-        });
+    let durable_idx = (server.backend_kind() == chc_store::BackendKind::AppendOnly).then(|| {
+        out.series.push(GaugeSeries::new("store.segments"));
+        out.series.push(GaugeSeries::new("store.durable_bytes"));
+        out.series.len() - 2
+    });
     // The duplicate-suppression log: flat when the replay floor keeps up
     // with the commit frontier, zero on a run with no fault plan.
     out.series.push(GaugeSeries::new("store.update_log_len"));
@@ -366,10 +357,10 @@ pub(crate) fn run_monitor(
                   prev_t_ns: &mut u64,
                   first: &mut bool| {
         let t_ns = telemetry.now_ns();
-        for (i, (_, probe)) in targets.rings.iter().enumerate() {
+        for (i, (_, probe)) in rings.iter().enumerate() {
             out.series[i].push(t_ns, probe.depth() as f64);
         }
-        let ops = targets.server.ops_per_shard();
+        let ops = server.ops_per_shard();
         let dt_s = (t_ns.saturating_sub(*prev_t_ns)) as f64 / 1e9;
         for (s, &now) in ops.iter().enumerate() {
             let rate = if *first || dt_s <= 0.0 {
@@ -382,13 +373,13 @@ pub(crate) fn run_monitor(
         *prev_ops = ops;
         *prev_t_ns = t_ns;
         *first = false;
-        for (j, &s) in targets.journaled_shards.iter().enumerate() {
-            out.series[wal_base + j].push(t_ns, targets.server.shard_journal_len(s) as f64);
+        for (j, &s) in journaled_shards.iter().enumerate() {
+            out.series[wal_base + j].push(t_ns, server.shard_journal_len(s) as f64);
         }
-        if let (Some(idx), Some(log)) = (log_idx, &targets.log) {
+        if let (Some(idx), Some(log)) = (log_idx, log) {
             out.series[idx].push(t_ns, log.root().len() as f64);
         }
-        if let (Some(idx), Some(log)) = (vlog_idx, &targets.log) {
+        if let (Some(idx), Some(log)) = (vlog_idx, log) {
             let len: usize = log
                 .armed()
                 .filter_map(|v| log.vertex(v).map(|l| l.len()))
@@ -396,10 +387,10 @@ pub(crate) fn run_monitor(
             out.series[idx].push(t_ns, len as f64);
         }
         if let Some(idx) = durable_idx {
-            out.series[idx].push(t_ns, targets.server.durable_segments() as f64);
-            out.series[idx + 1].push(t_ns, targets.server.durable_bytes() as f64);
+            out.series[idx].push(t_ns, server.durable_segments() as f64);
+            out.series[idx + 1].push(t_ns, server.durable_bytes() as f64);
         }
-        out.series[dedup_idx].push(t_ns, targets.server.update_log_len() as f64);
+        out.series[dedup_idx].push(t_ns, server.update_log_len() as f64);
         out.series[replay_idx].push(t_ns, telemetry.replay_progress.get() as f64);
     };
 
@@ -443,10 +434,10 @@ pub(crate) fn drain_sentinel_journal(telemetry: &RunTelemetry) {
 /// the per-packet checks (flow order, conservation counters) run in-line on
 /// the sink and instance threads, not here. Performs one final drain after
 /// `stop` is raised so no event recorded before shutdown is missed.
-pub(crate) fn run_sentinel(telemetry: Arc<RunTelemetry>, stop: Arc<AtomicBool>) {
+pub(crate) fn run_sentinel(telemetry: &RunTelemetry, stop: &AtomicBool) {
     loop {
         let stopping = stop.load(Ordering::Acquire);
-        drain_sentinel_journal(&telemetry);
+        drain_sentinel_journal(telemetry);
         if stopping {
             break;
         }
@@ -458,59 +449,72 @@ pub(crate) fn run_sentinel(telemetry: Arc<RunTelemetry>, stop: Arc<AtomicBool>) 
     }
 }
 
-/// Run totals the shutdown invariant checks need, harvested after every
-/// engine thread has joined.
-pub(crate) struct SentinelInputs {
-    /// Packets the root injected.
-    pub(crate) injected: u64,
-    /// Packets deliberately re-injected by the duplicate drill.
-    pub(crate) reinjected: u64,
-    /// Duplicate clocks the sink observed.
-    pub(crate) duplicates: u64,
-    /// Copies that arrived at the sink (duplicates included).
-    pub(crate) sink_arrivals: u64,
-    /// Packets processed by NF instances (failed instances included).
-    pub(crate) processed: u64,
-    /// Duplicate copies suppressed at input queues.
-    pub(crate) suppressed: u64,
-    /// True when a fault plan ran (root log checks apply only then).
-    pub(crate) fault_mode: bool,
-    /// Final commit frontier (0 outside fault mode).
-    pub(crate) frontier: u64,
-    /// Root log depth after the final truncation.
-    pub(crate) log_final_len: u64,
-    /// Root log high-water mark.
-    pub(crate) log_high_water: u64,
-    /// Root log configured capacity.
-    pub(crate) log_capacity: u64,
-    /// Largest high-water mark over the per-vertex egress logs (0 when no
-    /// vertex was armed; shares the root log's capacity bound).
-    pub(crate) vertex_log_high_water: u64,
-    /// Delivered clock counters whose XOR delete-token residue never
-    /// cancelled (0 when the ledger was off or the protocol closed).
-    pub(crate) xor_dirty: u64,
-    /// Updates the store retains for duplicate suppression, all shards.
-    pub(crate) dedup_log_len: u64,
-    /// Most updates one packet ever held per shard log, summed over shards.
-    pub(crate) dedup_widest_packet: u64,
-    /// The store's replay floor (lowest counter still replayable).
-    pub(crate) replay_floor: u64,
-}
-
-/// Shutdown pass of the invariant sentinel: drain the journal tail (the
-/// final frontier truncation happens after the worker scope ends, so the
-/// sentinel thread never sees it), then check the whole-run invariants that
-/// only close at shutdown — packet conservation, exactly-once delivery, the
-/// root-log bound, and failover completion. Returns the sentinel section of
-/// the report, or `None` when the sentinel was off.
+/// Shutdown pass of the invariant sentinel over the report the run is about
+/// to return: drain the journal tail (the final frontier truncation happens
+/// after the worker scope ends, so the sentinel thread never sees it), then
+/// check the whole-run invariants that only close at shutdown — failover
+/// completion, packet conservation, exactly-once delivery, the dedup-log
+/// bound and the packet-log bounds. `sink_arrivals` counts every copy the
+/// sink popped (duplicates included); `frontier` is the final commit
+/// frontier (0 outside fault mode). Returns the sentinel section of the
+/// report, or `None` when the sentinel was off.
 pub(crate) fn finalize_sentinel(
-    telemetry: &RunTelemetry,
-    inputs: &SentinelInputs,
+    shared: &EngineShared,
+    run: &RuntimeReport,
+    sink_arrivals: u64,
+    frontier: u64,
 ) -> Option<SentinelReport> {
+    let telemetry = &shared.telemetry;
     let state = telemetry.sentinel.as_ref()?;
     drain_sentinel_journal(telemetry);
     let t_ns = telemetry.now_ns();
+    let violation = |invariant, observed, expected, detail: String| {
+        telemetry.violation(Violation {
+            invariant,
+            t_ns,
+            observed,
+            expected,
+            detail,
+        });
+    };
 
+    // Failed instances count too: what they processed was popped.
+    let instances = || run.instances.iter().chain(&run.failed_instances);
+    let mut out = SentinelReport {
+        ring_pushed: state.ledger.ring_pushed.get(),
+        ring_popped: state.ledger.ring_popped.get(),
+        kill_lost: state.ledger.kill_lost.get(),
+        processed: instances().map(|r| r.processed).sum(),
+        suppressed: instances().map(|r| r.suppressed_duplicates).sum(),
+        sink_arrivals,
+        ..SentinelReport::default()
+    };
+    check_failover_completion(state, &violation);
+    check_conservation(&out, &violation);
+    check_exactly_once(run, &violation);
+    check_dedup_log_bound(run, &shared.server, &violation);
+    if let Some(fault) = &run.fault {
+        check_packet_log_bounds(shared, fault, (run.injected, frontier), &violation);
+    }
+
+    let checker = state.checker.lock().unwrap_or_else(|e| e.into_inner());
+    out.events_checked = checker.0.events_checked;
+    out.frontier_advances = checker.0.frontier_advances;
+    out.deliveries_checked = state.deliveries_checked.load(Ordering::Relaxed);
+    out.violations = state
+        .violations
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone();
+    Some(out)
+}
+
+/// How a shutdown check reports: `(invariant, observed, expected, detail)`.
+type Report<'a> = &'a dyn Fn(InvariantKind, u64, u64, String);
+
+/// Every failover the journal saw begin also ended, and a killed root was
+/// taken over.
+fn check_failover_completion(state: &SentinelState, report: Report<'_>) {
     let (unfinished, root_pending) = {
         let guard = state.checker.lock().unwrap_or_else(|e| e.into_inner());
         (
@@ -519,163 +523,150 @@ pub(crate) fn finalize_sentinel(
         )
     };
     if root_pending {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::RootHandoff,
-            t_ns,
-            observed: 1,
-            expected: 0,
-            detail: "root was killed but no standby ever took over injection".into(),
-        });
+        report(
+            InvariantKind::RootHandoff,
+            1,
+            0,
+            "root was killed but no standby ever took over injection".into(),
+        );
     }
     for (vertex, index) in unfinished {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::FailoverPhase,
-            t_ns,
-            observed: vertex as u64,
-            expected: index as u64,
-            detail: format!("vertex {vertex} index {index}: failover never reached failover_end"),
-        });
+        report(
+            InvariantKind::FailoverPhase,
+            vertex as u64,
+            index as u64,
+            format!("vertex {vertex} index {index}: failover never reached failover_end"),
+        );
     }
+}
 
-    let pushed = state.ledger.ring_pushed.get();
-    let popped = state.ledger.ring_popped.get();
-    let kill_lost = state.ledger.kill_lost.get();
+/// Copy conservation on the rings: everything pushed was popped, and every
+/// popped copy was processed, suppressed, lost to a kill or delivered.
+fn check_conservation(c: &SentinelReport, report: Report<'_>) {
+    let (pushed, popped, kill_lost) = (c.ring_pushed, c.ring_popped, c.kill_lost);
     if pushed != popped {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::Conservation,
-            t_ns,
-            observed: popped,
-            expected: pushed,
-            detail: format!(
+        report(
+            InvariantKind::Conservation,
+            popped,
+            pushed,
+            format!(
                 "{} copies pushed into rings but {popped} popped: {} still in flight at shutdown",
                 pushed,
                 pushed as i64 - popped as i64
             ),
-        });
+        );
     }
-    let accounted = inputs.processed + inputs.suppressed + kill_lost + inputs.sink_arrivals;
+    let accounted = c.processed + c.suppressed + kill_lost + c.sink_arrivals;
     if popped != accounted {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::Conservation,
-            t_ns,
-            observed: accounted,
-            expected: popped,
-            detail: format!(
+        report(
+            InvariantKind::Conservation,
+            accounted,
+            popped,
+            format!(
                 "popped copies unaccounted: {popped} popped vs {} processed + {} suppressed \
                  + {kill_lost} kill-lost + {} sink arrivals",
-                inputs.processed, inputs.suppressed, inputs.sink_arrivals
+                c.processed, c.suppressed, c.sink_arrivals
             ),
-        });
+        );
     }
+}
 
-    if inputs.duplicates > 0 && inputs.reinjected == 0 {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::ExactlyOnce,
-            t_ns,
-            observed: inputs.duplicates,
-            expected: 0,
-            detail: format!(
+/// No clock reached the sink twice unless a re-injection drill sent it.
+fn check_exactly_once(run: &RuntimeReport, report: Report<'_>) {
+    let reinjected = run.fault.as_ref().map_or(0, |f| f.reinjected);
+    if run.duplicates > 0 && reinjected == 0 {
+        report(
+            InvariantKind::ExactlyOnce,
+            run.duplicates,
+            0,
+            format!(
                 "{} duplicate clocks reached the sink without a re-injection drill",
-                inputs.duplicates
+                run.duplicates
             ),
-        });
+        );
     }
+}
 
-    // The dedup log keeps nothing below the replay floor, so it holds at
-    // most the updates of the packets from the floor up — none at all on a
-    // run without a fault plan, whose floor starts at the top.
-    let replayable = (inputs.injected + 1).saturating_sub(inputs.replay_floor);
-    let dedup_bound = replayable.saturating_mul(inputs.dedup_widest_packet);
-    if inputs.dedup_log_len > dedup_bound {
-        telemetry.violation(Violation {
-            invariant: chc_telemetry::InvariantKind::DedupLogBound,
-            t_ns,
-            observed: inputs.dedup_log_len,
-            expected: dedup_bound,
-            detail: format!(
-                "store dedup log holds {} updates, above the {replayable} packets from \
-                 replay floor {} to injected {} x {} updates per packet",
-                inputs.dedup_log_len,
-                inputs.replay_floor,
-                inputs.injected,
-                inputs.dedup_widest_packet
+/// The dedup log keeps nothing below the replay floor, so it holds at most
+/// the updates of the packets from the floor up — none at all on a run
+/// without a fault plan, whose floor starts at the top.
+fn check_dedup_log_bound(run: &RuntimeReport, server: &StoreServer, report: Report<'_>) {
+    // Most updates one packet ever held per shard log, summed over shards.
+    let widest_packet = server.update_log_widest_packet() as u64;
+    let replayable = (run.injected + 1).saturating_sub(run.store_replay_floor);
+    let dedup_bound = replayable.saturating_mul(widest_packet);
+    let dedup_log_len = run.store_update_log_len as u64;
+    if dedup_log_len > dedup_bound {
+        report(
+            InvariantKind::DedupLogBound,
+            dedup_log_len,
+            dedup_bound,
+            format!(
+                "store dedup log holds {dedup_log_len} updates, above the {replayable} packets \
+                 from replay floor {} to injected {} x {widest_packet} updates per packet",
+                run.store_replay_floor, run.injected
             ),
-        });
+        );
     }
+}
 
-    if inputs.fault_mode {
-        let bound = inputs.injected.saturating_sub(inputs.frontier);
-        if inputs.log_final_len > bound {
-            telemetry.violation(Violation {
-                invariant: chc_telemetry::InvariantKind::RootlogBound,
-                t_ns,
-                observed: inputs.log_final_len,
-                expected: bound,
-                detail: format!(
-                    "root log holds {} entries, above the unconfirmed suffix \
-                     injected {} - frontier {}",
-                    inputs.log_final_len, inputs.injected, inputs.frontier
-                ),
-            });
-        }
-        if inputs.log_high_water > inputs.log_capacity {
-            telemetry.violation(Violation {
-                invariant: chc_telemetry::InvariantKind::RootlogBound,
-                t_ns,
-                observed: inputs.log_high_water,
-                expected: inputs.log_capacity,
-                detail: format!(
-                    "root log high-water {} exceeded its capacity {}",
-                    inputs.log_high_water, inputs.log_capacity
-                ),
-            });
-        }
-        if inputs.vertex_log_high_water > inputs.log_capacity {
-            telemetry.violation(Violation {
-                invariant: chc_telemetry::InvariantKind::RootlogBound,
-                t_ns,
-                observed: inputs.vertex_log_high_water,
-                expected: inputs.log_capacity,
-                detail: format!(
-                    "a vertex egress log's high-water {} exceeded the capacity {}",
-                    inputs.vertex_log_high_water, inputs.log_capacity
-                ),
-            });
-        }
-        if inputs.xor_dirty > 0 {
-            telemetry.violation(Violation {
-                invariant: chc_telemetry::InvariantKind::XorResidue,
-                t_ns,
-                observed: inputs.xor_dirty,
-                expected: 0,
-                detail: format!(
-                    "{} delivered clocks finished with nonzero XOR delete-token residue",
-                    inputs.xor_dirty
-                ),
-            });
-        }
+/// Fault-mode bounds on the packet logs: the root log ends no longer than
+/// the unconfirmed suffix past the final frontier; no log — root or vertex
+/// egress, which share one capacity — ever outgrew it; and every delivered
+/// clock's XOR delete tokens cancelled.
+fn check_packet_log_bounds(
+    shared: &EngineShared,
+    fault: &FaultReport,
+    (injected, frontier): (u64, u64),
+    report: Report<'_>,
+) {
+    let capacity = shared.config.root_log_capacity as u64;
+    let final_len = fault.log_final_len as u64;
+    let bound = injected.saturating_sub(frontier);
+    if final_len > bound {
+        report(
+            InvariantKind::RootlogBound,
+            final_len,
+            bound,
+            format!(
+                "root log holds {final_len} entries, above the unconfirmed suffix \
+                 injected {injected} - frontier {frontier}"
+            ),
+        );
     }
-
-    let (events_checked, frontier_advances) = {
-        let guard = state.checker.lock().unwrap_or_else(|e| e.into_inner());
-        (guard.0.events_checked, guard.0.frontier_advances)
-    };
-    Some(SentinelReport {
-        violations: state
-            .violations
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone(),
-        events_checked,
-        frontier_advances,
-        deliveries_checked: state.deliveries_checked.load(Ordering::Relaxed),
-        ring_pushed: pushed,
-        ring_popped: popped,
-        kill_lost,
-        processed: inputs.processed,
-        suppressed: inputs.suppressed,
-        sink_arrivals: inputs.sink_arrivals,
-    })
+    let high_water = fault.log_high_water as u64;
+    if high_water > capacity {
+        report(
+            InvariantKind::RootlogBound,
+            high_water,
+            capacity,
+            format!("root log high-water {high_water} exceeded its capacity {capacity}"),
+        );
+    }
+    let vertex_high_water = (fault.vertex_logs.iter().map(|s| s.high_water as u64))
+        .max()
+        .unwrap_or(0);
+    if vertex_high_water > capacity {
+        report(
+            InvariantKind::RootlogBound,
+            vertex_high_water,
+            capacity,
+            format!(
+                "a vertex egress log's high-water {vertex_high_water} exceeded the capacity \
+                 {capacity}"
+            ),
+        );
+    }
+    // Delivered clock counters whose token residue never cancelled.
+    let xor_dirty = (shared.ledger.as_ref()).map_or(0, |l| l.dirty_confirmed().len() as u64);
+    if xor_dirty > 0 {
+        report(
+            InvariantKind::XorResidue,
+            xor_dirty,
+            0,
+            format!("{xor_dirty} delivered clocks finished with nonzero XOR delete-token residue"),
+        );
+    }
 }
 
 /// Latency decomposition of one chain stage (all instances of one vertex),

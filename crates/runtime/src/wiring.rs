@@ -2,12 +2,14 @@
 //! input rings with their commit bookkeeping, and the per-downstream fan-out
 //! a thread routes through. Every thread owns its wiring outright, so the
 //! packet path reaches a ring through two `Vec` indexes and no map probe.
+//! [`wire`] lays every ring of a run from the [`ChainPlan`].
 
-use crate::config::RingWait;
+use crate::plan::ChainPlan;
 use crate::spsc::{ring, Consumer, Producer, RingProbe};
-use crate::telemetry::SentinelState;
+use crate::telemetry::{RunTelemetry, SentinelState};
 use chc_core::{Splitter, TaggedPacket};
 use chc_store::VertexId;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -157,83 +159,154 @@ pub(crate) fn forwards_in_order(inputs: &[InputRing]) -> bool {
     matches!((live.next(), live.next()), (Some(only), None) if only.ordered)
 }
 
-/// The rings of one run while they are being laid: one bounded SPSC ring per
-/// (producer, consumer) pair, the consumer ends collected per plan slot and
-/// for the sink, the producer ends handed back to the caller.
-pub(crate) struct RingPlan {
-    /// Consumer ends per instance plan slot.
-    pub(crate) inputs: Vec<Vec<InputRing>>,
+/// The complete SPSC wiring of one instance thread. A fail-stopped instance
+/// hands exactly this to the supervisor, and its replacement runs on it.
+#[derive(Default)]
+pub(crate) struct InstanceWiring {
+    pub(crate) inputs: Vec<InputRing>,
+    /// One fan-out per downstream vertex.
+    pub(crate) outs: Vec<Downstream>,
+    /// The ring to the sink, on a tail instance.
+    pub(crate) sink_link: Option<OutLink>,
+}
+
+impl InstanceWiring {
+    /// Every outgoing link, the sink's included.
+    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = &mut OutLink> {
+        links_mut(&mut self.outs).chain(&mut self.sink_link)
+    }
+}
+
+/// Every ring of one run — one bounded SPSC ring per (producer, consumer)
+/// pair — handed out per thread.
+#[derive(Default)]
+pub(crate) struct Wired {
+    /// Root → entry instances, one fan-out per entry vertex.
+    pub(crate) root_outs: Vec<Downstream>,
+    /// Supervisor → instances of each *killed* vertex: one replay ring per
+    /// instance, idle until a failover replays that vertex's replay source.
+    /// Replay traffic never shares a ring with live traffic, so live flows
+    /// keep their order; and the rings sit at the killed vertex's own depth —
+    /// its replacement inherits them with the rest of the wiring, so replays
+    /// enter the chain exactly where the loss happened.
+    pub(crate) replay_outs: HashMap<VertexId, Downstream>,
+    /// Per plan slot.
+    pub(crate) instances: Vec<InstanceWiring>,
     pub(crate) sink_inputs: Vec<InputRing>,
     /// Occupancy probes for the gauge monitor, labelled by edge; collected
     /// only when the monitor runs.
     pub(crate) probes: Vec<(String, RingProbe)>,
-    pub(crate) monitor_on: bool,
-    pub(crate) depth: usize,
-    pub(crate) batch: usize,
-    pub(crate) sentinel: Option<Arc<SentinelState>>,
 }
 
-impl RingPlan {
+/// The rings of one run while they are being laid: each new ring's consumer
+/// end goes to its plan slot (or the sink), its producer end back to the
+/// caller.
+struct RingLayer<'a> {
+    plan: &'a ChainPlan,
+    wired: Wired,
+    monitor_on: bool,
+    /// Every link carries a handle to the conservation ledger.
+    sentinel: Option<Arc<SentinelState>>,
+}
+
+impl RingLayer<'_> {
     fn link(&mut self, label: impl FnOnce() -> String) -> (OutLink, Consumer<TaggedPacket>) {
-        let (tx, rx) = ring(self.depth);
+        let (tx, rx) = ring(self.plan.depth);
         if self.monitor_on {
-            self.probes.push((label(), tx.depth_probe()));
+            self.wired.probes.push((label(), tx.depth_probe()));
         }
-        (OutLink::new(tx, self.batch, self.sentinel.clone()), rx)
+        let link = OutLink::new(tx, self.plan.batch, self.sentinel.clone());
+        (link, rx)
     }
 
     /// One ring from the producer called `from` to each instance of
-    /// `vertex` (plan slots `targets`, in instance-index order). `ordered`
-    /// is `None` for a replay ring, else [`InputRing::ordered`].
-    pub(crate) fn fan_out(
-        &mut self,
-        from: &str,
-        vertex: VertexId,
-        targets: &[usize],
-        ordered: Option<bool>,
-    ) -> Vec<OutLink> {
+    /// `vertex`, in instance-index order, behind that vertex's splitter.
+    /// `ordered` is `None` for a replay ring, else [`InputRing::ordered`].
+    fn fan_out(&mut self, from: &str, vertex: VertexId, ordered: Option<bool>) -> Downstream {
+        let targets = self.plan.slots_of(vertex);
         let mut links = Vec::with_capacity(targets.len());
         for (k, &target) in targets.iter().enumerate() {
             let (link, rx) = self.link(|| format!("{from}->v{}.{k}", vertex.0));
-            self.inputs[target].push(match ordered {
+            self.wired.instances[target].inputs.push(match ordered {
                 Some(ordered) => InputRing::live(rx, ordered),
                 None => InputRing::replay(rx),
             });
             links.push(link);
         }
-        links
+        Downstream {
+            splitter: self.plan.splitters[&vertex].clone(),
+            links,
+        }
     }
 
     /// One ring from the tail instance called `from` to the sink.
-    pub(crate) fn sink_link(&mut self, from: &str) -> OutLink {
+    fn sink_link(&mut self, from: &str) -> OutLink {
         let (link, rx) = self.link(|| format!("{from}->sink"));
         // The sink keeps its duplicate window whole, so ring order is moot.
-        self.sink_inputs.push(InputRing::live(rx, false));
+        self.wired.sink_inputs.push(InputRing::live(rx, false));
         link
     }
 }
 
-/// One iteration of the idle backoff on a thread whose input rings are all
-/// empty. `Spin` and `Yield` are the classic busy policies; `Park` yields a
-/// few times (covering the common sub-microsecond gap between batches),
-/// then blocks on the first still-open ring until its producer pushes or
-/// closes. The park timeout is the safety net for items arriving on *other*
-/// rings while parked — the wake only covers the parked ring — and for any
-/// protocol bug; on an oversubscribed host a bounded oversleep beats the
-/// scheduler churn of thousands of yielding wake-ups per second.
-pub(crate) fn idle_wait(policy: RingWait, streak: u32, inputs: &mut [InputRing]) {
-    match policy {
-        RingWait::Spin => std::hint::spin_loop(),
-        RingWait::Yield => thread::yield_now(),
-        RingWait::Park => {
-            if streak < 4 {
-                thread::yield_now();
-            } else if let Some(r) = inputs.iter_mut().find(|r| r.rx.has_open_producer()) {
-                // `park_if_empty` refuses (returns immediately) if items
-                // landed between our empty poll and the arm — the caller
-                // just loops and pops them.
-                r.rx.park_if_empty(Duration::from_micros(200));
-            }
+/// Lay every ring of the plan.
+pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
+    let mut rings = RingLayer {
+        plan,
+        wired: Wired::default(),
+        monitor_on: telemetry.config.sample_interval.is_some(),
+        sentinel: telemetry.sentinel.clone(),
+    };
+    rings
+        .wired
+        .instances
+        .resize_with(plan.instances.len(), InstanceWiring::default);
+    for entry in &plan.entries {
+        let out = rings.fan_out("root", *entry, Some(true));
+        rings.wired.root_outs.push(out);
+    }
+    for killed in plan.replay_sources.keys() {
+        let out = rings.fan_out("replay", *killed, None);
+        rings.wired.replay_outs.insert(*killed, out);
+    }
+    // Instance → downstream instances (on-path producers only; off-path
+    // vertices consume copies and emit nothing, as in the simulator), then
+    // tail instances → sink. In topological order, so an instance's inputs
+    // are complete — and its output order known — before its outputs are
+    // wired.
+    for &i in plan.topo.iter().flat_map(|v| plan.slots_of(*v)) {
+        let p = &plan.instances[i];
+        if p.off_path {
+            continue;
         }
+        let from = format!("v{}.{}", p.vertex.0, p.index);
+        let ordered = forwards_in_order(&rings.wired.instances[i].inputs);
+        for d in &p.downstream {
+            let out = rings.fan_out(&from, *d, Some(ordered));
+            rings.wired.instances[i].outs.push(out);
+        }
+        if p.is_tail {
+            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from));
+        }
+    }
+    rings.wired
+}
+
+/// One iteration of the idle backoff on a thread whose input rings are all
+/// empty: yield a few times (covering the common sub-microsecond gap between
+/// batches), then block on the first still-open ring until its producer
+/// pushes or closes. The park timeout is the safety net for items arriving
+/// on *other* rings while parked — the wake only covers the parked ring —
+/// and for any protocol bug; on an oversubscribed host a bounded oversleep
+/// beats the scheduler churn of thousands of yielding wake-ups per second.
+/// (Busy-waiting instead measured 5× slower wherever threads outnumber
+/// cores; DESIGN.md, "Store fast path".)
+pub(crate) fn idle_wait(streak: u32, inputs: &mut [InputRing]) {
+    if streak < 4 {
+        thread::yield_now();
+    } else if let Some(r) = inputs.iter_mut().find(|r| r.rx.has_open_producer()) {
+        // `park_if_empty` refuses (returns immediately) if items landed
+        // between our empty poll and the arm — the caller just loops and
+        // pops them.
+        r.rx.park_if_empty(Duration::from_micros(200));
     }
 }

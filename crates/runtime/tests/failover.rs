@@ -10,7 +10,9 @@ use chc_core::{ChainConfig, LogicalDag, VertexSpec};
 use chc_nf::nat::{FREE_PORTS, PORT_MAP};
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{PacketId, Trace, TraceConfig, TraceGenerator};
-use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeError, RuntimeReport};
+use chc_runtime::{
+    run_chain_realtime, ChainPlan, FaultPlan, RuntimeConfig, RuntimeError, RuntimeReport,
+};
 use chc_store::{InstanceId, Value, VertexId};
 use std::rc::Rc;
 
@@ -425,61 +427,31 @@ fn reinjection_is_suppressed_at_the_queue_when_enabled() {
 
 #[test]
 fn fault_plans_are_validated() {
+    // Planning is pure: every rejection below comes out of `ChainPlan::new`
+    // with no thread started.
     let trace = trace_for(3);
     let cfg = ChainConfig::default();
-    let run_with = |plan: FaultPlan, rt_mut: fn(RuntimeConfig) -> RuntimeConfig| {
-        run_chain_realtime(
-            &firewall_nat(),
-            cfg,
-            &rt_mut(RuntimeConfig::with_batch_size(8).with_fault(plan)),
-            &trace,
-        )
-        .map(|_| ())
+    let plan_with = |plan: FaultPlan| {
+        let rt = RuntimeConfig::with_batch_size(8).with_fault(plan);
+        ChainPlan::new(&firewall_nat(), &cfg, &rt, trace.len()).map(|_| ())
     };
-    let id = |rt: RuntimeConfig| rt;
 
     assert_eq!(
-        run_with(FaultPlan::new().kill(VertexId(9), 0, 10), id),
+        plan_with(FaultPlan::new().kill(VertexId(9), 0, 10)),
         Err(RuntimeError::UnknownFaultVertex(VertexId(9)))
     );
-    // Non-entry and tail kills are accepted by default (per-vertex egress
-    // logs replay at the right depth, the XOR delete window bounds tail
-    // re-delivery); the old rejections survive only behind the legacy flag.
-    assert_eq!(run_with(FaultPlan::new().kill(NAT, 0, 10), id), Ok(()));
+    // Non-entry and tail kills are accepted (per-vertex egress logs replay
+    // at the right depth, the XOR delete window bounds tail re-delivery).
+    assert_eq!(plan_with(FaultPlan::new().kill(NAT, 0, 10)), Ok(()));
     assert_eq!(
-        run_with(FaultPlan::new().kill(NAT, 0, 10), |rt| {
-            rt.with_legacy_entry_only_failover(true)
-        }),
-        Err(RuntimeError::KillNotAtEntry(NAT))
-    );
-    assert_eq!(
-        run_chain_realtime(
-            &nat_only(),
-            cfg,
-            &RuntimeConfig::with_batch_size(8)
-                .with_fault(FaultPlan::new().kill(NAT, 0, 10))
-                .with_legacy_entry_only_failover(true),
-            &trace,
-        )
-        .map(|_| ()),
-        Err(RuntimeError::KillAtChainTail(NAT))
-    );
-    assert_eq!(
-        run_with(FaultPlan::new().kill_root(0), id),
+        plan_with(FaultPlan::new().kill_root(0)),
         Err(RuntimeError::KillOutsideTrace {
             at_counter: 0,
             trace_len: trace.len()
         })
     );
     assert_eq!(
-        run_with(FaultPlan::new().kill_root(10), |mut rt| {
-            rt.clock_tag_updates = false;
-            rt
-        }),
-        Err(RuntimeError::FaultNeedsClockTags)
-    );
-    assert_eq!(
-        run_with(FaultPlan::new().kill(FW, 3, 10), id),
+        plan_with(FaultPlan::new().kill(FW, 3, 10)),
         Err(RuntimeError::FaultIndexOutOfRange {
             vertex: FW,
             index: 3,
@@ -487,39 +459,50 @@ fn fault_plans_are_validated() {
         })
     );
     assert_eq!(
-        run_with(FaultPlan::new().kill(FW, 0, 0), id),
+        plan_with(FaultPlan::new().kill(FW, 0, 0)),
         Err(RuntimeError::KillOutsideTrace {
             at_counter: 0,
             trace_len: trace.len()
         })
     );
     assert_eq!(
-        run_with(FaultPlan::new().kill(FW, 0, 10).kill(FW, 0, 20), id),
+        plan_with(FaultPlan::new().kill(FW, 0, 10).kill(FW, 0, 20)),
         Err(RuntimeError::DuplicateKill {
             vertex: FW,
             index: 0
         })
     );
     assert_eq!(
-        run_with(FaultPlan::new().restart_shard(9, 10, None), id),
+        plan_with(FaultPlan::new().restart_shard(9, 10, None)),
         Err(RuntimeError::ShardOutOfRange {
             shard: 9,
             shards: 4
         })
     );
+    let past_the_end = trace.len() as u64 + 1;
     assert_eq!(
-        run_with(FaultPlan::new().reinject([0u64]), id),
+        plan_with(FaultPlan::new().restart_shard(0, 10, Some(past_the_end))),
+        Err(RuntimeError::ShardFaultOutsideTrace {
+            at_counter: past_the_end,
+            trace_len: trace.len()
+        })
+    );
+    assert_eq!(
+        plan_with(FaultPlan::new().reinject([0u64])),
         Err(RuntimeError::ReinjectOutsideTrace {
             counter: 0,
             trace_len: trace.len()
         })
     );
+    // End to end, the engine surfaces a plan error unchanged.
+    let rt = RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill(FW, 3, 10));
     assert_eq!(
-        run_with(FaultPlan::new().kill(FW, 0, 10), |mut rt| {
-            rt.clock_tag_updates = false;
-            rt
-        }),
-        Err(RuntimeError::FaultNeedsClockTags)
+        run_chain_realtime(&firewall_nat(), cfg, &rt, &trace).map(|_| ()),
+        Err(RuntimeError::FaultIndexOutOfRange {
+            vertex: FW,
+            index: 3,
+            instances: 1
+        })
     );
 }
 
@@ -647,8 +630,7 @@ fn tail_kill_in_a_three_nf_chain_replays_from_the_nat_log() {
 
 #[test]
 fn entry_and_tail_single_vertex_kill_recovers() {
-    // A single-NF chain's vertex is entry *and* tail — the position the old
-    // engine rejected outright (`KillAtChainTail`). Replay comes from the
+    // A single-NF chain's vertex is entry *and* tail: replay comes from the
     // root log and the XOR delete window plus sink-side replay suppression
     // keep the end host exactly-once.
     let trace = trace_for(29);

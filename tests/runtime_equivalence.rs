@@ -341,15 +341,15 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
 }
 
 /// The write-behind store fast path is an amortization, not a semantic
-/// change: with the buffer on (any cap) or off, the engine must deliver the
-/// same packet set, raise the same alerts and leave the same shared-state
-/// digest — across seeds, with the sentinel watching every run.
+/// change: with the buffer on or off, the engine must deliver the same
+/// packet set, raise the same alerts and leave the same shared-state digest
+/// — across seeds, with the sentinel watching every run. (The buffer's cap
+/// is the ring batch; drains at other caps are checked where the buffer
+/// lives, in `chc-core`'s `client_tables_model` and `state` tests.)
 #[test]
 fn write_behind_preserves_chain_output_equivalence() {
-    let run = |trace: &Trace, write_behind: bool, store_batch: usize| {
-        let cfg = RuntimeConfig::with_batch_size(16)
-            .with_write_behind(write_behind)
-            .with_store_batch(store_batch);
+    let run = |trace: &Trace, write_behind: bool| {
+        let cfg = RuntimeConfig::with_batch_size(16).with_write_behind(write_behind);
         let report =
             run_chain_realtime(&firewall_nat(), ChainConfig::default(), &cfg, trace).unwrap();
         let inv = report.invariants.as_ref().expect("sentinel on by default");
@@ -363,16 +363,12 @@ fn write_behind_preserves_chain_output_equivalence() {
 
     for seed in [13u64, 29, 53] {
         let trace = trace_for(seed);
-        let off = run(&trace, false, 0);
+        let off = run(&trace, false);
         assert!(!off.0.is_empty(), "seed {seed}: delivered nothing");
-        // Buffer tracking the ring batch, a tiny cap (drains mid-batch) and
-        // an oversized cap (drains only at barriers) must all be invisible.
-        for cap in [0usize, 2, 512] {
-            let on = run(&trace, true, cap);
-            assert_eq!(off.0, on.0, "seed {seed} cap {cap}: delivered sets differ");
-            assert_eq!(off.1, on.1, "seed {seed} cap {cap}: alert multisets differ");
-            assert_eq!(off.2, on.2, "seed {seed} cap {cap}: shared digests differ");
-        }
+        let on = run(&trace, true);
+        assert_eq!(off.0, on.0, "seed {seed}: delivered sets differ");
+        assert_eq!(off.1, on.1, "seed {seed}: alert multisets differ");
+        assert_eq!(off.2, on.2, "seed {seed}: shared digests differ");
     }
 }
 
