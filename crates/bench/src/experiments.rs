@@ -1,5 +1,4 @@
-//! One harness per paper experiment. See the crate documentation and
-//! `EXPERIMENTS.md`.
+//! One harness per paper experiment. See the crate documentation.
 
 use chc_baselines::{run_single_nf, sweep_modes, FtmbModel, OpenNfModel, StatelessNfModel};
 use chc_core::{
@@ -582,18 +581,6 @@ pub fn root_recovery(_scale: Scale) -> String {
     )
 }
 
-/// The real-thread chain engine section (text part; the records also feed
-/// `paper_eval --json`).
-pub fn runtime_throughput(scale: Scale) -> String {
-    crate::runtime_bench::runtime_chain_experiment(scale).0
-}
-
-/// Real-thread NF failover recovery time (the engine-side counterpart of
-/// Figure 13; also emitted as JSON by `paper_eval --json`).
-pub fn runtime_recovery(scale: Scale) -> String {
-    crate::runtime_bench::runtime_recovery_experiment(scale).0
-}
-
 /// Run every experiment and concatenate the reports.
 pub fn run_all(scale: Scale) -> String {
     let mut out = String::new();
@@ -613,8 +600,6 @@ pub fn run_all(scale: Scale) -> String {
         ("r2", r2_state_move),
         ("r4", r4_chain_ordering),
         ("root", root_recovery),
-        ("runtime", runtime_throughput),
-        ("recovery", runtime_recovery),
     ];
     for (name, f) in sections {
         let _ = writeln!(out, "==== {name} ====");

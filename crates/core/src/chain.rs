@@ -105,12 +105,10 @@ impl Topology {
 }
 
 /// Identifiers of the fixed chain components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainHandles {
-    /// The root actor.
-    pub root: ActorId,
-    /// The end-host sink actor.
-    pub sink: ActorId,
+#[derive(Debug, Clone, Copy)]
+struct ChainHandles {
+    root: ActorId,
+    sink: ActorId,
 }
 
 /// Per-instance measurement snapshot.
@@ -185,8 +183,7 @@ impl ChainMetrics {
 
 /// The chain controller / framework manager. See the module documentation.
 pub struct ChainController {
-    /// The underlying simulation (exposed for advanced experiments).
-    pub sim: Simulation<Msg>,
+    sim: Simulation<Msg>,
     /// The shared datastore.
     pub store: SharedStore,
     config: ChainConfig,
@@ -254,11 +251,6 @@ impl ChainController {
     /// the paper's multi-threaded NF processes on 8-core machines).
     pub fn set_workers_per_instance(&mut self, workers: usize) {
         self.workers_per_instance = workers.max(1);
-    }
-
-    /// The fixed component handles.
-    pub fn handles(&self) -> ChainHandles {
-        self.handles
     }
 
     /// The chain configuration.

@@ -45,7 +45,7 @@ pub mod state;
 pub mod vertexlog;
 
 pub use cache::CacheStrategy;
-pub use chain::{ChainController, ChainHandles, ChainMetrics};
+pub use chain::{ChainController, ChainMetrics};
 pub use clock_window::ClockWindow;
 pub use config::{ChainConfig, CostModel, ExternalizationMode};
 pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};

@@ -112,12 +112,13 @@ pub struct RuntimeConfig {
     /// per-packet latency (§7's hardware runs batch at the NIC; here the
     /// batch rides the SPSC rings). It is also the write-behind buffer's
     /// cap. Varied by `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must
-    /// agree) and by `paper_eval --json`'s two batch rows.
+    /// agree).
     pub batch_size: usize,
     /// Capacity of each inter-instance ring, in packets (rounded up to a
     /// power of two, and never under two batches). Bounds memory and
     /// provides backpressure. A size that selects no code path; no recorded
-    /// row varies it.
+    /// row varies it, and `runtime_equivalence.rs` shortens it so that a ring
+    /// holds less than one phase of its two-instance load-balancer trace.
     pub queue_depth: usize,
     /// Number of store shards. The paper pins each object to exactly one
     /// store thread; here each shard is an independently locked instance of
@@ -128,8 +129,7 @@ pub struct RuntimeConfig {
     /// Storage engine the store server runs its shards on. Defaults to the
     /// engine named by the `CHC_STORE_BACKEND` environment variable (the CI
     /// knob), which is the in-memory engine unless overridden. Set by the
-    /// benchmark's `failover_durable` workload and by `paper_eval`'s
-    /// `store_backend` rows.
+    /// benchmark's `failover_durable` workload.
     pub store_backend: BackendKind,
     /// Optional pre-planned elastic scale-out event. Set by the substrate
     /// equivalence suite and the `realtime_chain` example.
@@ -151,7 +151,7 @@ pub struct RuntimeConfig {
     /// exclusivity loss, kill). On by default. Settable because
     /// `runtime_equivalence.rs::write_behind_preserves_chain_output_equivalence`
     /// uses the per-op path as its reference, and because the last sweep left
-    /// open whether the buffer still pays for its barriers (ROADMAP item 4).
+    /// open whether the buffer still pays for its barriers (ROADMAP item 8).
     pub write_behind: bool,
 }
 

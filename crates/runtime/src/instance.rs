@@ -11,7 +11,7 @@ use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
 use chc_core::{delete_token, Action, ClockWindow, NfContext, StateClient, TaggedPacket};
 use chc_sim::VirtualTime;
-use chc_store::{Clock, StateKey, Value};
+use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -126,6 +126,16 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
         // Capped at the ring batch: the buffer drains exactly at batch
         // boundaries unless an op-heavy batch overflows it first.
         client.set_write_behind(true, shared.batch);
+    }
+    if plan.replicas > 1 {
+        // Another instance of this vertex reads and writes the same
+        // cross-flow objects: a copy kept while exclusive (Table 1 row 4)
+        // would be maintained by nobody, so they are served by the store.
+        for object in &plan.objects {
+            if matches!(object.scope, StateScope::CrossFlow(_)) {
+                client.set_exclusive(&object.name, false, Clock::with_root(0, 0));
+            }
+        }
     }
     let mut live = wiring.inputs.iter().filter(|r| !r.replay);
     Instance {

@@ -20,6 +20,10 @@ pub(crate) struct InstancePlan {
     pub(crate) instance: InstanceId,
     /// Replica index within the vertex (journal events, ring labels).
     pub(crate) index: usize,
+    /// Planned instances of the vertex: its `parallelism` plus a scale-out
+    /// slot. A replacement takes a dead instance's place and adds none.
+    /// Above one, no instance has a cross-flow object to itself.
+    pub(crate) replicas: usize,
     /// Fail-stop trigger: the instance dies the first time it dequeues a
     /// live packet whose clock counter reaches this.
     pub(crate) kill_at: Option<u64>,
@@ -47,6 +51,7 @@ impl InstancePlan {
         v: &VertexSpec,
         instance: InstanceId,
         index: usize,
+        replicas: usize,
         log_egress: bool,
     ) -> InstancePlan {
         // Built on the planning thread: NF factories are `Rc`-based and must
@@ -57,6 +62,7 @@ impl InstancePlan {
             vertex: v.id,
             instance,
             index,
+            replicas,
             kill_at: None,
             replaces: None,
             off_path: v.off_path,
@@ -199,7 +205,14 @@ impl ChainPlan {
                     .iter()
                     .find(|(s, _)| *s == slot)
                     .map(|(_, kill)| kill.at_counter),
-                ..InstancePlan::new(dag, v, id_of(slot), idx, logging.contains(&v.id))
+                ..InstancePlan::new(
+                    dag,
+                    v,
+                    id_of(slot),
+                    idx,
+                    slots[&v.id].len(),
+                    logging.contains(&v.id),
+                )
             })
             .collect();
         let seeds: HashMap<usize, InstancePlan> = killed_slots
@@ -208,9 +221,10 @@ impl ChainPlan {
             .map(|(k, &(slot, kill))| {
                 let v = identities[slot].0;
                 let id = id_of(instances.len() + k);
+                let dead = &instances[slot];
                 let seed = InstancePlan {
-                    replaces: Some(instances[slot].instance),
-                    ..InstancePlan::new(dag, v, id, kill.index, logging.contains(&v.id))
+                    replaces: Some(dead.instance),
+                    ..InstancePlan::new(dag, v, id, kill.index, dead.replicas, dead.log_egress)
                 };
                 (slot, seed)
             })

@@ -691,7 +691,7 @@ pub struct StageReport {
 
 impl StageReport {
     /// Mean total time a packet spends at this stage.
-    pub fn mean_total_ns(&self) -> f64 {
+    fn mean_total_ns(&self) -> f64 {
         self.queue.mean_ns + self.service.mean_ns + self.store.mean_ns
     }
 }

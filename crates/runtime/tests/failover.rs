@@ -119,17 +119,26 @@ fn assert_pool_conserved(report: &RuntimeReport) {
 
 #[test]
 fn instance_kill_recovers_to_the_healthy_outcome() {
+    // The entry dies in the two-NF chain and in the three-NF one.
+    for dag in [firewall_nat(), fw_nat_lb()] {
+        entry_kill_recovers_to_the_healthy_outcome(&dag);
+    }
+}
+
+fn entry_kill_recovers_to_the_healthy_outcome(dag: &LogicalDag) {
     let trace = trace_for(91);
     let kill_at = (trace.len() / 2) as u64;
+    // Instance ids follow the planned instances, one per vertex here.
+    let replacement_id = InstanceId(dag.vertices().len() as u32);
 
     let healthy = run(
-        &firewall_nat(),
+        dag,
         ChainConfig::default(),
         RuntimeConfig::with_batch_size(8),
         &trace,
     );
     let faulted = run(
-        &firewall_nat(),
+        dag,
         ChainConfig::default(),
         RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill(FW, 0, kill_at)),
         &trace,
@@ -154,7 +163,7 @@ fn instance_kill_recovers_to_the_healthy_outcome() {
     let replacement = faulted
         .instances
         .iter()
-        .find(|i| i.instance == InstanceId(2))
+        .find(|i| i.instance == replacement_id)
         .expect("replacement instance missing from the report");
     assert_eq!(replacement.vertex, FW);
     assert!(replacement.processed > 0, "replacement processed nothing");
@@ -166,7 +175,7 @@ fn instance_kill_recovers_to_the_healthy_outcome() {
     let rec = &fault.recoveries[0];
     assert_eq!(
         (rec.failed_instance, rec.replacement),
-        (InstanceId(0), InstanceId(2))
+        (InstanceId(0), replacement_id)
     );
     assert!(rec.packets_replayed > 0, "nothing was replayed");
     assert!(rec.recovery_wall.as_nanos() > 0);
@@ -656,16 +665,23 @@ fn entry_and_tail_single_vertex_kill_recovers() {
 
 #[test]
 fn root_kill_hands_injection_to_the_warm_standby() {
+    // The root dies above the two-NF chain and above the three-NF one.
+    for dag in [firewall_nat(), fw_nat_lb()] {
+        root_kill_hands_over(&dag);
+    }
+}
+
+fn root_kill_hands_over(dag: &LogicalDag) {
     let trace = trace_for(83);
     let kill_at = (trace.len() / 2) as u64;
     let healthy = run(
-        &firewall_nat(),
+        dag,
         ChainConfig::default(),
         RuntimeConfig::with_batch_size(8),
         &trace,
     );
     let faulted = run(
-        &firewall_nat(),
+        dag,
         ChainConfig::default(),
         RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill_root(kill_at)),
         &trace,

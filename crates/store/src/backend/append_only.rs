@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// small conformance-suite scenarios behave byte-for-byte like the memory
 /// engine (no auto-checkpoint fires mid-test), low enough that long runs
 /// keep recovery O(delta).
-pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
+pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
 
 /// A decoded journal record: [`JournalRecord`] minus the custom-op function
 /// pointer, which is not serializable and is re-resolved from the resident

@@ -24,7 +24,8 @@ mod append_only;
 mod codec;
 mod memory;
 
-pub use append_only::{AppendOnlyBackend, ScratchDir, DEFAULT_CHECKPOINT_INTERVAL};
+pub(crate) use append_only::DEFAULT_CHECKPOINT_INTERVAL;
+pub use append_only::{AppendOnlyBackend, ScratchDir};
 pub use memory::MemoryBackend;
 
 use crate::key::{Clock, InstanceId, StateKey};
@@ -54,14 +55,6 @@ impl BackendKind {
                 _ => BackendKind::Memory,
             },
             Err(_) => BackendKind::Memory,
-        }
-    }
-
-    /// Short label used in reports and bench records.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendKind::Memory => "memory",
-            BackendKind::AppendOnly => "append_only",
         }
     }
 }

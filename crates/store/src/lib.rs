@@ -43,7 +43,7 @@ pub mod wal;
 
 pub use backend::{
     AppendOnlyBackend, BackendConfig, BackendKind, JournalRecord, MemoryBackend, ScratchDir,
-    StorageBackend, DEFAULT_CHECKPOINT_INTERVAL,
+    StorageBackend,
 };
 pub use error::StoreError;
 pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope, VertexId};

@@ -21,19 +21,32 @@
 use chc_bench::faultgen::FaultGen;
 use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::root::ROOT_VERTEX;
-use chc_core::{ChainConfig, ChainController, LogicalDag, VertexSpec};
-use chc_nf::{Firewall, Nat};
-use chc_packet::{PacketId, Trace, TraceConfig, TraceGenerator};
+use chc_core::{ChainConfig, ChainController, LogicalDag, Splitter, VertexSpec};
+use chc_nf::loadbalancer::SERVER_CONNS;
+use chc_nf::{Firewall, LoadBalancer, Nat};
+use chc_packet::{
+    Direction, FiveTuple, Packet, PacketId, TcpFlags, Trace, TraceConfig, TraceGenerator,
+};
 use chc_runtime::{
     run_chain_realtime, shared_state_digest, FaultPlan, InstanceKill, RuntimeConfig,
 };
 use chc_sim::VirtualTime;
 use chc_store::{InstanceId, StateKey, Value, VertexId};
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 const FW_VERTEX: VertexId = VertexId(1);
 const NAT_VERTEX: VertexId = VertexId(2);
+const LB_VERTEX: VertexId = VertexId(3);
+
+/// Ring batch and depth of the two-instance load-balancer run, and the shape
+/// of a phase of its trace: `LB_PHASE_ROUNDS` data packets per connection
+/// make at least `LB_RING_DEPTH + 2 * LB_BATCH` packets after the last SYN.
+const LB_BATCH: usize = 8;
+const LB_RING_DEPTH: usize = 32;
+const LB_PHASE_CONNECTIONS: usize = 8;
+const LB_PHASE_ROUNDS: usize = (LB_RING_DEPTH + 2 * LB_BATCH) / LB_PHASE_CONNECTIONS;
 
 fn firewall_nat() -> LogicalDag {
     LogicalDag::linear(vec![
@@ -398,4 +411,144 @@ fn runtime_without_scaling_matches_the_ideal_chain() {
         false,
     );
     assert!(violations.is_empty(), "COE violations: {violations:?}");
+}
+
+/// firewall → NAT → LB with `parallelism` load-balancer instances.
+fn firewall_nat_lb(parallelism: usize) -> LogicalDag {
+    let lb = VertexSpec::new(
+        3,
+        "lb",
+        Rc::new(|| Box::new(LoadBalancer::with_default_backends())),
+    );
+    let mut vertices = firewall_nat().vertices().to_vec();
+    vertices.push(lb.with_parallelism(parallelism));
+    LogicalDag::linear(vertices)
+}
+
+/// A trace on which two load-balancer instances have one right answer.
+///
+/// Which backend a connection gets depends on the order connections open
+/// in, and with two instances that order is the scheduler's; and the NF
+/// updates its connection table by read-then-set, so two instances updating
+/// it at once lose updates. Neither is what this test is about, so the
+/// trace rules both out: connections only open (least-loaded selection
+/// then fills the backends round-robin whatever the order), all carry the
+/// same bytes, and they come in three phases aimed at instance 0, then 1,
+/// then 0 again. After its last SYN a phase sends `LB_PHASE_ROUNDS` data
+/// packets per connection — more than a ring plus the NAT's output buffer
+/// plus one pop can hold, so the NAT cannot hand the next phase's first SYN
+/// to the other instance before this one has finished its own: the rings
+/// order the phases, no sleep does. Returns the trace and its connection
+/// count.
+fn phased_lb_trace(seed: u64) -> (Trace, usize) {
+    let dag = firewall_nat_lb(2);
+    let splitter = Splitter::for_vertex(dag.vertex(LB_VERTEX).unwrap());
+    let mut packets: Vec<Packet> = Vec::new();
+    let mut connections = 0usize;
+    for (phase, instance) in [0usize, 1, 0].into_iter().enumerate() {
+        let packet = |id: u64, conn: usize, flags: TcpFlags, server: Ipv4Addr| {
+            let client = Ipv4Addr::new(10, seed as u8, phase as u8, conn as u8 + 1);
+            // 100 µs apart: the simulator's instances are multi-worker, and
+            // a data packet close behind its SYN overtakes it there.
+            Packet::builder()
+                .id(id)
+                .tuple(FiveTuple::tcp(client, 40_000, server, 80))
+                .direction(Direction::FromInitiator)
+                .flags(flags)
+                .len(100)
+                .arrival_ns(id * 100_000)
+                .build()
+        };
+        // The first server address the LB's own splitter sends to `instance`.
+        let server = (1..=255u8)
+            .map(|host| Ipv4Addr::new(54, 0, 0, host))
+            .find(|&server| {
+                let probe = packet(0, 0, TcpFlags::SYN, server);
+                splitter.instance_for_key(&splitter.scope_key(&probe)) == instance
+            })
+            .expect("some address hashes to each instance");
+        let opens = LB_PHASE_CONNECTIONS + (seed as usize + phase) % 4;
+        let syns = (0..opens).map(|conn| (conn, TcpFlags::SYN));
+        let data = (0..LB_PHASE_ROUNDS * opens).map(|i| (i % opens, TcpFlags::ACK));
+        for (conn, flags) in syns.chain(data) {
+            packets.push(packet(packets.len() as u64 + 1, conn, flags, server));
+        }
+        connections += opens;
+    }
+    let trace = Trace {
+        packets,
+        trojan_hosts: Vec::new(),
+        scanner_hosts: Vec::new(),
+    };
+    (trace, connections)
+}
+
+/// Active connections per backend, in backend order.
+fn server_conns(entries: &[(StateKey, Value, Option<InstanceId>)]) -> Vec<i64> {
+    let table = entries
+        .iter()
+        .find(|(k, _, _)| k.vertex == LB_VERTEX && &*k.object.name == SERVER_CONNS)
+        .map(|(_, v, _)| v.as_list().expect("the table is a list"))
+        .expect("the load balancer installed its table");
+    table.iter().map(Value::as_int).collect()
+}
+
+/// Two instances of a vertex share its cross-flow state through the store:
+/// the load balancer's per-server connection table is write/read-often, a
+/// copy of it is only good while one instance has the object to itself, and
+/// with two instances planned neither does. An instance that kept deciding
+/// on its own copy would count its own connections only and overwrite the
+/// other's; here both must leave exactly the table — and the digest — the
+/// simulator's single ideal instance leaves.
+#[test]
+fn two_load_balancer_instances_share_one_connection_table() {
+    for seed in [5u64, 17, 43] {
+        let (trace, connections) = phased_lb_trace(seed);
+
+        let mut chain =
+            ChainController::new(firewall_nat_lb(1), ChainConfig::default(), seed).unwrap();
+        chain.inject_trace(&trace);
+        chain.run();
+        let mut sim_ids = chain.delivered_ids();
+        sim_ids.sort_unstable();
+        let sim_state = chain.store.with(|s| s.entries());
+
+        let rt_cfg = RuntimeConfig {
+            queue_depth: LB_RING_DEPTH,
+            ..RuntimeConfig::with_batch_size(LB_BATCH)
+        };
+        let report =
+            run_chain_realtime(&firewall_nat_lb(2), ChainConfig::default(), &rt_cfg, &trace)
+                .unwrap();
+        let inv = report.invariants.as_ref().expect("sentinel on by default");
+        assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
+        assert_eq!(report.duplicates, 0, "seed {seed}");
+        let lbs = report.instances.iter().filter(|i| i.vertex == LB_VERTEX);
+        let processed: Vec<u64> = lbs.map(|i| i.processed).collect();
+        assert!(
+            processed.len() == 2 && processed.iter().all(|&n| n > 0),
+            "seed {seed}: both instances must see traffic, saw {processed:?}"
+        );
+        let mut rt_ids = report.delivered_ids.clone();
+        rt_ids.sort_unstable();
+        assert_eq!(rt_ids.len(), trace.len(), "seed {seed}: nothing is dropped");
+        assert_eq!(sim_ids, rt_ids, "seed {seed}: delivered packet sets differ");
+
+        // Opens only: least-loaded selection fills the backends in turn.
+        let backends = 4;
+        let expected: Vec<i64> = (0..backends)
+            .map(|b| (connections / backends + usize::from(b < connections % backends)) as i64)
+            .collect();
+        assert_eq!(server_conns(&sim_state), expected, "seed {seed}: simulator");
+        assert_eq!(
+            server_conns(&report.final_state),
+            expected,
+            "seed {seed}: an instance decided on a copy the other never saw"
+        );
+        assert_eq!(
+            sim_digest(sim_state),
+            report.shared_digest(),
+            "seed {seed}: final shared state differs"
+        );
+    }
 }
