@@ -12,7 +12,7 @@
 //! use chc_bench::faultgen::FaultGen;
 //! use chc_store::VertexId;
 //!
-//! let kill = FaultGen::new(42).entry_kill(VertexId(1), 1, 1_600);
+//! let kill = FaultGen::new(42).kill_at(VertexId(1), 1, 1_600);
 //! assert!(kill.at_counter >= 1_600 / 3 && kill.at_counter < 2 * 1_600 / 3);
 //! let plan = chc_runtime::FaultPlan::new().kill(kill.vertex, kill.index, kill.at_counter);
 //! assert_eq!(plan.kills, vec![kill]);
@@ -60,17 +60,6 @@ impl FaultGen {
         }
     }
 
-    /// Backwards-compatible name from when only entry kills were legal;
-    /// identical sampling to [`FaultGen::kill_at`].
-    pub fn entry_kill(
-        &mut self,
-        vertex: VertexId,
-        parallelism: usize,
-        trace_len: usize,
-    ) -> InstanceKill {
-        self.kill_at(vertex, parallelism, trace_len)
-    }
-
     /// Sample a root-kill trigger in the middle third of the trace (the
     /// stamping thread fail-stops just before injecting it and the warm
     /// standby takes over).
@@ -106,16 +95,6 @@ impl FaultGen {
         FaultPlan::new().kill(kill.vertex, kill.index, kill.at_counter)
     }
 
-    /// Backwards-compatible name for [`FaultGen::kill_plan`].
-    pub fn entry_kill_plan(
-        &mut self,
-        vertex: VertexId,
-        parallelism: usize,
-        trace_len: usize,
-    ) -> FaultPlan {
-        self.kill_plan(vertex, parallelism, trace_len)
-    }
-
     /// A full single-failure plan: the root stamping thread dies mid-trace.
     pub fn root_kill_plan(&mut self, trace_len: usize) -> FaultPlan {
         FaultPlan::new().kill_root(self.root_kill(trace_len))
@@ -129,8 +108,8 @@ mod tests {
     #[test]
     fn schedules_are_deterministic_per_seed_and_in_bounds() {
         for seed in [1u64, 7, 99] {
-            let a = FaultGen::new(seed).entry_kill(VertexId(1), 2, 1200);
-            let b = FaultGen::new(seed).entry_kill(VertexId(1), 2, 1200);
+            let a = FaultGen::new(seed).kill_at(VertexId(1), 2, 1200);
+            let b = FaultGen::new(seed).kill_at(VertexId(1), 2, 1200);
             assert_eq!(a, b, "same seed must yield the same schedule");
             assert!(a.index < 2);
             assert!((400..800).contains(&a.at_counter));
@@ -140,8 +119,8 @@ mod tests {
             assert!((400..800).contains(&s.at_counter));
             assert!(s.checkpoint_at.unwrap() < 400);
         }
-        let a = FaultGen::new(3).entry_kill(VertexId(1), 4, 9000);
-        let b = FaultGen::new(4).entry_kill(VertexId(1), 4, 9000);
+        let a = FaultGen::new(3).kill_at(VertexId(1), 4, 9000);
+        let b = FaultGen::new(4).kill_at(VertexId(1), 4, 9000);
         assert_ne!(a, b, "different seeds should (here) differ");
     }
 
@@ -153,17 +132,12 @@ mod tests {
         let r = FaultGen::new(9).root_kill(1200);
         assert!((400..800).contains(&r));
         assert_eq!(FaultGen::new(9).root_kill_plan(1200).root_kill, Some(r));
-        // entry_kill remains an alias of kill_at under the same seed.
-        assert_eq!(
-            FaultGen::new(11).entry_kill(VertexId(1), 2, 900),
-            FaultGen::new(11).kill_at(VertexId(1), 2, 900)
-        );
     }
 
     #[test]
     fn plans_survive_tiny_traces() {
         for (seed, len) in [(5u64, 1usize), (5, 2), (6, 3), (7, 4)] {
-            let kill = FaultGen::new(seed).entry_kill(VertexId(1), 1, len);
+            let kill = FaultGen::new(seed).kill_at(VertexId(1), 1, len);
             assert!(
                 kill.at_counter >= 1 && kill.at_counter <= len as u64,
                 "len {len}: trigger {} outside trace",
@@ -173,7 +147,7 @@ mod tests {
             assert!(shard.at_counter >= 1 && shard.at_counter <= len as u64);
             assert!(shard.checkpoint_at.unwrap() <= shard.at_counter);
         }
-        let plan = FaultGen::new(5).entry_kill_plan(VertexId(1), 1, 4);
+        let plan = FaultGen::new(5).kill_plan(VertexId(1), 1, 4);
         assert_eq!(plan.kills.len(), 1);
     }
 }

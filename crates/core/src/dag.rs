@@ -8,6 +8,7 @@
 //! per vertex ([`crate::chain::ChainController`]).
 
 use crate::nf::NetworkFunction;
+use crate::root::ROOT_VERTEX;
 use chc_packet::Scope;
 use chc_store::{AccessPattern, StateScope, VertexId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,6 +131,9 @@ impl fmt::Debug for VertexSpec {
 pub enum DagError {
     /// Two vertices share an id.
     DuplicateVertex(VertexId),
+    /// A vertex uses [`ROOT_VERTEX`], the id the root's own clock and
+    /// packet log are kept under.
+    ReservedVertex(VertexId),
     /// An edge references an unknown vertex.
     UnknownVertex(VertexId),
     /// The graph contains a cycle.
@@ -142,6 +146,7 @@ impl fmt::Display for DagError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DagError::DuplicateVertex(v) => write!(f, "duplicate vertex id {v}"),
+            DagError::ReservedVertex(v) => write!(f, "vertex id {v} is reserved for the root"),
             DagError::UnknownVertex(v) => write!(f, "edge references unknown vertex {v}"),
             DagError::Cyclic => write!(f, "the NF graph contains a cycle"),
             DagError::NoEntry => write!(f, "the NF graph has no entry vertex"),
@@ -238,9 +243,12 @@ impl LogicalDag {
 
     /// Validate the graph and return a topological order of vertex ids.
     pub fn topo_order(&self) -> Result<Vec<VertexId>, DagError> {
-        // Unique ids.
+        // Unique ids, none of them the root's.
         let mut seen = BTreeSet::new();
         for v in &self.vertices {
+            if v.id == ROOT_VERTEX {
+                return Err(DagError::ReservedVertex(v.id));
+            }
             if !seen.insert(v.id) {
                 return Err(DagError::DuplicateVertex(v.id));
             }
@@ -389,6 +397,12 @@ mod tests {
             unknown.topo_order(),
             Err(DagError::UnknownVertex(VertexId(9)))
         );
+    }
+
+    #[test]
+    fn the_roots_vertex_id_is_reserved() {
+        let dag = LogicalDag::linear(vec![vertex(1, "a"), vertex(ROOT_VERTEX.0, "root?")]);
+        assert_eq!(dag.topo_order(), Err(DagError::ReservedVertex(ROOT_VERTEX)));
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! queueing without limit).
 //!
 //! Both substrates share this type: the simulator's [`crate::RootActor`]
-//! deletes entries through the XOR commit-vector protocol of Figure 6, while
-//! the real-thread engine truncates by the commit *frontier* the chain
-//! components publish to the store ([`PacketLog::truncate_confirmed`]) —
-//! coarser, but sound: a counter at or below the frontier can never need
-//! replay again.
+//! deletes entries through the XOR commit-vector protocol of Figure 6; the
+//! real-thread engine keeps one per logging vertex ([`crate::VertexLogs`],
+//! the root's among them) and bounds each both ways: it truncates by the
+//! commit *frontier* of the watermarks the chain components publish
+//! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
+//! below the frontier can never need replay again — and deletes delivered
+//! packets one by one ahead of it ([`PacketLog::delete_where`]).
 
 use crate::message::TaggedPacket;
 use chc_store::Clock;

@@ -6,11 +6,13 @@
 //! suppression before it reaches a mid-chain or tail replacement. Closing
 //! that gap needs two things, both of which live here:
 //!
-//! - [`VertexLogs`]: every *armed* vertex (an upstream of some vertex the
-//!   fault plan may kill) logs its egress stream into its own bounded
-//!   [`crate::PacketLog`]. The supervisor then replays from the log of the
-//!   killed vertex's upstream, so replayed packets enter the chain at the
-//!   right depth.
+//! - [`VertexLogs`]: one table of bounded [`crate::PacketLog`]s keyed by the
+//!   vertex that writes them. The root is the chain's first logging vertex
+//!   (its injection log sits under [`ROOT_VERTEX`]); every other *armed*
+//!   vertex (an upstream of some vertex the fault plan may kill) logs its
+//!   egress stream. The supervisor replays from the logs of the killed
+//!   vertex's upstreams, so replayed packets enter the chain at the right
+//!   depth.
 //! - [`XorDeleteLedger`]: the runtime's commit-vector. Each logging vertex
 //!   folds a per-packet [`delete_token`] into both the packet envelope
 //!   (`TaggedPacket::xor_vector`) and the ledger slot of the packet's clock
@@ -20,6 +22,8 @@
 //!   replacement may skip re-emitting it — bounding the re-delivery window of
 //!   a tail kill to the unconfirmed suffix.
 
+use crate::message::TaggedPacket;
+use crate::root::ROOT_VERTEX;
 use crate::rootlog::PacketLog;
 use chc_store::{InstanceId, VertexId};
 use std::collections::BTreeMap;
@@ -27,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Reserved instance id the warm-standby root stamps onto the packets it
-/// replays after taking over injection (`TaggedPacket::replay_for`). Distinct
-/// from `chc_store::SINK_COMMIT_SOURCE` (`u32::MAX`).
+/// replays after taking over injection (`TaggedPacket::replay_for`). Above
+/// every id the planner hands out.
 pub const STANDBY_ROOT_ID: InstanceId = InstanceId(u32::MAX - 1);
 
 /// A nonzero XOR delete token for one logged egress packet.
@@ -121,16 +125,6 @@ impl XorDeleteLedger {
             .map(|(c, _)| c as u64)
             .collect()
     }
-
-    /// Number of addressable counters (excluding the unused slot 0).
-    pub fn len(&self) -> usize {
-        self.slots.len().saturating_sub(1)
-    }
-
-    /// True when the ledger covers no counters.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Per-log statistics snapshot, surfaced through `FaultReport`.
@@ -144,61 +138,61 @@ pub struct VertexLogStats {
     pub rejected: u64,
 }
 
-/// The engine's packet logs: the root's (always present) plus one bounded
-/// egress log per armed vertex. Armed vertices are fixed before the run
-/// starts; each log has its own lock so logging vertices never contend with
-/// the root or with each other.
-#[derive(Debug, Default)]
+/// The engine's packet logs, one table keyed by logging vertex: the root's
+/// injection log under [`ROOT_VERTEX`] (always armed) plus one bounded egress
+/// log per armed vertex. The table is fixed before the run starts; each log
+/// has its own lock so logging vertices never contend with the root or with
+/// each other.
+#[derive(Debug)]
 pub struct VertexLogs {
-    root: Mutex<PacketLog>,
-    vertices: BTreeMap<VertexId, Mutex<PacketLog>>,
+    logs: BTreeMap<VertexId, Mutex<PacketLog>>,
 }
 
 impl VertexLogs {
-    /// Container with a root log of `root_capacity` and no armed vertices.
+    /// A table holding the root's log, of `root_capacity`, and nothing else.
     pub fn new(root_capacity: usize) -> VertexLogs {
+        let root = Mutex::new(PacketLog::new(root_capacity));
         VertexLogs {
-            root: Mutex::new(PacketLog::new(root_capacity)),
-            vertices: BTreeMap::new(),
+            logs: BTreeMap::from([(ROOT_VERTEX, root)]),
         }
     }
 
     /// Arm `vertex` with its own egress log. Call before sharing the
-    /// container; arming is not possible once the run starts.
+    /// table; arming is not possible once the run starts.
     pub fn arm(&mut self, vertex: VertexId, capacity: usize) {
-        self.vertices
+        self.logs
             .entry(vertex)
             .or_insert_with(|| Mutex::new(PacketLog::new(capacity)));
     }
 
-    /// The root's log.
-    pub fn root(&self) -> MutexGuard<'_, PacketLog> {
-        self.root.lock().unwrap_or_else(|p| p.into_inner())
+    /// The log of `vertex` — [`ROOT_VERTEX`] for the root's — if armed.
+    pub fn log(&self, vertex: VertexId) -> Option<MutexGuard<'_, PacketLog>> {
+        self.logs.get(&vertex).map(lock)
     }
 
-    /// The egress log of `vertex`, if armed.
-    pub fn vertex(&self, vertex: VertexId) -> Option<MutexGuard<'_, PacketLog>> {
-        self.vertices
-            .get(&vertex)
-            .map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// Whether `vertex` logs its egress.
-    pub fn is_armed(&self, vertex: VertexId) -> bool {
-        self.vertices.contains_key(&vertex)
-    }
-
-    /// The armed vertices, in id order.
+    /// Every logging vertex, in id order (so the root comes last).
     pub fn armed(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices.keys().copied()
+        self.logs.keys().copied()
     }
 
-    /// Statistics for every armed vertex log, in id order.
+    /// Every packet the logs of `sources` hold, merged in clock order: the
+    /// replay stream for a vertex fed by those sources.
+    pub fn snapshot(&self, sources: &[VertexId]) -> Vec<TaggedPacket> {
+        let mut merged: Vec<TaggedPacket> = sources
+            .iter()
+            .filter_map(|v| self.log(*v))
+            .flat_map(|log| log.snapshot())
+            .collect();
+        merged.sort_by_key(|tp| tp.clock);
+        merged
+    }
+
+    /// Statistics for every log, in id order.
     pub fn stats(&self) -> Vec<VertexLogStats> {
-        self.vertices
+        self.logs
             .iter()
             .map(|(v, m)| {
-                let l = m.lock().unwrap_or_else(|p| p.into_inner());
+                let l = lock(m);
                 VertexLogStats {
                     vertex: *v,
                     high_water: l.high_water(),
@@ -212,10 +206,13 @@ impl VertexLogs {
     }
 }
 
+fn lock(log: &Mutex<PacketLog>) -> MutexGuard<'_, PacketLog> {
+    log.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::TaggedPacket;
     use chc_packet::Packet;
     use chc_store::Clock;
 
@@ -258,7 +255,6 @@ mod tests {
         ledger.fold(999, t);
         ledger.mark_delivered(999);
         assert!(!ledger.confirmed(999));
-        assert_eq!(ledger.len(), 10);
     }
 
     #[test]
@@ -280,32 +276,44 @@ mod tests {
     fn vertex_logs_arm_and_delete_confirmed() {
         let mut logs = VertexLogs::new(8);
         logs.arm(VertexId(2), 4);
-        assert!(logs.is_armed(VertexId(2)));
-        assert!(!logs.is_armed(VertexId(3)));
-        assert!(logs.vertex(VertexId(3)).is_none());
-        logs.root().insert(tp(1));
-        {
-            let mut l = logs.vertex(VertexId(2)).unwrap();
-            for c in 1..=3 {
-                l.insert(tp(c));
-            }
+        logs.arm(ROOT_VERTEX, 1);
+        assert_eq!(
+            logs.log(ROOT_VERTEX).unwrap().capacity(),
+            8,
+            "arming twice keeps the first log"
+        );
+        assert!(logs.log(VertexId(3)).is_none());
+        assert_eq!(
+            logs.armed().collect::<Vec<_>>(),
+            vec![VertexId(2), ROOT_VERTEX]
+        );
+        for c in 1..=3 {
+            logs.log(ROOT_VERTEX).unwrap().insert(tp(c));
+            logs.log(VertexId(2)).unwrap().insert(tp(c + 1));
         }
+        // A merged snapshot is clock-ordered across its sources.
+        let counters = |sources: &[VertexId]| -> Vec<u64> {
+            let merged = logs.snapshot(sources);
+            merged.iter().map(|tp| tp.clock.counter()).collect()
+        };
+        assert_eq!(counters(&[ROOT_VERTEX]), [1, 2, 3]);
+        assert_eq!(counters(&[VertexId(2), ROOT_VERTEX]), [1, 2, 2, 3, 3, 4]);
+        assert!(counters(&[VertexId(3)]).is_empty());
+
+        // The XOR sweep treats both logs alike.
         let ledger = XorDeleteLedger::new(8);
         for c in [1, 2] {
             ledger.mark_delivered(c);
         }
-        let dropped = logs
-            .vertex(VertexId(2))
-            .unwrap()
-            .delete_where(|c| ledger.deletable(c.counter()));
-        assert_eq!(dropped, 2);
+        for v in [VertexId(2), ROOT_VERTEX] {
+            let mut log = logs.log(v).unwrap();
+            log.delete_where(|c| ledger.deletable(c.counter()));
+        }
         let stats = logs.stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].vertex, VertexId(2));
-        assert_eq!(stats[0].deleted, 2);
-        assert_eq!(stats[0].final_len, 1);
+        let row = |i: usize| (stats[i].vertex, stats[i].deleted, stats[i].final_len);
+        assert_eq!(stats.len(), 2);
+        assert_eq!(row(0), (VertexId(2), 1, 2));
+        assert_eq!(row(1), (ROOT_VERTEX, 2, 1));
         assert_eq!(stats[0].high_water, 3);
-        assert_eq!(logs.armed().collect::<Vec<_>>(), vec![VertexId(2)]);
-        assert_eq!(logs.root().len(), 1, "root log untouched");
     }
 }

@@ -12,15 +12,34 @@
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is the whole scenario.
+//!
+//! Each case runs against one log of a [`VertexLogs`] table, reached through
+//! `log(v)` — the root's under [`ROOT_VERTEX`] or a vertex's egress log, by
+//! the seed: the table treats them alike, and the log beside the one under
+//! test must come out untouched.
 
-use chc_core::rootlog::PacketLog;
-use chc_core::{delete_token, TaggedPacket, XorDeleteLedger};
+use chc_core::root::ROOT_VERTEX;
+use chc_core::{delete_token, TaggedPacket, VertexLogs, XorDeleteLedger};
 use chc_packet::Packet;
-use chc_store::{Clock, InstanceId};
+use chc_store::{Clock, InstanceId, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+
+const EGRESS: VertexId = VertexId(2);
+
+/// A table with the root's log and one egress log, and which of the two the
+/// case exercises, then the bystander.
+fn table(rng: &mut StdRng) -> (VertexLogs, VertexId, VertexId) {
+    let mut logs = VertexLogs::new(256);
+    logs.arm(EGRESS, 256);
+    if rng.gen_bool(0.5) {
+        (logs, ROOT_VERTEX, EGRESS)
+    } else {
+        (logs, EGRESS, ROOT_VERTEX)
+    }
+}
 
 fn tp(counter: u64) -> TaggedPacket {
     TaggedPacket::new(
@@ -36,7 +55,9 @@ proptest! {
     fn truncation_never_drops_an_uncommitted_clock(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let max = rng.gen_range(1..=200u64);
-        let mut log = PacketLog::new(256);
+        let (logs, under_test, bystander) = table(&mut rng);
+        logs.log(bystander).unwrap().insert(tp(1));
+        let mut log = logs.log(under_test).unwrap();
         let mut logged = BTreeSet::new();
         for _ in 0..rng.gen_range(1..=128usize) {
             let c = rng.gen_range(1..=max);
@@ -54,6 +75,7 @@ proptest! {
         prop_assert_eq!(&kept, &expected_kept, "frontier {} mis-truncated", frontier);
         prop_assert_eq!(dropped, logged.len() - expected_kept.len());
         prop_assert_eq!(log.len(), expected_kept.len());
+        prop_assert_eq!(logs.log(bystander).unwrap().len(), 1);
     }
 
     /// The XOR delete sweep removes exactly the delivered-and-cancelled
@@ -64,7 +86,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let max = rng.gen_range(1..=100u64);
         let ledger = XorDeleteLedger::new(max);
-        let mut log = PacketLog::new(256);
+        let (logs, under_test, bystander) = table(&mut rng);
+        let mut log = logs.log(under_test).unwrap();
         let mut logged = BTreeSet::new();
         let mut cancelled = BTreeSet::new();
         for c in 1..=max {
@@ -99,5 +122,6 @@ proptest! {
             log.delete_where(|clock| ledger.deletable(clock.counter())),
             0
         );
+        prop_assert!(logs.log(bystander).unwrap().is_empty());
     }
 }

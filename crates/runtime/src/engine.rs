@@ -63,12 +63,13 @@ use crate::telemetry::{
 };
 use crate::wiring::{wire, Downstream, Wired};
 use chc_core::dag::DagError;
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{ChainConfig, LogicalDag, VertexLogs, XorDeleteLedger};
 use chc_packet::Trace;
 use chc_store::{StoreServer, VertexId};
 use chc_telemetry::{EventKind, TelemetrySeries};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
@@ -207,9 +208,16 @@ pub(crate) struct EngineShared {
     pub(crate) fail_stopped: AtomicBool,
     /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: RunTelemetry,
-    /// The root's injection log plus the per-vertex egress logs of every
-    /// armed upstream of a killed non-entry vertex.
+    /// The packet logs, one per row of `ChainPlan::log_scopes`: the root's
+    /// injection log plus the egress log of every armed upstream of a killed
+    /// non-entry vertex.
     pub(crate) logs: VertexLogs,
+    /// Commit watermarks by plan slot (the sink's is the last): the highest
+    /// clock counter such that every packet at or below it routed to the
+    /// slot's component has been processed and its effects flushed
+    /// downstream. A replacement publishes under the slot it inherits; an
+    /// unpublished slot reads zero and so holds every frontier it is in.
+    pub(crate) watermarks: Vec<AtomicU64>,
     /// XOR delete ledger bounding replay re-delivery windows; present
     /// whenever the plan kills instances or the root.
     pub(crate) ledger: Option<XorDeleteLedger>,
@@ -240,8 +248,8 @@ impl EngineShared {
         // tokens are still outstanding and whether the sink confirmed
         // delivery.
         let mut logs = VertexLogs::new(config.root_log_capacity);
-        for &v in &plan.logging {
-            logs.arm(v, config.root_log_capacity);
+        for (v, _) in &plan.log_scopes {
+            logs.arm(*v, config.root_log_capacity);
         }
         EngineShared {
             server,
@@ -255,11 +263,30 @@ impl EngineShared {
             fail_stopped: AtomicBool::new(false),
             telemetry: RunTelemetry::new(rt.telemetry, Instant::now(), plan.topo.iter().copied()),
             logs,
+            watermarks: (0..=plan.instances.len())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             ledger: plan
                 .xor_ledger
                 .then(|| XorDeleteLedger::new(plan.trace_len as u64)),
             write_behind: rt.write_behind,
         }
+    }
+
+    /// Publish `slot`'s commit watermark. Monotonic: a stale publication
+    /// never regresses it. `Release`, paired with the `Acquire` load in
+    /// [`EngineShared::frontier`]: whoever cuts a log at the watermark also
+    /// sees the store applies and ring flushes that made it true.
+    pub(crate) fn publish_watermark(&self, slot: usize, counter: u64) {
+        self.watermarks[slot].fetch_max(counter, Ordering::Release);
+    }
+
+    /// The clock counter every slot of `scope` has committed through: a log
+    /// truncating against that scope may forget everything at or below it,
+    /// because no replay can need it again.
+    pub(crate) fn frontier(&self, scope: &[usize]) -> u64 {
+        let watermark = |&slot: &usize| self.watermarks[slot].load(Ordering::Acquire);
+        scope.iter().map(watermark).min().unwrap_or(0)
     }
 }
 
@@ -282,7 +309,7 @@ pub fn run_chain_realtime(
         let injection = run_root(&root, root_outs, standby_tx);
         running.join(injection)
     });
-    Ok(report(&shared, joined))
+    Ok(report(&shared, &plan, joined))
 }
 
 /// The threads of a run, between spawn and join.
@@ -441,7 +468,7 @@ impl Running<'_> {
 
 /// Assemble the run's report: the final truncation pass, the shutdown
 /// invariant checks, the telemetry section and the store's final state.
-fn report(shared: &EngineShared, joined: Joined) -> RuntimeReport {
+fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeReport {
     let Joined {
         injection,
         supervisor,
@@ -461,19 +488,25 @@ fn report(shared: &EngineShared, joined: Joined) -> RuntimeReport {
 
     let mut final_frontier = 0u64;
     let fault_report = supervisor.map(|sup| {
-        final_frontier = truncate_logs(shared, &sup.sources, &sup.vertex_scopes, u64::MAX);
-        let root_log = shared.logs.root();
+        // Nothing is in flight any more — the re-injection drill included —
+        // so the last cut is uncapped.
+        final_frontier = truncate_logs(shared, &plan.log_scopes, u64::MAX);
+        // One row per log, in id order: the root's (`ROOT_VERTEX`, always
+        // armed) is the last.
+        let mut vertex_logs = shared.logs.stats();
+        let root_log = vertex_logs.pop().expect("the root's row");
+        debug_assert_eq!(root_log.vertex, ROOT_VERTEX);
         FaultReport {
             recoveries: sup.recoveries,
             shard_recoveries: injection.shard_recoveries,
-            log_high_water: root_log.high_water(),
-            log_truncated: root_log.truncated(),
-            log_final_len: root_log.len(),
-            log_rejected: root_log.rejected(),
+            log_high_water: root_log.high_water,
+            log_truncated: root_log.truncated + root_log.deleted,
+            log_final_len: root_log.final_len,
+            log_rejected: root_log.rejected,
             reinjected: injection.reinjected,
             root_takeover: injection.takeover,
             aborts: sup.aborts,
-            vertex_logs: shared.logs.stats(),
+            vertex_logs,
         }
     });
 

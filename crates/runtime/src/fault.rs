@@ -199,7 +199,9 @@ pub struct FaultReport {
     pub shard_recoveries: Vec<ShardRecovery>,
     /// Largest root packet log observed (packets).
     pub log_high_water: usize,
-    /// Log entries dropped by commit-frontier truncation.
+    /// Entries the root's log dropped because the chain confirmed them: cut
+    /// at the commit frontier or, ahead of it, deleted one by one by the XOR
+    /// protocol (the egress logs' rows in `vertex_logs` give both counts).
     pub log_truncated: u64,
     /// Packets still logged when the run ended (unconfirmed by the commit
     /// frontier; a conservative, not an exact, completion measure).

@@ -433,10 +433,7 @@ fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [I
     if plan.replaces.is_some() && inputs.iter_mut().any(|r| r.replay && !r.rx.is_exhausted()) {
         return;
     }
-    let wm = live_watermark(inputs);
-    if wm > 0 {
-        shared.server.publish_commit(plan.instance, wm);
-    }
+    shared.publish_watermark(plan.slot(), live_watermark(inputs));
 }
 
 /// Forget the duplicate window up to the instance's own watermark. Sound
@@ -515,7 +512,7 @@ fn forward(
         if let Some(ledger) = &shared.ledger {
             ledger.fold(tp.clock.counter(), token);
         }
-        if let Some(mut log) = shared.logs.vertex(plan.vertex) {
+        if let Some(mut log) = shared.logs.log(plan.vertex) {
             log.insert(tp.clone());
         }
     }

@@ -32,8 +32,8 @@
 //! chain position**: the root keeps a bounded packet log keyed by logical
 //! clock, upstreams of any killed mid-chain or tail vertex additionally
 //! keep per-vertex egress logs (FTMB-style output logging), and chain
-//! components publish commit watermarks to the store so every log can be
-//! truncated at its own frontier. A supervisor thread executes planned
+//! components publish commit watermarks to the engine's slot array so every
+//! log can be truncated at its own frontier. A supervisor thread executes planned
 //! instance kills — spawning a replacement thread on the dead instance's
 //! SPSC wiring and replaying the killed vertex's upstream (or root) log
 //! through dedicated replay rings at the right chain depth ([`replay`]) —

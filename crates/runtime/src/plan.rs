@@ -9,8 +9,9 @@
 use crate::config::{RuntimeConfig, ScaleEvent};
 use crate::engine::RuntimeError;
 use crate::fault::{FaultPlan, InstanceKill};
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{ChainConfig, LogicalDag, NetworkFunction, Splitter, StateObjectSpec, VertexSpec};
-use chc_store::{InstanceId, VertexId, SINK_COMMIT_SOURCE};
+use chc_store::{InstanceId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Identity, role and NF code of one instance thread — a planned instance or
@@ -27,10 +28,10 @@ pub(crate) struct InstancePlan {
     /// Fail-stop trigger: the instance dies the first time it dequeues a
     /// live packet whose clock counter reaches this.
     pub(crate) kill_at: Option<u64>,
-    /// The failed instance this one takes over from. A replacement publishes
-    /// no commit watermark until its replay rings drain, because an
-    /// inherited watermark only becomes true again once the replayed
-    /// packets have been re-flushed downstream.
+    /// The failed instance this one takes over from, watermark slot
+    /// included. A replacement publishes no commit watermark until its
+    /// replay rings drain, because an inherited watermark only becomes true
+    /// again once the replayed packets have been re-flushed downstream.
     pub(crate) replaces: Option<InstanceId>,
     pub(crate) off_path: bool,
     pub(crate) is_tail: bool,
@@ -73,16 +74,13 @@ impl InstancePlan {
             objects,
         }
     }
-}
 
-/// Where the supervisor reads the replay stream for one killed vertex.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ReplaySource {
-    /// The killed vertex is a chain entry: replay the root's injection log.
-    Root,
-    /// The killed vertex sits mid-chain or at the tail: replay the merged
-    /// egress logs of its on-path upstream vertices, sorted by clock.
-    Upstream(Vec<VertexId>),
+    /// The plan slot this instance publishes its commit watermark under:
+    /// its own (the slot number is the instance id), or the one it inherits
+    /// from the instance it replaces.
+    pub(crate) fn slot(&self) -> usize {
+        self.replaces.unwrap_or(self.instance).0 as usize
+    }
 }
 
 /// Store shards to act on when the root is about to inject a counter.
@@ -121,26 +119,25 @@ pub struct ChainPlan {
     /// the equivalence test calls `failover_instance` in the same order.
     /// Moved into the supervisor at spawn.
     pub(crate) seeds: HashMap<usize, InstancePlan>,
-    /// Replay source per killed vertex: a killed entry is restored from the
-    /// root's injection log; a killed mid-chain or tail vertex from the
-    /// egress logs of its on-path upstream vertices (FTMB-style per-vertex
-    /// output logging), so the replay re-enters the chain at the killed
-    /// vertex's own depth and upstream duplicate suppression can never eat
-    /// it. Off-path vertices emit nothing, so they are never a source.
-    pub(crate) replay_sources: BTreeMap<VertexId, ReplaySource>,
-    /// Vertices that keep an egress log: every `Upstream` replay source.
-    /// Armed on every instance of the vertex — and on its replacement,
-    /// should the logging vertex itself be killed, so the log keeps covering
-    /// live traffic across that failover.
-    pub(crate) logging: BTreeSet<VertexId>,
-    /// Commit sources bounding the root log: every on-path instance plus the
-    /// sink must confirm a counter before it may be truncated.
-    pub(crate) commit_sources: Vec<InstanceId>,
-    /// Each egress log truncates against its *own* scope: the on-path
-    /// instances strictly downstream of the logging vertex, plus the sink.
-    /// (The logging vertex's own watermark says nothing about whether its
-    /// egress has been consumed yet.)
-    pub(crate) vertex_commit_scopes: Vec<(VertexId, Vec<InstanceId>)>,
+    /// The logs each killed vertex is replayed from, merged in clock order:
+    /// the root's (`[ROOT_VERTEX]`) for a killed entry; for a killed
+    /// mid-chain or tail vertex the egress logs of its on-path upstream
+    /// vertices (FTMB-style per-vertex output logging), so the replay
+    /// re-enters the chain at the killed vertex's own depth and upstream
+    /// duplicate suppression can never eat it. Off-path vertices emit
+    /// nothing, so they are never a source.
+    pub(crate) replay_sources: BTreeMap<VertexId, Vec<VertexId>>,
+    /// Every packet log of the run with the commit scope it truncates
+    /// against — the plan slots (the sink is the last one) whose watermarks
+    /// must all pass a counter before the log may forget it. The root's row
+    /// comes first: every on-path instance plus the sink. Then one row per
+    /// egress-logging vertex (a replay source other than the root; armed on
+    /// every instance of the vertex and on their replacements): the on-path
+    /// instances strictly downstream of it plus the sink — its own watermark
+    /// says nothing about whether its egress has been consumed yet. A
+    /// replacement publishes under the slot it inherits, so the scopes never
+    /// change during a run.
+    pub(crate) log_scopes: Vec<(VertexId, Vec<usize>)>,
     pub(crate) shard_checkpoints: ShardSchedule,
     pub(crate) shard_restarts: ShardSchedule,
     /// Shards some fault restarts; they journal from the start.
@@ -230,13 +227,12 @@ impl ChainPlan {
             })
             .collect();
 
-        let commit_sources = commit_scope(&instances, |_| true);
-        let vertex_commit_scopes = logging
-            .iter()
-            .map(|&u| {
+        let root_scope = (ROOT_VERTEX, commit_scope(&instances, |_| true));
+        let log_scopes = std::iter::once(root_scope)
+            .chain(logging.iter().map(|&u| {
                 let below = strictly_downstream(dag, u);
                 (u, commit_scope(&instances, |v| below.contains(&v)))
-            })
+            }))
             .collect();
 
         let fault_mode = !fault.is_empty();
@@ -256,9 +252,7 @@ impl ChainPlan {
             slots,
             seeds,
             replay_sources,
-            logging,
-            commit_sources,
-            vertex_commit_scopes,
+            log_scopes,
             shard_checkpoints,
             shard_restarts,
             journaled_shards: fault.shard_faults.iter().map(|sf| sf.shard).collect(),
@@ -337,26 +331,26 @@ fn validate_kills(
     }
 }
 
-/// Replay source per killed vertex and the set of vertices that must log
+/// Replay sources per killed vertex and the set of vertices that must log
 /// their egress for it (see the field docs on [`ChainPlan`]).
 fn replay_topology(
     dag: &LogicalDag,
     fault: &FaultPlan,
     entries: &[VertexId],
-) -> (BTreeMap<VertexId, ReplaySource>, BTreeSet<VertexId>) {
+) -> (BTreeMap<VertexId, Vec<VertexId>>, BTreeSet<VertexId>) {
     let mut sources = BTreeMap::new();
     let mut logging = BTreeSet::new();
     for kill in &fault.kills {
-        let source = if entries.contains(&kill.vertex) {
-            ReplaySource::Root
+        let ups = if entries.contains(&kill.vertex) {
+            vec![ROOT_VERTEX]
         } else {
             let on_path = |u: &VertexId| dag.vertex(*u).is_some_and(|v| !v.off_path);
             let mut ups = dag.upstream_of(kill.vertex);
             ups.retain(on_path);
             logging.extend(ups.iter().copied());
-            ReplaySource::Upstream(ups)
+            ups
         };
-        sources.insert(kill.vertex, source);
+        sources.insert(kill.vertex, ups);
     }
     (sources, logging)
 }
@@ -392,16 +386,13 @@ fn shard_schedule(
     Ok((checkpoints, restarts))
 }
 
-/// The commit sources among `instances` whose vertex passes `covers`: the
-/// on-path ones (an off-path instance forwards nothing and publishes no
-/// watermark), plus the sink.
-fn commit_scope(instances: &[InstancePlan], covers: impl Fn(VertexId) -> bool) -> Vec<InstanceId> {
-    instances
-        .iter()
-        .filter(|p| !p.off_path && covers(p.vertex))
-        .map(|p| p.instance)
-        .chain(std::iter::once(SINK_COMMIT_SOURCE))
-        .collect()
+/// The slots of the `instances` whose vertex passes `covers` — the on-path
+/// ones (an off-path instance forwards nothing and publishes no watermark)
+/// — plus the sink's, the slot after the last instance.
+fn commit_scope(instances: &[InstancePlan], covers: impl Fn(VertexId) -> bool) -> Vec<usize> {
+    let on_path = |slot: &usize| !instances[*slot].off_path && covers(instances[*slot].vertex);
+    let sink = instances.len();
+    (0..sink).filter(on_path).chain([sink]).collect()
 }
 
 /// Every vertex reachable from `u` (in a DAG that never includes `u`).
@@ -419,6 +410,7 @@ fn strictly_downstream(dag: &LogicalDag, u: VertexId) -> HashSet<VertexId> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use chc_core::dag::DagError;
     use chc_nf::{Firewall, LoadBalancer, Nat};
     use std::rc::Rc;
 
@@ -447,37 +439,38 @@ pub(crate) mod tests {
         ChainPlan::new(&fw_nat_lb(), &ChainConfig::default(), &rt, 1_000).expect("valid plan")
     }
 
-    /// One instance per vertex, so instance ids 0, 1, 2 are FW, NAT, LB.
-    fn ids(ids: &[u32]) -> Vec<InstanceId> {
-        let planned = ids.iter().map(|&i| InstanceId(i));
-        planned.chain([SINK_COMMIT_SOURCE]).collect()
+    /// One instance per vertex: slots 0, 1, 2 are FW, NAT, LB, the sink's
+    /// is 3 — and the root's scope, the first row, is all four.
+    fn root_row() -> (VertexId, Vec<usize>) {
+        (ROOT_VERTEX, vec![0, 1, 2, 3])
     }
 
     #[test]
     fn the_replay_topology_follows_the_kill_position() {
-        // Entry: replayed from the root log; nobody logs egress.
+        // Entry: replayed from the root's log, the only one.
         let entry = plan(FaultPlan::new().kill(FW, 0, 500));
-        assert_eq!(entry.replay_sources[&FW], ReplaySource::Root);
-        assert!(entry.logging.is_empty() && entry.vertex_commit_scopes.is_empty());
+        assert_eq!(entry.replay_sources[&FW], [ROOT_VERTEX]);
+        assert_eq!(entry.log_scopes, [root_row()]);
         assert!(entry.instances.iter().all(|p| !p.log_egress));
-        assert_eq!(entry.commit_sources, ids(&[0, 1, 2]));
         assert_eq!(entry.instances[0].kill_at, Some(500));
         assert!(entry.xor_ledger && entry.fault_mode && entry.dedup);
+        // The replacement is instance 3 and publishes under the dead slot.
+        assert_eq!(entry.seeds[&0].instance, InstanceId(3));
+        assert_eq!((entry.seeds[&0].slot(), entry.instances[1].slot()), (0, 1));
 
         // Mid-chain: replayed from the firewall's egress log, which
         // truncates against everything strictly below the firewall.
         let mid = plan(FaultPlan::new().kill(NAT, 0, 500));
-        assert_eq!(mid.replay_sources[&NAT], ReplaySource::Upstream(vec![FW]));
-        assert_eq!(mid.logging, BTreeSet::from([FW]));
-        assert_eq!(mid.vertex_commit_scopes, vec![(FW, ids(&[1, 2]))]);
+        assert_eq!(mid.replay_sources[&NAT], [FW]);
+        assert_eq!(mid.log_scopes, [root_row(), (FW, vec![1, 2, 3])]);
         let logging: Vec<bool> = mid.instances.iter().map(|p| p.log_egress).collect();
         assert_eq!(logging, [true, false, false]);
 
         // Tail: replayed from the NAT's log; its scope is the LB and the
         // sink, never the logging vertex itself.
         let tail = plan(FaultPlan::new().kill(LB, 0, 500));
-        assert_eq!(tail.replay_sources[&LB], ReplaySource::Upstream(vec![NAT]));
-        assert_eq!(tail.vertex_commit_scopes, vec![(NAT, ids(&[2]))]);
+        assert_eq!(tail.replay_sources[&LB], [NAT]);
+        assert_eq!(tail.log_scopes, [root_row(), (NAT, vec![2, 3])]);
         assert!(tail.instances[2].is_tail && !tail.instances[1].is_tail);
 
         // Root: nothing to replay into, but the ledger is still needed.
@@ -485,11 +478,24 @@ pub(crate) mod tests {
         assert!(root.replay_sources.is_empty() && root.seeds.is_empty());
         assert_eq!(root.root_kill, Some(500));
         assert!(root.xor_ledger && root.fault_mode);
+        assert_eq!(root.log_scopes, [root_row()]);
 
         // No plan, no fault machinery.
         let healthy = plan(FaultPlan::new());
         assert!(!healthy.fault_mode && !healthy.dedup && !healthy.xor_ledger);
         assert_eq!(healthy.floor_cap, u64::MAX);
+
+        // The root's id names its log, so no vertex may carry it.
+        let mut dag = fw_nat_lb();
+        dag.add_vertex(VertexSpec::new(
+            ROOT_VERTEX.0,
+            "x",
+            Rc::new(|| Box::new(Nat::default())),
+        ));
+        let rt = RuntimeConfig::default();
+        let reserved = RuntimeError::Dag(DagError::ReservedVertex(ROOT_VERTEX));
+        let planned = ChainPlan::new(&dag, &ChainConfig::default(), &rt, 1_000);
+        assert_eq!(planned.err(), Some(reserved));
     }
 
     #[test]
@@ -530,9 +536,12 @@ pub(crate) mod tests {
         assert!(p.instances[1].log_egress && p.instances[3].log_egress);
         assert!(p.seeds[&3].log_egress);
         assert_eq!(p.seeds[&3].instance, InstanceId(5));
-        // The NAT's own kill is fed from the firewall's log.
-        assert_eq!(p.logging, BTreeSet::from([FW, NAT]));
-        assert_eq!(p.vertex_commit_scopes[0], (FW, ids(&[1, 2, 3])));
-        assert_eq!(p.vertex_commit_scopes[1], (NAT, ids(&[2])));
+        // The NAT's own kill is fed from the firewall's log. Scopes hold
+        // slots, not ids: the scale-out NAT is slot 3, the sink's is 4, and
+        // the killed NAT's replacement (instance 5) adds none.
+        assert_eq!(p.log_scopes[0], (ROOT_VERTEX, vec![0, 1, 2, 3, 4]));
+        assert_eq!(p.log_scopes[1], (FW, vec![1, 2, 3, 4]));
+        assert_eq!(p.log_scopes[2], (NAT, vec![2, 4]));
+        assert_eq!((p.seeds[&3].slot(), p.seeds[&2].slot()), (3, 2));
     }
 }

@@ -17,9 +17,10 @@
 //! 2. spawns the **replacement thread** on the inherited wiring: in-flight
 //!    packets still queued in the input rings survive, exactly like packets
 //!    sitting in the network across an endpoint crash,
-//! 3. **replays** the killed vertex's [`ReplaySource`] — the root's
-//!    injection log for an entry vertex, the merged egress logs of its
-//!    on-path upstream vertices (FTMB-style output logging) otherwise —
+//! 3. **replays** the killed vertex's replay sources
+//!    (`ChainPlan::replay_sources`) — the root's injection log for an entry
+//!    vertex, the merged egress logs of its on-path upstream vertices
+//!    (FTMB-style output logging) otherwise —
 //!    marked `replay_for = replacement`, through the killed vertex's own
 //!    replay rings: one ring per instance of that vertex, so live flows
 //!    keep their ring order and replay enters the chain at the killed
@@ -49,41 +50,47 @@
 //!
 //! ## Log truncation (Figure 6)
 //!
-//! Between fault events the supervisor truncates every packet log up to its
-//! own commit frontier — for the root log, the minimum watermark published
-//! by every on-path instance and the sink; for a vertex egress log, the
-//! minimum over the instances *strictly downstream* of the logging vertex
-//! plus the sink. Before the first failover every ring delivers counters
-//! monotonically, so the frontier proves completion exactly; while further
-//! kills are still armed after a failover, truncation pauses (replayed
-//! traffic makes ring order non-monotone, so the frontier could briefly
-//! overclaim); once the last kill resolved it resumes, where truncation is
-//! unconditionally safe because no future replay exists. On top of the
-//! frontier, egress logs also run the paper's per-packet XOR deletes
-//! (Figure 6): any entry whose clock the ledger proves delivered and fully
-//! cancelled is dropped individually, frontier or not.
+//! Every packet log — the root's is the first — is one row of
+//! `ChainPlan::log_scopes`, and between fault events the supervisor treats
+//! every row alike ([`truncate_logs`]). It cuts the log at its own commit
+//! frontier, the lowest watermark in `EngineShared::watermarks` over the
+//! row's scope: every on-path instance and the sink for the root's log, the
+//! instances *strictly downstream* of the logging vertex plus the sink for an
+//! egress log. Then it runs the paper's per-packet XOR deletes: any entry
+//! whose clock the ledger proves delivered and fully cancelled is dropped
+//! individually, frontier or not.
+//!
+//! Before the first failover every ring delivers counters monotonically, so
+//! the frontier proves completion exactly; while further kills are still
+//! armed after a failover, truncation pauses (replayed traffic makes ring
+//! order non-monotone, so the frontier could briefly overclaim); once the
+//! last kill resolved it resumes, where truncation is unconditionally safe
+//! because no future replay exists. A failover zeroes the dead instance's
+//! watermark slot before the replacement — which publishes under the same
+//! slot — starts, and a replacement stays silent until its replay rings are
+//! exhausted: until then every frontier that contains the slot reads zero,
+//! and only the XOR deletes keep those logs bounded.
 //!
 //! ## The store's replay floor
 //!
 //! The same step bounds the store's duplicate-suppression log. A clocked
 //! update can only be a duplicate if some replay source re-issues its
-//! packet, and there are exactly three: the root log, a vertex egress log,
-//! and the re-injection drill's buffer. Right after truncation the root log
-//! holds nothing at or below the root frontier; every egress log's scope is
-//! a subset of the root's commit sources, so its own frontier is at least
-//! as high and it holds nothing there either (XOR deletes only remove
-//! more). The supervisor therefore raises [`StoreServer::forget_through`]
-//! to the root frontier — capped below the smallest re-injection counter
-//! for as long as it runs, because a re-injected copy is in flight after it
-//! left the buffer and no watermark covers it. Truncation pauses while
-//! replays may be in flight, and so does the floor.
+//! packet, and there are exactly two kinds: a packet log and the
+//! re-injection drill's buffer. Every egress log's scope is a subset of the
+//! root's, so the root's frontier is the lowest, and right after a pass no
+//! log holds anything at or below it (XOR deletes only remove more). The
+//! supervisor therefore raises [`StoreServer::forget_through`] to the root's
+//! frontier — capped below the smallest re-injection counter for as long as
+//! it runs, because a re-injected copy is in flight after it left the buffer
+//! and no watermark covers it. Truncation pauses while replays may be in
+//! flight, and so does the floor.
 
 use crate::engine::EngineShared;
 use crate::fault::{FailoverAbort, InstanceRecovery};
 use crate::instance::{run_instance, DyingInstance, InstanceResult};
-use crate::plan::{ChainPlan, InstancePlan, ReplaySource};
+use crate::plan::{ChainPlan, InstancePlan};
 use crate::wiring::{Downstream, OutLink};
-use chc_core::{TaggedPacket, VertexLogs};
+use chc_core::VertexLogs;
 use chc_store::{InstanceId, StoreServer, VertexId};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -112,11 +119,6 @@ pub(crate) type Replacements<'scope> = Vec<thread::ScopedJoinHandle<'scope, Inst
 pub(crate) struct SupervisorOutcome {
     pub(crate) recoveries: Vec<InstanceRecovery>,
     pub(crate) aborts: Vec<FailoverAbort>,
-    /// The root log's commit sources and each egress log's commit scope as
-    /// the run left them — every failed instance's id already replaced by
-    /// its replacement's — for the final truncation pass.
-    pub(crate) sources: Vec<InstanceId>,
-    pub(crate) vertex_scopes: Vec<(VertexId, Vec<InstanceId>)>,
 }
 
 /// A begun failover whose replay has not run yet: the replacement thread is
@@ -136,7 +138,8 @@ pub(crate) struct Supervisor<'scope, 'env> {
     scope: &'scope thread::Scope<'scope, 'env>,
     rx: mpsc::Receiver<DyingInstance>,
     shared: &'env EngineShared,
-    replay_sources: &'env BTreeMap<VertexId, ReplaySource>,
+    replay_sources: &'env BTreeMap<VertexId, Vec<VertexId>>,
+    log_scopes: &'env [(VertexId, Vec<usize>)],
     floor_cap: u64,
     /// The replacement prepared for each armed slot, until its kill fires.
     seeds: HashMap<usize, InstancePlan>,
@@ -159,6 +162,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             rx,
             shared,
             replay_sources: &plan.replay_sources,
+            log_scopes: &plan.log_scopes,
             floor_cap: plan.floor_cap,
             seeds,
             pending: VecDeque::new(),
@@ -166,8 +170,6 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             outcome: SupervisorOutcome {
                 recoveries: Vec::new(),
                 aborts: Vec::new(),
-                sources: plan.commit_sources.clone(),
-                vertex_scopes: plan.vertex_commit_scopes.clone(),
             },
         }
     }
@@ -208,12 +210,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             // while more kills are armed, harmless after the last one (see
             // module docs).
             if self.outcome.recoveries.is_empty() || self.seeds.is_empty() {
-                truncate_logs(
-                    self.shared,
-                    &self.outcome.sources,
-                    &self.outcome.vertex_scopes,
-                    self.floor_cap,
-                );
+                truncate_logs(self.shared, self.log_scopes, self.floor_cap);
             }
 
             if done_injecting.load(Ordering::Acquire) && (self.seeds.is_empty() || disconnected) {
@@ -262,17 +259,10 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
         });
 
         // 1. The replacement takes over the failed instance's per-flow
-        //    state, and its place in every commit scope.
+        //    state and its watermark slot, which starts over: until the
+        //    replacement publishes, every frontier the slot is in stays put.
         shared.server.reassign_owner(old_instance, replacement);
-        let scopes = self.outcome.vertex_scopes.iter_mut().map(|(_, srcs)| srcs);
-        for s in std::iter::once(&mut self.outcome.sources)
-            .chain(scopes)
-            .flatten()
-        {
-            if *s == old_instance {
-                *s = replacement;
-            }
-        }
+        shared.watermarks[dying.slot].store(0, Ordering::Release);
 
         // 2. Spawn the replacement thread on the inherited wiring.
         let handle = self
@@ -317,19 +307,8 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
         let shared = self.shared;
         let (vertex, index) = (job.vertex.0, job.index as u32);
         let replacement = job.replacement;
-        let snapshot: Vec<TaggedPacket> = match self.replay_sources.get(&job.vertex) {
-            Some(ReplaySource::Upstream(ups)) => {
-                let mut merged = Vec::new();
-                for u in ups {
-                    if let Some(log) = shared.logs.vertex(*u) {
-                        merged.extend(log.snapshot());
-                    }
-                }
-                merged.sort_by_key(|tp| tp.clock);
-                merged
-            }
-            _ => shared.logs.root().snapshot(),
-        };
+        let sources = self.replay_sources.get(&job.vertex);
+        let snapshot = shared.logs.snapshot(sources.map_or(&[], Vec::as_slice));
         let mut replayed = 0u64;
         let mut stalled = false;
         if let Some(Downstream { splitter, links }) = replay_outs.get_mut(&job.vertex) {
@@ -429,56 +408,50 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
     }
 }
 
-/// One truncation pass (see the module docs): cut the root log at the commit
-/// frontier of `sources` and journal the advance; cut every armed egress log
-/// at the frontier of its own scope, then sweep it for entries the XOR
-/// ledger proves both delivered and fully cancelled (Figure 6's per-packet
-/// deletes, which cover what the frontier cannot); and let the store forget
-/// what the logs forgot, up to `floor_cap`. The supervisor runs it between
-/// fault events. The engine runs it once more after every thread joined:
+/// One truncation pass (see the module docs) over `log_scopes`, the plan's
+/// rows of `(logging vertex, commit scope)`: cut each log at the frontier of
+/// its own scope, then sweep it for entries the XOR ledger proves both
+/// delivered and fully cancelled (Figure 6's per-packet deletes, which cover
+/// what the frontier cannot). The first row is the root's, whose scope
+/// contains every other and whose frontier is therefore the lowest: its
+/// advance is journaled, the store forgets what the logs forgot up to it —
+/// capped at `floor_cap` — and it is returned. The supervisor runs a pass
+/// between fault events. The engine runs one more after every thread joined:
 /// every surviving component has published its last watermark by then, so
-/// that cut is the tightest the commit protocol can justify, and nothing is
-/// in flight — the re-injection drill included — so it is uncapped. Returns
-/// the root frontier.
+/// that cut is the tightest the commit protocol can justify.
 pub(crate) fn truncate_logs(
     shared: &EngineShared,
-    sources: &[InstanceId],
-    vertex_scopes: &[(VertexId, Vec<InstanceId>)],
+    log_scopes: &[(VertexId, Vec<usize>)],
     floor_cap: u64,
 ) -> u64 {
-    let frontier = shared.server.commit_frontier(sources);
-    let dropped = shared.logs.root().truncate_confirmed(0, frontier);
-    if dropped > 0 {
-        shared.telemetry.event(EventKind::CommitFrontier {
-            frontier,
-            dropped: dropped as u64,
-        });
-    }
-    for (v, srcs) in vertex_scopes {
-        let vf = shared.server.commit_frontier(srcs);
-        if let Some(mut vl) = shared.logs.vertex(*v) {
-            vl.truncate_confirmed(0, vf);
-            if let Some(l) = &shared.ledger {
-                vl.delete_where(|c| l.deletable(c.counter()));
+    let mut roots_cut = None;
+    for (vertex, scope) in log_scopes {
+        let frontier = shared.frontier(scope);
+        let mut dropped = 0;
+        if let Some(mut log) = shared.logs.log(*vertex) {
+            dropped = log.truncate_confirmed(0, frontier);
+            if let Some(ledger) = &shared.ledger {
+                log.delete_where(|c| ledger.deletable(c.counter()));
             }
         }
+        roots_cut.get_or_insert((frontier, dropped as u64));
     }
+    let (frontier, dropped) = roots_cut.unwrap_or_default();
+    shared.telemetry.frontier_advanced(frontier, dropped);
     raise_replay_floor(&shared.server, &shared.logs, frontier.min(floor_cap));
     frontier
 }
 
 /// Tell the store that no packet log can replay a clock at or below `floor`
-/// any more (see the module docs for why the root frontier is that bound).
+/// any more (see the module docs for why the root's frontier is that bound).
 fn raise_replay_floor(server: &StoreServer, logs: &VertexLogs, floor: u64) {
     if floor == 0 {
         return;
     }
     debug_assert!(
-        logs.root().first_counter().is_none_or(|c| c > floor)
-            && logs
-                .armed()
-                .filter_map(|v| logs.vertex(v)?.first_counter())
-                .all(|c| c > floor),
+        logs.armed()
+            .filter_map(|v| logs.log(v)?.first_counter())
+            .all(|c| c > floor),
         "a packet log still holds a clock at or below the replay floor {floor}"
     );
     server.forget_through(floor);
@@ -490,12 +463,14 @@ mod tests {
     use crate::config::RuntimeConfig;
     use crate::fault::FaultPlan;
     use crate::plan::tests::{fw_nat_lb, FW, NAT};
-    use chc_core::{delete_token, ChainConfig};
+    use chc_core::root::ROOT_VERTEX;
+    use chc_core::{delete_token, ChainConfig, TaggedPacket};
     use chc_packet::{TraceConfig, TraceGenerator};
-    use chc_store::{Clock, SINK_COMMIT_SOURCE};
+    use chc_store::Clock;
 
     /// fw→nat→lb with a planned NAT kill: the firewall's egress log is
-    /// armed, its scope is NAT + LB + sink, the root's is all four sources.
+    /// armed and truncates against slots 1–3 (NAT, LB, sink), the root's
+    /// against all four.
     fn armed_run() -> (ChainPlan, EngineShared) {
         let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
         let rt = rt.with_fault(FaultPlan::new().kill(NAT, 0, 15));
@@ -504,17 +479,38 @@ mod tests {
         (plan, shared)
     }
 
-    fn held(shared: &EngineShared, vertex: Option<VertexId>) -> Vec<u64> {
-        let log = match vertex {
-            Some(v) => shared.logs.vertex(v).expect("armed"),
-            None => shared.logs.root(),
-        };
-        log.snapshot().iter().map(|tp| tp.clock.counter()).collect()
+    fn held(shared: &EngineShared, vertex: VertexId) -> Vec<u64> {
+        let log = shared.logs.snapshot(&[vertex]);
+        log.iter().map(|tp| tp.clock.counter()).collect()
+    }
+
+    #[test]
+    fn watermarks_are_monotonic_and_a_frontier_is_the_lowest_of_its_scope() {
+        let (_, shared) = armed_run();
+        assert_eq!(shared.watermarks.len(), 4, "three instances and the sink");
+        for (slot, watermark) in [(0, 40), (1, 25), (3, 30)] {
+            shared.publish_watermark(slot, watermark);
+        }
+        // A stale publication never regresses a slot.
+        shared.publish_watermark(0, 10);
+        assert_eq!(shared.frontier(&[0]), 40);
+        assert_eq!(shared.frontier(&[0, 1, 3]), 25);
+        // A slot that never published holds the frontier at zero, and an
+        // empty scope commits nothing.
+        assert_eq!(shared.frontier(&[0, 1, 2, 3]), 0);
+        assert_eq!(shared.frontier(&[]), 0);
+        // What `begin_failover` does to the dead instance's slot: it starts
+        // over, and the replacement's first publication counts again.
+        shared.watermarks[1].store(0, Ordering::Release);
+        assert_eq!(shared.frontier(&[0, 1, 3]), 0);
+        shared.publish_watermark(1, 26);
+        assert_eq!(shared.frontier(&[0, 1, 3]), 26);
     }
 
     #[test]
     fn one_pass_cuts_each_log_at_its_own_frontier_sweeps_and_raises_the_floor() {
         let (plan, shared) = armed_run();
+        let scopes = &plan.log_scopes;
         let ledger = shared.ledger.as_ref().expect("a kill needs the ledger");
         let trace = TraceGenerator::new(TraceConfig::small(1)).generate();
         // Counters 1..=10 injected, and logged again — tokenized — as they
@@ -522,55 +518,58 @@ mod tests {
         let mut egress = Vec::new();
         for (pkt, counter) in trace.iter().zip(1..=10u64) {
             let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, counter));
-            assert!(shared.logs.root().insert(tp.clone()));
+            assert!(shared.logs.log(ROOT_VERTEX).unwrap().insert(tp.clone()));
             let token = delete_token(InstanceId(0), counter);
             tp.absorb_update_token(token);
             ledger.fold(counter, token);
-            assert!(shared.logs.vertex(FW).expect("armed").insert(tp.clone()));
+            assert!(shared.logs.log(FW).expect("armed").insert(tp.clone()));
             egress.push(tp);
         }
-        // Watermarks: the firewall is furthest along, the sink last — and
-        // the end host already has counter 7, ahead of every frontier.
-        for (source, watermark) in [(0, 8), (1, 6), (2, 5)] {
-            shared.server.publish_commit(InstanceId(source), watermark);
+        // Watermarks by slot, the sink's (3) among the lowest — and the end
+        // host already has counter 7, ahead of every frontier.
+        for (slot, watermark) in [(0, 4), (1, 6), (2, 5), (3, 4)] {
+            shared.publish_watermark(slot, watermark);
         }
-        shared.server.publish_commit(SINK_COMMIT_SOURCE, 4);
         ledger.fold(7, egress[6].xor_vector);
         ledger.mark_delivered(7);
 
-        // Supervisor-style pass, the floor capped below a drill at 4.
-        let (sources, scopes) = (&plan.commit_sources, &plan.vertex_commit_scopes);
-        assert_eq!(truncate_logs(&shared, sources, scopes, 3), 4);
-        assert_eq!(held(&shared, None), [5, 6, 7, 8, 9, 10]);
-        // The egress log's frontier is the sink's 4 too (the firewall's own
-        // 8 is not in its scope); the XOR sweep also deletes the delivered 7.
-        assert_eq!(held(&shared, Some(FW)), [5, 6, 8, 9, 10]);
+        // Supervisor-style pass, the floor capped below a drill at 4. Both
+        // frontiers are the sink's 4, and the XOR sweep takes the delivered 7
+        // out of the root's log exactly as out of the firewall's.
+        assert_eq!(truncate_logs(&shared, scopes, 3), 4);
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [5, 6, 8, 9, 10]);
         assert_eq!(shared.server.replay_floor(), 4, "capped at 3, so 4 up");
 
-        // Final-style pass: everyone confirmed through 9, nothing in flight.
-        for source in sources {
-            shared.server.publish_commit(*source, 9);
-        }
-        assert_eq!(truncate_logs(&shared, sources, scopes, u64::MAX), 9);
-        assert_eq!(held(&shared, None), [10]);
-        assert_eq!(held(&shared, Some(FW)), [10]);
-        assert_eq!(shared.server.replay_floor(), 10);
-        assert_eq!(shared.logs.root().truncated(), 9);
+        // Each log is cut at its own frontier. The firewall's watermark is
+        // in the root's scope only: held at 4 (a live firewall is never the
+        // laggard), it keeps 5 in the root's log while the firewall's own
+        // log, whose scope is through 5 once the sink is, lets it go.
+        shared.publish_watermark(3, 6);
+        assert_eq!(truncate_logs(&shared, scopes, 3), 4);
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [6, 8, 9, 10]);
 
-        // A failover's id substitution is all a pass needs: with the NAT's
-        // id replaced by a replacement that has published nothing, the
-        // frontier — and every cut — falls back to zero progress.
-        let moved: Vec<InstanceId> = (sources.iter())
-            .map(|s| {
-                if *s == InstanceId(1) {
-                    InstanceId(3)
-                } else {
-                    *s
-                }
-            })
-            .collect();
-        assert_eq!(truncate_logs(&shared, &moved, scopes, u64::MAX), 0);
-        assert_eq!(held(&shared, None), [10]);
-        assert_eq!(shared.server.replay_floor(), 10, "the floor is monotonic");
+        // The NAT dies: `begin_failover` zeroes its slot, which is in both
+        // scopes, so neither log is cut again until the replacement
+        // publishes — and the floor stays where it was.
+        shared.watermarks[1].store(0, Ordering::Release);
+        for slot in [0, 2, 3] {
+            shared.publish_watermark(slot, 9);
+        }
+        assert_eq!(truncate_logs(&shared, scopes, u64::MAX), 0);
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [6, 8, 9, 10]);
+        assert_eq!(shared.server.replay_floor(), 4, "the floor is monotonic");
+
+        // Final-style pass: the replacement confirmed through 9 too, and
+        // nothing is in flight, so the floor is uncapped.
+        shared.publish_watermark(1, 9);
+        assert_eq!(truncate_logs(&shared, scopes, u64::MAX), 9);
+        assert_eq!(held(&shared, ROOT_VERTEX), [10]);
+        assert_eq!(held(&shared, FW), [10]);
+        assert_eq!(shared.server.replay_floor(), 10);
+        let root_row = *shared.logs.stats().last().expect("the root's row");
+        assert_eq!((root_row.truncated, root_row.deleted), (8, 1));
     }
 }

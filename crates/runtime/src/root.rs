@@ -8,6 +8,7 @@ use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};
 use crate::plan::{ChainPlan, ShardSchedule};
 use crate::wiring::{links_mut, Downstream, OutLink};
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{TaggedPacket, STANDBY_ROOT_ID};
 use chc_packet::{flow_sampled, Trace, TraceTag};
 use chc_store::Clock;
@@ -147,7 +148,7 @@ pub(crate) fn run_standby(
     // seen-sets and the sink's replay window absorb the copies the chain
     // already has — only the packets that died in the root's buffers flow
     // through for the first time.
-    let snapshot = ctx.shared.logs.root().snapshot();
+    let snapshot = ctx.shared.logs.snapshot(&[ROOT_VERTEX]);
     let mut replayed = 0u64;
     for mut tp in snapshot {
         if ledger
@@ -255,7 +256,8 @@ fn run_root_injection(
             }
         }
         if shared.fault_mode {
-            if !shared.logs.root().insert(tp.clone()) {
+            let log = shared.logs.log(ROOT_VERTEX);
+            if !log.is_some_and(|mut log| log.insert(tp.clone())) {
                 // Buffer-bloat guard (§5): a full log rejects the packet
                 // instead of queueing without bound.
                 continue;

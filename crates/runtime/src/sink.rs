@@ -6,7 +6,7 @@ use crate::engine::EngineShared;
 use crate::wiring::{idle_wait, InputRing};
 use chc_core::{ClockWindow, TaggedPacket};
 use chc_packet::PacketId;
-use chc_store::{Clock, SINK_COMMIT_SOURCE};
+use chc_store::Clock;
 use chc_telemetry::{FlowOrderChecker, SpanEvent, SpanKind, StreamingHistogram, TraceLane};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -42,7 +42,8 @@ pub(crate) fn run_sink(
     let batch = shared.batch;
     let telemetry = &shared.telemetry;
     let ledger = &shared.ledger;
-    let commit = shared.fault_mode.then_some(&shared.server);
+    // The sink's watermark slot follows every instance's.
+    let commit_slot = shared.fault_mode.then(|| shared.watermarks.len() - 1);
     // Per-flow delivery-order checking rides this thread (one map lookup per
     // live arrival); a scale cut exempts cross-cut pairs because the cut
     // re-routes flows.
@@ -162,11 +163,9 @@ pub(crate) fn run_sink(
         }
         if moved > 0 {
             idle_streak = 0;
-            if let Some(server) = commit {
+            if let Some(slot) = commit_slot {
                 let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
-                if wm > 0 {
-                    server.publish_commit(SINK_COMMIT_SOURCE, wm);
-                }
+                shared.publish_watermark(slot, wm);
             }
         } else {
             if inputs.iter_mut().all(|r| r.rx.is_exhausted()) {

@@ -33,6 +33,7 @@ use crate::engine::EngineShared;
 use crate::fault::FaultReport;
 use crate::report::RuntimeReport;
 use crate::spsc::RingProbe;
+use chc_core::root::ROOT_VERTEX;
 use chc_core::StateHandle;
 use chc_store::{Clock, InstanceId, StateKey, StoreServer, Value, VertexId};
 use chc_telemetry::{
@@ -103,6 +104,9 @@ pub(crate) struct RunTelemetry {
     pub(crate) sink_wait: StreamingHistogram,
     /// Control-plane event journal, when enabled.
     pub(crate) journal: Option<EventJournal>,
+    /// The root's commit frontier as last journaled (`Relaxed`: it
+    /// publishes nothing, and truncation passes never overlap).
+    last_frontier: AtomicU64,
     /// Packets replayed so far across all failovers (monitor gauge).
     pub(crate) replay_progress: Counter,
     /// Causal-trace span collector, when flow-sampled tracing is on.
@@ -127,6 +131,7 @@ impl RunTelemetry {
                 .collect(),
             sink_wait: StreamingHistogram::new(),
             journal: config.journal.then(EventJournal::new),
+            last_frontier: AtomicU64::new(0),
             replay_progress: Counter::new(),
             tracer: config.tracing_on().then(TraceCollector::new),
             sentinel: config.sentinel.then(|| Arc::new(SentinelState::new())),
@@ -143,6 +148,18 @@ impl RunTelemetry {
     pub(crate) fn event(&self, kind: EventKind) {
         if let Some(j) = &self.journal {
             j.record(self.now_ns(), kind);
+        }
+    }
+
+    /// Journal the root's commit frontier if a truncation pass found it
+    /// past where it was last journaled; `dropped` is what that pass cut from
+    /// the root's log. (Entries the XOR sweep deleted ahead of the frontier
+    /// are gone by the time it reaches them, so the cut alone cannot tell
+    /// whether the frontier moved.)
+    pub(crate) fn frontier_advanced(&self, frontier: u64, dropped: u64) {
+        let last = self.last_frontier.fetch_max(frontier, Ordering::Relaxed);
+        if last < frontier {
+            self.event(EventKind::CommitFrontier { frontier, dropped });
         }
     }
 
@@ -330,10 +347,12 @@ pub(crate) fn run_monitor(
         out.series.push(GaugeSeries::new("rootlog.len"));
         out.series.len() - 1
     });
-    let vlog_idx = log.is_some_and(|l| l.armed().next().is_some()).then(|| {
-        out.series.push(GaugeSeries::new("vertexlog.len"));
-        out.series.len() - 1
-    });
+    let vlog_idx = log
+        .is_some_and(|l| l.armed().any(|v| v != ROOT_VERTEX))
+        .then(|| {
+            out.series.push(GaugeSeries::new("vertexlog.len"));
+            out.series.len() - 1
+        });
     // Durable-engine gauges: segment files and on-disk bytes across shards.
     // Only meaningful (and only emitted) on the append-only backend.
     let durable_idx = (server.backend_kind() == chc_store::BackendKind::AppendOnly).then(|| {
@@ -377,14 +396,15 @@ pub(crate) fn run_monitor(
             out.series[wal_base + j].push(t_ns, server.shard_journal_len(s) as f64);
         }
         if let (Some(idx), Some(log)) = (log_idx, log) {
-            out.series[idx].push(t_ns, log.root().len() as f64);
-        }
-        if let (Some(idx), Some(log)) = (vlog_idx, log) {
-            let len: usize = log
-                .armed()
-                .filter_map(|v| log.vertex(v).map(|l| l.len()))
-                .sum();
-            out.series[idx].push(t_ns, len as f64);
+            let rows = log.stats();
+            let len = |root: bool| {
+                let of_kind = rows.iter().filter(|r| (r.vertex == ROOT_VERTEX) == root);
+                of_kind.map(|r| r.final_len).sum::<usize>() as f64
+            };
+            out.series[idx].push(t_ns, len(true));
+            if let Some(idx) = vlog_idx {
+                out.series[idx].push(t_ns, len(false));
+            }
         }
         if let Some(idx) = durable_idx {
             out.series[idx].push(t_ns, server.durable_segments() as f64);
@@ -610,10 +630,10 @@ fn check_dedup_log_bound(run: &RuntimeReport, server: &StoreServer, report: Repo
     }
 }
 
-/// Fault-mode bounds on the packet logs: the root log ends no longer than
-/// the unconfirmed suffix past the final frontier; no log — root or vertex
-/// egress, which share one capacity — ever outgrew it; and every delivered
-/// clock's XOR delete tokens cancelled.
+/// Fault-mode bounds on the packet logs: the root's log ends no longer than
+/// the unconfirmed suffix past the final frontier; no log of the table —
+/// they share one capacity — ever outgrew it; and every delivered clock's
+/// XOR delete tokens cancelled.
 fn check_packet_log_bounds(
     shared: &EngineShared,
     fault: &FaultReport,
@@ -634,28 +654,20 @@ fn check_packet_log_bounds(
             ),
         );
     }
-    let high_water = fault.log_high_water as u64;
-    if high_water > capacity {
-        report(
-            InvariantKind::RootlogBound,
-            high_water,
-            capacity,
-            format!("root log high-water {high_water} exceeded its capacity {capacity}"),
-        );
-    }
-    let vertex_high_water = (fault.vertex_logs.iter().map(|s| s.high_water as u64))
-        .max()
-        .unwrap_or(0);
-    if vertex_high_water > capacity {
-        report(
-            InvariantKind::RootlogBound,
-            vertex_high_water,
-            capacity,
-            format!(
-                "a vertex egress log's high-water {vertex_high_water} exceeded the capacity \
-                 {capacity}"
-            ),
-        );
+    for row in shared.logs.stats() {
+        let high_water = row.high_water as u64;
+        if high_water > capacity {
+            report(
+                InvariantKind::RootlogBound,
+                high_water,
+                capacity,
+                format!(
+                    "the packet log of vertex {} reached {high_water} entries, above its \
+                     capacity {capacity}",
+                    row.vertex
+                ),
+            );
+        }
     }
     // Delivered clock counters whose token residue never cancelled.
     let xor_dirty = (shared.ledger.as_ref()).map_or(0, |l| l.dirty_confirmed().len() as u64);

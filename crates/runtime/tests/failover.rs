@@ -13,7 +13,7 @@ use chc_packet::{PacketId, Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{
     run_chain_realtime, ChainPlan, FaultPlan, RuntimeConfig, RuntimeError, RuntimeReport,
 };
-use chc_store::{InstanceId, Value, VertexId};
+use chc_store::{BackendKind, InstanceId, Value, VertexId};
 use std::rc::Rc;
 
 const FW: VertexId = VertexId(1);
@@ -298,20 +298,24 @@ fn combined_kill_and_checkpointed_shard_restart_stay_exact() {
 
 #[test]
 fn pruned_dedup_log_still_covers_kill_restart_and_reinjection() {
+    // Both engines by name, whatever `CHC_STORE_BACKEND` says: a plain
+    // `cargo test` then restarts checkpointed shards from segment files too.
+    for backend in [BackendKind::Memory, BackendKind::AppendOnly] {
+        kill_restart_and_reinjection_on(backend);
+    }
+}
+
+fn kill_restart_and_reinjection_on(backend: BackendKind) {
     // Every replay source at once: an instance kill (root-log replay), a
     // checkpointed restart of every shard (journal replay of a pruned log)
     // and a re-injection drill whose copies reach the store unsuppressed in
     // a run that keeps pruning behind the commit frontier. The store's
     // duplicate suppression must still absorb every re-issued update, with
     // a log no longer than the packets the logs never truncated.
+    let rt = || RuntimeConfig::with_batch_size(8).with_store_backend(backend);
     let trace = trace_for(41);
     let quarter = (trace.len() / 4) as u64;
-    let healthy = run(
-        &firewall_nat(),
-        ChainConfig::default(),
-        RuntimeConfig::with_batch_size(8),
-        &trace,
-    );
+    let healthy = run(&firewall_nat(), ChainConfig::default(), rt(), &trace);
     // A healthy run has no replay source: the floor starts at the top and
     // the store never logs an update.
     assert_eq!(healthy.store_update_log_len, 0);
@@ -327,7 +331,7 @@ fn pruned_dedup_log_still_covers_kill_restart_and_reinjection() {
     let faulted = run(
         &firewall_nat(),
         ChainConfig::default(),
-        RuntimeConfig::with_batch_size(8).with_fault(plan),
+        rt().with_fault(plan),
         &trace,
     );
     assert_eq!(faulted.duplicates, 0);
@@ -362,7 +366,7 @@ fn pruned_dedup_log_still_covers_kill_restart_and_reinjection() {
             duplicate_suppression: false,
             ..ChainConfig::default()
         },
-        RuntimeConfig::with_batch_size(8).with_fault(plan),
+        rt().with_fault(plan),
         &trace,
     );
     assert_no_violations(&unsuppressed);

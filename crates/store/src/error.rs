@@ -31,16 +31,6 @@ pub enum StoreError {
     UnknownCustomOp(String),
     /// The store instance has failed (fail-stop) and cannot serve requests.
     Unavailable,
-    /// The key is pinned to a different shard than the handle it was issued
-    /// through (objects are handled by exactly one store thread, §4.3).
-    WrongShard {
-        /// Key that was accessed.
-        key: StateKey,
-        /// Shard of the handle used.
-        shard: usize,
-        /// Shard the key actually hashes to.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -60,9 +50,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnknownCustomOp(name) => write!(f, "unknown custom operation {name:?}"),
             StoreError::Unavailable => write!(f, "store instance unavailable"),
-            StoreError::WrongShard { key, shard, actual } => {
-                write!(f, "{key} is pinned to shard {actual}, not {shard}")
-            }
         }
     }
 }

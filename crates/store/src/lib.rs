@@ -49,7 +49,7 @@ pub use error::StoreError;
 pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope, VertexId};
 pub use ops::{Condition, OpOutcome, Operation};
 pub use recovery::{recover_shared_state, select_recovery_ts, RecoveryInput, RecoveryReport};
-pub use server::{ShardHandle, ShardRecoveryStats, StoreServer, SINK_COMMIT_SOURCE};
+pub use server::{ShardRecoveryStats, StoreServer};
 pub use store::{Checkpoint, DurableImage, NonDetKind, StoreInstance};
 pub use value::Value;
 pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};

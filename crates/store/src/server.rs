@@ -7,12 +7,12 @@
 //!
 //! [`StoreServer`] reproduces that structure: objects are sharded by the
 //! stable hash of their canonical key, every shard is an independent
-//! [`StoreInstance`] behind its own lock, and because an object maps to
+//! [`crate::StoreInstance`] behind its own lock, and because an object maps to
 //! exactly one shard, operations on different objects proceed in parallel
 //! with no shared locking. The real-thread Criterion benchmark
 //! (`benches/store_ops.rs`) measures this type directly.
 //!
-//! Three fault-tolerance facilities back the real-thread failover protocols:
+//! Two fault-tolerance facilities back the real-thread failover protocols:
 //!
 //! * **Per-shard journaling** (§5.4): with journaling enabled, every applied
 //!   operation (plus callback registrations, custom-op registrations and
@@ -24,19 +24,14 @@
 //!   checkpoint plus the journal suffix. [`StoreServer::restart_shard`] does
 //!   crash + recovery under one lock hold so concurrent clients observe an
 //!   outage as latency, never as state loss.
-//! * **Commit vectors** (Figure 6): chain components publish the highest
-//!   logical-clock counter whose processing is fully flushed
-//!   ([`StoreServer::publish_commit`]); the root reads the minimum over the
-//!   on-path components ([`StoreServer::commit_frontier`]) to truncate its
-//!   packet log, bounding replay memory.
 //!
-//! * **Replay floor**: the supervisor that truncates those packet logs also
+//! * **Replay floor**: the supervisor that truncates the engine's packet logs
 //!   tells the store which clocks no log can replay any more
 //!   ([`StoreServer::forget_through`]); below that floor updates are neither
 //!   looked up nor logged for duplicate suppression, and each shard prunes
 //!   its log under the lock hold it takes anyway.
 //!
-//! The first two facilities run on a pluggable [`StorageBackend`]
+//! Journaling runs on a pluggable [`StorageBackend`]
 //! (see [`crate::backend`]): the in-memory engine above is the default, and
 //! the append-only flat-file engine persists the journal to per-shard
 //! segment files with checkpoint compaction, making `restart_shard` O(delta
@@ -50,19 +45,14 @@ use crate::backend::{
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
-use crate::store::{ApplyResult, Checkpoint, StoreInstance};
+use crate::store::ApplyResult;
 use crate::value::Value;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The commit-vector slot under which the end-host sink publishes its
-/// delivery frontier (distinct from every NF instance id).
-pub const SINK_COMMIT_SOURCE: InstanceId = InstanceId(u32::MAX);
-
 /// One shard of a [`StoreServer`]: an independent storage engine (live
-/// [`StoreInstance`] plus its durable journal/checkpoint side) behind its own
+/// [`crate::StoreInstance`] plus its durable journal/checkpoint side) behind its own
 /// lock, plus an op counter so load skew across shards is observable. The
 /// journal append happens under the same lock hold as the apply, so durable
 /// order is exactly execution order.
@@ -75,10 +65,6 @@ struct Shard {
 pub struct StoreServer {
     shards: Vec<Shard>,
     backend_kind: BackendKind,
-    /// Commit vector: per published source, the highest fully-flushed logical
-    /// clock counter. Low-rate (one publication per ring batch), so a mutexed
-    /// map is the right tool.
-    commits: Mutex<HashMap<InstanceId, u64>>,
     /// The replay floor: the lowest clock counter a packet log may still
     /// replay; everything below is dead to duplicate suppression. Shards pick it
     /// up lazily, under the lock hold they take anyway. `Relaxed` suffices:
@@ -142,7 +128,6 @@ impl StoreServer {
                 })
                 .collect(),
             backend_kind: config.kind,
-            commits: Mutex::new(HashMap::new()),
             replay_floor: AtomicU64::new(0),
             _scratch: scratch,
         })
@@ -163,17 +148,6 @@ impl StoreServer {
     /// Reads the hash the key carries; nothing is hashed here.
     pub fn shard_index(&self, key: &StateKey) -> usize {
         (key.shard_hash() % self.shards.len() as u64) as usize
-    }
-
-    /// One pinned handle per shard (see [`ShardHandle`]); client threads use
-    /// these to talk to "their" store thread without re-hashing every key.
-    pub fn shard_handles(self: &Arc<Self>) -> Vec<ShardHandle> {
-        (0..self.shards.len())
-            .map(|index| ShardHandle {
-                server: Arc::clone(self),
-                index,
-            })
-            .collect()
     }
 
     /// Operations served by each shard since construction, in shard order.
@@ -236,7 +210,7 @@ impl StoreServer {
         result
     }
 
-    /// Apply an operation (see [`StoreInstance::apply`]).
+    /// Apply an operation (see [`crate::StoreInstance::apply`]).
     pub fn apply(
         &self,
         requester: InstanceId,
@@ -387,15 +361,6 @@ impl StoreServer {
             .sum()
     }
 
-    /// Checkpoint every shard (used by integration tests exercising store
-    /// recovery with the threaded server).
-    pub fn checkpoint(&self, taken_at_ns: u64) -> Vec<Checkpoint> {
-        self.shards
-            .iter()
-            .map(|s| s.backend.lock().instance().checkpoint(taken_at_ns))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Shard fault tolerance: journaling, crash, recovery (§5.4)
     // ------------------------------------------------------------------
@@ -459,53 +424,6 @@ impl StoreServer {
     }
 
     // ------------------------------------------------------------------
-    // Commit vectors (Figure 6: bounding the root packet log)
-    // ------------------------------------------------------------------
-
-    /// Publish `source`'s commit watermark: the highest logical-clock counter
-    /// such that every packet with a smaller-or-equal counter routed to
-    /// `source` has been fully processed *and* its effects flushed
-    /// downstream. Monotonic: stale publications never regress the vector.
-    pub fn publish_commit(&self, source: InstanceId, counter: u64) {
-        let mut commits = self.commits.lock();
-        let entry = commits.entry(source).or_insert(0);
-        *entry = (*entry).max(counter);
-    }
-
-    /// The published commit watermark of `source`, if any.
-    pub fn commit_of(&self, source: InstanceId) -> Option<u64> {
-        self.commits.lock().get(&source).copied()
-    }
-
-    /// The full commit vector, sorted by source id.
-    pub fn commit_vector(&self) -> Vec<(InstanceId, u64)> {
-        let mut v: Vec<(InstanceId, u64)> =
-            self.commits.lock().iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_unstable_by_key(|(id, _)| *id);
-        v
-    }
-
-    /// The clock counter up to which every listed source has committed: the
-    /// root may truncate log entries with counters `<= frontier` because no
-    /// replay can ever need them again. Sources that have not published yet
-    /// hold the frontier at zero (conservative by construction).
-    pub fn commit_frontier(&self, sources: &[InstanceId]) -> u64 {
-        let commits = self.commits.lock();
-        sources
-            .iter()
-            .map(|s| commits.get(s).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Forget duplicate-suppression log entries for `clock` on every shard.
-    pub fn forget_clock(&self, clock: Clock) {
-        for shard in &self.shards {
-            shard.backend.lock().instance_mut().forget_clock(clock);
-        }
-    }
-
-    // ------------------------------------------------------------------
     // The replay floor (bounding the duplicate-suppression log)
     // ------------------------------------------------------------------
 
@@ -553,68 +471,6 @@ impl StoreServer {
             out.extend(shard.backend.lock().instance().entries());
         }
         out
-    }
-
-    /// Run a closure against one shard's [`StoreInstance`] (advanced tooling:
-    /// recovery drills, shard inspection). Mutations made here bypass the
-    /// shard's journal.
-    pub fn with_shard<R>(&self, index: usize, f: impl FnOnce(&mut StoreInstance) -> R) -> R {
-        f(self.shards[index].backend.lock().instance_mut())
-    }
-}
-
-/// A handle pinned to one shard of a [`StoreServer`].
-///
-/// The paper pins each state object to exactly one store thread so that no
-/// locking is shared across objects (§4.3). `ShardHandle` is the client-side
-/// view of that pinning: a worker thread holds the handle of the shard its
-/// hot objects live on and issues operations without re-resolving the shard.
-/// Operations on keys that hash elsewhere are rejected with
-/// [`StoreError::WrongShard`] instead of silently acquiring a foreign lock.
-#[derive(Clone)]
-pub struct ShardHandle {
-    server: Arc<StoreServer>,
-    index: usize,
-}
-
-impl ShardHandle {
-    /// The shard this handle is pinned to.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// True if `key` is pinned to this handle's shard.
-    pub fn owns(&self, key: &StateKey) -> bool {
-        self.server.shard_index(key) == self.index
-    }
-
-    /// Apply an operation to an object pinned to this shard.
-    pub fn apply(
-        &self,
-        requester: InstanceId,
-        key: &StateKey,
-        op: &Operation,
-        clock: Option<Clock>,
-    ) -> Result<ApplyResult, StoreError> {
-        let actual = self.server.shard_index(key);
-        if actual != self.index {
-            return Err(StoreError::WrongShard {
-                key: key.clone(),
-                shard: self.index,
-                actual,
-            });
-        }
-        let shard = &self.server.shards[self.index];
-        self.server.apply_on_shard(shard, requester, key, op, clock)
-    }
-
-    /// Read a value pinned to this shard without metadata effects.
-    pub fn peek(&self, key: &StateKey) -> Value {
-        self.server.shards[self.index]
-            .backend
-            .lock()
-            .instance()
-            .peek(key)
     }
 }
 
@@ -728,45 +584,6 @@ mod tests {
             .unwrap();
         assert!(!a.outcome.emulated && b.outcome.emulated);
         assert_eq!(server.peek(&k), Value::Int(1));
-        server.forget_clock(clock);
-        let c = server
-            .apply(InstanceId(0), &k, &Operation::Increment(1), Some(clock))
-            .unwrap();
-        assert!(!c.outcome.emulated);
-    }
-
-    #[test]
-    fn shard_handles_pin_objects_to_one_shard() {
-        let server = StoreServer::new(4);
-        let handles = server.shard_handles();
-        assert_eq!(handles.len(), 4);
-        for h in 0..64u8 {
-            let k = key("pinned", h);
-            let idx = server.shard_index(&k);
-            let handle = &handles[idx];
-            assert!(handle.owns(&k));
-            handle
-                .apply(InstanceId(0), &k, &Operation::Increment(1), None)
-                .unwrap();
-            assert_eq!(handle.peek(&k), Value::Int(1));
-            // Every other handle rejects the key instead of touching a
-            // foreign shard's lock.
-            for (other_idx, other) in handles.iter().enumerate() {
-                if other_idx != idx {
-                    let err = other
-                        .apply(InstanceId(0), &k, &Operation::Increment(1), None)
-                        .unwrap_err();
-                    assert!(matches!(err, StoreError::WrongShard { actual, .. } if actual == idx));
-                }
-            }
-        }
-        // Handle traffic shows up in the per-shard counters and the total.
-        assert_eq!(server.total_ops(), 64);
-        assert_eq!(server.ops_per_shard().iter().sum::<u64>(), 64);
-        assert!(
-            server.ops_per_shard().iter().all(|n| *n > 0),
-            "all shards saw traffic"
-        );
     }
 
     #[test]
@@ -943,35 +760,5 @@ mod tests {
         let owners: Vec<Option<InstanceId>> =
             server.dump().into_iter().map(|(_, _, o)| o).collect();
         assert!(owners.iter().all(|o| *o == Some(InstanceId(9))));
-    }
-
-    #[test]
-    fn commit_vector_is_monotonic_and_frontier_is_min() {
-        let server = StoreServer::new(1);
-        server.publish_commit(InstanceId(0), 40);
-        server.publish_commit(InstanceId(1), 25);
-        server.publish_commit(SINK_COMMIT_SOURCE, 30);
-        // Stale publications never regress the vector.
-        server.publish_commit(InstanceId(0), 10);
-        assert_eq!(server.commit_of(InstanceId(0)), Some(40));
-        let sources = [InstanceId(0), InstanceId(1), SINK_COMMIT_SOURCE];
-        assert_eq!(server.commit_frontier(&sources), 25);
-        // A source that never published pins the frontier at zero.
-        assert_eq!(server.commit_frontier(&[InstanceId(0), InstanceId(5)]), 0);
-        assert_eq!(server.commit_vector().len(), 3);
-    }
-
-    #[test]
-    fn checkpoints_cover_all_shards() {
-        let server = StoreServer::new(3);
-        for h in 0..9u8 {
-            server
-                .apply(InstanceId(0), &key("x", h), &Operation::Increment(1), None)
-                .unwrap();
-        }
-        let cps = server.checkpoint(5);
-        assert_eq!(cps.len(), 3);
-        let total: usize = cps.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 9);
     }
 }

@@ -31,7 +31,7 @@ use chc_runtime::{
     run_chain_realtime, shared_state_digest, FaultPlan, InstanceKill, RuntimeConfig,
 };
 use chc_sim::VirtualTime;
-use chc_store::{InstanceId, StateKey, Value, VertexId};
+use chc_store::{BackendKind, InstanceId, StateKey, Value, VertexId};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -209,7 +209,7 @@ fn runtime_matches_simulator_across_instance_failure_and_recovery() {
         let trace = trace_for(seed);
         // Same seeded fault scenario on both substrates: one firewall
         // (entry) instance killed in the middle third of the trace.
-        let kill = FaultGen::new(seed).entry_kill(FW_VERTEX, 1, trace.len());
+        let kill = FaultGen::new(seed).kill_at(FW_VERTEX, 1, trace.len());
 
         let (sim_ids, sim_dups, sim_alerts, sim_state) = run_sim_with_kill(&trace, seed, &kill);
         let (rt_ids, rt_dups, rt_alerts, rt_state) = run_rt_with_kill(&trace, &kill, 16);
@@ -306,8 +306,21 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             ("tail", gen.kill_plan(TAIL_VERTEX, 1, len)),
             ("root", gen.root_kill_plan(len)),
         ];
-        for (position, plan) in plans {
-            let rt_cfg = RuntimeConfig::with_batch_size(16).with_fault(plan.clone());
+        // Every seed runs on the default engine (`CHC_STORE_BACKEND`, memory
+        // unless set); the first one names both, so a plain `cargo test`
+        // reaches the append-only engine's failover path too.
+        let backends = match seed {
+            7 => vec![BackendKind::Memory, BackendKind::AppendOnly],
+            _ => vec![RuntimeConfig::default().store_backend],
+        };
+        let positions = plans
+            .iter()
+            .flat_map(|p| backends.iter().map(move |b| (p, *b)));
+        for ((position, plan), backend) in positions {
+            let position = format!("{position} on {backend:?}");
+            let rt_cfg = RuntimeConfig::with_batch_size(16)
+                .with_store_backend(backend)
+                .with_fault(plan.clone());
             let report =
                 run_chain_realtime(&matrix_chain(), ChainConfig::default(), &rt_cfg, &trace)
                     .unwrap();
@@ -327,9 +340,9 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 "seed {seed} {position}: failover aborted: {:?}",
                 fault.aborts
             );
-            if position == "root" {
+            if let Some(killed_at) = plan.root_kill {
                 let takeover = fault.root_takeover.expect("takeover record");
-                assert_eq!(takeover.killed_at, plan.root_kill.unwrap());
+                assert_eq!(takeover.killed_at, killed_at);
             } else {
                 assert_eq!(
                     fault.recoveries.len(),
