@@ -89,12 +89,6 @@ impl TaggedPacket {
         self.trace.is_some() || self.clock.counter().is_multiple_of(TIMED_PERIOD)
     }
 
-    /// True if this packet is a replay or a replicated copy (needs duplicate
-    /// handling at NFs and queues).
-    pub fn is_duplicate_risk(&self) -> bool {
-        self.replay_for.is_some() || self.replicated
-    }
-
     /// Fold one state update's token into the XOR commit vector.
     pub fn absorb_update_token(&mut self, token: u32) {
         self.xor_vector ^= token;
@@ -172,27 +166,11 @@ pub enum Msg {
         /// Whether this instance now has exclusive access.
         exclusive: bool,
     },
-    /// Root → NF instance: begin replaying logged packets to `target`
-    /// (failover or straggler clone). Informational for intervening NFs.
-    ReplayStart {
-        /// Instance the replay is destined for.
-        target: InstanceId,
-    },
     /// Framework → root: please replay all logged packets (after a failure or
     /// when initialising a straggler clone), marking them for `target`.
     ReplayRequest {
         /// Instance the replay is destined for.
         target: InstanceId,
-    },
-    /// Vertex manager ↔ instances: statistics used by scaling / straggler
-    /// logic (packets processed since the last report, queue length).
-    StatsReport {
-        /// Reporting instance.
-        instance: InstanceId,
-        /// Packets processed since the previous report.
-        packets: u64,
-        /// Input-queue length at report time.
-        queue_len: usize,
     },
     /// Framework → instance: inject an artificial per-packet delay (used to
     /// emulate resource contention / stragglers in experiments, §7.3 R4/R5).
@@ -235,17 +213,5 @@ mod tests {
         assert_ne!(t1, t2);
         assert_eq!(t1 & 0xffff, t2 & 0xffff, "object part identical");
         assert_ne!(t1 >> 16, t2 >> 16, "instance part differs");
-    }
-
-    #[test]
-    fn duplicate_risk_flags() {
-        let pkt = Packet::builder().build();
-        let mut tp = TaggedPacket::new(pkt, Clock::with_root(0, 2));
-        assert!(!tp.is_duplicate_risk());
-        tp.replicated = true;
-        assert!(tp.is_duplicate_risk());
-        tp.replicated = false;
-        tp.replay_for = Some(InstanceId(4));
-        assert!(tp.is_duplicate_risk());
     }
 }

@@ -1,4 +1,4 @@
-//! Portscan detector (§6, Table 4; Schechter et al. [26]).
+//! Portscan detector (§6, Table 4; Schechter et al. \[26\]).
 //!
 //! Threshold-random-walk style detection: each connection attempt by a host
 //! moves the host's "likelihood of being malicious" up (refused attempt) or

@@ -1,4 +1,4 @@
-//! Off-path Trojan detector (§2.1, §6; De Carli et al. [12]).
+//! Off-path Trojan detector (§2.1, §6; De Carli et al. \[12\]).
 //!
 //! The detector watches a copy of the traffic and flags a host that performs,
 //! *in this order*: (1) an SSH connection, (2) FTP downloads of an HTML, a

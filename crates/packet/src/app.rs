@@ -1,6 +1,6 @@
 //! Application-protocol annotations used by content-aware NFs.
 //!
-//! The Trojan detector of the paper (De Carli et al., reference [12]) flags a
+//! The Trojan detector of the paper (De Carli et al., reference \[12\]) flags a
 //! host when it observes, in order: (1) an SSH connection, (2) FTP downloads
 //! of HTML, ZIP and EXE files, and (3) IRC activity. Re-implementing a full
 //! DPI engine is out of scope for the reproduction, so the trace generator

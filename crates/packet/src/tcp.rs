@@ -1,6 +1,6 @@
 //! TCP control flags and the connection-level events NFs derive from them.
 //!
-//! The portscan detector (Schechter et al., the paper's reference [26]) and
+//! The portscan detector (Schechter et al., the paper's reference \[26\]) and
 //! the NAT react to connection initiation and teardown rather than to raw
 //! packets, so the trace generator annotates packets with flags from which a
 //! [`TcpEvent`] can be derived.

@@ -45,14 +45,14 @@
 //! stays full though no further fail-stop arrived (the consumer stopped
 //! draining), or a wiring hand-off with no replacement seed — is
 //! **aborted**, not allowed to hang the run: the supervisor journals a
-//! `failover_abort` event, records it in [`SupervisorOutcome::aborts`]
+//! `failover_abort` event, records it in `SupervisorOutcome::aborts`
 //! (surfaced through `RuntimeReport::fault`), and winds down normally.
 //!
 //! ## Log truncation (Figure 6)
 //!
 //! Every packet log — the root's is the first — is one row of
 //! `ChainPlan::log_scopes`, and between fault events the supervisor treats
-//! every row alike ([`truncate_logs`]). It cuts the log at its own commit
+//! every row alike (`truncate_logs`). It cuts the log at its own commit
 //! frontier, the lowest watermark in `EngineShared::watermarks` over the
 //! row's scope: every on-path instance and the sink for the root's log, the
 //! instances *strictly downstream* of the logging vertex plus the sink for an

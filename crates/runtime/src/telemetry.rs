@@ -25,7 +25,7 @@
 //!
 //! holds exactly, which is the consistency check the benchmark and tests
 //! assert on the histogram means. Store RTT is measured inside
-//! [`TimedHandle`] and *subtracted* from the enclosing service time, so the
+//! `TimedHandle` and *subtracted* from the enclosing service time, so the
 //! three per-vertex components are disjoint.
 
 use crate::config::TelemetryConfig;

@@ -1,7 +1,6 @@
-//! The append-only flat-file shard engine.
+//! The append-only flat-file storage engine.
 //!
-//! Layout (timestore-style ordered appends, ysr-style keyspace prefixes),
-//! one directory per shard:
+//! Layout (timestore-style ordered appends), one directory per shard:
 //!
 //! ```text
 //! shard-3/
@@ -10,16 +9,12 @@
 //! ```
 //!
 //! * **Records** are appended in execution order, each framed as
-//!   `[u32 len][u32 fnv1a(payload)][payload]` and payload-prefixed with the
-//!   canonical keyspace string it touches, so a segment is an ordered,
-//!   prefix-scannable history. A torn tail (crash mid-write) fails the
-//!   length or checksum test and is dropped at recovery; on reopen the
-//!   active segment is truncated back to its last intact record so new
-//!   appends can never hide behind garbage.
-//! * **All keys and their newest record offsets stay resident in memory**
-//!   (`index`): reads are served by the live [`StoreInstance`]; the offsets
-//!   exist so tooling can seek straight to a key's latest durable record
-//!   without scanning.
+//!   `[u32 len][u32 fnv1a(payload)][payload]`, so a segment is an ordered
+//!   history. A torn tail (crash mid-write) fails the length or checksum
+//!   test and is dropped at recovery; on reopen the active segment is
+//!   truncated back to its last intact record so new appends can never hide
+//!   behind garbage. Reads never come here: the shard serves them from its
+//!   live [`StoreInstance`].
 //! * **Checkpoint compaction**: every `checkpoint_interval` journaled
 //!   records (or on an explicit `checkpoint_shard`) the engine writes the
 //!   full durable image (`ckpt-<seq>.img`, atomically via rename), rotates
@@ -30,9 +25,9 @@
 //! `std::fs` only; the container has no crates.io access.
 
 use super::codec::{fnv32, Dec, Enc};
-use super::{BackendKind, JournalRecord, ShardRecoveryStats, StorageBackend};
-use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, StateKey};
-use crate::ops::{CustomOpFn, Operation};
+use super::{JournalRecord, StorageBackend};
+use crate::key::{Clock, InstanceId};
+use crate::ops::CustomOpResolver;
 use crate::store::{DurableImage, StoreInstance};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -45,33 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// keep recovery O(delta).
 pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
 
-/// A decoded journal record: [`JournalRecord`] minus the custom-op function
-/// pointer, which is not serializable and is re-resolved from the resident
-/// registration table during replay.
-enum PlainRecord {
-    Apply {
-        requester: InstanceId,
-        key: StateKey,
-        op: Operation,
-        clock: Option<Clock>,
-    },
-    Callback {
-        key: StateKey,
-        instance: InstanceId,
-    },
-    CustomOp {
-        name: String,
-    },
-    Reassign {
-        from: InstanceId,
-        to: InstanceId,
-    },
-    ApplyBatch {
-        requester: InstanceId,
-        ops: Vec<(StateKey, Operation, Option<Clock>)>,
-    },
-}
-
 /// One durable journal segment on disk.
 struct Segment {
     seq: u64,
@@ -81,9 +49,7 @@ struct Segment {
 
 /// Append-only flat-file engine. See the module docs for the layout.
 pub struct AppendOnlyBackend {
-    instance: StoreInstance,
     dir: PathBuf,
-    enabled: bool,
     checkpoint_interval: usize,
     /// Sealed + active segments, ascending by `seq`; the last is active.
     segments: Vec<Segment>,
@@ -94,22 +60,14 @@ pub struct AppendOnlyBackend {
     /// Sequence of the newest checkpoint image, and its size.
     ckpt_seq: Option<u64>,
     ckpt_bytes: u64,
-    /// Canonical key → (segment seq, record offset) of the newest durable
-    /// record touching that key, probed under the hash the key carries.
-    /// Resident, rebuilt on open, cleared on compaction (older history lives
-    /// in the image).
-    index: CanonMap<(u64, u64)>,
-    /// Resident custom-op registrations, re-installed on every recovery
-    /// (function pointers cannot be persisted).
-    custom_ops: Vec<(String, CustomOpFn)>,
 }
 
 impl AppendOnlyBackend {
     /// Open (or create) the engine over `dir`. Existing durable state is
-    /// scanned — newest checkpoint located, segment indices rebuilt, a torn
-    /// active-segment tail truncated — but the in-memory instance starts
-    /// empty: call [`StorageBackend::recover`] to load it, exactly as a
-    /// restarted shard would.
+    /// scanned — newest checkpoint located, records counted, a torn
+    /// active-segment tail truncated — and stays on disk: a
+    /// [`super::Shard`] over the engine loads it with `recover`, exactly as
+    /// a restarted shard would.
     pub fn open(dir: impl Into<PathBuf>, checkpoint_interval: usize) -> AppendOnlyBackend {
         let dir = dir.into();
         fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
@@ -149,18 +107,12 @@ impl AppendOnlyBackend {
         });
         segs.sort_unstable();
 
-        // Re-scan live segments: rebuild the key index and the pending
-        // count, and find each segment's intact length.
-        let mut index = CanonMap::default();
+        // Re-scan live segments: count pending records and find each
+        // segment's intact length.
         let mut pending_records = 0usize;
         let mut segments = Vec::new();
         for &seq in &segs {
             let (records, bytes) = scan_segment(&seg_path(&dir, seq));
-            for (offset, record) in &records {
-                for key in record_keys(record) {
-                    index.insert(CanonKey::of(key), (seq, *offset));
-                }
-            }
             pending_records += records.len();
             segments.push(Segment { seq, bytes });
         }
@@ -188,34 +140,20 @@ impl AppendOnlyBackend {
         drop(file);
 
         AppendOnlyBackend {
-            instance: StoreInstance::new(),
             dir,
-            enabled: false,
             checkpoint_interval: checkpoint_interval.max(1),
             segments,
             active,
             pending_records,
             ckpt_seq,
             ckpt_bytes,
-            index,
-            custom_ops: Vec::new(),
         }
-    }
-
-    /// The shard directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Path of the segment currently being appended to (crash-injection
     /// tests truncate this file at arbitrary offsets).
     pub fn active_segment_path(&self) -> PathBuf {
         seg_path(&self.dir, self.segments.last().expect("active segment").seq)
-    }
-
-    /// The resident key → (segment, offset) map's view of one canonical key.
-    pub fn offset_of(&self, key: &StateKey) -> Option<(u64, u64)> {
-        self.index.get(key as &dyn CanonView).copied()
     }
 
     /// Write one finished frame ([`Enc::into_frame`]); returns its length.
@@ -227,139 +165,37 @@ impl AppendOnlyBackend {
         frame.len() as u64
     }
 
-    fn resolve_custom(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
-        table.iter().find(|(n, _)| n == name).map(|(_, f)| *f)
-    }
-
-    fn replay_plain(
-        table: &[(String, CustomOpFn)],
-        instance: &mut StoreInstance,
-        record: PlainRecord,
-        stats: &mut ShardRecoveryStats,
-    ) {
-        match record {
-            PlainRecord::Apply {
-                requester,
-                key,
-                op,
-                clock,
-            } => {
-                let _ = instance.replay_journaled(requester, &key, &op, clock);
-                stats.replayed_ops += 1;
-            }
-            PlainRecord::Callback { key, instance: who } => {
-                instance.register_callback(&key, who);
-                stats.reinstalled_records += 1;
-            }
-            PlainRecord::CustomOp { name } => {
-                if let Some(f) = Self::resolve_custom(table, &name) {
-                    instance.register_custom_op(&name, f);
-                }
-                stats.reinstalled_records += 1;
-            }
-            PlainRecord::Reassign { from, to } => {
-                instance.reassign_owner(from, to);
-                stats.reinstalled_records += 1;
-            }
-            PlainRecord::ApplyBatch { requester, ops } => {
-                for (key, op, clock) in ops {
-                    let _ = instance.replay_journaled(requester, &key, &op, clock);
-                    stats.replayed_ops += 1;
-                }
-            }
-        }
-    }
-
-    /// Delete every durable file and reset to one fresh empty segment.
-    fn wipe_durable(&mut self) {
+    /// Delete every segment and start the journal over in one empty
+    /// segment `seq`.
+    fn reset_journal(&mut self, seq: u64) {
         for seg in &self.segments {
             let _ = fs::remove_file(seg_path(&self.dir, seg.seq));
         }
-        if let Some(seq) = self.ckpt_seq.take() {
-            let _ = fs::remove_file(ckpt_path(&self.dir, seq));
-        }
-        self.ckpt_bytes = 0;
-        self.pending_records = 0;
-        self.index.clear();
-        let next = self.segments.last().map_or(0, |s| s.seq + 1);
-        self.segments = vec![Segment {
-            seq: next,
-            bytes: 0,
-        }];
-        let path = seg_path(&self.dir, next);
+        self.segments = vec![Segment { seq, bytes: 0 }];
+        let path = seg_path(&self.dir, seq);
         self.active = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
+        self.pending_records = 0;
     }
 }
 
 impl StorageBackend for AppendOnlyBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::AppendOnly
-    }
-
-    fn instance(&self) -> &StoreInstance {
-        &self.instance
-    }
-
-    fn instance_mut(&mut self) -> &mut StoreInstance {
-        &mut self.instance
-    }
-
-    fn set_journaling(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.wipe_durable();
-        }
-    }
-
-    fn journaling(&self) -> bool {
-        self.enabled
-    }
-
-    fn journal_len(&self) -> usize {
-        self.pending_records
-    }
-
-    fn append(&mut self, record: JournalRecord) {
-        if !self.enabled {
-            return;
-        }
+    fn append(&mut self, record: JournalRecord) -> bool {
         let frame = encode_record(&record);
         let seg = self.segments.last_mut().expect("active segment");
-        let at = (seg.seq, seg.bytes);
         let path = seg_path(&self.dir, seg.seq);
         seg.bytes += Self::write_frame(&mut self.active, &path, &frame);
-        let mut touched = |key: &StateKey| {
-            self.index.insert(CanonKey::of(key), at);
-        };
-        match &record {
-            JournalRecord::Apply { key, .. } | JournalRecord::Callback { key, .. } => touched(key),
-            JournalRecord::ApplyBatch { ops, .. } => ops.iter().for_each(|(k, _, _)| touched(k)),
-            JournalRecord::CustomOp { .. } | JournalRecord::Reassign { .. } => {}
-        }
         self.pending_records += 1;
         // Periodic compaction: fold the journal into a checkpoint image so
         // recovery work stays proportional to ops-since-checkpoint.
-        if self.pending_records >= self.checkpoint_interval {
-            self.checkpoint();
-        }
+        self.pending_records >= self.checkpoint_interval
     }
 
-    fn register_custom_op(&mut self, name: &str, f: CustomOpFn) {
-        self.instance.register_custom_op(name, f);
-        self.custom_ops.retain(|(n, _)| n != name);
-        self.custom_ops.push((name.to_string(), f));
-        self.append(JournalRecord::CustomOp {
-            name: name.to_string(),
-            f,
-        });
-    }
-
-    fn checkpoint(&mut self) -> usize {
-        let image = self.instance.durable_image();
+    fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
+        let image = instance.durable_image();
         let captured = image.entries.len();
         let frame = encode_image(&image);
         let seq = self.segments.last().expect("active segment").seq;
@@ -379,60 +215,36 @@ impl StorageBackend for AppendOnlyBackend {
         // one's end) and the previous image.
         let old_ckpt = self.ckpt_seq.replace(seq);
         self.ckpt_bytes = written;
-        let next = seq + 1;
-        for seg in &self.segments {
-            let _ = fs::remove_file(seg_path(&self.dir, seg.seq));
+        self.reset_journal(seq + 1);
+        if let Some(old) = old_ckpt.filter(|old| *old != seq) {
+            let _ = fs::remove_file(ckpt_path(&self.dir, old));
         }
-        if let Some(old) = old_ckpt {
-            if old != seq {
-                let _ = fs::remove_file(ckpt_path(&self.dir, old));
-            }
-        }
-        self.segments = vec![Segment {
-            seq: next,
-            bytes: 0,
-        }];
-        let path = seg_path(&self.dir, next);
-        self.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
-        self.pending_records = 0;
-        self.index.clear();
         captured
     }
 
-    fn crash(&mut self) {
-        self.instance = StoreInstance::new();
+    fn restore(&self, resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
+        let image = read_image(&ckpt_path(&self.dir, self.ckpt_seq?)).unwrap_or_default();
+        Some(StoreInstance::from_durable_image(image, resolve))
     }
 
-    fn recover(&mut self) -> ShardRecoveryStats {
-        let mut stats = ShardRecoveryStats::default();
-        let table = self.custom_ops.clone();
-        let mut instance = match self.ckpt_seq {
-            Some(seq) => {
-                let path = ckpt_path(&self.dir, seq);
-                let image = read_image(&path).unwrap_or_default();
-                stats.restored_from_checkpoint = image.entries.len();
-                let resolve = |name: &str| Self::resolve_custom(&table, name);
-                StoreInstance::from_durable_image(image, &resolve)
-            }
-            None => StoreInstance::new(),
-        };
-        // Resident registrations always survive, image or not (covers ops
-        // registered while journaling was off).
-        for (name, f) in &table {
-            instance.register_custom_op(name, *f);
-        }
+    fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
         for seg in &self.segments {
             let (records, _) = scan_segment(&seg_path(&self.dir, seg.seq));
-            for (_, record) in records {
-                Self::replay_plain(&table, &mut instance, record, &mut stats);
-            }
+            records.iter().for_each(&mut *visit);
         }
-        self.instance = instance;
-        stats
+    }
+
+    fn journal_len(&self) -> usize {
+        self.pending_records
+    }
+
+    fn clear(&mut self) {
+        let next = self.segments.last().map_or(0, |s| s.seq + 1);
+        self.reset_journal(next);
+        if let Some(seq) = self.ckpt_seq.take() {
+            let _ = fs::remove_file(ckpt_path(&self.dir, seq));
+        }
+        self.ckpt_bytes = 0;
     }
 
     fn segment_count(&self) -> usize {
@@ -459,10 +271,10 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-/// Decode every intact record of a segment. Returns the records with their
-/// frame offsets, plus the byte length of the intact prefix (a torn tail —
-/// short frame, failed checksum, or undecodable payload — ends the scan).
-fn scan_segment(path: &Path) -> (Vec<(u64, PlainRecord)>, u64) {
+/// Decode every intact record of a segment. Returns the records plus the
+/// byte length of the intact prefix (a torn tail — short frame, failed
+/// checksum, or undecodable payload — ends the scan).
+fn scan_segment(path: &Path) -> (Vec<JournalRecord>, u64) {
     let mut buf = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -490,7 +302,7 @@ fn scan_segment(path: &Path) -> (Vec<(u64, PlainRecord)>, u64) {
         let Some(record) = decode_record(payload) else {
             break;
         };
-        records.push((pos as u64, record));
+        records.push(record);
         pos = end;
     }
     (records, pos as u64)
@@ -512,9 +324,7 @@ fn read_image(path: &Path) -> Option<DurableImage> {
     decode_image(payload)
 }
 
-/// Encode one journal record as a finished frame. The payload of a
-/// single-key record leads with its canonical keyspace string, so segments
-/// are prefix-scannable.
+/// Encode one journal record as a finished frame.
 fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let mut e = Enc::new();
     match record {
@@ -525,7 +335,6 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             clock,
         } => {
             e.u8(0);
-            e.display(&key.canonical());
             e.u32(requester.0);
             e.state_key(key);
             e.operation(op);
@@ -533,11 +342,10 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
         }
         JournalRecord::Callback { key, instance } => {
             e.u8(1);
-            e.display(&key.canonical());
             e.u32(instance.0);
             e.state_key(key);
         }
-        JournalRecord::CustomOp { name, .. } => {
+        JournalRecord::CustomOp { name } => {
             e.u8(2);
             e.str(name);
         }
@@ -560,27 +368,21 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
     e.into_frame()
 }
 
-fn decode_record(payload: &[u8]) -> Option<PlainRecord> {
+fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
     let mut d = Dec::new(payload);
     let record = match d.u8()? {
-        0 => {
-            let _canon = d.str()?;
-            PlainRecord::Apply {
-                requester: InstanceId(d.u32()?),
-                key: d.state_key()?,
-                op: d.operation()?,
-                clock: d.opt_clock()?,
-            }
-        }
-        1 => {
-            let _canon = d.str()?;
-            PlainRecord::Callback {
-                instance: InstanceId(d.u32()?),
-                key: d.state_key()?,
-            }
-        }
-        2 => PlainRecord::CustomOp { name: d.str()? },
-        3 => PlainRecord::Reassign {
+        0 => JournalRecord::Apply {
+            requester: InstanceId(d.u32()?),
+            key: d.state_key()?,
+            op: d.operation()?,
+            clock: d.opt_clock()?,
+        },
+        1 => JournalRecord::Callback {
+            instance: InstanceId(d.u32()?),
+            key: d.state_key()?,
+        },
+        2 => JournalRecord::CustomOp { name: d.str()? },
+        3 => JournalRecord::Reassign {
             from: InstanceId(d.u32()?),
             to: InstanceId(d.u32()?),
         },
@@ -591,7 +393,7 @@ fn decode_record(payload: &[u8]) -> Option<PlainRecord> {
             for _ in 0..n {
                 ops.push((d.state_key()?, d.operation()?, d.opt_clock()?));
             }
-            PlainRecord::ApplyBatch { requester, ops }
+            JournalRecord::ApplyBatch { requester, ops }
         }
         _ => return None,
     };
@@ -646,8 +448,6 @@ fn encode_image(image: &DurableImage) -> Vec<u8> {
         e.str(name);
     }
     e.u8(u8::from(image.failed));
-    e.u64(image.ops_applied);
-    e.u64(image.ops_emulated);
     e.into_frame()
 }
 
@@ -693,18 +493,7 @@ fn decode_image(payload: &[u8]) -> Option<DurableImage> {
         image.custom_op_names.push(d.str()?);
     }
     image.failed = d.u8()? != 0;
-    image.ops_applied = d.u64()?;
-    image.ops_emulated = d.u64()?;
     d.is_exhausted().then_some(image)
-}
-
-/// Keys a decoded record touches (index rebuild on open).
-fn record_keys(record: &PlainRecord) -> Vec<&StateKey> {
-    match record {
-        PlainRecord::Apply { key, .. } | PlainRecord::Callback { key, .. } => vec![key],
-        PlainRecord::CustomOp { .. } | PlainRecord::Reassign { .. } => Vec::new(),
-        PlainRecord::ApplyBatch { ops, .. } => ops.iter().map(|(k, _, _)| k).collect(),
-    }
 }
 
 /// A process-unique scratch directory under the workspace `target/`,
@@ -763,19 +552,25 @@ fn target_root() -> PathBuf {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{Shard, ShardRecoveryStats};
     use super::*;
-    use crate::key::{ObjectKey, VertexId};
+    use crate::key::{ObjectKey, StateKey, VertexId};
+    use crate::ops::Operation;
     use crate::value::Value;
 
     fn key(name: &str) -> StateKey {
         StateKey::shared(VertexId(0), ObjectKey::named(name))
     }
 
-    fn apply(b: &mut AppendOnlyBackend, key: &StateKey, op: Operation, clock: Option<Clock>) {
+    fn shard(dir: &Path, checkpoint_interval: usize) -> Shard {
+        Shard::new(Box::new(AppendOnlyBackend::open(dir, checkpoint_interval)))
+    }
+
+    fn apply(s: &mut Shard, key: &StateKey, op: Operation, clock: Option<Clock>) {
         let requester = InstanceId(1);
-        let result = b.instance_mut().apply(requester, key, &op, clock);
+        let result = s.instance_mut().apply(requester, key, &op, clock);
         assert!(result.is_ok());
-        b.append(JournalRecord::Apply {
+        s.append(JournalRecord::Apply {
             requester,
             key: key.clone(),
             op,
@@ -786,7 +581,7 @@ mod tests {
     #[test]
     fn journaled_writes_survive_crash_and_recover() {
         let scratch = ScratchDir::new("aob-basic");
-        let mut b = AppendOnlyBackend::open(scratch.path(), DEFAULT_CHECKPOINT_INTERVAL);
+        let mut b = shard(scratch.path(), DEFAULT_CHECKPOINT_INTERVAL);
         b.set_journaling(true);
         for c in 1..=10u64 {
             apply(
@@ -796,9 +591,8 @@ mod tests {
                 Some(Clock::with_root(0, c)),
             );
         }
-        assert_eq!(b.journal_len(), 10);
-        assert!(b.durable_bytes() > 0);
-        assert!(b.offset_of(&key("counter")).is_some());
+        assert_eq!(b.backend().journal_len(), 10);
+        assert!(b.backend().durable_bytes() > 0);
         b.crash();
         assert_eq!(b.instance().peek(&key("counter")), Value::None);
         let stats = b.recover();
@@ -820,7 +614,7 @@ mod tests {
     #[test]
     fn auto_compaction_bounds_journal_and_restart_work() {
         let scratch = ScratchDir::new("aob-compact");
-        let mut b = AppendOnlyBackend::open(scratch.path(), 8);
+        let mut b = shard(scratch.path(), 8);
         b.set_journaling(true);
         for c in 1..=30u64 {
             apply(
@@ -832,8 +626,8 @@ mod tests {
         }
         // Auto-checkpoints fired at 8, 16 and 24 appends: the journal holds
         // only the suffix, and exactly one segment + one image remain.
-        assert_eq!(b.journal_len(), 30 % 8);
-        assert_eq!(b.segment_count(), 1);
+        assert_eq!(b.backend().journal_len(), 30 % 8);
+        assert_eq!(b.backend().segment_count(), 1);
         b.crash();
         let stats = b.recover();
         assert_eq!(
@@ -849,7 +643,7 @@ mod tests {
     fn reopen_resumes_from_disk_and_truncates_torn_tail() {
         let scratch = ScratchDir::new("aob-reopen");
         let dir = scratch.path().to_path_buf();
-        let mut b = AppendOnlyBackend::open(&dir, DEFAULT_CHECKPOINT_INTERVAL);
+        let mut b = shard(&dir, DEFAULT_CHECKPOINT_INTERVAL);
         b.set_journaling(true);
         for c in 1..=6u64 {
             apply(
@@ -868,9 +662,9 @@ mod tests {
                 Some(Clock::with_root(0, c)),
             );
         }
-        let seg = b.active_segment_path();
         drop(b);
         // Tear the last record: chop 3 bytes off the segment.
+        let seg = AppendOnlyBackend::open(&dir, DEFAULT_CHECKPOINT_INTERVAL).active_segment_path();
         let len = fs::metadata(&seg).unwrap().len();
         OpenOptions::new()
             .write(true)
@@ -879,8 +673,8 @@ mod tests {
             .set_len(len - 3)
             .unwrap();
 
-        let mut b = AppendOnlyBackend::open(&dir, DEFAULT_CHECKPOINT_INTERVAL);
-        assert_eq!(b.journal_len(), 2, "torn third record dropped");
+        let mut b = shard(&dir, DEFAULT_CHECKPOINT_INTERVAL);
+        assert_eq!(b.backend().journal_len(), 2, "torn third record dropped");
         let stats = b.recover();
         assert_eq!(stats.restored_from_checkpoint, 1);
         assert_eq!(stats.replayed_ops, 2);
@@ -906,15 +700,15 @@ mod tests {
     #[test]
     fn disabling_journaling_wipes_durable_state() {
         let scratch = ScratchDir::new("aob-wipe");
-        let mut b = AppendOnlyBackend::open(scratch.path(), DEFAULT_CHECKPOINT_INTERVAL);
+        let mut b = shard(scratch.path(), DEFAULT_CHECKPOINT_INTERVAL);
         b.set_journaling(true);
         apply(&mut b, &key("a"), Operation::Increment(1), None);
         b.checkpoint();
         apply(&mut b, &key("a"), Operation::Increment(1), None);
-        assert!(b.durable_bytes() > 0);
+        assert!(b.backend().durable_bytes() > 0);
         b.set_journaling(false);
-        assert_eq!(b.durable_bytes(), 0);
-        assert_eq!(b.journal_len(), 0);
+        assert_eq!(b.backend().durable_bytes(), 0);
+        assert_eq!(b.backend().journal_len(), 0);
         b.crash();
         let stats = b.recover();
         assert_eq!(stats, ShardRecoveryStats::default());
@@ -925,7 +719,7 @@ mod tests {
     fn scratch_dir_cleans_up_on_drop() {
         let scratch = ScratchDir::new("aob-hygiene");
         let path = scratch.path().to_path_buf();
-        let mut b = AppendOnlyBackend::open(&path, DEFAULT_CHECKPOINT_INTERVAL);
+        let mut b = shard(&path, DEFAULT_CHECKPOINT_INTERVAL);
         b.set_journaling(true);
         apply(&mut b, &key("z"), Operation::Increment(1), None);
         assert!(path.join("seg-00000000.log").exists());

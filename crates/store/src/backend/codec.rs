@@ -15,7 +15,6 @@ use crate::ops::{Condition, Operation};
 use crate::value::Value;
 use chc_packet::{FlowKey, ScopeKey};
 use std::collections::VecDeque;
-use std::io::Write;
 use std::net::Ipv4Addr;
 
 /// FNV-1a over the payload; stored with every record so a torn or bit-rotted
@@ -86,16 +85,6 @@ impl Enc {
 
     pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    /// `v`'s printed form, encoded as [`Enc::str`] encodes it, printed
-    /// straight into the buffer.
-    pub(crate) fn display(&mut self, v: &impl std::fmt::Display) {
-        let at = self.buf.len();
-        self.u32(0);
-        write!(self.buf, "{v}").expect("writing to a Vec cannot fail");
-        let len = (self.buf.len() - at - 4) as u32;
-        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     pub(crate) fn value(&mut self, v: &Value) {
@@ -491,21 +480,25 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_leads_with_length_and_checksum_and_display_encodes_as_str() {
+    fn a_frame_leads_with_length_and_checksum() {
         let key = StateKey::per_flow(
             VertexId(2),
             InstanceId(9),
             ObjectKey::scoped("port_map", ScopeKey::Flow(FlowKey(7 << 64 | 3))),
         );
-        let (mut printed, mut copied) = (Enc::new(), Enc::new());
-        printed.display(&key);
-        copied.str(&key.to_string());
-        let frame = printed.into_frame();
-        assert_eq!(frame, copied.into_frame());
+        // An `Apply` record's payload after its tag: requester, then key.
+        let mut enc = Enc::new();
+        enc.u8(0);
+        enc.u32(9);
+        enc.state_key(&key);
+        let frame = enc.into_frame();
         let payload = &frame[FRAME_HEADER..];
         assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
         assert_eq!(frame[4..FRAME_HEADER], fnv32(payload).to_le_bytes());
-        assert_eq!(Dec::new(payload).str(), Some(key.to_string()));
+        let mut dec = Dec::new(payload);
+        assert_eq!((dec.u8(), dec.u32()), (Some(0), Some(9)));
+        assert_eq!(dec.state_key(), Some(key));
+        assert!(dec.is_exhausted());
     }
 
     #[test]

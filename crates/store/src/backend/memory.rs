@@ -1,18 +1,16 @@
-//! The original in-memory shard engine, extracted behind [`StorageBackend`].
+//! The in-memory storage engine.
 
-use super::{replay_record, BackendKind, JournalRecord, ShardRecoveryStats, StorageBackend};
-use crate::ops::CustomOpFn;
+use super::{JournalRecord, StorageBackend};
+use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 
 /// In-memory journal + full-image checkpoint: the engine the server shipped
-/// with, behavior-identical. "Durability" is process-lifetime (it survives
-/// [`StorageBackend::crash`], which models fail-stop of the shard, not of the
-/// process) — exactly what the failover drills and equivalence tests need,
-/// with zero I/O on the hot path.
+/// with. "Durability" is process-lifetime (it survives a shard crash, which
+/// models fail-stop of the shard, not of the process) — exactly what the
+/// failover drills and equivalence tests need, with zero I/O on the hot
+/// path.
 #[derive(Default)]
 pub struct MemoryBackend {
-    instance: StoreInstance,
-    enabled: bool,
     /// Full image of the shard at the last checkpoint — values *and*
     /// metadata (callback registrations, custom operations, the
     /// duplicate-suppression log). The Figure-7 [`crate::store::Checkpoint`]
@@ -26,78 +24,37 @@ pub struct MemoryBackend {
 }
 
 impl MemoryBackend {
-    /// A fresh, empty shard with journaling off.
+    /// A fresh engine with an empty journal and no checkpoint.
     pub fn new() -> MemoryBackend {
         MemoryBackend::default()
     }
 }
 
 impl StorageBackend for MemoryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Memory
+    fn append(&mut self, record: JournalRecord) -> bool {
+        self.records.push(record);
+        false
     }
 
-    fn instance(&self) -> &StoreInstance {
-        &self.instance
+    fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
+        self.records.clear();
+        self.checkpoint.insert(instance.clone()).len()
     }
 
-    fn instance_mut(&mut self) -> &mut StoreInstance {
-        &mut self.instance
+    fn restore(&self, _resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
+        self.checkpoint.clone()
     }
 
-    fn set_journaling(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.checkpoint = None;
-            self.records.clear();
-        }
-    }
-
-    fn journaling(&self) -> bool {
-        self.enabled
+    fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
+        self.records.iter().for_each(visit);
     }
 
     fn journal_len(&self) -> usize {
         self.records.len()
     }
 
-    fn append(&mut self, record: JournalRecord) {
-        if self.enabled {
-            self.records.push(record);
-        }
-    }
-
-    fn register_custom_op(&mut self, name: &str, f: CustomOpFn) {
-        self.instance.register_custom_op(name, f);
-        if self.enabled {
-            self.records.push(JournalRecord::CustomOp {
-                name: name.to_string(),
-                f,
-            });
-        }
-    }
-
-    fn checkpoint(&mut self) -> usize {
-        let image = self.instance.clone();
-        let captured = image.len();
-        self.checkpoint = Some(image);
+    fn clear(&mut self) {
+        self.checkpoint = None;
         self.records.clear();
-        captured
-    }
-
-    fn crash(&mut self) {
-        self.instance = StoreInstance::new();
-    }
-
-    fn recover(&mut self) -> ShardRecoveryStats {
-        let mut stats = ShardRecoveryStats::default();
-        if let Some(image) = &self.checkpoint {
-            self.instance = image.clone();
-            stats.restored_from_checkpoint = image.len();
-        }
-        for record in &self.records {
-            replay_record(&mut self.instance, record, &mut stats);
-        }
-        stats
     }
 }

@@ -5,20 +5,23 @@
 //! suppression, checkpoint + journal recovery, §4.3/§5.4) is independent of
 //! *how* a shard persists its state, and the S6/StatelessNF line of work
 //! argues the engine under a chained-NF store should be swappable. This
-//! module cuts that seam: a [`StorageBackend`] owns one shard's
-//! [`StoreInstance`] together with its durable side — the write-ahead
-//! journal, the checkpoint image and the crash/recover/restart lifecycle —
-//! and the sharded server drives every shard through the trait.
+//! module cuts that seam in two. A [`Shard`] is what the server locks: the
+//! live [`StoreInstance`], the journaling switch, the resident custom-op
+//! table and the one recovery routine — restore the latest checkpoint,
+//! re-register the custom ops, re-apply every later record through
+//! `replay_record` — both engines' records, so replay semantics cannot
+//! drift between them. A [`StorageBackend`] is only where the shard's
+//! history goes: it appends journal records, writes and restores
+//! checkpoints, and hands back the records past the latest one.
 //!
 //! Two engines are provided:
 //!
-//! * [`MemoryBackend`] — the original in-memory journal + full-image
-//!   checkpoint, extracted unchanged. The default.
-//! * [`AppendOnlyBackend`] — ordered, keyspace-prefixed records appended to
-//!   flat files under a per-shard directory (`std::fs` only), all keys and
-//!   file offsets resident in memory, with periodic checkpoint compaction so
-//!   `restart_shard` replays only the suffix past the last checkpoint —
-//!   O(delta), not O(history).
+//! * [`MemoryBackend`] — an in-memory journal + full-image checkpoint. The
+//!   default.
+//! * [`AppendOnlyBackend`] — ordered records appended to flat files under a
+//!   per-shard directory (`std::fs` only), with periodic checkpoint
+//!   compaction so `restart_shard` replays only the suffix past the last
+//!   checkpoint — O(delta), not O(history).
 
 mod append_only;
 mod codec;
@@ -29,9 +32,8 @@ pub use append_only::{AppendOnlyBackend, ScratchDir};
 pub use memory::MemoryBackend;
 
 use crate::key::{Clock, InstanceId, StateKey};
-use crate::ops::{CustomOpFn, Operation};
+use crate::ops::{CustomOpFn, CustomOpResolver, Operation};
 use crate::store::StoreInstance;
-use std::path::PathBuf;
 
 /// Which storage engine a [`crate::server::StoreServer`] runs its shards on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -55,55 +57,6 @@ impl BackendKind {
                 _ => BackendKind::Memory,
             },
             Err(_) => BackendKind::Memory,
-        }
-    }
-}
-
-/// Backend selection plus engine tuning, as consumed by
-/// [`crate::server::StoreServer::with_config`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackendConfig {
-    /// Which engine to run shards on.
-    pub kind: BackendKind,
-    /// Root directory for the append-only engine's per-shard subdirectories.
-    /// `None` (the default) uses an ephemeral scratch directory under the
-    /// workspace `target/`, removed when the server is dropped.
-    pub dir: Option<PathBuf>,
-    /// Append-only compaction cadence: after this many journaled records the
-    /// engine writes a checkpoint image and truncates older segments, which
-    /// is what bounds `restart_shard` to O(ops-since-checkpoint).
-    pub checkpoint_interval: usize,
-}
-
-impl Default for BackendConfig {
-    fn default() -> Self {
-        BackendConfig {
-            kind: BackendKind::default(),
-            dir: None,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-        }
-    }
-}
-
-impl BackendConfig {
-    /// The in-memory engine.
-    pub fn memory() -> BackendConfig {
-        BackendConfig::default()
-    }
-
-    /// The append-only flat-file engine on an ephemeral scratch directory.
-    pub fn append_only() -> BackendConfig {
-        BackendConfig {
-            kind: BackendKind::AppendOnly,
-            ..BackendConfig::default()
-        }
-    }
-
-    /// The engine named by `CHC_STORE_BACKEND` (defaults elsewhere).
-    pub fn from_env() -> BackendConfig {
-        BackendConfig {
-            kind: BackendKind::from_env(),
-            ..BackendConfig::default()
         }
     }
 }
@@ -132,15 +85,13 @@ pub enum JournalRecord {
         /// Instance to notify.
         instance: InstanceId,
     },
-    /// A custom-operation registration. The function pointer itself is not
-    /// serializable; durable engines persist the name and re-resolve it from
-    /// the resident registration table on recovery (production stores
-    /// re-register custom ops from code at boot the same way).
+    /// A custom-operation registration, by name: a function pointer cannot
+    /// be persisted, so replay resolves the name through the shard's
+    /// resident table (production stores re-register custom ops from code at
+    /// boot the same way).
     CustomOp {
         /// Registered name.
         name: String,
-        /// The registered function.
-        f: CustomOpFn,
     },
     /// A bulk per-flow ownership reassignment (NF failover, §5.4).
     Reassign {
@@ -161,7 +112,7 @@ pub enum JournalRecord {
     },
 }
 
-/// What [`StorageBackend::recover`] did, for reports and the recovery-time
+/// What [`Shard::recover`] did, for reports and the recovery-time
 /// experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardRecoveryStats {
@@ -173,63 +124,38 @@ pub struct ShardRecoveryStats {
     pub reinstalled_records: usize,
 }
 
-/// One shard's storage engine: the live [`StoreInstance`] plus the durable
-/// side that survives [`StorageBackend::crash`].
+/// Where one shard's history goes: its write-ahead journal and its latest
+/// checkpoint, which survive a shard crash.
 ///
 /// The server serializes all calls per shard behind one lock, so
 /// implementations are single-threaded; `Send` lets shards move across the
 /// server's threads.
 pub trait StorageBackend: Send {
-    /// Which engine this is.
-    fn kind(&self) -> BackendKind;
+    /// Durably record one mutation. Called under the shard lock immediately
+    /// after the in-memory apply succeeded, so durable order is exactly
+    /// execution order. Takes the record: the in-memory engine keeps it, so
+    /// the caller builds it once. Returns true when the engine wants a
+    /// checkpoint now.
+    fn append(&mut self, record: JournalRecord) -> bool;
 
-    /// The live in-memory instance this backend fronts.
-    fn instance(&self) -> &StoreInstance;
+    /// Checkpoint `instance` and truncate the journal (records preceding a
+    /// checkpoint are no longer needed for recovery — Figure 7's "latest
+    /// checkpoint"). Returns the number of objects captured.
+    fn checkpoint(&mut self, instance: &StoreInstance) -> usize;
 
-    /// Mutable access to the live instance (the server applies operations
-    /// through it, then journals with [`StorageBackend::append`]).
-    fn instance_mut(&mut self) -> &mut StoreInstance;
+    /// The instance the latest checkpoint holds, if there is one, with the
+    /// custom-op names it captured resolved through `resolve`.
+    fn restore(&self, resolve: CustomOpResolver<'_>) -> Option<StoreInstance>;
 
-    /// Enable or disable journaling. Disabling clears the durable side
-    /// (journaling is an opt-in cost; the healthy hot path stays
-    /// journal-free).
-    fn set_journaling(&mut self, enabled: bool);
-
-    /// True while journaling is on.
-    fn journaling(&self) -> bool;
+    /// Visit every record appended since the latest checkpoint, in order.
+    fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord));
 
     /// Journal records currently pending replay (appended since the last
     /// checkpoint).
     fn journal_len(&self) -> usize;
 
-    /// Durably record one mutation. Called under the shard lock immediately
-    /// after the in-memory apply succeeded, so durable order is exactly
-    /// execution order. No-op while journaling is off. Takes the record: the
-    /// in-memory engine keeps it, so the caller builds it once.
-    fn append(&mut self, record: JournalRecord);
-
-    /// Register a custom operation: installs it on the live instance, keeps
-    /// it resolvable across recoveries, and journals the registration when
-    /// journaling is on.
-    fn register_custom_op(&mut self, name: &str, f: CustomOpFn);
-
-    /// Checkpoint the current instance image and truncate the journal
-    /// (records preceding a checkpoint are no longer needed for recovery —
-    /// Figure 7's "latest checkpoint"). Returns the number of objects
-    /// captured.
-    fn checkpoint(&mut self) -> usize;
-
-    /// Fail-stop: wipe the in-memory state. The durable side survives, as a
-    /// disk-backed log would.
-    fn crash(&mut self);
-
-    /// Rebuild the in-memory state from the latest checkpoint plus the
-    /// journal suffix. Re-applying journal records with their original
-    /// duplicate-suppression clocks reconstructs both the values and the
-    /// metadata exactly as they stood before the crash. The rebuilt
-    /// instance may sit below the server's replay floor (a decoded image
-    /// starts at zero); the server raises it before releasing the shard.
-    fn recover(&mut self) -> ShardRecoveryStats;
+    /// Drop the journal and the checkpoint.
+    fn clear(&mut self);
 
     /// Number of durable segment files currently held (0 for in-memory
     /// engines). Telemetry gauge.
@@ -244,14 +170,132 @@ pub trait StorageBackend: Send {
     }
 }
 
-/// Shared journal-replay step: re-apply one record to `instance`, updating
-/// `stats`. Both engines funnel recovery through this so replay semantics
-/// cannot drift between them. Applies go through
+/// One store shard: the live [`StoreInstance`], the journaling switch, the
+/// resident custom-op table and recovery, over the [`StorageBackend`] that
+/// keeps its history.
+pub struct Shard {
+    instance: StoreInstance,
+    journaling: bool,
+    /// Every custom operation registered on this shard. Function pointers
+    /// cannot be persisted, so recovery re-installs them from here, whether
+    /// or not journaling was on when they were registered.
+    custom_ops: Vec<(String, CustomOpFn)>,
+    backend: Box<dyn StorageBackend>,
+}
+
+impl Shard {
+    /// A shard over `backend`, with journaling off and an empty instance:
+    /// call [`Shard::recover`] to load what the backend already holds.
+    pub fn new(backend: Box<dyn StorageBackend>) -> Shard {
+        Shard {
+            instance: StoreInstance::new(),
+            journaling: false,
+            custom_ops: Vec::new(),
+            backend,
+        }
+    }
+
+    /// The live instance.
+    pub fn instance(&self) -> &StoreInstance {
+        &self.instance
+    }
+
+    /// Mutable access to the live instance (the server applies operations
+    /// through it, then journals the ones that mutated something).
+    pub fn instance_mut(&mut self) -> &mut StoreInstance {
+        &mut self.instance
+    }
+
+    /// The engine the shard's history goes to.
+    pub(crate) fn backend(&self) -> &dyn StorageBackend {
+        &*self.backend
+    }
+
+    /// True while journaling is on.
+    pub(crate) fn journaling(&self) -> bool {
+        self.journaling
+    }
+
+    /// Enable or disable journaling. Disabling clears the durable side
+    /// (journaling is an opt-in cost; the healthy hot path stays
+    /// journal-free).
+    pub(crate) fn set_journaling(&mut self, enabled: bool) {
+        self.journaling = enabled;
+        if !enabled {
+            self.backend.clear();
+        }
+    }
+
+    /// Journal one mutation while journaling is on, and checkpoint when the
+    /// engine asks for it.
+    pub(crate) fn append(&mut self, record: JournalRecord) {
+        if self.journaling && self.backend.append(record) {
+            self.backend.checkpoint(&self.instance);
+        }
+    }
+
+    /// Register a custom operation: installs it on the live instance, keeps
+    /// it for every later recovery, and journals the registration.
+    pub(crate) fn register_custom_op(&mut self, name: &str, f: CustomOpFn) {
+        self.instance.register_custom_op(name, f);
+        self.custom_ops.retain(|(n, _)| n != name);
+        self.custom_ops.push((name.to_string(), f));
+        self.append(JournalRecord::CustomOp {
+            name: name.to_string(),
+        });
+    }
+
+    /// Checkpoint the live instance; returns the number of objects captured.
+    pub(crate) fn checkpoint(&mut self) -> usize {
+        self.backend.checkpoint(&self.instance)
+    }
+
+    /// Fail-stop: wipe the in-memory state. The backend survives, as a
+    /// disk-backed log would.
+    pub(crate) fn crash(&mut self) {
+        self.instance = StoreInstance::new();
+    }
+
+    /// Rebuild the instance: restore the latest checkpoint, re-register the
+    /// resident custom ops, then re-apply every later record. Re-applying
+    /// journal records with their original duplicate-suppression clocks
+    /// reconstructs both the values and the metadata exactly as they stood
+    /// before the crash. The rebuilt instance may sit below the server's
+    /// replay floor (it starts at zero); the server raises it before
+    /// releasing the shard.
+    pub fn recover(&mut self) -> ShardRecoveryStats {
+        let (instance, table) = (&mut self.instance, &self.custom_ops);
+        *instance = self
+            .backend
+            .restore(&|name| resolve(table, name))
+            .unwrap_or_default();
+        let mut stats = ShardRecoveryStats {
+            restored_from_checkpoint: instance.len(),
+            ..ShardRecoveryStats::default()
+        };
+        for (name, f) in table {
+            instance.register_custom_op(name, *f);
+        }
+        self.backend
+            .for_each_record(&mut |record| replay_record(instance, table, record, &mut stats));
+        stats
+    }
+}
+
+/// The function registered as `name` in a resident custom-op table.
+fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
+    table.iter().find(|(n, _)| n == name).map(|(_, f)| *f)
+}
+
+/// The journal-replay step: re-apply one record to `instance`, updating
+/// `stats`. Every engine's records come back through here, so replay
+/// semantics cannot drift between them. Applies go through
 /// [`StoreInstance::replay_journaled`]: the journal holds only operations
 /// that were applied live, so replay never second-guesses them against the
 /// duplicate-suppression log.
-pub(crate) fn replay_record(
+fn replay_record(
     instance: &mut StoreInstance,
+    custom_ops: &[(String, CustomOpFn)],
     record: &JournalRecord,
     stats: &mut ShardRecoveryStats,
 ) {
@@ -269,8 +313,10 @@ pub(crate) fn replay_record(
             instance.register_callback(key, *who);
             stats.reinstalled_records += 1;
         }
-        JournalRecord::CustomOp { name, f } => {
-            instance.register_custom_op(name, *f);
+        JournalRecord::CustomOp { name } => {
+            if let Some(f) = resolve(custom_ops, name) {
+                instance.register_custom_op(name, f);
+            }
             stats.reinstalled_records += 1;
         }
         JournalRecord::Reassign { from, to } => {

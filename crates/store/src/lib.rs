@@ -42,8 +42,7 @@ pub mod value;
 pub mod wal;
 
 pub use backend::{
-    AppendOnlyBackend, BackendConfig, BackendKind, JournalRecord, MemoryBackend, ScratchDir,
-    StorageBackend,
+    AppendOnlyBackend, BackendKind, JournalRecord, MemoryBackend, ScratchDir, StorageBackend,
 };
 pub use error::StoreError;
 pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope, VertexId};

@@ -31,16 +31,16 @@
 //!   looked up nor logged for duplicate suppression, and each shard prunes
 //!   its log under the lock hold it takes anyway.
 //!
-//! Journaling runs on a pluggable [`StorageBackend`]
-//! (see [`crate::backend`]): the in-memory engine above is the default, and
-//! the append-only flat-file engine persists the journal to per-shard
-//! segment files with checkpoint compaction, making `restart_shard` O(delta
-//! in ops-since-checkpoint).
+//! Each shard is a [`Shard`] (see [`crate::backend`]) over a pluggable
+//! [`StorageBackend`]: the in-memory engine above is the default, and the
+//! append-only flat-file engine persists the journal to per-shard segment
+//! files with checkpoint compaction, making `restart_shard` O(delta in
+//! ops-since-checkpoint).
 
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
-    AppendOnlyBackend, BackendConfig, BackendKind, JournalRecord, MemoryBackend, ScratchDir,
-    StorageBackend,
+    AppendOnlyBackend, BackendKind, JournalRecord, MemoryBackend, ScratchDir, Shard,
+    StorageBackend, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
@@ -51,19 +51,18 @@ use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One shard of a [`StoreServer`]: an independent storage engine (live
-/// [`crate::StoreInstance`] plus its durable journal/checkpoint side) behind its own
-/// lock, plus an op counter so load skew across shards is observable. The
-/// journal append happens under the same lock hold as the apply, so durable
-/// order is exactly execution order.
-struct Shard {
-    backend: Mutex<Box<dyn StorageBackend>>,
+/// One [`Shard`] of a [`StoreServer`] behind its own lock, plus an op
+/// counter so load skew across shards is observable. The journal append
+/// happens under the same lock hold as the apply, so durable order is
+/// exactly execution order.
+struct Slot {
+    shard: Mutex<Shard>,
     ops: AtomicU64,
 }
 
 /// A sharded store server safe to share across threads (`Arc<StoreServer>`).
 pub struct StoreServer {
-    shards: Vec<Shard>,
+    slots: Vec<Slot>,
     backend_kind: BackendKind,
     /// The replay floor: the lowest clock counter a packet log may still
     /// replay; everything below is dead to duplicate suppression. Shards pick it
@@ -81,53 +80,31 @@ impl StoreServer {
     /// microbenchmark uses four store threads), on the engine named by the
     /// `CHC_STORE_BACKEND` environment variable (in-memory by default).
     pub fn new(shards: usize) -> Arc<StoreServer> {
-        StoreServer::with_config(shards, &BackendConfig::from_env())
+        StoreServer::with_backend(shards, BackendKind::from_env())
     }
 
-    /// Create a server on an explicitly chosen engine with default tuning.
+    /// Create a server on an explicitly chosen engine. The append-only
+    /// engine gives each shard its own subdirectory (`shard-<i>/`) of a
+    /// scratch directory that is removed when the server is dropped.
     pub fn with_backend(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
-        StoreServer::with_config(
-            shards,
-            &BackendConfig {
-                kind,
-                ..BackendConfig::default()
-            },
-        )
-    }
-
-    /// Create a server with full backend configuration. For the append-only
-    /// engine each shard gets its own subdirectory (`shard-<i>/`) under
-    /// `config.dir`, or under an ephemeral scratch directory (removed on
-    /// drop) when no directory is given.
-    pub fn with_config(shards: usize, config: &BackendConfig) -> Arc<StoreServer> {
-        let shards = shards.max(1);
-        let scratch = match (config.kind, &config.dir) {
-            (BackendKind::AppendOnly, None) => Some(ScratchDir::new("store-server")),
-            _ => None,
-        };
-        let make = |i: usize| -> Box<dyn StorageBackend> {
-            match config.kind {
-                BackendKind::Memory => Box::new(MemoryBackend::new()),
-                BackendKind::AppendOnly => {
-                    let root = config
-                        .dir
-                        .clone()
-                        .unwrap_or_else(|| scratch.as_ref().expect("scratch dir").path().into());
-                    Box::new(AppendOnlyBackend::open(
-                        root.join(format!("shard-{i}")),
-                        config.checkpoint_interval,
-                    ))
-                }
+        let scratch = (kind == BackendKind::AppendOnly).then(|| ScratchDir::new("store-server"));
+        let backend = |i: usize| -> Box<dyn StorageBackend> {
+            match &scratch {
+                None => Box::new(MemoryBackend::new()),
+                Some(dir) => Box::new(AppendOnlyBackend::open(
+                    dir.path().join(format!("shard-{i}")),
+                    DEFAULT_CHECKPOINT_INTERVAL,
+                )),
             }
         };
         Arc::new(StoreServer {
-            shards: (0..shards)
-                .map(|i| Shard {
-                    backend: Mutex::new(make(i)),
+            slots: (0..shards.max(1))
+                .map(|i| Slot {
+                    shard: Mutex::new(Shard::new(backend(i))),
                     ops: AtomicU64::new(0),
                 })
                 .collect(),
-            backend_kind: config.kind,
+            backend_kind: kind,
             replay_floor: AtomicU64::new(0),
             _scratch: scratch,
         })
@@ -140,45 +117,45 @@ impl StoreServer {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
     /// The shard an object is pinned to. Stable for the server's lifetime:
     /// "each state object is only handled by a single thread" (§4.3).
     /// Reads the hash the key carries; nothing is hashed here.
     pub fn shard_index(&self, key: &StateKey) -> usize {
-        (key.shard_hash() % self.shards.len() as u64) as usize
+        (key.shard_hash() % self.slots.len() as u64) as usize
     }
 
     /// Operations served by each shard since construction, in shard order.
     /// The spread shows how evenly `shard_hash` distributes the working set.
     pub fn ops_per_shard(&self) -> Vec<u64> {
-        self.shards
+        self.slots
             .iter()
             .map(|s| s.ops.load(Ordering::Relaxed))
             .collect()
     }
 
-    fn shard_of(&self, key: &StateKey) -> &Shard {
-        &self.shards[self.shard_index(key)]
+    fn slot_of(&self, key: &StateKey) -> &Slot {
+        &self.slots[self.shard_index(key)]
     }
 
     /// Lock one shard and bring it up to the current replay floor, so every
     /// apply, checkpoint and recovery under this hold sees a log pruned at
     /// the floor.
-    fn lock_at_floor<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, Box<dyn StorageBackend>> {
-        let mut backend = shard.backend.lock();
+    fn lock_at_floor<'a>(&self, slot: &'a Slot) -> MutexGuard<'a, Shard> {
+        let mut shard = slot.shard.lock();
         let floor = self.replay_floor.load(Ordering::Relaxed);
-        if floor > backend.instance().replay_floor() {
-            backend.instance_mut().raise_floor(floor);
+        if floor > shard.instance().replay_floor() {
+            shard.instance_mut().raise_floor(floor);
         }
-        backend
+        shard
     }
 
     /// Register a custom operation on every shard.
     pub fn register_custom_op(&self, name: &str, f: CustomOpFn) {
-        for shard in &self.shards {
-            shard.backend.lock().register_custom_op(name, f);
+        for slot in &self.slots {
+            slot.shard.lock().register_custom_op(name, f);
         }
     }
 
@@ -186,21 +163,21 @@ impl StoreServer {
     /// journal is enabled and the operation mutated something — an emulated
     /// duplicate changes nothing, and replaying it after its original's log
     /// entry was pruned would apply it a second time. The journal append
-    /// happens under the shard's backend lock so the journal order is
-    /// exactly the execution order.
+    /// happens under the shard's lock so the journal order is exactly the
+    /// execution order.
     fn apply_on_shard(
         &self,
-        shard: &Shard,
+        slot: &Slot,
         requester: InstanceId,
         key: &StateKey,
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        shard.ops.fetch_add(1, Ordering::Relaxed);
-        let mut backend = self.lock_at_floor(shard);
-        let result = backend.instance_mut().apply(requester, key, op, clock);
-        if backend.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
-            backend.append(JournalRecord::Apply {
+        slot.ops.fetch_add(1, Ordering::Relaxed);
+        let mut shard = self.lock_at_floor(slot);
+        let result = shard.instance_mut().apply(requester, key, op, clock);
+        if shard.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
+            shard.append(JournalRecord::Apply {
                 requester,
                 key: key.clone(),
                 op: op.clone(),
@@ -218,7 +195,7 @@ impl StoreServer {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_on_shard(self.shard_of(key), requester, key, op, clock)
+        self.apply_on_shard(self.slot_of(key), requester, key, op, clock)
     }
 
     /// Apply a slice of operations, taking each involved shard's lock **once
@@ -243,22 +220,22 @@ impl StoreServer {
         // is overwritten below, since each op belongs to one shard.
         let mut results: Vec<Result<ApplyResult, StoreError>> =
             ops.iter().map(|_| Err(StoreError::Unavailable)).collect();
-        for (index, shard) in self.shards.iter().enumerate() {
+        for (index, slot) in self.slots.iter().enumerate() {
             let mine =
                 |(key, _, _): &(StateKey, Operation, Option<Clock>)| self.shard_index(key) == index;
             let count = ops.iter().filter(|op| mine(op)).count();
             if count == 0 {
                 continue;
             }
-            shard.ops.fetch_add(count as u64, Ordering::Relaxed);
-            let mut backend = self.lock_at_floor(shard);
+            slot.ops.fetch_add(count as u64, Ordering::Relaxed);
+            let mut shard = self.lock_at_floor(slot);
             for (i, (key, op, clock)) in ops.iter().enumerate().filter(|(_, op)| mine(op)) {
-                results[i] = backend.instance_mut().apply(requester, key, op, *clock);
+                results[i] = shard.instance_mut().apply(requester, key, op, *clock);
             }
-            // Journal append under the backend lock hold, like
+            // Journal append under the shard lock hold, like
             // `apply_on_shard`: journal order is exactly execution order,
             // and emulated duplicates stay out of it.
-            if backend.journaling() {
+            if shard.journaling() {
                 // Sized to the shard's share of the batch, not grown by
                 // doubling: the in-memory engine keeps this vector for as
                 // long as it keeps the record.
@@ -272,7 +249,7 @@ impl StoreServer {
                         .map(|(op, _)| op.clone()),
                 );
                 if !applied.is_empty() {
-                    backend.append(JournalRecord::ApplyBatch {
+                    shard.append(JournalRecord::ApplyBatch {
                         requester,
                         ops: applied,
                     });
@@ -284,19 +261,17 @@ impl StoreServer {
 
     /// Read a value without metadata effects.
     pub fn peek(&self, key: &StateKey) -> Value {
-        self.shard_of(key).backend.lock().instance().peek(key)
+        self.slot_of(key).shard.lock().instance().peek(key)
     }
 
     /// Register a change callback for `instance` on `key`.
     pub fn register_callback(&self, key: &StateKey, instance: InstanceId) {
-        let mut backend = self.shard_of(key).backend.lock();
-        backend.instance_mut().register_callback(key, instance);
-        if backend.journaling() {
-            backend.append(JournalRecord::Callback {
-                key: key.clone(),
-                instance,
-            });
-        }
+        let mut shard = self.slot_of(key).shard.lock();
+        shard.instance_mut().register_callback(key, instance);
+        shard.append(JournalRecord::Callback {
+            key: key.clone(),
+            instance,
+        });
     }
 
     /// Re-associate every per-flow object owned by `from` with `to` (NF
@@ -304,19 +279,17 @@ impl StoreServer {
     /// failed instance's externalized per-flow state).
     pub fn reassign_owner(&self, from: InstanceId, to: InstanceId) -> usize {
         let mut moved = 0;
-        for shard in &self.shards {
-            let mut backend = shard.backend.lock();
-            moved += backend.instance_mut().reassign_owner(from, to);
-            if backend.journaling() {
-                backend.append(JournalRecord::Reassign { from, to });
-            }
+        for slot in &self.slots {
+            let mut shard = slot.shard.lock();
+            moved += shard.instance_mut().reassign_owner(from, to);
+            shard.append(JournalRecord::Reassign { from, to });
         }
         moved
     }
 
     /// Total operations served since construction.
     pub fn total_ops(&self) -> u64 {
-        self.shards
+        self.slots
             .iter()
             .map(|s| s.ops.load(Ordering::Relaxed))
             .sum()
@@ -324,9 +297,9 @@ impl StoreServer {
 
     /// Total number of objects across all shards.
     pub fn len(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .map(|s| s.backend.lock().instance().len())
+            .map(|s| s.shard.lock().instance().len())
             .sum()
     }
 
@@ -337,27 +310,27 @@ impl StoreServer {
 
     /// Approximate resident bytes of live state across all shards.
     pub fn state_bytes(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .map(|s| s.backend.lock().instance().state_bytes())
+            .map(|s| s.shard.lock().instance().state_bytes())
             .sum()
     }
 
     /// Durable segment files currently held across all shards (0 on the
     /// in-memory engine). Telemetry gauge.
     pub fn durable_segments(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .map(|s| s.backend.lock().segment_count())
+            .map(|s| s.shard.lock().backend().segment_count())
             .sum()
     }
 
     /// Bytes of durable state (segments + checkpoint images) across all
     /// shards (0 on the in-memory engine). Telemetry gauge.
     pub fn durable_bytes(&self) -> u64 {
-        self.shards
+        self.slots
             .iter()
-            .map(|s| s.backend.lock().durable_bytes())
+            .map(|s| s.shard.lock().backend().durable_bytes())
             .sum()
     }
 
@@ -369,12 +342,12 @@ impl StoreServer {
     /// clears the durable side (journaling is an opt-in cost; the healthy
     /// hot path stays journal-free).
     pub fn set_shard_journaling(&self, shard: usize, enabled: bool) {
-        self.shards[shard].backend.lock().set_journaling(enabled);
+        self.slots[shard].shard.lock().set_journaling(enabled);
     }
 
     /// Number of journal records currently pending replay for `shard`.
     pub fn shard_journal_len(&self, shard: usize) -> usize {
-        self.shards[shard].backend.lock().journal_len()
+        self.slots[shard].shard.lock().backend().journal_len()
     }
 
     /// Snapshot one shard into its durable checkpoint and truncate the
@@ -384,13 +357,13 @@ impl StoreServer {
     /// custom-op registrations and not the duplicate-suppression log. On the
     /// append-only engine this also compacts the on-disk segments.
     pub fn checkpoint_shard(&self, shard: usize) -> usize {
-        self.lock_at_floor(&self.shards[shard]).checkpoint()
+        self.lock_at_floor(&self.slots[shard]).checkpoint()
     }
 
     /// Fail-stop one shard: its in-memory state is wiped. The durable side
     /// (checkpoint + journal) survives, as a disk-backed log would.
     pub fn crash_shard(&self, shard: usize) {
-        self.shards[shard].backend.lock().crash();
+        self.slots[shard].shard.lock().crash();
     }
 
     /// Rebuild one (crashed) shard from its latest checkpoint plus the
@@ -398,16 +371,15 @@ impl StoreServer {
     /// duplicate-suppression clocks reconstructs both the values and the
     /// metadata exactly as they stood before the crash.
     pub fn recover_shard(&self, shard: usize) -> ShardRecoveryStats {
-        let mut backend = self.shards[shard].backend.lock();
-        self.recover_locked(&mut **backend)
+        self.recover_locked(&mut self.slots[shard].shard.lock())
     }
 
     /// Recover under the caller's lock hold. The rebuilt instance starts at
     /// floor zero (journal replay logs the whole suffix again); raising it
     /// to the server's floor before the lock is released prunes that again.
-    fn recover_locked(&self, backend: &mut dyn StorageBackend) -> ShardRecoveryStats {
-        let stats = backend.recover();
-        backend
+    fn recover_locked(&self, shard: &mut Shard) -> ShardRecoveryStats {
+        let stats = shard.recover();
+        shard
             .instance_mut()
             .raise_floor(self.replay_floor.load(Ordering::Relaxed));
         stats
@@ -418,9 +390,9 @@ impl StoreServer {
     /// phantom state. This is the restart the real-thread fault injector
     /// drives ([`ShardRecoveryStats`] feeds the recovery-time experiment).
     pub fn restart_shard(&self, shard: usize) -> ShardRecoveryStats {
-        let mut backend = self.shards[shard].backend.lock();
-        backend.crash();
-        self.recover_locked(&mut **backend)
+        let mut shard = self.slots[shard].shard.lock();
+        shard.crash();
+        self.recover_locked(&mut shard)
     }
 
     // ------------------------------------------------------------------
@@ -447,7 +419,7 @@ impl StoreServer {
     /// Clock-tagged updates currently retained for duplicate suppression,
     /// across all shards, each pruned at the current floor first. O(shards).
     pub fn update_log_len(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
             .map(|s| self.lock_at_floor(s).instance().update_log_len())
             .sum()
@@ -456,9 +428,9 @@ impl StoreServer {
     /// Summed over shards, the most updates a single packet has ever held
     /// in a shard's log: what one packet above the floor can cost.
     pub fn update_log_widest_packet(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .map(|s| s.backend.lock().instance().update_log_widest_packet())
+            .map(|s| s.shard.lock().instance().update_log_widest_packet())
             .sum()
     }
 
@@ -467,8 +439,8 @@ impl StoreServer {
     /// state digests in the substrate-equivalence tests.
     pub fn dump(&self) -> Vec<(StateKey, Value, Option<InstanceId>)> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.backend.lock().instance().entries());
+        for slot in &self.slots {
+            out.extend(slot.shard.lock().instance().entries());
         }
         out
     }

@@ -128,9 +128,6 @@ pub struct StoreInstance {
     callbacks: CanonMap<HashSet<InstanceId>>,
     /// Fail-stop flag: a failed instance answers nothing.
     failed: bool,
-    /// Counters for reports.
-    ops_applied: u64,
-    ops_emulated: u64,
 }
 
 impl StoreInstance {
@@ -163,16 +160,6 @@ impl StoreInstance {
     /// True if the store holds no objects.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total operations applied (excluding emulated duplicates).
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
-    }
-
-    /// Operations answered from the duplicate-suppression log.
-    pub fn ops_emulated(&self) -> u64 {
-        self.ops_emulated
     }
 
     /// Approximate bytes of state stored.
@@ -284,7 +271,6 @@ impl StoreInstance {
         let packet = replayable.map(|c| self.dedup.packet(c));
         if let Some(packet) = packet.as_ref().filter(|_| suppress_duplicates && !created) {
             if let Some(prev) = packet.find(entry.id, op) {
-                self.ops_emulated += 1;
                 return Ok(ApplyResult {
                     outcome: OpOutcome::emulated(prev),
                     notify: Vec::new(),
@@ -308,7 +294,6 @@ impl StoreInstance {
         if let Some(packet) = packet {
             packet.record(entry.id, op, &returned);
         }
-        self.ops_applied += 1;
 
         // Subscribers are sent the object. Without one — the common case,
         // one branch — the op copies nothing but its own result.
@@ -343,26 +328,6 @@ impl StoreInstance {
     /// Current `TS` metadata (last clock applied per instance).
     pub fn ts(&self) -> &HashMap<InstanceId, Clock> {
         &self.ts
-    }
-
-    /// All keys currently stored for a vertex (used by recovery tooling).
-    pub fn keys_of_vertex(&self, vertex: VertexId) -> Vec<StateKey> {
-        self.entries
-            .keys()
-            .map(CanonKey::state_key)
-            .filter(|k| k.vertex == vertex)
-            .cloned()
-            .collect()
-    }
-
-    /// All keys whose object name matches `name`.
-    pub fn keys_named(&self, name: &str) -> Vec<StateKey> {
-        self.entries
-            .keys()
-            .map(CanonKey::state_key)
-            .filter(|k| &*k.object.name == name)
-            .cloned()
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -446,13 +411,6 @@ impl StoreInstance {
             .entry(CanonKey::of(key))
             .or_default()
             .insert(instance);
-    }
-
-    /// Remove a callback registration.
-    pub fn unregister_callback(&mut self, key: &StateKey, instance: InstanceId) {
-        if let Some(set) = self.callbacks.get_mut(key as &dyn CanonView) {
-            set.remove(&instance);
-        }
     }
 
     /// Instances registered for callbacks on `key`.
@@ -580,7 +538,7 @@ impl StoreInstance {
 
     /// Capture the *complete* instance — values, ownership, `TS`, the
     /// duplicate-suppression log, logged non-determinism, callback
-    /// registrations and counters — as plain data a durable backend can
+    /// registrations — as plain data a durable backend can
     /// encode byte-by-byte. The log holds nothing at or below the replay
     /// floor, so neither does the image: its size follows the packets still
     /// replayable, not the history. Custom operations are captured by *name*
@@ -651,8 +609,6 @@ impl StoreInstance {
             callbacks,
             custom_op_names,
             failed: self.failed,
-            ops_applied: self.ops_applied,
-            ops_emulated: self.ops_emulated,
         }
     }
 
@@ -693,8 +649,6 @@ impl StoreInstance {
             }
         }
         instance.failed = image.failed;
-        instance.ops_applied = image.ops_applied;
-        instance.ops_emulated = image.ops_emulated;
         instance
     }
 }
@@ -723,20 +677,6 @@ pub struct DurableImage {
     pub custom_op_names: Vec<String>,
     /// Fail-stop flag.
     pub failed: bool,
-    /// Operations applied (excluding emulated duplicates).
-    pub ops_applied: u64,
-    /// Operations answered from the duplicate-suppression log.
-    pub ops_emulated: u64,
-}
-
-/// Convenience constructor for per-flow keys used across the workspace.
-pub fn per_flow_key(
-    vertex: VertexId,
-    instance: InstanceId,
-    name: &str,
-    scope_key: chc_packet::ScopeKey,
-) -> StateKey {
-    StateKey::per_flow(vertex, instance, ObjectKey::scoped(name, scope_key))
 }
 
 /// Convenience constructor for shared keys used across the workspace.
@@ -784,7 +724,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.peek(&key), Value::Int(10));
-        assert_eq!(store.ops_applied(), 10);
     }
 
     #[test]
@@ -848,7 +787,6 @@ mod tests {
         assert!(second.outcome.emulated);
         assert_eq!(second.outcome.returned, Value::Int(1));
         assert_eq!(store.peek(&key), Value::Int(1), "state not double-counted");
-        assert_eq!(store.ops_emulated(), 1);
         // Once the packet is deleted at the root the log entry is dropped and
         // a (hypothetical) new packet reusing the clock would apply normally.
         store.forget_clock(clock);
@@ -973,11 +911,6 @@ mod tests {
             .apply(InstanceId(2), &key, &Operation::Get, None)
             .unwrap();
         assert!(res.notify.is_empty());
-        store.unregister_callback(&key, InstanceId(2));
-        let res = store
-            .apply(InstanceId(1), &key, &Operation::Increment(1), None)
-            .unwrap();
-        assert!(res.notify.is_empty());
     }
 
     #[test]
@@ -1002,10 +935,6 @@ mod tests {
             let read = store.apply(InstanceId(2), key, &Operation::Get, None);
             assert_eq!(read.unwrap().new_value, sent, "{key} read");
         }
-        // The last subscriber gone, the object is like any other.
-        store.unregister_callback(&watched, InstanceId(1));
-        let r = store.apply(InstanceId(1), &watched, &push, None).unwrap();
-        assert_eq!(r.new_value, None);
     }
 
     #[test]
@@ -1145,15 +1074,17 @@ mod tests {
     fn key_helpers_and_queries() {
         let mut store = StoreInstance::new();
         let k1 = shared_key(v(), "a", None);
-        let k2 = per_flow_key(v(), InstanceId(1), "b", ScopeKey::Port(80));
+        let k2 = StateKey::per_flow(
+            v(),
+            InstanceId(1),
+            ObjectKey::scoped("b", ScopeKey::Port(80)),
+        );
         store
             .apply(InstanceId(1), &k1, &Operation::Set(Value::Int(1)), None)
             .unwrap();
         store
             .apply(InstanceId(1), &k2, &Operation::Set(Value::Int(2)), None)
             .unwrap();
-        assert_eq!(store.keys_of_vertex(v()).len(), 2);
-        assert_eq!(store.keys_named("a").len(), 1);
         assert!(store.state_bytes() >= 16);
         store.install(&k1, Value::Int(9), None);
         assert_eq!(store.peek(&k1), Value::Int(9));

@@ -58,7 +58,7 @@ pub struct WalEntry {
 /// Entries are appended in issue order, which per the paper follows a strict
 /// clock order for a given instance. The log tracks whether that held
 /// (`clock_ordered`): the common strictly-increasing case gets
-/// binary-search suffix/truncation ([`Vec::partition_point`]), while logs
+/// binary-search suffix/truncation (`slice::partition_point`), while logs
 /// with out-of-order or duplicate clocks (the Figure-7 recovery drills
 /// construct these) transparently fall back to the exact linear scans.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

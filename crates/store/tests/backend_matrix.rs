@@ -8,10 +8,10 @@
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
-use chc_store::backend::{JournalRecord, StorageBackend};
+use chc_store::backend::{JournalRecord, Shard, StorageBackend};
 use chc_store::{
-    AppendOnlyBackend, BackendConfig, BackendKind, Clock, InstanceId, ObjectKey, Operation,
-    ScratchDir, StateKey, StoreServer, Value, VertexId,
+    AppendOnlyBackend, BackendKind, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey,
+    StoreInstance, StoreServer, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -169,24 +169,42 @@ fn custom_ops_survive_restart_on_both_backends() {
     }
 }
 
-/// O(delta) restart: with a small compaction interval, restarting an
-/// append-only shard replays exactly the post-checkpoint suffix
+/// Custom ops registered before journaling is switched on live in the
+/// shard's resident table, not in the journal: a recovery without a
+/// checkpoint still resolves them, on both engines.
+#[test]
+fn custom_op_registered_before_journaling_survives_recovery_on_both_backends() {
+    fn bump(current: &Value, _arg: &Value) -> (Value, Value) {
+        let next = Value::Int(current.as_int() + 1);
+        (next.clone(), next)
+    }
+    for kind in KINDS {
+        let server = StoreServer::with_backend(1, kind);
+        server.register_custom_op("bump", bump);
+        server.set_shard_journaling(0, true);
+        let k = key("early", 0);
+        let op = Operation::Custom {
+            name: "bump".into(),
+            arg: Value::None,
+        };
+        server.apply(InstanceId(0), &k, &op, None).unwrap();
+        assert_eq!(server.peek(&k), Value::Int(1), "{kind:?}");
+        server.crash_shard(0);
+        server.recover_shard(0);
+        assert_eq!(server.peek(&k), Value::Int(1), "{kind:?}: recovered value");
+    }
+}
+
+/// O(delta) restart: past the compaction cadence (1,024 records), restarting
+/// an append-only shard replays exactly the post-checkpoint suffix
 /// (`history % interval` ops), never the full history. The memory engine,
 /// which only checkpoints explicitly, replays everything — the contrast is
 /// the point of the durable engine.
 #[test]
 fn append_only_restart_replays_only_the_suffix() {
-    let interval = 8usize;
-    let history = 30u64;
-    let server = StoreServer::with_config(
-        1,
-        &BackendConfig {
-            kind: BackendKind::AppendOnly,
-            checkpoint_interval: interval,
-            ..BackendConfig::default()
-        },
-    );
-    server.set_shard_journaling(0, true);
+    let interval = 1024usize;
+    let history = 2_100u64;
+    let server = journaled(BackendKind::AppendOnly, 1);
     let k = key("k", 0);
     for c in 1..=history {
         server
@@ -432,10 +450,10 @@ proptest! {
         let requester = InstanceId(1);
 
         let mut backend = AppendOnlyBackend::open(&dir, 1024);
-        backend.set_journaling(true);
-        let apply = |b: &mut AppendOnlyBackend, c: u64| {
+        let mut live = StoreInstance::new();
+        let apply = |b: &mut AppendOnlyBackend, live: &mut StoreInstance, c: u64| {
             let op = Operation::Increment(1);
-            b.instance_mut().apply(requester, &k, &op, Some(Clock::with_root(0, c))).unwrap();
+            live.apply(requester, &k, &op, Some(Clock::with_root(0, c))).unwrap();
             b.append(JournalRecord::Apply {
                 requester,
                 key: k.clone(),
@@ -444,11 +462,11 @@ proptest! {
             });
         };
         for c in 1..=n1 {
-            apply(&mut backend, c as u64);
+            apply(&mut backend, &mut live, c as u64);
         }
-        backend.checkpoint();
+        backend.checkpoint(&live);
         for c in 1..=n2 {
-            apply(&mut backend, (n1 + c) as u64);
+            apply(&mut backend, &mut live, (n1 + c) as u64);
         }
         let seg = backend.active_segment_path();
         drop(backend);
@@ -458,14 +476,14 @@ proptest! {
         let tear_at = rng.gen_range(0..=len);
         OpenOptions::new().write(true).open(&seg).unwrap().set_len(tear_at).unwrap();
 
-        let mut backend = AppendOnlyBackend::open(&dir, 1024);
-        let stats = backend.recover();
+        let mut shard = Shard::new(Box::new(AppendOnlyBackend::open(&dir, 1024)));
+        let stats = shard.recover();
         // Checkpointed writes are never lost; restart work is bounded by the
         // suffix, and the state equals the oracle of the surviving prefix.
         prop_assert_eq!(stats.restored_from_checkpoint, 1);
         prop_assert!(stats.replayed_ops <= n2);
         let survived = n1 + stats.replayed_ops;
-        prop_assert_eq!(backend.instance().peek(&k), Value::Int(survived as i64));
+        prop_assert_eq!(shard.instance().peek(&k), Value::Int(survived as i64));
         prop_assert!(survived >= n1, "no checkpointed write may be lost");
     }
 }

@@ -15,11 +15,11 @@
 //! stay reproducible because the seed is part of the case.
 
 use chc_packet::{FlowKey, ScopeKey, TraceConfig, TraceGenerator};
-use chc_store::backend::{JournalRecord, StorageBackend};
+use chc_store::backend::{JournalRecord, Shard, StorageBackend};
 use chc_store::key::{KeyPrefix, PrehashedHasher};
 use chc_store::{
-    AppendOnlyBackend, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey, Value,
-    VertexId,
+    AppendOnlyBackend, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey,
+    StoreInstance, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -126,8 +126,8 @@ fn scope_key_variants_with_the_same_payload_hash_apart() {
 
 proptest! {
     /// Journal records and a checkpoint image written by one backend value,
-    /// decoded by another over the same directory — what a restarted process
-    /// does. Every decoded key must carry the hash of the key built live:
+    /// decoded by a shard over another on the same directory — what a
+    /// restarted process does. Every decoded key must carry the hash of the key built live:
     /// the recovered entry is found under a freshly built key, and a
     /// re-issued clocked op is still recognised as a duplicate.
     #[test]
@@ -146,17 +146,17 @@ proptest! {
         let op = Operation::Increment(5);
 
         let mut backend = AppendOnlyBackend::open(&dir, 1 << 20);
-        backend.set_journaling(true);
+        let mut live = StoreInstance::new();
         let (imaged, journaled) = keys.split_at(rng.gen_range(1..keys.len() - 1));
         for (i, k) in imaged.iter().enumerate() {
-            backend.instance_mut().apply(requester, k, &op, clock(i)).unwrap();
+            live.apply(requester, k, &op, clock(i)).unwrap();
         }
         // The first part lives on as a checkpoint image (entries, dedup log)…
-        backend.checkpoint();
+        backend.checkpoint(&live);
         // …the rest as journal records: single applies, one batch, a callback.
         let (singles, batch) = journaled.split_at(journaled.len() / 2);
         for (i, k) in journaled.iter().enumerate() {
-            backend.instance_mut().apply(requester, k, &op, clock(imaged.len() + i)).unwrap();
+            live.apply(requester, k, &op, clock(imaged.len() + i)).unwrap();
         }
         for (i, k) in singles.iter().enumerate() {
             backend.append(JournalRecord::Apply {
@@ -174,11 +174,11 @@ proptest! {
                 .map(|(i, k)| (k.clone(), op.clone(), clock(imaged.len() + singles.len() + i)))
                 .collect(),
         });
-        backend.instance_mut().register_callback(&keys[0], InstanceId(9));
+        live.register_callback(&keys[0], InstanceId(9));
         backend.append(JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) });
         drop(backend);
 
-        let mut reopened = AppendOnlyBackend::open(&dir, 1 << 20);
+        let mut reopened = Shard::new(Box::new(AppendOnlyBackend::open(&dir, 1 << 20)));
         let stats = reopened.recover();
         prop_assert_eq!(stats.restored_from_checkpoint, imaged.len());
         prop_assert_eq!(stats.replayed_ops, journaled.len());
