@@ -93,9 +93,9 @@ mod tests {
             t >= SimDuration::from_micros(150) && t <= SimDuration::from_micros(200),
             "{t}"
         );
-        let mut cdf = m.consistent_update_cdf(2, 1_000, 7);
-        assert!(cdf.median() >= t);
-        assert_eq!(cdf.len(), 1_000);
+        let mut latencies = m.consistent_update_cdf(2, 1_000, 7);
+        assert!(latencies.median() >= t);
+        assert_eq!(latencies.len(), 1_000);
     }
 
     #[test]

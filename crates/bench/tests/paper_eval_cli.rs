@@ -38,6 +38,57 @@ fn unknown_removed_and_orphaned_flags_are_usage_errors() {
     }
 }
 
+/// The checked-in report of `paper_eval --scale 0.05`, and the command that
+/// rewrites it from the current tree.
+const GOLDEN: &str = "tests/paper_eval_scale005.txt";
+const REGENERATE: &str = "cargo run --release -p chc-bench --bin paper_eval -- --scale 0.05 \
+    | sed -E 's/[0-9.]+ M ops\\/s/# M ops\\/s/; s/recovery ≈ +[0-9.]+ ms/recovery ≈ # ms/' \
+    > crates/bench/tests/paper_eval_scale005.txt";
+
+/// The report with the numbers of its two wall-clock lines replaced by `#`
+/// (the `datastore` section's throughput and Figure 14's recovery times);
+/// the same rewrite as the `sed` in [`REGENERATE`].
+fn mask_wall_clock(report: &str) -> String {
+    let mut masked = String::new();
+    for line in report.lines() {
+        if let Some(end) = line.find(" M ops/s") {
+            let number = line[..end].trim_end_matches(|c: char| c.is_ascii_digit() || c == '.');
+            masked.push_str(&format!("{number}#{}", &line[end..]));
+        } else if let (Some(at), true) = (line.find("recovery ≈ "), line.ends_with(" ms")) {
+            masked.push_str(&format!("{}recovery ≈ # ms", &line[..at]));
+        } else {
+            masked.push_str(line);
+        }
+        masked.push('\n');
+    }
+    masked
+}
+
+/// Every simulated figure is pinned: the simulator is deterministic per
+/// seed, so the whole report — masked only where it reads a wall clock — is
+/// byte-identical from one run, profile and refactor to the next.
+#[test]
+fn the_simulated_figures_match_the_golden_report() {
+    let out = paper_eval(&["--scale", "0.05"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = mask_wall_clock(&String::from_utf8_lossy(&out.stdout));
+    let golden = std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(GOLDEN))
+        .expect("golden report checked in");
+    if got != golden {
+        let first = got.lines().zip(golden.lines()).position(|(g, w)| g != w);
+        panic!(
+            "paper_eval --scale 0.05 no longer matches {GOLDEN} (first differing line: {first:?})\n\
+             --- got ---\n{got}\n\
+             If the change is meant to move a figure, regenerate the file from the repo root:\n  {REGENERATE}"
+        );
+    }
+}
+
 #[test]
 fn traced_failover_writes_the_trace_and_the_event_journal() {
     let (trace, events) = (scratch("trace_mid.json"), scratch("events_mid.jsonl"));

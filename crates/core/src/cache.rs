@@ -51,20 +51,6 @@ impl CacheStrategy {
         }
     }
 
-    /// True if the strategy ever keeps a locally cached copy.
-    pub fn caches(&self) -> bool {
-        !matches!(self, CacheStrategy::NonBlockingNoCache)
-    }
-
-    /// True if updates to the object may be issued without waiting for the
-    /// store's reply.
-    pub fn non_blocking_updates(&self) -> bool {
-        matches!(
-            self,
-            CacheStrategy::NonBlockingNoCache | CacheStrategy::CacheWithPeriodicFlush
-        )
-    }
-
     /// True if the strategy relies on store callbacks to keep caches fresh.
     pub fn uses_callbacks(&self) -> bool {
         matches!(self, CacheStrategy::CacheWithCallbacks)
@@ -112,10 +98,6 @@ mod tests {
 
     #[test]
     fn strategy_properties() {
-        assert!(!CacheStrategy::NonBlockingNoCache.caches());
-        assert!(CacheStrategy::CacheWithPeriodicFlush.caches());
-        assert!(CacheStrategy::CacheWithPeriodicFlush.non_blocking_updates());
-        assert!(!CacheStrategy::CacheWithCallbacks.non_blocking_updates());
         assert!(CacheStrategy::CacheWithCallbacks.uses_callbacks());
         assert!(!CacheStrategy::CacheIfExclusive.uses_callbacks());
     }

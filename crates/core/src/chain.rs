@@ -84,14 +84,6 @@ impl Topology {
         self.instance_ids.get(&vertex).cloned().unwrap_or_default()
     }
 
-    /// Index of `instance` within its vertex.
-    pub fn index_of(&self, vertex: VertexId, instance: InstanceId) -> Option<usize> {
-        self.instance_ids
-            .get(&vertex)?
-            .iter()
-            .position(|i| *i == instance)
-    }
-
     /// Every deployed instance as `(vertex, instance, actor)`.
     pub fn all_instances(&self) -> Vec<(VertexId, InstanceId, ActorId)> {
         let mut out = Vec::new();
@@ -193,7 +185,6 @@ pub struct ChainController {
     handles: ChainHandles,
     root_id: u8,
     next_instance: u32,
-    workers_per_instance: usize,
     last_checkpoint: Option<Checkpoint>,
 }
 
@@ -235,7 +226,6 @@ impl ChainController {
             handles: ChainHandles { root, sink },
             root_id: 0,
             next_instance: 0,
-            workers_per_instance: 8,
             last_checkpoint: None,
         };
 
@@ -245,12 +235,6 @@ impl ChainController {
             }
         }
         Ok(controller)
-    }
-
-    /// Number of worker threads modelled per instance (default 8, matching
-    /// the paper's multi-threaded NF processes on 8-core machines).
-    pub fn set_workers_per_instance(&mut self, workers: usize) {
-        self.workers_per_instance = workers.max(1);
     }
 
     /// The chain configuration.
@@ -282,7 +266,6 @@ impl ChainController {
             downstream: self.dag.downstream_of(spec.id),
             is_tail: self.dag.exits().contains(&spec.id),
             off_path: spec.off_path,
-            workers: self.workers_per_instance,
             awaiting_replay,
         };
         let actor = self.sim.add_actor(Box::new(NfInstanceActor::new(
@@ -471,34 +454,10 @@ impl ChainController {
                     SimDuration::ZERO,
                     actor,
                     Msg::FlushRequest {
-                        object_names: Vec::new(),
-                        release_ownership: true,
-                        notify: Some(new_instance),
+                        notify: new_instance,
                     },
                 );
             }
-        }
-    }
-
-    /// Grant/revoke exclusive access to a write/read-often shared object for
-    /// every instance of a vertex (drives the Figure 9 experiment).
-    pub fn set_exclusivity(&mut self, vertex: VertexId, object: &str, exclusive: bool) {
-        let actors: Vec<ActorId> = {
-            let topo = self.topology.borrow();
-            topo.instances_of(vertex)
-                .iter()
-                .filter_map(|i| topo.actor_of_instance(*i))
-                .collect()
-        };
-        for actor in actors {
-            self.sim.inject_after(
-                SimDuration::ZERO,
-                actor,
-                Msg::SetExclusive {
-                    object: object.to_string(),
-                    exclusive,
-                },
-            );
         }
     }
 
@@ -589,7 +548,6 @@ impl ChainController {
             downstream: self.dag.downstream_of(spec.id),
             is_tail: self.dag.exits().contains(&spec.id),
             off_path: spec.off_path,
-            workers: self.workers_per_instance,
             awaiting_replay: true,
         };
         let actor = NfInstanceActor::new(

@@ -14,7 +14,7 @@ use crate::nf::{Action, NetworkFunction, NfContext};
 use crate::state::{SharedStore, StateClient};
 use chc_packet::{Packet, PacketId, Trace};
 use chc_sim::VirtualTime;
-use chc_store::{Clock, InstanceId, StateKey, Value, VertexId};
+use chc_store::{Clock, InstanceId, VertexId};
 use std::collections::HashMap;
 
 /// Result of running the ideal single-instance, no-failure chain.
@@ -27,18 +27,6 @@ pub struct IdealChainResult {
     pub store: SharedStore,
     /// Packet ids dropped by NF decisions.
     pub dropped: Vec<PacketId>,
-}
-
-impl IdealChainResult {
-    /// Final value of a state object in the ideal execution.
-    pub fn state_value(&self, key: &StateKey) -> Value {
-        self.store.with(|s| s.peek(key))
-    }
-
-    /// Alert messages only (order preserved).
-    pub fn alert_messages(&self) -> Vec<String> {
-        self.alerts.iter().map(|(_, m)| m.clone()).collect()
-    }
 }
 
 /// Run the ideal chain: one instance per vertex, infinite capacity, packets

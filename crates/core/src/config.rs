@@ -89,13 +89,19 @@ pub struct CostModel {
     /// Cost for the root to stamp and log one packet locally.
     pub root_local_log: SimDuration,
     /// Cost for the root to persist its clock to the datastore (charged every
-    /// `clock_persist_period` packets, §7.2).
+    /// [`CLOCK_PERSIST_PERIOD`](crate::root::CLOCK_PERSIST_PERIOD) packets,
+    /// §7.2).
     pub clock_persist: SimDuration,
     /// Extra latency of logging the packet in the datastore instead of
-    /// locally at the root (§7.2: 1 µs local vs 34.2 µs datastore).
+    /// locally at the root (§7.2: 1 µs local vs 34.2 µs datastore). The root
+    /// always logs locally; `paper_eval`'s `metadata` section prints what
+    /// the datastore variant would cost.
     pub store_log_extra: SimDuration,
     /// Cost of the synchronous "delete-before-output" round trip at the chain
-    /// tail (§7.2 reports a 7.9 µs median overhead).
+    /// tail (§7.2 reports a 7.9 µs median overhead), paid by every packet
+    /// that leaves the chain: the tail sends the delete request before it
+    /// releases the output packet (required for exactly-once delivery to the
+    /// receiver, §5.4).
     pub delete_roundtrip: SimDuration,
 }
 
@@ -122,29 +128,23 @@ impl CostModel {
     }
 }
 
-/// Chain-wide configuration knobs.
+/// Chain-wide configuration knobs, on both substrates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChainConfig {
-    /// State-management model applied to every instance (benchmarks sweep it).
+    /// State-management model applied to every instance. Figures 8 and 10
+    /// sweep all four (`chc_baselines::sweep_modes`), and so does
+    /// `chain_works_under_every_externalization_mode`; every other caller
+    /// runs the full CHC default.
     pub mode: ExternalizationMode,
-    /// Virtual-time cost model.
+    /// Virtual-time cost model of the simulator. The paper figures and the
+    /// benchmark's inline pass read the defaults; only
+    /// `chc_baselines::run_with_fixed_delay` varies it, adding a straggler's
+    /// delay to `base_processing`.
     pub costs: CostModel,
-    /// Persist the root's logical clock to the store every `n` packets
-    /// (§7.2; `1` persists on every packet, larger values amortize the cost).
-    pub clock_persist_period: u64,
-    /// Log packets at the root locally (`true`, 1 µs) or in the datastore
-    /// (`false`, 34.2 µs but tolerant to simultaneous root+NF failure).
-    pub log_packets_locally: bool,
-    /// Send the chain-tail "delete" request before emitting the output packet
-    /// (required for exactly-once delivery to the receiver, §5.4); turning it
-    /// off models the asynchronous variant the paper also measures.
-    pub delete_before_output: bool,
     /// Suppress duplicate outputs / state updates during replay and cloning
-    /// (R5). Disabled only for the Table 5 ablation.
+    /// (R5). Off only in Table 5's ablation (`tab5_duplicates`) and in
+    /// `failover.rs`'s re-injection tests, which need the copies to run.
     pub duplicate_suppression: bool,
-    /// Maximum number of packets the root may hold in its log before it
-    /// starts dropping new arrivals (buffer-bloat guard, §5).
-    pub root_log_capacity: usize,
 }
 
 impl Default for ChainConfig {
@@ -152,11 +152,7 @@ impl Default for ChainConfig {
         ChainConfig {
             mode: ExternalizationMode::ExternalizedCachedNonBlocking,
             costs: CostModel::default(),
-            clock_persist_period: 100,
-            log_packets_locally: true,
-            delete_before_output: true,
             duplicate_suppression: true,
-            root_log_capacity: 1_000_000,
         }
     }
 }
@@ -195,7 +191,6 @@ mod tests {
         assert!(c.cache_hit < c.store_one_way);
         let cfg = ChainConfig::default();
         assert!(cfg.duplicate_suppression);
-        assert!(cfg.delete_before_output);
         assert_eq!(
             ChainConfig::with_mode(ExternalizationMode::Externalized)
                 .mode

@@ -186,11 +186,6 @@ impl LogicalDag {
         &self.vertices
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[(VertexId, VertexId)] {
-        &self.edges
-    }
-
     /// Look up a vertex by id.
     pub fn vertex(&self, id: VertexId) -> Option<&VertexSpec> {
         self.vertices.iter().find(|v| v.id == id)

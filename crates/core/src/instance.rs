@@ -29,6 +29,10 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
+/// Processing workers (threads) per instance; they bound its throughput. The
+/// paper runs its multi-threaded NF processes on 8-core servers.
+const WORKERS: usize = 8;
+
 /// Static parameters of one instance (separated out to keep construction
 /// readable).
 #[derive(Clone)]
@@ -45,9 +49,6 @@ pub struct InstanceParams {
     /// True if the vertex is off-path (receives copies, emits no chain
     /// output).
     pub off_path: bool,
-    /// Number of processing workers (threads) in the instance; bounds the
-    /// instance's throughput.
-    pub workers: usize,
     /// True when the instance starts as a straggler clone or failover target:
     /// it processes replayed traffic first and buffers live traffic until the
     /// packet marked "last of replay" has been processed (§5.3).
@@ -126,7 +127,6 @@ impl NfInstanceActor {
         sink: ActorId,
     ) -> NfInstanceActor {
         let awaiting_replay = params.awaiting_replay;
-        let workers = vec![VirtualTime::ZERO; params.workers.max(1)];
         NfInstanceActor {
             params,
             nf,
@@ -136,7 +136,7 @@ impl NfInstanceActor {
             topology,
             root,
             sink,
-            workers,
+            workers: vec![VirtualTime::ZERO; WORKERS],
             extra_delay: SimDuration::ZERO,
             seen_clocks: HashSet::new(),
             awaiting_handover: HashSet::new(),
@@ -145,21 +145,6 @@ impl NfInstanceActor {
             handover_completed_at: None,
             metrics: InstanceMetrics::default(),
         }
-    }
-
-    /// This instance's id.
-    pub fn instance_id(&self) -> InstanceId {
-        self.params.instance
-    }
-
-    /// The vertex this instance belongs to.
-    pub fn vertex(&self) -> VertexId {
-        self.params.vertex
-    }
-
-    /// Number of packets currently buffered (handover / replay gating).
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 
     /// The scope key of a packet under this vertex's partitioning scope.
@@ -256,7 +241,7 @@ impl NfInstanceActor {
         let mut proc = self.config.costs.base_processing + self.extra_delay;
         proc += self.client.take_charge();
         let is_chain_output = self.params.is_tail && !self.params.off_path;
-        if is_chain_output && self.config.delete_before_output {
+        if is_chain_output {
             proc += self.config.costs.delete_roundtrip;
         }
         let finish = start + proc;
@@ -382,33 +367,17 @@ impl NfInstanceActor {
         }
     }
 
-    fn handle_flush(
-        &mut self,
-        object_names: Vec<String>,
-        release_ownership: bool,
-        notify: Option<InstanceId>,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        let clock = Clock::with_root(0, 0);
-        self.client.flush_per_flow(release_ownership, clock);
-        for name in &object_names {
-            self.client.set_exclusive(name, false, clock);
-        }
-        if let Some(new_owner) = notify {
-            if let Some(actor) = self.topology.borrow().actor_of_instance(new_owner) {
-                // The datastore notifies the new instance of the handover
-                // (Figure 4 step 6): one hop to the store plus one hop to the
-                // new instance.
-                let key = chc_store::StateKey::shared(
-                    self.params.vertex,
-                    chc_store::ObjectKey::named("handover"),
-                );
-                ctx.send_with_extra_delay(
-                    actor,
-                    Msg::HandoverComplete { key },
-                    self.config.costs.store_one_way.times(2),
-                );
-            }
+    fn handle_flush(&mut self, new_owner: InstanceId, ctx: &mut Ctx<'_, Msg>) {
+        self.client.flush_per_flow(true, Clock::with_root(0, 0));
+        if let Some(actor) = self.topology.borrow().actor_of_instance(new_owner) {
+            // The datastore notifies the new instance of the handover
+            // (Figure 4 step 6): one hop to the store plus one hop to the new
+            // instance.
+            ctx.send_with_extra_delay(
+                actor,
+                Msg::HandoverComplete,
+                self.config.costs.store_one_way.times(2),
+            );
         }
     }
 
@@ -427,24 +396,12 @@ impl Actor<Msg> for NfInstanceActor {
         match msg {
             Msg::Data(tp) => self.handle_data(tp, ctx),
             Msg::CallbackUpdate { key, value } => self.client.handle_callback(&key, value),
-            Msg::HandoverComplete { .. } => self.handle_handover_complete(ctx),
-            Msg::FlushRequest {
-                object_names,
-                release_ownership,
-                notify,
-            } => self.handle_flush(object_names, release_ownership, notify, ctx),
-            Msg::SetExclusive { object, exclusive } => {
-                self.client
-                    .set_exclusive(&object, exclusive, Clock::with_root(0, 0));
-            }
+            Msg::HandoverComplete => self.handle_handover_complete(ctx),
+            Msg::FlushRequest { notify } => self.handle_flush(notify, ctx),
             Msg::SetProcessingDelay { extra_nanos } => {
                 self.extra_delay = SimDuration::from_nanos(extra_nanos);
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> String {
-        format!("{}/{}", self.params.vertex, self.params.instance)
     }
 }

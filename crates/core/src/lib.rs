@@ -51,7 +51,7 @@ pub use config::{ChainConfig, CostModel, ExternalizationMode};
 pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};
 pub use instance::NfInstanceActor;
 pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};
-pub use nf::{Action, NetworkFunction, NfContext, ProcessResult};
+pub use nf::{Action, NetworkFunction, NfContext};
 pub use root::RootActor;
 pub use rootlog::PacketLog;
 pub use sink::SinkActor;

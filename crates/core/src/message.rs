@@ -134,37 +134,19 @@ pub enum Msg {
         /// Its new value.
         value: Value,
     },
-    /// Store → NF instance: ownership of a per-flow object was released by
-    /// its previous owner and acquired by the receiver (Figure 4 step 6).
-    HandoverComplete {
-        /// The object whose ownership moved.
-        key: StateKey,
-    },
-    /// Framework → NF instance: flush cached state for the given scope keys
-    /// and release ownership (sent to the *old* instance when traffic is
-    /// reallocated away from it, or when shared-object exclusivity is lost).
-    /// Plays the role of the "last" marker of Figure 4 step 1: it arrives
-    /// after all previously forwarded packets on the same link, so the old
-    /// instance has processed everything destined to it before it flushes.
+    /// Store → NF instance: the previous owner released the receiver's
+    /// newly assigned per-flow objects (Figure 4 step 6).
+    HandoverComplete,
+    /// Framework → NF instance: flush cached per-flow state and release its
+    /// ownership (sent to the *old* instance when traffic is reallocated away
+    /// from it). Plays the role of the "last" marker of Figure 4 step 1: it
+    /// arrives after all previously forwarded packets on the same link, so
+    /// the old instance has processed everything destined to it before it
+    /// flushes.
     FlushRequest {
-        /// Object names to flush (empty = everything).
-        object_names: Vec<String>,
-        /// Whether to also release per-flow ownership (handover) after
-        /// flushing.
-        release_ownership: bool,
         /// Instance to notify with [`Msg::HandoverComplete`] once the flush
         /// and release are done (the *new* owner of the moved flows).
-        notify: Option<InstanceId>,
-    },
-    /// Framework → NF instance: grant or revoke exclusive access to a
-    /// write/read-often cross-flow object (Table 1 row 4). Revocation forces
-    /// the instance to flush its cached copy and fall back to store-side
-    /// blocking updates; this drives the Figure 9 experiment.
-    SetExclusive {
-        /// Object name.
-        object: String,
-        /// Whether this instance now has exclusive access.
-        exclusive: bool,
+        notify: InstanceId,
     },
     /// Framework → root: please replay all logged packets (after a failure or
     /// when initialising a straggler clone), marking them for `target`.

@@ -32,16 +32,6 @@ impl Action {
     }
 }
 
-/// Result assembled by the instance runtime after calling an NF: the action
-/// plus any alerts the NF raised through the context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProcessResult {
-    /// The forwarding decision.
-    pub action: Action,
-    /// Alerts raised while processing (e.g. "Trojan detected at host X").
-    pub alerts: Vec<String>,
-}
-
 /// A stateful network function.
 ///
 /// Implementations declare their state objects (name, scope, access pattern —
@@ -125,11 +115,6 @@ impl<'a> NfContext<'a> {
     /// Decrement a counter object.
     pub fn decrement(&mut self, object: &str, key: Option<ScopeKey>, delta: i64) -> Value {
         self.update(object, key, Operation::Decrement(delta))
-    }
-
-    /// Add to both halves of a pair-valued object.
-    pub fn add_pair(&mut self, object: &str, key: Option<ScopeKey>, a: i64, b: i64) -> Value {
-        self.update(object, key, Operation::AddPair(a, b))
     }
 
     /// Overwrite an object.

@@ -27,6 +27,18 @@ use std::rc::Rc;
 /// (the persisted logical clock).
 pub const ROOT_VERTEX: VertexId = VertexId(u32::MAX);
 
+/// The root persists its logical clock to the store every this many packets
+/// (§7.2: persisting on every packet costs 29 µs, every 100th 0.29 µs). A
+/// failover root resumes at the persisted value plus this period, so it never
+/// reuses a clock the failed root may already have handed out.
+pub const CLOCK_PERSIST_PERIOD: u64 = 100;
+
+/// Packets a root's log may hold before the root drops new arrivals
+/// (buffer-bloat guard, §5). The simulator's root, the engine's
+/// [`VertexLogs`](crate::VertexLogs) rows and the sentinel's log bound all
+/// read it; it is larger than every trace in the repository.
+pub const ROOT_LOG_CAPACITY: usize = 1_000_000;
+
 /// Counters exposed by the root for experiments and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RootStats {
@@ -85,7 +97,7 @@ impl RootActor {
             partition,
             topology,
             store,
-            log: PacketLog::new(config.root_log_capacity),
+            log: PacketLog::new(ROOT_LOG_CAPACITY),
             commits: HashMap::new(),
             awaiting_delete: HashMap::new(),
             recover_on_start: false,
@@ -119,16 +131,6 @@ impl RootActor {
         )
     }
 
-    /// Number of packets currently logged.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The logical clock value that will be assigned to the next packet.
-    pub fn next_clock(&self) -> Clock {
-        Clock::with_root(self.root_id, self.counter + 1)
-    }
-
     fn persist_clock(&self) {
         let key = RootActor::clock_key(self.root_id);
         let _ = self.store.with(|s| {
@@ -141,18 +143,12 @@ impl RootActor {
         });
     }
 
-    /// Per-packet root overhead: local (or store) logging plus the amortized
-    /// clock persistence cost (§7.2).
+    /// Per-packet root overhead: local logging plus the amortized clock
+    /// persistence cost (§7.2).
     fn per_packet_overhead(&self) -> SimDuration {
-        let log_cost = if self.config.log_packets_locally {
-            self.config.costs.root_local_log
-        } else {
-            self.config.costs.root_local_log + self.config.costs.store_log_extra
-        };
-        let persist = SimDuration::from_nanos(
-            self.config.costs.clock_persist.as_nanos() / self.config.clock_persist_period.max(1),
-        );
-        log_cost + persist
+        let costs = self.config.costs;
+        costs.root_local_log
+            + SimDuration::from_nanos(costs.clock_persist.as_nanos() / CLOCK_PERSIST_PERIOD)
     }
 
     fn forward(&mut self, tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>, extra_delay: SimDuration) {
@@ -192,10 +188,7 @@ impl RootActor {
         self.counter += 1;
         self.stats.packets_in += 1;
         tp.clock = Clock::with_root(self.root_id, self.counter);
-        if self
-            .counter
-            .is_multiple_of(self.config.clock_persist_period.max(1))
-        {
+        if self.counter.is_multiple_of(CLOCK_PERSIST_PERIOD) {
             self.persist_clock();
         }
         self.log.insert(tp.clone());
@@ -252,7 +245,7 @@ impl Actor<Msg> for RootActor {
             // clock the failed root may already have handed out (footnote 5).
             let key = RootActor::clock_key(self.root_id);
             let persisted = self.store.with(|s| s.peek(&key)).as_int().max(0) as u64;
-            self.counter = persisted + self.config.clock_persist_period;
+            self.counter = persisted + CLOCK_PERSIST_PERIOD;
         }
     }
 
@@ -264,10 +257,6 @@ impl Actor<Msg> for RootActor {
             Msg::ReplayRequest { target } => self.handle_replay(target, ctx),
             _ => {}
         }
-    }
-
-    fn name(&self) -> String {
-        format!("root{}", self.root_id)
     }
 }
 

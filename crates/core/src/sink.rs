@@ -62,10 +62,6 @@ impl Actor<Msg> for SinkActor {
             _ => {}
         }
     }
-
-    fn name(&self) -> String {
-        "sink".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -111,11 +111,6 @@ impl Splitter {
         n
     }
 
-    /// Number of downstream instances.
-    pub fn instance_count(&self) -> usize {
-        self.instances
-    }
-
     /// Grow the downstream instance set (elastic scale-up).
     pub fn set_instance_count(&mut self, n: usize) {
         self.instances = n.max(1);
@@ -224,24 +219,10 @@ impl Splitter {
         previous
     }
 
-    /// All scope keys currently assigned (by override) to `instance`.
-    pub fn keys_assigned_to(&self, instance: usize) -> Vec<ScopeKey> {
-        self.overrides
-            .iter()
-            .filter(|(_, i)| **i == instance)
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
     /// Start replicating packets routed to instance `of` also to `to`
     /// (straggler clone). Stops any previous replication.
     pub fn set_mirror(&mut self, of: usize, to: usize) {
         self.mirror = Some((of, to));
-    }
-
-    /// Stop replication.
-    pub fn clear_mirror(&mut self) {
-        self.mirror = None;
     }
 }
 
@@ -384,7 +365,7 @@ mod tests {
             assert!(!r2.mark.first_of_move);
             assert_eq!(r2.instance_index, new);
         }
-        assert_eq!(s.keys_assigned_to(new), vec![key]);
+        assert_eq!(s.instance_for_key(&key), new);
         // Reallocating to where it already lives is a no-op.
         assert!(s.reallocate(&[key], new).is_empty());
     }
@@ -407,10 +388,6 @@ mod tests {
             }
         }
         assert!(mirrored > 0);
-        s.clear_mirror();
-        for p in &pkts {
-            assert!(s.route(p).mirror_index.is_none());
-        }
     }
 
     #[test]
@@ -453,7 +430,6 @@ mod tests {
         assert_eq!(t.vertices().len(), 2);
         assert!(t.splitter(VertexId(2)).is_some());
         t.splitter_mut(VertexId(2)).unwrap().set_instance_count(5);
-        assert_eq!(t.splitter(VertexId(2)).unwrap().instance_count(), 5);
     }
 
     #[test]

@@ -348,16 +348,6 @@ impl StateClient {
         self.instance
     }
 
-    /// The vertex id.
-    pub fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-
-    /// Externalization mode in force.
-    pub fn mode(&self) -> ExternalizationMode {
-        self.mode
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> StateClientStats {
         self.stats
@@ -774,17 +764,6 @@ impl StateClient {
             .collect()
     }
 
-    /// Try to take ownership of a per-flow object (Figure 4 step 7 — the new
-    /// instance associates its id once the old instance released the state).
-    pub fn try_acquire(
-        &mut self,
-        object: &str,
-        scope_key: Option<ScopeKey>,
-    ) -> Result<(), StoreError> {
-        let key = self.state_key(object, scope_key);
-        self.store.acquire_ownership(&key, self.instance)
-    }
-
     /// Is any of this NF's per-flow objects for the given connection still
     /// associated with a *different* instance? This is Figure 4 step 3: when
     /// the first packet of a reallocated flow arrives, the new instance
@@ -1051,16 +1030,9 @@ mod tests {
         let flushed = c.flush_per_flow(true, clock(2));
         assert_eq!(flushed, 1);
         assert_eq!(store.with(|s| s.owner_of(&key)), None);
-        // The new instance can now acquire it.
-        let mut newer = StateClient::new(
-            VertexId(1),
-            InstanceId(5),
-            Box::new(store.clone()),
-            ExternalizationMode::ExternalizedCachedNonBlocking,
-            CostModel::default(),
-            &specs(),
-        );
-        assert!(newer.try_acquire("port_map", sk).is_ok());
+        // A new instance can now acquire it (Figure 4 step 7).
+        assert!(store.acquire_ownership(&key, InstanceId(5)).is_ok());
+        assert_eq!(store.with(|s| s.owner_of(&key)), Some(InstanceId(5)));
     }
 
     #[test]

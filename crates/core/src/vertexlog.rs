@@ -96,13 +96,6 @@ impl XorDeleteLedger {
             .is_some_and(|s| s.load(Ordering::Acquire) & DELIVERED != 0)
     }
 
-    /// The counter's current XOR accumulator (zero once every folded token
-    /// cancelled out).
-    pub fn residue(&self, counter: u64) -> u32 {
-        self.slot(counter)
-            .map_or(0, |s| (s.load(Ordering::Acquire) & RESIDUE_MASK) as u32)
-    }
-
     /// Delivered with zero residue: safe to delete from every vertex log.
     pub fn deletable(&self, counter: u64) -> bool {
         self.slot(counter).is_some_and(|s| {
@@ -242,7 +235,6 @@ mod tests {
         let t = delete_token(InstanceId(3), 7);
         ledger.fold(7, t);
         assert!(!ledger.confirmed(7));
-        assert_eq!(ledger.residue(7), t);
         // Sink delivers the first copy and folds the envelope vector back.
         ledger.mark_delivered(7);
         assert!(ledger.confirmed(7));

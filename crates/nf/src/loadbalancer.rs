@@ -38,11 +38,6 @@ impl LoadBalancer {
         LoadBalancer::new((1..=4).map(|i| Ipv4Addr::new(10, 99, 0, i)).collect())
     }
 
-    /// The configured backends.
-    pub fn backends(&self) -> &[Ipv4Addr] {
-        &self.backends
-    }
-
     fn ensure_table(&mut self, ctx: &mut NfContext<'_>) {
         if self.initialised {
             return;

@@ -54,14 +54,6 @@ impl AppProtocol {
             AppProtocol::Other => 9999,
         }
     }
-
-    /// True if this protocol participates in the Trojan signature.
-    pub fn is_trojan_relevant(&self) -> bool {
-        matches!(
-            self,
-            AppProtocol::Ssh | AppProtocol::Ftp(_) | AppProtocol::Irc
-        )
-    }
 }
 
 impl fmt::Display for AppProtocol {
@@ -87,14 +79,5 @@ mod tests {
         assert_eq!(AppProtocol::Ftp(FtpTransferKind::Zip).default_port(), 21);
         assert_eq!(AppProtocol::Irc.default_port(), 6667);
         assert_eq!(AppProtocol::Http.default_port(), 80);
-    }
-
-    #[test]
-    fn trojan_relevance() {
-        assert!(AppProtocol::Ssh.is_trojan_relevant());
-        assert!(AppProtocol::Ftp(FtpTransferKind::Exe).is_trojan_relevant());
-        assert!(AppProtocol::Irc.is_trojan_relevant());
-        assert!(!AppProtocol::Http.is_trojan_relevant());
-        assert!(!AppProtocol::Dns.is_trojan_relevant());
     }
 }

@@ -12,8 +12,6 @@
 //! * [`FiveTuple`] / [`FlowKey`] types plus the notion of a *state scope*
 //!   ([`Scope`]) — the set of header fields an NF uses to key its state
 //!   objects (§4.1 of the paper),
-//! * a minimal Ethernet/IPv4/TCP/UDP wire codec ([`wire`]) so packets can be
-//!   serialized to and parsed from bytes,
 //! * a seeded synthetic [`trace`] generator that reproduces the structural
 //!   properties the evaluation depends on (connection counts, packet-size
 //!   distributions, protocol mix, Trojan signatures, load levels).
@@ -28,7 +26,6 @@ pub mod scope;
 pub mod tag;
 pub mod tcp;
 pub mod trace;
-pub mod wire;
 
 pub use app::{AppProtocol, FtpTransferKind};
 pub use flow::{Direction, FiveTuple, FlowKey, Protocol};

@@ -59,12 +59,6 @@ impl Scope {
         }
     }
 
-    /// True if this scope is strictly coarser than `other` (more packets map
-    /// to the same key).
-    pub fn coarser_than(&self, other: &Scope) -> bool {
-        self > other
-    }
-
     /// All scopes from finest to coarsest.
     pub fn all() -> [Scope; 6] {
         [
@@ -183,9 +177,9 @@ mod tests {
 
     #[test]
     fn ordering_fine_to_coarse() {
-        assert!(Scope::Global.coarser_than(&Scope::SrcIp));
-        assert!(Scope::SrcIp.coarser_than(&Scope::FiveTuple));
-        assert!(!Scope::FiveTuple.coarser_than(&Scope::Global));
+        assert!(Scope::Global > Scope::SrcIp);
+        assert!(Scope::SrcIp > Scope::FiveTuple);
+        assert!(Scope::FiveTuple <= Scope::Global);
         let all = Scope::all();
         let mut sorted = all;
         sorted.sort();

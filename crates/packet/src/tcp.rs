@@ -54,11 +54,6 @@ impl TcpFlags {
     pub fn fin(&self) -> bool {
         self.contains(TcpFlags::FIN)
     }
-
-    /// Raw flag byte as it would appear in a TCP header (lower 6 bits).
-    pub fn bits(&self) -> u8 {
-        self.0
-    }
 }
 
 impl BitOr for TcpFlags {

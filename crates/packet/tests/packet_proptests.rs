@@ -1,6 +1,6 @@
 //! Property-based tests for the packet substrate.
 
-use chc_packet::{wire, Direction, FiveTuple, FlowKey, Packet, Protocol, Scope, TcpFlags};
+use chc_packet::{Direction, FiveTuple, FlowKey, Packet, Protocol, Scope, TcpFlags};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -21,7 +21,7 @@ fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
         arb_protocol(),
     )
         .prop_map(|(s, d, sp, dp, proto)| {
-            // ICMP has no transport ports; the wire codec does not carry them.
+            // ICMP has no transport ports.
             let (sp, dp) = if proto == Protocol::Icmp {
                 (0, 0)
             } else {
@@ -73,14 +73,6 @@ proptest! {
     #[test]
     fn bidirectional_key_symmetric(tuple in arb_tuple()) {
         prop_assert_eq!(tuple.bidirectional_key(), tuple.reversed().bidirectional_key());
-    }
-
-    /// Wire encode/decode is the identity on packets.
-    #[test]
-    fn wire_round_trip(pkt in arb_packet()) {
-        let frame = wire::encode(&pkt);
-        let back = wire::decode(&frame).unwrap();
-        prop_assert_eq!(back, pkt);
     }
 
     /// Every scope maps the two directions of a connection to the same key,

@@ -63,7 +63,7 @@ use crate::telemetry::{
 };
 use crate::wiring::{wire, Downstream, Wired};
 use chc_core::dag::DagError;
-use chc_core::root::ROOT_VERTEX;
+use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
 use chc_core::{ChainConfig, LogicalDag, VertexLogs, XorDeleteLedger};
 use chc_packet::Trace;
 use chc_store::{StoreServer, VertexId};
@@ -247,9 +247,9 @@ impl EngineShared {
         // XOR delete ledger that tracks, per clock counter, which logged
         // tokens are still outstanding and whether the sink confirmed
         // delivery.
-        let mut logs = VertexLogs::new(config.root_log_capacity);
+        let mut logs = VertexLogs::new(ROOT_LOG_CAPACITY);
         for (v, _) in &plan.log_scopes {
-            logs.arm(*v, config.root_log_capacity);
+            logs.arm(*v, ROOT_LOG_CAPACITY);
         }
         EngineShared {
             server,

@@ -33,7 +33,7 @@ use crate::engine::EngineShared;
 use crate::fault::FaultReport;
 use crate::report::RuntimeReport;
 use crate::spsc::RingProbe;
-use chc_core::root::ROOT_VERTEX;
+use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
 use chc_core::StateHandle;
 use chc_store::{Clock, InstanceId, StateKey, StoreServer, Value, VertexId};
 use chc_telemetry::{
@@ -640,7 +640,7 @@ fn check_packet_log_bounds(
     (injected, frontier): (u64, u64),
     report: Report<'_>,
 ) {
-    let capacity = shared.config.root_log_capacity as u64;
+    let capacity = ROOT_LOG_CAPACITY as u64;
     let final_len = fault.log_final_len as u64;
     let bound = injected.saturating_sub(frontier);
     if final_len > bound {
@@ -718,7 +718,7 @@ pub struct TelemetryReport {
     /// Final hop: last vertex egress → sink arrival. Zero-count when spans
     /// were off.
     pub sink_wait: HistSummary,
-    /// Gauge time series from the monitor thread. Empty when no sampling
+    /// The monitor thread's gauge time series. Empty when no sampling
     /// cadence was configured.
     pub series: TelemetrySeries,
     /// Journal events in global record order. Empty when the journal was

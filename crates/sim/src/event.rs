@@ -94,10 +94,6 @@ impl<M> EventQueue<M> {
         self.heap.peek().map(|e| e.at)
     }
 
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -115,7 +111,6 @@ mod tests {
         q.push(VirtualTime::from_nanos(10), a, EventKind::Timer(2));
         q.push(VirtualTime::from_nanos(10), a, EventKind::Timer(3));
         q.push(VirtualTime::from_nanos(30), a, EventKind::Timer(4));
-        assert_eq!(q.len(), 4);
         let order: Vec<TimerTag> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::Timer(t) => t,

@@ -8,9 +8,10 @@
 //!
 //! * virtual time in nanoseconds ([`VirtualTime`], [`SimDuration`]),
 //! * an actor-style executor ([`Simulation`]) that delivers typed messages to
-//!   registered [`Actor`]s in timestamp order, with per-link latency, jitter
-//!   and drop probability ([`LinkConfig`]),
-//! * timers, self-messages and externally injected events,
+//!   registered [`Actor`]s in timestamp order over one link — the same
+//!   latency for every hop, with an optional drop probability
+//!   ([`LinkConfig`]),
+//! * timers and externally injected events,
 //! * fail-stop failure injection and recovery (actors can be killed at a
 //!   chosen virtual time and replaced later, matching the paper's §5.4
 //!   failure model), and

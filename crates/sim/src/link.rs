@@ -1,40 +1,36 @@
-//! Link models: latency, jitter and loss between pairs of actors.
+//! The link model: one latency for every hop, with optional loss.
 //!
-//! The paper's testbed connects NF servers and the datastore server over a
-//! 10 G network whose round-trip time dominates externalized state access
-//! (≈14 µs one way / ≈28 µs RTT as backed out of the NAT numbers in §7.1).
-//! [`LinkConfig`] captures the one-way properties of such a link; the
-//! simulation applies it to every message sent along the corresponding pair
-//! of actors, with optional jitter and drop probability for fault-injection
+//! [`LinkConfig`] captures the one-way properties of the network between
+//! actors; the simulation applies the same link to every message it
+//! delivers, with an optional drop probability for fault-injection
 //! experiments (the network "today already reorders or drops packets", §2.1).
+//! The store's round trip is not a link: `chc_core`'s cost model charges it
+//! per state operation.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// One-way properties of a (directed) link between two actors.
+/// One-way properties of the link every message crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkConfig {
     /// Base propagation + switching latency applied to every message.
     pub latency: SimDuration,
-    /// Maximum additional uniform random jitter (0 = deterministic).
-    pub jitter: SimDuration,
     /// Probability in `[0, 1]` that a message is silently dropped.
     pub drop_probability: f64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
-        // A low-latency datacenter hop: 2 µs one way, no jitter, lossless.
+        // A low-latency datacenter hop: 2 µs one way, lossless.
         LinkConfig {
             latency: SimDuration::from_micros(2),
-            jitter: SimDuration::ZERO,
             drop_probability: 0.0,
         }
     }
 }
 
 impl LinkConfig {
-    /// A link with the given one-way latency and no jitter or loss.
+    /// A link with the given one-way latency and no loss.
     pub fn with_latency(latency: SimDuration) -> LinkConfig {
         LinkConfig {
             latency,
@@ -45,23 +41,7 @@ impl LinkConfig {
     /// An ideal zero-latency link (used to model function calls within a
     /// single process, e.g. an NF and its co-located splitter).
     pub fn ideal() -> LinkConfig {
-        LinkConfig {
-            latency: SimDuration::ZERO,
-            jitter: SimDuration::ZERO,
-            drop_probability: 0.0,
-        }
-    }
-
-    /// Datacenter link whose round-trip time matches the paper's store RTT
-    /// (default 28 µs RTT → 14 µs one way).
-    pub fn store_link() -> LinkConfig {
-        LinkConfig::with_latency(SimDuration::from_micros(14))
-    }
-
-    /// Add uniform jitter up to `jitter`.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> LinkConfig {
-        self.jitter = jitter;
-        self
+        LinkConfig::with_latency(SimDuration::ZERO)
     }
 
     /// Set the drop probability.
@@ -81,10 +61,6 @@ mod tests {
         assert_eq!(l.latency, SimDuration::from_micros(2));
         assert_eq!(l.drop_probability, 0.0);
         assert_eq!(LinkConfig::ideal().latency, SimDuration::ZERO);
-        assert_eq!(
-            LinkConfig::store_link().latency.times(2),
-            SimDuration::from_micros(28)
-        );
     }
 
     #[test]

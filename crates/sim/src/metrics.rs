@@ -87,23 +87,6 @@ impl Histogram {
         SimDuration::from_nanos(self.samples.iter().copied().min().unwrap_or(0))
     }
 
-    /// Cumulative distribution: `(value, fraction ≤ value)` pairs at the given
-    /// number of evenly spaced points, for CDF plots (Figures 11 and 12).
-    pub fn cdf(&mut self, points: usize) -> Vec<(SimDuration, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let n = self.samples.len();
-        (1..=points)
-            .map(|i| {
-                let frac = i as f64 / points as f64;
-                let idx = ((frac * n as f64).ceil() as usize).clamp(1, n) - 1;
-                (SimDuration::from_nanos(self.samples[idx]), frac)
-            })
-            .collect()
-    }
-
     /// The paper's standard five percentiles: 5, 25, 50, 75, 95.
     pub fn summary(&mut self) -> Summary {
         Summary {
@@ -177,30 +160,6 @@ impl TimeSeries {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Average value of samples whose timestamp is in `[from, to)`, or `None`
-    /// if the window holds no samples. Used to produce the windowed averages
-    /// of Figure 13 (500 µs windows).
-    pub fn window_mean(&self, from: VirtualTime, to: VirtualTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (t, v) in &self.points {
-            if *t >= from && *t < to {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
-    /// Largest sample value.
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max)
     }
 }
 
@@ -290,39 +249,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.median(), SimDuration::ZERO);
         assert_eq!(h.mean(), SimDuration::ZERO);
-        assert!(h.cdf(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_monotonic() {
-        let mut h = Histogram::new();
-        for i in (1..=1000u64).rev() {
-            h.record_nanos(i);
-        }
-        let cdf = h.cdf(10);
-        assert_eq!(cdf.len(), 10);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(VirtualTime::from_micros(1), 10.0);
-        ts.push(VirtualTime::from_micros(2), 20.0);
-        ts.push(VirtualTime::from_micros(10), 100.0);
-        assert_eq!(
-            ts.window_mean(VirtualTime::ZERO, VirtualTime::from_micros(5)),
-            Some(15.0)
-        );
-        assert_eq!(
-            ts.window_mean(VirtualTime::from_micros(20), VirtualTime::from_micros(30)),
-            None
-        );
-        assert_eq!(ts.max_value(), 100.0);
     }
 
     #[test]

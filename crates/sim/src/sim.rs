@@ -14,7 +14,6 @@ use crate::time::{SimDuration, VirtualTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// A simulated component. `M` is the message type exchanged between actors.
 ///
@@ -30,11 +29,6 @@ pub trait Actor<M>: Any {
 
     /// A timer scheduled by this actor fired.
     fn on_timer(&mut self, _tag: TimerTag, _ctx: &mut Ctx<'_, M>) {}
-
-    /// Human-readable name used in reports.
-    fn name(&self) -> String {
-        "actor".to_string()
-    }
 }
 
 /// Execution context handed to actors: the clock, messaging and timers.
@@ -43,8 +37,7 @@ pub struct Ctx<'a, M> {
     self_id: ActorId,
     queue: &'a mut EventQueue<M>,
     rng: &'a mut StdRng,
-    links: &'a HashMap<(ActorId, ActorId), LinkConfig>,
-    default_link: LinkConfig,
+    link: LinkConfig,
     failed: &'a [bool],
     dropped_messages: &'a mut u64,
 }
@@ -55,21 +48,8 @@ impl<'a, M> Ctx<'a, M> {
         self.now
     }
 
-    /// The id of the actor being invoked.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
-    }
-
-    /// The link configuration used for messages from `self` to `dst`.
-    pub fn link_to(&self, dst: ActorId) -> LinkConfig {
-        self.links
-            .get(&(self.self_id, dst))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
-    /// Send `msg` to `dst` over the configured link (latency + jitter applied,
-    /// message possibly dropped according to the link's drop probability).
+    /// Send `msg` to `dst` over the simulation's link (its latency applied,
+    /// the message possibly dropped according to its drop probability).
     pub fn send(&mut self, dst: ActorId, msg: M) {
         self.send_with_extra_delay(dst, msg, SimDuration::ZERO);
     }
@@ -77,22 +57,17 @@ impl<'a, M> Ctx<'a, M> {
     /// Send with an additional delay on top of the link latency. Used to model
     /// processing time spent before the message leaves the component.
     pub fn send_with_extra_delay(&mut self, dst: ActorId, msg: M, extra: SimDuration) {
-        let link = self.link_to(dst);
+        let link = self.link;
         if link.drop_probability > 0.0 && self.rng.gen_bool(link.drop_probability) {
             *self.dropped_messages += 1;
             return;
         }
-        let jitter = if link.jitter.as_nanos() > 0 {
-            SimDuration::from_nanos(self.rng.gen_range(0..=link.jitter.as_nanos()))
-        } else {
-            SimDuration::ZERO
-        };
         if self.failed.get(dst.0).copied().unwrap_or(false) {
             // Destination is down: the network delivers into the void.
             *self.dropped_messages += 1;
             return;
         }
-        let at = self.now + link.latency + jitter + extra;
+        let at = self.now + link.latency + extra;
         self.queue.push(
             at,
             dst,
@@ -108,37 +83,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn schedule(&mut self, delay: SimDuration, tag: TimerTag) {
         self.queue
             .push(self.now + delay, self.self_id, EventKind::Timer(tag));
-    }
-
-    /// Send a message to `self` after `delay` (bypasses link modelling).
-    pub fn send_self(&mut self, delay: SimDuration, msg: M) {
-        self.queue.push(
-            self.now + delay,
-            self.self_id,
-            EventKind::Message {
-                from: Some(self.self_id),
-                msg,
-            },
-        );
-    }
-
-    /// Deterministic RNG shared by the whole simulation.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// Uniform random duration in `[lo, hi]` (inclusive), convenience wrapper
-    /// used for modelling variable per-packet processing costs.
-    pub fn random_delay(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        if hi <= lo {
-            return lo;
-        }
-        SimDuration::from_nanos(self.rng.gen_range(lo.as_nanos()..=hi.as_nanos()))
-    }
-
-    /// True if `dst` is currently marked failed.
-    pub fn is_failed(&self, dst: ActorId) -> bool {
-        self.failed.get(dst.0).copied().unwrap_or(false)
     }
 }
 
@@ -160,8 +104,7 @@ pub struct Simulation<M: 'static> {
     queue: EventQueue<M>,
     now: VirtualTime,
     rng: StdRng,
-    links: HashMap<(ActorId, ActorId), LinkConfig>,
-    default_link: LinkConfig,
+    link: LinkConfig,
     events_processed: u64,
     dropped_messages: u64,
     /// Safety valve against runaway event loops in buggy protocols.
@@ -177,8 +120,7 @@ impl<M: 'static> Simulation<M> {
             queue: EventQueue::default(),
             now: VirtualTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
-            links: HashMap::new(),
-            default_link: LinkConfig::default(),
+            link: LinkConfig::default(),
             events_processed: 0,
             dropped_messages: 0,
             max_events: u64::MAX,
@@ -190,20 +132,9 @@ impl<M: 'static> Simulation<M> {
         self.max_events = max;
     }
 
-    /// Set the link configuration used when no per-pair override exists.
+    /// Set the link every message crosses (replacing [`LinkConfig::default`]).
     pub fn set_default_link(&mut self, link: LinkConfig) {
-        self.default_link = link;
-    }
-
-    /// Configure the directed link `from → to`.
-    pub fn set_link(&mut self, from: ActorId, to: ActorId, link: LinkConfig) {
-        self.links.insert((from, to), link);
-    }
-
-    /// Configure both directions between `a` and `b`.
-    pub fn set_link_bidi(&mut self, a: ActorId, b: ActorId, link: LinkConfig) {
-        self.links.insert((a, b), link);
-        self.links.insert((b, a), link);
+        self.link = link;
     }
 
     /// Register an actor; its `on_start` hook runs immediately.
@@ -222,8 +153,7 @@ impl<M: 'static> Simulation<M> {
             self_id: id,
             queue: &mut self.queue,
             rng: &mut self.rng,
-            links: &self.links,
-            default_link: self.default_link,
+            link: self.link,
             failed: &self.failed,
             dropped_messages: &mut self.dropped_messages,
         };
@@ -234,11 +164,6 @@ impl<M: 'static> Simulation<M> {
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
         self.now
-    }
-
-    /// Number of registered actors (including failed ones).
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Inject a message from "outside the simulation" (e.g. the traffic
@@ -340,8 +265,7 @@ impl<M: 'static> Simulation<M> {
                 self_id: ev.dst,
                 queue: &mut self.queue,
                 rng: &mut self.rng,
-                links: &self.links,
-                default_link: self.default_link,
+                link: self.link,
                 failed: &self.failed,
                 dropped_messages: &mut self.dropped_messages,
             };
@@ -392,11 +316,6 @@ impl<M: 'static> Simulation<M> {
             dropped_messages: self.dropped_messages,
             end_time: self.now,
         }
-    }
-
-    /// Number of events still queued.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 

@@ -47,11 +47,6 @@ impl VirtualTime {
     pub fn as_millis_f64(&self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Time elapsed since `earlier` (saturating at zero).
-    pub fn since(&self, earlier: VirtualTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Add<SimDuration> for VirtualTime {
@@ -98,11 +93,6 @@ impl SimDuration {
     /// Construct from microseconds.
     pub fn from_micros(us: u64) -> SimDuration {
         SimDuration(us * 1_000)
-    }
-
-    /// Construct from a floating-point number of microseconds.
-    pub fn from_micros_f64(us: f64) -> SimDuration {
-        SimDuration((us.max(0.0) * 1_000.0).round() as u64)
     }
 
     /// Construct from milliseconds.
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(VirtualTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(VirtualTime::from_millis(2).as_micros_f64(), 2_000.0);
         assert_eq!(SimDuration::from_secs(1).as_millis_f64(), 1_000.0);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
     }
 
     #[test]
@@ -198,7 +187,6 @@ mod tests {
         );
         // saturating behaviour on underflow
         assert_eq!(VirtualTime::ZERO - t, SimDuration::ZERO);
-        assert_eq!(t.since(VirtualTime::from_micros(20)), SimDuration::ZERO);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl StateScope {
             StateScope::CrossFlow(s) => *s,
         }
     }
-
-    /// True for cross-flow (potentially shared) state.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, StateScope::CrossFlow(_))
-    }
 }
 
 /// How an NF accesses a state object. Together with [`StateScope`] this
@@ -462,8 +457,6 @@ mod tests {
 
     #[test]
     fn state_scope_helpers() {
-        assert!(!StateScope::PerFlow.is_shared());
-        assert!(StateScope::CrossFlow(Scope::SrcIp).is_shared());
         assert_eq!(StateScope::PerFlow.packet_scope(), Scope::FiveTuple);
         assert_eq!(
             StateScope::CrossFlow(Scope::SrcIp).packet_scope(),

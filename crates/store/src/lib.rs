@@ -49,6 +49,6 @@ pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope,
 pub use ops::{Condition, OpOutcome, Operation};
 pub use recovery::{recover_shared_state, select_recovery_ts, RecoveryInput, RecoveryReport};
 pub use server::{ShardRecoveryStats, StoreServer};
-pub use store::{Checkpoint, DurableImage, NonDetKind, StoreInstance};
+pub use store::{Checkpoint, DurableImage, StoreInstance};
 pub use value::Value;
 pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};

@@ -34,19 +34,6 @@ struct Entry {
     id: u32,
 }
 
-/// Kinds of non-deterministic values an NF may request from the store
-/// (Appendix A). The store logs the value per (clock, slot) so replayed
-/// packets observe identical non-determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NonDetKind {
-    /// A random number (e.g. for sampling decisions).
-    Random,
-    /// A timestamp ("gettimeofday").
-    Timestamp,
-    /// Any other locally computed non-deterministic quantity.
-    Other,
-}
-
 /// A consistent snapshot of a store instance: the state plus the `TS`
 /// metadata (the logical clock of the last operation executed on behalf of
 /// each NF instance), as described in §5.4 "Datastore instance".

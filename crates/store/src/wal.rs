@@ -34,11 +34,6 @@ impl TsSnapshot {
     pub fn contains_clock(&self, clock: Clock) -> bool {
         self.0.values().any(|c| *c == clock)
     }
-
-    /// The largest clock in the snapshot (used only for reporting).
-    pub fn max_clock(&self) -> Option<Clock> {
-        self.0.values().copied().max()
-    }
 }
 
 /// One entry of an instance's write-ahead log: an update operation issued to
@@ -224,6 +219,5 @@ mod tests {
         assert!(!ts.contains_clock(clock(16)));
         assert_eq!(ts.clock_of(InstanceId(2)), Some(clock(30)));
         assert_eq!(ts.clock_of(InstanceId(9)), None);
-        assert_eq!(ts.max_clock(), Some(clock(30)));
     }
 }

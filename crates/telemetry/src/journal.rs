@@ -300,22 +300,6 @@ impl EventJournal {
         out.sort_by_key(|e| e.seq);
         out
     }
-
-    /// Render the whole journal as JSONL (one event per line, trailing
-    /// newline included when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.snapshot() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the journal as JSONL to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 #[cfg(test)]
@@ -353,8 +337,7 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
 
-        let jsonl = j.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let lines: Vec<String> = events.iter().map(Event::to_json).collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"event\":\"instance_killed\""));
         assert!(lines[0].contains("\"clock\":42"));

@@ -6,10 +6,9 @@
 //! crate provides the measurement substrate for that, deliberately
 //! dependency-free so every other CHC crate can sit above it:
 //!
-//! * [`Counter`], [`Gauge`], [`StreamingHistogram`] — wait-free,
+//! * [`Counter`], [`StreamingHistogram`] — wait-free,
 //!   zero-allocation recording through `&self`; summaries readable while
 //!   writers are live (unlike the exact sort-on-read `chc_sim::Histogram`).
-//! * [`MetricsRegistry`] — name → handle registration at wiring time.
 //! * [`GaugeSeries`] / [`TelemetrySeries`] — time series appended by a
 //!   monitor thread sampling ring depths, shard op rates and log levels.
 //! * [`EventJournal`] — append-only structured journal of control-plane
@@ -27,14 +26,12 @@
 
 mod journal;
 mod metrics;
-mod registry;
 pub mod sentinel;
 mod series;
 pub mod trace;
 
 pub use journal::{Event, EventJournal, EventKind};
-pub use metrics::{Counter, Gauge, HistSummary, StreamingHistogram};
-pub use registry::MetricsRegistry;
+pub use metrics::{Counter, HistSummary, StreamingHistogram};
 pub use sentinel::{
     ConservationLedger, FlowOrderChecker, InvariantKind, Sentinel, SentinelReport, Violation,
 };

@@ -1,5 +1,4 @@
-//! Lock-free metric primitives: counters, gauges and a bounded streaming
-//! histogram.
+//! Lock-free metric primitives: a counter and a bounded streaming histogram.
 //!
 //! Everything here is recordable from any number of threads through `&self`
 //! with nothing but relaxed atomic arithmetic — no locks, no allocation —
@@ -40,37 +39,6 @@ impl Counter {
 impl Clone for Counter {
     fn clone(&self) -> Counter {
         Counter(AtomicU64::new(self.get()))
-    }
-}
-
-/// A last-write-wins instantaneous value (ring depth, rate, watermark).
-/// Stored as `f64` bits so the same type carries both integer depths and
-/// fractional rates.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Overwrite the value.
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl Clone for Gauge {
-    fn clone(&self) -> Gauge {
-        let g = Gauge::new();
-        g.set(self.get());
-        g
     }
 }
 
@@ -452,11 +420,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.clone().get(), 10);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(12.5);
-        assert_eq!(g.get(), 12.5);
-        assert_eq!(g.clone().get(), 12.5);
     }
 
     #[test]

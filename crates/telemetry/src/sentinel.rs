@@ -454,12 +454,6 @@ impl ConservationLedger {
     pub fn new() -> ConservationLedger {
         ConservationLedger::default()
     }
-
-    /// Copies currently inside rings (pushed − popped); must be zero after
-    /// every ring has drained.
-    pub fn in_flight(&self) -> i64 {
-        self.ring_pushed.get() as i64 - self.ring_popped.get() as i64
-    }
 }
 
 /// Sentinel section of a run report: the violations plus the counters that
@@ -493,14 +487,6 @@ impl SentinelReport {
     /// True when no invariant was violated.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Violations of one invariant.
-    pub fn of_kind(&self, kind: InvariantKind) -> Vec<&Violation> {
-        self.violations
-            .iter()
-            .filter(|v| v.invariant == kind)
-            .collect()
     }
 }
 
@@ -619,16 +605,6 @@ mod tests {
             c.observe(0xcc, 155, || 0).is_some(),
             "post-cut regression still caught"
         );
-    }
-
-    #[test]
-    fn ledger_tracks_in_flight() {
-        let l = ConservationLedger::new();
-        l.ring_pushed.add(10);
-        l.ring_popped.add(7);
-        assert_eq!(l.in_flight(), 3);
-        l.ring_popped.add(3);
-        assert_eq!(l.in_flight(), 0);
     }
 
     #[test]

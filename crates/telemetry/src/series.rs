@@ -1,4 +1,4 @@
-//! Gauge time series produced by the monitor thread.
+//! The monitor thread's gauge time series.
 //!
 //! The monitor samples a set of named gauges at a fixed cadence and appends
 //! one [`GaugeSample`] per gauge per tick. Series are plain owned data (no
@@ -52,16 +52,6 @@ impl GaugeSeries {
     pub fn is_monotonic(&self) -> bool {
         self.points.windows(2).all(|w| w[0].t_ns <= w[1].t_ns)
     }
-
-    /// Largest observed value (0.0 when empty).
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|p| p.value).fold(0.0, f64::max)
-    }
-
-    /// Last observed value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|p| p.value)
-    }
 }
 
 /// All gauge series collected during one run.
@@ -106,8 +96,6 @@ mod tests {
         s.push(20, 5.0);
         s.push(20, 3.0);
         assert!(s.is_monotonic());
-        assert_eq!(s.max_value(), 5.0);
-        assert_eq!(s.last_value(), Some(3.0));
         s.push(5, 0.0);
         assert!(!s.is_monotonic());
 

@@ -2,7 +2,7 @@
 //! the engine's hot paths by many threads at once, so the lock-free
 //! counters and histogram must lose nothing under real contention.
 
-use chc_telemetry::{Counter, EventJournal, EventKind, Gauge, StreamingHistogram};
+use chc_telemetry::{Counter, EventJournal, EventKind, StreamingHistogram};
 use std::sync::Arc;
 use std::thread;
 
@@ -114,13 +114,4 @@ fn journal_assigns_unique_ordered_sequence_numbers() {
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.seq, i as u64);
     }
-}
-
-#[test]
-fn gauge_last_write_wins() {
-    let gauge = Gauge::new();
-    gauge.set(3.25);
-    assert_eq!(gauge.get(), 3.25);
-    gauge.set(-0.5);
-    assert_eq!(gauge.get(), -0.5);
 }
