@@ -10,8 +10,10 @@
 //! and what the op it buffers costs when drained (DESIGN.md, "What one state
 //! access costs"): a cached per-flow read, a buffered increment (over a
 //! handle that does nothing, so only the client's share is timed), and a
-//! 32-op write-behind batch applied by the server below and above the replay
-//! floor — divide those two by 32 for the cost of one drained op.
+//! 32-op write-behind batch applied by the server below the replay floor,
+//! above a floor that trails the clocks, and above a floor that stays put
+//! for a trace's worth of packets — divide each by 32 for the cost of one
+//! drained op; above minus below is the duplicate-suppression log's share.
 //!
 //! `pool_pop` measures a blocking pop on the NAT's 4,096-port pool at each
 //! layer it crosses — the store instance, the sharded server, and a
@@ -160,6 +162,18 @@ fn flow(i: usize) -> Option<ScopeKey> {
     Some(ScopeKey::Flow(FlowKey((i << 96) | (i << 48) | 6)))
 }
 
+/// Where a drain finds the replay floor.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Floor {
+    /// At the top: nothing is logged.
+    Top,
+    /// This many packets behind the newest clock.
+    Trailing(u64),
+    /// Raised past every clock once per this many packets, and otherwise
+    /// left where it is.
+    Frozen(u64),
+}
+
 fn client_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_access");
     group.sample_size(30);
@@ -217,17 +231,20 @@ fn client_access(c: &mut Criterion) {
     });
 
     // The other end of a buffered op: one write-behind drain of 32 ops on
-    // the sharded server. Below the floor nothing is looked up or logged;
-    // above it every op is logged for duplicate suppression and the log is
-    // pruned as the floor trails 1,024 packets behind, as the supervisor's
-    // truncation keeps it.
+    // the sharded server. Below the floor nothing is looked up or logged.
+    // Above it every op is logged for duplicate suppression, and the log is
+    // pruned either as the floor trails 1,024 packets behind, as the
+    // supervisor's truncation keeps it, or only once per 65,536 packets: a
+    // frozen floor, as in an inline pass over a trace of that length and on
+    // every packet after a failover.
     let object = |i: usize| ObjectKey::scoped("conn_bytes", flow(i).expect("a flow"));
-    for (name, logged) in [
-        ("drain_x32_below_floor", false),
-        ("drain_x32_above_floor", true),
+    for (name, floor) in [
+        ("drain_x32_below_floor", Floor::Top),
+        ("drain_x32_above_floor", Floor::Trailing(1_024)),
+        ("drain_x32_floor_frozen", Floor::Frozen(65_536)),
     ] {
         let server = StoreServer::with_backend(4, BackendKind::Memory);
-        if !logged {
+        if floor == Floor::Top {
             server.forget_through(u64::MAX);
         }
         let mut batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..32)
@@ -239,12 +256,15 @@ fn client_access(c: &mut Criterion) {
         let mut counter = 0u64;
         group.bench_function(name, |b| {
             b.iter(|| {
+                if matches!(floor, Floor::Frozen(stretch) if counter.is_multiple_of(stretch)) {
+                    server.forget_through(counter);
+                }
                 for (_, _, clock) in &mut batch {
                     counter += 1;
                     *clock = Some(Clock::with_root(0, counter));
                 }
-                if logged {
-                    server.forget_through(counter.saturating_sub(1_024));
+                if let Floor::Trailing(lag) = floor {
+                    server.forget_through(counter.saturating_sub(lag));
                 }
                 server.apply_batch(InstanceId(0), &batch)
             })

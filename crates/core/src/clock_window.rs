@@ -11,10 +11,11 @@
 //! Memory is one bit per counter between the lowest remembered and the
 //! highest inserted counter, rounded up to pages, plus eight bytes of spine
 //! per page in that span; counters are dense by construction (the root hands
-//! out `1..=N`), so the span is the live window and nothing else.
+//! out `1..=N`), so the span is the live window and nothing else. The spine
+//! is a [`CounterWindow`] indexed by page number, the same window the
+//! store's duplicate-suppression log keeps per root.
 
-use chc_store::Clock;
-use std::collections::VecDeque;
+use chc_store::{Clock, CounterWindow};
 
 const PAGE_WORDS: usize = 512;
 type Page = [u64; PAGE_WORDS];
@@ -24,10 +25,9 @@ type Page = [u64; PAGE_WORDS];
 struct RootWindow {
     /// Counters below this were forgotten and answer "already seen".
     floor: u64,
-    /// Page number (`counter / PAGE_BITS`) of `pages[0]`.
-    first_page: u64,
-    /// Pages from `first_page` up; a page nobody touched stays `None`.
-    pages: VecDeque<Option<Box<Page>>>,
+    /// Pages by page number (`counter / PAGE_BITS`); a page nobody touched
+    /// is never allocated.
+    pages: CounterWindow<Box<Page>>,
 }
 
 impl RootWindow {
@@ -35,19 +35,8 @@ impl RootWindow {
         if counter < self.floor {
             return false;
         }
-        let page = counter / ClockWindow::PAGE_BITS;
-        if self.pages.is_empty() {
-            self.first_page = page;
-        }
-        while page < self.first_page {
-            self.pages.push_front(None);
-            self.first_page -= 1;
-        }
-        let idx = (page - self.first_page) as usize;
-        if idx >= self.pages.len() {
-            self.pages.resize_with(idx + 1, || None);
-        }
-        let words = self.pages[idx].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+        let page = self.pages.cell(counter / ClockWindow::PAGE_BITS);
+        let words = page.get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
         let bit = counter % ClockWindow::PAGE_BITS;
         let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
         let fresh = words[word] & mask == 0;
@@ -62,10 +51,8 @@ impl RootWindow {
         self.floor = counter + 1;
         // The page holding the floor itself stays: counters above the floor
         // share it.
-        let keep_from = self.floor / ClockWindow::PAGE_BITS;
-        while self.first_page < keep_from && self.pages.pop_front().is_some() {
-            self.first_page += 1;
-        }
+        self.pages
+            .pop_below(self.floor / ClockWindow::PAGE_BITS, drop);
     }
 }
 
@@ -112,10 +99,7 @@ impl ClockWindow {
 
     /// Pages currently allocated, over all roots.
     pub fn resident_pages(&self) -> usize {
-        self.roots
-            .iter()
-            .map(|r| r.pages.iter().flatten().count())
-            .sum()
+        self.roots.iter().map(|r| r.pages.iter().count()).sum()
     }
 
     /// Heap bytes of the resident pages.

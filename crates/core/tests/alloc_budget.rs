@@ -4,9 +4,10 @@
 //! allocator: not in [`StateClient`] (key resolution, cache, write-behind
 //! buffer, token list) and not in [`StoreInstance::apply`] once the packet's
 //! clock is below the replay floor. Above the floor the only allowance is
-//! the duplicate-suppression log's own growth, at most one allocation per
-//! logged update, amortised. A change that clones a key or a name on this
-//! path fails here, in tier 1, rather than in a benchmark.
+//! the duplicate-suppression log's own growth: its window of cells doubles,
+//! so logging `n` integer increments allocates O(log n) times. A change
+//! that clones a key or a name on this path fails here, in tier 1, rather
+//! than in a benchmark.
 //!
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
@@ -226,7 +227,7 @@ fn counter(i: u64) -> StateKey {
 }
 
 #[test]
-fn store_apply_below_the_floor_allocates_nothing_and_above_it_at_most_once() {
+fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_window() {
     let mut store = StoreInstance::new();
     let keys: Vec<StateKey> = (0..FLOWS as u64).map(counter).collect();
     let increment = Operation::Increment(1);
@@ -254,8 +255,8 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_at_most_once() {
     assert_eq!(allocated, 0, "an unlogged apply touched the allocator");
     assert_eq!(store.update_log_len(), 0);
 
-    // Above it every update is logged: the log's own nodes are the only
-    // allocations, fewer than one per update.
+    // Above it every update is logged, in a cell of the window indexed by
+    // the clock counter: the window doubling is the only allocation.
     let allocated = allocations_in(|| {
         for n in 0..ROUNDS {
             let key = &keys[(n % FLOWS as u64) as usize];
@@ -264,9 +265,10 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_at_most_once() {
         }
     });
     assert_eq!(store.update_log_len(), ROUNDS as usize);
+    let budget = 2 * u64::from(ROUNDS.ilog2()) + 4;
     assert!(
-        allocated <= ROUNDS,
-        "{allocated} allocations for {ROUNDS} logged updates"
+        allocated <= budget,
+        "{allocated} allocations for {ROUNDS} logged updates, budget {budget}"
     );
 }
 

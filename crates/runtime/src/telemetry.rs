@@ -360,10 +360,12 @@ pub(crate) fn run_monitor(
         out.series.push(GaugeSeries::new("store.durable_bytes"));
         out.series.len() - 2
     });
-    // The duplicate-suppression log: flat when the replay floor keeps up
-    // with the commit frontier, zero on a run with no fault plan.
+    // The duplicate-suppression log — the updates it holds and the clock
+    // counters its windows span, one cell each: flat when the replay floor
+    // keeps up with the commit frontier, zero on a run with no fault plan.
     out.series.push(GaugeSeries::new("store.update_log_len"));
-    let dedup_idx = out.series.len() - 1;
+    out.series.push(GaugeSeries::new("store.update_log_span"));
+    let dedup_idx = out.series.len() - 2;
     out.series.push(GaugeSeries::new("replay.packets"));
     let replay_idx = out.series.len() - 1;
 
@@ -411,6 +413,7 @@ pub(crate) fn run_monitor(
             out.series[idx + 1].push(t_ns, server.durable_bytes() as f64);
         }
         out.series[dedup_idx].push(t_ns, server.update_log_len() as f64);
+        out.series[dedup_idx + 1].push(t_ns, server.update_log_span() as f64);
         out.series[replay_idx].push(t_ns, telemetry.replay_progress.get() as f64);
     };
 
@@ -512,7 +515,7 @@ pub(crate) fn finalize_sentinel(
     check_failover_completion(state, &violation);
     check_conservation(&out, &violation);
     check_exactly_once(run, &violation);
-    check_dedup_log_bound(run, &shared.server, &violation);
+    check_dedup_log_bound(&shared.server, run.injected, &violation);
     if let Some(fault) = &run.fault {
         check_packet_log_bounds(shared, fault, (run.injected, frontier), &violation);
     }
@@ -609,13 +612,17 @@ fn check_exactly_once(run: &RuntimeReport, report: Report<'_>) {
 
 /// The dedup log keeps nothing below the replay floor, so it holds at most
 /// the updates of the packets from the floor up — none at all on a run
-/// without a fault plan, whose floor starts at the top.
-fn check_dedup_log_bound(run: &RuntimeReport, server: &StoreServer, report: Report<'_>) {
+/// without a fault plan, whose floor starts at the top — and what it pays
+/// for follows the same bound: no shard's window of one root spans more
+/// than the counters from the floor up to the last one injected. Reads the
+/// log and the floor from `server`, each shard pruned at the floor first.
+fn check_dedup_log_bound(server: &StoreServer, injected: u64, report: Report<'_>) {
+    let floor = server.replay_floor();
+    let replayable = (injected + 1).saturating_sub(floor);
     // Most updates one packet ever held per shard log, summed over shards.
     let widest_packet = server.update_log_widest_packet() as u64;
-    let replayable = (run.injected + 1).saturating_sub(run.store_replay_floor);
     let dedup_bound = replayable.saturating_mul(widest_packet);
-    let dedup_log_len = run.store_update_log_len as u64;
+    let dedup_log_len = server.update_log_len() as u64;
     if dedup_log_len > dedup_bound {
         report(
             InvariantKind::DedupLogBound,
@@ -623,8 +630,20 @@ fn check_dedup_log_bound(run: &RuntimeReport, server: &StoreServer, report: Repo
             dedup_bound,
             format!(
                 "store dedup log holds {dedup_log_len} updates, above the {replayable} packets \
-                 from replay floor {} to injected {} x {widest_packet} updates per packet",
-                run.store_replay_floor, run.injected
+                 from replay floor {floor} to injected {injected} x {widest_packet} updates per \
+                 packet"
+            ),
+        );
+    }
+    let widest_span = server.update_log_widest_span();
+    if widest_span > replayable {
+        report(
+            InvariantKind::DedupLogBound,
+            widest_span,
+            replayable,
+            format!(
+                "a store shard's dedup window spans {widest_span} clock counters, above the \
+                 {replayable} from replay floor {floor} to injected {injected}"
             ),
         );
     }
@@ -793,5 +812,57 @@ pub(crate) fn assemble_report(
             .as_ref()
             .map(TraceCollector::dropped)
             .unwrap_or_default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chc_store::{BackendKind, ObjectKey, Operation};
+    use std::cell::RefCell;
+
+    /// What the dedup-log check reports over `server` after `injected`
+    /// packets, as `(invariant, observed, expected)`.
+    fn dedup_violations(server: &StoreServer, injected: u64) -> Vec<(InvariantKind, u64, u64)> {
+        let seen = RefCell::new(Vec::new());
+        check_dedup_log_bound(server, injected, &|kind, observed, expected, _| {
+            seen.borrow_mut().push((kind, observed, expected));
+        });
+        seen.into_inner()
+    }
+
+    #[test]
+    fn the_dedup_bound_checks_what_the_log_spans_not_only_what_it_holds() {
+        let server = StoreServer::with_backend(1, BackendKind::Memory);
+        let key = StateKey::shared(VertexId(1), ObjectKey::named("pkt_count"));
+        let log = |counter| {
+            let clock = Some(Clock::with_root(0, counter));
+            server
+                .apply(InstanceId(0), &key, &Operation::Increment(1), clock)
+                .unwrap();
+        };
+        log(1);
+        log(10);
+        // Ten packets injected: two updates held, ten counters spanned.
+        assert_eq!(dedup_violations(&server, 10), []);
+        // A forged clock far past the last injected counter: three updates
+        // are well inside the length bound, but the window spans 1..=1000.
+        log(1_000);
+        assert_eq!(
+            dedup_violations(&server, 10),
+            [(InvariantKind::DedupLogBound, 1_000, 11)]
+        );
+        // The floor prunes the log before the check reads it: two updates
+        // over 10..=1000, against the one counter from floor 10 to
+        // injected 10.
+        server.forget_through(9);
+        assert_eq!(
+            dedup_violations(&server, 10),
+            [
+                (InvariantKind::DedupLogBound, 2, 1),
+                (InvariantKind::DedupLogBound, 991, 1)
+            ]
+        );
+        assert_eq!(dedup_violations(&server, 1_000), []);
     }
 }

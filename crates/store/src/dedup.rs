@@ -1,29 +1,34 @@
-//! The clock-ordered duplicate-suppression log (§5.3).
+//! The duplicate-suppression log (§5.3), indexed by clock counter.
 //!
 //! A store instance remembers, for every packet that may still be replayed,
 //! the updates that packet already induced and what each returned, so a
-//! re-issued update is *emulated* instead of applied twice. The log is keyed
-//! by the packet's logical clock — counter-major, so "everything up to
-//! counter `c`" is a prefix — and a packet's few updates sit inline in its
-//! slot, naming their object by the store's dense entry id rather than by a
-//! copy of the key.
+//! re-issued update is *emulated* instead of applied twice. Per root id the
+//! log is a [`CounterWindow`] of slots, one per clock counter: finding a
+//! packet's slot is one subtraction, and a packet's few updates sit inline
+//! in it, naming their object by the store's dense entry id rather than by
+//! a copy of the key.
 //!
 //! Nothing below the **replay floor** is kept: once no packet log can
 //! replay a clock, its slot is dead weight. [`DedupLog::forget_below`]
-//! pops that prefix; [`DedupLog::forget_clock`] drops one packet (the
-//! simulator root's per-packet delete).
+//! pops that prefix of every root's window; [`DedupLog::forget_clock`]
+//! takes one packet's cell (the simulator root's per-packet delete).
 //!
-//! Resident memory is `packets from the floor up × updates per packet ×
-//! entry bytes`: a counter update is 32 bytes, a packet's slot 64 with its
-//! key, and the tree's nodes run about half full under ascending clocks —
-//! some 120 bytes per packet and shard, against roughly a kilobyte per
-//! update for the pair of key-cloning maps this replaces. Any other update
-//! adds one boxed `(Operation, Value)`.
+//! The counters are dense by construction — the root hands out `1..=N` —
+//! so a window's span, from the lowest to the highest counter it holds, is
+//! the packets still replayable and nothing else. Resident memory is one
+//! 56-byte cell per counter in that span and per root, rounded up to the
+//! deque's power-of-two capacity, whether or not the packet touched this
+//! shard; a packet's second and later updates add a spill vector, and any
+//! update that is not an integer increment one boxed `(Operation, Value)`.
+//! [`DedupLog::spans`] reports the cells, [`DedupLog::len`] the updates.
+//! Logged non-deterministic values are rare and keep a small ordered map
+//! of their own, which [`DedupLog::clear_updates`] leaves alone.
 
 use crate::key::Clock;
 use crate::ops::Operation;
 use crate::value::Value;
-use std::collections::btree_map::{BTreeMap, Entry};
+use crate::window::CounterWindow;
+use std::collections::BTreeMap;
 
 /// What an update applied and what the store answered. The per-packet
 /// counters — `Increment` answered with an integer — are nearly all of the
@@ -96,35 +101,39 @@ impl Slot {
     }
 }
 
-/// Counter-major ordering key: all roots' packets with counter `c` sort
-/// before any packet with counter `c + 1`.
-fn order(clock: Clock) -> u64 {
-    clock.0.rotate_left(Clock::ROOT_BITS)
+/// Counter-major order of a packet across roots: all roots' packets with
+/// counter `c` sort before any packet with counter `c + 1`.
+type Order = (u64, u8);
+
+fn order(clock: Clock) -> Order {
+    (clock.counter(), clock.root())
 }
 
-fn clock_of(order: u64) -> Clock {
-    Clock(order.rotate_right(Clock::ROOT_BITS))
+fn clock_of((counter, root): Order) -> Clock {
+    Clock::with_root(root, counter)
 }
 
 /// See the module documentation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DedupLog {
-    slots: BTreeMap<u64, Slot>,
+    /// Per root id, its packets' slots by clock counter; grown on first use.
+    roots: Vec<CounterWindow<Slot>>,
     /// Updates held across all slots, so `len()` is O(1).
     updates: usize,
     /// Most updates any single packet has held here (sizes the sentinel's
     /// bound on the log).
     widest: usize,
     /// Logged non-deterministic values per packet and slot (Appendix A),
-    /// under the same ordering key so both logs forget a packet together.
-    nondet: BTreeMap<u64, Vec<(u32, Value)>>,
+    /// forgotten with their packet.
+    nondet: BTreeMap<Order, Vec<(u32, Value)>>,
 }
 
-/// One packet's place in the log, found once: an apply first asks it
-/// whether the update is a duplicate and, if not, records the update there
-/// without searching the tree again.
+/// One packet's place in the log: an apply first asks it whether the
+/// update is a duplicate and, if not, records the update there. Asking
+/// grows nothing.
 pub(crate) struct PacketSlot<'a> {
-    slot: Entry<'a, u64, Slot>,
+    window: &'a mut CounterWindow<Slot>,
+    counter: u64,
     updates: &'a mut usize,
     widest: &'a mut usize,
 }
@@ -135,10 +144,8 @@ impl PacketSlot<'_> {
     /// against one object (seeding a list), so the operation is part of the
     /// match.
     pub(crate) fn find(&self, entry: u32, op: &Operation) -> Option<Value> {
-        let Entry::Occupied(slot) = &self.slot else {
-            return None;
-        };
-        slot.get()
+        self.window
+            .get(self.counter)?
             .iter()
             .find(|u| u.entry == entry && u.logged.is(op))
             .map(|u| u.logged.returned())
@@ -151,14 +158,13 @@ impl PacketSlot<'_> {
             entry,
             logged: Logged::new(op, returned),
         };
-        let held = match self.slot {
-            Entry::Occupied(slot) => {
-                let slot = slot.into_mut();
+        let held = match self.window.cell(self.counter) {
+            Some(slot) => {
                 slot.rest.push(update);
                 slot.len()
             }
-            Entry::Vacant(vacant) => {
-                vacant.insert(Slot {
+            empty => {
+                *empty = Some(Slot {
                     first: update,
                     rest: Vec::new(),
                 });
@@ -181,10 +187,21 @@ impl DedupLog {
         self.widest
     }
 
+    /// Per root id, the counters its window spans (the cells it pays for).
+    pub(crate) fn spans(&self) -> impl Iterator<Item = u64> + '_ {
+        self.roots.iter().map(CounterWindow::span)
+    }
+
     /// The place of `clock`'s packet in the log.
+    #[inline]
     pub(crate) fn packet(&mut self, clock: Clock) -> PacketSlot<'_> {
+        let root = clock.root() as usize;
+        if root >= self.roots.len() {
+            self.roots.resize_with(root + 1, CounterWindow::new);
+        }
         PacketSlot {
-            slot: self.slots.entry(order(clock)),
+            window: &mut self.roots[root],
+            counter: clock.counter(),
             updates: &mut self.updates,
             widest: &mut self.widest,
         }
@@ -203,39 +220,46 @@ impl DedupLog {
         }
     }
 
-    /// Drop everything `clock` induced. One removal per log.
+    /// Drop everything `clock` induced: one cell, one map entry.
     pub(crate) fn forget_clock(&mut self, clock: Clock) {
-        if let Some(slot) = self.slots.remove(&order(clock)) {
+        let window = self.roots.get_mut(clock.root() as usize);
+        if let Some(slot) = window.and_then(|w| w.take(clock.counter())) {
             self.updates -= slot.len();
         }
         self.nondet.remove(&order(clock));
     }
 
     /// Drop every packet whose counter is below `floor`, whichever root
-    /// stamped it: a prefix of the log.
+    /// stamped it: a prefix of every window.
     pub(crate) fn forget_below(&mut self, floor: u64) {
-        let bound = floor << Clock::ROOT_BITS;
-        if bound >> Clock::ROOT_BITS != floor {
-            // A floor past the counter range (the "top" of a run that can
-            // never replay) shifts bits out: everything goes.
-            self.clear();
-            return;
+        let updates = &mut self.updates;
+        for window in &mut self.roots {
+            window.pop_below(floor, |slot| *updates -= slot.len());
         }
-        while let Some(first) = self.slots.first_entry().filter(|e| *e.key() < bound) {
-            self.updates -= first.remove().len();
-        }
-        while let Some(first) = self.nondet.first_entry().filter(|e| *e.key() < bound) {
+        while let Some(first) = self.nondet.first_entry().filter(|e| e.key().0 < floor) {
             first.remove();
         }
     }
 
     /// Every retained update as `(clock, entry id, operation, returned)`,
-    /// in clock order (for durable images).
+    /// counter-major across roots (for durable images).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Clock, u32, Operation, Value)> + '_ {
-        self.slots.iter().flat_map(|(k, slot)| {
-            slot.iter().map(|u| {
+        let mut packets: Vec<(Order, &Slot)> = self
+            .roots
+            .iter()
+            .enumerate()
+            .flat_map(|(root, window)| {
+                window
+                    .iter()
+                    .map(move |(counter, slot)| ((counter, root as u8), slot))
+            })
+            .collect();
+        // Already in order with one root; the merge of several is a sort.
+        packets.sort_unstable_by_key(|(order, _)| *order);
+        packets.into_iter().flat_map(|(order, slot)| {
+            slot.iter().map(move |u| {
                 let (op, returned) = u.logged.pair();
-                (clock_of(*k), u.entry, op, returned)
+                (clock_of(order), u.entry, op, returned)
             })
         })
     }
@@ -250,14 +274,8 @@ impl DedupLog {
     /// Drop the update log (a restore from a Figure-7 checkpoint rebuilds it
     /// from the NF-side logs); logged non-determinism stays.
     pub(crate) fn clear_updates(&mut self) {
-        self.slots.clear();
+        self.roots.iter_mut().for_each(CounterWindow::clear);
         self.updates = 0;
-    }
-
-    /// Drop everything.
-    pub(crate) fn clear(&mut self) {
-        self.clear_updates();
-        self.nondet.clear();
     }
 }
 
@@ -323,5 +341,115 @@ mod tests {
         assert_eq!(log.nondet_value(a, 0, Value::Int(2)), Value::Int(2));
         log.forget_below(10);
         assert_eq!(log.nondet_iter().count(), 0);
+    }
+
+    /// One increment logged for each clock, returning the counter.
+    fn logged(clocks: &[Clock]) -> DedupLog {
+        let mut log = DedupLog::default();
+        for &clock in clocks {
+            let counter = clock.counter() as i64;
+            log.packet(clock).record(1, &incr(1), &Value::Int(counter));
+        }
+        log
+    }
+
+    fn clocks(log: &DedupLog) -> Vec<Clock> {
+        log.iter().map(|(clock, ..)| clock).collect()
+    }
+
+    fn found(log: &mut DedupLog, clock: Clock) -> Option<Value> {
+        log.packet(clock).find(1, &incr(1))
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_cell_is_56_bytes() {
+        // What the module documentation charges per counter and root.
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 56);
+    }
+
+    #[test]
+    fn a_clock_below_the_window_grows_its_front() {
+        let at = |c| Clock::with_root(0, c);
+        let mut log = logged(&[at(50), at(51), at(48)]);
+        assert_eq!(log.spans().collect::<Vec<_>>(), [4]);
+        assert_eq!(clocks(&log), [at(48), at(50), at(51)]);
+        assert_eq!(found(&mut log, at(48)), Some(Value::Int(48)));
+        assert_eq!(found(&mut log, at(49)), None);
+        // Asking about a clock further down grows nothing.
+        assert_eq!(found(&mut log, at(2)), None);
+        assert_eq!(log.spans().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn a_gap_of_ten_thousand_counters_is_spanned_and_popped() {
+        let at = |c| Clock::with_root(0, c);
+        let mut log = logged(&[at(1), at(10_001)]);
+        assert_eq!((log.len(), log.spans().sum::<u64>()), (2, 10_001));
+        assert_eq!(found(&mut log, at(5_000)), None);
+        assert_eq!(found(&mut log, at(10_001)), Some(Value::Int(10_001)));
+        // Popping the low end sheds the empty gap with it.
+        log.forget_below(2);
+        assert_eq!((log.len(), log.spans().sum::<u64>()), (1, 1));
+        assert_eq!(clocks(&log), [at(10_001)]);
+    }
+
+    #[test]
+    fn interleaved_roots_iterate_in_the_counter_major_order() {
+        let drawn: Vec<Clock> = [(1, 7), (0, 9), (1, 3), (0, 3), (2, 8), (0, 1), (1, 9)]
+            .into_iter()
+            .map(|(root, c)| Clock::with_root(root, c))
+            .collect();
+        let log = logged(&drawn);
+        // Counter-major, as durable images are built and rebuilt: the
+        // counter bits rotated above the root bits.
+        let mut tree_order = drawn.clone();
+        tree_order.sort_by_key(|c| c.0.rotate_left(Clock::ROOT_BITS));
+        assert_eq!(clocks(&log), tree_order);
+        assert_eq!(log.spans().collect::<Vec<_>>(), [9, 7, 1]);
+    }
+
+    #[test]
+    fn forgetting_a_clock_outside_the_window_changes_nothing() {
+        let at = |root, c| Clock::with_root(root, c);
+        let mut log = logged(&[at(0, 10), at(0, 12)]);
+        for outside in [
+            at(0, 9),
+            at(0, 11),
+            at(0, 13),
+            at(0, 0),
+            at(1, 10),
+            at(7, 12),
+        ] {
+            log.forget_clock(outside);
+        }
+        assert_eq!((log.len(), log.spans().sum::<u64>()), (2, 3));
+        // Forgetting the bottom sheds it and the empty cell above it.
+        log.forget_clock(at(0, 10));
+        assert_eq!((log.len(), log.spans().sum::<u64>()), (1, 1));
+        assert_eq!(clocks(&log), [at(0, 12)]);
+    }
+
+    #[test]
+    fn a_floor_between_two_roots_windows_empties_one_and_keeps_the_other() {
+        let at = |root, c| Clock::with_root(root, c);
+        let mut log = logged(&[at(0, 1), at(0, 2), at(0, 3), at(1, 20), at(1, 21)]);
+        log.forget_below(10);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.spans().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(clocks(&log), [at(1, 20), at(1, 21)]);
+        // An emptied window restarts wherever its root's next packet lands.
+        log.packet(at(0, 40)).record(1, &incr(1), &Value::Int(40));
+        assert_eq!(log.spans().collect::<Vec<_>>(), [1, 2]);
+    }
+
+    #[test]
+    fn the_top_of_the_counter_range_empties_every_window() {
+        let at = |root, c| Clock::with_root(root, c);
+        let mut log = logged(&[at(0, 1), at(3, 1 << 40), at(1, (1 << 56) - 1)]);
+        log.nondet_value(at(2, 5), 0, Value::Int(1));
+        log.forget_below(u64::MAX);
+        assert_eq!((log.len(), log.spans().sum::<u64>()), (0, 0));
+        assert_eq!((log.iter().count(), log.nondet_iter().count()), (0, 0));
     }
 }

@@ -20,6 +20,9 @@
 //!   read-heavy cached objects, clock-tagged update logging used for
 //!   duplicate suppression (§5.3), checkpointing with `TS` metadata and
 //!   store-computed non-deterministic values (Appendix A);
+//! * [`window::CounterWindow`], the deque indexed by a dense clock counter
+//!   behind both the store's duplicate-suppression log and
+//!   `chc_core::ClockWindow`;
 //! * client-side write-ahead/read logs ([`wal`]) and the shared-state
 //!   recovery algorithm with `TS` selection (§5.4, Figure 7) in [`recovery`];
 //! * pluggable per-shard storage engines ([`backend`]): the in-memory
@@ -40,6 +43,7 @@ pub mod server;
 pub mod store;
 pub mod value;
 pub mod wal;
+pub mod window;
 
 pub use backend::{
     AppendOnlyBackend, BackendKind, JournalRecord, MemoryBackend, ScratchDir, StorageBackend,
@@ -52,3 +56,4 @@ pub use server::{ShardRecoveryStats, StoreServer};
 pub use store::{Checkpoint, DurableImage, StoreInstance};
 pub use value::Value;
 pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};
+pub use window::CounterWindow;

@@ -425,6 +425,33 @@ impl StoreServer {
             .sum()
     }
 
+    /// Clock counters the duplicate-suppression log spans, summed over
+    /// shards and roots, each shard pruned at the current floor first: what
+    /// the log costs in memory, one cell per counter, where
+    /// [`StoreServer::update_log_len`] counts what it holds. O(shards).
+    pub fn update_log_span(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|s| {
+                self.lock_at_floor(s)
+                    .instance()
+                    .update_log_spans()
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// The widest span of any one shard's log of one root, pruned at the
+    /// current floor: what the sentinel bounds by the packets from the floor
+    /// up.
+    pub fn update_log_widest_span(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter_map(|s| self.lock_at_floor(s).instance().update_log_spans().max())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Summed over shards, the most updates a single packet has ever held
     /// in a shard's log: what one packet above the floor can cost.
     pub fn update_log_widest_packet(&self) -> usize {

@@ -101,9 +101,9 @@ pub struct StoreInstance {
     entries: CanonMap<Entry>,
     custom_ops: HashMap<String, CustomOpFn>,
     /// Duplicate-suppression log: per packet clock, the updates it induced
-    /// here and what each returned. Kept only while some packet log could
-    /// still replay the packet — the root's delete forgets one clock, the
-    /// replay floor a whole prefix.
+    /// here and what each returned, in a window indexed by clock counter.
+    /// Kept only while some packet log could still replay the packet — the
+    /// root's delete forgets one clock, the replay floor a whole prefix.
     dedup: DedupLog,
     /// The replay floor: the lowest clock counter a packet log may still
     /// replay. Updates of packets below it cannot be duplicates, so they
@@ -453,6 +453,14 @@ impl StoreInstance {
     /// instance (what one packet above the floor can cost).
     pub fn update_log_widest_packet(&self) -> usize {
         self.dedup.widest_slot()
+    }
+
+    /// Per root id, the clock counters the log spans, from the lowest to the
+    /// highest it holds: it pays one cell for each, however few updates it
+    /// holds. Nothing below the replay floor, so a root stamping `1..=N`
+    /// spans at most `N + 1 - floor`.
+    pub fn update_log_spans(&self) -> impl Iterator<Item = u64> + '_ {
+        self.dedup.spans()
     }
 
     // ------------------------------------------------------------------

@@ -9,6 +9,11 @@
 //! both sides of every floor — must give identical outcomes, emulation flags,
 //! stored values and log lengths.
 //!
+//! A second mode widens the clock space to thousands of counters, drawn
+//! either sparse over the whole range or walking downwards, so the
+//! per-root windows also grow at the front, span long gaps and lose long
+//! prefixes to the floor.
+//!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
@@ -100,68 +105,129 @@ fn draw_op(rng: &mut StdRng, list: bool) -> Operation {
     }
 }
 
+/// How a case draws the counters of its clocks.
+#[derive(Clone, Copy)]
+enum Counters {
+    /// A dozen or fewer, so re-issues and several ops per `(key, clock)`
+    /// are the norm, not the exception.
+    Few,
+    /// Up to 5,000: half the cases draw anywhere in the range, half walk
+    /// down from the top with re-issues just above the walk.
+    Wide,
+}
+
+/// Draws the clock counters of one case.
+struct CounterDraw {
+    top: u64,
+    /// `Some(position)` when walking downwards.
+    walk: Option<u64>,
+}
+
+impl CounterDraw {
+    fn new(rng: &mut StdRng, counters: Counters) -> CounterDraw {
+        match counters {
+            Counters::Few => CounterDraw {
+                top: rng.gen_range(4..=12),
+                walk: None,
+            },
+            Counters::Wide => {
+                let top = rng.gen_range(1_000..=5_000);
+                CounterDraw {
+                    top,
+                    walk: rng.gen_bool(0.5).then_some(top),
+                }
+            }
+        }
+    }
+
+    fn next(&mut self, rng: &mut StdRng) -> u64 {
+        match &mut self.walk {
+            None => rng.gen_range(0..=self.top),
+            Some(at) if rng.gen_bool(0.3) => (*at + rng.gen_range(0..=30u64)).min(self.top),
+            Some(at) => {
+                *at = at.saturating_sub(rng.gen_range(0..=60u64));
+                *at
+            }
+        }
+    }
+}
+
+/// One random `apply` / `forget_clock` / `forget_through` sequence, checked
+/// step by step against the oracle and then through a durable image.
+fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut store = StoreInstance::new();
+    let mut oracle = Oracle::default();
+    // Every other object has a callback subscriber: those, and only those,
+    // are sent whole values.
+    for k in (0..6).step_by(2) {
+        store.register_callback(&key(k), InstanceId(9));
+    }
+    let mut draw = CounterDraw::new(&mut rng, counters);
+    let steps = match counters {
+        Counters::Few => rng.gen_range(20..=200usize),
+        Counters::Wide => rng.gen_range(100..=400usize),
+    };
+    for _ in 0..steps {
+        match rng.gen_range(0..20u32) {
+            0 => {
+                let clock = Clock::with_root(rng.gen_range(0..2), draw.next(&mut rng));
+                store.forget_clock(clock);
+                oracle.forget_clock(clock);
+            }
+            1 => {
+                // Advances up to half the range, so traffic lands on both
+                // sides of the floor; the floor never moves down.
+                let counter = rng.gen_range(0..=draw.top / 2);
+                store.forget_through(counter);
+                oracle.forget_through(counter);
+                prop_assert_eq!(store.replay_floor(), oracle.floor);
+            }
+            _ => {
+                let k = rng.gen_range(0..6usize);
+                let key = key(k);
+                let op = draw_op(&mut rng, k >= 4);
+                let clock = rng
+                    .gen_bool(0.9)
+                    .then(|| Clock::with_root(rng.gen_range(0..2), draw.next(&mut rng)));
+                let got = store
+                    .apply(InstanceId(rng.gen_range(0..3)), &key, &op, clock)
+                    .expect("typed ops");
+                let (returned, emulated, value) = oracle.apply(&key, &op, clock);
+                prop_assert_eq!(&got.outcome.returned, &returned, "{:?} {:?}", op, clock);
+                prop_assert_eq!(got.outcome.emulated, emulated, "{:?} {:?}", op, clock);
+                prop_assert_eq!(&got.new_value, &(k % 2 == 0).then(|| value.clone()));
+                prop_assert_eq!(store.peek(&key), value);
+            }
+        }
+        prop_assert_eq!(store.update_log_len(), oracle.len());
+    }
+    // The durable image carries the same log: rebuilt from it, the store
+    // makes the same decisions.
+    let mut rebuilt = StoreInstance::from_durable_image(store.durable_image(), &|_| None);
+    if store.replay_floor() > 0 {
+        rebuilt.forget_through(store.replay_floor() - 1);
+    }
+    prop_assert_eq!(rebuilt.update_log_len(), oracle.len());
+    for ((key, clock), ops) in &oracle.log {
+        for (op, returned) in ops {
+            let got = rebuilt.apply(InstanceId(0), key, op, Some(*clock)).unwrap();
+            prop_assert!(got.outcome.emulated);
+            prop_assert_eq!(&got.outcome.returned, returned);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn dedup_log_matches_the_naive_oracle(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = StoreInstance::new();
-        let mut oracle = Oracle::default();
-        // Every other object has a callback subscriber: those, and only
-        // those, are sent whole values.
-        for k in (0..6).step_by(2) {
-            store.register_callback(&key(k), InstanceId(9));
-        }
-        // A small clock space, so re-issues and several ops per (key, clock)
-        // are the norm, not the exception.
-        let counters = rng.gen_range(4..=12u64);
-        let steps = rng.gen_range(20..=200usize);
-        for _ in 0..steps {
-            match rng.gen_range(0..20u32) {
-                0 => {
-                    let clock = Clock::with_root(rng.gen_range(0..2), rng.gen_range(0..=counters));
-                    store.forget_clock(clock);
-                    oracle.forget_clock(clock);
-                }
-                1 => {
-                    // Mostly small advances, so traffic lands on both sides
-                    // of the floor; the floor never moves down.
-                    let counter = rng.gen_range(0..=counters / 2);
-                    store.forget_through(counter);
-                    oracle.forget_through(counter);
-                    prop_assert_eq!(store.replay_floor(), oracle.floor);
-                }
-                _ => {
-                    let k = rng.gen_range(0..6usize);
-                    let key = key(k);
-                    let op = draw_op(&mut rng, k >= 4);
-                    let clock = rng.gen_bool(0.9).then(|| {
-                        Clock::with_root(rng.gen_range(0..2), rng.gen_range(0..=counters))
-                    });
-                    let got = store
-                        .apply(InstanceId(rng.gen_range(0..3)), &key, &op, clock)
-                        .expect("typed ops");
-                    let (returned, emulated, value) = oracle.apply(&key, &op, clock);
-                    prop_assert_eq!(&got.outcome.returned, &returned, "{:?} {:?}", op, clock);
-                    prop_assert_eq!(got.outcome.emulated, emulated, "{:?} {:?}", op, clock);
-                    prop_assert_eq!(&got.new_value, &(k % 2 == 0).then(|| value.clone()));
-                    prop_assert_eq!(store.peek(&key), value);
-                }
-            }
-            prop_assert_eq!(store.update_log_len(), oracle.len());
-        }
-        // The durable image carries the same log: rebuilt from it, the store
-        // makes the same decisions.
-        let mut rebuilt = StoreInstance::from_durable_image(store.durable_image(), &|_| None);
-        if store.replay_floor() > 0 {
-            rebuilt.forget_through(store.replay_floor() - 1);
-        }
-        prop_assert_eq!(rebuilt.update_log_len(), oracle.len());
-        for ((key, clock), ops) in &oracle.log {
-            for (op, returned) in ops {
-                let got = rebuilt.apply(InstanceId(0), key, op, Some(*clock)).unwrap();
-                prop_assert!(got.outcome.emulated);
-                prop_assert_eq!(&got.outcome.returned, returned);
-            }
-        }
+        store_agrees_with_the_oracle(seed, Counters::Few);
+    }
+
+    #[test]
+    fn dedup_log_matches_the_naive_oracle_over_wide_sparse_and_descending_counters(
+        seed in any::<u64>()
+    ) {
+        store_agrees_with_the_oracle(seed, Counters::Wide);
     }
 }
