@@ -12,10 +12,9 @@
 //! | cross-flow | write/read often         | cache only while the traffic split gives the instance exclusive access; otherwise flush and operate on the store |
 
 use chc_store::{AccessPattern, StateScope};
-use serde::{Deserialize, Serialize};
 
 /// How the client-side library manages one state object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheStrategy {
     /// Offload updates with non-blocking semantics; never cache. Reads (rare)
     /// are served by the store after applying outstanding updates.

@@ -2,7 +2,6 @@
 //! toggles used by the evaluation.
 
 use chc_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's state-management models an NF instance runs under.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// * `ExternalizedCached` — plus scope/access-pattern-aware caching ("EO+C"),
 /// * `ExternalizedCachedNonBlocking` — plus not waiting for ACKs of
 ///   non-blocking operations ("EO+C+NA", the full CHC design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExternalizationMode {
     /// All state NF-local; no externalization (no R1–R6 guarantees).
     Traditional,
@@ -72,7 +71,7 @@ impl ExternalizationMode {
 /// ≈28 µs round trip to the datastore (the NAT's +190 µs at three RTTs per
 /// packet and +0.54 µs with all optimizations back these out). Benchmarks can
 /// override any of them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Base per-packet processing cost of an NF instance (header parsing,
     /// table lookups) excluding state access.
@@ -129,7 +128,7 @@ impl CostModel {
 }
 
 /// Chain-wide configuration knobs, on both substrates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChainConfig {
     /// State-management model applied to every instance. Figures 8 and 10
     /// sweep all four (`chc_baselines::sweep_modes`), and so does

@@ -17,6 +17,7 @@
 //! * chain-tail duties: the "delete-before-output" rule of §5.4.
 
 use crate::chain::Topology;
+use crate::clock_window::ClockWindow;
 use crate::config::ChainConfig;
 use crate::message::{Msg, TaggedPacket};
 use crate::nf::{Action, NetworkFunction, NfContext};
@@ -99,7 +100,7 @@ pub struct NfInstanceActor {
     /// Artificial extra per-packet delay (straggler emulation).
     extra_delay: SimDuration,
     /// Clocks already seen at this instance (duplicate detection).
-    seen_clocks: HashSet<Clock>,
+    seen_clocks: ClockWindow,
     /// Scope keys whose per-flow state is still owned by the old instance;
     /// their packets are buffered until `HandoverComplete` (Figure 4 step 4).
     awaiting_handover: HashSet<ScopeKey>,
@@ -138,7 +139,7 @@ impl NfInstanceActor {
             sink,
             workers: vec![VirtualTime::ZERO; WORKERS],
             extra_delay: SimDuration::ZERO,
-            seen_clocks: HashSet::new(),
+            seen_clocks: ClockWindow::new(),
             awaiting_handover: HashSet::new(),
             awaiting_replay,
             buffer: Vec::new(),

@@ -3,10 +3,9 @@
 
 use chc_packet::{Packet, TraceTag};
 use chc_store::{Clock, InstanceId, StateKey, Value};
-use serde::{Deserialize, Serialize};
 
 /// Handover / replay marks attached to a packet by the framework (§5.1, §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketMark {
     /// The splitter marked this as the *last* packet of a flow group sent to
     /// the old instance during a reallocation (Figure 4, step 1).
@@ -32,7 +31,7 @@ pub const TIMED_PERIOD: u64 = 16;
 /// commit vector of §5.4 (16-bit instance id ‖ 16-bit object id per update),
 /// replay/clone annotations, handover marks and the span stamps of a timed
 /// packet. NFs never see the envelope; the instance runtime unwraps it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaggedPacket {
     /// The packet as NFs see it.
     pub packet: Packet,

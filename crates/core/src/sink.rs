@@ -5,11 +5,11 @@
 //! counts duplicates (the receiver-visible symptom that R5/R6 protect
 //! against) and accumulates throughput.
 
+use crate::clock_window::ClockWindow;
 use crate::message::{Msg, TaggedPacket};
 use chc_packet::PacketId;
 use chc_sim::{Actor, ActorId, Ctx, Throughput, VirtualTime};
 use chc_store::Clock;
-use std::collections::HashSet;
 
 /// Collects everything that leaves the chain towards the end host.
 #[derive(Default)]
@@ -17,7 +17,7 @@ pub struct SinkActor {
     /// Packets received, in arrival order: (virtual time, clock, trace id).
     pub received: Vec<(VirtualTime, Clock, PacketId)>,
     /// Clocks seen so far (for duplicate detection).
-    seen: HashSet<Clock>,
+    seen: ClockWindow,
     /// Number of duplicate packets received (same logical clock twice).
     pub duplicates: u64,
     /// The clock of every duplicate arrival, in arrival order. Duplicates
@@ -37,7 +37,7 @@ impl SinkActor {
 
     /// Number of distinct packets delivered.
     pub fn delivered(&self) -> usize {
-        self.seen.len()
+        self.received.len() - self.duplicates as usize
     }
 
     /// The trace packet ids delivered, in arrival order (with duplicates).

@@ -8,11 +8,10 @@
 //! DPI pass would have produced. The Trojan detector then consumes these
 //! labels exactly as the original consumes DPI verdicts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of file carried by an FTP data transfer (Trojan signature step 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FtpTransferKind {
     /// An HTML document.
     Html,
@@ -25,7 +24,7 @@ pub enum FtpTransferKind {
 }
 
 /// Application protocol of a flow, as a DPI engine would label it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppProtocol {
     /// Secure shell (Trojan signature step 1).
     Ssh,

@@ -5,12 +5,11 @@
 //! objects is derived from the 5-tuple). Cross-flow state is keyed on coarser
 //! header subsets (e.g. source IP), which is modelled by [`crate::Scope`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Transport-layer protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// Transmission Control Protocol (IP protocol number 6).
     Tcp,
@@ -59,7 +58,7 @@ impl fmt::Display for Protocol {
 ///
 /// Several NFs (e.g. the portscan detector) need to distinguish packets sent
 /// by the host that opened a connection from packets sent by the responder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// From the connection initiator towards the responder.
     FromInitiator,
@@ -79,7 +78,7 @@ impl Direction {
 
 /// The classic connection 5-tuple: source/destination address and port plus
 /// transport protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,
@@ -162,7 +161,7 @@ impl fmt::Display for FiveTuple {
 /// datastore keys are 128-bit; see §7.1 "Datastore performance"). It is *not*
 /// a cryptographic hash — it embeds the tuple bijectively so that distinct
 /// tuples always map to distinct keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey(pub u128);
 
 impl FlowKey {

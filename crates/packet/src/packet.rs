@@ -7,7 +7,6 @@
 //! as the real system attaches metadata outside the NF-visible packet.
 
 use crate::{AppProtocol, Direction, FiveTuple, FlowKey, Protocol, TcpEvent, TcpFlags};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -16,9 +15,7 @@ use std::net::Ipv4Addr;
 /// This is *not* the CHC logical clock — it identifies the packet in the input
 /// stream so that chain-output-equivalence checks can match outputs against
 /// inputs irrespective of what the framework did in between.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -28,7 +25,7 @@ impl fmt::Display for PacketId {
 }
 
 /// A network packet as seen by a network function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Identifier within the input trace.
     pub id: PacketId,

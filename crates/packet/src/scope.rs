@@ -8,7 +8,6 @@
 //! balanced.
 
 use crate::{FlowKey, Packet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -17,7 +16,7 @@ use std::net::Ipv4Addr;
 /// Ordered from most fine grained (`FiveTuple`) to least (`Global`); the
 /// derived `Ord` implementation follows that order so splitters can sort a
 /// vertex's scope list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scope {
     /// Keyed on the full connection 5-tuple (per-flow state).
     FiveTuple,
@@ -87,7 +86,7 @@ impl fmt::Display for Scope {
 }
 
 /// The value a packet maps to under a given [`Scope`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScopeKey {
     /// A connection key.
     Flow(FlowKey),

@@ -11,13 +11,12 @@
 //! (head-based, consistent per flow).
 
 use crate::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// Marks a packet as selected for causal tracing.
 ///
 /// Carried through the framework envelope (`chc_core::TaggedPacket`), never
 /// shown to NFs. The id is the root's logical clock counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceTag {
     /// Trace id: the root clock counter stamped at injection.
     pub id: u64,

@@ -5,12 +5,11 @@
 //! packets, so the trace generator annotates packets with flags from which a
 //! [`TcpEvent`] can be derived.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
 /// TCP header flags (subset relevant to connection tracking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -96,7 +95,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// Connection-level event derived from a packet's flags and direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcpEvent {
     /// Initiator sent a SYN: a new connection attempt.
     ConnectionAttempt,

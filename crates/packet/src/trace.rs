@@ -22,11 +22,10 @@
 use crate::{AppProtocol, Direction, FiveTuple, FtpTransferKind, Packet, PacketId, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// RNG seed; identical seeds produce identical traces.
     pub seed: u64,
@@ -121,7 +120,7 @@ impl TraceConfig {
 }
 
 /// A generated trace: packets ordered by arrival time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Packets in arrival order (arrival_ns is non-decreasing).
     pub packets: Vec<Packet>,
@@ -173,7 +172,7 @@ impl Trace {
 }
 
 /// Summary statistics of a trace (mirrors how the paper describes its traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
     /// Number of packets.
     pub packets: usize,

@@ -52,12 +52,13 @@ pub struct TelemetryConfig {
     /// JSON. Requires `spans` (a traced packet is a timed packet: its
     /// spans are built from the same hop stamps).
     pub trace_sample_ppm: u32,
-    /// Online invariant sentinel: a consumer thread over the event journal
-    /// plus in-line checks on the delivery stream and a copy-conservation
-    /// ledger on the rings. Violations land in the journal and in
-    /// `RuntimeReport::invariants`. On by default — correctness monitoring
-    /// is cheap (per-batch counters and one sink-side map lookup per
-    /// packet) and every test asserts `violations == 0` for free.
+    /// Online invariant sentinel: checks on every control-plane event as it
+    /// is recorded (no thread of its own), in-line checks on the delivery
+    /// stream and a copy-conservation ledger on the rings. Violations land
+    /// in the journal and in `RuntimeReport::invariants`. On by default —
+    /// correctness monitoring is cheap (per-batch counters and one
+    /// sink-side map lookup per packet) and every test asserts
+    /// `violations == 0` for free.
     pub sentinel: bool,
 }
 

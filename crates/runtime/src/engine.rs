@@ -13,11 +13,11 @@
 //!    [`chc_core::NetworkFunction`] against a `StateClient` backed by the
 //!    sharded [`StoreServer`], forwards through the scope-aware splitters), a
 //!    **sink** thread (`sink`: de-duplicates by clock, measures
-//!    root→sink latency on the timed packets), the sentinel and monitor
-//!    ([`crate::telemetry`]) and, under a fault plan, the **supervisor**
-//!    ([`crate::replay`]) and the warm standby; the calling thread is the
-//!    **root** (`root`), stamping logical clocks in trace order and
-//!    feeding the entry vertices;
+//!    root→sink latency on the timed packets), the gauge monitor
+//!    ([`crate::telemetry`]) when sampling is on and, under a fault plan,
+//!    the **supervisor** ([`crate::replay`]) and the warm standby; the
+//!    calling thread is the **root** (`root`), stamping logical clocks in
+//!    trace order and feeding the entry vertices;
 //! 4. **join** — in the order the threads depend on each other
 //!    (`Running::join`);
 //! 5. **report** — the final log truncation, the shutdown invariant checks
@@ -58,9 +58,7 @@ use crate::replay::{truncate_logs, Replacements, Supervisor, SupervisorOutcome};
 use crate::report::RuntimeReport;
 use crate::root::{run_root, run_standby, Injection, RootIo, RootShared};
 use crate::sink::{run_sink, SinkResult};
-use crate::telemetry::{
-    assemble_report, finalize_sentinel, run_monitor, run_sentinel, RunTelemetry,
-};
+use crate::telemetry::{assemble_report, finalize_sentinel, run_monitor, RunTelemetry};
 use crate::wiring::{wire, Downstream, Wired};
 use chc_core::dag::DagError;
 use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
@@ -316,9 +314,8 @@ pub fn run_chain_realtime(
 struct Running<'scope> {
     instances: Vec<ScopedJoinHandle<'scope, InstanceResult>>,
     sink: ScopedJoinHandle<'scope, SinkResult>,
-    sentinel: Option<ScopedJoinHandle<'scope, ()>>,
     monitor: Option<ScopedJoinHandle<'scope, TelemetrySeries>>,
-    watchers_stop: Arc<AtomicBool>,
+    monitor_stop: Arc<AtomicBool>,
     supervisor: Option<ScopedJoinHandle<'scope, (SupervisorOutcome, Replacements<'scope>)>>,
     standby: Option<ScopedJoinHandle<'scope, Option<Injection>>>,
 }
@@ -375,18 +372,11 @@ fn spawn<'scope, 'env>(
     let (sink_inputs, scale_cut) = (wired.sink_inputs, plan.scale.map(|s| s.first_counter));
     let sink = scope.spawn(move || run_sink(sink_inputs, shared, scale_cut));
 
-    // The watchers. The sentinel consumes the event journal while the run is
-    // live, so a frontier regression or phase-order break surfaces as a
-    // violation event at detection time, not at shutdown; the monitor
-    // samples the gauges. Both run until `watchers_stop` is raised.
-    let watchers_stop = Arc::new(AtomicBool::new(false));
-    let sentinel = (telemetry.sentinel.is_some() && telemetry.journal.is_some()).then(|| {
-        let stop = Arc::clone(&watchers_stop);
-        scope.spawn(move || run_sentinel(&shared.telemetry, &stop))
-    });
+    // The monitor samples the gauges until `monitor_stop` is raised.
+    let monitor_stop = Arc::new(AtomicBool::new(false));
     let monitor = telemetry.config.sample_interval.map(|interval| {
         let (rings, shards) = (wired.probes, &plan.journaled_shards);
-        let stop = Arc::clone(&watchers_stop);
+        let stop = Arc::clone(&monitor_stop);
         scope.spawn(move || run_monitor(rings, shards, shared, interval, &stop))
     });
 
@@ -404,9 +394,8 @@ fn spawn<'scope, 'env>(
     let running = Running {
         instances,
         sink,
-        sentinel,
         monitor,
-        watchers_stop,
+        monitor_stop,
         supervisor,
         standby,
     };
@@ -421,8 +410,8 @@ impl Running<'_> {
     /// on that flag; the supervisor exits once every planned kill resolved
     /// and closes the replay rings, so it is joined before the instances,
     /// which drain those rings and exit after it; replacements, then the
-    /// sink, follow their producers; the sentinel and the monitor run until
-    /// told to stop, after everything they watch has finished.
+    /// sink, follow their producers; the monitor runs until told to stop,
+    /// after everything it watches has finished.
     fn join(self, mut injection: Injection) -> Joined {
         let standby = self
             .standby
@@ -448,10 +437,7 @@ impl Running<'_> {
             instances.push(h.join().expect("replacement thread panicked"));
         }
         let sink = self.sink.join().expect("sink thread panicked");
-        self.watchers_stop.store(true, Ordering::Release);
-        if let Some(h) = self.sentinel {
-            h.join().expect("sentinel thread panicked");
-        }
+        self.monitor_stop.store(true, Ordering::Release);
         let series = self
             .monitor
             .map(|h| h.join().expect("monitor thread panicked"))

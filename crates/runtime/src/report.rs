@@ -43,7 +43,7 @@ pub struct RuntimeInstanceReport {
 }
 
 /// Result of one [`crate::run_chain_realtime`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeReport {
     /// Distinct packets delivered to the sink.
     pub delivered: usize,

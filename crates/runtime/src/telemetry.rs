@@ -67,16 +67,16 @@ pub(crate) struct VertexStageMetrics {
 }
 
 /// Shared state of the invariant sentinel: the copy-conservation ledger the
-/// packet path feeds, the journal checker the sentinel thread polls, and
-/// the violations collected from every checker.
+/// packet path feeds, the event checker every event passes as it is
+/// recorded, and the violations collected from every checker.
 pub(crate) struct SentinelState {
     /// Ring push/pop/kill-loss counters (see [`ConservationLedger`]).
     pub(crate) ledger: ConservationLedger,
     /// Every violation detected so far, in detection order.
     pub(crate) violations: Mutex<Vec<Violation>>,
-    /// Journal checker plus the next journal sequence number it will poll.
-    /// One lock serves the sentinel thread and the shutdown drain.
-    pub(crate) checker: Mutex<(Sentinel, u64)>,
+    /// The event checker; [`RunTelemetry::event`] numbers, journals and
+    /// checks each event under this lock.
+    pub(crate) checker: Mutex<Sentinel>,
     /// Sink arrivals put through the per-flow order checker.
     pub(crate) deliveries_checked: AtomicU64,
 }
@@ -86,7 +86,7 @@ impl SentinelState {
         SentinelState {
             ledger: ConservationLedger::new(),
             violations: Mutex::new(Vec::new()),
-            checker: Mutex::new((Sentinel::new(), 0)),
+            checker: Mutex::new(Sentinel::new()),
             deliveries_checked: AtomicU64::new(0),
         }
     }
@@ -144,10 +144,25 @@ impl RunTelemetry {
         self.t0.elapsed().as_nanos() as u64
     }
 
-    /// Record a journal event (no-op when the journal is off).
+    /// Record a control-plane event: journaled when the journal is on, and
+    /// checked by the sentinel when it is on. With the sentinel on, the
+    /// event is numbered (its journal index, or the checker's count when
+    /// nothing is journaled), journaled and observed under the checker's
+    /// lock, so the checker sees every event once, in `seq` order, when it
+    /// happens. What it flags is journaled after the lock is released.
     pub(crate) fn event(&self, kind: EventKind) {
-        if let Some(j) = &self.journal {
-            j.record(self.now_ns(), kind);
+        let checker =
+            (self.sentinel.as_ref()).map(|s| s.checker.lock().unwrap_or_else(|e| e.into_inner()));
+        let t_ns = self.now_ns();
+        let journaled = self.journal.as_ref().map(|j| j.record(t_ns, kind));
+        let Some(mut checker) = checker else {
+            return;
+        };
+        let seq = journaled.unwrap_or(checker.events_checked);
+        let violations = checker.observe(&Event { seq, t_ns, kind });
+        drop(checker);
+        for v in violations {
+            self.violation(v);
         }
     }
 
@@ -435,51 +450,12 @@ pub(crate) fn run_monitor(
     out
 }
 
-/// Drain new journal events through the sentinel's streaming checker,
-/// recording any violations they expose. Safe to call from the sentinel
-/// thread and from the shutdown path — one lock serializes them.
-pub(crate) fn drain_sentinel_journal(telemetry: &RunTelemetry) {
-    let (Some(state), Some(journal)) = (&telemetry.sentinel, &telemetry.journal) else {
-        return;
-    };
-    let mut guard = state.checker.lock().unwrap_or_else(|e| e.into_inner());
-    let (checker, next_seq) = &mut *guard;
-    for event in journal.events_since(*next_seq) {
-        *next_seq = event.seq + 1;
-        for v in checker.observe(&event) {
-            telemetry.violation(v);
-        }
-    }
-}
-
-/// Body of the sentinel thread: polls the event journal and feeds it to the
-/// streaming invariant checker while the engine runs. Control-plane rate —
-/// the per-packet checks (flow order, conservation counters) run in-line on
-/// the sink and instance threads, not here. Performs one final drain after
-/// `stop` is raised so no event recorded before shutdown is missed.
-pub(crate) fn run_sentinel(telemetry: &RunTelemetry, stop: &AtomicBool) {
-    loop {
-        let stopping = stop.load(Ordering::Acquire);
-        drain_sentinel_journal(telemetry);
-        if stopping {
-            break;
-        }
-        // Journal events are control-plane-rate (spawns, failover phases,
-        // frontier advances), so a coarse poll loses nothing — and on an
-        // oversubscribed host every extra wakeup preempts a worker thread,
-        // which showed up as measurable throughput overhead at 500µs.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// Shutdown pass of the invariant sentinel over the report the run is about
-/// to return: drain the journal tail (the final frontier truncation happens
-/// after the worker scope ends, so the sentinel thread never sees it), then
-/// check the whole-run invariants that only close at shutdown — failover
-/// completion, packet conservation, exactly-once delivery, the dedup-log
-/// bound and the packet-log bounds. `sink_arrivals` counts every copy the
-/// sink popped (duplicates included); `frontier` is the final commit
-/// frontier (0 outside fault mode). Returns the sentinel section of the
+/// to return: the whole-run invariants that only close at shutdown —
+/// failover completion, packet conservation, exactly-once delivery, the
+/// dedup-log bound and the packet-log bounds. `sink_arrivals` counts every
+/// copy the sink popped (duplicates included); `frontier` is the final
+/// commit frontier (0 outside fault mode). Returns the sentinel section of the
 /// report, or `None` when the sentinel was off.
 pub(crate) fn finalize_sentinel(
     shared: &EngineShared,
@@ -489,7 +465,6 @@ pub(crate) fn finalize_sentinel(
 ) -> Option<SentinelReport> {
     let telemetry = &shared.telemetry;
     let state = telemetry.sentinel.as_ref()?;
-    drain_sentinel_journal(telemetry);
     let t_ns = telemetry.now_ns();
     let violation = |invariant, observed, expected, detail: String| {
         telemetry.violation(Violation {
@@ -521,8 +496,8 @@ pub(crate) fn finalize_sentinel(
     }
 
     let checker = state.checker.lock().unwrap_or_else(|e| e.into_inner());
-    out.events_checked = checker.0.events_checked;
-    out.frontier_advances = checker.0.frontier_advances;
+    out.events_checked = checker.events_checked;
+    out.frontier_advances = checker.frontier_advances;
     out.deliveries_checked = state.deliveries_checked.load(Ordering::Relaxed);
     out.violations = state
         .violations
@@ -540,10 +515,7 @@ type Report<'a> = &'a dyn Fn(InvariantKind, u64, u64, String);
 fn check_failover_completion(state: &SentinelState, report: Report<'_>) {
     let (unfinished, root_pending) = {
         let guard = state.checker.lock().unwrap_or_else(|e| e.into_inner());
-        (
-            guard.0.unfinished_failovers(),
-            guard.0.root_handoff_pending(),
-        )
+        (guard.unfinished_failovers(), guard.root_handoff_pending())
     };
     if root_pending {
         report(
@@ -818,8 +790,83 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RuntimeConfig;
+    use crate::plan::tests::fw_nat_lb;
+    use crate::plan::ChainPlan;
+    use chc_core::ChainConfig;
     use chc_store::{BackendKind, ObjectKey, Operation};
     use std::cell::RefCell;
+
+    #[test]
+    fn eight_writers_are_each_checked_once_in_journal_order() {
+        const WRITERS: u32 = 8;
+        const PER_WRITER: u64 = 500;
+        let telemetry = RunTelemetry::new(TelemetryConfig::default(), Instant::now(), []);
+        let start = std::sync::Barrier::new(WRITERS as usize);
+        std::thread::scope(|s| {
+            for vertex in 0..WRITERS {
+                let (telemetry, start) = (&telemetry, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for clock in 0..PER_WRITER {
+                        telemetry.event(EventKind::InstanceKilled {
+                            vertex,
+                            index: 0,
+                            instance: clock,
+                            clock,
+                        });
+                    }
+                });
+            }
+        });
+        let events = telemetry.journal.as_ref().expect("journal on").snapshot();
+        assert_eq!(events.len() as u64, u64::from(WRITERS) * PER_WRITER);
+        let sentinel = telemetry.sentinel.as_ref().expect("sentinel on");
+        let checked = sentinel
+            .checker
+            .lock()
+            .expect("no writer panicked")
+            .events_checked;
+        assert_eq!(checked, events.len() as u64);
+        // Unsorted: the journal's own order is the seq order.
+        assert!(events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+    }
+
+    #[test]
+    fn a_forged_frontier_regression_is_flagged_as_it_is_recorded() {
+        let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
+        let plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, 20).expect("valid plan");
+        let shared = EngineShared::new(&plan, config, &rt);
+        let telemetry = &shared.telemetry;
+        telemetry.event(EventKind::CommitFrontier {
+            frontier: 40,
+            dropped: 40,
+        });
+        telemetry.event(EventKind::CommitFrontier {
+            frontier: 39,
+            dropped: 0,
+        });
+        // No thread ran: the violation is the very next journal entry.
+        let events = telemetry.journal.as_ref().expect("journal on").snapshot();
+        let code = InvariantKind::FrontierMonotonic.code();
+        assert_eq!(events.len(), 3);
+        assert_eq!(
+            (events[2].seq, events[2].kind),
+            (
+                2,
+                EventKind::InvariantViolation {
+                    code,
+                    observed: 39,
+                    expected: 40
+                }
+            )
+        );
+        let report = finalize_sentinel(&shared, &RuntimeReport::default(), 0, 0);
+        let report = report.expect("sentinel on");
+        let flagged: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
+        assert_eq!(flagged, [InvariantKind::FrontierMonotonic]);
+        assert_eq!((report.events_checked, report.frontier_advances), (3, 2));
+    }
 
     /// What the dedup-log check reports over `server` after `injected`
     /// packets, as `(invariant, observed, expected)`.

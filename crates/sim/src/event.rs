@@ -1,13 +1,12 @@
 //! Event queue internals: actor identifiers, timer tags and the ordered queue.
 
 use crate::time::VirtualTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of an actor registered with a [`crate::Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActorId(pub usize);
 
 impl fmt::Display for ActorId {

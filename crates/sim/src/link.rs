@@ -8,10 +8,9 @@
 //! per state operation.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One-way properties of the link every message crosses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Base propagation + switching latency applied to every message.
     pub latency: SimDuration,

@@ -5,13 +5,12 @@
 //! (Figure 14). This module provides the corresponding collectors.
 
 use crate::time::{SimDuration, VirtualTime};
-use serde::{Deserialize, Serialize};
 
 /// A simple exact histogram of durations (stores every sample).
 ///
 /// The experiments record at most a few million samples, so exact storage is
 /// affordable and keeps percentile computation trivially correct.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<u64>,
     sorted: bool,
@@ -102,7 +101,7 @@ impl Histogram {
 }
 
 /// Five-number summary plus mean, matching the box plots of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Summary {
     /// 5th percentile.
     pub p5: SimDuration,
@@ -131,7 +130,7 @@ impl std::fmt::Display for Summary {
 }
 
 /// A time series of `(time, value)` samples (Figures 9 and 13).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(VirtualTime, f64)>,
 }
@@ -164,7 +163,7 @@ impl TimeSeries {
 }
 
 /// Throughput accounting: bytes processed over a span of virtual time.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Throughput {
     bytes: u64,
     packets: u64,

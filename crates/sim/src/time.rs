@@ -4,14 +4,11 @@
 //! virtual nanoseconds. The paper reports microseconds; helper accessors are
 //! provided for both units.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, in nanoseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VirtualTime(pub u64);
 
 impl VirtualTime {
@@ -76,9 +73,7 @@ impl fmt::Display for VirtualTime {
 }
 
 /// A span of virtual time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {

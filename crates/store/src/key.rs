@@ -8,14 +8,13 @@
 //! logical vertices use the same object name.
 
 use chc_packet::{Scope, ScopeKey};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a logical chain vertex (an NF type in the logical DAG).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VertexId(pub u32);
 
 impl fmt::Display for VertexId {
@@ -25,7 +24,7 @@ impl fmt::Display for VertexId {
 }
 
 /// Identifier of a physical NF instance of some vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
 
 impl fmt::Display for InstanceId {
@@ -39,9 +38,7 @@ impl fmt::Display for InstanceId {
 /// The high bits encode the root instance that stamped the packet so that
 /// "delete" requests can be routed back to the right root when multiple root
 /// instances are used (§5, "Logical clocks, logging").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Clock(pub u64);
 
 impl Clock {
@@ -78,7 +75,7 @@ impl fmt::Display for Clock {
 
 /// Whether a state object is confined to one flow or shared across flows
 /// (and hence potentially across instances). Mirrors Table 1's "Scope" row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateScope {
     /// Keyed per flow/connection: with scope-aware partitioning exactly one
     /// instance updates it at a time.
@@ -100,7 +97,7 @@ impl StateScope {
 
 /// How an NF accesses a state object. Together with [`StateScope`] this
 /// selects the caching strategy of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Updated on (almost) every packet, read rarely — e.g. packet/byte
     /// counters. Eligible for non-blocking updates.
@@ -115,7 +112,7 @@ pub enum AccessPattern {
 
 /// Name/identity of a state object *within* a vertex, optionally specialised
 /// by a [`ScopeKey`] (e.g. the per-host counter for host 10.0.0.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// The state object's name as declared by the NF (e.g. `"pkt_count"`).
     /// A shared handle: cloning a key bumps a reference count instead of
@@ -254,7 +251,7 @@ impl Hash for Scoped {
 }
 
 /// A complete datastore key with its CHC metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateKey {
     /// [`scoped_hash`] of (vertex, name, scope key), computed where the key
     /// was built. Private, so every key is built in this module.

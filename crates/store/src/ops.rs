@@ -8,12 +8,11 @@
 use crate::error::StoreError;
 use crate::key::StateKey;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Predicate used by [`Operation::CompareAndUpdate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Condition {
     /// Current value equals the given value.
     Equals(Value),
@@ -38,7 +37,7 @@ impl Condition {
 }
 
 /// An operation an NF offloads to the datastore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operation {
     /// Read the current value.
     Get,
@@ -120,7 +119,7 @@ impl fmt::Display for Operation {
 }
 
 /// Result of applying an operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpOutcome {
     /// Value returned to the requesting instance (for `Get`/`Pop*` this is
     /// the read/popped value; for updates it is the post-update value).

@@ -18,7 +18,6 @@ use crate::error::StoreError;
 use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, StateKey, VertexId};
 use crate::ops::{apply_in_place, CustomOpFn, OpOutcome, Operation};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An entry stored at a canonical key.
@@ -37,7 +36,7 @@ struct Entry {
 /// A consistent snapshot of a store instance: the state plus the `TS`
 /// metadata (the logical clock of the last operation executed on behalf of
 /// each NF instance), as described in §5.4 "Datastore instance".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     entries: BTreeMap<String, (StateKey, Value, Option<InstanceId>)>,
     /// Logical clock of the last operation applied per instance.

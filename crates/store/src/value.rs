@@ -1,6 +1,5 @@
 //! Values stored in the datastore.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use std::fmt;
 /// The paper's datastore stores small values (its microbenchmark uses 64-bit
 /// values); NFs in this reproduction additionally store lists (e.g. the NAT's
 /// free-port pool) and small byte blobs (opaque per-flow records).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Value {
     /// Absent / uninitialised.
     #[default]

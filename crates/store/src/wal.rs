@@ -11,12 +11,11 @@
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::Operation;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The `TS` metadata: the logical clock of the last state operation the store
 /// executed on behalf of each NF instance at some point in time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TsSnapshot(pub HashMap<InstanceId, Clock>);
 
 impl TsSnapshot {
@@ -38,7 +37,7 @@ impl TsSnapshot {
 
 /// One entry of an instance's write-ahead log: an update operation issued to
 /// the store, tagged with the clock of the packet that induced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalEntry {
     /// Logical clock of the inducing packet.
     pub clock: Clock,
@@ -56,7 +55,7 @@ pub struct WalEntry {
 /// binary-search suffix/truncation (`slice::partition_point`), while logs
 /// with out-of-order or duplicate clocks (the Figure-7 recovery drills
 /// construct these) transparently fall back to the exact linear scans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteAheadLog {
     entries: Vec<WalEntry>,
     /// True while appended clocks have been strictly increasing, i.e. the
@@ -155,7 +154,7 @@ impl WriteAheadLog {
 
 /// A record of one shared-state read: the clock of the reading packet, the
 /// `TS` snapshot the store returned alongside the value, and the value read.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadLogEntry {
     /// Logical clock of the packet whose processing issued the read.
     pub clock: Clock,

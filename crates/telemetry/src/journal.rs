@@ -7,7 +7,6 @@
 //! every other CHC layer. Rendering is hand-rolled JSONL (the workspace has
 //! no JSON serializer for arbitrary values).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What happened. Field meanings:
@@ -115,11 +114,12 @@ impl EventKind {
     }
 }
 
-/// One journal entry. `seq` is a global order assigned at record time, so
-/// causality between threads is decidable even when coarse clocks tie.
+/// One journal entry. `seq` is its index in the journal, assigned under the
+/// journal's lock, so causality between threads is decidable even when
+/// coarse clocks tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Global record order (0-based).
+    /// Global record order (0-based): the entry's index in the journal.
     pub seq: u64,
     /// Nanoseconds since the run epoch.
     pub t_ns: u64,
@@ -244,10 +244,10 @@ impl Event {
 
 /// Thread-safe append-only journal. Recording takes a short mutex on the
 /// event vector — events are control-plane-rate (spawns, failovers), never
-/// per-packet, so contention is irrelevant.
+/// per-packet, so contention is irrelevant. An event's `seq` is the index
+/// it is pushed at, so the vector is in `seq` order by construction.
 #[derive(Debug, Default)]
 pub struct EventJournal {
-    seq: AtomicU64,
     events: Mutex<Vec<Event>>,
 }
 
@@ -260,45 +260,15 @@ impl EventJournal {
     /// Append an event observed `t_ns` nanoseconds after the run epoch.
     /// Returns the assigned global sequence number.
     pub fn record(&self, t_ns: u64, kind: EventKind) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.events
-            .lock()
-            .expect("journal poisoned")
-            .push(Event { seq, t_ns, kind });
+        let mut events = self.events.lock().expect("journal poisoned");
+        let seq = events.len() as u64;
+        events.push(Event { seq, t_ns, kind });
         seq
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("journal poisoned").len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy of all events, sorted by sequence number.
+    /// Copy of all events, in sequence order.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = self.events.lock().expect("journal poisoned").clone();
-        out.sort_by_key(|e| e.seq);
-        out
-    }
-
-    /// Events with `seq >= from`, sorted by sequence number — the polling
-    /// primitive of streaming consumers (the invariant sentinel): call with
-    /// the last seen sequence + 1 to drain only what is new.
-    pub fn events_since(&self, from: u64) -> Vec<Event> {
-        let mut out: Vec<Event> = self
-            .events
-            .lock()
-            .expect("journal poisoned")
-            .iter()
-            .filter(|e| e.seq >= from)
-            .copied()
-            .collect();
-        out.sort_by_key(|e| e.seq);
-        out
+        self.events.lock().expect("journal poisoned").clone()
     }
 }
 
@@ -366,10 +336,7 @@ mod tests {
                 });
             }
         });
-        let events = j.snapshot();
-        assert_eq!(events.len(), 400);
-        let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 400, "sequence numbers are unique and sorted");
+        let seqs: Vec<u64> = j.snapshot().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..400).collect::<Vec<u64>>(), "seq is the index");
     }
 }

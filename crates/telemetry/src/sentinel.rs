@@ -158,8 +158,8 @@ enum FailoverPhase {
 
 /// Streaming checker over the event journal: feed it events in sequence
 /// order and collect violations. Pure state machine — no clocks, no I/O —
-/// so it is driven identically by the live sentinel thread and by tests
-/// injecting synthetic event streams.
+/// so it is driven identically by the engine, which hands it each event as
+/// the event is recorded, and by tests injecting synthetic event streams.
 #[derive(Debug, Default)]
 pub struct Sentinel {
     last_frontier: u64,

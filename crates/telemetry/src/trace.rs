@@ -118,6 +118,29 @@ impl SpanKind {
             SpanKind::Deliver { .. } => "deliver",
         }
     }
+
+    /// Append the per-kind arguments as `,"key":value` pairs — the one
+    /// rendering both the JSONL line and the Chrome export use.
+    fn write_args(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = match *self {
+            SpanKind::Service {
+                queue_wait_ns,
+                store_ns,
+                replay,
+            } => write!(
+                out,
+                ",\"queue_wait_ns\":{queue_wait_ns},\"store_ns\":{store_ns},\"replay\":{}",
+                replay as u8
+            ),
+            SpanKind::Deliver { wait_ns, duplicate } => write!(
+                out,
+                ",\"wait_ns\":{wait_ns},\"duplicate\":{}",
+                duplicate as u8
+            ),
+            SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => Ok(()),
+        };
+    }
 }
 
 /// One recorded span.
@@ -140,7 +163,6 @@ impl SpanEvent {
     /// `event`), so trace spans and journal events share one consumer
     /// format. `seq` continues the journal's global numbering.
     pub fn to_json(&self, seq: u64) -> String {
-        use std::fmt::Write as _;
         let mut s = format!(
             "{{\"seq\":{},\"t_ns\":{},\"event\":\"trace_span\",\"trace_id\":{},\"span\":\"{}\",\"lane\":\"{}\",\"dur_ns\":{}",
             seq,
@@ -150,27 +172,7 @@ impl SpanEvent {
             self.lane.label(),
             self.dur_ns
         );
-        match self.kind {
-            SpanKind::Service {
-                queue_wait_ns,
-                store_ns,
-                replay,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"queue_wait_ns\":{queue_wait_ns},\"store_ns\":{store_ns},\"replay\":{}",
-                    replay as u8
-                );
-            }
-            SpanKind::Deliver { wait_ns, duplicate } => {
-                let _ = write!(
-                    s,
-                    ",\"wait_ns\":{wait_ns},\"duplicate\":{}",
-                    duplicate as u8
-                );
-            }
-            SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => {}
-        }
+        self.kind.write_args(&mut s);
         s.push('}');
         s
     }
@@ -269,7 +271,6 @@ pub struct TraceShape {
 /// Instant hops are zero-length `B`/`E` pairs; a `service` span with store
 /// time nests a `store` child at its start.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    use std::fmt::Write as _;
     let mut tids: Vec<(u64, TraceLane)> = Vec::new();
     for s in spans {
         let tid = s.lane.tid();
@@ -312,27 +313,7 @@ pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
                 s.kind.name(),
                 s.trace_id
             );
-            match s.kind {
-                SpanKind::Service {
-                    queue_wait_ns,
-                    store_ns,
-                    replay,
-                } => {
-                    let _ = write!(
-                        begin,
-                        ",\"queue_wait_ns\":{queue_wait_ns},\"store_ns\":{store_ns},\"replay\":{}",
-                        replay as u8
-                    );
-                }
-                SpanKind::Deliver { wait_ns, duplicate } => {
-                    let _ = write!(
-                        begin,
-                        ",\"wait_ns\":{wait_ns},\"duplicate\":{}",
-                        duplicate as u8
-                    );
-                }
-                SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => {}
-            }
+            s.kind.write_args(&mut begin);
             begin.push_str("}}");
             push(&mut out, &begin, &mut first);
 
@@ -541,6 +522,43 @@ mod tests {
         assert!(line.contains("\"span\":\"service\""));
         assert!(line.contains("\"queue_wait_ns\":40"));
         assert!(line.ends_with('}'));
+    }
+
+    #[test]
+    fn both_exports_render_the_same_span_arguments() {
+        let deliver = SpanEvent {
+            trace_id: 7,
+            lane: TraceLane::Sink,
+            kind: SpanKind::Deliver {
+                wait_ns: 90,
+                duplicate: true,
+            },
+            t_ns: 900,
+            dur_ns: 0,
+        };
+        let service = service(42, 1, 10, 20, 5);
+        assert_eq!(
+            service.to_json(9),
+            "{\"seq\":9,\"t_ns\":10,\"event\":\"trace_span\",\"trace_id\":42,\"span\":\"service\",\
+             \"lane\":\"v1.inst1\",\"dur_ns\":20,\"queue_wait_ns\":40,\"store_ns\":5,\"replay\":0}"
+        );
+        assert_eq!(
+            deliver.to_json(3),
+            "{\"seq\":3,\"t_ns\":900,\"event\":\"trace_span\",\"trace_id\":7,\"span\":\"deliver\",\
+             \"lane\":\"sink\",\"dur_ns\":0,\"wait_ns\":90,\"duplicate\":1}"
+        );
+        let json = chrome_trace_json(&[service, deliver]);
+        for begin in [
+            "{\"ph\":\"B\",\"pid\":1,\"tid\":17,\"ts\":0.010,\"name\":\"service\",\
+             \"args\":{\"trace_id\":42,\"queue_wait_ns\":40,\"store_ns\":5,\"replay\":0}}",
+            "{\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":0.900,\"name\":\"deliver\",\
+             \"args\":{\"trace_id\":7,\"wait_ns\":90,\"duplicate\":1}}",
+        ] {
+            assert!(
+                json.lines().any(|l| l.trim_end_matches(',') == begin),
+                "{json}"
+            );
+        }
     }
 
     #[test]

@@ -109,8 +109,8 @@ fn journal_assigns_unique_ordered_sequence_numbers() {
     });
     let events = journal.snapshot();
     assert_eq!(events.len(), WRITERS * 500);
-    // snapshot() orders by seq; the seqs must be exactly 0..n with no gap
-    // or duplicate even though eight threads raced on the allocator.
+    // snapshot() does not sort: in record order the seqs must be exactly
+    // 0..n with no gap or duplicate even though eight threads raced.
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.seq, i as u64);
     }
