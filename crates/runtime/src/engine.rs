@@ -407,11 +407,13 @@ impl Running<'_> {
     ///
     /// Join order: the standby (when armed) finishes injection and raises
     /// `done_injecting`, so it is joined before the supervisor, which waits
-    /// on that flag; the supervisor exits once every planned kill resolved
-    /// and closes the replay rings, so it is joined before the instances,
-    /// which drain those rings and exit after it; replacements, then the
-    /// sink, follow their producers; the monitor runs until told to stop,
-    /// after everything it watches has finished.
+    /// on that flag; the supervisor closes a vertex's replay rings once its
+    /// last replay completed, exits once every planned kill resolved and
+    /// closes the rings still open at exit (a kill that never fired, a
+    /// failover that aborted), so it is joined before the instances, which
+    /// drain those rings and exit after it; replacements, then the sink,
+    /// follow their producers; the monitor runs until told to stop, after
+    /// everything it watches has finished.
     fn join(self, mut injection: Injection) -> Joined {
         let standby = self
             .standby

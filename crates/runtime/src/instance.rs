@@ -424,8 +424,10 @@ fn live_watermark(inputs: &[InputRing]) -> u64 {
 
 /// Publish this instance's commit watermark ([`live_watermark`], after the
 /// caller processed and flushed everything it popped). A replacement stays
-/// silent until its replay ring drains, after which its inherited watermark
-/// is true again because every logged packet has been re-flushed.
+/// silent until its replay rings are exhausted — closed by the supervisor
+/// once the last replay into this vertex completed, and drained — after
+/// which its inherited watermark is true again because every logged packet
+/// has been re-flushed.
 fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [InputRing]) {
     if plan.off_path {
         return;

@@ -2,8 +2,9 @@
 //!
 //! The supervisor is a dedicated thread that owns everything the hot path
 //! must not touch: the fail-stop channel, the replacement seeds, the
-//! supervisor-side **replay rings** into every killed vertex's instances,
-//! and the commit-frontier truncation of the packet logs.
+//! supervisor-side **replay rings** into every killed vertex's instances
+//! (open until the last failover on that vertex has replayed), and the
+//! commit-frontier truncation of the packet logs.
 //!
 //! ## Failover (§5.4 "NF instance", on wall clocks)
 //!
@@ -68,8 +69,18 @@
 //! because no future replay exists. A failover zeroes the dead instance's
 //! watermark slot before the replacement — which publishes under the same
 //! slot — starts, and a replacement stays silent until its replay rings are
-//! exhausted: until then every frontier that contains the slot reads zero,
-//! and only the XOR deletes keep those logs bounded.
+//! exhausted: until then every frontier that contains the slot reads zero.
+//!
+//! So a failover is a transient, not a freeze until the end of the run: as
+//! soon as a replay into a vertex completes and no failover on that vertex
+//! is still armed or waiting for its replay (a kill that arrived during this
+//! replay's rescue, say), the supervisor flushes and closes that vertex's
+//! replay rings. The replacement drains them and publishes again at its
+//! next batch boundary, after it has processed and flushed every packet it
+//! popped, replayed ones included — the argument the wind-down close always
+//! relied on. From then on the frontier, every log cut at it, the store's
+//! replay floor and the durable engine's checkpoint images move again. A
+//! vertex with a kill still armed keeps its rings open until wind-down.
 //!
 //! ## The store's replay floor
 //!
@@ -177,7 +188,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
     /// Body of the supervisor thread. Exits once the root finished injecting
     /// and every armed kill either executed or provably can no longer fire
     /// (its instance drained its live rings and dropped the fault channel),
-    /// then closes the replay rings so the chain can drain.
+    /// then closes the replay rings still open so the chain can drain.
     pub(crate) fn run(
         mut self,
         mut replay_outs: HashMap<VertexId, Downstream>,
@@ -194,7 +205,12 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                         // consumer this replay may need (see the module
                         // docs).
                         while self.begin_next_pending() {}
-                        self.run_replay(job, &mut replay_outs);
+                        let vertex = job.vertex;
+                        if self.run_replay(job, &mut replay_outs) && !self.needs_replay(vertex) {
+                            if let Some(mut out) = replay_outs.remove(&vertex) {
+                                close_links(&mut out.links);
+                            }
+                        }
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -218,13 +234,18 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             }
         }
 
-        for link in replay_outs.values_mut().flat_map(|d| &mut d.links) {
-            // Bounded: an aborted failover may have left a stalled ring
-            // behind, and the wind-down must not hang on it.
-            let _ = link.try_flush(REPLAY_MAX_SPINS);
-            link.producer.close();
+        for out in replay_outs.values_mut() {
+            close_links(&mut out.links);
         }
         (self.outcome, self.replacements)
+    }
+
+    /// Whether a failover on `vertex` may still replay through its replay
+    /// rings: a kill on one of its instances is still armed, or one has
+    /// begun — inside this replay's rescue, say — and waits for its replay.
+    fn needs_replay(&self, vertex: VertexId) -> bool {
+        self.seeds.values().any(|seed| seed.vertex == vertex)
+            || self.pending.iter().any(|job| job.vertex == vertex)
     }
 
     /// Begin one failover: remove the seed, hand the failed instance's store
@@ -302,8 +323,13 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
     /// survivors suppress them by clock. No ledger filtering here: replaying
     /// the full snapshot keeps the stream identical to what the killed
     /// instance could have seen, and every already-absorbed copy is
-    /// suppressed downstream anyway.
-    fn run_replay(&mut self, job: ReplayJob, replay_outs: &mut HashMap<VertexId, Downstream>) {
+    /// suppressed downstream anyway. Returns whether the replay completed
+    /// (every copy pushed) rather than aborted.
+    fn run_replay(
+        &mut self,
+        job: ReplayJob,
+        replay_outs: &mut HashMap<VertexId, Downstream>,
+    ) -> bool {
         let shared = self.shared;
         let (vertex, index) = (job.vertex.0, job.index as u32);
         let replacement = job.replacement;
@@ -360,7 +386,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                 index: job.index,
                 reason: "replay ring stalled: the replacement stopped draining".to_string(),
             });
-            return;
+            return false;
         }
         shared.telemetry.event(EventKind::ReplayComplete {
             vertex,
@@ -384,6 +410,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             packets_replayed: replayed,
             recovery_wall,
         });
+        true
     }
 
     /// Keep flushing a backed-up replay link, beginning any overlapping
@@ -405,6 +432,16 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                 return false;
             }
         }
+    }
+}
+
+/// Flush and close one vertex's replay links. The flush is bounded: an
+/// aborted failover may have left a stalled ring behind, and the wind-down
+/// must not hang on it.
+fn close_links(links: &mut [OutLink]) {
+    for link in links {
+        let _ = link.try_flush(REPLAY_MAX_SPINS);
+        link.producer.close();
     }
 }
 

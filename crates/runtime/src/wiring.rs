@@ -293,7 +293,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
 
 /// One iteration of the idle backoff on a thread whose input rings are all
 /// empty: yield a few times (covering the common sub-microsecond gap between
-/// batches), then block on the first still-open ring until its producer
+/// batches), then block on the [`park_target`] ring until its producer
 /// pushes or closes. The park timeout is the safety net for items arriving
 /// on *other* rings while parked — the wake only covers the parked ring —
 /// and for any protocol bug; on an oversubscribed host a bounded oversleep
@@ -303,10 +303,43 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
 pub(crate) fn idle_wait(streak: u32, inputs: &mut [InputRing]) {
     if streak < 4 {
         thread::yield_now();
-    } else if let Some(r) = inputs.iter_mut().find(|r| r.rx.has_open_producer()) {
+    } else if let Some(i) = park_target(inputs) {
         // `park_if_empty` refuses (returns immediately) if items landed
         // between our empty poll and the arm — the caller just loops and
         // pops them.
-        r.rx.park_if_empty(Duration::from_micros(200));
+        inputs[i].rx.park_if_empty(Duration::from_micros(200));
+    }
+}
+
+/// The ring an idle thread parks on: the first live ring whose producer is
+/// still open, else the first such replay ring. A replay ring's producer is
+/// silent until a failover, so parking on it while live traffic can still
+/// arrive would leave every live push to the timeout.
+fn park_target(inputs: &[InputRing]) -> Option<usize> {
+    let open = |replay: bool| {
+        inputs
+            .iter()
+            .position(|r| r.replay == replay && r.rx.has_open_producer())
+    };
+    open(false).or_else(|| open(true))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_idle_thread_parks_on_a_live_ring_before_a_replay_ring() {
+        // How `wire` lays a killed non-entry vertex's inputs: the replay ring
+        // first, then the live ring from its upstream.
+        let (replay_tx, replay_rx) = ring::<TaggedPacket>(4);
+        let (live_tx, live_rx) = ring::<TaggedPacket>(4);
+        let inputs = [InputRing::replay(replay_rx), InputRing::live(live_rx, true)];
+        assert_eq!(park_target(&inputs), Some(1), "the open live ring");
+        // Once the live stream ends, the replay ring is all that can wake it.
+        live_tx.close();
+        assert_eq!(park_target(&inputs), Some(0), "the open replay ring");
+        replay_tx.close();
+        assert_eq!(park_target(&inputs), None, "nothing left to wait on");
     }
 }

@@ -14,6 +14,7 @@ use chc_runtime::{
     run_chain_realtime, ChainPlan, FaultPlan, RuntimeConfig, RuntimeError, RuntimeReport,
 };
 use chc_store::{BackendKind, InstanceId, Value, VertexId};
+use chc_telemetry::EventKind;
 use std::rc::Rc;
 
 const FW: VertexId = VertexId(1);
@@ -558,6 +559,64 @@ fn mid_chain_kill_replays_from_the_upstream_egress_log() {
         .expect("upstream egress log missing from the report");
     assert!(fw_log.high_water > 0, "the firewall never logged egress");
     assert_eq!(fw_log.rejected, 0);
+}
+
+#[test]
+fn the_frontier_moves_again_after_a_failover() {
+    // Both engines by name, whatever `CHC_STORE_BACKEND` says.
+    for backend in [BackendKind::Memory, BackendKind::AppendOnly] {
+        frontier_moves_after_a_mid_kill_on(backend);
+    }
+}
+
+fn frontier_moves_after_a_mid_kill_on(backend: BackendKind) {
+    // A failover is a transient: once the NAT replacement's replay has
+    // completed, the supervisor closes its replay ring, the replacement
+    // publishes its watermark again and the commit frontier moves on while
+    // the trace is still running — not only in the engine's final pass.
+    let trace = TraceGenerator::new(TraceConfig {
+        seed: 37,
+        connections: 800,
+        mean_packets_per_connection: 24,
+        ..TraceConfig::default()
+    })
+    .generate();
+    assert!(trace.len() >= 20_000, "{} packets", trace.len());
+    let kill_at = (trace.len() / 2) as u64;
+    let rt = RuntimeConfig::with_batch_size(32)
+        .with_store_backend(backend)
+        .with_fault(FaultPlan::new().kill(NAT, 0, kill_at));
+    let faulted = run(&fw_nat_lb(), ChainConfig::default(), rt, &trace);
+    assert_eq!(faulted.duplicates, 0, "{backend:?}");
+    assert_no_violations(&faulted);
+    let fault = faulted.fault.as_ref().expect("fault report missing");
+    assert_eq!(fault.recoveries.len(), 1, "{backend:?}");
+    assert!(fault.aborts.is_empty(), "{backend:?}: {:?}", fault.aborts);
+
+    let telemetry = faulted.telemetry.as_ref().expect("telemetry on by default");
+    let ended = telemetry.events_named("failover_end");
+    assert_eq!(ended.len(), 1, "{backend:?}");
+    let after: Vec<u64> = telemetry
+        .events_named("commit_frontier")
+        .into_iter()
+        .filter(|e| e.seq > ended[0].seq)
+        .map(|e| match e.kind {
+            EventKind::CommitFrontier { frontier, .. } => frontier,
+            ref other => panic!("wrong payload: {other:?}"),
+        })
+        .collect();
+    // The engine's final pass journals one advance; a frozen frontier
+    // journals nothing else after the failover.
+    assert!(
+        after.len() >= 2,
+        "{backend:?}: {} frontier advances after failover_end",
+        after.len()
+    );
+    assert!(
+        after[0] > kill_at,
+        "{backend:?}: first frontier after the failover {} is not past the kill at {kill_at}",
+        after[0]
+    );
 }
 
 #[test]

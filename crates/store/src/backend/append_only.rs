@@ -16,11 +16,12 @@
 //!   behind garbage. Reads never come here: the shard serves them from its
 //!   live [`StoreInstance`].
 //! * **Checkpoint compaction**: every `checkpoint_interval` journaled
-//!   records (or on an explicit `checkpoint_shard`) the engine writes the
-//!   full durable image (`ckpt-<seq>.img`, atomically via rename), rotates
-//!   to a fresh segment and deletes everything older. Recovery therefore
-//!   replays only the records past the newest image — O(delta in
-//!   ops-since-checkpoint), never O(history).
+//!   records (the server passes `DEFAULT_CHECKPOINT_INTERVAL`, the cadence
+//!   the memory engine follows too), or on an explicit `checkpoint_shard`,
+//!   the engine writes the full durable image (`ckpt-<seq>.img`, atomically
+//!   via rename), rotates to a fresh segment and deletes everything older.
+//!   Recovery therefore replays only the records past the newest image —
+//!   O(delta in ops-since-checkpoint), never O(history).
 //!
 //! `std::fs` only; the container has no crates.io access.
 
@@ -33,12 +34,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default compaction cadence, in journaled records. High enough that the
-/// small conformance-suite scenarios behave byte-for-byte like the memory
-/// engine (no auto-checkpoint fires mid-test), low enough that long runs
-/// keep recovery O(delta).
-pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
 
 /// One durable journal segment on disk.
 struct Segment {
@@ -552,7 +547,7 @@ fn target_root() -> PathBuf {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Shard, ShardRecoveryStats};
+    use super::super::{Shard, ShardRecoveryStats, DEFAULT_CHECKPOINT_INTERVAL};
     use super::*;
     use crate::key::{ObjectKey, StateKey, VertexId};
     use crate::ops::Operation;

@@ -1,6 +1,9 @@
-//! The in-memory storage engine.
+//! The in-memory storage engine. It compacts like the append-only engine:
+//! once its journal holds `DEFAULT_CHECKPOINT_INTERVAL` records, the shard
+//! checkpoints and the journal starts over, so a journaled shard's memory
+//! is bounded by its state, not by the length of the run.
 
-use super::{JournalRecord, StorageBackend};
+use super::{JournalRecord, StorageBackend, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 
@@ -33,7 +36,7 @@ impl MemoryBackend {
 impl StorageBackend for MemoryBackend {
     fn append(&mut self, record: JournalRecord) -> bool {
         self.records.push(record);
-        false
+        self.records.len() >= DEFAULT_CHECKPOINT_INTERVAL
     }
 
     fn checkpoint(&mut self, instance: &StoreInstance) -> usize {

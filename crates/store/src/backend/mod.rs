@@ -14,26 +14,34 @@
 //! history goes: it appends journal records, writes and restores
 //! checkpoints, and hands back the records past the latest one.
 //!
-//! Two engines are provided:
+//! Both engines compact by one rule: once a journal holds
+//! `DEFAULT_CHECKPOINT_INTERVAL` (1,024) records, `append` asks for a
+//! checkpoint and the shard takes one. So a journaled shard holds fewer
+//! records than that however long it runs, and `restart_shard` replays only
+//! the suffix past the last checkpoint — O(delta), not O(history). The two
+//! engines are:
 //!
 //! * [`MemoryBackend`] — an in-memory journal + full-image checkpoint. The
 //!   default.
 //! * [`AppendOnlyBackend`] — ordered records appended to flat files under a
-//!   per-shard directory (`std::fs` only), with periodic checkpoint
-//!   compaction so `restart_shard` replays only the suffix past the last
-//!   checkpoint — O(delta), not O(history).
+//!   per-shard directory (`std::fs` only).
 
 mod append_only;
 mod codec;
 mod memory;
 
-pub(crate) use append_only::DEFAULT_CHECKPOINT_INTERVAL;
 pub use append_only::{AppendOnlyBackend, ScratchDir};
 pub use memory::MemoryBackend;
 
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, CustomOpResolver, Operation};
 use crate::store::StoreInstance;
+
+/// Compaction cadence of both engines, in journaled records: high enough
+/// that the small conformance-suite scenarios never auto-checkpoint
+/// mid-test, low enough that a long run keeps its journal, and recovery,
+/// bounded.
+pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
 
 /// Which storage engine a [`crate::server::StoreServer`] runs its shards on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -135,7 +143,7 @@ pub trait StorageBackend: Send {
     /// after the in-memory apply succeeded, so durable order is exactly
     /// execution order. Takes the record: the in-memory engine keeps it, so
     /// the caller builds it once. Returns true when the engine wants a
-    /// checkpoint now.
+    /// checkpoint now: once its journal holds its compaction cadence.
     fn append(&mut self, record: JournalRecord) -> bool;
 
     /// Checkpoint `instance` and truncate the journal (records preceding a

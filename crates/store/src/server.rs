@@ -34,8 +34,8 @@
 //! Each shard is a [`Shard`] (see [`crate::backend`]) over a pluggable
 //! [`StorageBackend`]: the in-memory engine above is the default, and the
 //! append-only flat-file engine persists the journal to per-shard segment
-//! files with checkpoint compaction, making `restart_shard` O(delta in
-//! ops-since-checkpoint).
+//! files. Both compact every 1,024 journaled records, making
+//! `restart_shard` O(delta in ops-since-checkpoint).
 
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{

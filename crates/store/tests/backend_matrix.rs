@@ -1,8 +1,9 @@
 //! Backend conformance matrix: every shard-lifecycle property the store
 //! server guarantees must hold identically on the in-memory engine and on
-//! the append-only flat-file engine, plus append-only-specific properties —
-//! random crash points mid-segment never lose a checkpointed write, and
-//! restart work is proportional to ops-since-checkpoint, not history.
+//! the append-only flat-file engine — restart work among them, which is
+//! proportional to ops-since-checkpoint, not history — plus one
+//! append-only-specific property: random crash points mid-segment never
+//! lose a checkpointed write.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -195,51 +196,38 @@ fn custom_op_registered_before_journaling_survives_recovery_on_both_backends() {
     }
 }
 
-/// O(delta) restart: past the compaction cadence (1,024 records), restarting
-/// an append-only shard replays exactly the post-checkpoint suffix
-/// (`history % interval` ops), never the full history. The memory engine,
-/// which only checkpoints explicitly, replays everything — the contrast is
-/// the point of the durable engine.
+/// O(delta) restart on both engines: past the compaction cadence (1,024
+/// records) each checkpoints on its own, so its journal never reaches the
+/// cadence and a restart replays exactly the post-checkpoint suffix
+/// (`history % interval` ops), never the full history.
 #[test]
-fn append_only_restart_replays_only_the_suffix() {
+fn restart_replays_only_the_suffix_on_both_backends() {
     let interval = 1024usize;
     let history = 2_100u64;
-    let server = journaled(BackendKind::AppendOnly, 1);
-    let k = key("k", 0);
-    for c in 1..=history {
-        server
-            .apply(
-                InstanceId(0),
-                &k,
-                &Operation::Increment(1),
-                Some(Clock::with_root(0, c)),
-            )
-            .unwrap();
+    for kind in KINDS {
+        let server = journaled(kind, 1);
+        let k = key("k", 0);
+        for c in 1..=history {
+            server
+                .apply(
+                    InstanceId(0),
+                    &k,
+                    &Operation::Increment(1),
+                    Some(Clock::with_root(0, c)),
+                )
+                .unwrap();
+            assert!(server.shard_journal_len(0) < interval, "{kind:?}");
+        }
+        let expected_suffix = (history as usize) % interval;
+        assert_eq!(server.shard_journal_len(0), expected_suffix, "{kind:?}");
+        let stats = server.restart_shard(0);
+        assert_eq!(
+            stats.replayed_ops, expected_suffix,
+            "{kind:?}: replayed entries must equal the post-checkpoint suffix"
+        );
+        assert_eq!(stats.restored_from_checkpoint, 1, "{kind:?}");
+        assert_eq!(server.peek(&k), Value::Int(history as i64), "{kind:?}");
     }
-    let expected_suffix = (history as usize) % interval;
-    assert_eq!(server.shard_journal_len(0), expected_suffix);
-    let stats = server.restart_shard(0);
-    assert_eq!(
-        stats.replayed_ops, expected_suffix,
-        "replayed entries must equal the post-checkpoint suffix"
-    );
-    assert_eq!(stats.restored_from_checkpoint, 1);
-    assert_eq!(server.peek(&k), Value::Int(history as i64));
-
-    // Same history on the memory engine: no auto-checkpoint, full replay.
-    let memory = journaled(BackendKind::Memory, 1);
-    for c in 1..=history {
-        memory
-            .apply(
-                InstanceId(0),
-                &k,
-                &Operation::Increment(1),
-                Some(Clock::with_root(0, c)),
-            )
-            .unwrap();
-    }
-    let stats = memory.restart_shard(0);
-    assert_eq!(stats.replayed_ops, history as usize, "O(history) baseline");
 }
 
 /// Restart cost follows the replay floor, not the history: with the floor
