@@ -14,6 +14,9 @@
 //! above a floor that trails the clocks, and above a floor that stays put
 //! for a trace's worth of packets — divide each by 32 for the cost of one
 //! drained op; above minus below is the duplicate-suppression log's share.
+//! The same trailing-floor drain with every shard journaling, on the memory
+//! and on the append-only engine, prices the journal append: journaled
+//! minus above, over 32, is what journaling adds per drained op.
 //!
 //! `pool_pop` measures a blocking pop on the NAT's 4,096-port pool at each
 //! layer it crosses — the store instance, the sharded server, and a
@@ -236,16 +239,33 @@ fn client_access(c: &mut Criterion) {
     // pruned either as the floor trails 1,024 packets behind, as the
     // supervisor's truncation keeps it, or only once per 65,536 packets: a
     // frozen floor, as in an inline pass over a trace of that length and on
-    // every packet after a failover.
+    // every packet after a failover. The journaled drains trail the floor
+    // too, with every shard's journal on, as a faulted run has them.
     let object = |i: usize| ObjectKey::scoped("conn_bytes", flow(i).expect("a flow"));
-    for (name, floor) in [
-        ("drain_x32_below_floor", Floor::Top),
-        ("drain_x32_above_floor", Floor::Trailing(1_024)),
-        ("drain_x32_floor_frozen", Floor::Frozen(65_536)),
+    let trailing = Floor::Trailing(1_024);
+    for (name, floor, journal) in [
+        ("drain_x32_below_floor", Floor::Top, None),
+        ("drain_x32_above_floor", trailing, None),
+        ("drain_x32_floor_frozen", Floor::Frozen(65_536), None),
+        (
+            "drain_x32_journaled_memory",
+            trailing,
+            Some(BackendKind::Memory),
+        ),
+        (
+            "drain_x32_journaled_append_only",
+            trailing,
+            Some(BackendKind::AppendOnly),
+        ),
     ] {
-        let server = StoreServer::with_backend(4, BackendKind::Memory);
+        let server = StoreServer::with_backend(4, journal.unwrap_or(BackendKind::Memory));
         if floor == Floor::Top {
             server.forget_through(u64::MAX);
+        }
+        if journal.is_some() {
+            for s in 0..server.shard_count() {
+                server.set_shard_journaling(s, true);
+            }
         }
         let mut batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..32)
             .map(|i| {

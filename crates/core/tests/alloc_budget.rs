@@ -5,9 +5,11 @@
 //! buffer, token list) and not in [`StoreInstance::apply`] once the packet's
 //! clock is below the replay floor. Above the floor the only allowance is
 //! the duplicate-suppression log's own growth: its window of cells doubles,
-//! so logging `n` integer increments allocates O(log n) times. A change
-//! that clones a key or a name on this path fails here, in tier 1, rather
-//! than in a benchmark.
+//! so logging `n` integer increments allocates O(log n) times. Journaling a
+//! drain costs nothing per op either: the record is encoded into a buffer
+//! the shard reuses, and the memory engine's arena grows by doubling. A
+//! change that clones a key or a name on this path fails here, in tier 1,
+//! rather than in a benchmark.
 //!
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
@@ -17,8 +19,8 @@ use chc_core::{
 };
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::{
-    AccessPattern, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey, StoreInstance,
-    StoreServer, Value, VertexId,
+    AccessPattern, BackendKind, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey,
+    StoreInstance, StoreServer, Value, VertexId,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -272,30 +274,46 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
     );
 }
 
-#[test]
-fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
-    // The whole path: client → write-behind buffer → `apply_batch` on the
-    // sharded server with the floor at the top, as in a run without a fault
-    // plan. Per drain the server allocates the result vector it returns.
-    let server = StoreServer::with_backend(4, chc_store::BackendKind::Memory);
+/// `drains` write-behind drains of 32 ops each: 16 packets of two updates,
+/// the first at clock counter `first`.
+fn drain_rounds(client: &mut StateClient, first: u64, drains: u64) {
+    for d in 0..drains {
+        for n in 0..16 {
+            packet(client, first + d * 16 + n);
+        }
+        assert_eq!(client.drain_write_behind(), 32);
+    }
+}
+
+const DRAINS: u64 = 8;
+const SHARDS: usize = 4;
+
+/// A client over a `SHARDS`-shard server on `kind` with the floor at the top,
+/// as in a run without a fault plan, after every flow has been seen once.
+fn drained_client(kind: BackendKind, journaled: bool) -> (Arc<StoreServer>, StateClient) {
+    let server = StoreServer::with_backend(SHARDS, kind);
     server.forget_through(u64::MAX);
+    for s in 0..SHARDS {
+        server.set_shard_journaling(s, journaled);
+    }
     let mut client = client(Box::new(Arc::clone(&server)));
     for n in 1..=2 * FLOWS as u64 {
         packet(&mut client, n);
     }
     client.drain_write_behind();
-    let drains = 8u64;
-    let allocated = allocations_in(|| {
-        for d in 0..drains {
-            for n in 0..16 {
-                packet(&mut client, 1_000 + d * 16 + n);
-            }
-            assert_eq!(client.drain_write_behind(), 32);
-        }
-    });
+    (server, client)
+}
+
+#[test]
+fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
+    // The whole path: client → write-behind buffer → `apply_batch` on the
+    // sharded server. Per drain the server allocates the result vector it
+    // returns.
+    let (server, mut client) = drained_client(BackendKind::Memory, false);
+    let allocated = allocations_in(|| drain_rounds(&mut client, 1_000, DRAINS));
     assert!(
-        allocated <= drains,
-        "{allocated} allocations for {drains} drains of 32 ops"
+        allocated <= DRAINS,
+        "{allocated} allocations for {DRAINS} drains of 32 ops"
     );
     assert_eq!(server.update_log_len(), 0);
     assert_eq!(
@@ -303,6 +321,46 @@ fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
             VertexId(1),
             ObjectKey::named("pkt_count")
         )),
-        Value::Int(2 * FLOWS as i64 + 16 * drains as i64)
+        Value::Int(2 * FLOWS as i64 + 16 * DRAINS as i64)
     );
+}
+
+#[test]
+fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
+    // The same drains with every shard journaling, on both engines. A
+    // shard encodes each drain's share into the one frame buffer it reuses
+    // and hands the engine the finished frame: the append-only engine writes
+    // it to its segment, the memory engine copies it into its arena.
+    for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
+        let (server, mut client) = drained_client(kind, true);
+        // Warm-up: as many drains as are measured, of the same ops to the
+        // same shards, so every shard's frame buffer has held its largest
+        // record and its arena at least as many bytes as the measured
+        // drains add to it.
+        drain_rounds(&mut client, 1_000, DRAINS);
+        let journaled: usize = (0..SHARDS).map(|s| server.shard_journal_len(s)).sum();
+        let allocated = allocations_in(|| drain_rounds(&mut client, 1_000 + 16 * DRAINS, DRAINS));
+        // The result vector of each drain. The memory engine's arena already
+        // holds at least half of what it will, so it doubles at most once
+        // per shard.
+        let budget = match kind {
+            BackendKind::Memory => DRAINS + SHARDS as u64,
+            BackendKind::AppendOnly => DRAINS,
+        };
+        assert!(
+            allocated <= budget,
+            "{kind:?}: {allocated} allocations for {DRAINS} journaled drains of 32 ops, \
+             budget {budget}"
+        );
+        let now: usize = (0..SHARDS).map(|s| server.shard_journal_len(s)).sum();
+        assert!(now > journaled, "{kind:?}: nothing was journaled");
+        assert_eq!(
+            server.peek(&StateKey::shared(
+                VertexId(1),
+                ObjectKey::named("pkt_count")
+            )),
+            Value::Int(2 * FLOWS as i64 + 32 * DRAINS as i64),
+            "{kind:?}"
+        );
+    }
 }

@@ -8,13 +8,15 @@
 //!   seg-00000008.log    # active journal segment: records past the image
 //! ```
 //!
-//! * **Records** are appended in execution order, each framed as
-//!   `[u32 len][u32 fnv1a(payload)][payload]`, so a segment is an ordered
-//!   history. A torn tail (crash mid-write) fails the length or checksum
-//!   test and is dropped at recovery; on reopen the active segment is
-//!   truncated back to its last intact record so new appends can never hide
-//!   behind garbage. Reads never come here: the shard serves them from its
-//!   live [`StoreInstance`].
+//! * **Records** are appended in execution order, each a frame
+//!   `[u32 len][u32 sum][payload]` that the shard encoded once, under its
+//!   lock (`codec`), so a segment is an ordered history — byte for byte what
+//!   the memory engine keeps in its arena. `append` is one `write_all` of
+//!   that frame and allocates nothing. A torn tail (crash mid-write) fails
+//!   the length or checksum test and is dropped at recovery; on reopen the
+//!   active segment is truncated back to its last intact record so new
+//!   appends can never hide behind garbage. Reads never come here: the shard
+//!   serves them from its live [`StoreInstance`].
 //! * **Checkpoint compaction**: every `checkpoint_interval` journaled
 //!   records (the server passes `DEFAULT_CHECKPOINT_INTERVAL`, the cadence
 //!   the memory engine follows too), or on an explicit `checkpoint_shard`,
@@ -25,13 +27,13 @@
 //!
 //! `std::fs` only; the container has no crates.io access.
 
-use super::codec::{fnv32, Dec, Enc};
+use super::codec::{scan_frames, Dec, Enc};
 use super::{JournalRecord, StorageBackend};
 use crate::key::{Clock, InstanceId};
 use crate::ops::CustomOpResolver;
 use crate::store::{DurableImage, StoreInstance};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,9 +109,12 @@ impl AppendOnlyBackend {
         let mut pending_records = 0usize;
         let mut segments = Vec::new();
         for &seq in &segs {
-            let (records, bytes) = scan_segment(&seg_path(&dir, seq));
-            pending_records += records.len();
-            segments.push(Segment { seq, bytes });
+            let bytes = fs::read(seg_path(&dir, seq)).unwrap_or_default();
+            let intact = scan_frames(&bytes, &mut |_| pending_records += 1);
+            segments.push(Segment {
+                seq,
+                bytes: intact as u64,
+            });
         }
         if segments.is_empty() {
             let seq = ckpt_seq.map_or(0, |c| c + 1);
@@ -151,15 +156,6 @@ impl AppendOnlyBackend {
         seg_path(&self.dir, self.segments.last().expect("active segment").seq)
     }
 
-    /// Write one finished frame ([`Enc::into_frame`]); returns its length.
-    fn write_frame(file: &mut File, path: &Path, frame: &[u8]) -> u64 {
-        file.write_all(frame)
-            .unwrap_or_else(|e| panic!("append {}: {e}", path.display()));
-        file.flush()
-            .unwrap_or_else(|e| panic!("flush {}: {e}", path.display()));
-        frame.len() as u64
-    }
-
     /// Delete every segment and start the journal over in one empty
     /// segment `seq`.
     fn reset_journal(&mut self, seq: u64) {
@@ -178,11 +174,14 @@ impl AppendOnlyBackend {
 }
 
 impl StorageBackend for AppendOnlyBackend {
-    fn append(&mut self, record: JournalRecord) -> bool {
-        let frame = encode_record(&record);
+    fn append(&mut self, frame: &[u8]) -> bool {
         let seg = self.segments.last_mut().expect("active segment");
-        let path = seg_path(&self.dir, seg.seq);
-        seg.bytes += Self::write_frame(&mut self.active, &path, &frame);
+        // The path is built only for the message: an append allocates
+        // nothing.
+        if let Err(e) = self.active.write_all(frame) {
+            panic!("append {}: {e}", seg_path(&self.dir, seg.seq).display());
+        }
+        seg.bytes += frame.len() as u64;
         self.pending_records += 1;
         // Periodic compaction: fold the journal into a checkpoint image so
         // recovery work stays proportional to ops-since-checkpoint.
@@ -198,10 +197,9 @@ impl StorageBackend for AppendOnlyBackend {
         // `ckpt-*.img` is the recovery anchor, so it must appear atomically.
         let tmp = self.dir.join(format!("ckpt-{seq:08}.tmp"));
         let final_path = ckpt_path(&self.dir, seq);
-        let mut file =
-            File::create(&tmp).unwrap_or_else(|e| panic!("create {}: {e}", tmp.display()));
-        let written = Self::write_frame(&mut file, &tmp, &frame);
-        drop(file);
+        File::create(&tmp)
+            .and_then(|mut file| file.write_all(&frame))
+            .unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
         fs::rename(&tmp, &final_path)
             .unwrap_or_else(|e| panic!("rename {}: {e}", final_path.display()));
 
@@ -209,7 +207,7 @@ impl StorageBackend for AppendOnlyBackend {
         // supersedes: all segments (the image covers through the active
         // one's end) and the previous image.
         let old_ckpt = self.ckpt_seq.replace(seq);
-        self.ckpt_bytes = written;
+        self.ckpt_bytes = frame.len() as u64;
         self.reset_journal(seq + 1);
         if let Some(old) = old_ckpt.filter(|old| *old != seq) {
             let _ = fs::remove_file(ckpt_path(&self.dir, old));
@@ -224,8 +222,8 @@ impl StorageBackend for AppendOnlyBackend {
 
     fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
         for seg in &self.segments {
-            let (records, _) = scan_segment(&seg_path(&self.dir, seg.seq));
-            records.iter().for_each(&mut *visit);
+            let bytes = fs::read(seg_path(&self.dir, seg.seq)).unwrap_or_default();
+            scan_frames(&bytes, visit);
         }
     }
 
@@ -266,137 +264,16 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-/// Decode every intact record of a segment. Returns the records plus the
-/// byte length of the intact prefix (a torn tail — short frame, failed
-/// checksum, or undecodable payload — ends the scan).
-fn scan_segment(path: &Path) -> (Vec<JournalRecord>, u64) {
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut buf).is_err() {
-                return (Vec::new(), 0);
-            }
-        }
-        Err(_) => return (Vec::new(), 0),
-    }
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos + 8 <= buf.len() {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        let Some(end) = pos.checked_add(8).and_then(|p| p.checked_add(len)) else {
-            break;
-        };
-        if end > buf.len() {
-            break;
-        }
-        let payload = &buf[pos + 8..end];
-        if fnv32(payload) != sum {
-            break;
-        }
-        let Some(record) = decode_record(payload) else {
-            break;
-        };
-        records.push(record);
-        pos = end;
-    }
-    (records, pos as u64)
-}
-
 /// Read and decode a framed checkpoint image.
 fn read_image(path: &Path) -> Option<DurableImage> {
-    let mut buf = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut buf).ok()?;
-    if buf.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    let sum = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let payload = buf.get(8..8 + len)?;
-    if fnv32(payload) != sum {
-        return None;
-    }
-    decode_image(payload)
+    let buf = fs::read(path).ok()?;
+    Dec::new(&buf).frame().and_then(decode_image)
 }
 
-/// Encode one journal record as a finished frame.
-fn encode_record(record: &JournalRecord) -> Vec<u8> {
-    let mut e = Enc::new();
-    match record {
-        JournalRecord::Apply {
-            requester,
-            key,
-            op,
-            clock,
-        } => {
-            e.u8(0);
-            e.u32(requester.0);
-            e.state_key(key);
-            e.operation(op);
-            e.opt_clock(*clock);
-        }
-        JournalRecord::Callback { key, instance } => {
-            e.u8(1);
-            e.u32(instance.0);
-            e.state_key(key);
-        }
-        JournalRecord::CustomOp { name } => {
-            e.u8(2);
-            e.str(name);
-        }
-        JournalRecord::Reassign { from, to } => {
-            e.u8(3);
-            e.u32(from.0);
-            e.u32(to.0);
-        }
-        JournalRecord::ApplyBatch { requester, ops } => {
-            e.u8(4);
-            e.u32(requester.0);
-            e.u32(ops.len() as u32);
-            for (key, op, clock) in ops {
-                e.state_key(key);
-                e.operation(op);
-                e.opt_clock(*clock);
-            }
-        }
-    }
-    e.into_frame()
-}
-
-fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
-    let mut d = Dec::new(payload);
-    let record = match d.u8()? {
-        0 => JournalRecord::Apply {
-            requester: InstanceId(d.u32()?),
-            key: d.state_key()?,
-            op: d.operation()?,
-            clock: d.opt_clock()?,
-        },
-        1 => JournalRecord::Callback {
-            instance: InstanceId(d.u32()?),
-            key: d.state_key()?,
-        },
-        2 => JournalRecord::CustomOp { name: d.str()? },
-        3 => JournalRecord::Reassign {
-            from: InstanceId(d.u32()?),
-            to: InstanceId(d.u32()?),
-        },
-        4 => {
-            let requester = InstanceId(d.u32()?);
-            let n = d.u32()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ops.push((d.state_key()?, d.operation()?, d.opt_clock()?));
-            }
-            JournalRecord::ApplyBatch { requester, ops }
-        }
-        _ => return None,
-    };
-    d.is_exhausted().then_some(record)
-}
-
+/// Encode a checkpoint image as one finished frame.
 fn encode_image(image: &DurableImage) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut buf = Vec::new();
+    let mut e = Enc::reuse(&mut buf);
     e.u32(image.entries.len() as u32);
     for (key, value, owner) in &image.entries {
         e.state_key(key);
@@ -443,7 +320,8 @@ fn encode_image(image: &DurableImage) -> Vec<u8> {
         e.str(name);
     }
     e.u8(u8::from(image.failed));
-    e.into_frame()
+    e.finish();
+    buf
 }
 
 fn decode_image(payload: &[u8]) -> Option<DurableImage> {
@@ -565,7 +443,7 @@ mod tests {
         let requester = InstanceId(1);
         let result = s.instance_mut().apply(requester, key, &op, clock);
         assert!(result.is_ok());
-        s.append(JournalRecord::Apply {
+        s.append(&JournalRecord::Apply {
             requester,
             key: key.clone(),
             op,

@@ -1,8 +1,10 @@
-//! The in-memory storage engine. It compacts like the append-only engine:
+//! The in-memory storage engine: journal frames back to back in one arena,
+//! plus a full-image checkpoint. It compacts like the append-only engine:
 //! once its journal holds `DEFAULT_CHECKPOINT_INTERVAL` records, the shard
-//! checkpoints and the journal starts over, so a journaled shard's memory
-//! is bounded by its state, not by the length of the run.
+//! checkpoints and the arena empties, so a journaled shard's memory is
+//! bounded by its state, not by the length of the run.
 
+use super::codec::scan_frames;
 use super::{JournalRecord, StorageBackend, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
@@ -23,7 +25,13 @@ pub struct MemoryBackend {
     /// against anything less than the full image would silently lose the
     /// metadata.
     checkpoint: Option<StoreInstance>,
-    records: Vec<JournalRecord>,
+    /// Every frame appended since the checkpoint, back to back: the same
+    /// bytes the append-only engine writes to a segment. Compaction empties
+    /// it in O(1) and keeps its capacity, so once it has held one
+    /// checkpoint interval of records it stops allocating.
+    frames: Vec<u8>,
+    /// Frames in `frames`.
+    records: usize,
 }
 
 impl MemoryBackend {
@@ -34,13 +42,15 @@ impl MemoryBackend {
 }
 
 impl StorageBackend for MemoryBackend {
-    fn append(&mut self, record: JournalRecord) -> bool {
-        self.records.push(record);
-        self.records.len() >= DEFAULT_CHECKPOINT_INTERVAL
+    fn append(&mut self, frame: &[u8]) -> bool {
+        self.frames.extend_from_slice(frame);
+        self.records += 1;
+        self.records >= DEFAULT_CHECKPOINT_INTERVAL
     }
 
     fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
-        self.records.clear();
+        self.frames.clear();
+        self.records = 0;
         self.checkpoint.insert(instance.clone()).len()
     }
 
@@ -49,15 +59,16 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
-        self.records.iter().for_each(visit);
+        scan_frames(&self.frames, visit);
     }
 
     fn journal_len(&self) -> usize {
-        self.records.len()
+        self.records
     }
 
     fn clear(&mut self) {
         self.checkpoint = None;
-        self.records.clear();
+        self.frames.clear();
+        self.records = 0;
     }
 }

@@ -7,12 +7,20 @@
 //! argues the engine under a chained-NF store should be swappable. This
 //! module cuts that seam in two. A [`Shard`] is what the server locks: the
 //! live [`StoreInstance`], the journaling switch, the resident custom-op
-//! table and the one recovery routine — restore the latest checkpoint,
-//! re-register the custom ops, re-apply every later record through
-//! `replay_record` — both engines' records, so replay semantics cannot
-//! drift between them. A [`StorageBackend`] is only where the shard's
-//! history goes: it appends journal records, writes and restores
-//! checkpoints, and hands back the records past the latest one.
+//! table, the one buffer its journal records are encoded into, and the one
+//! recovery routine — restore the latest checkpoint, re-register the custom
+//! ops, re-apply every later record through `replay_record` — both engines'
+//! records, so replay semantics cannot drift between them. A
+//! [`StorageBackend`] is only where the shard's history goes: it appends
+//! journal frames, writes and restores checkpoints, and hands back the
+//! records past the latest one.
+//!
+//! A journal record is bytes on both engines. The shard encodes it once,
+//! under its lock, straight from the borrowed key and operation into its
+//! reused frame buffer (`codec`: `[u32 len][u32 sum][payload]`), and the
+//! engine copies the finished frame: the memory engine into one arena, the
+//! append-only engine into a segment file. Both decode it with the same
+//! `codec::scan_frames` when a shard recovers.
 //!
 //! Both engines compact by one rule: once a journal holds
 //! `DEFAULT_CHECKPOINT_INTERVAL` (1,024) records, `append` asks for a
@@ -21,10 +29,10 @@
 //! the suffix past the last checkpoint — O(delta), not O(history). The two
 //! engines are:
 //!
-//! * [`MemoryBackend`] — an in-memory journal + full-image checkpoint. The
-//!   default.
-//! * [`AppendOnlyBackend`] — ordered records appended to flat files under a
-//!   per-shard directory (`std::fs` only).
+//! * [`MemoryBackend`] — frames back to back in one in-memory arena, plus a
+//!   full-image checkpoint. The default.
+//! * [`AppendOnlyBackend`] — frames appended to flat files under a per-shard
+//!   directory (`std::fs` only).
 
 mod append_only;
 mod codec;
@@ -36,6 +44,7 @@ pub use memory::MemoryBackend;
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, CustomOpResolver, Operation};
 use crate::store::StoreInstance;
+use codec::Enc;
 
 /// Compaction cadence of both engines, in journaled records: high enough
 /// that the small conformance-suite scenarios never auto-checkpoint
@@ -69,10 +78,17 @@ impl BackendKind {
     }
 }
 
-/// One durable record of a shard's write-ahead journal. The journal captures
-/// everything needed to rebuild a shard's in-memory state exactly: applied
-/// operations with their duplicate-suppression clocks, callback and custom-op
-/// registrations, and per-flow ownership reassignments.
+/// One durable record of a shard's write-ahead journal, decoded. The journal
+/// captures everything needed to rebuild a shard's in-memory state exactly:
+/// applied operations with their duplicate-suppression clocks, callback and
+/// custom-op registrations, and per-flow ownership reassignments.
+///
+/// This is the form recovery replays, not the form the journal keeps: both
+/// engines hold records as frames of bytes. The hot records, `Apply` and
+/// `ApplyBatch`, are encoded by the server straight from the ops it applied,
+/// with no value of this type built; the rare ones are built and encoded
+/// through the same per-kind encoders ([`JournalRecord::to_frame`]).
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// One applied operation (emulated duplicates mutate nothing and are
     /// not journaled).
@@ -135,16 +151,22 @@ pub struct ShardRecoveryStats {
 /// Where one shard's history goes: its write-ahead journal and its latest
 /// checkpoint, which survive a shard crash.
 ///
+/// Journal records come in as finished frames and go out decoded: an engine
+/// stores bytes and never encodes a record, and it reads them back through
+/// `codec::scan_frames`, so both engines keep the same bytes and decode them
+/// with the same code.
+///
 /// The server serializes all calls per shard behind one lock, so
 /// implementations are single-threaded; `Send` lets shards move across the
 /// server's threads.
 pub trait StorageBackend: Send {
-    /// Durably record one mutation. Called under the shard lock immediately
-    /// after the in-memory apply succeeded, so durable order is exactly
-    /// execution order. Takes the record: the in-memory engine keeps it, so
-    /// the caller builds it once. Returns true when the engine wants a
+    /// Durably record one finished frame (`[u32 len][u32 sum][payload]`, as
+    /// [`JournalRecord::to_frame`] builds it). Called under the shard lock
+    /// immediately after the in-memory apply succeeded, so durable order is
+    /// exactly execution order. The frame borrows the shard's reused buffer:
+    /// an engine copies what it keeps. Returns true when the engine wants a
     /// checkpoint now: once its journal holds its compaction cadence.
-    fn append(&mut self, record: JournalRecord) -> bool;
+    fn append(&mut self, frame: &[u8]) -> bool;
 
     /// Checkpoint `instance` and truncate the journal (records preceding a
     /// checkpoint are no longer needed for recovery — Figure 7's "latest
@@ -179,8 +201,8 @@ pub trait StorageBackend: Send {
 }
 
 /// One store shard: the live [`StoreInstance`], the journaling switch, the
-/// resident custom-op table and recovery, over the [`StorageBackend`] that
-/// keeps its history.
+/// resident custom-op table, the journal's frame buffer and recovery, over
+/// the [`StorageBackend`] that keeps its history.
 pub struct Shard {
     instance: StoreInstance,
     journaling: bool,
@@ -188,6 +210,10 @@ pub struct Shard {
     /// cannot be persisted, so recovery re-installs them from here, whether
     /// or not journaling was on when they were registered.
     custom_ops: Vec<(String, CustomOpFn)>,
+    /// The buffer every journal record of this shard is encoded into. It is
+    /// reused, so it stops allocating once it has held the largest record;
+    /// it starts empty, so a shard that never journals never allocates it.
+    frame: Vec<u8>,
     backend: Box<dyn StorageBackend>,
 }
 
@@ -199,6 +225,7 @@ impl Shard {
             instance: StoreInstance::new(),
             journaling: false,
             custom_ops: Vec::new(),
+            frame: Vec::new(),
             backend,
         }
     }
@@ -219,11 +246,6 @@ impl Shard {
         &*self.backend
     }
 
-    /// True while journaling is on.
-    pub(crate) fn journaling(&self) -> bool {
-        self.journaling
-    }
-
     /// Enable or disable journaling. Disabling clears the durable side
     /// (journaling is an opt-in cost; the healthy hot path stays
     /// journal-free).
@@ -234,12 +256,34 @@ impl Shard {
         }
     }
 
-    /// Journal one mutation while journaling is on, and checkpoint when the
-    /// engine asks for it.
-    pub(crate) fn append(&mut self, record: JournalRecord) {
-        if self.journaling && self.backend.append(record) {
+    /// Journal one record while journaling is on, and checkpoint when the
+    /// engine asks for it. `encode` writes the record into the shard's frame
+    /// buffer and says whether there is anything to append: a batch whose
+    /// every op was emulated has nothing.
+    pub(crate) fn journal(&mut self, encode: impl FnOnce(&mut Enc<'_>) -> bool) {
+        if !self.journaling {
+            return;
+        }
+        let mut enc = Enc::reuse(&mut self.frame);
+        if encode(&mut enc) && self.backend.append(enc.finish()) {
             self.backend.checkpoint(&self.instance);
         }
+    }
+
+    /// The frame last encoded: the record last appended, unless its `encode`
+    /// declined it.
+    #[cfg(test)]
+    pub(crate) fn last_frame(&self) -> &[u8] {
+        &self.frame
+    }
+
+    /// Journal one record given in decoded form: the rare kinds
+    /// (registrations, reassignments).
+    pub(crate) fn append(&mut self, record: &JournalRecord) {
+        self.journal(|e| {
+            record.encode(e);
+            true
+        });
     }
 
     /// Register a custom operation: installs it on the live instance, keeps
@@ -248,7 +292,7 @@ impl Shard {
         self.instance.register_custom_op(name, f);
         self.custom_ops.retain(|(n, _)| n != name);
         self.custom_ops.push((name.to_string(), f));
-        self.append(JournalRecord::CustomOp {
+        self.append(&JournalRecord::CustomOp {
             name: name.to_string(),
         });
     }

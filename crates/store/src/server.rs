@@ -176,12 +176,10 @@ impl StoreServer {
         slot.ops.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.lock_at_floor(slot);
         let result = shard.instance_mut().apply(requester, key, op, clock);
-        if shard.journaling() && matches!(&result, Ok(r) if !r.outcome.emulated) {
-            shard.append(JournalRecord::Apply {
-                requester,
-                key: key.clone(),
-                op: op.clone(),
-                clock,
+        if matches!(&result, Ok(r) if !r.outcome.emulated) {
+            shard.journal(|e| {
+                e.apply_record(requester, key, op, clock);
+                true
             });
         }
         result
@@ -203,11 +201,12 @@ impl StoreServer {
     ///
     /// Results come back in submission order. Within a shard, ops execute in
     /// submission order, and the shard's journal receives a single
-    /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops —
-    /// replayed element-wise, so crash/recover semantics are identical to
-    /// the same ops applied sequentially. Ops on different shards may
-    /// interleave with concurrent writers exactly as sequential applies
-    /// would; the batch is an amortization, not a transaction.
+    /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops,
+    /// encoded straight from `ops` — replayed element-wise, so
+    /// crash/recover semantics are identical to the same ops applied
+    /// sequentially. Ops on different shards may interleave with concurrent
+    /// writers exactly as sequential applies would; the batch is an
+    /// amortization, not a transaction.
     pub fn apply_batch(
         &self,
         requester: InstanceId,
@@ -234,27 +233,21 @@ impl StoreServer {
             }
             // Journal append under the shard lock hold, like
             // `apply_on_shard`: journal order is exactly execution order,
-            // and emulated duplicates stay out of it.
-            if shard.journaling() {
-                // Sized to the shard's share of the batch, not grown by
-                // doubling: the in-memory engine keeps this vector for as
-                // long as it keeps the record.
-                let mut applied = Vec::with_capacity(count);
-                applied.extend(
-                    ops.iter()
-                        .zip(&results)
-                        .filter(|(op, result)| {
-                            mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
-                        })
-                        .map(|(op, _)| op.clone()),
-                );
-                if !applied.is_empty() {
-                    shard.append(JournalRecord::ApplyBatch {
-                        requester,
-                        ops: applied,
-                    });
+            // and emulated duplicates stay out of it. The record is encoded
+            // from the submitted ops, nothing cloned; a batch whose every op
+            // was emulated appends nothing.
+            shard.journal(|e| {
+                e.open_batch(requester);
+                let mut applied = 0;
+                for ((key, op, clock), _) in ops.iter().zip(&results).filter(|(op, result)| {
+                    mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
+                }) {
+                    e.batch_op(key, op, *clock);
+                    applied += 1;
                 }
-            }
+                e.close_batch(applied);
+                applied > 0
+            });
         }
         results
     }
@@ -268,7 +261,7 @@ impl StoreServer {
     pub fn register_callback(&self, key: &StateKey, instance: InstanceId) {
         let mut shard = self.slot_of(key).shard.lock();
         shard.instance_mut().register_callback(key, instance);
-        shard.append(JournalRecord::Callback {
+        shard.append(&JournalRecord::Callback {
             key: key.clone(),
             instance,
         });
@@ -282,7 +275,7 @@ impl StoreServer {
         for slot in &self.slots {
             let mut shard = slot.shard.lock();
             moved += shard.instance_mut().reassign_owner(from, to);
-            shard.append(JournalRecord::Reassign { from, to });
+            shard.append(&JournalRecord::Reassign { from, to });
         }
         moved
     }
@@ -630,6 +623,75 @@ mod tests {
             bat.recover_shard(s);
         }
         assert_eq!(sorted_dump(&bat), before);
+    }
+
+    /// One encoder, one record: over random batches with clocked duplicates
+    /// in them, the frame each shard journals is exactly its applied,
+    /// non-emulated ops in submission order — as its engine decodes it back,
+    /// and byte for byte what encoding the equivalent
+    /// [`JournalRecord::ApplyBatch`] gives — and a batch of nothing but
+    /// duplicates journals nothing. On both engines.
+    #[test]
+    fn a_batch_journals_its_applied_ops_through_the_one_encoder() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SHARDS: usize = 3;
+        let requester = InstanceId(1);
+        for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let server = StoreServer::with_backend(SHARDS, kind);
+            for s in 0..SHARDS {
+                server.set_shard_journaling(s, true);
+            }
+            let journal_lens = |server: &StoreServer| -> Vec<usize> {
+                (0..SHARDS).map(|s| server.shard_journal_len(s)).collect()
+            };
+            for _ in 0..40 {
+                let batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..rng.gen_range(2..24))
+                    .map(|_| {
+                        let clock = rng
+                            .gen_bool(0.85)
+                            .then(|| Clock::with_root(rng.gen_range(0..2), rng.gen_range(1..24)));
+                        let op = Operation::Increment(rng.gen_range(1..3));
+                        (key("b", rng.gen_range(0..8)), op, clock)
+                    })
+                    .collect();
+                let before = journal_lens(&server);
+                let results = server.apply_batch(requester, &batch);
+                for (s, before) in before.into_iter().enumerate() {
+                    let applied: Vec<_> = batch
+                        .iter()
+                        .zip(&results)
+                        .filter(|((k, _, _), r)| {
+                            server.shard_index(k) == s && !r.as_ref().unwrap().outcome.emulated
+                        })
+                        .map(|(op, _)| op.clone())
+                        .collect();
+                    let grew = server.shard_journal_len(s) - before;
+                    assert_eq!(grew, usize::from(!applied.is_empty()), "{kind:?}");
+                    if applied.is_empty() {
+                        continue;
+                    }
+                    let record = JournalRecord::ApplyBatch {
+                        requester,
+                        ops: applied,
+                    };
+                    let shard = server.slots[s].shard.lock();
+                    assert_eq!(shard.last_frame(), record.to_frame(), "{kind:?}");
+                    let mut last = None;
+                    shard
+                        .backend()
+                        .for_each_record(&mut |r| last = Some(r.clone()));
+                    assert_eq!(last, Some(record), "{kind:?}");
+                }
+                // The clocked part again: every op a duplicate, no record.
+                let again: Vec<_> = batch.into_iter().filter(|(_, _, c)| c.is_some()).collect();
+                let before = journal_lens(&server);
+                let results = server.apply_batch(requester, &again);
+                assert!(results.iter().all(|r| r.as_ref().unwrap().outcome.emulated));
+                assert_eq!(journal_lens(&server), before, "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -442,12 +442,12 @@ proptest! {
         let apply = |b: &mut AppendOnlyBackend, live: &mut StoreInstance, c: u64| {
             let op = Operation::Increment(1);
             live.apply(requester, &k, &op, Some(Clock::with_root(0, c))).unwrap();
-            b.append(JournalRecord::Apply {
+            b.append(&JournalRecord::Apply {
                 requester,
                 key: k.clone(),
                 op,
                 clock: Some(Clock::with_root(0, c)),
-            });
+            }.to_frame());
         };
         for c in 1..=n1 {
             apply(&mut backend, &mut live, c as u64);

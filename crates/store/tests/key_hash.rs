@@ -159,23 +159,23 @@ proptest! {
             live.apply(requester, k, &op, clock(imaged.len() + i)).unwrap();
         }
         for (i, k) in singles.iter().enumerate() {
-            backend.append(JournalRecord::Apply {
+            backend.append(&JournalRecord::Apply {
                 requester,
                 key: k.clone(),
                 op: op.clone(),
                 clock: clock(imaged.len() + i),
-            });
+            }.to_frame());
         }
-        backend.append(JournalRecord::ApplyBatch {
+        backend.append(&JournalRecord::ApplyBatch {
             requester,
             ops: batch
                 .iter()
                 .enumerate()
                 .map(|(i, k)| (k.clone(), op.clone(), clock(imaged.len() + singles.len() + i)))
                 .collect(),
-        });
+        }.to_frame());
         live.register_callback(&keys[0], InstanceId(9));
-        backend.append(JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) });
+        backend.append(&JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) }.to_frame());
         drop(backend);
 
         let mut reopened = Shard::new(Box::new(AppendOnlyBackend::open(&dir, 1 << 20)));
