@@ -23,9 +23,16 @@
 //! [`StateClient`] that holds a copy of the pool as the engine's NAT client
 //! does. Each iteration pops a port and pushes it back, so the pool stays
 //! full; the figure is the pair's.
+//!
+//! `checkpoint` prices a checkpoint image of a shard of 1,024 objects
+//! holding 4,096 logged increments from one root: encoding it from the live
+//! instance into a buffer sized as the append-only engine sizes it, decoding
+//! it back into an instance, and `checkpoint_shard` end to end on the
+//! append-only engine (encode, tmp write and rename, segment rotation).
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
 use chc_packet::{FlowKey, Scope, ScopeKey};
+use chc_store::backend::{decode_image_frame, encode_image_frame};
 use chc_store::store::ApplyResult;
 use chc_store::{
     AccessPattern, BackendKind, Clock, InstanceId, ObjectKey, Operation, StateKey, StoreError,
@@ -368,5 +375,35 @@ fn pool_pop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, store_ops, client_access, pool_pop);
+fn checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checkpoint");
+    group.sample_size(30);
+    let key = |i: usize| {
+        StateKey::shared(
+            VertexId(2),
+            ObjectKey::scoped("conn_bytes", flow(i).expect("a flow")),
+        )
+    };
+    let mut instance = StoreInstance::new();
+    let server = StoreServer::with_backend(1, BackendKind::AppendOnly);
+    for n in 0..4_096 {
+        let (k, op) = (key(n % 1_024), Operation::Increment(64));
+        let clock = Some(Clock::with_root(0, n as u64 + 1));
+        instance.apply(InstanceId(0), &k, &op, clock).unwrap();
+        server.apply(InstanceId(0), &k, &op, clock).unwrap();
+    }
+    let frame = encode_image_frame(&instance, &mut Vec::new()).to_vec();
+    group.bench_function("image_encode_1k", |b| {
+        b.iter(|| encode_image_frame(&instance, &mut Vec::with_capacity(frame.len())).len())
+    });
+    group.bench_function("image_decode_1k", |b| {
+        b.iter(|| decode_image_frame(&frame, &|_| None).map(|s| s.len()))
+    });
+    group.bench_function("checkpoint_append_only_1k", |b| {
+        b.iter(|| server.checkpoint_shard(0))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, store_ops, client_access, pool_pop, checkpoint);
 criterion_main!(benches);

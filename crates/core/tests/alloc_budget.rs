@@ -325,6 +325,41 @@ fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
     );
 }
 
+/// Allocations of one `checkpoint_shard` on the append-only engine, of a
+/// shard holding `entries` objects, each with one increment logged above
+/// the floor.
+fn checkpoint_allocations(entries: u64) -> u64 {
+    let server = StoreServer::with_backend(1, BackendKind::AppendOnly);
+    for i in 0..entries {
+        let key = StateKey::shared(
+            VertexId(1),
+            ObjectKey::scoped("conn_bytes", ScopeKey::Flow(FlowKey(u128::from(i)))),
+        );
+        let clock = Some(Clock::with_root(0, i + 1));
+        server
+            .apply(InstanceId(0), &key, &Operation::Increment(1), clock)
+            .unwrap();
+    }
+    assert_eq!(server.update_log_len(), entries as usize);
+    allocations_in(|| assert_eq!(server.checkpoint_shard(0), entries as usize))
+}
+
+#[test]
+fn a_checkpoint_allocates_per_image_not_per_entry() {
+    // The image is encoded straight from the live instance into one buffer:
+    // no key printed, cloned or sorted per entry, no vector per logged
+    // update. What grows with the shard is that buffer, which doubles, so
+    // an image 64× larger costs log2(64) = 6 more allocations, plus one for
+    // where the two sizes fall between powers of two.
+    let (small, large) = (checkpoint_allocations(64), checkpoint_allocations(4_096));
+    let doublings = u64::from((4_096u64 / 64).ilog2()) + 1;
+    assert!(
+        large <= small + doublings,
+        "{large} allocations to checkpoint 4,096 entries against {small} for 64, \
+         budget {doublings} more"
+    );
+}
+
 #[test]
 fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
     // The same drains with every shard journaling, on both engines. A

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! shard-3/
-//!   ckpt-00000007.img   # newest checkpoint image (full durable image)
+//!   ckpt-00000007.img   # newest checkpoint image (the whole shard)
 //!   seg-00000008.log    # active journal segment: records past the image
 //! ```
 //!
@@ -20,18 +20,21 @@
 //! * **Checkpoint compaction**: every `checkpoint_interval` journaled
 //!   records (the server passes `DEFAULT_CHECKPOINT_INTERVAL`, the cadence
 //!   the memory engine follows too), or on an explicit `checkpoint_shard`,
-//!   the engine writes the full durable image (`ckpt-<seq>.img`, atomically
-//!   via rename), rotates to a fresh segment and deletes everything older.
-//!   Recovery therefore replays only the records past the newest image —
+//!   the engine writes the full image of the shard (`ckpt-<seq>.img`,
+//!   atomically via rename), rotates to a fresh segment and deletes
+//!   everything older. The image is one frame, encoded straight from the
+//!   live instance into a buffer of the checkpoint's own and decoded in
+//!   place on restore (`codec::encode_image_frame`). An image that fails its
+//!   frame check or decode is reported, not read as an empty shard.
+//!   Recovery replays only the records past the newest image —
 //!   O(delta in ops-since-checkpoint), never O(history).
 //!
 //! `std::fs` only; the container has no crates.io access.
 
-use super::codec::{scan_frames, Dec, Enc};
-use super::{JournalRecord, StorageBackend};
-use crate::key::{Clock, InstanceId};
+use super::codec::{decode_image_frame, encode_image_frame, scan_frames};
+use super::{ImageRejected, JournalRecord, StorageBackend};
 use crate::ops::CustomOpResolver;
-use crate::store::{DurableImage, StoreInstance};
+use crate::store::StoreInstance;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -189,16 +192,17 @@ impl StorageBackend for AppendOnlyBackend {
     }
 
     fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
-        let image = instance.durable_image();
-        let captured = image.entries.len();
-        let frame = encode_image(&image);
+        // A buffer of this checkpoint's own, sized by the last image: one
+        // kept per shard would hold an image's worth of memory for good.
+        let mut buf = Vec::with_capacity(self.ckpt_bytes as usize);
+        let frame = encode_image_frame(instance, &mut buf);
         let seq = self.segments.last().expect("active segment").seq;
         // Write the image to a temp name and rename: the newest intact
         // `ckpt-*.img` is the recovery anchor, so it must appear atomically.
         let tmp = self.dir.join(format!("ckpt-{seq:08}.tmp"));
         let final_path = ckpt_path(&self.dir, seq);
         File::create(&tmp)
-            .and_then(|mut file| file.write_all(&frame))
+            .and_then(|mut file| file.write_all(frame))
             .unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
         fs::rename(&tmp, &final_path)
             .unwrap_or_else(|e| panic!("rename {}: {e}", final_path.display()));
@@ -212,12 +216,20 @@ impl StorageBackend for AppendOnlyBackend {
         if let Some(old) = old_ckpt.filter(|old| *old != seq) {
             let _ = fs::remove_file(ckpt_path(&self.dir, old));
         }
-        captured
+        instance.len()
     }
 
-    fn restore(&self, resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
-        let image = read_image(&ckpt_path(&self.dir, self.ckpt_seq?)).unwrap_or_default();
-        Some(StoreInstance::from_durable_image(image, resolve))
+    fn restore(
+        &self,
+        resolve: CustomOpResolver<'_>,
+    ) -> Result<Option<StoreInstance>, ImageRejected> {
+        let Some(seq) = self.ckpt_seq else {
+            return Ok(None);
+        };
+        let frame = fs::read(ckpt_path(&self.dir, seq)).unwrap_or_default();
+        decode_image_frame(&frame, resolve)
+            .map(Some)
+            .ok_or(ImageRejected)
     }
 
     fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
@@ -262,111 +274,6 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .strip_suffix(suffix)?
         .parse()
         .ok()
-}
-
-/// Read and decode a framed checkpoint image.
-fn read_image(path: &Path) -> Option<DurableImage> {
-    let buf = fs::read(path).ok()?;
-    Dec::new(&buf).frame().and_then(decode_image)
-}
-
-/// Encode a checkpoint image as one finished frame.
-fn encode_image(image: &DurableImage) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut e = Enc::reuse(&mut buf);
-    e.u32(image.entries.len() as u32);
-    for (key, value, owner) in &image.entries {
-        e.state_key(key);
-        e.value(value);
-        match owner {
-            None => e.u8(0),
-            Some(o) => {
-                e.u8(1);
-                e.u32(o.0);
-            }
-        }
-    }
-    e.u32(image.ts.len() as u32);
-    for (instance, clock) in &image.ts {
-        e.u32(instance.0);
-        e.u64(clock.0);
-    }
-    e.u32(image.update_log.len() as u32);
-    for (key, clock, ops) in &image.update_log {
-        e.state_key(key);
-        e.u64(clock.0);
-        e.u32(ops.len() as u32);
-        for (op, returned) in ops {
-            e.operation(op);
-            e.value(returned);
-        }
-    }
-    e.u32(image.nondet_log.len() as u32);
-    for (clock, slot, value) in &image.nondet_log {
-        e.u64(clock.0);
-        e.u32(*slot);
-        e.value(value);
-    }
-    e.u32(image.callbacks.len() as u32);
-    for (key, who) in &image.callbacks {
-        e.state_key(key);
-        e.u32(who.len() as u32);
-        for i in who {
-            e.u32(i.0);
-        }
-    }
-    e.u32(image.custom_op_names.len() as u32);
-    for name in &image.custom_op_names {
-        e.str(name);
-    }
-    e.u8(u8::from(image.failed));
-    e.finish();
-    buf
-}
-
-fn decode_image(payload: &[u8]) -> Option<DurableImage> {
-    let mut d = Dec::new(payload);
-    let mut image = DurableImage::default();
-    for _ in 0..d.u32()? {
-        let key = d.state_key()?;
-        let value = d.value()?;
-        let owner = match d.u8()? {
-            0 => None,
-            1 => Some(InstanceId(d.u32()?)),
-            _ => return None,
-        };
-        image.entries.push((key, value, owner));
-    }
-    for _ in 0..d.u32()? {
-        image.ts.push((InstanceId(d.u32()?), Clock(d.u64()?)));
-    }
-    for _ in 0..d.u32()? {
-        let key = d.state_key()?;
-        let clock = Clock(d.u64()?);
-        let mut ops = Vec::new();
-        for _ in 0..d.u32()? {
-            ops.push((d.operation()?, d.value()?));
-        }
-        image.update_log.push((key, clock, ops));
-    }
-    for _ in 0..d.u32()? {
-        image
-            .nondet_log
-            .push((Clock(d.u64()?), d.u32()?, d.value()?));
-    }
-    for _ in 0..d.u32()? {
-        let key = d.state_key()?;
-        let mut who = Vec::new();
-        for _ in 0..d.u32()? {
-            who.push(InstanceId(d.u32()?));
-        }
-        image.callbacks.push((key, who));
-    }
-    for _ in 0..d.u32()? {
-        image.custom_op_names.push(d.str()?);
-    }
-    image.failed = d.u8()? != 0;
-    d.is_exhausted().then_some(image)
 }
 
 /// A process-unique scratch directory under the workspace `target/`,
@@ -427,7 +334,7 @@ fn target_root() -> PathBuf {
 mod tests {
     use super::super::{Shard, ShardRecoveryStats, DEFAULT_CHECKPOINT_INTERVAL};
     use super::*;
-    use crate::key::{ObjectKey, StateKey, VertexId};
+    use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
     use crate::ops::Operation;
     use crate::value::Value;
 

@@ -1,5 +1,5 @@
 //! The journal's byte format, shared by both storage engines, and the
-//! checkpoint image's primitives.
+//! checkpoint image's frame.
 //!
 //! A journal record is a frame, `[u32 len][u32 sum][payload]`
 //! (little-endian), and it is encoded exactly once: under the shard lock,
@@ -11,6 +11,11 @@
 //! record's fields, written by one encoder per record kind (`Enc::apply_record`
 //! and its siblings); [`JournalRecord`], the decoded form recovery replays,
 //! encodes through the same functions.
+//!
+//! A checkpoint image is one frame too, written by
+//! `StoreInstance::encode_image` straight from the live instance and read
+//! back by `StoreInstance::decode_image` straight into a new one
+//! ([`encode_image_frame`], [`decode_image_frame`]).
 //!
 //! The workspace's vendored `serde` is a derive-only stand-in with no
 //! serialization machinery (all JSON in the repo is written by hand), so the
@@ -24,11 +29,13 @@
 
 use super::JournalRecord;
 use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
-use crate::ops::{Condition, Operation};
+use crate::ops::{Condition, CustomOpResolver, Operation};
+use crate::store::StoreInstance;
 use crate::value::Value;
 use chc_packet::{FlowKey, ScopeKey};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// The frame checksum: 64-bit FNV-1a over the payload read as
 /// little-endian `u64` words, then over its tail bytes one at a time, then
@@ -297,15 +304,19 @@ impl<'a> Enc<'a> {
         }
     }
 
-    pub(crate) fn state_key(&mut self, key: &StateKey) {
-        self.u32(key.vertex.0);
-        match key.instance {
+    pub(crate) fn opt_instance(&mut self, instance: Option<InstanceId>) {
+        match instance {
             None => self.u8(0),
             Some(InstanceId(i)) => {
                 self.u8(1);
                 self.u32(i);
             }
         }
+    }
+
+    pub(crate) fn state_key(&mut self, key: &StateKey) {
+        self.u32(key.vertex.0);
+        self.opt_instance(key.instance);
         self.str(&key.object.name);
         match &key.object.scope_key {
             None => self.u8(0),
@@ -395,8 +406,14 @@ impl<'a> Dec<'a> {
         self.take(len).map(|b| b.to_vec())
     }
 
+    /// A string, borrowed from the input.
+    fn borrowed_str(&mut self) -> Option<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
     pub(crate) fn str(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
+        self.borrowed_str().map(String::from)
     }
 
     pub(crate) fn value(&mut self) -> Option<Value> {
@@ -462,19 +479,25 @@ impl<'a> Dec<'a> {
         })
     }
 
-    pub(crate) fn state_key(&mut self) -> Option<StateKey> {
-        let vertex = VertexId(self.u32()?);
-        let instance = match self.u8()? {
+    pub(crate) fn opt_instance(&mut self) -> Option<Option<InstanceId>> {
+        Some(match self.u8()? {
             0 => None,
             1 => Some(InstanceId(self.u32()?)),
             _ => return None,
-        };
-        let name = self.str()?;
-        let object = match self.u8()? {
-            0 => ObjectKey::named(&name),
-            1 => ObjectKey::scoped(&name, self.scope_key()?),
+        })
+    }
+
+    /// A key, with one allocation: its name, built from the borrowed bytes.
+    pub(crate) fn state_key(&mut self) -> Option<StateKey> {
+        let vertex = VertexId(self.u32()?);
+        let instance = self.opt_instance()?;
+        let name = Arc::from(self.borrowed_str()?);
+        let scope_key = match self.u8()? {
+            0 => None,
+            1 => Some(self.scope_key()?),
             _ => return None,
         };
+        let object = ObjectKey::shared_name(name, scope_key);
         Some(StateKey::new(vertex, instance, object))
     }
 
@@ -575,6 +598,25 @@ pub(crate) fn scan_frames(bytes: &[u8], visit: &mut dyn FnMut(&JournalRecord)) -
             None => return intact,
         }
     }
+}
+
+/// `instance`'s checkpoint image as one finished frame, encoded into `buf`
+/// (emptied first) straight from the live instance: what the append-only
+/// engine writes to `ckpt-*.img`. Public so that the image can be priced
+/// and round-trip tested from outside the crate.
+pub fn encode_image_frame<'a>(instance: &StoreInstance, buf: &'a mut Vec<u8>) -> &'a [u8] {
+    let mut e = Enc::reuse(buf);
+    instance.encode_image(&mut e);
+    e.finish()
+}
+
+/// The instance an image frame holds, decoded in place, with the custom-op
+/// names it captured resolved through `resolve`. `None` unless `frame` is
+/// exactly one intact frame holding exactly one image.
+pub fn decode_image_frame(frame: &[u8], resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
+    let mut d = Dec::new(frame);
+    let payload = d.frame().filter(|_| d.is_exhausted())?;
+    StoreInstance::decode_image(&mut Dec::new(payload), resolve)
 }
 
 #[cfg(test)]

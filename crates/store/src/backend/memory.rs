@@ -5,7 +5,7 @@
 //! bounded by its state, not by the length of the run.
 
 use super::codec::scan_frames;
-use super::{JournalRecord, StorageBackend, DEFAULT_CHECKPOINT_INTERVAL};
+use super::{ImageRejected, JournalRecord, StorageBackend, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 
@@ -54,8 +54,11 @@ impl StorageBackend for MemoryBackend {
         self.checkpoint.insert(instance.clone()).len()
     }
 
-    fn restore(&self, _resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
-        self.checkpoint.clone()
+    fn restore(
+        &self,
+        _resolve: CustomOpResolver<'_>,
+    ) -> Result<Option<StoreInstance>, ImageRejected> {
+        Ok(self.checkpoint.clone())
     }
 
     fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {

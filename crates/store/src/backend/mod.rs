@@ -35,10 +35,11 @@
 //!   directory (`std::fs` only).
 
 mod append_only;
-mod codec;
+pub(crate) mod codec;
 mod memory;
 
 pub use append_only::{AppendOnlyBackend, ScratchDir};
+pub use codec::{decode_image_frame, encode_image_frame};
 pub use memory::MemoryBackend;
 
 use crate::key::{Clock, InstanceId, StateKey};
@@ -146,7 +147,16 @@ pub struct ShardRecoveryStats {
     pub replayed_ops: usize,
     /// Callback / custom-op / ownership records re-installed.
     pub reinstalled_records: usize,
+    /// The latest checkpoint image failed its frame check or decode. The
+    /// journal suffix was replayed over an empty instance, so every write
+    /// only that image held is lost.
+    pub image_rejected: bool,
 }
+
+/// A checkpoint that exists but does not decode: see
+/// [`StorageBackend::restore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageRejected;
 
 /// Where one shard's history goes: its write-ahead journal and its latest
 /// checkpoint, which survive a shard crash.
@@ -174,8 +184,12 @@ pub trait StorageBackend: Send {
     fn checkpoint(&mut self, instance: &StoreInstance) -> usize;
 
     /// The instance the latest checkpoint holds, if there is one, with the
-    /// custom-op names it captured resolved through `resolve`.
-    fn restore(&self, resolve: CustomOpResolver<'_>) -> Option<StoreInstance>;
+    /// custom-op names it captured resolved through `resolve`; an error if
+    /// there is one and it cannot be read back.
+    fn restore(
+        &self,
+        resolve: CustomOpResolver<'_>,
+    ) -> Result<Option<StoreInstance>, ImageRejected>;
 
     /// Visit every record appended since the latest checkpoint, in order.
     fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord));
@@ -317,12 +331,12 @@ impl Shard {
     /// releasing the shard.
     pub fn recover(&mut self) -> ShardRecoveryStats {
         let (instance, table) = (&mut self.instance, &self.custom_ops);
-        *instance = self
-            .backend
-            .restore(&|name| resolve(table, name))
-            .unwrap_or_default();
+        let restored = self.backend.restore(&|name| resolve(table, name));
+        let image_rejected = restored.is_err();
+        *instance = restored.ok().flatten().unwrap_or_default();
         let mut stats = ShardRecoveryStats {
             restored_from_checkpoint: instance.len(),
+            image_rejected,
             ..ShardRecoveryStats::default()
         };
         for (name, f) in table {

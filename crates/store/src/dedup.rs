@@ -24,6 +24,7 @@
 //! Logged non-deterministic values are rare and keep a small ordered map
 //! of their own, which [`DedupLog::clear_updates`] leaves alone.
 
+use crate::backend::codec::{Dec, Enc};
 use crate::key::Clock;
 use crate::ops::Operation;
 use crate::value::Value;
@@ -65,12 +66,17 @@ impl Logged {
         }
     }
 
-    fn pair(&self) -> (Operation, Value) {
+    /// The operation, then what it returned.
+    fn encode(&self, e: &mut Enc<'_>) {
         match self {
             Logged::Increment { delta, returned } => {
-                (Operation::Increment(*delta), Value::Int(*returned))
+                e.operation(&Operation::Increment(*delta));
+                e.value(&Value::Int(*returned));
             }
-            Logged::Other(other) => (**other).clone(),
+            Logged::Other(other) => {
+                e.operation(&other.0);
+                e.value(&other.1);
+            }
         }
     }
 }
@@ -241,34 +247,66 @@ impl DedupLog {
         }
     }
 
-    /// Every retained update as `(clock, entry id, operation, returned)`,
-    /// counter-major across roots (for durable images).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Clock, u32, Operation, Value)> + '_ {
-        let mut packets: Vec<(Order, &Slot)> = self
-            .roots
-            .iter()
-            .enumerate()
-            .flat_map(|(root, window)| {
-                window
-                    .iter()
-                    .map(move |(counter, slot)| ((counter, root as u8), slot))
-            })
-            .collect();
-        // Already in order with one root; the merge of several is a sort.
-        packets.sort_unstable_by_key(|(order, _)| *order);
-        packets.into_iter().flat_map(|(order, slot)| {
-            slot.iter().map(move |u| {
-                let (op, returned) = u.logged.pair();
-                (clock_of(order), u.entry, op, returned)
-            })
+    /// Every retained packet with its clock, counter-major across roots: a
+    /// merge of the roots' windows, each already in counter order.
+    fn packets(&self) -> impl Iterator<Item = (Clock, &Slot)> {
+        let mut windows: Vec<_> = self.roots.iter().map(|w| w.iter().peekable()).collect();
+        std::iter::from_fn(move || {
+            let (_, root) = windows
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(root, w)| Some((w.peek()?.0, root)))
+                .min()?;
+            let (counter, slot) = windows[root].next()?;
+            Some((Clock::with_root(root as u8, counter), slot))
         })
     }
 
     /// Every logged non-deterministic value as `(clock, slot, value)`.
-    pub(crate) fn nondet_iter(&self) -> impl Iterator<Item = (Clock, u32, &Value)> {
+    fn nondet_iter(&self) -> impl Iterator<Item = (Clock, u32, &Value)> {
         self.nondet
             .iter()
             .flat_map(|(k, values)| values.iter().map(|(s, v)| (clock_of(*k), *s, v)))
+    }
+
+    /// The log as a checkpoint image writes it: the update count, then
+    /// every update as `(clock, entry id, operation, returned)`, packets in
+    /// counter-major order; then the non-deterministic values as `(clock,
+    /// slot, value)`, in the same order.
+    pub(crate) fn encode(&self, e: &mut Enc<'_>) {
+        e.u32(self.updates as u32);
+        for (clock, slot) in self.packets() {
+            for update in slot.iter() {
+                e.u64(clock.0);
+                e.u32(update.entry);
+                update.logged.encode(e);
+            }
+        }
+        e.u32(self.nondet.values().map(Vec::len).sum::<usize>() as u32);
+        for (clock, slot, value) in self.nondet_iter() {
+            e.u64(clock.0);
+            e.u32(slot);
+            e.value(value);
+        }
+    }
+
+    /// The log [`DedupLog::encode`] wrote, for a store of `entries` objects:
+    /// `None` if an update names an entry id outside it.
+    pub(crate) fn decode(d: &mut Dec<'_>, entries: usize) -> Option<DedupLog> {
+        let mut log = DedupLog::default();
+        for _ in 0..d.u32()? {
+            let clock = Clock(d.u64()?);
+            let entry = d.u32()?;
+            if entry as usize >= entries {
+                return None;
+            }
+            let (op, returned) = (d.operation()?, d.value()?);
+            log.packet(clock).record(entry, &op, &returned);
+        }
+        for _ in 0..d.u32()? {
+            log.nondet_value(Clock(d.u64()?), d.u32()?, d.value()?);
+        }
+        Some(log)
     }
 
     /// Drop the update log (a restore from a Figure-7 checkpoint rebuilds it
@@ -325,7 +363,7 @@ mod tests {
         // The top of the counter range clears the log.
         log.forget_below(u64::MAX);
         assert_eq!(log.len(), 0);
-        assert_eq!(log.iter().count(), 0);
+        assert_eq!(log.packets().count(), 0);
     }
 
     #[test]
@@ -354,7 +392,7 @@ mod tests {
     }
 
     fn clocks(log: &DedupLog) -> Vec<Clock> {
-        log.iter().map(|(clock, ..)| clock).collect()
+        log.packets().map(|(clock, _)| clock).collect()
     }
 
     fn found(log: &mut DedupLog, clock: Clock) -> Option<Value> {
@@ -401,7 +439,7 @@ mod tests {
             .map(|(root, c)| Clock::with_root(root, c))
             .collect();
         let log = logged(&drawn);
-        // Counter-major, as durable images are built and rebuilt: the
+        // Counter-major, as checkpoint images write it: the
         // counter bits rotated above the root bits.
         let mut tree_order = drawn.clone();
         tree_order.sort_by_key(|c| c.0.rotate_left(Clock::ROOT_BITS));
@@ -450,6 +488,6 @@ mod tests {
         log.nondet_value(at(2, 5), 0, Value::Int(1));
         log.forget_below(u64::MAX);
         assert_eq!((log.len(), log.spans().sum::<u64>()), (0, 0));
-        assert_eq!((log.iter().count(), log.nondet_iter().count()), (0, 0));
+        assert_eq!((log.packets().count(), log.nondet_iter().count()), (0, 0));
     }
 }

@@ -53,7 +53,7 @@ pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope,
 pub use ops::{Condition, OpOutcome, Operation};
 pub use recovery::{recover_shared_state, select_recovery_ts, RecoveryInput, RecoveryReport};
 pub use server::{ShardRecoveryStats, StoreServer};
-pub use store::{Checkpoint, DurableImage, StoreInstance};
+pub use store::{Checkpoint, StoreInstance};
 pub use value::Value;
 pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};
 pub use window::CounterWindow;

@@ -13,10 +13,11 @@
 //! across threads for the real-thread throughput benchmarks (the paper pins
 //! each state object to exactly one store thread to avoid locking overhead).
 
+use crate::backend::codec::{Dec, Enc};
 use crate::dedup::DedupLog;
 use crate::error::StoreError;
 use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, StateKey, VertexId};
-use crate::ops::{apply_in_place, CustomOpFn, OpOutcome, Operation};
+use crate::ops::{apply_in_place, CustomOpFn, CustomOpResolver, OpOutcome, Operation};
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -527,150 +528,102 @@ impl StoreInstance {
     }
 
     // ------------------------------------------------------------------
-    // Durable full-image capture (storage backends, `crate::backend`)
+    // Checkpoint images (storage backends, `crate::backend`)
     // ------------------------------------------------------------------
 
-    /// Capture the *complete* instance — values, ownership, `TS`, the
-    /// duplicate-suppression log, logged non-determinism, callback
-    /// registrations — as plain data a durable backend can
-    /// encode byte-by-byte. The log holds nothing at or below the replay
-    /// floor, so neither does the image: its size follows the packets still
-    /// replayable, not the history. Custom operations are captured by *name*
-    /// only (function pointers are not serializable); the backend
-    /// re-resolves them from its resident registration table on restore.
-    /// Sequences are deterministically ordered so the same state always
-    /// encodes to the same bytes.
-    pub fn durable_image(&self) -> DurableImage {
-        // Key order is the order of the keys' printed forms: print each key
-        // once, and remember where each entry landed, by id.
-        let mut ordered: Vec<(&CanonKey, &Entry)> = self.entries.iter().collect();
-        ordered.sort_by_cached_key(|(key, _)| key.state_key().to_string());
-        let mut rank_of = vec![0u32; ordered.len()];
-        for (rank, (_, entry)) in ordered.iter().enumerate() {
-            rank_of[entry.id as usize] = rank as u32;
+    /// Write the *complete* instance as a checkpoint image — values,
+    /// ownership, `TS`, the duplicate-suppression log, logged
+    /// non-determinism, callback registrations, custom-op names and the
+    /// fail-stop flag — straight from the live maps, with no owned copy in
+    /// between. Entries go in dense entry-id order as `(key, value, owner)`,
+    /// so the log names its objects by id, as it does in memory: no key is
+    /// printed, cloned or sorted per entry or per update. The log holds
+    /// nothing below the replay floor, so neither does the image. Custom
+    /// operations are captured by name only; `TS`, callbacks and names are
+    /// small and sorted, so the same instance always encodes to the same
+    /// bytes.
+    pub(crate) fn encode_image(&self, e: &mut Enc<'_>) {
+        let mut by_id = vec![None; self.entries.len()];
+        for (key, entry) in &self.entries {
+            by_id[entry.id as usize] = Some((key, entry));
         }
-        let entries = ordered
-            .iter()
-            .map(|(key, entry)| (key.state_key().clone(), entry.value.clone(), entry.owner))
-            .collect();
-        // The log names objects by entry id; the image names them by key and
-        // orders them by (key, clock) — which is (rank, clock), so nothing
-        // is printed or cloned per logged update.
-        let mut logged: Vec<(u32, Clock, (Operation, Value))> = self
-            .dedup
-            .iter()
-            .map(|(clock, entry, op, returned)| (rank_of[entry as usize], clock, (op, returned)))
-            .collect();
-        // Stable: the updates of one (key, clock) keep their order.
-        logged.sort_by_key(|(rank, clock, _)| (*rank, *clock));
-        let mut update_log: UpdateLogImage = Vec::new();
-        let mut open = None;
-        for (rank, clock, update) in logged {
-            match update_log.last_mut() {
-                Some((_, _, ops)) if open == Some((rank, clock)) => ops.push(update),
-                _ => {
-                    let key = ordered[rank as usize].0.state_key().clone();
-                    update_log.push((key, clock, vec![update]));
-                    open = Some((rank, clock));
-                }
-            }
+        e.u32(by_id.len() as u32);
+        for (key, entry) in by_id.into_iter().flatten() {
+            e.state_key(key.state_key());
+            e.value(&entry.value);
+            e.opt_instance(entry.owner);
         }
-        let mut ts: Vec<(InstanceId, Clock)> = self.ts.iter().map(|(i, c)| (*i, *c)).collect();
-        ts.sort_unstable_by_key(|(i, _)| *i);
-        let mut nondet_log: Vec<(Clock, u32, Value)> = self
-            .dedup
-            .nondet_iter()
-            .map(|(c, slot, v)| (c, slot, v.clone()))
-            .collect();
-        nondet_log.sort_by_key(|(c, slot, _)| (*c, *slot));
-        let mut callbacks: Vec<(StateKey, Vec<InstanceId>)> = self
-            .callbacks
-            .iter()
-            .map(|(k, set)| {
-                let mut who: Vec<InstanceId> = set.iter().copied().collect();
-                who.sort_unstable();
-                (k.state_key().clone(), who)
-            })
-            .collect();
-        callbacks.sort_by_cached_key(|(k, _)| k.to_string());
-        let mut custom_op_names: Vec<String> = self.custom_ops.keys().cloned().collect();
-        custom_op_names.sort();
-        DurableImage {
-            entries,
-            ts,
-            update_log,
-            nondet_log,
-            callbacks,
-            custom_op_names,
-            failed: self.failed,
+        let mut ts: Vec<(&InstanceId, &Clock)> = self.ts.iter().collect();
+        ts.sort_unstable();
+        e.u32(ts.len() as u32);
+        for (instance, clock) in ts {
+            e.u32(instance.0);
+            e.u64(clock.0);
         }
+        self.dedup.encode(e);
+        let mut callbacks: Vec<_> = self.callbacks.iter().collect();
+        callbacks.sort_by_cached_key(|(key, _)| key.state_key().to_string());
+        e.u32(callbacks.len() as u32);
+        for (key, who) in callbacks {
+            let mut who: Vec<InstanceId> = who.iter().copied().collect();
+            who.sort_unstable();
+            e.state_key(key.state_key());
+            e.u32(who.len() as u32);
+            who.iter().for_each(|i| e.u32(i.0));
+        }
+        let mut names: Vec<&String> = self.custom_ops.keys().collect();
+        names.sort_unstable();
+        e.u32(names.len() as u32);
+        names.iter().for_each(|name| e.str(name));
+        e.u8(u8::from(self.failed));
     }
 
-    /// Rebuild an instance from a [`DurableImage`]. `resolve` maps captured
-    /// custom-operation names back to registered functions (names it cannot
-    /// resolve are dropped — the owning backend re-registers its resident
-    /// table on top regardless). The replay floor is the server's knowledge,
-    /// not the image's: the rebuilt instance starts at floor zero and the
-    /// server raises it again under the lock hold that recovered the shard.
-    pub fn from_durable_image(
-        image: DurableImage,
-        resolve: &dyn Fn(&str) -> Option<CustomOpFn>,
-    ) -> StoreInstance {
+    /// Rebuild an instance from an image [`StoreInstance::encode_image`]
+    /// wrote, re-creating its entries in image order so that every entry id
+    /// — what the log names objects by — survives. `None` unless `d` holds
+    /// exactly one well-formed image: among others, a log entry naming an
+    /// id past the entries is rejected. `resolve` maps the captured custom-op
+    /// names back to functions (a name it cannot resolve is dropped; the
+    /// shard re-registers its resident table on top regardless). The replay
+    /// floor is the server's knowledge, not the image's: the rebuilt
+    /// instance starts at floor zero and the server raises it again under
+    /// the lock hold that recovered the shard.
+    pub(crate) fn decode_image(
+        d: &mut Dec<'_>,
+        resolve: CustomOpResolver<'_>,
+    ) -> Option<StoreInstance> {
         let mut instance = StoreInstance::new();
-        for (key, value, owner) in image.entries {
-            let entry = instance.entry_or_create(&key);
-            entry.value = value;
-            entry.owner = owner;
-        }
-        instance.ts = image.ts.into_iter().collect();
-        for (key, clock, ops) in image.update_log {
-            let id = instance.entry_or_create(&key).id;
-            for (op, returned) in ops {
-                instance.dedup.packet(clock).record(id, &op, &returned);
+        let entries = d.u32()?;
+        instance.entries.reserve(entries.min(1 << 16) as usize);
+        for id in 0..entries {
+            let entry = instance.entry_or_create(&d.state_key()?);
+            // A key seen twice would shift every later id.
+            if entry.id != id {
+                return None;
             }
+            entry.value = d.value()?;
+            entry.owner = d.opt_instance()?;
         }
-        for (clock, slot, value) in image.nondet_log {
-            instance.dedup.nondet_value(clock, slot, value);
+        for _ in 0..d.u32()? {
+            instance.ts.insert(InstanceId(d.u32()?), Clock(d.u64()?));
         }
-        for (key, who) in image.callbacks {
-            instance
-                .callbacks
-                .insert(CanonKey::of(&key), who.into_iter().collect());
+        instance.dedup = DedupLog::decode(d, instance.entries.len())?;
+        for _ in 0..d.u32()? {
+            let key = CanonKey::of(&d.state_key()?);
+            let who = (0..d.u32()?)
+                .map(|_| d.u32().map(InstanceId))
+                .collect::<Option<_>>()?;
+            instance.callbacks.insert(key, who);
         }
-        for name in image.custom_op_names {
+        for _ in 0..d.u32()? {
+            let name = d.str()?;
             if let Some(f) = resolve(&name) {
                 instance.custom_ops.insert(name, f);
             }
         }
-        instance.failed = image.failed;
-        instance
+        instance.failed = d.u8()? != 0;
+        d.is_exhausted().then_some(instance)
     }
-}
-
-/// Key-and-clock-ordered duplicate-suppression log entries of a
-/// [`DurableImage`]: per `(key, clock)`, the applied update operations and
-/// the value each returned.
-pub type UpdateLogImage = Vec<(StateKey, Clock, Vec<(Operation, Value)>)>;
-
-/// The complete durable image of a [`StoreInstance`], as plain ordered data.
-/// See [`StoreInstance::durable_image`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DurableImage {
-    /// Stored objects: `(canonical key, value, owner)`, key-ordered.
-    pub entries: Vec<(StateKey, Value, Option<InstanceId>)>,
-    /// The `TS` metadata, instance-ordered.
-    pub ts: Vec<(InstanceId, Clock)>,
-    /// Duplicate-suppression log entries.
-    pub update_log: UpdateLogImage,
-    /// Logged non-deterministic values per `(clock, slot)`.
-    pub nondet_log: Vec<(Clock, u32, Value)>,
-    /// Callback registrations per canonical key, instance-ordered.
-    pub callbacks: Vec<(StateKey, Vec<InstanceId>)>,
-    /// Names of registered custom operations (functions re-resolved on
-    /// restore).
-    pub custom_op_names: Vec<String>,
-    /// Fail-stop flag.
-    pub failed: bool,
 }
 
 /// Convenience constructor for shared keys used across the workspace.
@@ -980,6 +933,26 @@ mod tests {
         recovered.restore(&cp);
         assert_eq!(recovered.peek(&key), Value::Int(7));
         assert_eq!(recovered.ts()[&InstanceId(1)], Clock::with_root(0, 3));
+    }
+
+    #[test]
+    fn an_image_whose_log_names_a_missing_entry_is_rejected() {
+        use crate::backend::codec::FRAME_HEADER as HEADER;
+        use crate::backend::codec::{decode_image_frame, encode_image_frame, folded_word_fnv};
+        let mut store = StoreInstance::new();
+        let clock = Some(Clock::with_root(0, 1));
+        store
+            .apply(InstanceId(0), &shared("x"), &Operation::Increment(1), clock)
+            .unwrap();
+        let mut image = encode_image_frame(&store, &mut Vec::new()).to_vec();
+        // The logged update's entry id, then its op and answer (9 bytes
+        // each), three empty tables and the fail-stop flag.
+        let at = image.len() - (4 + 9 + 9 + 3 * 4 + 1);
+        assert_eq!(image[at..at + 4], 0u32.to_le_bytes(), "entry 0");
+        image[at] = 1;
+        let sum = folded_word_fnv(&image[HEADER..]).to_le_bytes();
+        image[4..HEADER].copy_from_slice(&sum);
+        assert!(decode_image_frame(&image, &|_| None).is_none());
     }
 
     #[test]

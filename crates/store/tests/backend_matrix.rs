@@ -323,6 +323,38 @@ fn emulated_duplicates_stay_out_of_the_journal() {
     }
 }
 
+/// A newest checkpoint image that does not decode is reported by recovery,
+/// not read as an empty shard with the suffix replayed over it in silence.
+#[test]
+fn a_corrupt_image_is_reported_not_read_as_an_empty_shard() {
+    let scratch = ScratchDir::new("matrix-rejected");
+    let recover = || Shard::new(Box::new(AppendOnlyBackend::open(scratch.path(), 1024))).recover();
+    let mut live = StoreInstance::new();
+    live.apply(InstanceId(0), &key("x", 0), &Operation::Increment(1), None)
+        .unwrap();
+    AppendOnlyBackend::open(scratch.path(), 1024).checkpoint(&live);
+    let healthy = recover();
+    assert_eq!(
+        (healthy.restored_from_checkpoint, healthy.image_rejected),
+        (1, false)
+    );
+
+    // One flipped byte in the image's payload.
+    let image = std::fs::read_dir(scratch.path())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "img"))
+        .expect("a checkpoint image");
+    let mut bytes = std::fs::read(&image).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x40;
+    std::fs::write(&image, bytes).unwrap();
+    let rejected = recover();
+    assert_eq!(
+        (rejected.restored_from_checkpoint, rejected.image_rejected),
+        (0, true)
+    );
+}
+
 proptest! {
     /// Server-level recovery equivalence on both engines: a random op
     /// sequence with a random mid-stream checkpoint, then restart every

@@ -18,6 +18,7 @@
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
+use chc_store::backend::{decode_image_frame, encode_image_frame};
 use chc_store::ops::apply_operation;
 use chc_store::{
     Clock, InstanceId, ObjectKey, Operation, StateKey, StoreInstance, Value, VertexId,
@@ -153,7 +154,7 @@ impl CounterDraw {
 }
 
 /// One random `apply` / `forget_clock` / `forget_through` sequence, checked
-/// step by step against the oracle and then through a durable image.
+/// step by step against the oracle and then through a checkpoint image.
 fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = StoreInstance::new();
@@ -202,9 +203,10 @@ fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
         }
         prop_assert_eq!(store.update_log_len(), oracle.len());
     }
-    // The durable image carries the same log: rebuilt from it, the store
+    // The checkpoint image carries the same log: rebuilt from it, the store
     // makes the same decisions.
-    let mut rebuilt = StoreInstance::from_durable_image(store.durable_image(), &|_| None);
+    let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
+    let mut rebuilt = decode_image_frame(&image, &|_| None).expect("an image decodes");
     if store.replay_floor() > 0 {
         rebuilt.forget_through(store.replay_floor() - 1);
     }
