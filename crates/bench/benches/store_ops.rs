@@ -14,9 +14,9 @@
 //! above a floor that trails the clocks, and above a floor that stays put
 //! for a trace's worth of packets — divide each by 32 for the cost of one
 //! drained op; above minus below is the duplicate-suppression log's share.
-//! The same trailing-floor drain with every shard journaling, on the memory
-//! and on the append-only engine, prices the journal append: journaled
-//! minus above, over 32, is what journaling adds per drained op.
+//! The same trailing-floor drain with every shard journaling, in memory and
+//! on files, prices the journal append: journaled minus above, over 32, is
+//! what journaling adds per drained op.
 //!
 //! `pool_pop` measures a blocking pop on the NAT's 4,096-port pool at each
 //! layer it crosses — the store instance, the sharded server, and a
@@ -26,9 +26,10 @@
 //!
 //! `checkpoint` prices a checkpoint image of a shard of 1,024 objects
 //! holding 4,096 logged increments from one root: encoding it from the live
-//! instance into a buffer sized as the append-only engine sizes it, decoding
-//! it back into an instance, and `checkpoint_shard` end to end on the
-//! append-only engine (encode, tmp write and rename, segment rotation).
+//! instance into a buffer sized as the engine sizes it, decoding it back
+//! into an instance, and `checkpoint_shard` end to end on each medium
+//! (encode, then an assignment in memory, or tmp write, rename and segment
+//! rotation on files).
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
 use chc_packet::{FlowKey, Scope, ScopeKey};
@@ -384,13 +385,18 @@ fn checkpoint(c: &mut Criterion) {
             ObjectKey::scoped("conn_bytes", flow(i).expect("a flow")),
         )
     };
+    // The same image once per medium: the difference between the two
+    // checkpoints is what a file costs.
     let mut instance = StoreInstance::new();
-    let server = StoreServer::with_backend(1, BackendKind::AppendOnly);
+    let media = [BackendKind::Memory, BackendKind::AppendOnly]
+        .map(|kind| StoreServer::with_backend(1, kind));
     for n in 0..4_096 {
         let (k, op) = (key(n % 1_024), Operation::Increment(64));
         let clock = Some(Clock::with_root(0, n as u64 + 1));
         instance.apply(InstanceId(0), &k, &op, clock).unwrap();
-        server.apply(InstanceId(0), &k, &op, clock).unwrap();
+        for server in &media {
+            server.apply(InstanceId(0), &k, &op, clock).unwrap();
+        }
     }
     let frame = encode_image_frame(&instance, &mut Vec::new()).to_vec();
     group.bench_function("image_encode_1k", |b| {
@@ -399,9 +405,12 @@ fn checkpoint(c: &mut Criterion) {
     group.bench_function("image_decode_1k", |b| {
         b.iter(|| decode_image_frame(&frame, &|_| None).map(|s| s.len()))
     });
-    group.bench_function("checkpoint_append_only_1k", |b| {
-        b.iter(|| server.checkpoint_shard(0))
-    });
+    for (name, server) in ["checkpoint_memory_1k", "checkpoint_append_only_1k"]
+        .into_iter()
+        .zip(&media)
+    {
+        group.bench_function(name, |b| b.iter(|| server.checkpoint_shard(0)));
+    }
     group.finish();
 }
 

@@ -7,7 +7,7 @@
 //! the duplicate-suppression log's own growth: its window of cells doubles,
 //! so logging `n` integer increments allocates O(log n) times. Journaling a
 //! drain costs nothing per op either: the record is encoded into a buffer
-//! the shard reuses, and the memory engine's arena grows by doubling. A
+//! the shard reuses, and an in-memory segment grows by doubling. A
 //! change that clones a key or a name on this path fails here, in tier 1,
 //! rather than in a benchmark.
 //!
@@ -325,11 +325,10 @@ fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
     );
 }
 
-/// Allocations of one `checkpoint_shard` on the append-only engine, of a
-/// shard holding `entries` objects, each with one increment logged above
-/// the floor.
-fn checkpoint_allocations(entries: u64) -> u64 {
-    let server = StoreServer::with_backend(1, BackendKind::AppendOnly);
+/// Allocations of one `checkpoint_shard` on `kind`, of a shard holding
+/// `entries` objects, each with one increment logged above the floor.
+fn checkpoint_allocations(kind: BackendKind, entries: u64) -> u64 {
+    let server = StoreServer::with_backend(1, kind);
     for i in 0..entries {
         let key = StateKey::shared(
             VertexId(1),
@@ -346,38 +345,43 @@ fn checkpoint_allocations(entries: u64) -> u64 {
 
 #[test]
 fn a_checkpoint_allocates_per_image_not_per_entry() {
-    // The image is encoded straight from the live instance into one buffer:
-    // no key printed, cloned or sorted per entry, no vector per logged
-    // update. What grows with the shard is that buffer, which doubles, so
-    // an image 64× larger costs log2(64) = 6 more allocations, plus one for
-    // where the two sizes fall between powers of two.
-    let (small, large) = (checkpoint_allocations(64), checkpoint_allocations(4_096));
+    // The image is encoded straight from the live instance into one buffer,
+    // on either medium: no key printed, cloned or sorted per entry, no
+    // vector per logged update. What grows with the shard is that buffer,
+    // which doubles, so an image 64× larger costs log2(64) = 6 more
+    // allocations, plus one for where the two sizes fall between powers of
+    // two.
     let doublings = u64::from((4_096u64 / 64).ilog2()) + 1;
-    assert!(
-        large <= small + doublings,
-        "{large} allocations to checkpoint 4,096 entries against {small} for 64, \
-         budget {doublings} more"
-    );
+    for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
+        let small = checkpoint_allocations(kind, 64);
+        let large = checkpoint_allocations(kind, 4_096);
+        assert!(
+            large <= small + doublings,
+            "{kind:?}: {large} allocations to checkpoint 4,096 entries against {small} for 64, \
+             budget {doublings} more"
+        );
+    }
 }
 
 #[test]
 fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
-    // The same drains with every shard journaling, on both engines. A
-    // shard encodes each drain's share into the one frame buffer it reuses
-    // and hands the engine the finished frame: the append-only engine writes
-    // it to its segment, the memory engine copies it into its arena.
+    // The same drains with every shard journaling, on both media. A shard
+    // encodes each drain's share into the one frame buffer it reuses and
+    // hands the engine the finished frame, which it writes to a segment
+    // file or copies into an in-memory segment.
     for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
         let (server, mut client) = drained_client(kind, true);
         // Warm-up: as many drains as are measured, of the same ops to the
         // same shards, so every shard's frame buffer has held its largest
-        // record and its arena at least as many bytes as the measured
-        // drains add to it.
+        // record and an in-memory segment at least as many bytes as the
+        // measured drains add to it.
         drain_rounds(&mut client, 1_000, DRAINS);
         let journaled: usize = (0..SHARDS).map(|s| server.shard_journal_len(s)).sum();
         let allocated = allocations_in(|| drain_rounds(&mut client, 1_000 + 16 * DRAINS, DRAINS));
-        // The result vector of each drain. The memory engine's arena already
-        // holds at least half of what it will, so it doubles at most once
-        // per shard.
+        // The result vector of each drain. The budget stays per medium: an
+        // in-memory segment is a `Vec` that already holds at least half of
+        // what it will, so it doubles at most once per shard, where a file
+        // grows in the kernel.
         let budget = match kind {
             BackendKind::Memory => DRAINS + SHARDS as u64,
             BackendKind::AppendOnly => DRAINS,

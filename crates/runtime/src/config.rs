@@ -127,10 +127,10 @@ pub struct RuntimeConfig {
     /// path; no recorded row varies it (the benchmark's shard faults assume
     /// the default 4).
     pub store_shards: usize,
-    /// Storage engine the store server runs its shards on. Defaults to the
-    /// engine named by the `CHC_STORE_BACKEND` environment variable (the CI
-    /// knob), which is the in-memory engine unless overridden. Set by the
-    /// benchmark's `failover_durable` workload.
+    /// Medium the store server's shard engines keep their bytes on.
+    /// Defaults to the medium named by the `CHC_STORE_BACKEND` environment
+    /// variable (the CI knob), which is memory unless overridden. Set by
+    /// the benchmark's `failover_durable` workload.
     pub store_backend: BackendKind,
     /// Optional pre-planned elastic scale-out event. Set by the substrate
     /// equivalence suite and the `realtime_chain` example.

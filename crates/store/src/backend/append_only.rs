@@ -1,349 +1,222 @@
-//! The append-only flat-file storage engine.
+//! The storage engine: a shard's journal and checkpoint image, kept
+//! append-only on one of two media. Its rules are written once, here:
 //!
-//! Layout (timestore-style ordered appends), one directory per shard:
+//! * **Append**: a record is a frame `[u32 len][u32 sum][payload]` that the
+//!   shard encoded once, under its lock (`codec`), copied to the end of the
+//!   active segment, so a segment is an ordered history. Once warm an append
+//!   allocates nothing. Reads never come here.
+//! * **Compaction**: once the journal holds `checkpoint_interval` records,
+//!   `append` asks for a checkpoint and the shard takes one. The image is the
+//!   whole shard as one frame, encoded straight from the live instance; the
+//!   medium replaces its image with it atomically, rotates to a fresh segment
+//!   and deletes everything older. Recovery replays only the records past
+//!   the image: O(ops since checkpoint), never O(history).
+//! * **Open** counts the records of the live segments and truncates a torn
+//!   tail of the active one, so new appends never hide behind garbage.
+//! * **Restore** decodes the image in place. One that fails its frame check
+//!   or decode is reported, not read as an empty shard.
 //!
-//! ```text
-//! shard-3/
-//!   ckpt-00000007.img   # newest checkpoint image (the whole shard)
-//!   seg-00000008.log    # active journal segment: records past the image
-//! ```
-//!
-//! * **Records** are appended in execution order, each a frame
-//!   `[u32 len][u32 sum][payload]` that the shard encoded once, under its
-//!   lock (`codec`), so a segment is an ordered history — byte for byte what
-//!   the memory engine keeps in its arena. `append` is one `write_all` of
-//!   that frame and allocates nothing. A torn tail (crash mid-write) fails
-//!   the length or checksum test and is dropped at recovery; on reopen the
-//!   active segment is truncated back to its last intact record so new
-//!   appends can never hide behind garbage. Reads never come here: the shard
-//!   serves them from its live [`StoreInstance`].
-//! * **Checkpoint compaction**: every `checkpoint_interval` journaled
-//!   records (the server passes `DEFAULT_CHECKPOINT_INTERVAL`, the cadence
-//!   the memory engine follows too), or on an explicit `checkpoint_shard`,
-//!   the engine writes the full image of the shard (`ckpt-<seq>.img`,
-//!   atomically via rename), rotates to a fresh segment and deletes
-//!   everything older. The image is one frame, encoded straight from the
-//!   live instance into a buffer of the checkpoint's own and decoded in
-//!   place on restore (`codec::encode_image_frame`). An image that fails its
-//!   frame check or decode is reported, not read as an empty shard.
-//!   Recovery replays only the records past the newest image —
-//!   O(delta in ops-since-checkpoint), never O(history).
-//!
-//! `std::fs` only; the container has no crates.io access.
+//! The media store bytes and set no policy. **Files** (`files.rs`) keep a
+//! per-shard directory of segment files and one image file. **Memory** keeps
+//! one segment and the image as `Vec<u8>`s: an append is one
+//! `extend_from_slice`, rotation clears the segment and keeps its capacity,
+//! and the image is the encoded buffer itself. It survives a shard crash,
+//! which models fail-stop of the shard, not of the process.
 
 use super::codec::{decode_image_frame, encode_image_frame, scan_frames};
-use super::{ImageRejected, JournalRecord, StorageBackend};
+use super::files::Files;
+use super::{ImageRejected, JournalRecord};
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::borrow::Cow;
+use std::path::PathBuf;
 
-/// One durable journal segment on disk.
-struct Segment {
-    seq: u64,
-    /// Bytes of intact records (the file may briefly be longer mid-append).
-    bytes: u64,
-}
-
-/// Append-only flat-file engine. See the module docs for the layout.
-pub struct AppendOnlyBackend {
-    dir: PathBuf,
+/// One shard's history over one medium. See the module docs for its rules.
+pub struct Engine {
+    medium: Medium,
     checkpoint_interval: usize,
-    /// Sealed + active segments, ascending by `seq`; the last is active.
-    segments: Vec<Segment>,
-    /// The active segment, open for append.
-    active: File,
-    /// Records appended since the newest checkpoint image.
-    pending_records: usize,
-    /// Sequence of the newest checkpoint image, and its size.
-    ckpt_seq: Option<u64>,
-    ckpt_bytes: u64,
+    /// Records appended since the newest image.
+    records: usize,
+    /// Bytes of the last image this engine wrote: the next one's capacity.
+    image_len: usize,
 }
 
-impl AppendOnlyBackend {
-    /// Open (or create) the engine over `dir`. Existing durable state is
-    /// scanned — newest checkpoint located, records counted, a torn
-    /// active-segment tail truncated — and stays on disk: a
-    /// [`super::Shard`] over the engine loads it with `recover`, exactly as
-    /// a restarted shard would.
-    pub fn open(dir: impl Into<PathBuf>, checkpoint_interval: usize) -> AppendOnlyBackend {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+/// Where an [`Engine`] keeps its bytes.
+enum Medium {
+    Files(Files),
+    Memory {
+        image: Option<Vec<u8>>,
+        segment: Vec<u8>,
+    },
+}
 
-        // Scan the directory for checkpoint images and segments.
-        let mut ckpts: Vec<u64> = Vec::new();
-        let mut segs: Vec<u64> = Vec::new();
-        for entry in fs::read_dir(&dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
-            let name = match entry {
-                Ok(e) => e.file_name().to_string_lossy().into_owned(),
-                Err(_) => continue,
-            };
-            if let Some(seq) = parse_seq(&name, "ckpt-", ".img") {
-                ckpts.push(seq);
-            } else if let Some(seq) = parse_seq(&name, "seg-", ".log") {
-                segs.push(seq);
-            }
-        }
-        let ckpt_seq = ckpts.iter().copied().max();
-        let ckpt_bytes = ckpt_seq
-            .and_then(|seq| fs::metadata(ckpt_path(&dir, seq)).ok())
-            .map(|m| m.len())
-            .unwrap_or(0);
-        // Compaction leftovers (a crash between image rename and deletion)
-        // are finished off here; stale images likewise.
-        for &seq in &ckpts {
-            if Some(seq) != ckpt_seq {
-                let _ = fs::remove_file(ckpt_path(&dir, seq));
-            }
-        }
-        segs.retain(|&seq| {
-            let live = ckpt_seq.is_none_or(|c| seq > c);
-            if !live {
-                let _ = fs::remove_file(seg_path(&dir, seq));
-            }
-            live
-        });
-        segs.sort_unstable();
+impl Engine {
+    /// An engine over the directory `dir`, created if missing. What it holds
+    /// stays: a [`super::Shard`] over the engine loads it with `recover`,
+    /// exactly as a restarted shard would.
+    pub fn open(dir: impl Into<PathBuf>, checkpoint_interval: usize) -> Engine {
+        Engine::over(Medium::Files(Files::open(dir.into())), checkpoint_interval)
+    }
 
-        // Re-scan live segments: count pending records and find each
-        // segment's intact length.
-        let mut pending_records = 0usize;
-        let mut segments = Vec::new();
-        for &seq in &segs {
-            let bytes = fs::read(seg_path(&dir, seq)).unwrap_or_default();
-            let intact = scan_frames(&bytes, &mut |_| pending_records += 1);
-            segments.push(Segment {
-                seq,
-                bytes: intact as u64,
-            });
-        }
-        if segments.is_empty() {
-            let seq = ckpt_seq.map_or(0, |c| c + 1);
-            segments.push(Segment { seq, bytes: 0 });
-        }
-        let active_meta = segments.last().expect("at least one segment");
-        let path = seg_path(&dir, active_meta.seq);
-        // Truncate a torn tail so future appends land after the last intact
-        // record instead of behind it.
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .read(true)
-            .truncate(false)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
-        file.set_len(active_meta.bytes)
-            .unwrap_or_else(|e| panic!("truncate {}: {e}", path.display()));
-        let active = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("append {}: {e}", path.display()));
-        drop(file);
+    /// An engine over bytes in memory: the newest checkpoint image, if any,
+    /// and the journal segment past it. A server's shard starts from
+    /// `(None, Vec::new())`, which allocates nothing.
+    pub fn in_memory(
+        image: Option<Vec<u8>>,
+        segment: Vec<u8>,
+        checkpoint_interval: usize,
+    ) -> Engine {
+        Engine::over(Medium::Memory { image, segment }, checkpoint_interval)
+    }
 
-        AppendOnlyBackend {
-            dir,
+    fn over(mut medium: Medium, checkpoint_interval: usize) -> Engine {
+        let (mut records, mut intact) = (0, 0);
+        medium.for_each_segment(&mut |bytes| intact = scan_frames(bytes, &mut |_| records += 1));
+        medium.truncate_active(intact);
+        Engine {
+            medium,
             checkpoint_interval: checkpoint_interval.max(1),
-            segments,
-            active,
-            pending_records,
-            ckpt_seq,
-            ckpt_bytes,
+            records,
+            image_len: 0,
         }
     }
 
-    /// Path of the segment currently being appended to (crash-injection
-    /// tests truncate this file at arbitrary offsets).
-    pub fn active_segment_path(&self) -> PathBuf {
-        seg_path(&self.dir, self.segments.last().expect("active segment").seq)
+    /// Append one finished frame (`[u32 len][u32 sum][payload]`, as
+    /// [`JournalRecord::to_frame`] builds it). The shard calls this under its
+    /// lock right after the apply, so journal order is execution order.
+    /// Returns true once the journal holds its compaction cadence: time to
+    /// checkpoint.
+    pub fn append(&mut self, frame: &[u8]) -> bool {
+        self.medium.append(frame);
+        self.records += 1;
+        self.records >= self.checkpoint_interval
     }
 
-    /// Delete every segment and start the journal over in one empty
-    /// segment `seq`.
-    fn reset_journal(&mut self, seq: u64) {
-        for seg in &self.segments {
-            let _ = fs::remove_file(seg_path(&self.dir, seg.seq));
-        }
-        self.segments = vec![Segment { seq, bytes: 0 }];
-        let path = seg_path(&self.dir, seq);
-        self.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("open {}: {e}", path.display()));
-        self.pending_records = 0;
-    }
-}
-
-impl StorageBackend for AppendOnlyBackend {
-    fn append(&mut self, frame: &[u8]) -> bool {
-        let seg = self.segments.last_mut().expect("active segment");
-        // The path is built only for the message: an append allocates
-        // nothing.
-        if let Err(e) = self.active.write_all(frame) {
-            panic!("append {}: {e}", seg_path(&self.dir, seg.seq).display());
-        }
-        seg.bytes += frame.len() as u64;
-        self.pending_records += 1;
-        // Periodic compaction: fold the journal into a checkpoint image so
-        // recovery work stays proportional to ops-since-checkpoint.
-        self.pending_records >= self.checkpoint_interval
-    }
-
-    fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
-        // A buffer of this checkpoint's own, sized by the last image: one
-        // kept per shard would hold an image's worth of memory for good.
-        let mut buf = Vec::with_capacity(self.ckpt_bytes as usize);
-        let frame = encode_image_frame(instance, &mut buf);
-        let seq = self.segments.last().expect("active segment").seq;
-        // Write the image to a temp name and rename: the newest intact
-        // `ckpt-*.img` is the recovery anchor, so it must appear atomically.
-        let tmp = self.dir.join(format!("ckpt-{seq:08}.tmp"));
-        let final_path = ckpt_path(&self.dir, seq);
-        File::create(&tmp)
-            .and_then(|mut file| file.write_all(frame))
-            .unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-        fs::rename(&tmp, &final_path)
-            .unwrap_or_else(|e| panic!("rename {}: {e}", final_path.display()));
-
-        // Rotate to a fresh segment, then compact everything the image
-        // supersedes: all segments (the image covers through the active
-        // one's end) and the previous image.
-        let old_ckpt = self.ckpt_seq.replace(seq);
-        self.ckpt_bytes = frame.len() as u64;
-        self.reset_journal(seq + 1);
-        if let Some(old) = old_ckpt.filter(|old| *old != seq) {
-            let _ = fs::remove_file(ckpt_path(&self.dir, old));
-        }
+    /// Make `instance` the newest image and truncate the journal (records
+    /// preceding a checkpoint are no longer needed for recovery — Figure 7's
+    /// "latest checkpoint"). Returns the number of objects captured.
+    pub fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
+        // A buffer of this image's own, sized by the last one. In memory it
+        // becomes the image; a buffer kept per shard across checkpoints would
+        // hold a second image's worth of memory for good.
+        let mut image = Vec::with_capacity(self.image_len);
+        self.image_len = encode_image_frame(instance, &mut image).len();
+        self.medium.replace_image(Some(image));
+        self.records = 0;
         instance.len()
     }
 
-    fn restore(
+    /// The instance the newest image holds, if there is one, with the
+    /// custom-op names it captured resolved through `resolve`; an error if
+    /// there is one and it does not decode.
+    pub(crate) fn restore(
         &self,
         resolve: CustomOpResolver<'_>,
     ) -> Result<Option<StoreInstance>, ImageRejected> {
-        let Some(seq) = self.ckpt_seq else {
-            return Ok(None);
-        };
-        let frame = fs::read(ckpt_path(&self.dir, seq)).unwrap_or_default();
-        decode_image_frame(&frame, resolve)
-            .map(Some)
-            .ok_or(ImageRejected)
-    }
-
-    fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
-        for seg in &self.segments {
-            let bytes = fs::read(seg_path(&self.dir, seg.seq)).unwrap_or_default();
-            scan_frames(&bytes, visit);
+        match self.medium.image() {
+            None => Ok(None),
+            Some(image) => decode_image_frame(&image, resolve)
+                .map(Some)
+                .ok_or(ImageRejected),
         }
     }
 
-    fn journal_len(&self) -> usize {
-        self.pending_records
+    /// Visit every record appended since the newest image, in order.
+    pub(crate) fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
+        self.medium.for_each_segment(&mut |bytes| {
+            scan_frames(bytes, visit);
+        });
     }
 
-    fn clear(&mut self) {
-        let next = self.segments.last().map_or(0, |s| s.seq + 1);
-        self.reset_journal(next);
-        if let Some(seq) = self.ckpt_seq.take() {
-            let _ = fs::remove_file(ckpt_path(&self.dir, seq));
-        }
-        self.ckpt_bytes = 0;
+    /// Records appended since the newest image.
+    pub(crate) fn journal_len(&self) -> usize {
+        self.records
     }
 
-    fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// Drop the journal and the image.
+    pub(crate) fn clear(&mut self) {
+        self.medium.replace_image(None);
+        self.records = 0;
     }
 
-    fn durable_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes).sum::<u64>() + self.ckpt_bytes
-    }
-}
-
-fn seg_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("seg-{seq:08}.log"))
-}
-
-fn ckpt_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("ckpt-{seq:08}.img"))
-}
-
-fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
-}
-
-/// A process-unique scratch directory under the workspace `target/`,
-/// removed (recursively, best-effort) on drop — so repeated `cargo test`
-/// runs never accumulate segments.
-pub struct ScratchDir {
-    path: PathBuf,
-}
-
-static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl ScratchDir {
-    /// Create `target/chc-store-scratch/<pid>-<seq>-<label>/`.
-    pub fn new(label: &str) -> ScratchDir {
-        let path = target_root().join("chc-store-scratch").join(format!(
-            "{}-{}-{label}",
-            std::process::id(),
-            SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::create_dir_all(&path).unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
-        ScratchDir { path }
+    /// Segment files held (0 in memory). Telemetry gauge.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.files().map_or(0, Files::segment_count)
     }
 
-    /// The scratch directory path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Bytes of segments and image held on disk (0 in memory). Telemetry
+    /// gauge.
+    pub(crate) fn durable_bytes(&self) -> u64 {
+        self.files().map_or(0, Files::durable_bytes)
     }
-}
 
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.path);
-    }
-}
-
-/// The workspace `target/` directory: `CARGO_TARGET_DIR` if set, else the
-/// nearest ancestor's existing `target/`, else a `target/` under the current
-/// directory.
-fn target_root() -> PathBuf {
-    if let Ok(dir) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(dir);
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut dir = cwd.clone();
-    for _ in 0..6 {
-        let candidate = dir.join("target");
-        if candidate.is_dir() {
-            return candidate;
-        }
-        if !dir.pop() {
-            break;
+    fn files(&self) -> Option<&Files> {
+        match &self.medium {
+            Medium::Files(files) => Some(files),
+            Medium::Memory { .. } => None,
         }
     }
-    cwd.join("target")
+}
+
+impl Medium {
+    fn append(&mut self, frame: &[u8]) {
+        match self {
+            Medium::Files(files) => files.append(frame),
+            Medium::Memory { segment, .. } => segment.extend_from_slice(frame),
+        }
+    }
+
+    /// Every live segment's bytes, oldest first.
+    fn for_each_segment(&self, visit: &mut dyn FnMut(&[u8])) {
+        match self {
+            Medium::Files(files) => files.for_each_segment(visit),
+            Medium::Memory { segment, .. } => visit(segment),
+        }
+    }
+
+    fn truncate_active(&mut self, len: usize) {
+        match self {
+            Medium::Files(files) => files.truncate_active(len),
+            Medium::Memory { segment, .. } => segment.truncate(len),
+        }
+    }
+
+    fn image(&self) -> Option<Cow<'_, [u8]>> {
+        match self {
+            Medium::Files(files) => files.image(),
+            Medium::Memory { image, .. } => image.as_deref().map(Cow::Borrowed),
+        }
+    }
+
+    /// Replace the image atomically (`None` deletes it), rotate to a fresh
+    /// segment and delete the history the image supersedes.
+    fn replace_image(&mut self, new: Option<Vec<u8>>) {
+        match self {
+            Medium::Files(files) => files.replace_image(new.as_deref()),
+            Medium::Memory { image, segment } => {
+                *image = new;
+                segment.clear();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Shard, ShardRecoveryStats, DEFAULT_CHECKPOINT_INTERVAL};
+    use super::super::{ScratchDir, Shard, ShardRecoveryStats, DEFAULT_CHECKPOINT_INTERVAL};
     use super::*;
     use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
     use crate::ops::Operation;
     use crate::value::Value;
+    use std::fs::{self, OpenOptions};
+    use std::path::Path;
 
     fn key(name: &str) -> StateKey {
         StateKey::shared(VertexId(0), ObjectKey::named(name))
     }
 
     fn shard(dir: &Path, checkpoint_interval: usize) -> Shard {
-        Shard::new(Box::new(AppendOnlyBackend::open(dir, checkpoint_interval)))
+        Shard::new(Engine::open(dir, checkpoint_interval))
     }
 
     fn apply(s: &mut Shard, key: &StateKey, op: Operation, clock: Option<Clock>) {
@@ -371,8 +244,8 @@ mod tests {
                 Some(Clock::with_root(0, c)),
             );
         }
-        assert_eq!(b.backend().journal_len(), 10);
-        assert!(b.backend().durable_bytes() > 0);
+        assert_eq!(b.engine().journal_len(), 10);
+        assert!(b.engine().durable_bytes() > 0);
         b.crash();
         assert_eq!(b.instance().peek(&key("counter")), Value::None);
         let stats = b.recover();
@@ -406,8 +279,8 @@ mod tests {
         }
         // Auto-checkpoints fired at 8, 16 and 24 appends: the journal holds
         // only the suffix, and exactly one segment + one image remain.
-        assert_eq!(b.backend().journal_len(), 30 % 8);
-        assert_eq!(b.backend().segment_count(), 1);
+        assert_eq!(b.engine().journal_len(), 30 % 8);
+        assert_eq!(b.engine().segment_count(), 1);
         b.crash();
         let stats = b.recover();
         assert_eq!(
@@ -443,8 +316,9 @@ mod tests {
             );
         }
         drop(b);
-        // Tear the last record: chop 3 bytes off the segment.
-        let seg = AppendOnlyBackend::open(&dir, DEFAULT_CHECKPOINT_INTERVAL).active_segment_path();
+        // Tear the last record: chop 3 bytes off the segment the image at
+        // sequence 0 rotated to.
+        let seg = dir.join("seg-00000001.log");
         let len = fs::metadata(&seg).unwrap().len();
         OpenOptions::new()
             .write(true)
@@ -454,7 +328,7 @@ mod tests {
             .unwrap();
 
         let mut b = shard(&dir, DEFAULT_CHECKPOINT_INTERVAL);
-        assert_eq!(b.backend().journal_len(), 2, "torn third record dropped");
+        assert_eq!(b.engine().journal_len(), 2, "torn third record dropped");
         let stats = b.recover();
         assert_eq!(stats.restored_from_checkpoint, 1);
         assert_eq!(stats.replayed_ops, 2);
@@ -485,10 +359,10 @@ mod tests {
         apply(&mut b, &key("a"), Operation::Increment(1), None);
         b.checkpoint();
         apply(&mut b, &key("a"), Operation::Increment(1), None);
-        assert!(b.backend().durable_bytes() > 0);
+        assert!(b.engine().durable_bytes() > 0);
         b.set_journaling(false);
-        assert_eq!(b.backend().durable_bytes(), 0);
-        assert_eq!(b.backend().journal_len(), 0);
+        assert_eq!(b.engine().durable_bytes(), 0);
+        assert_eq!(b.engine().journal_len(), 0);
         b.crash();
         let stats = b.recover();
         assert_eq!(stats, ShardRecoveryStats::default());

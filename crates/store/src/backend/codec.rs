@@ -1,13 +1,11 @@
-//! The journal's byte format, shared by both storage engines, and the
-//! checkpoint image's frame.
+//! The journal's byte format and the checkpoint image's frame.
 //!
 //! A journal record is a frame, `[u32 len][u32 sum][payload]`
 //! (little-endian), and it is encoded exactly once: under the shard lock,
 //! straight from the borrowed key and operation, into a buffer the shard
-//! reuses ([`Enc::reuse`]). The memory engine keeps frames back to back in
-//! one arena and the append-only engine writes them to segment files; both
-//! read them back through [`scan_frames`], so a record is decoded by one
-//! piece of code whichever engine held it. A payload is a tag byte and the
+//! reuses ([`Enc::reuse`]). The engine keeps frames back to back in a
+//! segment, in memory or in a file, and reads them back through
+//! [`scan_frames`]. A payload is a tag byte and the
 //! record's fields, written by one encoder per record kind (`Enc::apply_record`
 //! and its siblings); [`JournalRecord`], the decoded form recovery replays,
 //! encodes through the same functions.
@@ -538,7 +536,7 @@ impl JournalRecord {
     }
 
     /// This record as one finished frame, in a buffer of its own: what
-    /// [`super::StorageBackend::append`] takes.
+    /// [`super::Engine::append`] takes.
     pub fn to_frame(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut e = Enc::reuse(&mut buf);
@@ -601,8 +599,8 @@ pub(crate) fn scan_frames(bytes: &[u8], visit: &mut dyn FnMut(&JournalRecord)) -
 }
 
 /// `instance`'s checkpoint image as one finished frame, encoded into `buf`
-/// (emptied first) straight from the live instance: what the append-only
-/// engine writes to `ckpt-*.img`. Public so that the image can be priced
+/// (emptied first) straight from the live instance: what the engine keeps
+/// as its checkpoint image. Public so that the image can be priced
 /// and round-trip tested from outside the crate.
 pub fn encode_image_frame<'a>(instance: &StoreInstance, buf: &'a mut Vec<u8>) -> &'a [u8] {
     let mut e = Enc::reuse(buf);

@@ -1,80 +1,84 @@
-//! Pluggable durable storage backends for [`crate::server::StoreServer`]
-//! shards.
+//! Durable storage for [`crate::server::StoreServer`] shards: one engine,
+//! two media.
 //!
 //! The paper's consistency protocol (operation offloading, duplicate
 //! suppression, checkpoint + journal recovery, §4.3/§5.4) is independent of
-//! *how* a shard persists its state, and the S6/StatelessNF line of work
-//! argues the engine under a chained-NF store should be swappable. This
-//! module cuts that seam in two. A [`Shard`] is what the server locks: the
-//! live [`StoreInstance`], the journaling switch, the resident custom-op
+//! *where* a shard persists its state. A [`Shard`] is what the server locks:
+//! the live [`StoreInstance`], the journaling switch, the resident custom-op
 //! table, the one buffer its journal records are encoded into, and the one
 //! recovery routine — restore the latest checkpoint, re-register the custom
-//! ops, re-apply every later record through `replay_record` — both engines'
-//! records, so replay semantics cannot drift between them. A
-//! [`StorageBackend`] is only where the shard's history goes: it appends
-//! journal frames, writes and restores checkpoints, and hands back the
-//! records past the latest one.
+//! ops, re-apply every later record through `replay_record`. Its [`Engine`]
+//! is where the shard's history goes: it appends journal frames, writes and
+//! restores checkpoint images, and hands back the records past the latest
+//! one.
 //!
-//! A journal record is bytes on both engines. The shard encodes it once,
-//! under its lock, straight from the borrowed key and operation into its
-//! reused frame buffer (`codec`: `[u32 len][u32 sum][payload]`), and the
-//! engine copies the finished frame: the memory engine into one arena, the
-//! append-only engine into a segment file. Both decode it with the same
-//! `codec::scan_frames` when a shard recovers.
+//! A journal record and a checkpoint image are bytes. The shard encodes a
+//! record once, under its lock, straight from the borrowed key and operation
+//! into its reused frame buffer (`codec`: `[u32 len][u32 sum][payload]`),
+//! and the engine copies the finished frame into its active segment; an
+//! image is one frame encoded straight from the live instance. The engine
+//! compacts by one rule: once a journal holds `DEFAULT_CHECKPOINT_INTERVAL`
+//! (1,024) records, `append` asks for a checkpoint and the shard takes one.
+//! So a journaled shard holds fewer records than that however long it runs,
+//! and `restart_shard` replays only the suffix past the last checkpoint —
+//! O(delta), not O(history).
 //!
-//! Both engines compact by one rule: once a journal holds
-//! `DEFAULT_CHECKPOINT_INTERVAL` (1,024) records, `append` asks for a
-//! checkpoint and the shard takes one. So a journaled shard holds fewer
-//! records than that however long it runs, and `restart_shard` replays only
-//! the suffix past the last checkpoint — O(delta), not O(history). The two
-//! engines are:
-//!
-//! * [`MemoryBackend`] — frames back to back in one in-memory arena, plus a
-//!   full-image checkpoint. The default.
-//! * [`AppendOnlyBackend`] — frames appended to flat files under a per-shard
-//!   directory (`std::fs` only).
+//! The engine's bytes live on one of two media, chosen by [`BackendKind`]:
+//! in memory (the default; process-lifetime, no IO) or in files under a
+//! per-shard directory (`std::fs` only). Open, compaction, checkpoint,
+//! restore and replay are the same code on both.
 
 mod append_only;
 pub(crate) mod codec;
-mod memory;
+mod files;
 
-pub use append_only::{AppendOnlyBackend, ScratchDir};
+pub use append_only::Engine;
 pub use codec::{decode_image_frame, encode_image_frame};
-pub use memory::MemoryBackend;
+pub use files::ScratchDir;
 
 use crate::key::{Clock, InstanceId, StateKey};
-use crate::ops::{CustomOpFn, CustomOpResolver, Operation};
+use crate::ops::{CustomOpFn, Operation};
 use crate::store::StoreInstance;
 use codec::Enc;
 
-/// Compaction cadence of both engines, in journaled records: high enough
+/// Compaction cadence of the engine, in journaled records: high enough
 /// that the small conformance-suite scenarios never auto-checkpoint
 /// mid-test, low enough that a long run keeps its journal, and recovery,
 /// bounded.
 pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 1024;
 
-/// Which storage engine a [`crate::server::StoreServer`] runs its shards on.
+/// Which medium a [`crate::server::StoreServer`]'s shard engines keep their
+/// bytes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// In-memory journal and checkpoint (the original engine; default).
+    /// Segments and image as bytes in memory (default).
     #[default]
     Memory,
-    /// Append-only flat-file segments with checkpoint compaction.
+    /// Segments and image as flat files in a per-shard directory.
     AppendOnly,
 }
 
 impl BackendKind {
-    /// Resolve the backend from the `CHC_STORE_BACKEND` environment variable
-    /// (`memory` or `append-only`; unset/unknown falls back to memory). This
-    /// is the CI knob that re-runs the store, failover and equivalence
-    /// suites on the durable engine without touching any call site.
+    /// Resolve the medium from the `CHC_STORE_BACKEND` environment variable:
+    /// `memory` or `append-only`, unset meaning memory. This is the CI knob
+    /// that re-runs the store, failover and equivalence suites on files
+    /// without touching any call site.
+    ///
+    /// # Panics
+    ///
+    /// On any other value: a misspelt knob would otherwise run the memory
+    /// medium and pass.
     pub fn from_env() -> BackendKind {
-        match std::env::var("CHC_STORE_BACKEND") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "append-only" | "append_only" | "appendonly" | "file" => BackendKind::AppendOnly,
-                _ => BackendKind::Memory,
-            },
-            Err(_) => BackendKind::Memory,
+        std::env::var_os("CHC_STORE_BACKEND").map_or(BackendKind::Memory, |v| {
+            BackendKind::named(&v.to_string_lossy())
+        })
+    }
+
+    fn named(name: &str) -> BackendKind {
+        match name {
+            "memory" => BackendKind::Memory,
+            "append-only" => BackendKind::AppendOnly,
+            _ => panic!("CHC_STORE_BACKEND={name:?}: expected `memory` or `append-only`"),
         }
     }
 }
@@ -84,8 +88,8 @@ impl BackendKind {
 /// applied operations with their duplicate-suppression clocks, callback and
 /// custom-op registrations, and per-flow ownership reassignments.
 ///
-/// This is the form recovery replays, not the form the journal keeps: both
-/// engines hold records as frames of bytes. The hot records, `Apply` and
+/// This is the form recovery replays, not the form the journal keeps: the
+/// engine holds records as frames of bytes. The hot records, `Apply` and
 /// `ApplyBatch`, are encoded by the server straight from the ops it applied,
 /// with no value of this type built; the rare ones are built and encoded
 /// through the same per-kind encoders ([`JournalRecord::to_frame`]).
@@ -153,70 +157,14 @@ pub struct ShardRecoveryStats {
     pub image_rejected: bool,
 }
 
-/// A checkpoint that exists but does not decode: see
-/// [`StorageBackend::restore`].
+/// A checkpoint image that exists but does not decode: see
+/// [`ShardRecoveryStats::image_rejected`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageRejected;
-
-/// Where one shard's history goes: its write-ahead journal and its latest
-/// checkpoint, which survive a shard crash.
-///
-/// Journal records come in as finished frames and go out decoded: an engine
-/// stores bytes and never encodes a record, and it reads them back through
-/// `codec::scan_frames`, so both engines keep the same bytes and decode them
-/// with the same code.
-///
-/// The server serializes all calls per shard behind one lock, so
-/// implementations are single-threaded; `Send` lets shards move across the
-/// server's threads.
-pub trait StorageBackend: Send {
-    /// Durably record one finished frame (`[u32 len][u32 sum][payload]`, as
-    /// [`JournalRecord::to_frame`] builds it). Called under the shard lock
-    /// immediately after the in-memory apply succeeded, so durable order is
-    /// exactly execution order. The frame borrows the shard's reused buffer:
-    /// an engine copies what it keeps. Returns true when the engine wants a
-    /// checkpoint now: once its journal holds its compaction cadence.
-    fn append(&mut self, frame: &[u8]) -> bool;
-
-    /// Checkpoint `instance` and truncate the journal (records preceding a
-    /// checkpoint are no longer needed for recovery — Figure 7's "latest
-    /// checkpoint"). Returns the number of objects captured.
-    fn checkpoint(&mut self, instance: &StoreInstance) -> usize;
-
-    /// The instance the latest checkpoint holds, if there is one, with the
-    /// custom-op names it captured resolved through `resolve`; an error if
-    /// there is one and it cannot be read back.
-    fn restore(
-        &self,
-        resolve: CustomOpResolver<'_>,
-    ) -> Result<Option<StoreInstance>, ImageRejected>;
-
-    /// Visit every record appended since the latest checkpoint, in order.
-    fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord));
-
-    /// Journal records currently pending replay (appended since the last
-    /// checkpoint).
-    fn journal_len(&self) -> usize;
-
-    /// Drop the journal and the checkpoint.
-    fn clear(&mut self);
-
-    /// Number of durable segment files currently held (0 for in-memory
-    /// engines). Telemetry gauge.
-    fn segment_count(&self) -> usize {
-        0
-    }
-
-    /// Bytes of durable state currently held on disk (0 for in-memory
-    /// engines). Telemetry gauge.
-    fn durable_bytes(&self) -> u64 {
-        0
-    }
-}
+pub(crate) struct ImageRejected;
 
 /// One store shard: the live [`StoreInstance`], the journaling switch, the
 /// resident custom-op table, the journal's frame buffer and recovery, over
-/// the [`StorageBackend`] that keeps its history.
+/// the [`Engine`] that keeps its history.
 pub struct Shard {
     instance: StoreInstance,
     journaling: bool,
@@ -228,19 +176,19 @@ pub struct Shard {
     /// reused, so it stops allocating once it has held the largest record;
     /// it starts empty, so a shard that never journals never allocates it.
     frame: Vec<u8>,
-    backend: Box<dyn StorageBackend>,
+    engine: Engine,
 }
 
 impl Shard {
-    /// A shard over `backend`, with journaling off and an empty instance:
-    /// call [`Shard::recover`] to load what the backend already holds.
-    pub fn new(backend: Box<dyn StorageBackend>) -> Shard {
+    /// A shard over `engine`, with journaling off and an empty instance:
+    /// call [`Shard::recover`] to load what the engine already holds.
+    pub fn new(engine: Engine) -> Shard {
         Shard {
             instance: StoreInstance::new(),
             journaling: false,
             custom_ops: Vec::new(),
             frame: Vec::new(),
-            backend,
+            engine,
         }
     }
 
@@ -256,8 +204,8 @@ impl Shard {
     }
 
     /// The engine the shard's history goes to.
-    pub(crate) fn backend(&self) -> &dyn StorageBackend {
-        &*self.backend
+    pub(crate) fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// Enable or disable journaling. Disabling clears the durable side
@@ -266,7 +214,7 @@ impl Shard {
     pub(crate) fn set_journaling(&mut self, enabled: bool) {
         self.journaling = enabled;
         if !enabled {
-            self.backend.clear();
+            self.engine.clear();
         }
     }
 
@@ -279,8 +227,8 @@ impl Shard {
             return;
         }
         let mut enc = Enc::reuse(&mut self.frame);
-        if encode(&mut enc) && self.backend.append(enc.finish()) {
-            self.backend.checkpoint(&self.instance);
+        if encode(&mut enc) && self.engine.append(enc.finish()) {
+            self.engine.checkpoint(&self.instance);
         }
     }
 
@@ -313,11 +261,11 @@ impl Shard {
 
     /// Checkpoint the live instance; returns the number of objects captured.
     pub(crate) fn checkpoint(&mut self) -> usize {
-        self.backend.checkpoint(&self.instance)
+        self.engine.checkpoint(&self.instance)
     }
 
-    /// Fail-stop: wipe the in-memory state. The backend survives, as a
-    /// disk-backed log would.
+    /// Fail-stop: wipe the live instance. The engine's bytes survive, on
+    /// either medium.
     pub(crate) fn crash(&mut self) {
         self.instance = StoreInstance::new();
     }
@@ -331,7 +279,7 @@ impl Shard {
     /// releasing the shard.
     pub fn recover(&mut self) -> ShardRecoveryStats {
         let (instance, table) = (&mut self.instance, &self.custom_ops);
-        let restored = self.backend.restore(&|name| resolve(table, name));
+        let restored = self.engine.restore(&|name| resolve(table, name));
         let image_rejected = restored.is_err();
         *instance = restored.ok().flatten().unwrap_or_default();
         let mut stats = ShardRecoveryStats {
@@ -342,7 +290,7 @@ impl Shard {
         for (name, f) in table {
             instance.register_custom_op(name, *f);
         }
-        self.backend
+        self.engine
             .for_each_record(&mut |record| replay_record(instance, table, record, &mut stats));
         stats
     }
@@ -354,11 +302,9 @@ fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
 }
 
 /// The journal-replay step: re-apply one record to `instance`, updating
-/// `stats`. Every engine's records come back through here, so replay
-/// semantics cannot drift between them. Applies go through
-/// [`StoreInstance::replay_journaled`]: the journal holds only operations
-/// that were applied live, so replay never second-guesses them against the
-/// duplicate-suppression log.
+/// `stats`. Applies go through [`StoreInstance::replay_journaled`]: the
+/// journal holds only operations that were applied live, so replay never
+/// second-guesses them against the duplicate-suppression log.
 fn replay_record(
     instance: &mut StoreInstance,
     custom_ops: &[(String, CustomOpFn)],
@@ -394,6 +340,23 @@ fn replay_record(
                 let _ = instance.replay_journaled(*requester, key, op, *clock);
                 stats.replayed_ops += 1;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BackendKind;
+
+    #[test]
+    fn the_backend_knob_accepts_exactly_two_spellings() {
+        assert_eq!(BackendKind::named("memory"), BackendKind::Memory);
+        assert_eq!(BackendKind::named("append-only"), BackendKind::AppendOnly);
+        for typo in ["append_only", "appendonly", "file", "Memory", " memory", ""] {
+            let panic = std::panic::catch_unwind(|| BackendKind::named(typo))
+                .expect_err(&format!("{typo:?} was accepted"));
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("`memory` or `append-only`"), "{message}");
         }
     }
 }

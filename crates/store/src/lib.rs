@@ -25,10 +25,9 @@
 //!   `chc_core::ClockWindow`;
 //! * client-side write-ahead/read logs ([`wal`]) and the shared-state
 //!   recovery algorithm with `TS` selection (§5.4, Figure 7) in [`recovery`];
-//! * pluggable per-shard storage engines ([`backend`]): the in-memory
-//!   journal/checkpoint engine the server shipped with, and an append-only
-//!   flat-file engine with checkpoint compaction whose shard restart is
-//!   O(ops-since-checkpoint);
+//! * the per-shard storage engine ([`backend`]): an append-only journal with
+//!   checkpoint compaction, whose shard restart is O(ops-since-checkpoint),
+//!   over bytes in memory or flat files;
 //! * a sharded, thread-safe server ([`server::StoreServer`]) used by the
 //!   real-thread throughput benchmarks (the paper reports ≈5.1 M ops/s per
 //!   store instance).
@@ -45,9 +44,7 @@ pub mod value;
 pub mod wal;
 pub mod window;
 
-pub use backend::{
-    AppendOnlyBackend, BackendKind, JournalRecord, MemoryBackend, ScratchDir, StorageBackend,
-};
+pub use backend::{BackendKind, JournalRecord, ScratchDir};
 pub use error::StoreError;
 pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope, VertexId};
 pub use ops::{Condition, OpOutcome, Operation};

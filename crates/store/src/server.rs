@@ -31,16 +31,15 @@
 //!   looked up nor logged for duplicate suppression, and each shard prunes
 //!   its log under the lock hold it takes anyway.
 //!
-//! Each shard is a [`Shard`] (see [`crate::backend`]) over a pluggable
-//! [`StorageBackend`]: the in-memory engine above is the default, and the
-//! append-only flat-file engine persists the journal to per-shard segment
-//! files. Both compact every 1,024 journaled records, making
-//! `restart_shard` O(delta in ops-since-checkpoint).
+//! Each shard is a [`Shard`] (see [`crate::backend`]) over one append-only
+//! [`Engine`], whose journal segments and checkpoint image are bytes in
+//! memory by default and per-shard files on [`BackendKind::AppendOnly`]. It
+//! compacts every 1,024 journaled records, making `restart_shard`
+//! O(delta in ops-since-checkpoint).
 
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
-    AppendOnlyBackend, BackendKind, JournalRecord, MemoryBackend, ScratchDir, Shard,
-    StorageBackend, DEFAULT_CHECKPOINT_INTERVAL,
+    BackendKind, Engine, JournalRecord, ScratchDir, Shard, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
@@ -70,37 +69,35 @@ pub struct StoreServer {
     /// the value publishes no other data, and a shard that reads a stale
     /// (lower) floor merely keeps a few log entries a little longer.
     replay_floor: AtomicU64,
-    /// Keeps the append-only engine's ephemeral scratch directory alive for
-    /// the server's lifetime (removed when the server is dropped).
+    /// Keeps the file medium's ephemeral scratch directory alive for the
+    /// server's lifetime (removed when the server is dropped).
     _scratch: Option<ScratchDir>,
 }
 
 impl StoreServer {
     /// Create a server with `shards` independent shards (the paper's
-    /// microbenchmark uses four store threads), on the engine named by the
-    /// `CHC_STORE_BACKEND` environment variable (in-memory by default).
+    /// microbenchmark uses four store threads), on the medium named by the
+    /// `CHC_STORE_BACKEND` environment variable (memory by default).
     pub fn new(shards: usize) -> Arc<StoreServer> {
         StoreServer::with_backend(shards, BackendKind::from_env())
     }
 
-    /// Create a server on an explicitly chosen engine. The append-only
-    /// engine gives each shard its own subdirectory (`shard-<i>/`) of a
-    /// scratch directory that is removed when the server is dropped.
+    /// Create a server on an explicitly chosen medium. Files give each
+    /// shard its own subdirectory (`shard-<i>/`) of a scratch directory that
+    /// is removed when the server is dropped.
     pub fn with_backend(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
         let scratch = (kind == BackendKind::AppendOnly).then(|| ScratchDir::new("store-server"));
-        let backend = |i: usize| -> Box<dyn StorageBackend> {
-            match &scratch {
-                None => Box::new(MemoryBackend::new()),
-                Some(dir) => Box::new(AppendOnlyBackend::open(
-                    dir.path().join(format!("shard-{i}")),
-                    DEFAULT_CHECKPOINT_INTERVAL,
-                )),
-            }
+        let engine = |i: usize| match &scratch {
+            None => Engine::in_memory(None, Vec::new(), DEFAULT_CHECKPOINT_INTERVAL),
+            Some(dir) => Engine::open(
+                dir.path().join(format!("shard-{i}")),
+                DEFAULT_CHECKPOINT_INTERVAL,
+            ),
         };
         Arc::new(StoreServer {
             slots: (0..shards.max(1))
                 .map(|i| Slot {
-                    shard: Mutex::new(Shard::new(backend(i))),
+                    shard: Mutex::new(Shard::new(engine(i))),
                     ops: AtomicU64::new(0),
                 })
                 .collect(),
@@ -110,7 +107,7 @@ impl StoreServer {
         })
     }
 
-    /// Which storage engine this server's shards run on.
+    /// Which medium this server's shard engines keep their bytes on.
     pub fn backend_kind(&self) -> BackendKind {
         self.backend_kind
     }
@@ -309,21 +306,21 @@ impl StoreServer {
             .sum()
     }
 
-    /// Durable segment files currently held across all shards (0 on the
-    /// in-memory engine). Telemetry gauge.
+    /// Durable segment files currently held across all shards (0 in
+    /// memory). Telemetry gauge.
     pub fn durable_segments(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| s.shard.lock().backend().segment_count())
+            .map(|s| s.shard.lock().engine().segment_count())
             .sum()
     }
 
     /// Bytes of durable state (segments + checkpoint images) across all
-    /// shards (0 on the in-memory engine). Telemetry gauge.
+    /// shards (0 in memory). Telemetry gauge.
     pub fn durable_bytes(&self) -> u64 {
         self.slots
             .iter()
-            .map(|s| s.shard.lock().backend().durable_bytes())
+            .map(|s| s.shard.lock().engine().durable_bytes())
             .sum()
     }
 
@@ -340,15 +337,15 @@ impl StoreServer {
 
     /// Number of journal records currently pending replay for `shard`.
     pub fn shard_journal_len(&self, shard: usize) -> usize {
-        self.slots[shard].shard.lock().backend().journal_len()
+        self.slots[shard].shard.lock().engine().journal_len()
     }
 
     /// Snapshot one shard into its durable checkpoint and truncate the
     /// journal: records preceding a checkpoint are no longer needed for
     /// recovery (Figure 7's "latest checkpoint"). The snapshot is the full
     /// shard image, so truncation loses nothing — not the callback or
-    /// custom-op registrations and not the duplicate-suppression log. On the
-    /// append-only engine this also compacts the on-disk segments.
+    /// custom-op registrations and not the duplicate-suppression log. On
+    /// files this also compacts the on-disk segments.
     pub fn checkpoint_shard(&self, shard: usize) -> usize {
         self.lock_at_floor(&self.slots[shard]).checkpoint()
     }
@@ -630,7 +627,7 @@ mod tests {
     /// non-emulated ops in submission order — as its engine decodes it back,
     /// and byte for byte what encoding the equivalent
     /// [`JournalRecord::ApplyBatch`] gives — and a batch of nothing but
-    /// duplicates journals nothing. On both engines.
+    /// duplicates journals nothing. On both media.
     #[test]
     fn a_batch_journals_its_applied_ops_through_the_one_encoder() {
         use rand::rngs::StdRng;
@@ -680,7 +677,7 @@ mod tests {
                     assert_eq!(shard.last_frame(), record.to_frame(), "{kind:?}");
                     let mut last = None;
                     shard
-                        .backend()
+                        .engine()
                         .for_each_record(&mut |r| last = Some(r.clone()));
                     assert_eq!(last, Some(record), "{kind:?}");
                 }

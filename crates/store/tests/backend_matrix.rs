@@ -1,23 +1,25 @@
-//! Backend conformance matrix: every shard-lifecycle property the store
-//! server guarantees must hold identically on the in-memory engine and on
-//! the append-only flat-file engine — restart work among them, which is
-//! proportional to ops-since-checkpoint, not history — plus one
-//! append-only-specific property: random crash points mid-segment never
-//! lose a checkpointed write.
+//! Medium conformance matrix: every shard-lifecycle property the store
+//! server guarantees must hold identically with the engine's bytes in memory
+//! and in files — restart work among them, which is proportional to
+//! ops-since-checkpoint, not history — plus crash points: a journal torn at
+//! any byte never loses a checkpointed write, and an image torn at any byte
+//! is rejected. In memory a crash point costs no IO, so every byte offset is
+//! tried; on files, one random offset per case.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
-use chc_store::backend::{JournalRecord, Shard, StorageBackend};
+use chc_store::backend::{encode_image_frame, Engine, JournalRecord, Shard};
 use chc_store::{
-    AppendOnlyBackend, BackendKind, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey,
-    StoreInstance, StoreServer, Value, VertexId,
+    BackendKind, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey, StoreInstance,
+    StoreServer, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::OpenOptions;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const KINDS: [BackendKind; 2] = [BackendKind::Memory, BackendKind::AppendOnly];
@@ -37,9 +39,8 @@ fn journaled(kind: BackendKind, shards: usize) -> Arc<StoreServer> {
     server
 }
 
-fn sorted_dump(server: &StoreServer) -> Vec<String> {
-    let mut dump: Vec<String> = server
-        .dump()
+fn sorted(entries: Vec<(StateKey, Value, Option<InstanceId>)>) -> Vec<String> {
+    let mut dump: Vec<String> = entries
         .into_iter()
         .map(|entry| format!("{entry:?}"))
         .collect();
@@ -47,8 +48,23 @@ fn sorted_dump(server: &StoreServer) -> Vec<String> {
     dump
 }
 
+fn sorted_dump(server: &StoreServer) -> Vec<String> {
+    sorted(server.dump())
+}
+
+/// The one file in `dir` with extension `ext`.
+fn only_file(dir: &Path, ext: &str) -> PathBuf {
+    let mut found = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == ext));
+    let path = found.next().expect("a file");
+    assert!(found.next().is_none(), "one .{ext} file");
+    path
+}
+
 /// The restart-exactness drill from the server's unit suite, run on both
-/// engines: checkpoint mid-stream, keep writing, restart — state, dedup
+/// media: checkpoint mid-stream, keep writing, restart — state, dedup
 /// clocks and callback registrations all survive, with identical stats.
 #[test]
 fn journaled_restart_is_state_neutral_on_both_backends() {
@@ -111,7 +127,7 @@ fn journaled_restart_is_state_neutral_on_both_backends() {
 }
 
 /// Crash without journaling loses state; with journaling it does not — on
-/// both engines.
+/// both media.
 #[test]
 fn crash_semantics_match_on_both_backends() {
     for kind in KINDS {
@@ -133,8 +149,8 @@ fn crash_semantics_match_on_both_backends() {
     }
 }
 
-/// Custom operations journal by name on the durable engine and survive a
-/// restart on both engines.
+/// Custom operations journal by name on files and survive a
+/// restart on both media.
 #[test]
 fn custom_ops_survive_restart_on_both_backends() {
     fn saturating_double(current: &Value, arg: &Value) -> (Value, Value) {
@@ -172,7 +188,7 @@ fn custom_ops_survive_restart_on_both_backends() {
 
 /// Custom ops registered before journaling is switched on live in the
 /// shard's resident table, not in the journal: a recovery without a
-/// checkpoint still resolves them, on both engines.
+/// checkpoint still resolves them, on both media.
 #[test]
 fn custom_op_registered_before_journaling_survives_recovery_on_both_backends() {
     fn bump(current: &Value, _arg: &Value) -> (Value, Value) {
@@ -196,7 +212,7 @@ fn custom_op_registered_before_journaling_survives_recovery_on_both_backends() {
     }
 }
 
-/// O(delta) restart on both engines: past the compaction cadence (1,024
+/// O(delta) restart on both media: past the compaction cadence (1,024
 /// records) each checkpoints on its own, so its journal never reaches the
 /// cadence and a restart replays exactly the post-checkpoint suffix
 /// (`history % interval` ops), never the full history.
@@ -234,7 +250,7 @@ fn restart_replays_only_the_suffix_on_both_backends() {
 /// trailing the writer the way the runtime's supervisor moves it, a shard
 /// with 32k operations behind it checkpoints, restores and replays exactly
 /// what one with 2k does — the image carries no duplicate-suppression entry
-/// below the floor, so on the durable engine it is byte-for-byte as small.
+/// below the floor, so on files it is byte-for-byte as small.
 #[test]
 fn restart_cost_follows_the_floor_not_the_history() {
     const TAIL: u64 = 16;
@@ -328,11 +344,11 @@ fn emulated_duplicates_stay_out_of_the_journal() {
 #[test]
 fn a_corrupt_image_is_reported_not_read_as_an_empty_shard() {
     let scratch = ScratchDir::new("matrix-rejected");
-    let recover = || Shard::new(Box::new(AppendOnlyBackend::open(scratch.path(), 1024))).recover();
+    let recover = || Shard::new(Engine::open(scratch.path(), 1024)).recover();
     let mut live = StoreInstance::new();
     live.apply(InstanceId(0), &key("x", 0), &Operation::Increment(1), None)
         .unwrap();
-    AppendOnlyBackend::open(scratch.path(), 1024).checkpoint(&live);
+    Engine::open(scratch.path(), 1024).checkpoint(&live);
     let healthy = recover();
     assert_eq!(
         (healthy.restored_from_checkpoint, healthy.image_rejected),
@@ -340,11 +356,7 @@ fn a_corrupt_image_is_reported_not_read_as_an_empty_shard() {
     );
 
     // One flipped byte in the image's payload.
-    let image = std::fs::read_dir(scratch.path())
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .find(|path| path.extension().is_some_and(|ext| ext == "img"))
-        .expect("a checkpoint image");
+    let image = only_file(scratch.path(), "img");
     let mut bytes = std::fs::read(&image).unwrap();
     *bytes.last_mut().unwrap() ^= 0x40;
     std::fs::write(&image, bytes).unwrap();
@@ -356,7 +368,7 @@ fn a_corrupt_image_is_reported_not_read_as_an_empty_shard() {
 }
 
 proptest! {
-    /// Server-level recovery equivalence on both engines: a random op
+    /// Server-level recovery equivalence on both media: a random op
     /// sequence with a random mid-stream checkpoint, then restart every
     /// shard — the recovered image equals a never-crashed oracle's, and the
     /// replayed work never exceeds the post-checkpoint suffix.
@@ -455,8 +467,8 @@ proptest! {
         }
     }
 
-    /// Append-only crash-point property: write, checkpoint, write more, then
-    /// tear the active segment at a random byte. Recovery must keep every
+    /// File crash-point property: write, checkpoint, write more, then tear
+    /// the active segment at a random byte. Recovery must keep every
     /// checkpointed write, replay some prefix of the post-checkpoint suffix,
     /// and match the oracle state for exactly the ops that survived.
     #[test]
@@ -469,9 +481,9 @@ proptest! {
         let k = key("t", 0);
         let requester = InstanceId(1);
 
-        let mut backend = AppendOnlyBackend::open(&dir, 1024);
+        let mut backend = Engine::open(&dir, 1024);
         let mut live = StoreInstance::new();
-        let apply = |b: &mut AppendOnlyBackend, live: &mut StoreInstance, c: u64| {
+        let apply = |b: &mut Engine, live: &mut StoreInstance, c: u64| {
             let op = Operation::Increment(1);
             live.apply(requester, &k, &op, Some(Clock::with_root(0, c))).unwrap();
             b.append(&JournalRecord::Apply {
@@ -488,15 +500,15 @@ proptest! {
         for c in 1..=n2 {
             apply(&mut backend, &mut live, (n1 + c) as u64);
         }
-        let seg = backend.active_segment_path();
         drop(backend);
+        let seg = only_file(&dir, "log");
 
         // Tear the segment at a random byte (possibly not at all).
         let len = std::fs::metadata(&seg).unwrap().len();
         let tear_at = rng.gen_range(0..=len);
         OpenOptions::new().write(true).open(&seg).unwrap().set_len(tear_at).unwrap();
 
-        let mut shard = Shard::new(Box::new(AppendOnlyBackend::open(&dir, 1024)));
+        let mut shard = Shard::new(Engine::open(&dir, 1024));
         let stats = shard.recover();
         // Checkpointed writes are never lost; restart work is bounded by the
         // suffix, and the state equals the oracle of the surviving prefix.
@@ -505,5 +517,129 @@ proptest! {
         let survived = n1 + stats.replayed_ops;
         prop_assert_eq!(shard.instance().peek(&k), Value::Int(survived as i64));
         prop_assert!(survived >= n1, "no checkpointed write may be lost");
+    }
+}
+
+/// A random journaled history driven through an engine on the memory medium
+/// with a checkpoint interval of 2 to 6, so it compacts on its own, beside
+/// the bytes the medium then holds: the newest image, `encode_image_frame`
+/// of the instance it was taken of, and the frames appended since.
+struct MemoryHistory {
+    interval: usize,
+    engine: Engine,
+    image: Option<Vec<u8>>,
+    segment: Vec<u8>,
+    /// Where each frame of `segment` ends.
+    frame_ends: Vec<usize>,
+    /// Ops the image covers.
+    checkpointed: usize,
+    /// A never-crashed instance's sorted entries and log length after each
+    /// prefix of the history, the empty one first.
+    oracle: Vec<(Vec<String>, usize)>,
+}
+
+fn memory_history(rng: &mut StdRng, min_ops: usize) -> MemoryHistory {
+    let interval = rng.gen_range(2..=6usize);
+    let ops = rng.gen_range(min_ops.max(1)..=30usize);
+    let mut history = MemoryHistory {
+        interval,
+        engine: Engine::in_memory(None, Vec::new(), interval),
+        image: None,
+        segment: Vec::new(),
+        frame_ends: Vec::new(),
+        checkpointed: 0,
+        oracle: vec![(Vec::new(), 0)],
+    };
+    let mut live = StoreInstance::new();
+    for c in 1..=ops {
+        let (requester, key) = (InstanceId(1), key("m", rng.gen_range(0..4)));
+        let (op, clock) = (
+            Operation::Increment(rng.gen_range(1..4)),
+            Some(Clock::with_root(0, c as u64)),
+        );
+        live.apply(requester, &key, &op, clock).unwrap();
+        history
+            .oracle
+            .push((sorted(live.entries()), live.update_log_len()));
+        let frame = JournalRecord::Apply {
+            requester,
+            key,
+            op,
+            clock,
+        }
+        .to_frame();
+        history.segment.extend_from_slice(&frame);
+        history.frame_ends.push(history.segment.len());
+        if history.engine.append(&frame) {
+            history.engine.checkpoint(&live);
+            history.image = Some(encode_image_frame(&live, &mut Vec::new()).to_vec());
+            history.segment.clear();
+            history.frame_ends.clear();
+            history.checkpointed = c;
+        }
+    }
+    history
+}
+
+proptest! {
+    /// Memory crash points: the active segment torn at every byte offset.
+    /// An engine reopened over the image and the surviving bytes keeps every
+    /// checkpointed write, replays exactly the whole frames before the tear,
+    /// matches the oracle of that prefix, and takes new appends after the
+    /// repaired tail, not behind the torn one.
+    #[test]
+    fn torn_memory_segments_never_lose_checkpointed_writes(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = memory_history(&mut rng, 1);
+        let ops = h.oracle.len() - 1;
+        let restored = h.oracle[h.checkpointed].0.len();
+
+        // The bytes beside the history are the bytes the engine holds: both
+        // recover the whole history.
+        let mut whole = Shard::new(h.engine);
+        let stats = whole.recover();
+        prop_assert_eq!(stats.replayed_ops, ops - h.checkpointed);
+        prop_assert_eq!(sorted(whole.instance().entries()), h.oracle[ops].0.clone());
+
+        let tail = key("tail", 0);
+        let tail_frame = JournalRecord::Apply {
+            requester: InstanceId(1),
+            key: tail.clone(),
+            op: Operation::Set(Value::Int(1)),
+            clock: None,
+        }
+        .to_frame();
+        for cut in 0..=h.segment.len() {
+            let mut engine = Engine::in_memory(h.image.clone(), h.segment[..cut].to_vec(), h.interval);
+            engine.append(&tail_frame);
+            let mut shard = Shard::new(engine);
+            let stats = shard.recover();
+            let whole_frames = h.frame_ends.iter().filter(|end| **end <= cut).count();
+            prop_assert!(!stats.image_rejected);
+            prop_assert_eq!(stats.restored_from_checkpoint, restored);
+            prop_assert_eq!(stats.replayed_ops, whole_frames + 1, "cut at {}", cut);
+            let survived = h.checkpointed + whole_frames;
+            let (entries, log) = &h.oracle[survived];
+            let mut want = entries.clone();
+            want.extend(sorted(vec![(tail.clone(), Value::Int(1), None)]));
+            want.sort();
+            prop_assert_eq!(sorted(shard.instance().entries()), want, "cut at {}", cut);
+            prop_assert_eq!(shard.instance().update_log_len(), *log);
+        }
+    }
+
+    /// Memory crash points in the image: a checkpoint image truncated at
+    /// every byte offset is rejected, never read as a smaller shard.
+    #[test]
+    fn every_torn_memory_image_is_rejected(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = memory_history(&mut rng, 6);
+        let image = h.image.expect("a history of at least one interval checkpoints");
+        for cut in 0..image.len() {
+            let torn = Engine::in_memory(Some(image[..cut].to_vec()), h.segment.clone(), h.interval);
+            let stats = Shard::new(torn).recover();
+            prop_assert!(stats.image_rejected, "cut at {} of {}", cut, image.len());
+            prop_assert_eq!(stats.restored_from_checkpoint, 0);
+        }
     }
 }

@@ -9,10 +9,10 @@
 //!   journal (`recover_shard`), i.e. a batch journal record replays exactly
 //!   like the equivalent run of single-op records.
 //!
-//! The properties run as a matrix over both storage backends — the servers
-//! under comparison are built per [`BackendKind`], including a cross-engine
-//! case (sequential on memory vs batched on append-only files), so batching
-//! and durability cannot drift apart on either engine.
+//! The properties run as a matrix over both storage media — the servers
+//! under comparison are built per [`BackendKind`], including a cross-medium
+//! case (sequential in memory vs batched on files), so batching and
+//! durability cannot drift apart on either medium.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -175,22 +175,22 @@ proptest! {
     /// Batched submission returns the same per-op results and leaves the
     /// same store image as sequential submission, and both images survive a
     /// crash of every shard followed by journal recovery — with or without
-    /// a mid-stream shard checkpoint cutting the journal. In-memory engine.
+    /// a mid-stream shard checkpoint cutting the journal. Memory medium.
     #[test]
     fn apply_batch_is_equivalent_to_sequential_apply(seed in any::<u64>()) {
         equivalence_case(seed, BackendKind::Memory, BackendKind::Memory);
     }
 
-    /// The same equivalence on the append-only flat-file engine: batching,
-    /// durable journaling and checkpoint compaction compose.
+    /// The same equivalence on the file medium: batching, durable
+    /// journaling and checkpoint compaction compose.
     #[test]
     fn apply_batch_is_equivalent_on_append_only(seed in any::<u64>()) {
         equivalence_case(seed, BackendKind::AppendOnly, BackendKind::AppendOnly);
     }
 
-    /// Cross-engine: a batched append-only server converges to the same
-    /// image as a sequential in-memory server, so the engines cannot drift
-    /// from each other either.
+    /// Cross-medium: a batched server on files converges to the same image
+    /// as a sequential server in memory, so the media cannot drift from
+    /// each other either.
     #[test]
     fn append_only_batches_match_memory_sequential(seed in any::<u64>()) {
         equivalence_case(seed, BackendKind::Memory, BackendKind::AppendOnly);
@@ -198,7 +198,7 @@ proptest! {
 
     /// Duplicate-suppression clocks survive the batch path: redelivering an
     /// already-applied clock inside a batch is a no-op, exactly as it is on
-    /// the sequential path. Runs on both engines.
+    /// the sequential path. Runs on both media.
     #[test]
     fn batched_redelivery_is_suppressed(seed in any::<u64>()) {
         for kind in [BackendKind::Memory, BackendKind::AppendOnly] {

@@ -1,6 +1,6 @@
 //! A checkpoint image round-trips the whole instance.
 //!
-//! The append-only engine checkpoints a shard by encoding its live
+//! The storage engine checkpoints a shard by encoding its live
 //! [`StoreInstance`] straight into one frame ([`encode_image_frame`]) and
 //! restores it by decoding that frame straight into a new one
 //! ([`decode_image_frame`]). Random instances — per-flow owners, logged

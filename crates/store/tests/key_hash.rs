@@ -15,11 +15,10 @@
 //! stay reproducible because the seed is part of the case.
 
 use chc_packet::{FlowKey, ScopeKey, TraceConfig, TraceGenerator};
-use chc_store::backend::{JournalRecord, Shard, StorageBackend};
+use chc_store::backend::{Engine, JournalRecord, Shard};
 use chc_store::key::{KeyPrefix, PrehashedHasher};
 use chc_store::{
-    AppendOnlyBackend, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey,
-    StoreInstance, Value, VertexId,
+    Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey, StoreInstance, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -125,7 +124,7 @@ fn scope_key_variants_with_the_same_payload_hash_apart() {
 }
 
 proptest! {
-    /// Journal records and a checkpoint image written by one backend value,
+    /// Journal records and a checkpoint image written by one engine value,
     /// decoded by a shard over another on the same directory — what a
     /// restarted process does. Every decoded key must carry the hash of the key built live:
     /// the recovered entry is found under a freshly built key, and a
@@ -145,7 +144,7 @@ proptest! {
         let clock = |i: usize| Some(Clock::with_root(0, i as u64 + 1));
         let op = Operation::Increment(5);
 
-        let mut backend = AppendOnlyBackend::open(&dir, 1 << 20);
+        let mut backend = Engine::open(&dir, 1 << 20);
         let mut live = StoreInstance::new();
         let (imaged, journaled) = keys.split_at(rng.gen_range(1..keys.len() - 1));
         for (i, k) in imaged.iter().enumerate() {
@@ -178,7 +177,7 @@ proptest! {
         backend.append(&JournalRecord::Callback { key: keys[0].clone(), instance: InstanceId(9) }.to_frame());
         drop(backend);
 
-        let mut reopened = Shard::new(Box::new(AppendOnlyBackend::open(&dir, 1 << 20)));
+        let mut reopened = Shard::new(Engine::open(&dir, 1 << 20));
         let stats = reopened.recover();
         prop_assert_eq!(stats.restored_from_checkpoint, imaged.len());
         prop_assert_eq!(stats.replayed_ops, journaled.len());

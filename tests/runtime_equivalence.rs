@@ -306,9 +306,9 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             ("tail", gen.kill_plan(TAIL_VERTEX, 1, len)),
             ("root", gen.root_kill_plan(len)),
         ];
-        // Every seed runs on the default engine (`CHC_STORE_BACKEND`, memory
+        // Every seed runs on the default medium (`CHC_STORE_BACKEND`, memory
         // unless set); the first one names both, so a plain `cargo test`
-        // reaches the append-only engine's failover path too.
+        // reaches the failover path on files too.
         let backends = match seed {
             7 => vec![BackendKind::Memory, BackendKind::AppendOnly],
             _ => vec![RuntimeConfig::default().store_backend],
