@@ -16,7 +16,12 @@
 //! drained op; above minus below is the duplicate-suppression log's share.
 //! The same trailing-floor drain with every shard journaling, in memory and
 //! on files, prices the journal append: journaled minus above, over 32, is
-//! what journaling adds per drained op.
+//! what journaling adds per drained op. `drain_x32_two_counters_*` drain 16
+//! packets' increments of the NAT's two shared counters below and above the
+//! floor: the cap drain that sets `steady`'s tail.
+//!
+//! `cargo bench -p chc-bench --bench store_ops -- client_access` runs this
+//! group alone; any argument filters by `group/name` substring.
 //!
 //! `pool_pop` measures a blocking pop on the NAT's 4,096-port pool at each
 //! layer it crosses — the store instance, the sharded server, and a
@@ -32,6 +37,7 @@
 //! rotation on files).
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
+use chc_nf::nat;
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::backend::{decode_image_frame, encode_image_frame};
 use chc_store::store::ApplyResult;
@@ -185,6 +191,15 @@ enum Floor {
     Frozen(u64),
 }
 
+/// What one write-behind drain holds.
+#[derive(Clone, Copy)]
+enum Drain {
+    /// 32 packets' increments of one per-flow object, a flow each.
+    PerFlow,
+    /// 16 packets' increments of the NAT's two shared counters.
+    TwoCounters,
+}
+
 fn client_access(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_access");
     group.sample_size(30);
@@ -248,22 +263,43 @@ fn client_access(c: &mut Criterion) {
     // supervisor's truncation keeps it, or only once per 65,536 packets: a
     // frozen floor, as in an inline pass over a trace of that length and on
     // every packet after a failover. The journaled drains trail the floor
-    // too, with every shard's journal on, as a faulted run has them.
+    // too, with every shard's journal on, as a faulted run has them. The
+    // two-counter drains are the shape of `steady`'s cap drains: 16 packets
+    // of the NAT's two shared counters, two ops under each packet's clock.
     let object = |i: usize| ObjectKey::scoped("conn_bytes", flow(i).expect("a flow"));
     let trailing = Floor::Trailing(1_024);
-    for (name, floor, journal) in [
-        ("drain_x32_below_floor", Floor::Top, None),
-        ("drain_x32_above_floor", trailing, None),
-        ("drain_x32_floor_frozen", Floor::Frozen(65_536), None),
+    for (name, floor, journal, shape) in [
+        ("drain_x32_below_floor", Floor::Top, None, Drain::PerFlow),
+        ("drain_x32_above_floor", trailing, None, Drain::PerFlow),
+        (
+            "drain_x32_floor_frozen",
+            Floor::Frozen(65_536),
+            None,
+            Drain::PerFlow,
+        ),
         (
             "drain_x32_journaled_memory",
             trailing,
             Some(BackendKind::Memory),
+            Drain::PerFlow,
         ),
         (
             "drain_x32_journaled_append_only",
             trailing,
             Some(BackendKind::AppendOnly),
+            Drain::PerFlow,
+        ),
+        (
+            "drain_x32_two_counters_below_floor",
+            Floor::Top,
+            None,
+            Drain::TwoCounters,
+        ),
+        (
+            "drain_x32_two_counters_above_floor",
+            trailing,
+            None,
+            Drain::TwoCounters,
         ),
     ] {
         let server = StoreServer::with_backend(4, journal.unwrap_or(BackendKind::Memory));
@@ -276,19 +312,32 @@ fn client_access(c: &mut Criterion) {
             }
         }
         let mut batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..32)
-            .map(|i| {
-                let key = StateKey::per_flow(VertexId(2), InstanceId(0), object(i));
-                (key, Operation::Increment(64), None)
+            .map(|i| match shape {
+                Drain::PerFlow => {
+                    let key = StateKey::per_flow(VertexId(2), InstanceId(0), object(i));
+                    (key, Operation::Increment(64), None)
+                }
+                Drain::TwoCounters => {
+                    let name = [nat::PKT_COUNT, nat::TCP_PKT_COUNT][i % 2];
+                    let key = StateKey::shared(VertexId(1), ObjectKey::named(name));
+                    (key, Operation::Increment(1), None)
+                }
             })
             .collect();
+        let ops_per_packet = match shape {
+            Drain::PerFlow => 1,
+            Drain::TwoCounters => 2,
+        };
         let mut counter = 0u64;
         group.bench_function(name, |b| {
             b.iter(|| {
                 if matches!(floor, Floor::Frozen(stretch) if counter.is_multiple_of(stretch)) {
                     server.forget_through(counter);
                 }
-                for (_, _, clock) in &mut batch {
-                    counter += 1;
+                for (i, (_, _, clock)) in batch.iter_mut().enumerate() {
+                    if i % ops_per_packet == 0 {
+                        counter += 1;
+                    }
                     *clock = Some(Clock::with_root(0, counter));
                 }
                 if let Floor::Trailing(lag) = floor {

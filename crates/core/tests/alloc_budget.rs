@@ -325,6 +325,42 @@ fn a_drained_batch_costs_its_result_vector_and_nothing_per_op() {
     );
 }
 
+#[test]
+fn a_batch_past_the_stack_bound_costs_one_routing_buffer() {
+    // `apply_batch` writes each op's shard into a routing buffer on the
+    // stack; one op more than it holds moves the buffer to the heap, and
+    // that is the only allocation the longer batch adds.
+    let server = StoreServer::with_backend(SHARDS, BackendKind::Memory);
+    server.forget_through(u64::MAX);
+    let keys: Vec<StateKey> = (0..FLOWS as u64).map(counter).collect();
+    let batch = |len: usize| -> Vec<(StateKey, Operation, Option<Clock>)> {
+        (0..len)
+            .map(|i| {
+                let key = keys[i % keys.len()].clone();
+                let clock = Some(Clock::with_root(0, i as u64 + 1));
+                (key, Operation::Increment(1), clock)
+            })
+            .collect()
+    };
+    let on_stack = batch(StoreServer::ROUTED_ON_STACK);
+    let on_heap = batch(StoreServer::ROUTED_ON_STACK + 1);
+    // Every key seen once, so no apply below inserts an entry.
+    server.apply_batch(InstanceId(0), &on_heap);
+    let applied = |ops: &[(StateKey, Operation, Option<Clock>)]| {
+        allocations_in(|| {
+            let results = server.apply_batch(InstanceId(0), ops);
+            assert!(results.iter().all(Result::is_ok));
+        })
+    };
+    // The result vector, then the result vector and the routing buffer.
+    assert_eq!(applied(&on_stack), 1);
+    assert_eq!(applied(&on_heap), 2);
+    assert_eq!(
+        server.total_ops(),
+        3 * StoreServer::ROUTED_ON_STACK as u64 + 2
+    );
+}
+
 /// Allocations of one `checkpoint_shard` on `kind`, of a shard holding
 /// `entries` objects, each with one increment logged above the floor.
 fn checkpoint_allocations(kind: BackendKind, entries: u64) -> u64 {

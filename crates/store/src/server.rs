@@ -193,11 +193,18 @@ impl StoreServer {
         self.apply_on_shard(self.slot_of(key), requester, key, op, clock)
     }
 
+    /// The longest batch [`StoreServer::apply_batch`] routes on the stack,
+    /// well above any write-behind cap; a longer batch allocates one routing
+    /// buffer.
+    pub const ROUTED_ON_STACK: usize = 256;
+
     /// Apply a slice of operations, taking each involved shard's lock **once
     /// per batch** instead of once per op.
     ///
-    /// Results come back in submission order. Within a shard, ops execute in
-    /// submission order, and the shard's journal receives a single
+    /// Each op's shard is worked out once, into a routing buffer; each shard
+    /// then applies and journals exactly its own ops from it. Results come
+    /// back in submission order. Within a shard, ops execute in submission
+    /// order, and the shard's journal receives a single
     /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops,
     /// encoded straight from `ops` — replayed element-wise, so
     /// crash/recover semantics are identical to the same ops applied
@@ -212,20 +219,39 @@ impl StoreServer {
         if let [(key, op, clock)] = ops {
             return vec![self.apply(requester, key, op, *clock)];
         }
-        // The only allocation of a batch is its result vector; every slot
-        // is overwritten below, since each op belongs to one shard.
+        // Up to `ROUTED_ON_STACK` ops the only allocation of a batch is its
+        // result vector; every slot is overwritten below, since each op
+        // belongs to one shard.
         let mut results: Vec<Result<ApplyResult, StoreError>> =
             ops.iter().map(|_| Err(StoreError::Unavailable)).collect();
+        let mut on_stack = [0usize; Self::ROUTED_ON_STACK];
+        let mut on_heap = Vec::new();
+        let route = if ops.len() <= Self::ROUTED_ON_STACK {
+            &mut on_stack[..ops.len()]
+        } else {
+            on_heap.resize(ops.len(), 0);
+            &mut on_heap[..]
+        };
+        for (shard, (key, _, _)) in route.iter_mut().zip(ops) {
+            *shard = self.shard_index(key);
+        }
         for (index, slot) in self.slots.iter().enumerate() {
-            let mine =
-                |(key, _, _): &(StateKey, Operation, Option<Clock>)| self.shard_index(key) == index;
-            let count = ops.iter().filter(|op| mine(op)).count();
+            // This shard's ops with their submission indices, in order.
+            let mine = || {
+                route
+                    .iter()
+                    .zip(ops)
+                    .enumerate()
+                    .filter(move |(_, (&shard, _))| shard == index)
+                    .map(|(i, (_, op))| (i, op))
+            };
+            let count = mine().count();
             if count == 0 {
                 continue;
             }
             slot.ops.fetch_add(count as u64, Ordering::Relaxed);
             let mut shard = self.lock_at_floor(slot);
-            for (i, (key, op, clock)) in ops.iter().enumerate().filter(|(_, op)| mine(op)) {
+            for (i, (key, op, clock)) in mine() {
                 results[i] = shard.instance_mut().apply(requester, key, op, *clock);
             }
             // Journal append under the shard lock hold, like
@@ -236,9 +262,9 @@ impl StoreServer {
             shard.journal(|e| {
                 e.open_batch(requester);
                 let mut applied = 0;
-                for ((key, op, clock), _) in ops.iter().zip(&results).filter(|(op, result)| {
-                    mine(op) && matches!(result, Ok(r) if !r.outcome.emulated)
-                }) {
+                for (_, (key, op, clock)) in
+                    mine().filter(|&(i, _)| matches!(&results[i], Ok(r) if !r.outcome.emulated))
+                {
                     e.batch_op(key, op, *clock);
                     applied += 1;
                 }

@@ -1,18 +1,21 @@
-//! Property tests for the batched store fast path: for arbitrary operation
-//! sequences, key spreads, clock tags (including duplicates) and batch
-//! partitions, [`StoreServer::apply_batch`] must be observationally
-//! indistinguishable from the same ops applied sequentially —
+//! Property tests for the batched store fast path: for arbitrary shard
+//! counts, operation sequences, key spreads, clock tags (including
+//! duplicates) and batch partitions, [`StoreServer::apply_batch`] must be
+//! observationally indistinguishable from the same ops applied sequentially —
 //!
 //! * identical per-op results (outcome, callback fan-out, new value),
+//! * identical per-shard op counts (`ops_per_shard`),
 //! * identical final store dumps, and
 //! * identical dumps after crashing every shard and rebuilding it from the
 //!   journal (`recover_shard`), i.e. a batch journal record replays exactly
 //!   like the equivalent run of single-op records.
 //!
-//! The properties run as a matrix over both storage media — the servers
-//! under comparison are built per [`BackendKind`], including a cross-medium
-//! case (sequential in memory vs batched on files), so batching and
-//! durability cannot drift apart on either medium.
+//! Batches run from one op (the delegating fast path) to past
+//! [`StoreServer::ROUTED_ON_STACK`], where the routing buffer moves to the
+//! heap. The properties run as a matrix over both storage media — the
+//! servers under comparison are built per [`BackendKind`], including a
+//! cross-medium case (sequential in memory vs batched on files), so batching
+//! and durability cannot drift apart on either medium.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -27,7 +30,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-const SHARDS: usize = 4;
+/// The shard counts a case draws from: one shard, powers of two and odd
+/// counts, so `hash % shards` takes every shape.
+const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
+
+/// The longest batch a case submits: past the stack-routing bound.
+const LONGEST_BATCH: usize = StoreServer::ROUTED_ON_STACK + 44;
 
 fn key(i: usize) -> StateKey {
     StateKey::shared(VertexId((i % 3) as u32), ObjectKey::named(&format!("k{i}")))
@@ -49,10 +57,11 @@ fn random_op(rng: &mut StdRng) -> Operation {
     }
 }
 
-/// A randomized op sequence plus the partition that the batched server
-/// submits it in. Clock counters repeat sometimes, so duplicate suppression
-/// fires in both submission modes.
+/// A randomized op sequence plus the shard count of both servers and the
+/// partition that the batched server submits it in. Clock counters repeat
+/// sometimes, so duplicate suppression fires in both submission modes.
 struct Scenario {
+    shards: usize,
     ops: Vec<(StateKey, Operation, Option<Clock>)>,
     batch_ends: Vec<usize>,
     checkpoint_after_batch: Option<usize>,
@@ -61,8 +70,15 @@ struct Scenario {
 impl Scenario {
     fn generate(seed: u64) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed);
-        let keys = rng.gen_range(1..=6usize);
-        let n = rng.gen_range(1..=40usize);
+        let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
+        let keys = rng.gen_range(16..=32usize);
+        // Short sequences in most cases, and in a quarter of them one long
+        // enough to hold a batch past the stack-routing bound.
+        let n = if rng.gen_bool(0.25) {
+            rng.gen_range(StoreServer::ROUTED_ON_STACK + 1..=LONGEST_BATCH)
+        } else {
+            rng.gen_range(1..=64usize)
+        };
         let mut counter = 0u64;
         let ops: Vec<(StateKey, Operation, Option<Clock>)> = (0..n)
             .map(|_| {
@@ -82,11 +98,20 @@ impl Scenario {
             })
             .collect();
         // Random batch partition: cut points anywhere, so batches span one
-        // op (the delegating fast path) up to the whole sequence.
+        // op (the delegating fast path) up to the whole sequence, and a
+        // long sequence often holds one past the stack-routing bound.
         let mut batch_ends = Vec::new();
         let mut at = 0usize;
         while at < n {
-            at = (at + rng.gen_range(1..=8usize)).min(n);
+            let left = n - at;
+            let len = match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(1..=LONGEST_BATCH),
+                1 if left > StoreServer::ROUTED_ON_STACK => {
+                    rng.gen_range(StoreServer::ROUTED_ON_STACK + 1..=left)
+                }
+                _ => rng.gen_range(1..=8),
+            };
+            at = (at + len).min(n);
             batch_ends.push(at);
         }
         let checkpoint_after_batch = if rng.gen_bool(0.5) {
@@ -95,6 +120,7 @@ impl Scenario {
             None
         };
         Scenario {
+            shards,
             ops,
             batch_ends,
             checkpoint_after_batch,
@@ -102,9 +128,9 @@ impl Scenario {
     }
 }
 
-fn journaled_server(kind: BackendKind) -> Arc<StoreServer> {
-    let server = StoreServer::with_backend(SHARDS, kind);
-    for s in 0..SHARDS {
+fn journaled_server(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
+    let server = StoreServer::with_backend(shards, kind);
+    for s in 0..shards {
         server.set_shard_journaling(s, true);
     }
     server
@@ -127,9 +153,10 @@ fn sorted_dump(server: &StoreServer) -> Vec<String> {
 /// inside any proptest body.
 fn equivalence_case(seed: u64, seq_kind: BackendKind, bat_kind: BackendKind) {
     let scenario = Scenario::generate(seed);
+    let shards = scenario.shards;
     let requester = InstanceId(7);
-    let seq = journaled_server(seq_kind);
-    let bat = journaled_server(bat_kind);
+    let seq = journaled_server(shards, seq_kind);
+    let bat = journaled_server(shards, bat_kind);
 
     let seq_results: Vec<_> = scenario
         .ops
@@ -142,7 +169,7 @@ fn equivalence_case(seed: u64, seq_kind: BackendKind, bat_kind: BackendKind) {
     for (b, &end) in scenario.batch_ends.iter().enumerate() {
         bat_results.extend(bat.apply_batch(requester, &scenario.ops[start..end]));
         if scenario.checkpoint_after_batch == Some(b) {
-            for s in 0..SHARDS {
+            for s in 0..shards {
                 bat.checkpoint_shard(s);
             }
         }
@@ -152,8 +179,9 @@ fn equivalence_case(seed: u64, seq_kind: BackendKind, bat_kind: BackendKind) {
     // Per-op results: outcome, callback fan-out and new value, in
     // submission order.
     assert_eq!(&seq_results, &bat_results);
-    // Logical op accounting matches (batch entries count per op).
-    assert_eq!(seq.total_ops(), bat.total_ops());
+    // Logical op accounting matches shard by shard (batch entries count
+    // per op, on the shard the op was routed to).
+    assert_eq!(seq.ops_per_shard(), bat.ops_per_shard());
     // Same store image.
     assert_eq!(sorted_dump(&seq), sorted_dump(&bat));
 
@@ -161,7 +189,7 @@ fn equivalence_case(seed: u64, seq_kind: BackendKind, bat_kind: BackendKind) {
     // one ApplyBatch record must replay exactly like the run of
     // single-op Apply records, metadata included — on either engine.
     let image = sorted_dump(&seq);
-    for s in 0..SHARDS {
+    for s in 0..shards {
         seq.crash_shard(s);
         bat.crash_shard(s);
         seq.recover_shard(s);
@@ -203,7 +231,7 @@ proptest! {
     fn batched_redelivery_is_suppressed(seed in any::<u64>()) {
         for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let server = journaled_server(kind);
+            let server = journaled_server(4, kind);
             let requester = InstanceId(1);
             let k = key(rng.gen_range(0..4));
             let n = rng.gen_range(1..=10u64);
