@@ -17,8 +17,15 @@
 //! The same trailing-floor drain with every shard journaling, in memory and
 //! on files, prices the journal append: journaled minus above, over 32, is
 //! what journaling adds per drained op. `drain_x32_two_counters_*` drain 16
-//! packets' increments of the NAT's two shared counters below and above the
-//! floor: the cap drain that sets `steady`'s tail.
+//! packets' increments of the NAT's two shared counters below, above and on
+//! a frozen floor, and `drain_x32_lb_bytes` 32 packets' increments of the
+//! load balancer's byte counters of four backends on a frozen floor. These
+//! are the cap drains that set `steady`'s tail: a `steady` p99 packet holds
+//! two of them, the NAT's second of a ring batch and the load balancer's
+//! only one, both on the batch's 32nd packet, and the benchmark's inline
+//! passes never raise the floor, so `_floor_frozen` is their exact shape.
+//! Both are runs of increments to a few keys, which `apply_batch` applies
+//! one run per key.
 //!
 //! `cargo bench -p chc-bench --bench store_ops -- client_access` runs this
 //! group alone; any argument filters by `group/name` substring.
@@ -37,7 +44,7 @@
 //! rotation on files).
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
-use chc_nf::nat;
+use chc_nf::{loadbalancer, nat};
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::backend::{decode_image_frame, encode_image_frame};
 use chc_store::store::ApplyResult;
@@ -47,6 +54,7 @@ use chc_store::{
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 const KEYS: usize = 1_000;
@@ -198,6 +206,9 @@ enum Drain {
     PerFlow,
     /// 16 packets' increments of the NAT's two shared counters.
     TwoCounters,
+    /// 32 packets' increments of the load balancer's byte counter of the
+    /// backend each packet goes to, over four backends.
+    LbBytes,
 }
 
 fn client_access(c: &mut Criterion) {
@@ -301,6 +312,18 @@ fn client_access(c: &mut Criterion) {
             None,
             Drain::TwoCounters,
         ),
+        (
+            "drain_x32_two_counters_floor_frozen",
+            Floor::Frozen(65_536),
+            None,
+            Drain::TwoCounters,
+        ),
+        (
+            "drain_x32_lb_bytes",
+            Floor::Frozen(65_536),
+            None,
+            Drain::LbBytes,
+        ),
     ] {
         let server = StoreServer::with_backend(4, journal.unwrap_or(BackendKind::Memory));
         if floor == Floor::Top {
@@ -322,10 +345,17 @@ fn client_access(c: &mut Criterion) {
                     let key = StateKey::shared(VertexId(1), ObjectKey::named(name));
                     (key, Operation::Increment(1), None)
                 }
+                Drain::LbBytes => {
+                    let backend = Ipv4Addr::new(10, 99, 0, 1 + (i % 4) as u8);
+                    let object =
+                        ObjectKey::scoped(loadbalancer::SERVER_BYTES, ScopeKey::Host(backend));
+                    let key = StateKey::shared(VertexId(2), object);
+                    (key, Operation::Increment(1_000), None)
+                }
             })
             .collect();
         let ops_per_packet = match shape {
-            Drain::PerFlow => 1,
+            Drain::PerFlow | Drain::LbBytes => 1,
             Drain::TwoCounters => 2,
         };
         let mut counter = 0u64;

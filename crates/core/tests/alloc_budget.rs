@@ -274,6 +274,36 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
     );
 }
 
+#[test]
+fn a_packets_two_logged_updates_on_one_shard_allocate_nothing_but_the_window() {
+    // The NAT's two counters: every packet increments both, on one shard,
+    // above the floor. Both updates sit inline in the packet's cell, so the
+    // second costs nothing and the window's doubling is still the only
+    // allocation.
+    let mut store = StoreInstance::new();
+    let named = |name| StateKey::shared(VertexId(1), ObjectKey::named(name));
+    let (packets, tcp) = (named("pkt_count"), named("tcp_pkt_count"));
+    let increment = Operation::Increment(1);
+    for key in [&packets, &tcp] {
+        store.apply(InstanceId(0), key, &increment, None).unwrap();
+    }
+    let allocated = allocations_in(|| {
+        for n in 1..=ROUNDS {
+            let clock = Some(Clock::with_root(0, n));
+            for key in [&packets, &tcp] {
+                store.apply(InstanceId(0), key, &increment, clock).unwrap();
+            }
+        }
+    });
+    assert_eq!(store.update_log_len(), 2 * ROUNDS as usize);
+    assert_eq!(store.update_log_widest_packet(), 2);
+    let budget = 2 * u64::from(ROUNDS.ilog2()) + 4;
+    assert!(
+        allocated <= budget,
+        "{allocated} allocations for {ROUNDS} packets of two logged updates, budget {budget}"
+    );
+}
+
 /// `drains` write-behind drains of 32 ops each: 16 packets of two updates,
 /// the first at clock counter `first`.
 fn drain_rounds(client: &mut StateClient, first: u64, drains: u64) {

@@ -130,13 +130,13 @@ pub enum JournalRecord {
         to: InstanceId,
     },
     /// One batched [`crate::server::StoreServer::apply_batch`] submission to
-    /// this shard: the applied (not emulated) ops in execution order. Replay is
-    /// element-wise, so recovery from a batched journal is identical to
+    /// this shard: the applied (not emulated) ops in submission order. Replay
+    /// is element-wise, so recovery from a batched journal is identical to
     /// recovery from the same ops journaled one record each.
     ApplyBatch {
         /// Instance that issued the batch.
         requester: InstanceId,
-        /// Successfully applied ops, in execution order.
+        /// Successfully applied ops, in submission order.
         ops: Vec<(StateKey, Operation, Option<Clock>)>,
     },
 }

@@ -4,8 +4,8 @@
 //! the updates that packet already induced and what each returned, so a
 //! re-issued update is *emulated* instead of applied twice. Per root id the
 //! log is a [`CounterWindow`] of slots, one per clock counter: finding a
-//! packet's slot is one subtraction, and a packet's few updates sit inline
-//! in it, naming their object by the store's dense entry id rather than by
+//! packet's slot is one subtraction, and its updates are recorded there,
+//! naming their object by the store's dense entry id rather than by
 //! a copy of the key.
 //!
 //! Nothing below the **replay floor** is kept: once no packet log can
@@ -16,10 +16,11 @@
 //! The counters are dense by construction — the root hands out `1..=N` —
 //! so a window's span, from the lowest to the highest counter it holds, is
 //! the packets still replayable and nothing else. Resident memory is one
-//! 56-byte cell per counter in that span and per root, rounded up to the
+//! 48-byte cell per counter in that span and per root, rounded up to the
 //! deque's power-of-two capacity, whether or not the packet touched this
-//! shard; a packet's second and later updates add a spill vector, and any
-//! update that is not an integer increment one boxed `(Operation, Value)`.
+//! shard. A packet's first two updates sit inline in its cell; a third
+//! moves them into a spill vector, and any update that is not an integer
+//! increment adds one boxed `(Operation, Value)`.
 //! [`DedupLog::spans`] reports the cells, [`DedupLog::len`] the updates.
 //! Logged non-deterministic values are rare and keep a small ordered map
 //! of their own, which [`DedupLog::clear_updates`] leaves alone.
@@ -31,79 +32,110 @@ use crate::value::Value;
 use crate::window::CounterWindow;
 use std::collections::BTreeMap;
 
-/// What an update applied and what the store answered. The per-packet
-/// counters — `Increment` answered with an integer — are nearly all of the
-/// log and are held in 24 bytes; any other update is boxed (its one
-/// allocation).
+/// One logged update: which object (dense entry id), what it applied and
+/// what the store answered. The per-packet counters — `Increment` answered
+/// with an integer — are nearly all of the log and are held in 24 bytes,
+/// entry id included; any other update is boxed (its one allocation).
 #[derive(Debug, Clone)]
-enum Logged {
-    Increment { delta: i64, returned: i64 },
-    Other(Box<(Operation, Value)>),
+enum Update {
+    Increment {
+        entry: u32,
+        delta: i64,
+        returned: i64,
+    },
+    Other {
+        entry: u32,
+        logged: Box<(Operation, Value)>,
+    },
 }
 
-impl Logged {
-    fn new(op: &Operation, returned: &Value) -> Logged {
+impl Update {
+    fn new(entry: u32, op: &Operation, returned: &Value) -> Update {
         match (op, returned) {
-            (Operation::Increment(delta), Value::Int(returned)) => Logged::Increment {
+            (Operation::Increment(delta), Value::Int(returned)) => Update::Increment {
+                entry,
                 delta: *delta,
                 returned: *returned,
             },
-            _ => Logged::Other(Box::new((op.clone(), returned.clone()))),
+            _ => Update::Other {
+                entry,
+                logged: Box::new((op.clone(), returned.clone())),
+            },
         }
     }
 
-    fn is(&self, op: &Operation) -> bool {
+    fn entry(&self) -> u32 {
         match self {
-            Logged::Increment { delta, .. } => *op == Operation::Increment(*delta),
-            Logged::Other(other) => other.0 == *op,
+            Update::Increment { entry, .. } | Update::Other { entry, .. } => *entry,
         }
+    }
+
+    fn is(&self, entry: u32, op: &Operation) -> bool {
+        self.entry() == entry
+            && match self {
+                Update::Increment { delta, .. } => *op == Operation::Increment(*delta),
+                Update::Other { logged, .. } => logged.0 == *op,
+            }
     }
 
     fn returned(&self) -> Value {
         match self {
-            Logged::Increment { returned, .. } => Value::Int(*returned),
-            Logged::Other(other) => other.1.clone(),
+            Update::Increment { returned, .. } => Value::Int(*returned),
+            Update::Other { logged, .. } => logged.1.clone(),
         }
     }
 
     /// The operation, then what it returned.
     fn encode(&self, e: &mut Enc<'_>) {
         match self {
-            Logged::Increment { delta, returned } => {
+            Update::Increment {
+                delta, returned, ..
+            } => {
                 e.operation(&Operation::Increment(*delta));
                 e.value(&Value::Int(*returned));
             }
-            Logged::Other(other) => {
-                e.operation(&other.0);
-                e.value(&other.1);
+            Update::Other { logged, .. } => {
+                e.operation(&logged.0);
+                e.value(&logged.1);
             }
         }
     }
 }
 
-/// One logged update: which object (dense entry id) and what happened.
+/// The updates one packet induced on this store instance, in the order
+/// they were recorded. Nearly every packet issues one or two updates per
+/// shard (the NAT's two counters share one), so those sit inline and only a
+/// third allocates.
 #[derive(Debug, Clone)]
-struct Update {
-    entry: u32,
-    logged: Logged,
-}
-
-/// The updates one packet induced on this store instance. Nearly every
-/// packet issues one update per shard, so the first sits inline and the
-/// spill vector stays unallocated.
-#[derive(Debug, Clone)]
-struct Slot {
-    first: Update,
-    rest: Vec<Update>,
+enum Slot {
+    One(Update),
+    Two([Update; 2]),
+    Many(Vec<Update>),
 }
 
 impl Slot {
-    fn len(&self) -> usize {
-        1 + self.rest.len()
+    fn updates(&self) -> &[Update] {
+        match self {
+            Slot::One(update) => std::slice::from_ref(update),
+            Slot::Two(pair) => pair,
+            Slot::Many(all) => all,
+        }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Update> {
-        std::iter::once(&self.first).chain(&self.rest)
+    fn len(&self) -> usize {
+        self.updates().len()
+    }
+
+    fn push(&mut self, update: Update) {
+        // `Vec::new()` does not allocate: the placeholder costs nothing.
+        *self = match std::mem::replace(self, Slot::Many(Vec::new())) {
+            Slot::One(first) => Slot::Two([first, update]),
+            Slot::Two([first, second]) => Slot::Many(vec![first, second, update]),
+            Slot::Many(mut all) => {
+                all.push(update);
+                Slot::Many(all)
+            }
+        };
     }
 }
 
@@ -152,28 +184,23 @@ impl PacketSlot<'_> {
     pub(crate) fn find(&self, entry: u32, op: &Operation) -> Option<Value> {
         self.window
             .get(self.counter)?
+            .updates()
             .iter()
-            .find(|u| u.entry == entry && u.logged.is(op))
-            .map(|u| u.logged.returned())
+            .find(|u| u.is(entry, op))
+            .map(Update::returned)
     }
 
     /// Record that this packet induced `op` on `entry`, answered with
     /// `returned`.
     pub(crate) fn record(self, entry: u32, op: &Operation, returned: &Value) {
-        let update = Update {
-            entry,
-            logged: Logged::new(op, returned),
-        };
+        let update = Update::new(entry, op, returned);
         let held = match self.window.cell(self.counter) {
             Some(slot) => {
-                slot.rest.push(update);
+                slot.push(update);
                 slot.len()
             }
             empty => {
-                *empty = Some(Slot {
-                    first: update,
-                    rest: Vec::new(),
-                });
+                *empty = Some(Slot::One(update));
                 1
             }
         };
@@ -276,10 +303,10 @@ impl DedupLog {
     pub(crate) fn encode(&self, e: &mut Enc<'_>) {
         e.u32(self.updates as u32);
         for (clock, slot) in self.packets() {
-            for update in slot.iter() {
+            for update in slot.updates() {
                 e.u64(clock.0);
-                e.u32(update.entry);
-                update.logged.encode(e);
+                e.u32(update.entry());
+                update.encode(e);
             }
         }
         e.u32(self.nondet.values().map(Vec::len).sum::<usize>() as u32);
@@ -334,30 +361,34 @@ mod tests {
                     .record(7, &incr(1), &Value::Int(c as i64));
             }
         }
-        // A second update of one packet, and one that is not a counter.
+        // A second and a third update of one packet (the third spills),
+        // and one that is not a counter.
         log.packet(Clock::with_root(0, 3))
             .record(7, &incr(2), &Value::Int(9));
+        log.packet(Clock::with_root(0, 3))
+            .record(9, &incr(1), &Value::Int(1));
         log.packet(Clock::with_root(0, 4))
             .record(8, &Operation::PopFront, &Value::None);
-        assert_eq!(log.len(), 10);
-        assert_eq!(log.widest_slot(), 2);
+        assert_eq!(log.len(), 11);
+        assert_eq!(log.widest_slot(), 3);
         let find = |log: &mut DedupLog, root: u8, c: u64, entry: u32, op: &Operation| {
             log.packet(Clock::with_root(root, c)).find(entry, op)
         };
         // Below 3 means counters 1 and 2 of both roots.
         log.forget_below(3);
-        assert_eq!(log.len(), 6);
+        assert_eq!(log.len(), 7);
         assert_eq!(find(&mut log, 1, 2, 7, &incr(1)), None);
         assert_eq!(find(&mut log, 1, 3, 7, &incr(1)), Some(Value::Int(3)));
         // Same object and clock, different operation: its own record.
         assert_eq!(find(&mut log, 0, 3, 7, &incr(2)), Some(Value::Int(9)));
+        assert_eq!(find(&mut log, 0, 3, 9, &incr(1)), Some(Value::Int(1)));
         assert_eq!(find(&mut log, 0, 3, 8, &incr(2)), None);
         assert_eq!(
             find(&mut log, 0, 4, 8, &Operation::PopFront),
             Some(Value::None)
         );
         // Asking is not recording.
-        assert_eq!(log.len(), 6);
+        assert_eq!(log.len(), 7);
         log.forget_clock(Clock::with_root(0, 3));
         assert_eq!(log.len(), 4);
         // The top of the counter range clears the log.
@@ -401,9 +432,11 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_cell_is_56_bytes() {
-        // What the module documentation charges per counter and root.
-        assert_eq!(std::mem::size_of::<Option<Slot>>(), 56);
+    fn a_cell_is_48_bytes() {
+        // What the module documentation charges per counter and root: two
+        // 24-byte updates inline, the spill vector sharing their space.
+        assert_eq!(std::mem::size_of::<Update>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 48);
     }
 
     #[test]

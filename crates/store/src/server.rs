@@ -52,11 +52,33 @@ use std::sync::Arc;
 
 /// One [`Shard`] of a [`StoreServer`] behind its own lock, plus an op
 /// counter so load skew across shards is observable. The journal append
-/// happens under the same lock hold as the apply, so durable order is
-/// exactly execution order.
+/// happens under the same lock hold as the apply, so the journal replays to
+/// exactly the state the applies left.
 struct Slot {
     shard: Mutex<Shard>,
     ops: AtomicU64,
+}
+
+/// Where one op of a batch goes: its shard and, inside a run, the op that
+/// follows it in the run.
+#[derive(Clone, Copy, Default)]
+struct Route {
+    shard: u32,
+    /// Index of the run's next op; 0 ends the run (no op follows one at
+    /// index 0, so 0 is free).
+    next: u16,
+    /// The op is applied by the op before it in its run.
+    follows: bool,
+}
+
+impl Route {
+    fn next(&self) -> Option<usize> {
+        (self.next != 0).then_some(usize::from(self.next))
+    }
+}
+
+fn is_increment(op: &Operation) -> bool {
+    matches!(op, Operation::Increment(_))
 }
 
 /// A sharded store server safe to share across threads (`Arc<StoreServer>`).
@@ -195,8 +217,37 @@ impl StoreServer {
 
     /// The longest batch [`StoreServer::apply_batch`] routes on the stack,
     /// well above any write-behind cap; a longer batch allocates one routing
-    /// buffer.
+    /// buffer and forms no runs.
     pub const ROUTED_ON_STACK: usize = 256;
+
+    /// Route each of `ops` to its shard and, up to
+    /// [`StoreServer::ROUTED_ON_STACK`] ops, link its runs in the same pass.
+    /// `latest` remembers, per slot picked by the top byte of the key's
+    /// hash, the last op whose key landed there. An op is linked behind it
+    /// if both are `Increment`s of the same key; any other op on that slot
+    /// ends the run. So no op on a run's object sits between two of its
+    /// ops, and two objects that share a slot merely form no run. A batch
+    /// whose keys are all distinct pays a slot read, a compare and a slot
+    /// write per op.
+    fn route(&self, ops: &[(StateKey, Operation, Option<Clock>)], route: &mut [Route]) {
+        let runs = ops.len() <= Self::ROUTED_ON_STACK;
+        let mut latest = [0u8; 256];
+        for (i, (key, op, _)) in ops.iter().enumerate() {
+            route[i].shard = self.shard_index(key) as u32;
+            if !runs {
+                continue;
+            }
+            let slot = &mut latest[(key.shard_hash() >> 56) as usize];
+            // An untouched slot reads 0, and op 0 only matches if it landed
+            // there.
+            let j = usize::from(*slot);
+            if j < i && is_increment(op) && is_increment(&ops[j].1) && ops[j].0 == *key {
+                route[j].next = i as u16;
+                route[i].follows = true;
+            }
+            *slot = i as u8;
+        }
+    }
 
     /// Apply a slice of operations, taking each involved shard's lock **once
     /// per batch** instead of once per op.
@@ -204,13 +255,19 @@ impl StoreServer {
     /// Each op's shard is worked out once, into a routing buffer; each shard
     /// then applies and journals exactly its own ops from it. Results come
     /// back in submission order. Within a shard, ops execute in submission
-    /// order, and the shard's journal receives a single
-    /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops,
-    /// encoded straight from `ops` — replayed element-wise, so
-    /// crash/recover semantics are identical to the same ops applied
-    /// sequentially. Ops on different shards may interleave with concurrent
-    /// writers exactly as sequential applies would; the batch is an
-    /// amortization, not a transaction.
+    /// order, except that a **run** — two or more `Increment`s of one key
+    /// with no other op on its object between them, found by the same
+    /// routing pass — is applied as one run (`StoreInstance::apply_run`) at
+    /// the position of its first op. Only ops of other objects move
+    /// across it, so every result, value and log entry is what sequential
+    /// applies give. `TS` is set once per shard, to the last applied clocked
+    /// op in submission order. The shard's journal receives a single
+    /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops in
+    /// submission order, encoded straight from `ops` — replayed
+    /// element-wise, so crash/recover semantics are identical to the same
+    /// ops applied sequentially. Ops on different shards may interleave with
+    /// concurrent writers exactly as sequential applies would; the batch is
+    /// an amortization, not a transaction.
     pub fn apply_batch(
         &self,
         requester: InstanceId,
@@ -224,17 +281,16 @@ impl StoreServer {
         // belongs to one shard.
         let mut results: Vec<Result<ApplyResult, StoreError>> =
             ops.iter().map(|_| Err(StoreError::Unavailable)).collect();
-        let mut on_stack = [0usize; Self::ROUTED_ON_STACK];
+        let mut on_stack = [Route::default(); Self::ROUTED_ON_STACK];
         let mut on_heap = Vec::new();
         let route = if ops.len() <= Self::ROUTED_ON_STACK {
             &mut on_stack[..ops.len()]
         } else {
-            on_heap.resize(ops.len(), 0);
+            on_heap.resize(ops.len(), Route::default());
             &mut on_heap[..]
         };
-        for (shard, (key, _, _)) in route.iter_mut().zip(ops) {
-            *shard = self.shard_index(key);
-        }
+        self.route(ops, route);
+        let route = &*route;
         for (index, slot) in self.slots.iter().enumerate() {
             // This shard's ops with their submission indices, in order.
             let mine = || {
@@ -242,34 +298,48 @@ impl StoreServer {
                     .iter()
                     .zip(ops)
                     .enumerate()
-                    .filter(move |(_, (&shard, _))| shard == index)
+                    .filter(move |(_, (at, _))| at.shard as usize == index)
                     .map(|(i, (_, op))| (i, op))
             };
-            let count = mine().count();
+            let count = route.iter().filter(|at| at.shard as usize == index).count();
             if count == 0 {
                 continue;
             }
             slot.ops.fetch_add(count as u64, Ordering::Relaxed);
             let mut shard = self.lock_at_floor(slot);
-            for (i, (key, op, clock)) in mine() {
-                results[i] = shard.instance_mut().apply(requester, key, op, *clock);
+            for (i, (key, _, _)) in mine().filter(|&(i, _)| !route[i].follows) {
+                let run = std::iter::successors(Some(i), |&j| route[j].next()).map(|j| {
+                    let (_, op, clock) = &ops[j];
+                    (j, op, *clock)
+                });
+                shard
+                    .instance_mut()
+                    .apply_run(requester, key, run, true, |j, r| results[j] = r);
+            }
+            // `TS` once per shard: the last applied clocked op in
+            // submission order, whichever run applied it.
+            let applied = |i: usize| matches!(&results[i], Ok(r) if !r.outcome.emulated);
+            let last = mine()
+                .rev()
+                .find_map(|(i, (_, _, c))| c.filter(|_| applied(i)));
+            if let Some(clock) = last {
+                shard.instance_mut().set_ts(requester, clock);
             }
             // Journal append under the shard lock hold, like
-            // `apply_on_shard`: journal order is exactly execution order,
-            // and emulated duplicates stay out of it. The record is encoded
-            // from the submitted ops, nothing cloned; a batch whose every op
-            // was emulated appends nothing.
+            // `apply_on_shard`: the record lists the applied ops in
+            // submission order, which replays to what they left in the order
+            // they ran, and emulated duplicates stay out of it. The record is
+            // encoded from the submitted ops, nothing cloned; a batch whose
+            // every op was emulated appends nothing.
             shard.journal(|e| {
                 e.open_batch(requester);
-                let mut applied = 0;
-                for (_, (key, op, clock)) in
-                    mine().filter(|&(i, _)| matches!(&results[i], Ok(r) if !r.outcome.emulated))
-                {
+                let mut applied_ops = 0;
+                for (_, (key, op, clock)) in mine().filter(|&(i, _)| applied(i)) {
                     e.batch_op(key, op, *clock);
-                    applied += 1;
+                    applied_ops += 1;
                 }
-                e.close_batch(applied);
-                applied > 0
+                e.close_batch(applied_ops);
+                applied_ops > 0
             });
         }
         results
@@ -494,6 +564,7 @@ mod tests {
     use super::*;
     use crate::key::{ObjectKey, VertexId};
     use chc_packet::ScopeKey;
+    use std::collections::HashMap;
     use std::net::Ipv4Addr;
     use std::thread;
 
@@ -713,6 +784,94 @@ mod tests {
                 let results = server.apply_batch(requester, &again);
                 assert!(results.iter().all(|r| r.as_ref().unwrap().outcome.emulated));
                 assert_eq!(journal_lens(&server), before, "{kind:?}");
+            }
+        }
+    }
+
+    /// Shard by shard, batches full of runs leave each `StoreInstance` as
+    /// sequential applies do: the same `TS` — the last applied clocked op in
+    /// submission order, though a run applied later ops first — and the same
+    /// answers when every op is re-issued. Where every packet touches its
+    /// keys in one order and no batch splits a packet, the checkpoint images
+    /// are equal byte for byte; otherwise they may differ in the order of a
+    /// packet's updates only, which no answer observes.
+    #[test]
+    fn runs_leave_every_shard_instance_as_sequential_applies_do() {
+        use crate::backend::codec::encode_image_frame;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SHARDS: usize = 2;
+        let requester = InstanceId(1);
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let one_order = seed % 2 == 0;
+            let hot: Vec<StateKey> = (0..rng.gen_range(1..=4u8)).map(|h| key("hot", h)).collect();
+            let mut packets: Vec<Vec<(StateKey, Operation, Option<Clock>)>> = Vec::new();
+            for counter in 1..=64u64 {
+                // Redelivered packets: an earlier one again, clock and all.
+                if counter > 1 && rng.gen_bool(0.2) {
+                    let earlier = rng.gen_range(packets.len().saturating_sub(12)..packets.len());
+                    packets.push(packets[earlier].clone());
+                }
+                let clock = (!rng.gen_bool(0.1)).then(|| Clock::with_root(0, counter));
+                let mut keys = hot.clone();
+                if !one_order {
+                    let by = rng.gen_range(0..keys.len());
+                    keys.rotate_left(by);
+                    if rng.gen_bool(0.5) {
+                        keys.reverse();
+                    }
+                    let touched = rng.gen_range(1..=keys.len());
+                    keys.truncate(touched);
+                }
+                let ops = keys
+                    .into_iter()
+                    .map(|k| (k, Operation::Increment(rng.gen_range(1..3)), clock));
+                packets.push(ops.collect());
+            }
+            let ops: Vec<_> = packets.iter().flatten().cloned().collect();
+            // Drains of 32 ops, cut between packets when the images are
+            // compared and anywhere otherwise.
+            let mut batches: Vec<Vec<_>> = Vec::new();
+            if one_order {
+                for packet in packets {
+                    match batches.last_mut() {
+                        Some(batch) if batch.len() + packet.len() <= 32 => batch.extend(packet),
+                        _ => batches.push(packet),
+                    }
+                }
+            } else {
+                batches = ops.chunks(32).map(<[_]>::to_vec).collect();
+            }
+            let (seq, bat) = (StoreServer::new(SHARDS), StoreServer::new(SHARDS));
+            let instances = |server: &StoreServer| -> Vec<(HashMap<InstanceId, Clock>, Vec<u8>)> {
+                server
+                    .slots
+                    .iter()
+                    .map(|slot| {
+                        let shard = slot.shard.lock();
+                        let image = encode_image_frame(shard.instance(), &mut Vec::new()).to_vec();
+                        (shard.instance().ts().clone(), image)
+                    })
+                    .collect()
+            };
+            for round in ["first", "re-issued"] {
+                let seq_results: Vec<_> = ops
+                    .iter()
+                    .map(|(k, op, clock)| seq.apply(requester, k, op, *clock))
+                    .collect();
+                let bat_results: Vec<_> = batches
+                    .iter()
+                    .flat_map(|batch| bat.apply_batch(requester, batch))
+                    .collect();
+                assert_eq!(seq_results, bat_results, "seed {seed}, {round}");
+                for (s, (seq, bat)) in instances(&seq).into_iter().zip(instances(&bat)).enumerate()
+                {
+                    assert_eq!(seq.0, bat.0, "seed {seed}, {round}: TS of shard {s}");
+                    if one_order {
+                        assert!(seq.1 == bat.1, "seed {seed}, {round}: image of shard {s}");
+                    }
+                }
             }
         }
     }

@@ -95,6 +95,12 @@ fn subscribers<'a>(
         .filter(|set| !set.is_empty())
 }
 
+/// The owner that refuses `requester` an op on `key` when `entry` is
+/// another instance's per-flow object.
+fn refusing_owner(entry: &Entry, key: &StateKey, requester: InstanceId) -> Option<InstanceId> {
+    entry.owner.filter(|o| key.is_per_flow() && *o != requester)
+}
+
 /// A single CHC datastore instance. See the module documentation.
 #[derive(Default, Clone)]
 pub struct StoreInstance {
@@ -179,7 +185,8 @@ impl StoreInstance {
         })
     }
 
-    /// Apply an operation on behalf of `requester`.
+    /// Apply an operation on behalf of `requester`: a run of one (see
+    /// [`StoreInstance::apply_run`]).
     ///
     /// `clock` is the logical clock of the packet that induced the operation;
     /// when present it drives the `TS` metadata and duplicate suppression:
@@ -195,7 +202,7 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_inner(requester, key, op, clock, true)
+        self.apply_one(requester, key, op, clock, true)
     }
 
     /// Re-apply a journaled operation during shard recovery. The journal
@@ -210,13 +217,11 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_inner(requester, key, op, clock, false)
+        self.apply_one(requester, key, op, clock, false)
     }
 
-    /// [`StoreInstance::apply`], or with `suppress_duplicates` off
-    /// [`StoreInstance::replay_journaled`]. Nothing here hashes: the maps
-    /// are probed under the hash `key` carries.
-    fn apply_inner(
+    /// One op as a run of one, and `TS` moved to its clock if it applied.
+    fn apply_one(
         &mut self,
         requester: InstanceId,
         key: &StateKey,
@@ -224,15 +229,45 @@ impl StoreInstance {
         clock: Option<Clock>,
         suppress_duplicates: bool,
     ) -> Result<ApplyResult, StoreError> {
-        self.check_available()?;
-        // Only mutating ops of packets that can still be replayed take part
-        // in duplicate suppression.
-        let replayable = clock.filter(|c| !op.is_read_only() && c.counter() >= self.floor);
+        let mut result = Err(StoreError::Unavailable);
+        let run = [((), op, clock)];
+        if let Some(clock) =
+            self.apply_run(requester, key, run, suppress_duplicates, |(), r| result = r)
+        {
+            self.set_ts(requester, clock);
+        }
+        result
+    }
 
-        // A missing object is built on the side and only installed once the
+    /// Apply a **run** — operations on one key, in order — as if each were
+    /// applied on its own with [`StoreInstance::apply`], handing each op's
+    /// result to `answer` with the tag it came with: the one apply routine.
+    /// The run pays once for what its ops share: the map probe, the owner
+    /// check and the subscriber lookup. Each op still gets its own duplicate
+    /// lookup, log record and result, so a duplicate clock inside the run is
+    /// emulated against the op before it. Without `suppress_duplicates`
+    /// (journal replay) no op consults the log. Nothing here hashes: the
+    /// maps are probed under the hash `key` carries. `TS` is the caller's:
+    /// the run returns its last applied clocked op, and whoever applied the
+    /// ops around it knows which of them came last.
+    pub(crate) fn apply_run<'o, T>(
+        &mut self,
+        requester: InstanceId,
+        key: &StateKey,
+        run: impl IntoIterator<Item = (T, &'o Operation, Option<Clock>)>,
+        suppress_duplicates: bool,
+        mut answer: impl FnMut(T, Result<ApplyResult, StoreError>),
+    ) -> Option<Clock> {
+        if self.failed {
+            for (tag, _, _) in run {
+                answer(tag, Err(StoreError::Unavailable));
+            }
+            return None;
+        }
+        // A missing object is built on the side and only installed once an
         // operation succeeded (a failed first touch leaves no entry behind).
         let mut fresh = None;
-        let (entry, created) = match self.entries.get_mut(key as &dyn CanonView) {
+        let (entry, mut created) = match self.entries.get_mut(key as &dyn CanonView) {
             Some(entry) => (entry, false),
             None => {
                 let entry = fresh.insert(Entry {
@@ -243,68 +278,92 @@ impl StoreInstance {
                 (entry, true)
             }
         };
+        let mut refused = refusing_owner(entry, key, requester);
+        let subscribers = subscribers(&self.callbacks, key);
+        let custom = &self.custom_ops;
+        let resolver = |name: &str| custom.get(name).copied();
+        let mut last_clock = None;
 
-        if key.is_per_flow() {
-            if let Some(owner) = entry.owner.filter(|o| *o != requester) {
-                return Err(StoreError::NotOwner {
+        for (tag, op, clock) in run {
+            if let Some(owner) = refused {
+                let err = StoreError::NotOwner {
                     key: key.clone(),
                     requester,
                     owner: Some(owner),
-                });
-            }
-        }
-
-        // A re-issued operation is recognised by (key, clock, operation).
-        let packet = replayable.map(|c| self.dedup.packet(c));
-        if let Some(packet) = packet.as_ref().filter(|_| suppress_duplicates && !created) {
-            if let Some(prev) = packet.find(entry.id, op) {
-                return Ok(ApplyResult {
-                    outcome: OpOutcome::emulated(prev),
-                    notify: Vec::new(),
-                    new_value: subscribers(&self.callbacks, key).map(|_| entry.value.clone()),
-                });
-            }
-        }
-
-        let custom = &self.custom_ops;
-        let resolver = |name: &str| custom.get(name).copied();
-        let (returned, changed) =
-            apply_in_place(|| key.clone(), &mut entry.value, op, Some(&resolver))?;
-        // First touch of a per-flow object records its owner.
-        if key.is_per_flow() && entry.owner.is_none() {
-            entry.owner = key.instance;
-        }
-
-        if let Some(c) = clock {
-            self.ts.insert(requester, c);
-        }
-        if let Some(packet) = packet {
-            packet.record(entry.id, op, &returned);
-        }
-
-        // Subscribers are sent the object. Without one — the common case,
-        // one branch — the op copies nothing but its own result.
-        let (notify, new_value) = match subscribers(&self.callbacks, key) {
-            None => (Vec::new(), None),
-            Some(set) => {
-                let others = set.iter().copied().filter(|i| *i != requester);
-                let notify = if changed {
-                    others.collect()
-                } else {
-                    Vec::new()
                 };
-                (notify, Some(entry.value.clone()))
+                answer(tag, Err(err));
+                continue;
             }
-        };
-        if let Some(fresh) = fresh {
+            // Only mutating ops of packets that can still be replayed take
+            // part in duplicate suppression. A re-issued operation is
+            // recognised by (key, clock, operation).
+            let replayable = clock.filter(|c| !op.is_read_only() && c.counter() >= self.floor);
+            let packet = replayable.map(|c| self.dedup.packet(c));
+            if let Some(packet) = packet.as_ref().filter(|_| suppress_duplicates && !created) {
+                if let Some(prev) = packet.find(entry.id, op) {
+                    let result = ApplyResult {
+                        outcome: OpOutcome::emulated(prev),
+                        notify: Vec::new(),
+                        new_value: subscribers.map(|_| entry.value.clone()),
+                    };
+                    answer(tag, Ok(result));
+                    continue;
+                }
+            }
+
+            let (returned, changed) =
+                match apply_in_place(|| key.clone(), &mut entry.value, op, Some(&resolver)) {
+                    Ok(applied) => applied,
+                    Err(err) => {
+                        answer(tag, Err(err));
+                        continue;
+                    }
+                };
+            created = false;
+            if clock.is_some() {
+                last_clock = clock;
+            }
+            if let Some(packet) = packet {
+                packet.record(entry.id, op, &returned);
+            }
+            // Subscribers are sent the object. Without one — the common
+            // case, one branch — the op copies nothing but its own result.
+            let (notify, new_value) = match subscribers {
+                None => (Vec::new(), None),
+                Some(set) => {
+                    let others = set.iter().copied().filter(|i| *i != requester);
+                    let notify = if changed {
+                        others.collect()
+                    } else {
+                        Vec::new()
+                    };
+                    (notify, Some(entry.value.clone()))
+                }
+            };
+            let result = ApplyResult {
+                outcome: OpOutcome::applied(returned),
+                notify,
+                new_value,
+            };
+            answer(tag, Ok(result));
+            // First touch of a per-flow object records its owner, which
+            // may refuse the rest of the run.
+            if key.is_per_flow() && entry.owner.is_none() {
+                entry.owner = key.instance;
+                refused = refusing_owner(entry, key, requester);
+            }
+        }
+
+        if let Some(fresh) = fresh.filter(|_| !created) {
             self.entries.insert(CanonKey::of(key), fresh);
         }
+        last_clock
+    }
 
-        Ok(ApplyResult {
-            outcome: OpOutcome::applied(returned),
-            notify,
-            new_value,
-        })
+    /// Set `requester`'s `TS` (the clock of its last applied clocked op)
+    /// to `clock`.
+    pub(crate) fn set_ts(&mut self, requester: InstanceId, clock: Clock) {
+        self.ts.insert(requester, clock);
     }
 
     /// Read a value without touching metadata (used by reports and tests).
@@ -715,6 +774,106 @@ mod tests {
         assert!(store
             .acquire_ownership(&per_flow("conn", 1), InstanceId(1))
             .is_ok());
+    }
+
+    type Answer = Result<ApplyResult, StoreError>;
+
+    /// `ops` applied one by one on `seq` and as one run on `run`: both
+    /// instances' answers, in order.
+    fn sequential_and_run(
+        seq: &mut StoreInstance,
+        run: &mut StoreInstance,
+        requester: InstanceId,
+        key: &StateKey,
+        ops: &[(Operation, Option<Clock>)],
+    ) -> (Vec<Answer>, Vec<Answer>) {
+        let one_by_one = ops
+            .iter()
+            .map(|(op, clock)| seq.apply(requester, key, op, *clock))
+            .collect();
+        let mut together = Vec::new();
+        let tagged = ops.iter().map(|(op, clock)| ((), op, *clock));
+        if let Some(last) = run.apply_run(requester, key, tagged, true, |(), r| together.push(r)) {
+            run.set_ts(requester, last);
+        }
+        (one_by_one, together)
+    }
+
+    #[test]
+    fn a_run_answers_each_op_as_its_own_apply_and_reports_its_last_applied_clock() {
+        use crate::backend::codec::encode_image_frame;
+        let (mut seq, mut run) = (StoreInstance::new(), StoreInstance::new());
+        let key = shared("pkt_count");
+        let at = |c| Some(Clock::with_root(0, c));
+        // Three ops of packet 2 — the third a duplicate of the first inside
+        // the run — and an op without a clock between.
+        let ops = [
+            (Operation::Increment(1), at(1)),
+            (Operation::Increment(2), at(2)),
+            (Operation::Increment(1), at(2)),
+            (Operation::Increment(2), at(2)),
+            (Operation::Increment(5), None),
+            (Operation::Increment(1), at(3)),
+        ];
+        let (one_by_one, together) =
+            sequential_and_run(&mut seq, &mut run, InstanceId(4), &key, &ops);
+        assert_eq!(one_by_one, together);
+        assert!(together[3].as_ref().unwrap().outcome.emulated);
+        assert_eq!(run.peek(&key), Value::Int(10));
+        assert_eq!(run.ts()[&InstanceId(4)], Clock::with_root(0, 3));
+        assert_eq!(seq.ts(), run.ts());
+        assert_eq!(
+            encode_image_frame(&seq, &mut Vec::new()),
+            encode_image_frame(&run, &mut Vec::new())
+        );
+        // Re-issued, every clocked op is a duplicate; `TS` names the last op
+        // that applied, the unclocked one, which leaves it where it was.
+        let (one_by_one, together) =
+            sequential_and_run(&mut seq, &mut run, InstanceId(4), &key, &ops);
+        assert_eq!(one_by_one, together);
+        let emulated: Vec<bool> = together
+            .iter()
+            .map(|r| r.as_ref().unwrap().outcome.emulated)
+            .collect();
+        assert_eq!(emulated, [true, true, true, true, false, true]);
+        assert_eq!(run.ts()[&InstanceId(4)], Clock::with_root(0, 3));
+        assert_eq!(seq.ts(), run.ts());
+    }
+
+    #[test]
+    fn a_run_on_a_released_per_flow_object_is_refused_after_its_claim() {
+        // Instance 3's object, released: the first op claims it for the
+        // instance its key names, which is not the requester, so the rest of
+        // the run is refused exactly as single applies are.
+        let (mut seq, mut run) = (StoreInstance::new(), StoreInstance::new());
+        let key = per_flow("conn", 3);
+        for store in [&mut seq, &mut run] {
+            store
+                .apply(InstanceId(3), &key, &Operation::Set(Value::Int(0)), None)
+                .unwrap();
+            store.release_ownership(&key, InstanceId(3)).unwrap();
+        }
+        let ops = vec![(Operation::Increment(1), None); 3];
+        let (one_by_one, together) =
+            sequential_and_run(&mut seq, &mut run, InstanceId(7), &key, &ops);
+        assert_eq!(one_by_one, together);
+        assert!(together[0].is_ok());
+        assert!(together[1..].iter().all(|r| matches!(
+            r,
+            Err(StoreError::NotOwner {
+                owner: Some(InstanceId(3)),
+                ..
+            })
+        )));
+        assert_eq!(run.peek(&key), Value::Int(1));
+        // A fresh object of another instance refuses the whole run and is
+        // not created.
+        let fresh = per_flow("other", 3);
+        let (one_by_one, together) =
+            sequential_and_run(&mut seq, &mut run, InstanceId(7), &fresh, &ops);
+        assert_eq!(one_by_one, together);
+        assert!(together.iter().all(Result::is_err));
+        assert_eq!((seq.len(), run.len()), (1, 1));
     }
 
     #[test]

@@ -12,18 +12,31 @@
 //!
 //! Batches run from one op (the delegating fast path) to past
 //! [`StoreServer::ROUTED_ON_STACK`], where the routing buffer moves to the
-//! heap. The properties run as a matrix over both storage media — the
-//! servers under comparison are built per [`BackendKind`], including a
-//! cross-medium case (sequential in memory vs batched on files), so batching
-//! and durability cannot drift apart on either medium.
+//! heap. Every op is then re-issued, and each answer — emulated or applied
+//! again — must match too.
+//!
+//! Two scenario shapes are drawn. The *spread* shape scatters random ops
+//! over 16–32 keys. The *run* shape is a write-behind drain: packets of two
+//! or three ops under one clock, as the NAT issues them, ≥ 75 % of them
+//! `Increment`s of one to four hot keys, so batches hold runs (repeated
+//! increments of one key that the server applies together). Between them
+//! sit redelivered packets (duplicate clocks inside a batch), a `Set` or
+//! `PopFront` on a hot key, ops on a per-flow key another instance owns, and
+//! a hot key with a callback subscriber.
+//!
+//! The properties run as a matrix over both storage media — the servers
+//! under comparison are built per [`BackendKind`], including a cross-medium
+//! case (sequential in memory vs batched on files), so batching and
+//! durability cannot drift apart on either medium.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
+use chc_store::store::ApplyResult;
 use chc_store::{
-    BackendKind, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value,
-    VertexId,
+    BackendKind, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey, StoreError,
+    StoreServer, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -57,6 +70,12 @@ fn random_op(rng: &mut StdRng) -> Operation {
     }
 }
 
+/// The instance every scenario submits as.
+const REQUESTER: InstanceId = InstanceId(7);
+
+/// The instance that owns the run shape's foreign per-flow key.
+const OTHER: InstanceId = InstanceId(3);
+
 /// A randomized op sequence plus the shard count of both servers and the
 /// partition that the batched server submits it in. Clock counters repeat
 /// sometimes, so duplicate suppression fires in both submission modes.
@@ -65,10 +84,94 @@ struct Scenario {
     ops: Vec<(StateKey, Operation, Option<Clock>)>,
     batch_ends: Vec<usize>,
     checkpoint_after_batch: Option<usize>,
+    /// Keys given a callback subscriber before the first op.
+    subscribed: Vec<StateKey>,
+    /// Per-flow keys [`OTHER`] sets before the first op.
+    foreign: Vec<StateKey>,
+}
+
+/// Cut `n` ops into batches: mostly drain-sized, some of one op, and in
+/// `long` cases one past the stack-routing bound.
+fn partition(rng: &mut StdRng, n: usize, long: bool) -> Vec<usize> {
+    let mut batch_ends = Vec::new();
+    let mut at = 0usize;
+    while at < n {
+        let len = match rng.gen_range(0..8u32) {
+            0 if long => rng.gen_range(StoreServer::ROUTED_ON_STACK + 1..=LONGEST_BATCH),
+            1 => 1,
+            2 => rng.gen_range(2..=64),
+            _ => 32,
+        };
+        at = (at + len).min(n);
+        batch_ends.push(at);
+    }
+    batch_ends
 }
 
 impl Scenario {
-    fn generate(seed: u64) -> Scenario {
+    /// The run shape: see the module documentation.
+    fn runs(seed: u64) -> Scenario {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
+        let hot: Vec<StateKey> = (0..rng.gen_range(1..=4usize)).map(key).collect();
+        let foreign = StateKey::per_flow(VertexId(1), OTHER, ObjectKey::named("conn"));
+        // The same object under the requester's own instance id, and a
+        // per-flow object the requester claims on first touch.
+        let foreign_as_mine = StateKey::per_flow(VertexId(1), REQUESTER, ObjectKey::named("conn"));
+        let mine = StateKey::per_flow(VertexId(1), REQUESTER, ObjectKey::named("mine"));
+        let subscribed = rng
+            .gen_bool(0.5)
+            .then(|| hot[rng.gen_range(0..hot.len())].clone());
+        // A few drains in most cases, and in some enough ops for a batch
+        // past the stack-routing bound.
+        let most = if rng.gen_bool(0.1) { 160 } else { 48 };
+        let packets = rng.gen_range(8..=most);
+        let mut ops: Vec<(StateKey, Operation, Option<Clock>)> = Vec::new();
+        for counter in 1..=packets {
+            // A redelivered packet: an earlier packet's ops again, clock and
+            // all, often inside the same batch.
+            if counter > 2 && rng.gen_bool(0.15) {
+                let from = ops.len().saturating_sub(rng.gen_range(1..=12));
+                let clock = ops[from].2;
+                let again: Vec<_> = ops[from..]
+                    .iter()
+                    .filter(|(_, _, c)| *c == clock)
+                    .cloned()
+                    .collect();
+                ops.extend(again);
+            }
+            let clock = (!rng.gen_bool(0.05)).then(|| Clock::with_root(0, counter));
+            for _ in 0..rng.gen_range(2..=3) {
+                let hot_key = hot[rng.gen_range(0..hot.len())].clone();
+                let (k, op) = match rng.gen_range(0..100u32) {
+                    0..=4 => (hot_key, Operation::Set(Value::Int(rng.gen_range(0..9)))),
+                    5..=7 => (hot_key, Operation::PopFront),
+                    8..=9 => (foreign.clone(), Operation::Increment(1)),
+                    10..=11 => (foreign_as_mine.clone(), Operation::Increment(1)),
+                    12..=13 => (mine.clone(), Operation::Increment(1)),
+                    14..=15 => (key(40 + rng.gen_range(0..4usize)), Operation::Increment(1)),
+                    _ => (hot_key, Operation::Increment(rng.gen_range(1..3))),
+                };
+                ops.push((k, op, clock));
+            }
+        }
+        let long = ops.len() > StoreServer::ROUTED_ON_STACK;
+        let batch_ends = partition(&mut rng, ops.len(), long);
+        let checkpoint_after_batch = rng
+            .gen_bool(0.5)
+            .then(|| rng.gen_range(0..batch_ends.len()));
+        Scenario {
+            shards,
+            ops,
+            batch_ends,
+            checkpoint_after_batch,
+            subscribed: subscribed.into_iter().collect(),
+            foreign: vec![foreign],
+        }
+    }
+
+    /// The spread shape: see the module documentation.
+    fn spread(seed: u64) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed);
         let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
         let keys = rng.gen_range(16..=32usize);
@@ -124,9 +227,53 @@ impl Scenario {
             ops,
             batch_ends,
             checkpoint_after_batch,
+            subscribed: Vec::new(),
+            foreign: Vec::new(),
         }
     }
+
+    /// A journaled server on `kind` with this scenario's subscribers and
+    /// foreign keys in place.
+    fn server(&self, kind: BackendKind) -> Arc<StoreServer> {
+        let server = journaled_server(self.shards, kind);
+        for k in &self.subscribed {
+            server.register_callback(k, InstanceId(9));
+        }
+        for k in &self.foreign {
+            server
+                .apply(OTHER, k, &Operation::Set(Value::Int(1)), None)
+                .unwrap();
+        }
+        server
+    }
+
+    /// Every op sequentially, as single applies.
+    fn apply_sequentially(&self, server: &StoreServer) -> Vec<ApplyOutcome> {
+        self.ops
+            .iter()
+            .map(|(k, op, clock)| server.apply(REQUESTER, k, op, *clock))
+            .collect()
+    }
+
+    /// Every op in this scenario's batches, checkpointing every shard after
+    /// the chosen one.
+    fn apply_batched(&self, server: &StoreServer) -> Vec<ApplyOutcome> {
+        let mut results = Vec::new();
+        let mut start = 0usize;
+        for (b, &end) in self.batch_ends.iter().enumerate() {
+            results.extend(server.apply_batch(REQUESTER, &self.ops[start..end]));
+            if self.checkpoint_after_batch == Some(b) {
+                for s in 0..self.shards {
+                    server.checkpoint_shard(s);
+                }
+            }
+            start = end;
+        }
+        results
+    }
 }
+
+type ApplyOutcome = Result<ApplyResult, StoreError>;
 
 fn journaled_server(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
     let server = StoreServer::with_backend(shards, kind);
@@ -148,48 +295,39 @@ fn sorted_dump(server: &StoreServer) -> Vec<String> {
 }
 
 /// One equivalence case: sequential submission on a `seq_kind` server vs
-/// batched submission on a `bat_kind` server, then crash-and-recover both.
-/// The shim's `prop_assert*` macros are plain asserts, so this helper runs
-/// inside any proptest body.
-fn equivalence_case(seed: u64, seq_kind: BackendKind, bat_kind: BackendKind) {
-    let scenario = Scenario::generate(seed);
-    let shards = scenario.shards;
-    let requester = InstanceId(7);
-    let seq = journaled_server(shards, seq_kind);
-    let bat = journaled_server(shards, bat_kind);
-
-    let seq_results: Vec<_> = scenario
-        .ops
-        .iter()
-        .map(|(k, op, clock)| seq.apply(requester, k, op, *clock))
-        .collect();
-
-    let mut bat_results = Vec::new();
-    let mut start = 0usize;
-    for (b, &end) in scenario.batch_ends.iter().enumerate() {
-        bat_results.extend(bat.apply_batch(requester, &scenario.ops[start..end]));
-        if scenario.checkpoint_after_batch == Some(b) {
-            for s in 0..shards {
-                bat.checkpoint_shard(s);
-            }
-        }
-        start = end;
-    }
+/// batched submission on a `bat_kind` server, then every op re-issued the
+/// same way, then crash-and-recover both. The shim's `prop_assert*` macros
+/// are plain asserts, so this helper runs inside any proptest body.
+fn equivalence_case(scenario: Scenario, seq_kind: BackendKind, bat_kind: BackendKind) {
+    let seq = scenario.server(seq_kind);
+    let bat = scenario.server(bat_kind);
 
     // Per-op results: outcome, callback fan-out and new value, in
     // submission order.
-    assert_eq!(&seq_results, &bat_results);
+    assert_eq!(
+        scenario.apply_sequentially(&seq),
+        scenario.apply_batched(&bat)
+    );
     // Logical op accounting matches shard by shard (batch entries count
     // per op, on the shard the op was routed to).
     assert_eq!(seq.ops_per_shard(), bat.ops_per_shard());
     // Same store image.
     assert_eq!(sorted_dump(&seq), sorted_dump(&bat));
 
+    // Every op again: each clocked update is now a duplicate, answered from
+    // the log each side built, and everything else applies a second time.
+    assert_eq!(
+        scenario.apply_sequentially(&seq),
+        scenario.apply_batched(&bat)
+    );
+    assert_eq!(seq.ops_per_shard(), bat.ops_per_shard());
+    assert_eq!(sorted_dump(&seq), sorted_dump(&bat));
+
     // Crash every shard of both servers and rebuild from the journals:
     // one ApplyBatch record must replay exactly like the run of
     // single-op Apply records, metadata included — on either engine.
     let image = sorted_dump(&seq);
-    for s in 0..shards {
+    for s in 0..scenario.shards {
         seq.crash_shard(s);
         bat.crash_shard(s);
         seq.recover_shard(s);
@@ -206,14 +344,14 @@ proptest! {
     /// a mid-stream shard checkpoint cutting the journal. Memory medium.
     #[test]
     fn apply_batch_is_equivalent_to_sequential_apply(seed in any::<u64>()) {
-        equivalence_case(seed, BackendKind::Memory, BackendKind::Memory);
+        equivalence_case(Scenario::spread(seed), BackendKind::Memory, BackendKind::Memory);
     }
 
     /// The same equivalence on the file medium: batching, durable
     /// journaling and checkpoint compaction compose.
     #[test]
     fn apply_batch_is_equivalent_on_append_only(seed in any::<u64>()) {
-        equivalence_case(seed, BackendKind::AppendOnly, BackendKind::AppendOnly);
+        equivalence_case(Scenario::spread(seed), BackendKind::AppendOnly, BackendKind::AppendOnly);
     }
 
     /// Cross-medium: a batched server on files converges to the same image
@@ -221,7 +359,21 @@ proptest! {
     /// each other either.
     #[test]
     fn append_only_batches_match_memory_sequential(seed in any::<u64>()) {
-        equivalence_case(seed, BackendKind::Memory, BackendKind::AppendOnly);
+        equivalence_case(Scenario::spread(seed), BackendKind::Memory, BackendKind::AppendOnly);
+    }
+
+    /// Drain-shaped batches full of runs answer, count, dump, re-answer and
+    /// recover exactly as the same ops applied one by one. Memory medium.
+    #[test]
+    fn batches_of_runs_are_equivalent_to_sequential_apply(seed in any::<u64>()) {
+        equivalence_case(Scenario::runs(seed), BackendKind::Memory, BackendKind::Memory);
+    }
+
+    /// The same for runs on the file medium, against sequential applies in
+    /// memory: runs, journaling and compaction compose across media.
+    #[test]
+    fn batches_of_runs_on_append_only_match_memory_sequential(seed in any::<u64>()) {
+        equivalence_case(Scenario::runs(seed), BackendKind::Memory, BackendKind::AppendOnly);
     }
 
     /// Duplicate-suppression clocks survive the batch path: redelivering an
