@@ -12,7 +12,8 @@ use chc_core::{
 };
 use chc_packet::Trace;
 use chc_sim::{Histogram, SimDuration, Summary, Throughput, TimeSeries, VirtualTime};
-use chc_store::{Clock, InstanceId, VertexId};
+use chc_store::{Clock, InstanceId, StoreServer, VertexId};
+use std::sync::Arc;
 
 /// Result of a single-NF run.
 pub struct SingleNfRun {
@@ -29,7 +30,7 @@ pub struct SingleNfRun {
     /// Alerts raised.
     pub alerts: Vec<String>,
     /// The store backing the run (for state inspection).
-    pub store: SharedStore,
+    pub store: Arc<StoreServer>,
 }
 
 impl SingleNfRun {
@@ -60,7 +61,7 @@ pub fn run_single_nf_with_store(
     config: &ChainConfig,
     trace: &Trace,
     workers: usize,
-    store: &SharedStore,
+    store: &Arc<StoreServer>,
     instance: u32,
 ) -> SingleNfRun {
     let mut client = StateClient::new(

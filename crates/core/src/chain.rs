@@ -20,11 +20,12 @@ use chc_sim::{
     ActorId, LinkConfig, SimDuration, Simulation, SimulationReport, Summary, VirtualTime,
 };
 use chc_store::{
-    recover_shared_state, Checkpoint, Clock, InstanceId, RecoveryInput, RecoveryReport, VertexId,
+    recover_shared_state, Clock, InstanceId, RecoveryInput, RecoveryReport, StoreServer, VertexId,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Deployment map: which actors host which instances of which vertex.
 #[derive(Debug, Default)]
@@ -176,8 +177,8 @@ impl ChainMetrics {
 /// The chain controller / framework manager. See the module documentation.
 pub struct ChainController {
     sim: Simulation<Msg>,
-    /// The shared datastore.
-    pub store: SharedStore,
+    /// The datastore: one shard, in memory ([`SharedStore::new`]).
+    pub store: Arc<StoreServer>,
     config: ChainConfig,
     dag: LogicalDag,
     partition: Rc<RefCell<PartitionTable>>,
@@ -185,7 +186,8 @@ pub struct ChainController {
     handles: ChainHandles,
     root_id: u8,
     next_instance: u32,
-    last_checkpoint: Option<Checkpoint>,
+    /// The store's latest checkpoint image (empty: none taken).
+    last_checkpoint: Vec<u8>,
 }
 
 impl ChainController {
@@ -213,7 +215,7 @@ impl ChainController {
             dag.entries(),
             partition.clone(),
             topology.clone(),
-            store.clone(),
+            Arc::clone(&store),
         )));
 
         let mut controller = ChainController {
@@ -226,12 +228,12 @@ impl ChainController {
             handles: ChainHandles { root, sink },
             root_id: 0,
             next_instance: 0,
-            last_checkpoint: None,
+            last_checkpoint: Vec::new(),
         };
 
         for v in controller.dag.vertices().to_vec() {
             for _ in 0..v.parallelism {
-                controller.spawn_instance(&v, false);
+                controller.spawn_instance(&v, false, None);
             }
         }
         Ok(controller)
@@ -247,7 +249,16 @@ impl ChainController {
         self.sim.now()
     }
 
-    fn spawn_instance(&mut self, spec: &VertexSpec, awaiting_replay: bool) -> (InstanceId, usize) {
+    /// Build an instance of `spec` under a fresh id — its client,
+    /// parameters and actor — and deploy it: in the slot of the instance at
+    /// `replacing` (same actor id, so the same splitter index), or at the
+    /// vertex's next index. Returns `(instance id, index)`.
+    fn spawn_instance(
+        &mut self,
+        spec: &VertexSpec,
+        awaiting_replay: bool,
+        replacing: Option<usize>,
+    ) -> (InstanceId, usize) {
         let instance = InstanceId(self.next_instance);
         self.next_instance += 1;
         let nf = spec.build_nf();
@@ -255,7 +266,7 @@ impl ChainController {
         let client = StateClient::new(
             spec.id,
             instance,
-            Box::new(self.store.clone()),
+            Box::new(Arc::clone(&self.store)),
             self.config.mode,
             self.config.costs,
             &objects,
@@ -268,7 +279,7 @@ impl ChainController {
             off_path: spec.off_path,
             awaiting_replay,
         };
-        let actor = self.sim.add_actor(Box::new(NfInstanceActor::new(
+        let actor = Box::new(NfInstanceActor::new(
             params,
             nf,
             client,
@@ -277,12 +288,20 @@ impl ChainController {
             self.topology.clone(),
             self.handles.root,
             self.handles.sink,
-        )));
-        let index = self
-            .topology
-            .borrow_mut()
-            .add_instance(spec.id, instance, actor);
-        (instance, index)
+        ));
+        let mut topology = self.topology.borrow_mut();
+        match replacing {
+            None => {
+                let actor = self.sim.add_actor(actor);
+                (instance, topology.add_instance(spec.id, instance, actor))
+            }
+            Some(index) => {
+                let slot = topology.actor_of(spec.id, index).expect("actor");
+                self.sim.replace_actor(slot, actor);
+                topology.replace_instance(spec.id, index, instance, slot);
+                (instance, index)
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -396,7 +415,7 @@ impl ChainController {
     /// Add one instance to a vertex. Returns `(instance id, index)`.
     pub fn scale_up(&mut self, vertex: VertexId) -> (InstanceId, usize) {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
-        let (instance, index) = self.spawn_instance(&spec, false);
+        let (instance, index) = self.spawn_instance(&spec, false, None);
         if let Some(s) = self.partition.borrow_mut().splitter_mut(vertex) {
             s.set_instance_count(index + 1);
         }
@@ -415,7 +434,7 @@ impl ChainController {
         first_counter: u64,
     ) -> (InstanceId, usize) {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
-        let (instance, index) = self.spawn_instance(&spec, false);
+        let (instance, index) = self.spawn_instance(&spec, false, None);
         if let Some(s) = self.partition.borrow_mut().splitter_mut(vertex) {
             s.schedule_scale(first_counter, index + 1);
         }
@@ -489,7 +508,7 @@ impl ChainController {
         straggler_index: usize,
     ) -> (InstanceId, usize) {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
-        let (clone_id, clone_index) = self.spawn_instance(&spec, true);
+        let (clone_id, clone_index) = self.spawn_instance(&spec, true, None);
         {
             let mut table = self.partition.borrow_mut();
             if let Some(s) = table.splitter_mut(vertex) {
@@ -524,50 +543,8 @@ impl ChainController {
     pub fn failover_instance(&mut self, vertex: VertexId, index: usize) -> InstanceId {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
         let old_instance = self.topology.borrow().instances_of(vertex)[index];
-        let old_actor = self
-            .topology
-            .borrow()
-            .actor_of(vertex, index)
-            .expect("actor");
-
-        let new_instance = InstanceId(self.next_instance);
-        self.next_instance += 1;
-        let nf = spec.build_nf();
-        let objects = nf.state_objects();
-        let client = StateClient::new(
-            spec.id,
-            new_instance,
-            Box::new(self.store.clone()),
-            self.config.mode,
-            self.config.costs,
-            &objects,
-        );
-        let params = InstanceParams {
-            vertex: spec.id,
-            instance: new_instance,
-            downstream: self.dag.downstream_of(spec.id),
-            is_tail: self.dag.exits().contains(&spec.id),
-            off_path: spec.off_path,
-            awaiting_replay: true,
-        };
-        let actor = NfInstanceActor::new(
-            params,
-            nf,
-            client,
-            self.config,
-            self.partition.clone(),
-            self.topology.clone(),
-            self.handles.root,
-            self.handles.sink,
-        );
-        // The failover instance takes over the failed instance's slot (same
-        // actor id → same splitter index), and the store re-associates state.
-        self.sim.replace_actor(old_actor, Box::new(actor));
-        self.topology
-            .borrow_mut()
-            .replace_instance(vertex, index, new_instance, old_actor);
-        self.store
-            .with(|s| s.reassign_owner(old_instance, new_instance));
+        let (new_instance, _) = self.spawn_instance(&spec, true, Some(index));
+        self.store.reassign_owner(old_instance, new_instance);
         self.sim.inject_after(
             SimDuration::ZERO,
             self.handles.root,
@@ -593,27 +570,27 @@ impl ChainController {
             self.dag.entries(),
             self.partition.clone(),
             self.topology.clone(),
-            self.store.clone(),
+            Arc::clone(&self.store),
         );
         self.sim.replace_actor(self.handles.root, Box::new(root));
     }
 
-    /// Take a datastore checkpoint (used before `fail_store`/`recover_store`).
+    /// Take a datastore checkpoint (used before `fail_store`/`recover_store`):
+    /// the shard's image.
     pub fn checkpoint_store(&mut self) {
-        let cp = self.store.with(|s| s.checkpoint(self.sim.now().as_nanos()));
-        self.last_checkpoint = Some(cp);
+        self.last_checkpoint = self.store.shard_image(0);
     }
 
-    /// Kill the datastore instance (fail-stop): all requests fail until
-    /// recovery.
+    /// Kill the datastore instance (fail-stop): its state is lost and all
+    /// requests fail until recovery.
     pub fn fail_store(&mut self) {
-        self.store.set_failed(true);
+        self.store.crash_shard(0);
     }
 
     /// Recover the datastore: shared state is rebuilt from the latest
-    /// checkpoint plus the instances' write-ahead/read logs (Figure 7), and
-    /// per-flow state is re-installed from the instances' caches. Returns the
-    /// recovery report (the replayed-operation count drives Figure 14).
+    /// checkpoint image plus the instances' write-ahead/read logs (Figure 7),
+    /// and per-flow state is re-installed from the instances' caches. Returns
+    /// the recovery report (the replayed-operation count drives Figure 14).
     pub fn recover_store(&mut self) -> RecoveryReport {
         let mut wals = HashMap::new();
         let mut read_logs = HashMap::new();
@@ -625,9 +602,8 @@ impl ChainController {
                 per_flow.extend(a.client.cached_per_flow());
             }
         }
-        let checkpoint = self.last_checkpoint.clone().unwrap_or_default();
         let input = RecoveryInput {
-            checkpoint,
+            image: self.last_checkpoint.clone(),
             wals,
             read_logs,
         };
@@ -636,7 +612,7 @@ impl ChainController {
             recovered.install(&key, value, key.instance);
             report.per_flow_restored += 1;
         }
-        self.store.replace(recovered);
+        self.store.install_shard(0, recovered);
         report
     }
 }

@@ -14,8 +14,9 @@ use crate::nf::{Action, NetworkFunction, NfContext};
 use crate::state::{SharedStore, StateClient};
 use chc_packet::{Packet, PacketId, Trace};
 use chc_sim::VirtualTime;
-use chc_store::{Clock, InstanceId, VertexId};
+use chc_store::{Clock, InstanceId, StoreServer, VertexId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Result of running the ideal single-instance, no-failure chain.
 pub struct IdealChainResult {
@@ -24,7 +25,7 @@ pub struct IdealChainResult {
     /// Alerts raised anywhere in the chain, in `(clock, message)` order.
     pub alerts: Vec<(Clock, String)>,
     /// The ideal chain's final externalized state.
-    pub store: SharedStore,
+    pub store: Arc<StoreServer>,
     /// Packet ids dropped by NF decisions.
     pub dropped: Vec<PacketId>,
 }

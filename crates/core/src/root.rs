@@ -16,12 +16,12 @@ use crate::config::ChainConfig;
 use crate::message::{Msg, TaggedPacket};
 use crate::rootlog::PacketLog;
 use crate::splitter::PartitionTable;
-use crate::state::SharedStore;
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
-use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, Value, VertexId};
+use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value, VertexId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Pseudo vertex id under which the root stores its own durable metadata
 /// (the persisted logical clock).
@@ -62,7 +62,7 @@ pub struct RootActor {
     entry_vertices: Vec<VertexId>,
     partition: Rc<RefCell<PartitionTable>>,
     topology: Rc<RefCell<Topology>>,
-    store: SharedStore,
+    store: Arc<StoreServer>,
     /// Logged packets still being processed somewhere in the chain (shared
     /// with the real-thread engine via [`crate::rootlog::PacketLog`]).
     log: PacketLog,
@@ -87,7 +87,7 @@ impl RootActor {
         entry_vertices: Vec<VertexId>,
         partition: Rc<RefCell<PartitionTable>>,
         topology: Rc<RefCell<Topology>>,
-        store: SharedStore,
+        store: Arc<StoreServer>,
     ) -> RootActor {
         RootActor {
             root_id,
@@ -116,7 +116,7 @@ impl RootActor {
         entry_vertices: Vec<VertexId>,
         partition: Rc<RefCell<PartitionTable>>,
         topology: Rc<RefCell<Topology>>,
-        store: SharedStore,
+        store: Arc<StoreServer>,
     ) -> RootActor {
         let mut root = RootActor::new(root_id, config, entry_vertices, partition, topology, store);
         root.recover_on_start = true;
@@ -133,14 +133,12 @@ impl RootActor {
 
     fn persist_clock(&self) {
         let key = RootActor::clock_key(self.root_id);
-        let _ = self.store.with(|s| {
-            s.apply(
-                InstanceId(u32::MAX),
-                &key,
-                &Operation::Set(Value::Int(self.counter as i64)),
-                None,
-            )
-        });
+        let _ = self.store.apply(
+            InstanceId(u32::MAX),
+            &key,
+            &Operation::Set(Value::Int(self.counter as i64)),
+            None,
+        );
     }
 
     /// Per-packet root overhead: local logging plus the amortized clock
@@ -202,7 +200,7 @@ impl RootActor {
             self.log.remove(&clock);
             self.commits.remove(&clock);
             self.awaiting_delete.remove(&clock);
-            self.store.with(|s| s.forget_clock(clock));
+            self.store.forget_clock(clock);
             self.stats.deleted += 1;
         } else {
             self.awaiting_delete.insert(clock, remaining);
@@ -244,7 +242,7 @@ impl Actor<Msg> for RootActor {
             // resumes at `persisted + persist period` so it never reuses a
             // clock the failed root may already have handed out (footnote 5).
             let key = RootActor::clock_key(self.root_id);
-            let persisted = self.store.with(|s| s.peek(&key)).as_int().max(0) as u64;
+            let persisted = self.store.peek(&key).as_int().max(0) as u64;
             self.counter = persisted + CLOCK_PERSIST_PERIOD;
         }
     }

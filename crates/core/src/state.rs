@@ -29,21 +29,18 @@ use chc_store::key::{KeyPrefix, PrehashedMap, Scoped};
 use chc_store::ops::apply_in_place;
 use chc_store::store::{shared_key, ApplyResult};
 use chc_store::{
-    Clock, InstanceId, Operation, ReadLogEntry, StateKey, StateScope, StoreError, StoreInstance,
+    BackendKind, Clock, InstanceId, Operation, ReadLogEntry, StateKey, StateScope, StoreError,
     StoreServer, TsSnapshot, Value, VertexId, WriteAheadLog,
 };
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::vec::Drain;
 
-/// Abstraction over how a client reaches its datastore instance, so the same
-/// client library runs on the single-threaded simulated store and on the
-/// sharded multi-threaded [`StoreServer`].
+/// How a client reaches its datastore: the [`StoreServer`] both substrates
+/// run on, or a wrapper around it that times the calls.
 pub trait StateHandle {
-    /// Apply an operation (see [`StoreInstance::apply`]).
+    /// Apply an operation (see [`StoreServer::apply`]).
     fn apply(
         &self,
         requester: InstanceId,
@@ -52,17 +49,12 @@ pub trait StateHandle {
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError>;
     /// Apply a slice of operations, returning per-op results in submission
-    /// order. The default is a sequential loop; backends that can amortize
-    /// locking across the batch (the sharded [`StoreServer`]) override it.
+    /// order (see [`StoreServer::apply_batch`]: one lock hold per shard).
     fn apply_batch(
         &self,
         requester: InstanceId,
         ops: &[(StateKey, Operation, Option<Clock>)],
-    ) -> Vec<Result<ApplyResult, StoreError>> {
-        ops.iter()
-            .map(|(key, op, clock)| self.apply(requester, key, op, *clock))
-            .collect()
-    }
+    ) -> Vec<Result<ApplyResult, StoreError>>;
     /// Register a change callback.
     fn register_callback(&self, key: &StateKey, instance: InstanceId);
     /// Release per-flow ownership.
@@ -79,63 +71,16 @@ pub trait StateHandle {
     fn is_failed(&self) -> bool;
 }
 
-/// A store instance shared by the components of a simulated chain
-/// (single-threaded; the simulator provides determinism).
-#[derive(Clone, Default)]
-pub struct SharedStore(Rc<RefCell<StoreInstance>>);
+/// The simulator's datastore, under the name the benchmark builds it by: a
+/// one-shard [`StoreServer`] on the memory medium, so a simulated run is
+/// deterministic and does no IO whatever `CHC_STORE_BACKEND` says.
+pub struct SharedStore;
 
 impl SharedStore {
-    /// Create an empty shared store.
-    pub fn new() -> SharedStore {
-        SharedStore::default()
-    }
-
-    /// Borrow the underlying instance mutably (panics if already borrowed).
-    pub fn with<R>(&self, f: impl FnOnce(&mut StoreInstance) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
-    /// Mark the store failed / recovered (fail-stop model).
-    pub fn set_failed(&self, failed: bool) {
-        self.0.borrow_mut().set_failed(failed);
-    }
-
-    /// Replace the contents with a recovered instance.
-    pub fn replace(&self, instance: StoreInstance) {
-        *self.0.borrow_mut() = instance;
-    }
-}
-
-impl StateHandle for SharedStore {
-    fn apply(
-        &self,
-        requester: InstanceId,
-        key: &StateKey,
-        op: &Operation,
-        clock: Option<Clock>,
-    ) -> Result<ApplyResult, StoreError> {
-        self.0.borrow_mut().apply(requester, key, op, clock)
-    }
-    fn register_callback(&self, key: &StateKey, instance: InstanceId) {
-        self.0.borrow_mut().register_callback(key, instance);
-    }
-    fn release_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
-        self.0.borrow_mut().release_ownership(key, instance)
-    }
-    fn acquire_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
-        self.0.borrow_mut().acquire_ownership(key, instance)
-    }
-    fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
-        self.0.borrow().owner_of(key)
-    }
-    fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
-        self.0.borrow_mut().nondet_value(clock, slot, candidate)
-    }
-    fn ts_snapshot(&self) -> TsSnapshot {
-        TsSnapshot::new(self.0.borrow().ts().clone())
-    }
-    fn is_failed(&self) -> bool {
-        self.0.borrow().is_failed()
+    /// A new, empty simulator datastore.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new() -> Arc<StoreServer> {
+        StoreServer::with_backend(1, BackendKind::Memory)
     }
 }
 
@@ -159,23 +104,23 @@ impl StateHandle for Arc<StoreServer> {
     fn register_callback(&self, key: &StateKey, instance: InstanceId) {
         StoreServer::register_callback(self, key, instance);
     }
-    fn release_ownership(&self, _key: &StateKey, _instance: InstanceId) -> Result<(), StoreError> {
-        Ok(())
+    fn release_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
+        StoreServer::release_ownership(self, key, instance)
     }
-    fn acquire_ownership(&self, _key: &StateKey, _instance: InstanceId) -> Result<(), StoreError> {
-        Ok(())
+    fn acquire_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
+        StoreServer::acquire_ownership(self, key, instance)
     }
-    fn owner_of(&self, _key: &StateKey) -> Option<InstanceId> {
-        None
+    fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
+        StoreServer::owner_of(self, key)
     }
-    fn nondet(&self, _clock: Clock, _slot: u32, candidate: Value) -> Value {
-        candidate
+    fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
+        StoreServer::nondet(self, clock, slot, candidate)
     }
     fn ts_snapshot(&self) -> TsSnapshot {
-        TsSnapshot::default()
+        StoreServer::ts_snapshot(self)
     }
     fn is_failed(&self) -> bool {
-        false
+        StoreServer::is_failed(self)
     }
 }
 
@@ -815,7 +760,7 @@ mod tests {
         ]
     }
 
-    fn client(mode: ExternalizationMode, store: &SharedStore) -> StateClient {
+    fn client(mode: ExternalizationMode, store: &Arc<StoreServer>) -> StateClient {
         StateClient::new(
             VertexId(1),
             InstanceId(0),
@@ -837,7 +782,7 @@ mod tests {
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         assert_eq!(c.read("pkt_count", None, clock(2)), Value::Int(1));
         // Nothing reached the store.
-        assert!(store.with(|s| s.is_empty()));
+        assert!(store.is_empty());
         assert_eq!(c.take_charge(), SimDuration::ZERO);
         assert_eq!(c.stats().local_ops, 2);
     }
@@ -850,10 +795,7 @@ mod tests {
         let charge = c.take_charge();
         assert_eq!(charge, CostModel::default().store_rtt());
         // The update reached the store.
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(1)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(1));
         // Reads also pay an RTT in this mode.
         c.read("pkt_count", None, clock(2));
         assert_eq!(c.take_charge(), CostModel::default().store_rtt());
@@ -869,10 +811,7 @@ mod tests {
             charge < SimDuration::from_micros(1),
             "non-blocking issue, got {charge}"
         );
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(1)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(1));
         assert_eq!(c.stats().non_blocking_ops, 1);
     }
 
@@ -888,10 +827,7 @@ mod tests {
         let charge = c.take_charge();
         assert!(charge < SimDuration::from_micros(2), "got {charge}");
         // The flush keeps the store authoritative.
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("port_map", sk))),
-            Value::Int(8080)
-        );
+        assert_eq!(store.peek(&c.state_key("port_map", sk)), Value::Int(8080));
         // And it is visible for store recovery via the cached snapshot.
         assert_eq!(c.cached_per_flow().len(), 1);
     }
@@ -910,14 +846,14 @@ mod tests {
         );
         // b reads the read-heavy object → caches it and registers a callback.
         assert_eq!(b.read("config", None, clock(1)), Value::None);
-        assert!(store.with(|s| !s
-            .callback_registrations(&b.state_key("config", None))
-            .is_empty()));
-        // a updates it: the update goes straight to the store (blocking).
+        // a updates it: the update goes straight to the store (blocking),
+        // which names b as a subscriber to notify.
         a.update("config", None, Operation::Set(Value::Int(7)), clock(2));
         assert!(a.take_charge() >= CostModel::default().store_rtt());
-        // The framework delivers the callback; b's cache refreshes.
         let key = b.state_key("config", None);
+        let notified: Vec<_> = a.take_pending_callbacks().collect();
+        assert_eq!(notified, [(InstanceId(1), key.clone(), Value::Int(7))]);
+        // The framework delivers the callback; b's cache refreshes.
         b.handle_callback(&key, Value::Int(7));
         assert_eq!(b.read("config", None, clock(3)), Value::Int(7));
         assert_eq!(b.stats().cache_hits, 1);
@@ -934,10 +870,7 @@ mod tests {
         // Another instance starts sharing → exclusivity revoked, cache flushed.
         c.set_exclusive("likelihood", false, clock(2));
         assert!(!c.is_exclusive("likelihood"));
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("likelihood", None))),
-            Value::Int(5)
-        );
+        assert_eq!(store.peek(&c.state_key("likelihood", None)), Value::Int(5));
         // Updates now block on the store.
         c.update("likelihood", None, Operation::Increment(1), clock(3));
         assert_eq!(c.take_charge(), CostModel::default().store_rtt());
@@ -953,8 +886,7 @@ mod tests {
     fn after_an_offloaded_op_a_copy_follows_whoever_maintains_it() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
-        let in_store =
-            |c: &StateClient, name: &str| store.with(|s| s.peek(&c.state_key(name, None)));
+        let in_store = |c: &StateClient, name: &str| store.peek(&c.state_key(name, None));
         let pool = |ports: &[i64]| Value::list_of_ints(ports.iter().copied());
 
         // This client's own copy (write/read-often, exclusive): the store
@@ -1030,13 +962,91 @@ mod tests {
         let sk = Some(ScopeKey::Port(1000));
         c.update("port_map", sk, Operation::Set(Value::Int(1)), clock(1));
         let key = c.state_key("port_map", sk);
-        assert_eq!(store.with(|s| s.owner_of(&key)), Some(InstanceId(0)));
+        assert_eq!(store.owner_of(&key), Some(InstanceId(0)));
         let flushed = c.flush_per_flow(true, clock(2));
         assert_eq!(flushed, 1);
-        assert_eq!(store.with(|s| s.owner_of(&key)), None);
+        assert_eq!(store.owner_of(&key), None);
         // A new instance can now acquire it (Figure 4 step 7).
         assert!(store.acquire_ownership(&key, InstanceId(5)).is_ok());
-        assert_eq!(store.with(|s| s.owner_of(&key)), Some(InstanceId(5)));
+        assert_eq!(store.owner_of(&key), Some(InstanceId(5)));
+    }
+
+    /// Four shards, as the engine runs them.
+    fn sharded() -> Arc<StoreServer> {
+        StoreServer::with_backend(4, BackendKind::Memory)
+    }
+
+    /// A second instance of the vertex [`client`] serves, in full CHC mode.
+    fn peer(store: &Arc<StoreServer>) -> StateClient {
+        let mode = ExternalizationMode::ExternalizedCachedNonBlocking;
+        StateClient::new(
+            VertexId(1),
+            InstanceId(1),
+            Box::new(store.clone()),
+            mode,
+            CostModel::default(),
+            &specs(),
+        )
+    }
+
+    #[test]
+    fn a_sharded_server_tells_a_new_owner_when_the_old_one_let_go() {
+        let store = sharded();
+        let mut old = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        let new = peer(&store);
+        let conn = ScopeKey::Port(1000);
+        old.update(
+            "port_map",
+            Some(conn),
+            Operation::Set(Value::Int(1)),
+            clock(1),
+        );
+        // Figure 4 step 3: the new owner must wait while the old holds it.
+        assert!(new.per_flow_owned_elsewhere(conn));
+        assert!(!old.per_flow_owned_elsewhere(conn));
+        assert_eq!(old.flush_per_flow(true, clock(2)), 1);
+        assert!(!new.per_flow_owned_elsewhere(conn));
+        let key = new.state_key("port_map", Some(conn));
+        assert!(store.acquire_ownership(&key, InstanceId(1)).is_ok());
+        assert!(old.per_flow_owned_elsewhere(conn));
+    }
+
+    #[test]
+    fn a_sharded_server_reports_each_instances_latest_clock_across_shards() {
+        let store = sharded();
+        // One key per shard, found by probing.
+        let mut on_shard = vec![None; 4];
+        for port in 0.. {
+            let key = shared_key(VertexId(1), "c", Some(ScopeKey::Port(port)));
+            let shard = store.shard_index(&key);
+            on_shard[shard].get_or_insert(key);
+            if on_shard.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let keys: Vec<StateKey> = on_shard.into_iter().flatten().collect();
+        // Instance 0 ends on the last shard, instance 1 on the first.
+        for (i, key) in keys.iter().enumerate() {
+            let incr = Operation::Increment(1);
+            let at = Some(clock(i as u64 + 1));
+            StateHandle::apply(&store, InstanceId(0), key, &incr, at).unwrap();
+            StateHandle::apply(&store, InstanceId(1), &keys[3 - i], &incr, at).unwrap();
+        }
+        let latest = [(InstanceId(0), clock(4)), (InstanceId(1), clock(4))];
+        assert_eq!(store.ts_snapshot(), TsSnapshot::new(latest.into()));
+    }
+
+    #[test]
+    fn a_sharded_server_keeps_a_nondet_value_for_its_clock() {
+        let store = sharded();
+        let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        let mut failover = peer(&store);
+        for n in 1..=8 {
+            let first = c.nondet(clock(n), 0, Value::Int(n as i64));
+            assert_eq!(first, Value::Int(n as i64));
+            assert_eq!(c.nondet(clock(n), 0, Value::Int(-1)), first);
+            assert_eq!(failover.nondet(clock(n), 0, Value::Int(-2)), first);
+        }
     }
 
     #[test]
@@ -1057,18 +1067,12 @@ mod tests {
         c.update("pkt_count", None, Operation::Increment(1), clock(2));
         // The store lags until the drain.
         assert_eq!(c.write_behind_depth(), 2);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::None
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::None);
         // WAL and XOR tokens were recorded at buffer time, not drain time.
         assert_eq!(c.wal().len(), 2);
         assert_eq!(c.take_packet_tokens().len(), 2);
         assert_eq!(c.drain_write_behind(), 2);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(2)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(2));
         assert_eq!(c.write_behind_depth(), 0);
         // A blocking read sees the drained value (and would drain first
         // itself if anything were still buffered).
@@ -1085,26 +1089,17 @@ mod tests {
         // Reaching the cap drains in place.
         c.update("pkt_count", None, Operation::Increment(1), clock(2));
         assert_eq!(c.write_behind_depth(), 0);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(2)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(2));
         // A blocking read on an uncached object drains the buffer first.
         c.update("pkt_count", None, Operation::Increment(1), clock(3));
         assert_eq!(c.write_behind_depth(), 1);
         c.read("config", None, clock(4));
         assert_eq!(c.write_behind_depth(), 0);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(3)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(3));
         // Disabling drains whatever is left.
         c.update("pkt_count", None, Operation::Increment(1), clock(5));
         c.set_write_behind(false, 0);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("pkt_count", None))),
-            Value::Int(4)
-        );
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(4));
     }
 
     #[test]
@@ -1119,10 +1114,7 @@ mod tests {
         // double-apply on top of the Set.
         c.set_exclusive("likelihood", false, clock(2));
         assert_eq!(c.write_behind_depth(), 0);
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("likelihood", None))),
-            Value::Int(5)
-        );
+        assert_eq!(store.peek(&c.state_key("likelihood", None)), Value::Int(5));
     }
 
     #[test]
@@ -1133,10 +1125,7 @@ mod tests {
         c.update("port_map", sk, Operation::Set(Value::Int(42)), clock(1));
         c.drop_all_local_state();
         // R1: the value is still available externally.
-        assert_eq!(
-            store.with(|s| s.peek(&c.state_key("port_map", sk))),
-            Value::Int(42)
-        );
+        assert_eq!(store.peek(&c.state_key("port_map", sk)), Value::Int(42));
         assert!(c.cached_per_flow().is_empty());
     }
 }

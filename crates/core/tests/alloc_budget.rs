@@ -185,7 +185,7 @@ fn a_blocking_pop_on_a_pool_the_client_holds_copies_nothing() {
     const POOL: i64 = 4_096;
     let store = SharedStore::new();
     // No fault plan, no replay: the floor starts at the top.
-    store.with(|s| s.forget_through(u64::MAX));
+    store.forget_through(u64::MAX);
     let mut client = client(Box::new(store.clone()));
     let seed = Operation::CompareAndUpdate {
         condition: Condition::Absent,
@@ -218,7 +218,7 @@ fn a_blocking_pop_on_a_pool_the_client_holds_copies_nothing() {
     assert_eq!(client.stats().cache_hits - before.cache_hits, 1);
     assert_eq!(held.as_list().map(|l| l.len()), Some(POOL as usize - 17));
     let key = client.state_key("free_ports", None);
-    assert_eq!(held, store.with(|s| s.peek(&key)));
+    assert_eq!(held, store.peek(&key));
 }
 
 fn counter(i: u64) -> StateKey {

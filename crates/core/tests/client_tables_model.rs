@@ -39,13 +39,15 @@ use chc_core::{
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::ops::apply_operation;
 use chc_store::{
-    AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StateScope, Value, VertexId,
+    AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StateScope, StoreServer,
+    Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 const VERTEX: VertexId = VertexId(1);
 const INSTANCE: InstanceId = InstanceId(0);
@@ -91,7 +93,7 @@ struct ModelObject {
 /// The replaced design, kept as the reference.
 struct Model {
     mode: ExternalizationMode,
-    store: SharedStore,
+    store: Arc<StoreServer>,
     objects: HashMap<String, ModelObject>,
     cache: HashMap<(String, Option<ScopeKey>), Value>,
     callbacks_registered: HashSet<StateKey>,
@@ -105,7 +107,11 @@ struct Model {
 }
 
 impl Model {
-    fn new(mode: ExternalizationMode, store: SharedStore, write_behind: Option<usize>) -> Model {
+    fn new(
+        mode: ExternalizationMode,
+        store: Arc<StoreServer>,
+        write_behind: Option<usize>,
+    ) -> Model {
         let objects = specs()
             .into_iter()
             .map(|o| {
@@ -172,7 +178,7 @@ impl Model {
     /// What a callback carries: the store's value right after the op.
     fn notified(&mut self, key: &StateKey, notify: &[InstanceId]) {
         for other in notify {
-            let value = self.store.with(|s| s.peek(key));
+            let value = self.store.peek(key);
             self.pending.push((*other, key.clone(), value));
         }
     }
@@ -310,12 +316,10 @@ impl Model {
         // carried. The store now sends that value to subscribers only, so a
         // copy is refreshed by whoever maintains it, or dropped.
         if self.cache.contains_key(&slot) {
-            let subscribed = !self
-                .store
-                .with(|s| s.callback_registrations(&key))
-                .is_empty();
-            if subscribed {
-                self.cache.insert(slot, self.store.with(|s| s.peek(&key)));
+            // This model is the store's only client, so the store's
+            // subscribers are the ones it registered.
+            if self.callbacks_registered.contains(&key) {
+                self.cache.insert(slot, self.store.peek(&key));
             } else if cacheable && strategy != CacheStrategy::CacheWithCallbacks {
                 // This client's own copy, equal to the store since the
                 // drain: it moves exactly when the store did.
@@ -399,9 +403,9 @@ fn draw_op(rng: &mut StdRng) -> Operation {
     }
 }
 
-fn contents(store: &SharedStore) -> Vec<String> {
+fn contents(store: &StoreServer) -> Vec<String> {
     let mut entries: Vec<String> = store
-        .with(|s| s.entries())
+        .dump()
         .into_iter()
         .map(|(key, value, owner)| format!("{key} = {value:?} owned by {owner:?}"))
         .collect();

@@ -118,7 +118,7 @@ mod tests {
             BLOCKED_COUNT,
             Some(ScopeKey::Host(Ipv4Addr::new(10, 0, 0, 5))),
         );
-        assert_eq!(store.with(|s| s.peek(&key)).as_int(), 1);
+        assert_eq!(store.peek(&key).as_int(), 1);
     }
 
     #[test]

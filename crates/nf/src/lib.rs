@@ -39,11 +39,16 @@ pub use trojan::TrojanDetector;
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Helpers for exercising NFs outside a full chain.
-    use chc_core::{ChainConfig, ExternalizationMode, NetworkFunction, SharedStore, StateClient};
-    use chc_store::{InstanceId, VertexId};
+    use chc_core::{ChainConfig, ExternalizationMode, NetworkFunction, StateClient};
+    use chc_store::{InstanceId, StoreServer, VertexId};
+    use std::sync::Arc;
 
     /// Build a [`StateClient`] for `nf` backed by `store`.
-    pub fn client_for(nf: &dyn NetworkFunction, store: &SharedStore, instance: u32) -> StateClient {
+    pub fn client_for(
+        nf: &dyn NetworkFunction,
+        store: &Arc<StoreServer>,
+        instance: u32,
+    ) -> StateClient {
         let cfg = ChainConfig::with_mode(ExternalizationMode::ExternalizedCachedNonBlocking);
         StateClient::new(
             VertexId(7),

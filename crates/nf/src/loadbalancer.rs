@@ -254,6 +254,6 @@ mod tests {
         data.len = 1500;
         run(&mut lb, &mut c, &data, 2);
         let key = c.state_key(SERVER_BYTES, Some(ScopeKey::Host(backend)));
-        assert_eq!(store.with(|s| s.peek(&key)).as_int(), 64 + 1500);
+        assert_eq!(store.peek(&key).as_int(), 64 + 1500);
     }
 }

@@ -198,11 +198,11 @@ mod tests {
         assert_eq!(back.tuple.dst_port, 30_000);
         // Counters were updated once per packet.
         assert_eq!(
-            store.with(|s| s.peek(&client.state_key(PKT_COUNT, None))),
+            store.peek(&client.state_key(PKT_COUNT, None)),
             Value::Int(3)
         );
         assert_eq!(
-            store.with(|s| s.peek(&client.state_key(TCP_PKT_COUNT, None))),
+            store.peek(&client.state_key(TCP_PKT_COUNT, None)),
             Value::Int(3)
         );
     }

@@ -192,7 +192,7 @@ mod tests {
         run(&mut nf, &mut client, &syn, 3);
         run(&mut nf, &mut client, &synack, 4);
         let host = ScopeKey::Host(Ipv4Addr::new(10, 0, 0, 7));
-        let v = store.with(|s| s.peek(&client.state_key(LIKELIHOOD, Some(host))));
+        let v = store.peek(&client.state_key(LIKELIHOOD, Some(host)));
         assert_eq!(v.as_int(), 1);
     }
 

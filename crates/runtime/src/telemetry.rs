@@ -264,9 +264,8 @@ impl StateHandle for TimedHandle {
         result
     }
 
-    // Without this override the trait's default would fall back to per-op
-    // `apply`, defeating the one-lock-per-shard batching the write-behind
-    // drain exists for.
+    // One call into the server per drain, so the one-lock-per-shard
+    // batching the write-behind drain exists for survives the wrapper.
     fn apply_batch(
         &self,
         requester: InstanceId,

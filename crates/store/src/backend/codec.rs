@@ -6,9 +6,11 @@
 //! reuses ([`Enc::reuse`]). The engine keeps frames back to back in a
 //! segment, in memory or in a file, and reads them back through
 //! [`scan_frames`]. A payload is a tag byte and the
-//! record's fields, written by one encoder per record kind (`Enc::apply_record`
-//! and its siblings); [`JournalRecord`], the decoded form recovery replays,
-//! encodes through the same functions.
+//! record's fields. The hot kinds have encoders of their own
+//! (`Enc::apply_record`, `Enc::open_batch` and its siblings), which the
+//! server writes straight from the ops it applied; [`JournalRecord`], the
+//! decoded form recovery replays, encodes through them, and writes the rare
+//! kinds itself.
 //!
 //! A checkpoint image is one frame too, written by
 //! `StoreInstance::encode_image` straight from the live instance and read
@@ -112,26 +114,6 @@ impl<'a> Enc<'a> {
         self.u8(0);
         self.u32(requester.0);
         self.journaled_op(key, op, clock);
-    }
-
-    /// A [`JournalRecord::Callback`] payload.
-    pub(crate) fn callback_record(&mut self, key: &StateKey, instance: InstanceId) {
-        self.u8(1);
-        self.u32(instance.0);
-        self.state_key(key);
-    }
-
-    /// A [`JournalRecord::CustomOp`] payload.
-    pub(crate) fn custom_op_record(&mut self, name: &str) {
-        self.u8(2);
-        self.str(name);
-    }
-
-    /// A [`JournalRecord::Reassign`] payload.
-    pub(crate) fn reassign_record(&mut self, from: InstanceId, to: InstanceId) {
-        self.u8(3);
-        self.u32(from.0);
-        self.u32(to.0);
     }
 
     /// Open a [`JournalRecord::ApplyBatch`] payload: add its ops with
@@ -522,9 +504,31 @@ impl JournalRecord {
                 op,
                 clock,
             } => e.apply_record(*requester, key, op, *clock),
-            JournalRecord::Callback { key, instance } => e.callback_record(key, *instance),
-            JournalRecord::CustomOp { name } => e.custom_op_record(name),
-            JournalRecord::Reassign { from, to } => e.reassign_record(*from, *to),
+            JournalRecord::Callback { key, instance } => {
+                e.u8(1);
+                e.u32(instance.0);
+                e.state_key(key);
+            }
+            JournalRecord::CustomOp { name } => {
+                e.u8(2);
+                e.str(name);
+            }
+            JournalRecord::Reassign { from, to } => {
+                e.u8(3);
+                e.u32(from.0);
+                e.u32(to.0);
+            }
+            JournalRecord::Owner { key, owner } => {
+                e.u8(5);
+                e.opt_instance(*owner);
+                e.state_key(key);
+            }
+            JournalRecord::Nondet { clock, slot, value } => {
+                e.u8(6);
+                e.u64(clock.0);
+                e.u32(*slot);
+                e.value(value);
+            }
             JournalRecord::ApplyBatch { requester, ops } => {
                 e.open_batch(*requester);
                 for (key, op, clock) in ops {
@@ -578,6 +582,15 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             }
             JournalRecord::ApplyBatch { requester, ops }
         }
+        5 => JournalRecord::Owner {
+            owner: d.opt_instance()?,
+            key: d.state_key()?,
+        },
+        6 => JournalRecord::Nondet {
+            clock: Clock(d.u64()?),
+            slot: d.u32()?,
+            value: d.value()?,
+        },
         _ => return None,
     };
     d.is_exhausted().then_some(record)
@@ -782,6 +795,19 @@ mod tests {
             JournalRecord::Reassign {
                 from: InstanceId(3),
                 to: InstanceId(5),
+            },
+            JournalRecord::Owner {
+                key: flow_key(4),
+                owner: Some(InstanceId(6)),
+            },
+            JournalRecord::Owner {
+                key: flow_key(5),
+                owner: None,
+            },
+            JournalRecord::Nondet {
+                clock: Clock::with_root(1, 9),
+                slot: 2,
+                value: Value::list_of_ints([4, 5]),
             },
             drain_batch(),
         ];

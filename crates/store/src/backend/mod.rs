@@ -39,6 +39,7 @@ pub use files::ScratchDir;
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
 use crate::store::StoreInstance;
+use crate::value::Value;
 use codec::Enc;
 
 /// Compaction cadence of the engine, in journaled records: high enough
@@ -86,13 +87,14 @@ impl BackendKind {
 /// One durable record of a shard's write-ahead journal, decoded. The journal
 /// captures everything needed to rebuild a shard's in-memory state exactly:
 /// applied operations with their duplicate-suppression clocks, callback and
-/// custom-op registrations, and per-flow ownership reassignments.
+/// custom-op registrations, per-flow ownership changes and logged
+/// non-deterministic values.
 ///
 /// This is the form recovery replays, not the form the journal keeps: the
 /// engine holds records as frames of bytes. The hot records, `Apply` and
 /// `ApplyBatch`, are encoded by the server straight from the ops it applied,
 /// with no value of this type built; the rare ones are built and encoded
-/// through the same per-kind encoders ([`JournalRecord::to_frame`]).
+/// as values of it ([`JournalRecord::to_frame`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// One applied operation (emulated duplicates mutate nothing and are
@@ -129,6 +131,24 @@ pub enum JournalRecord {
         /// Replacement instance.
         to: InstanceId,
     },
+    /// One object's owner set by a handover (§5.1, Figure 4): an acquire or
+    /// a release that changed it.
+    Owner {
+        /// The per-flow object.
+        key: StateKey,
+        /// Its owner from here on (`None`: released).
+        owner: Option<InstanceId>,
+    },
+    /// A non-deterministic value the shard logged (Appendix A), so a packet
+    /// replayed after a restart observes it again.
+    Nondet {
+        /// Clock of the packet that asked.
+        clock: Clock,
+        /// Which of the packet's values.
+        slot: u32,
+        /// The logged value.
+        value: Value,
+    },
     /// One batched [`crate::server::StoreServer::apply_batch`] submission to
     /// this shard: the applied (not emulated) ops in submission order. Replay
     /// is element-wise, so recovery from a batched journal is identical to
@@ -149,7 +169,8 @@ pub struct ShardRecoveryStats {
     pub restored_from_checkpoint: usize,
     /// Journal operations re-applied on top of the checkpoint.
     pub replayed_ops: usize,
-    /// Callback / custom-op / ownership records re-installed.
+    /// Callback, custom-op, ownership and non-determinism records
+    /// re-installed.
     pub reinstalled_records: usize,
     /// The latest checkpoint image failed its frame check or decode. The
     /// journal suffix was replayed over an empty instance, so every write
@@ -264,10 +285,11 @@ impl Shard {
         self.engine.checkpoint(&self.instance)
     }
 
-    /// Fail-stop: wipe the live instance. The engine's bytes survive, on
-    /// either medium.
+    /// Fail-stop: wipe the live instance, which answers nothing until
+    /// recovered. The engine's bytes survive, on either medium.
     pub(crate) fn crash(&mut self) {
         self.instance = StoreInstance::new();
+        self.instance.set_failed(true);
     }
 
     /// Rebuild the instance: restore the latest checkpoint, re-register the
@@ -333,6 +355,14 @@ fn replay_record(
         }
         JournalRecord::Reassign { from, to } => {
             instance.reassign_owner(*from, *to);
+            stats.reinstalled_records += 1;
+        }
+        JournalRecord::Owner { key, owner } => {
+            instance.set_owner(key, *owner);
+            stats.reinstalled_records += 1;
+        }
+        JournalRecord::Nondet { clock, slot, value } => {
+            instance.nondet_value(*clock, *slot, value.clone());
             stats.reinstalled_records += 1;
         }
         JournalRecord::ApplyBatch { requester, ops } => {

@@ -18,7 +18,7 @@
 //! * a single store instance ([`store::StoreInstance`]) implementing
 //!   operation serialization, ownership checks, callback registration for
 //!   read-heavy cached objects, clock-tagged update logging used for
-//!   duplicate suppression (§5.3), checkpointing with `TS` metadata and
+//!   duplicate suppression (§5.3), the `TS` metadata, checkpoint images and
 //!   store-computed non-deterministic values (Appendix A);
 //! * [`window::CounterWindow`], the deque indexed by a dense clock counter
 //!   behind both the store's duplicate-suppression log and
@@ -28,9 +28,9 @@
 //! * the per-shard storage engine ([`backend`]): an append-only journal with
 //!   checkpoint compaction, whose shard restart is O(ops-since-checkpoint),
 //!   over bytes in memory or flat files;
-//! * a sharded, thread-safe server ([`server::StoreServer`]) used by the
-//!   real-thread throughput benchmarks (the paper reports ≈5.1 M ops/s per
-//!   store instance).
+//! * a sharded, thread-safe server ([`server::StoreServer`]), the datastore
+//!   both substrates run on (the paper reports ≈5.1 M ops/s per store
+//!   instance).
 
 pub mod backend;
 mod dedup;
@@ -50,7 +50,7 @@ pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope,
 pub use ops::{Condition, OpOutcome, Operation};
 pub use recovery::{recover_shared_state, select_recovery_ts, RecoveryInput, RecoveryReport};
 pub use server::{ShardRecoveryStats, StoreServer};
-pub use store::{Checkpoint, StoreInstance};
+pub use store::StoreInstance;
 pub use value::Value;
 pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};
 pub use window::CounterWindow;

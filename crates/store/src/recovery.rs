@@ -1,8 +1,10 @@
 //! Datastore failover: shared-state recovery with `TS` selection.
 //!
 //! §5.4 "Datastore instance" and Figure 7 of the paper. A failover store
-//! instance boots from the latest checkpoint and must be rolled forward to a
-//! state consistent with every NF instance's view of packet processing:
+//! instance boots from the latest checkpoint — a shard's image, as
+//! [`crate::StoreServer::shard_image`] encodes it — and must be rolled
+//! forward to a state consistent with every NF instance's view of packet
+//! processing:
 //!
 //! * **Case 1** — no NF read shared state since the checkpoint: re-execute
 //!   each instance's write-ahead log starting from the clocks recorded in the
@@ -16,16 +18,17 @@
 //!   value returned by that read, and re-executes each instance's log from
 //!   the per-instance clocks in the selected `TS`.
 
+use crate::backend::decode_image_frame;
 use crate::key::{Clock, InstanceId};
-use crate::store::{Checkpoint, StoreInstance};
-use crate::wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};
+use crate::store::StoreInstance;
+use crate::wal::{ReadLogEntry, WriteAheadLog};
 use std::collections::{BTreeMap, HashMap};
 
 /// Everything the framework gathers to recover a failed store instance.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInput {
-    /// Latest checkpoint taken by the failed instance.
-    pub checkpoint: Checkpoint,
+    /// The failed instance's checkpoint image (empty or undecodable: start empty).
+    pub image: Vec<u8>,
     /// Per-NF-instance write-ahead logs of shared-state updates issued since
     /// (at least) the checkpoint.
     pub wals: HashMap<InstanceId, WriteAheadLog>,
@@ -98,13 +101,18 @@ pub fn select_recovery_ts<'a>(
 ///   read (selected by the `TS`-selection algorithm restricted to that
 ///   object) and rolled forward from the selected `TS` (Case 2).
 ///
+/// The image is decoded whole — ownership, callback registrations and
+/// logged non-determinism come back with the values — but its logged updates
+/// are dropped: the rollforward re-executes the clients' logs instead.
+///
 /// Returns the recovered [`StoreInstance`] together with a report. Per-flow
 /// state is *not* handled here: the framework separately re-installs it from
 /// the owning instances' caches (they always hold the freshest copy,
 /// Theorem B.5.1) via [`StoreInstance::install`].
 pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryReport) {
-    let mut store = StoreInstance::new();
-    store.restore(&input.checkpoint);
+    let mut store = decode_image_frame(&input.image, &|_| None).unwrap_or_default();
+    store.forget_updates();
+    let checkpoint_ts = store.ts().clone();
 
     // Group write-ahead-log entries and reads by canonical object.
     let mut keys: Vec<_> = input
@@ -144,15 +152,11 @@ pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryRe
         }
 
         let selection = select_recovery_ts(&wals_for_key, &reads_for_key);
-        let start_ts = match selection {
-            None => TsSnapshot::new(input.checkpoint.ts.clone()),
-            Some(read) => {
-                any_case2 = true;
-                selected_read_clock = Some(read.clock);
-                store.install(&read.key, read.value.clone(), None);
-                read.ts.clone()
-            }
-        };
+        if let Some(read) = selection {
+            any_case2 = true;
+            selected_read_clock = Some(read.clock);
+            store.install(&read.key, read.value.clone(), None);
+        }
 
         // Re-execute, per instance, every logged update on this object after
         // the clock recorded for that instance in the selected TS (or after
@@ -163,9 +167,9 @@ pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryRe
         let instances: BTreeMap<InstanceId, &WriteAheadLog> =
             wals_for_key.iter().map(|(k, v)| (*k, v)).collect();
         for (instance, wal) in instances {
-            let after = start_ts
-                .clock_of(instance)
-                .or_else(|| input.checkpoint.ts.get(&instance).copied());
+            let after = selection
+                .and_then(|read| read.ts.clock_of(instance))
+                .or_else(|| checkpoint_ts.get(&instance).copied());
             for entry in wal.entries_after(after) {
                 let _ = store.apply(instance, &entry.key, &entry.op, Some(entry.clock));
                 replayed += 1;
@@ -187,9 +191,11 @@ pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::encode_image_frame;
     use crate::key::{ObjectKey, StateKey, VertexId};
     use crate::ops::Operation;
     use crate::value::Value;
+    use crate::wal::TsSnapshot;
 
     fn clock(n: u64) -> Clock {
         Clock::with_root(0, n)
@@ -210,7 +216,7 @@ mod tests {
 
         // Checkpoint at time t with TS19 applied? The figure's checkpoint is
         // earlier; we start from an empty checkpoint (time t) for clarity.
-        let checkpoint = live.checkpoint(0);
+        let image = encode_image_frame(&live, &mut Vec::new()).to_vec();
 
         // Per-instance operation logs (Figure 7, top): U = increment.
         // I1: U9  U20 U15 U35
@@ -291,7 +297,7 @@ mod tests {
             });
 
         RecoveryInput {
-            checkpoint,
+            image,
             wals,
             read_logs,
         }
@@ -335,7 +341,7 @@ mod tests {
                 .unwrap();
             wal1.append(clock(c), k.clone(), Operation::Increment(1));
         }
-        let checkpoint = live.checkpoint(0);
+        let image = encode_image_frame(&live, &mut Vec::new()).to_vec();
         for c in 5..=7u64 {
             live.apply(InstanceId(1), &k, &Operation::Increment(1), Some(clock(c)))
                 .unwrap();
@@ -352,7 +358,7 @@ mod tests {
         wals.insert(InstanceId(1), wal1);
         wals.insert(InstanceId(2), wal2);
         let input = RecoveryInput {
-            checkpoint,
+            image,
             wals,
             read_logs: HashMap::new(),
         };

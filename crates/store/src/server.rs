@@ -10,17 +10,22 @@
 //! [`crate::StoreInstance`] behind its own lock, and because an object maps to
 //! exactly one shard, operations on different objects proceed in parallel
 //! with no shared locking. The real-thread Criterion benchmark
-//! (`benches/store_ops.rs`) measures this type directly.
+//! (`benches/store_ops.rs`) measures this type directly. Both substrates run
+//! on it: the simulator on one shard in memory, the engine on several. An
+//! object's owner lives on its shard, a non-deterministic value on the shard
+//! its clock picks, and `TS` is read as each instance's latest clock across
+//! shards.
 //!
 //! Two fault-tolerance facilities back the real-thread failover protocols:
 //!
 //! * **Per-shard journaling** (§5.4): with journaling enabled, every applied
-//!   operation (plus callback registrations, custom-op registrations and
-//!   ownership reassignments) is appended to a shard-local write-ahead
-//!   journal that models the durable log a production store keeps on disk.
-//!   [`StoreServer::checkpoint_shard`] snapshots a shard and truncates its
-//!   journal; [`StoreServer::crash_shard`] wipes the in-memory state
-//!   (fail-stop); [`StoreServer::recover_shard`] rebuilds it from the latest
+//!   operation (plus callback and custom-op registrations, ownership
+//!   changes and logged non-deterministic values) is appended to a
+//!   shard-local write-ahead journal that models the durable log a
+//!   production store keeps on disk. [`StoreServer::checkpoint_shard`]
+//!   snapshots a shard and truncates its journal;
+//!   [`StoreServer::crash_shard`] wipes the in-memory state (fail-stop);
+//!   [`StoreServer::recover_shard`] rebuilds it from the latest
 //!   checkpoint plus the journal suffix. [`StoreServer::restart_shard`] does
 //!   crash + recovery under one lock hold so concurrent clients observe an
 //!   outage as latency, never as state loss.
@@ -39,14 +44,17 @@
 
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
-    BackendKind, Engine, JournalRecord, ScratchDir, Shard, DEFAULT_CHECKPOINT_INTERVAL,
+    encode_image_frame, BackendKind, Engine, JournalRecord, ScratchDir, Shard,
+    DEFAULT_CHECKPOINT_INTERVAL,
 };
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
-use crate::store::ApplyResult;
+use crate::store::{ApplyResult, StoreInstance};
 use crate::value::Value;
+use crate::wal::TsSnapshot;
 use parking_lot::{Mutex, MutexGuard};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -171,11 +179,20 @@ impl StoreServer {
         shard
     }
 
+    /// Every shard, locked in turn.
+    fn shards(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
+        self.slots.iter().map(|s| s.shard.lock())
+    }
+
+    /// Every shard, locked in turn at the current replay floor.
+    fn shards_at_floor(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
+        self.slots.iter().map(|s| self.lock_at_floor(s))
+    }
+
     /// Register a custom operation on every shard.
     pub fn register_custom_op(&self, name: &str, f: CustomOpFn) {
-        for slot in &self.slots {
-            slot.shard.lock().register_custom_op(name, f);
-        }
+        self.shards()
+            .for_each(|mut s| s.register_custom_op(name, f));
     }
 
     /// Apply an operation on one shard, journaling it when the shard's
@@ -365,28 +382,98 @@ impl StoreServer {
     /// failed instance's externalized per-flow state).
     pub fn reassign_owner(&self, from: InstanceId, to: InstanceId) -> usize {
         let mut moved = 0;
-        for slot in &self.slots {
-            let mut shard = slot.shard.lock();
+        for mut shard in self.shards() {
             moved += shard.instance_mut().reassign_owner(from, to);
             shard.append(&JournalRecord::Reassign { from, to });
         }
         moved
     }
 
+    /// Current owner of a per-flow object, if any.
+    pub fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
+        self.slot_of(key).shard.lock().instance().owner_of(key)
+    }
+
+    /// Associate `who` with the object (step 7 of the Figure 4 handover).
+    /// Fails while another instance still owns it.
+    pub fn acquire_ownership(&self, key: &StateKey, who: InstanceId) -> Result<(), StoreError> {
+        self.change_owner(key, |s| s.acquire_ownership(key, who))
+    }
+
+    /// Disassociate `who` from the object (step 5 of the handover).
+    pub fn release_ownership(&self, key: &StateKey, who: InstanceId) -> Result<(), StoreError> {
+        self.change_owner(key, |s| s.release_ownership(key, who))
+    }
+
+    /// Run an ownership call on the object's shard, journaling the owner it
+    /// leaves if that moved.
+    fn change_owner(
+        &self,
+        key: &StateKey,
+        call: impl FnOnce(&mut StoreInstance) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut shard = self.slot_of(key).shard.lock();
+        let before = shard.instance().owner_of(key);
+        call(shard.instance_mut())?;
+        let owner = shard.instance().owner_of(key);
+        if owner != before {
+            let key = key.clone();
+            shard.append(&JournalRecord::Owner { key, owner });
+        }
+        Ok(())
+    }
+
+    /// The non-deterministic value of `(clock, slot)` (Appendix A):
+    /// `candidate` on first request, the logged value ever after. It is
+    /// logged, and journaled, on the shard the clock picks, so a packet
+    /// replayed after a restart observes it again.
+    pub fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
+        let at = &self.slots[(clock.0 % self.slots.len() as u64) as usize];
+        let mut shard = self.lock_at_floor(at);
+        let value = shard.instance_mut().nondet_value(clock, slot, candidate);
+        shard.append(&JournalRecord::Nondet {
+            clock,
+            slot,
+            value: value.clone(),
+        });
+        value
+    }
+
+    /// The `TS` metadata: each instance's latest clock across shards. A
+    /// shard keeps the clock of the last op it applied for each instance,
+    /// and an instance issues its ops in clock order.
+    pub fn ts_snapshot(&self) -> TsSnapshot {
+        let mut ts: HashMap<InstanceId, Clock> = HashMap::new();
+        for shard in self.shards() {
+            for (&instance, &clock) in shard.instance().ts() {
+                let latest = ts.entry(instance).or_insert(clock);
+                *latest = (*latest).max(clock);
+            }
+        }
+        TsSnapshot::new(ts)
+    }
+
+    /// True while some shard is crashed and not yet recovered: it answers
+    /// nothing.
+    pub fn is_failed(&self) -> bool {
+        self.shards().any(|s| s.instance().is_failed())
+    }
+
+    /// Forget everything logged for `clock` on every shard — its updates
+    /// and its non-deterministic values: the root deleted the packet.
+    pub fn forget_clock(&self, clock: Clock) {
+        self.shards()
+            .for_each(|mut s| s.instance_mut().forget_clock(clock));
+    }
+
     /// Total operations served since construction.
     pub fn total_ops(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.ops.load(Ordering::Relaxed))
-            .sum()
+        self.ops_per_shard().iter().sum()
     }
 
     /// Total number of objects across all shards.
     pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.shard.lock().instance().len())
-            .sum()
+        self.shards().map(|s| s.instance().len()).sum()
     }
 
     /// True if no shard holds any object.
@@ -396,28 +483,19 @@ impl StoreServer {
 
     /// Approximate resident bytes of live state across all shards.
     pub fn state_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.shard.lock().instance().state_bytes())
-            .sum()
+        self.shards().map(|s| s.instance().state_bytes()).sum()
     }
 
     /// Durable segment files currently held across all shards (0 in
     /// memory). Telemetry gauge.
     pub fn durable_segments(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.shard.lock().engine().segment_count())
-            .sum()
+        self.shards().map(|s| s.engine().segment_count()).sum()
     }
 
     /// Bytes of durable state (segments + checkpoint images) across all
     /// shards (0 in memory). Telemetry gauge.
     pub fn durable_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.shard.lock().engine().durable_bytes())
-            .sum()
+        self.shards().map(|s| s.engine().durable_bytes()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -446,8 +524,27 @@ impl StoreServer {
         self.lock_at_floor(&self.slots[shard]).checkpoint()
     }
 
-    /// Fail-stop one shard: its in-memory state is wiped. The durable side
-    /// (checkpoint + journal) survives, as a disk-backed log would.
+    /// One shard's checkpoint image, encoded from the live instance: the
+    /// bytes [`StoreServer::checkpoint_shard`] keeps, handed to the caller
+    /// instead (Figure 7 recovery rolls them forward through the clients'
+    /// logs).
+    pub fn shard_image(&self, shard: usize) -> Vec<u8> {
+        let shard = self.lock_at_floor(&self.slots[shard]);
+        encode_image_frame(shard.instance(), &mut Vec::new()).to_vec()
+    }
+
+    /// Make `instance`, which a recovery rebuilt outside the server (Figure
+    /// 7), one shard's latest checkpoint, and recover the shard from it.
+    pub fn install_shard(&self, shard: usize, instance: StoreInstance) {
+        let mut shard = self.slots[shard].shard.lock();
+        *shard.instance_mut() = instance;
+        shard.checkpoint();
+        self.recover_locked(&mut shard);
+    }
+
+    /// Fail-stop one shard: its in-memory state is wiped, and it answers
+    /// nothing until recovered. The durable side (checkpoint + journal)
+    /// survives, as a disk-backed log would.
     pub fn crash_shard(&self, shard: usize) {
         self.slots[shard].shard.lock().crash();
     }
@@ -465,9 +562,7 @@ impl StoreServer {
     /// to the server's floor before the lock is released prunes that again.
     fn recover_locked(&self, shard: &mut Shard) -> ShardRecoveryStats {
         let stats = shard.recover();
-        shard
-            .instance_mut()
-            .raise_floor(self.replay_floor.load(Ordering::Relaxed));
+        shard.instance_mut().raise_floor(self.replay_floor());
         stats
     }
 
@@ -505,9 +600,8 @@ impl StoreServer {
     /// Clock-tagged updates currently retained for duplicate suppression,
     /// across all shards, each pruned at the current floor first. O(shards).
     pub fn update_log_len(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| self.lock_at_floor(s).instance().update_log_len())
+        self.shards_at_floor()
+            .map(|s| s.instance().update_log_len())
             .sum()
     }
 
@@ -516,14 +610,8 @@ impl StoreServer {
     /// the log costs in memory, one cell per counter, where
     /// [`StoreServer::update_log_len`] counts what it holds. O(shards).
     pub fn update_log_span(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| {
-                self.lock_at_floor(s)
-                    .instance()
-                    .update_log_spans()
-                    .sum::<u64>()
-            })
+        self.shards_at_floor()
+            .map(|s| s.instance().update_log_spans().sum::<u64>())
             .sum()
     }
 
@@ -531,9 +619,8 @@ impl StoreServer {
     /// current floor: what the sentinel bounds by the packets from the floor
     /// up.
     pub fn update_log_widest_span(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(|s| self.lock_at_floor(s).instance().update_log_spans().max())
+        self.shards_at_floor()
+            .filter_map(|s| s.instance().update_log_spans().max())
             .max()
             .unwrap_or(0)
     }
@@ -541,9 +628,8 @@ impl StoreServer {
     /// Summed over shards, the most updates a single packet has ever held
     /// in a shard's log: what one packet above the floor can cost.
     pub fn update_log_widest_packet(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.shard.lock().instance().update_log_widest_packet())
+        self.shards()
+            .map(|s| s.instance().update_log_widest_packet())
             .sum()
     }
 
@@ -551,11 +637,7 @@ impl StoreServer {
     /// owner)`. Order is unspecified; callers sort as needed. Used for final
     /// state digests in the substrate-equivalence tests.
     pub fn dump(&self) -> Vec<(StateKey, Value, Option<InstanceId>)> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            out.extend(slot.shard.lock().instance().entries());
-        }
-        out
+        self.shards().flat_map(|s| s.instance().entries()).collect()
     }
 }
 
@@ -564,7 +646,6 @@ mod tests {
     use super::*;
     use crate::key::{ObjectKey, VertexId};
     use chc_packet::ScopeKey;
-    use std::collections::HashMap;
     use std::net::Ipv4Addr;
     use std::thread;
 
@@ -974,6 +1055,12 @@ mod tests {
             .unwrap();
         server.crash_shard(0);
         assert_eq!(server.peek(&k), Value::None, "fail-stop wipes memory");
+        // A crashed shard answers nothing until it is recovered.
+        assert!(server.is_failed());
+        let refused = server.apply(InstanceId(0), &k, &Operation::Increment(7), None);
+        assert_eq!(refused.unwrap_err(), StoreError::Unavailable);
+        assert_eq!(server.recover_shard(0), ShardRecoveryStats::default());
+        assert!(!server.is_failed());
         // With the journal on, the same crash recovers.
         server.set_shard_journaling(0, true);
         server

@@ -4,14 +4,14 @@
 //! (§4.3). It serializes offloaded operations, enforces per-flow ownership,
 //! tracks callback registrations for read-heavy cached objects, logs
 //! clock-tagged updates of in-flight packets for duplicate suppression
-//! (§5.3), maintains the per-instance `TS` metadata and periodic checkpoints
-//! used for store recovery (§5.4, Figure 7), and computes/logs
-//! non-deterministic values (Appendix A).
+//! (§5.3), maintains the per-instance `TS` metadata that store recovery
+//! reads (§5.4, Figure 7), encodes itself as a checkpoint image, and
+//! computes/logs non-deterministic values (Appendix A).
 //!
-//! The struct itself is single-threaded; the simulated chain wraps it in a
-//! store actor, and [`crate::server::StoreServer`] shards several instances
-//! across threads for the real-thread throughput benchmarks (the paper pins
-//! each state object to exactly one store thread to avoid locking overhead).
+//! The struct itself is single-threaded: it is one shard of a
+//! [`crate::server::StoreServer`], which holds it under a lock (the paper
+//! pins each state object to exactly one store thread to avoid locking
+//! overhead).
 
 use crate::backend::codec::{Dec, Enc};
 use crate::dedup::DedupLog;
@@ -19,7 +19,7 @@ use crate::error::StoreError;
 use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, StateKey, VertexId};
 use crate::ops::{apply_in_place, CustomOpFn, CustomOpResolver, OpOutcome, Operation};
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// An entry stored at a canonical key.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -32,37 +32,6 @@ struct Entry {
     /// Dense id, assigned at creation and stable for the instance's life
     /// (entries are never removed): how the dedup log names this object.
     id: u32,
-}
-
-/// A consistent snapshot of a store instance: the state plus the `TS`
-/// metadata (the logical clock of the last operation executed on behalf of
-/// each NF instance), as described in §5.4 "Datastore instance".
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Checkpoint {
-    entries: BTreeMap<String, (StateKey, Value, Option<InstanceId>)>,
-    /// Logical clock of the last operation applied per instance.
-    pub ts: HashMap<InstanceId, Clock>,
-    /// Virtual time at which the checkpoint was taken (informational).
-    pub taken_at_ns: u64,
-}
-
-impl Checkpoint {
-    /// Number of objects captured.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the checkpoint holds no objects.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Look up the value of a key in the checkpoint.
-    pub fn value_of(&self, key: &StateKey) -> Option<&Value> {
-        self.entries
-            .get(&key.canonical().to_string())
-            .map(|(_, v, _)| v)
-    }
 }
 
 /// Result of applying an operation at the store.
@@ -186,7 +155,7 @@ impl StoreInstance {
     }
 
     /// Apply an operation on behalf of `requester`: a run of one (see
-    /// [`StoreInstance::apply_run`]).
+    /// `StoreInstance::apply_run`).
     ///
     /// `clock` is the logical clock of the packet that induced the operation;
     /// when present it drives the `TS` metadata and duplicate suppression:
@@ -447,6 +416,12 @@ impl StoreInstance {
         n
     }
 
+    /// Make `owner` the owner of `key`'s object, creating it empty if
+    /// absent: what a journaled ownership change replays to.
+    pub(crate) fn set_owner(&mut self, key: &StateKey, owner: Option<InstanceId>) {
+        self.entry_or_create(key).owner = owner;
+    }
+
     // ------------------------------------------------------------------
     // Callbacks (read-heavy cached cross-flow objects, Table 1)
     // ------------------------------------------------------------------
@@ -538,34 +513,10 @@ impl StoreInstance {
         self.dedup.nondet_value(clock, slot, candidate)
     }
 
-    // ------------------------------------------------------------------
-    // Checkpoint / restore (store fault tolerance, §5.4)
-    // ------------------------------------------------------------------
-
-    /// Take a checkpoint of all state plus the `TS` metadata.
-    pub fn checkpoint(&self, taken_at_ns: u64) -> Checkpoint {
-        let entries = self
-            .entries()
-            .into_iter()
-            .map(|(k, v, o)| (k.to_string(), (k, v, o)))
-            .collect();
-        Checkpoint {
-            entries,
-            ts: self.ts.clone(),
-            taken_at_ns,
-        }
-    }
-
-    /// Replace the store contents with a checkpoint (used to boot a failover
-    /// store instance before the write-ahead logs are re-executed).
-    pub fn restore(&mut self, checkpoint: &Checkpoint) {
-        self.entries.clear();
-        for (key, value, owner) in checkpoint.entries.values() {
-            self.install(key, value.clone(), *owner);
-        }
-        self.ts = checkpoint.ts.clone();
+    /// Forget every logged update, keeping logged non-determinism: Figure 7
+    /// recovery re-executes the clients' logs instead.
+    pub(crate) fn forget_updates(&mut self) {
         self.dedup.clear_updates();
-        self.failed = false;
     }
 
     /// Directly install a value (used when recovering per-flow state from the
@@ -1068,6 +1019,7 @@ mod tests {
 
     #[test]
     fn checkpoint_and_restore() {
+        use crate::backend::codec::{decode_image_frame, encode_image_frame};
         let mut store = StoreInstance::new();
         let key = shared("x");
         store
@@ -1078,18 +1030,15 @@ mod tests {
                 Some(Clock::with_root(0, 3)),
             )
             .unwrap();
-        let cp = store.checkpoint(123);
-        assert_eq!(cp.len(), 1);
-        assert_eq!(cp.value_of(&key), Some(&Value::Int(7)));
-        assert_eq!(cp.ts[&InstanceId(1)], Clock::with_root(0, 3));
+        let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
 
         // Keep mutating after the checkpoint, then simulate a crash.
         store
             .apply(InstanceId(1), &key, &Operation::Increment(1), None)
             .unwrap();
         assert_eq!(store.peek(&key), Value::Int(8));
-        let mut recovered = StoreInstance::new();
-        recovered.restore(&cp);
+        let recovered = decode_image_frame(&image, &|_| None).unwrap();
+        assert_eq!(recovered.len(), 1);
         assert_eq!(recovered.peek(&key), Value::Int(7));
         assert_eq!(recovered.ts()[&InstanceId(1)], Clock::with_root(0, 3));
     }

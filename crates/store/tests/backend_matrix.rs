@@ -10,6 +10,7 @@
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
+use chc_packet::ScopeKey;
 use chc_store::backend::{encode_image_frame, Engine, JournalRecord, Shard};
 use chc_store::{
     BackendKind, Clock, InstanceId, ObjectKey, Operation, ScratchDir, StateKey, StoreInstance,
@@ -138,6 +139,11 @@ fn crash_semantics_match_on_both_backends() {
             .unwrap();
         server.crash_shard(0);
         assert_eq!(server.peek(&k), Value::None, "{kind:?}: fail-stop wipes");
+        assert!(
+            server.is_failed(),
+            "{kind:?}: a crashed shard answers nothing"
+        );
+        server.recover_shard(0);
         server.set_shard_journaling(0, true);
         server
             .apply(InstanceId(0), &k, &Operation::Increment(7), None)
@@ -146,6 +152,60 @@ fn crash_semantics_match_on_both_backends() {
         let stats = server.recover_shard(0);
         assert_eq!(stats.replayed_ops, 1, "{kind:?}");
         assert_eq!(server.peek(&k), Value::Int(7), "{kind:?}");
+    }
+}
+
+/// Ownership changes are shard state like any other: on both media an
+/// owner survives a restart, whether the image or the journal suffix holds
+/// it.
+#[test]
+fn ownership_changes_survive_restart_on_both_backends() {
+    let flow = |port| {
+        let object = ObjectKey::scoped("conn", ScopeKey::Port(port));
+        StateKey::per_flow(VertexId(1), InstanceId(2), object)
+    };
+    for kind in KINDS {
+        let server = journaled(kind, 2);
+        // One object handed over before the checkpoint, one released after.
+        let (early, late) = (flow(1), flow(2));
+        for key in [&early, &late] {
+            let set = Operation::Set(Value::Int(1));
+            server.apply(InstanceId(2), key, &set, None).unwrap();
+        }
+        server.release_ownership(&early, InstanceId(2)).unwrap();
+        server.acquire_ownership(&early, InstanceId(5)).unwrap();
+        (0..2).for_each(|s| _ = server.checkpoint_shard(s));
+        server.release_ownership(&late, InstanceId(2)).unwrap();
+        (0..2).for_each(|s| _ = server.restart_shard(s));
+        assert_eq!(server.owner_of(&early), Some(InstanceId(5)), "{kind:?}");
+        assert_eq!(server.owner_of(&late), None, "{kind:?}");
+        let refused = server.apply(InstanceId(2), &early, &Operation::Increment(1), None);
+        assert!(refused.is_err(), "{kind:?}: the old owner is refused");
+    }
+}
+
+/// A logged non-deterministic value survives a restart on both media,
+/// whether the image or the journal suffix holds it: a packet replayed
+/// after the restart observes the value it observed before.
+#[test]
+fn nondet_values_survive_restart_on_both_backends() {
+    for kind in KINDS {
+        let server = journaled(kind, 2);
+        let clocks: Vec<Clock> = (1..=6).map(|c| Clock::with_root(0, c)).collect();
+        for (i, clock) in clocks.iter().enumerate() {
+            assert_eq!(
+                server.nondet(*clock, 0, Value::Int(i as i64)),
+                Value::Int(i as i64)
+            );
+            if i == 2 {
+                (0..2).for_each(|s| _ = server.checkpoint_shard(s));
+            }
+        }
+        (0..2).for_each(|s| _ = server.restart_shard(s));
+        for (i, clock) in clocks.iter().enumerate() {
+            let again = server.nondet(*clock, 0, Value::Int(-1));
+            assert_eq!(again, Value::Int(i as i64), "{kind:?}: clock {clock:?}");
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
 
+use chc_store::backend::encode_image_frame;
 use chc_store::{
     recover_shared_state, Clock, InstanceId, ObjectKey, Operation, ReadLogEntry, RecoveryInput,
     StateKey, StoreInstance, TsSnapshot, Value, WriteAheadLog,
@@ -137,7 +138,7 @@ impl Scenario {
             self.checkpoint_at == 0,
         );
         if self.checkpoint_at == 0 {
-            checkpoint = Some(live.checkpoint(0));
+            checkpoint = Some(encode_image_frame(&live, &mut Vec::new()).to_vec());
         }
         for (instance, c) in &self.interleave {
             live.apply(*instance, &k, &Operation::Increment(1), Some(clock(*c)))
@@ -145,7 +146,7 @@ impl Scenario {
             last_applied.insert(*instance, clock(*c));
             position += 1;
             if position == self.checkpoint_at {
-                checkpoint = Some(live.checkpoint(0));
+                checkpoint = Some(encode_image_frame(&live, &mut Vec::new()).to_vec());
             }
             take_reads(
                 position,
@@ -157,7 +158,7 @@ impl Scenario {
         }
 
         let input = RecoveryInput {
-            checkpoint: checkpoint.expect("checkpoint position within range"),
+            image: checkpoint.expect("checkpoint position within range"),
             wals,
             read_logs,
         };

@@ -38,14 +38,14 @@ fn main() {
     //    instances' caches.
     chain.run_until(quarter(2));
     let counter = StateKey::shared(VertexId(1), ObjectKey::named(chc::nf::nat::PKT_COUNT));
-    let before = chain.store.with(|s| s.peek(&counter));
+    let before = chain.store.peek(&counter);
     println!(
         "[{}] datastore instance crashes (NAT pkt_count = {before})",
         chain.now()
     );
     chain.fail_store();
     let report = chain.recover_store();
-    let after = chain.store.with(|s| s.peek(&counter));
+    let after = chain.store.peek(&counter);
     println!(
         "    recovered: case {}, {} ops replayed, {} per-flow objects restored, pkt_count = {after}",
         report.case, report.replayed_ops, report.per_flow_restored

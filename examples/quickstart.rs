@@ -72,6 +72,6 @@ fn main() {
     );
     println!(
         "\nNAT total packet counter in the store: {}",
-        chain.store.with(|s| s.peek(&key))
+        chain.store.peek(&key)
     );
 }

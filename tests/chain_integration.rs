@@ -220,9 +220,9 @@ fn store_failover_recovers_shared_state() {
         VertexId(1),
         chc_store::ObjectKey::named(chc_nf::nat::PKT_COUNT),
     );
-    let before = chain.store.with(|s| s.peek(&counter_key));
+    let before = chain.store.peek(&counter_key);
     let report = chain.recover_store();
-    let after = chain.store.with(|s| s.peek(&counter_key));
+    let after = chain.store.peek(&counter_key);
     assert_eq!(before, after, "shared counter must survive store failover");
     assert!(
         report.replayed_ops > 0,
@@ -249,4 +249,36 @@ fn root_failover_resumes_with_larger_clocks() {
     // drop), but nothing is duplicated and the chain kept processing.
     assert_eq!(metrics.sink_duplicates, 0);
     assert!(metrics.sink_delivered > 0);
+}
+
+#[test]
+fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
+    use chc_nf::firewall::BLACKLISTED;
+    use chc_packet::ScopeKey;
+    use chc_store::{Clock, Operation};
+    let firewall = VertexSpec::new(1, "firewall", Rc::new(|| Box::new(Firewall::default())));
+    let dag = LogicalDag::linear(vec![firewall.with_parallelism(2)]);
+    let mut chain = ChainController::new(dag, ChainConfig::default(), 8).unwrap();
+    let host = Some(ScopeKey::Host(std::net::Ipv4Addr::new(10, 0, 0, 5)));
+    // Instance 1 caches the read-heavy blacklist entry, which subscribes it.
+    chain.with_instance(VertexId(1), 1, |a| {
+        a.client.read(BLACKLISTED, host, Clock::with_root(0, 1))
+    });
+    chain.checkpoint_store();
+    chain.fail_store();
+    chain.recover_store();
+    // Instance 0 blacklists the host: the recovered store still tells
+    // instance 1, whose cache would otherwise stay stale for good.
+    let notified: Vec<InstanceId> = chain
+        .with_instance(VertexId(1), 0, |a| {
+            let blacklist = Operation::Set(Value::Int(1));
+            a.client
+                .update(BLACKLISTED, host, blacklist, Clock::with_root(0, 2));
+            a.client
+                .take_pending_callbacks()
+                .map(|(to, _, _)| to)
+                .collect()
+        })
+        .unwrap();
+    assert_eq!(notified, [chain.instances_of(VertexId(1))[1]]);
 }

@@ -88,7 +88,7 @@ fn run_sim(
     let mut ids = chain.delivered_ids();
     ids.sort_unstable();
     let alerts = metrics.alerts().into_iter().map(|(_, m)| m).collect();
-    let digest = sim_digest(chain.store.with(|s| s.entries()));
+    let digest = sim_digest(chain.store.dump());
     (ids, metrics.sink_duplicates, alerts, digest)
 }
 
@@ -171,7 +171,7 @@ fn run_sim_with_kill(
     let mut ids = chain.delivered_ids();
     ids.sort_unstable();
     let alerts = metrics.alerts().into_iter().map(|(_, m)| m).collect();
-    let digest = sim_digest(chain.store.with(|s| s.entries()));
+    let digest = sim_digest(chain.store.dump());
     (ids, metrics.sink_duplicates, alerts, digest)
 }
 
@@ -297,7 +297,7 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
         assert_eq!(metrics.sink_duplicates, 0);
         let mut sim_ids = chain.delivered_ids();
         sim_ids.sort_unstable();
-        let sim_state = sim_digest(chain.store.with(|s| s.entries()));
+        let sim_state = sim_digest(chain.store.dump());
 
         let mut gen = FaultGen::new(seed);
         let plans = [
@@ -524,7 +524,7 @@ fn two_load_balancer_instances_share_one_connection_table() {
         chain.run();
         let mut sim_ids = chain.delivered_ids();
         sim_ids.sort_unstable();
-        let sim_state = chain.store.with(|s| s.entries());
+        let sim_state = chain.store.dump();
 
         let rt_cfg = RuntimeConfig {
             queue_depth: LB_RING_DEPTH,
