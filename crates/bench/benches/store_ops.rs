@@ -40,17 +40,19 @@
 //! holding 4,096 logged increments from one root: encoding it from the live
 //! instance into a buffer sized as the engine sizes it, decoding it back
 //! into an instance, and `checkpoint_shard` end to end on each medium
-//! (encode, then an assignment in memory, or tmp write, rename and segment
-//! rotation on files).
+//! (encode, then an assignment in memory, or a hand-over to the persister
+//! on files). On files it also prices what the persister pays per drain:
+//! the same checkpoint written by the barrier (tmp write, rename, segment
+//! rotation), and 32 KiB of staged records written with one `write_all`.
 
 use chc_core::{CostModel, ExternalizationMode, StateClient, StateHandle, StateObjectSpec};
 use chc_nf::{loadbalancer, nat};
 use chc_packet::{FlowKey, Scope, ScopeKey};
-use chc_store::backend::{decode_image_frame, encode_image_frame};
+use chc_store::backend::{decode_image_frame, encode_image_frame, Engine};
 use chc_store::store::ApplyResult;
 use chc_store::{
-    AccessPattern, BackendKind, Clock, InstanceId, ObjectKey, Operation, StateKey, StoreError,
-    StoreInstance, StoreServer, TsSnapshot, Value, VertexId,
+    AccessPattern, BackendKind, Clock, InstanceId, JournalRecord, ObjectKey, Operation, ScratchDir,
+    StateKey, StoreError, StoreInstance, StoreServer, TsSnapshot, Value, VertexId,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -490,6 +492,41 @@ fn checkpoint(c: &mut Criterion) {
     {
         group.bench_function(name, |b| b.iter(|| server.checkpoint_shard(0)));
     }
+    // On files a checkpoint only stages its image; the persister writes it.
+    // The same checkpoint followed by the barrier, which runs that drain on
+    // this thread: tmp write, rename, segment rotation.
+    group.bench_function("checkpoint_append_only_1k_persisted", |b| {
+        b.iter(|| {
+            media[1].checkpoint_shard(0);
+            media[1].persist();
+        })
+    });
+    // What a drain of frames costs: 32 KiB of staged records, a few
+    // milliseconds of one shard's journal on `failover_durable`, written
+    // with one `write_all`. Every 32nd drain also rotates the segment (an
+    // empty image), so the file stays under 1 MiB.
+    let scratch = ScratchDir::new("bench-persist");
+    let mut engine = Engine::open(scratch.path(), usize::MAX);
+    let record = JournalRecord::Apply {
+        requester: InstanceId(0),
+        key: key(0),
+        op: Operation::Increment(64),
+        clock: Some(Clock::with_root(0, 1)),
+    }
+    .to_frame();
+    let (frames, empty, mut drains) = ((32 << 10) / record.len(), StoreInstance::new(), 0u32);
+    group.bench_function("persist_drain_32k", |b| {
+        b.iter(|| {
+            for _ in 0..frames {
+                engine.append(&record);
+            }
+            drains += 1;
+            if drains % 32 == 0 {
+                engine.checkpoint(&empty);
+            }
+            engine.persist();
+        })
+    });
     group.finish();
 }
 

@@ -433,8 +433,9 @@ fn a_checkpoint_allocates_per_image_not_per_entry() {
 fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
     // The same drains with every shard journaling, on both media. A shard
     // encodes each drain's share into the one frame buffer it reuses and
-    // hands the engine the finished frame, which it writes to a segment
-    // file or copies into an in-memory segment.
+    // hands the engine the finished frame, which it copies into the file
+    // medium's staging buffer, for the persister thread to write, or into
+    // an in-memory segment.
     for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
         let (server, mut client) = drained_client(kind, true);
         // Warm-up: as many drains as are measured, of the same ops to the
@@ -447,7 +448,8 @@ fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
         // The result vector of each drain. The budget stays per medium: an
         // in-memory segment is a `Vec` that already holds at least half of
         // what it will, so it doubles at most once per shard, where a file
-        // grows in the kernel.
+        // shard's staging buffer was reserved at its first append, and the
+        // persister empties it.
         let budget = match kind {
             BackendKind::Memory => DRAINS + SHARDS as u64,
             BackendKind::AppendOnly => DRAINS,

@@ -234,6 +234,10 @@ impl EngineShared {
         for &shard in &plan.journaled_shards {
             server.set_shard_journaling(shard, true);
         }
+        if !plan.journaled_shards.is_empty() {
+            // On files, before any packet thread exists to journal.
+            server.start_persister();
+        }
         if !plan.fault_mode {
             // No fault plan, no replay source: no clocked update can ever be
             // a duplicate, so the store keeps no duplicate-suppression log

@@ -367,12 +367,15 @@ pub(crate) fn run_monitor(
             out.series.push(GaugeSeries::new("vertexlog.len"));
             out.series.len() - 1
         });
-    // Durable-engine gauges: segment files and on-disk bytes across shards.
-    // Only meaningful (and only emitted) on the append-only backend.
+    // Durable-engine gauges: segment files and bytes handed to them across
+    // shards, and the most bytes one shard has staged that the persister has
+    // not yet written. Only meaningful (and only emitted) on the append-only
+    // backend.
     let durable_idx = (server.backend_kind() == chc_store::BackendKind::AppendOnly).then(|| {
         out.series.push(GaugeSeries::new("store.segments"));
         out.series.push(GaugeSeries::new("store.durable_bytes"));
-        out.series.len() - 2
+        out.series.push(GaugeSeries::new("store.persist_lag_bytes"));
+        out.series.len() - 3
     });
     // The duplicate-suppression log — the updates it holds and the clock
     // counters its windows span, one cell each: flat when the replay floor
@@ -425,6 +428,7 @@ pub(crate) fn run_monitor(
         if let Some(idx) = durable_idx {
             out.series[idx].push(t_ns, server.durable_segments() as f64);
             out.series[idx + 1].push(t_ns, server.durable_bytes() as f64);
+            out.series[idx + 2].push(t_ns, server.persist_lag_bytes() as f64);
         }
         out.series[dedup_idx].push(t_ns, server.update_log_len() as f64);
         out.series[dedup_idx + 1].push(t_ns, server.update_log_span() as f64);

@@ -6,7 +6,7 @@ use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
 use chc_nf::{Firewall, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeReport, TelemetryConfig};
-use chc_store::VertexId;
+use chc_store::{BackendKind, VertexId};
 use chc_telemetry::EventKind;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -85,6 +85,32 @@ fn monitor_collects_monotonic_gauge_series_and_shuts_down_cleanly() {
         rates.iter().any(|g| g.points.iter().any(|p| p.value > 0.0)),
         "all shard op rates were zero despite store traffic"
     );
+}
+
+/// On files the monitor adds the durable gauges, persist lag among them: a
+/// shard restart plan journals every faulted shard from the start, so bytes
+/// reach the files, and the lag sampled never exceeds the staging cap.
+#[test]
+fn file_runs_sample_segments_durable_bytes_and_persist_lag() {
+    let trace = trace_for(13);
+    let restart_at = (trace.len() / 2) as u64;
+    let plan = (0..4).fold(FaultPlan::new(), |plan, shard| {
+        plan.restart_shard(shard, restart_at, None)
+    });
+    let report = run(
+        RuntimeConfig::with_batch_size(8)
+            .with_sample_interval(Duration::from_millis(1))
+            .with_store_backend(BackendKind::AppendOnly)
+            .with_fault(plan),
+        &trace,
+    );
+    let series = &report.telemetry.as_ref().expect("telemetry").series;
+    let durable = series.get("store.durable_bytes").expect("durable bytes");
+    assert!(durable.points.iter().any(|p| p.value > 0.0));
+    assert!(series.get("store.segments").is_some());
+    let lag = series.get("store.persist_lag_bytes").expect("persist lag");
+    assert!(lag.len() >= 2);
+    assert!(lag.points.iter().all(|p| p.value <= (64 << 10) as f64));
 }
 
 #[test]

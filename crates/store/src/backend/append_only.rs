@@ -12,24 +12,30 @@
 //!   and deletes everything older. Recovery replays only the records past
 //!   the image: O(ops since checkpoint), never O(history).
 //! * **Open** counts the records of the live segments and truncates a torn
-//!   tail of the active one, so new appends never hide behind garbage.
+//!   tail of the active one, so new appends never hide behind garbage. A
+//!   segment it cannot read is never truncated.
 //! * **Restore** decodes the image in place. One that fails its frame check
-//!   or decode is reported, not read as an empty shard.
+//!   or decode is reported, not read as an empty shard; so is a live segment
+//!   that cannot be read, and replay stops before it.
 //!
 //! The media store bytes and set no policy. **Files** (`files.rs`) keep a
-//! per-shard directory of segment files and one image file. **Memory** keeps
-//! one segment and the image as `Vec<u8>`s: an append is one
-//! `extend_from_slice`, rotation clears the segment and keeps its capacity,
-//! and the image is the encoded buffer itself. It survives a shard crash,
-//! which models fail-stop of the shard, not of the process.
+//! per-shard directory of segment files and one image file. The engine's
+//! appends and checkpoints only stage bytes for them, and a drain writes
+//! them, off the shard lock (`persister.rs`); the engine's reads run that
+//! drain first. **Memory** keeps one segment and the image as `Vec<u8>`s: an
+//! append is one `extend_from_slice`, rotation clears the segment and keeps
+//! its capacity, and the image is the encoded buffer itself. It survives a
+//! shard crash, which models fail-stop of the shard, not of the process.
 
 use super::codec::{decode_image_frame, encode_image_frame, scan_frames};
 use super::files::Files;
-use super::{ImageRejected, JournalRecord};
+use super::persister::Persister;
+use super::{ImageRejected, JournalRecord, SegmentUnreadable};
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 use std::borrow::Cow;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One shard's history over one medium. See the module docs for its rules.
 pub struct Engine {
@@ -53,9 +59,25 @@ enum Medium {
 impl Engine {
     /// An engine over the directory `dir`, created if missing. What it holds
     /// stays: a [`super::Shard`] over the engine loads it with `recover`,
-    /// exactly as a restarted shard would.
+    /// exactly as a restarted shard would. It has no persister thread: what
+    /// it stages is written at [`Engine::persist`], when the engine reads
+    /// its files, when it is dropped, and when the staged bytes reach their
+    /// cap.
     pub fn open(dir: impl Into<PathBuf>, checkpoint_interval: usize) -> Engine {
-        Engine::over(Medium::Files(Files::open(dir.into())), checkpoint_interval)
+        Engine::over(
+            Medium::Files(Files::open(dir.into(), None)),
+            checkpoint_interval,
+        )
+    }
+
+    /// An engine over `dir` whose staged bytes `persister` writes.
+    pub(crate) fn open_persisted(
+        dir: PathBuf,
+        checkpoint_interval: usize,
+        persister: &Arc<Persister>,
+    ) -> Engine {
+        let files = Files::open(dir, Some(Arc::clone(persister)));
+        Engine::over(Medium::Files(files), checkpoint_interval)
     }
 
     /// An engine over bytes in memory: the newest checkpoint image, if any,
@@ -70,9 +92,15 @@ impl Engine {
     }
 
     fn over(mut medium: Medium, checkpoint_interval: usize) -> Engine {
-        let (mut records, mut intact) = (0, 0);
-        medium.for_each_segment(&mut |bytes| intact = scan_frames(bytes, &mut |_| records += 1));
-        medium.truncate_active(intact);
+        // The last segment visited is the active one: `intact` is its intact
+        // length if it could be read, and a segment not read is not cut.
+        let (mut records, mut intact) = (0, None);
+        medium.for_each_segment(&mut |bytes| {
+            intact = bytes.map(|bytes| scan_frames(bytes, &mut |_| records += 1));
+        });
+        if let Some(intact) = intact {
+            medium.truncate_active(intact);
+        }
         Engine {
             medium,
             checkpoint_interval: checkpoint_interval.max(1),
@@ -121,11 +149,30 @@ impl Engine {
         }
     }
 
-    /// Visit every record appended since the newest image, in order.
-    pub(crate) fn for_each_record(&self, visit: &mut dyn FnMut(&JournalRecord)) {
-        self.medium.for_each_segment(&mut |bytes| {
-            scan_frames(bytes, visit);
+    /// Visit every record appended since the newest image, in order, up to
+    /// the first live segment that cannot be read; an error if there is one.
+    pub(crate) fn for_each_record(
+        &self,
+        visit: &mut dyn FnMut(&JournalRecord),
+    ) -> Result<(), SegmentUnreadable> {
+        let mut unreadable = false;
+        self.medium.for_each_segment(&mut |bytes| match bytes {
+            Some(bytes) if !unreadable => _ = scan_frames(bytes, visit),
+            _ => unreadable = true,
         });
+        if unreadable {
+            Err(SegmentUnreadable)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The barrier: write every byte the engine has staged for its files,
+    /// on the caller's thread (a no-op in memory).
+    pub fn persist(&self) {
+        if let Some(files) = self.files() {
+            files.persist();
+        }
     }
 
     /// Records appended since the newest image.
@@ -144,8 +191,8 @@ impl Engine {
         self.files().map_or(0, Files::segment_count)
     }
 
-    /// Bytes of segments and image held on disk (0 in memory). Telemetry
-    /// gauge.
+    /// Bytes of segments and image handed to the files, staged or written
+    /// (0 in memory). Telemetry gauge.
     pub(crate) fn durable_bytes(&self) -> u64 {
         self.files().map_or(0, Files::durable_bytes)
     }
@@ -166,11 +213,12 @@ impl Medium {
         }
     }
 
-    /// Every live segment's bytes, oldest first.
-    fn for_each_segment(&self, visit: &mut dyn FnMut(&[u8])) {
+    /// Every live segment's bytes, oldest first; `None` for one that cannot
+    /// be read.
+    fn for_each_segment(&self, visit: &mut dyn FnMut(Option<&[u8]>)) {
         match self {
             Medium::Files(files) => files.for_each_segment(visit),
-            Medium::Memory { segment, .. } => visit(segment),
+            Medium::Memory { segment, .. } => visit(Some(segment)),
         }
     }
 
@@ -192,7 +240,7 @@ impl Medium {
     /// segment and delete the history the image supersedes.
     fn replace_image(&mut self, new: Option<Vec<u8>>) {
         match self {
-            Medium::Files(files) => files.replace_image(new.as_deref()),
+            Medium::Files(files) => files.replace_image(new),
             Medium::Memory { image, segment } => {
                 *image = new;
                 segment.clear();

@@ -26,15 +26,21 @@
 //! The engine's bytes live on one of two media, chosen by [`BackendKind`]:
 //! in memory (the default; process-lifetime, no IO) or in files under a
 //! per-shard directory (`std::fs` only). Open, compaction, checkpoint,
-//! restore and replay are the same code on both.
+//! restore and replay are the same code on both. On files the engine only
+//! stages bytes under the shard lock; a server's one persister thread
+//! writes them in batches, outside it (`persister.rs`).
 
 mod append_only;
 pub(crate) mod codec;
 mod files;
+mod persister;
 
 pub use append_only::Engine;
 pub use codec::{decode_image_frame, encode_image_frame};
 pub use files::ScratchDir;
+pub(crate) use persister::Persister;
+#[cfg(test)]
+pub(crate) use persister::HARD_CAP;
 
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
@@ -176,12 +182,21 @@ pub struct ShardRecoveryStats {
     /// journal suffix was replayed over an empty instance, so every write
     /// only that image held is lost.
     pub image_rejected: bool,
+    /// A live journal segment could not be read. Replay stopped before it,
+    /// so the shard holds a prefix of its history, and the segment was left
+    /// as it was, not truncated.
+    pub segment_unreadable: bool,
 }
 
 /// A checkpoint image that exists but does not decode: see
 /// [`ShardRecoveryStats::image_rejected`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ImageRejected;
+
+/// A live segment that cannot be read: see
+/// [`ShardRecoveryStats::segment_unreadable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SegmentUnreadable;
 
 /// One store shard: the live [`StoreInstance`], the journaling switch, the
 /// resident custom-op table, the journal's frame buffer and recovery, over
@@ -286,7 +301,8 @@ impl Shard {
     }
 
     /// Fail-stop: wipe the live instance, which answers nothing until
-    /// recovered. The engine's bytes survive, on either medium.
+    /// recovered. The engine's bytes survive, on either medium, staged ones
+    /// included.
     pub(crate) fn crash(&mut self) {
         self.instance = StoreInstance::new();
         self.instance.set_failed(true);
@@ -312,8 +328,10 @@ impl Shard {
         for (name, f) in table {
             instance.register_custom_op(name, *f);
         }
-        self.engine
-            .for_each_record(&mut |record| replay_record(instance, table, record, &mut stats));
+        stats.segment_unreadable = self
+            .engine
+            .for_each_record(&mut |record| replay_record(instance, table, record, &mut stats))
+            .is_err();
         stats
     }
 }

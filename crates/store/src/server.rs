@@ -40,11 +40,14 @@
 //! [`Engine`], whose journal segments and checkpoint image are bytes in
 //! memory by default and per-shard files on [`BackendKind::AppendOnly`]. It
 //! compacts every 1,024 journaled records, making `restart_shard`
-//! O(delta in ops-since-checkpoint).
+//! O(delta in ops-since-checkpoint). On files a shard only stages its bytes
+//! under its lock; the server's one persister thread writes them, outside
+//! every shard lock ([`StoreServer::persist_lag_bytes`] is how far behind it
+//! is, [`StoreServer::persist_error`] what stopped it).
 
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
-    encode_image_frame, BackendKind, Engine, JournalRecord, ScratchDir, Shard,
+    encode_image_frame, BackendKind, Engine, JournalRecord, Persister, ScratchDir, Shard,
     DEFAULT_CHECKPOINT_INTERVAL,
 };
 use crate::error::StoreError;
@@ -99,9 +102,21 @@ pub struct StoreServer {
     /// the value publishes no other data, and a shard that reads a stale
     /// (lower) floor merely keeps a few log entries a little longer.
     replay_floor: AtomicU64,
+    /// Writes the file shards' staged bytes (`None` in memory).
+    persister: Option<Arc<Persister>>,
     /// Keeps the file medium's ephemeral scratch directory alive for the
     /// server's lifetime (removed when the server is dropped).
     _scratch: Option<ScratchDir>,
+}
+
+impl Drop for StoreServer {
+    /// The persister's final drain and join come before the shards and the
+    /// scratch directory go.
+    fn drop(&mut self) {
+        if let Some(persister) = &self.persister {
+            persister.stop();
+        }
+    }
 }
 
 impl StoreServer {
@@ -114,15 +129,18 @@ impl StoreServer {
 
     /// Create a server on an explicitly chosen medium. Files give each
     /// shard its own subdirectory (`shard-<i>/`) of a scratch directory that
-    /// is removed when the server is dropped.
+    /// is removed when the server is dropped, and the server one persister
+    /// thread, started at the first byte a shard hands over.
     pub fn with_backend(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
         let scratch = (kind == BackendKind::AppendOnly).then(|| ScratchDir::new("store-server"));
-        let engine = |i: usize| match &scratch {
-            None => Engine::in_memory(None, Vec::new(), DEFAULT_CHECKPOINT_INTERVAL),
-            Some(dir) => Engine::open(
+        let persister = scratch.is_some().then(Persister::new);
+        let engine = |i: usize| match (&scratch, &persister) {
+            (Some(dir), Some(persister)) => Engine::open_persisted(
                 dir.path().join(format!("shard-{i}")),
                 DEFAULT_CHECKPOINT_INTERVAL,
+                persister,
             ),
+            _ => Engine::in_memory(None, Vec::new(), DEFAULT_CHECKPOINT_INTERVAL),
         };
         Arc::new(StoreServer {
             slots: (0..shards.max(1))
@@ -133,6 +151,7 @@ impl StoreServer {
                 .collect(),
             backend_kind: kind,
             replay_floor: AtomicU64::new(0),
+            persister,
             _scratch: scratch,
         })
     }
@@ -493,9 +512,43 @@ impl StoreServer {
     }
 
     /// Bytes of durable state (segments + checkpoint images) across all
-    /// shards (0 in memory). Telemetry gauge.
+    /// shards (0 in memory), counting what is staged for the files with
+    /// what is written: once written, what they hold. Telemetry gauge.
     pub fn durable_bytes(&self) -> u64 {
         self.shards().map(|s| s.engine().durable_bytes()).sum()
+    }
+
+    /// The most journal bytes any one shard has handed to its files and the
+    /// persister has not yet written (0 in memory): what a process death
+    /// would lose. Bounded by the staging cap (64 KiB per shard), past which
+    /// an append waits. Telemetry gauge; it takes no shard lock.
+    pub fn persist_lag_bytes(&self) -> u64 {
+        self.persister.as_ref().map_or(0, |p| p.lag_bytes())
+    }
+
+    /// The IO error that stopped the persister writing `shard`'s files, if
+    /// one did (never in memory). The shard keeps serving from memory; from
+    /// then on what it hands over is dropped, not written.
+    pub fn persist_error(&self, shard: usize) -> Option<std::io::Error> {
+        self.persister.as_ref()?.error(shard)
+    }
+
+    /// Start the persister thread now rather than at the first byte a
+    /// shard hands over (a no-op in memory or once started). A caller about
+    /// to start the threads that journal calls this first, so the spawn
+    /// does not run under a shard lock on their path.
+    pub fn start_persister(&self) {
+        if let Some(persister) = &self.persister {
+            persister.start();
+        }
+    }
+
+    /// The barrier: write every shard's staged bytes now, on the caller's
+    /// thread (a no-op in memory).
+    pub fn persist(&self) {
+        if let Some(persister) = &self.persister {
+            persister.drain_all();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -648,6 +701,7 @@ mod tests {
     use chc_packet::ScopeKey;
     use std::net::Ipv4Addr;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     fn key(name: &str, host: u8) -> StateKey {
         StateKey::shared(
@@ -854,9 +908,10 @@ mod tests {
                     let shard = server.slots[s].shard.lock();
                     assert_eq!(shard.last_frame(), record.to_frame(), "{kind:?}");
                     let mut last = None;
-                    shard
+                    let read = shard
                         .engine()
                         .for_each_record(&mut |r| last = Some(r.clone()));
+                    assert!(read.is_ok(), "{kind:?}");
                     assert_eq!(last, Some(record), "{kind:?}");
                 }
                 // The clocked part again: every op a duplicate, no record.
@@ -955,6 +1010,125 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Wait, up to ten seconds, for the persister to have written
+    /// everything staged.
+    fn until_persisted(server: &StoreServer) {
+        let persister = server.persister.as_ref().expect("a file server");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !persister.idle() {
+            assert!(Instant::now() < deadline, "the persister stalled");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `threads` writers, each issuing `batches` journaled batches of `len`
+    /// increments with clocks of its own.
+    fn journaled_storm(server: &Arc<StoreServer>, threads: u32, batches: u64, len: u8) {
+        let writers: Vec<_> = (0..threads)
+            .map(|t| {
+                let server = Arc::clone(server);
+                thread::spawn(move || {
+                    for b in 0..batches {
+                        let ops: Vec<_> = (0..len)
+                            .map(|h| {
+                                let counter = b * u64::from(len) + u64::from(h) + 1;
+                                let clock = Some(Clock::with_root(t as u8, counter));
+                                (key("storm", h), Operation::Increment(1), clock)
+                            })
+                            .collect();
+                        let results = server.apply_batch(InstanceId(t), &ops);
+                        assert!(results.iter().all(Result::is_ok));
+                    }
+                })
+            })
+            .collect();
+        writers.into_iter().for_each(|w| w.join().unwrap());
+    }
+
+    /// Journaled batches with auto-checkpoints and no restart, on files:
+    /// every write, rename and delete ran on the persister thread, and none
+    /// on the threads that applied the batches.
+    #[test]
+    fn every_file_write_runs_on_the_persister_thread() {
+        let server = StoreServer::with_backend(2, BackendKind::AppendOnly);
+        (0..2).for_each(|s| server.set_shard_journaling(s, true));
+        journaled_storm(&server, 2, 1_500, 8);
+        until_persisted(&server);
+        let (on, elsewhere) = server.persister.as_ref().unwrap().io_threads();
+        assert!(on > 0, "the persister wrote nothing");
+        assert_eq!(elsewhere, 0, "{elsewhere} drains did IO off the persister");
+        // The batches crossed the compaction cadence: images were written,
+        // and each shard is down to one segment past its image.
+        let journaled: usize = (0..2).map(|s| server.shard_journal_len(s)).sum();
+        assert!(journaled < 2 * 1_500, "no checkpoint ran");
+        assert_eq!(server.durable_segments(), 2);
+        assert!(server.persist_error(0).is_none() && server.persist_error(1).is_none());
+    }
+
+    /// Persist lag is bounded: a storm of journaled batches from two
+    /// threads never shows a shard more than the staging cap behind, and a
+    /// barrier brings every shard to zero.
+    #[test]
+    fn persist_lag_stays_under_the_cap_and_a_barrier_clears_it() {
+        use crate::backend::HARD_CAP;
+        let server = StoreServer::with_backend(2, BackendKind::AppendOnly);
+        (0..2).for_each(|s| server.set_shard_journaling(s, true));
+        let storm = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || journaled_storm(&server, 2, 3_000, 32))
+        };
+        let mut widest = 0;
+        while !storm.is_finished() {
+            widest = widest.max(server.persist_lag_bytes());
+            assert!(widest <= HARD_CAP as u64, "lag {widest} past the cap");
+        }
+        storm.join().unwrap();
+        server.persist();
+        assert_eq!(server.persist_lag_bytes(), 0);
+        assert!(server.durable_bytes() > 0);
+    }
+
+    /// An IO error on the persister is a value: removing a shard's
+    /// directory under a running persister makes its next checkpoint fail
+    /// to write, the error is reported for that shard alone, and the shard
+    /// keeps serving. Its lock is never poisoned, and what it stages from
+    /// then on is dropped.
+    #[test]
+    fn a_persister_io_error_is_reported_not_a_panic() {
+        let server = StoreServer::with_backend(2, BackendKind::AppendOnly);
+        (0..2).for_each(|s| server.set_shard_journaling(s, true));
+        let k = key("io", 1);
+        let shard = server.shard_index(&k);
+        let bump = |c: u64| {
+            let clock = Some(Clock::with_root(0, c));
+            server.apply(InstanceId(0), &k, &Operation::Increment(1), clock)
+        };
+        bump(1).unwrap();
+        until_persisted(&server);
+        let dir = server._scratch.as_ref().unwrap().path();
+        std::fs::remove_dir_all(dir.join(format!("shard-{shard}"))).unwrap();
+        server.checkpoint_shard(shard);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let error = loop {
+            if let Some(error) = server.persist_error(shard) {
+                break error;
+            }
+            assert!(Instant::now() < deadline, "no error reported");
+            thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(error.kind(), std::io::ErrorKind::NotFound, "{error}");
+        assert!(error.to_string().contains("ckpt-"), "{error}");
+        assert!(server.persist_error(1 - shard).is_none());
+        // The shard still serves, and its lag drains to zero.
+        for c in 2..=50 {
+            bump(c).unwrap();
+        }
+        assert_eq!(server.peek(&k), Value::Int(50));
+        until_persisted(&server);
+        assert_eq!(server.persist_lag_bytes(), 0);
+        assert!(server.shard_journal_len(shard) > 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! ops-since-checkpoint, not history — plus crash points: a journal torn at
 //! any byte never loses a checkpointed write, and an image torn at any byte
 //! is rejected. In memory a crash point costs no IO, so every byte offset is
-//! tried; on files, one random offset per case.
+//! tried; on files, one random offset per case, and a process death that
+//! loses what was staged and not yet written.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -19,7 +20,7 @@ use chc_store::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fs::OpenOptions;
+use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -427,6 +428,45 @@ fn a_corrupt_image_is_reported_not_read_as_an_empty_shard() {
     );
 }
 
+/// A live segment that cannot be read is reported, not replayed as empty,
+/// and it is not truncated: replay stops before it, and the segments after
+/// it keep their bytes.
+#[test]
+fn an_unreadable_segment_is_reported_not_read_as_empty() {
+    let scratch = ScratchDir::new("matrix-unreadable");
+    let dir = scratch.path();
+    let mut engine = Engine::open(dir, 1024);
+    for c in 1..=3u64 {
+        let frame = JournalRecord::Apply {
+            requester: InstanceId(1),
+            key: key("u", 0),
+            op: Operation::Increment(1),
+            clock: Some(Clock::with_root(0, c)),
+        }
+        .to_frame();
+        engine.append(&frame);
+    }
+    drop(engine);
+    // The three records move to segment 1, the active one; a directory
+    // takes the place of segment 0, so reading it fails.
+    fs::rename(dir.join("seg-00000000.log"), dir.join("seg-00000001.log")).unwrap();
+    fs::create_dir(dir.join("seg-00000000.log")).unwrap();
+    let active_len = fs::metadata(dir.join("seg-00000001.log")).unwrap().len();
+
+    let mut shard = Shard::new(Engine::open(dir, 1024));
+    let stats = shard.recover();
+    assert!(stats.segment_unreadable, "{stats:?}");
+    assert_eq!(
+        stats.replayed_ops, 0,
+        "replay stops before the unreadable segment"
+    );
+    assert_eq!(
+        fs::metadata(dir.join("seg-00000001.log")).unwrap().len(),
+        active_len,
+        "the segments were not cut"
+    );
+}
+
 proptest! {
     /// Server-level recovery equivalence on both media: a random op
     /// sequence with a random mid-stream checkpoint, then restart every
@@ -577,6 +617,54 @@ proptest! {
         let survived = n1 + stats.replayed_ops;
         prop_assert_eq!(shard.instance().peek(&k), Value::Int(survived as i64));
         prop_assert!(survived >= n1, "no checkpointed write may be lost");
+    }
+}
+
+proptest! {
+    /// Process death (`kill -9`): the page cache keeps every byte written,
+    /// and the staged bytes die with the process. A standalone file engine
+    /// is leaked with `mem::forget` after `k` appends that a barrier wrote
+    /// and `m` more that it only staged, with a checkpoint among them, so
+    /// neither its drop nor its barrier runs again. Reopened, the directory
+    /// recovers the never-crashed state of a prefix that holds all `k`, and
+    /// a checkpoint that was written is never lost.
+    #[test]
+    fn process_death_loses_at_most_the_staged_tail(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (k, m) = (rng.gen_range(0..=12usize), rng.gen_range(0..=12usize));
+        let checkpoint_after = rng.gen_range(1..=(k + m).max(1));
+        let scratch = ScratchDir::new("matrix-death");
+        let dir = scratch.path().to_path_buf();
+        let requester = InstanceId(1);
+
+        let mut engine = Engine::open(&dir, 1024);
+        let mut live = StoreInstance::new();
+        // The never-crashed state after each prefix, the empty one first.
+        let mut oracle = vec![sorted(live.entries())];
+        for c in 1..=k + m {
+            let (key, op) = (key("d", rng.gen_range(0..4)), Operation::Increment(c as i64));
+            let clock = Some(Clock::with_root(0, c as u64));
+            live.apply(requester, &key, &op, clock).unwrap();
+            oracle.push(sorted(live.entries()));
+            engine.append(&JournalRecord::Apply { requester, key, op, clock }.to_frame());
+            if c == checkpoint_after {
+                engine.checkpoint(&live);
+            }
+            if c == k {
+                engine.persist();
+            }
+        }
+        std::mem::forget(engine);
+
+        let mut shard = Shard::new(Engine::open(&dir, 1024));
+        let stats = shard.recover();
+        prop_assert!(!stats.image_rejected && !stats.segment_unreadable);
+        let state = sorted(shard.instance().entries());
+        let survived = (k..=k + m).find(|&n| oracle[n] == state);
+        prop_assert!(survived.is_some(), "no prefix from {} of {} matches", k, k + m);
+        if checkpoint_after <= k {
+            prop_assert!(stats.restored_from_checkpoint > 0, "a written checkpoint was lost");
+        }
     }
 }
 
