@@ -15,15 +15,59 @@
 //! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
 //! below the frontier can never need replay again — and deletes delivered
 //! packets one by one ahead of it ([`PacketLog::delete_where`]).
+//!
+//! ## Layout
+//!
+//! The root stamps the dense counters `1..=N`, so the log needs no tree: per
+//! root id it keeps a [`CounterWindow`] of pages, page `p` holding the cells
+//! of counters `p * 256 .. (p + 1) * 256`. Logging a packet writes one cell;
+//! truncation pops whole pages and clears the cells of one boundary page; the
+//! XOR sweep visits the held pages in place and frees a page once it empties.
+//! None of them allocates but for a page's first packet (and the spine's
+//! doubling while the span grows).
+//!
+//! Memory follows the span from the lowest to the highest held counter: one
+//! page of 256 cells of 96 B (24 KiB) per 256 counters of it, plus
+//! eight bytes of spine per page. `capacity` bounds the packets held, so
+//! with dense counters the span is the held window; a page whose cells were
+//! all deleted is freed at once.
 
 use crate::message::TaggedPacket;
-use chc_store::Clock;
-use std::collections::BTreeMap;
+use chc_store::{Clock, CounterWindow};
+
+/// Cells of one page: counters `p * PAGE_CELLS .. (p + 1) * PAGE_CELLS`.
+const PAGE_CELLS: usize = 256;
+
+/// One page of the log, with a count of its held cells so that an emptied
+/// page is freed without a scan.
+#[derive(Debug, Clone)]
+struct Page {
+    held: usize,
+    cells: [Option<TaggedPacket>; PAGE_CELLS],
+}
+
+impl Page {
+    fn new() -> Box<Page> {
+        Box::new(Page {
+            held: 0,
+            cells: [const { None }; PAGE_CELLS],
+        })
+    }
+}
+
+/// Page number and cell of `counter`.
+#[inline]
+fn place(counter: u64) -> (u64, usize) {
+    let cells = PAGE_CELLS as u64;
+    (counter / cells, (counter % cells) as usize)
+}
 
 /// A bounded log of in-flight packets, ordered by logical clock.
 #[derive(Debug, Clone, Default)]
 pub struct PacketLog {
-    entries: BTreeMap<Clock, TaggedPacket>,
+    /// Pages by page number, one window per root id (grown on first use).
+    roots: Vec<CounterWindow<Box<Page>>>,
+    len: usize,
     capacity: usize,
     high_water: usize,
     truncated: u64,
@@ -42,40 +86,80 @@ impl PacketLog {
 
     /// True when the log cannot accept another packet.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.capacity
     }
 
-    /// Log one packet under its clock. Returns `false` (and counts a
-    /// rejection) when the log is full — the caller must then drop the
-    /// packet rather than queue it without bound.
+    /// Log one packet under its clock; a packet already logged under that
+    /// clock is replaced. Returns `false` (and counts a rejection) when the
+    /// log is full — the caller must then drop the packet rather than queue
+    /// it without bound.
     pub fn insert(&mut self, tp: TaggedPacket) -> bool {
         if self.is_full() {
             self.rejected += 1;
             return false;
         }
-        self.entries.insert(tp.clock, tp);
-        self.high_water = self.high_water.max(self.entries.len());
+        let root = tp.clock.root() as usize;
+        if root >= self.roots.len() {
+            self.roots.resize_with(root + 1, CounterWindow::new);
+        }
+        let (page, cell) = place(tp.clock.counter());
+        let page = self.roots[root].cell(page).get_or_insert_with(Page::new);
+        if page.cells[cell].replace(tp).is_none() {
+            page.held += 1;
+            self.len += 1;
+            self.high_water = self.high_water.max(self.len);
+        }
         true
     }
 
     /// Remove one confirmed packet (the simulator's per-packet delete
     /// protocol). Returns whether the entry existed.
     pub fn remove(&mut self, clock: &Clock) -> bool {
-        self.entries.remove(clock).is_some()
+        let Some(pages) = self.roots.get_mut(clock.root() as usize) else {
+            return false;
+        };
+        let (p, cell) = place(clock.counter());
+        let Some(page) = pages.get_mut(p) else {
+            return false;
+        };
+        if page.cells[cell].take().is_none() {
+            return false;
+        }
+        page.held -= 1;
+        if page.held == 0 {
+            pages.take(p);
+        }
+        self.len -= 1;
+        true
     }
 
     /// Drop every entry of `root_id` with counter `<= up_to` (frontier-based
     /// truncation: the commit vector proves those packets fully processed).
-    /// Returns how many entries were dropped.
+    /// Entries of other root ids stay. Returns how many entries were dropped.
     pub fn truncate_confirmed(&mut self, root_id: u8, up_to: u64) -> usize {
         if up_to == 0 {
             return 0;
         }
-        let keep = self
-            .entries
-            .split_off(&Clock::with_root(root_id, up_to + 1));
-        let dropped = self.entries.len();
-        self.entries = keep;
+        let Some(pages) = self.roots.get_mut(root_id as usize) else {
+            return 0;
+        };
+        // Pages wholly at or below `up_to` go at once; the page holding the
+        // floor loses the cells below it.
+        let (boundary, below) = place(up_to.saturating_add(1));
+        let mut dropped = 0;
+        pages.pop_below(boundary, |page| dropped += page.held);
+        if let Some(page) = pages.get_mut(boundary) {
+            let cleared = page.cells[..below]
+                .iter_mut()
+                .filter_map(Option::take)
+                .count();
+            page.held -= cleared;
+            dropped += cleared;
+            if page.held == 0 {
+                pages.take(boundary);
+            }
+        }
+        self.len -= dropped;
         self.truncated += dropped as u64;
         dropped
     }
@@ -86,38 +170,64 @@ impl PacketLog {
     /// the log ahead of the coarser commit frontier. Returns how many entries
     /// were removed; they accumulate in [`PacketLog::deleted`].
     pub fn delete_where(&mut self, confirmed: impl Fn(&Clock) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|c, _| !confirmed(c));
-        let dropped = before - self.entries.len();
+        let mut dropped = 0;
+        for pages in &mut self.roots {
+            pages.retain(|page| {
+                for cell in &mut page.cells {
+                    if cell.as_ref().is_some_and(|tp| confirmed(&tp.clock)) {
+                        *cell = None;
+                        page.held -= 1;
+                        dropped += 1;
+                    }
+                }
+                page.held > 0
+            });
+        }
+        self.len -= dropped;
         self.deleted += dropped as u64;
         dropped
     }
 
+    /// Every logged packet, in clock order.
+    fn iter(&self) -> impl Iterator<Item = &TaggedPacket> {
+        self.roots.iter().flat_map(|pages| {
+            pages
+                .iter()
+                .flat_map(|(_, page)| page.cells.iter().flatten())
+        })
+    }
+
     /// Snapshot every logged packet in clock order (the replay source).
     pub fn snapshot(&self) -> Vec<TaggedPacket> {
-        self.entries.values().cloned().collect()
+        let mut packets = Vec::with_capacity(self.len);
+        packets.extend(self.iter().cloned());
+        packets
     }
 
     /// Counter of the smallest clock currently logged. A log is fed by one
     /// root, so this is the smallest counter it holds — what bounds the
     /// store's replay floor: nothing a log still holds may be forgotten.
     pub fn first_counter(&self) -> Option<u64> {
-        self.entries.first_key_value().map(|(c, _)| c.counter())
+        self.iter().next().map(|tp| tp.clock.counter())
     }
 
     /// Whether `clock` is currently logged.
     pub fn contains(&self, clock: &Clock) -> bool {
-        self.entries.contains_key(clock)
+        let (p, cell) = place(clock.counter());
+        self.roots
+            .get(clock.root() as usize)
+            .and_then(|pages| pages.get(p))
+            .is_some_and(|page| page.cells[cell].is_some())
     }
 
     /// Number of packets currently logged.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when nothing is logged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Largest log size ever observed.
@@ -143,6 +253,11 @@ impl PacketLog {
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Pages currently allocated, over all root ids: what the log costs.
+    pub fn resident_pages(&self) -> usize {
+        self.roots.iter().map(|pages| pages.iter().count()).sum()
     }
 }
 
@@ -199,10 +314,40 @@ mod tests {
         log.insert(tp(5));
         let other_root = TaggedPacket::new(Packet::builder().id(9).build(), Clock::with_root(1, 2));
         log.insert(other_root);
-        // Truncating root 0 must not touch root 1's entries (clocks of a
-        // later root id order strictly above every root-0 clock).
+        // Truncating root 0 must not touch root 1's entries, and truncating
+        // root 1 must not touch root 0's, although they order below.
         assert_eq!(log.truncate_confirmed(0, 10), 1);
         assert_eq!(log.len(), 1);
         assert!(log.contains(&Clock::with_root(1, 2)));
+        log.insert(tp(7));
+        assert_eq!(log.truncate_confirmed(1, 10), 1);
+        assert_eq!((log.len(), log.first_counter()), (1, Some(7)));
+        assert_eq!(log.truncate_confirmed(2, 10), 0, "a root never logged");
+    }
+
+    #[test]
+    fn pages_are_freed_as_they_empty() {
+        let mut log = PacketLog::new(10_000);
+        for c in 1..=1_000 {
+            log.insert(tp(c));
+        }
+        // Counters 1..=1000 span pages 0..=3.
+        assert_eq!(log.resident_pages(), 4);
+        // A truncation inside page 1 frees page 0 and keeps page 1.
+        assert_eq!(log.truncate_confirmed(0, 300), 300);
+        assert_eq!((log.resident_pages(), log.first_counter()), (3, Some(301)));
+        // A sweep that empties page 2 (512..=767) frees it, from the middle.
+        let swept = log.delete_where(|c| (512..768).contains(&c.counter()));
+        assert_eq!((swept, log.resident_pages()), (256, 2));
+        assert!(!log.contains(&Clock::with_root(0, 600)));
+        // Removing the last cell of page 3 frees it too.
+        for c in 768..=1_000 {
+            assert!(log.remove(&Clock::with_root(0, c)));
+        }
+        assert_eq!((log.resident_pages(), log.len()), (1, 211));
+        // A truncation that ends exactly on a page boundary pops the page.
+        assert_eq!(log.truncate_confirmed(0, 511), 211);
+        assert_eq!((log.resident_pages(), log.is_empty()), (0, true));
+        assert_eq!((log.truncated(), log.deleted()), (511, 256));
     }
 }

@@ -12,7 +12,9 @@
 //!   vertex (an upstream of some vertex the fault plan may kill) logs its
 //!   egress stream. The supervisor replays from the logs of the killed
 //!   vertex's upstreams, so replayed packets enter the chain at the right
-//!   depth.
+//!   depth. Each log is a window of pages indexed by clock counter, so
+//!   logging a packet writes one cell and a truncation or XOR sweep walks
+//!   pages in place (see [`crate::PacketLog`]).
 //! - [`XorDeleteLedger`]: the runtime's commit-vector. Each logging vertex
 //!   folds a per-packet [`delete_token`] into both the packet envelope
 //!   (`TaggedPacket::xor_vector`) and the ledger slot of the packet's clock
@@ -26,7 +28,6 @@ use crate::message::TaggedPacket;
 use crate::root::ROOT_VERTEX;
 use crate::rootlog::PacketLog;
 use chc_store::{InstanceId, VertexId};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -135,10 +136,12 @@ pub struct VertexLogStats {
 /// injection log under [`ROOT_VERTEX`] (always armed) plus one bounded egress
 /// log per armed vertex. The table is fixed before the run starts; each log
 /// has its own lock so logging vertices never contend with the root or with
-/// each other.
+/// each other. A run arms a few logs at most, so the table is a vector in id
+/// order and a logging packet finds its log by a scan of it, not by a tree
+/// or a hash.
 #[derive(Debug)]
 pub struct VertexLogs {
-    logs: BTreeMap<VertexId, Mutex<PacketLog>>,
+    logs: Vec<(VertexId, Mutex<PacketLog>)>,
 }
 
 impl VertexLogs {
@@ -146,26 +149,31 @@ impl VertexLogs {
     pub fn new(root_capacity: usize) -> VertexLogs {
         let root = Mutex::new(PacketLog::new(root_capacity));
         VertexLogs {
-            logs: BTreeMap::from([(ROOT_VERTEX, root)]),
+            logs: vec![(ROOT_VERTEX, root)],
         }
     }
 
     /// Arm `vertex` with its own egress log. Call before sharing the
     /// table; arming is not possible once the run starts.
     pub fn arm(&mut self, vertex: VertexId, capacity: usize) {
-        self.logs
-            .entry(vertex)
-            .or_insert_with(|| Mutex::new(PacketLog::new(capacity)));
+        if let Err(at) = self.logs.binary_search_by_key(&vertex, |(v, _)| *v) {
+            let log = Mutex::new(PacketLog::new(capacity));
+            self.logs.insert(at, (vertex, log));
+        }
     }
 
     /// The log of `vertex` — [`ROOT_VERTEX`] for the root's — if armed.
+    #[inline]
     pub fn log(&self, vertex: VertexId) -> Option<MutexGuard<'_, PacketLog>> {
-        self.logs.get(&vertex).map(lock)
+        self.logs
+            .iter()
+            .find(|(v, _)| *v == vertex)
+            .map(|(_, log)| lock(log))
     }
 
     /// Every logging vertex, in id order (so the root comes last).
     pub fn armed(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.logs.keys().copied()
+        self.logs.iter().map(|(v, _)| *v)
     }
 
     /// Every packet the logs of `sources` hold, merged in clock order: the

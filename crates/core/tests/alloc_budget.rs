@@ -14,10 +14,12 @@
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
 
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{
     CostModel, ExternalizationMode, SharedStore, StateClient, StateHandle, StateObjectSpec,
+    TaggedPacket, VertexLogs,
 };
-use chc_packet::{FlowKey, Scope, ScopeKey};
+use chc_packet::{FlowKey, Packet, Scope, ScopeKey};
 use chc_store::{
     AccessPattern, BackendKind, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey,
     StoreInstance, StoreServer, Value, VertexId,
@@ -470,4 +472,51 @@ fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
             "{kind:?}"
         );
     }
+}
+
+#[test]
+fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep() {
+    // The root's log as the engine drives it: one insert per injected
+    // packet, then the supervisor's pass, a frontier cut and an XOR sweep.
+    const N: u64 = 4_096;
+    const PAGE: u64 = 256;
+    let logs = VertexLogs::new(1 << 20);
+    let packets = |counters: std::ops::RangeInclusive<u64>| -> Vec<TaggedPacket> {
+        counters
+            .map(|c| TaggedPacket::new(Packet::builder().id(c).build(), Clock::with_root(0, c)))
+            .collect()
+    };
+    let log_all = |packets: Vec<TaggedPacket>| {
+        for tp in packets {
+            assert!(logs.log(ROOT_VERTEX).unwrap().insert(tp));
+        }
+    };
+    // Warm-up: the spine of pages grows to the span of N counters, and the
+    // cut gives every page back.
+    log_all(packets(1..=N));
+    assert_eq!(
+        logs.log(ROOT_VERTEX).unwrap().truncate_confirmed(0, N),
+        N as usize
+    );
+
+    // N warm inserts, N + 1 ..= 2N: pages 16 through 32.
+    let warm = packets(N + 1..=2 * N);
+    let allocated = allocations_in(|| log_all(warm));
+    let pages = logs.log(ROOT_VERTEX).unwrap().resident_pages() as u64;
+    assert_eq!(pages, N / PAGE + 1);
+    let budget = N / PAGE + 2;
+    assert!(
+        allocated <= budget,
+        "{allocated} allocations for {N} logged packets, budget {budget}"
+    );
+
+    // One truncation plus one XOR sweep: pages are freed, nothing is taken.
+    let allocated = allocations_in(|| {
+        let mut log = logs.log(ROOT_VERTEX).unwrap();
+        assert_eq!(log.truncate_confirmed(0, N + N / 2), (N / 2) as usize);
+        let swept = log.delete_where(|c| c.counter() % 3 == 0 || c.counter() > 2 * N - PAGE);
+        assert!(swept > (PAGE as usize), "{swept} swept");
+    });
+    assert_eq!(allocated, 0, "a frontier cut or an XOR sweep allocated");
+    assert!(logs.log(ROOT_VERTEX).unwrap().resident_pages() as u64 <= N / 2 / PAGE);
 }

@@ -83,8 +83,51 @@ impl InstancePlan {
     }
 }
 
+/// What the root does at given clock counters, sorted by counter (entries at
+/// one counter in plan order). The stamping loop reads it through a cursor:
+/// one comparison per packet, no tree and no hash.
+#[derive(Debug)]
+pub(crate) struct CounterSchedule<T> {
+    entries: Vec<(u64, T)>,
+}
+
+impl<T> CounterSchedule<T> {
+    fn new(mut entries: Vec<(u64, T)>) -> Self {
+        entries.sort_by_key(|&(counter, _)| counter);
+        CounterSchedule { entries }
+    }
+
+    /// The cursor of a stamping loop that has handled every counter through
+    /// `counter`: the first entry above it. The root starts at 0; a warm
+    /// standby resumes the schedule from the counter it inherits.
+    pub(crate) fn cursor_after(&self, counter: u64) -> usize {
+        self.entries.partition_point(|&(c, _)| c <= counter)
+    }
+
+    /// The entries due by `counter`, moving `cursor` past them. Ask for
+    /// every counter in increasing order, from where the cursor was made.
+    #[inline]
+    pub(crate) fn due(&self, cursor: &mut usize, counter: u64) -> impl Iterator<Item = &T> {
+        let start = *cursor;
+        while self
+            .entries
+            .get(*cursor)
+            .is_some_and(|&(c, _)| c <= counter)
+        {
+            *cursor += 1;
+        }
+        self.entries[start..*cursor].iter().map(|(_, value)| value)
+    }
+
+    /// Every scheduled counter, in order.
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|&(counter, _)| counter)
+    }
+}
+
 /// Store shards to act on when the root is about to inject a counter.
-pub(crate) type ShardSchedule = HashMap<u64, Vec<usize>>;
+pub(crate) type ShardSchedule = CounterSchedule<usize>;
 
 /// Everything decided before the first packet. See the module docs.
 pub struct ChainPlan {
@@ -142,7 +185,8 @@ pub struct ChainPlan {
     pub(crate) shard_restarts: ShardSchedule,
     /// Shards some fault restarts; they journal from the start.
     pub(crate) journaled_shards: BTreeSet<usize>,
-    pub(crate) reinject: HashSet<u64>,
+    /// The re-injection drill's counters, each once.
+    pub(crate) reinject: CounterSchedule<()>,
     /// A re-injected copy travels the chain with no log holding it and no
     /// watermark covering it: while the supervisor runs, the store's replay
     /// floor stays below the drill (`min(reinject) − 1`).
@@ -187,10 +231,14 @@ impl ChainPlan {
         let killed_slots = validate_kills(dag, fault, &slots, trace_len)?;
         let shards = rt.store_shards.max(1);
         let (shard_checkpoints, shard_restarts) = shard_schedule(fault, shards, trace_len)?;
-        let reinject: HashSet<u64> = fault.reinject.iter().copied().collect();
-        if let Some(&counter) = reinject.iter().find(|&&c| outside(c, trace_len)) {
+        if let Some(&counter) = fault.reinject.iter().find(|&&c| outside(c, trace_len)) {
             return Err(RuntimeError::ReinjectOutsideTrace { counter, trace_len });
         }
+        let mut drill: Vec<(u64, ())> = fault.reinject.iter().map(|&c| (c, ())).collect();
+        drill.sort_unstable_by_key(|&(c, _)| c);
+        drill.dedup();
+        let floor_cap = drill.first().map_or(u64::MAX, |&(c, _)| c - 1);
+        let reinject = CounterSchedule::new(drill);
 
         let entries = dag.entries();
         let (replay_sources, logging) = replay_topology(dag, fault, &entries);
@@ -256,7 +304,7 @@ impl ChainPlan {
             shard_checkpoints,
             shard_restarts,
             journaled_shards: fault.shard_faults.iter().map(|sf| sf.shard).collect(),
-            floor_cap: reinject.iter().min().map_or(u64::MAX, |c| c - 1),
+            floor_cap,
             reinject,
             root_kill: fault.root_kill,
         })
@@ -361,8 +409,8 @@ fn shard_schedule(
     shards: usize,
     trace_len: usize,
 ) -> Result<(ShardSchedule, ShardSchedule), RuntimeError> {
-    let mut checkpoints = ShardSchedule::new();
-    let mut restarts = ShardSchedule::new();
+    let mut checkpoints = Vec::new();
+    let mut restarts = Vec::new();
     for sf in &fault.shard_faults {
         if sf.shard >= shards {
             return Err(RuntimeError::ShardOutOfRange {
@@ -379,11 +427,14 @@ fn shard_schedule(
             }
         }
         if let Some(cp) = sf.checkpoint_at {
-            checkpoints.entry(cp).or_default().push(sf.shard);
+            checkpoints.push((cp, sf.shard));
         }
-        restarts.entry(sf.at_counter).or_default().push(sf.shard);
+        restarts.push((sf.at_counter, sf.shard));
     }
-    Ok((checkpoints, restarts))
+    Ok((
+        ShardSchedule::new(checkpoints),
+        ShardSchedule::new(restarts),
+    ))
 }
 
 /// The slots of the `instances` whose vertex passes `covers` — the on-path
@@ -518,7 +569,34 @@ pub(crate) mod tests {
         assert!(!seed(0).log_egress && p.instances[1].log_egress);
         // The store's floor stays under the smallest re-injected counter.
         assert_eq!(p.floor_cap, 6);
-        assert_eq!(p.reinject, HashSet::from([40, 7, 90]));
+        assert_eq!(p.reinject.counters().collect::<Vec<_>>(), [7, 40, 90]);
+    }
+
+    #[test]
+    fn the_root_reads_its_schedule_through_a_cursor_and_a_standby_resumes_it() {
+        let fault = FaultPlan::new()
+            .restart_shard(2, 600, Some(300))
+            .restart_shard(0, 400, Some(300))
+            .restart_shard(1, 400, None)
+            .reinject([90, 7, 90, 40]);
+        let p = plan(fault);
+        let drill: Vec<u64> = p.reinject.counters().collect();
+        assert_eq!(drill, [7, 40, 90], "sorted, each counter once");
+        // What a stamping loop from `start` sees at each counter it injects.
+        let walk = |schedule: &ShardSchedule, start: u64| -> Vec<(u64, usize)> {
+            let mut cursor = schedule.cursor_after(start);
+            (start + 1..=1_000)
+                .flat_map(|c| schedule.due(&mut cursor, c).map(move |&s| (c, s)))
+                .collect()
+        };
+        // Entries at one counter keep plan order.
+        assert_eq!(walk(&p.shard_checkpoints, 0), [(300, 2), (300, 0)]);
+        assert_eq!(walk(&p.shard_restarts, 0), [(400, 0), (400, 1), (600, 2)]);
+        // A standby that inherits counter 399 runs the restarts at 400 (the
+        // root died before it handled them) and nothing already done.
+        assert_eq!(walk(&p.shard_restarts, 399), [(400, 0), (400, 1), (600, 2)]);
+        assert_eq!(walk(&p.shard_restarts, 400), [(600, 2)]);
+        assert!(walk(&p.shard_checkpoints, 300).is_empty());
     }
 
     #[test]

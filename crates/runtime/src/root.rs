@@ -6,14 +6,13 @@
 use crate::config::ScaleEvent;
 use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};
-use crate::plan::{ChainPlan, ShardSchedule};
+use crate::plan::{ChainPlan, CounterSchedule, ShardSchedule};
 use crate::wiring::{links_mut, Downstream, OutLink};
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{TaggedPacket, STANDBY_ROOT_ID};
 use chc_packet::{flow_sampled, Trace, TraceTag};
 use chc_store::Clock;
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -25,7 +24,7 @@ pub(crate) struct RootShared<'a> {
     trace: &'a Trace,
     shared: &'a EngineShared,
     scale: Option<ScaleEvent>,
-    reinject: &'a HashSet<u64>,
+    reinject: &'a CounterSchedule<()>,
     shard_checkpoints: &'a ShardSchedule,
     shard_restarts: &'a ShardSchedule,
     /// The planned root fail-stop point, if any.
@@ -193,33 +192,34 @@ fn run_root_injection(
     let shared = ctx.shared;
     let telemetry = &shared.telemetry;
     let trace_ppm = telemetry.config.trace_sample_ppm;
+    // The fault schedule is read in counter order, from where this loop
+    // resumes: 0 for the root, the inherited counter for the standby.
+    let mut checkpoints = ctx.shard_checkpoints.cursor_after(io.counter);
+    let mut restarts = ctx.shard_restarts.cursor_after(io.counter);
+    let mut drill = ctx.reinject.cursor_after(io.counter);
     for pkt in ctx.trace.iter().skip(io.counter as usize) {
         let next = io.counter + 1;
         if stop_before == Some(next) {
             return;
         }
         if shared.fault_mode {
-            if let Some(targets) = ctx.shard_checkpoints.get(&next) {
-                for &s in targets {
-                    shared.server.checkpoint_shard(s);
-                }
+            for &s in ctx.shard_checkpoints.due(&mut checkpoints, next) {
+                shared.server.checkpoint_shard(s);
             }
-            if let Some(targets) = ctx.shard_restarts.get(&next) {
-                for &s in targets {
-                    let started = Instant::now();
-                    let stats = shared.server.restart_shard(s);
-                    telemetry.event(EventKind::ShardRestart {
-                        shard: s as u32,
-                        ops_replayed: stats.replayed_ops as u64,
-                    });
-                    shard_recoveries.push(ShardRecovery {
-                        shard: s,
-                        at_counter: next,
-                        restored_from_checkpoint: stats.restored_from_checkpoint,
-                        replayed_ops: stats.replayed_ops,
-                        recovery_wall: started.elapsed(),
-                    });
-                }
+            for &s in ctx.shard_restarts.due(&mut restarts, next) {
+                let started = Instant::now();
+                let stats = shared.server.restart_shard(s);
+                telemetry.event(EventKind::ShardRestart {
+                    shard: s as u32,
+                    ops_replayed: stats.replayed_ops as u64,
+                });
+                shard_recoveries.push(ShardRecovery {
+                    shard: s,
+                    at_counter: next,
+                    restored_from_checkpoint: stats.restored_from_checkpoint,
+                    replayed_ops: stats.replayed_ops,
+                    recovery_wall: started.elapsed(),
+                });
             }
         }
         io.counter += 1;
@@ -256,13 +256,16 @@ fn run_root_injection(
             }
         }
         if shared.fault_mode {
+            // The drill's cursor moves past `counter` whether or not the log
+            // takes the packet: a rejected packet is never re-injected.
+            let drilled = ctx.reinject.due(&mut drill, counter).next().is_some();
             let log = shared.logs.log(ROOT_VERTEX);
             if !log.is_some_and(|mut log| log.insert(tp.clone())) {
                 // Buffer-bloat guard (§5): a full log rejects the packet
                 // instead of queueing without bound.
                 continue;
             }
-            if ctx.reinject.contains(&counter) {
+            if drilled {
                 io.reinject_buf.push(tp.clone());
             }
         }

@@ -605,17 +605,21 @@ fn frontier_moves_after_a_mid_kill_on(backend: BackendKind) {
             ref other => panic!("wrong payload: {other:?}"),
         })
         .collect();
-    // The engine's final pass journals one advance; a frozen frontier
-    // journals nothing else after the failover.
+    // The frontier only moves up. The first advance after `failover_end`
+    // need not pass the kill: the LB's and the sink's watermarks can still
+    // sit at the last batch boundary below it, waiting for the replacement's
+    // output, when the NAT's slot unfreezes. What must hold is that the
+    // supervisor carries it past the kill while the trace runs.
     assert!(
-        after.len() >= 2,
-        "{backend:?}: {} frontier advances after failover_end",
-        after.len()
+        after.windows(2).all(|w| w[0] < w[1]),
+        "{backend:?}: frontier advances after the failover do not increase: {after:?}"
     );
+    // The engine's final pass journals the last advance; a frozen frontier
+    // journals nothing else after the failover.
+    let live = after.split_last().map_or(&[][..], |(_, live)| live);
     assert!(
-        after[0] > kill_at,
-        "{backend:?}: first frontier after the failover {} is not past the kill at {kill_at}",
-        after[0]
+        live.iter().any(|&frontier| frontier > kill_at),
+        "{backend:?}: no advance before the final pass is past the kill at {kill_at}: {after:?}"
     );
 }
 

@@ -5,9 +5,10 @@
 //! [`CounterWindow`] is a deque of cells starting at its lowest held index.
 //! Reaching a cell is one subtraction; the window grows at either end to
 //! take an index outside it, and [`CounterWindow::pop_below`] drops a prefix.
-//! Both per-root windows of the workspace are one: the store's
-//! duplicate-suppression log keeps a packet's updates per counter, and
-//! `chc_core::ClockWindow` keeps a page of bits per `counter / PAGE_BITS`.
+//! Every per-root window of the workspace is one: the store's
+//! duplicate-suppression log keeps a packet's updates per counter,
+//! `chc_core::ClockWindow` keeps a page of bits per `counter / PAGE_BITS`,
+//! and `chc_core::PacketLog` a page of logged packets per `counter / 256`.
 //!
 //! Memory follows the **span** — one cell per index from the lowest to the
 //! highest held, rounded up to the deque's power-of-two capacity — and not
@@ -54,6 +55,13 @@ impl<T> CounterWindow<T> {
         self.cells.get(self.offset(index)?)?.as_ref()
     }
 
+    /// The value at `index`, mutably, if one is held.
+    #[inline]
+    pub fn get_mut(&mut self, index: u64) -> Option<&mut T> {
+        let offset = self.offset(index)?;
+        self.cells.get_mut(offset)?.as_mut()
+    }
+
     /// The cell at `index`, growing the window at either end to reach it.
     /// The caller fills it: a window holds a value at both ends.
     #[inline]
@@ -95,6 +103,17 @@ impl<T> CounterWindow<T> {
             self.first += 1;
             if let Some(value) = cell {
                 dropped(value);
+            }
+        }
+        self.shed();
+    }
+
+    /// Visit every held value, lowest index first, and drop those `keep`
+    /// rejects; the cells emptied at either end are shed. Allocates nothing.
+    pub fn retain(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        for cell in &mut self.cells {
+            if cell.as_mut().is_some_and(|value| !keep(value)) {
+                *cell = None;
             }
         }
         self.shed();
@@ -180,5 +199,25 @@ mod tests {
         w.pop_below(2, |_| unreachable!("below the window"));
         w.pop_below(u64::MAX, |v| dropped.push(v));
         assert_eq!((dropped, w.span()), (vec![3, 4, 7, 9], 0));
+    }
+
+    #[test]
+    fn retain_edits_in_place_and_sheds_the_emptied_ends() {
+        let mut w = CounterWindow::new();
+        for i in [2, 3, 5, 8, 9] {
+            *w.cell(i) = Some(i as u32);
+        }
+        *w.get_mut(5).unwrap() += 100;
+        assert!(w.get_mut(4).is_none() && w.get_mut(1).is_none());
+        let mut seen = Vec::new();
+        w.retain(|v| {
+            seen.push(*v);
+            *v += 1;
+            matches!(*v, 4 | 106)
+        });
+        assert_eq!(seen, [2, 3, 105, 8, 9], "held values, in index order");
+        assert_eq!((w.span(), held(&w)), (3, vec![(3, 4), (5, 106)]));
+        w.retain(|_| false);
+        assert_eq!(w.span(), 0);
     }
 }
