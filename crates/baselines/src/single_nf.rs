@@ -1,36 +1,26 @@
-//! A standalone single-NF runner.
-//!
-//! Drives one NF instance over a trace without deploying a whole chain:
-//! per-packet latency is the NF's base processing cost plus the state-access
-//! charges of the client library, and throughput follows the same
-//! multi-worker capacity model as [`chc_core::instance::NfInstanceActor`].
-//! This mirrors the paper's §7.1 methodology ("We study each NF type in
-//! isolation first") and backs the Figure 8/9/10 harnesses.
+//! A standalone single-NF runner: one [`chc_core::InstanceCore`] over a
+//! trace, without a chain. A packet's latency is the NF's base cost plus the
+//! client's state-access charges, queued on the same workers
+//! ([`chc_sim::WorkerPool`]) as the simulator's instances. This mirrors the
+//! paper's §7.1 methodology ("We study each NF type in isolation first")
+//! and backs the Figure 8/9/10 harnesses.
 
 use chc_core::{
-    Action, ChainConfig, ExternalizationMode, NetworkFunction, NfContext, SharedStore, StateClient,
+    ChainConfig, ExternalizationMode, InstanceCore, NetworkFunction, SharedStore, StateClient,
+    TaggedPacket,
 };
 use chc_packet::Trace;
-use chc_sim::{Histogram, SimDuration, Summary, Throughput, TimeSeries, VirtualTime};
-use chc_store::{Clock, InstanceId, StoreServer, VertexId};
-use std::sync::Arc;
+use chc_sim::{Histogram, SimDuration, Summary, Throughput, VirtualTime, WorkerPool};
+use chc_store::{Clock, InstanceId, VertexId};
 
 /// Result of a single-NF run.
 pub struct SingleNfRun {
     /// Per-packet processing-time distribution.
     pub latency: Histogram,
-    /// Per-packet processing time as a time series (packet index → µs).
-    pub series: TimeSeries,
     /// Sustained throughput in Gbps under the worker capacity model.
     pub throughput_gbps: f64,
     /// Packets processed.
     pub processed: u64,
-    /// Packets the NF dropped.
-    pub dropped: u64,
-    /// Alerts raised.
-    pub alerts: Vec<String>,
-    /// The store backing the run (for state inspection).
-    pub store: Arc<StoreServer>,
 }
 
 impl SingleNfRun {
@@ -49,75 +39,34 @@ pub fn run_single_nf(
     trace: &Trace,
     workers: usize,
 ) -> SingleNfRun {
-    let store = SharedStore::new();
-    run_single_nf_with_store(nf, mode, config, trace, workers, &store, 0)
-}
-
-/// Like [`run_single_nf`] but against an existing store and with an explicit
-/// instance id (used when several instances must share state).
-pub fn run_single_nf_with_store(
-    nf: &mut dyn NetworkFunction,
-    mode: ExternalizationMode,
-    config: &ChainConfig,
-    trace: &Trace,
-    workers: usize,
-    store: &Arc<StoreServer>,
-    instance: u32,
-) -> SingleNfRun {
     let mut client = StateClient::new(
         VertexId(1),
-        InstanceId(instance),
-        Box::new(store.clone()),
+        InstanceId(0),
+        Box::new(SharedStore::new()),
         mode,
         config.costs,
         &nf.state_objects(),
     );
     let mut latency = Histogram::new();
-    let mut series = TimeSeries::new();
     let mut throughput = Throughput::new();
-    let mut workers_busy = vec![VirtualTime::ZERO; workers.max(1)];
-    let mut alerts = Vec::new();
-    let mut dropped = 0u64;
-    let mut processed = 0u64;
+    let mut pool = WorkerPool::new(workers);
+    let mut core = InstanceCore::new(nf, false, true);
 
     for (i, pkt) in trace.iter().enumerate() {
         let arrival = VirtualTime::from_nanos(pkt.arrival_ns);
-        let clock = Clock::with_root(0, i as u64 + 1);
-        let mut ctx = NfContext::new(&mut client, clock, arrival);
-        let action = nf.process(pkt, &mut ctx);
-        alerts.extend(ctx.take_alerts());
-        let proc = config.costs.base_processing + client.take_charge();
-        client.take_packet_tokens();
+        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, i as u64 + 1));
+        core.on_packet(&mut tp, &mut client, arrival);
         client.take_pending_callbacks();
-
-        // Worker capacity model.
-        let (widx, free_at) = workers_busy
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|(_, t)| *t)
-            .expect("worker");
-        let start = arrival.max(free_at);
-        let finish = start + proc;
-        workers_busy[widx] = finish;
-
+        let proc = config.costs.base_processing + core.charge();
+        let finish = pool.serve(arrival, proc);
         latency.record(proc);
-        series.push(arrival, proc.as_micros_f64());
         throughput.record(finish, pkt.len as u64);
-        processed += 1;
-        if matches!(action, Action::Drop) {
-            dropped += 1;
-        }
     }
 
     SingleNfRun {
         latency,
-        series,
         throughput_gbps: throughput.gbps(),
-        processed,
-        dropped,
-        alerts,
-        store: store.clone(),
+        processed: core.counters().processed,
     }
 }
 

@@ -2,8 +2,8 @@
 
 use chc_baselines::{run_single_nf, sweep_modes, FtmbModel, OpenNfModel, StatelessNfModel};
 use chc_core::{
-    ChainConfig, ChainController, LogicalDag, NetworkFunction, NfContext, SharedStore, StateClient,
-    VertexSpec,
+    ChainConfig, ChainController, InstanceCore, LogicalDag, NetworkFunction, SharedStore,
+    StateClient, TaggedPacket, VertexSpec,
 };
 use chc_nf::{Nat, PortscanDetector, Scrubber, TrojanDetector};
 use chc_packet::{Scope, Trace, TraceConfig, TraceGenerator};
@@ -119,7 +119,7 @@ pub fn fig09_crossflow_cache(scale: Scale) -> String {
     .generate();
     let config = ChainConfig::default();
     let store = SharedStore::new();
-    let mut nf = PortscanDetector::default();
+    let nf = PortscanDetector::default();
     let mut client = StateClient::new(
         VertexId(1),
         InstanceId(0),
@@ -128,6 +128,7 @@ pub fn fig09_crossflow_cache(scale: Scale) -> String {
         config.costs,
         &nf.state_objects(),
     );
+    let mut core: InstanceCore = InstanceCore::new(Box::new(nf), false, true);
     let n = trace.len();
     let (share_at, merge_at) = (n / 3, 2 * n / 3);
     let mut phase_sums = [0.0f64; 3];
@@ -150,16 +151,11 @@ pub fn fig09_crossflow_cache(scale: Scale) -> String {
                 Clock::with_root(0, i as u64),
             );
         }
-        let mut ctx = NfContext::new(
-            &mut client,
-            Clock::with_root(0, i as u64 + 1),
-            VirtualTime::from_nanos(pkt.arrival_ns),
-        );
-        nf.process(pkt, &mut ctx);
-        ctx.take_alerts();
-        let charge = client.take_charge() + config.costs.base_processing;
-        client.take_packet_tokens();
+        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, i as u64 + 1));
+        let now = VirtualTime::from_nanos(pkt.arrival_ns);
+        core.on_packet(&mut tp, &mut client, now);
         client.take_pending_callbacks();
+        let charge = core.charge() + config.costs.base_processing;
         let phase = if i < share_at {
             0
         } else if i < merge_at {
@@ -455,9 +451,9 @@ pub fn tab5_duplicates(scale: Scale) -> String {
                 "  load {:>3.0}%, suppression {:>3}: duplicate packets processed = {:>6}, duplicate state updates = {:>6}, suppressed = {:>6}, end-host duplicates = {}",
                 load * 100.0,
                 if suppression { "on" } else { "off" },
-                portscan.duplicate_packets,
-                portscan.duplicate_state_updates,
-                portscan.suppressed_duplicates,
+                portscan.counters.duplicate_packets,
+                portscan.counters.duplicate_state_updates,
+                portscan.counters.suppressed_duplicates,
                 metrics.sink_duplicates
             );
         }

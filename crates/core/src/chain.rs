@@ -10,6 +10,7 @@
 use crate::config::ChainConfig;
 use crate::dag::{DagError, LogicalDag, VertexSpec};
 use crate::instance::{InstanceParams, NfInstanceActor};
+use crate::instance_core::{InstanceCore, InstanceCounters};
 use crate::message::{Msg, TaggedPacket};
 use crate::root::{RootActor, RootStats};
 use crate::sink::SinkActor;
@@ -111,24 +112,12 @@ pub struct InstanceReport {
     pub vertex: VertexId,
     /// Instance id.
     pub instance: InstanceId,
-    /// Packets processed.
-    pub processed: u64,
-    /// Packets dropped by the NF's own decision.
-    pub dropped_by_nf: u64,
-    /// Duplicates suppressed at the input queue.
-    pub suppressed_duplicates: u64,
-    /// Duplicate packets processed (suppression off).
-    pub duplicate_packets: u64,
-    /// State updates issued by duplicate packets.
-    pub duplicate_state_updates: u64,
+    /// What the instance's step counted, alerts included.
+    pub counters: InstanceCounters,
     /// Five-number summary of per-packet processing time.
     pub proc_time: Summary,
-    /// Five-number summary of per-packet time including worker queueing.
-    pub total_time: Summary,
     /// Goodput of this instance in Gbps.
     pub throughput_gbps: f64,
-    /// Alerts raised by the NF.
-    pub alerts: Vec<(Clock, String)>,
 }
 
 /// Chain-wide measurement snapshot.
@@ -167,7 +156,7 @@ impl ChainMetrics {
         let mut alerts: Vec<(Clock, String)> = self
             .instances
             .iter()
-            .flat_map(|r| r.alerts.clone())
+            .flat_map(|r| r.counters.alerts.clone())
             .collect();
         alerts.sort_by_key(|(c, _)| *c);
         alerts
@@ -275,13 +264,12 @@ impl ChainController {
             vertex: spec.id,
             instance,
             downstream: self.dag.downstream_of(spec.id),
-            is_tail: self.dag.exits().contains(&spec.id),
-            off_path: spec.off_path,
             awaiting_replay,
         };
+        let exit = self.dag.exits().contains(&spec.id);
         let actor = Box::new(NfInstanceActor::new(
             params,
-            nf,
+            InstanceCore::new(nf, spec.off_path, exit),
             client,
             self.config,
             self.partition.clone(),
@@ -360,15 +348,9 @@ impl ChainController {
                 instances.push(InstanceReport {
                     vertex,
                     instance,
-                    processed: a.metrics.processed,
-                    dropped_by_nf: a.metrics.dropped_by_nf,
-                    suppressed_duplicates: a.metrics.suppressed_duplicates,
-                    duplicate_packets: a.metrics.duplicate_packets,
-                    duplicate_state_updates: a.metrics.duplicate_state_updates,
+                    counters: a.counters().clone(),
                     proc_time: a.metrics.proc_time.summary(),
-                    total_time: a.metrics.total_time.summary(),
                     throughput_gbps: a.metrics.throughput.gbps(),
-                    alerts: a.metrics.alerts.clone(),
                 });
             }
         }

@@ -4,19 +4,19 @@
 //! physical chain matches that of a hypothetical chain of single,
 //! infinite-capacity NFs processing packets in arrival order. This module
 //! runs that *ideal chain* over a trace and provides helpers for comparing
-//! the real chain's observable behaviour (delivered packets, alerts, final
-//! shared state) against it — the paper's correctness criterion, used by the
-//! integration tests and the R4/R5/R6 experiments.
+//! the real chain's observable behaviour (delivered packets and alerts)
+//! against it — the paper's correctness criterion, used by the integration
+//! tests and the R4/R5/R6 experiments.
 
 use crate::config::{ChainConfig, ExternalizationMode};
 use crate::dag::LogicalDag;
-use crate::nf::{Action, NetworkFunction, NfContext};
+use crate::instance_core::{InstanceCore, Step};
+use crate::message::TaggedPacket;
 use crate::state::{SharedStore, StateClient};
-use chc_packet::{Packet, PacketId, Trace};
+use chc_packet::{PacketId, Trace};
 use chc_sim::VirtualTime;
-use chc_store::{Clock, InstanceId, StoreServer, VertexId};
+use chc_store::{Clock, InstanceId, VertexId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of running the ideal single-instance, no-failure chain.
 pub struct IdealChainResult {
@@ -24,10 +24,6 @@ pub struct IdealChainResult {
     pub delivered: Vec<PacketId>,
     /// Alerts raised anywhere in the chain, in `(clock, message)` order.
     pub alerts: Vec<(Clock, String)>,
-    /// The ideal chain's final externalized state.
-    pub store: Arc<StoreServer>,
-    /// Packet ids dropped by NF decisions.
-    pub dropped: Vec<PacketId>,
 }
 
 /// Run the ideal chain: one instance per vertex, infinite capacity, packets
@@ -37,79 +33,67 @@ pub fn run_ideal_chain(dag: &LogicalDag, trace: &Trace) -> IdealChainResult {
     let store = SharedStore::new();
     let config = ChainConfig::with_mode(ExternalizationMode::ExternalizedCachedNonBlocking);
 
-    // One NF + client per vertex. Ideal instances get ids above any the
-    // physical chain would use so their per-flow keys never collide.
-    let mut nfs: HashMap<VertexId, (Box<dyn NetworkFunction>, StateClient)> = HashMap::new();
+    // One instance core + client per vertex. Ideal instances get ids above
+    // any the physical chain would use so their per-flow keys never collide.
+    let exits = dag.exits();
+    let mut instances: HashMap<VertexId, (InstanceCore, StateClient)> = HashMap::new();
     for (i, v) in dag.vertices().iter().enumerate() {
         let nf = v.build_nf();
-        let objects = nf.state_objects();
         let client = StateClient::new(
             v.id,
             InstanceId(1_000_000 + i as u32),
             Box::new(store.clone()),
             config.mode,
             config.costs,
-            &objects,
+            &nf.state_objects(),
         );
-        nfs.insert(v.id, (nf, client));
+        let core = InstanceCore::new(nf, v.off_path, exits.contains(&v.id));
+        instances.insert(v.id, (core, client));
     }
 
-    let exits = dag.exits();
     let mut delivered = Vec::new();
-    let mut dropped = Vec::new();
-    let mut alerts = Vec::new();
 
     for (i, pkt) in trace.iter().enumerate() {
         let clock = Clock::with_root(0, i as u64 + 1);
+        let now = VirtualTime::from_nanos(pkt.arrival_ns);
         // Inputs per vertex for this packet (entry vertices see the packet).
-        let mut inputs: HashMap<VertexId, Vec<Packet>> = HashMap::new();
+        let mut inputs: HashMap<VertexId, Vec<TaggedPacket>> = HashMap::new();
         for entry in dag.entries() {
-            inputs.entry(entry).or_default().push(pkt.clone());
+            inputs
+                .entry(entry)
+                .or_default()
+                .push(TaggedPacket::new(pkt.clone(), clock));
         }
         for vertex in &order {
             let Some(packets) = inputs.remove(vertex) else {
                 continue;
             };
-            let off_path = dag.vertex(*vertex).map(|v| v.off_path).unwrap_or(false);
-            let (nf, client) = nfs.get_mut(vertex).expect("nf exists");
-            for input in packets {
-                let mut ctx =
-                    NfContext::new(client, clock, VirtualTime::from_nanos(pkt.arrival_ns));
-                let action = nf.process(&input, &mut ctx);
-                for alert in ctx.take_alerts() {
-                    alerts.push((clock, alert));
-                }
-                client.take_charge();
-                client.take_packet_tokens();
+            let (core, client) = instances.get_mut(vertex).expect("instance exists");
+            for mut tp in packets {
+                let step = core.on_packet(&mut tp, client, now);
                 client.take_pending_callbacks();
-                match action {
-                    Action::Drop => {
-                        if exits.contains(vertex) {
-                            dropped.push(input.id);
-                        }
-                    }
-                    Action::Forward(out) => {
-                        if off_path {
-                            continue;
-                        }
-                        if exits.contains(vertex) {
-                            delivered.push(out.id);
-                        }
-                        for d in dag.downstream_of(*vertex) {
-                            inputs.entry(d).or_default().push(out.clone());
-                        }
-                    }
+                let Step::Forward { exit } = step else {
+                    continue;
+                };
+                if exit {
+                    delivered.push(tp.packet.id);
+                }
+                for d in dag.downstream_of(*vertex) {
+                    inputs.entry(d).or_default().push(tp.clone());
                 }
             }
         }
     }
 
-    IdealChainResult {
-        delivered,
-        alerts,
-        store,
-        dropped,
-    }
+    // Alerts in `(clock, message)` order: clocks rise with the trace, and
+    // one packet's alerts keep the order the vertices raised them in.
+    let mut alerts: Vec<(Clock, String)> = order
+        .iter()
+        .flat_map(|v| instances[v].0.counters().alerts.iter().cloned())
+        .collect();
+    alerts.sort_by_key(|(clock, _)| *clock);
+
+    IdealChainResult { delivered, alerts }
 }
 
 /// Compare a physical chain's observable output against the ideal chain.

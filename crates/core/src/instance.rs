@@ -1,13 +1,13 @@
 //! The NF instance runtime.
 //!
 //! [`NfInstanceActor`] hosts one NF instance: it owns the operator-supplied
-//! [`NetworkFunction`] code and its [`StateClient`], pulls packets from its
-//! input queue, runs the NF, accounts processing time (multi-worker capacity
-//! model), forwards outputs through the downstream splitters, and implements
-//! the per-instance halves of the CHC protocols:
+//! [`crate::NetworkFunction`] code, inside the [`InstanceCore`] that runs each
+//! packet's step (duplicate suppression at the input queue, the NF, its
+//! alerts and counters), and its [`StateClient`]. It pulls packets from its
+//! input queue, accounts processing time (multi-worker capacity model),
+//! forwards outputs through the downstream splitters, and implements the
+//! simulator's halves of the CHC protocols:
 //!
-//! * duplicate suppression at the input queue for replayed / replicated
-//!   packets (§5.3),
 //! * buffering and lazy ownership acquisition during per-flow state handover
 //!   (Figure 4 steps 3–8),
 //! * replay gating for clones and failover instances (process replayed
@@ -17,14 +17,15 @@
 //! * chain-tail duties: the "delete-before-output" rule of §5.4.
 
 use crate::chain::Topology;
-use crate::clock_window::ClockWindow;
 use crate::config::ChainConfig;
+use crate::instance_core::{InstanceCore, InstanceCounters, Step};
 use crate::message::{Msg, TaggedPacket};
-use crate::nf::{Action, NetworkFunction, NfContext};
 use crate::splitter::PartitionTable;
 use crate::state::StateClient;
 use chc_packet::ScopeKey;
-use chc_sim::{Actor, ActorId, Ctx, Histogram, SimDuration, Throughput, TimeSeries, VirtualTime};
+use chc_sim::{
+    Actor, ActorId, Ctx, Histogram, SimDuration, Throughput, TimeSeries, VirtualTime, WorkerPool,
+};
 use chc_store::{Clock, InstanceId, VertexId};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -36,7 +37,6 @@ const WORKERS: usize = 8;
 
 /// Static parameters of one instance (separated out to keep construction
 /// readable).
-#[derive(Clone)]
 pub struct InstanceParams {
     /// Logical vertex this instance belongs to.
     pub vertex: VertexId,
@@ -44,48 +44,28 @@ pub struct InstanceParams {
     pub instance: InstanceId,
     /// Downstream vertices (on-path and off-path) to forward to.
     pub downstream: Vec<VertexId>,
-    /// True if this vertex is an exit of the chain (sends output to the end
-    /// host and issues delete requests).
-    pub is_tail: bool,
-    /// True if the vertex is off-path (receives copies, emits no chain
-    /// output).
-    pub off_path: bool,
     /// True when the instance starts as a straggler clone or failover target:
     /// it processes replayed traffic first and buffers live traffic until the
     /// packet marked "last of replay" has been processed (§5.3).
     pub awaiting_replay: bool,
 }
 
-/// Per-instance measurements read back by benches and tests.
+/// Per-instance timings read back by benches and tests; the counters are
+/// the core's ([`NfInstanceActor::counters`]).
 #[derive(Default)]
 pub struct InstanceMetrics {
-    /// Packets fully processed (including replays and duplicates).
-    pub processed: u64,
-    /// Packets the NF decided to drop.
-    pub dropped_by_nf: u64,
-    /// Duplicate packets suppressed at the input queue.
-    pub suppressed_duplicates: u64,
-    /// Duplicate packets that were *processed* (suppression disabled or the
-    /// duplicate was not marked as replay/replicated).
-    pub duplicate_packets: u64,
-    /// State updates issued while processing duplicate packets.
-    pub duplicate_state_updates: u64,
     /// Per-packet processing time (service time only).
     pub proc_time: Histogram,
-    /// Per-packet time in the instance including queueing for a worker.
-    pub total_time: Histogram,
     /// Processing-time time series (for Figures 9 and 13).
     pub series: TimeSeries,
     /// Bytes/packets completed over time.
     pub throughput: Throughput,
-    /// Alerts raised by the NF, with the packet clock that triggered them.
-    pub alerts: Vec<(Clock, String)>,
 }
 
 /// The actor hosting one NF instance. See the module documentation.
 pub struct NfInstanceActor {
     params: InstanceParams,
-    nf: Box<dyn NetworkFunction>,
+    core: InstanceCore,
     /// Client-side datastore library (public so the chain controller can
     /// harvest write-ahead logs, read logs and cached per-flow state during
     /// datastore recovery).
@@ -95,12 +75,9 @@ pub struct NfInstanceActor {
     topology: Rc<RefCell<Topology>>,
     root: ActorId,
     sink: ActorId,
-    /// Worker occupancy: each entry is the time the worker becomes free.
-    workers: Vec<VirtualTime>,
+    workers: WorkerPool,
     /// Artificial extra per-packet delay (straggler emulation).
     extra_delay: SimDuration,
-    /// Clocks already seen at this instance (duplicate detection).
-    seen_clocks: ClockWindow,
     /// Scope keys whose per-flow state is still owned by the old instance;
     /// their packets are buffered until `HandoverComplete` (Figure 4 step 4).
     awaiting_handover: HashSet<ScopeKey>,
@@ -115,11 +92,12 @@ pub struct NfInstanceActor {
 }
 
 impl NfInstanceActor {
-    /// Create an instance actor.
+    /// Create an instance actor around `core`, which it gives a duplicate
+    /// window.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         params: InstanceParams,
-        nf: Box<dyn NetworkFunction>,
+        mut core: InstanceCore,
         client: StateClient,
         config: ChainConfig,
         partition: Rc<RefCell<PartitionTable>>,
@@ -128,24 +106,29 @@ impl NfInstanceActor {
         sink: ActorId,
     ) -> NfInstanceActor {
         let awaiting_replay = params.awaiting_replay;
+        core.track_duplicates(config.duplicate_suppression);
         NfInstanceActor {
             params,
-            nf,
+            core,
             client,
             config,
             partition,
             topology,
             root,
             sink,
-            workers: vec![VirtualTime::ZERO; WORKERS],
+            workers: WorkerPool::new(WORKERS),
             extra_delay: SimDuration::ZERO,
-            seen_clocks: ClockWindow::new(),
             awaiting_handover: HashSet::new(),
             awaiting_replay,
             buffer: Vec::new(),
             handover_completed_at: None,
             metrics: InstanceMetrics::default(),
         }
+    }
+
+    /// What the instance's step counted so far.
+    pub fn counters(&self) -> &InstanceCounters {
+        self.core.counters()
     }
 
     /// The scope key of a packet under this vertex's partitioning scope.
@@ -201,139 +184,72 @@ impl NfInstanceActor {
     /// Process one packet through the NF (all gating already done).
     fn process_packet(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-
-        // Duplicate handling (§5.3): the logical clock is unique per input
-        // packet, so seeing a clock twice always means a replayed or
-        // replicated copy (one of the two copies may be the unmarked
-        // original when it was still in flight at replay time). With
-        // suppression enabled the duplicate is dropped at the queue.
-        let duplicate = !self.seen_clocks.insert(tp.clock);
-        if duplicate {
-            if self.config.duplicate_suppression {
-                self.metrics.suppressed_duplicates += 1;
-                return;
-            }
-            self.metrics.duplicate_packets += 1;
+        let step = self.core.on_packet(&mut tp, &mut self.client, now);
+        if step == Step::Suppressed {
+            return;
         }
 
-        // Worker capacity model: the packet is served by the earliest-free
-        // worker; service starts when both the packet and the worker are
-        // ready.
-        let (widx, free_at) = self
-            .workers
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|(_, t)| *t)
-            .expect("at least one worker");
-        let start = now.max(free_at);
-
-        // Run the NF.
-        let mut nf_ctx = NfContext::new(&mut self.client, tp.clock, now);
-        let action = self.nf.process(&tp.packet, &mut nf_ctx);
-        let alerts = nf_ctx.take_alerts();
-        for alert in alerts {
-            self.metrics.alerts.push((tp.clock, alert));
-        }
-
-        // Assemble the packet's processing time: base cost + state-access
-        // charges + any artificial straggler delay + (for the chain tail) the
+        // The packet's processing time: base cost + state-access charges +
+        // any artificial straggler delay + (for the chain tail) the
         // synchronous delete round trip.
-        let mut proc = self.config.costs.base_processing + self.extra_delay;
-        proc += self.client.take_charge();
-        let is_chain_output = self.params.is_tail && !self.params.off_path;
-        if is_chain_output {
+        let mut proc = self.config.costs.base_processing + self.extra_delay + self.core.charge();
+        if self.core.exit() {
             proc += self.config.costs.delete_roundtrip;
         }
-        let finish = start + proc;
-        self.workers[widx] = finish;
+        let finish = self.workers.serve(now, proc);
+        let delay = finish - now;
 
-        // Metrics.
-        self.metrics.processed += 1;
         self.metrics.proc_time.record(proc);
-        self.metrics.total_time.record(finish - now);
         // The time series records the *total* per-packet time (queueing +
         // service): that is what Figures 9 and 13 plot — blocking-op spikes
         // and the post-recovery backlog drain both show up in it.
-        self.metrics
-            .series
-            .push(now, (finish - now).as_micros_f64());
+        self.metrics.series.push(now, delay.as_micros_f64());
         self.metrics.throughput.record(finish, tp.packet.len as u64);
 
         // Commit tokens: fold into the packet's XOR vector and signal the
         // root (the store signals commits; one store→root hop of latency).
         // Off-path NFs process *copies* whose vectors never reach the chain
         // tail, so they do not participate in the delete protocol.
-        let tokens: Vec<u32> = self.client.take_packet_tokens().collect();
-        if duplicate {
-            self.metrics.duplicate_state_updates += tokens.len() as u64;
-        }
-        if !self.params.off_path {
-            for token in tokens {
+        let off_path = self.core.off_path();
+        let via_store = delay + self.config.costs.store_one_way;
+        if !off_path {
+            for &token in self.core.tokens() {
                 tp.absorb_update_token(token);
-                ctx.send_with_extra_delay(
-                    self.root,
-                    Msg::CommitSignal {
-                        clock: tp.clock,
-                        token,
-                    },
-                    (finish - now) + self.config.costs.store_one_way,
-                );
+                let signal = Msg::CommitSignal {
+                    clock: tp.clock,
+                    token,
+                };
+                ctx.send_with_extra_delay(self.root, signal, via_store);
             }
         }
 
         // Callbacks produced by our updates to read-heavy shared objects.
         for (other, key, value) in self.client.take_pending_callbacks() {
             if let Some(actor) = self.topology.borrow().actor_of_instance(other) {
-                ctx.send_with_extra_delay(
-                    actor,
-                    Msg::CallbackUpdate { key, value },
-                    (finish - now) + self.config.costs.store_one_way,
-                );
+                ctx.send_with_extra_delay(actor, Msg::CallbackUpdate { key, value }, via_store);
             }
         }
 
-        // Forwarding.
-        let delay = finish - now;
-        match action {
-            Action::Drop => {
-                self.metrics.dropped_by_nf += 1;
-                if !self.params.off_path {
-                    // The packet's journey through the chain ends here (even
-                    // if this is not the chain tail); let the root unlog it.
-                    ctx.send_with_extra_delay(
-                        self.root,
-                        Msg::DeleteRequest {
-                            clock: tp.clock,
-                            xor_vector: tp.xor_vector,
-                        },
-                        delay,
-                    );
-                }
-            }
-            Action::Forward(out_pkt) => {
-                tp.packet = out_pkt;
-                if self.params.off_path {
-                    // Off-path NFs consume copies; nothing flows onward.
-                    return;
-                }
-                if is_chain_output {
-                    // §5.4: the delete request is sent before the output
-                    // packet is released towards the end host.
-                    ctx.send_with_extra_delay(
-                        self.root,
-                        Msg::DeleteRequest {
-                            clock: tp.clock,
-                            xor_vector: tp.xor_vector,
-                        },
-                        delay,
-                    );
+        // Forwarding. A dropped packet's journey through the chain ends here
+        // (even if this is not the chain tail), so the root may unlog it;
+        // an exit sends its delete request before the output packet is
+        // released towards the end host (§5.4).
+        let delete = Msg::DeleteRequest {
+            clock: tp.clock,
+            xor_vector: tp.xor_vector,
+        };
+        match step {
+            Step::Dropped if !off_path => ctx.send_with_extra_delay(self.root, delete, delay),
+            Step::Forward { exit } => {
+                if exit {
+                    ctx.send_with_extra_delay(self.root, delete, delay);
                     ctx.send_with_extra_delay(self.sink, Msg::Delivered(tp.clone()), delay);
                 }
                 for vertex in self.params.downstream.clone() {
                     self.forward_to_vertex(vertex, &tp, delay, ctx);
                 }
             }
+            _ => {}
         }
     }
 

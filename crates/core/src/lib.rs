@@ -35,6 +35,7 @@ pub mod coe;
 pub mod config;
 pub mod dag;
 pub mod instance;
+pub mod instance_core;
 pub mod message;
 pub mod nf;
 pub mod root;
@@ -50,6 +51,7 @@ pub use clock_window::ClockWindow;
 pub use config::{ChainConfig, CostModel, ExternalizationMode};
 pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};
 pub use instance::NfInstanceActor;
+pub use instance_core::{InstanceCore, InstanceCounters, Step};
 pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};
 pub use nf::{Action, NetworkFunction, NfContext};
 pub use root::RootActor;

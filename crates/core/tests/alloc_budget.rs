@@ -2,7 +2,8 @@
 //!
 //! A steady-state operation on an already-seen key must not touch the
 //! allocator: not in [`StateClient`] (key resolution, cache, write-behind
-//! buffer, token list) and not in [`StoreInstance::apply`] once the packet's
+//! buffer, token list), not in the instance step around it
+//! ([`InstanceCore::on_packet`]) and not in [`StoreInstance::apply`] once the packet's
 //! clock is below the replay floor. Above the floor the only allowance is
 //! the duplicate-suppression log's own growth: its window of cells doubles,
 //! so logging `n` integer increments allocates O(log n) times. Journaling a
@@ -16,10 +17,11 @@
 
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{
-    CostModel, ExternalizationMode, SharedStore, StateClient, StateHandle, StateObjectSpec,
-    TaggedPacket, VertexLogs,
+    Action, CostModel, ExternalizationMode, InstanceCore, NetworkFunction, NfContext, SharedStore,
+    StateClient, StateHandle, StateObjectSpec, Step, TaggedPacket, VertexLogs,
 };
 use chc_packet::{FlowKey, Packet, Scope, ScopeKey};
+use chc_sim::VirtualTime;
 use chc_store::{
     AccessPattern, BackendKind, Clock, Condition, InstanceId, ObjectKey, Operation, StateKey,
     StoreInstance, StoreServer, Value, VertexId,
@@ -142,6 +144,55 @@ fn buffered_update_and_cached_read_on_a_seen_key_allocate_nothing() {
     assert_eq!(after.cache_hits - before.cache_hits, 32);
     assert_eq!(after.blocking_ops, before.blocking_ops);
     assert_eq!(client.write_behind_depth(), 32);
+}
+
+/// [`packet`]'s client traffic as an NF, which forwards every packet.
+struct Meter;
+
+impl NetworkFunction for Meter {
+    fn name(&self) -> &str {
+        "meter"
+    }
+
+    fn state_objects(&self) -> Vec<StateObjectSpec> {
+        Vec::new()
+    }
+
+    fn process(&mut self, packet: &Packet, ctx: &mut NfContext<'_>) -> Action {
+        let flow = Some(ScopeKey::Flow(FlowKey(u128::from(packet.id.0) % FLOWS)));
+        ctx.increment("pkt_count", None, 1);
+        ctx.increment("conn_bytes", flow, 64);
+        assert!(ctx.read("conn_bytes", flow).as_int() > 0);
+        Action::Forward(packet.clone())
+    }
+}
+
+#[test]
+fn a_warm_instance_step_allocates_nothing() {
+    // The step around an NF and a client path that allocate nothing adds
+    // nothing: not the duplicate window, not an empty alert list, not the
+    // tokens it takes from the client.
+    let mut client = client(Box::new(SharedStore::new()));
+    let mut core: InstanceCore = InstanceCore::new(Box::new(Meter), false, true);
+    core.track_duplicates(true);
+    let mut step = |client: &mut StateClient, n: u64| {
+        let packet = Packet::builder().id(n).build();
+        let mut tp = TaggedPacket::new(packet, Clock::with_root(0, n));
+        let step = core.on_packet(&mut tp, client, VirtualTime::ZERO);
+        assert_eq!(step, Step::Forward { exit: true });
+        assert_eq!(core.tokens().len(), 2);
+    };
+    for n in 1..=2 * FLOWS as u64 {
+        step(&mut client, n);
+    }
+    client.drain_write_behind();
+    let allocated = allocations_in(|| {
+        for n in 100..116 {
+            step(&mut client, n);
+        }
+    });
+    assert_eq!(allocated, 0, "a warm instance step touched the allocator");
+    assert_eq!(client.write_behind_depth(), 32, "nothing drained");
 }
 
 #[test]

@@ -29,18 +29,17 @@ pub struct ScaleEvent {
 /// reports the throughput delta).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Per-stage span timing on the packet path: per-vertex queue wait,
-    /// service time and store RTT, plus the sink's final-hop wait, so the
-    /// report carries a latency *decomposition* rather than a single
-    /// root→sink number. Sampled: only the timed packets (one clock counter
-    /// in [`chc_core::TIMED_PERIOD`], plus every packet of a traced flow)
-    /// cost two clock reads and three histogram records per vertex; the
-    /// rest pay nothing.
-    pub spans: bool,
-    /// Structured event journal of control-plane moments (instance
-    /// spawn/kill, failover phases, commit-frontier advances, scale cuts,
-    /// shard restarts). Control-plane rate; negligible cost.
-    pub journal: bool,
+    /// The in-run observers, one switch (nothing ever set them apart):
+    /// per-stage span timing on the timed packets (one clock counter in
+    /// [`chc_core::TIMED_PERIOD`], plus every packet of a traced flow: queue
+    /// wait, service time and store RTT per vertex, and the sink's
+    /// final-hop wait); the event journal of control-plane moments (spawns,
+    /// kills, failover phases, frontier advances, scale cuts, shard
+    /// restarts); and the invariant sentinel, which checks every event as
+    /// it is recorded, the delivery stream and a copy-conservation ledger on
+    /// the rings, into `RuntimeReport::invariants`. On by default: it is
+    /// cheap, and every test asserts `violations == 0` for free.
+    pub observers: bool,
     /// When set, a monitor thread samples live gauges (SPSC ring occupancy,
     /// per-shard op rates, WAL depth, packet-log level, replay progress) at
     /// this cadence and the report carries the time series.
@@ -49,27 +48,17 @@ pub struct TelemetryConfig {
     /// (`1_000_000` traces everything, `10_000` is 1%, `0` disables).
     /// Sampled flows' packets carry a [`chc_packet::TraceTag`] and every
     /// hop records a span; the collected spans export as Chrome trace-event
-    /// JSON. Requires `spans` (a traced packet is a timed packet: its
+    /// JSON. Requires `observers` (a traced packet is a timed packet: its
     /// spans are built from the same hop stamps).
     pub trace_sample_ppm: u32,
-    /// Online invariant sentinel: checks on every control-plane event as it
-    /// is recorded (no thread of its own), in-line checks on the delivery
-    /// stream and a copy-conservation ledger on the rings. Violations land
-    /// in the journal and in `RuntimeReport::invariants`. On by default —
-    /// correctness monitoring is cheap (per-batch counters and one
-    /// sink-side map lookup per packet) and every test asserts
-    /// `violations == 0` for free.
-    pub sentinel: bool,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            spans: true,
-            journal: true,
+            observers: true,
             sample_interval: None,
             trace_sample_ppm: 0,
-            sentinel: true,
         }
     }
 }
@@ -79,27 +68,21 @@ impl TelemetryConfig {
     /// latency histogram (the baseline for overhead measurements).
     pub fn disabled() -> TelemetryConfig {
         TelemetryConfig {
-            spans: false,
-            journal: false,
+            observers: false,
             sample_interval: None,
             trace_sample_ppm: 0,
-            sentinel: false,
         }
     }
 
     /// True when nothing is enabled.
     pub fn is_disabled(&self) -> bool {
-        !self.spans
-            && !self.journal
-            && self.sample_interval.is_none()
-            && self.trace_sample_ppm == 0
-            && !self.sentinel
+        !self.observers && self.sample_interval.is_none() && self.trace_sample_ppm == 0
     }
 
     /// True when causal tracing is effectively on (a nonzero sampling rate
     /// and the hop stamps it needs).
     pub fn tracing_on(&self) -> bool {
-        self.trace_sample_ppm > 0 && self.spans
+        self.trace_sample_ppm > 0 && self.observers
     }
 }
 
@@ -141,8 +124,8 @@ pub struct RuntimeConfig {
     /// no packet log, no commit publishing, no duplicate tracking. Set by
     /// the benchmark's `failover*` workloads and the failover suites.
     pub fault: FaultPlan,
-    /// What to measure beyond the end-to-end latency histogram (spans,
-    /// event journal, gauge sampling). See [`TelemetryConfig`]. The
+    /// What to measure beyond the end-to-end latency histogram (the
+    /// observers, gauge sampling, tracing). See [`TelemetryConfig`]. The
     /// benchmark's ladder rungs 4–6 are this field's three settings.
     pub telemetry: TelemetryConfig,
     /// Write-behind store fast path: each instance's `StateClient` buffers
@@ -215,11 +198,11 @@ impl RuntimeConfig {
     }
 
     /// Builder-style causal-trace sampling rate, in parts per million of
-    /// flows (`1_000_000` traces everything). Implies spans.
+    /// flows (`1_000_000` traces everything). Turns the observers on.
     pub fn with_trace_sample_ppm(mut self, ppm: u32) -> RuntimeConfig {
         self.telemetry.trace_sample_ppm = ppm.min(chc_packet::TRACE_PPM_FULL);
         if ppm > 0 {
-            self.telemetry.spans = true;
+            self.telemetry.observers = true;
         }
         self
     }
@@ -280,21 +263,21 @@ mod tests {
     fn trace_and_sentinel_knobs() {
         let cfg = TelemetryConfig::default();
         assert_eq!(cfg.trace_sample_ppm, 0);
-        assert!(cfg.sentinel && !cfg.tracing_on());
+        assert!(cfg.observers && !cfg.tracing_on());
         let off = TelemetryConfig::disabled();
-        assert!(off.is_disabled() && !off.sentinel);
+        assert!(off.is_disabled() && !off.observers);
 
         let cfg = RuntimeConfig::default().with_trace_sample_ppm(2_000_000);
         assert_eq!(cfg.telemetry.trace_sample_ppm, chc_packet::TRACE_PPM_FULL);
         assert!(cfg.telemetry.tracing_on());
-        assert!(cfg.telemetry.sentinel, "tracing leaves the sentinel alone");
+        assert!(cfg.telemetry.observers, "tracing leaves the sentinel alone");
 
-        // Tracing implies spans even from a disabled base.
+        // Tracing implies the observers (spans) even from a disabled base.
         let base = RuntimeConfig {
             telemetry: TelemetryConfig::disabled(),
             ..Default::default()
         };
         let traced = base.with_trace_sample_ppm(10_000);
-        assert!(traced.telemetry.spans && traced.telemetry.tracing_on());
+        assert!(traced.telemetry.observers && traced.telemetry.tracing_on());
     }
 }

@@ -194,8 +194,6 @@ pub(crate) struct EngineShared {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// True when instances suppress duplicate clocks at their input queues.
-    pub(crate) dedup: bool,
     /// Raised by an instance or the root as it fail-stops, before it hands
     /// its wiring on. From then on replayed clocks can fill gaps below a
     /// watermark, so no instance prunes its duplicate window any further.
@@ -261,7 +259,6 @@ impl EngineShared {
             config,
             batch: plan.batch,
             fault_mode: plan.fault_mode,
-            dedup: plan.dedup,
             fail_stopped: AtomicBool::new(false),
             telemetry: RunTelemetry::new(rt.telemetry, Instant::now(), plan.topo.iter().copied()),
             logs,

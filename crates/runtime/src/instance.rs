@@ -1,15 +1,18 @@
-//! The NF instance thread: pulls packet batches from its input rings, runs
-//! the unmodified [`chc_core::NetworkFunction`] against a [`StateClient`]
-//! backed by the sharded store, and forwards outputs through the scope-aware
-//! splitters. A planned kill fail-stops it mid-stream and hands its wiring
-//! to the supervisor; the replacement runs the same body on that wiring.
+//! The NF instance thread: pulls packet batches from its input rings, hands
+//! each packet to its [`InstanceCore`] — the per-packet step the simulator
+//! runs too: duplicate suppression, the unmodified
+//! [`chc_core::NetworkFunction`] against a [`StateClient`] backed by the
+//! sharded store, alerts and counters — and forwards outputs through the
+//! scope-aware splitters. A planned kill fail-stops it mid-stream and hands
+//! its wiring to the supervisor; the replacement runs the same body on that
+//! wiring.
 
 use crate::engine::EngineShared;
 use crate::plan::InstancePlan;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
-use chc_core::{delete_token, Action, ClockWindow, NfContext, StateClient, TaggedPacket};
+use chc_core::{delete_token, InstanceCore, StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -60,12 +63,14 @@ struct Instance<'a> {
     spans: bool,
     stage: Arc<VertexStageMetrics>,
     store_timer: Rc<StoreTimer>,
-    report: RuntimeInstanceReport,
-    /// Clocks seen at this input queue (fault mode only). Pruned at the
+    /// Ring-transfer batches consumed, and replayed packets not re-emitted
+    /// (`RuntimeInstanceReport::replay_egress_gated`).
+    batches_in: u64,
+    egress_gated: u64,
+    /// The core's duplicate window (fault mode only) is pruned at the
     /// instance's own watermark while that watermark is exact: every live
-    /// ring clock-ordered — fixed at wiring time, `prunable` — and nothing
-    /// fail-stopped yet (see `prune_seen`).
-    seen: ClockWindow,
+    /// ring clock-ordered — fixed at wiring time — and nothing fail-stopped
+    /// yet (see `prune_seen`).
     prunable: bool,
 }
 
@@ -79,18 +84,36 @@ pub(crate) fn run_instance(
     mut kill: Option<KillSwitch>,
 ) -> InstanceResult {
     let mut me = set_up(plan, wiring, shared);
-    match run_batches(&mut me, &mut kill) {
+    let failed = match run_batches(&mut me, &mut kill) {
         Some(killed_at_clock) => {
             let switch = kill.take().expect("fail-stop without a kill switch");
-            fail_stop(me, switch, killed_at_clock)
+            fail_stop(&mut me, switch, killed_at_clock);
+            true
         }
-        None => shut_down(me),
-    }
+        None => {
+            shut_down(&mut me);
+            false
+        }
+    };
+    // Both exits report the core's counters and its duplicate window.
+    let (plan, counters) = (&me.plan, me.plan.core.counters());
+    let report = RuntimeInstanceReport {
+        vertex: plan.vertex,
+        instance: plan.instance,
+        processed: counters.processed,
+        dropped_by_nf: counters.dropped_by_nf,
+        suppressed_duplicates: counters.suppressed_duplicates,
+        alerts: counters.alerts.clone(),
+        batches_in: me.batches_in,
+        replay_egress_gated: me.egress_gated,
+        dedup_window_bytes: plan.core.window_bytes(),
+    };
+    InstanceResult { report, failed }
 }
 
 /// Set-up, on the instance's own thread.
 fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> Instance<'_> {
-    let spans = shared.telemetry.config.spans && !plan.off_path;
+    let spans = shared.telemetry.config.observers && !plan.core.off_path();
     let stage: Arc<VertexStageMetrics> = shared
         .telemetry
         .stages
@@ -139,19 +162,9 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
     }
     let mut live = wiring.inputs.iter().filter(|r| !r.replay);
     Instance {
-        report: RuntimeInstanceReport {
-            vertex: plan.vertex,
-            instance: plan.instance,
-            processed: 0,
-            dropped_by_nf: 0,
-            suppressed_duplicates: 0,
-            alerts: Vec::new(),
-            batches_in: 0,
-            replay_egress_gated: 0,
-            dedup_window_bytes: 0,
-        },
-        seen: ClockWindow::new(),
-        prunable: shared.dedup && live.all(|r| r.ordered),
+        batches_in: 0,
+        egress_gated: 0,
+        prunable: shared.fault_mode && live.all(|r| r.ordered),
         plan,
         wiring,
         shared,
@@ -167,7 +180,7 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
 fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u64> {
     let shared = me.shared;
     let (spans, stage, store_timer) = (me.spans, &me.stage, &me.store_timer);
-    let (plan, client, result) = (&mut me.plan, &mut me.client, &mut me.report);
+    let (plan, client) = (&mut me.plan, &mut me.client);
     let InstanceWiring {
         inputs,
         outs,
@@ -202,7 +215,7 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
                 s.ledger.ring_popped.add(n as u64);
             }
             moved += n;
-            result.batches_in += 1;
+            me.batches_in += 1;
             let live = !input.replay;
             for (pos, mut tp) in work.drain(..).enumerate() {
                 if live {
@@ -227,22 +240,6 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
                     input.last_counter = input.last_counter.max(tp.clock.counter());
                 }
                 let traced = tp.trace.map(|t| t.id);
-                // Duplicate suppression at the input queue (§5.3): the clock
-                // is unique per input packet, so a repeat is always a replay
-                // or re-injection; it is counted, never silently processed.
-                if shared.dedup && !me.seen.insert(tp.clock) {
-                    result.suppressed_duplicates += 1;
-                    if let Some(id) = traced {
-                        shared.telemetry.trace_span(SpanEvent {
-                            trace_id: id,
-                            lane,
-                            kind: SpanKind::Suppress,
-                            t_ns: shared.telemetry.now_ns(),
-                            dur_ns: 0,
-                        });
-                    }
-                    continue;
-                }
                 // Span timing covers live timed packets only: a replayed
                 // packet's hop stamp is stale, and its processing is
                 // recovery work, not steady-state service time. A replayed
@@ -255,7 +252,26 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
                     store_timer.arm();
                     shared.telemetry.now_ns()
                 });
-                let action = run_nf(&tp, plan, client, shared, result);
+                // The wall clock is the cost on threads: the core's charge
+                // is left unread.
+                let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
+                let step = plan.core.on_packet(&mut tp, client, now);
+                if step == Step::Suppressed {
+                    // A repeated clock is a replay or a re-injection (§5.3):
+                    // the core counted it, and nothing else happens to it.
+                    store_timer.disarm();
+                    if let Some(id) = traced {
+                        shared.telemetry.trace_span(SpanEvent {
+                            trace_id: id,
+                            lane,
+                            kind: SpanKind::Suppress,
+                            t_ns: t_in.unwrap_or_else(|| shared.telemetry.now_ns()),
+                            dur_ns: 0,
+                        });
+                    }
+                    continue;
+                }
+                forward_callbacks(client, shared);
                 if let Some(t_in) = t_in {
                     let t_out = shared.telemetry.now_ns();
                     let store_ns = store_timer.disarm();
@@ -284,7 +300,9 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
                         });
                     }
                 }
-                forward(tp, action, plan, shared, outs, sink_link, result);
+                if forward(tp, step, plan, shared, outs, sink_link) {
+                    me.egress_gated += 1;
+                }
             }
         }
 
@@ -303,7 +321,7 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
                 flush_all(outs, sink_link);
                 publish_watermark(shared, plan, inputs);
                 if me.prunable {
-                    prune_seen(&mut me.seen, shared, inputs);
+                    prune_seen(&mut plan.core, shared, inputs);
                 }
             }
         } else {
@@ -333,7 +351,7 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
 
 /// Fail-stop: unflushed output batches die with the process; the wiring
 /// goes to the supervisor for the replacement thread.
-fn fail_stop(mut me: Instance<'_>, switch: KillSwitch, killed_at_clock: u64) -> InstanceResult {
+fn fail_stop(me: &mut Instance<'_>, switch: KillSwitch, killed_at_clock: u64) {
     for link in me.wiring.links_mut() {
         link.buf.clear();
     }
@@ -348,17 +366,13 @@ fn fail_stop(mut me: Instance<'_>, switch: KillSwitch, killed_at_clock: u64) -> 
     me.shared.fail_stopped.store(true, Ordering::Relaxed);
     let _ = switch.tx.send(DyingInstance {
         slot: switch.slot,
-        wiring: me.wiring,
+        wiring: std::mem::take(&mut me.wiring),
     });
-    InstanceResult {
-        report: me.report,
-        failed: true,
-    }
 }
 
 /// Healthy shutdown: whatever the last (partial) batch buffered must reach
 /// the store before the streams close and the final watermark.
-fn shut_down(mut me: Instance<'_>) -> InstanceResult {
+fn shut_down(me: &mut Instance<'_>) {
     drain_store_buffer(&mut me.client, me.shared);
     for link in me.wiring.links_mut() {
         link.flush();
@@ -367,13 +381,8 @@ fn shut_down(mut me: Instance<'_>) -> InstanceResult {
     if me.shared.fault_mode {
         publish_watermark(me.shared, &me.plan, &mut me.wiring.inputs);
         if me.prunable {
-            prune_seen(&mut me.seen, me.shared, &me.wiring.inputs);
+            prune_seen(&mut me.plan.core, me.shared, &me.wiring.inputs);
         }
-    }
-    me.report.dedup_window_bytes = me.seen.resident_bytes();
-    InstanceResult {
-        report: me.report,
-        failed: false,
     }
 }
 
@@ -429,7 +438,7 @@ fn live_watermark(inputs: &[InputRing]) -> u64 {
 /// which its inherited watermark is true again because every logged packet
 /// has been re-flushed.
 fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [InputRing]) {
-    if plan.off_path {
+    if plan.core.off_path() {
         return;
     }
     if plan.replaces.is_some() && inputs.iter_mut().any(|r| r.replay && !r.rx.is_exhausted()) {
@@ -451,56 +460,26 @@ fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [I
 /// (one bit per packet). The flag is read after the pops that fed the
 /// watermark, so a watermark that includes post-failure traffic always
 /// sees it raised.
-fn prune_seen(seen: &mut ClockWindow, shared: &EngineShared, inputs: &[InputRing]) {
+fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRing]) {
     if !shared.fail_stopped.load(Ordering::Relaxed) {
-        seen.forget_through(Clock::with_root(0, live_watermark(inputs)));
+        core.forget_through(Clock::with_root(0, live_watermark(inputs)));
     }
 }
 
-/// Run one packet through the NF, leaving the forwarding to [`forward`] so a
-/// timed packet's egress stamp can be taken in between.
-fn run_nf(
-    tp: &TaggedPacket,
-    plan: &mut InstancePlan,
-    client: &mut StateClient,
-    shared: &EngineShared,
-    result: &mut RuntimeInstanceReport,
-) -> Action {
-    let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
-    let mut ctx = NfContext::new(client, tp.clock, now);
-    let action = plan.nf.process(&tp.packet, &mut ctx);
-    for alert in ctx.take_alerts() {
-        result.alerts.push((tp.clock, alert));
-    }
-    result.processed += 1;
-
-    // The virtual cost model does not apply on real threads; wall-clock time
-    // *is* the cost. The accumulators still need draining.
-    let _ = client.take_charge();
-    let _ = client.take_packet_tokens();
-    forward_callbacks(client, shared);
-    action
-}
-
-/// Forward the outcome of one processed packet.
+/// Forward the outcome of one processed packet. True when a tail
+/// replacement gated a replayed packet instead of re-emitting it.
 fn forward(
     mut tp: TaggedPacket,
-    action: Action,
+    step: Step,
     plan: &InstancePlan,
     shared: &EngineShared,
     outs: &mut [Downstream],
     sink_link: &mut Option<OutLink>,
-    result: &mut RuntimeInstanceReport,
-) {
-    let Action::Forward(out_pkt) = action else {
-        result.dropped_by_nf += 1;
-        return;
+) -> bool {
+    // Dropped, or consumed off the path: nothing flows onward.
+    let Step::Forward { exit } = step else {
+        return false;
     };
-    tp.packet = out_pkt;
-    if plan.off_path {
-        // Off-path NFs consume copies; nothing flows onward.
-        return;
-    }
     // FTMB-style egress logging: this vertex is the on-path upstream of some
     // killed non-entry vertex, so its live output stream is that kill's
     // replay source. The XOR delete token is folded into the envelope
@@ -518,23 +497,20 @@ fn forward(
             log.insert(tp.clone());
         }
     }
-    if plan.is_tail {
-        // A tail replacement bounds its re-delivery window with the XOR
-        // ledger: a replayed packet whose clock the sink already confirmed
-        // is processed for its (store-deduped) state effects but not
-        // re-emitted to the end host.
-        let gated = tp.replay_for.is_some()
-            && shared
-                .ledger
-                .as_ref()
-                .is_some_and(|l| l.confirmed(tp.clock.counter()));
-        if gated {
-            result.replay_egress_gated += 1;
-        } else if let Some(link) = sink_link {
+    // A tail replacement bounds its re-delivery window with the XOR ledger:
+    // a replayed packet whose clock the sink already confirmed is processed
+    // for its (store-deduped) state effects but not re-emitted to the end
+    // host. Only an exit has a sink link.
+    let gated = exit
+        && tp.replay_for.is_some()
+        && (shared.ledger.as_ref()).is_some_and(|l| l.confirmed(tp.clock.counter()));
+    if !gated {
+        if let Some(link) = sink_link {
             link.push(tp.clone(), shared.batch);
         }
     }
     for d in outs {
         d.route(&tp, shared.batch);
     }
+    gated
 }

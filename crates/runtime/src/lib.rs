@@ -52,7 +52,7 @@
 //! ([`RuntimeConfig::with_trace_sample_ppm`]) whose per-hop spans export as
 //! Perfetto-loadable Chrome trace JSON
 //! ([`chc_telemetry::chrome_trace_json`]), and an online **invariant
-//! sentinel** ([`TelemetryConfig::sentinel`]) that continuously checks
+//! sentinel** ([`TelemetryConfig::observers`]) that continuously checks
 //! commit-frontier monotonicity, per-flow delivery order, packet
 //! conservation, exactly-once delivery, the root-log bound and failover
 //! phase order, reporting violations in [`RuntimeReport::invariants`].

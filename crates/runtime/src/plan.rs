@@ -10,7 +10,7 @@ use crate::config::{RuntimeConfig, ScaleEvent};
 use crate::engine::RuntimeError;
 use crate::fault::{FaultPlan, InstanceKill};
 use chc_core::root::ROOT_VERTEX;
-use chc_core::{ChainConfig, LogicalDag, NetworkFunction, Splitter, StateObjectSpec, VertexSpec};
+use chc_core::{ChainConfig, InstanceCore, LogicalDag, Splitter, StateObjectSpec, VertexSpec};
 use chc_store::{InstanceId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -33,14 +33,14 @@ pub(crate) struct InstancePlan {
     /// replay rings drain, because an inherited watermark only becomes true
     /// again once the replayed packets have been re-flushed downstream.
     pub(crate) replaces: Option<InstanceId>,
-    pub(crate) off_path: bool,
-    pub(crate) is_tail: bool,
     /// This vertex is the on-path upstream of some killed non-entry vertex:
     /// every live Forward it emits is tokenized and copied into its egress
     /// log, the replay source for that kill.
     pub(crate) log_egress: bool,
     pub(crate) downstream: Vec<VertexId>,
-    pub(crate) nf: Box<dyn NetworkFunction>,
+    /// The NF and its per-packet step, with the instance's role: off the
+    /// path, or a chain exit.
+    pub(crate) core: InstanceCore,
     pub(crate) objects: Vec<StateObjectSpec>,
 }
 
@@ -66,11 +66,9 @@ impl InstancePlan {
             replicas,
             kill_at: None,
             replaces: None,
-            off_path: v.off_path,
-            is_tail: dag.exits().contains(&v.id),
             log_egress,
             downstream: dag.downstream_of(v.id),
-            nf,
+            core: InstanceCore::new(nf, v.off_path, dag.exits().contains(&v.id)),
             objects,
         }
     }
@@ -139,8 +137,6 @@ pub struct ChainPlan {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// True when instances suppress duplicate clocks at their input queues.
-    pub(crate) dedup: bool,
     /// True when the plan kills an instance or the root: the XOR delete
     /// ledger then bounds the replay re-delivery windows.
     pub(crate) xor_ledger: bool,
@@ -242,7 +238,7 @@ impl ChainPlan {
 
         let entries = dag.entries();
         let (replay_sources, logging) = replay_topology(dag, fault, &entries);
-        let instances: Vec<InstancePlan> = identities
+        let mut instances: Vec<InstancePlan> = identities
             .iter()
             .enumerate()
             .map(|(slot, &(v, idx))| InstancePlan {
@@ -260,7 +256,7 @@ impl ChainPlan {
                 )
             })
             .collect();
-        let seeds: HashMap<usize, InstancePlan> = killed_slots
+        let mut seeds: HashMap<usize, InstancePlan> = killed_slots
             .iter()
             .enumerate()
             .map(|(k, &(slot, kill))| {
@@ -284,13 +280,19 @@ impl ChainPlan {
             .collect();
 
         let fault_mode = !fault.is_empty();
+        if fault_mode {
+            // Replay and re-injection send clocks twice: every input queue
+            // remembers the clocks it saw.
+            for p in instances.iter_mut().chain(seeds.values_mut()) {
+                p.core.track_duplicates(config.duplicate_suppression);
+            }
+        }
         let batch = rt.batch_size.max(1);
         Ok(ChainPlan {
             batch,
             depth: rt.queue_depth.max(batch * 2),
             trace_len,
             fault_mode,
-            dedup: fault_mode && config.duplicate_suppression,
             xor_ledger: !fault.kills.is_empty() || fault.root_kill.is_some(),
             topo,
             entries,
@@ -441,7 +443,8 @@ fn shard_schedule(
 /// ones (an off-path instance forwards nothing and publishes no watermark)
 /// — plus the sink's, the slot after the last instance.
 fn commit_scope(instances: &[InstancePlan], covers: impl Fn(VertexId) -> bool) -> Vec<usize> {
-    let on_path = |slot: &usize| !instances[*slot].off_path && covers(instances[*slot].vertex);
+    let on_path =
+        |slot: &usize| !instances[*slot].core.off_path() && covers(instances[*slot].vertex);
     let sink = instances.len();
     (0..sink).filter(on_path).chain([sink]).collect()
 }
@@ -504,7 +507,7 @@ pub(crate) mod tests {
         assert_eq!(entry.log_scopes, [root_row()]);
         assert!(entry.instances.iter().all(|p| !p.log_egress));
         assert_eq!(entry.instances[0].kill_at, Some(500));
-        assert!(entry.xor_ledger && entry.fault_mode && entry.dedup);
+        assert!(entry.xor_ledger && entry.fault_mode);
         // The replacement is instance 3 and publishes under the dead slot.
         assert_eq!(entry.seeds[&0].instance, InstanceId(3));
         assert_eq!((entry.seeds[&0].slot(), entry.instances[1].slot()), (0, 1));
@@ -522,7 +525,7 @@ pub(crate) mod tests {
         let tail = plan(FaultPlan::new().kill(LB, 0, 500));
         assert_eq!(tail.replay_sources[&LB], [NAT]);
         assert_eq!(tail.log_scopes, [root_row(), (NAT, vec![2, 3])]);
-        assert!(tail.instances[2].is_tail && !tail.instances[1].is_tail);
+        assert!(tail.instances[2].core.exit() && !tail.instances[1].core.exit());
 
         // Root: nothing to replay into, but the ledger is still needed.
         let root = plan(FaultPlan::new().kill_root(500));
@@ -533,7 +536,7 @@ pub(crate) mod tests {
 
         // No plan, no fault machinery.
         let healthy = plan(FaultPlan::new());
-        assert!(!healthy.fault_mode && !healthy.dedup && !healthy.xor_ledger);
+        assert!(!healthy.fault_mode && !healthy.xor_ledger);
         assert_eq!(healthy.floor_cap, u64::MAX);
 
         // The root's id names its log, so no vertex may carry it.
@@ -564,7 +567,7 @@ pub(crate) mod tests {
         assert_eq!(seed(2).replaces, Some(InstanceId(2)));
         assert_eq!(seed(0).replaces, Some(InstanceId(0)));
         assert_eq!((seed(2).vertex, seed(2).index), (LB, 0));
-        assert!(seed(2).kill_at.is_none() && seed(2).is_tail);
+        assert!(seed(2).kill_at.is_none() && seed(2).core.exit());
         // The LB's killed, so the NAT logs; the FW's replacement does not.
         assert!(!seed(0).log_egress && p.instances[1].log_egress);
         // The store's floor stays under the smallest re-injected counter.

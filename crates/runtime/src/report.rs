@@ -111,7 +111,7 @@ pub struct RuntimeReport {
     /// switch.
     pub telemetry: Option<TelemetryReport>,
     /// Invariant-sentinel section, present when
-    /// [`crate::TelemetryConfig::sentinel`] was on: every detected
+    /// [`crate::TelemetryConfig::observers`] were on: every detected
     /// violation (empty in a correct run) plus the counters proving how
     /// much was checked — journal events, sink deliveries, and the ring
     /// conservation ledger.

@@ -51,7 +51,7 @@ pub(crate) fn run_sink(
         .sentinel
         .is_some()
         .then(|| FlowOrderChecker::new(scale_cut));
-    let spans = telemetry.config.spans;
+    let spans = telemetry.config.observers;
     // Kept whole for the run: one bit per delivered clock beside the 64-bit
     // `delivered_ids` entry, so every late duplicate is still accounted.
     let mut seen = ClockWindow::new();

@@ -130,11 +130,11 @@ impl RunTelemetry {
                 .map(|v| (v, Arc::new(VertexStageMetrics::default())))
                 .collect(),
             sink_wait: StreamingHistogram::new(),
-            journal: config.journal.then(EventJournal::new),
+            journal: config.observers.then(EventJournal::new),
             last_frontier: AtomicU64::new(0),
             replay_progress: Counter::new(),
             tracer: config.tracing_on().then(TraceCollector::new),
-            sentinel: config.sentinel.then(|| Arc::new(SentinelState::new())),
+            sentinel: config.observers.then(|| Arc::new(SentinelState::new())),
         }
     }
 

@@ -275,7 +275,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
     // wired.
     for &i in plan.topo.iter().flat_map(|v| plan.slots_of(*v)) {
         let p = &plan.instances[i];
-        if p.off_path {
+        if p.core.off_path() {
             continue;
         }
         let from = format!("v{}.{}", p.vertex.0, p.index);
@@ -284,7 +284,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
             let out = rings.fan_out(&from, *d, Some(ordered));
             rings.wired.instances[i].outs.push(out);
         }
-        if p.is_tail {
+        if p.core.exit() {
             rings.wired.instances[i].sink_link = Some(rings.sink_link(&from));
         }
     }

@@ -1,7 +1,7 @@
 //! The duplicate windows have a bound: the sink keeps one bit per injected
 //! clock, and an instance's input-queue window (fault mode) is pruned at the
 //! instance's own watermark until the first fail-stop, after which it grows
-//! by one bit per packet.
+//! by one bit per packet. Both exits, healthy and fail-stopped, report it.
 
 use chc_core::{ChainConfig, ClockWindow, LogicalDag, VertexSpec};
 use chc_nf::{Firewall, Nat};
@@ -110,4 +110,17 @@ fn instance_window_is_pruned_at_the_watermark_until_something_fails() {
     for inst in kill.instances.iter().chain(&kill.failed_instances) {
         assert!(inst.dedup_window_bytes <= whole_window_bound(n));
     }
+
+    // A fail-stopped instance reports the window it died with, too.
+    let nat_kill = run(
+        RuntimeConfig::with_batch_size(32).with_fault(FaultPlan::new().kill(VertexId(2), 0, n / 2)),
+        &trace,
+    );
+    let killed = nat_kill
+        .failed_instances
+        .iter()
+        .find(|i| i.vertex == VertexId(2))
+        .expect("the killed nat reports");
+    assert!(killed.dedup_window_bytes > 0);
+    assert!(killed.dedup_window_bytes <= whole_window_bound(n));
 }

@@ -16,7 +16,8 @@
 //!   chosen virtual time and replaced later, matching the paper's §5.4
 //!   failure model), and
 //! * measurement utilities ([`metrics`]): percentile histograms, time series
-//!   and throughput accounting used by the benchmark harnesses.
+//!   and throughput accounting used by the benchmark harnesses, and
+//! * the multi-worker capacity model of one NF instance ([`WorkerPool`]).
 //!
 //! Determinism: all randomness comes from a single seeded RNG owned by the
 //! simulation, and ties in the event queue are broken by insertion sequence
@@ -27,9 +28,11 @@ pub mod link;
 pub mod metrics;
 pub mod sim;
 pub mod time;
+pub mod workers;
 
 pub use event::{ActorId, TimerTag};
 pub use link::LinkConfig;
 pub use metrics::{Histogram, Summary, Throughput, TimeSeries};
 pub use sim::{Actor, Ctx, Simulation, SimulationReport};
 pub use time::{SimDuration, VirtualTime};
+pub use workers::WorkerPool;

@@ -65,7 +65,7 @@ fn main() {
         println!(
             "  NAT instance {:?} processed {} packets (median {:.2} us)",
             inst.instance,
-            inst.processed,
+            inst.counters.processed,
             inst.proc_time.p50.as_micros_f64()
         );
     }

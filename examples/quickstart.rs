@@ -45,7 +45,7 @@ fn main() {
             "  vertex {:?} instance {:?}: {} packets, median proc {:.2} us, {:.2} Gbps",
             inst.vertex,
             inst.instance,
-            inst.processed,
+            inst.counters.processed,
             inst.proc_time.p50.as_micros_f64(),
             inst.throughput_gbps
         );

@@ -159,7 +159,7 @@ fn elastic_scale_up_moves_flows_without_loss_or_reorder() {
     // The new instance took over some traffic.
     let new_instance_report = &metrics.vertex(VertexId(1))[new_index];
     assert!(
-        new_instance_report.processed > 0,
+        new_instance_report.counters.processed > 0,
         "new instance processed nothing"
     );
     // And chain output equivalence still holds, with no duplicates or drops.
@@ -196,11 +196,11 @@ fn straggler_clone_suppresses_duplicates() {
     assert_eq!(metrics.sink_duplicates, 0);
     let portscan = &metrics.vertex(VertexId(2))[0];
     assert_eq!(
-        portscan.duplicate_packets, 0,
+        portscan.counters.duplicate_packets, 0,
         "duplicates processed downstream"
     );
     assert!(
-        portscan.suppressed_duplicates > 0,
+        portscan.counters.suppressed_duplicates > 0,
         "expected suppressed duplicates downstream"
     );
 }
