@@ -454,7 +454,7 @@ pub fn tab5_duplicates(scale: Scale) -> String {
                 portscan.counters.duplicate_packets,
                 portscan.counters.duplicate_state_updates,
                 portscan.counters.suppressed_duplicates,
-                metrics.sink_duplicates
+                metrics.sink_duplicates + metrics.sink_replay_shadows
             );
         }
     }

@@ -127,10 +127,10 @@ pub struct ChainMetrics {
     pub instances: Vec<InstanceReport>,
     /// Distinct packets delivered to the end host.
     pub sink_delivered: usize,
-    /// Duplicate packets observed by the end host.
+    /// Unmarked repeats of a clock the end host already had.
     pub sink_duplicates: u64,
-    /// End-host goodput in Gbps.
-    pub sink_gbps: f64,
+    /// Replay-marked repeats of a clock the end host already had.
+    pub sink_replay_shadows: u64,
     /// Root counters.
     pub root: RootStats,
 }
@@ -197,7 +197,7 @@ impl ChainController {
             partition.borrow_mut().insert(Splitter::for_vertex(v));
         }
 
-        let sink = sim.add_actor(Box::new(SinkActor::new()));
+        let sink = sim.add_actor(Box::new(SinkActor::default()));
         let root = sim.add_actor(Box::new(RootActor::new(
             0,
             config,
@@ -355,23 +355,21 @@ impl ChainController {
             }
         }
         instances.sort_by_key(|r| (r.vertex, r.instance));
-        let (sink_delivered, sink_duplicates, sink_gbps) = {
-            let sink = self
-                .sim
-                .actor::<SinkActor>(self.handles.sink)
-                .expect("sink");
-            (sink.delivered(), sink.duplicates, sink.throughput.gbps())
-        };
+        let sink = &self
+            .sim
+            .actor::<SinkActor>(self.handles.sink)
+            .expect("sink")
+            .core;
         let root = self
             .sim
             .actor::<RootActor>(self.handles.root)
-            .map(|r| r.stats)
+            .map(RootActor::stats)
             .unwrap_or_default();
         ChainMetrics {
             instances,
-            sink_delivered,
-            sink_duplicates,
-            sink_gbps,
+            sink_delivered: sink.delivered(),
+            sink_duplicates: sink.duplicates,
+            sink_replay_shadows: sink.replay_shadows,
             root,
         }
     }
@@ -380,7 +378,7 @@ impl ChainController {
     pub fn delivered_ids(&self) -> Vec<PacketId> {
         self.sim
             .actor::<SinkActor>(self.handles.sink)
-            .map(|s| s.delivered_ids())
+            .map(|s| s.core.delivered_ids.clone())
             .unwrap_or_default()
     }
 

@@ -41,6 +41,7 @@ pub mod nf;
 pub mod root;
 pub mod rootlog;
 pub mod sink;
+pub mod sink_core;
 pub mod splitter;
 pub mod state;
 pub mod vertexlog;
@@ -57,6 +58,7 @@ pub use nf::{Action, NetworkFunction, NfContext};
 pub use root::RootActor;
 pub use rootlog::PacketLog;
 pub use sink::SinkActor;
+pub use sink_core::{Arrival, SinkCore};
 pub use splitter::{PartitionTable, Splitter};
 pub use state::{SharedStore, StateClient, StateHandle};
 pub use vertexlog::{delete_token, VertexLogStats, VertexLogs, XorDeleteLedger, STANDBY_ROOT_ID};

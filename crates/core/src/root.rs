@@ -42,7 +42,7 @@ pub const ROOT_LOG_CAPACITY: usize = 1_000_000;
 /// Counters exposed by the root for experiments and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RootStats {
-    /// Packets accepted and stamped.
+    /// Packets stamped and logged.
     pub packets_in: u64,
     /// Packets dropped because the log exceeded its capacity.
     pub dropped: u64,
@@ -74,13 +74,12 @@ pub struct RootActor {
     /// Whether this root is a failover instance that must recover its clock
     /// from the datastore on start (§5.4 "Root").
     recover_on_start: bool,
-    /// Public counters.
-    pub stats: RootStats,
+    /// The counts the actor keeps; `stats()` fills `dropped` and `log_high_water` from the log.
+    stats: RootStats,
 }
 
 impl RootActor {
     /// Create a fresh root (chain bring-up).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         root_id: u8,
         config: ChainConfig,
@@ -109,7 +108,6 @@ impl RootActor {
     /// when it starts (its packet log starts empty: packets logged locally by
     /// the failed root are lost, which the chain tolerates as network drops —
     /// Theorem B.3.1).
-    #[allow(clippy::too_many_arguments)]
     pub fn recovered(
         root_id: u8,
         config: ChainConfig,
@@ -121,6 +119,15 @@ impl RootActor {
         let mut root = RootActor::new(root_id, config, entry_vertices, partition, topology, store);
         root.recover_on_start = true;
         root
+    }
+
+    /// The root's counters; the drop count and high water are the log's.
+    pub fn stats(&self) -> RootStats {
+        RootStats {
+            dropped: self.log.rejected(),
+            log_high_water: self.log.high_water(),
+            ..self.stats
+        }
     }
 
     /// Key under which the root persists its clock.
@@ -178,19 +185,17 @@ impl RootActor {
     }
 
     fn handle_input(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
-        if self.log.is_full() {
-            // Buffer-bloat guard: drop rather than queue without bound (§5).
-            self.stats.dropped += 1;
-            return;
-        }
         self.counter += 1;
-        self.stats.packets_in += 1;
         tp.clock = Clock::with_root(self.root_id, self.counter);
         if self.counter.is_multiple_of(CLOCK_PERSIST_PERIOD) {
             self.persist_clock();
         }
-        self.log.insert(tp.clone());
-        self.stats.log_high_water = self.log.high_water();
+        // Buffer-bloat guard (§5): a full log drops the packet, whose clock
+        // stays used up, as on the engine's root (the chain tolerates gaps).
+        if !self.log.insert(tp.clone()) {
+            return;
+        }
+        self.stats.packets_in += 1;
         let overhead = self.per_packet_overhead();
         self.forward(tp, ctx, overhead);
     }
@@ -261,10 +266,61 @@ impl Actor<Msg> for RootActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::SharedStore;
+    use chc_packet::Packet;
+    use chc_sim::{Simulation, VirtualTime};
 
     #[test]
     fn clock_key_is_per_root() {
         assert_ne!(RootActor::clock_key(0), RootActor::clock_key(1));
         assert_eq!(RootActor::clock_key(3).vertex, ROOT_VERTEX);
+    }
+
+    #[test]
+    fn a_full_log_uses_up_the_rejected_arrivals_counter() {
+        let mut root = RootActor::new(
+            0,
+            ChainConfig::default(),
+            Vec::new(),
+            Rc::default(),
+            Rc::default(),
+            SharedStore::new(),
+        );
+        root.log = PacketLog::new(2);
+        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let at = sim.add_actor(Box::new(root));
+        let arrival = |id| {
+            Msg::Data(TaggedPacket::new(
+                Packet::builder().id(id).build(),
+                Clock::default(),
+            ))
+        };
+        for id in 1..=3 {
+            sim.inject_at(VirtualTime::from_micros(id), at, arrival(id));
+        }
+        // Confirming clock 1 frees a slot for the fourth arrival.
+        let (clock, xor_vector) = (Clock::with_root(0, 1), 0);
+        sim.inject_at(
+            VirtualTime::from_micros(4),
+            at,
+            Msg::DeleteRequest { clock, xor_vector },
+        );
+        sim.inject_at(VirtualTime::from_micros(5), at, arrival(4));
+        sim.run();
+        let root = sim.actor::<RootActor>(at).unwrap();
+        let logged: Vec<_> = root
+            .log
+            .snapshot()
+            .iter()
+            .map(|tp| tp.clock.counter())
+            .collect();
+        assert_eq!(
+            logged,
+            vec![2, 4],
+            "the rejected third arrival used counter 3"
+        );
+        let stats = root.stats();
+        assert_eq!((stats.packets_in, stats.dropped, stats.deleted), (3, 1, 1));
+        assert_eq!(stats.log_high_water, 2);
     }
 }

@@ -501,16 +501,16 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
 
     let server = &shared.server;
     let mut run = RuntimeReport {
-        delivered: sink.delivered_ids.len() - sink.duplicates as usize,
-        duplicates: sink.duplicates,
-        duplicate_clocks: sink.duplicate_clocks,
-        delivered_ids: sink.delivered_ids,
-        replay_window_suppressed: sink.replay_window_suppressed,
-        delivered_bytes: sink.bytes,
+        delivered: sink.core.delivered(),
+        sink_window_bytes: sink.window_bytes,
+        duplicates: sink.core.duplicates,
+        duplicate_clocks: sink.core.duplicate_clocks,
+        delivered_ids: sink.core.delivered_ids,
+        replay_window_suppressed: sink.core.replay_shadows,
+        delivered_bytes: sink.core.bytes,
         injected: injection.counter,
         elapsed: sink.finished_at,
         latency: sink.latency,
-        sink_window_bytes: sink.window_bytes,
         instances,
         failed_instances,
         store_ops: server.total_ops(),
@@ -524,7 +524,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
     };
     // Shutdown invariant pass — before the telemetry section is assembled,
     // so violation events it journals appear in the report's event list.
-    run.invariants = finalize_sentinel(shared, &run, sink.arrivals, final_frontier);
+    run.invariants = finalize_sentinel(shared, &run, sink.core.arrivals, final_frontier);
     if !shared.telemetry.config.is_disabled() {
         run.telemetry = Some(assemble_report(&shared.telemetry, series));
     }

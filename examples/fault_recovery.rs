@@ -72,4 +72,8 @@ fn main() {
         metrics.sink_duplicates, 0,
         "R6: recovery must never duplicate output"
     );
+    assert_eq!(
+        metrics.sink_replay_shadows, 0,
+        "R6: no replayed copy may reach the end host twice either"
+    );
 }

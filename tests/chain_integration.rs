@@ -47,6 +47,7 @@ fn chain_delivers_traffic_and_matches_ideal_chain() {
     // Every instance processed traffic and the sink saw no duplicates.
     assert!(metrics.sink_delivered > 0);
     assert_eq!(metrics.sink_duplicates, 0);
+    assert_eq!(metrics.sink_replay_shadows, 0);
     assert_eq!(metrics.root.dropped, 0);
 
     // COE: delivered set and alerts match the ideal chain.
@@ -94,6 +95,7 @@ fn chain_works_under_every_externalization_mode() {
             "mode {:?}: {violations:?}",
             mode.label()
         );
+        assert_eq!(metrics.sink_replay_shadows, 0);
     }
 }
 
@@ -127,6 +129,7 @@ fn nf_failover_preserves_output_equivalence() {
         "COE violations after failover: {violations:?}"
     );
     assert_eq!(metrics.sink_duplicates, 0);
+    assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
 #[test]
@@ -174,6 +177,7 @@ fn elastic_scale_up_moves_flows_without_loss_or_reorder() {
         violations.is_empty(),
         "COE violations after scale-up: {violations:?}"
     );
+    assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
 #[test]
@@ -194,6 +198,7 @@ fn straggler_clone_suppresses_duplicates() {
     // Replication + replay would naively double packets at the downstream
     // portscan detector and at the sink; CHC suppresses all of it.
     assert_eq!(metrics.sink_duplicates, 0);
+    assert_eq!(metrics.sink_replay_shadows, 0);
     let portscan = &metrics.vertex(VertexId(2))[0];
     assert_eq!(
         portscan.counters.duplicate_packets, 0,
@@ -202,6 +207,54 @@ fn straggler_clone_suppresses_duplicates() {
     assert!(
         portscan.counters.suppressed_duplicates > 0,
         "expected suppressed duplicates downstream"
+    );
+}
+
+#[test]
+fn every_unsuppressed_straggler_repeat_reaches_the_end_host_books() {
+    // Table 5's suppression-off run, small: NAT → portscan, the NAT cloned as
+    // a straggler a quarter of the way in.
+    let dag = LogicalDag::linear(vec![
+        VertexSpec::new(1, "nat", Rc::new(|| Box::new(Nat::default()))),
+        VertexSpec::new(
+            2,
+            "portscan",
+            Rc::new(|| Box::new(PortscanDetector::default())),
+        ),
+    ]);
+    let trace = TraceGenerator::new(
+        TraceConfig {
+            seed: 5,
+            connections: 40,
+            ..TraceConfig::trace2_like(0.001)
+        }
+        .with_load_fraction(0.3),
+    )
+    .generate();
+    let cfg = ChainConfig {
+        duplicate_suppression: false,
+        ..Default::default()
+    };
+    let mut chain = ChainController::new(dag, cfg, 55).unwrap();
+    chain.inject_trace(&trace);
+    let quarter = trace.packets[trace.len() / 4].arrival_ns;
+    chain.run_until(VirtualTime::from_nanos(quarter));
+    chain.set_straggler(VertexId(1), 0, SimDuration::from_micros(6));
+    chain.clone_for_straggler(VertexId(1), 0);
+    chain.run();
+
+    let metrics = chain.metrics();
+    let portscan = &metrics.vertex(VertexId(2))[0];
+    // A replayed copy that lands after its original is a replay shadow; an
+    // original that lands after its replayed copy is a duplicate. Together
+    // they are every copy the exit processed twice.
+    assert!(
+        metrics.sink_replay_shadows > 0,
+        "no replayed copy came late"
+    );
+    assert_eq!(
+        metrics.sink_duplicates + metrics.sink_replay_shadows,
+        portscan.counters.duplicate_packets
     );
 }
 
@@ -232,6 +285,7 @@ fn store_failover_recovers_shared_state() {
     chain.run();
     let metrics = chain.metrics();
     assert_eq!(metrics.sink_duplicates, 0);
+    assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
 #[test]
@@ -248,6 +302,7 @@ fn root_failover_resumes_with_larger_clocks() {
     // Packets that were at the failed root are lost (allowed, as a network
     // drop), but nothing is duplicated and the chain kept processing.
     assert_eq!(metrics.sink_duplicates, 0);
+    assert_eq!(metrics.sink_replay_shadows, 0);
     assert!(metrics.sink_delivered > 0);
 }
 

@@ -295,6 +295,7 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
         chain.run();
         let metrics = chain.metrics();
         assert_eq!(metrics.sink_duplicates, 0);
+        assert_eq!(metrics.sink_replay_shadows, 0);
         let mut sim_ids = chain.delivered_ids();
         sim_ids.sort_unstable();
         let sim_state = sim_digest(chain.store.dump());
