@@ -31,5 +31,5 @@ pub mod statelessnf;
 
 pub use ftmb::FtmbModel;
 pub use opennf::OpenNfModel;
-pub use single_nf::{run_single_nf, run_with_fixed_delay, sweep_modes, SingleNfRun};
+pub use single_nf::{run_single_nf, sweep_modes, SingleNfRun};
 pub use statelessnf::StatelessNfModel;

@@ -1,17 +1,14 @@
-//! A standalone single-NF runner: one [`chc_core::InstanceCore`] over a
-//! trace, without a chain. A packet's latency is the NF's base cost plus the
-//! client's state-access charges, queued on the same workers
+//! A standalone single-NF runner: a one-NF [`chc_core::InlineChain`] over a
+//! trace. A packet's latency is the NF's base cost plus the client's
+//! state-access charge of its stage, queued on the same workers
 //! ([`chc_sim::WorkerPool`]) as the simulator's instances. This mirrors the
 //! paper's §7.1 methodology ("We study each NF type in isolation first")
-//! and backs the Figure 8/9/10 harnesses.
+//! and backs the Figure 8/10/11/12 harnesses.
 
-use chc_core::{
-    ChainConfig, ExternalizationMode, InstanceCore, NetworkFunction, SharedStore, StateClient,
-    TaggedPacket,
-};
+use chc_core::{ChainConfig, ExternalizationMode, InlineChain, NetworkFunction};
 use chc_packet::Trace;
-use chc_sim::{Histogram, SimDuration, Summary, Throughput, VirtualTime, WorkerPool};
-use chc_store::{Clock, InstanceId, VertexId};
+use chc_sim::{Histogram, Summary, Throughput, VirtualTime, WorkerPool};
+use chc_store::Clock;
 
 /// Result of a single-NF run.
 pub struct SingleNfRun {
@@ -30,34 +27,23 @@ impl SingleNfRun {
     }
 }
 
-/// Run `nf` over `trace` under `mode`, with `workers` parallel processing
+/// Run `nf` over `trace` under `config`, with `workers` parallel processing
 /// threads per instance (the paper's NFs are multi-threaded processes).
 pub fn run_single_nf(
     nf: &mut dyn NetworkFunction,
-    mode: ExternalizationMode,
     config: &ChainConfig,
     trace: &Trace,
     workers: usize,
 ) -> SingleNfRun {
-    let mut client = StateClient::new(
-        VertexId(1),
-        InstanceId(0),
-        Box::new(SharedStore::new()),
-        mode,
-        config.costs,
-        &nf.state_objects(),
-    );
     let mut latency = Histogram::new();
     let mut throughput = Throughput::new();
     let mut pool = WorkerPool::new(workers);
-    let mut core = InstanceCore::new(nf, false, true);
+    let mut chain = InlineChain::single(nf, config);
 
     for (i, pkt) in trace.iter().enumerate() {
         let arrival = VirtualTime::from_nanos(pkt.arrival_ns);
-        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, i as u64 + 1));
-        core.on_packet(&mut tp, &mut client, arrival);
-        client.take_pending_callbacks();
-        let proc = config.costs.base_processing + core.charge();
+        chain.step(pkt, Clock::with_root(0, i as u64 + 1), arrival);
+        let proc = config.costs.base_processing + chain.core(0).charge();
         let finish = pool.serve(arrival, proc);
         latency.record(proc);
         throughput.record(finish, pkt.len as u64);
@@ -66,7 +52,7 @@ pub fn run_single_nf(
     SingleNfRun {
         latency,
         throughput_gbps: throughput.gbps(),
-        processed: core.counters().processed,
+        processed: chain.core(0).counters().processed,
     }
 }
 
@@ -83,25 +69,10 @@ pub fn sweep_modes(
         .map(|mode| {
             let config = ChainConfig::with_mode(mode);
             let mut nf = make_nf();
-            let mut run = run_single_nf(nf.as_mut(), mode, &config, trace, workers);
+            let mut run = run_single_nf(nf.as_mut(), &config, trace, workers);
             (mode, run.summary(), run.throughput_gbps)
         })
         .collect()
-}
-
-/// Extra processing delay added to every packet, modelling a straggling or
-/// resource-contended instance (used by the R4/R5 experiments).
-pub fn run_with_fixed_delay(
-    nf: &mut dyn NetworkFunction,
-    mode: ExternalizationMode,
-    config: &ChainConfig,
-    trace: &Trace,
-    workers: usize,
-    extra: SimDuration,
-) -> SingleNfRun {
-    let mut cfg = *config;
-    cfg.costs.base_processing += extra;
-    run_single_nf(nf, mode, &cfg, trace, workers)
 }
 
 #[cfg(test)]
@@ -109,6 +80,7 @@ mod tests {
     use super::*;
     use chc_nf::{Nat, PortscanDetector};
     use chc_packet::{TraceConfig, TraceGenerator};
+    use chc_sim::SimDuration;
 
     fn trace() -> Trace {
         TraceGenerator::new(TraceConfig::small(21)).generate()
@@ -145,23 +117,5 @@ mod tests {
         let t = rows[0].1.p50.as_micros_f64();
         let eo = rows[1].1.p50.as_micros_f64();
         assert!(eo - t < 30.0, "median grew by {}us", eo - t);
-    }
-
-    #[test]
-    fn fixed_delay_shifts_latency() {
-        let trace = trace();
-        let cfg = ChainConfig::with_mode(ExternalizationMode::ExternalizedCachedNonBlocking);
-        let mut nat = Nat::default();
-        let mut slow = run_with_fixed_delay(
-            &mut nat,
-            cfg.mode,
-            &cfg,
-            &trace,
-            8,
-            SimDuration::from_micros(10),
-        );
-        let mut nat2 = Nat::default();
-        let mut fast = run_single_nf(&mut nat2, cfg.mode, &cfg, &trace, 8);
-        assert!(slow.summary().p50 > fast.summary().p50 + SimDuration::from_micros(9));
     }
 }

@@ -18,7 +18,7 @@ fn chain_latency(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = ChainConfig::with_mode(mode);
                 let mut nat = Nat::default();
-                let run = run_single_nf(&mut nat, mode, &cfg, &trace, 8);
+                let run = run_single_nf(&mut nat, &cfg, &trace, 8);
                 black_box(run.processed);
             })
         });

@@ -2,10 +2,9 @@
 
 use chc_baselines::{run_single_nf, sweep_modes, FtmbModel, OpenNfModel, StatelessNfModel};
 use chc_core::{
-    ChainConfig, ChainController, InstanceCore, LogicalDag, NetworkFunction, SharedStore,
-    StateClient, TaggedPacket, VertexSpec,
+    ChainConfig, ChainController, InlineChain, LogicalDag, NetworkFunction, VertexSpec,
 };
-use chc_nf::{Nat, PortscanDetector, Scrubber, TrojanDetector};
+use chc_nf::{LoadBalancer, Nat, PortscanDetector, Scrubber, TrojanDetector};
 use chc_packet::{Scope, Trace, TraceConfig, TraceGenerator};
 use chc_sim::{SimDuration, VirtualTime};
 use chc_store::{Clock, InstanceId, Operation, StoreServer, Value, VertexId};
@@ -40,28 +39,19 @@ fn eval_trace(scale: Scale, seed: u64) -> Trace {
 }
 
 /// A named factory of one of the paper's evaluated NFs.
-type NamedNfFactory = (&'static str, Box<dyn Fn() -> Box<dyn NetworkFunction>>);
+type NamedNfFactory = (&'static str, fn() -> Box<dyn NetworkFunction>);
 
-fn nf_factories() -> Vec<NamedNfFactory> {
-    vec![
-        (
-            "NAT",
-            Box::new(|| Box::new(Nat::default()) as Box<dyn NetworkFunction>),
-        ),
+fn nf_factories() -> [NamedNfFactory; 4] {
+    [
+        ("NAT", || Box::new(Nat::default())),
         (
             "Portscan detector",
-            Box::new(|| Box::new(PortscanDetector::default()) as Box<dyn NetworkFunction>),
+            || Box::new(PortscanDetector::default()),
         ),
-        (
-            "Trojan detector",
-            Box::new(|| Box::new(TrojanDetector::new()) as Box<dyn NetworkFunction>),
-        ),
-        (
-            "Load balancer",
-            Box::new(|| {
-                Box::new(chc_nf::LoadBalancer::with_default_backends()) as Box<dyn NetworkFunction>
-            }),
-        ),
+        ("Trojan detector", || Box::new(TrojanDetector::new())),
+        ("Load balancer", || {
+            Box::new(LoadBalancer::with_default_backends())
+        }),
     ]
 }
 
@@ -73,7 +63,7 @@ pub fn fig08_latency(scale: Scale) -> String {
         String::from("Figure 8 — per-packet processing time (us) [p5 / p25 / p50 / p75 / p95]\n");
     for (name, factory) in nf_factories() {
         let _ = writeln!(out, "  {name}:");
-        for (mode, summary, _) in sweep_modes(|| factory(), &trace, 8) {
+        for (mode, summary, _) in sweep_modes(factory, &trace, 8) {
             let _ = writeln!(
                 out,
                 "    {:<8} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
@@ -94,7 +84,7 @@ pub fn fig10_throughput(scale: Scale) -> String {
     let trace = eval_trace(scale, 10);
     let mut out = String::from("Figure 10 — per-instance throughput (Gbps)\n");
     for (name, factory) in nf_factories() {
-        let rows = sweep_modes(|| factory(), &trace, 8);
+        let rows = sweep_modes(factory, &trace, 8);
         let _ = writeln!(
             out,
             "  {:<18} T={:>5.2}  EO={:>5.2}  EO+C+NA={:>5.2}",
@@ -118,51 +108,26 @@ pub fn fig09_crossflow_cache(scale: Scale) -> String {
     )
     .generate();
     let config = ChainConfig::default();
-    let store = SharedStore::new();
-    let nf = PortscanDetector::default();
-    let mut client = StateClient::new(
-        VertexId(1),
-        InstanceId(0),
-        Box::new(store.clone()),
-        config.mode,
-        config.costs,
-        &nf.state_objects(),
-    );
-    let mut core: InstanceCore = InstanceCore::new(Box::new(nf), false, true);
-    let n = trace.len();
-    let (share_at, merge_at) = (n / 3, 2 * n / 3);
+    let mut chain: InlineChain =
+        InlineChain::single(Box::new(PortscanDetector::default()), &config);
+    // From a third of the trace to two thirds, a second instance processes
+    // some of the same hosts: the upstream splitter signals this instance to
+    // stop caching the shared likelihood object (Table 1 row 4), then to
+    // resume. The phase of a packet is the number of flips before it.
+    let flips = [(trace.len() / 3, false), (2 * trace.len() / 3, true)];
     let mut phase_sums = [0.0f64; 3];
     let mut phase_counts = [0u64; 3];
     for (i, pkt) in trace.iter().enumerate() {
-        if i == share_at {
-            // A second instance starts processing some of the same hosts: the
-            // upstream splitter signals this instance to stop caching the
-            // shared likelihood object (Table 1 row 4).
-            client.set_exclusive(
-                chc_nf::portscan::LIKELIHOOD,
-                false,
-                Clock::with_root(0, i as u64),
-            );
+        for &(_, exclusive) in flips.iter().filter(|(at, _)| *at == i) {
+            let clock = Clock::with_root(0, i as u64);
+            chain
+                .client(0)
+                .set_exclusive(chc_nf::portscan::LIKELIHOOD, exclusive, clock);
         }
-        if i == merge_at {
-            client.set_exclusive(
-                chc_nf::portscan::LIKELIHOOD,
-                true,
-                Clock::with_root(0, i as u64),
-            );
-        }
-        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, i as u64 + 1));
         let now = VirtualTime::from_nanos(pkt.arrival_ns);
-        core.on_packet(&mut tp, &mut client, now);
-        client.take_pending_callbacks();
-        let charge = core.charge() + config.costs.base_processing;
-        let phase = if i < share_at {
-            0
-        } else if i < merge_at {
-            1
-        } else {
-            2
-        };
+        chain.step(pkt, Clock::with_root(0, i as u64 + 1), now);
+        let charge = chain.core(0).charge() + config.costs.base_processing;
+        let phase = flips.iter().filter(|(at, _)| i >= *at).count();
         phase_sums[phase] += charge.as_micros_f64();
         phase_counts[phase] += 1;
     }
@@ -265,8 +230,7 @@ pub fn metadata_overhead(_scale: Scale) -> String {
 pub fn fig11_state_sharing(scale: Scale) -> String {
     let trace = eval_trace(scale, 11);
     let cfg = ChainConfig::default();
-    let mut nat = Nat::default();
-    let mut chc = run_single_nf(&mut nat, cfg.mode, &cfg, &trace, 8);
+    let mut chc = run_single_nf(&mut Nat::default(), &cfg, &trace, 8);
     let chc_summary = chc.summary();
     let mut opennf = OpenNfModel::default().consistent_update_cdf(2, trace.len(), 11);
     format!(
@@ -286,8 +250,7 @@ pub fn fig11_state_sharing(scale: Scale) -> String {
 pub fn fig12_fault_tolerance(scale: Scale) -> String {
     let trace = eval_trace(scale, 12);
     let cfg = ChainConfig::default();
-    let mut nat = Nat::default();
-    let mut chc = run_single_nf(&mut nat, cfg.mode, &cfg, &trace, 8);
+    let mut chc = run_single_nf(&mut Nat::default(), &cfg, &trace, 8);
     let chc_summary = chc.summary();
     let ftmb = FtmbModel::default();
     let mut ftmb_hist =

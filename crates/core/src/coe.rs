@@ -3,19 +3,18 @@
 //! COE (§1) requires that the collective action of all NF instances in a
 //! physical chain matches that of a hypothetical chain of single,
 //! infinite-capacity NFs processing packets in arrival order. This module
-//! runs that *ideal chain* over a trace and provides helpers for comparing
-//! the real chain's observable behaviour (delivered packets and alerts)
-//! against it — the paper's correctness criterion, used by the integration
-//! tests and the R4/R5/R6 experiments.
+//! runs that *ideal chain* over a trace on the run-to-completion driver
+//! ([`InlineChain`]) and provides helpers for comparing the real chain's
+//! observable behaviour (delivered packets and alerts) against it — the
+//! paper's correctness criterion, used by the integration tests and the
+//! R4/R5/R6 experiments.
 
-use crate::config::{ChainConfig, ExternalizationMode};
+use crate::config::ChainConfig;
 use crate::dag::LogicalDag;
-use crate::instance_core::{InstanceCore, Step};
-use crate::message::TaggedPacket;
-use crate::state::{SharedStore, StateClient};
+use crate::inline::InlineChain;
 use chc_packet::{PacketId, Trace};
 use chc_sim::VirtualTime;
-use chc_store::{Clock, InstanceId, VertexId};
+use chc_store::Clock;
 use std::collections::HashMap;
 
 /// Result of running the ideal single-instance, no-failure chain.
@@ -29,70 +28,20 @@ pub struct IdealChainResult {
 /// Run the ideal chain: one instance per vertex, infinite capacity, packets
 /// processed strictly in arrival order, no failures or reallocation.
 pub fn run_ideal_chain(dag: &LogicalDag, trace: &Trace) -> IdealChainResult {
-    let order = dag.topo_order().expect("valid DAG");
-    let store = SharedStore::new();
-    let config = ChainConfig::with_mode(ExternalizationMode::ExternalizedCachedNonBlocking);
-
-    // One instance core + client per vertex. Ideal instances get ids above
-    // any the physical chain would use so their per-flow keys never collide.
-    let exits = dag.exits();
-    let mut instances: HashMap<VertexId, (InstanceCore, StateClient)> = HashMap::new();
-    for (i, v) in dag.vertices().iter().enumerate() {
-        let nf = v.build_nf();
-        let client = StateClient::new(
-            v.id,
-            InstanceId(1_000_000 + i as u32),
-            Box::new(store.clone()),
-            config.mode,
-            config.costs,
-            &nf.state_objects(),
-        );
-        let core = InstanceCore::new(nf, v.off_path, exits.contains(&v.id));
-        instances.insert(v.id, (core, client));
-    }
-
-    let mut delivered = Vec::new();
-
+    let mut chain = InlineChain::new(dag, &ChainConfig::default());
     for (i, pkt) in trace.iter().enumerate() {
-        let clock = Clock::with_root(0, i as u64 + 1);
         let now = VirtualTime::from_nanos(pkt.arrival_ns);
-        // Inputs per vertex for this packet (entry vertices see the packet).
-        let mut inputs: HashMap<VertexId, Vec<TaggedPacket>> = HashMap::new();
-        for entry in dag.entries() {
-            inputs
-                .entry(entry)
-                .or_default()
-                .push(TaggedPacket::new(pkt.clone(), clock));
-        }
-        for vertex in &order {
-            let Some(packets) = inputs.remove(vertex) else {
-                continue;
-            };
-            let (core, client) = instances.get_mut(vertex).expect("instance exists");
-            for mut tp in packets {
-                let step = core.on_packet(&mut tp, client, now);
-                client.take_pending_callbacks();
-                let Step::Forward { exit } = step else {
-                    continue;
-                };
-                if exit {
-                    delivered.push(tp.packet.id);
-                }
-                for d in dag.downstream_of(*vertex) {
-                    inputs.entry(d).or_default().push(tp.clone());
-                }
-            }
-        }
+        chain.step(pkt, Clock::with_root(0, i as u64 + 1), now);
     }
 
     // Alerts in `(clock, message)` order: clocks rise with the trace, and
     // one packet's alerts keep the order the vertices raised them in.
-    let mut alerts: Vec<(Clock, String)> = order
-        .iter()
-        .flat_map(|v| instances[v].0.counters().alerts.iter().cloned())
+    let mut alerts: Vec<(Clock, String)> = (0..dag.vertices().len())
+        .flat_map(|i| chain.core(i).counters().alerts.iter().cloned())
         .collect();
     alerts.sort_by_key(|(clock, _)| *clock);
 
+    let delivered = chain.sink.delivered_ids;
     IdealChainResult { delivered, alerts }
 }
 
@@ -124,18 +73,14 @@ pub fn coe_violations(
     let ideal_set: std::collections::HashSet<PacketId> = ideal.delivered.iter().copied().collect();
     let actual_set: std::collections::HashSet<PacketId> = delivered.iter().copied().collect();
 
-    for id in &actual_set {
-        if !ideal_set.contains(id) {
-            violations.push(format!(
-                "packet {id} delivered but the ideal chain dropped it"
-            ));
-        }
+    for id in actual_set.difference(&ideal_set) {
+        violations.push(format!(
+            "packet {id} delivered but the ideal chain dropped it"
+        ));
     }
     if !allow_loss {
-        for id in &ideal_set {
-            if !actual_set.contains(id) {
-                violations.push(format!("packet {id} missing from the chain output"));
-            }
+        for id in ideal_set.difference(&actual_set) {
+            violations.push(format!("packet {id} missing from the chain output"));
         }
     }
     if duplicates_at_sink > 0 {
@@ -144,29 +89,58 @@ pub fn coe_violations(
         ));
     }
 
-    let mut ideal_alerts: HashMap<String, i64> = HashMap::new();
+    // Each alert message's count on the ideal chain and on the chain.
+    let mut counts: HashMap<&str, (i64, i64)> = HashMap::new();
     for (_, m) in &ideal.alerts {
-        *ideal_alerts.entry(m.clone()).or_default() += 1;
+        counts.entry(m).or_default().0 += 1;
     }
-    let mut actual_alerts: HashMap<String, i64> = HashMap::new();
     for (_, m) in alerts {
-        *actual_alerts.entry(m.clone()).or_default() += 1;
+        counts.entry(m).or_default().1 += 1;
     }
-    for (msg, n) in &ideal_alerts {
-        let got = actual_alerts.get(msg).copied().unwrap_or(0);
-        if got < *n {
+    for (msg, (n, got)) in counts {
+        if got < n {
             violations.push(format!(
                 "alert {msg:?}: ideal chain raised {n}, chain raised {got}"
             ));
-        }
-    }
-    for (msg, n) in &actual_alerts {
-        let expected = ideal_alerts.get(msg).copied().unwrap_or(0);
-        if *n > expected {
+        } else if got > n {
             violations.push(format!(
-                "alert {msg:?}: chain raised {n}, ideal chain raised only {expected}"
+                "alert {msg:?}: chain raised {got}, ideal chain raised only {n}"
             ));
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kind_of_difference_is_a_violation_and_loss_only_when_barred() {
+        let alert = |counter, m: &str| (Clock::with_root(0, counter), m.to_string());
+        let ideal = IdealChainResult {
+            delivered: vec![PacketId(1), PacketId(2)],
+            alerts: vec![alert(1, "scan"), alert(2, "scan"), alert(2, "trojan")],
+        };
+        let same = coe_violations(&ideal, &[PacketId(2), PacketId(1)], 0, &ideal.alerts, false);
+        assert!(same.is_empty(), "{same:?}");
+        let lossy = coe_violations(&ideal, &[PacketId(2)], 0, &ideal.alerts, true);
+        assert!(lossy.is_empty(), "{lossy:?}");
+
+        let alerts = [alert(1, "scan"), alert(3, "blocked"), alert(4, "blocked")];
+        let delivered = [PacketId(2), PacketId(3)];
+        let mut found = coe_violations(&ideal, &delivered, 4, &alerts, false);
+        found.sort();
+        assert_eq!(
+            found,
+            [
+                "4 duplicate packets reached the end host",
+                "alert \"blocked\": chain raised 2, ideal chain raised only 0",
+                "alert \"scan\": ideal chain raised 2, chain raised 1",
+                "alert \"trojan\": ideal chain raised 1, chain raised 0",
+                "packet pkt#1 missing from the chain output",
+                "packet pkt#3 delivered but the ideal chain dropped it",
+            ]
+        );
+    }
 }

@@ -135,10 +135,8 @@ pub struct ChainConfig {
     /// `chain_works_under_every_externalization_mode`; every other caller
     /// runs the full CHC default.
     pub mode: ExternalizationMode,
-    /// Virtual-time cost model of the simulator. The paper figures and the
-    /// benchmark's inline pass read the defaults; only
-    /// `chc_baselines::run_with_fixed_delay` varies it, adding a straggler's
-    /// delay to `base_processing`.
+    /// Virtual-time cost model of the simulator. Every caller, the paper
+    /// figures and the benchmark's inline pass included, reads the defaults.
     pub costs: CostModel,
     /// Suppress duplicate outputs / state updates during replay and cloning
     /// (R5). Off only in Table 5's ablation (`tab5_duplicates`) and in

@@ -1,7 +1,8 @@
 //! The per-packet step of one NF instance, with no thread, ring, actor or
-//! clock of its own: the simulator's actor, the engine's instance thread,
-//! the ideal chain and the single-NF harnesses all drive it, and keep only
-//! their own I/O (costs and messages, rings and spans, callback routing).
+//! clock of its own: the simulator's actor, the engine's instance thread and
+//! the run-to-completion driver ([`crate::inline::InlineChain`]) drive it,
+//! and keep only their own I/O (costs and messages, rings and spans,
+//! callback routing).
 
 use crate::clock_window::ClockWindow;
 use crate::message::TaggedPacket;

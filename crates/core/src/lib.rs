@@ -34,6 +34,7 @@ pub mod clock_window;
 pub mod coe;
 pub mod config;
 pub mod dag;
+pub mod inline;
 pub mod instance;
 pub mod instance_core;
 pub mod message;
@@ -51,6 +52,7 @@ pub use chain::{ChainController, ChainMetrics};
 pub use clock_window::ClockWindow;
 pub use config::{ChainConfig, CostModel, ExternalizationMode};
 pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};
+pub use inline::InlineChain;
 pub use instance::NfInstanceActor;
 pub use instance_core::{InstanceCore, InstanceCounters, Step};
 pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};

@@ -1,7 +1,8 @@
 //! The end host's per-packet step, with no thread, ring, actor or clock of
-//! its own: the simulator's sink actor and the engine's sink thread drive it
-//! and keep only their own I/O. It keeps the books R5 and R6 (§5.3–5.4) are
-//! about: every packet once, and every repeat accounted rather than hidden.
+//! its own: the simulator's sink actor, the engine's sink thread and the
+//! run-to-completion driver drive it and keep only their own I/O. It keeps
+//! the books R5 and R6 (§5.3–5.4) are about: every packet once, and every
+//! repeat accounted rather than hidden.
 
 use crate::clock_window::ClockWindow;
 use crate::message::TaggedPacket;

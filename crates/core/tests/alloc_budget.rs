@@ -3,22 +3,24 @@
 //! A steady-state operation on an already-seen key must not touch the
 //! allocator: not in [`StateClient`] (key resolution, cache, write-behind
 //! buffer, token list), not in the instance step around it
-//! ([`InstanceCore::on_packet`]) and not in [`StoreInstance::apply`] once the packet's
-//! clock is below the replay floor. Above the floor the only allowance is
-//! the duplicate-suppression log's own growth: its window of cells doubles,
-//! so logging `n` integer increments allocates O(log n) times. Journaling a
-//! drain costs nothing per op either: the record is encoded into a buffer
-//! the shard reuses, and an in-memory segment grows by doubling. A
-//! change that clones a key or a name on this path fails here, in tier 1,
-//! rather than in a benchmark.
+//! ([`InstanceCore::on_packet`]), not in the run-to-completion driver around
+//! that ([`InlineChain::step`]) and not in [`StoreInstance::apply`] once the
+//! packet's clock is below the replay floor. Above the floor the only
+//! allowance is the duplicate-suppression log's own growth: its window of
+//! cells doubles, so logging `n` integer increments allocates O(log n)
+//! times. Journaling a drain costs nothing per op either: the record is
+//! encoded into a buffer the shard reuses, and an in-memory segment grows by
+//! doubling. A change that clones a key or a name on this path fails here,
+//! in tier 1, rather than in a benchmark.
 //!
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
 
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{
-    Action, CostModel, ExternalizationMode, InstanceCore, NetworkFunction, NfContext, SharedStore,
-    StateClient, StateHandle, StateObjectSpec, Step, TaggedPacket, VertexLogs,
+    Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore, LogicalDag,
+    NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec, Step,
+    TaggedPacket, VertexLogs, VertexSpec,
 };
 use chc_packet::{FlowKey, Packet, Scope, ScopeKey};
 use chc_sim::VirtualTime;
@@ -28,6 +30,7 @@ use chc_store::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 thread_local! {
@@ -85,6 +88,25 @@ fn the_counter_sees_allocations() {
 const FLOWS: u128 = 16;
 const ROUNDS: u64 = 256;
 
+/// The objects [`client`]'s callers use, declared.
+fn objects() -> Vec<StateObjectSpec> {
+    vec![
+        StateObjectSpec::cross_flow(
+            "pkt_count",
+            Scope::Global,
+            AccessPattern::WriteMostlyReadRarely,
+        ),
+        StateObjectSpec::per_flow("conn_bytes", AccessPattern::ReadWriteOften),
+        StateObjectSpec::cross_flow("free_ports", Scope::Global, AccessPattern::ReadWriteOften),
+    ]
+}
+
+/// Configured like the engine's instance clients.
+fn configure(client: &mut StateClient) {
+    client.set_recovery_logging(false);
+    client.set_write_behind(true, 64);
+}
+
 fn client(store: Box<dyn StateHandle>) -> StateClient {
     let mut client = StateClient::new(
         VertexId(1),
@@ -92,19 +114,9 @@ fn client(store: Box<dyn StateHandle>) -> StateClient {
         store,
         ExternalizationMode::ExternalizedCachedNonBlocking,
         CostModel::default(),
-        &[
-            StateObjectSpec::cross_flow(
-                "pkt_count",
-                Scope::Global,
-                AccessPattern::WriteMostlyReadRarely,
-            ),
-            StateObjectSpec::per_flow("conn_bytes", AccessPattern::ReadWriteOften),
-            StateObjectSpec::cross_flow("free_ports", Scope::Global, AccessPattern::ReadWriteOften),
-        ],
+        &objects(),
     );
-    // Configured like the engine's instance clients.
-    client.set_recovery_logging(false);
-    client.set_write_behind(true, 64);
+    configure(&mut client);
     client
 }
 
@@ -155,7 +167,7 @@ impl NetworkFunction for Meter {
     }
 
     fn state_objects(&self) -> Vec<StateObjectSpec> {
-        Vec::new()
+        objects()
     }
 
     fn process(&mut self, packet: &Packet, ctx: &mut NfContext<'_>) -> Action {
@@ -193,6 +205,41 @@ fn a_warm_instance_step_allocates_nothing() {
     });
     assert_eq!(allocated, 0, "a warm instance step touched the allocator");
     assert_eq!(client.write_behind_depth(), 32, "nothing drained");
+}
+
+#[test]
+fn a_warm_driver_step_allocates_nothing() {
+    // Stamping, the stage queues, the hand-offs down a line of meters and
+    // the sink's books reuse what the warm-up grew.
+    let meter = |id| VertexSpec::new(id, "meter", Rc::new(|| Box::new(Meter)));
+    let dag = LogicalDag::linear((1..=3).map(meter).collect());
+    let mut chain = InlineChain::new(&dag, &ChainConfig::default());
+    for i in 0..3 {
+        configure(chain.client(i));
+    }
+    let step = |chain: &mut InlineChain, n: u64| {
+        let packet = Packet::builder().id(n).build();
+        chain.step(&packet, Clock::with_root(0, n), VirtualTime::ZERO);
+    };
+    // 48 warm packets grow the sink's list of delivered ids, the run's
+    // output, to a capacity of 64: room for the 16 measured ones.
+    for n in 1..=3 * FLOWS as u64 {
+        step(&mut chain, n);
+    }
+    for i in 0..3 {
+        chain.client(i).drain_write_behind();
+    }
+    let allocated = allocations_in(|| {
+        for n in 100..116 {
+            step(&mut chain, n);
+        }
+    });
+    assert_eq!(allocated, 0, "a warm driver step touched the allocator");
+    for i in 0..3 {
+        assert_eq!(chain.client(i).write_behind_depth(), 32, "nothing drained");
+        assert_eq!(chain.core(i).counters().processed, 64);
+    }
+    assert_eq!(chain.sink.delivered(), 64);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 use chc::prelude::*;
 use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::{ChainController, LogicalDag, VertexSpec};
-use chc_store::VertexId;
+use chc_packet::PacketId;
+use chc_store::{Clock, VertexId};
 use std::rc::Rc;
 
 fn standard_chain() -> LogicalDag {
@@ -310,7 +311,7 @@ fn root_failover_resumes_with_larger_clocks() {
 fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
     use chc_nf::firewall::BLACKLISTED;
     use chc_packet::ScopeKey;
-    use chc_store::{Clock, Operation};
+    use chc_store::Operation;
     let firewall = VertexSpec::new(1, "firewall", Rc::new(|| Box::new(Firewall::default())));
     let dag = LogicalDag::linear(vec![firewall.with_parallelism(2)]);
     let mut chain = ChainController::new(dag, ChainConfig::default(), 8).unwrap();
@@ -336,4 +337,106 @@ fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
         })
         .unwrap();
     assert_eq!(notified, [chain.instances_of(VertexId(1))[1]]);
+}
+
+/// A diamond vertex: alerts with the length it sees when `alert`, drops
+/// every packet whose id is a multiple of `drop_multiple_of`, and forwards
+/// the rest `grow` bytes longer.
+struct Grow {
+    grow: u32,
+    drop_multiple_of: u64,
+    alert: bool,
+}
+
+impl NetworkFunction for Grow {
+    fn name(&self) -> &str {
+        "grow"
+    }
+
+    fn state_objects(&self) -> Vec<StateObjectSpec> {
+        Vec::new()
+    }
+
+    fn process(&mut self, packet: &Packet, ctx: &mut NfContext<'_>) -> Action {
+        if self.alert {
+            ctx.alert(format!("{} len {}", packet.id, packet.len));
+        }
+        if packet.id.0.is_multiple_of(self.drop_multiple_of) {
+            return Action::Drop;
+        }
+        let mut out = packet.clone();
+        out.len += self.grow;
+        Action::Forward(out)
+    }
+}
+
+/// a → {b, c} → d: d sees up to two copies of each packet, b's 10 bytes
+/// longer and c's 20.
+fn diamond() -> LogicalDag {
+    let vertex = |id: u32, grow, drop_multiple_of, alert| {
+        let factory = move || -> Box<dyn NetworkFunction> {
+            Box::new(Grow {
+                grow,
+                drop_multiple_of,
+                alert,
+            })
+        };
+        VertexSpec::new(id, "grow", Rc::new(factory))
+    };
+    let mut dag = LogicalDag::new();
+    let a = dag.add_vertex(vertex(1, 0, 5, false));
+    let b = dag.add_vertex(vertex(2, 10, 3, false));
+    let c = dag.add_vertex(vertex(3, 20, 4, false));
+    let d = dag.add_vertex(vertex(4, 0, 7, true));
+    for (from, to) in [(a, b), (a, c), (b, d), (c, d)] {
+        dag.add_edge(from, to);
+    }
+    dag
+}
+
+#[test]
+fn the_ideal_chain_delivers_and_alerts_in_a_pinned_order() {
+    // The COE checks compare sets; this pins the ideal chain's sequences.
+    let trace = small_trace(5);
+    let ideal = run_ideal_chain(&standard_chain(), &trace);
+    let ids: Vec<PacketId> = trace.iter().map(|p| p.id).collect();
+    assert_eq!(
+        (ids.len(), ideal.delivered),
+        (2601, ids),
+        "every packet, in trace order"
+    );
+    let trojan = |counter, host| {
+        (
+            Clock::with_root(0, counter),
+            format!("trojan detected at host {host}"),
+        )
+    };
+    let alerts = [trojan(872, "10.66.0.1"), trojan(1753, "10.66.0.0")];
+    assert_eq!(ideal.alerts, alerts);
+
+    // Fan-in: d runs each packet's copies in the order its upstreams ran,
+    // c before b (the topological order pops the last ready vertex first),
+    // and an exit's repeated clock reaches the delivered list again.
+    let packets = (1..=8).map(|i| Packet::builder().id(i).len(100).build());
+    let trace = Trace {
+        packets: packets.collect(),
+        ..Trace::default()
+    };
+    let ideal = run_ideal_chain(&diamond(), &trace);
+    let delivered: Vec<u64> = ideal.delivered.iter().map(|id| id.0).collect();
+    assert_eq!(delivered, [1, 1, 2, 2, 3, 4, 6, 8]);
+    let seen = |counter, id, len| (Clock::with_root(0, counter), format!("pkt#{id} len {len}"));
+    let alerts = [
+        seen(1, 1, 120),
+        seen(1, 1, 110),
+        seen(2, 2, 120),
+        seen(2, 2, 110),
+        seen(3, 3, 120),
+        seen(4, 4, 110),
+        seen(6, 6, 120),
+        seen(7, 7, 120),
+        seen(7, 7, 110),
+        seen(8, 8, 110),
+    ];
+    assert_eq!(ideal.alerts, alerts);
 }
