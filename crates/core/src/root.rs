@@ -9,17 +9,20 @@
 //! replayed when an NF instance fails over or a straggler clone is
 //! initialised. Deletion follows the XOR commit-vector protocol of Figure 6
 //! so that a packet is never un-logged while some non-blocking state update
-//! it induced is still uncommitted.
+//! it induced is still uncommitted: every commit signal and every delete
+//! request folds into the counter's cell of an [`XorDeleteLedger`], the one
+//! the engine's threads drive too, and the packet is unlogged — its cell
+//! dropped with it — once the request came and the tokens cancelled.
 
 use crate::chain::Topology;
 use crate::config::ChainConfig;
 use crate::message::{Msg, TaggedPacket};
 use crate::rootlog::PacketLog;
 use crate::splitter::PartitionTable;
+use crate::vertexlog::XorDeleteLedger;
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
 use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value, VertexId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -66,11 +69,9 @@ pub struct RootActor {
     /// Logged packets still being processed somewhere in the chain (shared
     /// with the real-thread engine via [`crate::rootlog::PacketLog`]).
     log: PacketLog,
-    /// XOR of commit signals received for packets not yet deleted.
-    commits: HashMap<Clock, u32>,
-    /// Packets whose delete request arrived while updates were outstanding:
-    /// remaining XOR vector to cancel.
-    awaiting_delete: HashMap<Clock, u32>,
+    /// Figure 6's residue per counter: commit tokens and delete vectors
+    /// fold in, a delete request marks the counter finished.
+    ledger: XorDeleteLedger,
     /// Whether this root is a failover instance that must recover its clock
     /// from the datastore on start (§5.4 "Root").
     recover_on_start: bool,
@@ -97,8 +98,7 @@ impl RootActor {
             topology,
             store,
             log: PacketLog::new(ROOT_LOG_CAPACITY),
-            commits: HashMap::new(),
-            awaiting_delete: HashMap::new(),
+            ledger: XorDeleteLedger::default(),
             recover_on_start: false,
             stats: RootStats::default(),
         }
@@ -200,28 +200,15 @@ impl RootActor {
         self.forward(tp, ctx, overhead);
     }
 
-    fn try_delete(&mut self, clock: Clock, remaining: u32) {
-        if remaining == 0 {
+    /// Unlog the packet once its delete request came and every token
+    /// cancelled; the counter's cell goes with it, so a straggler's repeat
+    /// request starts afresh.
+    fn delete_if_cancelled(&mut self, clock: Clock) {
+        if self.ledger.deletable(clock.counter()) {
+            self.ledger.take(clock.counter());
             self.log.remove(&clock);
-            self.commits.remove(&clock);
-            self.awaiting_delete.remove(&clock);
             self.store.forget_clock(clock);
             self.stats.deleted += 1;
-        } else {
-            self.awaiting_delete.insert(clock, remaining);
-        }
-    }
-
-    fn handle_delete(&mut self, clock: Clock, xor_vector: u32) {
-        let committed = self.commits.remove(&clock).unwrap_or(0);
-        self.try_delete(clock, xor_vector ^ committed);
-    }
-
-    fn handle_commit(&mut self, clock: Clock, token: u32) {
-        if let Some(pending) = self.awaiting_delete.get(&clock).copied() {
-            self.try_delete(clock, pending ^ token);
-        } else {
-            *self.commits.entry(clock).or_insert(0) ^= token;
         }
     }
 
@@ -255,8 +242,14 @@ impl Actor<Msg> for RootActor {
     fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_input(tp, ctx),
-            Msg::DeleteRequest { clock, xor_vector } => self.handle_delete(clock, xor_vector),
-            Msg::CommitSignal { clock, token } => self.handle_commit(clock, token),
+            Msg::DeleteRequest { clock, xor_vector } => {
+                self.ledger.deliver(clock.counter(), xor_vector);
+                self.delete_if_cancelled(clock);
+            }
+            Msg::CommitSignal { clock, token } => {
+                self.ledger.fold(clock.counter(), token);
+                self.delete_if_cancelled(clock);
+            }
             Msg::ReplayRequest { target } => self.handle_replay(target, ctx),
             _ => {}
         }
@@ -322,5 +315,83 @@ mod tests {
         let stats = root.stats();
         assert_eq!((stats.packets_in, stats.dropped, stats.deleted), (3, 1, 1));
         assert_eq!(stats.log_high_water, 2);
+    }
+
+    /// Figure 6's orderings, one counter each, in the order the messages
+    /// reach the root: what stays logged and how many deletes the root
+    /// counts.
+    #[test]
+    fn figure_6_orderings_delete_once_the_tokens_cancel() {
+        let root = RootActor::new(
+            0,
+            ChainConfig::default(),
+            Vec::new(),
+            Rc::default(),
+            Rc::default(),
+            SharedStore::new(),
+        );
+        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let at = sim.add_actor(Box::new(root));
+        let mut t = 0;
+        let mut send = |sim: &mut Simulation<Msg>, msg| {
+            t += 1;
+            sim.inject_at(VirtualTime::from_micros(t), at, msg);
+        };
+        for id in 1..=7 {
+            let pkt = Packet::builder().id(id).build();
+            send(
+                &mut sim,
+                Msg::Data(TaggedPacket::new(pkt, Clock::default())),
+            );
+        }
+        let clock = |c| Clock::with_root(0, c);
+        let delete = |c, xor_vector| Msg::DeleteRequest {
+            clock: clock(c),
+            xor_vector,
+        };
+        let commit = |c, token| Msg::CommitSignal {
+            clock: clock(c),
+            token,
+        };
+        let (a, b) = (0x0001_0007, 0x0002_0009);
+        // 1: the commit arrives before the delete request.
+        send(&mut sim, commit(1, a));
+        send(&mut sim, delete(1, a));
+        // 2: the delete request arrives before the commit.
+        send(&mut sim, delete(2, a));
+        send(&mut sim, commit(2, a));
+        // 3: two commits after the delete; only the second completes it.
+        send(&mut sim, delete(3, a ^ b));
+        send(&mut sim, commit(3, a));
+        // 4: as 3, but the second commit never comes: 4 stays logged.
+        send(&mut sim, delete(4, a ^ b));
+        send(&mut sim, commit(4, a));
+        send(&mut sim, commit(3, b));
+        // 5: a repeat delete request after the first completed (a straggler
+        // clone's copy): the counter starts fresh and is deleted again.
+        send(&mut sim, delete(5, 0));
+        send(&mut sim, delete(5, 0));
+        // 6: a commit after the delete, then a repeat request that carries
+        // it: deleted again.
+        send(&mut sim, delete(6, 0));
+        send(&mut sim, commit(6, b));
+        send(&mut sim, delete(6, b));
+        // 7: a repeat request while the first still waits replaces its
+        // vector rather than cancelling it: 7 stays logged for its commit.
+        send(&mut sim, delete(7, a));
+        send(&mut sim, delete(7, a));
+        sim.run();
+        let root = sim.actor::<RootActor>(at).unwrap();
+        let logged: Vec<_> = root
+            .log
+            .snapshot()
+            .iter()
+            .map(|tp| tp.clock.counter())
+            .collect();
+        assert_eq!(logged, [4, 7]);
+        assert_eq!(root.ledger.counters().collect::<Vec<_>>(), [4, 7]);
+        let stats = root.stats();
+        assert_eq!((stats.packets_in, stats.deleted), (7, 7));
+        assert_eq!(stats.log_high_water, 7);
     }
 }

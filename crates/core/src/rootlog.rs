@@ -7,14 +7,14 @@
 //! the buffer-bloat guard of §5 (a full log rejects new packets instead of
 //! queueing without limit).
 //!
-//! Both substrates share this type: the simulator's [`crate::RootActor`]
-//! deletes entries through the XOR commit-vector protocol of Figure 6; the
+//! Both substrates share this type and delete entries one by one as an
+//! [`crate::XorDeleteLedger`] proves Figure 6's tokens cancelled. The
 //! real-thread engine keeps one per logging vertex ([`crate::VertexLogs`],
-//! the root's among them) and bounds each both ways: it truncates by the
-//! commit *frontier* of the watermarks the chain components publish
+//! the root's among them) and also truncates each by the commit *frontier*
+//! of the watermarks the chain components publish
 //! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
-//! below the frontier can never need replay again — and deletes delivered
-//! packets one by one ahead of it ([`PacketLog::delete_where`]).
+//! below the frontier can never need replay again — sweeping the deletable
+//! ahead of it ([`PacketLog::delete_where`]).
 //!
 //! ## Layout
 //!

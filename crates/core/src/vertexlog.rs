@@ -15,20 +15,18 @@
 //!   depth. Each log is a window of pages indexed by clock counter, so
 //!   logging a packet writes one cell and a truncation or XOR sweep walks
 //!   pages in place (see [`crate::PacketLog`]).
-//! - [`XorDeleteLedger`]: the runtime's commit-vector. Each logging vertex
-//!   folds a per-packet [`delete_token`] into both the packet envelope
-//!   (`TaggedPacket::xor_vector`) and the ledger slot of the packet's clock
-//!   counter; the sink folds the envelope's accumulated vector back and marks
-//!   the counter delivered. A slot that is *delivered with zero residue* is
-//!   confirmed end-to-end: the logging vertex may delete it, and a tail
-//!   replacement may skip re-emitting it — bounding the re-delivery window of
-//!   a tail kill to the unconfirmed suffix.
+//! - [`XorDeleteLedger`]: Figure 6's commit vector, on both substrates. On
+//!   the engine each logging vertex folds a per-packet [`delete_token`] into
+//!   both the packet envelope (`TaggedPacket::xor_vector`) and the ledger;
+//!   the sink delivers the envelope's vector back. A counter *delivered with
+//!   zero residue* is confirmed end-to-end: the logs may delete it, and a
+//!   tail replacement may skip re-emitting it — bounding the re-delivery
+//!   window of a tail kill to the unconfirmed suffix.
 
 use crate::message::TaggedPacket;
 use crate::root::ROOT_VERTEX;
 use crate::rootlog::PacketLog;
-use chc_store::{InstanceId, VertexId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use chc_store::{CounterWindow, InstanceId, VertexId};
 use std::sync::{Mutex, MutexGuard};
 
 /// Reserved instance id the warm-standby root stamps onto the packets it
@@ -49,75 +47,118 @@ pub fn delete_token(instance: InstanceId, counter: u64) -> u32 {
 }
 
 const DELIVERED: u64 = 1 << 63;
-const RESIDUE_MASK: u64 = 0xffff_ffff;
 
-/// One atomic slot per clock counter: bit 63 records first-copy delivery at
-/// the sink, the low 32 bits accumulate XOR delete tokens. A counter is
-/// *confirmed* once delivered; it is *deletable* once delivered with zero
-/// residue (every token folded in by a logging vertex was folded back out by
-/// the sink). A delivered slot with nonzero residue at shutdown means a
-/// token was folded exactly once — a protocol violation the sentinel reports.
+/// A cell's residue, if its counter is delivered.
+fn delivered(cell: u64) -> Option<u32> {
+    (cell & DELIVERED != 0).then_some(cell as u32)
+}
+
+fn dirty(cell: u64) -> bool {
+    delivered(cell).is_some_and(|residue| residue != 0)
+}
+
+/// One cell per clock counter in flight, in a [`CounterWindow`]: bit 63
+/// records that the counter is *delivered* (the engine's sink has its first
+/// copy, the simulator's root its delete request), the low 32 bits XOR
+/// delete tokens. A counter is *confirmed* once delivered and *deletable*
+/// once delivered with zero residue; delivered with nonzero residue, it is
+/// a protocol violation the sentinel reports. Cells are dropped one by one
+/// and below a floor that only rises; a dropped counter answers as not
+/// delivered, and folds at or below the floor are ignored.
 #[derive(Debug, Default)]
 pub struct XorDeleteLedger {
-    slots: Vec<AtomicU64>,
+    cells: CounterWindow<u64>,
+    /// Counters below it were released.
+    start: u64,
+    held: usize,
+    high_water: usize,
+    released_dirty: u64,
 }
 
 impl XorDeleteLedger {
-    /// A ledger covering clock counters `1..=max_counter` (slot 0 unused so
-    /// counters index directly).
-    pub fn new(max_counter: u64) -> XorDeleteLedger {
-        let mut slots = Vec::with_capacity(max_counter as usize + 1);
-        slots.resize_with(max_counter as usize + 1, AtomicU64::default);
-        XorDeleteLedger { slots }
-    }
-
-    fn slot(&self, counter: u64) -> Option<&AtomicU64> {
-        self.slots.get(counter as usize)
-    }
-
-    /// Fold `token` into the counter's accumulator (used by both sides of
-    /// the protocol: the logging vertex folds its token in, the sink folds
-    /// the envelope's accumulated vector back out).
-    pub fn fold(&self, counter: u64, token: u32) {
-        if let Some(s) = self.slot(counter) {
-            s.fetch_xor(token as u64, Ordering::AcqRel);
+    fn edit(&mut self, counter: u64, edit: impl FnOnce(&mut u64)) {
+        if counter < self.start {
+            return;
         }
-    }
-
-    /// Record first-copy delivery of the counter at the sink.
-    pub fn mark_delivered(&self, counter: u64) {
-        if let Some(s) = self.slot(counter) {
-            s.fetch_or(DELIVERED, Ordering::AcqRel);
+        let cell = self.cells.cell(counter);
+        if cell.is_none() {
+            self.held += 1;
+            self.high_water = self.high_water.max(self.held);
         }
+        edit(cell.get_or_insert(0));
     }
 
-    /// Whether the sink has delivered the counter's first copy.
+    /// Fold the `token` a logging vertex or the store issued for the
+    /// counter into its residue.
+    pub fn fold(&mut self, counter: u64, token: u32) {
+        self.edit(counter, |cell| *cell ^= u64::from(token));
+    }
+
+    /// The counter's packet reached its end carrying `vector`: fold the
+    /// vector back out and mark the counter delivered. A repeat carries the
+    /// same tokens again, so it replaces the residue the first one left.
+    pub fn deliver(&mut self, counter: u64, vector: u32) {
+        self.edit(counter, |cell| {
+            let residue = if *cell & DELIVERED == 0 { *cell } else { 0 };
+            *cell = DELIVERED | (residue ^ u64::from(vector));
+        });
+    }
+
+    fn residue(&self, counter: u64) -> Option<u32> {
+        self.cells.get(counter).copied().and_then(delivered)
+    }
+
+    /// Whether the counter is delivered.
     pub fn confirmed(&self, counter: u64) -> bool {
-        self.slot(counter)
-            .is_some_and(|s| s.load(Ordering::Acquire) & DELIVERED != 0)
+        self.residue(counter).is_some()
     }
 
-    /// Delivered with zero residue: safe to delete from every vertex log.
+    /// Delivered with zero residue: safe to delete from every packet log.
     pub fn deletable(&self, counter: u64) -> bool {
-        self.slot(counter).is_some_and(|s| {
-            let v = s.load(Ordering::Acquire);
-            v & DELIVERED != 0 && v & RESIDUE_MASK == 0
-        })
+        self.residue(counter) == Some(0)
     }
 
-    /// Counters delivered but with nonzero residue — each is a violation of
-    /// the delete protocol (a token folded in but never folded back out, or
-    /// vice versa). Scanned at shutdown by the sentinel.
-    pub fn dirty_confirmed(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                let v = s.load(Ordering::Relaxed);
-                v & DELIVERED != 0 && v & RESIDUE_MASK != 0
-            })
-            .map(|(c, _)| c as u64)
-            .collect()
+    /// Drop the counter's cell: a later fold or delivery starts it afresh.
+    pub fn take(&mut self, counter: u64) {
+        self.held -= usize::from(self.cells.take(counter).is_some());
+    }
+
+    /// Drop every deletable cell; how many went.
+    pub fn sweep(&mut self) -> usize {
+        let (before, held) = (self.held, &mut self.held);
+        self.cells.retain(|&mut cell| {
+            let swept = delivered(cell) == Some(0);
+            *held -= usize::from(swept);
+            !swept
+        });
+        before - self.held
+    }
+
+    /// Raise the floor to `floor` (never lower it), dropping every cell at
+    /// or below it and counting the dirty ones.
+    pub fn release_through(&mut self, floor: u64) {
+        self.start = self.start.max(floor.saturating_add(1));
+        let (held, released_dirty) = (&mut self.held, &mut self.released_dirty);
+        self.cells.pop_below(self.start, |cell| {
+            *held -= 1;
+            *released_dirty += u64::from(dirty(cell));
+        });
+    }
+
+    /// Delivered counters with nonzero residue, released or held.
+    pub fn dirty_confirmed(&self) -> u64 {
+        let held = self.cells.iter().filter(|&(_, &cell)| dirty(cell)).count();
+        self.released_dirty + held as u64
+    }
+
+    /// Every counter with a cell, lowest first.
+    pub fn counters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cells.iter().map(|(counter, _)| counter)
+    }
+
+    /// The most cells held at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water
     }
 }
 
@@ -239,36 +280,69 @@ mod tests {
 
     #[test]
     fn ledger_confirms_and_cancels() {
-        let ledger = XorDeleteLedger::new(10);
+        let mut ledger = XorDeleteLedger::default();
+        let held = |l: &XorDeleteLedger| l.counters().count();
         let t = delete_token(InstanceId(3), 7);
         ledger.fold(7, t);
         assert!(!ledger.confirmed(7));
-        // Sink delivers the first copy and folds the envelope vector back.
-        ledger.mark_delivered(7);
+        // Delivered without the token in its vector: the residue stays.
+        ledger.deliver(7, 0);
         assert!(ledger.confirmed(7));
         assert!(!ledger.deletable(7), "delivered but residue outstanding");
-        assert_eq!(ledger.dirty_confirmed(), vec![7]);
+        assert_eq!(ledger.dirty_confirmed(), 1);
+        // A late fold cancels it (a commit after the delete request).
         ledger.fold(7, t);
         assert!(ledger.deletable(7));
-        assert!(ledger.dirty_confirmed().is_empty());
-        // Out-of-range counters are ignored, not a panic.
-        ledger.fold(999, t);
-        ledger.mark_delivered(999);
-        assert!(!ledger.confirmed(999));
+        assert_eq!(ledger.dirty_confirmed(), 0);
+        assert_eq!((held(&ledger), ledger.sweep(), held(&ledger)), (1, 1, 0));
+        assert!(!ledger.confirmed(7), "a swept counter starts afresh");
+        // A repeat delivery replaces the residue the first one left.
+        ledger.deliver(8, t);
+        ledger.deliver(8, t);
+        assert!(!ledger.deletable(8));
+        ledger.fold(8, t);
+        assert!(ledger.deletable(8));
+    }
+
+    #[test]
+    fn the_floor_ignores_what_it_released_and_counts_the_dirty() {
+        let mut ledger = XorDeleteLedger::default();
+        for c in [2, 3, 5, 9] {
+            ledger.fold(c, 0x8000);
+            ledger.deliver(c, 0);
+        }
+        ledger.fold(3, 0x8000);
+        ledger.fold(4, 0x8000);
+        let held = |l: &XorDeleteLedger| l.counters().collect::<Vec<_>>();
+        assert_eq!((held(&ledger).len(), ledger.high_water()), (5, 5));
+        // 2 and 5 still carry a token; 3 cancelled and 4 is in flight.
+        ledger.release_through(4);
+        assert_eq!(held(&ledger), [5, 9]);
+        assert_eq!(ledger.dirty_confirmed(), 3, "2 released, 5 and 9 held");
+        // At or below the floor a late fold or delivery is ignored, and a
+        // released counter answers as not delivered.
+        ledger.fold(1, 0x8000);
+        ledger.deliver(4, 0x8000);
+        assert!(!ledger.confirmed(2) && !ledger.confirmed(4) && !ledger.deletable(3));
+        assert_eq!(held(&ledger), [5, 9]);
+        // A lower floor changes nothing.
+        ledger.release_through(3);
+        assert!(ledger.confirmed(5) && !ledger.confirmed(6));
+        ledger.take(9);
+        ledger.take(9);
+        assert_eq!((held(&ledger), ledger.high_water()), (vec![5], 5));
     }
 
     #[test]
     fn two_logging_vertices_cancel_through_one_envelope() {
         // The envelope accumulates both vertices' tokens; the sink folds the
-        // accumulated vector once and the slot still cancels to zero.
-        let ledger = XorDeleteLedger::new(4);
+        // accumulated vector once and the cell still cancels to zero.
+        let mut ledger = XorDeleteLedger::default();
         let a = delete_token(InstanceId(1), 2);
         let b = delete_token(InstanceId(2), 2);
         ledger.fold(2, a);
         ledger.fold(2, b);
-        let envelope = a ^ b;
-        ledger.fold(2, envelope);
-        ledger.mark_delivered(2);
+        ledger.deliver(2, a ^ b);
         assert!(ledger.deletable(2));
     }
 
@@ -301,9 +375,9 @@ mod tests {
         assert!(counters(&[VertexId(3)]).is_empty());
 
         // The XOR sweep treats both logs alike.
-        let ledger = XorDeleteLedger::new(8);
+        let mut ledger = XorDeleteLedger::default();
         for c in [1, 2] {
-            ledger.mark_delivered(c);
+            ledger.deliver(c, 0);
         }
         for v in [VertexId(2), ROOT_VERTEX] {
             let mut log = logs.log(v).unwrap();

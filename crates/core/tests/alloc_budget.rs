@@ -18,9 +18,9 @@
 
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{
-    Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore, LogicalDag,
-    NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec, Step,
-    TaggedPacket, VertexLogs, VertexSpec,
+    delete_token, Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore,
+    LogicalDag, NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec,
+    Step, TaggedPacket, VertexLogs, VertexSpec, XorDeleteLedger,
 };
 use chc_packet::{FlowKey, Packet, Scope, ScopeKey};
 use chc_sim::VirtualTime;
@@ -617,4 +617,42 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
     });
     assert_eq!(allocated, 0, "a frontier cut or an XOR sweep allocated");
     assert!(logs.log(ROOT_VERTEX).unwrap().resident_pages() as u64 <= N / 2 / PAGE);
+}
+
+#[test]
+fn a_warm_ledger_cycle_allocates_nothing() {
+    // The engine's cycle over a steady window: an egress log folds each
+    // counter's token in, the sink folds half of them back out and marks
+    // them, and the supervisor sweeps the cancelled ones and releases the
+    // ledger behind its frontier.
+    const W: u64 = 1_024;
+    let mut ledger = XorDeleteLedger::default();
+    let round = |ledger: &mut XorDeleteLedger, r: u64| {
+        let first = r * W + 1;
+        for c in first..first + W {
+            let token = delete_token(InstanceId(1), c);
+            ledger.fold(c, token);
+            if c % 2 == 0 {
+                ledger.deliver(c, token);
+            }
+        }
+        assert_eq!(ledger.sweep(), (W / 2) as usize);
+        ledger.release_through(first + W / 2 - 1);
+    };
+    // Warm-up: the window's cells grow to the span once.
+    for r in 0..4 {
+        round(&mut ledger, r);
+    }
+    let allocated = allocations_in(|| (4..20).for_each(|r| round(&mut ledger, r)));
+    assert_eq!(allocated, 0, "a warm ledger cycle allocated");
+    assert_eq!(
+        ledger.counters().count(),
+        (W / 4) as usize,
+        "the undelivered upper quarter"
+    );
+    assert_eq!(
+        ledger.high_water(),
+        (W + W / 4) as usize,
+        "a round in flight"
+    );
 }

@@ -7,7 +7,9 @@
 //!   never dropped, so a replacement can always be re-fed from the log, and
 //! * [`PacketLog::delete_where`] against an [`XorDeleteLedger`] removes
 //!   exactly the counters whose delete protocol completed, never one whose
-//!   envelope is still in flight.
+//!   envelope is still in flight, and
+//! * the [`XorDeleteLedger`], a window of cells cut at a floor, answers
+//!   like one flat slot per counter for every counter above the floor.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -92,7 +94,7 @@ proptest! {
     fn xor_delete_sweep_only_removes_confirmed_clocks(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let max = rng.gen_range(1..=900u64);
-        let ledger = XorDeleteLedger::new(max);
+        let mut ledger = XorDeleteLedger::default();
         let (logs, under_test, bystander) = table(&mut rng);
         let mut log = logs.log(under_test).unwrap();
         let mut logged = BTreeSet::new();
@@ -109,10 +111,9 @@ proptest! {
             // (the sink never folded the envelope back out), and confirmed.
             match rng.gen_range(0..3u32) {
                 0 => {}
-                1 => ledger.mark_delivered(c),
+                1 => ledger.deliver(c, 0),
                 _ => {
-                    ledger.mark_delivered(c);
-                    ledger.fold(c, token);
+                    ledger.deliver(c, token);
                     cancelled.insert(c);
                 }
             }
@@ -268,5 +269,140 @@ proptest! {
             (oracle.high_water, oracle.truncated, oracle.deleted, oracle.rejected)
         );
         prop_assert_eq!(log.capacity(), capacity);
+    }
+}
+
+const DELIVERED: u64 = 1 << 63;
+
+/// The ledger as it was, one flat slot per counter from `base` on, with the
+/// floor and the dropped cells written beside it: a dropped slot is `None`,
+/// and a fold or delivery at or below the floor does nothing.
+struct FlatLedger {
+    base: u64,
+    slots: Vec<Option<u64>>,
+    floor: Option<u64>,
+    released_dirty: u64,
+    high_water: usize,
+}
+
+impl FlatLedger {
+    fn released(&self, c: u64) -> bool {
+        self.floor.is_some_and(|f| c <= f)
+    }
+
+    fn slot(&mut self, c: u64) -> Option<&mut u64> {
+        if self.released(c) {
+            return None;
+        }
+        let slot = self.slots[(c - self.base) as usize].get_or_insert(0);
+        Some(slot)
+    }
+
+    fn held(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    fn answer(&self, c: u64, holds: impl Fn(u64) -> bool) -> bool {
+        self.slots[(c - self.base) as usize].is_some_and(holds)
+    }
+
+    fn dirty(v: u64) -> bool {
+        v & DELIVERED != 0 && v as u32 != 0
+    }
+
+    fn deletable(v: u64) -> bool {
+        v & DELIVERED != 0 && v as u32 == 0
+    }
+}
+
+proptest! {
+    /// The windowed ledger answers like a flat slot per counter over random
+    /// folds, deliveries, takes, sweeps and releases: the same answer for every
+    /// counter above the floor, folds at or below it ignored, and the dirty
+    /// cells it released counted like the flat ledger's.
+    #[test]
+    fn the_ledger_answers_like_a_flat_slot_per_counter(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = match rng.gen_range(0..3u32) {
+            0 => 0,
+            1 => rng.gen_range(1..512u64),
+            _ => rng.gen_range(1..1u64 << 40),
+        };
+        let span = rng.gen_range(1..=700u64);
+        let mut ledger = XorDeleteLedger::default();
+        let mut flat = FlatLedger {
+            base,
+            slots: vec![None; span as usize],
+            floor: None,
+            released_dirty: 0,
+            high_water: 0,
+        };
+        // Few distinct tokens, so residues cancel often.
+        let token = |rng: &mut StdRng| delete_token(InstanceId(rng.gen_range(0..3)), 0);
+        for step in 0..rng.gen_range(1..=800u32) {
+            let c = base + rng.gen_range(0..span);
+            match rng.gen_range(0..100u32) {
+                0..=34 => {
+                    let t = token(&mut rng);
+                    ledger.fold(c, t);
+                    if let Some(v) = flat.slot(c) {
+                        *v ^= u64::from(t);
+                    }
+                }
+                35..=54 => {
+                    // The vector a packet carries home: its tokens, or none.
+                    let vector = if rng.gen_bool(0.5) { token(&mut rng) } else { 0 };
+                    ledger.deliver(c, vector);
+                    if let Some(v) = flat.slot(c) {
+                        // A repeat replaces what the first one left.
+                        let residue = if *v & DELIVERED == 0 { *v } else { 0 };
+                        *v = DELIVERED | (residue ^ u64::from(vector));
+                    }
+                }
+                55..=64 => {
+                    ledger.take(c);
+                    flat.slots[(c - base) as usize] = None;
+                }
+                65..=69 => {
+                    let before = flat.held();
+                    for slot in &mut flat.slots {
+                        if slot.is_some_and(FlatLedger::deletable) {
+                            *slot = None;
+                        }
+                    }
+                    prop_assert_eq!(ledger.sweep(), before - flat.held(), "sweep at {}", step);
+                }
+                70..=77 => {
+                    let f = base.saturating_sub(2) + rng.gen_range(0..span + 4);
+                    ledger.release_through(f);
+                    if flat.floor.is_none_or(|old| f > old) {
+                        flat.floor = Some(f);
+                        for (i, slot) in flat.slots.iter_mut().enumerate() {
+                            if base + i as u64 <= f {
+                                if let Some(v) = slot.take() {
+                                    flat.released_dirty += u64::from(FlatLedger::dirty(v));
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    let released = flat.released(c);
+                    prop_assert_eq!(ledger.confirmed(c), flat.answer(c, |v| v & DELIVERED != 0),
+                        "confirmed({}) at step {}, released {}", c, step, released);
+                    prop_assert_eq!(ledger.deletable(c), flat.answer(c, FlatLedger::deletable),
+                        "deletable({}) at step {}, released {}", c, step, released);
+                }
+            }
+            flat.high_water = flat.high_water.max(flat.held());
+            prop_assert_eq!(ledger.counters().count(), flat.held(), "held after step {}", step);
+        }
+        let held: Vec<u64> = (base..base + span)
+            .filter(|&c| flat.slots[(c - base) as usize].is_some())
+            .collect();
+        prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), held);
+        let dirty_held = flat.slots.iter().flatten().filter(|&&v| FlatLedger::dirty(v)).count();
+        prop_assert_eq!(ledger.dirty_confirmed(), flat.released_dirty + dirty_held as u64);
+        prop_assert_eq!(ledger.high_water(), flat.high_water);
     }
 }

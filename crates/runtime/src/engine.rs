@@ -68,7 +68,7 @@ use chc_store::{StoreServer, VertexId};
 use chc_telemetry::{EventKind, TelemetrySeries};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
@@ -215,8 +215,9 @@ pub(crate) struct EngineShared {
     /// unpublished slot reads zero and so holds every frontier it is in.
     pub(crate) watermarks: Vec<AtomicU64>,
     /// XOR delete ledger bounding replay re-delivery windows; present
-    /// whenever the plan kills instances or the root.
-    pub(crate) ledger: Option<XorDeleteLedger>,
+    /// whenever the plan kills instances or the root. Never locked across a
+    /// ring push.
+    pub(crate) ledger: Option<Mutex<XorDeleteLedger>>,
     /// Store fast path: when true every instance client buffers
     /// non-blocking store ops, up to one ring batch of them, and drains them
     /// as one batched apply at ring batch boundaries (and before every
@@ -265,11 +266,14 @@ impl EngineShared {
             watermarks: (0..=plan.instances.len())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            ledger: plan
-                .xor_ledger
-                .then(|| XorDeleteLedger::new(plan.trace_len as u64)),
+            ledger: plan.xor_ledger.then(Mutex::default),
             write_behind: rt.write_behind,
         }
+    }
+
+    /// The delete ledger, locked, when the plan keeps one.
+    pub(crate) fn ledger(&self) -> Option<MutexGuard<'_, XorDeleteLedger>> {
+        (self.ledger.as_ref()).map(|l| l.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Publish `slot`'s commit watermark. Monotonic: a stale publication
@@ -496,6 +500,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
             root_takeover: injection.takeover,
             aborts: sup.aborts,
             vertex_logs,
+            ledger_high_water: shared.ledger().map_or(0, |l| l.high_water()),
         }
     });
 

@@ -217,6 +217,8 @@ pub struct FaultReport {
     /// Per-vertex egress log statistics (one entry per armed upstream of a
     /// killed non-entry vertex; empty when every kill was at an entry).
     pub vertex_logs: Vec<VertexLogStats>,
+    /// Most counters the XOR delete ledger held at once.
+    pub ledger_high_water: usize,
 }
 
 impl FaultReport {

@@ -485,12 +485,13 @@ fn forward(
     // replay source. The XOR delete token is folded into the envelope
     // *before* logging and forwarding, so the logged copy and the delivered
     // copy carry identical vectors and the sink's fold cancels the ledger
-    // entry exactly (Figure 6). Replayed packets are not re-logged (their
-    // tokens are already accounted; re-folding would un-cancel them).
+    // entry exactly (Figure 6), and precedes the watermark that covers the
+    // packet. Replayed packets are not re-logged (their tokens are already
+    // accounted; re-folding would un-cancel them).
     if plan.log_egress && tp.replay_for.is_none() {
         let token = delete_token(plan.instance, tp.clock.counter());
         tp.absorb_update_token(token);
-        if let Some(ledger) = &shared.ledger {
+        if let Some(mut ledger) = shared.ledger() {
             ledger.fold(tp.clock.counter(), token);
         }
         if let Some(mut log) = shared.logs.log(plan.vertex) {
@@ -500,10 +501,12 @@ fn forward(
     // A tail replacement bounds its re-delivery window with the XOR ledger:
     // a replayed packet whose clock the sink already confirmed is processed
     // for its (store-deduped) state effects but not re-emitted to the end
-    // host. Only an exit has a sink link.
+    // host. Only an exit has a sink link; the ledger is unlocked by then.
     let gated = exit
         && tp.replay_for.is_some()
-        && (shared.ledger.as_ref()).is_some_and(|l| l.confirmed(tp.clock.counter()));
+        && shared
+            .ledger()
+            .is_some_and(|l| l.confirmed(tp.clock.counter()));
     if !gated {
         if let Some(link) = sink_link {
             link.push(tp.clone(), shared.batch);

@@ -133,7 +133,6 @@ pub struct ChainPlan {
     pub(crate) batch: usize,
     /// Ring capacity: `queue_depth`, and never under two batches.
     pub(crate) depth: usize,
-    pub(crate) trace_len: usize,
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
@@ -291,7 +290,6 @@ impl ChainPlan {
         Ok(ChainPlan {
             batch,
             depth: rt.queue_depth.max(batch * 2),
-            trace_len,
             fault_mode,
             xor_ledger: !fault.kills.is_empty() || fault.root_kill.is_some(),
             topo,

@@ -101,8 +101,9 @@ use crate::fault::{FailoverAbort, InstanceRecovery};
 use crate::instance::{run_instance, DyingInstance, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
 use crate::wiring::{Downstream, OutLink};
+use chc_core::root::ROOT_VERTEX;
 use chc_core::VertexLogs;
-use chc_store::{InstanceId, StoreServer, VertexId};
+use chc_store::{Clock, InstanceId, StoreServer, VertexId};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -451,29 +452,45 @@ fn close_links(links: &mut [OutLink]) {
 /// delivered and fully cancelled (Figure 6's per-packet deletes, which cover
 /// what the frontier cannot). The first row is the root's, whose scope
 /// contains every other and whose frontier is therefore the lowest: its
-/// advance is journaled, the store forgets what the logs forgot up to it —
-/// capped at `floor_cap` — and it is returned. The supervisor runs a pass
-/// between fault events. The engine runs one more after every thread joined:
-/// every surviving component has published its last watermark by then, so
-/// that cut is the tightest the commit protocol can justify.
+/// advance is journaled, the ledger (locked for the whole pass) and the store
+/// forget what the logs forgot up to it — the store capped at `floor_cap` —
+/// and it is returned. The supervisor runs a pass between fault events. The
+/// engine runs one more after every thread joined: every surviving component
+/// has published its last watermark by then, so that cut is the tightest the
+/// commit protocol can justify.
 pub(crate) fn truncate_logs(
     shared: &EngineShared,
     log_scopes: &[(VertexId, Vec<usize>)],
     floor_cap: u64,
 ) -> u64 {
+    let mut ledger = shared.ledger();
     let mut roots_cut = None;
     for (vertex, scope) in log_scopes {
         let frontier = shared.frontier(scope);
         let mut dropped = 0;
         if let Some(mut log) = shared.logs.log(*vertex) {
             dropped = log.truncate_confirmed(0, frontier);
-            if let Some(ledger) = &shared.ledger {
+            if let Some(ledger) = &ledger {
                 log.delete_where(|c| ledger.deletable(c.counter()));
             }
         }
         roots_cut.get_or_insert((frontier, dropped as u64));
     }
     let (frontier, dropped) = roots_cut.unwrap_or_default();
+    if let Some(ledger) = &mut ledger {
+        ledger.release_through(frontier);
+        ledger.sweep();
+        debug_assert!(
+            {
+                let root_log = shared.logs.log(ROOT_VERTEX).expect("the root's log");
+                ledger
+                    .counters()
+                    .all(|c| root_log.contains(&Clock::with_root(0, c)))
+            },
+            "the delete ledger holds a counter the root's log does not"
+        );
+    }
+    drop(ledger);
     shared.telemetry.frontier_advanced(frontier, dropped);
     raise_replay_floor(&shared.server, &shared.logs, frontier.min(floor_cap));
     frontier
@@ -548,7 +565,8 @@ mod tests {
     fn one_pass_cuts_each_log_at_its_own_frontier_sweeps_and_raises_the_floor() {
         let (plan, shared) = armed_run();
         let scopes = &plan.log_scopes;
-        let ledger = shared.ledger.as_ref().expect("a kill needs the ledger");
+        let ledger = || shared.ledger().expect("a kill needs the ledger");
+        let counters = || ledger().counters().collect::<Vec<_>>();
         let trace = TraceGenerator::new(TraceConfig::small(1)).generate();
         // Counters 1..=10 injected, and logged again — tokenized — as they
         // left the firewall (instance 0).
@@ -558,7 +576,7 @@ mod tests {
             assert!(shared.logs.log(ROOT_VERTEX).unwrap().insert(tp.clone()));
             let token = delete_token(InstanceId(0), counter);
             tp.absorb_update_token(token);
-            ledger.fold(counter, token);
+            ledger().fold(counter, token);
             assert!(shared.logs.log(FW).expect("armed").insert(tp.clone()));
             egress.push(tp);
         }
@@ -567,15 +585,20 @@ mod tests {
         for (slot, watermark) in [(0, 4), (1, 6), (2, 5), (3, 4)] {
             shared.publish_watermark(slot, watermark);
         }
-        ledger.fold(7, egress[6].xor_vector);
-        ledger.mark_delivered(7);
+        ledger().deliver(7, egress[6].xor_vector);
 
         // Supervisor-style pass, the floor capped below a drill at 4. Both
         // frontiers are the sink's 4, and the XOR sweep takes the delivered 7
-        // out of the root's log exactly as out of the firewall's.
+        // out of the root's log exactly as out of the firewall's. The
+        // ledger lets go of the same counters: it is released through the
+        // root's frontier and drops what the sweep took.
         assert_eq!(truncate_logs(&shared, scopes, 3), 4);
         assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
         assert_eq!(held(&shared, FW), [5, 6, 8, 9, 10]);
+        assert_eq!(counters(), [5, 6, 8, 9, 10]);
+        // A released or swept counter answers as not delivered: a frontier
+        // may overclaim once replays ran, so only a held cell proves it.
+        assert!(!ledger().confirmed(7));
         assert_eq!(shared.server.replay_floor(), 4, "capped at 3, so 4 up");
 
         // Each log is cut at its own frontier. The firewall's watermark is
@@ -605,6 +628,9 @@ mod tests {
         assert_eq!(truncate_logs(&shared, scopes, u64::MAX), 9);
         assert_eq!(held(&shared, ROOT_VERTEX), [10]);
         assert_eq!(held(&shared, FW), [10]);
+        assert_eq!(counters(), [10]);
+        assert_eq!(ledger().high_water(), 10);
+        assert_eq!(ledger().dirty_confirmed(), 0);
         assert_eq!(shared.server.replay_floor(), 10);
         let root_row = *shared.logs.stats().last().expect("the root's row");
         assert_eq!((root_row.truncated, root_row.deleted), (8, 1));

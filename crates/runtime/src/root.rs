@@ -140,22 +140,20 @@ pub(crate) fn run_standby(
         inject_spans: false,
         ..root_ctx
     };
-    let (telemetry, ledger) = (&ctx.shared.telemetry, &ctx.shared.ledger);
+    let telemetry = &ctx.shared.telemetry;
     // Replay the unconfirmed suffix of the root log through the inherited
     // live rings, marked as standby replay. Replayed counters all sit below
     // the resume point, so per-ring watermarks stay monotone; entry
     // seen-sets and the sink's replay window absorb the copies the chain
     // already has — only the packets that died in the root's buffers flow
-    // through for the first time.
-    let snapshot = ctx.shared.logs.snapshot(&[ROOT_VERTEX]);
+    // through for the first time. The snapshot is filtered before anything
+    // is routed, so the ledger is never locked across a push.
+    let mut snapshot = ctx.shared.logs.snapshot(&[ROOT_VERTEX]);
+    if let Some(ledger) = ctx.shared.ledger() {
+        snapshot.retain(|tp| !ledger.confirmed(tp.clock.counter()));
+    }
     let mut replayed = 0u64;
     for mut tp in snapshot {
-        if ledger
-            .as_ref()
-            .is_some_and(|l| l.confirmed(tp.clock.counter()))
-        {
-            continue;
-        }
         tp.replay_for = Some(STANDBY_ROOT_ID);
         route_to_entries(&ctx, &mut io, &tp);
         replayed += 1;

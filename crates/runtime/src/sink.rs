@@ -30,7 +30,6 @@ pub(crate) fn run_sink(
 ) -> SinkResult {
     let batch = shared.batch;
     let telemetry = &shared.telemetry;
-    let ledger = &shared.ledger;
     // The sink's watermark slot follows every instance's.
     let commit_slot = shared.fault_mode.then(|| shared.watermarks.len() - 1);
     // Per-flow delivery-order checking rides this thread (one map lookup per
@@ -67,8 +66,10 @@ pub(crate) fn run_sink(
             }
             moved += n;
             // One arrival time serves the whole batch, read when its first
-            // timed packet turns up; a batch without one reads no clock.
+            // timed packet turns up; a batch without one reads no clock. One
+            // ledger lock serves it too.
             let mut batch_now: Option<u64> = None;
+            let mut ledger = shared.ledger();
             for tp in work.drain(..) {
                 input.last_counter = input.last_counter.max(tp.clock.counter());
                 let traced = tp.trace.map(|t| t.id);
@@ -80,13 +81,12 @@ pub(crate) fn run_sink(
                     continue;
                 }
                 let counter = tp.clock.counter();
-                if let Some(l) = ledger {
+                if let Some(l) = &mut ledger {
                     // First (and only) delivery of this clock: cancel every
                     // logged copy's token and mark the counter confirmed —
                     // this is what lets tail replacements gate re-emission
                     // and the supervisor delete individual log entries.
-                    l.fold(counter, tp.xor_vector);
-                    l.mark_delivered(counter);
+                    l.deliver(counter, tp.xor_vector);
                 }
                 if tp.is_timed() {
                     let now_ns = *batch_now.get_or_insert_with(|| telemetry.now_ns());

@@ -664,7 +664,7 @@ fn check_packet_log_bounds(
         }
     }
     // Delivered clock counters whose token residue never cancelled.
-    let xor_dirty = (shared.ledger.as_ref()).map_or(0, |l| l.dirty_confirmed().len() as u64);
+    let xor_dirty = shared.ledger().map_or(0, |l| l.dirty_confirmed());
     if xor_dirty > 0 {
         report(
             InvariantKind::XorResidue,

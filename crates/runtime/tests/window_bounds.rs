@@ -2,23 +2,33 @@
 //! clock, and an instance's input-queue window (fault mode) is pruned at the
 //! instance's own watermark until the first fail-stop, after which it grows
 //! by one bit per packet. Both exits, healthy and fail-stopped, report it.
+//! The XOR delete ledger holds only counters in flight: never more than the
+//! root's packet log.
 
 use chc_core::{ChainConfig, ClockWindow, LogicalDag, VertexSpec};
-use chc_nf::{Firewall, Nat};
+use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeReport};
 use chc_store::VertexId;
 use std::rc::Rc;
 
-fn firewall_nat() -> LogicalDag {
-    LogicalDag::linear(vec![
+/// The first `len` vertices of firewall → NAT → load balancer.
+fn chain(len: usize) -> LogicalDag {
+    let mut specs = vec![
         VertexSpec::new(
             1,
             "firewall",
             Rc::new(|| Box::new(Firewall::with_default_policy())),
         ),
         VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
-    ])
+        VertexSpec::new(
+            3,
+            "lb",
+            Rc::new(|| Box::new(LoadBalancer::with_default_backends())),
+        ),
+    ];
+    specs.truncate(len);
+    LogicalDag::linear(specs)
 }
 
 /// Long flows, so the trace spans several window pages.
@@ -39,7 +49,11 @@ fn long_trace(seed: u64) -> Trace {
 }
 
 fn run(rt: RuntimeConfig, trace: &Trace) -> RuntimeReport {
-    let report = run_chain_realtime(&firewall_nat(), ChainConfig::default(), &rt, trace).unwrap();
+    run_on(&chain(2), rt, trace)
+}
+
+fn run_on(dag: &LogicalDag, rt: RuntimeConfig, trace: &Trace) -> RuntimeReport {
+    let report = run_chain_realtime(dag, ChainConfig::default(), &rt, trace).unwrap();
     assert_eq!(report.duplicates, 0);
     let inv = report.invariants.as_ref().expect("sentinel on by default");
     assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
@@ -123,4 +137,34 @@ fn instance_window_is_pruned_at_the_watermark_until_something_fails() {
         .expect("the killed nat reports");
     assert!(killed.dedup_window_bytes > 0);
     assert!(killed.dedup_window_bytes <= whole_window_bound(n));
+}
+
+#[test]
+fn the_delete_ledger_holds_only_counters_in_flight() {
+    // A mid-chain NAT kill, which arms the firewall's egress log, and a
+    // tail kill. The ledger is released behind the root's frontier and
+    // drops what the XOR sweep takes out of the logs, so it never holds
+    // more counters than the root's log, and far fewer than the trace.
+    let trace = long_trace(7);
+    let n = trace.len() as u64;
+    for (len, plan) in [(3, "mid-chain"), (2, "tail")] {
+        let rt = RuntimeConfig::with_batch_size(32).with_fault(FaultPlan::new().kill(
+            VertexId(2),
+            0,
+            n / 2,
+        ));
+        let report = run_on(&chain(len), rt, &trace);
+        let fault = report.fault.as_ref().expect("a fault report");
+        let (ledger, log) = (fault.ledger_high_water, fault.log_high_water);
+        assert!(ledger > 0, "{plan}: the ledger never held a counter");
+        assert!(
+            ledger <= log,
+            "{plan}: ledger {ledger} above the root's log {log}"
+        );
+        assert!(
+            ledger as u64 * 8 < report.injected,
+            "{plan}: ledger {ledger} for {} packets",
+            report.injected
+        );
+    }
 }
