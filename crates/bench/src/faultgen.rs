@@ -61,8 +61,9 @@ impl FaultGen {
     }
 
     /// Sample a root-kill trigger in the middle third of the trace (the
-    /// stamping thread fail-stops just before injecting it and the warm
-    /// standby takes over).
+    /// root crashes just before stamping it, and a new root resumes from
+    /// the persisted clock, losing what the dead root's output buffers
+    /// held).
     pub fn root_kill(&mut self, trace_len: usize) -> u64 {
         let lo = (trace_len / 3).max(1) as u64;
         let hi = (2 * trace_len / 3).max(lo as usize + 1) as u64;

@@ -53,8 +53,9 @@ fn trace(scale: Scale) -> Trace {
 }
 
 /// The kill positions a traced failover can exercise, in chain order.
-/// `entry`/`mid`/`tail` name the chain's three vertices; `root` kills the
-/// stamping thread itself (warm-standby takeover).
+/// `entry`/`mid`/`tail` name the chain's three vertices; `root` crashes the
+/// root itself, and a new root on the same thread resumes from the clock it
+/// persisted, losing the packets in the dead root's output buffers.
 pub const KILL_POSITIONS: [&str; 4] = ["entry", "mid", "tail", "root"];
 
 /// The seeded fault plan for a named kill position on the chain. Panics on
@@ -76,8 +77,8 @@ pub struct TraceRunRecord {
     /// Packets in the trace.
     pub packets: u64,
     /// `replay_inject` spans on the supervisor lane — log entries
-    /// re-injected for the replacement (none for a root kill: the standby
-    /// replays on its own lane).
+    /// re-injected for the replacement (none for a root kill: nothing
+    /// replays what a crashed root loses).
     pub replay_inject_spans: usize,
     /// `service` spans with `replay:1` — replayed packets the replacement
     /// actually processed (rather than suppressed en route).
@@ -169,7 +170,7 @@ mod tests {
             assert!(record.trace_json.contains("\"ph\":\"M\""));
             // A killed vertex's logged packets must reappear as replay
             // spans: supervisor re-injections, and replayed service at the
-            // replacement. The root takeover replays on the standby's lane.
+            // replacement. A root kill replays nothing.
             if position != "root" {
                 assert!(record.replay_inject_spans > 0, "{position}: no replay");
                 assert!(record.replay_service_spans > 0, "{position}");

@@ -13,6 +13,7 @@ use crate::instance::{InstanceParams, NfInstanceActor};
 use crate::instance_core::{InstanceCore, InstanceCounters};
 use crate::message::{Msg, TaggedPacket};
 use crate::root::{RootActor, RootStats};
+use crate::root_core::RootCore;
 use crate::sink::SinkActor;
 use crate::splitter::{PartitionTable, Splitter};
 use crate::state::{SharedStore, StateClient};
@@ -199,7 +200,7 @@ impl ChainController {
 
         let sink = sim.add_actor(Box::new(SinkActor::default()));
         let root = sim.add_actor(Box::new(RootActor::new(
-            0,
+            RootCore::new(0),
             config,
             dag.entries(),
             partition.clone(),
@@ -544,8 +545,8 @@ impl ChainController {
     /// store and resumes stamping; the failed root's local packet log is lost
     /// (equivalent to a network drop of the in-flight packets, §B.3).
     pub fn recover_root(&mut self) {
-        let root = RootActor::recovered(
-            self.root_id,
+        let root = RootActor::new(
+            RootCore::recovered(self.root_id, &self.store),
             self.config,
             self.dag.entries(),
             self.partition.clone(),

@@ -88,7 +88,7 @@ pub struct CostModel {
     /// Cost for the root to stamp and log one packet locally.
     pub root_local_log: SimDuration,
     /// Cost for the root to persist its clock to the datastore (charged every
-    /// [`CLOCK_PERSIST_PERIOD`](crate::root::CLOCK_PERSIST_PERIOD) packets,
+    /// [`CLOCK_PERSIST_PERIOD`](crate::root_core::CLOCK_PERSIST_PERIOD) packets,
     /// §7.2).
     pub clock_persist: SimDuration,
     /// Extra latency of logging the packet in the datastore instead of

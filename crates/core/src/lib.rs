@@ -40,6 +40,7 @@ pub mod instance_core;
 pub mod message;
 pub mod nf;
 pub mod root;
+pub mod root_core;
 pub mod rootlog;
 pub mod sink;
 pub mod sink_core;
@@ -58,12 +59,13 @@ pub use instance_core::{InstanceCore, InstanceCounters, Step};
 pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};
 pub use nf::{Action, NetworkFunction, NfContext};
 pub use root::RootActor;
+pub use root_core::{RootCore, CLOCK_PERSIST_PERIOD};
 pub use rootlog::PacketLog;
 pub use sink::SinkActor;
 pub use sink_core::{Arrival, SinkCore};
 pub use splitter::{PartitionTable, Splitter};
 pub use state::{SharedStore, StateClient, StateHandle};
-pub use vertexlog::{delete_token, VertexLogStats, VertexLogs, XorDeleteLedger, STANDBY_ROOT_ID};
+pub use vertexlog::{delete_token, VertexLogStats, VertexLogs, XorDeleteLedger};
 
 // Re-export the identifiers shared with the store crate so NF authors only
 // need `chc_core` in scope.

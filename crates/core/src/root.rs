@@ -2,7 +2,8 @@
 //! protocol, replay, and root failover (§5, §5.4).
 //!
 //! The root is a special splitter at the chain entry. For every input packet
-//! it (1) stamps a unique logical clock (root instance id in the high bits),
+//! it (1) stamps a unique logical clock (root instance id in the high bits)
+//! through its [`RootCore`], which persists the clock and recovers it,
 //! (2) logs the packet until the chain tail confirms that processing — and
 //! every state update the packet induced — has finished, and (3) forwards it
 //! to the entry vertex chosen by scope-aware partitioning. Logged packets are
@@ -17,11 +18,12 @@
 use crate::chain::Topology;
 use crate::config::ChainConfig;
 use crate::message::{Msg, TaggedPacket};
+use crate::root_core::{RootCore, CLOCK_PERSIST_PERIOD};
 use crate::rootlog::PacketLog;
 use crate::splitter::PartitionTable;
 use crate::vertexlog::XorDeleteLedger;
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
-use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value, VertexId};
+use chc_store::{Clock, InstanceId, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -29,12 +31,6 @@ use std::sync::Arc;
 /// Pseudo vertex id under which the root stores its own durable metadata
 /// (the persisted logical clock).
 pub const ROOT_VERTEX: VertexId = VertexId(u32::MAX);
-
-/// The root persists its logical clock to the store every this many packets
-/// (§7.2: persisting on every packet costs 29 µs, every 100th 0.29 µs). A
-/// failover root resumes at the persisted value plus this period, so it never
-/// reuses a clock the failed root may already have handed out.
-pub const CLOCK_PERSIST_PERIOD: u64 = 100;
 
 /// Packets a root's log may hold before the root drops new arrivals
 /// (buffer-bloat guard, §5). The simulator's root, the engine's
@@ -59,9 +55,9 @@ pub struct RootStats {
 
 /// The root actor. See the module documentation.
 pub struct RootActor {
-    root_id: u8,
+    /// Stamps the clocks, persists and recovers them.
+    core: RootCore,
     config: ChainConfig,
-    counter: u64,
     entry_vertices: Vec<VertexId>,
     partition: Rc<RefCell<PartitionTable>>,
     topology: Rc<RefCell<Topology>>,
@@ -72,17 +68,19 @@ pub struct RootActor {
     /// Figure 6's residue per counter: commit tokens and delete vectors
     /// fold in, a delete request marks the counter finished.
     ledger: XorDeleteLedger,
-    /// Whether this root is a failover instance that must recover its clock
-    /// from the datastore on start (§5.4 "Root").
-    recover_on_start: bool,
     /// The counts the actor keeps; `stats()` fills `dropped` and `log_high_water` from the log.
     stats: RootStats,
 }
 
 impl RootActor {
-    /// Create a fresh root (chain bring-up).
+    /// Create a root stamping through `core`: a fresh [`RootCore::new`] at
+    /// chain bring-up, or a failover root's [`RootCore::recovered`], whose
+    /// clock resumes from the one persisted in the store (§5.4 "Root"). A
+    /// failover root's packet log starts empty all the same: packets logged
+    /// locally by the failed root are lost, which the chain tolerates as
+    /// network drops — Theorem B.3.1.
     pub fn new(
-        root_id: u8,
+        core: RootCore,
         config: ChainConfig,
         entry_vertices: Vec<VertexId>,
         partition: Rc<RefCell<PartitionTable>>,
@@ -90,35 +88,16 @@ impl RootActor {
         store: Arc<StoreServer>,
     ) -> RootActor {
         RootActor {
-            root_id,
+            core,
             config,
-            counter: 0,
             entry_vertices,
             partition,
             topology,
             store,
             log: PacketLog::new(ROOT_LOG_CAPACITY),
             ledger: XorDeleteLedger::default(),
-            recover_on_start: false,
             stats: RootStats::default(),
         }
-    }
-
-    /// Create a failover root that recovers the logical clock from the store
-    /// when it starts (its packet log starts empty: packets logged locally by
-    /// the failed root are lost, which the chain tolerates as network drops —
-    /// Theorem B.3.1).
-    pub fn recovered(
-        root_id: u8,
-        config: ChainConfig,
-        entry_vertices: Vec<VertexId>,
-        partition: Rc<RefCell<PartitionTable>>,
-        topology: Rc<RefCell<Topology>>,
-        store: Arc<StoreServer>,
-    ) -> RootActor {
-        let mut root = RootActor::new(root_id, config, entry_vertices, partition, topology, store);
-        root.recover_on_start = true;
-        root
     }
 
     /// The root's counters; the drop count and high water are the log's.
@@ -128,24 +107,6 @@ impl RootActor {
             log_high_water: self.log.high_water(),
             ..self.stats
         }
-    }
-
-    /// Key under which the root persists its clock.
-    pub fn clock_key(root_id: u8) -> StateKey {
-        StateKey::shared(
-            ROOT_VERTEX,
-            ObjectKey::named(&format!("root_clock_{root_id}")),
-        )
-    }
-
-    fn persist_clock(&self) {
-        let key = RootActor::clock_key(self.root_id);
-        let _ = self.store.apply(
-            InstanceId(u32::MAX),
-            &key,
-            &Operation::Set(Value::Int(self.counter as i64)),
-            None,
-        );
     }
 
     /// Per-packet root overhead: local logging plus the amortized clock
@@ -185,11 +146,7 @@ impl RootActor {
     }
 
     fn handle_input(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
-        self.counter += 1;
-        tp.clock = Clock::with_root(self.root_id, self.counter);
-        if self.counter.is_multiple_of(CLOCK_PERSIST_PERIOD) {
-            self.persist_clock();
-        }
+        tp.clock = self.core.stamp(Some(&*self.store));
         // Buffer-bloat guard (§5): a full log drops the packet, whose clock
         // stays used up, as on the engine's root (the chain tolerates gaps).
         if !self.log.insert(tp.clone()) {
@@ -228,17 +185,6 @@ impl RootActor {
 }
 
 impl Actor<Msg> for RootActor {
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {
-        if self.recover_on_start {
-            // §5.4: the failover root reads the last persisted clock value and
-            // resumes at `persisted + persist period` so it never reuses a
-            // clock the failed root may already have handed out (footnote 5).
-            let key = RootActor::clock_key(self.root_id);
-            let persisted = self.store.peek(&key).as_int().max(0) as u64;
-            self.counter = persisted + CLOCK_PERSIST_PERIOD;
-        }
-    }
-
     fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_input(tp, ctx),
@@ -264,15 +210,9 @@ mod tests {
     use chc_sim::{Simulation, VirtualTime};
 
     #[test]
-    fn clock_key_is_per_root() {
-        assert_ne!(RootActor::clock_key(0), RootActor::clock_key(1));
-        assert_eq!(RootActor::clock_key(3).vertex, ROOT_VERTEX);
-    }
-
-    #[test]
     fn a_full_log_uses_up_the_rejected_arrivals_counter() {
         let mut root = RootActor::new(
-            0,
+            RootCore::new(0),
             ChainConfig::default(),
             Vec::new(),
             Rc::default(),
@@ -323,7 +263,7 @@ mod tests {
     #[test]
     fn figure_6_orderings_delete_once_the_tokens_cancel() {
         let root = RootActor::new(
-            0,
+            RootCore::new(0),
             ChainConfig::default(),
             Vec::new(),
             Rc::default(),

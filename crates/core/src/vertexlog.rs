@@ -29,11 +29,6 @@ use crate::rootlog::PacketLog;
 use chc_store::{CounterWindow, InstanceId, VertexId};
 use std::sync::{Mutex, MutexGuard};
 
-/// Reserved instance id the warm-standby root stamps onto the packets it
-/// replays after taking over injection (`TaggedPacket::replay_for`). Above
-/// every id the planner hands out.
-pub const STANDBY_ROOT_ID: InstanceId = InstanceId(u32::MAX - 1);
-
 /// A nonzero XOR delete token for one logged egress packet.
 ///
 /// The simulator's [`crate::message::xor_token`] keys tokens by state object;

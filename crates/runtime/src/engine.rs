@@ -15,9 +15,9 @@
 //!    **sink** thread (`sink`: de-duplicates by clock, measures
 //!    root→sink latency on the timed packets), the gauge monitor
 //!    ([`crate::telemetry`]) when sampling is on and, under a fault plan,
-//!    the **supervisor** ([`crate::replay`]) and the warm standby; the
-//!    calling thread is the **root** (`root`), stamping logical clocks in
-//!    trace order and feeding the entry vertices;
+//!    the **supervisor** ([`crate::replay`]); the calling thread is the
+//!    **root** (`root`), stamping logical clocks in trace order and feeding
+//!    the entry vertices;
 //! 4. **join** — in the order the threads depend on each other
 //!    (`Running::join`);
 //! 5. **report** — the final log truncation, the shutdown invariant checks
@@ -43,8 +43,9 @@
 //! runs the paper's replay/failover machinery on real threads — packet logs
 //! truncated at commit frontiers, duplicate suppression at every input
 //! queue, replacement threads fed through dedicated replay rings, the XOR
-//! delete window for tail kills, a warm standby for the root; the crate docs
-//! give the overview and [`crate::replay`] the protocol.
+//! delete window for tail kills, and a root crash that loses what §5.4 says
+//! it loses before a new root resumes from the persisted clock; the crate
+//! docs give the overview and [`crate::replay`] the protocol.
 //!
 //! The healthy path pays none of this: with an empty plan no log is kept,
 //! no watermark is published and no duplicate tracking runs — the store's
@@ -56,7 +57,7 @@ use crate::instance::{run_instance, DyingInstance, Inbox, InstanceResult, KillSw
 use crate::plan::{ChainPlan, InstancePlan};
 use crate::replay::{truncate_logs, Replacements, Supervisor, SupervisorOutcome};
 use crate::report::RuntimeReport;
-use crate::root::{run_root, run_standby, Injection, RootIo, RootShared};
+use crate::root::{run_root, Injection};
 use crate::sink::{run_sink, SinkResult};
 use crate::telemetry::{assemble_report, finalize_sentinel, run_monitor, RunTelemetry};
 use crate::wiring::{wire, Downstream, Wired};
@@ -126,6 +127,15 @@ pub enum RuntimeError {
         /// Packets in the trace.
         trace_len: usize,
     },
+    /// A root kill is planned together with other faults. The new root
+    /// resumes above counters the dead one never stamped, so a fault keyed
+    /// on one of them would never fire.
+    RootKillNotAlone {
+        /// The planned root kill.
+        at_counter: u64,
+        /// Instance kills, shard faults and re-injections planned with it.
+        others: usize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -171,6 +181,11 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "re-injection counter {counter} lies outside the {trace_len}-packet trace"
             ),
+            RuntimeError::RootKillNotAlone { at_counter, others } => write!(
+                f,
+                "the root kill at {at_counter} is planned with {others} other faults; \
+                 a root kill must be the plan's only fault"
+            ),
         }
     }
 }
@@ -194,9 +209,10 @@ pub(crate) struct EngineShared {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// Raised by an instance or the root as it fail-stops, before it hands
-    /// its wiring on. From then on replayed clocks can fill gaps below a
-    /// watermark, so no instance prunes its duplicate window any further.
+    /// Raised by an instance as it fail-stops, before it hands its wiring
+    /// on. From then on replayed clocks can fill gaps below a watermark, so
+    /// no instance prunes its duplicate window any further. A root crash
+    /// does not raise it: nothing replays what a dead root loses.
     /// Relaxed on both sides: the flag publishes no data, and its
     /// visibility rides the hand-off itself — fault channel, replacement
     /// spawn, then the rings' release/acquire edges — so whoever pops a
@@ -215,8 +231,7 @@ pub(crate) struct EngineShared {
     /// unpublished slot reads zero and so holds every frontier it is in.
     pub(crate) watermarks: Vec<AtomicU64>,
     /// XOR delete ledger bounding replay re-delivery windows; present
-    /// whenever the plan kills instances or the root. Never locked across a
-    /// ring push.
+    /// whenever the plan kills instances. Never locked across a ring push.
     pub(crate) ledger: Option<Mutex<XorDeleteLedger>>,
     /// Store fast path: when true every instance client buffers
     /// non-blocking store ops, up to one ring batch of them, and drains them
@@ -305,11 +320,12 @@ pub fn run_chain_realtime(
     let wired = wire(&plan, &shared.telemetry);
     let threads = plan.take_threads();
     let done_injecting = AtomicBool::new(false);
-    let root = RootShared::new(trace, &plan, &shared, &done_injecting);
     let joined = thread::scope(|scope| {
-        let (running, root_outs, standby_tx) = spawn(scope, &plan, &shared, threads, wired, root);
-        // The calling thread is the root.
-        let injection = run_root(&root, root_outs, standby_tx);
+        let (running, root_outs) = spawn(scope, &plan, &shared, threads, wired, &done_injecting);
+        // The calling thread is the root. The supervisor winds down once it
+        // has finished injecting.
+        let injection = run_root(trace, &plan, &shared, root_outs);
+        done_injecting.store(true, Ordering::Release);
         running.join(injection)
     });
     Ok(report(&shared, &plan, joined))
@@ -322,7 +338,6 @@ struct Running<'scope> {
     monitor: Option<ScopedJoinHandle<'scope, TelemetrySeries>>,
     monitor_stop: Arc<AtomicBool>,
     supervisor: Option<ScopedJoinHandle<'scope, (SupervisorOutcome, Replacements<'scope>)>>,
-    standby: Option<ScopedJoinHandle<'scope, Option<Injection>>>,
 }
 
 /// What the joined threads hand to the report.
@@ -336,20 +351,19 @@ struct Joined {
 }
 
 /// Start every thread but the root, which is the caller: it gets back its
-/// output rings and the channel that hands them to the standby.
+/// output rings.
 ///
 /// Spawn order: each `InstanceSpawn` is journaled here, in slot order,
 /// before that instance's thread starts, so it precedes anything the
-/// instance journals; the standby is spawned before injection starts, so a
-/// root kill never waits for a thread to come up.
+/// instance journals.
 fn spawn<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     plan: &'env ChainPlan,
     shared: &'env EngineShared,
     (instances, seeds): (Vec<InstancePlan>, HashMap<usize, InstancePlan>),
     wired: Wired,
-    root: RootShared<'env>,
-) -> (Running<'scope>, Vec<Downstream>, mpsc::Sender<RootIo>) {
+    done_injecting: &'env AtomicBool,
+) -> (Running<'scope>, Vec<Downstream>) {
     let telemetry = &shared.telemetry;
     let (fault_tx, fault_rx) = mpsc::channel::<DyingInstance>();
     let instances = instances
@@ -387,14 +401,9 @@ fn spawn<'scope, 'env>(
 
     let supervisor = plan.fault_mode.then(|| {
         let supervisor = Supervisor::new(scope, fault_rx, plan, seeds, shared);
-        let (replay_outs, done) = (wired.replay_outs, root.done_injecting);
-        scope.spawn(move || supervisor.run(replay_outs, done))
+        let replay_outs = wired.replay_outs;
+        scope.spawn(move || supervisor.run(replay_outs, done_injecting))
     });
-
-    let (standby_tx, standby_rx) = mpsc::channel::<RootIo>();
-    let standby = plan
-        .root_kill
-        .map(|killed_at| scope.spawn(move || run_standby(root, standby_rx, killed_at)));
 
     let running = Running {
         instances,
@@ -402,35 +411,22 @@ fn spawn<'scope, 'env>(
         monitor,
         monitor_stop,
         supervisor,
-        standby,
     };
-    (running, wired.root_outs, standby_tx)
+    (running, wired.root_outs)
 }
 
 impl Running<'_> {
     /// Join every thread, given what the root's own injection returned.
     ///
-    /// Join order: the standby (when armed) finishes injection and raises
-    /// `done_injecting`, so it is joined before the supervisor, which waits
-    /// on that flag; the supervisor closes a vertex's replay rings once its
-    /// last replay completed, exits once every planned kill resolved and
-    /// closes the rings still open at exit (a kill that never fired, a
-    /// failover that aborted), so it is joined before the instances, which
-    /// drain those rings and exit after it; replacements, then the sink,
-    /// follow their producers; the monitor runs until told to stop, after
-    /// everything it watches has finished.
-    fn join(self, mut injection: Injection) -> Joined {
-        let standby = self
-            .standby
-            .and_then(|h| h.join().expect("standby thread panicked"));
-        if let Some(standby) = standby {
-            let mut shard_recoveries = injection.shard_recoveries;
-            shard_recoveries.extend(standby.shard_recoveries);
-            injection = Injection {
-                shard_recoveries,
-                ..standby
-            };
-        }
+    /// Join order: the root has finished injection and raised
+    /// `done_injecting`, which the supervisor waits on; the supervisor
+    /// closes a vertex's replay rings once its last replay completed, exits
+    /// once every planned kill resolved and closes the rings still open at
+    /// exit (a kill that never fired, a failover that aborted), so it is
+    /// joined before the instances, which drain those rings and exit after
+    /// it; replacements, then the sink, follow their producers; the monitor
+    /// runs until told to stop, after everything it watches has finished.
+    fn join(self, injection: Injection) -> Joined {
         let supervisor = self
             .supervisor
             .map(|h| h.join().expect("supervisor thread panicked"));
@@ -479,6 +475,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
     }
     instances.sort_by_key(|r| (r.vertex, r.instance));
 
+    let (stamped, last_counter) = (injection.stamped, injection.last_counter);
     let mut final_frontier = 0u64;
     let fault_report = supervisor.map(|sup| {
         // Nothing is in flight any more — the re-injection drill included —
@@ -513,7 +510,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
         delivered_ids: sink.core.delivered_ids,
         replay_window_suppressed: sink.core.replay_shadows,
         delivered_bytes: sink.core.bytes,
-        injected: injection.counter,
+        injected: stamped,
         elapsed: sink.finished_at,
         latency: sink.latency,
         instances,
@@ -529,7 +526,12 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
     };
     // Shutdown invariant pass — before the telemetry section is assembled,
     // so violation events it journals appear in the report's event list.
-    run.invariants = finalize_sentinel(shared, &run, sink.core.arrivals, final_frontier);
+    run.invariants = finalize_sentinel(
+        shared,
+        &run,
+        sink.core.arrivals,
+        (last_counter, final_frontier),
+    );
     if !shared.telemetry.config.is_disabled() {
         run.telemetry = Some(assemble_report(&shared.telemetry, series));
     }

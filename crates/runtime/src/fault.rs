@@ -23,12 +23,18 @@
 //!   this drives exactly-counted duplicates into the sink's accounting
 //!   (the "no silent dedup" check); with suppression enabled it exercises
 //!   the queue-level suppression path.
+//! * **A root kill** (`root_kill`): the root crashes and a new root takes
+//!   over on the same thread, from what §5.4 says survives a root crash —
+//!   the clock persisted in the store, the rings and the input stream. The
+//!   packets in the dead root's unflushed output batches are lost, like
+//!   network drops ([`RootTakeover::lost`]). It is the plan's only fault.
 //!
 //! Keying every trigger on the *logical clock* (not wall time) keeps fault
 //! schedules reproducible across runs and portable to the simulator, which
 //! is what the cross-substrate failure-equivalence tests rely on.
 
 use chc_core::VertexLogStats;
+use chc_packet::PacketId;
 use chc_store::{InstanceId, VertexId};
 use std::time::Duration;
 
@@ -68,10 +74,11 @@ pub struct FaultPlan {
     pub shard_faults: Vec<ShardFault>,
     /// Clock counters of logged packets the root re-injects after the trace.
     pub reinject: Vec<u64>,
-    /// Fail-stop the root stamping thread just before it would inject this
-    /// clock counter. A pre-spawned warm standby that shadows the root's
-    /// counter takes over: it replays the unconfirmed suffix of the root log
-    /// and resumes injection where the root died (§5.4, "root" failover).
+    /// Crash the root just before it would stamp this clock counter. Its
+    /// clock, packet log, drill buffer and unflushed output batches die with
+    /// it. A new root resumes from the clock persisted in the store, plus
+    /// one persist period, on the same rings and the rest of the input
+    /// (§5.4, "root" failover). Planned with no other fault.
     pub root_kill: Option<u64>,
 }
 
@@ -121,8 +128,7 @@ impl FaultPlan {
         self
     }
 
-    /// Builder-style root kill: the stamping thread fail-stops just before
-    /// injecting `at_counter` and the warm standby takes over.
+    /// Builder-style root kill at `at_counter` (see [`FaultPlan::root_kill`]).
     pub fn kill_root(mut self, at_counter: u64) -> FaultPlan {
         self.root_kill = Some(at_counter);
         self
@@ -162,16 +168,18 @@ pub struct ShardRecovery {
     pub recovery_wall: Duration,
 }
 
-/// What the warm standby did after the root fail-stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a root crash lost and where the new root resumed (§5.4).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootTakeover {
-    /// Counter the root was about to inject when it died.
+    /// Counter the root was about to stamp when it died.
     pub killed_at: u64,
-    /// First counter the standby stamped after taking over.
+    /// First counter the new root stamped: the persisted counter plus
+    /// `CLOCK_PERSIST_PERIOD`, `100 · ⌊(killed_at − 1) / 100⌋ + 101`.
     pub resumed_at: u64,
-    /// Unconfirmed logged packets the standby replayed before resuming.
-    pub packets_replayed: u64,
-    /// Wall-clock time from handover to live injection resuming.
+    /// Ids of the packets lost in the dead root's unflushed output
+    /// buffers, sorted, each once: at most `(batch − 1)` per root ring.
+    pub lost: Vec<PacketId>,
+    /// Wall-clock time from the crash until the new root is ready to stamp.
     pub recovery_wall: Duration,
 }
 
@@ -210,7 +218,7 @@ pub struct FaultReport {
     pub log_rejected: u64,
     /// Logged packets re-injected after the trace.
     pub reinjected: u64,
-    /// The warm standby's takeover record, when the plan killed the root.
+    /// The new root's takeover record, when the plan killed the root.
     pub root_takeover: Option<RootTakeover>,
     /// Failovers abandoned instead of hanging the run (normally empty).
     pub aborts: Vec<FailoverAbort>,
@@ -256,7 +264,7 @@ mod tests {
         assert_eq!(plan.shard_faults[0].checkpoint_at, Some(400));
         assert_eq!(plan.reinject, vec![10, 20]);
         // A root kill alone makes the plan non-empty (the engine must run
-        // the fault path to arm the log and the standby).
+        // the fault path to arm the log and persist the clock).
         let root_only = FaultPlan::new().kill_root(300);
         assert!(!root_only.is_empty());
         assert_eq!(root_only.root_kill, Some(300));

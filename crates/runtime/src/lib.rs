@@ -38,8 +38,9 @@
 //! SPSC wiring and replaying the killed vertex's upstream (or root) log
 //! through dedicated replay rings at the right chain depth ([`replay`]) —
 //! tail re-emission is bounded by the paper's per-packet XOR delete window
-//! (Figure 6), a pre-spawned warm standby takes over root stamping when
-//! the plan kills the root ([`fault::RootTakeover`]), and store shard
+//! (Figure 6), a killed root loses its clock, log and unflushed batches
+//! and a new root resumes from the clock it persisted in the store
+//! ([`fault::RootTakeover`], §5.4), and store shard
 //! restarts replay per-shard write-ahead journals. Failovers that cannot
 //! complete are surfaced as [`fault::FailoverAbort`] records instead of
 //! hanging the run. Recovery metrics (packets replayed, log high-water

@@ -82,8 +82,8 @@ impl InstancePlan {
 }
 
 /// What the root does at given clock counters, sorted by counter (entries at
-/// one counter in plan order). The stamping loop reads it through a cursor:
-/// one comparison per packet, no tree and no hash.
+/// one counter in plan order). The stamping loop reads it through a cursor
+/// that starts at 0: one comparison per packet, no tree and no hash.
 #[derive(Debug)]
 pub(crate) struct CounterSchedule<T> {
     entries: Vec<(u64, T)>,
@@ -95,15 +95,8 @@ impl<T> CounterSchedule<T> {
         CounterSchedule { entries }
     }
 
-    /// The cursor of a stamping loop that has handled every counter through
-    /// `counter`: the first entry above it. The root starts at 0; a warm
-    /// standby resumes the schedule from the counter it inherits.
-    pub(crate) fn cursor_after(&self, counter: u64) -> usize {
-        self.entries.partition_point(|&(c, _)| c <= counter)
-    }
-
     /// The entries due by `counter`, moving `cursor` past them. Ask for
-    /// every counter in increasing order, from where the cursor was made.
+    /// every counter in increasing order.
     #[inline]
     pub(crate) fn due(&self, cursor: &mut usize, counter: u64) -> impl Iterator<Item = &T> {
         let start = *cursor;
@@ -136,8 +129,8 @@ pub struct ChainPlan {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// True when the plan kills an instance or the root: the XOR delete
-    /// ledger then bounds the replay re-delivery windows.
+    /// True when the plan kills an instance: the XOR delete ledger then
+    /// bounds the replay re-delivery windows. A root kill replays nothing.
     pub(crate) xor_ledger: bool,
     pub(crate) topo: Vec<VertexId>,
     pub(crate) entries: Vec<VertexId>,
@@ -186,6 +179,8 @@ pub struct ChainPlan {
     /// watermark covering it: while the supervisor runs, the store's replay
     /// floor stays below the drill (`min(reinject) − 1`).
     pub(crate) floor_cap: u64,
+    /// The planned root crash: the root dies just before stamping this
+    /// counter. It is the plan's only fault.
     pub(crate) root_kill: Option<u64>,
 }
 
@@ -291,7 +286,7 @@ impl ChainPlan {
             batch,
             depth: rt.queue_depth.max(batch * 2),
             fault_mode,
-            xor_ledger: !fault.kills.is_empty() || fault.root_kill.is_some(),
+            xor_ledger: !fault.kills.is_empty(),
             topo,
             entries,
             splitters,
@@ -370,11 +365,17 @@ fn validate_kills(
         }
         killed.push((slot, *kill));
     }
+    // A new root resumes above counters the dead one never stamped, so a
+    // fault keyed on one of them would never fire.
+    let others = fault.kills.len() + fault.shard_faults.len() + fault.reinject.len();
     match fault.root_kill {
         Some(at_counter) if outside(at_counter, trace_len) => Err(RuntimeError::KillOutsideTrace {
             at_counter,
             trace_len,
         }),
+        Some(at_counter) if others > 0 => {
+            Err(RuntimeError::RootKillNotAlone { at_counter, others })
+        }
         _ => Ok(killed),
     }
 }
@@ -525,11 +526,11 @@ pub(crate) mod tests {
         assert_eq!(tail.log_scopes, [root_row(), (NAT, vec![2, 3])]);
         assert!(tail.instances[2].core.exit() && !tail.instances[1].core.exit());
 
-        // Root: nothing to replay into, but the ledger is still needed.
+        // Root: nothing to replay into and no ledger to keep.
         let root = plan(FaultPlan::new().kill_root(500));
         assert!(root.replay_sources.is_empty() && root.seeds.is_empty());
         assert_eq!(root.root_kill, Some(500));
-        assert!(root.xor_ledger && root.fault_mode);
+        assert!(!root.xor_ledger && root.fault_mode);
         assert_eq!(root.log_scopes, [root_row()]);
 
         // No plan, no fault machinery.
@@ -574,7 +575,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_root_reads_its_schedule_through_a_cursor_and_a_standby_resumes_it() {
+    fn the_root_reads_its_schedule_through_a_cursor() {
         let fault = FaultPlan::new()
             .restart_shard(2, 600, Some(300))
             .restart_shard(0, 400, Some(300))
@@ -583,21 +584,16 @@ pub(crate) mod tests {
         let p = plan(fault);
         let drill: Vec<u64> = p.reinject.counters().collect();
         assert_eq!(drill, [7, 40, 90], "sorted, each counter once");
-        // What a stamping loop from `start` sees at each counter it injects.
-        let walk = |schedule: &ShardSchedule, start: u64| -> Vec<(u64, usize)> {
-            let mut cursor = schedule.cursor_after(start);
-            (start + 1..=1_000)
+        // What the stamping loop sees at each counter it injects.
+        let walk = |schedule: &ShardSchedule| -> Vec<(u64, usize)> {
+            let mut cursor = 0;
+            (1..=1_000)
                 .flat_map(|c| schedule.due(&mut cursor, c).map(move |&s| (c, s)))
                 .collect()
         };
         // Entries at one counter keep plan order.
-        assert_eq!(walk(&p.shard_checkpoints, 0), [(300, 2), (300, 0)]);
-        assert_eq!(walk(&p.shard_restarts, 0), [(400, 0), (400, 1), (600, 2)]);
-        // A standby that inherits counter 399 runs the restarts at 400 (the
-        // root died before it handled them) and nothing already done.
-        assert_eq!(walk(&p.shard_restarts, 399), [(400, 0), (400, 1), (600, 2)]);
-        assert_eq!(walk(&p.shard_restarts, 400), [(600, 2)]);
-        assert!(walk(&p.shard_checkpoints, 300).is_empty());
+        assert_eq!(walk(&p.shard_checkpoints), [(300, 2), (300, 0)]);
+        assert_eq!(walk(&p.shard_restarts), [(400, 0), (400, 1), (600, 2)]);
     }
 
     #[test]

@@ -1,298 +1,250 @@
-//! The root: stamps logical clocks in trace order, logs and injects, and
-//! executes the shard faults keyed on its counter. The calling thread runs
-//! it ([`run_root`]); when the plan kills the root, a pre-spawned warm
-//! standby ([`run_standby`]) inherits the live rings and the counter.
+//! The root: stamps logical clocks in trace order through
+//! [`chc_core::RootCore`], logs and injects, and executes the shard faults
+//! keyed on its counter. The calling thread runs it ([`run_root`]). When the
+//! plan kills the root, the same thread then builds a new root from what a
+//! crashed root leaves behind (§5.4) and finishes the trace with it.
+//! Nothing else of the dead root is handed on.
 
-use crate::config::ScaleEvent;
 use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};
-use crate::plan::{ChainPlan, CounterSchedule, ShardSchedule};
+use crate::plan::ChainPlan;
+use crate::spsc::Producer;
 use crate::wiring::{links_mut, Downstream, OutLink};
-use chc_core::root::ROOT_VERTEX;
-use chc_core::{TaggedPacket, STANDBY_ROOT_ID};
-use chc_packet::{flow_sampled, Trace, TraceTag};
-use chc_store::Clock;
+use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
+use chc_core::{PacketLog, RootCore, TaggedPacket};
+use chc_packet::{flow_sampled, Packet, PacketId, Trace, TraceTag};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
-/// Everything the stamping loop reads, shared between the root (the calling
-/// thread) and the warm standby that takes over if the plan kills the root.
-#[derive(Clone, Copy)]
-pub(crate) struct RootShared<'a> {
-    trace: &'a Trace,
-    shared: &'a EngineShared,
-    scale: Option<ScaleEvent>,
-    reinject: &'a CounterSchedule<()>,
-    shard_checkpoints: &'a ShardSchedule,
-    shard_restarts: &'a ShardSchedule,
-    /// The planned root fail-stop point, if any.
-    root_kill: Option<u64>,
-    /// Raised (Release) by whichever thread finishes injection; the
-    /// supervisor waits on it before winding down.
-    pub(crate) done_injecting: &'a AtomicBool,
-    /// Only the original root records Inject trace spans: the Root trace
-    /// lane is single-writer, and the standby resumes after the dead root's
-    /// last span.
-    inject_spans: bool,
-}
-
-impl<'a> RootShared<'a> {
-    pub(crate) fn new(
-        trace: &'a Trace,
-        plan: &'a ChainPlan,
-        shared: &'a EngineShared,
-        done_injecting: &'a AtomicBool,
-    ) -> RootShared<'a> {
-        RootShared {
-            trace,
-            shared,
-            scale: plan.scale,
-            reinject: &plan.reinject,
-            shard_checkpoints: &plan.shard_checkpoints,
-            shard_restarts: &plan.shard_restarts,
-            root_kill: plan.root_kill,
-            done_injecting,
-            inject_spans: true,
-        }
-    }
-}
-
-/// The injection state handed from the dead root to the warm standby: the
-/// live output rings (one fan-out per entry vertex), the re-injection
-/// buffer, and the clock counter the standby shadows — injection resumes
-/// exactly where the root died.
-pub(crate) struct RootIo {
-    outs: Vec<Downstream>,
-    reinject_buf: Vec<TaggedPacket>,
-    counter: u64,
-}
-
-/// What a stamping thread — the root, or the standby after a takeover —
-/// hands back when it stops.
+/// What the root hands back when injection is finished.
 #[derive(Default)]
 pub(crate) struct Injection {
-    /// The last clock counter stamped.
-    pub(crate) counter: u64,
+    /// Packets stamped, by a killed root and its successor together.
+    pub(crate) stamped: u64,
+    /// The last clock counter stamped, the highest: a new root resumes
+    /// above every counter the dead one stamped.
+    pub(crate) last_counter: u64,
     pub(crate) reinjected: u64,
     pub(crate) shard_recoveries: Vec<ShardRecovery>,
-    /// Set by the standby when it took over.
+    /// Set when the plan killed the root and a new one took over.
     pub(crate) takeover: Option<RootTakeover>,
 }
 
-/// Body of the root, on the calling thread: inject the trace over `outs`,
-/// then either finish (re-injection drill, close the rings, raise
-/// `done_injecting`) or — at the planned root kill — fail-stop and hand the
-/// live rings to the standby through `standby_tx`.
-pub(crate) fn run_root(
-    ctx: &RootShared<'_>,
+/// The trace packets not yet stamped. The input stream is outside the root,
+/// so it survives a root crash.
+type Input<'a> = std::slice::Iter<'a, Packet>;
+
+/// The producer ends of the root's rings, one list per entry vertex: what
+/// survives a root crash as network.
+type Rings = Vec<Vec<Producer<TaggedPacket>>>;
+
+/// What a root process holds: its clock, its output rings (one fan-out per
+/// entry vertex, with the unflushed batches) and the re-injection drill's
+/// saved packets. All of it dies with the root but the rings.
+struct Root {
+    core: RootCore,
     outs: Vec<Downstream>,
-    standby_tx: mpsc::Sender<RootIo>,
+    drill: Vec<TaggedPacket>,
+}
+
+/// Body of the root, on the calling thread: inject `trace` over `outs`. At
+/// the planned root kill the root crashes and a new root takes over; then
+/// the re-injection drill runs and the rings close.
+pub(crate) fn run_root(
+    trace: &Trace,
+    plan: &ChainPlan,
+    shared: &EngineShared,
+    outs: Vec<Downstream>,
 ) -> Injection {
-    let mut io = RootIo {
-        outs,
-        reinject_buf: Vec::new(),
-        counter: 0,
-    };
+    let mut input = trace.packets.iter();
     let mut out = Injection::default();
-    run_root_injection(ctx, &mut io, ctx.root_kill, &mut out.shard_recoveries);
-    out.counter = io.counter;
-    if let Some(kill_at) = ctx.root_kill {
-        // Fail-stop: the root dies just before injecting `kill_at`. Its
-        // unflushed output buffers die with it (what a crashed process
-        // loses); the live rings themselves survive, exactly like packets in
-        // the network, and the warm standby inherits them together with the
-        // shadowed counter.
-        ctx.shared.telemetry.event(EventKind::RootKilled {
-            at_counter: kill_at,
+    let recoveries = &mut out.shard_recoveries;
+    let mut root = Root {
+        core: RootCore::new(0),
+        outs,
+        drill: Vec::new(),
+    };
+    root.inject(plan, shared, &mut input, plan.root_kill, recoveries);
+    if let Some(killed_at) = plan.root_kill {
+        let started = Instant::now();
+        let telemetry = &shared.telemetry;
+        let (rings, lost) = root.crash();
+        telemetry.event(EventKind::RootKilled {
+            at_counter: killed_at,
         });
-        ctx.shared.fail_stopped.store(true, Ordering::Relaxed);
-        links_mut(&mut io.outs).for_each(|link| link.buf.clear());
-        standby_tx
-            .send(io)
-            .expect("standby thread holds the receiver");
-    } else {
-        out.reinjected = finish_injection(ctx, &mut io);
-        drop(io);
-        ctx.done_injecting.store(true, Ordering::Release);
+        root = Root::take_over(plan, shared, rings);
+        let resumed_at = root.core.counter() + 1;
+        let packets_lost = lost.len() as u64;
+        telemetry.event(EventKind::RootTakeover {
+            resumed_at,
+            packets_lost,
+        });
+        out.takeover = Some(RootTakeover {
+            killed_at,
+            resumed_at,
+            lost,
+            recovery_wall: started.elapsed(),
+        });
+        root.inject(plan, shared, &mut input, None, recoveries);
     }
+    out.reinjected = root.finish(shared.batch);
+    out.stamped = (trace.len() - input.len()) as u64;
+    out.last_counter = root.core.counter();
     out
 }
 
-/// Body of the warm standby. Pre-spawned before injection starts: it blocks
-/// on the handover channel, shadowing the root's clock counter, and wakes
-/// only if the plan fail-stops the root mid-trace. It then replays the
-/// unconfirmed suffix of the root log, resumes injection at exactly the
-/// killed counter and finishes it. Returns `None` if the root never died.
-pub(crate) fn run_standby(
-    root_ctx: RootShared<'_>,
-    handover: mpsc::Receiver<RootIo>,
-    killed_at: u64,
-) -> Option<Injection> {
-    // An unsignalled channel drop means the root never died (cannot happen
-    // with a validated root kill).
-    let mut io = handover.recv().ok()?;
-    let started = Instant::now();
-    // The Root trace lane is single-writer; the standby skips Inject spans
-    // rather than interleave with the dead root's lane.
-    let ctx = RootShared {
-        inject_spans: false,
-        ..root_ctx
-    };
-    let telemetry = &ctx.shared.telemetry;
-    // Replay the unconfirmed suffix of the root log through the inherited
-    // live rings, marked as standby replay. Replayed counters all sit below
-    // the resume point, so per-ring watermarks stay monotone; entry
-    // seen-sets and the sink's replay window absorb the copies the chain
-    // already has — only the packets that died in the root's buffers flow
-    // through for the first time. The snapshot is filtered before anything
-    // is routed, so the ledger is never locked across a push.
-    let mut snapshot = ctx.shared.logs.snapshot(&[ROOT_VERTEX]);
-    if let Some(ledger) = ctx.shared.ledger() {
-        snapshot.retain(|tp| !ledger.confirmed(tp.clock.counter()));
+impl Root {
+    /// Stamp and inject from `input`, stopping — without stamping — just
+    /// before the counter `stop_before`, the planned root fail-stop point.
+    fn inject(
+        &mut self,
+        plan: &ChainPlan,
+        shared: &EngineShared,
+        input: &mut Input<'_>,
+        stop_before: Option<u64>,
+        shard_recoveries: &mut Vec<ShardRecovery>,
+    ) {
+        let telemetry = &shared.telemetry;
+        let trace_ppm = telemetry.config.trace_sample_ppm;
+        // Only a fault plan pays for persisting the clock, as for the log.
+        let store = shared.fault_mode.then_some(&*shared.server);
+        // The fault schedule is read in counter order. A plan that kills the
+        // root schedules nothing else, so a new root's schedule is empty.
+        let (mut checkpoints, mut restarts, mut drill) = (0, 0, 0);
+        loop {
+            let next = self.core.counter() + 1;
+            if stop_before == Some(next) {
+                return;
+            }
+            let Some(pkt) = input.next() else { return };
+            if shared.fault_mode {
+                for &s in plan.shard_checkpoints.due(&mut checkpoints, next) {
+                    shared.server.checkpoint_shard(s);
+                }
+                for &s in plan.shard_restarts.due(&mut restarts, next) {
+                    let started = Instant::now();
+                    let stats = shared.server.restart_shard(s);
+                    telemetry.event(EventKind::ShardRestart {
+                        shard: s as u32,
+                        ops_replayed: stats.replayed_ops as u64,
+                    });
+                    shard_recoveries.push(ShardRecovery {
+                        shard: s,
+                        at_counter: next,
+                        restored_from_checkpoint: stats.restored_from_checkpoint,
+                        replayed_ops: stats.replayed_ops,
+                        recovery_wall: started.elapsed(),
+                    });
+                }
+            }
+            let clock = self.core.stamp(store);
+            let counter = clock.counter();
+            if let Some(scale) = plan.scale {
+                if counter == scale.first_counter {
+                    telemetry.event(EventKind::ScaleCut {
+                        vertex: scale.vertex.0,
+                        at_counter: counter,
+                    });
+                }
+            }
+            let mut tp = TaggedPacket::new(pkt.clone(), clock);
+            // Flow-sampled causal tracing: tag before the packet-log insert so
+            // replayed copies carry the tag too.
+            if telemetry.tracer.is_some() && flow_sampled(pkt.flow_key(), trace_ppm) {
+                tp.trace = Some(TraceTag::new(counter));
+            }
+            // Span epoch of a timed packet: the root "lets go" of it at
+            // injection. Stamped before the log insert too, so a replayed copy
+            // still measures from the original injection.
+            if tp.is_timed() {
+                let now_ns = telemetry.now_ns();
+                tp.inject_ns = now_ns;
+                tp.hop_ns = now_ns;
+                if tp.trace.is_some() {
+                    telemetry.trace_span(SpanEvent {
+                        trace_id: counter,
+                        lane: TraceLane::Root,
+                        kind: SpanKind::Inject,
+                        t_ns: now_ns,
+                        dur_ns: 0,
+                    });
+                }
+            }
+            if shared.fault_mode {
+                // The drill's cursor moves past `counter` whether or not the log
+                // takes the packet: a rejected packet is never re-injected.
+                let drilled = plan.reinject.due(&mut drill, counter).next().is_some();
+                let log = shared.logs.log(ROOT_VERTEX);
+                if !log.is_some_and(|mut log| log.insert(tp.clone())) {
+                    // Buffer-bloat guard (§5): a full log rejects the packet
+                    // instead of queueing without bound.
+                    continue;
+                }
+                if drilled {
+                    self.drill.push(tp.clone());
+                }
+            }
+            self.route(&tp, shared.batch);
+        }
     }
-    let mut replayed = 0u64;
-    for mut tp in snapshot {
-        tp.replay_for = Some(STANDBY_ROOT_ID);
-        route_to_entries(&ctx, &mut io, &tp);
-        replayed += 1;
-        telemetry.replay_progress.inc();
-    }
-    links_mut(&mut io.outs).for_each(OutLink::flush);
-    let resumed_at = io.counter + 1;
-    telemetry.event(EventKind::RootTakeover {
-        resumed_at,
-        packets_replayed: replayed,
-    });
-    let mut out = Injection::default();
-    run_root_injection(&ctx, &mut io, None, &mut out.shard_recoveries);
-    out.reinjected = finish_injection(&ctx, &mut io);
-    ctx.done_injecting.store(true, Ordering::Release);
-    out.counter = io.counter;
-    out.takeover = Some(RootTakeover {
-        killed_at,
-        resumed_at,
-        packets_replayed: replayed,
-        recovery_wall: started.elapsed(),
-    });
-    Some(out)
-}
 
-/// Stamp and inject the trace from `io.counter` onward, stopping — without
-/// injecting — just before `stop_before`, the planned root fail-stop point.
-fn run_root_injection(
-    ctx: &RootShared<'_>,
-    io: &mut RootIo,
-    stop_before: Option<u64>,
-    shard_recoveries: &mut Vec<ShardRecovery>,
-) {
-    let shared = ctx.shared;
-    let telemetry = &shared.telemetry;
-    let trace_ppm = telemetry.config.trace_sample_ppm;
-    // The fault schedule is read in counter order, from where this loop
-    // resumes: 0 for the root, the inherited counter for the standby.
-    let mut checkpoints = ctx.shard_checkpoints.cursor_after(io.counter);
-    let mut restarts = ctx.shard_restarts.cursor_after(io.counter);
-    let mut drill = ctx.reinject.cursor_after(io.counter);
-    for pkt in ctx.trace.iter().skip(io.counter as usize) {
-        let next = io.counter + 1;
-        if stop_before == Some(next) {
-            return;
+    /// Route one stamped packet to the entry instances through the rings.
+    fn route(&mut self, tp: &TaggedPacket, batch: usize) {
+        for entry in &mut self.outs {
+            entry.route(tp, batch);
         }
-        if shared.fault_mode {
-            for &s in ctx.shard_checkpoints.due(&mut checkpoints, next) {
-                shared.server.checkpoint_shard(s);
-            }
-            for &s in ctx.shard_restarts.due(&mut restarts, next) {
-                let started = Instant::now();
-                let stats = shared.server.restart_shard(s);
-                telemetry.event(EventKind::ShardRestart {
-                    shard: s as u32,
-                    ops_replayed: stats.replayed_ops as u64,
-                });
-                shard_recoveries.push(ShardRecovery {
-                    shard: s,
-                    at_counter: next,
-                    restored_from_checkpoint: stats.restored_from_checkpoint,
-                    replayed_ops: stats.replayed_ops,
-                    recovery_wall: started.elapsed(),
-                });
-            }
-        }
-        io.counter += 1;
-        let counter = io.counter;
-        if let Some(scale) = ctx.scale {
-            if counter == scale.first_counter {
-                telemetry.event(EventKind::ScaleCut {
-                    vertex: scale.vertex.0,
-                    at_counter: counter,
-                });
-            }
-        }
-        let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, counter));
-        // Flow-sampled causal tracing: tag before the packet-log insert so
-        // replayed copies carry the tag too.
-        if telemetry.tracer.is_some() && flow_sampled(pkt.flow_key(), trace_ppm) {
-            tp.trace = Some(TraceTag::new(counter));
-        }
-        // Span epoch of a timed packet: the root "lets go" of it at
-        // injection. Stamped before the log insert too, so a replayed copy
-        // still measures from the original injection.
-        if tp.is_timed() {
-            let now_ns = telemetry.now_ns();
-            tp.inject_ns = now_ns;
-            tp.hop_ns = now_ns;
-            if tp.trace.is_some() && ctx.inject_spans {
-                telemetry.trace_span(SpanEvent {
-                    trace_id: counter,
-                    lane: TraceLane::Root,
-                    kind: SpanKind::Inject,
-                    t_ns: now_ns,
-                    dur_ns: 0,
-                });
-            }
-        }
-        if shared.fault_mode {
-            // The drill's cursor moves past `counter` whether or not the log
-            // takes the packet: a rejected packet is never re-injected.
-            let drilled = ctx.reinject.due(&mut drill, counter).next().is_some();
-            let log = shared.logs.log(ROOT_VERTEX);
-            if !log.is_some_and(|mut log| log.insert(tp.clone())) {
-                // Buffer-bloat guard (§5): a full log rejects the packet
-                // instead of queueing without bound.
-                continue;
-            }
-            if drilled {
-                io.reinject_buf.push(tp.clone());
-            }
-        }
-        route_to_entries(ctx, io, &tp);
     }
-}
 
-/// Route one stamped packet to the entry instances through the live rings.
-fn route_to_entries(ctx: &RootShared<'_>, io: &mut RootIo, tp: &TaggedPacket) {
-    for entry in &mut io.outs {
-        entry.route(tp, ctx.shared.batch);
+    /// Crash: the clock, the drill buffer and the unflushed output batches
+    /// die with the root (its packet log too, which the new root clears).
+    /// The packets in those batches are lost, like network drops; their ids
+    /// come back, once each, with the rings, which survive as network.
+    fn crash(mut self) -> (Rings, Vec<PacketId>) {
+        let unflushed = links_mut(&mut self.outs).flat_map(|link| link.buf.drain(..));
+        let mut lost: Vec<PacketId> = unflushed.map(|tp| tp.packet.id).collect();
+        lost.sort_unstable();
+        lost.dedup();
+        let producers = |entry: Downstream| entry.links.into_iter().map(|l| l.producer).collect();
+        (self.outs.into_iter().map(producers).collect(), lost)
     }
-}
 
-/// Re-injection drill (saved logged packets sent a second time, unmarked:
-/// downstream queue suppression or the sink's duplicate accounting must
-/// absorb them) plus the final flush/close of the live rings. Run by
-/// whichever thread finishes injection — the root on a healthy run, the
-/// standby after a takeover. Returns the number of re-injected packets.
-fn finish_injection(ctx: &RootShared<'_>, io: &mut RootIo) -> u64 {
-    let mut reinjected = 0u64;
-    let buffered: Vec<TaggedPacket> = io.reinject_buf.drain(..).collect();
-    for tp in buffered {
-        route_to_entries(ctx, io, &tp);
-        reinjected += 1;
+    /// A new root, built from what survives a root crash (§5.4) and nothing
+    /// else: its clock from the store ([`RootCore::recovered`]), and the
+    /// rings, put behind the plan's splitters (§7.3's flow-allocation query).
+    /// The dead root's log died with it, so the root's log row starts empty.
+    fn take_over(plan: &ChainPlan, shared: &EngineShared, rings: Rings) -> Root {
+        if let Some(mut log) = shared.logs.log(ROOT_VERTEX) {
+            *log = PacketLog::new(ROOT_LOG_CAPACITY);
+        }
+        let sentinel = &shared.telemetry.sentinel;
+        let outs = (plan.entries.iter().zip(rings))
+            .map(|(entry, producers)| Downstream {
+                splitter: plan.splitters[entry].clone(),
+                links: (producers.into_iter())
+                    .map(|p| OutLink::new(p, shared.batch, sentinel.clone()))
+                    .collect(),
+            })
+            .collect();
+        Root {
+            core: RootCore::recovered(0, &shared.server),
+            outs,
+            drill: Vec::new(),
+        }
     }
-    for link in links_mut(&mut io.outs) {
-        link.flush();
-        link.producer.close();
+
+    /// Re-injection drill (saved logged packets sent a second time, unmarked:
+    /// downstream queue suppression or the sink's duplicate accounting must
+    /// absorb them) plus the final flush and close of the rings. Returns the
+    /// number of re-injected packets.
+    fn finish(&mut self, batch: usize) -> u64 {
+        let drill = std::mem::take(&mut self.drill);
+        for tp in &drill {
+            self.route(tp, batch);
+        }
+        for link in links_mut(&mut self.outs) {
+            link.flush();
+            link.producer.close();
+        }
+        drill.len() as u64
     }
-    reinjected
 }

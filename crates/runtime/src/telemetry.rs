@@ -457,14 +457,16 @@ pub(crate) fn run_monitor(
 /// to return: the whole-run invariants that only close at shutdown —
 /// failover completion, packet conservation, exactly-once delivery, the
 /// dedup-log bound and the packet-log bounds. `sink_arrivals` counts every
-/// copy the sink popped (duplicates included); `frontier` is the final
-/// commit frontier (0 outside fault mode). Returns the sentinel section of the
-/// report, or `None` when the sentinel was off.
+/// copy the sink popped (duplicates included); `last_counter` is the last
+/// clock counter stamped, the highest (above `run.injected` once a new root
+/// resumed past a crashed one); `frontier` is the final commit frontier (0
+/// outside fault mode). Returns the sentinel section of the report, or
+/// `None` when the sentinel was off.
 pub(crate) fn finalize_sentinel(
     shared: &EngineShared,
     run: &RuntimeReport,
     sink_arrivals: u64,
-    frontier: u64,
+    (last_counter, frontier): (u64, u64),
 ) -> Option<SentinelReport> {
     let telemetry = &shared.telemetry;
     let state = telemetry.sentinel.as_ref()?;
@@ -493,9 +495,9 @@ pub(crate) fn finalize_sentinel(
     check_failover_completion(state, &violation);
     check_conservation(&out, &violation);
     check_exactly_once(run, &violation);
-    check_dedup_log_bound(&shared.server, run.injected, &violation);
+    check_dedup_log_bound(&shared.server, last_counter, &violation);
     if let Some(fault) = &run.fault {
-        check_packet_log_bounds(shared, fault, (run.injected, frontier), &violation);
+        check_packet_log_bounds(shared, fault, (last_counter, frontier), &violation);
     }
 
     let checker = state.checker.lock().unwrap_or_else(|e| e.into_inner());
@@ -514,7 +516,7 @@ pub(crate) fn finalize_sentinel(
 type Report<'a> = &'a dyn Fn(InvariantKind, u64, u64, String);
 
 /// Every failover the journal saw begin also ended, and a killed root was
-/// taken over.
+/// followed by a new one.
 fn check_failover_completion(state: &SentinelState, report: Report<'_>) {
     let (unfinished, root_pending) = {
         let guard = state.checker.lock().unwrap_or_else(|e| e.into_inner());
@@ -525,7 +527,7 @@ fn check_failover_completion(state: &SentinelState, report: Report<'_>) {
             InvariantKind::RootHandoff,
             1,
             0,
-            "root was killed but no standby ever took over injection".into(),
+            "root was killed but no new root ever took over injection".into(),
         );
     }
     for (vertex, index) in unfinished {
@@ -589,11 +591,11 @@ fn check_exactly_once(run: &RuntimeReport, report: Report<'_>) {
 /// the updates of the packets from the floor up — none at all on a run
 /// without a fault plan, whose floor starts at the top — and what it pays
 /// for follows the same bound: no shard's window of one root spans more
-/// than the counters from the floor up to the last one injected. Reads the
+/// than the counters from the floor up to the last one stamped. Reads the
 /// log and the floor from `server`, each shard pruned at the floor first.
-fn check_dedup_log_bound(server: &StoreServer, injected: u64, report: Report<'_>) {
+fn check_dedup_log_bound(server: &StoreServer, last_counter: u64, report: Report<'_>) {
     let floor = server.replay_floor();
-    let replayable = (injected + 1).saturating_sub(floor);
+    let replayable = (last_counter + 1).saturating_sub(floor);
     // Most updates one packet ever held per shard log, summed over shards.
     let widest_packet = server.update_log_widest_packet() as u64;
     let dedup_bound = replayable.saturating_mul(widest_packet);
@@ -605,8 +607,8 @@ fn check_dedup_log_bound(server: &StoreServer, injected: u64, report: Report<'_>
             dedup_bound,
             format!(
                 "store dedup log holds {dedup_log_len} updates, above the {replayable} packets \
-                 from replay floor {floor} to injected {injected} x {widest_packet} updates per \
-                 packet"
+                 from replay floor {floor} to counter {last_counter} x {widest_packet} updates \
+                 per packet"
             ),
         );
     }
@@ -618,25 +620,25 @@ fn check_dedup_log_bound(server: &StoreServer, injected: u64, report: Report<'_>
             replayable,
             format!(
                 "a store shard's dedup window spans {widest_span} clock counters, above the \
-                 {replayable} from replay floor {floor} to injected {injected}"
+                 {replayable} from replay floor {floor} to counter {last_counter}"
             ),
         );
     }
 }
 
 /// Fault-mode bounds on the packet logs: the root's log ends no longer than
-/// the unconfirmed suffix past the final frontier; no log of the table —
-/// they share one capacity — ever outgrew it; and every delivered clock's
-/// XOR delete tokens cancelled.
+/// the unconfirmed suffix from the final frontier to the last counter; no
+/// log of the table — they share one capacity — ever outgrew it; and every
+/// delivered clock's XOR delete tokens cancelled.
 fn check_packet_log_bounds(
     shared: &EngineShared,
     fault: &FaultReport,
-    (injected, frontier): (u64, u64),
+    (last_counter, frontier): (u64, u64),
     report: Report<'_>,
 ) {
     let capacity = ROOT_LOG_CAPACITY as u64;
     let final_len = fault.log_final_len as u64;
-    let bound = injected.saturating_sub(frontier);
+    let bound = last_counter.saturating_sub(frontier);
     if final_len > bound {
         report(
             InvariantKind::RootlogBound,
@@ -644,7 +646,7 @@ fn check_packet_log_bounds(
             bound,
             format!(
                 "root log holds {final_len} entries, above the unconfirmed suffix \
-                 injected {injected} - frontier {frontier}"
+                 counter {last_counter} - frontier {frontier}"
             ),
         );
     }
@@ -864,7 +866,7 @@ mod tests {
                 }
             )
         );
-        let report = finalize_sentinel(&shared, &RuntimeReport::default(), 0, 0);
+        let report = finalize_sentinel(&shared, &RuntimeReport::default(), 0, (0, 0));
         let report = report.expect("sentinel on");
         let flagged: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
         assert_eq!(flagged, [InvariantKind::FrontierMonotonic]);

@@ -508,6 +508,22 @@ fn fault_plans_are_validated() {
             trace_len: trace.len()
         })
     );
+    // A root kill is the plan's only fault: the new root skips counters a
+    // kill, a shard fault or the drill may be keyed on.
+    let with_root_kill = [
+        FaultPlan::new().kill(NAT, 0, 10),
+        FaultPlan::new().restart_shard(0, 10, None),
+        FaultPlan::new().reinject([5u64, 6]),
+    ];
+    for (plan, others) in with_root_kill.into_iter().zip([1, 1, 2]) {
+        assert_eq!(
+            plan_with(plan.kill_root(20)),
+            Err(RuntimeError::RootKillNotAlone {
+                at_counter: 20,
+                others
+            })
+        );
+    }
     // End to end, the engine surfaces a plan error unchanged.
     let rt = RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill(FW, 3, 10));
     assert_eq!(
@@ -731,27 +747,52 @@ fn entry_and_tail_single_vertex_kill_recovers() {
 }
 
 #[test]
-fn root_kill_hands_injection_to_the_warm_standby() {
+fn root_kill_loses_only_what_the_dead_root_held() {
     // The root dies above the two-NF chain and above the three-NF one.
     for dag in [firewall_nat(), fw_nat_lb()] {
         root_kill_hands_over(&dag);
     }
 }
 
+/// The crash model of §5.4, checked against the sink's books: the new root
+/// resumes one persist period above the persisted clock; the packets in the
+/// dead root's unflushed output batch (one ring here, so at most batch − 1
+/// of them) are lost, and nothing else is; everything else is delivered
+/// exactly once, as a healthy run over the trace without the lost packets
+/// delivers it. The kill point leaves a partial batch behind, so the crash
+/// does lose packets.
 fn root_kill_hands_over(dag: &LogicalDag) {
     let trace = trace_for(83);
     let kill_at = (trace.len() / 2) as u64;
-    let healthy = run(
-        dag,
-        ChainConfig::default(),
-        RuntimeConfig::with_batch_size(8),
-        &trace,
-    );
+    let batch = 8;
     let faulted = run(
         dag,
         ChainConfig::default(),
-        RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill_root(kill_at)),
+        RuntimeConfig::with_batch_size(batch).with_fault(FaultPlan::new().kill_root(kill_at)),
         &trace,
+    );
+    let takeover = (faulted.fault.as_ref())
+        .expect("fault report missing")
+        .root_takeover
+        .clone()
+        .expect("takeover record missing");
+    assert_eq!(takeover.killed_at, kill_at);
+    assert_eq!(
+        takeover.resumed_at,
+        100 * ((kill_at - 1) / 100) + 101,
+        "the new root resumes at the persisted clock plus one persist period"
+    );
+    assert!(takeover.lost.len() < batch, "lost {:?}", takeover.lost);
+    assert!(!takeover.lost.is_empty(), "kill at {kill_at}: nothing lost");
+    assert!(takeover.recovery_wall.as_nanos() > 0);
+
+    let mut survivors = trace.clone();
+    survivors.packets.retain(|p| !takeover.lost.contains(&p.id));
+    let healthy = run(
+        dag,
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(batch),
+        &survivors,
     );
     assert_eq!(faulted.duplicates, 0);
     assert!(faulted.duplicate_clocks.is_empty());
@@ -759,19 +800,6 @@ fn root_kill_hands_over(dag: &LogicalDag) {
     assert_eq!(sorted_ids(&healthy), sorted_ids(&faulted));
     assert_eq!(healthy.shared_digest(), faulted.shared_digest());
     assert_eq!(faulted.injected, trace.len() as u64, "trace not completed");
-
-    let takeover = faulted
-        .fault
-        .as_ref()
-        .expect("fault report missing")
-        .root_takeover
-        .expect("takeover record missing");
-    assert_eq!(takeover.killed_at, kill_at);
-    assert_eq!(
-        takeover.resumed_at, kill_at,
-        "the standby must resume exactly where the root died"
-    );
-    assert!(takeover.recovery_wall.as_nanos() > 0);
 }
 
 #[test]

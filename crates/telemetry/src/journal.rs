@@ -64,15 +64,13 @@ pub enum EventKind {
     ScaleCut { vertex: u32, at_counter: u64 },
     /// A store shard was restarted and replayed `ops_replayed` journal ops.
     ShardRestart { shard: u32, ops_replayed: u64 },
-    /// The root stamping thread fail-stopped before injecting `at_counter`;
-    /// its unflushed output buffers were dropped with it.
+    /// The root crashed before stamping `at_counter`; its unflushed output
+    /// buffers were lost with it.
     RootKilled { at_counter: u64 },
-    /// The warm standby took over injection: it replayed `packets_replayed`
-    /// unconfirmed logged packets and resumed stamping at `resumed_at`.
-    RootTakeover {
-        resumed_at: u64,
-        packets_replayed: u64,
-    },
+    /// A new root took over injection: it resumed stamping at `resumed_at`,
+    /// above the persisted clock, after the crash lost `packets_lost`
+    /// packets.
+    RootTakeover { resumed_at: u64, packets_lost: u64 },
     /// A failover was abandoned mid-flight (replay ring stalled because the
     /// replacement stopped draining, or no replacement seed existed for the
     /// failed slot). The run continues degraded instead of hanging; the
@@ -218,11 +216,11 @@ impl Event {
             }
             EventKind::RootTakeover {
                 resumed_at,
-                packets_replayed,
+                packets_lost,
             } => {
                 let _ = write!(
                     s,
-                    ",\"resumed_at\":{resumed_at},\"packets_replayed\":{packets_replayed}"
+                    ",\"resumed_at\":{resumed_at},\"packets_lost\":{packets_lost}"
                 );
             }
             EventKind::InvariantViolation {

@@ -29,9 +29,10 @@
 //!   begin → replacement spawned → replay complete → failover end (§5.4,
 //!   "NF instance" recovery protocol). An explicit `failover_abort`
 //!   discharges the slot (degraded by design, not a hang).
-//! * **Root handoff** — a killed root is taken over by exactly one warm
-//!   standby: no takeover without a kill, no double kill, no kill left
-//!   without a takeover at shutdown (§5.4, "root" recovery).
+//! * **Root handoff** — a killed root is followed by exactly one new root,
+//!   which resumes at or above the counter the dead one was killed at: no
+//!   takeover without a kill, no double kill, no resume below the kill, no
+//!   kill left without a takeover at shutdown (§5.4, "root" recovery).
 //! * **XOR residue** — every delivered clock's delete-token accumulator
 //!   cancels to zero: each token a logging vertex folded in was folded back
 //!   out by the sink (Figure 6's commit vector closes).
@@ -62,9 +63,9 @@ pub enum InvariantKind {
     RootlogBound,
     /// Failover phases out of order.
     FailoverPhase,
-    /// Root kill / standby takeover protocol broken: a takeover without a
-    /// prior root kill, a double kill, or a killed root no standby ever
-    /// took over for.
+    /// Root kill / takeover protocol broken: a takeover without a prior root
+    /// kill, a takeover that resumes below the killed counter, a double
+    /// kill, or a killed root no new root ever took over for.
     RootHandoff,
     /// The XOR delete ledger finished with a delivered counter whose token
     /// residue never cancelled (a delete token folded in but not back out,
@@ -164,7 +165,8 @@ enum FailoverPhase {
 pub struct Sentinel {
     last_frontier: u64,
     phases: HashMap<(u32, u32), FailoverPhase>,
-    root_killed: bool,
+    /// The counter the root was killed at, once it was.
+    root_killed_at: Option<u64>,
     root_recovered: bool,
     /// Events observed.
     pub events_checked: u64,
@@ -240,7 +242,7 @@ impl Sentinel {
                 ));
             }
             EventKind::RootKilled { at_counter } => {
-                if self.root_killed {
+                if self.root_killed_at.is_some() {
                     out.push(Violation {
                         invariant: InvariantKind::RootHandoff,
                         t_ns,
@@ -249,17 +251,30 @@ impl Sentinel {
                         detail: "second root_killed — the root can only fail-stop once".into(),
                     });
                 }
-                self.root_killed = true;
+                self.root_killed_at = Some(at_counter);
             }
             EventKind::RootTakeover { resumed_at, .. } => {
-                if !self.root_killed {
-                    out.push(Violation {
+                match self.root_killed_at {
+                    None => out.push(Violation {
                         invariant: InvariantKind::RootHandoff,
                         t_ns,
                         observed: resumed_at,
                         expected: 0,
                         detail: "root_takeover without a preceding root_killed".into(),
-                    });
+                    }),
+                    // Below the kill, the new root would reuse a clock the
+                    // dead one may have handed out.
+                    Some(killed_at) if resumed_at < killed_at => out.push(Violation {
+                        invariant: InvariantKind::RootHandoff,
+                        t_ns,
+                        observed: resumed_at,
+                        expected: killed_at,
+                        detail: format!(
+                            "root_takeover resumed at {resumed_at}, below the killed counter \
+                             {killed_at}"
+                        ),
+                    }),
+                    Some(_) => {}
                 }
                 self.root_recovered = true;
             }
@@ -311,10 +326,10 @@ impl Sentinel {
             .collect()
     }
 
-    /// The root was killed but no standby ever took over (checked at
+    /// The root was killed but no new root ever took over (checked at
     /// shutdown).
     pub fn root_handoff_pending(&self) -> bool {
-        self.root_killed && !self.root_recovered
+        self.root_killed_at.is_some() && !self.root_recovered
     }
 }
 
@@ -619,8 +634,8 @@ mod tests {
             .observe(&ev(
                 1,
                 EventKind::RootTakeover {
-                    resumed_at: 50,
-                    packets_replayed: 12,
+                    resumed_at: 101,
+                    packets_lost: 7,
                 },
             ))
             .is_empty());
@@ -636,11 +651,41 @@ mod tests {
             0,
             EventKind::RootTakeover {
                 resumed_at: 1,
-                packets_replayed: 0,
+                packets_lost: 0,
             },
         ));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, InvariantKind::RootHandoff);
+    }
+
+    #[test]
+    fn a_takeover_below_the_killed_counter_is_a_violation() {
+        // A forged journal: the root died before stamping 250, and the new
+        // root claims to resume at 200, reusing clocks the dead one stamped.
+        let mut s = Sentinel::new();
+        assert!(s
+            .observe(&ev(0, EventKind::RootKilled { at_counter: 250 }))
+            .is_empty());
+        let v = s.observe(&ev(
+            1,
+            EventKind::RootTakeover {
+                resumed_at: 200,
+                packets_lost: 3,
+            },
+        ));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, InvariantKind::RootHandoff);
+        assert_eq!((v[0].observed, v[0].expected), (200, 250));
+        // It still answers the kill: nothing is pending at shutdown.
+        assert!(!s.root_handoff_pending());
+        // Resuming exactly at the killed counter is allowed.
+        let mut s = Sentinel::new();
+        s.observe(&ev(0, EventKind::RootKilled { at_counter: 201 }));
+        let resumed = EventKind::RootTakeover {
+            resumed_at: 201,
+            packets_lost: 0,
+        };
+        assert!(s.observe(&ev(1, resumed)).is_empty());
     }
 
     #[test]

@@ -253,16 +253,18 @@ fn runtime_matches_simulator_across_instance_failure_and_recovery() {
 }
 
 /// The failure matrix: a seeded kill at **every chain position** — entry,
-/// mid-chain, tail, and the root stamping thread itself — must converge the
-/// real-thread engine to the simulator's observables for the same trace,
-/// with zero sentinel violations.
+/// mid-chain, tail, and the root itself — must converge the real-thread
+/// engine to the simulator's observables, with zero sentinel violations.
 ///
 /// The simulator absorbs any single instance failure into the failure-free
 /// observables (that is its R1 property, asserted by its own tier-1 tests),
-/// so a healthy simulator run is the yardstick for every position; the
-/// entry column is additionally checked against a simulator run that
-/// executes the same seeded kill (see
-/// `runtime_matches_simulator_across_instance_failure_and_recovery`).
+/// so a healthy simulator run of the same trace is the yardstick for every
+/// instance position; the entry column is additionally checked against a
+/// simulator run that executes the same seeded kill (see
+/// `runtime_matches_simulator_across_instance_failure_and_recovery`). A
+/// root crash loses, by §5.4, the packets in the dead root's unflushed
+/// output batch, so the root column's yardstick is a healthy simulator run
+/// of the trace without them.
 #[test]
 fn runtime_failure_matrix_matches_simulator_at_every_position() {
     const MID_VERTEX: VertexId = VertexId(2);
@@ -285,6 +287,8 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
         ])
     };
 
+    // Root crashes that lost at least one packet.
+    let mut lossy_root_kills = 0;
     for seed in [7u64, 19, 37] {
         let trace = trace_for(seed);
         let len = trace.len();
@@ -341,9 +345,34 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 "seed {seed} {position}: failover aborted: {:?}",
                 fault.aborts
             );
-            if let Some(killed_at) = plan.root_kill {
-                let takeover = fault.root_takeover.expect("takeover record");
+            // The yardstick: the healthy simulator run, or for a root crash
+            // the healthy simulator run without the packets it lost.
+            let (sim_ids, sim_state) = if let Some(killed_at) = plan.root_kill {
+                let takeover = fault.root_takeover.as_ref().expect("takeover record");
                 assert_eq!(takeover.killed_at, killed_at);
+                assert_eq!(
+                    takeover.resumed_at,
+                    100 * ((killed_at - 1) / 100) + 101,
+                    "seed {seed} {position}: resumed off the persisted clock"
+                );
+                // One root ring (a single firewall) at batch 16.
+                assert!(
+                    takeover.lost.len() < 16,
+                    "seed {seed} {position}: lost {:?}",
+                    takeover.lost
+                );
+                assert_eq!(report.injected, len as u64, "seed {seed} {position}");
+                lossy_root_kills += usize::from(!takeover.lost.is_empty());
+                let mut survivors = trace.clone();
+                survivors.packets.retain(|p| !takeover.lost.contains(&p.id));
+                let mut chain =
+                    ChainController::new(matrix_chain(), ChainConfig::default(), seed).unwrap();
+                chain.inject_trace(&survivors);
+                chain.run();
+                assert_eq!(chain.metrics().sink_duplicates, 0);
+                let mut ids = chain.delivered_ids();
+                ids.sort_unstable();
+                (ids, sim_digest(chain.store.dump()))
             } else {
                 assert_eq!(
                     fault.recoveries.len(),
@@ -351,7 +380,8 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                     "seed {seed} {position}: failover did not run"
                 );
                 assert!(fault.recoveries[0].packets_replayed > 0);
-            }
+                (sim_ids.clone(), sim_state.clone())
+            };
             let mut ids = report.delivered_ids.clone();
             ids.sort_unstable();
             assert_eq!(
@@ -365,6 +395,7 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             );
         }
     }
+    assert!(lossy_root_kills > 0, "no root crash lost a packet");
 }
 
 /// The write-behind store fast path is an amortization, not a semantic
