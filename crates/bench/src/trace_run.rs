@@ -76,8 +76,8 @@ fn position_plan(position: &str, trace_len: usize) -> FaultPlan {
 pub struct TraceRunRecord {
     /// Packets in the trace.
     pub packets: u64,
-    /// `replay_inject` spans on the supervisor lane — log entries
-    /// re-injected for the replacement (none for a root kill: nothing
+    /// `replay_inject` spans on the replacement's lane — log entries it
+    /// took from its replay snapshot (none for a root kill: nothing
     /// replays what a crashed root loses).
     pub replay_inject_spans: usize,
     /// `service` spans with `replay:1` — replayed packets the replacement
@@ -138,7 +138,7 @@ pub fn runtime_trace_experiment_at(scale: Scale, position: &str) -> (String, Tra
     );
     let _ = writeln!(
         out,
-        "  replay visible in the trace: {} replay_inject spans (supervisor lane), \
+        "  replay visible in the trace: {} replay_inject spans (replacement lane), \
          {} replayed service spans",
         record.replay_inject_spans, record.replay_service_spans
     );
@@ -169,8 +169,8 @@ mod tests {
             assert_eq!(record.invariant_violations, 0, "{position}: sentinel");
             assert!(record.trace_json.contains("\"ph\":\"M\""));
             // A killed vertex's logged packets must reappear as replay
-            // spans: supervisor re-injections, and replayed service at the
-            // replacement. A root kill replays nothing.
+            // spans: the replacement's snapshot takes, and its replayed
+            // service. A root kill replays nothing.
             if position != "root" {
                 assert!(record.replay_inject_spans > 0, "{position}: no replay");
                 assert!(record.replay_service_spans > 0, "{position}");

@@ -15,9 +15,9 @@
 //!    **sink** thread (`sink`: de-duplicates by clock, measures
 //!    root→sink latency on the timed packets), the gauge monitor
 //!    ([`crate::telemetry`]) when sampling is on and, under a fault plan,
-//!    the **supervisor** ([`crate::replay`]); the calling thread is the
-//!    **root** (`root`), stamping logical clocks in trace order and feeding
-//!    the entry vertices;
+//!    the **supervisor** ([`crate::replay`]), which spawns each failover's
+//!    replacement; the calling thread is the **root** (`root`), stamping
+//!    logical clocks in trace order and feeding the entry vertices;
 //! 4. **join** — in the order the threads depend on each other
 //!    (`Running::join`);
 //! 5. **report** — the final log truncation, the shutdown invariant checks
@@ -42,20 +42,21 @@
 //! When [`RuntimeConfig::fault`] schedules failures, the engine additionally
 //! runs the paper's replay/failover machinery on real threads — packet logs
 //! truncated at commit frontiers, duplicate suppression at every input
-//! queue, replacement threads fed through dedicated replay rings, the XOR
-//! delete window for tail kills, and a root crash that loses what §5.4 says
-//! it loses before a new root resumes from the persisted clock; the crate
-//! docs give the overview and [`crate::replay`] the protocol.
+//! queue, replacement threads that replay their own log before they take
+//! live traffic, the XOR delete window for tail kills, and a root crash
+//! that loses what §5.4 says it loses before a new root resumes from the
+//! persisted clock; the crate docs give the overview and [`crate::replay`]
+//! the protocol.
 //!
 //! The healthy path pays none of this: with an empty plan no log is kept,
 //! no watermark is published and no duplicate tracking runs — the store's
 //! replay floor starts at the top, so clocked updates are never logged.
 
 use crate::config::RuntimeConfig;
-use crate::fault::FaultReport;
+use crate::fault::{FailoverAbort, FaultReport};
 use crate::instance::{run_instance, DyingInstance, Inbox, InstanceResult, KillSwitch};
 use crate::plan::{ChainPlan, InstancePlan};
-use crate::replay::{truncate_logs, Replacements, Supervisor, SupervisorOutcome};
+use crate::replay::{truncate_logs, Replacements, Supervisor};
 use crate::report::RuntimeReport;
 use crate::root::{run_root, Injection};
 use crate::sink::{run_sink, SinkResult};
@@ -68,7 +69,7 @@ use chc_packet::Trace;
 use chc_store::{StoreServer, VertexId};
 use chc_telemetry::{EventKind, TelemetrySeries};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
@@ -218,6 +219,14 @@ pub(crate) struct EngineShared {
     /// spawn, then the rings' release/acquire edges — so whoever pops a
     /// packet sent after the fail-stop also sees the flag.
     pub(crate) fail_stopped: AtomicBool,
+    /// Failovers begun whose replacement has not finished its replay. The
+    /// supervisor raises it before the spawn, the replacement lowers it once
+    /// its replay is flushed, and truncation pauses while it is above zero,
+    /// so no XOR sweep takes a delivered entry out of a log between the
+    /// hand-off and the snapshot, or drops the ledger cell that lets a tail
+    /// replacement gate the copy. Updated `AcqRel` and read `Acquire`: a
+    /// pass that reads zero follows every replay that lowered it.
+    pub(crate) replays_running: AtomicUsize,
     /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: RunTelemetry,
     /// The packet logs, one per row of `ChainPlan::log_scopes`: the root's
@@ -276,6 +285,7 @@ impl EngineShared {
             batch: plan.batch,
             fault_mode: plan.fault_mode,
             fail_stopped: AtomicBool::new(false),
+            replays_running: AtomicUsize::new(0),
             telemetry: RunTelemetry::new(rt.telemetry, Instant::now(), plan.topo.iter().copied()),
             logs,
             watermarks: (0..=plan.instances.len())
@@ -337,14 +347,14 @@ struct Running<'scope> {
     sink: ScopedJoinHandle<'scope, SinkResult>,
     monitor: Option<ScopedJoinHandle<'scope, TelemetrySeries>>,
     monitor_stop: Arc<AtomicBool>,
-    supervisor: Option<ScopedJoinHandle<'scope, (SupervisorOutcome, Replacements<'scope>)>>,
+    supervisor: Option<ScopedJoinHandle<'scope, (Vec<FailoverAbort>, Replacements<'scope>)>>,
 }
 
 /// What the joined threads hand to the report.
 struct Joined {
     injection: Injection,
-    /// Present in fault mode.
-    supervisor: Option<SupervisorOutcome>,
+    /// The supervisor's aborted failovers; present in fault mode.
+    aborts: Option<Vec<FailoverAbort>>,
     instances: Vec<InstanceResult>,
     sink: SinkResult,
     series: TelemetrySeries,
@@ -355,7 +365,8 @@ struct Joined {
 ///
 /// Spawn order: each `InstanceSpawn` is journaled here, in slot order,
 /// before that instance's thread starts, so it precedes anything the
-/// instance journals.
+/// instance journals; the supervisor journals each `ReplacementSpawn` the
+/// same way.
 fn spawn<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     plan: &'env ChainPlan,
@@ -401,8 +412,7 @@ fn spawn<'scope, 'env>(
 
     let supervisor = plan.fault_mode.then(|| {
         let supervisor = Supervisor::new(scope, fault_rx, plan, seeds, shared);
-        let replay_outs = wired.replay_outs;
-        scope.spawn(move || supervisor.run(replay_outs, done_injecting))
+        scope.spawn(move || supervisor.run(done_injecting))
     });
 
     let running = Running {
@@ -419,13 +429,12 @@ impl Running<'_> {
     /// Join every thread, given what the root's own injection returned.
     ///
     /// Join order: the root has finished injection and raised
-    /// `done_injecting`, which the supervisor waits on; the supervisor
-    /// closes a vertex's replay rings once its last replay completed, exits
-    /// once every planned kill resolved and closes the rings still open at
-    /// exit (a kill that never fired, a failover that aborted), so it is
-    /// joined before the instances, which drain those rings and exit after
-    /// it; replacements, then the sink, follow their producers; the monitor
-    /// runs until told to stop, after everything it watches has finished.
+    /// `done_injecting`, which the supervisor waits on; it exits once every
+    /// planned kill resolved, and it holds the replacement handles, so it is
+    /// joined first. No instance waits on it: each exits once its input
+    /// rings are exhausted. The instances, then the replacements, then the
+    /// sink follow their producers; the monitor runs until told to stop,
+    /// after everything it watches has finished.
     fn join(self, injection: Injection) -> Joined {
         let supervisor = self
             .supervisor
@@ -435,7 +444,7 @@ impl Running<'_> {
             .into_iter()
             .map(|h| h.join().expect("instance thread panicked"))
             .collect();
-        let (supervisor, replacements) = supervisor.unzip();
+        let (aborts, replacements) = supervisor.unzip();
         for h in replacements.into_iter().flatten() {
             instances.push(h.join().expect("replacement thread panicked"));
         }
@@ -447,7 +456,7 @@ impl Running<'_> {
             .unwrap_or_default();
         Joined {
             injection,
-            supervisor,
+            aborts,
             instances,
             sink,
             series,
@@ -460,13 +469,15 @@ impl Running<'_> {
 fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeReport {
     let Joined {
         injection,
-        supervisor,
+        aborts,
         instances: results,
         sink,
         series,
     } = joined;
     let (mut instances, mut failed_instances) = (Vec::new(), Vec::new());
+    let mut recoveries = Vec::new();
     for r in results {
+        recoveries.extend(r.recovery);
         if r.failed {
             failed_instances.push(r.report);
         } else {
@@ -477,7 +488,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
 
     let (stamped, last_counter) = (injection.stamped, injection.last_counter);
     let mut final_frontier = 0u64;
-    let fault_report = supervisor.map(|sup| {
+    let fault_report = aborts.map(|aborts| {
         // Nothing is in flight any more — the re-injection drill included —
         // so the last cut is uncapped.
         final_frontier = truncate_logs(shared, &plan.log_scopes, u64::MAX);
@@ -487,7 +498,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
         let root_log = vertex_logs.pop().expect("the root's row");
         debug_assert_eq!(root_log.vertex, ROOT_VERTEX);
         FaultReport {
-            recoveries: sup.recoveries,
+            recoveries,
             shard_recoveries: injection.shard_recoveries,
             log_high_water: root_log.high_water,
             log_truncated: root_log.truncated + root_log.deleted,
@@ -495,7 +506,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
             log_rejected: root_log.rejected,
             reinjected: injection.reinjected,
             root_takeover: injection.takeover,
-            aborts: sup.aborts,
+            aborts,
             vertex_logs,
             ledger_high_water: shared.ledger().map_or(0, |l| l.high_water()),
         }

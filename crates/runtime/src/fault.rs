@@ -8,10 +8,10 @@
 //!   fail-stops the first time it dequeues a *live* packet whose logical
 //!   clock counter reaches the trigger. Its unflushed output batches are
 //!   lost (exactly what a crashed process would lose); its SPSC wiring is
-//!   handed to the supervisor, which spawns a replacement thread under a
-//!   fresh instance id, re-associates the failed instance's per-flow store
-//!   state, and replays the root's packet log through dedicated replay rings
-//!   (see [`crate::replay`]).
+//!   handed to the supervisor, which re-associates the failed instance's
+//!   per-flow store state and spawns a replacement thread under a fresh
+//!   instance id. The replacement replays the logged packets routed to it
+//!   before it takes live traffic (see [`crate::replay`]).
 //! * **Shard restarts** ([`ShardFault`]): when the root's injection counter
 //!   reaches the trigger, the named store shard is crashed and rebuilt from
 //!   its durable checkpoint + write-ahead journal
@@ -146,10 +146,12 @@ pub struct InstanceRecovery {
     pub failed_instance: InstanceId,
     /// Id of the replacement instance.
     pub replacement: InstanceId,
-    /// Logged packets replayed to bring the replacement up to date.
+    /// Logged packets the replacement replayed: the copies of its vertex's
+    /// replay sources routed to its own index.
     pub packets_replayed: u64,
-    /// Wall-clock time from fail-stop detection to replay completion (the
-    /// replacement is processing live traffic again from this point on).
+    /// Wall-clock time from fail-stop detection until the replacement has
+    /// processed and flushed its replay (it takes live traffic from this
+    /// point on).
     pub recovery_wall: Duration,
 }
 
@@ -183,9 +185,8 @@ pub struct RootTakeover {
     pub recovery_wall: Duration,
 }
 
-/// A failover the supervisor had to abandon mid-flight instead of letting
-/// the run hang or panic: the replay ring stalled (its replacement consumer
-/// stopped draining), or no replacement seed existed for the failed slot.
+/// A failover the supervisor had to abandon instead of letting the run hang
+/// or panic: no replacement seed existed for the failed slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailoverAbort {
     /// Vertex of the failed slot (`VertexId(u32::MAX)` when the slot could
@@ -230,7 +231,8 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Total packets replayed across all instance failovers.
+    /// Total packets replayed across all instance failovers, each
+    /// replacement counting only the copies routed to it.
     pub fn packets_replayed(&self) -> u64 {
         self.recoveries.iter().map(|r| r.packets_replayed).sum()
     }

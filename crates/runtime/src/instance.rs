@@ -5,9 +5,11 @@
 //! sharded store, alerts and counters — and forwards outputs through the
 //! scope-aware splitters. A planned kill fail-stops it mid-stream and hands
 //! its wiring to the supervisor; the replacement runs the same body on that
-//! wiring.
+//! wiring, after it has put its own replay through the same per-packet step
+//! (§5.3: replayed packets first, live traffic once the last is done).
 
 use crate::engine::EngineShared;
+use crate::fault::InstanceRecovery;
 use crate::plan::InstancePlan;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
@@ -19,6 +21,7 @@ use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
 
 /// Callback notifications (store → instance) for read-heavy cached objects.
 /// Unlike the packet path this is many-producers → one-consumer and very low
@@ -48,6 +51,8 @@ pub(crate) struct InstanceResult {
     pub(crate) report: RuntimeInstanceReport,
     /// The instance fail-stopped; its counters are partial.
     pub(crate) failed: bool,
+    /// A replacement's failover record, once its replay is done.
+    pub(crate) recovery: Option<InstanceRecovery>,
 }
 
 /// One instance thread's state between set-up and exit.
@@ -61,6 +66,7 @@ struct Instance<'a> {
     /// histograms. Off-path instances consume copies outside the delivery
     /// path, so timing them would break the decomposition's telescoping.
     spans: bool,
+    lane: TraceLane,
     stage: Arc<VertexStageMetrics>,
     store_timer: Rc<StoreTimer>,
     /// Ring-transfer batches consumed, and replayed packets not re-emitted
@@ -68,7 +74,7 @@ struct Instance<'a> {
     batches_in: u64,
     egress_gated: u64,
     /// The core's duplicate window (fault mode only) is pruned at the
-    /// instance's own watermark while that watermark is exact: every live
+    /// instance's own watermark while that watermark is exact: every input
     /// ring clock-ordered — fixed at wiring time — and nothing fail-stopped
     /// yet (see `prune_seen`).
     prunable: bool,
@@ -76,7 +82,7 @@ struct Instance<'a> {
 
 /// Body of one NF instance thread — a planned instance, armed with `kill`
 /// when the fault plan targets it, or a failover replacement
-/// ([`InstancePlan::replaces`]) on its predecessor's wiring.
+/// ([`InstancePlan::takeover`]) on its predecessor's wiring.
 pub(crate) fn run_instance(
     plan: InstancePlan,
     wiring: InstanceWiring,
@@ -84,6 +90,7 @@ pub(crate) fn run_instance(
     mut kill: Option<KillSwitch>,
 ) -> InstanceResult {
     let mut me = set_up(plan, wiring, shared);
+    let recovery = replay(&mut me);
     let failed = match run_batches(&mut me, &mut kill) {
         Some(killed_at_clock) => {
             let switch = kill.take().expect("fail-stop without a kill switch");
@@ -108,7 +115,11 @@ pub(crate) fn run_instance(
         replay_egress_gated: me.egress_gated,
         dedup_window_bytes: plan.core.window_bytes(),
     };
-    InstanceResult { report, failed }
+    InstanceResult {
+        report,
+        failed,
+        recovery,
+    }
 }
 
 /// Set-up, on the instance's own thread.
@@ -160,11 +171,14 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
             }
         }
     }
-    let mut live = wiring.inputs.iter().filter(|r| !r.replay);
     Instance {
         batches_in: 0,
         egress_gated: 0,
-        prunable: shared.fault_mode && live.all(|r| r.ordered),
+        prunable: shared.fault_mode && wiring.inputs.iter().all(|r| r.ordered),
+        lane: TraceLane::Vertex {
+            vertex: plan.vertex.0,
+            instance: plan.instance.0 as u64,
+        },
         plan,
         wiring,
         shared,
@@ -175,39 +189,82 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
     }
 }
 
+/// A replacement's first job (§5.3): take a snapshot of its vertex's replay
+/// sources, keep the copies that route to its own index, and put each
+/// through the per-packet step, marked as replayed for it. Its store
+/// effects land and its outputs are flushed before the replay is journaled
+/// complete; only then does the caller pop a live ring. A planned instance
+/// has nothing to replay.
+fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
+    let shared = me.shared;
+    let (vertex, index, replacement) = (me.plan.vertex, me.plan.index, me.plan.instance);
+    let Some(takeover) = &me.plan.takeover else {
+        return None;
+    };
+    let (failed_instance, started) = (takeover.failed, takeover.started);
+    let mut snapshot = shared.logs.snapshot(&takeover.sources);
+    snapshot.retain(|tp| takeover.splitter.instance_for(&tp.packet, tp.clock) == index);
+    let packets_replayed = snapshot.len() as u64;
+    for (i, mut tp) in snapshot.into_iter().enumerate() {
+        if i % shared.batch == 0 {
+            // Ring-batch strides, as the batch loop pops: store callbacks
+            // and buffered store ops land at every boundary.
+            drain_store_buffer(&mut me.client, shared);
+            me.take_callbacks();
+        }
+        tp.replay_for = Some(replacement);
+        if let Some(tag) = tp.trace {
+            shared.telemetry.trace_span(SpanEvent {
+                trace_id: tag.id,
+                lane: me.lane,
+                kind: SpanKind::ReplayInject,
+                t_ns: shared.telemetry.now_ns(),
+                dur_ns: 0,
+            });
+        }
+        shared.telemetry.replay_progress.inc();
+        me.step(tp, false);
+    }
+    drain_store_buffer(&mut me.client, shared);
+    me.wiring.links_mut().for_each(OutLink::flush);
+
+    let (vertex_id, index_id) = (vertex.0, index as u32);
+    shared.telemetry.event(EventKind::ReplayComplete {
+        vertex: vertex_id,
+        index: index_id,
+        instance: replacement.0 as u64,
+        packets_replayed,
+    });
+    let recovery_wall = started.unwrap_or_else(Instant::now).elapsed();
+    shared.telemetry.event(EventKind::FailoverEnd {
+        vertex: vertex_id,
+        index: index_id,
+        instance: replacement.0 as u64,
+        recovery_ns: recovery_wall.as_nanos() as u64,
+    });
+    // Truncation may go on (see `EngineShared::replays_running`).
+    shared.replays_running.fetch_sub(1, Ordering::AcqRel);
+    Some(InstanceRecovery {
+        vertex,
+        index,
+        failed_instance,
+        replacement,
+        packets_replayed,
+        recovery_wall,
+    })
+}
+
 /// The batch loop. Returns the clock that tripped the kill switch when the
 /// instance fail-stops, `None` once every input ring is exhausted.
 fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u64> {
     let shared = me.shared;
-    let (spans, stage, store_timer) = (me.spans, &me.stage, &me.store_timer);
-    let (plan, client) = (&mut me.plan, &mut me.client);
-    let InstanceWiring {
-        inputs,
-        outs,
-        sink_link,
-    } = &mut me.wiring;
-    let my_inbox = Arc::clone(&shared.inboxes[plan.instance.0 as usize]);
     let mut work: Vec<TaggedPacket> = Vec::with_capacity(shared.batch);
     let mut idle_streak = 0u32;
-    let lane = TraceLane::Vertex {
-        vertex: plan.vertex.0,
-        instance: plan.instance.0 as u64,
-    };
-
     loop {
-        // Store callbacks keep read-heavy cached objects fresh (Table 1); the
-        // rate is low, so one drain per wake-up is plenty.
-        {
-            let mut inbox = my_inbox.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, value) in inbox.drain(..) {
-                client.handle_callback(&key, value);
-            }
-        }
-
+        me.take_callbacks();
         let mut moved = 0usize;
-        for input in inputs.iter_mut() {
-            work.clear();
-            let n = input.rx.pop_batch(&mut work, shared.batch);
+        for i in 0..me.wiring.inputs.len() {
+            let n = me.wiring.inputs[i].rx.pop_batch(&mut work, shared.batch);
             if n == 0 {
                 continue;
             }
@@ -216,93 +273,28 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
             }
             moved += n;
             me.batches_in += 1;
-            let live = !input.replay;
-            for (pos, mut tp) in work.drain(..).enumerate() {
-                if live {
-                    // Fail-stop trigger: die *before* processing the packet.
-                    // Everything still queued (this batch's tail included)
-                    // stays in flight for the replacement; the already-popped
-                    // remainder of *this* batch dies with the instance and is
-                    // booked as kill-lost so conservation still closes.
-                    if let Some(k) = &kill {
-                        if tp.clock.counter() >= k.at_counter {
-                            if let Some(s) = &shared.telemetry.sentinel {
-                                s.ledger.kill_lost.add((n - pos) as u64);
-                            }
-                            // Every packet processed before the kill must
-                            // have its store effects applied, exactly as on
-                            // the per-op path — the buffer is part of the
-                            // process image and would otherwise die here.
-                            drain_store_buffer(client, shared);
-                            return Some(tp.clock.counter());
+            for (pos, tp) in work.drain(..).enumerate() {
+                // Fail-stop trigger: die *before* processing the packet.
+                // Everything still queued (this batch's tail included) stays
+                // in flight for the replacement; the already-popped remainder
+                // of *this* batch dies with the instance and is booked as
+                // kill-lost so conservation still closes.
+                if let Some(k) = &kill {
+                    if tp.clock.counter() >= k.at_counter {
+                        if let Some(s) = &shared.telemetry.sentinel {
+                            s.ledger.kill_lost.add((n - pos) as u64);
                         }
-                    }
-                    input.last_counter = input.last_counter.max(tp.clock.counter());
-                }
-                let traced = tp.trace.map(|t| t.id);
-                // Span timing covers live timed packets only: a replayed
-                // packet's hop stamp is stale, and its processing is
-                // recovery work, not steady-state service time. A replayed
-                // *traced* packet still gets a service span (marked replay)
-                // so a trace shows the killed vertex's packets being
-                // re-processed by the replacement; it never feeds the stage
-                // histograms.
-                let timed = spans && live && tp.is_timed();
-                let t_in = (timed || (traced.is_some() && !live)).then(|| {
-                    store_timer.arm();
-                    shared.telemetry.now_ns()
-                });
-                // The wall clock is the cost on threads: the core's charge
-                // is left unread.
-                let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
-                let step = plan.core.on_packet(&mut tp, client, now);
-                if step == Step::Suppressed {
-                    // A repeated clock is a replay or a re-injection (§5.3):
-                    // the core counted it, and nothing else happens to it.
-                    store_timer.disarm();
-                    if let Some(id) = traced {
-                        shared.telemetry.trace_span(SpanEvent {
-                            trace_id: id,
-                            lane,
-                            kind: SpanKind::Suppress,
-                            t_ns: t_in.unwrap_or_else(|| shared.telemetry.now_ns()),
-                            dur_ns: 0,
-                        });
-                    }
-                    continue;
-                }
-                forward_callbacks(client, shared);
-                if let Some(t_in) = t_in {
-                    let t_out = shared.telemetry.now_ns();
-                    let store_ns = store_timer.disarm();
-                    let dur_ns = t_out.saturating_sub(t_in);
-                    let mut queue_wait_ns = 0;
-                    if timed {
-                        queue_wait_ns = t_in.saturating_sub(tp.hop_ns);
-                        stage.queue_ns.record(queue_wait_ns);
-                        stage.store_ns.record(store_ns);
-                        stage.service_ns.record(dur_ns.saturating_sub(store_ns));
-                        // This stage lets go: the next hop measures its
-                        // queue wait from here.
-                        tp.hop_ns = t_out;
-                    }
-                    if let Some(id) = traced {
-                        shared.telemetry.trace_span(SpanEvent {
-                            trace_id: id,
-                            lane,
-                            kind: SpanKind::Service {
-                                queue_wait_ns,
-                                store_ns,
-                                replay: !live,
-                            },
-                            t_ns: t_in,
-                            dur_ns,
-                        });
+                        // Every packet processed before the kill must have
+                        // its store effects applied, exactly as on the per-op
+                        // path — the buffer is part of the process image and
+                        // would otherwise die here.
+                        drain_store_buffer(&mut me.client, shared);
+                        return Some(tp.clock.counter());
                     }
                 }
-                if forward(tp, step, plan, shared, outs, sink_link) {
-                    me.egress_gated += 1;
-                }
+                let input = &mut me.wiring.inputs[i];
+                input.last_counter = input.last_counter.max(tp.clock.counter());
+                me.step(tp, true);
             }
         }
 
@@ -313,38 +305,116 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
             // watermark (commit implies durable — a confirmed packet's
             // store effects survive any later crash); outside fault mode it
             // bounds write-behind latency to one wake-up.
-            drain_store_buffer(client, shared);
+            drain_store_buffer(&mut me.client, shared);
             if shared.fault_mode {
                 // Commit implies durable: flush the batched outputs before
                 // publishing the watermark, so a crash after publication can
                 // never lose a confirmed packet's effects.
-                flush_all(outs, sink_link);
-                publish_watermark(shared, plan, inputs);
+                me.wiring.links_mut().for_each(OutLink::flush);
+                publish_watermark(shared, &me.plan, &me.wiring.inputs);
                 if me.prunable {
-                    prune_seen(&mut plan.core, shared, inputs);
+                    prune_seen(&mut me.plan.core, shared, &me.wiring.inputs);
                 }
             }
         } else {
             // Idle: release buffered output so downstream instances are not
             // starved by a partially filled batch, then check for shutdown.
-            drain_store_buffer(client, shared);
-            flush_all(outs, sink_link);
-            if kill.is_some()
-                && inputs
-                    .iter_mut()
-                    .filter(|r| !r.replay)
-                    .all(|r| r.rx.is_exhausted())
-            {
-                // The live stream ended without reaching the trigger: this
-                // kill can no longer fire. Dropping the switch lets the
-                // supervisor observe a disconnected channel and wind down.
-                *kill = None;
-            }
-            if inputs.iter_mut().all(|r| r.rx.is_exhausted()) {
+            // An armed kill that never fired drops its switch on return, so
+            // the supervisor sees the fault channel disconnect.
+            drain_store_buffer(&mut me.client, shared);
+            me.wiring.links_mut().for_each(OutLink::flush);
+            if me.wiring.inputs.iter_mut().all(|r| r.rx.is_exhausted()) {
                 return None;
             }
             idle_streak += 1;
-            idle_wait(idle_streak, inputs);
+            idle_wait(idle_streak, &mut me.wiring.inputs);
+        }
+    }
+}
+
+impl Instance<'_> {
+    /// Store callbacks keep read-heavy cached objects fresh (Table 1); the
+    /// rate is low, so one drain per wake-up is plenty.
+    fn take_callbacks(&mut self) {
+        let inbox = &self.shared.inboxes[self.plan.instance.0 as usize];
+        let mut inbox = inbox.lock().unwrap_or_else(|e| e.into_inner());
+        for (key, value) in inbox.drain(..) {
+            self.client.handle_callback(&key, value);
+        }
+    }
+
+    /// The per-packet step, for a live packet and a replayed one alike: the
+    /// core admits or suppresses it and runs the NF, the spans of a timed
+    /// or traced packet are recorded, and the output is forwarded (egress
+    /// logging and the tail's replay gate included).
+    #[inline]
+    fn step(&mut self, mut tp: TaggedPacket, live: bool) {
+        let shared = self.shared;
+        let traced = tp.trace.map(|t| t.id);
+        // Span timing covers live timed packets only: a replayed packet's
+        // hop stamp is stale, and its processing is recovery work, not
+        // steady-state service time. A replayed *traced* packet still gets a
+        // service span (marked replay) so a trace shows the killed vertex's
+        // packets being re-processed by the replacement; it never feeds the
+        // stage histograms.
+        let timed = self.spans && live && tp.is_timed();
+        let t_in = (timed || (traced.is_some() && !live)).then(|| {
+            self.store_timer.arm();
+            shared.telemetry.now_ns()
+        });
+        // The wall clock is the cost on threads: the core's charge is left
+        // unread.
+        let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
+        let step = self.plan.core.on_packet(&mut tp, &mut self.client, now);
+        if step == Step::Suppressed {
+            // A repeated clock is a replay or a re-injection (§5.3): the
+            // core counted it, and nothing else happens to it.
+            self.store_timer.disarm();
+            if let Some(id) = traced {
+                shared.telemetry.trace_span(SpanEvent {
+                    trace_id: id,
+                    lane: self.lane,
+                    kind: SpanKind::Suppress,
+                    t_ns: t_in.unwrap_or_else(|| shared.telemetry.now_ns()),
+                    dur_ns: 0,
+                });
+            }
+            return;
+        }
+        forward_callbacks(&mut self.client, shared);
+        if let Some(t_in) = t_in {
+            let t_out = shared.telemetry.now_ns();
+            let store_ns = self.store_timer.disarm();
+            let dur_ns = t_out.saturating_sub(t_in);
+            let (stage, mut queue_wait_ns) = (&self.stage, 0);
+            if timed {
+                queue_wait_ns = t_in.saturating_sub(tp.hop_ns);
+                stage.queue_ns.record(queue_wait_ns);
+                stage.store_ns.record(store_ns);
+                stage.service_ns.record(dur_ns.saturating_sub(store_ns));
+                // This stage lets go: the next hop measures its queue wait
+                // from here.
+                tp.hop_ns = t_out;
+            }
+            if let Some(id) = traced {
+                shared.telemetry.trace_span(SpanEvent {
+                    trace_id: id,
+                    lane: self.lane,
+                    kind: SpanKind::Service {
+                        queue_wait_ns,
+                        store_ns,
+                        replay: !live,
+                    },
+                    t_ns: t_in,
+                    dur_ns,
+                });
+            }
+        }
+        let InstanceWiring {
+            outs, sink_link, ..
+        } = &mut self.wiring;
+        if forward(tp, step, &self.plan, shared, outs, sink_link) {
+            self.egress_gated += 1;
         }
     }
 }
@@ -379,7 +449,7 @@ fn shut_down(me: &mut Instance<'_>) {
         link.producer.close();
     }
     if me.shared.fault_mode {
-        publish_watermark(me.shared, &me.plan, &mut me.wiring.inputs);
+        publish_watermark(me.shared, &me.plan, &me.wiring.inputs);
         if me.prunable {
             prune_seen(&mut me.plan.core, me.shared, &me.wiring.inputs);
         }
@@ -411,44 +481,27 @@ fn drain_store_buffer(client: &mut StateClient, shared: &EngineShared) {
     }
 }
 
-fn flush_all(outs: &mut [Downstream], sink_link: &mut Option<OutLink>) {
-    crate::wiring::links_mut(outs)
-        .chain(sink_link)
-        .for_each(OutLink::flush);
-}
-
-/// The highest counter such that every live packet with a smaller-or-equal
-/// counter routed to this instance has been popped: each live ring delivers
+/// The highest counter such that every packet with a smaller-or-equal
+/// counter routed to this instance has been popped: each ring delivers
 /// counters monotonically, so the minimum of the per-ring maxima is exactly
-/// that frontier. Replay rings are excluded (their traffic is redundant by
-/// construction).
-fn live_watermark(inputs: &[InputRing]) -> u64 {
-    inputs
-        .iter()
-        .filter(|r| !r.replay)
-        .map(|r| r.last_counter)
-        .min()
-        .unwrap_or(0)
+/// that frontier.
+fn watermark(inputs: &[InputRing]) -> u64 {
+    inputs.iter().map(|r| r.last_counter).min().unwrap_or(0)
 }
 
-/// Publish this instance's commit watermark ([`live_watermark`], after the
-/// caller processed and flushed everything it popped). A replacement stays
-/// silent until its replay rings are exhausted — closed by the supervisor
-/// once the last replay into this vertex completed, and drained — after
-/// which its inherited watermark is true again because every logged packet
-/// has been re-flushed.
-fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [InputRing]) {
-    if plan.core.off_path() {
-        return;
+/// Publish this instance's commit watermark ([`watermark`], after the
+/// caller processed and flushed everything it popped). A replacement only
+/// gets here once its replay is done, after which its inherited watermark
+/// is true again because every logged packet routed to it has been
+/// re-flushed.
+fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &[InputRing]) {
+    if !plan.core.off_path() {
+        shared.publish_watermark(plan.slot(), watermark(inputs));
     }
-    if plan.replaces.is_some() && inputs.iter_mut().any(|r| r.replay && !r.rx.is_exhausted()) {
-        return;
-    }
-    shared.publish_watermark(plan.slot(), live_watermark(inputs));
 }
 
 /// Forget the duplicate window up to the instance's own watermark. Sound
-/// only for an instance whose live rings are all clock-ordered (the caller's
+/// only for an instance whose input rings are all clock-ordered (the caller's
 /// `prunable`) and only until the first fail-stop anywhere in the chain: each
 /// ordered ring has then delivered every clock at or below its maximum,
 /// routing is clock-pure, so every clock at or below the watermark that can
@@ -462,7 +515,7 @@ fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &mut [I
 /// sees it raised.
 fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRing]) {
     if !shared.fail_stopped.load(Ordering::Relaxed) {
-        core.forget_through(Clock::with_root(0, live_watermark(inputs)));
+        core.forget_through(Clock::with_root(0, watermark(inputs)));
     }
 }
 

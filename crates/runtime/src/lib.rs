@@ -34,9 +34,10 @@
 //! keep per-vertex egress logs (FTMB-style output logging), and chain
 //! components publish commit watermarks to the engine's slot array so every
 //! log can be truncated at its own frontier. A supervisor thread executes planned
-//! instance kills — spawning a replacement thread on the dead instance's
-//! SPSC wiring and replaying the killed vertex's upstream (or root) log
-//! through dedicated replay rings at the right chain depth ([`replay`]) —
+//! instance kills by spawning a replacement thread on the dead instance's
+//! SPSC wiring; the replacement first replays, at the right chain depth,
+//! the copies of the killed vertex's upstream (or root) log that route to
+//! it, and only then takes live traffic ([`replay`], §5.3) —
 //! tail re-emission is bounded by the paper's per-packet XOR delete window
 //! (Figure 6), a killed root loses its clock, log and unflushed batches
 //! and a new root resumes from the clock it persisted in the store

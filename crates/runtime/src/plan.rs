@@ -13,6 +13,7 @@ use chc_core::root::ROOT_VERTEX;
 use chc_core::{ChainConfig, InstanceCore, LogicalDag, Splitter, StateObjectSpec, VertexSpec};
 use chc_store::{InstanceId, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::time::Instant;
 
 /// Identity, role and NF code of one instance thread — a planned instance or
 /// the replacement pre-assigned to a planned kill.
@@ -28,11 +29,8 @@ pub(crate) struct InstancePlan {
     /// Fail-stop trigger: the instance dies the first time it dequeues a
     /// live packet whose clock counter reaches this.
     pub(crate) kill_at: Option<u64>,
-    /// The failed instance this one takes over from, watermark slot
-    /// included. A replacement publishes no commit watermark until its
-    /// replay rings drain, because an inherited watermark only becomes true
-    /// again once the replayed packets have been re-flushed downstream.
-    pub(crate) replaces: Option<InstanceId>,
+    /// A replacement's takeover: whom it replaces and what it replays.
+    pub(crate) takeover: Option<Takeover>,
     /// This vertex is the on-path upstream of some killed non-entry vertex:
     /// every live Forward it emits is tokenized and copied into its egress
     /// log, the replay source for that kill.
@@ -46,7 +44,7 @@ pub(crate) struct InstancePlan {
 
 impl InstancePlan {
     /// A healthy, never-killed instance of `v`; the planner overrides
-    /// `kill_at` and `replaces` where the fault plan says so.
+    /// `kill_at` and `takeover` where the fault plan says so.
     fn new(
         dag: &LogicalDag,
         v: &VertexSpec,
@@ -65,7 +63,7 @@ impl InstancePlan {
             index,
             replicas,
             kill_at: None,
-            replaces: None,
+            takeover: None,
             log_egress,
             downstream: dag.downstream_of(v.id),
             core: InstanceCore::new(nf, v.off_path, dag.exits().contains(&v.id)),
@@ -77,8 +75,32 @@ impl InstancePlan {
     /// its own (the slot number is the instance id), or the one it inherits
     /// from the instance it replaces.
     pub(crate) fn slot(&self) -> usize {
-        self.replaces.unwrap_or(self.instance).0 as usize
+        self.takeover.as_ref().map_or(self.instance, |t| t.failed).0 as usize
     }
+}
+
+/// What a failover replacement takes over (§5.3): the failed instance's
+/// watermark slot, and the replay it works through before its first live
+/// pop.
+pub(crate) struct Takeover {
+    /// The failed instance. Its slot publishes nothing until the replay is
+    /// done: an inherited watermark only becomes true again once the
+    /// replayed packets have been re-flushed downstream.
+    pub(crate) failed: InstanceId,
+    /// The logs the vertex is replayed from, merged in clock order: the
+    /// root's (`[ROOT_VERTEX]`) for a killed entry; for a killed mid-chain or
+    /// tail vertex the egress logs of its on-path upstream vertices
+    /// (FTMB-style per-vertex output logging), so the replay re-enters the
+    /// chain at the killed vertex's own depth and upstream duplicate
+    /// suppression can never eat it. Off-path vertices emit nothing, so they
+    /// are never a source.
+    pub(crate) sources: Vec<VertexId>,
+    /// The vertex's splitter: the replacement keeps only the logged copies
+    /// that route to its own index, as their originals did.
+    pub(crate) splitter: Splitter,
+    /// When the supervisor began the failover (set there: the plan reads no
+    /// clock). `InstanceRecovery::recovery_wall` runs from here.
+    pub(crate) started: Option<Instant>,
 }
 
 /// What the root does at given clock counters, sorted by counter (entries at
@@ -150,14 +172,6 @@ pub struct ChainPlan {
     /// the equivalence test calls `failover_instance` in the same order.
     /// Moved into the supervisor at spawn.
     pub(crate) seeds: HashMap<usize, InstancePlan>,
-    /// The logs each killed vertex is replayed from, merged in clock order:
-    /// the root's (`[ROOT_VERTEX]`) for a killed entry; for a killed
-    /// mid-chain or tail vertex the egress logs of its on-path upstream
-    /// vertices (FTMB-style per-vertex output logging), so the replay
-    /// re-enters the chain at the killed vertex's own depth and upstream
-    /// duplicate suppression can never eat it. Off-path vertices emit
-    /// nothing, so they are never a source.
-    pub(crate) replay_sources: BTreeMap<VertexId, Vec<VertexId>>,
     /// Every packet log of the run with the commit scope it truncates
     /// against — the plan slots (the sink is the last one) whose watermarks
     /// must all pass a counter before the log may forget it. The root's row
@@ -258,7 +272,12 @@ impl ChainPlan {
                 let id = id_of(instances.len() + k);
                 let dead = &instances[slot];
                 let seed = InstancePlan {
-                    replaces: Some(dead.instance),
+                    takeover: Some(Takeover {
+                        failed: dead.instance,
+                        sources: replay_sources[&v.id].clone(),
+                        splitter: splitters[&v.id].clone(),
+                        started: None,
+                    }),
                     ..InstancePlan::new(dag, v, id, kill.index, dead.replicas, dead.log_egress)
                 };
                 (slot, seed)
@@ -294,7 +313,6 @@ impl ChainPlan {
             instances,
             slots,
             seeds,
-            replay_sources,
             log_scopes,
             shard_checkpoints,
             shard_restarts,
@@ -380,8 +398,8 @@ fn validate_kills(
     }
 }
 
-/// Replay sources per killed vertex and the set of vertices that must log
-/// their egress for it (see the field docs on [`ChainPlan`]).
+/// Replay sources per killed vertex ([`Takeover::sources`]) and the set of
+/// vertices that must log their egress for them.
 fn replay_topology(
     dag: &LogicalDag,
     fault: &FaultPlan,
@@ -501,8 +519,10 @@ pub(crate) mod tests {
     #[test]
     fn the_replay_topology_follows_the_kill_position() {
         // Entry: replayed from the root's log, the only one.
+        let sources =
+            |p: &ChainPlan, slot| p.seeds[&slot].takeover.as_ref().map(|t| t.sources.clone());
         let entry = plan(FaultPlan::new().kill(FW, 0, 500));
-        assert_eq!(entry.replay_sources[&FW], [ROOT_VERTEX]);
+        assert_eq!(sources(&entry, 0), Some(vec![ROOT_VERTEX]));
         assert_eq!(entry.log_scopes, [root_row()]);
         assert!(entry.instances.iter().all(|p| !p.log_egress));
         assert_eq!(entry.instances[0].kill_at, Some(500));
@@ -514,7 +534,7 @@ pub(crate) mod tests {
         // Mid-chain: replayed from the firewall's egress log, which
         // truncates against everything strictly below the firewall.
         let mid = plan(FaultPlan::new().kill(NAT, 0, 500));
-        assert_eq!(mid.replay_sources[&NAT], [FW]);
+        assert_eq!(sources(&mid, 1), Some(vec![FW]));
         assert_eq!(mid.log_scopes, [root_row(), (FW, vec![1, 2, 3])]);
         let logging: Vec<bool> = mid.instances.iter().map(|p| p.log_egress).collect();
         assert_eq!(logging, [true, false, false]);
@@ -522,13 +542,13 @@ pub(crate) mod tests {
         // Tail: replayed from the NAT's log; its scope is the LB and the
         // sink, never the logging vertex itself.
         let tail = plan(FaultPlan::new().kill(LB, 0, 500));
-        assert_eq!(tail.replay_sources[&LB], [NAT]);
+        assert_eq!(sources(&tail, 2), Some(vec![NAT]));
         assert_eq!(tail.log_scopes, [root_row(), (NAT, vec![2, 3])]);
         assert!(tail.instances[2].core.exit() && !tail.instances[1].core.exit());
 
         // Root: nothing to replay into and no ledger to keep.
         let root = plan(FaultPlan::new().kill_root(500));
-        assert!(root.replay_sources.is_empty() && root.seeds.is_empty());
+        assert!(root.seeds.is_empty());
         assert_eq!(root.root_kill, Some(500));
         assert!(!root.xor_ledger && root.fault_mode);
         assert_eq!(root.log_scopes, [root_row()]);
@@ -563,8 +583,9 @@ pub(crate) mod tests {
         let seed = |slot: usize| &p.seeds[&slot];
         assert_eq!(seed(2).instance, InstanceId(3));
         assert_eq!(seed(0).instance, InstanceId(4));
-        assert_eq!(seed(2).replaces, Some(InstanceId(2)));
-        assert_eq!(seed(0).replaces, Some(InstanceId(0)));
+        let failed = |slot| seed(slot).takeover.as_ref().map(|t| t.failed);
+        assert_eq!(failed(2), Some(InstanceId(2)));
+        assert_eq!(failed(0), Some(InstanceId(0)));
         assert_eq!((seed(2).vertex, seed(2).index), (LB, 0));
         assert!(seed(2).kill_at.is_none() && seed(2).core.exit());
         // The LB's killed, so the NAT logs; the FW's replacement does not.

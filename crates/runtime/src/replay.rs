@@ -1,31 +1,39 @@
-//! Failover supervision and packet replay for the real-thread engine.
+//! Failover supervision and log truncation for the real-thread engine.
 //!
-//! The supervisor is a dedicated thread that owns everything the hot path
-//! must not touch: the fail-stop channel, the replacement seeds, the
-//! supervisor-side **replay rings** into every killed vertex's instances
-//! (open until the last failover on that vertex has replayed), and the
-//! commit-frontier truncation of the packet logs.
+//! The supervisor is a dedicated thread that touches no packet. It owns the
+//! fail-stop channel, the replacement seeds and the commit-frontier
+//! truncation of the packet logs; a replacement does its own replay.
 //!
-//! ## Failover (§5.4 "NF instance", on wall clocks)
+//! ## Failover (§5.3–§5.4 "NF instance", on wall clocks)
 //!
 //! When an armed instance fail-stops, it sends its SPSC wiring through the
-//! fault channel and exits. The supervisor then:
+//! fault channel and exits. The supervisor then **begins** the failover:
 //!
 //! 1. re-associates the failed instance's per-flow store state with the
 //!    pre-assigned replacement id ([`StoreServer::reassign_owner`] — the
 //!    store always holds the authoritative copy because cached per-flow
 //!    updates are flushed, Theorem B.5.1),
-//! 2. spawns the **replacement thread** on the inherited wiring: in-flight
-//!    packets still queued in the input rings survive, exactly like packets
-//!    sitting in the network across an endpoint crash,
-//! 3. **replays** the killed vertex's replay sources
-//!    (`ChainPlan::replay_sources`) — the root's injection log for an entry
-//!    vertex, the merged egress logs of its on-path upstream vertices
-//!    (FTMB-style output logging) otherwise —
-//!    marked `replay_for = replacement`, through the killed vertex's own
-//!    replay rings: one ring per instance of that vertex, so live flows
-//!    keep their ring order and replay enters the chain at the killed
-//!    vertex's depth rather than re-traversing the whole upstream prefix.
+//! 2. zeroes the failed instance's watermark slot, which the replacement
+//!    inherits,
+//! 3. journals `replacement_spawn` and spawns the **replacement thread** on
+//!    the inherited wiring: in-flight packets still queued in the input
+//!    rings survive, exactly like packets sitting in the network across an
+//!    endpoint crash. The spawn is journaled before the thread starts, so a
+//!    fast replay cannot journal its completion first.
+//!
+//! The replacement **replays its own log** before it pops a live ring, as
+//! the simulator's failover instance does (§5.3: replayed packets first,
+//! live traffic once the last one is done). It snapshots its vertex's replay
+//! sources (`Takeover::sources`, from the plan) — the root's injection log
+//! for an entry vertex, the merged egress logs of its on-path upstream
+//! vertices (FTMB-style output logging) otherwise, so the replay enters the
+//! chain at the killed vertex's depth — keeps the copies its vertex's
+//! splitter routes to its own index, marks them `replay_for = replacement`
+//! and puts each through the per-packet step the batch loop runs. Then it
+//! lands its store effects, flushes its outputs, journals `replay_complete`
+//! and `failover_end`, and reports its [`crate::fault::InstanceRecovery`]
+//! when it exits. A surviving replica of the same vertex never sees a
+//! replayed copy.
 //!
 //! Replay is idempotent end to end: instances suppress duplicate clocks at
 //! their input queues, the store suppresses duplicate clocked updates, tail
@@ -33,21 +41,29 @@
 //! absorbs the residual re-delivery window into its own (separately
 //! counted) suppression — the chain's duplicate accounting stays at zero.
 //!
-//! **Overlapping failovers**: a second armed instance may die while the
-//! first failover's replay is still in flight — and because the dead
-//! instance stops draining its own replay ring, the in-flight replay would
-//! stall on it. Failover is therefore split into a *begin* phase (state
-//! hand-off + replacement spawn, cheap and never blocking) and a *replay*
-//! phase: whenever a replay push backs up, the supervisor first begins any
-//! newly arrived failover, so the new replacement inherits the stalled ring
-//! and drains it, and the push resumes.
+//! **Why the replacement's snapshot is complete.** The supervisor zeroes the
+//! dead slot before the spawn. Every log the replacement reads has the dead
+//! slot in its commit scope (the root's scope holds every on-path slot, an
+//! egress log's every slot strictly downstream of the logging vertex), so
+//! from that moment on no frontier cut can drop an entry from it: the
+//! snapshot the replacement takes later holds everything one taken at the
+//! zeroing would have held. The one exception is XOR-swept entries, which
+//! the sink has already seen delivered with every token cancelled; a
+//! snapshot the supervisor took itself would race those sweeps in the same
+//! way. So the supervisor runs no pass at all while a replay runs
+//! (`EngineShared::replays_running`): a sweep between the hand-off and the
+//! snapshot would take out the delivered entries a tail replacement gates,
+//! and one during the replay would drop the ledger cells that prove them
+//! delivered, so their copies would reach the sink again as replay
+//! shadows. Each replacement reads the logs on its own thread and only pushes
+//! downstream, so overlapping failovers need no coordination: a replay that
+//! backs up waits on a live consumer further down an acyclic chain.
 //!
-//! A failover the supervisor genuinely cannot complete — a replay ring that
-//! stays full though no further fail-stop arrived (the consumer stopped
-//! draining), or a wiring hand-off with no replacement seed — is
-//! **aborted**, not allowed to hang the run: the supervisor journals a
-//! `failover_abort` event, records it in `SupervisorOutcome::aborts`
-//! (surfaced through `RuntimeReport::fault`), and winds down normally.
+//! A wiring hand-off with no replacement seed cannot happen (only armed
+//! instances hold the channel); if it ever does it is **aborted**, not
+//! allowed to hang the run: the supervisor journals a `failover_abort`
+//! event and returns a [`FailoverAbort`] (surfaced through
+//! `RuntimeReport::fault`).
 //!
 //! ## Log truncation (Figure 6)
 //!
@@ -62,25 +78,21 @@
 //! individually, frontier or not.
 //!
 //! Before the first failover every ring delivers counters monotonically, so
-//! the frontier proves completion exactly; while further kills are still
-//! armed after a failover, truncation pauses (replayed traffic makes ring
-//! order non-monotone, so the frontier could briefly overclaim); once the
-//! last kill resolved it resumes, where truncation is unconditionally safe
-//! because no future replay exists. A failover zeroes the dead instance's
-//! watermark slot before the replacement — which publishes under the same
-//! slot — starts, and a replacement stays silent until its replay rings are
-//! exhausted: until then every frontier that contains the slot reads zero.
+//! the frontier proves completion exactly; while a replay runs (above), and
+//! while further kills are still armed after a failover has begun,
+//! truncation pauses (replayed traffic
+//! makes ring order non-monotone downstream of a replacement, so the
+//! frontier could briefly overclaim); once the last kill resolved it
+//! resumes, where truncation is unconditionally safe because no future
+//! replay exists. A replacement publishes under the dead instance's slot
+//! only once its replay is done: until then every frontier that contains
+//! the slot reads zero.
 //!
 //! So a failover is a transient, not a freeze until the end of the run: as
-//! soon as a replay into a vertex completes and no failover on that vertex
-//! is still armed or waiting for its replay (a kill that arrived during this
-//! replay's rescue, say), the supervisor flushes and closes that vertex's
-//! replay rings. The replacement drains them and publishes again at its
-//! next batch boundary, after it has processed and flushed every packet it
-//! popped, replayed ones included — the argument the wind-down close always
-//! relied on. From then on the frontier, every log cut at it, the store's
-//! replay floor and the durable engine's checkpoint images move again. A
-//! vertex with a kill still armed keeps its rings open until wind-down.
+//! soon as the replacement has replayed and flushed, it publishes again at
+//! its next batch boundary, after it has processed and flushed every packet
+//! it popped. From then on the frontier, every log cut at it, the store's
+//! replay floor and the durable engine's checkpoint images move again.
 //!
 //! ## The store's replay floor
 //!
@@ -97,68 +109,35 @@
 //! flight, and so does the floor.
 
 use crate::engine::EngineShared;
-use crate::fault::{FailoverAbort, InstanceRecovery};
+use crate::fault::FailoverAbort;
 use crate::instance::{run_instance, DyingInstance, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
-use crate::wiring::{Downstream, OutLink};
 use chc_core::root::ROOT_VERTEX;
 use chc_core::VertexLogs;
-use chc_store::{Clock, InstanceId, StoreServer, VertexId};
-use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use chc_store::{Clock, StoreServer, VertexId};
+use chc_telemetry::EventKind;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Total consecutive empty push attempts (each one a scheduler yield) the
-/// supervisor tolerates on a replay ring — without a new fail-stop arriving
-/// to explain the backpressure — before declaring the failover stalled and
-/// aborting it. A live consumer drains a ring in microseconds; a million
-/// yields is far past any plausible scheduling hiccup.
-const REPLAY_MAX_SPINS: usize = 1_000_000;
-
-/// Spin quantum between checks of the fault channel while a replay push is
-/// backed up: long enough that a healthy consumer clears the ring within
-/// one quantum, short enough that an overlapping fail-stop is begun (and
-/// its replacement starts draining) promptly.
-const RESCUE_QUANTUM: usize = 20_000;
-
 /// The replacement threads the supervisor spawned, for the engine to join.
 pub(crate) type Replacements<'scope> = Vec<thread::ScopedJoinHandle<'scope, InstanceResult>>;
 
-/// What the supervisor hands back when it winds down.
-pub(crate) struct SupervisorOutcome {
-    pub(crate) recoveries: Vec<InstanceRecovery>,
-    pub(crate) aborts: Vec<FailoverAbort>,
-}
-
-/// A begun failover whose replay has not run yet: the replacement thread is
-/// already up and draining the inherited wiring.
-struct ReplayJob {
-    vertex: VertexId,
-    index: usize,
-    old_instance: InstanceId,
-    replacement: InstanceId,
-    started: Instant,
-}
-
-/// The supervisor thread's state. Everything a failover touches lives here,
-/// so beginning one — from the main loop or from inside a stalled replay —
-/// is a method call.
+/// The supervisor thread's state.
 pub(crate) struct Supervisor<'scope, 'env> {
     scope: &'scope thread::Scope<'scope, 'env>,
     rx: mpsc::Receiver<DyingInstance>,
     shared: &'env EngineShared,
-    replay_sources: &'env BTreeMap<VertexId, Vec<VertexId>>,
     log_scopes: &'env [(VertexId, Vec<usize>)],
     floor_cap: u64,
     /// The replacement prepared for each armed slot, until its kill fires.
     seeds: HashMap<usize, InstancePlan>,
-    /// Failovers begun but not yet replayed.
-    pending: VecDeque<ReplayJob>,
+    /// A failover has begun: truncation pauses while kills are still armed.
+    failed_over: bool,
     replacements: Replacements<'scope>,
-    outcome: SupervisorOutcome,
+    aborts: Vec<FailoverAbort>,
 }
 
 impl<'scope, 'env> Supervisor<'scope, 'env> {
@@ -173,47 +152,26 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             scope,
             rx,
             shared,
-            replay_sources: &plan.replay_sources,
             log_scopes: &plan.log_scopes,
             floor_cap: plan.floor_cap,
             seeds,
-            pending: VecDeque::new(),
+            failed_over: false,
             replacements: Vec::new(),
-            outcome: SupervisorOutcome {
-                recoveries: Vec::new(),
-                aborts: Vec::new(),
-            },
+            aborts: Vec::new(),
         }
     }
 
     /// Body of the supervisor thread. Exits once the root finished injecting
     /// and every armed kill either executed or provably can no longer fire
-    /// (its instance drained its live rings and dropped the fault channel),
-    /// then closes the replay rings still open so the chain can drain.
+    /// (its instance drained its rings and dropped the fault channel).
     pub(crate) fn run(
         mut self,
-        mut replay_outs: HashMap<VertexId, Downstream>,
         done_injecting: &AtomicBool,
-    ) -> (SupervisorOutcome, Replacements<'scope>) {
+    ) -> (Vec<FailoverAbort>, Replacements<'scope>) {
         let mut disconnected = false;
         loop {
             match self.rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(dying) => {
-                    self.begin_failover(dying);
-                    while let Some(job) = self.pending.pop_front() {
-                        // Begin every failover that is already queued before
-                        // replaying: each begun replacement is a live
-                        // consumer this replay may need (see the module
-                        // docs).
-                        while self.begin_next_pending() {}
-                        let vertex = job.vertex;
-                        if self.run_replay(job, &mut replay_outs) && !self.needs_replay(vertex) {
-                            if let Some(mut out) = replay_outs.remove(&vertex) {
-                                close_links(&mut out.links);
-                            }
-                        }
-                    }
-                }
+                Ok(dying) => self.begin_failover(dying),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     disconnected = true;
@@ -224,9 +182,10 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             }
 
             // Frontier truncation: exact before the first failover, paused
-            // while more kills are armed, harmless after the last one (see
-            // module docs).
-            if self.outcome.recoveries.is_empty() || self.seeds.is_empty() {
+            // while a replay runs or more kills are armed, harmless after
+            // the last one (see module docs).
+            let replaying = self.shared.replays_running.load(Ordering::Acquire) > 0;
+            if !replaying && (!self.failed_over || self.seeds.is_empty()) {
                 truncate_logs(self.shared, self.log_scopes, self.floor_cap);
             }
 
@@ -234,215 +193,53 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                 break;
             }
         }
-
-        for out in replay_outs.values_mut() {
-            close_links(&mut out.links);
-        }
-        (self.outcome, self.replacements)
-    }
-
-    /// Whether a failover on `vertex` may still replay through its replay
-    /// rings: a kill on one of its instances is still armed, or one has
-    /// begun — inside this replay's rescue, say — and waits for its replay.
-    fn needs_replay(&self, vertex: VertexId) -> bool {
-        self.seeds.values().any(|seed| seed.vertex == vertex)
-            || self.pending.iter().any(|job| job.vertex == vertex)
+        (self.aborts, self.replacements)
     }
 
     /// Begin one failover: remove the seed, hand the failed instance's store
-    /// state to the replacement, and spawn the replacement thread on the
-    /// inherited wiring. Never blocks. Queues the replay still to run; a
-    /// hand-off with no seed is recorded as an abort instead.
+    /// state and watermark slot to the replacement, and spawn the
+    /// replacement thread on the inherited wiring, which replays on its own.
+    /// Never blocks. A hand-off with no seed is recorded as an abort.
     fn begin_failover(&mut self, dying: DyingInstance) {
-        let started = Instant::now();
         let shared = self.shared;
-        let seed = self.seeds.remove(&dying.slot);
-        let Some((seed, old_instance)) = seed.and_then(|s| s.replaces.map(|old| (s, old))) else {
-            // A wiring hand-off without a seed cannot happen (only armed
-            // instances hold the channel); if it ever does, surface the lost
-            // wiring as an aborted failover instead of silently dropping it.
+        let Some(mut seed) = self.seeds.remove(&dying.slot) else {
             shared.telemetry.event(EventKind::FailoverAbort {
                 vertex: u32::MAX,
                 index: dying.slot as u32,
                 instance: u64::MAX,
             });
-            self.outcome.aborts.push(FailoverAbort {
+            self.aborts.push(FailoverAbort {
                 vertex: VertexId(u32::MAX),
                 index: dying.slot,
                 reason: "no replacement seed for the failed slot".to_string(),
             });
             return;
         };
-        let (vertex, index, replacement) = (seed.vertex, seed.index, seed.instance);
+        let takeover = seed.takeover.as_mut().expect("a seed replaces an instance");
+        takeover.started = Some(Instant::now());
+        let (vertex, index) = (seed.vertex.0, seed.index as u32);
         shared.telemetry.event(EventKind::FailoverBegin {
-            vertex: vertex.0,
-            index: index as u32,
-            instance: old_instance.0 as u64,
+            vertex,
+            index,
+            instance: takeover.failed.0 as u64,
         });
-
-        // 1. The replacement takes over the failed instance's per-flow
-        //    state and its watermark slot, which starts over: until the
-        //    replacement publishes, every frontier the slot is in stays put.
-        shared.server.reassign_owner(old_instance, replacement);
+        // The replacement takes over the failed instance's per-flow state
+        // and its watermark slot, which starts over: until the replacement
+        // has replayed and publishes, every frontier the slot is in stays
+        // put, and so does every log the replay reads.
+        shared.server.reassign_owner(takeover.failed, seed.instance);
         shared.watermarks[dying.slot].store(0, Ordering::Release);
-
-        // 2. Spawn the replacement thread on the inherited wiring.
+        shared.telemetry.event(EventKind::ReplacementSpawn {
+            vertex,
+            index,
+            instance: seed.instance.0 as u64,
+        });
+        self.failed_over = true;
+        shared.replays_running.fetch_add(1, Ordering::AcqRel);
         let handle = self
             .scope
             .spawn(move || run_instance(seed, dying.wiring, shared, None));
         self.replacements.push(handle);
-        shared.telemetry.event(EventKind::ReplacementSpawn {
-            vertex: vertex.0,
-            index: index as u32,
-            instance: replacement.0 as u64,
-        });
-        self.pending.push_back(ReplayJob {
-            vertex,
-            index,
-            old_instance,
-            replacement,
-            started,
-        });
-    }
-
-    /// Begin the next failover waiting on the fault channel, if any. Returns
-    /// whether a hand-off was consumed (begun or recorded as an abort).
-    fn begin_next_pending(&mut self) -> bool {
-        match self.rx.try_recv() {
-            Ok(dying) => {
-                self.begin_failover(dying);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Step 3 of one failover: replay the killed vertex's replay source
-    /// through *its* replay rings. Routing is the same clock-pure splitter
-    /// logic as live traffic, so replayed packets reach exactly the
-    /// instances the originals were (or would have been) routed to;
-    /// survivors suppress them by clock. No ledger filtering here: replaying
-    /// the full snapshot keeps the stream identical to what the killed
-    /// instance could have seen, and every already-absorbed copy is
-    /// suppressed downstream anyway. Returns whether the replay completed
-    /// (every copy pushed) rather than aborted.
-    fn run_replay(
-        &mut self,
-        job: ReplayJob,
-        replay_outs: &mut HashMap<VertexId, Downstream>,
-    ) -> bool {
-        let shared = self.shared;
-        let (vertex, index) = (job.vertex.0, job.index as u32);
-        let replacement = job.replacement;
-        let sources = self.replay_sources.get(&job.vertex);
-        let snapshot = shared.logs.snapshot(sources.map_or(&[], Vec::as_slice));
-        let mut replayed = 0u64;
-        let mut stalled = false;
-        if let Some(Downstream { splitter, links }) = replay_outs.get_mut(&job.vertex) {
-            for mut tp in snapshot {
-                tp.replay_for = Some(replacement);
-                if shared.telemetry.tracer.is_some() {
-                    if let Some(tag) = tp.trace {
-                        shared.telemetry.trace_span(SpanEvent {
-                            trace_id: tag.id,
-                            lane: TraceLane::Supervisor,
-                            kind: SpanKind::ReplayInject,
-                            t_ns: shared.telemetry.now_ns(),
-                            dur_ns: 0,
-                        });
-                    }
-                }
-                let link = &mut links[splitter.instance_for(&tp.packet, tp.clock)];
-                if !(link.push_bounded(tp, shared.batch, RESCUE_QUANTUM)
-                    || self.flush_with_rescue(link))
-                {
-                    stalled = true;
-                    break;
-                }
-                replayed += 1;
-                shared.telemetry.replay_progress.inc();
-            }
-            if !stalled {
-                stalled = !links
-                    .iter_mut()
-                    .all(|link| link.try_flush(RESCUE_QUANTUM) || self.flush_with_rescue(link));
-            }
-            if stalled {
-                // Abandon the replay rather than hang the run: drop whatever
-                // is still buffered (unflushed copies are never booked as "in
-                // the network") so the wind-down flush stays bounded too.
-                for link in links.iter_mut() {
-                    link.buf.clear();
-                }
-            }
-        }
-        if stalled {
-            shared.telemetry.event(EventKind::FailoverAbort {
-                vertex,
-                index,
-                instance: replacement.0 as u64,
-            });
-            self.outcome.aborts.push(FailoverAbort {
-                vertex: job.vertex,
-                index: job.index,
-                reason: "replay ring stalled: the replacement stopped draining".to_string(),
-            });
-            return false;
-        }
-        shared.telemetry.event(EventKind::ReplayComplete {
-            vertex,
-            index,
-            instance: replacement.0 as u64,
-            packets_replayed: replayed,
-        });
-
-        let recovery_wall = job.started.elapsed();
-        shared.telemetry.event(EventKind::FailoverEnd {
-            vertex,
-            index,
-            instance: replacement.0 as u64,
-            recovery_ns: recovery_wall.as_nanos() as u64,
-        });
-        self.outcome.recoveries.push(InstanceRecovery {
-            vertex: job.vertex,
-            index: job.index,
-            failed_instance: job.old_instance,
-            replacement,
-            packets_replayed: replayed,
-            recovery_wall,
-        });
-        true
-    }
-
-    /// Keep flushing a backed-up replay link, beginning any overlapping
-    /// failover that arrives meanwhile (its replacement is the consumer the
-    /// flush may be waiting on, so each begun failover resets the stall
-    /// budget). Returns `false` once [`REPLAY_MAX_SPINS`] empty pushes passed
-    /// with no new fail-stop arriving — the consumer genuinely stopped.
-    fn flush_with_rescue(&mut self, link: &mut OutLink) -> bool {
-        let mut budget = REPLAY_MAX_SPINS;
-        loop {
-            if self.begin_next_pending() {
-                budget = REPLAY_MAX_SPINS;
-            }
-            if link.try_flush(RESCUE_QUANTUM) {
-                return true;
-            }
-            budget = budget.saturating_sub(RESCUE_QUANTUM);
-            if budget == 0 {
-                return false;
-            }
-        }
-    }
-}
-
-/// Flush and close one vertex's replay links. The flush is bounded: an
-/// aborted failover may have left a stalled ring behind, and the wind-down
-/// must not hang on it.
-fn close_links(links: &mut [OutLink]) {
-    for link in links {
-        let _ = link.try_flush(REPLAY_MAX_SPINS);
-        link.producer.close();
     }
 }
 
@@ -520,7 +317,7 @@ mod tests {
     use chc_core::root::ROOT_VERTEX;
     use chc_core::{delete_token, ChainConfig, TaggedPacket};
     use chc_packet::{TraceConfig, TraceGenerator};
-    use chc_store::Clock;
+    use chc_store::{Clock, InstanceId};
 
     /// fw→nat→lb with a planned NAT kill: the firewall's egress log is
     /// armed and truncates against slots 1–3 (NAT, LB, sink), the root's

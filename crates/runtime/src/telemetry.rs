@@ -107,7 +107,8 @@ pub(crate) struct RunTelemetry {
     /// The root's commit frontier as last journaled (`Relaxed`: it
     /// publishes nothing, and truncation passes never overlap).
     last_frontier: AtomicU64,
-    /// Packets replayed so far across all failovers (monitor gauge).
+    /// Packets replayed so far across all failovers (monitor gauge; the
+    /// sentinel's conservation books count them beside the ring pops).
     pub(crate) replay_progress: Counter,
     /// Causal-trace span collector, when flow-sampled tracing is on.
     pub(crate) tracer: Option<TraceCollector>,
@@ -487,6 +488,7 @@ pub(crate) fn finalize_sentinel(
         ring_pushed: state.ledger.ring_pushed.get(),
         ring_popped: state.ledger.ring_popped.get(),
         kill_lost: state.ledger.kill_lost.get(),
+        replayed: telemetry.replay_progress.get(),
         processed: instances().map(|r| r.processed).sum(),
         suppressed: instances().map(|r| r.suppressed_duplicates).sum(),
         sink_arrivals,
@@ -541,7 +543,9 @@ fn check_failover_completion(state: &SentinelState, report: Report<'_>) {
 }
 
 /// Copy conservation on the rings: everything pushed was popped, and every
-/// popped copy was processed, suppressed, lost to a kill or delivered.
+/// popped or replayed copy was processed, suppressed, lost to a kill or
+/// delivered. A replacement takes its replayed copies from a log snapshot,
+/// never from a ring, so they enter the books beside the pops.
 fn check_conservation(c: &SentinelReport, report: Report<'_>) {
     let (pushed, popped, kill_lost) = (c.ring_pushed, c.ring_popped, c.kill_lost);
     if pushed != popped {
@@ -556,16 +560,19 @@ fn check_conservation(c: &SentinelReport, report: Report<'_>) {
             ),
         );
     }
-    let accounted = c.processed + c.suppressed + kill_lost + c.sink_arrivals;
-    if popped != accounted {
+    let (taken, accounted) = (
+        popped + c.replayed,
+        c.processed + c.suppressed + kill_lost + c.sink_arrivals,
+    );
+    if taken != accounted {
         report(
             InvariantKind::Conservation,
             accounted,
-            popped,
+            taken,
             format!(
-                "popped copies unaccounted: {popped} popped vs {} processed + {} suppressed \
-                 + {kill_lost} kill-lost + {} sink arrivals",
-                c.processed, c.suppressed, c.sink_arrivals
+                "copies unaccounted: {popped} popped + {} replayed vs {} processed \
+                 + {} suppressed + {kill_lost} kill-lost + {} sink arrivals",
+                c.replayed, c.processed, c.suppressed, c.sink_arrivals
             ),
         );
     }
@@ -871,6 +878,41 @@ mod tests {
         let flagged: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
         assert_eq!(flagged, [InvariantKind::FrontierMonotonic]);
         assert_eq!((report.events_checked, report.frontier_advances), (3, 2));
+    }
+
+    #[test]
+    fn replayed_copies_close_the_books_beside_the_pops() {
+        // A replacement replayed 5 logged copies (no ring pop) and processed
+        // them with 90 popped ones; 2 more popped copies died in a kill and
+        // 3 reached the sink.
+        let books = SentinelReport {
+            ring_pushed: 95,
+            ring_popped: 95,
+            kill_lost: 2,
+            replayed: 5,
+            processed: 88,
+            suppressed: 7,
+            sink_arrivals: 3,
+            ..SentinelReport::default()
+        };
+        let flagged = |c: &SentinelReport| {
+            let seen = RefCell::new(Vec::new());
+            check_conservation(c, &|kind, observed, expected, _| {
+                seen.borrow_mut().push((kind, observed, expected));
+            });
+            seen.into_inner()
+        };
+        assert_eq!(flagged(&books), []);
+        // Leave the replayed copies out and five processed copies have no
+        // source.
+        let unreplayed = SentinelReport {
+            replayed: 0,
+            ..books
+        };
+        assert_eq!(
+            flagged(&unreplayed),
+            [(InvariantKind::Conservation, 100, 95)]
+        );
     }
 
     /// What the dedup-log check reports over `server` after `injected`

@@ -2,14 +2,16 @@
 //! input rings with their commit bookkeeping, and the per-downstream fan-out
 //! a thread routes through. Every thread owns its wiring outright, so the
 //! packet path reaches a ring through two `Vec` indexes and no map probe.
-//! [`wire`] lays every ring of a run from the [`ChainPlan`].
+//! [`wire`] lays every ring of a run from the [`ChainPlan`]: one per
+//! (producer, consumer) pair of live traffic, and no other. A failover
+//! replacement reads its replay out of the packet logs itself
+//! ([`crate::replay`]), so no ring ever carries replayed copies into it.
 
 use crate::plan::ChainPlan;
 use crate::spsc::{ring, Consumer, Producer, RingProbe};
 use crate::telemetry::{RunTelemetry, SentinelState};
 use chc_core::{Splitter, TaggedPacket};
 use chc_store::VertexId;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -47,51 +49,19 @@ impl OutLink {
         }
     }
 
-    /// Queue one packet, draining full batches with a *bounded* flush.
-    /// Returns `false` when the flush gave up; the un-pushed remainder stays
-    /// buffered (and was never booked as in the network).
-    pub(crate) fn push_bounded(
-        &mut self,
-        tp: TaggedPacket,
-        batch: usize,
-        max_spins: usize,
-    ) -> bool {
-        self.buf.push(tp);
-        if self.buf.len() >= batch {
-            return self.try_flush(max_spins);
-        }
-        true
-    }
-
     /// Drain the buffer through the ring, yielding on downstream
-    /// backpressure for at most `max_spins` consecutive empty pushes.
-    /// Returns `false` if the ring stayed full that long — the consumer has
-    /// stopped draining and spinning further would hang the caller. Only
-    /// packets actually pushed are booked in the conservation ledger.
-    pub(crate) fn try_flush(&mut self, max_spins: usize) -> bool {
-        let mut spins = 0usize;
+    /// backpressure: the DAG is acyclic and the sink always drains, so this
+    /// cannot deadlock. Pushed copies are booked in the conservation ledger
+    /// here, so what an unflushed buffer loses was never in the network.
+    pub(crate) fn flush(&mut self) {
         while !self.buf.is_empty() {
             let n = self.producer.push_batch(&mut self.buf);
             if n == 0 {
-                spins += 1;
-                if spins >= max_spins {
-                    return false;
-                }
                 thread::yield_now();
-            } else {
-                if let Some(s) = &self.sentinel {
-                    s.ledger.ring_pushed.add(n as u64);
-                }
-                spins = 0;
+            } else if let Some(s) = &self.sentinel {
+                s.ledger.ring_pushed.add(n as u64);
             }
         }
-        true
-    }
-
-    /// Unbounded flush: on the packet path the DAG is acyclic and the sink
-    /// always drains, so this cannot deadlock.
-    pub(crate) fn flush(&mut self) {
-        let _ = self.try_flush(usize::MAX);
     }
 }
 
@@ -117,37 +87,24 @@ pub(crate) fn links_mut(outs: &mut [Downstream]) -> impl Iterator<Item = &mut Ou
 }
 
 /// One input ring of an instance (or the sink), with the bookkeeping the
-/// commit protocol needs: the highest clock counter popped so far, and
-/// whether the ring is a replay ring (replay traffic is redundant by
-/// construction, so it never holds back a commit watermark).
+/// commit protocol needs: the highest clock counter popped so far.
 pub(crate) struct InputRing {
     pub(crate) rx: Consumer<TaggedPacket>,
     pub(crate) last_counter: u64,
-    pub(crate) replay: bool,
     /// True when the producer forwards one clock-ordered stream while no
-    /// component has failed: the root, or an instance whose only live input
-    /// is itself ordered. An instance that interleaves several inputs emits
+    /// component has failed: the root, or an instance whose only input is
+    /// itself ordered. An instance that interleaves several inputs emits
     /// counters out of order, so `last_counter` on a ring it feeds says
     /// nothing about the smaller counters still to come.
     pub(crate) ordered: bool,
 }
 
 impl InputRing {
-    pub(crate) fn live(rx: Consumer<TaggedPacket>, ordered: bool) -> InputRing {
+    pub(crate) fn new(rx: Consumer<TaggedPacket>, ordered: bool) -> InputRing {
         InputRing {
             rx,
             last_counter: 0,
-            replay: false,
             ordered,
-        }
-    }
-
-    pub(crate) fn replay(rx: Consumer<TaggedPacket>) -> InputRing {
-        InputRing {
-            rx,
-            last_counter: 0,
-            replay: true,
-            ordered: false,
         }
     }
 }
@@ -155,12 +112,12 @@ impl InputRing {
 /// Whether an instance fed by `inputs` emits a clock-ordered stream (see
 /// [`InputRing::ordered`]).
 pub(crate) fn forwards_in_order(inputs: &[InputRing]) -> bool {
-    let mut live = inputs.iter().filter(|r| !r.replay);
-    matches!((live.next(), live.next()), (Some(only), None) if only.ordered)
+    matches!(inputs, [only] if only.ordered)
 }
 
 /// The complete SPSC wiring of one instance thread. A fail-stopped instance
-/// hands exactly this to the supervisor, and its replacement runs on it.
+/// hands exactly this to the supervisor, and its replacement runs on it once
+/// its own replay is done.
 #[derive(Default)]
 pub(crate) struct InstanceWiring {
     pub(crate) inputs: Vec<InputRing>,
@@ -183,13 +140,6 @@ impl InstanceWiring {
 pub(crate) struct Wired {
     /// Root → entry instances, one fan-out per entry vertex.
     pub(crate) root_outs: Vec<Downstream>,
-    /// Supervisor → instances of each *killed* vertex: one replay ring per
-    /// instance, idle until a failover replays that vertex's replay source.
-    /// Replay traffic never shares a ring with live traffic, so live flows
-    /// keep their order; and the rings sit at the killed vertex's own depth —
-    /// its replacement inherits them with the rest of the wiring, so replays
-    /// enter the chain exactly where the loss happened.
-    pub(crate) replay_outs: HashMap<VertexId, Downstream>,
     /// Per plan slot.
     pub(crate) instances: Vec<InstanceWiring>,
     pub(crate) sink_inputs: Vec<InputRing>,
@@ -221,16 +171,14 @@ impl RingLayer<'_> {
 
     /// One ring from the producer called `from` to each instance of
     /// `vertex`, in instance-index order, behind that vertex's splitter.
-    /// `ordered` is `None` for a replay ring, else [`InputRing::ordered`].
-    fn fan_out(&mut self, from: &str, vertex: VertexId, ordered: Option<bool>) -> Downstream {
+    /// `ordered` is [`InputRing::ordered`].
+    fn fan_out(&mut self, from: &str, vertex: VertexId, ordered: bool) -> Downstream {
         let targets = self.plan.slots_of(vertex);
         let mut links = Vec::with_capacity(targets.len());
         for (k, &target) in targets.iter().enumerate() {
             let (link, rx) = self.link(|| format!("{from}->v{}.{k}", vertex.0));
-            self.wired.instances[target].inputs.push(match ordered {
-                Some(ordered) => InputRing::live(rx, ordered),
-                None => InputRing::replay(rx),
-            });
+            let input = InputRing::new(rx, ordered);
+            self.wired.instances[target].inputs.push(input);
             links.push(link);
         }
         Downstream {
@@ -243,7 +191,7 @@ impl RingLayer<'_> {
     fn sink_link(&mut self, from: &str) -> OutLink {
         let (link, rx) = self.link(|| format!("{from}->sink"));
         // The sink keeps its duplicate window whole, so ring order is moot.
-        self.wired.sink_inputs.push(InputRing::live(rx, false));
+        self.wired.sink_inputs.push(InputRing::new(rx, false));
         link
     }
 }
@@ -261,12 +209,8 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
         .instances
         .resize_with(plan.instances.len(), InstanceWiring::default);
     for entry in &plan.entries {
-        let out = rings.fan_out("root", *entry, Some(true));
+        let out = rings.fan_out("root", *entry, true);
         rings.wired.root_outs.push(out);
-    }
-    for killed in plan.replay_sources.keys() {
-        let out = rings.fan_out("replay", *killed, None);
-        rings.wired.replay_outs.insert(*killed, out);
     }
     // Instance → downstream instances (on-path producers only; off-path
     // vertices consume copies and emit nothing, as in the simulator), then
@@ -281,7 +225,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
         let from = format!("v{}.{}", p.vertex.0, p.index);
         let ordered = forwards_in_order(&rings.wired.instances[i].inputs);
         for d in &p.downstream {
-            let out = rings.fan_out(&from, *d, Some(ordered));
+            let out = rings.fan_out(&from, *d, ordered);
             rings.wired.instances[i].outs.push(out);
         }
         if p.core.exit() {
@@ -311,17 +255,10 @@ pub(crate) fn idle_wait(streak: u32, inputs: &mut [InputRing]) {
     }
 }
 
-/// The ring an idle thread parks on: the first live ring whose producer is
-/// still open, else the first such replay ring. A replay ring's producer is
-/// silent until a failover, so parking on it while live traffic can still
-/// arrive would leave every live push to the timeout.
+/// The ring an idle thread parks on: the first whose producer is still
+/// open. A closed ring can never wake it.
 fn park_target(inputs: &[InputRing]) -> Option<usize> {
-    let open = |replay: bool| {
-        inputs
-            .iter()
-            .position(|r| r.replay == replay && r.rx.has_open_producer())
-    };
-    open(false).or_else(|| open(true))
+    inputs.iter().position(|r| r.rx.has_open_producer())
 }
 
 #[cfg(test)]
@@ -329,17 +266,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_idle_thread_parks_on_a_live_ring_before_a_replay_ring() {
-        // How `wire` lays a killed non-entry vertex's inputs: the replay ring
-        // first, then the live ring from its upstream.
-        let (replay_tx, replay_rx) = ring::<TaggedPacket>(4);
-        let (live_tx, live_rx) = ring::<TaggedPacket>(4);
-        let inputs = [InputRing::replay(replay_rx), InputRing::live(live_rx, true)];
-        assert_eq!(park_target(&inputs), Some(1), "the open live ring");
-        // Once the live stream ends, the replay ring is all that can wake it.
-        live_tx.close();
-        assert_eq!(park_target(&inputs), Some(0), "the open replay ring");
-        replay_tx.close();
+    fn an_idle_thread_parks_on_the_first_ring_still_open() {
+        // How `wire` lays a merge vertex's inputs: one ring per upstream.
+        let (first_tx, first_rx) = ring::<TaggedPacket>(4);
+        let (second_tx, second_rx) = ring::<TaggedPacket>(4);
+        let inputs = [
+            InputRing::new(first_rx, true),
+            InputRing::new(second_rx, true),
+        ];
+        assert_eq!(park_target(&inputs), Some(0), "the first open ring");
+        // Once the first stream ends, the second is all that can wake it.
+        first_tx.close();
+        assert_eq!(park_target(&inputs), Some(1), "the other open ring");
+        second_tx.close();
         assert_eq!(park_target(&inputs), None, "nothing left to wait on");
     }
 }

@@ -587,9 +587,9 @@ fn the_frontier_moves_again_after_a_failover() {
 
 fn frontier_moves_after_a_mid_kill_on(backend: BackendKind) {
     // A failover is a transient: once the NAT replacement's replay has
-    // completed, the supervisor closes its replay ring, the replacement
-    // publishes its watermark again and the commit frontier moves on while
-    // the trace is still running — not only in the engine's final pass.
+    // completed, the replacement publishes its watermark again and the
+    // commit frontier moves on while the trace is still running — not only
+    // in the engine's final pass.
     let trace = TraceGenerator::new(TraceConfig {
         seed: 37,
         connections: 800,
@@ -839,4 +839,46 @@ fn overlapping_kills_do_not_double_count_duplicates() {
         "a failover aborted: {:?}",
         fault.aborts
     );
+}
+
+#[test]
+fn a_surviving_replica_sees_no_replay() {
+    // §5.3: the replacement replays its own log, the copies routed to its
+    // own index, so the firewall replica that did not die processes exactly
+    // its healthy share and never meets a replayed copy.
+    let trace = trace_for(59);
+    let kill_at = (trace.len() / 2) as u64;
+    let survivor = |report: &RuntimeReport| {
+        report
+            .instances
+            .iter()
+            .find(|i| i.vertex == FW && i.instance == InstanceId(1))
+            .cloned()
+            .expect("the surviving firewall replica")
+    };
+    let healthy = run(
+        &wide_firewall_nat(),
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(8),
+        &trace,
+    );
+    let faulted = run(
+        &wide_firewall_nat(),
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill(FW, 0, kill_at)),
+        &trace,
+    );
+    assert_eq!(faulted.duplicates, 0);
+    assert!(faulted.duplicate_clocks.is_empty());
+    assert_no_violations(&healthy);
+    assert_no_violations(&faulted);
+    assert_eq!(sorted_ids(&healthy), sorted_ids(&faulted));
+    assert_eq!(healthy.shared_digest(), faulted.shared_digest());
+    let fault = faulted.fault.as_ref().expect("fault report missing");
+    assert_eq!(fault.recoveries.len(), 1);
+    assert!(fault.recoveries[0].packets_replayed > 0);
+
+    let (before, after) = (survivor(&healthy), survivor(&faulted));
+    assert_eq!(after.suppressed_duplicates, 0, "the survivor saw a replay");
+    assert_eq!(after.processed, before.processed);
 }

@@ -93,11 +93,16 @@ fn traced_failover_exports_a_loadable_trace_with_replay_spans() {
     let json = chrome_trace_json(spans);
     let shape = validate_chrome_trace(&json).expect("invalid Chrome trace");
     assert_eq!(shape.begins, shape.ends);
-    // Root, sink, supervisor, both original instances and the replacement.
-    assert!(shape.lanes >= 6, "only {} lanes", shape.lanes);
+    // Root, sink, both original instances and the replacement.
+    assert!(shape.lanes >= 5, "only {} lanes", shape.lanes);
 
-    // The failover is visible: the supervisor lane carries replay_inject
-    // spans for the logged packets...
+    // The failover is visible: the replacement's lane (fresh instance id 2
+    // on the killed vertex) carries replay_inject spans for the logged
+    // packets it took from its snapshot...
+    let replacement_lane = TraceLane::Vertex {
+        vertex: FW.0,
+        instance: 2,
+    };
     let replay_injects: Vec<u64> = spans
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::ReplayInject))
@@ -110,14 +115,9 @@ fn traced_failover_exports_a_loadable_trace_with_replay_spans() {
     assert!(spans
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::ReplayInject))
-        .all(|s| s.lane == TraceLane::Supervisor));
+        .all(|s| s.lane == replacement_lane));
 
-    // ...and the replacement's lane (fresh instance id 2 on the killed
-    // vertex) shows replayed service spans for them.
-    let replacement_lane = TraceLane::Vertex {
-        vertex: FW.0,
-        instance: 2,
-    };
+    // ...and replayed service spans for them.
     let replayed_service: Vec<u64> = spans
         .iter()
         .filter(|s| {
@@ -129,7 +129,21 @@ fn traced_failover_exports_a_loadable_trace_with_replay_spans() {
         !replayed_service.is_empty(),
         "replacement processed no replayed packets on its lane"
     );
-    // Every replayed service corresponds to a supervisor re-injection, and
+    // Replay first (§5.3): every replayed service span on the lane starts
+    // before the lane's first live one.
+    let on_lane = |replay: bool| {
+        spans.iter().filter(move |s| {
+            s.lane == replacement_lane
+                && matches!(s.kind, SpanKind::Service { replay: r, .. } if r == replay)
+        })
+    };
+    let first_live = on_lane(false).map(|s| s.t_ns).min();
+    assert!(first_live.is_some(), "replacement served no live packet");
+    assert!(
+        on_lane(true).all(|s| Some(s.t_ns) < first_live),
+        "a replayed packet was served after the first live one"
+    );
+    // Every replayed service corresponds to a replay_inject span, and
     // every re-injected packet was root-stamped first.
     let inject_ids: std::collections::HashSet<u64> = spans
         .iter()

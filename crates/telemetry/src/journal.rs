@@ -35,21 +35,23 @@ pub enum EventKind {
         index: u32,
         instance: u64,
     },
-    /// The replacement instance thread was spawned.
+    /// The replacement instance thread is about to start (journaled before
+    /// it does, so before anything the replacement journals).
     ReplacementSpawn {
         vertex: u32,
         index: u32,
         instance: u64,
     },
-    /// Replay of the root packet log into the replacement finished.
+    /// The replacement processed every logged copy routed to it, before
+    /// its first live pop.
     ReplayComplete {
         vertex: u32,
         index: u32,
         instance: u64,
         packets_replayed: u64,
     },
-    /// Failover completed end to end; `recovery_ns` is the supervisor-
-    /// measured wall time from death notice to recovered.
+    /// Failover completed end to end; `recovery_ns` is the wall time from
+    /// the supervisor's death notice to the replacement's replay done.
     FailoverEnd {
         vertex: u32,
         index: u32,

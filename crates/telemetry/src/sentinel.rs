@@ -455,7 +455,7 @@ impl FlowOrderChecker {
 /// counted as "in the network".
 #[derive(Debug, Default)]
 pub struct ConservationLedger {
-    /// Copies pushed into any SPSC ring (root, instances, supervisor).
+    /// Copies pushed into any SPSC ring (root, instances).
     pub ring_pushed: Counter,
     /// Copies popped from any SPSC ring (instances, sink).
     pub ring_popped: Counter,
@@ -489,6 +489,9 @@ pub struct SentinelReport {
     pub ring_popped: u64,
     /// Popped copies destroyed by fail-stop kills.
     pub kill_lost: u64,
+    /// Logged copies failover replacements took from a log snapshot: they
+    /// enter an instance without a ring pop.
+    pub replayed: u64,
     /// Packets fully processed by NF instances (all instances, failed and
     /// replacements included).
     pub processed: u64,

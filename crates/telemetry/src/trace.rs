@@ -15,9 +15,9 @@
 //!   trips,
 //! * `suppress` — a queue that recognized the clock as a duplicate (§5.3)
 //!   and absorbed the copy,
-//! * `replay_inject` — the supervisor re-injected the logged packet towards
-//!   a failover replacement (supervisor lane); the replacement's processing
-//!   then shows up as a `service` span with `replay:1`,
+//! * `replay_inject` — a failover replacement took the logged packet from
+//!   its replay snapshot (the replacement's lane); its processing then
+//!   shows up there as a `service` span with `replay:1`,
 //! * `deliver` — sink arrival, with the final-hop wait and whether the copy
 //!   was a duplicate.
 //!
@@ -25,7 +25,7 @@
 //!
 //! Each span lives on a *lane* — exported as one Chrome `tid` — owned by
 //! exactly one OS thread at a time (root, one per NF instance id, the
-//! supervisor, the sink). Because every lane is single-writer and recording
+//! sink). Because every lane is single-writer and recording
 //! happens in program order, events within a lane are naturally
 //! timestamp-monotone and properly nested; the exporter relies on this
 //! instead of re-sorting, and [`validate_chrome_trace`] checks it.
@@ -46,8 +46,6 @@ pub enum TraceLane {
         /// Instance id (unique across the run, replacements included).
         instance: u64,
     },
-    /// The failover supervisor thread.
-    Supervisor,
     /// The sink (delivery) thread.
     Sink,
 }
@@ -59,7 +57,6 @@ impl TraceLane {
         match self {
             TraceLane::Root => 0,
             TraceLane::Sink => 1,
-            TraceLane::Supervisor => 2,
             TraceLane::Vertex { instance, .. } => 16 + instance,
         }
     }
@@ -69,7 +66,6 @@ impl TraceLane {
         match self {
             TraceLane::Root => "root".to_string(),
             TraceLane::Sink => "sink".to_string(),
-            TraceLane::Supervisor => "supervisor".to_string(),
             TraceLane::Vertex { vertex, instance } => format!("v{vertex}.inst{instance}"),
         }
     }
@@ -95,8 +91,8 @@ pub enum SpanKind {
     },
     /// A queue suppressed this copy as a duplicate clock (zero duration).
     Suppress,
-    /// The supervisor re-injected the logged packet for a replacement
-    /// (zero duration).
+    /// A failover replacement took the logged packet from its replay
+    /// snapshot (zero duration).
     ReplayInject,
     /// The sink received the packet (zero duration).
     Deliver {
