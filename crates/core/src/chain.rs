@@ -12,11 +12,13 @@ use crate::dag::{DagError, LogicalDag, VertexSpec};
 use crate::instance::{InstanceParams, NfInstanceActor};
 use crate::instance_core::{InstanceCore, InstanceCounters};
 use crate::message::{Msg, TaggedPacket};
-use crate::root::{RootActor, RootStats};
+use crate::root::{RootActor, RootStats, ROOT_LOG_CAPACITY, ROOT_VERTEX};
 use crate::root_core::RootCore;
+use crate::rootlog::PacketLog;
 use crate::sink::SinkActor;
 use crate::splitter::{PartitionTable, Splitter};
 use crate::state::{SharedStore, StateClient};
+use crate::vertexlog::{replay_sources, VertexLogs};
 use chc_packet::{PacketId, ScopeKey, Trace};
 use chc_sim::{
     ActorId, LinkConfig, SimDuration, Simulation, SimulationReport, Summary, VirtualTime,
@@ -174,6 +176,9 @@ pub struct ChainController {
     partition: Rc<RefCell<PartitionTable>>,
     topology: Rc<RefCell<Topology>>,
     handles: ChainHandles,
+    /// The packet logs the root and the armed instances write and every
+    /// failover or clone instance replays from.
+    logs: Rc<VertexLogs>,
     root_id: u8,
     next_instance: u32,
     /// The store's latest checkpoint image (empty: none taken).
@@ -194,9 +199,16 @@ impl ChainController {
         let partition = Rc::new(RefCell::new(PartitionTable::new()));
         let topology = Rc::new(RefCell::new(Topology::default()));
 
+        // Any instance may fail or straggle, so every vertex some vertex
+        // replays from logs its egress.
+        let mut logs = VertexLogs::new(ROOT_LOG_CAPACITY);
         for v in dag.vertices() {
             partition.borrow_mut().insert(Splitter::for_vertex(v));
+            for source in replay_sources(&dag, v.id) {
+                logs.arm(source, ROOT_LOG_CAPACITY);
+            }
         }
+        let logs = Rc::new(logs);
 
         let sink = sim.add_actor(Box::new(SinkActor::default()));
         let root = sim.add_actor(Box::new(RootActor::new(
@@ -206,6 +218,7 @@ impl ChainController {
             partition.clone(),
             topology.clone(),
             Arc::clone(&store),
+            Rc::clone(&logs),
         )));
 
         let mut controller = ChainController {
@@ -216,6 +229,7 @@ impl ChainController {
             partition,
             topology,
             handles: ChainHandles { root, sink },
+            logs,
             root_id: 0,
             next_instance: 0,
             last_checkpoint: Vec::new(),
@@ -266,9 +280,10 @@ impl ChainController {
             instance,
             downstream: self.dag.downstream_of(spec.id),
             awaiting_replay,
+            logs: Rc::clone(&self.logs),
         };
         let exit = self.dag.exits().contains(&spec.id);
-        let actor = Box::new(NfInstanceActor::new(
+        let mut actor = Box::new(NfInstanceActor::new(
             params,
             InstanceCore::new(nf, spec.off_path, exit),
             client,
@@ -286,6 +301,12 @@ impl ChainController {
             }
             Some(index) => {
                 let slot = topology.actor_of(spec.id, index).expect("actor");
+                // The failed instance's accepted packets still leave on
+                // schedule (the simulator charges their service up front),
+                // so nothing its successor emits may overtake them.
+                if let Some(old) = self.sim.actor::<NfInstanceActor>(slot) {
+                    actor.workers = old.workers.successor();
+                }
                 self.sim.replace_actor(slot, actor);
                 topology.replace_instance(spec.id, index, instance, slot);
                 (instance, index)
@@ -481,8 +502,9 @@ impl ChainController {
 
     /// Deploy a clone of the straggler at `straggler_index`: the clone starts
     /// from the straggler's externalized state, the upstream splitter
-    /// replicates the straggler's traffic to it, and the root replays all
-    /// logged packets to bring it up to speed (§5.3). Returns the clone.
+    /// replicates the straggler's traffic to it, and it replays the logged
+    /// packets that route to the straggler to come up to speed (§5.3). The
+    /// clone takes no partition of its own. Returns the clone.
     pub fn clone_for_straggler(
         &mut self,
         vertex: VertexId,
@@ -490,21 +512,21 @@ impl ChainController {
     ) -> (InstanceId, usize) {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
         let (clone_id, clone_index) = self.spawn_instance(&spec, true, None);
-        {
-            let mut table = self.partition.borrow_mut();
-            if let Some(s) = table.splitter_mut(vertex) {
-                // The clone is reachable for mirroring but does not take over
-                // any partition of its own yet.
-                s.set_instance_count(clone_index + 1);
-                s.set_mirror(straggler_index, clone_index);
-            }
+        if let Some(s) = self.partition.borrow_mut().splitter_mut(vertex) {
+            s.set_mirror(straggler_index, clone_index);
         }
-        self.sim.inject_after(
-            SimDuration::ZERO,
-            self.handles.root,
-            Msg::ReplayRequest { target: clone_id },
-        );
+        self.send_replay(vertex, straggler_index, clone_id);
         (clone_id, clone_index)
+    }
+
+    /// Tell `target` to replay the logged copies of its vertex's replay
+    /// sources that route to `index`.
+    fn send_replay(&mut self, vertex: VertexId, index: usize, target: InstanceId) {
+        let sources = replay_sources(&self.dag, vertex);
+        let actor = self.topology.borrow().actor_of_instance(target);
+        let actor = actor.expect("a deployed instance");
+        let replay = Msg::Replay { sources, index };
+        self.sim.inject_after(SimDuration::ZERO, actor, replay);
     }
 
     // ------------------------------------------------------------------
@@ -520,19 +542,14 @@ impl ChainController {
 
     /// Bring up a failover instance for the failed instance at `index`:
     /// the store re-associates the failed instance's per-flow state with the
-    /// failover instance, and the root replays logged packets to it.
+    /// failover instance, which replays the logged packets that route to
+    /// `index` before it takes live traffic.
     pub fn failover_instance(&mut self, vertex: VertexId, index: usize) -> InstanceId {
         let spec = self.dag.vertex(vertex).expect("vertex exists").clone();
         let old_instance = self.topology.borrow().instances_of(vertex)[index];
         let (new_instance, _) = self.spawn_instance(&spec, true, Some(index));
         self.store.reassign_owner(old_instance, new_instance);
-        self.sim.inject_after(
-            SimDuration::ZERO,
-            self.handles.root,
-            Msg::ReplayRequest {
-                target: new_instance,
-            },
-        );
+        self.send_replay(vertex, index, new_instance);
         new_instance
     }
 
@@ -543,8 +560,12 @@ impl ChainController {
 
     /// Bring up a failover root: it reads the last persisted clock from the
     /// store and resumes stamping; the failed root's local packet log is lost
-    /// (equivalent to a network drop of the in-flight packets, §B.3).
+    /// (equivalent to a network drop of the in-flight packets, §B.3), so its
+    /// row is emptied, as on the engine.
     pub fn recover_root(&mut self) {
+        if let Some(mut log) = self.logs.log(ROOT_VERTEX) {
+            *log = PacketLog::new(ROOT_LOG_CAPACITY);
+        }
         let root = RootActor::new(
             RootCore::recovered(self.root_id, &self.store),
             self.config,
@@ -552,6 +573,7 @@ impl ChainController {
             self.partition.clone(),
             self.topology.clone(),
             Arc::clone(&self.store),
+            Rc::clone(&self.logs),
         );
         self.sim.replace_actor(self.handles.root, Box::new(root));
     }

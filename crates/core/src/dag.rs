@@ -366,6 +366,23 @@ mod tests {
     }
 
     #[test]
+    fn a_vertex_replays_from_the_root_or_its_on_path_upstreams() {
+        // 1 → 2 → 3, and an off-path 4 fed by 1 that also feeds 3.
+        let mut dag = LogicalDag::linear(vec![vertex(1, "a"), vertex(2, "b"), vertex(3, "c")]);
+        let off = dag.add_vertex(vertex(4, "tap").off_path());
+        dag.add_edge(VertexId(1), off);
+        dag.add_edge(off, VertexId(3));
+        let sources = |v| crate::vertexlog::replay_sources(&dag, VertexId(v));
+        assert_eq!(sources(1), [ROOT_VERTEX]);
+        assert_eq!(sources(2), [VertexId(1)]);
+        assert_eq!(
+            sources(3),
+            [VertexId(2)],
+            "an off-path vertex emits nothing"
+        );
+    }
+
+    #[test]
     fn cycle_and_duplicate_detection() {
         let mut dag = LogicalDag::new();
         dag.add_vertex(vertex(1, "a"));

@@ -10,8 +10,12 @@
 //!
 //! * buffering and lazy ownership acquisition during per-flow state handover
 //!   (Figure 4 steps 3–8),
-//! * replay gating for clones and failover instances (process replayed
-//!   traffic first, buffer live traffic until the replay ends),
+//! * replay for clones and failover instances (§5.3): on the controller's
+//!   [`Msg::Replay`] the instance takes its own snapshot of the packet logs
+//!   and processes it before the live traffic it buffered meanwhile,
+//! * egress logging: an instance of a vertex some other vertex replays from
+//!   copies each live packet it forwards into its vertex's row of the shared
+//!   [`VertexLogs`],
 //! * commit-signal emission for the root's XOR delete protocol (Figure 6),
 //! * callback delivery for read-heavy cached objects, and
 //! * chain-tail duties: the "delete-before-output" rule of §5.4.
@@ -22,6 +26,7 @@ use crate::instance_core::{InstanceCore, InstanceCounters, Step};
 use crate::message::{Msg, TaggedPacket};
 use crate::splitter::PartitionTable;
 use crate::state::StateClient;
+use crate::vertexlog::VertexLogs;
 use chc_packet::ScopeKey;
 use chc_sim::{
     Actor, ActorId, Ctx, Histogram, SimDuration, Throughput, TimeSeries, VirtualTime, WorkerPool,
@@ -45,9 +50,13 @@ pub struct InstanceParams {
     /// Downstream vertices (on-path and off-path) to forward to.
     pub downstream: Vec<VertexId>,
     /// True when the instance starts as a straggler clone or failover target:
-    /// it processes replayed traffic first and buffers live traffic until the
-    /// packet marked "last of replay" has been processed (§5.3).
+    /// it buffers live traffic until its [`Msg::Replay`] has been processed
+    /// (§5.3).
     pub awaiting_replay: bool,
+    /// The chain's packet logs: the instance replays from them, and when its
+    /// vertex has a row (some vertex replays from its egress) it logs there
+    /// every live packet it forwards.
+    pub logs: Rc<VertexLogs>,
 }
 
 /// Per-instance timings read back by benches and tests; the counters are
@@ -75,13 +84,13 @@ pub struct NfInstanceActor {
     topology: Rc<RefCell<Topology>>,
     root: ActorId,
     sink: ActorId,
-    workers: WorkerPool,
+    pub(crate) workers: WorkerPool,
     /// Artificial extra per-packet delay (straggler emulation).
     extra_delay: SimDuration,
     /// Scope keys whose per-flow state is still owned by the old instance;
     /// their packets are buffered until `HandoverComplete` (Figure 4 step 4).
     awaiting_handover: HashSet<ScopeKey>,
-    /// True while a clone/failover instance waits for the end of replay.
+    /// True while a clone/failover instance waits for its replay.
     awaiting_replay: bool,
     /// Packets buffered by the two mechanisms above, in arrival order.
     buffer: Vec<TaggedPacket>,
@@ -140,9 +149,9 @@ impl NfInstanceActor {
     }
 
     fn handle_data(&mut self, tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
-        // Replay gating for clones / failover instances: live (non-replay)
-        // traffic is buffered until the replay burst has been consumed.
-        if self.awaiting_replay && tp.replay_for != Some(self.params.instance) {
+        // Replay gating for clones / failover instances: live traffic is
+        // buffered until the replay has been processed.
+        if self.awaiting_replay {
             self.buffer.push(tp);
             return;
         }
@@ -153,7 +162,7 @@ impl NfInstanceActor {
         // instance already flushed and released (the notification raced ahead
         // of the traffic), processing continues immediately.
         if let Some(key) = self.own_scope_key(&tp) {
-            if tp.mark.first_of_move {
+            if tp.first_of_move {
                 let conn = ScopeKey::Flow(tp.packet.connection_key());
                 if self.client.per_flow_owned_elsewhere(conn) {
                     self.awaiting_handover.insert(key);
@@ -164,12 +173,26 @@ impl NfInstanceActor {
                 return;
             }
         }
-        let end_of_replay = tp.replay_for == Some(self.params.instance) && tp.mark.last_of_replay;
         self.process_packet(tp, ctx);
-        if end_of_replay && self.awaiting_replay {
-            self.awaiting_replay = false;
-            self.drain_buffer(ctx);
+    }
+
+    /// A clone or failover instance's replay (§5.3): it takes its own
+    /// snapshot of the logs and puts each logged copy, marked as replayed
+    /// for this instance, through the per-packet step; only then does it
+    /// drain the live packets buffered meanwhile. An empty replay opens the
+    /// gate at once.
+    fn replay(&mut self, sources: &[VertexId], index: usize, ctx: &mut Ctx<'_, Msg>) {
+        let packets = {
+            let table = self.partition.borrow();
+            let splitter = table.splitter(self.params.vertex).expect("a splitter");
+            self.params.logs.replay(sources, splitter, index)
+        };
+        for mut tp in packets {
+            tp.replay_for = Some(self.params.instance);
+            self.process_packet(tp, ctx);
         }
+        self.awaiting_replay = false;
+        self.drain_buffer(ctx);
     }
 
     fn drain_buffer(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -241,46 +264,22 @@ impl NfInstanceActor {
         match step {
             Step::Dropped if !off_path => ctx.send_with_extra_delay(self.root, delete, delay),
             Step::Forward { exit } => {
+                // A replayed or replicated copy is not logged: another
+                // instance of the vertex may process the same clock.
+                if tp.replay_for.is_none() && !tp.replicated {
+                    if let Some(mut log) = self.params.logs.log(self.params.vertex) {
+                        log.insert(tp.clone());
+                    }
+                }
                 if exit {
                     ctx.send_with_extra_delay(self.root, delete, delay);
                     ctx.send_with_extra_delay(self.sink, Msg::Delivered(tp.clone()), delay);
                 }
-                for vertex in self.params.downstream.clone() {
-                    self.forward_to_vertex(vertex, &tp, delay, ctx);
+                for &vertex in &self.params.downstream {
+                    send_to_vertex(&self.partition, &self.topology, vertex, &tp, delay, ctx);
                 }
             }
             _ => {}
-        }
-    }
-
-    fn forward_to_vertex(
-        &mut self,
-        vertex: VertexId,
-        tp: &TaggedPacket,
-        delay: SimDuration,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        let route = self
-            .partition
-            .borrow_mut()
-            .route_clocked(vertex, &tp.packet, tp.clock);
-        let Some(route) = route else { return };
-        let target = self
-            .topology
-            .borrow()
-            .actor_of(vertex, route.instance_index);
-        if let Some(actor) = target {
-            let mut copy = tp.clone();
-            copy.mark.first_of_move = route.mark.first_of_move;
-            copy.mark.last_of_move = route.mark.last_of_move;
-            ctx.send_with_extra_delay(actor, Msg::Data(copy), delay);
-        }
-        if let Some(mirror) = route.mirror_index {
-            if let Some(actor) = self.topology.borrow().actor_of(vertex, mirror) {
-                let mut copy = tp.clone();
-                copy.replicated = true;
-                ctx.send_with_extra_delay(actor, Msg::Data(copy), delay);
-            }
         }
     }
 
@@ -308,12 +307,42 @@ impl NfInstanceActor {
     }
 }
 
+/// Send `tp` towards `vertex`, `delay` from now: to the instance its
+/// splitter picks, with the route's handover mark, and as a replicated copy
+/// to a straggler's clone. The root and every instance forward through it.
+pub(crate) fn send_to_vertex(
+    partition: &RefCell<PartitionTable>,
+    topology: &RefCell<Topology>,
+    vertex: VertexId,
+    tp: &TaggedPacket,
+    delay: SimDuration,
+    ctx: &mut Ctx<'_, Msg>,
+) {
+    let mut table = partition.borrow_mut();
+    let Some(route) = table.route_clocked(vertex, &tp.packet, tp.clock) else {
+        return;
+    };
+    let topology = topology.borrow();
+    if let Some(actor) = topology.actor_of(vertex, route.instance_index) {
+        let mut copy = tp.clone();
+        copy.first_of_move = route.first_of_move;
+        ctx.send_with_extra_delay(actor, Msg::Data(copy), delay);
+    }
+    let mirror = route.mirror_index;
+    if let Some(actor) = mirror.and_then(|i| topology.actor_of(vertex, i)) {
+        let mut copy = tp.clone();
+        copy.replicated = true;
+        ctx.send_with_extra_delay(actor, Msg::Data(copy), delay);
+    }
+}
+
 impl Actor<Msg> for NfInstanceActor {
     fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_data(tp, ctx),
             Msg::CallbackUpdate { key, value } => self.client.handle_callback(&key, value),
             Msg::HandoverComplete => self.handle_handover_complete(ctx),
+            Msg::Replay { sources, index } => self.replay(&sources, index, ctx),
             Msg::FlushRequest { notify } => self.handle_flush(notify, ctx),
             Msg::SetProcessingDelay { extra_nanos } => {
                 self.extra_delay = SimDuration::from_nanos(extra_nanos);

@@ -56,7 +56,7 @@ pub use dag::{LogicalDag, StateObjectSpec, VertexSpec};
 pub use inline::InlineChain;
 pub use instance::NfInstanceActor;
 pub use instance_core::{InstanceCore, InstanceCounters, Step};
-pub use message::{Msg, PacketMark, TaggedPacket, TIMED_PERIOD};
+pub use message::{Msg, TaggedPacket, TIMED_PERIOD};
 pub use nf::{Action, NetworkFunction, NfContext};
 pub use root::RootActor;
 pub use root_core::{RootCore, CLOCK_PERSIST_PERIOD};
@@ -65,7 +65,7 @@ pub use sink::SinkActor;
 pub use sink_core::{Arrival, SinkCore};
 pub use splitter::{PartitionTable, Splitter};
 pub use state::{SharedStore, StateClient, StateHandle};
-pub use vertexlog::{delete_token, VertexLogStats, VertexLogs, XorDeleteLedger};
+pub use vertexlog::{delete_token, replay_sources, VertexLogStats, VertexLogs, XorDeleteLedger};
 
 // Re-export the identifiers shared with the store crate so NF authors only
 // need `chc_core` in scope.

@@ -1,21 +1,8 @@
 //! Messages exchanged between chain components and the framework envelope
-//! that wraps packets (clock, marks, XOR commit vector).
+//! that wraps packets (clock, handover mark, XOR commit vector).
 
 use chc_packet::{Packet, TraceTag};
-use chc_store::{Clock, InstanceId, StateKey, Value};
-
-/// Handover / replay marks attached to a packet by the framework (§5.1, §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PacketMark {
-    /// The splitter marked this as the *last* packet of a flow group sent to
-    /// the old instance during a reallocation (Figure 4, step 1).
-    pub last_of_move: bool,
-    /// The splitter marked this as the *first* packet of a flow group sent to
-    /// the new instance during a reallocation (Figure 4, step 2).
-    pub first_of_move: bool,
-    /// The root marked this as the last packet of a replay burst (§5.3).
-    pub last_of_replay: bool,
-}
+use chc_store::{Clock, InstanceId, StateKey, Value, VertexId};
 
 /// One packet in this many is a *timed packet*: the real-thread engine reads
 /// the wall clock for it at every hop and feeds the latency histograms; the
@@ -29,7 +16,7 @@ pub const TIMED_PERIOD: u64 = 16;
 ///
 /// The envelope carries the logical clock stamped by the root, the XOR
 /// commit vector of §5.4 (16-bit instance id ‖ 16-bit object id per update),
-/// replay/clone annotations, handover marks and the span stamps of a timed
+/// replay/clone annotations, the handover mark and the span stamps of a timed
 /// packet. NFs never see the envelope; the instance runtime unwraps it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaggedPacket {
@@ -40,15 +27,19 @@ pub struct TaggedPacket {
     /// XOR of `(instance id ‖ object id)` for every state update the packet
     /// induced so far (§5.4, Figure 6).
     pub xor_vector: u32,
-    /// When this is a replayed packet, the instance (clone or failover) it is
-    /// being replayed for; intervening NFs treat it as a non-suspicious
-    /// duplicate (§5.3, "Duplicate upstream processing").
+    /// When this is a replayed packet, the instance (clone or failover) that
+    /// replayed it out of its own snapshot of the packet logs. No NF upstream
+    /// of that instance sees the copy; a downstream NF admits it like any
+    /// packet and suppresses it if it saw the clock before (§5.3, "Duplicate
+    /// upstream processing"). The sink counts a replayed copy of a clock it
+    /// already has as a replay shadow.
     pub replay_for: Option<InstanceId>,
     /// True when this copy was replicated to a straggler's clone (the
     /// original still flows to the straggler).
     pub replicated: bool,
-    /// Handover / replay marks.
-    pub mark: PacketMark,
+    /// The splitter marked this as the *first* packet of a flow group sent to
+    /// the new instance during a reallocation (Figure 4, step 2; §5.1).
+    pub first_of_move: bool,
     /// Causal-trace tag when the packet's flow was sampled for tracing;
     /// every hop that sees the tag records a span. `None` for the
     /// overwhelming majority of packets, so untraced traffic pays one
@@ -73,7 +64,7 @@ impl TaggedPacket {
             xor_vector: 0,
             replay_for: None,
             replicated: false,
-            mark: PacketMark::default(),
+            first_of_move: false,
             trace: None,
             inject_ns: 0,
             hop_ns: 0,
@@ -147,11 +138,14 @@ pub enum Msg {
         /// and release are done (the *new* owner of the moved flows).
         notify: InstanceId,
     },
-    /// Framework → root: please replay all logged packets (after a failure or
-    /// when initialising a straggler clone), marking them for `target`.
-    ReplayRequest {
-        /// Instance the replay is destined for.
-        target: InstanceId,
+    /// Framework → failover or clone instance: replay the logged copies of
+    /// `sources` that route to `index` ([`crate::VertexLogs::replay`]),
+    /// before any live packet (§5.3).
+    Replay {
+        /// The logs the instance's vertex is replayed from.
+        sources: Vec<VertexId>,
+        /// The index whose copies it replays: its own, or its straggler's.
+        index: usize,
     },
     /// Framework → instance: inject an artificial per-packet delay (used to
     /// emulate resource contention / stragglers in experiments, §7.3 R4/R5).
@@ -166,7 +160,7 @@ pub enum Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chc_store::{ObjectKey, VertexId};
+    use chc_store::ObjectKey;
 
     #[test]
     fn xor_vector_cancels_out() {

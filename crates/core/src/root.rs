@@ -1,29 +1,32 @@
 //! The chain root: logical clocks, packet logging, the delete/commit
-//! protocol, replay, and root failover (§5, §5.4).
+//! protocol, and root failover (§5, §5.4).
 //!
 //! The root is a special splitter at the chain entry. For every input packet
 //! it (1) stamps a unique logical clock (root instance id in the high bits)
 //! through its [`RootCore`], which persists the clock and recovers it,
-//! (2) logs the packet until the chain tail confirms that processing — and
-//! every state update the packet induced — has finished, and (3) forwards it
-//! to the entry vertex chosen by scope-aware partitioning. Logged packets are
-//! replayed when an NF instance fails over or a straggler clone is
-//! initialised. Deletion follows the XOR commit-vector protocol of Figure 6
-//! so that a packet is never un-logged while some non-blocking state update
-//! it induced is still uncommitted: every commit signal and every delete
-//! request folds into the counter's cell of an [`XorDeleteLedger`], the one
-//! the engine's threads drive too, and the packet is unlogged — its cell
-//! dropped with it — once the request came and the tokens cancelled.
+//! (2) logs the packet, in the [`ROOT_VERTEX`] row of the [`VertexLogs`] it
+//! shares with the instances, until the chain tail confirms that processing
+//! — and every state update the packet induced — has finished, and (3)
+//! forwards it to the entry vertex chosen by scope-aware partitioning. The
+//! root replays nothing itself: a failover or straggler clone instance of
+//! an entry vertex takes its replay out of the root's row
+//! ([`VertexLogs::replay`]). Deletion follows the XOR commit-vector protocol
+//! of Figure 6 so that a packet is never un-logged while some non-blocking
+//! state update it induced is still uncommitted: every commit signal and
+//! every delete request folds into the counter's cell of an
+//! [`XorDeleteLedger`], the one the engine's threads drive too, and the
+//! packet is unlogged from every row — its cell dropped with it — once the
+//! request came and the tokens cancelled.
 
 use crate::chain::Topology;
 use crate::config::ChainConfig;
+use crate::instance::send_to_vertex;
 use crate::message::{Msg, TaggedPacket};
 use crate::root_core::{RootCore, CLOCK_PERSIST_PERIOD};
-use crate::rootlog::PacketLog;
 use crate::splitter::PartitionTable;
-use crate::vertexlog::XorDeleteLedger;
+use crate::vertexlog::{VertexLogs, XorDeleteLedger};
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
-use chc_store::{Clock, InstanceId, StoreServer, VertexId};
+use chc_store::{Clock, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -33,9 +36,9 @@ use std::sync::Arc;
 pub const ROOT_VERTEX: VertexId = VertexId(u32::MAX);
 
 /// Packets a root's log may hold before the root drops new arrivals
-/// (buffer-bloat guard, §5). The simulator's root, the engine's
-/// [`VertexLogs`](crate::VertexLogs) rows and the sentinel's log bound all
-/// read it; it is larger than every trace in the repository.
+/// (buffer-bloat guard, §5). The [`VertexLogs`] rows of both substrates and
+/// the sentinel's log bound all read it; it is larger than every trace in
+/// the repository.
 pub const ROOT_LOG_CAPACITY: usize = 1_000_000;
 
 /// Counters exposed by the root for experiments and reports.
@@ -47,8 +50,6 @@ pub struct RootStats {
     pub dropped: u64,
     /// Log entries deleted after chain-tail confirmation.
     pub deleted: u64,
-    /// Packets replayed (for failover / clone initialisation).
-    pub replayed: u64,
     /// Largest log size observed.
     pub log_high_water: usize,
 }
@@ -62,9 +63,9 @@ pub struct RootActor {
     partition: Rc<RefCell<PartitionTable>>,
     topology: Rc<RefCell<Topology>>,
     store: Arc<StoreServer>,
-    /// Logged packets still being processed somewhere in the chain (shared
-    /// with the real-thread engine via [`crate::rootlog::PacketLog`]).
-    log: PacketLog,
+    /// The chain's packet logs: the root logs into the [`ROOT_VERTEX`] row
+    /// what is still being processed somewhere in the chain.
+    logs: Rc<VertexLogs>,
     /// Figure 6's residue per counter: commit tokens and delete vectors
     /// fold in, a delete request marks the counter finished.
     ledger: XorDeleteLedger,
@@ -76,9 +77,9 @@ impl RootActor {
     /// Create a root stamping through `core`: a fresh [`RootCore::new`] at
     /// chain bring-up, or a failover root's [`RootCore::recovered`], whose
     /// clock resumes from the one persisted in the store (§5.4 "Root"). A
-    /// failover root's packet log starts empty all the same: packets logged
-    /// locally by the failed root are lost, which the chain tolerates as
-    /// network drops — Theorem B.3.1.
+    /// failover root's log row starts empty all the same (the controller
+    /// empties it): packets logged locally by the failed root are lost,
+    /// which the chain tolerates as network drops — Theorem B.3.1.
     pub fn new(
         core: RootCore,
         config: ChainConfig,
@@ -86,6 +87,7 @@ impl RootActor {
         partition: Rc<RefCell<PartitionTable>>,
         topology: Rc<RefCell<Topology>>,
         store: Arc<StoreServer>,
+        logs: Rc<VertexLogs>,
     ) -> RootActor {
         RootActor {
             core,
@@ -94,54 +96,19 @@ impl RootActor {
             partition,
             topology,
             store,
-            log: PacketLog::new(ROOT_LOG_CAPACITY),
+            logs,
             ledger: XorDeleteLedger::default(),
             stats: RootStats::default(),
         }
     }
 
-    /// The root's counters; the drop count and high water are the log's.
+    /// The root's counters; the drop count and high water are its row's.
     pub fn stats(&self) -> RootStats {
+        let log = self.logs.log(ROOT_VERTEX).expect("the root's row");
         RootStats {
-            dropped: self.log.rejected(),
-            log_high_water: self.log.high_water(),
+            dropped: log.rejected(),
+            log_high_water: log.high_water(),
             ..self.stats
-        }
-    }
-
-    /// Per-packet root overhead: local logging plus the amortized clock
-    /// persistence cost (§7.2).
-    fn per_packet_overhead(&self) -> SimDuration {
-        let costs = self.config.costs;
-        costs.root_local_log
-            + SimDuration::from_nanos(costs.clock_persist.as_nanos() / CLOCK_PERSIST_PERIOD)
-    }
-
-    fn forward(&mut self, tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>, extra_delay: SimDuration) {
-        let entries = self.entry_vertices.clone();
-        for vertex in entries {
-            let route = self
-                .partition
-                .borrow_mut()
-                .route_clocked(vertex, &tp.packet, tp.clock);
-            let Some(route) = route else { continue };
-            let target = self
-                .topology
-                .borrow()
-                .actor_of(vertex, route.instance_index);
-            if let Some(actor) = target {
-                let mut copy = tp.clone();
-                copy.mark.first_of_move |= route.mark.first_of_move;
-                copy.mark.last_of_move |= route.mark.last_of_move;
-                ctx.send_with_extra_delay(actor, Msg::Data(copy), extra_delay);
-            }
-            if let Some(mirror) = route.mirror_index {
-                if let Some(actor) = self.topology.borrow().actor_of(vertex, mirror) {
-                    let mut copy = tp.clone();
-                    copy.replicated = true;
-                    ctx.send_with_extra_delay(actor, Msg::Data(copy), extra_delay);
-                }
-            }
         }
     }
 
@@ -149,12 +116,19 @@ impl RootActor {
         tp.clock = self.core.stamp(Some(&*self.store));
         // Buffer-bloat guard (§5): a full log drops the packet, whose clock
         // stays used up, as on the engine's root (the chain tolerates gaps).
-        if !self.log.insert(tp.clone()) {
+        let logged = self.logs.log(ROOT_VERTEX);
+        if !logged.is_some_and(|mut log| log.insert(tp.clone())) {
             return;
         }
         self.stats.packets_in += 1;
-        let overhead = self.per_packet_overhead();
-        self.forward(tp, ctx, overhead);
+        // Per-packet root overhead: local logging plus the amortized clock
+        // persistence cost (§7.2).
+        let costs = self.config.costs;
+        let persist = costs.clock_persist.as_nanos() / CLOCK_PERSIST_PERIOD;
+        let delay = costs.root_local_log + SimDuration::from_nanos(persist);
+        for &vertex in &self.entry_vertices {
+            send_to_vertex(&self.partition, &self.topology, vertex, &tp, delay, ctx);
+        }
     }
 
     /// Unlog the packet once its delete request came and every token
@@ -163,23 +137,9 @@ impl RootActor {
     fn delete_if_cancelled(&mut self, clock: Clock) {
         if self.ledger.deletable(clock.counter()) {
             self.ledger.take(clock.counter());
-            self.log.remove(&clock);
+            self.logs.remove(&clock);
             self.store.forget_clock(clock);
             self.stats.deleted += 1;
-        }
-    }
-
-    fn handle_replay(&mut self, target: InstanceId, ctx: &mut Ctx<'_, Msg>) {
-        let logged = self.log.snapshot();
-        let n = logged.len();
-        for (i, mut tp) in logged.into_iter().enumerate() {
-            tp.replay_for = Some(target);
-            tp.mark.last_of_replay = i + 1 == n;
-            self.stats.replayed += 1;
-            // Replay is paced: packets leave back-to-back at a small fixed
-            // spacing so they do not arrive as one burst at time zero.
-            let pacing = SimDuration::from_nanos(200 * (i as u64 + 1));
-            self.forward(tp, ctx, pacing);
         }
     }
 }
@@ -196,7 +156,6 @@ impl Actor<Msg> for RootActor {
                 self.ledger.fold(clock.counter(), token);
                 self.delete_if_cancelled(clock);
             }
-            Msg::ReplayRequest { target } => self.handle_replay(target, ctx),
             _ => {}
         }
     }
@@ -211,15 +170,15 @@ mod tests {
 
     #[test]
     fn a_full_log_uses_up_the_rejected_arrivals_counter() {
-        let mut root = RootActor::new(
+        let root = RootActor::new(
             RootCore::new(0),
             ChainConfig::default(),
             Vec::new(),
             Rc::default(),
             Rc::default(),
             SharedStore::new(),
+            Rc::new(VertexLogs::new(2)),
         );
-        root.log = PacketLog::new(2);
         let mut sim: Simulation<Msg> = Simulation::new(1);
         let at = sim.add_actor(Box::new(root));
         let arrival = |id| {
@@ -241,8 +200,7 @@ mod tests {
         sim.inject_at(VirtualTime::from_micros(5), at, arrival(4));
         sim.run();
         let root = sim.actor::<RootActor>(at).unwrap();
-        let logged: Vec<_> = root
-            .log
+        let logged: Vec<_> = (root.logs.log(ROOT_VERTEX).unwrap())
             .snapshot()
             .iter()
             .map(|tp| tp.clock.counter())
@@ -269,6 +227,7 @@ mod tests {
             Rc::default(),
             Rc::default(),
             SharedStore::new(),
+            Rc::new(VertexLogs::new(ROOT_LOG_CAPACITY)),
         );
         let mut sim: Simulation<Msg> = Simulation::new(1);
         let at = sim.add_actor(Box::new(root));
@@ -322,8 +281,7 @@ mod tests {
         send(&mut sim, delete(7, a));
         sim.run();
         let root = sim.actor::<RootActor>(at).unwrap();
-        let logged: Vec<_> = root
-            .log
+        let logged: Vec<_> = (root.logs.log(ROOT_VERTEX).unwrap())
             .snapshot()
             .iter()
             .map(|tp| tp.clock.counter())

@@ -15,7 +15,6 @@
 //! consistent chain-wide and reallocation decisions are made in one place.
 
 use crate::dag::VertexSpec;
-use crate::message::PacketMark;
 use chc_packet::{Packet, Scope, ScopeKey};
 use chc_store::{Clock, VertexId};
 use std::collections::HashMap;
@@ -26,8 +25,9 @@ pub struct Route {
     /// Index of the chosen downstream instance (into the vertex's instance
     /// list held by the chain controller).
     pub instance_index: usize,
-    /// Marks the splitter attached for an ongoing flow move (Figure 4).
-    pub mark: PacketMark,
+    /// The packet is the first of a moved flow group to reach its new
+    /// instance (Figure 4, step 2).
+    pub first_of_move: bool,
     /// Index of an instance that must receive a *copy* of the packet
     /// (straggler clone replication, §5.3).
     pub mirror_index: Option<usize>,
@@ -155,16 +155,16 @@ impl Splitter {
         (key.stable_hash() % instances as u64) as usize
     }
 
-    /// Route a packet carrying a logical clock: like [`Splitter::route`] but
-    /// the hash spread honors scale events scheduled for that clock.
+    /// Route a packet carrying a logical clock: pick the instance (the hash
+    /// spread honors scale events scheduled for that clock), attach any
+    /// pending move mark, and report the mirror target if replication is
+    /// active.
     pub fn route_clocked(&mut self, pkt: &Packet, clock: Clock) -> Route {
         let key = self.scope_key(pkt);
         let idx = self.instance_for(pkt, clock);
-        let mut mark = PacketMark::default();
+        let mut first_of_move = false;
         if let Some(target) = self.pending_first_mark.get(&key).copied() {
-            if target == idx {
-                mark.first_of_move = true;
-            }
+            first_of_move = target == idx;
             self.pending_first_mark.remove(&key);
         }
         let mirror_index = match self.mirror {
@@ -173,30 +173,7 @@ impl Splitter {
         };
         Route {
             instance_index: idx,
-            mark,
-            mirror_index,
-        }
-    }
-
-    /// Route a packet: pick the instance, attach any pending move mark, and
-    /// report the mirror target if replication is active.
-    pub fn route(&mut self, pkt: &Packet) -> Route {
-        let key = self.scope_key(pkt);
-        let idx = self.instance_for_key(&key);
-        let mut mark = PacketMark::default();
-        if let Some(target) = self.pending_first_mark.get(&key).copied() {
-            if target == idx {
-                mark.first_of_move = true;
-            }
-            self.pending_first_mark.remove(&key);
-        }
-        let mirror_index = match self.mirror {
-            Some((of, to)) if of == idx => Some(to),
-            _ => None,
-        };
-        Route {
-            instance_index: idx,
-            mark,
+            first_of_move,
             mirror_index,
         }
     }
@@ -252,11 +229,6 @@ impl PartitionTable {
     /// Mutable access to the splitter feeding `vertex`.
     pub fn splitter_mut(&mut self, vertex: VertexId) -> Option<&mut Splitter> {
         self.splitters.get_mut(&vertex)
-    }
-
-    /// Route a packet towards `vertex`.
-    pub fn route(&mut self, vertex: VertexId, pkt: &Packet) -> Option<Route> {
-        self.splitters.get_mut(&vertex).map(|s| s.route(pkt))
     }
 
     /// Route a clock-stamped packet towards `vertex` (scale-plan aware).
@@ -334,7 +306,7 @@ mod tests {
         let pkts = sample(500);
         let mut seen: HashMap<ScopeKey, usize> = HashMap::new();
         for p in &pkts {
-            let r = s.route(p);
+            let r = s.route_clocked(p, Clock::default());
             let key = s.scope_key(p);
             let prev = seen.insert(key, r.instance_index);
             if let Some(prev) = prev {
@@ -357,12 +329,12 @@ mod tests {
         // First packet of the moved group carries the mark; later ones do not.
         let matching: Vec<&Packet> = pkts.iter().filter(|p| s.scope_key(p) == key).collect();
         assert!(!matching.is_empty());
-        let r1 = s.route(matching[0]);
+        let r1 = s.route_clocked(matching[0], Clock::default());
         assert_eq!(r1.instance_index, new);
-        assert!(r1.mark.first_of_move);
+        assert!(r1.first_of_move);
         if matching.len() > 1 {
-            let r2 = s.route(matching[1]);
-            assert!(!r2.mark.first_of_move);
+            let r2 = s.route_clocked(matching[1], Clock::default());
+            assert!(!r2.first_of_move);
             assert_eq!(r2.instance_index, new);
         }
         assert_eq!(s.instance_for_key(&key), new);
@@ -379,7 +351,7 @@ mod tests {
         let pkts = sample(200);
         let mut mirrored = 0;
         for p in &pkts {
-            let r = s.route(p);
+            let r = s.route_clocked(p, Clock::default());
             if r.instance_index == 2 {
                 assert_eq!(r.mirror_index, Some(3));
                 mirrored += 1;
@@ -425,8 +397,12 @@ mod tests {
         t.insert(Splitter::new(VertexId(1), Scope::SrcIp, 2));
         t.insert(Splitter::new(VertexId(2), Scope::FiveTuple, 3));
         let pkts = sample(10);
-        assert!(t.route(VertexId(1), &pkts[0]).is_some());
-        assert!(t.route(VertexId(9), &pkts[0]).is_none());
+        assert!(t
+            .route_clocked(VertexId(1), &pkts[0], Clock::default())
+            .is_some());
+        assert!(t
+            .route_clocked(VertexId(9), &pkts[0], Clock::default())
+            .is_none());
         assert_eq!(t.vertices().len(), 2);
         assert!(t.splitter(VertexId(2)).is_some());
         t.splitter_mut(VertexId(2)).unwrap().set_instance_count(5);

@@ -4,17 +4,20 @@
 //! The root's [`crate::PacketLog`] can only restore packets at the chain
 //! *entry*; a replay injected there is eaten by upstream duplicate
 //! suppression before it reaches a mid-chain or tail replacement. Closing
-//! that gap needs two things, both of which live here:
+//! that gap needs three things, all of which live here:
 //!
+//! - [`replay_sources`]: the one rule for where a vertex's replay comes
+//!   from, on both substrates — the root's log for an entry vertex, the
+//!   egress logs of its on-path upstreams otherwise, so replayed packets
+//!   enter the chain at the right depth.
 //! - [`VertexLogs`]: one table of bounded [`crate::PacketLog`]s keyed by the
 //!   vertex that writes them. The root is the chain's first logging vertex
 //!   (its injection log sits under [`ROOT_VERTEX`]); every other *armed*
-//!   vertex (an upstream of some vertex the fault plan may kill) logs its
-//!   egress stream. The supervisor replays from the logs of the killed
-//!   vertex's upstreams, so replayed packets enter the chain at the right
-//!   depth. Each log is a window of pages indexed by clock counter, so
-//!   logging a packet writes one cell and a truncation or XOR sweep walks
-//!   pages in place (see [`crate::PacketLog`]).
+//!   vertex (a source of some vertex that may fail) logs its egress stream.
+//!   A failover or clone instance takes its own replay out of the table
+//!   ([`VertexLogs::replay`]). Each log is a window of pages indexed by clock
+//!   counter, so logging a packet writes one cell and a truncation or XOR
+//!   sweep walks pages in place (see [`crate::PacketLog`]).
 //! - [`XorDeleteLedger`]: Figure 6's commit vector, on both substrates. On
 //!   the engine each logging vertex folds a per-packet [`delete_token`] into
 //!   both the packet envelope (`TaggedPacket::xor_vector`) and the ledger;
@@ -23,10 +26,12 @@
 //!   tail replacement may skip re-emitting it — bounding the re-delivery
 //!   window of a tail kill to the unconfirmed suffix.
 
+use crate::dag::LogicalDag;
 use crate::message::TaggedPacket;
 use crate::root::ROOT_VERTEX;
 use crate::rootlog::PacketLog;
-use chc_store::{CounterWindow, InstanceId, VertexId};
+use crate::splitter::Splitter;
+use chc_store::{Clock, CounterWindow, InstanceId, VertexId};
 use std::sync::{Mutex, MutexGuard};
 
 /// A nonzero XOR delete token for one logged egress packet.
@@ -157,6 +162,20 @@ impl XorDeleteLedger {
     }
 }
 
+/// The logs a replacement of `vertex` replays from (§5.3): the root's
+/// (`[ROOT_VERTEX]`) for an entry vertex; for a mid-chain or tail vertex the
+/// egress logs of its on-path upstreams, so the replay re-enters the chain at
+/// the vertex's own depth and upstream duplicate suppression can never eat
+/// it. Off-path vertices emit nothing, so they are never a source.
+pub fn replay_sources(dag: &LogicalDag, vertex: VertexId) -> Vec<VertexId> {
+    if dag.entries().contains(&vertex) {
+        return vec![ROOT_VERTEX];
+    }
+    let mut ups = dag.upstream_of(vertex);
+    ups.retain(|u| dag.vertex(*u).is_some_and(|v| !v.off_path));
+    ups
+}
+
 /// Per-log statistics snapshot, surfaced through `FaultReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VertexLogStats {
@@ -168,7 +187,7 @@ pub struct VertexLogStats {
     pub rejected: u64,
 }
 
-/// The engine's packet logs, one table keyed by logging vertex: the root's
+/// The packet logs, one table keyed by logging vertex: the root's
 /// injection log under [`ROOT_VERTEX`] (always armed) plus one bounded egress
 /// log per armed vertex. The table is fixed before the run starts; each log
 /// has its own lock so logging vertices never contend with the root or with
@@ -212,16 +231,32 @@ impl VertexLogs {
         self.logs.iter().map(|(v, _)| *v)
     }
 
-    /// Every packet the logs of `sources` hold, merged in clock order: the
-    /// replay stream for a vertex fed by those sources.
-    pub fn snapshot(&self, sources: &[VertexId]) -> Vec<TaggedPacket> {
-        let mut merged: Vec<TaggedPacket> = sources
-            .iter()
+    /// The replay of instance `index` of a vertex fed by `sources`: a
+    /// snapshot of those logs, merged in clock order, that keeps the copies
+    /// `splitter` routes to `index`, as their originals were. Every failover
+    /// and clone instance, on either substrate, takes its replay here.
+    pub fn replay(
+        &self,
+        sources: &[VertexId],
+        splitter: &Splitter,
+        index: usize,
+    ) -> Vec<TaggedPacket> {
+        let mut merged: Vec<TaggedPacket> = (sources.iter())
             .filter_map(|v| self.log(*v))
             .flat_map(|log| log.snapshot())
+            .filter(|tp| splitter.instance_for(&tp.packet, tp.clock) == index)
             .collect();
         merged.sort_by_key(|tp| tp.clock);
         merged
+    }
+
+    /// Unlog `clock` from every log: the simulator's root deletes a packet
+    /// the chain confirmed (Figure 6) everywhere at once, which keeps each
+    /// egress log no larger than the root's.
+    pub fn remove(&self, clock: &Clock) {
+        for (_, log) in &self.logs {
+            lock(log).remove(clock);
+        }
     }
 
     /// Statistics for every log, in id order.
@@ -250,8 +285,7 @@ fn lock(log: &Mutex<PacketLog>) -> MutexGuard<'_, PacketLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chc_packet::Packet;
-    use chc_store::Clock;
+    use chc_packet::{FiveTuple, Packet, Scope};
 
     fn tp(counter: u64) -> TaggedPacket {
         TaggedPacket::new(
@@ -342,6 +376,27 @@ mod tests {
     }
 
     #[test]
+    fn a_replay_keeps_the_copies_routed_to_its_index() {
+        let logs = VertexLogs::new(64);
+        let flow = |port| FiveTuple::tcp([10, 0, 0, 1].into(), port, [10, 0, 0, 2].into(), 80);
+        for c in 1..=32 {
+            let packet = Packet::builder().id(c).tuple(flow(c as u16)).build();
+            let tp = TaggedPacket::new(packet, Clock::with_root(0, c));
+            logs.log(ROOT_VERTEX).unwrap().insert(tp);
+        }
+        let two = Splitter::new(VertexId(1), Scope::FiveTuple, 2);
+        let [zero, one] = [0, 1].map(|i| logs.replay(&[ROOT_VERTEX], &two, i));
+        assert_eq!(zero.len() + one.len(), 32);
+        assert!(!zero.is_empty() && !one.is_empty());
+        for (index, replay) in [(0, &zero), (1, &one)] {
+            assert!(replay.is_sorted_by_key(|tp| tp.clock));
+            for tp in replay {
+                assert_eq!(two.instance_for(&tp.packet, tp.clock), index);
+            }
+        }
+    }
+
+    #[test]
     fn vertex_logs_arm_and_delete_confirmed() {
         let mut logs = VertexLogs::new(8);
         logs.arm(VertexId(2), 4);
@@ -360,9 +415,11 @@ mod tests {
             logs.log(ROOT_VERTEX).unwrap().insert(tp(c));
             logs.log(VertexId(2)).unwrap().insert(tp(c + 1));
         }
-        // A merged snapshot is clock-ordered across its sources.
+        // A merged replay is clock-ordered across its sources; one instance
+        // replays everything.
+        let one = Splitter::new(VertexId(9), Scope::FiveTuple, 1);
         let counters = |sources: &[VertexId]| -> Vec<u64> {
-            let merged = logs.snapshot(sources);
+            let merged = logs.replay(sources, &one, 0);
             merged.iter().map(|tp| tp.clock.counter()).collect()
         };
         assert_eq!(counters(&[ROOT_VERTEX]), [1, 2, 3]);

@@ -202,8 +202,9 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
         return None;
     };
     let (failed_instance, started) = (takeover.failed, takeover.started);
-    let mut snapshot = shared.logs.snapshot(&takeover.sources);
-    snapshot.retain(|tp| takeover.splitter.instance_for(&tp.packet, tp.clock) == index);
+    let snapshot = shared
+        .logs
+        .replay(&takeover.sources, &takeover.splitter, index);
     let packets_replayed = snapshot.len() as u64;
     for (i, mut tp) in snapshot.into_iter().enumerate() {
         if i % shared.batch == 0 {

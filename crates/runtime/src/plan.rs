@@ -10,9 +10,11 @@ use crate::config::{RuntimeConfig, ScaleEvent};
 use crate::engine::RuntimeError;
 use crate::fault::{FaultPlan, InstanceKill};
 use chc_core::root::ROOT_VERTEX;
-use chc_core::{ChainConfig, InstanceCore, LogicalDag, Splitter, StateObjectSpec, VertexSpec};
+use chc_core::{
+    replay_sources, ChainConfig, InstanceCore, LogicalDag, Splitter, StateObjectSpec, VertexSpec,
+};
 use chc_store::{InstanceId, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 /// Identity, role and NF code of one instance thread — a planned instance or
@@ -87,13 +89,9 @@ pub(crate) struct Takeover {
     /// done: an inherited watermark only becomes true again once the
     /// replayed packets have been re-flushed downstream.
     pub(crate) failed: InstanceId,
-    /// The logs the vertex is replayed from, merged in clock order: the
-    /// root's (`[ROOT_VERTEX]`) for a killed entry; for a killed mid-chain or
-    /// tail vertex the egress logs of its on-path upstream vertices
-    /// (FTMB-style per-vertex output logging), so the replay re-enters the
-    /// chain at the killed vertex's own depth and upstream duplicate
-    /// suppression can never eat it. Off-path vertices emit nothing, so they
-    /// are never a source.
+    /// The logs the vertex is replayed from ([`replay_sources`]): the
+    /// root's for a killed entry, the egress logs of its on-path upstream
+    /// vertices (FTMB-style per-vertex output logging) otherwise.
     pub(crate) sources: Vec<VertexId>,
     /// The vertex's splitter: the replacement keeps only the logged copies
     /// that route to its own index, as their originals did.
@@ -245,7 +243,12 @@ impl ChainPlan {
         let reinject = CounterSchedule::new(drill);
 
         let entries = dag.entries();
-        let (replay_sources, logging) = replay_topology(dag, fault, &entries);
+        // The vertices that log their egress: every replay source of a
+        // killed vertex but the root.
+        let logging: BTreeSet<VertexId> = (fault.kills.iter())
+            .flat_map(|kill| replay_sources(dag, kill.vertex))
+            .filter(|&u| u != ROOT_VERTEX)
+            .collect();
         let mut instances: Vec<InstancePlan> = identities
             .iter()
             .enumerate()
@@ -274,7 +277,7 @@ impl ChainPlan {
                 let seed = InstancePlan {
                     takeover: Some(Takeover {
                         failed: dead.instance,
-                        sources: replay_sources[&v.id].clone(),
+                        sources: replay_sources(dag, v.id),
                         splitter: splitters[&v.id].clone(),
                         started: None,
                     }),
@@ -396,30 +399,6 @@ fn validate_kills(
         }
         _ => Ok(killed),
     }
-}
-
-/// Replay sources per killed vertex ([`Takeover::sources`]) and the set of
-/// vertices that must log their egress for them.
-fn replay_topology(
-    dag: &LogicalDag,
-    fault: &FaultPlan,
-    entries: &[VertexId],
-) -> (BTreeMap<VertexId, Vec<VertexId>>, BTreeSet<VertexId>) {
-    let mut sources = BTreeMap::new();
-    let mut logging = BTreeSet::new();
-    for kill in &fault.kills {
-        let ups = if entries.contains(&kill.vertex) {
-            vec![ROOT_VERTEX]
-        } else {
-            let on_path = |u: &VertexId| dag.vertex(*u).is_some_and(|v| !v.off_path);
-            let mut ups = dag.upstream_of(kill.vertex);
-            ups.retain(on_path);
-            logging.extend(ups.iter().copied());
-            ups
-        };
-        sources.insert(kill.vertex, ups);
-    }
-    (sources, logging)
 }
 
 /// The `(checkpoint, restart)` schedules of the plan's shard faults.

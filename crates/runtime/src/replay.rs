@@ -331,7 +331,7 @@ mod tests {
     }
 
     fn held(shared: &EngineShared, vertex: VertexId) -> Vec<u64> {
-        let log = shared.logs.snapshot(&[vertex]);
+        let log = shared.logs.log(vertex).unwrap().snapshot();
         log.iter().map(|tp| tp.clock.counter()).collect()
     }
 

@@ -25,6 +25,16 @@ impl WorkerPool {
         *free_at = arrival.max(*free_at) + service;
         *free_at
     }
+
+    /// A pool of as many workers, each free once every job this pool took
+    /// has finished: a replacement's, which lets no job go before its
+    /// predecessor's last.
+    pub fn successor(&self) -> WorkerPool {
+        let idle_at = self.free_at.iter().max().expect("a pool has a worker");
+        WorkerPool {
+            free_at: vec![*idle_at; self.free_at.len()],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -41,6 +51,10 @@ mod tests {
         assert_eq!(pool.serve(at(1), us(10)), at(20));
         // An idle worker starts a late job on arrival.
         assert_eq!(pool.serve(at(50), us(1)), at(51));
+        // A successor's workers start once the last job (at 51 µs) is done.
+        let mut next = pool.successor();
+        assert_eq!(next.serve(at(0), us(1)), at(52));
+        assert_eq!(next.serve(at(0), us(1)), at(52));
         assert_eq!(WorkerPool::new(0).serve(at(3), us(1)), at(4));
     }
 }

@@ -25,13 +25,14 @@ fn main() {
     let quarter = |i: usize| VirtualTime::from_nanos(trace.packets[trace.len() * i / 4].arrival_ns);
 
     // 1. NF failure: the NAT crashes, a failover instance takes over its
-    //    externalized state and the root replays in-flight packets to it.
+    //    externalized state and replays its own snapshot of the root's log
+    //    before it takes live traffic.
     chain.run_until(quarter(1));
     chain.checkpoint_store();
     println!("[{}] NAT instance crashes", chain.now());
     chain.fail_instance(VertexId(1), 0);
     let failover = chain.failover_instance(VertexId(1), 0);
-    println!("    failover instance {failover} takes over, replay requested");
+    println!("    failover instance {failover} takes over and replays the root's log");
 
     // 2. Datastore failure: shared state is rebuilt from the checkpoint plus
     //    the instances' write-ahead logs; per-flow state comes back from the

@@ -8,6 +8,7 @@ use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::{ChainController, LogicalDag, VertexSpec};
 use chc_packet::PacketId;
 use chc_store::{Clock, VertexId};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 fn standard_chain() -> LogicalDag {
@@ -257,6 +258,89 @@ fn every_unsuppressed_straggler_repeat_reaches_the_end_host_books() {
         metrics.sink_duplicates + metrics.sink_replay_shadows,
         portscan.counters.duplicate_packets
     );
+}
+
+/// A failover before the first packet arrives has nothing to replay: the
+/// replacement opens its gate at once and serves every packet.
+#[test]
+fn a_failover_with_nothing_to_replay_serves_at_once() {
+    let trace = small_trace(7);
+    let run = |fail: bool| {
+        let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 7).unwrap();
+        chain.inject_trace(&trace);
+        if fail {
+            chain.fail_instance(VertexId(1), 0);
+            chain.failover_instance(VertexId(1), 0);
+        }
+        chain.run();
+        let mut ids = chain.delivered_ids();
+        ids.sort_unstable();
+        ids
+    };
+    let healthy = run(false);
+    assert!(!healthy.is_empty());
+    assert_eq!(run(true), healthy, "the replacement served nothing");
+}
+
+/// The NAT, alerting with the id of every packet it processes, so a test
+/// can tell which packets an instance saw.
+struct TappedNat(Nat);
+
+impl NetworkFunction for TappedNat {
+    fn name(&self) -> &str {
+        "nat"
+    }
+
+    fn state_objects(&self) -> Vec<StateObjectSpec> {
+        self.0.state_objects()
+    }
+
+    fn process(&mut self, packet: &Packet, ctx: &mut NfContext<'_>) -> Action {
+        ctx.alert(packet.id.0.to_string());
+        self.0.process(packet, ctx)
+    }
+}
+
+/// A straggler's clone mirrors the straggler: it takes no partition of its
+/// own, so it processes only packets routed to the straggler's index, and
+/// the other replica never sees a replayed copy.
+#[test]
+fn a_straggler_clone_takes_no_partition_of_its_own() {
+    let nat = VertexSpec::new(1, "nat", Rc::new(|| Box::new(TappedNat(Nat::default()))));
+    let nat = nat.with_parallelism(2);
+    // A carrier-grade NAT behind it: it forwards every packet whatever the
+    // order, so a straggler's late copies cannot change what is delivered.
+    let cgnat = VertexSpec::new(2, "cgnat", Rc::new(|| Box::new(Nat::default())));
+    let dag = || LogicalDag::linear(vec![nat.clone(), cgnat.clone()]);
+    let trace = small_trace(6);
+    let run = |clone: bool| {
+        let mut chain = ChainController::new(dag(), ChainConfig::default(), 6).unwrap();
+        chain.inject_trace(&trace);
+        if clone {
+            let quarter = trace.packets[trace.len() / 4].arrival_ns;
+            chain.run_until(VirtualTime::from_nanos(quarter));
+            chain.set_straggler(VertexId(1), 0, SimDuration::from_micros(8));
+            chain.clone_for_straggler(VertexId(1), 0);
+        }
+        chain.run();
+        let mut ids = chain.delivered_ids();
+        ids.sort_unstable();
+        (ids, chain.metrics())
+    };
+    let (healthy, _) = run(false);
+    let (ids, metrics) = run(true);
+    // Instance ids in deployment order: the two replicas, then the clone.
+    let nats = metrics.vertex(VertexId(1));
+    let (other, clone) = (nats[1], nats[2]);
+    let splitter = chc_core::Splitter::for_vertex(&nat);
+    let packets: HashMap<PacketId, &Packet> = trace.iter().map(|p| (p.id, p)).collect();
+    assert!(clone.counters.processed > 0, "the clone processed nothing");
+    for (clock, id) in &clone.counters.alerts {
+        let packet = packets[&PacketId(id.parse().unwrap())];
+        assert_eq!(splitter.instance_for(packet, *clock), 0, "clock {clock:?}");
+    }
+    assert_eq!(other.counters.suppressed_duplicates, 0);
+    assert_eq!(ids, healthy, "the clone lost packets");
 }
 
 #[test]

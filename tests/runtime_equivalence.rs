@@ -256,15 +256,16 @@ fn runtime_matches_simulator_across_instance_failure_and_recovery() {
 /// mid-chain, tail, and the root itself — must converge the real-thread
 /// engine to the simulator's observables, with zero sentinel violations.
 ///
-/// The simulator absorbs any single instance failure into the failure-free
-/// observables (that is its R1 property, asserted by its own tier-1 tests),
-/// so a healthy simulator run of the same trace is the yardstick for every
-/// instance position; the entry column is additionally checked against a
-/// simulator run that executes the same seeded kill (see
-/// `runtime_matches_simulator_across_instance_failure_and_recovery`). A
-/// root crash loses, by §5.4, the packets in the dead root's unflushed
-/// output batch, so the root column's yardstick is a healthy simulator run
-/// of the trace without them.
+/// A healthy simulator run of the same trace is the yardstick for every
+/// instance position, and the simulator runs the same seeded kill too: its
+/// failover instance replays its own snapshot of the packet logs (the
+/// root's at the entry, its upstream's egress log mid-chain and at the
+/// tail), and must end with the healthy run's delivered ids and digest and
+/// no duplicates. A tail replacement re-emits what it replays, so the sink
+/// sees replay shadows there; they are reported, not bounded. A root crash
+/// loses, by §5.4, the packets in the dead root's unflushed output batch, so
+/// the root column's yardstick is a healthy simulator run of the trace
+/// without them.
 #[test]
 fn runtime_failure_matrix_matches_simulator_at_every_position() {
     const MID_VERTEX: VertexId = VertexId(2);
@@ -392,6 +393,48 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 sim_state,
                 report.shared_digest(),
                 "seed {seed} {position}: final shared state differs"
+            );
+            // The simulator with the same seeded instance kill, as
+            // `run_sim_with_kill` runs it.
+            let Some(kill) = plan.kills.first() else {
+                continue;
+            };
+            let mut chain =
+                ChainController::new(matrix_chain(), ChainConfig::default(), seed).unwrap();
+            chain.inject_trace(&trace);
+            let at = trace.packets[(kill.at_counter - 1) as usize].arrival_ns;
+            chain.run_until(VirtualTime::from_nanos(at));
+            chain.fail_instance(kill.vertex, kill.index);
+            chain.failover_instance(kill.vertex, kill.index);
+            chain.run();
+            let metrics = chain.metrics();
+            assert_eq!(
+                metrics.sink_duplicates, 0,
+                "seed {seed} {position}: simulator sink saw duplicates"
+            );
+            if kill.vertex == TAIL_VERTEX {
+                let shadows = metrics.sink_replay_shadows;
+                println!("seed {seed} {position}: simulator replay shadows {shadows}");
+            }
+            let mut kill_ids = chain.delivered_ids();
+            kill_ids.sort_unstable();
+            let kill_state = sim_digest(chain.store.dump());
+            assert_eq!(
+                kill_ids, sim_ids,
+                "seed {seed} {position}: simulator kill changed the delivered ids"
+            );
+            assert_eq!(
+                kill_ids, ids,
+                "seed {seed} {position}: simulator kill and engine delivered differ"
+            );
+            assert_eq!(
+                kill_state, sim_state,
+                "seed {seed} {position}: simulator kill changed the shared state"
+            );
+            assert_eq!(
+                kill_state,
+                report.shared_digest(),
+                "seed {seed} {position}: simulator kill and engine state differ"
             );
         }
     }
