@@ -18,9 +18,11 @@
 //! on files, prices the journal append: journaled minus above, over 32, is
 //! what journaling adds per drained op. `drain_x32_two_counters_*` drain 16
 //! packets' increments of the NAT's two shared counters below, above and on
-//! a frozen floor, and `drain_x32_lb_bytes` 32 packets' increments of the
-//! load balancer's byte counters of four backends on a frozen floor. These
-//! are the cap drains that set `steady`'s tail: a `steady` p99 packet holds
+//! a frozen floor, and journaled above a trailing floor on each medium (what
+//! the NAT drains on the `failover` plan); `drain_x32_lb_bytes` drains 32
+//! packets' increments of the load balancer's byte counters of four
+//! backends on a frozen floor. The unjournaled ones are the cap drains that
+//! set `steady`'s tail: a `steady` p99 packet holds
 //! two of them, the NAT's second of a ring batch and the load balancer's
 //! only one, both on the batch's 32nd packet, and the benchmark's inline
 //! passes never raise the floor, so `_floor_frozen` is their exact shape.
@@ -278,7 +280,8 @@ fn client_access(c: &mut Criterion) {
     // every packet after a failover. The journaled drains trail the floor
     // too, with every shard's journal on, as a faulted run has them. The
     // two-counter drains are the shape of `steady`'s cap drains: 16 packets
-    // of the NAT's two shared counters, two ops under each packet's clock.
+    // of the NAT's two shared counters, two ops under each packet's clock;
+    // journaled, they are what the NAT drains on the `failover` plan.
     let object = |i: usize| ObjectKey::scoped("conn_bytes", flow(i).expect("a flow"));
     let trailing = Floor::Trailing(1_024);
     for (name, floor, journal, shape) in [
@@ -318,6 +321,18 @@ fn client_access(c: &mut Criterion) {
             "drain_x32_two_counters_floor_frozen",
             Floor::Frozen(65_536),
             None,
+            Drain::TwoCounters,
+        ),
+        (
+            "drain_x32_two_counters_journaled_memory",
+            trailing,
+            Some(BackendKind::Memory),
+            Drain::TwoCounters,
+        ),
+        (
+            "drain_x32_two_counters_journaled_append_only",
+            trailing,
+            Some(BackendKind::AppendOnly),
             Drain::TwoCounters,
         ),
         (

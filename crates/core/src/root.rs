@@ -131,16 +131,18 @@ impl RootActor {
         }
     }
 
-    /// Unlog the packet once its delete request came and every token
-    /// cancelled; the counter's cell goes with it, so a straggler's repeat
-    /// request starts afresh.
-    fn delete_if_cancelled(&mut self, clock: Clock) {
-        if self.ledger.deletable(clock.counter()) {
-            self.ledger.take(clock.counter());
-            self.logs.remove(&clock);
-            self.store.forget_clock(clock);
-            self.stats.deleted += 1;
-        }
+    /// Unlog every packet of the root that stamped `clock` whose delete
+    /// request came and whose every token cancelled: the ledger lists those
+    /// the last message left so. The counter's cell goes with it, so a
+    /// straggler's repeat request starts afresh.
+    fn delete_cancelled(&mut self, clock: Clock) {
+        let (logs, store, stats) = (&self.logs, &self.store, &mut self.stats);
+        self.ledger.delete_pending(|counter| {
+            let clock = Clock::with_root(clock.root(), counter);
+            logs.remove(&clock);
+            store.forget_clock(clock);
+            stats.deleted += 1;
+        });
     }
 }
 
@@ -150,11 +152,11 @@ impl Actor<Msg> for RootActor {
             Msg::Data(tp) => self.handle_input(tp, ctx),
             Msg::DeleteRequest { clock, xor_vector } => {
                 self.ledger.deliver(clock.counter(), xor_vector);
-                self.delete_if_cancelled(clock);
+                self.delete_cancelled(clock);
             }
             Msg::CommitSignal { clock, token } => {
                 self.ledger.fold(clock.counter(), token);
-                self.delete_if_cancelled(clock);
+                self.delete_cancelled(clock);
             }
             _ => {}
         }

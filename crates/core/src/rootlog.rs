@@ -13,16 +13,16 @@
 //! the root's among them) and also truncates each by the commit *frontier*
 //! of the watermarks the chain components publish
 //! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
-//! below the frontier can never need replay again — sweeping the deletable
-//! ahead of it ([`PacketLog::delete_where`]).
+//! below the frontier can never need replay again — deleting the deletable
+//! ahead of it one by one ([`PacketLog::remove`]).
 //!
 //! ## Layout
 //!
 //! The root stamps the dense counters `1..=N`, so the log needs no tree: per
 //! root id it keeps a [`CounterWindow`] of pages, page `p` holding the cells
 //! of counters `p * 256 .. (p + 1) * 256`. Logging a packet writes one cell;
-//! truncation pops whole pages and clears the cells of one boundary page; the
-//! XOR sweep visits the held pages in place and frees a page once it empties.
+//! truncation pops whole pages and clears the cells of one boundary page; an
+//! XOR delete clears one cell and frees its page once it empties.
 //! None of them allocates but for a page's first packet (and the spine's
 //! doubling while the span grows).
 //!
@@ -112,8 +112,9 @@ impl PacketLog {
         true
     }
 
-    /// Remove one confirmed packet (the simulator's per-packet delete
-    /// protocol). Returns whether the entry existed.
+    /// Remove one confirmed packet (Figure 6's per-packet delete, on both
+    /// substrates). Returns whether the entry existed; removed entries
+    /// accumulate in [`PacketLog::deleted`].
     pub fn remove(&mut self, clock: &Clock) -> bool {
         let Some(pages) = self.roots.get_mut(clock.root() as usize) else {
             return false;
@@ -130,6 +131,7 @@ impl PacketLog {
             pages.take(p);
         }
         self.len -= 1;
+        self.deleted += 1;
         true
     }
 
@@ -161,30 +163,6 @@ impl PacketLog {
         }
         self.len -= dropped;
         self.truncated += dropped as u64;
-        dropped
-    }
-
-    /// Remove every entry whose clock satisfies `confirmed` — the real-thread
-    /// port of the per-packet XOR delete window (Figure 6): the sink's folded
-    /// commit vector proves those packets fully delivered, so they can leave
-    /// the log ahead of the coarser commit frontier. Returns how many entries
-    /// were removed; they accumulate in [`PacketLog::deleted`].
-    pub fn delete_where(&mut self, confirmed: impl Fn(&Clock) -> bool) -> usize {
-        let mut dropped = 0;
-        for pages in &mut self.roots {
-            pages.retain(|page| {
-                for cell in &mut page.cells {
-                    if cell.as_ref().is_some_and(|tp| confirmed(&tp.clock)) {
-                        *cell = None;
-                        page.held -= 1;
-                        dropped += 1;
-                    }
-                }
-                page.held > 0
-            });
-        }
-        self.len -= dropped;
-        self.deleted += dropped as u64;
         dropped
     }
 
@@ -336,8 +314,10 @@ mod tests {
         // A truncation inside page 1 frees page 0 and keeps page 1.
         assert_eq!(log.truncate_confirmed(0, 300), 300);
         assert_eq!((log.resident_pages(), log.first_counter()), (3, Some(301)));
-        // A sweep that empties page 2 (512..=767) frees it, from the middle.
-        let swept = log.delete_where(|c| (512..768).contains(&c.counter()));
+        // Deletes that empty page 2 (512..=767) free it, from the middle.
+        let swept = (512..768)
+            .filter(|&c| log.remove(&Clock::with_root(0, c)))
+            .count();
         assert_eq!((swept, log.resident_pages()), (256, 2));
         assert!(!log.contains(&Clock::with_root(0, 600)));
         // Removing the last cell of page 3 frees it too.
@@ -348,6 +328,7 @@ mod tests {
         // A truncation that ends exactly on a page boundary pops the page.
         assert_eq!(log.truncate_confirmed(0, 511), 211);
         assert_eq!((log.resident_pages(), log.is_empty()), (0, true));
-        assert_eq!((log.truncated(), log.deleted()), (511, 256));
+        // Every removal counts as a delete, the 233 of page 3 among them.
+        assert_eq!((log.truncated(), log.deleted()), (511, 489));
     }
 }

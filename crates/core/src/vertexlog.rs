@@ -16,8 +16,8 @@
 //!   vertex (a source of some vertex that may fail) logs its egress stream.
 //!   A failover or clone instance takes its own replay out of the table
 //!   ([`VertexLogs::replay`]). Each log is a window of pages indexed by clock
-//!   counter, so logging a packet writes one cell and a truncation or XOR
-//!   sweep walks pages in place (see [`crate::PacketLog`]).
+//!   counter, so logging or deleting a packet touches one cell and a
+//!   truncation pops pages (see [`crate::PacketLog`]).
 //! - [`XorDeleteLedger`]: Figure 6's commit vector, on both substrates. On
 //!   the engine each logging vertex folds a per-packet [`delete_token`] into
 //!   both the packet envelope (`TaggedPacket::xor_vector`) and the ledger;
@@ -65,6 +65,10 @@ fn dirty(cell: u64) -> bool {
 /// a protocol violation the sentinel reports. Cells are dropped one by one
 /// and below a floor that only rises; a dropped counter answers as not
 /// delivered, and folds at or below the floor are ignored.
+///
+/// Every fold or delivery that leaves a counter deletable also lists it, so
+/// Figure 6's per-packet delete ([`XorDeleteLedger::delete_pending`]) visits
+/// what changed since it last ran, not every cell or logged packet held.
 #[derive(Debug, Default)]
 pub struct XorDeleteLedger {
     cells: CounterWindow<u64>,
@@ -73,6 +77,10 @@ pub struct XorDeleteLedger {
     held: usize,
     high_water: usize,
     released_dirty: u64,
+    /// Counters an edit left deletable since the last delete pass, in the
+    /// order they became so. One may have been taken, released or edited
+    /// again since, or be listed twice: the pass checks each again.
+    pending: Vec<u64>,
 }
 
 impl XorDeleteLedger {
@@ -85,7 +93,11 @@ impl XorDeleteLedger {
             self.held += 1;
             self.high_water = self.high_water.max(self.held);
         }
-        edit(cell.get_or_insert(0));
+        let cell = cell.get_or_insert(0);
+        edit(cell);
+        if delivered(*cell) == Some(0) {
+            self.pending.push(counter);
+        }
     }
 
     /// Fold the `token` a logging vertex or the store issued for the
@@ -123,15 +135,25 @@ impl XorDeleteLedger {
         self.held -= usize::from(self.cells.take(counter).is_some());
     }
 
-    /// Drop every deletable cell; how many went.
-    pub fn sweep(&mut self) -> usize {
-        let (before, held) = (self.held, &mut self.held);
-        self.cells.retain(|&mut cell| {
-            let swept = delivered(cell) == Some(0);
-            *held -= usize::from(swept);
-            !swept
-        });
-        before - self.held
+    /// Figure 6's per-packet delete: every counter an edit left deletable
+    /// since the last call that still is — held, delivered, zero residue —
+    /// loses its cell and is handed to `delete`, which unlogs it. A counter
+    /// at or below the floor was released already and is skipped. Visits the
+    /// counters that changed, not the cells held; how many went.
+    pub fn delete_pending(&mut self, mut delete: impl FnMut(u64)) -> usize {
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut deleted = 0;
+        for &counter in &pending {
+            if self.deletable(counter) {
+                self.take(counter);
+                delete(counter);
+                deleted += 1;
+            }
+        }
+        // The list keeps its capacity: a warm pass allocates nothing.
+        pending.clear();
+        self.pending = pending;
+        deleted
     }
 
     /// Raise the floor to `floor` (never lower it), dropping every cell at
@@ -250,8 +272,8 @@ impl VertexLogs {
         merged
     }
 
-    /// Unlog `clock` from every log: the simulator's root deletes a packet
-    /// the chain confirmed (Figure 6) everywhere at once, which keeps each
+    /// Unlog `clock` from every log: both substrates delete a packet the
+    /// chain confirmed (Figure 6) everywhere at once, which keeps each
     /// egress log no larger than the root's.
     pub fn remove(&self, clock: &Clock) {
         for (_, log) in &self.logs {
@@ -323,7 +345,9 @@ mod tests {
         ledger.fold(7, t);
         assert!(ledger.deletable(7));
         assert_eq!(ledger.dirty_confirmed(), 0);
-        assert_eq!((held(&ledger), ledger.sweep(), held(&ledger)), (1, 1, 0));
+        let before = held(&ledger);
+        let deleted = ledger.delete_pending(|_| {});
+        assert_eq!((before, deleted, held(&ledger)), (1, 1, 0));
         assert!(!ledger.confirmed(7), "a swept counter starts afresh");
         // A repeat delivery replaces the residue the first one left.
         ledger.deliver(8, t);
@@ -426,15 +450,12 @@ mod tests {
         assert_eq!(counters(&[VertexId(2), ROOT_VERTEX]), [1, 2, 2, 3, 3, 4]);
         assert!(counters(&[VertexId(3)]).is_empty());
 
-        // The XOR sweep treats both logs alike.
+        // The XOR delete treats both logs alike.
         let mut ledger = XorDeleteLedger::default();
         for c in [1, 2] {
             ledger.deliver(c, 0);
         }
-        for v in [VertexId(2), ROOT_VERTEX] {
-            let mut log = logs.log(v).unwrap();
-            log.delete_where(|c| ledger.deletable(c.counter()));
-        }
+        ledger.delete_pending(|c| logs.remove(&Clock::with_root(0, c)));
         let stats = logs.stats();
         let row = |i: usize| (stats[i].vertex, stats[i].deleted, stats[i].final_len);
         assert_eq!(stats.len(), 2);

@@ -7,8 +7,8 @@
 //! that ([`InlineChain::step`]) and not in [`StoreInstance::apply`] once the
 //! packet's clock is below the replay floor. Above the floor the only
 //! allowance is the duplicate-suppression log's own growth: its window of
-//! cells doubles, so logging `n` integer increments allocates O(log n)
-//! times. Journaling a drain costs nothing per op either: the record is
+//! heads and its arena of updates double, so logging `n` integer increments
+//! allocates O(log n) times. Journaling a drain costs nothing per op either: the record is
 //! encoded into a buffer the shard reuses, and an in-memory segment grows by
 //! doubling. A change that clones a key or a name on this path fails here,
 //! in tier 1, rather than in a benchmark.
@@ -357,8 +357,9 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
     assert_eq!(allocated, 0, "an unlogged apply touched the allocator");
     assert_eq!(store.update_log_len(), 0);
 
-    // Above it every update is logged, in a cell of the window indexed by
-    // the clock counter: the window doubling is the only allocation.
+    // Above it every update is logged, in an arena cell under a head in the
+    // window indexed by the clock counter: the window's and the arena's
+    // doublings are the only allocations.
     let allocated = allocations_in(|| {
         for n in 0..ROUNDS {
             let key = &keys[(n % FLOWS as u64) as usize];
@@ -377,9 +378,8 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
 #[test]
 fn a_packets_two_logged_updates_on_one_shard_allocate_nothing_but_the_window() {
     // The NAT's two counters: every packet increments both, on one shard,
-    // above the floor. Both updates sit inline in the packet's cell, so the
-    // second costs nothing and the window's doubling is still the only
-    // allocation.
+    // above the floor. Both updates take arena cells under one head, so the
+    // window's and the arena's doublings are still the only allocations.
     let mut store = StoreInstance::new();
     let named = |name| StateKey::shared(VertexId(1), ObjectKey::named(name));
     let (packets, tcp) = (named("pkt_count"), named("tcp_pkt_count"));
@@ -575,7 +575,7 @@ fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
 #[test]
 fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep() {
     // The root's log as the engine drives it: one insert per injected
-    // packet, then the supervisor's pass, a frontier cut and an XOR sweep.
+    // packet, then the supervisor's pass, a frontier cut and XOR deletes.
     const N: u64 = 4_096;
     const PAGE: u64 = 256;
     let logs = VertexLogs::new(1 << 20);
@@ -608,11 +608,15 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
         "{allocated} allocations for {N} logged packets, budget {budget}"
     );
 
-    // One truncation plus one XOR sweep: pages are freed, nothing is taken.
+    // One truncation plus the XOR deletes ahead of it: pages are freed,
+    // nothing is taken.
     let allocated = allocations_in(|| {
         let mut log = logs.log(ROOT_VERTEX).unwrap();
         assert_eq!(log.truncate_confirmed(0, N + N / 2), (N / 2) as usize);
-        let swept = log.delete_where(|c| c.counter() % 3 == 0 || c.counter() > 2 * N - PAGE);
+        let swept = (N + N / 2 + 1..=2 * N)
+            .filter(|&c| c % 3 == 0 || c > 2 * N - PAGE)
+            .filter(|&c| log.remove(&Clock::with_root(0, c)))
+            .count();
         assert!(swept > (PAGE as usize), "{swept} swept");
     });
     assert_eq!(allocated, 0, "a frontier cut or an XOR sweep allocated");
@@ -623,7 +627,7 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
 fn a_warm_ledger_cycle_allocates_nothing() {
     // The engine's cycle over a steady window: an egress log folds each
     // counter's token in, the sink folds half of them back out and marks
-    // them, and the supervisor sweeps the cancelled ones and releases the
+    // them, and the supervisor deletes the cancelled ones and releases the
     // ledger behind its frontier.
     const W: u64 = 1_024;
     let mut ledger = XorDeleteLedger::default();
@@ -636,7 +640,7 @@ fn a_warm_ledger_cycle_allocates_nothing() {
                 ledger.deliver(c, token);
             }
         }
-        assert_eq!(ledger.sweep(), (W / 2) as usize);
+        assert_eq!(ledger.delete_pending(|_| {}), (W / 2) as usize);
         ledger.release_through(first + W / 2 - 1);
     };
     // Warm-up: the window's cells grow to the span once.

@@ -5,7 +5,7 @@
 //! * [`PacketLog::truncate_confirmed`] drops **exactly** the counters at or
 //!   below the frontier — an un-committed clock (above the frontier) is
 //!   never dropped, so a replacement can always be re-fed from the log, and
-//! * [`PacketLog::delete_where`] against an [`XorDeleteLedger`] removes
+//! * [`XorDeleteLedger::delete_pending`] unlogs, with [`PacketLog::remove`],
 //!   exactly the counters whose delete protocol completed, never one whose
 //!   envelope is still in flight, and
 //! * the [`XorDeleteLedger`], a window of cells cut at a floor, answers
@@ -118,7 +118,10 @@ proptest! {
                 }
             }
         }
-        let swept = log.delete_where(|clock| ledger.deletable(clock.counter()));
+        let delete = |ledger: &mut XorDeleteLedger, log: &mut PacketLog| {
+            ledger.delete_pending(|c| assert!(log.remove(&Clock::with_root(0, c))))
+        };
+        let swept = delete(&mut ledger, &mut log);
         let kept: BTreeSet<u64> =
             log.snapshot().iter().map(|t| t.clock.counter()).collect();
         let expected_kept: BTreeSet<u64> =
@@ -126,10 +129,7 @@ proptest! {
         prop_assert_eq!(&kept, &expected_kept);
         prop_assert_eq!(swept, cancelled.len());
         // Sweeping is idempotent: a second pass finds nothing new.
-        prop_assert_eq!(
-            log.delete_where(|clock| ledger.deletable(clock.counter())),
-            0
-        );
+        prop_assert_eq!(delete(&mut ledger, &mut log), 0);
         prop_assert!(logs.log(bystander).unwrap().is_empty());
     }
 }
@@ -222,6 +222,7 @@ proptest! {
                 55..=69 => {
                     let c = clock(&mut rng);
                     let existed = oracle.entries.remove(&c).is_some();
+                    oracle.deleted += u64::from(existed);
                     prop_assert_eq!(log.remove(&c), existed, "remove {:?}", c);
                 }
                 70..=79 => {
@@ -240,7 +241,9 @@ proptest! {
                 80..=86 => {
                     let salt = rng.gen::<u64>();
                     let modulus = rng.gen_range(1..=8u64);
-                    let swept = log.delete_where(confirmed_by(salt, modulus));
+                    let doomed: Vec<Clock> = oracle.entries.keys().copied()
+                        .filter(|c| confirmed_by(salt, modulus)(c)).collect();
+                    let swept = doomed.iter().filter(|c| log.remove(c)).count();
                     let expected = oracle.drop_where(confirmed_by(salt, modulus));
                     oracle.deleted += expected as u64;
                     prop_assert_eq!(swept, expected, "sweep");
@@ -370,7 +373,8 @@ proptest! {
                             *slot = None;
                         }
                     }
-                    prop_assert_eq!(ledger.sweep(), before - flat.held(), "sweep at {}", step);
+                    let deleted = ledger.delete_pending(|_| {});
+                    prop_assert_eq!(deleted, before - flat.held(), "sweep at {}", step);
                 }
                 70..=77 => {
                     let f = base.saturating_sub(2) + rng.gen_range(0..span + 4);

@@ -245,13 +245,14 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
 
 /// One truncation pass (see the module docs) over `log_scopes`, the plan's
 /// rows of `(logging vertex, commit scope)`: cut each log at the frontier of
-/// its own scope, then sweep it for entries the XOR ledger proves both
-/// delivered and fully cancelled (Figure 6's per-packet deletes, which cover
-/// what the frontier cannot). The first row is the root's, whose scope
-/// contains every other and whose frontier is therefore the lowest: its
-/// advance is journaled, the ledger (locked for the whole pass) and the store
-/// forget what the logs forgot up to it — the store capped at `floor_cap` —
-/// and it is returned. The supervisor runs a pass between fault events. The
+/// its own scope. The first row is the root's, whose scope contains every
+/// other and whose frontier is therefore the lowest: its advance is
+/// journaled, the ledger (locked for the whole pass) and the store forget
+/// what the logs forgot up to it — the store capped at `floor_cap` — and it
+/// is returned. Above it, every counter the ledger lists as newly delivered
+/// and fully cancelled leaves every log and the ledger, one by one (Figure
+/// 6's per-packet deletes, which cover what the frontier cannot): the pass
+/// visits what changed since the last one, not what the logs hold. The supervisor runs a pass between fault events. The
 /// engine runs one more after every thread joined: every surviving component
 /// has published its last watermark by then, so that cut is the tightest the
 /// commit protocol can justify.
@@ -267,16 +268,13 @@ pub(crate) fn truncate_logs(
         let mut dropped = 0;
         if let Some(mut log) = shared.logs.log(*vertex) {
             dropped = log.truncate_confirmed(0, frontier);
-            if let Some(ledger) = &ledger {
-                log.delete_where(|c| ledger.deletable(c.counter()));
-            }
         }
         roots_cut.get_or_insert((frontier, dropped as u64));
     }
     let (frontier, dropped) = roots_cut.unwrap_or_default();
     if let Some(ledger) = &mut ledger {
         ledger.release_through(frontier);
-        ledger.sweep();
+        ledger.delete_pending(|counter| shared.logs.remove(&Clock::with_root(0, counter)));
         debug_assert!(
             {
                 let root_log = shared.logs.log(ROOT_VERTEX).expect("the root's log");

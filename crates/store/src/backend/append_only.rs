@@ -27,10 +27,13 @@
 //! its capacity, and the image is the encoded buffer itself. It survives a
 //! shard crash, which models fail-stop of the shard, not of the process.
 
-use super::codec::{decode_image_frame, encode_image_frame, scan_frames};
+use super::codec::{
+    decode_image_frame, decode_record, encode_image_frame, scan_frames, Undecodable,
+};
 use super::files::Files;
 use super::persister::Persister;
-use super::{ImageRejected, JournalRecord, SegmentUnreadable};
+use super::{ImageRejected, JournalRecord, ReplayStopped};
+use crate::key::StateKey;
 use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 use std::borrow::Cow;
@@ -94,9 +97,17 @@ impl Engine {
     fn over(mut medium: Medium, checkpoint_interval: usize) -> Engine {
         // The last segment visited is the active one: `intact` is its intact
         // length if it could be read, and a segment not read is not cut.
+        // A frame that names an entry no image is at hand to resolve is
+        // whole: recovery resolves it, or reports it.
         let (mut records, mut intact) = (0, None);
         medium.for_each_segment(&mut |bytes| {
-            intact = bytes.map(|bytes| scan_frames(bytes, &mut |_| records += 1));
+            intact = bytes.map(|bytes| {
+                scan_frames(bytes, &mut |payload| {
+                    let whole = decode_record(payload, &[]) != Err(Undecodable::Torn);
+                    records += usize::from(whole);
+                    whole
+                })
+            });
         });
         if let Some(intact) = intact {
             medium.truncate_active(intact);
@@ -149,21 +160,41 @@ impl Engine {
         }
     }
 
-    /// Visit every record appended since the newest image, in order, up to
-    /// the first live segment that cannot be read; an error if there is one.
+    /// Visit every record appended since the newest image, in order, with
+    /// the entry ids its ops name resolved through `names` (entry id order;
+    /// `visit` adds the entries each record creates). Replay stops at the
+    /// first live segment that cannot be read, or at the first frame naming
+    /// an id `names` does not hold, and says which.
     pub(crate) fn for_each_record(
         &self,
-        visit: &mut dyn FnMut(&JournalRecord),
-    ) -> Result<(), SegmentUnreadable> {
-        let mut unreadable = false;
+        names: &mut Vec<StateKey>,
+        visit: &mut dyn FnMut(&JournalRecord, &mut Vec<StateKey>),
+    ) -> Result<(), ReplayStopped> {
+        let mut stopped = None;
         self.medium.for_each_segment(&mut |bytes| match bytes {
-            Some(bytes) if !unreadable => _ = scan_frames(bytes, visit),
-            _ => unreadable = true,
+            Some(bytes) if stopped.is_none() => {
+                scan_frames(bytes, &mut |payload| match decode_record(payload, names) {
+                    Ok(record) => {
+                        visit(&record, names);
+                        true
+                    }
+                    Err(Undecodable::Torn) => false,
+                    Err(Undecodable::UnknownEntry) => {
+                        stopped = Some(ReplayStopped::UnknownEntry);
+                        false
+                    }
+                });
+            }
+            _ => _ = stopped.get_or_insert(ReplayStopped::SegmentUnreadable),
         });
-        if unreadable {
-            Err(SegmentUnreadable)
-        } else {
-            Ok(())
+        stopped.map_or(Ok(()), Err)
+    }
+
+    /// True while the engine holds neither an image nor a journal byte.
+    pub(crate) fn is_empty(&self) -> bool {
+        match &self.medium {
+            Medium::Files(files) => files.is_empty(),
+            Medium::Memory { image, segment } => image.is_none() && segment.is_empty(),
         }
     }
 

@@ -12,6 +12,16 @@
 //! decoded form recovery replays, encodes through them, and writes the rare
 //! kinds itself.
 //!
+//! A journaled op is a head byte (bit 0: a clock follows; bit 1: the object
+//! is named by entry id), then the object — a `u32` entry id or the whole
+//! key — then the operation and the clock. An op names by id an entry that
+//! replay will have rebuilt when it reads the frame (the image's, or one an
+//! earlier frame created; entry ids are dense, never reused and kept by
+//! images), and by key any other object, the one it creates among them. A
+//! clocked increment named by id is 22 bytes. [`decode_record`] resolves ids
+//! through the keys replay holds, in id order, and tells an id it cannot
+//! resolve ([`Undecodable::UnknownEntry`]) from a torn record.
+//!
 //! A checkpoint image is one frame too, written by
 //! `StoreInstance::encode_image` straight from the live instance and read
 //! back by `StoreInstance::decode_image` straight into a new one
@@ -74,6 +84,9 @@ pub(crate) fn folded_word_fnv(data: &[u8]) -> u32 {
 /// behind: `[u32 len][u32 folded_word_fnv(payload)]`, little-endian.
 pub(crate) const FRAME_HEADER: usize = 8;
 
+/// The tag of an [`Operation::Increment`].
+const INCREMENT: u8 = 3;
+
 /// Where an `ApplyBatch` payload keeps its op count: after the header, the
 /// tag byte and the requester. [`Enc::close_batch`] writes it last.
 const BATCH_COUNT_AT: usize = FRAME_HEADER + 1 + 4;
@@ -107,13 +120,13 @@ impl<'a> Enc<'a> {
     pub(crate) fn apply_record(
         &mut self,
         requester: InstanceId,
-        key: &StateKey,
+        object: Named<'_>,
         op: &Operation,
         clock: Option<Clock>,
     ) {
         self.u8(0);
         self.u32(requester.0);
-        self.journaled_op(key, op, clock);
+        self.journaled_op(object, op, clock);
     }
 
     /// Open a [`JournalRecord::ApplyBatch`] payload: add its ops with
@@ -125,8 +138,8 @@ impl<'a> Enc<'a> {
     }
 
     /// One op of an open batch.
-    pub(crate) fn batch_op(&mut self, key: &StateKey, op: &Operation, clock: Option<Clock>) {
-        self.journaled_op(key, op, clock);
+    pub(crate) fn batch_op(&mut self, object: Named<'_>, op: &Operation, clock: Option<Clock>) {
+        self.journaled_op(object, op, clock);
     }
 
     /// Write the op count of the batch opened by [`Enc::open_batch`].
@@ -134,10 +147,32 @@ impl<'a> Enc<'a> {
         self.buf[BATCH_COUNT_AT..BATCH_COUNT_AT + 4].copy_from_slice(&ops.to_le_bytes());
     }
 
-    fn journaled_op(&mut self, key: &StateKey, op: &Operation, clock: Option<Clock>) {
-        self.state_key(key);
+    /// One journaled op: a head byte saying how the object is named and
+    /// whether a clock follows, the entry id or the key, the operation, and
+    /// the clock.
+    fn journaled_op(&mut self, object: Named<'_>, op: &Operation, clock: Option<Clock>) {
+        // The op nearly every frame holds — a counter named by id, clocked —
+        // in one write of its 22 bytes.
+        if let (Named::Id(id), Operation::Increment(delta), Some(clock)) = (object, op, clock) {
+            let mut bytes = [0u8; 22];
+            bytes[0] = 3;
+            bytes[1..5].copy_from_slice(&id.to_le_bytes());
+            bytes[5] = INCREMENT;
+            bytes[6..14].copy_from_slice(&delta.to_le_bytes());
+            bytes[14..].copy_from_slice(&clock.0.to_le_bytes());
+            self.buf.extend_from_slice(&bytes);
+            return;
+        }
+        let by_id = matches!(object, Named::Id(_));
+        self.u8(u8::from(clock.is_some()) | u8::from(by_id) << 1);
+        match object {
+            Named::Id(id) => self.u32(id),
+            Named::Key(key) => self.state_key(key),
+        }
         self.operation(op);
-        self.opt_clock(clock);
+        if let Some(clock) = clock {
+            self.u64(clock.0);
+        }
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -162,6 +197,16 @@ impl<'a> Enc<'a> {
 
     pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// `v` in LEB128: seven bits a byte, low first, the top bit set on every
+    /// byte but the last. Small numbers take one byte, a `u64` at most ten.
+    pub(crate) fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     pub(crate) fn bytes(&mut self, v: &[u8]) {
@@ -226,7 +271,7 @@ impl<'a> Enc<'a> {
             }
             Operation::Delete => self.u8(2),
             Operation::Increment(d) => {
-                self.u8(3);
+                self.u8(INCREMENT);
                 self.i64(*d);
             }
             Operation::Decrement(d) => {
@@ -306,16 +351,6 @@ impl<'a> Enc<'a> {
             }
         }
     }
-
-    pub(crate) fn opt_clock(&mut self, clock: Option<Clock>) {
-        match clock {
-            None => self.u8(0),
-            Some(c) => {
-                self.u8(1);
-                self.u64(c.0);
-            }
-        }
-    }
 }
 
 /// Recovery-side decoder over a byte slice. Every accessor returns `None`
@@ -379,6 +414,24 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn u128(&mut self) -> Option<u128> {
         self.array().map(u128::from_le_bytes)
+    }
+
+    /// A number [`Enc::varint`] wrote; `None` past ten bytes or past a
+    /// `u64`, or for a trailing zero byte (a number has one spelling).
+    pub(crate) fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return None;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return (byte != 0 || shift == 0).then_some(v);
+            }
+        }
+        None
     }
 
     pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
@@ -481,17 +534,51 @@ impl<'a> Dec<'a> {
         Some(StateKey::new(vertex, instance, object))
     }
 
-    pub(crate) fn opt_clock(&mut self) -> Option<Option<Clock>> {
-        Some(match self.u8()? {
+    /// One journaled op, its object resolved through `names` if the frame
+    /// names it by id.
+    fn journaled_op(&mut self, names: &[StateKey]) -> Result<JournalOp, Undecodable> {
+        let head = self.u8().ok_or(Undecodable::Torn)?;
+        if head > 3 {
+            return Err(Undecodable::Torn);
+        }
+        let key = if head & 2 != 0 {
+            let id = self.u32().ok_or(Undecodable::Torn)?;
+            names
+                .get(id as usize)
+                .ok_or(Undecodable::UnknownEntry)?
+                .clone()
+        } else {
+            self.state_key().ok_or(Undecodable::Torn)?
+        };
+        let op = self.operation().ok_or(Undecodable::Torn)?;
+        let clock = match head & 1 {
             0 => None,
-            1 => Some(Clock(self.u64()?)),
-            _ => return None,
-        })
+            _ => Some(Clock(self.u64().ok_or(Undecodable::Torn)?)),
+        };
+        Ok((key, op, clock))
     }
+}
 
-    fn journaled_op(&mut self) -> Option<(StateKey, Operation, Option<Clock>)> {
-        Some((self.state_key()?, self.operation()?, self.opt_clock()?))
-    }
+/// How a journaled op names its object: by the entry id replay will have
+/// rebuilt when it reads the frame, or by the whole key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Named<'a> {
+    /// An entry the image holds or an earlier frame created.
+    Id(u32),
+    /// Any object, including one this very frame creates.
+    Key(&'a StateKey),
+}
+
+/// A journaled op, decoded.
+type JournalOp = (StateKey, Operation, Option<Clock>);
+
+/// Why a payload that passed its checksum did not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Undecodable {
+    /// It is not one whole record: the scan ends there.
+    Torn,
+    /// It names an entry id the names it was read with do not hold.
+    UnknownEntry,
 }
 
 impl JournalRecord {
@@ -503,7 +590,7 @@ impl JournalRecord {
                 key,
                 op,
                 clock,
-            } => e.apply_record(*requester, key, op, *clock),
+            } => e.apply_record(*requester, Named::Key(key), op, *clock),
             JournalRecord::Callback { key, instance } => {
                 e.u8(1);
                 e.u32(instance.0);
@@ -532,7 +619,7 @@ impl JournalRecord {
             JournalRecord::ApplyBatch { requester, ops } => {
                 e.open_batch(*requester);
                 for (key, op, clock) in ops {
-                    e.batch_op(key, op, *clock);
+                    e.batch_op(Named::Key(key), op, *clock);
                 }
                 e.close_batch(ops.len() as u32);
             }
@@ -550,13 +637,19 @@ impl JournalRecord {
     }
 }
 
-/// Decode one record payload; `None` unless it is exactly one whole record.
-fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
+/// Decode one record payload, resolving the entry ids its ops name through
+/// `names` (entry id order): an error unless it is exactly one whole record
+/// whose every id `names` holds.
+pub(crate) fn decode_record(
+    payload: &[u8],
+    names: &[StateKey],
+) -> Result<JournalRecord, Undecodable> {
+    use Undecodable::Torn;
     let mut d = Dec::new(payload);
-    let record = match d.u8()? {
+    let record = match d.u8().ok_or(Torn)? {
         0 => {
-            let requester = InstanceId(d.u32()?);
-            let (key, op, clock) = d.journaled_op()?;
+            let requester = InstanceId(d.u32().ok_or(Torn)?);
+            let (key, op, clock) = d.journaled_op(names)?;
             JournalRecord::Apply {
                 requester,
                 key,
@@ -564,6 +657,23 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
                 clock,
             }
         }
+        4 => {
+            let requester = InstanceId(d.u32().ok_or(Torn)?);
+            let n = d.u32().ok_or(Torn)? as usize;
+            let mut ops = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                ops.push(d.journaled_op(names)?);
+            }
+            JournalRecord::ApplyBatch { requester, ops }
+        }
+        tag => decode_rare(tag, &mut d).ok_or(Torn)?,
+    };
+    d.is_exhausted().then_some(record).ok_or(Torn)
+}
+
+/// The payload of a record of a rare kind, after its tag.
+fn decode_rare(tag: u8, d: &mut Dec<'_>) -> Option<JournalRecord> {
+    Some(match tag {
         1 => JournalRecord::Callback {
             instance: InstanceId(d.u32()?),
             key: d.state_key()?,
@@ -573,15 +683,6 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             from: InstanceId(d.u32()?),
             to: InstanceId(d.u32()?),
         },
-        4 => {
-            let requester = InstanceId(d.u32()?);
-            let n = d.u32()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ops.push(d.journaled_op()?);
-            }
-            JournalRecord::ApplyBatch { requester, ops }
-        }
         5 => JournalRecord::Owner {
             owner: d.opt_instance()?,
             key: d.state_key()?,
@@ -592,21 +693,20 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
             value: d.value()?,
         },
         _ => return None,
-    };
-    d.is_exhausted().then_some(record)
+    })
 }
 
-/// Decode the intact frames at the head of `bytes` in order, handing each
-/// record to `visit`, and return the length of that intact prefix. The scan
-/// ends at the first short frame, failed checksum or undecodable payload: a
-/// torn tail.
-pub(crate) fn scan_frames(bytes: &[u8], visit: &mut dyn FnMut(&JournalRecord)) -> usize {
+/// Hand the payloads of the intact frames at the head of `bytes` to `visit`
+/// in order, and return the length of the prefix it accepted. The scan ends
+/// at the first short frame or failed checksum, or where `visit` declines a
+/// payload (it does not decode): a torn tail.
+pub(crate) fn scan_frames(bytes: &[u8], visit: &mut dyn FnMut(&[u8]) -> bool) -> usize {
     let mut d = Dec::new(bytes);
     loop {
         let intact = d.pos;
-        match d.frame().and_then(decode_record) {
-            Some(record) => visit(&record),
-            None => return intact,
+        match d.frame() {
+            Some(payload) if visit(payload) => {}
+            _ => return intact,
         }
     }
 }
@@ -648,6 +748,28 @@ mod tests {
         let mut dec = Dec::new(&frame[FRAME_HEADER..]);
         assert_eq!(dec.value(), Some(v));
         assert!(dec.is_exhausted());
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_what_no_encoder_writes() {
+        for v in [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX] {
+            let frame = frame(|enc| enc.varint(v));
+            let mut dec = Dec::new(&frame[FRAME_HEADER..]);
+            assert_eq!(dec.varint(), Some(v));
+            assert!(dec.is_exhausted());
+        }
+        // One byte below 128, ten for the top of the range.
+        assert_eq!(frame(|enc| enc.varint(127)).len(), FRAME_HEADER + 1);
+        assert_eq!(frame(|enc| enc.varint(u64::MAX)).len(), FRAME_HEADER + 10);
+        // A trailing zero byte, an eleventh byte, bits past 64, a torn one.
+        for bytes in [
+            &[0x80, 0x00][..],
+            &[0xff; 11],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0x80],
+        ] {
+            assert_eq!(Dec::new(bytes).varint(), None, "{bytes:?}");
+        }
     }
 
     #[test]
@@ -718,22 +840,30 @@ mod tests {
             StateKey::shared(VertexId(4), ObjectKey::scoped("port", ScopeKey::Port(443))),
             StateKey::shared(VertexId(5), ObjectKey::scoped("global", ScopeKey::Global)),
         ];
+        // Every op on every key, named by key with a clock and by id
+        // without one, as a journaled op writes them.
+        let clock = Clock::with_root(3, 12345);
         for op in &ops {
-            for key in &keys {
+            for (id, key) in keys.iter().enumerate() {
                 let frame = frame(|enc| {
                     enc.state_key(key);
-                    enc.operation(op);
-                    enc.opt_clock(Some(Clock::with_root(3, 12345)));
-                    enc.opt_clock(None);
+                    enc.batch_op(Named::Key(key), op, Some(clock));
+                    enc.batch_op(Named::Id(id as u32), op, None);
                 });
                 let mut dec = Dec::new(&frame[FRAME_HEADER..]);
                 assert_eq!(dec.state_key().as_ref(), Some(key));
-                assert_eq!(dec.operation().as_ref(), Some(op));
-                assert_eq!(dec.opt_clock(), Some(Some(Clock::with_root(3, 12345))));
-                assert_eq!(dec.opt_clock(), Some(None));
+                let op = op.clone();
+                let by_key = (key.clone(), op.clone(), Some(clock));
+                assert_eq!(dec.journaled_op(&[]), Ok(by_key));
+                let by_id = (key.clone(), op, None);
+                assert_eq!(dec.journaled_op(&keys), Ok(by_id));
                 assert!(dec.is_exhausted());
             }
         }
+        // An id the names do not hold.
+        let frame = frame(|enc| enc.batch_op(Named::Id(6), &Operation::Get, None));
+        let mut dec = Dec::new(&frame[FRAME_HEADER..]);
+        assert_eq!(dec.journaled_op(&keys), Err(Undecodable::UnknownEntry));
     }
 
     fn flow_key(i: u64) -> StateKey {
@@ -761,19 +891,27 @@ mod tests {
     #[test]
     fn a_frame_leads_with_length_and_checksum() {
         let key = flow_key(3);
-        let frame = frame(|enc| enc.apply_record(InstanceId(9), &key, &Operation::Delete, None));
-        let payload = &frame[FRAME_HEADER..];
-        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        let by_key = frame(|enc| {
+            enc.apply_record(InstanceId(9), Named::Key(&key), &Operation::Delete, None);
+        });
+        let payload = &by_key[FRAME_HEADER..];
+        assert_eq!(by_key[..4], (payload.len() as u32).to_le_bytes());
         assert_eq!(
-            frame[4..FRAME_HEADER],
+            by_key[4..FRAME_HEADER],
             folded_word_fnv(payload).to_le_bytes()
         );
+        // The tag, the requester, then the op: named by key, no clock.
         let mut dec = Dec::new(payload);
-        assert_eq!((dec.u8(), dec.u32()), (Some(0), Some(9)));
+        assert_eq!((dec.u8(), dec.u32(), dec.u8()), (Some(0), Some(9), Some(0)));
         assert_eq!(dec.state_key(), Some(key));
         assert_eq!(dec.operation(), Some(Operation::Delete));
-        assert_eq!(dec.opt_clock(), Some(None));
         assert!(dec.is_exhausted());
+        // By id, with a clock: 22 bytes past the requester for an increment.
+        let by_id = frame(|enc| {
+            let clock = Some(Clock::with_root(0, 7));
+            enc.apply_record(InstanceId(9), Named::Id(3), &Operation::Increment(1), clock);
+        });
+        assert_eq!(by_id.len(), FRAME_HEADER + 5 + 22);
     }
 
     #[test]
@@ -813,7 +951,10 @@ mod tests {
         ];
         let bytes: Vec<u8> = records.iter().flat_map(JournalRecord::to_frame).collect();
         let mut decoded = Vec::new();
-        let intact = scan_frames(&bytes, &mut |r| decoded.push(r.clone()));
+        let intact = scan_frames(&bytes, &mut |payload| {
+            decoded.extend(decode_record(payload, &[]));
+            true
+        });
         assert_eq!(intact, bytes.len());
         assert_eq!(decoded, records);
     }
@@ -833,7 +974,10 @@ mod tests {
         let scan = |middle: &[u8]| {
             let bytes = [&first[..], middle, &last[..]].concat();
             let mut records = 0;
-            let intact = scan_frames(&bytes, &mut |_| records += 1);
+            let intact = scan_frames(&bytes, &mut |payload| {
+                records += 1;
+                decode_record(payload, &[]).is_ok()
+            });
             (records, intact)
         };
         let whole = first.len() + middle.len() + last.len();

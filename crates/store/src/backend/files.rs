@@ -57,6 +57,11 @@ impl Files {
         }
     }
 
+    /// True while no image and no journal byte was handed over.
+    pub(super) fn is_empty(&self) -> bool {
+        self.image.is_none() && self.segments.iter().all(|&(_, bytes)| bytes == 0)
+    }
+
     fn active_seq(&self) -> u64 {
         self.segments.last().map_or(0, |&(seq, _)| seq)
     }

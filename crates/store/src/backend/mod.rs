@@ -16,9 +16,15 @@
 //! record once, under its lock, straight from the borrowed key and operation
 //! into its reused frame buffer (`codec`: `[u32 len][u32 sum][payload]`),
 //! and the engine copies the finished frame into its active segment; an
-//! image is one frame encoded straight from the live instance. The engine
-//! compacts by one rule: once a journal holds `DEFAULT_CHECKPOINT_INTERVAL`
-//! (1,024) records, `append` asks for a checkpoint and the shard takes one.
+//! image is one frame encoded straight from the live instance. An op names
+//! an entry replay will already hold by its 4-byte dense id, and any other
+//! object by its key: the shard tracks how many entries replaying its
+//! engine rebuilds under the live ids, and recovery resolves the ids as it
+//! replays, from the image's entries and each entry a record creates.
+//!
+//! The engine compacts by one rule: once a journal holds
+//! `DEFAULT_CHECKPOINT_INTERVAL` (1,024) records, `append` asks for a
+//! checkpoint and the shard takes one.
 //! So a journaled shard holds fewer records than that however long it runs,
 //! and `restart_shard` replays only the suffix past the last checkpoint —
 //! O(delta), not O(history).
@@ -186,6 +192,10 @@ pub struct ShardRecoveryStats {
     /// so the shard holds a prefix of its history, and the segment was left
     /// as it was, not truncated.
     pub segment_unreadable: bool,
+    /// A journal frame named an entry by an id that neither the image nor
+    /// an earlier frame created. Replay stopped before that frame, as before
+    /// an unreadable segment, and the frame was left where it was.
+    pub unknown_entry: bool,
 }
 
 /// A checkpoint image that exists but does not decode: see
@@ -193,10 +203,14 @@ pub struct ShardRecoveryStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ImageRejected;
 
-/// A live segment that cannot be read: see
-/// [`ShardRecoveryStats::segment_unreadable`].
+/// Why journal replay stopped short of the end: see
+/// [`ShardRecoveryStats::segment_unreadable`] and
+/// [`ShardRecoveryStats::unknown_entry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegmentUnreadable;
+pub(crate) enum ReplayStopped {
+    SegmentUnreadable,
+    UnknownEntry,
+}
 
 /// One store shard: the live [`StoreInstance`], the journaling switch, the
 /// resident custom-op table, the journal's frame buffer and recovery, over
@@ -212,6 +226,13 @@ pub struct Shard {
     /// reused, so it stops allocating once it has held the largest record;
     /// it starts empty, so a shard that never journals never allocates it.
     frame: Vec<u8>,
+    /// How many entries replaying the engine rebuilds with the live
+    /// instance's ids, when that is known: a frame may name those by id.
+    /// Set where the engine and the instance agree — an empty engine under
+    /// an empty instance, a checkpoint, a recovery — and carried from frame
+    /// to frame; an entry created without a frame loses it until the next
+    /// checkpoint, and frames name objects by key meanwhile.
+    replay_ids: Option<u32>,
     engine: Engine,
 }
 
@@ -224,6 +245,7 @@ impl Shard {
             journaling: false,
             custom_ops: Vec::new(),
             frame: Vec::new(),
+            replay_ids: engine.is_empty().then_some(0),
             engine,
         }
     }
@@ -239,6 +261,11 @@ impl Shard {
         &mut self.instance
     }
 
+    /// Whether journaling is on.
+    pub(crate) fn journaling(&self) -> bool {
+        self.journaling
+    }
+
     /// The engine the shard's history goes to.
     pub(crate) fn engine(&self) -> &Engine {
         &self.engine
@@ -251,20 +278,37 @@ impl Shard {
         self.journaling = enabled;
         if !enabled {
             self.engine.clear();
+            self.replay_ids = Some(0);
         }
     }
 
+    /// The live instance's entry count: what a caller about to change the
+    /// instance hands [`Shard::journal`] afterwards.
+    pub(crate) fn ids(&self) -> u32 {
+        self.instance.len() as u32
+    }
+
     /// Journal one record while journaling is on, and checkpoint when the
-    /// engine asks for it. `encode` writes the record into the shard's frame
-    /// buffer and says whether there is anything to append: a batch whose
-    /// every op was emulated has nothing.
-    pub(crate) fn journal(&mut self, encode: impl FnOnce(&mut Enc<'_>) -> bool) {
+    /// engine asks for it. `since` is the entry count before the change the
+    /// record journals ([`Shard::ids`]). `encode` writes the record into the
+    /// shard's frame buffer — naming by id any entry below the count it is
+    /// handed, which replay will have rebuilt when it reads the frame, and
+    /// every other object by key — and says whether there is anything to
+    /// append: a batch whose every op was emulated has nothing.
+    pub(crate) fn journal(&mut self, since: u32, encode: impl FnOnce(&mut Enc<'_>, u32) -> bool) {
         if !self.journaling {
             return;
         }
+        let in_step = self.replay_ids == Some(since);
         let mut enc = Enc::reuse(&mut self.frame);
-        if encode(&mut enc) && self.engine.append(enc.finish()) {
-            self.engine.checkpoint(&self.instance);
+        if !encode(&mut enc, if in_step { since } else { 0 }) {
+            return;
+        }
+        // Replaying the frame creates what the change created, under the
+        // same ids, if replay had the live ids before it.
+        self.replay_ids = in_step.then(|| self.instance.len() as u32);
+        if self.engine.append(enc.finish()) {
+            self.checkpoint();
         }
     }
 
@@ -276,9 +320,9 @@ impl Shard {
     }
 
     /// Journal one record given in decoded form: the rare kinds
-    /// (registrations, reassignments).
+    /// (registrations, reassignments) that create no entry.
     pub(crate) fn append(&mut self, record: &JournalRecord) {
-        self.journal(|e| {
+        self.journal(self.ids(), |e, _| {
             record.encode(e);
             true
         });
@@ -297,6 +341,7 @@ impl Shard {
 
     /// Checkpoint the live instance; returns the number of objects captured.
     pub(crate) fn checkpoint(&mut self) -> usize {
+        self.replay_ids = Some(self.ids());
         self.engine.checkpoint(&self.instance)
     }
 
@@ -312,9 +357,11 @@ impl Shard {
     /// resident custom ops, then re-apply every later record. Re-applying
     /// journal records with their original duplicate-suppression clocks
     /// reconstructs both the values and the metadata exactly as they stood
-    /// before the crash. The rebuilt instance may sit below the server's
-    /// replay floor (it starts at zero); the server raises it before
-    /// releasing the shard.
+    /// before the crash. A frame names an object by the id the entry had
+    /// live, which replay resolves as it goes: the image's entries in id
+    /// order, then each entry a replayed record creates. The rebuilt
+    /// instance may sit below the server's replay floor (it starts at zero);
+    /// the server raises it before releasing the shard.
     pub fn recover(&mut self) -> ShardRecoveryStats {
         let (instance, table) = (&mut self.instance, &self.custom_ops);
         let restored = self.engine.restore(&|name| resolve(table, name));
@@ -328,10 +375,18 @@ impl Shard {
         for (name, f) in table {
             instance.register_custom_op(name, *f);
         }
-        stats.segment_unreadable = self
+        let mut names = instance.keys_by_id();
+        let replayed = self
             .engine
-            .for_each_record(&mut |record| replay_record(instance, table, record, &mut stats))
-            .is_err();
+            .for_each_record(&mut names, &mut |record, names| {
+                replay_record(instance, table, record, &mut stats, names);
+            });
+        match replayed {
+            Ok(()) => {}
+            Err(ReplayStopped::SegmentUnreadable) => stats.segment_unreadable = true,
+            Err(ReplayStopped::UnknownEntry) => stats.unknown_entry = true,
+        }
+        self.replay_ids = Some(self.ids());
         stats
     }
 }
@@ -342,15 +397,24 @@ fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
 }
 
 /// The journal-replay step: re-apply one record to `instance`, updating
-/// `stats`. Applies go through [`StoreInstance::replay_journaled`]: the
-/// journal holds only operations that were applied live, so replay never
-/// second-guesses them against the duplicate-suppression log.
+/// `stats`, and add each entry it creates to `names`. Applies go through
+/// [`StoreInstance::replay_journaled`]: the journal holds only operations
+/// that were applied live, so replay never second-guesses them against the
+/// duplicate-suppression log.
 fn replay_record(
     instance: &mut StoreInstance,
     custom_ops: &[(String, CustomOpFn)],
     record: &JournalRecord,
     stats: &mut ShardRecoveryStats,
+    names: &mut Vec<StateKey>,
 ) {
+    // A record changes at most one object at a time, so an entry it
+    // created is the one its key names.
+    let mut created = |instance: &StoreInstance, key: &StateKey| {
+        if instance.len() > names.len() {
+            names.push(key.clone());
+        }
+    };
     match record {
         JournalRecord::Apply {
             requester,
@@ -359,6 +423,7 @@ fn replay_record(
             clock,
         } => {
             let _ = instance.replay_journaled(*requester, key, op, *clock);
+            created(instance, key);
             stats.replayed_ops += 1;
         }
         JournalRecord::Callback { key, instance: who } => {
@@ -377,6 +442,7 @@ fn replay_record(
         }
         JournalRecord::Owner { key, owner } => {
             instance.set_owner(key, *owner);
+            created(instance, key);
             stats.reinstalled_records += 1;
         }
         JournalRecord::Nondet { clock, slot, value } => {
@@ -386,6 +452,7 @@ fn replay_record(
         JournalRecord::ApplyBatch { requester, ops } => {
             for (key, op, clock) in ops {
                 let _ = instance.replay_journaled(*requester, key, op, *clock);
+                created(instance, key);
                 stats.replayed_ops += 1;
             }
         }
@@ -394,7 +461,67 @@ fn replay_record(
 
 #[cfg(test)]
 mod tests {
-    use super::BackendKind;
+    use super::codec::Named;
+    use super::{BackendKind, Engine, JournalRecord, ScratchDir, Shard};
+    use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
+    use crate::ops::Operation;
+    use crate::value::Value;
+
+    /// A frame that names an entry by an id no image or earlier frame
+    /// created stops replay where it stands, on both media: it is reported,
+    /// nothing from it on is applied, nothing panics, and the journal keeps
+    /// its bytes — a reopened engine counts the frame whole and does not cut
+    /// it as a torn tail.
+    #[test]
+    fn a_frame_naming_an_unknown_entry_stops_replay_and_is_reported() {
+        let scratch = ScratchDir::new("unknown-entry");
+        for on_files in [false, true] {
+            let mut shard = Shard::new(match on_files {
+                false => Engine::in_memory(None, Vec::new(), 1024),
+                true => Engine::open(scratch.path(), 1024),
+            });
+            shard.set_journaling(true);
+            let (requester, key) = (
+                InstanceId(1),
+                StateKey::shared(VertexId(0), ObjectKey::named("a")),
+            );
+            let bump = |shard: &mut Shard, named: Named<'_>, c: u64| {
+                let since = shard.ids();
+                let (op, clock) = (Operation::Increment(1), Some(Clock::with_root(0, c)));
+                shard
+                    .instance_mut()
+                    .apply(requester, &key, &op, clock)
+                    .unwrap();
+                shard.journal(since, |e, _| {
+                    e.apply_record(requester, named, &op, clock);
+                    true
+                });
+            };
+            // Creates entry 0, then names an entry 7 nobody created, then
+            // names entry 0 as a well-formed frame would.
+            bump(&mut shard, Named::Key(&key), 1);
+            bump(&mut shard, Named::Id(7), 2);
+            bump(&mut shard, Named::Id(0), 3);
+            shard.append(&JournalRecord::Reassign {
+                from: InstanceId(1),
+                to: InstanceId(2),
+            });
+            assert_eq!(shard.engine().journal_len(), 4);
+            shard.crash();
+            let stats = shard.recover();
+            assert!(
+                stats.unknown_entry && !stats.segment_unreadable,
+                "{stats:?}"
+            );
+            assert_eq!((stats.replayed_ops, stats.reinstalled_records), (1, 0));
+            assert_eq!(shard.instance().peek(&key), Value::Int(1));
+            if on_files {
+                shard.engine().persist();
+                let reopened = Engine::open(scratch.path(), 1024);
+                assert_eq!(reopened.journal_len(), 4, "the frames were cut");
+            }
+        }
+    }
 
     #[test]
     fn the_backend_knob_accepts_exactly_two_spellings() {

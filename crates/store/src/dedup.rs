@@ -3,27 +3,33 @@
 //! A store instance remembers, for every packet that may still be replayed,
 //! the updates that packet already induced and what each returned, so a
 //! re-issued update is *emulated* instead of applied twice. Per root id the
-//! log is a [`CounterWindow`] of slots, one per clock counter: finding a
-//! packet's slot is one subtraction, and its updates are recorded there,
-//! naming their object by the store's dense entry id rather than by
-//! a copy of the key.
+//! log is a [`CounterWindow`] of 4-byte heads, one per clock counter: finding
+//! a packet's first update is one subtraction. The updates themselves live
+//! in one arena shared by every root, 24 bytes each, a packet's updates
+//! chained in the order they were recorded; each names its object by the
+//! store's dense entry id rather than by a copy of the key.
 //!
 //! Nothing below the **replay floor** is kept: once no packet log can
-//! replay a clock, its slot is dead weight. [`DedupLog::forget_below`]
-//! pops that prefix of every root's window; [`DedupLog::forget_clock`]
-//! takes one packet's cell (the simulator root's per-packet delete).
+//! replay a clock, its updates are dead weight. [`DedupLog::forget_below`]
+//! pops that prefix of every root's window and hands its updates back to
+//! the arena; [`DedupLog::forget_clock`] takes one packet's (the simulator
+//! root's per-packet delete).
 //!
 //! The counters are dense by construction — the root hands out `1..=N` —
 //! so a window's span, from the lowest to the highest counter it holds, is
 //! the packets still replayable and nothing else. Resident memory is one
-//! 48-byte cell per counter in that span and per root, rounded up to the
+//! 4-byte head per counter in that span and per root, rounded up to the
 //! deque's power-of-two capacity, whether or not the packet touched this
-//! shard. A packet's first two updates sit inline in its cell; a third
-//! moves them into a spill vector, and any update that is not an integer
-//! increment adds one boxed `(Operation, Value)`.
-//! [`DedupLog::spans`] reports the cells, [`DedupLog::len`] the updates.
+//! shard, plus one 24-byte arena cell per update, up to the most held at
+//! once. A freed cell is reused before the arena grows, so once warm an
+//! update allocates nothing, however many a packet holds. An update whose
+//! operation and answer are integers — increments, decrements, pushes and
+//! pops of integers, an integer set — is held in its cell; any other keeps
+//! its `(Operation, Value)` in a side table whose slots are reused too, so
+//! only the values it clones allocate.
+//! [`DedupLog::spans`] reports the heads, [`DedupLog::len`] the updates.
 //! Logged non-deterministic values are rare and keep a small ordered map
-//! of their own, which [`DedupLog::clear_updates`] leaves alone.
+//! of their own.
 
 use crate::backend::codec::{Dec, Enc};
 use crate::key::Clock;
@@ -31,111 +37,198 @@ use crate::ops::Operation;
 use crate::value::Value;
 use crate::window::CounterWindow;
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
-/// One logged update: which object (dense entry id), what it applied and
-/// what the store answered. The per-packet counters — `Increment` answered
-/// with an integer — are nearly all of the log and are held in 24 bytes,
-/// entry id included; any other update is boxed (its one allocation).
-#[derive(Debug, Clone)]
-enum Update {
-    Increment {
-        entry: u32,
-        delta: i64,
-        returned: i64,
-    },
-    Other {
-        entry: u32,
-        logged: Box<(Operation, Value)>,
-    },
+/// What a logged update applied. The integer kinds keep their argument in
+/// [`Update::arg`] and their integer answer in [`Update::returned`];
+/// [`Kind::Other`] keeps the index of its `(Operation, Value)` in
+/// [`Arena::others`] in `arg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Increment,
+    Decrement,
+    Set,
+    PushBack,
+    PushFront,
+    PopFront,
+    PopBack,
+    Other,
+}
+
+impl Kind {
+    /// In discriminant order, to read a kind back from its bits.
+    const ALL: [Kind; 8] = [
+        Kind::Increment,
+        Kind::Decrement,
+        Kind::Set,
+        Kind::PushBack,
+        Kind::PushFront,
+        Kind::PopFront,
+        Kind::PopBack,
+        Kind::Other,
+    ];
+
+    /// The integer kind of `op` and its argument, if `op` and its answer
+    /// are integers.
+    fn of(op: &Operation, returned: &Value) -> Option<(Kind, i64)> {
+        if !matches!(returned, Value::Int(_)) {
+            return None;
+        }
+        Some(match op {
+            Operation::Increment(d) => (Kind::Increment, *d),
+            Operation::Decrement(d) => (Kind::Decrement, *d),
+            Operation::Set(Value::Int(v)) => (Kind::Set, *v),
+            Operation::PushBack(Value::Int(v)) => (Kind::PushBack, *v),
+            Operation::PushFront(Value::Int(v)) => (Kind::PushFront, *v),
+            Operation::PopFront => (Kind::PopFront, 0),
+            Operation::PopBack => (Kind::PopBack, 0),
+            _ => return None,
+        })
+    }
+
+    /// The operation an integer kind logged with `arg`; `None` for
+    /// [`Kind::Other`].
+    fn operation(self, arg: i64) -> Option<Operation> {
+        Some(match self {
+            Kind::Increment => Operation::Increment(arg),
+            Kind::Decrement => Operation::Decrement(arg),
+            Kind::Set => Operation::Set(Value::Int(arg)),
+            Kind::PushBack => Operation::PushBack(Value::Int(arg)),
+            Kind::PushFront => Operation::PushFront(Value::Int(arg)),
+            Kind::PopFront => Operation::PopFront,
+            Kind::PopBack => Operation::PopBack,
+            Kind::Other => return None,
+        })
+    }
+}
+
+/// An arena cell: its index plus one, so that "none" costs no bits.
+type Cell = NonZeroU32;
+
+/// The low bits of [`Update::link`] hold the next cell, the kind the rest.
+const NEXT_BITS: u32 = 28;
+const NEXT_MASK: u32 = (1 << NEXT_BITS) - 1;
+
+/// One logged update, in 24 bytes: which object (dense entry id), the next
+/// update of the same packet with the kind, the argument and the answer. A
+/// free cell links to the next free one.
+#[derive(Debug, Clone, Copy)]
+struct Update {
+    entry: u32,
+    /// The packet's next update ([`Cell`] value, 0 for none) in the low
+    /// [`NEXT_BITS`], the [`Kind`] above them.
+    link: u32,
+    arg: i64,
+    returned: i64,
 }
 
 impl Update {
-    fn new(entry: u32, op: &Operation, returned: &Value) -> Update {
-        match (op, returned) {
-            (Operation::Increment(delta), Value::Int(returned)) => Update::Increment {
-                entry,
-                delta: *delta,
-                returned: *returned,
-            },
-            _ => Update::Other {
-                entry,
-                logged: Box::new((op.clone(), returned.clone())),
-            },
-        }
+    fn kind(&self) -> Kind {
+        Kind::ALL[(self.link >> NEXT_BITS) as usize]
     }
 
-    fn entry(&self) -> u32 {
-        match self {
-            Update::Increment { entry, .. } | Update::Other { entry, .. } => *entry,
-        }
+    fn next(&self) -> Option<Cell> {
+        Cell::new(self.link & NEXT_MASK)
     }
 
-    fn is(&self, entry: u32, op: &Operation) -> bool {
-        self.entry() == entry
-            && match self {
-                Update::Increment { delta, .. } => *op == Operation::Increment(*delta),
-                Update::Other { logged, .. } => logged.0 == *op,
-            }
-    }
-
-    fn returned(&self) -> Value {
-        match self {
-            Update::Increment { returned, .. } => Value::Int(*returned),
-            Update::Other { logged, .. } => logged.1.clone(),
-        }
-    }
-
-    /// The operation, then what it returned.
-    fn encode(&self, e: &mut Enc<'_>) {
-        match self {
-            Update::Increment {
-                delta, returned, ..
-            } => {
-                e.operation(&Operation::Increment(*delta));
-                e.value(&Value::Int(*returned));
-            }
-            Update::Other { logged, .. } => {
-                e.operation(&logged.0);
-                e.value(&logged.1);
-            }
-        }
+    fn set_next(&mut self, next: Option<Cell>) {
+        self.link = (self.link & !NEXT_MASK) | next.map_or(0, Cell::get);
     }
 }
 
-/// The updates one packet induced on this store instance, in the order
-/// they were recorded. Nearly every packet issues one or two updates per
-/// shard (the NAT's two counters share one), so those sit inline and only a
-/// third allocates.
-#[derive(Debug, Clone)]
-enum Slot {
-    One(Update),
-    Two([Update; 2]),
-    Many(Vec<Update>),
+/// The update cells of every root's packets, held or free, and the side
+/// table of the updates that are not integers.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    cells: Vec<Update>,
+    /// The first free cell, linked through [`Update::link`].
+    free: Option<Cell>,
+    /// The operation and answer of each [`Kind::Other`] update, at the slot
+    /// its `arg` names; a freed slot is reset and reused.
+    others: Vec<(Operation, Value)>,
+    free_others: Vec<u32>,
+    /// Updates held, so `len()` is O(1).
+    held: usize,
 }
 
-impl Slot {
-    fn updates(&self) -> &[Update] {
-        match self {
-            Slot::One(update) => std::slice::from_ref(update),
-            Slot::Two(pair) => pair,
-            Slot::Many(all) => all,
+impl Arena {
+    fn get(&self, cell: Cell) -> &Update {
+        &self.cells[cell.get() as usize - 1]
+    }
+
+    fn get_mut(&mut self, cell: Cell) -> &mut Update {
+        &mut self.cells[cell.get() as usize - 1]
+    }
+
+    /// A packet's updates, from its first, in the order they were recorded.
+    fn chain(&self, head: Cell) -> impl Iterator<Item = &Update> {
+        std::iter::successors(Some(head), |&cell| self.get(cell).next()).map(|cell| self.get(cell))
+    }
+
+    /// The logged operation and answer of `update`, whatever its kind.
+    fn logged<R>(&self, update: &Update, read: impl FnOnce(&Operation, &Value) -> R) -> R {
+        match update.kind().operation(update.arg) {
+            Some(op) => read(&op, &Value::Int(update.returned)),
+            None => {
+                let (op, returned) = &self.others[update.arg as usize];
+                read(op, returned)
+            }
         }
     }
 
-    fn len(&self) -> usize {
-        self.updates().len()
-    }
-
-    fn push(&mut self, update: Update) {
-        // `Vec::new()` does not allocate: the placeholder costs nothing.
-        *self = match std::mem::replace(self, Slot::Many(Vec::new())) {
-            Slot::One(first) => Slot::Two([first, update]),
-            Slot::Two([first, second]) => Slot::Many(vec![first, second, update]),
-            Slot::Many(mut all) => {
-                all.push(update);
-                Slot::Many(all)
+    /// A cell holding the update, a free one if there is one.
+    fn alloc(&mut self, entry: u32, op: &Operation, returned: &Value) -> Cell {
+        let (kind, arg, returned) = match Kind::of(op, returned) {
+            Some((kind, arg)) => (kind, arg, returned.as_int()),
+            None => {
+                let logged = (op.clone(), returned.clone());
+                let slot = match self.free_others.pop() {
+                    Some(slot) => {
+                        self.others[slot as usize] = logged;
+                        slot
+                    }
+                    None => {
+                        self.others.push(logged);
+                        self.others.len() as u32 - 1
+                    }
+                };
+                (Kind::Other, i64::from(slot), 0)
             }
         };
+        let update = Update {
+            entry,
+            link: (kind as u32) << NEXT_BITS,
+            arg,
+            returned,
+        };
+        self.held += 1;
+        if let Some(cell) = self.free {
+            self.free = self.get(cell).next();
+            *self.get_mut(cell) = update;
+            return cell;
+        }
+        assert!(
+            self.cells.len() < NEXT_MASK as usize,
+            "the duplicate-suppression log holds 2^28 updates"
+        );
+        self.cells.push(update);
+        Cell::new(self.cells.len() as u32).expect("one-based")
+    }
+
+    /// Hand a packet's updates, from its first, back to the free list.
+    fn release(&mut self, head: Cell) {
+        let mut at = Some(head);
+        while let Some(cell) = at {
+            let update = *self.get(cell);
+            at = update.next();
+            if update.kind() == Kind::Other {
+                self.others[update.arg as usize] = (Operation::Get, Value::None);
+                self.free_others.push(update.arg as u32);
+            }
+            self.get_mut(cell).link = self.free.map_or(0, Cell::get);
+            self.free = Some(cell);
+            self.held -= 1;
+        }
     }
 }
 
@@ -154,10 +247,10 @@ fn clock_of((counter, root): Order) -> Clock {
 /// See the module documentation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DedupLog {
-    /// Per root id, its packets' slots by clock counter; grown on first use.
-    roots: Vec<CounterWindow<Slot>>,
-    /// Updates held across all slots, so `len()` is O(1).
-    updates: usize,
+    /// Per root id, the first update of each packet by clock counter;
+    /// grown on first use.
+    roots: Vec<CounterWindow<Cell>>,
+    arena: Arena,
     /// Most updates any single packet has held here (sizes the sentinel's
     /// bound on the log).
     widest: usize,
@@ -166,14 +259,15 @@ pub(crate) struct DedupLog {
     nondet: BTreeMap<Order, Vec<(u32, Value)>>,
 }
 
-/// One packet's place in the log: an apply first asks it whether the
-/// update is a duplicate and, if not, records the update there. Asking
-/// grows nothing.
+/// One packet's place in the log, found with one window read: an apply
+/// first asks it whether the update is a duplicate and, if not, records the
+/// update there. Asking grows nothing.
 pub(crate) struct PacketSlot<'a> {
-    window: &'a mut CounterWindow<Slot>,
+    log: &'a mut DedupLog,
+    root: usize,
     counter: u64,
-    updates: &'a mut usize,
-    widest: &'a mut usize,
+    /// The packet's first update here, if it has one.
+    head: Option<Cell>,
 }
 
 impl PacketSlot<'_> {
@@ -182,37 +276,45 @@ impl PacketSlot<'_> {
     /// against one object (seeding a list), so the operation is part of the
     /// match.
     pub(crate) fn find(&self, entry: u32, op: &Operation) -> Option<Value> {
-        self.window
-            .get(self.counter)?
-            .updates()
-            .iter()
-            .find(|u| u.is(entry, op))
-            .map(Update::returned)
+        let arena = &self.log.arena;
+        arena
+            .chain(self.head?)
+            .filter(|update| update.entry == entry)
+            .find_map(|update| {
+                arena.logged(update, |logged, returned| {
+                    (logged == op).then(|| returned.clone())
+                })
+            })
     }
 
     /// Record that this packet induced `op` on `entry`, answered with
-    /// `returned`.
+    /// `returned`: after its last update here, or as its first, which is the
+    /// one case that writes the window.
     pub(crate) fn record(self, entry: u32, op: &Operation, returned: &Value) {
-        let update = Update::new(entry, op, returned);
-        let held = match self.window.cell(self.counter) {
-            Some(slot) => {
-                slot.push(update);
-                slot.len()
-            }
-            empty => {
-                *empty = Some(Slot::One(update));
+        let log = self.log;
+        let new = log.arena.alloc(entry, op, returned);
+        let held = match self.head {
+            None => {
+                *log.roots[self.root].cell(self.counter) = Some(new);
                 1
             }
+            Some(head) => {
+                let (mut last, mut held) = (head, 2);
+                while let Some(next) = log.arena.get(last).next() {
+                    (last, held) = (next, held + 1);
+                }
+                log.arena.get_mut(last).set_next(Some(new));
+                held
+            }
         };
-        *self.updates += 1;
-        *self.widest = (*self.widest).max(held);
+        log.widest = log.widest.max(held);
     }
 }
 
 impl DedupLog {
     /// Updates currently retained.
     pub(crate) fn len(&self) -> usize {
-        self.updates
+        self.arena.held
     }
 
     /// Most updates one packet has held in this log so far.
@@ -220,7 +322,7 @@ impl DedupLog {
         self.widest
     }
 
-    /// Per root id, the counters its window spans (the cells it pays for).
+    /// Per root id, the counters its window spans (the heads it pays for).
     pub(crate) fn spans(&self) -> impl Iterator<Item = u64> + '_ {
         self.roots.iter().map(CounterWindow::span)
     }
@@ -232,11 +334,12 @@ impl DedupLog {
         if root >= self.roots.len() {
             self.roots.resize_with(root + 1, CounterWindow::new);
         }
+        let head = self.roots[root].get(clock.counter()).copied();
         PacketSlot {
-            window: &mut self.roots[root],
+            log: self,
+            root,
             counter: clock.counter(),
-            updates: &mut self.updates,
-            widest: &mut self.widest,
+            head,
         }
     }
 
@@ -253,11 +356,11 @@ impl DedupLog {
         }
     }
 
-    /// Drop everything `clock` induced: one cell, one map entry.
+    /// Drop everything `clock` induced: one packet's updates, one map entry.
     pub(crate) fn forget_clock(&mut self, clock: Clock) {
         let window = self.roots.get_mut(clock.root() as usize);
-        if let Some(slot) = window.and_then(|w| w.take(clock.counter())) {
-            self.updates -= slot.len();
+        if let Some(head) = window.and_then(|w| w.take(clock.counter())) {
+            self.arena.release(head);
         }
         self.nondet.remove(&order(clock));
     }
@@ -265,18 +368,19 @@ impl DedupLog {
     /// Drop every packet whose counter is below `floor`, whichever root
     /// stamped it: a prefix of every window.
     pub(crate) fn forget_below(&mut self, floor: u64) {
-        let updates = &mut self.updates;
+        let arena = &mut self.arena;
         for window in &mut self.roots {
-            window.pop_below(floor, |slot| *updates -= slot.len());
+            window.pop_below(floor, |head| arena.release(head));
         }
         while let Some(first) = self.nondet.first_entry().filter(|e| e.key().0 < floor) {
             first.remove();
         }
     }
 
-    /// Every retained packet with its clock, counter-major across roots: a
-    /// merge of the roots' windows, each already in counter order.
-    fn packets(&self) -> impl Iterator<Item = (Clock, &Slot)> {
+    /// Every retained packet with its clock and first update, counter-major
+    /// across roots: a merge of the roots' windows, each already in counter
+    /// order.
+    fn packets(&self) -> impl Iterator<Item = (Clock, Cell)> + '_ {
         let mut windows: Vec<_> = self.roots.iter().map(|w| w.iter().peekable()).collect();
         std::iter::from_fn(move || {
             let (_, root) = windows
@@ -284,8 +388,8 @@ impl DedupLog {
                 .enumerate()
                 .filter_map(|(root, w)| Some((w.peek()?.0, root)))
                 .min()?;
-            let (counter, slot) = windows[root].next()?;
-            Some((Clock::with_root(root as u8, counter), slot))
+            let (counter, head) = windows[root].next()?;
+            Some((Clock::with_root(root as u8, counter), *head))
         })
     }
 
@@ -296,17 +400,35 @@ impl DedupLog {
             .flat_map(|(k, values)| values.iter().map(|(s, v)| (clock_of(*k), *s, v)))
     }
 
-    /// The log as a checkpoint image writes it: the update count, then
-    /// every update as `(clock, entry id, operation, returned)`, packets in
-    /// counter-major order; then the non-deterministic values as `(clock,
+    /// The log as a checkpoint image writes it: the packet count, then
+    /// each packet in counter-major order as its clock and its update count,
+    /// and each of its updates, in the order they were recorded, as its
+    /// entry id, its kind and, for an integer kind, the argument (but for a
+    /// pop) and the answer, zigzagged; for any other, the operation and the
+    /// value. Counts and numbers are varints, so a counter's increment is
+    /// five to seven bytes. Then the non-deterministic values as `(clock,
     /// slot, value)`, in the same order.
     pub(crate) fn encode(&self, e: &mut Enc<'_>) {
-        e.u32(self.updates as u32);
-        for (clock, slot) in self.packets() {
-            for update in slot.updates() {
-                e.u64(clock.0);
-                e.u32(update.entry());
-                update.encode(e);
+        e.u32(self.packets().count() as u32);
+        for (clock, head) in self.packets() {
+            e.u64(clock.0);
+            e.varint(self.arena.chain(head).count() as u64);
+            for update in self.arena.chain(head) {
+                e.varint(u64::from(update.entry));
+                let kind = update.kind();
+                e.u8(kind as u8);
+                match kind {
+                    Kind::Other => {
+                        let (op, returned) = &self.arena.others[update.arg as usize];
+                        e.operation(op);
+                        e.value(returned);
+                    }
+                    Kind::PopFront | Kind::PopBack => e.varint(zigzag(update.returned)),
+                    _ => {
+                        e.varint(zigzag(update.arg));
+                        e.varint(zigzag(update.returned));
+                    }
+                }
             }
         }
         e.u32(self.nondet.values().map(Vec::len).sum::<usize>() as u32);
@@ -318,30 +440,42 @@ impl DedupLog {
     }
 
     /// The log [`DedupLog::encode`] wrote, for a store of `entries` objects:
-    /// `None` if an update names an entry id outside it.
+    /// `None` if an update names an entry id outside it, or a packet holds
+    /// no update.
     pub(crate) fn decode(d: &mut Dec<'_>, entries: usize) -> Option<DedupLog> {
         let mut log = DedupLog::default();
         for _ in 0..d.u32()? {
             let clock = Clock(d.u64()?);
-            let entry = d.u32()?;
-            if entry as usize >= entries {
-                return None;
+            for _ in 0..d.varint().filter(|&n| n > 0)? {
+                let entry = u32::try_from(d.varint()?).ok()?;
+                if entry as usize >= entries {
+                    return None;
+                }
+                let kind = *Kind::ALL.get(usize::from(d.u8()?))?;
+                let int = |d: &mut Dec<'_>| d.varint().map(|v| Value::Int(unzigzag(v)));
+                let (op, returned) = match kind {
+                    Kind::Other => (d.operation()?, d.value()?),
+                    Kind::PopFront | Kind::PopBack => (kind.operation(0)?, int(d)?),
+                    _ => (kind.operation(unzigzag(d.varint()?))?, int(d)?),
+                };
+                log.packet(clock).record(entry, &op, &returned);
             }
-            let (op, returned) = (d.operation()?, d.value()?);
-            log.packet(clock).record(entry, &op, &returned);
         }
         for _ in 0..d.u32()? {
             log.nondet_value(Clock(d.u64()?), d.u32()?, d.value()?);
         }
         Some(log)
     }
+}
 
-    /// Drop the update log (a restore from a Figure-7 checkpoint rebuilds it
-    /// from the NF-side logs); logged non-determinism stays.
-    pub(crate) fn clear_updates(&mut self) {
-        self.roots.iter_mut().for_each(CounterWindow::clear);
-        self.updates = 0;
-    }
+/// An `i64` as a `u64` whose small magnitudes are small: 0, -1, 1, -2, …
+/// map to 0, 1, 2, 3, ….
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
 #[cfg(test)]
@@ -361,8 +495,8 @@ mod tests {
                     .record(7, &incr(1), &Value::Int(c as i64));
             }
         }
-        // A second and a third update of one packet (the third spills),
-        // and one that is not a counter.
+        // A second and a third update of one packet, and one that is not a
+        // counter.
         log.packet(Clock::with_root(0, 3))
             .record(7, &incr(2), &Value::Int(9));
         log.packet(Clock::with_root(0, 3))
@@ -431,12 +565,47 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn a_cell_is_48_bytes() {
-        // What the module documentation charges per counter and root: two
-        // 24-byte updates inline, the spill vector sharing their space.
+    fn a_head_is_4_bytes_and_an_update_24() {
+        // What the module documentation charges: a head per counter and
+        // root, an arena cell per update.
+        assert_eq!(std::mem::size_of::<Option<Cell>>(), 4);
         assert_eq!(std::mem::size_of::<Update>(), 24);
-        assert_eq!(std::mem::size_of::<Option<Slot>>(), 48);
+    }
+
+    #[test]
+    fn freed_cells_are_reused_and_non_integer_updates_keep_their_values() {
+        let at = |c| Clock::with_root(0, c);
+        let mut log = DedupLog::default();
+        // Five updates of one packet, two of them not integers.
+        let list = Operation::PushBack(Value::list_of_ints([1, 2]));
+        let ops = [
+            (incr(3), Value::Int(3)),
+            (Operation::Decrement(1), Value::Int(2)),
+            (list.clone(), Value::Int(1)),
+            (Operation::PopFront, Value::None),
+            (Operation::Set(Value::Int(7)), Value::Int(7)),
+        ];
+        for (op, returned) in &ops {
+            log.packet(at(1)).record(4, op, returned);
+        }
+        assert_eq!((log.len(), log.widest_slot()), (5, 5));
+        for (op, returned) in &ops {
+            assert_eq!(log.packet(at(1)).find(4, op).as_ref(), Some(returned));
+        }
+        assert_eq!(log.packet(at(1)).find(4, &Operation::Decrement(2)), None);
+        assert_eq!(log.packet(at(1)).find(5, &incr(3)), None);
+        log.forget_clock(at(1));
+        assert_eq!(log.len(), 0);
+        // The next packet takes the freed cells and side slots: nothing grows.
+        let (cells, others) = (log.arena.cells.len(), log.arena.others.len());
+        for (op, returned) in &ops {
+            log.packet(at(2)).record(4, op, returned);
+        }
+        assert_eq!(
+            (log.arena.cells.len(), log.arena.others.len()),
+            (cells, others)
+        );
+        assert_eq!(log.packet(at(2)).find(4, &list), Some(Value::Int(1)));
     }
 
     #[test]

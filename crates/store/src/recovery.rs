@@ -101,9 +101,12 @@ pub fn select_recovery_ts<'a>(
 ///   read (selected by the `TS`-selection algorithm restricted to that
 ///   object) and rolled forward from the selected `TS` (Case 2).
 ///
-/// The image is decoded whole — ownership, callback registrations and
-/// logged non-determinism come back with the values — but its logged updates
-/// are dropped: the rollforward re-executes the clients' logs instead.
+/// The image is decoded whole — ownership, callback registrations, logged
+/// non-determinism and the duplicate-suppression log come back with the
+/// values. The log stays through the rollforward: a client logs an update
+/// the failed instance may already have applied before the checkpoint, and
+/// without a `TS` in the image to skip it, re-executing it is emulated
+/// against the checkpoint's record instead of applied twice.
 ///
 /// Returns the recovered [`StoreInstance`] together with a report. Per-flow
 /// state is *not* handled here: the framework separately re-installs it from
@@ -111,7 +114,6 @@ pub fn select_recovery_ts<'a>(
 /// Theorem B.5.1) via [`StoreInstance::install`].
 pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryReport) {
     let mut store = decode_image_frame(&input.image, &|_| None).unwrap_or_default();
-    store.forget_updates();
     let checkpoint_ts = store.ts().clone();
 
     // Group write-ahead-log entries and reads by canonical object.
@@ -161,9 +163,10 @@ pub fn recover_shared_state(input: &RecoveryInput) -> (StoreInstance, RecoveryRe
         // Re-execute, per instance, every logged update on this object after
         // the clock recorded for that instance in the selected TS (or after
         // the checkpoint TS when the instance does not appear). Re-execution
-        // bypasses duplicate suppression on purpose: the update log died with
-        // the failed instance, and Theorems B.5.2 / B.5.3 only require the
-        // replay order to be a plausible serialization.
+        // goes through duplicate suppression: an update the checkpoint's log
+        // holds is emulated, not applied again. Otherwise Theorems B.5.2 /
+        // B.5.3 only require the replay order to be a plausible
+        // serialization.
         let instances: BTreeMap<InstanceId, &WriteAheadLog> =
             wals_for_key.iter().map(|(k, v)| (*k, v)).collect();
         for (instance, wal) in instances {

@@ -45,6 +45,7 @@
 //! every shard lock ([`StoreServer::persist_lag_bytes`] is how far behind it
 //! is, [`StoreServer::persist_error`] what stopped it).
 
+use crate::backend::codec::Named;
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
     encode_image_frame, BackendKind, Engine, JournalRecord, Persister, ScratchDir, Shard,
@@ -57,6 +58,7 @@ use crate::store::{ApplyResult, StoreInstance};
 use crate::value::Value;
 use crate::wal::TsSnapshot;
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,15 +73,30 @@ struct Slot {
 }
 
 /// Where one op of a batch goes: its shard and, inside a run, the op that
-/// follows it in the run.
+/// follows it in the run; once applied on a journaling shard, the entry it
+/// went to. Eight bytes, as a batch routes up to [`StoreServer::ROUTED_ON_STACK`] ops
+/// in a stack array it initializes whole.
 #[derive(Clone, Copy, Default)]
 struct Route {
-    shard: u32,
+    shard: u16,
     /// Index of the run's next op; 0 ends the run (no op follows one at
-    /// index 0, so 0 is free).
-    next: u16,
+    /// index 0, so 0 is free). Runs form only in a batch routed on the
+    /// stack, so the index fits.
+    next: u8,
     /// The op is applied by the op before it in its run.
     follows: bool,
+    /// The dense id of the op's entry, what its journal frame names it by.
+    entry: u32,
+}
+
+/// How a journal frame names `key`'s entry `id`: by the id if replay will
+/// have rebuilt it, below `named_below`; by the key otherwise.
+fn named(key: &StateKey, id: u32, named_below: u32) -> Named<'_> {
+    if id < named_below {
+        Named::Id(id)
+    } else {
+        Named::Key(key)
+    }
 }
 
 impl Route {
@@ -131,7 +148,12 @@ impl StoreServer {
     /// shard its own subdirectory (`shard-<i>/`) of a scratch directory that
     /// is removed when the server is dropped, and the server one persister
     /// thread, started at the first byte a shard hands over.
+    ///
+    /// # Panics
+    ///
+    /// With more than 65,536 shards.
     pub fn with_backend(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
+        assert!(shards <= 1 << 16, "{shards} shards: at most 65,536");
         let scratch = (kind == BackendKind::AppendOnly).then(|| ScratchDir::new("store-server"));
         let persister = scratch.is_some().then(Persister::new);
         let engine = |i: usize| match (&scratch, &persister) {
@@ -230,10 +252,13 @@ impl StoreServer {
     ) -> Result<ApplyResult, StoreError> {
         slot.ops.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.lock_at_floor(slot);
-        let result = shard.instance_mut().apply(requester, key, op, clock);
+        let since = shard.ids();
+        let (result, id) = shard
+            .instance_mut()
+            .apply_named(requester, key, op, clock, true);
         if matches!(&result, Ok(r) if !r.outcome.emulated) {
-            shard.journal(|e| {
-                e.apply_record(requester, key, op, clock);
+            shard.journal(since, |e, named_below| {
+                e.apply_record(requester, named(key, id, named_below), op, clock);
                 true
             });
         }
@@ -269,7 +294,7 @@ impl StoreServer {
         let runs = ops.len() <= Self::ROUTED_ON_STACK;
         let mut latest = [0u8; 256];
         for (i, (key, op, _)) in ops.iter().enumerate() {
-            route[i].shard = self.shard_index(key) as u32;
+            route[i].shard = self.shard_index(key) as u16;
             if !runs {
                 continue;
             }
@@ -278,7 +303,7 @@ impl StoreServer {
             // there.
             let j = usize::from(*slot);
             if j < i && is_increment(op) && is_increment(&ops[j].1) && ops[j].0 == *key {
-                route[j].next = i as u16;
+                route[j].next = i as u8;
                 route[i].follows = true;
             }
             *slot = i as u8;
@@ -326,7 +351,9 @@ impl StoreServer {
             &mut on_heap[..]
         };
         self.route(ops, route);
-        let route = &*route;
+        // Each shard writes the entry ids of its applied ops back into the
+        // routing buffer while its runs still read it.
+        let route = Cell::from_mut(route).as_slice_of_cells();
         for (index, slot) in self.slots.iter().enumerate() {
             // This shard's ops with their submission indices, in order.
             let mine = || {
@@ -334,23 +361,34 @@ impl StoreServer {
                     .iter()
                     .zip(ops)
                     .enumerate()
-                    .filter(move |(_, (at, _))| at.shard as usize == index)
+                    .filter(move |(_, (at, _))| at.get().shard as usize == index)
                     .map(|(i, (_, op))| (i, op))
             };
-            let count = route.iter().filter(|at| at.shard as usize == index).count();
+            let count = mine().count();
             if count == 0 {
                 continue;
             }
             slot.ops.fetch_add(count as u64, Ordering::Relaxed);
             let mut shard = self.lock_at_floor(slot);
-            for (i, (key, _, _)) in mine().filter(|&(i, _)| !route[i].follows) {
-                let run = std::iter::successors(Some(i), |&j| route[j].next()).map(|j| {
+            let (since, journaling) = (shard.ids(), shard.journaling());
+            for (i, (key, _, _)) in mine().filter(|&(i, _)| !route[i].get().follows) {
+                let run = std::iter::successors(Some(i), |&j| route[j].get().next()).map(|j| {
                     let (_, op, clock) = &ops[j];
                     (j, op, *clock)
                 });
-                shard
-                    .instance_mut()
-                    .apply_run(requester, key, run, true, |j, r| results[j] = r);
+                let instance = shard.instance_mut();
+                // Only a journal names entries: a healthy shard stores no id.
+                if journaling {
+                    instance.apply_run(requester, key, run, true, |j, entry, r| {
+                        results[j] = r;
+                        route[j].set(Route {
+                            entry,
+                            ..route[j].get()
+                        });
+                    });
+                } else {
+                    instance.apply_run(requester, key, run, true, |j, _, r| results[j] = r);
+                }
             }
             // `TS` once per shard: the last applied clocked op in
             // submission order, whichever run applied it.
@@ -365,13 +403,14 @@ impl StoreServer {
             // `apply_on_shard`: the record lists the applied ops in
             // submission order, which replays to what they left in the order
             // they ran, and emulated duplicates stay out of it. The record is
-            // encoded from the submitted ops, nothing cloned; a batch whose
-            // every op was emulated appends nothing.
-            shard.journal(|e| {
+            // encoded from the submitted ops, nothing cloned, naming by id
+            // each entry replay holds before the frame; a batch whose every
+            // op was emulated appends nothing.
+            shard.journal(since, |e, named_below| {
                 e.open_batch(requester);
                 let mut applied_ops = 0;
-                for (_, (key, op, clock)) in mine().filter(|&(i, _)| applied(i)) {
-                    e.batch_op(key, op, *clock);
+                for (i, (key, op, clock)) in mine().filter(|&(i, _)| applied(i)) {
+                    e.batch_op(named(key, route[i].get().entry, named_below), op, *clock);
                     applied_ops += 1;
                 }
                 e.close_batch(applied_ops);
@@ -432,12 +471,19 @@ impl StoreServer {
         call: impl FnOnce(&mut StoreInstance) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         let mut shard = self.slot_of(key).shard.lock();
-        let before = shard.instance().owner_of(key);
+        let (since, before) = (shard.ids(), shard.instance().owner_of(key));
         call(shard.instance_mut())?;
         let owner = shard.instance().owner_of(key);
         if owner != before {
-            let key = key.clone();
-            shard.append(&JournalRecord::Owner { key, owner });
+            // The acquire may have created the entry: journaled by key.
+            let record = JournalRecord::Owner {
+                key: key.clone(),
+                owner,
+            };
+            shard.journal(since, |e, _| {
+                record.encode(e);
+                true
+            });
         }
         Ok(())
     }
@@ -660,8 +706,9 @@ impl StoreServer {
 
     /// Clock counters the duplicate-suppression log spans, summed over
     /// shards and roots, each shard pruned at the current floor first: what
-    /// the log costs in memory, one cell per counter, where
-    /// [`StoreServer::update_log_len`] counts what it holds. O(shards).
+    /// its heads cost in memory, 4 bytes per counter, where
+    /// [`StoreServer::update_log_len`] counts the updates it holds.
+    /// O(shards).
     pub fn update_log_span(&self) -> u64 {
         self.shards_at_floor()
             .map(|s| s.instance().update_log_spans().sum::<u64>())
@@ -856,12 +903,13 @@ mod tests {
 
     /// One encoder, one record: over random batches with clocked duplicates
     /// in them, the frame each shard journals is exactly its applied,
-    /// non-emulated ops in submission order — as its engine decodes it back,
-    /// and byte for byte what encoding the equivalent
-    /// [`JournalRecord::ApplyBatch`] gives — and a batch of nothing but
-    /// duplicates journals nothing. On both media.
+    /// non-emulated ops in submission order — as it decodes and as its
+    /// engine decodes it back, the equivalent [`JournalRecord::ApplyBatch`],
+    /// in no more bytes than that record's key-named frame — and a batch of
+    /// nothing but duplicates journals nothing. On both media.
     #[test]
     fn a_batch_journals_its_applied_ops_through_the_one_encoder() {
+        use crate::backend::codec::{decode_record, FRAME_HEADER};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         const SHARDS: usize = 3;
@@ -905,12 +953,17 @@ mod tests {
                         requester,
                         ops: applied,
                     };
+                    // Every entry the frame names by id existed before it,
+                    // so the live instance's ids resolve it as replay would.
                     let shard = server.slots[s].shard.lock();
-                    assert_eq!(shard.last_frame(), record.to_frame(), "{kind:?}");
+                    let mut names = shard.instance().keys_by_id();
+                    let frame = &shard.last_frame()[FRAME_HEADER..];
+                    assert_eq!(decode_record(frame, &names), Ok(record.clone()));
+                    assert!(shard.last_frame().len() <= record.to_frame().len());
                     let mut last = None;
                     let read = shard
                         .engine()
-                        .for_each_record(&mut |r| last = Some(r.clone()));
+                        .for_each_record(&mut names, &mut |r, _| last = Some(r.clone()));
                     assert!(read.is_ok(), "{kind:?}");
                     assert_eq!(last, Some(record), "{kind:?}");
                 }

@@ -171,7 +171,7 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_one(requester, key, op, clock, true)
+        self.apply_named(requester, key, op, clock, true).0
     }
 
     /// Re-apply a journaled operation during shard recovery. The journal
@@ -186,31 +186,34 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_one(requester, key, op, clock, false)
+        self.apply_named(requester, key, op, clock, false).0
     }
 
-    /// One op as a run of one, and `TS` moved to its clock if it applied.
-    fn apply_one(
+    /// One op as a run of one, `TS` moved to its clock if it applied, and
+    /// the dense id of the entry it went to handed back with its result:
+    /// what a journal frame names the entry by.
+    pub(crate) fn apply_named(
         &mut self,
         requester: InstanceId,
         key: &StateKey,
         op: &Operation,
         clock: Option<Clock>,
         suppress_duplicates: bool,
-    ) -> Result<ApplyResult, StoreError> {
-        let mut result = Err(StoreError::Unavailable);
+    ) -> (Result<ApplyResult, StoreError>, u32) {
+        let (mut result, mut id) = (Err(StoreError::Unavailable), 0);
         let run = [((), op, clock)];
-        if let Some(clock) =
-            self.apply_run(requester, key, run, suppress_duplicates, |(), r| result = r)
-        {
+        if let Some(clock) = self.apply_run(requester, key, run, suppress_duplicates, |(), i, r| {
+            (id, result) = (i, r);
+        }) {
             self.set_ts(requester, clock);
         }
-        result
+        (result, id)
     }
 
     /// Apply a **run** — operations on one key, in order — as if each were
     /// applied on its own with [`StoreInstance::apply`], handing each op's
-    /// result to `answer` with the tag it came with: the one apply routine.
+    /// result to `answer` with the tag it came with and the dense id of the
+    /// object's entry: the one apply routine.
     /// The run pays once for what its ops share: the map probe, the owner
     /// check and the subscriber lookup. Each op still gets its own duplicate
     /// lookup, log record and result, so a duplicate clock inside the run is
@@ -225,11 +228,11 @@ impl StoreInstance {
         key: &StateKey,
         run: impl IntoIterator<Item = (T, &'o Operation, Option<Clock>)>,
         suppress_duplicates: bool,
-        mut answer: impl FnMut(T, Result<ApplyResult, StoreError>),
+        mut answer: impl FnMut(T, u32, Result<ApplyResult, StoreError>),
     ) -> Option<Clock> {
         if self.failed {
             for (tag, _, _) in run {
-                answer(tag, Err(StoreError::Unavailable));
+                answer(tag, 0, Err(StoreError::Unavailable));
             }
             return None;
         }
@@ -260,7 +263,7 @@ impl StoreInstance {
                     requester,
                     owner: Some(owner),
                 };
-                answer(tag, Err(err));
+                answer(tag, entry.id, Err(err));
                 continue;
             }
             // Only mutating ops of packets that can still be replayed take
@@ -275,7 +278,7 @@ impl StoreInstance {
                         notify: Vec::new(),
                         new_value: subscribers.map(|_| entry.value.clone()),
                     };
-                    answer(tag, Ok(result));
+                    answer(tag, entry.id, Ok(result));
                     continue;
                 }
             }
@@ -284,7 +287,7 @@ impl StoreInstance {
                 match apply_in_place(|| key.clone(), &mut entry.value, op, Some(&resolver)) {
                     Ok(applied) => applied,
                     Err(err) => {
-                        answer(tag, Err(err));
+                        answer(tag, entry.id, Err(err));
                         continue;
                     }
                 };
@@ -314,7 +317,7 @@ impl StoreInstance {
                 notify,
                 new_value,
             };
-            answer(tag, Ok(result));
+            answer(tag, entry.id, Ok(result));
             // First touch of a per-flow object records its owner, which
             // may refuse the rest of the run.
             if key.is_per_flow() && entry.owner.is_none() {
@@ -490,8 +493,8 @@ impl StoreInstance {
     }
 
     /// Per root id, the clock counters the log spans, from the lowest to the
-    /// highest it holds: it pays one cell for each, however few updates it
-    /// holds. Nothing below the replay floor, so a root stamping `1..=N`
+    /// highest it holds: it pays a 4-byte head for each, however few updates
+    /// it holds. Nothing below the replay floor, so a root stamping `1..=N`
     /// spans at most `N + 1 - floor`.
     pub fn update_log_spans(&self) -> impl Iterator<Item = u64> + '_ {
         self.dedup.spans()
@@ -513,18 +516,23 @@ impl StoreInstance {
         self.dedup.nondet_value(clock, slot, candidate)
     }
 
-    /// Forget every logged update, keeping logged non-determinism: Figure 7
-    /// recovery re-executes the clients' logs instead.
-    pub(crate) fn forget_updates(&mut self) {
-        self.dedup.clear_updates();
-    }
-
     /// Directly install a value (used when recovering per-flow state from the
     /// caches of NF instances, which hold the freshest copy, §5.4).
     pub fn install(&mut self, key: &StateKey, value: Value, owner: Option<InstanceId>) {
         let entry = self.entry_or_create(key);
         entry.value = value;
         entry.owner = owner.or(key.instance);
+    }
+
+    /// Every entry's key, in dense entry-id order: what a journal frame's ids
+    /// resolve to.
+    pub(crate) fn keys_by_id(&self) -> Vec<StateKey> {
+        let mut keys: Vec<(u32, StateKey)> = (self.entries.iter())
+            .map(|(key, entry)| (entry.id, key.state_key().clone()))
+            .collect();
+        keys.sort_unstable_by_key(|&(id, _)| id);
+        // Collected in place: one buffer of keys, not two.
+        keys.into_iter().map(|(_, key)| key).collect()
     }
 
     /// Every stored object as `(canonical key, value, owner)`. Used by the
@@ -744,7 +752,8 @@ mod tests {
             .collect();
         let mut together = Vec::new();
         let tagged = ops.iter().map(|(op, clock)| ((), op, *clock));
-        if let Some(last) = run.apply_run(requester, key, tagged, true, |(), r| together.push(r)) {
+        if let Some(last) = run.apply_run(requester, key, tagged, true, |(), _, r| together.push(r))
+        {
             run.set_ts(requester, last);
         }
         (one_by_one, together)
@@ -1053,10 +1062,11 @@ mod tests {
             .apply(InstanceId(0), &shared("x"), &Operation::Increment(1), clock)
             .unwrap();
         let mut image = encode_image_frame(&store, &mut Vec::new()).to_vec();
-        // The logged update's entry id, then its op and answer (9 bytes
-        // each), three empty tables and the fail-stop flag.
-        let at = image.len() - (4 + 9 + 9 + 3 * 4 + 1);
-        assert_eq!(image[at..at + 4], 0u32.to_le_bytes(), "entry 0");
+        // The logged update's entry id (a one-byte varint), then its kind,
+        // argument and answer (one byte each), three empty tables and the
+        // fail-stop flag.
+        let at = image.len() - (1 + 1 + 1 + 1 + 3 * 4 + 1);
+        assert_eq!(image[at..at + 2], [0, 0], "entry 0, an increment");
         image[at] = 1;
         let sum = folded_word_fnv(&image[HEADER..]).to_le_bytes();
         image[4..HEADER].copy_from_slice(&sum);

@@ -400,6 +400,88 @@ fn emulated_duplicates_stay_out_of_the_journal() {
     }
 }
 
+/// Journal frames name an entry the image holds, or one an earlier frame
+/// created, by its dense id; an op that creates its entry names it by key.
+/// Batches that mix both kinds, with clocked duplicates among them, restart
+/// twice on both media — once from an image plus the suffix past it, once
+/// from a suffix alone, whose every entry a frame created — and after each
+/// restart the state, `TS` and the answer to every op re-issued equal a
+/// never-crashed server's that took the same ops one by one.
+#[test]
+fn id_named_frames_restart_like_sequential_applies_on_both_backends() {
+    let requester = InstanceId(4);
+    for kind in KINDS {
+        for from_image in [true, false] {
+            let mut rng = StdRng::seed_from_u64(u64::from(from_image) + 11);
+            let (server, oracle) = (
+                journaled(kind, 3),
+                StoreServer::with_backend(3, BackendKind::Memory),
+            );
+            let mut issued: Vec<(StateKey, Operation, Option<Clock>)> = Vec::new();
+            let mut next = 1u64;
+            let mut batch =
+                |server: &StoreServer, keys: std::ops::Range<usize>, rng: &mut StdRng| {
+                    let ops: Vec<_> = (0..24)
+                        .map(|_| {
+                            let clock = rng
+                                .gen_bool(0.9)
+                                .then(|| Clock::with_root(0, next + rng.gen_range(0..6u64)));
+                            let op = match rng.gen_range(0..4u32) {
+                                0 => Operation::PushBack(Value::Int(rng.gen_range(0..9))),
+                                _ => Operation::Increment(rng.gen_range(1..4)),
+                            };
+                            (key("n", rng.gen_range(keys.clone())), op, clock)
+                        })
+                        .collect();
+                    next += 6;
+                    let got = server.apply_batch(requester, &ops);
+                    let want: Vec<_> = ops
+                        .iter()
+                        .map(|(k, op, c)| oracle.apply(requester, k, op, *c))
+                        .collect();
+                    assert_eq!(got, want, "{kind:?}");
+                    issued.extend(ops);
+                };
+            // Entries 0..8, imaged or not; then batches mixing them with
+            // entries 8..16, created frame by frame.
+            batch(&server, 0..8, &mut rng);
+            if from_image {
+                (0..3).for_each(|s| _ = server.checkpoint_shard(s));
+            }
+            for round in 1..=2 {
+                batch(&server, 0..8 + 4 * round, &mut rng);
+                batch(&server, 4..12 + 4 * round, &mut rng);
+                for s in 0..3 {
+                    let stats = server.restart_shard(s);
+                    assert!(
+                        !stats.unknown_entry && !stats.segment_unreadable,
+                        "{kind:?}: {stats:?}"
+                    );
+                }
+                assert_eq!(
+                    sorted_dump(&server),
+                    sorted_dump(&oracle),
+                    "{kind:?} round {round}"
+                );
+                assert_eq!(
+                    server.ts_snapshot(),
+                    oracle.ts_snapshot(),
+                    "{kind:?} round {round}"
+                );
+            }
+            for (k, op, clock) in &issued {
+                let got = server.apply(requester, k, op, *clock);
+                assert_eq!(
+                    got,
+                    oracle.apply(requester, k, op, *clock),
+                    "{kind:?}: {op:?} {clock:?}"
+                );
+            }
+            assert_eq!(sorted_dump(&server), sorted_dump(&oracle), "{kind:?}");
+        }
+    }
+}
+
 /// A newest checkpoint image that does not decode is reported by recovery,
 /// not read as an empty shard with the suffix replayed over it in silence.
 #[test]

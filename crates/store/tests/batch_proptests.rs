@@ -376,6 +376,52 @@ proptest! {
         equivalence_case(Scenario::runs(seed), BackendKind::Memory, BackendKind::AppendOnly);
     }
 
+    /// Journal frames name by id the entries replay holds before them — the
+    /// image's, or those an earlier frame created — and by key the ones they
+    /// create. Batches that keep adding keys while they update older ones,
+    /// with checkpoints at random (or none, so one restart replays a suffix
+    /// alone), restart every shard twice on each medium; after each restart
+    /// the dump, `TS` and the answer to every op re-issued equal a server's
+    /// that took the same ops one by one and never crashed.
+    #[test]
+    fn id_named_frames_restart_like_sequential_applies(seed in any::<u64>()) {
+        for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
+            let bat = journaled_server(shards, kind);
+            let seq = StoreServer::with_backend(shards, BackendKind::Memory);
+            let mut issued: Vec<(StateKey, Operation, Option<Clock>)> = Vec::new();
+            let mut keys = 1usize;
+            for step in 0..rng.gen_range(6..12u64) {
+                keys += rng.gen_range(0..6usize);
+                let ops: Vec<_> = (0..rng.gen_range(2..40))
+                    .map(|_| {
+                        let counter = step * 8 + rng.gen_range(1..12u64);
+                        let clock = rng.gen_bool(0.85).then(|| Clock::with_root(0, counter));
+                        (key(rng.gen_range(0..keys)), random_op(&mut rng), clock)
+                    })
+                    .collect();
+                let want: Vec<_> = ops.iter().map(|(k, op, c)| seq.apply(REQUESTER, k, op, *c)).collect();
+                prop_assert_eq!(bat.apply_batch(REQUESTER, &ops), want, "{:?}", kind);
+                issued.extend(ops);
+                if rng.gen_bool(0.2) {
+                    bat.checkpoint_shard(rng.gen_range(0..shards));
+                }
+                if step % 3 == 2 {
+                    for s in 0..shards {
+                        let stats = bat.restart_shard(s);
+                        prop_assert!(!stats.unknown_entry, "{:?}: {:?}", kind, stats);
+                    }
+                    prop_assert_eq!(sorted_dump(&bat), sorted_dump(&seq), "{:?}", kind);
+                    prop_assert_eq!(bat.ts_snapshot(), seq.ts_snapshot(), "{:?}", kind);
+                }
+            }
+            for (k, op, clock) in &issued {
+                prop_assert_eq!(bat.apply(REQUESTER, k, op, *clock), seq.apply(REQUESTER, k, op, *clock));
+            }
+        }
+    }
+
     /// Duplicate-suppression clocks survive the batch path: redelivering an
     /// already-applied clock inside a batch is a no-op, exactly as it is on
     /// the sequential path. Runs on both media.

@@ -6,7 +6,8 @@
 //!   after the given clock, and truncation never resurrects entries, and
 //! * `recover_shared_state` rebuilds the pre-crash store from a snapshot
 //!   plus the instances' logs without losing or double-applying any
-//!   committed operation.
+//!   committed operation — also when an NF failover left a replacement
+//!   whose log re-issues clocks the snapshot already holds.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -279,5 +280,46 @@ proptest! {
         if input.read_logs.values().all(|v| v.is_empty()) {
             prop_assert_eq!(report.case, 1);
         }
+    }
+
+    /// An NF failover before the store crash: one instance died, and its
+    /// replacement — an id the checkpoint's `TS` does not know — replayed
+    /// its packets from a random point at or before the first one the
+    /// checkpoint had not absorbed, so its log re-issues clocks the
+    /// checkpoint holds. The dead instance's log is gone. Recovery applies
+    /// every committed operation exactly once: the replayed clocks the
+    /// checkpoint holds are emulated against its duplicate-suppression log.
+    #[test]
+    fn a_replacements_replayed_clocks_are_applied_once(seed in any::<u64>()) {
+        let scenario = Scenario::generate(seed);
+        let (live_value, mut input) = scenario.build();
+        input.read_logs.clear();
+        let (dead, _) = scenario.interleave[0];
+        let theirs: Vec<(usize, u64)> = scenario
+            .interleave
+            .iter()
+            .enumerate()
+            .filter(|(_, (instance, _))| *instance == dead)
+            .map(|(at, (_, c))| (at, *c))
+            .collect();
+        let unabsorbed = theirs
+            .iter()
+            .position(|(at, _)| *at >= scenario.checkpoint_at)
+            .unwrap_or(theirs.len());
+        let from = StdRng::seed_from_u64(seed).gen_range(0..=unabsorbed);
+        let mut replayed = WriteAheadLog::new();
+        for (_, c) in &theirs[from..] {
+            replayed.append(clock(*c), key(), Operation::Increment(1));
+        }
+        input.wals.remove(&dead);
+        input.wals.insert(InstanceId(99), replayed);
+
+        let (recovered, report) = recover_shared_state(&input);
+        prop_assert_eq!(report.case, 1);
+        prop_assert_eq!(
+            recovered.peek(&key()),
+            live_value,
+            "replayed from op {} of {}, {} absorbed", from, theirs.len(), unabsorbed
+        );
     }
 }

@@ -373,6 +373,49 @@ fn store_failover_recovers_shared_state() {
     assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
+/// Figure 7 after an NF failover: the NAT dies after the store's
+/// checkpoint, and its replacement replays clocks the checkpoint already
+/// holds, under an instance id the checkpoint's `TS` has never seen. The
+/// store crashes later and recovers, and the shared counter comes back as
+/// it stood before the crash — as a recovery without the failover brings it
+/// back, not with the replayed clocks applied a second time.
+#[test]
+fn store_recovery_after_an_nf_failover_matches_the_healthy_recovery() {
+    let trace = small_trace(23);
+    let at = |i: usize| VirtualTime::from_nanos(trace.packets[trace.len() * i / 4].arrival_ns);
+    let counter_key = chc_store::StateKey::shared(
+        VertexId(1),
+        chc_store::ObjectKey::named(chc_nf::nat::PKT_COUNT),
+    );
+    // (pre-crash, recovered) counter, with or without the NAT failover.
+    let recovery = |nat_fails: bool| {
+        let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 6).unwrap();
+        chain.inject_trace(&trace);
+        chain.run_until(at(1));
+        chain.checkpoint_store();
+        if nat_fails {
+            chain.fail_instance(VertexId(1), 0);
+            chain.failover_instance(VertexId(1), 0);
+        }
+        chain.run_until(at(2));
+        let before = chain.store.peek(&counter_key);
+        chain.fail_store();
+        chain.recover_store();
+        let after = chain.store.peek(&counter_key);
+        chain.run();
+        assert_eq!(chain.metrics().sink_duplicates, 0);
+        (before, after)
+    };
+    let (healthy_before, healthy_after) = recovery(false);
+    let (failover_before, failover_after) = recovery(true);
+    assert_eq!(healthy_after, healthy_before, "the healthy recovery");
+    assert_eq!(
+        failover_after, failover_before,
+        "replayed clocks applied twice"
+    );
+    assert_eq!(failover_after, healthy_after);
+}
+
 #[test]
 fn root_failover_resumes_with_larger_clocks() {
     let trace = small_trace(19);
