@@ -7,7 +7,7 @@
 //! that ([`InlineChain::step`]) and not in [`StoreInstance::apply`] once the
 //! packet's clock is below the replay floor. Above the floor the only
 //! allowance is the duplicate-suppression log's own growth: its window of
-//! heads and its arena of updates double, so logging `n` integer increments
+//! heads and its ring of updates double, so logging `n` integer increments
 //! allocates O(log n) times. Journaling a drain costs nothing per op either: the record is
 //! encoded into a buffer the shard reuses, and an in-memory segment grows by
 //! doubling. A change that clones a key or a name on this path fails here,
@@ -357,8 +357,8 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
     assert_eq!(allocated, 0, "an unlogged apply touched the allocator");
     assert_eq!(store.update_log_len(), 0);
 
-    // Above it every update is logged, in an arena cell under a head in the
-    // window indexed by the clock counter: the window's and the arena's
+    // Above it every update is logged, in a ring cell under a head in the
+    // window indexed by the clock counter: the window's and the ring's
     // doublings are the only allocations.
     let allocated = allocations_in(|| {
         for n in 0..ROUNDS {
@@ -378,8 +378,8 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
 #[test]
 fn a_packets_two_logged_updates_on_one_shard_allocate_nothing_but_the_window() {
     // The NAT's two counters: every packet increments both, on one shard,
-    // above the floor. Both updates take arena cells under one head, so the
-    // window's and the arena's doublings are still the only allocations.
+    // above the floor. Both updates take ring cells under one head, so the
+    // window's and the ring's doublings are still the only allocations.
     let mut store = StoreInstance::new();
     let named = |name| StateKey::shared(VertexId(1), ObjectKey::named(name));
     let (packets, tcp) = (named("pkt_count"), named("tcp_pkt_count"));

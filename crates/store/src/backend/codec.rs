@@ -84,9 +84,6 @@ pub(crate) fn folded_word_fnv(data: &[u8]) -> u32 {
 /// behind: `[u32 len][u32 folded_word_fnv(payload)]`, little-endian.
 pub(crate) const FRAME_HEADER: usize = 8;
 
-/// The tag of an [`Operation::Increment`].
-const INCREMENT: u8 = 3;
-
 /// Where an `ApplyBatch` payload keeps its op count: after the header, the
 /// tag byte and the requester. [`Enc::close_batch`] writes it last.
 const BATCH_COUNT_AT: usize = FRAME_HEADER + 1 + 4;
@@ -151,18 +148,6 @@ impl<'a> Enc<'a> {
     /// whether a clock follows, the entry id or the key, the operation, and
     /// the clock.
     fn journaled_op(&mut self, object: Named<'_>, op: &Operation, clock: Option<Clock>) {
-        // The op nearly every frame holds — a counter named by id, clocked —
-        // in one write of its 22 bytes.
-        if let (Named::Id(id), Operation::Increment(delta), Some(clock)) = (object, op, clock) {
-            let mut bytes = [0u8; 22];
-            bytes[0] = 3;
-            bytes[1..5].copy_from_slice(&id.to_le_bytes());
-            bytes[5] = INCREMENT;
-            bytes[6..14].copy_from_slice(&delta.to_le_bytes());
-            bytes[14..].copy_from_slice(&clock.0.to_le_bytes());
-            self.buf.extend_from_slice(&bytes);
-            return;
-        }
         let by_id = matches!(object, Named::Id(_));
         self.u8(u8::from(clock.is_some()) | u8::from(by_id) << 1);
         match object {
@@ -271,7 +256,7 @@ impl<'a> Enc<'a> {
             }
             Operation::Delete => self.u8(2),
             Operation::Increment(d) => {
-                self.u8(INCREMENT);
+                self.u8(3);
                 self.i64(*d);
             }
             Operation::Decrement(d) => {

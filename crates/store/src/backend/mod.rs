@@ -185,8 +185,12 @@ pub struct ShardRecoveryStats {
     /// re-installed.
     pub reinstalled_records: usize,
     /// The latest checkpoint image failed its frame check or decode. The
-    /// journal suffix was replayed over an empty instance, so every write
-    /// only that image held is lost.
+    /// journal suffix was replayed over an empty instance up to its first
+    /// frame naming an entry by id, which is reported as
+    /// [`ShardRecoveryStats::unknown_entry`]: entry ids count from the
+    /// image's entries, so without the image no id resolves. Every write
+    /// only that image held is lost, and so is every write from that frame
+    /// on.
     pub image_rejected: bool,
     /// A live journal segment could not be read. Replay stopped before it,
     /// so the shard holds a prefix of its history, and the segment was left
@@ -375,11 +379,21 @@ impl Shard {
         for (name, f) in table {
             instance.register_custom_op(name, *f);
         }
+        // Entry ids count from the image's entries, so a rejected image
+        // leaves every id the suffix names unresolvable, those of the
+        // entries it creates too: replay stops at the first.
+        let anchored = !image_rejected;
         let mut names = instance.keys_by_id();
         let replayed = self
             .engine
             .for_each_record(&mut names, &mut |record, names| {
-                replay_record(instance, table, record, &mut stats, names);
+                replay_record(
+                    instance,
+                    table,
+                    record,
+                    &mut stats,
+                    anchored.then_some(names),
+                );
             });
         match replayed {
             Ok(()) => {}
@@ -397,7 +411,8 @@ fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
 }
 
 /// The journal-replay step: re-apply one record to `instance`, updating
-/// `stats`, and add each entry it creates to `names`. Applies go through
+/// `stats`, and add each entry it creates to `names`, if ids resolve at
+/// all. Applies go through
 /// [`StoreInstance::replay_journaled`]: the journal holds only operations
 /// that were applied live, so replay never second-guesses them against the
 /// duplicate-suppression log.
@@ -406,12 +421,12 @@ fn replay_record(
     custom_ops: &[(String, CustomOpFn)],
     record: &JournalRecord,
     stats: &mut ShardRecoveryStats,
-    names: &mut Vec<StateKey>,
+    mut names: Option<&mut Vec<StateKey>>,
 ) {
     // A record changes at most one object at a time, so an entry it
     // created is the one its key names.
     let mut created = |instance: &StoreInstance, key: &StateKey| {
-        if instance.len() > names.len() {
+        if let Some(names) = names.as_deref_mut().filter(|n| instance.len() > n.len()) {
             names.push(key.clone());
         }
     };
@@ -521,6 +536,61 @@ mod tests {
                 assert_eq!(reopened.journal_len(), 4, "the frames were cut");
             }
         }
+    }
+
+    /// A rejected image leaves the ids its suffix names unanchored: replay
+    /// applies the frames before the first one naming an entry by id,
+    /// reports `unknown_entry` there, and never resolves an id to an entry
+    /// that only the suffix created.
+    #[test]
+    fn a_rejected_image_stops_its_suffix_at_the_first_id_named_frame() {
+        let scratch = ScratchDir::new("rejected-image-suffix");
+        let mut shard = Shard::new(Engine::open(scratch.path(), 1024));
+        shard.set_journaling(true);
+        let requester = InstanceId(1);
+        let [a, b, c] = ["a", "b", "c"].map(|n| StateKey::shared(VertexId(0), ObjectKey::named(n)));
+        let bump = |shard: &mut Shard, key: &StateKey, named: Named<'_>, at: u64| {
+            let since = shard.ids();
+            let (op, clock) = (Operation::Increment(1), Some(Clock::with_root(0, at)));
+            shard
+                .instance_mut()
+                .apply(requester, key, &op, clock)
+                .unwrap();
+            shard.journal(since, |e, _| {
+                e.apply_record(requester, named, &op, clock);
+                true
+            });
+        };
+        bump(&mut shard, &a, Named::Key(&a), 1);
+        bump(&mut shard, &b, Named::Key(&b), 2);
+        shard.checkpoint();
+        // Entry 2 is created by a frame; then `a`, entry 0 in the image,
+        // named by id, and `c` by id. Over an empty instance `c` would be
+        // entry 0.
+        bump(&mut shard, &c, Named::Key(&c), 3);
+        bump(&mut shard, &a, Named::Id(0), 4);
+        bump(&mut shard, &c, Named::Id(2), 5);
+        shard.engine().persist();
+        let image = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.extension().is_some_and(|e| e == "img"))
+            .expect("an image");
+        let mut bytes = std::fs::read(&image).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        std::fs::write(&image, bytes).unwrap();
+        shard.crash();
+        let stats = shard.recover();
+        assert!(
+            stats.image_rejected && stats.unknown_entry && !stats.segment_unreadable,
+            "{stats:?}"
+        );
+        assert_eq!((stats.restored_from_checkpoint, stats.replayed_ops), (0, 1));
+        let peek = |key| shard.instance().peek(key);
+        assert_eq!(
+            [peek(&a), peek(&b), peek(&c)],
+            [Value::None, Value::None, Value::Int(1)]
+        );
     }
 
     #[test]

@@ -3,30 +3,35 @@
 //! A store instance remembers, for every packet that may still be replayed,
 //! the updates that packet already induced and what each returned, so a
 //! re-issued update is *emulated* instead of applied twice. Per root id the
-//! log is a [`CounterWindow`] of 4-byte heads, one per clock counter: finding
-//! a packet's first update is one subtraction. The updates themselves live
-//! in one arena shared by every root, 24 bytes each, a packet's updates
-//! chained in the order they were recorded; each names its object by the
-//! store's dense entry id rather than by a copy of the key.
+//! log is a [`CounterWindow`] of 8-byte heads, one per clock counter: finding
+//! a packet's updates is one subtraction and one read. The updates
+//! themselves sit in one ring shared by every root, 32 bytes each, in the
+//! order they were recorded, a packet's chained from its first; each names
+//! its object by the store's dense entry id rather than by a copy of the
+//! key.
 //!
 //! Nothing below the **replay floor** is kept: once no packet log can
 //! replay a clock, its updates are dead weight. [`DedupLog::forget_below`]
-//! pops that prefix of every root's window and hands its updates back to
-//! the arena; [`DedupLog::forget_clock`] takes one packet's (the simulator
-//! root's per-packet delete).
+//! pops that prefix of every root's window, and the ring frees its oldest
+//! updates up to the first one still held: one comparison per update, no
+//! packet walked. [`DedupLog::forget_clock`] takes one packet's head (the
+//! simulator root's per-packet delete) and marks its updates, which the
+//! ring frees once they are its oldest.
 //!
 //! The counters are dense by construction — the root hands out `1..=N` —
 //! so a window's span, from the lowest to the highest counter it holds, is
 //! the packets still replayable and nothing else. Resident memory is one
-//! 4-byte head per counter in that span and per root, rounded up to the
-//! deque's power-of-two capacity, whether or not the packet touched this
-//! shard, plus one 24-byte arena cell per update, up to the most held at
-//! once. A freed cell is reused before the arena grows, so once warm an
-//! update allocates nothing, however many a packet holds. An update whose
+//! 8-byte head per counter in that span and per root, rounded up to a power
+//! of two, whether or not the packet touched this shard, plus one 32-byte
+//! ring cell per update from the oldest held to the newest, rounded up to a
+//! power of two. A packet's updates arrive in about counter order, so the
+//! ring holds little besides what is held; once it is warm an update
+//! allocates nothing, however many a packet holds. An update whose
 //! operation and answer are integers — increments, decrements, pushes and
 //! pops of integers, an integer set — is held in its cell; any other keeps
 //! its `(Operation, Value)` in a side table whose slots are reused too, so
-//! only the values it clones allocate.
+//! only the values it clones allocate. Sequence numbers count modulo 2^32,
+//! and the ring holds at most 2^31 updates at once (64 GiB of cells).
 //! [`DedupLog::spans`] reports the heads, [`DedupLog::len`] the updates.
 //! Logged non-deterministic values are rare and keep a small ordered map
 //! of their own.
@@ -42,7 +47,7 @@ use std::num::NonZeroU32;
 /// What a logged update applied. The integer kinds keep their argument in
 /// [`Update::arg`] and their integer answer in [`Update::returned`];
 /// [`Kind::Other`] keeps the index of its `(Operation, Value)` in
-/// [`Arena::others`] in `arg`.
+/// [`UpdateRing::others`] in `arg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Increment,
@@ -56,7 +61,7 @@ enum Kind {
 }
 
 impl Kind {
-    /// In discriminant order, to read a kind back from its bits.
+    /// In discriminant order, to read a kind back from its byte.
     const ALL: [Kind; 8] = [
         Kind::Increment,
         Kind::Decrement,
@@ -68,12 +73,10 @@ impl Kind {
         Kind::Other,
     ];
 
-    /// The integer kind of `op` and its argument, if `op` and its answer
-    /// are integers.
-    fn of(op: &Operation, returned: &Value) -> Option<(Kind, i64)> {
-        if !matches!(returned, Value::Int(_)) {
-            return None;
-        }
+    /// The integer kind of `op` and its argument, if `op` takes an integer
+    /// or nothing.
+    #[inline]
+    fn of(op: &Operation) -> Option<(Kind, i64)> {
         Some(match op {
             Operation::Increment(d) => (Kind::Increment, *d),
             Operation::Decrement(d) => (Kind::Decrement, *d),
@@ -102,132 +105,205 @@ impl Kind {
     }
 }
 
-/// An arena cell: its index plus one, so that "none" costs no bits.
-type Cell = NonZeroU32;
+/// The high bits of [`Update::tag`] hold the kind, the low ones the counter.
+const KIND_SHIFT: u32 = 56;
+const COUNTER_MASK: u64 = (1 << KIND_SHIFT) - 1;
+/// The kind byte of an update that was forgotten before it was freed.
+const FORGOTTEN: u64 = 0xff;
 
-/// The low bits of [`Update::link`] hold the next cell, the kind the rest.
-const NEXT_BITS: u32 = 28;
-const NEXT_MASK: u32 = (1 << NEXT_BITS) - 1;
-
-/// One logged update, in 24 bytes: which object (dense entry id), the next
-/// update of the same packet with the kind, the argument and the answer. A
-/// free cell links to the next free one.
+/// One logged update, in 32 bytes: its packet's clock counter and its kind,
+/// which object (dense entry id), what it applied and answered, and where
+/// the packet's next update sits.
 #[derive(Debug, Clone, Copy)]
 struct Update {
+    /// The counter in the low 56 bits, the [`Kind`] (or [`FORGOTTEN`]) above.
+    tag: u64,
     entry: u32,
-    /// The packet's next update ([`Cell`] value, 0 for none) in the low
-    /// [`NEXT_BITS`], the [`Kind`] above them.
-    link: u32,
+    /// How many sequence numbers further on the packet's next update sits;
+    /// 0 for none.
+    next: u32,
     arg: i64,
     returned: i64,
 }
 
 impl Update {
+    /// What a cell of a new ring holds until an update is recorded there.
+    const EMPTY: Update = Update {
+        tag: 0,
+        entry: 0,
+        next: 0,
+        arg: 0,
+        returned: 0,
+    };
+
     fn kind(&self) -> Kind {
-        Kind::ALL[(self.link >> NEXT_BITS) as usize]
+        Kind::ALL[(self.tag >> KIND_SHIFT) as usize]
     }
 
-    fn next(&self) -> Option<Cell> {
-        Cell::new(self.link & NEXT_MASK)
+    fn counter(&self) -> u64 {
+        self.tag & COUNTER_MASK
     }
 
-    fn set_next(&mut self, next: Option<Cell>) {
-        self.link = (self.link & !NEXT_MASK) | next.map_or(0, Cell::get);
+    fn forgotten(&self) -> bool {
+        self.tag >> KIND_SHIFT == FORGOTTEN
     }
 }
 
-/// The update cells of every root's packets, held or free, and the side
-/// table of the updates that are not integers.
+/// A packet's updates here: where the first sits and how many there are.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    first: u32,
+    count: NonZeroU32,
+}
+
+/// Every root's updates in the order they were recorded, in a ring of
+/// power-of-two length: sequence number `s` (counted modulo 2^32) sits at
+/// `s & (len − 1)`. An update is freed from the oldest end once its packet
+/// fell below the floor or was forgotten, so freeing costs one comparison
+/// per update and never walks a packet.
 #[derive(Debug, Clone, Default)]
-struct Arena {
+struct UpdateRing {
     cells: Vec<Update>,
-    /// The first free cell, linked through [`Update::link`].
-    free: Option<Cell>,
+    /// The oldest update not yet freed, and the next to be recorded.
+    oldest: u32,
+    next: u32,
     /// The operation and answer of each [`Kind::Other`] update, at the slot
     /// its `arg` names; a freed slot is reset and reused.
     others: Vec<(Operation, Value)>,
     free_others: Vec<u32>,
-    /// Updates held, so `len()` is O(1).
-    held: usize,
 }
 
-impl Arena {
-    fn get(&self, cell: Cell) -> &Update {
-        &self.cells[cell.get() as usize - 1]
+impl UpdateRing {
+    #[inline]
+    fn get(&self, seq: u32) -> &Update {
+        &self.cells[seq as usize & (self.cells.len() - 1)]
     }
 
-    fn get_mut(&mut self, cell: Cell) -> &mut Update {
-        &mut self.cells[cell.get() as usize - 1]
+    #[inline]
+    fn get_mut(&mut self, seq: u32) -> &mut Update {
+        let mask = self.cells.len() - 1;
+        &mut self.cells[seq as usize & mask]
     }
 
-    /// A packet's updates, from its first, in the order they were recorded.
-    fn chain(&self, head: Cell) -> impl Iterator<Item = &Update> {
-        std::iter::successors(Some(head), |&cell| self.get(cell).next()).map(|cell| self.get(cell))
+    /// A packet's updates, from its first, in the order they were recorded,
+    /// with their sequence numbers.
+    fn chain(&self, head: Head) -> impl Iterator<Item = (u32, &Update)> {
+        let mut at = head.first;
+        (0..head.count.get()).map(move |_| {
+            let seq = at;
+            let update = self.get(seq);
+            at = seq.wrapping_add(update.next);
+            (seq, update)
+        })
     }
 
-    /// The logged operation and answer of `update`, whatever its kind.
-    fn logged<R>(&self, update: &Update, read: impl FnOnce(&Operation, &Value) -> R) -> R {
-        match update.kind().operation(update.arg) {
-            Some(op) => read(&op, &Value::Int(update.returned)),
-            None => {
-                let (op, returned) = &self.others[update.arg as usize];
-                read(op, returned)
-            }
+    /// Whether `update` logged `op`.
+    #[inline]
+    fn logged_op(&self, update: &Update, op: &Operation) -> bool {
+        match update.kind() {
+            Kind::Other => self.others[update.arg as usize].0 == *op,
+            kind => Kind::of(op) == Some((kind, update.arg)),
         }
     }
 
-    /// A cell holding the update, a free one if there is one.
-    fn alloc(&mut self, entry: u32, op: &Operation, returned: &Value) -> Cell {
-        let (kind, arg, returned) = match Kind::of(op, returned) {
-            Some((kind, arg)) => (kind, arg, returned.as_int()),
-            None => {
-                let logged = (op.clone(), returned.clone());
-                let slot = match self.free_others.pop() {
-                    Some(slot) => {
-                        self.others[slot as usize] = logged;
-                        slot
-                    }
-                    None => {
-                        self.others.push(logged);
-                        self.others.len() as u32 - 1
-                    }
-                };
-                (Kind::Other, i64::from(slot), 0)
-            }
+    /// What `update` answered.
+    fn returned(&self, update: &Update) -> Value {
+        match update.kind() {
+            Kind::Other => self.others[update.arg as usize].1.clone(),
+            _ => Value::Int(update.returned),
+        }
+    }
+
+    /// Record the update of the packet with `counter` as the newest; its
+    /// sequence number.
+    #[inline]
+    fn push(&mut self, counter: u64, entry: u32, op: &Operation, returned: &Value) -> u32 {
+        let (kind, arg, returned) = match (Kind::of(op), returned) {
+            (Some((kind, arg)), Value::Int(returned)) => (kind, arg, *returned),
+            _ => (Kind::Other, i64::from(self.keep_other(op, returned)), 0),
         };
-        let update = Update {
+        if self.next.wrapping_sub(self.oldest) as usize == self.cells.len() {
+            self.grow();
+        }
+        let seq = self.next;
+        *self.get_mut(seq) = Update {
+            tag: counter | (kind as u64) << KIND_SHIFT,
             entry,
-            link: (kind as u32) << NEXT_BITS,
+            next: 0,
             arg,
             returned,
         };
-        self.held += 1;
-        if let Some(cell) = self.free {
-            self.free = self.get(cell).next();
-            *self.get_mut(cell) = update;
-            return cell;
-        }
-        assert!(
-            self.cells.len() < NEXT_MASK as usize,
-            "the duplicate-suppression log holds 2^28 updates"
-        );
-        self.cells.push(update);
-        Cell::new(self.cells.len() as u32).expect("one-based")
+        self.next = seq.wrapping_add(1);
+        seq
     }
 
-    /// Hand a packet's updates, from its first, back to the free list.
-    fn release(&mut self, head: Cell) {
-        let mut at = Some(head);
-        while let Some(cell) = at {
-            let update = *self.get(cell);
-            at = update.next();
-            if update.kind() == Kind::Other {
-                self.others[update.arg as usize] = (Operation::Get, Value::None);
-                self.free_others.push(update.arg as u32);
+    /// Double the ring, moving every update not yet freed into a new one.
+    /// (Lengthening it in place put `steady`'s `peak_rss_mb` up 5 %.)
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.cells.len() * 2).max(64);
+        assert!(
+            len <= 1 << 31,
+            "the duplicate-suppression log holds at most 2^31 updates at once"
+        );
+        let mut cells = vec![Update::EMPTY; len];
+        let mut seq = self.oldest;
+        while seq != self.next {
+            cells[seq as usize & (len - 1)] = *self.get(seq);
+            seq = seq.wrapping_add(1);
+        }
+        self.cells = cells;
+    }
+
+    /// The side slot of an update that is not an integer one.
+    #[cold]
+    fn keep_other(&mut self, op: &Operation, returned: &Value) -> u32 {
+        let logged = (op.clone(), returned.clone());
+        match self.free_others.pop() {
+            Some(slot) => {
+                self.others[slot as usize] = logged;
+                slot
             }
-            self.get_mut(cell).link = self.free.map_or(0, Cell::get);
-            self.free = Some(cell);
-            self.held -= 1;
+            None => {
+                self.others.push(logged);
+                self.others.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Mark a packet's updates forgotten, to be freed when they are the
+    /// oldest.
+    fn forget(&mut self, head: Head) {
+        let mut at = head.first;
+        for _ in 0..head.count.get() {
+            let update = *self.get(at);
+            if update.kind() == Kind::Other {
+                self.free_other(update.arg as u32);
+            }
+            self.get_mut(at).tag = FORGOTTEN << KIND_SHIFT;
+            at = at.wrapping_add(update.next);
+        }
+    }
+
+    fn free_other(&mut self, slot: u32) {
+        self.others[slot as usize] = (Operation::Get, Value::None);
+        self.free_others.push(slot);
+    }
+
+    /// Free the oldest updates up to the first one still held: its
+    /// packet's counter is `floor` or above and it was not forgotten.
+    fn free_below(&mut self, floor: u64) {
+        while self.oldest != self.next {
+            let update = *self.get(self.oldest);
+            if !update.forgotten() {
+                if update.counter() >= floor {
+                    break;
+                }
+                if update.kind() == Kind::Other {
+                    self.free_other(update.arg as u32);
+                }
+            }
+            self.oldest = self.oldest.wrapping_add(1);
         }
     }
 }
@@ -247,10 +323,14 @@ fn clock_of((counter, root): Order) -> Clock {
 /// See the module documentation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DedupLog {
-    /// Per root id, the first update of each packet by clock counter;
-    /// grown on first use.
-    roots: Vec<CounterWindow<Cell>>,
-    arena: Arena,
+    /// Per root id, each packet's updates by clock counter; grown on first
+    /// use.
+    roots: Vec<CounterWindow<Head>>,
+    updates: UpdateRing,
+    /// The floor of the last [`DedupLog::forget_below`].
+    floor: u64,
+    /// Updates held, so `len()` is O(1).
+    held: usize,
     /// Most updates any single packet has held here (sizes the sentinel's
     /// bound on the log).
     widest: usize,
@@ -266,8 +346,8 @@ pub(crate) struct PacketSlot<'a> {
     log: &'a mut DedupLog,
     root: usize,
     counter: u64,
-    /// The packet's first update here, if it has one.
-    head: Option<Cell>,
+    /// The packet's updates here, if it has any.
+    head: Option<Head>,
 }
 
 impl PacketSlot<'_> {
@@ -276,45 +356,48 @@ impl PacketSlot<'_> {
     /// against one object (seeding a list), so the operation is part of the
     /// match.
     pub(crate) fn find(&self, entry: u32, op: &Operation) -> Option<Value> {
-        let arena = &self.log.arena;
-        arena
-            .chain(self.head?)
-            .filter(|update| update.entry == entry)
-            .find_map(|update| {
-                arena.logged(update, |logged, returned| {
-                    (logged == op).then(|| returned.clone())
-                })
-            })
+        let (updates, head) = (&self.log.updates, self.head?);
+        let mut at = head.first;
+        for _ in 0..head.count.get() {
+            let update = updates.get(at);
+            if update.entry == entry && updates.logged_op(update, op) {
+                return Some(updates.returned(update));
+            }
+            at = at.wrapping_add(update.next);
+        }
+        None
     }
 
     /// Record that this packet induced `op` on `entry`, answered with
-    /// `returned`: after its last update here, or as its first, which is the
-    /// one case that writes the window.
+    /// `returned`, after its last update here.
     pub(crate) fn record(self, entry: u32, op: &Operation, returned: &Value) {
         let log = self.log;
-        let new = log.arena.alloc(entry, op, returned);
-        let held = match self.head {
-            None => {
-                *log.roots[self.root].cell(self.counter) = Some(new);
-                1
-            }
-            Some(head) => {
-                let (mut last, mut held) = (head, 2);
-                while let Some(next) = log.arena.get(last).next() {
-                    (last, held) = (next, held + 1);
-                }
-                log.arena.get_mut(last).set_next(Some(new));
-                held
-            }
+        let new = log.updates.push(self.counter, entry, op, returned);
+        log.held += 1;
+        let window = &mut log.roots[self.root];
+        let Some(head) = self.head else {
+            let count = NonZeroU32::MIN;
+            *window.cell(self.counter) = Some(Head { first: new, count });
+            log.widest = log.widest.max(1);
+            return;
         };
-        log.widest = log.widest.max(held);
+        let mut last = head.first;
+        for _ in 1..head.count.get() {
+            last = last.wrapping_add(log.updates.get(last).next);
+        }
+        log.updates.get_mut(last).next = new.wrapping_sub(last);
+        let count = head.count.saturating_add(1);
+        if let Some(held) = window.get_mut(self.counter) {
+            *held = Head { count, ..head };
+        }
+        log.widest = log.widest.max(count.get() as usize);
     }
 }
 
 impl DedupLog {
     /// Updates currently retained.
     pub(crate) fn len(&self) -> usize {
-        self.arena.held
+        self.held
     }
 
     /// Most updates one packet has held in this log so far.
@@ -331,10 +414,13 @@ impl DedupLog {
     #[inline]
     pub(crate) fn packet(&mut self, clock: Clock) -> PacketSlot<'_> {
         let root = clock.root() as usize;
-        if root >= self.roots.len() {
-            self.roots.resize_with(root + 1, CounterWindow::new);
-        }
-        let head = self.roots[root].get(clock.counter()).copied();
+        let head = match self.roots.get(root) {
+            Some(window) => window.get(clock.counter()).copied(),
+            None => {
+                self.roots.resize_with(root + 1, CounterWindow::new);
+                None
+            }
+        };
         PacketSlot {
             log: self,
             root,
@@ -360,18 +446,23 @@ impl DedupLog {
     pub(crate) fn forget_clock(&mut self, clock: Clock) {
         let window = self.roots.get_mut(clock.root() as usize);
         if let Some(head) = window.and_then(|w| w.take(clock.counter())) {
-            self.arena.release(head);
+            self.held -= head.count.get() as usize;
+            self.updates.forget(head);
+            self.updates.free_below(self.floor);
         }
         self.nondet.remove(&order(clock));
     }
 
     /// Drop every packet whose counter is below `floor`, whichever root
-    /// stamped it: a prefix of every window.
+    /// stamped it: a prefix of every window, and of the update ring up to its
+    /// first update still held.
     pub(crate) fn forget_below(&mut self, floor: u64) {
-        let arena = &mut self.arena;
+        let held = &mut self.held;
         for window in &mut self.roots {
-            window.pop_below(floor, |head| arena.release(head));
+            window.pop_below(floor, |head| *held -= head.count.get() as usize);
         }
+        self.floor = self.floor.max(floor);
+        self.updates.free_below(self.floor);
         while let Some(first) = self.nondet.first_entry().filter(|e| e.key().0 < floor) {
             first.remove();
         }
@@ -380,7 +471,7 @@ impl DedupLog {
     /// Every retained packet with its clock and first update, counter-major
     /// across roots: a merge of the roots' windows, each already in counter
     /// order.
-    fn packets(&self) -> impl Iterator<Item = (Clock, Cell)> + '_ {
+    fn packets(&self) -> impl Iterator<Item = (Clock, Head)> + '_ {
         let mut windows: Vec<_> = self.roots.iter().map(|w| w.iter().peekable()).collect();
         std::iter::from_fn(move || {
             let (_, root) = windows
@@ -412,14 +503,14 @@ impl DedupLog {
         e.u32(self.packets().count() as u32);
         for (clock, head) in self.packets() {
             e.u64(clock.0);
-            e.varint(self.arena.chain(head).count() as u64);
-            for update in self.arena.chain(head) {
+            e.varint(u64::from(head.count.get()));
+            for (_, update) in self.updates.chain(head) {
                 e.varint(u64::from(update.entry));
                 let kind = update.kind();
                 e.u8(kind as u8);
                 match kind {
                     Kind::Other => {
-                        let (op, returned) = &self.arena.others[update.arg as usize];
+                        let (op, returned) = &self.updates.others[update.arg as usize];
                         e.operation(op);
                         e.value(returned);
                     }
@@ -565,11 +656,11 @@ mod tests {
     }
 
     #[test]
-    fn a_head_is_4_bytes_and_an_update_24() {
+    fn a_head_is_8_bytes_and_an_update_32() {
         // What the module documentation charges: a head per counter and
-        // root, an arena cell per update.
-        assert_eq!(std::mem::size_of::<Option<Cell>>(), 4);
-        assert_eq!(std::mem::size_of::<Update>(), 24);
+        // root, a ring cell per update.
+        assert_eq!(std::mem::size_of::<Option<Head>>(), 8);
+        assert_eq!(std::mem::size_of::<Update>(), 32);
     }
 
     #[test]
@@ -597,12 +688,12 @@ mod tests {
         log.forget_clock(at(1));
         assert_eq!(log.len(), 0);
         // The next packet takes the freed cells and side slots: nothing grows.
-        let (cells, others) = (log.arena.cells.len(), log.arena.others.len());
+        let (cells, others) = (log.updates.cells.len(), log.updates.others.len());
         for (op, returned) in &ops {
             log.packet(at(2)).record(4, op, returned);
         }
         assert_eq!(
-            (log.arena.cells.len(), log.arena.others.len()),
+            (log.updates.cells.len(), log.updates.others.len()),
             (cells, others)
         );
         assert_eq!(log.packet(at(2)).find(4, &list), Some(Value::Int(1)));
@@ -691,5 +782,72 @@ mod tests {
         log.forget_below(u64::MAX);
         assert_eq!((log.len(), log.spans().sum::<u64>()), (0, 0));
         assert_eq!((log.packets().count(), log.nondet_iter().count()), (0, 0));
+    }
+
+    #[test]
+    fn an_update_behind_a_newer_packet_leaves_the_count_at_once_and_the_ring_later() {
+        let at = |c| Clock::with_root(0, c);
+        // Recorded out of counter order, as two vertices' drains interleave.
+        let mut log = logged(&[at(10), at(5), at(6)]);
+        log.forget_below(8);
+        assert_eq!((log.len(), clocks(&log)), (1, vec![at(10)]));
+        // 5 and 6 sit behind 10 in the ring until 10 is freed too.
+        assert_eq!(log.updates.next.wrapping_sub(log.updates.oldest), 3);
+        assert_eq!(found(&mut log, at(10)), Some(Value::Int(10)));
+        log.forget_below(11);
+        assert_eq!(
+            (log.len(), log.updates.next.wrapping_sub(log.updates.oldest)),
+            (0, 0)
+        );
+        // A forgotten packet is freed once it is the oldest.
+        let mut log = logged(&[at(1), at(2), at(3)]);
+        log.forget_clock(at(2));
+        assert_eq!(
+            (log.len(), log.updates.next.wrapping_sub(log.updates.oldest)),
+            (2, 3)
+        );
+        log.forget_clock(at(1));
+        assert_eq!(
+            (log.len(), log.updates.next.wrapping_sub(log.updates.oldest)),
+            (1, 1)
+        );
+        assert_eq!(found(&mut log, at(3)), Some(Value::Int(3)));
+    }
+
+    #[test]
+    fn sequence_numbers_wrap_around_the_ring_and_past_u32_max() {
+        let at = |c| Clock::with_root(0, c);
+        let mut log = DedupLog::default();
+        (log.updates.oldest, log.updates.next) = (u32::MAX - 40, u32::MAX - 40);
+        // Two updates a packet, as the NAT's two counters, past the wrap
+        // of the sequence numbers and through two growths of the ring.
+        for entry in 0..2 {
+            for c in 1..=100 {
+                log.packet(at(c))
+                    .record(entry, &incr(1), &Value::Int(c as i64));
+            }
+        }
+        assert!(log.updates.next < log.updates.oldest, "wrapped");
+        assert_eq!((log.len(), log.widest_slot()), (200, 2));
+        for c in [1, 50, 100] {
+            assert_eq!(
+                log.packet(at(c)).find(1, &incr(1)),
+                Some(Value::Int(c as i64))
+            );
+        }
+        let encode = |log: &DedupLog| {
+            let mut buf = Vec::new();
+            log.encode(&mut Enc::reuse(&mut buf));
+            buf
+        };
+        let image = encode(&log);
+        let payload = &image[crate::backend::codec::FRAME_HEADER..];
+        let decoded = DedupLog::decode(&mut Dec::new(payload), 2).expect("decodes");
+        assert_eq!(encode(&decoded), image);
+        log.forget_below(101);
+        assert_eq!(
+            (log.len(), log.updates.next.wrapping_sub(log.updates.oldest)),
+            (0, 0)
+        );
     }
 }

@@ -20,7 +20,7 @@
 //!   read-heavy cached objects, clock-tagged update logging used for
 //!   duplicate suppression (§5.3), the `TS` metadata, checkpoint images and
 //!   store-computed non-deterministic values (Appendix A);
-//! * [`window::CounterWindow`], the deque indexed by a dense clock counter
+//! * [`window::CounterWindow`], the ring indexed by a dense clock counter
 //!   behind both the store's duplicate-suppression log and
 //!   `chc_core::ClockWindow`;
 //! * client-side write-ahead/read logs ([`wal`]) and the shared-state

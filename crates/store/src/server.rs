@@ -706,7 +706,7 @@ impl StoreServer {
 
     /// Clock counters the duplicate-suppression log spans, summed over
     /// shards and roots, each shard pruned at the current floor first: what
-    /// its heads cost in memory, 4 bytes per counter, where
+    /// its heads cost in memory, 8 bytes per counter, where
     /// [`StoreServer::update_log_len`] counts the updates it holds.
     /// O(shards).
     pub fn update_log_span(&self) -> u64 {

@@ -493,7 +493,7 @@ impl StoreInstance {
     }
 
     /// Per root id, the clock counters the log spans, from the lowest to the
-    /// highest it holds: it pays a 4-byte head for each, however few updates
+    /// highest it holds: it pays an 8-byte head for each, however few updates
     /// it holds. Nothing below the replay floor, so a root stamping `1..=N`
     /// spans at most `N + 1 - floor`.
     pub fn update_log_spans(&self) -> impl Iterator<Item = u64> + '_ {
