@@ -27,7 +27,10 @@
 //! only one, both on the batch's 32nd packet, and the benchmark's inline
 //! passes never raise the floor, so `_floor_frozen` is their exact shape.
 //! Both are runs of increments to a few keys, which `apply_batch` applies
-//! one run per key.
+//! one run per key. `buffer_drain_x32_*` buffer the same two shapes through
+//! a [`StateClient`] on a floor-at-top server and drain them, per op (a
+//! cap drain of 32 entries) and with increments folded (a boundary drain of
+//! one entry per counter), as a healthy engine run buffers them.
 //!
 //! `cargo bench -p chc-bench --bench store_ops -- client_access` runs this
 //! group alone; any argument filters by `group/name` substring.
@@ -391,6 +394,77 @@ fn client_access(c: &mut Criterion) {
                     server.forget_through(counter.saturating_sub(lag));
                 }
                 server.apply_batch(InstanceId(0), &batch)
+            })
+        });
+    }
+
+    // The same two shapes from the client's side, on a floor-at-top server
+    // as in a healthy engine run: every packet's updates buffered through
+    // `StateClient::update`, then the ring-batch boundary drain. Per op,
+    // the 32nd buffered op fills the buffer and drains 32 entries in place;
+    // folded, the boundary drains one entry per counter.
+    for (name, shape, fold) in [
+        (
+            "buffer_drain_x32_two_counters_per_op",
+            Drain::TwoCounters,
+            false,
+        ),
+        (
+            "buffer_drain_x32_two_counters_folded",
+            Drain::TwoCounters,
+            true,
+        ),
+        ("buffer_drain_x32_lb_bytes_per_op", Drain::LbBytes, false),
+        ("buffer_drain_x32_lb_bytes_folded", Drain::LbBytes, true),
+    ] {
+        let server = StoreServer::with_backend(4, BackendKind::Memory);
+        server.forget_through(u64::MAX);
+        let two_counters = matches!(shape, Drain::TwoCounters);
+        let declare = |name, scope| {
+            StateObjectSpec::cross_flow(name, scope, AccessPattern::WriteMostlyReadRarely)
+        };
+        let objects = if two_counters {
+            vec![
+                declare(nat::PKT_COUNT, Scope::Global),
+                declare(nat::TCP_PKT_COUNT, Scope::Global),
+            ]
+        } else {
+            vec![declare(loadbalancer::SERVER_BYTES, Scope::DstIp)]
+        };
+        let mut client = StateClient::new(
+            VertexId(1),
+            InstanceId(0),
+            Box::new(Arc::clone(&server)),
+            ExternalizationMode::ExternalizedCachedNonBlocking,
+            CostModel::default(),
+            &objects,
+        );
+        client.set_recovery_logging(false);
+        client.set_write_behind(true, 32);
+        client.set_increment_folding(fold);
+        let mut counter = 0u64;
+        let mut packet = |client: &mut StateClient| {
+            counter += 1;
+            let clock = Clock::with_root(0, counter);
+            if two_counters {
+                client.update(nat::PKT_COUNT, None, Operation::Increment(1), clock);
+                client.update(nat::TCP_PKT_COUNT, None, Operation::Increment(1), clock);
+            } else {
+                let backend = Ipv4Addr::new(10, 99, 0, 1 + (counter % 4) as u8);
+                let at = Some(ScopeKey::Host(backend));
+                let bytes = Operation::Increment(1_000);
+                client.update(loadbalancer::SERVER_BYTES, at, bytes, clock);
+            }
+            let _ = client.take_charge();
+            let _ = client.take_packet_tokens();
+        };
+        let packets = if two_counters { 16 } else { 32 };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..packets {
+                    packet(&mut client);
+                }
+                client.drain_write_behind()
             })
         });
     }

@@ -228,18 +228,25 @@ pub struct StateClient {
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
     /// default (ops flush inline); the real-thread runtime enables it with
-    /// the ring batch as its cap. Nearly every op drains when the buffer
-    /// reaches that cap, inside the packet that filled it (99.6 % on the
-    /// benchmark's `steady` workload); the runtime's drain at each ring-batch
-    /// boundary and the barriers [`StateClient::set_write_behind`] lists
-    /// empty what is left. The WAL append and XOR token of a buffered op are
-    /// recorded at buffer time — both are independent of the apply result —
-    /// and the buffered clock tags keep store-side duplicate suppression (and
-    /// hence replay idempotency) intact.
+    /// the ring batch as its cap. Without folding one entry is one op, and
+    /// nearly every op drains when the buffer reaches the cap, inside the
+    /// packet that filled it (99.6 % in the benchmark's inline passes over
+    /// `steady`). With [`StateClient::set_increment_folding`] an entry may
+    /// carry several increments of one key, so a buffer of hot counters
+    /// stays a few entries long and empties at the runtime's ring-batch
+    /// boundary drain instead. That drain and the barriers
+    /// [`StateClient::set_write_behind`] lists empty what is left. The WAL
+    /// append and XOR token of a buffered op are recorded at buffer time —
+    /// both are independent of the apply result — and the buffered clock
+    /// tags keep store-side duplicate suppression (and hence replay
+    /// idempotency) intact.
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
-    /// Buffered ops that force an in-place drain when reached (bounds both
-    /// buffer memory and the store-visible staleness window).
+    /// Buffered entries that force an in-place drain when reached (bounds
+    /// both buffer memory and the store-visible staleness window).
     write_behind_cap: usize,
+    /// Whether a buffered `Increment` joins its key's newest buffered entry
+    /// ([`StateClient::set_increment_folding`]).
+    fold_increments: bool,
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
     /// XOR tokens of store updates issued for the current packet (Figure 6).
@@ -285,6 +292,7 @@ impl StateClient {
             recovery_logging: true,
             write_behind: None,
             write_behind_cap: 0,
+            fold_increments: false,
             charge: SimDuration::ZERO,
             packet_tokens: Vec::new(),
             pending_callbacks: Vec::new(),
@@ -335,15 +343,37 @@ impl StateClient {
         }
     }
 
-    /// Ops currently sitting in the write-behind buffer.
+    /// Let a buffered `Increment(d)` join its key's newest buffered entry
+    /// when that entry is an `Increment` too: the entry then carries the
+    /// summed delta and `d`'s clock, and moves to where `d`'s own entry
+    /// would have gone, the back of the buffer. A fold never crosses another
+    /// op on the key or a drain, and a sum that would overflow `i64` starts
+    /// a new entry. Off by default; no effect while write-behind is off.
+    ///
+    /// Only exact on a store that can never be asked to suppress a
+    /// duplicate (replay floor at `u64::MAX`): a folded entry names one
+    /// clock for several ops, so a replayed packet's increment would find
+    /// no record of its own clock and apply twice. What the store is left
+    /// with is otherwise what the per-op buffer leaves: the same values,
+    /// the same `TS` (each shard's last applied clocked op in submission
+    /// order is the newest member of its last entry), and the same last
+    /// value for each subscriber, which receives one notification per
+    /// entry instead of one per op. WAL appends and XOR tokens stay per op,
+    /// at buffer time.
+    pub fn set_increment_folding(&mut self, enabled: bool) {
+        self.fold_increments = enabled;
+    }
+
+    /// Entries currently sitting in the write-behind buffer (ops, unless
+    /// increments fold).
     pub fn write_behind_depth(&self) -> usize {
         self.write_behind.as_ref().map_or(0, Vec::len)
     }
 
     /// Flush the write-behind buffer as one batched store round trip.
-    /// Returns the number of ops drained. Callback notifications produced
-    /// by the batch land in the pending-callback list exactly as inline
-    /// flushes would.
+    /// Returns the number of entries drained (ops, unless increments fold).
+    /// Callback notifications produced by the batch land in the
+    /// pending-callback list exactly as inline flushes would.
     pub fn drain_write_behind(&mut self) -> usize {
         let Some(buf) = self.write_behind.as_mut() else {
             return 0;
@@ -539,13 +569,11 @@ impl StateClient {
             // semantics (the flush keeps the store authoritative for fault
             // tolerance but is off the packet's critical path).
             let returned = slot.apply_local(at, &op);
-            let key = slot.key(at);
             self.charge_cache_hit();
             self.stats.non_blocking_ops += 1;
-            self.flush_op(key, op, clock);
+            self.flush_op(i, at, scope_key, op, clock);
             return returned;
         }
-        let key = slot.key(at);
         let (shared, exclusive) = (slot.owner.is_none(), slot.exclusive);
 
         // Offloaded to the store. Blocking cost depends on the operation and
@@ -569,12 +597,13 @@ impl StateClient {
             let uncached = strategy == CacheStrategy::NonBlockingNoCache
                 || !self.objects[i].table.contains_key(&at);
             if self.write_behind.is_some() && uncached {
-                self.flush_op(key, op, clock);
+                self.flush_op(i, at, scope_key, op, clock);
                 return Value::None;
             }
         } else {
             self.charge_rtt();
         }
+        let key = self.objects[i].key(at);
 
         // Offloaded ops observe the store directly (pops read it, blocking
         // updates return its value): buffered write-behind ops go first.
@@ -618,13 +647,27 @@ impl StateClient {
         result.outcome.returned
     }
 
-    /// Hand one update to the store with non-blocking semantics.
+    /// Hand one update of object `i` at `scope_key` (`at`) to the store
+    /// with non-blocking semantics.
     ///
     /// With write-behind enabled the op is buffered for a batched drain
-    /// instead of applied inline; the WAL append and XOR token still happen
-    /// immediately (neither depends on the apply result), so recovery logs
-    /// and the Figure 6 commit tokens are identical either way.
-    fn flush_op(&mut self, key: StateKey, op: Operation, clock: Clock) {
+    /// instead of applied inline, or folded into a buffered entry
+    /// ([`StateClient::set_increment_folding`]); the WAL append and XOR
+    /// token still happen immediately (neither depends on the apply
+    /// result), so recovery logs and the Figure 6 commit tokens are
+    /// identical either way.
+    fn flush_op(
+        &mut self,
+        i: usize,
+        at: Scoped,
+        scope_key: Option<ScopeKey>,
+        op: Operation,
+        clock: Clock,
+    ) {
+        if self.fold_increment(i, scope_key, &op, clock) {
+            return;
+        }
+        let key = self.objects[i].key(at);
         if self.recovery_logging && key.instance.is_none() {
             self.wal.append(clock, key.clone(), op.clone());
         }
@@ -639,6 +682,50 @@ impl StateClient {
         if let Ok(result) = self.store.apply(self.instance, &key, &op, Some(clock)) {
             self.queue_callbacks(&key, &result);
         }
+    }
+
+    /// Fold `op`, if folding is on and `op` is an `Increment`, into the
+    /// newest buffered entry of object `i` at `scope_key`, if that entry is
+    /// an `Increment` whose delta can absorb it without overflow. The entry
+    /// takes `clock` and moves to the back, where `op` would have gone, so
+    /// entries stay in the order of their newest ops. The op's WAL append and
+    /// XOR token come from the entry's key: a folded op builds no key.
+    /// Returns whether `op` was folded.
+    fn fold_increment(
+        &mut self,
+        i: usize,
+        scope_key: Option<ScopeKey>,
+        op: &Operation,
+        clock: Clock,
+    ) -> bool {
+        let (true, Operation::Increment(delta), Some(buf)) =
+            (self.fold_increments, op, self.write_behind.as_mut())
+        else {
+            return false;
+        };
+        // The key `flush_op` would build, matched field by field (every
+        // entry carries this client's vertex).
+        let slot = &self.objects[i];
+        let Some(newest) = buf.iter().rposition(|(k, _, _)| {
+            k.object.scope_key == scope_key
+                && k.instance == slot.owner
+                && *k.object.name == *slot.prefix.name()
+        }) else {
+            return false;
+        };
+        let (key, Operation::Increment(sum), tag) = &mut buf[newest] else {
+            return false;
+        };
+        let Some(folded) = sum.checked_add(*delta) else {
+            return false;
+        };
+        (*sum, *tag) = (folded, Some(clock));
+        if self.recovery_logging && key.instance.is_none() {
+            self.wal.append(clock, key.clone(), op.clone());
+        }
+        self.packet_tokens.push(xor_token(self.instance, key));
+        buf[newest..].rotate_left(1);
+        true
     }
 
     /// Store-computed non-deterministic value (Appendix A).
@@ -1115,6 +1202,144 @@ mod tests {
         c.set_exclusive("likelihood", false, clock(2));
         assert_eq!(c.write_behind_depth(), 0);
         assert_eq!(store.peek(&c.state_key("likelihood", None)), Value::Int(5));
+    }
+
+    /// A client that buffers and folds, as the engine's are on a store that
+    /// can never suppress a duplicate, and its buffer as `(object, op,
+    /// clock counter)` triples.
+    fn folding(store: &Arc<StoreServer>, cap: usize) -> StateClient {
+        store.forget_through(u64::MAX);
+        let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, store);
+        c.set_write_behind(true, cap);
+        c.set_increment_folding(true);
+        c
+    }
+
+    fn buffered(c: &StateClient) -> Vec<(String, Operation, u64)> {
+        let buf = c.write_behind.as_ref().expect("write-behind on");
+        buf.iter()
+            .map(|(k, op, clock)| {
+                (
+                    k.object.name.to_string(),
+                    op.clone(),
+                    clock.unwrap().counter(),
+                )
+            })
+            .collect()
+    }
+
+    fn entry(name: &str, op: Operation, counter: u64) -> (String, Operation, u64) {
+        (name.to_string(), op, counter)
+    }
+
+    #[test]
+    fn increments_fold_into_the_newest_entry_which_moves_to_the_back() {
+        let store = SharedStore::new();
+        let mut c = folding(&store, 64);
+        c.update("pkt_count", None, Operation::Increment(1), clock(1));
+        c.update("port_map", None, Operation::Set(Value::Int(7)), clock(2));
+        c.update("pkt_count", None, Operation::Increment(2), clock(3));
+        // Per op all the same: three tokens, two WAL appends (the per-flow
+        // object logs none), and the drain leaves the sum.
+        assert_eq!(c.take_packet_tokens().len(), 3);
+        assert_eq!(c.wal().len(), 2);
+        assert_eq!(
+            buffered(&c),
+            vec![
+                entry("port_map", Operation::Set(Value::Int(7)), 2),
+                entry("pkt_count", Operation::Increment(3), 3),
+            ]
+        );
+        assert_eq!(c.drain_write_behind(), 2);
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(3));
+        assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(clock(3)));
+    }
+
+    #[test]
+    fn an_increment_does_not_fold_across_another_op_on_its_key() {
+        let store = SharedStore::new();
+        let mut c = folding(&store, 64);
+        let sk = Some(ScopeKey::Port(3));
+        c.update("port_map", sk, Operation::Increment(1), clock(1));
+        c.update("port_map", sk, Operation::Set(Value::Int(10)), clock(2));
+        c.update("port_map", sk, Operation::Increment(2), clock(3));
+        c.update("port_map", sk, Operation::Increment(4), clock(4));
+        // The first increment stays before the `Set`; the two after it fold.
+        assert_eq!(
+            buffered(&c),
+            vec![
+                entry("port_map", Operation::Increment(1), 1),
+                entry("port_map", Operation::Set(Value::Int(10)), 2),
+                entry("port_map", Operation::Increment(6), 4),
+            ]
+        );
+        c.drain_write_behind();
+        assert_eq!(store.peek(&c.state_key("port_map", sk)), Value::Int(16));
+    }
+
+    #[test]
+    fn an_increment_does_not_fold_across_a_drain() {
+        let store = SharedStore::new();
+        let mut c = folding(&store, 64);
+        c.update("pkt_count", None, Operation::Increment(1), clock(1));
+        assert_eq!(c.drain_write_behind(), 1);
+        c.update("pkt_count", None, Operation::Increment(1), clock(2));
+        assert_eq!(
+            buffered(&c),
+            vec![entry("pkt_count", Operation::Increment(1), 2)]
+        );
+        c.drain_write_behind();
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(2));
+    }
+
+    #[test]
+    fn a_sum_that_would_overflow_starts_a_new_entry() {
+        let store = SharedStore::new();
+        let mut c = folding(&store, 64);
+        c.update("pkt_count", None, Operation::Increment(i64::MAX), clock(1));
+        c.update("pkt_count", None, Operation::Increment(1), clock(2));
+        c.update("pkt_count", None, Operation::Increment(-5), clock(3));
+        assert_eq!(
+            buffered(&c),
+            vec![
+                entry("pkt_count", Operation::Increment(i64::MAX), 1),
+                entry("pkt_count", Operation::Increment(-4), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_cap_counts_entries_not_folded_ops() {
+        let store = SharedStore::new();
+        let mut c = folding(&store, 2);
+        for n in 1..=10 {
+            c.update("pkt_count", None, Operation::Increment(1), clock(n));
+        }
+        // Ten ops, one entry: under a cap of two, nothing drained.
+        assert_eq!(c.write_behind_depth(), 1);
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::None);
+        // A second entry reaches the cap and drains in place.
+        c.update("port_map", None, Operation::Set(Value::Int(1)), clock(11));
+        assert_eq!(c.write_behind_depth(), 0);
+        assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(10));
+    }
+
+    #[test]
+    fn without_folding_the_buffer_holds_one_entry_per_op() {
+        let store = SharedStore::new();
+        store.forget_through(u64::MAX);
+        let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        c.set_write_behind(true, 64);
+        for n in 1..=3 {
+            c.update("pkt_count", None, Operation::Increment(1), clock(n));
+        }
+        assert_eq!(
+            buffered(&c),
+            (1..=3)
+                .map(|n| entry("pkt_count", Operation::Increment(1), n))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(c.drain_write_behind(), 3);
     }
 
     #[test]

@@ -158,6 +158,31 @@ fn buffered_update_and_cached_read_on_a_seen_key_allocate_nothing() {
     assert_eq!(client.write_behind_depth(), 32);
 }
 
+#[test]
+fn a_folded_increment_allocates_nothing() {
+    // The engine's clients fold a key's buffered increments when the floor
+    // is at the top: finding the key's newest entry, summing into it and
+    // moving it to the back reuse the buffer, and the key built for the op
+    // is dropped, not kept.
+    let store = SharedStore::new();
+    store.forget_through(u64::MAX);
+    let mut client = client(Box::new(store));
+    client.set_increment_folding(true);
+    for n in 1..=2 * FLOWS as u64 {
+        packet(&mut client, n);
+    }
+    client.drain_write_behind();
+    let allocated = allocations_in(|| {
+        for n in 100..116 {
+            packet(&mut client, n);
+        }
+    });
+    assert_eq!(allocated, 0, "a folded increment touched the allocator");
+    // 32 increments in 17 entries: the counter's 16 folded into one, and
+    // one per flow.
+    assert_eq!(client.write_behind_depth(), 1 + FLOWS as usize);
+}
+
 /// [`packet`]'s client traffic as an NF, which forwards every packet.
 struct Meter;
 

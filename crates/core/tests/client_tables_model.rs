@@ -27,6 +27,13 @@
 //! old cache filed a callback under the canonical key, which for a per-flow
 //! object no read ever looked up.
 //!
+//! The same schedule also drives a fold arm ([`FoldArm`]): two buffering
+//! clients, each on its own store whose replay floor is at the top, one of
+//! them folding increments. They must agree on every answer, on each
+//! packet's XOR tokens, on the WAL and, whenever both buffers are empty,
+//! on the store's contents, on `TS` and on the last value each subscriber
+//! was sent.
+//!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
@@ -388,6 +395,94 @@ impl Model {
     }
 }
 
+/// Two clients over one schedule, `[per-op, folded]`, each buffering with
+/// the same cap on its own one-shard store with the floor at the top: the
+/// store the engine folds against. One shard is the strictest place for
+/// `TS`, which then names the last applied clocked op of the whole drain.
+struct FoldArm {
+    clients: [StateClient; 2],
+    stores: [Arc<StoreServer>; 2],
+    /// Per client, the last value each subscriber was sent for each key.
+    notified: [HashMap<(InstanceId, String), Value>; 2],
+}
+
+impl FoldArm {
+    fn new(mode: ExternalizationMode, cap: usize, watched: &StateKey) -> FoldArm {
+        let stores = [SharedStore::new(), SharedStore::new()];
+        let mut clients = stores.each_ref().map(|store| {
+            store.forget_through(u64::MAX);
+            store.register_callback(watched, WATCHER);
+            let handle = Box::new(Arc::clone(store));
+            let mut client = StateClient::new(
+                VERTEX,
+                INSTANCE,
+                handle,
+                mode,
+                CostModel::default(),
+                &specs(),
+            );
+            client.set_write_behind(true, cap);
+            client
+        });
+        clients[1].set_increment_folding(true);
+        FoldArm {
+            clients,
+            stores,
+            notified: Default::default(),
+        }
+    }
+
+    /// Run one access on both clients, which must answer alike.
+    fn both<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        context: &str,
+        mut access: impl FnMut(&mut StateClient) -> T,
+    ) {
+        let [per_op, folded] = &mut self.clients;
+        assert_eq!(access(per_op), access(folded), "fold arm: {context}");
+    }
+
+    fn drain(&mut self) {
+        for client in &mut self.clients {
+            client.drain_write_behind();
+        }
+    }
+
+    /// A crash forfeits what is buffered, and a folding buffer holds more
+    /// than a per-op one that reached its cap sooner. Folding is only ever
+    /// on where no fault is planned, so the arm drains before it crashes.
+    fn crash(&mut self) {
+        for client in &mut self.clients {
+            client.drain_write_behind();
+            client.drop_all_local_state();
+        }
+    }
+
+    /// The end of a packet: its tokens agree; once nothing is buffered,
+    /// so do the stores, `TS` and what each subscriber last heard.
+    fn check(&mut self, context: &str) {
+        for (client, notified) in self.clients.iter_mut().zip(&mut self.notified) {
+            for (to, key, value) in client.take_pending_callbacks() {
+                notified.insert((to, key.to_string()), value);
+            }
+        }
+        let [per_op, folded] = &mut self.clients;
+        let tokens = |c: &mut StateClient| c.take_packet_tokens().collect::<Vec<u32>>();
+        assert_eq!(tokens(per_op), tokens(folded), "fold arm tokens: {context}");
+        assert_eq!(per_op.stats(), folded.stats(), "fold arm stats: {context}");
+        let wal = |c: &StateClient| c.wal().entries().to_vec();
+        assert_eq!(wal(per_op), wal(folded), "fold arm WAL: {context}");
+        if per_op.write_behind_depth() + folded.write_behind_depth() > 0 {
+            return;
+        }
+        let [a, b] = &self.stores;
+        assert_eq!(contents(a), contents(b), "fold arm dump: {context}");
+        assert_eq!(a.ts_snapshot(), b.ts_snapshot(), "fold arm TS: {context}");
+        let [per_op, folded] = &self.notified;
+        assert_eq!(per_op, folded, "fold arm callbacks: {context}");
+    }
+}
+
 fn draw_op(rng: &mut StdRng) -> Operation {
     match rng.gen_range(0..10u32) {
         0..=2 => Operation::Increment(rng.gen_range(1..4)),
@@ -441,6 +536,7 @@ proptest! {
         let watched = model.key(NAMES[0], None);
         store.register_callback(&watched, WATCHER);
         model_store.register_callback(&watched, WATCHER);
+        let mut arm = FoldArm::new(mode, write_behind.unwrap_or(6), &watched);
 
         let steps = rng.gen_range(40..=160u64);
         let (mut name, mut scope_key) = (NAMES[0], None);
@@ -458,12 +554,14 @@ proptest! {
                 0..=7 => {
                     let got = client.read(name, scope_key, clock);
                     prop_assert_eq!(got, model.read(name, scope_key, clock), "read {}", context);
+                    arm.both(&context, |c| c.read(name, scope_key, clock));
                 }
                 8..=17 => {
                     let op = draw_op(&mut rng);
                     let got = client.update(name, scope_key, op.clone(), clock);
                     let want = model.update(name, scope_key, op.clone(), clock);
                     prop_assert_eq!(got, want, "{:?} {}", op, context);
+                    arm.both(&context, |c| c.update(name, scope_key, op.clone(), clock));
                     recent.push_back((name, scope_key, op, clock));
                     if recent.len() > 4 {
                         recent.pop_front();
@@ -477,32 +575,38 @@ proptest! {
                         let got = client.update(name, scope_key, op.clone(), clock);
                         let want = model.update(name, scope_key, op.clone(), clock);
                         prop_assert_eq!(got, want, "replayed {:?} at {} {}", op, clock, context);
+                        arm.both(&context, |c| c.update(name, scope_key, op.clone(), clock));
                     }
                 }
                 18 => {
                     let exclusive = rng.gen_bool(0.5);
                     client.set_exclusive(name, exclusive, clock);
                     model.set_exclusive(name, exclusive, clock);
+                    arm.both(&context, |c| c.set_exclusive(name, exclusive, clock));
                 }
                 19 => {
                     let release = rng.gen_bool(0.5);
                     let flushed = client.flush_per_flow(release, clock);
                     prop_assert_eq!(flushed, model.flush_per_flow(release, clock), "{}", context);
+                    arm.both(&context, |c| c.flush_per_flow(release, clock));
                 }
                 20 | 21 if name != NAMES[1] => {
                     // Possibly the first the client hears of `name`.
                     let key = model.key(name, scope_key);
                     let value = Value::Int(rng.gen_range(10..20));
                     client.handle_callback(&key, value.clone());
+                    arm.both(&context, |c| c.handle_callback(&key, value.clone()));
                     model.cache.insert((name.to_string(), scope_key), value);
                 }
                 22 => {
                     client.drop_all_local_state();
                     model.drop_all_local_state();
+                    arm.crash();
                 }
                 _ => {
                     client.drain_write_behind();
                     model.drain();
+                    arm.drain();
                 }
             }
             // A key from the client's prefix path is the key the public
@@ -530,7 +634,9 @@ proptest! {
                 client.drain_write_behind();
                 model.drain();
                 prop_assert_eq!(contents(&store), contents(&model_store), "{}", context);
+                arm.drain();
             }
+            arm.check(&context);
         }
     }
 }

@@ -95,8 +95,9 @@ pub struct RuntimeConfig {
     /// batches amortize queue and store-client overhead at the cost of
     /// per-packet latency (§7's hardware runs batch at the NIC; here the
     /// batch rides the SPSC rings). It is also the write-behind buffer's
-    /// cap. Varied by `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must
-    /// agree).
+    /// cap, in entries: one per op in fault mode, one per run of a
+    /// counter's increments in a healthy run, where they fold. Varied by
+    /// `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must agree).
     pub batch_size: usize,
     /// Capacity of each inter-instance ring, in packets (rounded up to a
     /// power of two, and never under two batches). Bounds memory and
@@ -129,13 +130,16 @@ pub struct RuntimeConfig {
     /// benchmark's ladder rungs 4–6 are this field's three settings.
     pub telemetry: TelemetryConfig,
     /// Write-behind store fast path: each instance's `StateClient` buffers
-    /// non-blocking store ops, up to one ring batch of them, and drains them
-    /// as one [`chc_store::StoreServer::apply_batch`] per ring batch (and
-    /// before every correctness barrier — commit publish, blocking read/pop,
-    /// exclusivity loss, kill). On by default. Settable because
+    /// non-blocking store ops, up to one ring batch of entries, and drains
+    /// them as one [`chc_store::StoreServer::apply_batch`] per ring batch
+    /// (and before every correctness barrier — commit publish, blocking
+    /// read/pop, exclusivity loss, kill). Without a fault plan the store's
+    /// replay floor is at the top and the buffer folds a counter's
+    /// increments into one entry, so a healthy drain carries about one
+    /// entry per counter; in fault mode every op keeps its entry and clock.
+    /// On by default. Settable because
     /// `runtime_equivalence.rs::write_behind_preserves_chain_output_equivalence`
-    /// uses the per-op path as its reference, and because the last sweep left
-    /// open whether the buffer still pays for its barriers (ROADMAP item 8).
+    /// uses the per-op path as its reference (ROADMAP item 8).
     pub write_behind: bool,
 }
 

@@ -161,6 +161,10 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
         // boundaries unless an op-heavy batch overflows it first.
         client.set_write_behind(true, shared.batch);
     }
+    // A store that can never be asked to suppress a duplicate needs no
+    // clock per increment, so a counter's buffered increments fold into one
+    // entry. The floor only rises: the answer holds for the whole run.
+    client.set_increment_folding(shared.server.replay_floor() == u64::MAX);
     if plan.replicas > 1 {
         // Another instance of this vertex reads and writes the same
         // cross-flow objects: a copy kept while exclusive (Table 1 row 4)

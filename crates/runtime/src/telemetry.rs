@@ -61,7 +61,8 @@ pub(crate) struct VertexStageMetrics {
     /// its service span, usually 0) and one per write-behind drain that ran
     /// outside such a span.
     pub(crate) store_ns: StreamingHistogram,
-    /// Ops per write-behind drain, recorded where every drain passes
+    /// Entries per write-behind drain (ops, unless a healthy run folds a
+    /// counter's increments into one), recorded where every drain passes
     /// ([`TimedHandle::apply_batch`]); empty when write-behind is off.
     pub(crate) flush_depth: StreamingHistogram,
 }
@@ -699,8 +700,9 @@ pub struct StageReport {
     /// inside its service span) plus one per write-behind drain that ran
     /// between packets.
     pub store: HistSummary,
-    /// Ops per write-behind drain at this stage, every drain counted
-    /// (zero-count when the store fast path was off).
+    /// Entries per write-behind drain at this stage, every drain counted
+    /// (zero-count when the store fast path was off). An entry is one op,
+    /// or in a run without a fault plan one counter's folded increments.
     pub flush_depth: HistSummary,
 }
 

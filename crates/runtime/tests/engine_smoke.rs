@@ -3,7 +3,7 @@
 
 use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
 use chc_nf::{Firewall, LoadBalancer, Nat};
-use chc_packet::{TraceConfig, TraceGenerator};
+use chc_packet::{Trace, TraceConfig, TraceGenerator};
 use chc_runtime::{run_chain_realtime, RuntimeConfig, RuntimeError};
 use chc_store::VertexId;
 use std::rc::Rc;
@@ -97,6 +97,48 @@ fn batch_size_one_matches_large_batches() {
         digests[0], digests[1],
         "batch size must not change final shared state"
     );
+}
+
+/// Store ops a healthy run of `trace` applies per packet, with the
+/// write-behind buffer on or off.
+fn store_ops_per_packet(trace: &Trace, write_behind: bool) -> f64 {
+    let cfg = RuntimeConfig::default().with_write_behind(write_behind);
+    let report = run_chain_realtime(&fw_nat_lb(), ChainConfig::default(), &cfg, trace).unwrap();
+    assert_eq!(report.duplicates, 0);
+    report.store_ops as f64 / trace.len() as f64
+}
+
+/// Without a fault plan the store's replay floor is at the top, so each
+/// instance's write-behind buffer folds a counter's increments: a drain
+/// carries one entry per counter where the per-op path applies one op per
+/// increment, and the store applies what is left. The traces are the
+/// benchmark's `steady` and `churn` at seed 97 (its `TraceConfig`s);
+/// `--nocapture` prints what each run folds away.
+#[test]
+fn a_healthy_run_folds_each_counters_increments() {
+    for (name, connections, mean_packets, most) in
+        [("steady", 160, 440, 0.15), ("churn", 4_000, 5, 0.6)]
+    {
+        let trace = TraceGenerator::new(TraceConfig {
+            seed: 97,
+            connections,
+            mean_packets_per_connection: mean_packets,
+            ..TraceConfig::default()
+        })
+        .generate();
+        let per_op = store_ops_per_packet(&trace, false);
+        let folded = store_ops_per_packet(&trace, true);
+        println!(
+            "{name}: {} packets, store ops a packet {per_op:.2} per op, {folded:.2} folded \
+             ({:.2} folded away)",
+            trace.len(),
+            per_op - folded
+        );
+        assert!(
+            folded < most * per_op,
+            "{name}: {folded:.2} of {per_op:.2} store ops a packet left"
+        );
+    }
 }
 
 #[test]

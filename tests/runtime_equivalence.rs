@@ -446,13 +446,15 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
 /// packet set, raise the same alerts and leave the same shared-state digest
 /// — across seeds, with the sentinel watching every run. (The buffer's cap
 /// is the ring batch; drains at other caps are checked where the buffer
-/// lives, in `chc-core`'s `client_tables_model` and `state` tests.)
+/// lives, in `chc-core`'s `client_tables_model` and `state` tests.) With no
+/// fault plan the buffer also folds each counter's increments, so the second
+/// input runs two load-balancer instances that fold the same shared byte
+/// counters, on the phased trace where two instances have one right answer.
 #[test]
 fn write_behind_preserves_chain_output_equivalence() {
-    let run = |trace: &Trace, write_behind: bool| {
-        let cfg = RuntimeConfig::with_batch_size(16).with_write_behind(write_behind);
-        let report =
-            run_chain_realtime(&firewall_nat(), ChainConfig::default(), &cfg, trace).unwrap();
+    let run = |(dag, cfg): &(LogicalDag, RuntimeConfig), trace: &Trace, write_behind: bool| {
+        let cfg = cfg.clone().with_write_behind(write_behind);
+        let report = run_chain_realtime(dag, ChainConfig::default(), &cfg, trace).unwrap();
         let inv = report.invariants.as_ref().expect("sentinel on by default");
         assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
         assert_eq!(report.duplicates, 0);
@@ -462,14 +464,26 @@ fn write_behind_preserves_chain_output_equivalence() {
         (ids, alerts, report.shared_digest())
     };
 
+    let fw_nat = (firewall_nat(), RuntimeConfig::with_batch_size(16));
+    let fw_nat_lb = (
+        firewall_nat_lb(2),
+        RuntimeConfig {
+            queue_depth: LB_RING_DEPTH,
+            ..RuntimeConfig::with_batch_size(LB_BATCH)
+        },
+    );
     for seed in [13u64, 29, 53] {
-        let trace = trace_for(seed);
-        let off = run(&trace, false);
-        assert!(!off.0.is_empty(), "seed {seed}: delivered nothing");
-        let on = run(&trace, true);
-        assert_eq!(off.0, on.0, "seed {seed}: delivered sets differ");
-        assert_eq!(off.1, on.1, "seed {seed}: alert multisets differ");
-        assert_eq!(off.2, on.2, "seed {seed}: shared digests differ");
+        for (chain, trace) in [
+            (&fw_nat, trace_for(seed)),
+            (&fw_nat_lb, phased_lb_trace(seed).0),
+        ] {
+            let off = run(chain, &trace, false);
+            assert!(!off.0.is_empty(), "seed {seed}: delivered nothing");
+            let on = run(chain, &trace, true);
+            assert_eq!(off.0, on.0, "seed {seed}: delivered sets differ");
+            assert_eq!(off.1, on.1, "seed {seed}: alert multisets differ");
+            assert_eq!(off.2, on.2, "seed {seed}: shared digests differ");
+        }
     }
 }
 
