@@ -42,7 +42,7 @@ pub fn run_single_nf(
 
     for (i, pkt) in trace.iter().enumerate() {
         let arrival = VirtualTime::from_nanos(pkt.arrival_ns);
-        chain.step(pkt, Clock::with_root(0, i as u64 + 1), arrival);
+        chain.step(pkt, Clock(i as u64 + 1), arrival);
         let proc = config.costs.base_processing + chain.core(0).charge();
         let finish = pool.serve(arrival, proc);
         latency.record(proc);

@@ -119,13 +119,13 @@ pub fn fig09_crossflow_cache(scale: Scale) -> String {
     let mut phase_counts = [0u64; 3];
     for (i, pkt) in trace.iter().enumerate() {
         for &(_, exclusive) in flips.iter().filter(|(at, _)| *at == i) {
-            let clock = Clock::with_root(0, i as u64);
+            let clock = Clock(i as u64);
             chain
                 .client(0)
                 .set_exclusive(chc_nf::portscan::LIKELIHOOD, exclusive, clock);
         }
         let now = VirtualTime::from_nanos(pkt.arrival_ns);
-        chain.step(pkt, Clock::with_root(0, i as u64 + 1), now);
+        chain.step(pkt, Clock(i as u64 + 1), now);
         let charge = chain.core(0).charge() + config.costs.base_processing;
         let phase = flips.iter().filter(|(at, _)| i >= *at).count();
         phase_sums[phase] += charge.as_micros_f64();
@@ -360,7 +360,7 @@ pub fn fig14_store_recovery(scale: Scale) -> String {
                 let share = ops_since_checkpoint / instances;
                 for n in 0..share {
                     wal.append(
-                        Clock::with_root(0, (i * share + n) as u64 + 1),
+                        Clock((i * share + n) as u64 + 1),
                         key.clone(),
                         Operation::Increment(1),
                     );

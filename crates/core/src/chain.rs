@@ -12,9 +12,8 @@ use crate::dag::{DagError, LogicalDag, VertexSpec};
 use crate::instance::{InstanceParams, NfInstanceActor};
 use crate::instance_core::{InstanceCore, InstanceCounters};
 use crate::message::{Msg, TaggedPacket};
-use crate::root::{RootActor, RootStats, ROOT_LOG_CAPACITY, ROOT_VERTEX};
+use crate::root::{RootActor, RootStats, ROOT_LOG_CAPACITY};
 use crate::root_core::RootCore;
-use crate::rootlog::PacketLog;
 use crate::sink::SinkActor;
 use crate::splitter::{PartitionTable, Splitter};
 use crate::state::{SharedStore, StateClient};
@@ -179,7 +178,6 @@ pub struct ChainController {
     /// The packet logs the root and the armed instances write and every
     /// failover or clone instance replays from.
     logs: Rc<VertexLogs>,
-    root_id: u8,
     next_instance: u32,
     /// The store's latest checkpoint image (empty: none taken).
     last_checkpoint: Vec<u8>,
@@ -212,7 +210,7 @@ impl ChainController {
 
         let sink = sim.add_actor(Box::new(SinkActor::default()));
         let root = sim.add_actor(Box::new(RootActor::new(
-            RootCore::new(0),
+            RootCore::default(),
             config,
             dag.entries(),
             partition.clone(),
@@ -230,7 +228,6 @@ impl ChainController {
             topology,
             handles: ChainHandles { root, sink },
             logs,
-            root_id: 0,
             next_instance: 0,
             last_checkpoint: Vec::new(),
         };
@@ -561,13 +558,10 @@ impl ChainController {
     /// Bring up a failover root: it reads the last persisted clock from the
     /// store and resumes stamping; the failed root's local packet log is lost
     /// (equivalent to a network drop of the in-flight packets, §B.3), so its
-    /// row is emptied, as on the engine.
+    /// row starts empty, as on the engine.
     pub fn recover_root(&mut self) {
-        if let Some(mut log) = self.logs.log(ROOT_VERTEX) {
-            *log = PacketLog::new(ROOT_LOG_CAPACITY);
-        }
         let root = RootActor::new(
-            RootCore::recovered(self.root_id, &self.store),
+            RootCore::recovered(&self.store, &self.logs),
             self.config,
             self.dag.entries(),
             self.partition.clone(),

@@ -2,65 +2,32 @@
 //!
 //! The root stamps a dense counter on every packet, so "has this clock been
 //! seen here?" needs no hashing: a [`ClockWindow`] keeps one bit per counter
-//! in lazily allocated pages, one page list per root id. The window has a
-//! lower edge: [`ClockWindow::forget_through`] frees every page that lies
-//! wholly at or below a counter, and from then on every clock at or below it
-//! answers "already seen" — the caller promises that anything that low which
-//! can still arrive is a repeat.
+//! in lazily allocated pages. The window has a lower edge:
+//! [`ClockWindow::forget_through`] frees every page that lies wholly at or
+//! below a counter, and from then on every clock at or below it answers
+//! "already seen" — the caller promises that anything that low which can
+//! still arrive is a repeat.
 //!
 //! Memory is one bit per counter between the lowest remembered and the
 //! highest inserted counter, rounded up to pages, plus eight bytes of spine
 //! per page in that span; counters are dense by construction (the root hands
 //! out `1..=N`), so the span is the live window and nothing else. The spine
 //! is a [`CounterWindow`] indexed by page number, the same window the
-//! store's duplicate-suppression log keeps per root.
+//! store's duplicate-suppression log keeps its heads in.
 
 use chc_store::{Clock, CounterWindow};
 
 const PAGE_WORDS: usize = 512;
 type Page = [u64; PAGE_WORDS];
 
-/// The bitmap of one root id.
+/// A set of clocks with a forgettable lower edge; see the module docs.
 #[derive(Debug, Default)]
-struct RootWindow {
+pub struct ClockWindow {
     /// Counters below this were forgotten and answer "already seen".
     floor: u64,
     /// Pages by page number (`counter / PAGE_BITS`); a page nobody touched
     /// is never allocated.
     pages: CounterWindow<Box<Page>>,
-}
-
-impl RootWindow {
-    fn insert(&mut self, counter: u64) -> bool {
-        if counter < self.floor {
-            return false;
-        }
-        let page = self.pages.cell(counter / ClockWindow::PAGE_BITS);
-        let words = page.get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
-        let bit = counter % ClockWindow::PAGE_BITS;
-        let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
-        let fresh = words[word] & mask == 0;
-        words[word] |= mask;
-        fresh
-    }
-
-    fn forget_through(&mut self, counter: u64) {
-        if counter < self.floor {
-            return;
-        }
-        self.floor = counter + 1;
-        // The page holding the floor itself stays: counters above the floor
-        // share it.
-        self.pages
-            .pop_below(self.floor / ClockWindow::PAGE_BITS, drop);
-    }
-}
-
-/// A set of clocks with a forgettable lower edge; see the module docs.
-#[derive(Debug, Default)]
-pub struct ClockWindow {
-    /// Indexed by root id, grown on first use.
-    roots: Vec<RootWindow>,
 }
 
 impl ClockWindow {
@@ -75,31 +42,38 @@ impl ClockWindow {
     }
 
     /// Remember `clock`. Returns true when it is fresh, false when it was
-    /// inserted before or lies at or below a forgotten counter of its root.
+    /// inserted before or lies at or below a forgotten counter.
     #[inline]
     pub fn insert(&mut self, clock: Clock) -> bool {
-        self.root_mut(clock).insert(clock.counter())
-    }
-
-    /// Forget every clock of `through`'s root at or below it, freeing the
-    /// pages that lie wholly below: those clocks answer "already seen" from
-    /// now on. A lower value than an earlier call is ignored.
-    pub fn forget_through(&mut self, through: Clock) {
-        self.root_mut(through).forget_through(through.counter());
-    }
-
-    #[inline]
-    fn root_mut(&mut self, clock: Clock) -> &mut RootWindow {
-        let root = clock.root() as usize;
-        if root >= self.roots.len() {
-            self.roots.resize_with(root + 1, RootWindow::default);
+        let counter = clock.counter();
+        if counter < self.floor {
+            return false;
         }
-        &mut self.roots[root]
+        let page = self.pages.cell(counter / Self::PAGE_BITS);
+        let words = page.get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+        let bit = counter % Self::PAGE_BITS;
+        let (word, mask) = ((bit / 64) as usize, 1u64 << (bit % 64));
+        let fresh = words[word] & mask == 0;
+        words[word] |= mask;
+        fresh
     }
 
-    /// Pages currently allocated, over all roots.
+    /// Forget every clock at or below `through`, freeing the pages that lie
+    /// wholly below: those clocks answer "already seen" from now on. A lower
+    /// value than an earlier call is ignored.
+    pub fn forget_through(&mut self, through: Clock) {
+        if through.counter() < self.floor {
+            return;
+        }
+        self.floor = through.counter().saturating_add(1);
+        // The page holding the floor itself stays: counters above the floor
+        // share it.
+        self.pages.pop_below(self.floor / Self::PAGE_BITS, drop);
+    }
+
+    /// Pages currently allocated.
     pub fn resident_pages(&self) -> usize {
-        self.roots.iter().map(|r| r.pages.iter().count()).sum()
+        self.pages.iter().count()
     }
 
     /// Heap bytes of the resident pages.

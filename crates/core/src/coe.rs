@@ -31,7 +31,7 @@ pub fn run_ideal_chain(dag: &LogicalDag, trace: &Trace) -> IdealChainResult {
     let mut chain = InlineChain::new(dag, &ChainConfig::default());
     for (i, pkt) in trace.iter().enumerate() {
         let now = VirtualTime::from_nanos(pkt.arrival_ns);
-        chain.step(pkt, Clock::with_root(0, i as u64 + 1), now);
+        chain.step(pkt, Clock(i as u64 + 1), now);
     }
 
     // Alerts in `(clock, message)` order: clocks rise with the trace, and
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn every_kind_of_difference_is_a_violation_and_loss_only_when_barred() {
-        let alert = |counter, m: &str| (Clock::with_root(0, counter), m.to_string());
+        let alert = |counter, m: &str| (Clock(counter), m.to_string());
         let ideal = IdealChainResult {
             delivered: vec![PacketId(1), PacketId(2)],
             alerts: vec![alert(1, "scan"), alert(2, "scan"), alert(2, "trojan")],

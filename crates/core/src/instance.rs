@@ -284,7 +284,7 @@ impl NfInstanceActor {
     }
 
     fn handle_flush(&mut self, new_owner: InstanceId, ctx: &mut Ctx<'_, Msg>) {
-        self.client.flush_per_flow(true, Clock::with_root(0, 0));
+        self.client.flush_per_flow(true, Clock(0));
         if let Some(actor) = self.topology.borrow().actor_of_instance(new_owner) {
             // The datastore notifies the new instance of the handover
             // (Figure 4 step 6): one hop to the store plus one hop to the new

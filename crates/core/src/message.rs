@@ -22,7 +22,7 @@ pub const TIMED_PERIOD: u64 = 16;
 pub struct TaggedPacket {
     /// The packet as NFs see it.
     pub packet: Packet,
-    /// Logical clock stamped by the root (root id in the high bits).
+    /// Logical clock stamped by the root: its counter, `1..=N`.
     pub clock: Clock,
     /// XOR of `(instance id ‖ object id)` for every state update the packet
     /// induced so far (§5.4, Figure 6).
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn xor_vector_cancels_out() {
         let pkt = Packet::builder().id(1).build();
-        let mut tp = TaggedPacket::new(pkt, Clock::with_root(0, 1));
+        let mut tp = TaggedPacket::new(pkt, Clock(1));
         let k1 = StateKey::shared(VertexId(1), ObjectKey::named("a"));
         let k2 = StateKey::shared(VertexId(2), ObjectKey::named("b"));
         let t1 = xor_token(InstanceId(3), &k1);

@@ -2,11 +2,11 @@
 //! protocol, and root failover (§5, §5.4).
 //!
 //! The root is a special splitter at the chain entry. For every input packet
-//! it (1) stamps a unique logical clock (root instance id in the high bits)
-//! through its [`RootCore`], which persists the clock and recovers it,
-//! (2) logs the packet, in the [`ROOT_VERTEX`] row of the [`VertexLogs`] it
-//! shares with the instances, until the chain tail confirms that processing
-//! — and every state update the packet induced — has finished, and (3)
+//! it (1) stamps a unique logical clock through its [`RootCore`], which
+//! persists the clock and recovers it, (2) logs the packet through the same
+//! core, in the [`ROOT_VERTEX`] row of the [`VertexLogs`] it shares with the
+//! instances, until the chain tail confirms that processing — and every
+//! state update the packet induced — has finished, and (3)
 //! forwards it to the entry vertex chosen by scope-aware partitioning. The
 //! root replays nothing itself: a failover or straggler clone instance of
 //! an entry vertex takes its replay out of the root's row
@@ -74,12 +74,10 @@ pub struct RootActor {
 }
 
 impl RootActor {
-    /// Create a root stamping through `core`: a fresh [`RootCore::new`] at
-    /// chain bring-up, or a failover root's [`RootCore::recovered`], whose
-    /// clock resumes from the one persisted in the store (§5.4 "Root"). A
-    /// failover root's log row starts empty all the same (the controller
-    /// empties it): packets logged locally by the failed root are lost,
-    /// which the chain tolerates as network drops — Theorem B.3.1.
+    /// Create a root stamping through `core`: a fresh [`RootCore::default`]
+    /// at chain bring-up, or a failover root's [`RootCore::recovered`], whose
+    /// clock resumes from the one persisted in the store (§5.4 "Root") and
+    /// whose log row starts empty.
     pub fn new(
         core: RootCore,
         config: ChainConfig,
@@ -114,10 +112,9 @@ impl RootActor {
 
     fn handle_input(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
         tp.clock = self.core.stamp(Some(&*self.store));
-        // Buffer-bloat guard (§5): a full log drops the packet, whose clock
-        // stays used up, as on the engine's root (the chain tolerates gaps).
-        let logged = self.logs.log(ROOT_VERTEX);
-        if !logged.is_some_and(|mut log| log.insert(tp.clone())) {
+        // A full log drops the packet, as on the engine's root (the chain
+        // tolerates gaps).
+        if !self.core.log(&self.logs, &tp) {
             return;
         }
         self.stats.packets_in += 1;
@@ -131,14 +128,14 @@ impl RootActor {
         }
     }
 
-    /// Unlog every packet of the root that stamped `clock` whose delete
-    /// request came and whose every token cancelled: the ledger lists those
-    /// the last message left so. The counter's cell goes with it, so a
-    /// straggler's repeat request starts afresh.
-    fn delete_cancelled(&mut self, clock: Clock) {
+    /// Unlog every packet whose delete request came and whose every token
+    /// cancelled: the ledger lists those the last message left so. The
+    /// counter's cell goes with it, so a straggler's repeat request starts
+    /// afresh.
+    fn delete_cancelled(&mut self) {
         let (logs, store, stats) = (&self.logs, &self.store, &mut self.stats);
         self.ledger.delete_pending(|counter| {
-            let clock = Clock::with_root(clock.root(), counter);
+            let clock = Clock(counter);
             logs.remove(&clock);
             store.forget_clock(clock);
             stats.deleted += 1;
@@ -152,11 +149,11 @@ impl Actor<Msg> for RootActor {
             Msg::Data(tp) => self.handle_input(tp, ctx),
             Msg::DeleteRequest { clock, xor_vector } => {
                 self.ledger.deliver(clock.counter(), xor_vector);
-                self.delete_cancelled(clock);
+                self.delete_cancelled();
             }
             Msg::CommitSignal { clock, token } => {
                 self.ledger.fold(clock.counter(), token);
-                self.delete_cancelled(clock);
+                self.delete_cancelled();
             }
             _ => {}
         }
@@ -173,7 +170,7 @@ mod tests {
     #[test]
     fn a_full_log_uses_up_the_rejected_arrivals_counter() {
         let root = RootActor::new(
-            RootCore::new(0),
+            RootCore::default(),
             ChainConfig::default(),
             Vec::new(),
             Rc::default(),
@@ -223,7 +220,7 @@ mod tests {
     #[test]
     fn figure_6_orderings_delete_once_the_tokens_cancel() {
         let root = RootActor::new(
-            RootCore::new(0),
+            RootCore::default(),
             ChainConfig::default(),
             Vec::new(),
             Rc::default(),

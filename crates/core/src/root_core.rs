@@ -1,15 +1,22 @@
-//! The root's logical clock (§5.4, §7.2): the one place a root stamps a
-//! clock, persists it and recovers it after a failover.
+//! The root's logical clock and log row (§5, §5.4, §7.2): the one place a
+//! root stamps a clock, logs a packet, persists the clock and recovers it
+//! after a failover.
 //!
 //! Both substrates drive [`RootCore`]: the simulator's
 //! [`RootActor`](crate::RootActor) and the engine's stamping loop. Its only
 //! IO is the store write every [`CLOCK_PERSIST_PERIOD`]-th stamp, and the
-//! caller says whether to make it. A failover root is built from the store
-//! alone ([`RootCore::recovered`]): it resumes one persist period above the
-//! last persisted counter, so it never reuses a clock the failed root may
-//! already have handed out (footnote 5).
+//! caller says whether to make it. A stamped packet is logged in the
+//! [`ROOT_VERTEX`] row of the chain's [`VertexLogs`] ([`RootCore::log`]),
+//! whose bound is the buffer-bloat guard of §5. A failover root is built from
+//! the store alone ([`RootCore::recovered`]): it resumes one persist period
+//! above the last persisted counter, so it never reuses a clock the failed
+//! root may already have handed out (footnote 5), and its log row starts
+//! empty, since the failed root's log died with it.
 
+use crate::message::TaggedPacket;
 use crate::root::ROOT_VERTEX;
+use crate::rootlog::PacketLog;
+use crate::vertexlog::VertexLogs;
 use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, StoreServer, Value};
 
 /// The root persists its logical clock to the store every this many packets
@@ -18,33 +25,40 @@ use chc_store::{Clock, InstanceId, ObjectKey, Operation, StateKey, StoreServer, 
 /// reuses a clock the failed root may already have handed out.
 pub const CLOCK_PERSIST_PERIOD: u64 = 100;
 
-/// One root's clock: its id, the last counter it stamped, and the store key
-/// the counter is persisted under, built once.
+/// The name the root's counter is persisted under, in the store's
+/// [`ROOT_VERTEX`] row. Journals and checkpoint images hold it, so it keeps
+/// the bytes it has always had.
+pub const ROOT_CLOCK: &str = "root_clock_0";
+
+/// The root's clock: the last counter it stamped, and the store key the
+/// counter is persisted under, built once.
 #[derive(Debug, Clone)]
 pub struct RootCore {
-    root_id: u8,
     counter: u64,
     clock_key: StateKey,
 }
 
-impl RootCore {
+impl Default for RootCore {
     /// The clock of a fresh root (chain bring-up): its first stamp is 1.
-    pub fn new(root_id: u8) -> RootCore {
+    fn default() -> RootCore {
         RootCore {
-            root_id,
             counter: 0,
-            clock_key: StateKey::shared(
-                ROOT_VERTEX,
-                ObjectKey::named(&format!("root_clock_{root_id}")),
-            ),
+            clock_key: StateKey::shared(ROOT_VERTEX, ObjectKey::named(ROOT_CLOCK)),
         }
     }
+}
 
+impl RootCore {
     /// The clock of a failover root, read from `store`: it resumes at the
     /// persisted counter plus [`CLOCK_PERSIST_PERIOD`] (101 when nothing was
     /// persisted yet), above every clock the failed root can have stamped.
-    pub fn recovered(root_id: u8, store: &StoreServer) -> RootCore {
-        let mut core = RootCore::new(root_id);
+    /// The root's row of `logs` is emptied: packets the failed root logged
+    /// are lost, which the chain tolerates as network drops (Theorem B.3.1).
+    pub fn recovered(store: &StoreServer, logs: &VertexLogs) -> RootCore {
+        if let Some(mut log) = logs.log(ROOT_VERTEX) {
+            *log = PacketLog::new(log.capacity());
+        }
+        let mut core = RootCore::default();
         let persisted = store.peek(&core.clock_key).as_int().max(0) as u64;
         core.counter = persisted + CLOCK_PERSIST_PERIOD;
         core
@@ -61,7 +75,15 @@ impl RootCore {
                 self.persist(store);
             }
         }
-        Clock::with_root(self.root_id, self.counter)
+        Clock(self.counter)
+    }
+
+    /// Log a stamped packet in the root's row of `logs`. False when the row
+    /// is full (the buffer-bloat guard, §5): the caller drops the packet
+    /// rather than queue it without bound, and its clock stays used up.
+    pub fn log(&self, logs: &VertexLogs, tp: &TaggedPacket) -> bool {
+        logs.log(ROOT_VERTEX)
+            .is_some_and(|mut log| log.insert(tp.clone()))
     }
 
     /// The last counter stamped (0 before the first stamp of a fresh root).
@@ -83,20 +105,21 @@ impl RootCore {
 mod tests {
     use super::*;
     use crate::state::SharedStore;
+    use chc_packet::Packet;
 
     #[test]
-    fn clock_key_is_per_root() {
-        assert_ne!(RootCore::new(0).clock_key, RootCore::new(1).clock_key);
-        assert_eq!(RootCore::new(3).clock_key.vertex, ROOT_VERTEX);
+    fn the_clock_is_persisted_in_the_root_vertex_row() {
+        let key = RootCore::default().clock_key;
+        assert_eq!((key.vertex, &*key.object.name), (ROOT_VERTEX, ROOT_CLOCK));
     }
 
     #[test]
     fn it_persists_on_exactly_every_hundredth_stamp() {
         let server = SharedStore::new();
         let store = &*server;
-        let mut root = RootCore::new(0);
+        let mut root = RootCore::default();
         for c in 1..=350u64 {
-            assert_eq!(root.stamp(Some(store)), Clock::with_root(0, c));
+            assert_eq!(root.stamp(Some(store)), Clock(c));
             let persisted = store.peek(&root.clock_key).as_int();
             assert_eq!(
                 persisted as u64,
@@ -107,7 +130,7 @@ mod tests {
         // One `Set` per period, nothing else.
         assert_eq!(store.total_ops(), 3);
         // Without a store the stamp writes nothing.
-        let mut quiet = RootCore::new(0);
+        let mut quiet = RootCore::default();
         for _ in 0..200 {
             quiet.stamp(None);
         }
@@ -116,8 +139,9 @@ mod tests {
 
     #[test]
     fn a_recovery_with_nothing_persisted_resumes_at_101() {
-        let mut root = RootCore::recovered(2, &SharedStore::new());
-        assert_eq!(root.stamp(None), Clock::with_root(2, 101));
+        let logs = VertexLogs::new(8);
+        let mut root = RootCore::recovered(&SharedStore::new(), &logs);
+        assert_eq!(root.stamp(None), Clock(101));
     }
 
     #[test]
@@ -126,13 +150,34 @@ mod tests {
         // the failover root reads the store it left.
         let server = SharedStore::new();
         let store = &*server;
-        let mut dead = RootCore::new(0);
+        let logs = VertexLogs::new(8);
+        let mut dead = RootCore::default();
         for kill_at in 1..=1_000u64 {
-            let last = Clock::with_root(0, dead.counter());
-            let first = RootCore::recovered(0, store).stamp(None);
+            let last = Clock(dead.counter());
+            let first = RootCore::recovered(store, &logs).stamp(None);
             assert!(first > last, "kill at {kill_at}: {first:?} <= {last:?}");
             assert_eq!(first.counter(), 100 * ((kill_at - 1) / 100) + 101);
             dead.stamp(Some(store));
         }
+    }
+
+    #[test]
+    fn a_full_row_rejects_and_a_recovery_empties_it() {
+        let logs = VertexLogs::new(2);
+        let stamp_and_log = |root: &mut RootCore| {
+            let clock = root.stamp(None);
+            let tp = TaggedPacket::new(Packet::builder().id(clock.0).build(), clock);
+            root.log(&logs, &tp)
+        };
+        let mut root = RootCore::default();
+        let accepted: Vec<bool> = (0..3).map(|_| stamp_and_log(&mut root)).collect();
+        assert_eq!(accepted, [true, true, false]);
+        assert_eq!(logs.log(ROOT_VERTEX).unwrap().rejected(), 1);
+        let mut root = RootCore::recovered(&SharedStore::new(), &logs);
+        assert!(logs.log(ROOT_VERTEX).unwrap().is_empty());
+        assert_eq!(logs.log(ROOT_VERTEX).unwrap().capacity(), 2);
+        assert!(stamp_and_log(&mut root));
+        let logged = logs.log(ROOT_VERTEX).unwrap().snapshot();
+        assert_eq!(logged[0].clock, Clock(101));
     }
 }

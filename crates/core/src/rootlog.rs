@@ -18,9 +18,9 @@
 //!
 //! ## Layout
 //!
-//! The root stamps the dense counters `1..=N`, so the log needs no tree: per
-//! root id it keeps a [`CounterWindow`] of pages, page `p` holding the cells
-//! of counters `p * 256 .. (p + 1) * 256`. Logging a packet writes one cell;
+//! The root stamps the dense counters `1..=N`, so the log needs no tree: it
+//! keeps a [`CounterWindow`] of pages, page `p` holding the cells of
+//! counters `p * 256 .. (p + 1) * 256`. Logging a packet writes one cell;
 //! truncation pops whole pages and clears the cells of one boundary page; an
 //! XOR delete clears one cell and frees its page once it empties.
 //! None of them allocates but for a page's first packet (and the spine's
@@ -65,8 +65,8 @@ fn place(counter: u64) -> (u64, usize) {
 /// A bounded log of in-flight packets, ordered by logical clock.
 #[derive(Debug, Clone, Default)]
 pub struct PacketLog {
-    /// Pages by page number, one window per root id (grown on first use).
-    roots: Vec<CounterWindow<Box<Page>>>,
+    /// Pages by page number.
+    pages: CounterWindow<Box<Page>>,
     len: usize,
     capacity: usize,
     high_water: usize,
@@ -98,12 +98,8 @@ impl PacketLog {
             self.rejected += 1;
             return false;
         }
-        let root = tp.clock.root() as usize;
-        if root >= self.roots.len() {
-            self.roots.resize_with(root + 1, CounterWindow::new);
-        }
         let (page, cell) = place(tp.clock.counter());
-        let page = self.roots[root].cell(page).get_or_insert_with(Page::new);
+        let page = self.pages.cell(page).get_or_insert_with(Page::new);
         if page.cells[cell].replace(tp).is_none() {
             page.held += 1;
             self.len += 1;
@@ -116,11 +112,8 @@ impl PacketLog {
     /// substrates). Returns whether the entry existed; removed entries
     /// accumulate in [`PacketLog::deleted`].
     pub fn remove(&mut self, clock: &Clock) -> bool {
-        let Some(pages) = self.roots.get_mut(clock.root() as usize) else {
-            return false;
-        };
         let (p, cell) = place(clock.counter());
-        let Some(page) = pages.get_mut(p) else {
+        let Some(page) = self.pages.get_mut(p) else {
             return false;
         };
         if page.cells[cell].take().is_none() {
@@ -128,23 +121,21 @@ impl PacketLog {
         }
         page.held -= 1;
         if page.held == 0 {
-            pages.take(p);
+            self.pages.take(p);
         }
         self.len -= 1;
         self.deleted += 1;
         true
     }
 
-    /// Drop every entry of `root_id` with counter `<= up_to` (frontier-based
-    /// truncation: the commit vector proves those packets fully processed).
-    /// Entries of other root ids stay. Returns how many entries were dropped.
-    pub fn truncate_confirmed(&mut self, root_id: u8, up_to: u64) -> usize {
+    /// Drop every entry with counter `<= up_to` (frontier-based truncation:
+    /// the commit vector proves those packets fully processed). Returns how
+    /// many entries were dropped.
+    pub fn truncate_confirmed(&mut self, up_to: u64) -> usize {
         if up_to == 0 {
             return 0;
         }
-        let Some(pages) = self.roots.get_mut(root_id as usize) else {
-            return 0;
-        };
+        let pages = &mut self.pages;
         // Pages wholly at or below `up_to` go at once; the page holding the
         // floor loses the cells below it.
         let (boundary, below) = place(up_to.saturating_add(1));
@@ -168,11 +159,7 @@ impl PacketLog {
 
     /// Every logged packet, in clock order.
     fn iter(&self) -> impl Iterator<Item = &TaggedPacket> {
-        self.roots.iter().flat_map(|pages| {
-            pages
-                .iter()
-                .flat_map(|(_, page)| page.cells.iter().flatten())
-        })
+        (self.pages.iter()).flat_map(|(_, page)| page.cells.iter().flatten())
     }
 
     /// Snapshot every logged packet in clock order (the replay source).
@@ -182,9 +169,8 @@ impl PacketLog {
         packets
     }
 
-    /// Counter of the smallest clock currently logged. A log is fed by one
-    /// root, so this is the smallest counter it holds — what bounds the
-    /// store's replay floor: nothing a log still holds may be forgotten.
+    /// The smallest counter currently logged: what bounds the store's
+    /// replay floor, since nothing a log still holds may be forgotten.
     pub fn first_counter(&self) -> Option<u64> {
         self.iter().next().map(|tp| tp.clock.counter())
     }
@@ -192,10 +178,7 @@ impl PacketLog {
     /// Whether `clock` is currently logged.
     pub fn contains(&self, clock: &Clock) -> bool {
         let (p, cell) = place(clock.counter());
-        self.roots
-            .get(clock.root() as usize)
-            .and_then(|pages| pages.get(p))
-            .is_some_and(|page| page.cells[cell].is_some())
+        (self.pages.get(p)).is_some_and(|page| page.cells[cell].is_some())
     }
 
     /// Number of packets currently logged.
@@ -233,9 +216,9 @@ impl PacketLog {
         self.capacity
     }
 
-    /// Pages currently allocated, over all root ids: what the log costs.
+    /// Pages currently allocated: what the log costs.
     pub fn resident_pages(&self) -> usize {
-        self.roots.iter().map(|pages| pages.iter().count()).sum()
+        self.pages.iter().count()
     }
 }
 
@@ -274,33 +257,16 @@ mod tests {
         for c in 1..=10 {
             log.insert(tp(c));
         }
-        assert_eq!(log.truncate_confirmed(0, 0), 0, "zero frontier is a no-op");
-        assert_eq!(log.truncate_confirmed(0, 4), 4);
+        assert_eq!(log.truncate_confirmed(0), 0, "zero frontier is a no-op");
+        assert_eq!(log.truncate_confirmed(4), 4);
         assert_eq!(log.len(), 6);
         assert!(!log.contains(&Clock::with_root(0, 4)));
         assert!(log.contains(&Clock::with_root(0, 5)));
         // Truncation past the end clears the log; the counter accumulates.
-        assert_eq!(log.truncate_confirmed(0, 999), 6);
+        assert_eq!(log.truncate_confirmed(999), 6);
         assert!(log.is_empty());
         assert_eq!(log.truncated(), 10);
         assert_eq!(log.high_water(), 10);
-    }
-
-    #[test]
-    fn truncation_respects_the_root_id_prefix() {
-        let mut log = PacketLog::new(100);
-        log.insert(tp(5));
-        let other_root = TaggedPacket::new(Packet::builder().id(9).build(), Clock::with_root(1, 2));
-        log.insert(other_root);
-        // Truncating root 0 must not touch root 1's entries, and truncating
-        // root 1 must not touch root 0's, although they order below.
-        assert_eq!(log.truncate_confirmed(0, 10), 1);
-        assert_eq!(log.len(), 1);
-        assert!(log.contains(&Clock::with_root(1, 2)));
-        log.insert(tp(7));
-        assert_eq!(log.truncate_confirmed(1, 10), 1);
-        assert_eq!((log.len(), log.first_counter()), (1, Some(7)));
-        assert_eq!(log.truncate_confirmed(2, 10), 0, "a root never logged");
     }
 
     #[test]
@@ -312,7 +278,7 @@ mod tests {
         // Counters 1..=1000 span pages 0..=3.
         assert_eq!(log.resident_pages(), 4);
         // A truncation inside page 1 frees page 0 and keeps page 1.
-        assert_eq!(log.truncate_confirmed(0, 300), 300);
+        assert_eq!(log.truncate_confirmed(300), 300);
         assert_eq!((log.resident_pages(), log.first_counter()), (3, Some(301)));
         // Deletes that empty page 2 (512..=767) free it, from the middle.
         let swept = (512..768)
@@ -326,7 +292,7 @@ mod tests {
         }
         assert_eq!((log.resident_pages(), log.len()), (1, 211));
         // A truncation that ends exactly on a page boundary pops the page.
-        assert_eq!(log.truncate_confirmed(0, 511), 211);
+        assert_eq!(log.truncate_confirmed(511), 211);
         assert_eq!((log.resident_pages(), log.is_empty()), (0, true));
         // Every removal counts as a delete, the 233 of page 3 among them.
         assert_eq!((log.truncated(), log.deleted()), (511, 489));

@@ -618,7 +618,7 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
     // cut gives every page back.
     log_all(packets(1..=N));
     assert_eq!(
-        logs.log(ROOT_VERTEX).unwrap().truncate_confirmed(0, N),
+        logs.log(ROOT_VERTEX).unwrap().truncate_confirmed(N),
         N as usize
     );
 
@@ -637,7 +637,7 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
     // nothing is taken.
     let allocated = allocations_in(|| {
         let mut log = logs.log(ROOT_VERTEX).unwrap();
-        assert_eq!(log.truncate_confirmed(0, N + N / 2), (N / 2) as usize);
+        assert_eq!(log.truncate_confirmed(N + N / 2), (N / 2) as usize);
         let swept = (N + N / 2 + 1..=2 * N)
             .filter(|&c| c % 3 == 0 || c > 2 * N - PAGE)
             .filter(|&c| log.remove(&Clock::with_root(0, c)))

@@ -1,11 +1,11 @@
 //! Property tests for [`ClockWindow`], the clock-indexed bitmap behind the
 //! engine's duplicate suppression, against the structure it replaced: a
-//! `HashSet<Clock>` that forgets nothing, plus the per-root forgotten floor
-//! ("at or below it ⇒ already seen").
+//! `HashSet<Clock>` that forgets nothing, plus the forgotten floor ("at or
+//! below it ⇒ already seen").
 //!
 //! Each case draws a seed and derives its scenario from a `StdRng` (the
-//! vendored proptest shim has no collection strategies). Scenarios mix two
-//! root ids, dense runs, sparse jumps, counters straddling page boundaries,
+//! vendored proptest shim has no collection strategies). Scenarios mix
+//! dense runs, sparse jumps, counters straddling page boundaries,
 //! re-offered duplicates, and `forget_through` followed by clocks below and
 //! above the new base.
 
@@ -14,24 +14,20 @@ use chc_store::Clock;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-const ROOTS: [u8; 2] = [0, 3];
-
-/// The oracle: every clock ever offered, and each root's forgotten floor.
+/// The oracle: every clock ever offered, and the forgotten floor.
 #[derive(Default)]
 struct Oracle {
     seen: HashSet<Clock>,
-    forgotten_through: HashMap<u8, u64>,
-    /// Pages a remembered insert touched, as `(root, page)`.
-    touched: HashSet<(u8, u64)>,
+    forgotten_through: Option<u64>,
+    /// Pages a remembered insert touched.
+    touched: HashSet<u64>,
 }
 
 impl Oracle {
     fn forgotten(&self, clock: Clock) -> bool {
-        self.forgotten_through
-            .get(&clock.root())
-            .is_some_and(|f| clock.counter() <= *f)
+        self.forgotten_through.is_some_and(|f| clock.counter() <= f)
     }
 
     fn insert(&mut self, clock: Clock) -> bool {
@@ -39,22 +35,22 @@ impl Oracle {
             return false;
         }
         self.touched
-            .insert((clock.root(), clock.counter() / ClockWindow::PAGE_BITS));
+            .insert(clock.counter() / ClockWindow::PAGE_BITS);
         self.seen.insert(clock)
     }
 
     fn forget_through(&mut self, clock: Clock) {
-        let floor = self.forgotten_through.entry(clock.root()).or_insert(0);
+        let floor = self.forgotten_through.get_or_insert(0);
         *floor = (*floor).max(clock.counter());
     }
 
     /// Pages that must still be resident: touched, and not wholly at or
-    /// below their root's forgotten counter.
+    /// below the forgotten counter.
     fn resident_pages(&self) -> usize {
         self.touched
             .iter()
-            .filter(|(root, page)| match self.forgotten_through.get(root) {
-                Some(f) => *page >= (f + 1) / ClockWindow::PAGE_BITS,
+            .filter(|page| match self.forgotten_through {
+                Some(f) => **page >= (f + 1) / ClockWindow::PAGE_BITS,
                 None => true,
             })
             .count()
@@ -83,21 +79,20 @@ proptest! {
         let style = rng.gen_range(0..3u8);
         let mut window = ClockWindow::new();
         let mut oracle = Oracle::default();
-        let mut cursor: HashMap<u8, u64> = HashMap::new();
+        let mut cursor = 1;
         let mut offered: Vec<Clock> = Vec::new();
 
         for _ in 0..rng.gen_range(50..400usize) {
-            let root = ROOTS[rng.gen_range(0..ROOTS.len())];
-            let at = cursor.entry(root).or_insert(1);
+            let at = &mut cursor;
             match rng.gen_range(0..10u8) {
                 // A fresh draw, moving the cursor on.
                 0..=5 => {
-                    let clock = Clock::with_root(root, draw(&mut rng, style, *at));
+                    let clock = Clock(draw(&mut rng, style, *at));
                     *at = (*at).max(clock.counter());
                     offered.push(clock);
                     prop_assert_eq!(window.insert(clock), oracle.insert(clock), "{}", clock);
                 }
-                // A duplicate of something offered before (either root).
+                // A duplicate of something offered before.
                 6..=7 if !offered.is_empty() => {
                     let clock = offered[rng.gen_range(0..offered.len())];
                     prop_assert_eq!(window.insert(clock), oracle.insert(clock), "dup {}", clock);
@@ -106,11 +101,11 @@ proptest! {
                 // clocks just below and just above the new base.
                 _ => {
                     let base = at.saturating_sub(rng.gen_range(0..6u64));
-                    let through = Clock::with_root(root, base);
+                    let through = Clock(base);
                     window.forget_through(through);
                     oracle.forget_through(through);
                     for counter in [base.saturating_sub(1), base, base + 1, base + 2] {
-                        let clock = Clock::with_root(root, counter);
+                        let clock = Clock(counter);
                         offered.push(clock);
                         prop_assert_eq!(
                             window.insert(clock),
@@ -150,8 +145,7 @@ fn a_dense_run_costs_a_bit_per_clock_and_forgetting_frees_whole_pages() {
     assert!(!window.insert(Clock::with_root(0, 2 * ClockWindow::PAGE_BITS - 1)));
     assert!(!window.insert(Clock::with_root(0, 2 * ClockWindow::PAGE_BITS)));
     assert!(window.insert(Clock::with_root(0, n + 1)));
-    // A lower forget is ignored; another root is untouched by all of this.
+    // A lower forget is ignored.
     window.forget_through(Clock::with_root(0, 3));
     assert!(!window.insert(Clock::with_root(0, ClockWindow::PAGE_BITS)));
-    assert!(window.insert(Clock::with_root(1, 5)));
 }

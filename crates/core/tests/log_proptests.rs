@@ -24,8 +24,7 @@
 //! A model check drives one [`PacketLog`] and a `BTreeMap<Clock,
 //! TaggedPacket>` oracle through the same random interleaving of every
 //! operation and compares every answer, so the paged layout is held to the
-//! tree's behaviour, with one rule the tree did not have written down:
-//! truncation drops only the entries of the root id it names.
+//! tree's behaviour.
 
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{delete_token, PacketLog, TaggedPacket, VertexLogs, XorDeleteLedger};
@@ -75,7 +74,7 @@ proptest! {
             }
         }
         let frontier = rng.gen_range(0..=max + 5);
-        let dropped = log.truncate_confirmed(0, frontier);
+        let dropped = log.truncate_confirmed(frontier);
 
         let kept: BTreeSet<u64> =
             log.snapshot().iter().map(|t| t.clock.counter()).collect();
@@ -134,13 +133,10 @@ proptest! {
     }
 }
 
-/// A packet of root `root` at `counter`, with `id` telling apart the copies
-/// logged under one clock.
-fn tagged(root: u8, counter: u64, id: u64) -> TaggedPacket {
-    TaggedPacket::new(
-        Packet::builder().id(id).build(),
-        Clock::with_root(root, counter),
-    )
+/// A packet at `counter`, with `id` telling apart the copies logged under
+/// one clock.
+fn tagged(counter: u64, id: u64) -> TaggedPacket {
+    TaggedPacket::new(Packet::builder().id(id).build(), Clock(counter))
 }
 
 /// The log's behaviour, kept in the tree it used to be.
@@ -172,11 +168,11 @@ impl Oracle {
         before - self.entries.len()
     }
 
-    fn truncate_confirmed(&mut self, root: u8, up_to: u64) -> usize {
+    fn truncate_confirmed(&mut self, up_to: u64) -> usize {
         if up_to == 0 {
             return 0;
         }
-        let dropped = self.drop_where(|c| c.root() == root && c.counter() <= up_to);
+        let dropped = self.drop_where(|c| c.counter() <= up_to);
         self.truncated += dropped as u64;
         dropped
     }
@@ -191,12 +187,11 @@ fn confirmed_by(salt: u64, modulus: u64) -> impl Fn(&Clock) -> bool {
 
 proptest! {
     /// Every answer of the paged log equals the tree model's, over random
-    /// interleavings of inserts (fresh and replacing), removes, per-root
+    /// interleavings of inserts (fresh and replacing), removes,
     /// truncations, XOR-style sweeps and capacity rejections.
     #[test]
     fn the_log_answers_like_a_clock_keyed_tree(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let roots = rng.gen_range(1..=3u8);
         // Counters from a base on, over about six pages; the base sits on,
         // just below or just above a page boundary, or anywhere.
         let base = match rng.gen_range(0..4u32) {
@@ -209,14 +204,12 @@ proptest! {
         let capacity = rng.gen_range(1..=1_200usize);
         let mut log = PacketLog::new(capacity);
         let mut oracle = Oracle { capacity, ..Oracle::default() };
-        let clock = |rng: &mut StdRng| {
-            Clock::with_root(rng.gen_range(0..roots), base + rng.gen_range(0..span))
-        };
+        let clock = |rng: &mut StdRng| Clock(base + rng.gen_range(0..span));
         for step in 0..rng.gen_range(1..=600u64) {
             match rng.gen_range(0..100u32) {
                 0..=54 => {
                     let c = clock(&mut rng);
-                    let tp = tagged(c.root(), c.counter(), step);
+                    let tp = tagged(c.counter(), step);
                     prop_assert_eq!(log.insert(tp.clone()), oracle.insert(tp), "insert {:?}", c);
                 }
                 55..=69 => {
@@ -226,16 +219,15 @@ proptest! {
                     prop_assert_eq!(log.remove(&c), existed, "remove {:?}", c);
                 }
                 70..=79 => {
-                    let root = rng.gen_range(0..roots);
                     let up_to = match rng.gen_range(0..4u32) {
                         0 => 0,
                         1 => base + span + 10,
                         _ => base + rng.gen_range(0..span),
                     };
                     prop_assert_eq!(
-                        log.truncate_confirmed(root, up_to),
-                        oracle.truncate_confirmed(root, up_to),
-                        "truncate root {} through {}", root, up_to
+                        log.truncate_confirmed(up_to),
+                        oracle.truncate_confirmed(up_to),
+                        "truncate through {}", up_to
                     );
                 }
                 80..=86 => {

@@ -171,7 +171,7 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
         // would be maintained by nobody, so they are served by the store.
         for object in &plan.objects {
             if matches!(object.scope, StateScope::CrossFlow(_)) {
-                client.set_exclusive(&object.name, false, Clock::with_root(0, 0));
+                client.set_exclusive(&object.name, false, Clock(0));
             }
         }
     }
@@ -520,7 +520,7 @@ fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &[Input
 /// sees it raised.
 fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRing]) {
     if !shared.fail_stopped.load(Ordering::Relaxed) {
-        core.forget_through(Clock::with_root(0, watermark(inputs)));
+        core.forget_through(Clock(watermark(inputs)));
     }
 }
 

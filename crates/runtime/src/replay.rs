@@ -267,20 +267,18 @@ pub(crate) fn truncate_logs(
         let frontier = shared.frontier(scope);
         let mut dropped = 0;
         if let Some(mut log) = shared.logs.log(*vertex) {
-            dropped = log.truncate_confirmed(0, frontier);
+            dropped = log.truncate_confirmed(frontier);
         }
         roots_cut.get_or_insert((frontier, dropped as u64));
     }
     let (frontier, dropped) = roots_cut.unwrap_or_default();
     if let Some(ledger) = &mut ledger {
         ledger.release_through(frontier);
-        ledger.delete_pending(|counter| shared.logs.remove(&Clock::with_root(0, counter)));
+        ledger.delete_pending(|counter| shared.logs.remove(&Clock(counter)));
         debug_assert!(
             {
                 let root_log = shared.logs.log(ROOT_VERTEX).expect("the root's log");
-                ledger
-                    .counters()
-                    .all(|c| root_log.contains(&Clock::with_root(0, c)))
+                ledger.counters().all(|c| root_log.contains(&Clock(c)))
             },
             "the delete ledger holds a counter the root's log does not"
         );
@@ -367,7 +365,7 @@ mod tests {
         // left the firewall (instance 0).
         let mut egress = Vec::new();
         for (pkt, counter) in trace.iter().zip(1..=10u64) {
-            let mut tp = TaggedPacket::new(pkt.clone(), Clock::with_root(0, counter));
+            let mut tp = TaggedPacket::new(pkt.clone(), Clock(counter));
             assert!(shared.logs.log(ROOT_VERTEX).unwrap().insert(tp.clone()));
             let token = delete_token(InstanceId(0), counter);
             tp.absorb_update_token(token);

@@ -10,8 +10,7 @@ use crate::fault::{RootTakeover, ShardRecovery};
 use crate::plan::ChainPlan;
 use crate::spsc::Producer;
 use crate::wiring::{links_mut, Downstream, OutLink};
-use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
-use chc_core::{PacketLog, RootCore, TaggedPacket};
+use chc_core::{RootCore, TaggedPacket};
 use chc_packet::{flow_sampled, Packet, PacketId, Trace, TraceTag};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::time::Instant;
@@ -60,7 +59,7 @@ pub(crate) fn run_root(
     let mut out = Injection::default();
     let recoveries = &mut out.shard_recoveries;
     let mut root = Root {
-        core: RootCore::new(0),
+        core: RootCore::default(),
         outs,
         drill: Vec::new(),
     };
@@ -174,10 +173,7 @@ impl Root {
                 // The drill's cursor moves past `counter` whether or not the log
                 // takes the packet: a rejected packet is never re-injected.
                 let drilled = plan.reinject.due(&mut drill, counter).next().is_some();
-                let log = shared.logs.log(ROOT_VERTEX);
-                if !log.is_some_and(|mut log| log.insert(tp.clone())) {
-                    // Buffer-bloat guard (§5): a full log rejects the packet
-                    // instead of queueing without bound.
+                if !self.core.log(&shared.logs, &tp) {
                     continue;
                 }
                 if drilled {
@@ -213,9 +209,6 @@ impl Root {
     /// rings, put behind the plan's splitters (§7.3's flow-allocation query).
     /// The dead root's log died with it, so the root's log row starts empty.
     fn take_over(plan: &ChainPlan, shared: &EngineShared, rings: Rings) -> Root {
-        if let Some(mut log) = shared.logs.log(ROOT_VERTEX) {
-            *log = PacketLog::new(ROOT_LOG_CAPACITY);
-        }
         let sentinel = &shared.telemetry.sentinel;
         let outs = (plan.entries.iter().zip(rings))
             .map(|(entry, producers)| Downstream {
@@ -226,7 +219,7 @@ impl Root {
             })
             .collect();
         Root {
-            core: RootCore::recovered(0, &shared.server),
+            core: RootCore::recovered(&shared.server, &shared.logs),
             outs,
             drill: Vec::new(),
         }

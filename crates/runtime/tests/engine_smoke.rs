@@ -1,12 +1,17 @@
 //! Smoke tests of the real-thread engine: chains run to completion, deliver
 //! every packet exactly once, and populate the sharded store.
 
-use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
+use chc_core::{
+    ChainConfig, LogicalDag, RootCore, Splitter, TaggedPacket, VertexSpec, TIMED_PERIOD,
+};
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
+use chc_runtime::spsc::ring;
 use chc_runtime::{run_chain_realtime, RuntimeConfig, RuntimeError};
-use chc_store::VertexId;
+use chc_store::{BackendKind, VertexId};
 use std::rc::Rc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn fw_nat_lb() -> LogicalDag {
     LogicalDag::linear(vec![
@@ -139,6 +144,107 @@ fn a_healthy_run_folds_each_counters_increments() {
             "{name}: {folded:.2} of {per_op:.2} store ops a packet left"
         );
     }
+}
+
+/// The root alone, over the `forward` workload's trace: stamp, wrap, route
+/// through the entry splitter and push to a ring whose consumer thread pops
+/// and drops, as the engine's root does on a healthy run (no log, no clock
+/// persisted). Packets a second.
+fn root_only_pps(trace: &Trace, splitter: &Splitter, rt: &RuntimeConfig) -> f64 {
+    let batch = rt.batch_size;
+    let (mut tx, mut rx) = ring::<TaggedPacket>(rt.queue_depth);
+    let drain = thread::spawn(move || {
+        let (mut popped, mut idle) = (Vec::with_capacity(batch), 0);
+        loop {
+            if rx.pop_batch(&mut popped, batch) > 0 {
+                popped.clear();
+                idle = 0;
+            } else if rx.is_exhausted() {
+                return;
+            } else if idle < 4 {
+                idle += 1;
+                thread::yield_now();
+            } else {
+                rx.park_if_empty(Duration::from_micros(200));
+            }
+        }
+    });
+    let start = Instant::now();
+    let mut root = RootCore::default();
+    let mut buf = Vec::with_capacity(batch);
+    let mut flush = |buf: &mut Vec<TaggedPacket>| {
+        while !buf.is_empty() {
+            if tx.push_batch(buf) == 0 {
+                thread::yield_now();
+            }
+        }
+    };
+    for pkt in &trace.packets {
+        let tp = TaggedPacket::new(pkt.clone(), root.stamp(None));
+        assert_eq!(splitter.instance_for(&tp.packet, tp.clock), 0);
+        // The engine's route queues a copy, as here.
+        buf.push(tp.clone());
+        if buf.len() >= batch {
+            flush(&mut buf);
+        }
+    }
+    flush(&mut buf);
+    tx.close();
+    drain.join().unwrap();
+    trace.len() as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Whether the root is `forward`'s ceiling (ROADMAP 25(a)): the root-only
+/// pass against `run_chain_realtime` on the same firewall-only chain and
+/// trace, five runs each, medians printed. A measurement, not a check:
+/// `cargo test --release -p chc-runtime --test engine_smoke -- --ignored
+/// --nocapture the_root_alone`.
+#[test]
+#[ignore = "a measurement; run it with --ignored --nocapture"]
+fn the_root_alone_against_the_forward_chain() {
+    let trace = TraceGenerator::new(TraceConfig {
+        seed: 97,
+        connections: 1_200,
+        mean_packets_per_connection: 440,
+        ..TraceConfig::default()
+    })
+    .generate();
+    let firewall = VertexSpec::new(
+        1,
+        "firewall",
+        Rc::new(|| Box::new(Firewall::with_default_policy())),
+    );
+    let splitter = Splitter::for_vertex(&firewall);
+    let dag = LogicalDag::linear(vec![firewall]);
+    let rt = RuntimeConfig::default().with_store_backend(BackendKind::Memory);
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+    let root = median(
+        (0..5)
+            .map(|_| root_only_pps(&trace, &splitter, &rt))
+            .collect(),
+    );
+    let chain = median(
+        (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                let report = run_chain_realtime(&dag, ChainConfig::default(), &rt, &trace);
+                assert_eq!(report.unwrap().duplicates, 0);
+                trace.len() as f64 / start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+    println!(
+        "forward trace, {} packets, {} CPUs: root alone {:.2} M packets/s, \
+         chain {:.2} M packets/s (root alone / chain = {:.2})",
+        trace.len(),
+        thread::available_parallelism().map_or(0, |n| n.get()),
+        root / 1e6,
+        chain / 1e6,
+        root / chain
+    );
 }
 
 #[test]

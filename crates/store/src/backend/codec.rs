@@ -827,7 +827,7 @@ mod tests {
         ];
         // Every op on every key, named by key with a clock and by id
         // without one, as a journaled op writes them.
-        let clock = Clock::with_root(3, 12345);
+        let clock = Clock(3 << 56 | 12345);
         for op in &ops {
             for (id, key) in keys.iter().enumerate() {
                 let frame = frame(|enc| {
@@ -906,7 +906,7 @@ mod tests {
                 requester: InstanceId(1),
                 key: flow_key(1),
                 op: Operation::PushBack(Value::Int(80)),
-                clock: Some(Clock::with_root(2, 7)),
+                clock: Some(Clock(2 << 56 | 7)),
             },
             JournalRecord::Callback {
                 key: flow_key(2),
@@ -928,7 +928,7 @@ mod tests {
                 owner: None,
             },
             JournalRecord::Nondet {
-                clock: Clock::with_root(1, 9),
+                clock: Clock(1 << 56 | 9),
                 slot: 2,
                 value: Value::list_of_ints([4, 5]),
             },
@@ -1005,6 +1005,46 @@ mod tests {
         for cut in 0..record.len() {
             assert_eq!(scan_frames(&record[..cut], &mut |_| panic!("torn")), 0);
         }
+    }
+
+    /// The image of a fixed history and one id-named journal frame, pinned
+    /// byte for byte: a change that moves either format fails here.
+    #[test]
+    fn a_fixed_history_encodes_to_the_pinned_bytes() {
+        let mut store = StoreInstance::new();
+        let pkts = StateKey::shared(VertexId(1), ObjectKey::named("pkt_count"));
+        let pool = StateKey::shared(VertexId(2), ObjectKey::named("free_ports"));
+        let flow = flow_key(5);
+        let mut apply = |key: &StateKey, op: Operation, counter: u64| {
+            let clock = Some(Clock(counter));
+            store.apply(InstanceId(9), key, &op, clock).unwrap();
+        };
+        apply(&pkts, Operation::Increment(1), 7);
+        apply(&pool, Operation::PushBack(Value::Int(1024)), 7);
+        apply(&pool, Operation::PushBack(Value::Int(1025)), 8);
+        apply(&pool, Operation::PopFront, 9);
+        apply(&flow, Operation::Set(Value::Pair(10, 443)), 9);
+        apply(&pkts, Operation::Increment(2), 12);
+        store.nondet_value(Clock(9), 1, Value::Int(-77));
+        let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
+        assert_eq!(
+            (image.len(), folded_word_fnv(&image)),
+            (282, 701_471_888),
+            "the image format moved"
+        );
+        let increment = frame(|enc| {
+            let clock = Some(Clock(12));
+            enc.apply_record(InstanceId(9), Named::Id(0), &Operation::Increment(2), clock);
+        });
+        #[rustfmt::skip]
+        let pinned = [
+            27, 0, 0, 0, 242, 228, 52, 189, // length, checksum
+            0, 9, 0, 0, 0,                  // an apply by instance 9
+            3, 0, 0, 0, 0,                  // clocked, named by entry id 0
+            3, 2, 0, 0, 0, 0, 0, 0, 0,      // increment by 2
+            12, 0, 0, 0, 0, 0, 0, 0,        // clock 12
+        ];
+        assert_eq!(increment, pinned, "the journal frame format moved");
     }
 
     #[test]

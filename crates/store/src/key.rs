@@ -33,43 +33,33 @@ impl fmt::Display for InstanceId {
     }
 }
 
-/// Per-packet logical clock assigned by the chain root (§5).
+/// Per-packet logical clock assigned by the chain root (§5): the counter
+/// the root stamped, `1..=N` in injection order.
 ///
-/// The high bits encode the root instance that stamped the packet so that
-/// "delete" requests can be routed back to the right root when multiple root
-/// instances are used (§5, "Logical clocks, logging").
+/// The paper puts the root's id in a clock's high bits so that, with
+/// several roots, a delete request reaches the root that stamped it. A chain
+/// here has one root, so a clock is its counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Clock(pub u64);
 
 impl Clock {
-    /// Number of high-order bits reserved for the root instance id.
-    pub const ROOT_BITS: u32 = 8;
-
-    /// Build a clock value carrying the root instance id in its high bits.
+    /// The clock of `counter` stamped by root `root`, which must be 0: the
+    /// one root a chain has. `Clock(counter)` is the same value; this form
+    /// stays while the repository benchmark compiles against it.
     pub fn with_root(root: u8, counter: u64) -> Clock {
-        let shift = 64 - Self::ROOT_BITS;
-        Clock(((root as u64) << shift) | (counter & ((1u64 << shift) - 1)))
+        assert_eq!(root, 0, "a chain has one root, root 0");
+        Clock(counter)
     }
 
-    /// The root instance id encoded in this clock.
-    pub fn root(&self) -> u8 {
-        (self.0 >> (64 - Self::ROOT_BITS)) as u8
-    }
-
-    /// The per-root counter portion of the clock.
+    /// The counter the root stamped.
     pub fn counter(&self) -> u64 {
-        self.0 & ((1u64 << (64 - Self::ROOT_BITS)) - 1)
-    }
-
-    /// The next clock value from the same root.
-    pub fn next(&self) -> Clock {
-        Clock::with_root(self.root(), self.counter() + 1)
+        self.0
     }
 }
 
 impl fmt::Display for Clock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}:{}", self.root(), self.counter())
+        write!(f, "c{}", self.0)
     }
 }
 
@@ -419,15 +409,10 @@ mod tests {
 
     #[test]
     fn clock_encodes_root_in_high_bits() {
-        let c = Clock::with_root(3, 12345);
-        assert_eq!(c.root(), 3);
-        assert_eq!(c.counter(), 12345);
-        assert_eq!(c.next().counter(), 12346);
-        assert_eq!(c.next().root(), 3);
-        // Clocks from a higher root id always compare greater than clocks
-        // from a lower root id; ordering within a root follows the counter.
-        assert!(Clock::with_root(0, u32::MAX as u64) < Clock::with_root(1, 0));
-        assert!(Clock::with_root(1, 5) < Clock::with_root(1, 6));
+        // The one root, 0, leaves the high bits clear: a clock is its counter.
+        assert_eq!(Clock::with_root(0, 12345), Clock(12345));
+        assert_eq!(Clock(12345).counter(), 12345);
+        assert!(Clock(5) < Clock(6));
     }
 
     #[test]
@@ -470,6 +455,6 @@ mod tests {
         );
         let s = k.to_string();
         assert!(s.contains("v1") && s.contains("i4") && s.contains("map"));
-        assert!(Clock::with_root(2, 9).to_string().contains("c2:9"));
+        assert_eq!(Clock(9).to_string(), "c9");
     }
 }

@@ -705,22 +705,21 @@ impl StoreServer {
     }
 
     /// Clock counters the duplicate-suppression log spans, summed over
-    /// shards and roots, each shard pruned at the current floor first: what
+    /// shards, each pruned at the current floor first: what
     /// its heads cost in memory, 8 bytes per counter, where
     /// [`StoreServer::update_log_len`] counts the updates it holds.
     /// O(shards).
     pub fn update_log_span(&self) -> u64 {
         self.shards_at_floor()
-            .map(|s| s.instance().update_log_spans().sum::<u64>())
+            .map(|s| s.instance().update_log_span())
             .sum()
     }
 
-    /// The widest span of any one shard's log of one root, pruned at the
-    /// current floor: what the sentinel bounds by the packets from the floor
-    /// up.
+    /// The widest span of any one shard's log, pruned at the current floor:
+    /// what the sentinel bounds by the packets from the floor up.
     pub fn update_log_widest_span(&self) -> u64 {
         self.shards_at_floor()
-            .filter_map(|s| s.instance().update_log_spans().max())
+            .map(|s| s.instance().update_log_span())
             .max()
             .unwrap_or(0)
     }
@@ -926,9 +925,10 @@ mod tests {
             for _ in 0..40 {
                 let batch: Vec<(StateKey, Operation, Option<Clock>)> = (0..rng.gen_range(2..24))
                     .map(|_| {
+                        // Clocks from two runs of counters, 1..24 and 101..124.
                         let clock = rng
                             .gen_bool(0.85)
-                            .then(|| Clock::with_root(rng.gen_range(0..2), rng.gen_range(1..24)));
+                            .then(|| Clock(rng.gen_range(0..2u64) * 100 + rng.gen_range(1..24u64)));
                         let op = Operation::Increment(rng.gen_range(1..3));
                         (key("b", rng.gen_range(0..8)), op, clock)
                     })
@@ -1087,7 +1087,8 @@ mod tests {
                         let ops: Vec<_> = (0..len)
                             .map(|h| {
                                 let counter = b * u64::from(len) + u64::from(h) + 1;
-                                let clock = Some(Clock::with_root(t as u8, counter));
+                                let first = u64::from(t) * batches * u64::from(len);
+                                let clock = Some(Clock(first + counter));
                                 (key("storm", h), Operation::Increment(1), clock)
                             })
                             .collect();

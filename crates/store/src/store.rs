@@ -457,8 +457,8 @@ impl StoreInstance {
     }
 
     /// Raise the replay floor to just above `counter`: forget everything
-    /// logged for packets with a clock counter at or below it (whichever
-    /// root stamped them), and stop looking up or logging such clocks. The
+    /// logged for packets with a clock counter at or below it, and stop
+    /// looking up or logging such clocks. The
     /// caller asserts that no packet log can replay them any more. The floor
     /// never moves down.
     pub fn forget_through(&mut self, counter: u64) {
@@ -492,12 +492,12 @@ impl StoreInstance {
         self.dedup.widest_slot()
     }
 
-    /// Per root id, the clock counters the log spans, from the lowest to the
-    /// highest it holds: it pays an 8-byte head for each, however few updates
-    /// it holds. Nothing below the replay floor, so a root stamping `1..=N`
-    /// spans at most `N + 1 - floor`.
-    pub fn update_log_spans(&self) -> impl Iterator<Item = u64> + '_ {
-        self.dedup.spans()
+    /// The clock counters the log spans, from the lowest to the highest it
+    /// holds: it pays an 8-byte head for each, however few updates it holds.
+    /// Nothing below the replay floor, so a root stamping `1..=N` spans at
+    /// most `N + 1 - floor`.
+    pub fn update_log_span(&self) -> u64 {
+        self.dedup.span()
     }
 
     // ------------------------------------------------------------------
@@ -870,13 +870,13 @@ mod tests {
         let key = shared("pkt_count");
         let incr = Operation::Increment(1);
         for c in 1..=6 {
-            let clock = Clock::with_root((c % 2) as u8, c);
+            let clock = Clock(c);
             store
                 .apply(InstanceId(0), &key, &incr, Some(clock))
                 .unwrap();
         }
         assert_eq!(store.update_log_len(), 6);
-        // No packet log can replay counters 1..=4 any more, whichever root.
+        // No packet log can replay counters 1..=4 any more.
         store.forget_through(4);
         assert_eq!(store.replay_floor(), 5);
         assert_eq!(store.update_log_len(), 2);
@@ -889,7 +889,7 @@ mod tests {
         assert_eq!(store.ts()[&InstanceId(7)], late);
         assert_eq!(store.update_log_len(), 2);
         // At and above it, suppression works as before.
-        let live = Clock::with_root(1, 5);
+        let live = Clock(5);
         let r = store.apply(InstanceId(0), &key, &incr, Some(live)).unwrap();
         assert!(r.outcome.emulated);
         // The floor never moves down.

@@ -6,7 +6,7 @@
 //! the ring's power-of-two length. Reaching a cell is one mask; the window
 //! grows at either end to take an index outside it, and
 //! [`CounterWindow::pop_below`] drops a prefix.
-//! Every per-root window of the workspace is one: the store's
+//! Every counter-indexed structure of the workspace is one: the store's
 //! duplicate-suppression log keeps the head of a packet's updates per counter,
 //! `chc_core::ClockWindow` keeps a page of bits per `counter / PAGE_BITS`,
 //! and `chc_core::PacketLog` a page of logged packets per `counter / 256`.

@@ -623,7 +623,7 @@ proptest! {
                             let fresh = (
                                 key("f", rng.gen_range(0..5)),
                                 Operation::Increment(rng.gen_range(1..4)),
-                                Clock::with_root(rng.gen_range(0..2), next),
+                                Clock(next),
                             );
                             next += 1;
                             issued.push(fresh.clone());

@@ -5,14 +5,13 @@
 //! it replaced, spelled out: a `HashMap<(key, clock), Vec<(op, returned)>>`
 //! searched linearly, pruned by scanning. Random `apply` / `forget_clock` /
 //! `forget_through` sequences — several different operations on one
-//! `(key, clock)`, clocks from more than one root, re-issued duplicates on
-//! both sides of every floor — must give identical outcomes, emulation flags,
-//! stored values and log lengths.
+//! `(key, clock)`, re-issued duplicates on both sides of every floor — must
+//! give identical outcomes, emulation flags, stored values and log lengths.
 //!
 //! A second mode widens the clock space to thousands of counters, drawn
 //! either sparse over the whole range or walking downwards, so the
-//! per-root windows also grow at the front, span long gaps and lose long
-//! prefixes to the floor.
+//! window also grows at the front, spans long gaps and loses long prefixes
+//! to the floor.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -172,7 +171,7 @@ fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
     for _ in 0..steps {
         match rng.gen_range(0..20u32) {
             0 => {
-                let clock = Clock::with_root(rng.gen_range(0..2), draw.next(&mut rng));
+                let clock = Clock(draw.next(&mut rng));
                 store.forget_clock(clock);
                 oracle.forget_clock(clock);
             }
@@ -188,9 +187,7 @@ fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
                 let k = rng.gen_range(0..6usize);
                 let key = key(k);
                 let op = draw_op(&mut rng, k >= 4);
-                let clock = rng
-                    .gen_bool(0.9)
-                    .then(|| Clock::with_root(rng.gen_range(0..2), draw.next(&mut rng)));
+                let clock = rng.gen_bool(0.9).then(|| Clock(draw.next(&mut rng)));
                 let got = store
                     .apply(InstanceId(rng.gen_range(0..3)), &key, &op, clock)
                     .expect("typed ops");

@@ -4,10 +4,10 @@
 //! [`StoreInstance`] straight into one frame ([`encode_image_frame`]) and
 //! restores it by decoding that frame straight into a new one
 //! ([`decode_image_frame`]). Random instances — per-flow owners, logged
-//! updates that are not integer increments, clocks from two roots,
-//! non-deterministic values, callbacks, custom ops, the fail-stop flag and a
-//! raised replay floor — must come back equal: the same entries, `TS`, log
-//! length and spans and callback registrations; every update they were
+//! updates that are not integer increments, non-deterministic values,
+//! callbacks, custom ops, the fail-stop flag and a raised replay floor —
+//! must come back equal: the same entries, `TS`, log length and span and
+//! callback registrations; every update they were
 //! issued answers the same on both, so each logged one is emulated with what
 //! it first returned; and the decoded instance encodes to the same bytes.
 //! Every strict prefix and every single-byte flip of a frame is rejected.
@@ -90,7 +90,7 @@ fn random_instance(rng: &mut StdRng) -> (StoreInstance, Vec<Issued>) {
         store.register_custom_op(name, f);
     }
     let top = rng.gen_range(8..=40u64);
-    let clock = |rng: &mut StdRng| Clock::with_root(rng.gen_range(0..2), rng.gen_range(1..=top));
+    let clock = |rng: &mut StdRng| Clock(rng.gen_range(1..=top));
     let mut issued = Vec::new();
     for _ in 0..rng.gen_range(10..=60usize) {
         match rng.gen_range(0..20u32) {
@@ -128,12 +128,6 @@ fn entries(store: &StoreInstance) -> HashMap<StateKey, (Value, Option<InstanceId
         .collect()
 }
 
-/// The log's spans, per root that holds anything (an emptied root's window
-/// costs nothing and is not in the image).
-fn spans(store: &StoreInstance) -> Vec<u64> {
-    store.update_log_spans().filter(|s| *s > 0).collect()
-}
-
 fn callbacks(store: &StoreInstance) -> Vec<Vec<InstanceId>> {
     (0..KEYS)
         .map(|k| {
@@ -154,7 +148,7 @@ fn round_trip(seed: u64) {
     prop_assert_eq!(entries(&decoded), entries(&store));
     prop_assert_eq!(decoded.ts(), store.ts());
     prop_assert_eq!(decoded.update_log_len(), store.update_log_len());
-    prop_assert_eq!(spans(&decoded), spans(&store));
+    prop_assert_eq!(decoded.update_log_span(), store.update_log_span());
     prop_assert_eq!(callbacks(&decoded), callbacks(&store));
     prop_assert_eq!(decoded.is_failed(), store.is_failed());
     let mut again = Vec::new();
@@ -171,7 +165,7 @@ fn round_trip(seed: u64) {
     // A logged non-deterministic value is answered instead of the candidate
     // (which no draw logs).
     let candidate = Value::Int(-1);
-    for clock in (0..2).flat_map(|root| (0..=40).map(move |c| Clock::with_root(root, c))) {
+    for clock in (0..=40).map(Clock) {
         for slot in 0..3 {
             prop_assert_eq!(
                 live.nondet_value(clock, slot, candidate.clone()),
