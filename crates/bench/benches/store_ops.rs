@@ -441,7 +441,9 @@ fn client_access(c: &mut Criterion) {
         );
         client.set_recovery_logging(false);
         client.set_write_behind(true, 32);
-        client.set_increment_folding(fold);
+        if fold {
+            client.declare_ordered_writer();
+        }
         let mut counter = 0u64;
         let mut packet = |client: &mut StateClient| {
             counter += 1;

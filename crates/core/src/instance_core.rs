@@ -84,6 +84,11 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
         self.suppress = suppress;
     }
 
+    /// Whether a repeated clock reaches the NF: tracked, not suppressed.
+    pub fn admits_repeats(&self) -> bool {
+        self.window.is_some() && !self.suppress
+    }
+
     /// Run one packet: admit or suppress it at the input queue (a repeated
     /// clock is a replayed or replicated copy, §5.3), run the NF, record its
     /// alerts under the packet's clock, take the packet's charge and update
@@ -161,9 +166,7 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
     /// Forget the duplicate window through `clock`: every clock of its root
     /// at or below it counts as a repeat from then on.
     pub fn forget_through(&mut self, clock: Clock) {
-        if let Some(window) = &mut self.window {
-            window.forget_through(clock);
-        }
+        self.window.iter_mut().for_each(|w| w.forget_through(clock));
     }
 
     /// Resident bytes of the duplicate window (0 without one).

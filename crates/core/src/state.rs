@@ -69,6 +69,10 @@ pub trait StateHandle {
     fn ts_snapshot(&self) -> TsSnapshot;
     /// True if the store instance is currently failed.
     fn is_failed(&self) -> bool;
+    /// Register an ordered writer ([`StoreServer::register_ordered_writer`]); default: refused.
+    fn register_ordered_writer(&self, _writer: InstanceId) -> bool {
+        false
+    }
 }
 
 /// The simulator's datastore, under the name the benchmark builds it by: a
@@ -122,6 +126,9 @@ impl StateHandle for Arc<StoreServer> {
     fn is_failed(&self) -> bool {
         StoreServer::is_failed(self)
     }
+    fn register_ordered_writer(&self, writer: InstanceId) -> bool {
+        StoreServer::register_ordered_writer(self, writer)
+    }
 }
 
 /// Statistics the client keeps for reports and experiments.
@@ -135,6 +142,8 @@ pub struct StateClientStats {
     pub non_blocking_ops: u64,
     /// Operations applied purely locally (traditional mode).
     pub local_ops: u64,
+    /// Buffered entries the store refused at a drain: 0 in a correct run.
+    pub buffered_refused: u64,
 }
 
 /// One object the client knows: what its declaration resolves to and the
@@ -227,26 +236,20 @@ pub struct StateClient {
     recovery_logging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
-    /// default (ops flush inline); the real-thread runtime enables it with
-    /// the ring batch as its cap. Without folding one entry is one op, and
-    /// nearly every op drains when the buffer reaches the cap, inside the
-    /// packet that filled it (99.6 % in the benchmark's inline passes over
-    /// `steady`). With [`StateClient::set_increment_folding`] an entry may
-    /// carry several increments of one key, so a buffer of hot counters
-    /// stays a few entries long and empties at the runtime's ring-batch
-    /// boundary drain instead. That drain and the barriers
-    /// [`StateClient::set_write_behind`] lists empty what is left. The WAL
-    /// append and XOR token of a buffered op are recorded at buffer time —
-    /// both are independent of the apply result — and the buffered clock
-    /// tags keep store-side duplicate suppression (and hence replay
-    /// idempotency) intact.
+    /// default; the real-thread runtime enables it with the ring batch as
+    /// its cap. An entry is one op, except in an ordered writer
+    /// ([`StateClient::declare_ordered_writer`]), where it may carry several
+    /// increments of one key and hot counters drain at the ring-batch
+    /// boundary instead of at the cap. The WAL append and XOR token of an op
+    /// are recorded at buffer time, and each entry's clock keeps the store's
+    /// duplicate suppression (the log, or an ordered writer's marks) exact.
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
     /// Buffered entries that force an in-place drain when reached (bounds
     /// both buffer memory and the store-visible staleness window).
     write_behind_cap: usize,
-    /// Whether a buffered `Increment` joins its key's newest buffered entry
-    /// ([`StateClient::set_increment_folding`]).
-    fold_increments: bool,
+    /// Whether this is a declared ordered writer, whose buffered increments
+    /// fold ([`StateClient::declare_ordered_writer`]).
+    ordered: bool,
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
     /// XOR tokens of store updates issued for the current packet (Figure 6).
@@ -292,7 +295,7 @@ impl StateClient {
             recovery_logging: true,
             write_behind: None,
             write_behind_cap: 0,
-            fold_increments: false,
+            ordered: false,
             charge: SimDuration::ZERO,
             packet_tokens: Vec::new(),
             pending_callbacks: Vec::new(),
@@ -343,25 +346,15 @@ impl StateClient {
         }
     }
 
-    /// Let a buffered `Increment(d)` join its key's newest buffered entry
-    /// when that entry is an `Increment` too: the entry then carries the
-    /// summed delta and `d`'s clock, and moves to where `d`'s own entry
-    /// would have gone, the back of the buffer. A fold never crosses another
-    /// op on the key or a drain, and a sum that would overflow `i64` starts
-    /// a new entry. Off by default; no effect while write-behind is off.
-    ///
-    /// Only exact on a store that can never be asked to suppress a
-    /// duplicate (replay floor at `u64::MAX`): a folded entry names one
-    /// clock for several ops, so a replayed packet's increment would find
-    /// no record of its own clock and apply twice. What the store is left
-    /// with is otherwise what the per-op buffer leaves: the same values,
-    /// the same `TS` (each shard's last applied clocked op in submission
-    /// order is the newest member of its last entry), and the same last
-    /// value for each subscriber, which receives one notification per
-    /// entry instead of one per op. WAL appends and XOR tokens stay per op,
-    /// at buffer time.
-    pub fn set_increment_folding(&mut self, enabled: bool) {
-        self.fold_increments = enabled;
+    /// Declare this instance an ordered writer, which issues each entry's
+    /// increments in clock order. If the store registers it (and then
+    /// suppresses them by a mark per entry), a buffered `Increment` joins
+    /// its key's newest buffered entry if that is an `Increment`, which takes
+    /// the sum and the newest clock and moves to the back; never across
+    /// another op on the key, a drain or an `i64` overflow. A replacement
+    /// declares once its replay is drained (DESIGN.md "How fault mode folds").
+    pub fn declare_ordered_writer(&mut self) {
+        self.ordered = self.store.register_ordered_writer(self.instance);
     }
 
     /// Entries currently sitting in the write-behind buffer (ops, unless
@@ -384,8 +377,9 @@ impl StateClient {
         let mut ops = std::mem::take(buf);
         let results = self.store.apply_batch(self.instance, &ops);
         for ((key, _, _), result) in ops.iter().zip(results) {
-            if let Ok(result) = result {
-                self.queue_callbacks(key, &result);
+            match result {
+                Ok(result) => self.queue_callbacks(key, &result),
+                Err(_) => self.stats.buffered_refused += 1,
             }
         }
         let drained = ops.len();
@@ -450,11 +444,6 @@ impl StateClient {
     fn charge_cache_hit(&mut self) {
         self.charge += self.costs.cache_hit;
         self.stats.cache_hits += 1;
-    }
-
-    fn charge_async(&mut self) {
-        self.charge += self.costs.async_issue;
-        self.stats.non_blocking_ops += 1;
     }
 
     /// Latency accumulated for the current packet; resets the accumulator.
@@ -587,7 +576,8 @@ impl StateClient {
         if blocking_required || lost_exclusive || strategy == CacheStrategy::CacheWithCallbacks {
             self.charge_rtt();
         } else if self.mode.skip_acks() {
-            self.charge_async();
+            self.charge += self.costs.async_issue;
+            self.stats.non_blocking_ops += 1;
             // Fire-and-forget: the NF does not wait for the ACK in this
             // mode, so with write-behind on the op coalesces into the batch
             // buffer and there is no store result to return. Only uncached
@@ -650,12 +640,9 @@ impl StateClient {
     /// Hand one update of object `i` at `scope_key` (`at`) to the store
     /// with non-blocking semantics.
     ///
-    /// With write-behind enabled the op is buffered for a batched drain
-    /// instead of applied inline, or folded into a buffered entry
-    /// ([`StateClient::set_increment_folding`]); the WAL append and XOR
-    /// token still happen immediately (neither depends on the apply
-    /// result), so recovery logs and the Figure 6 commit tokens are
-    /// identical either way.
+    /// With write-behind enabled the op is buffered, or in an ordered writer
+    /// folded ([`StateClient::declare_ordered_writer`]); the WAL append and
+    /// XOR token happen now either way (neither depends on the result).
     fn flush_op(
         &mut self,
         i: usize,
@@ -684,13 +671,11 @@ impl StateClient {
         }
     }
 
-    /// Fold `op`, if folding is on and `op` is an `Increment`, into the
-    /// newest buffered entry of object `i` at `scope_key`, if that entry is
-    /// an `Increment` whose delta can absorb it without overflow. The entry
-    /// takes `clock` and moves to the back, where `op` would have gone, so
-    /// entries stay in the order of their newest ops. The op's WAL append and
-    /// XOR token come from the entry's key: a folded op builds no key.
-    /// Returns whether `op` was folded.
+    /// Fold `op`, in an ordered writer and if an `Increment`, into the newest
+    /// buffered entry of object `i` at `scope_key` if that is an `Increment`
+    /// able to absorb it without overflow; the entry takes `clock` and moves
+    /// to the back. The op's WAL append and XOR token come from the entry's
+    /// key: a folded op builds no key. Returns whether `op` was folded.
     fn fold_increment(
         &mut self,
         i: usize,
@@ -699,7 +684,7 @@ impl StateClient {
         clock: Clock,
     ) -> bool {
         let (true, Operation::Increment(delta), Some(buf)) =
-            (self.fold_increments, op, self.write_behind.as_mut())
+            (self.ordered, op, self.write_behind.as_mut())
         else {
             return false;
         };
@@ -1204,14 +1189,12 @@ mod tests {
         assert_eq!(store.peek(&c.state_key("likelihood", None)), Value::Int(5));
     }
 
-    /// A client that buffers and folds, as the engine's are on a store that
-    /// can never suppress a duplicate, and its buffer as `(object, op,
-    /// clock counter)` triples.
+    /// A client that buffers and folds, as the engine's ordered writers
+    /// do, and its buffer as `(object, op, clock counter)` triples.
     fn folding(store: &Arc<StoreServer>, cap: usize) -> StateClient {
-        store.forget_through(u64::MAX);
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, store);
         c.set_write_behind(true, cap);
-        c.set_increment_folding(true);
+        c.declare_ordered_writer();
         c
     }
 

@@ -159,6 +159,38 @@ fn buffered_update_and_cached_read_on_a_seen_key_allocate_nothing() {
 }
 
 #[test]
+fn a_mark_raising_folded_increment_allocates_nothing() {
+    // In fault mode an ordered writer's increments are suppressed by its
+    // mark on each entry, not by a log record each: on a warm store whose
+    // floor sits below every clock, folding 32 increments into 17 entries,
+    // draining them and raising each entry's mark costs the drain's result
+    // vector and nothing per op.
+    let store = SharedStore::new();
+    store.forget_through(0);
+    let mut client = client(Box::new(Arc::clone(&store)));
+    client.declare_ordered_writer();
+    for n in 1..=2 * FLOWS as u64 {
+        packet(&mut client, n);
+    }
+    client.drain_write_behind();
+    let allocated = allocations_in(|| {
+        for n in 100..116 {
+            packet(&mut client, n);
+        }
+        assert_eq!(client.drain_write_behind(), 1 + FLOWS as usize);
+    });
+    assert_eq!(
+        allocated, 1,
+        "a mark-raising drain touched the allocator per op"
+    );
+    assert_eq!(store.update_log_len(), 0, "an increment took a log record");
+    let marks = store.increment_marks();
+    assert_eq!(marks.len(), 1 + FLOWS as usize);
+    assert!(marks.iter().all(|&(_, writer, _)| writer == InstanceId(0)));
+    assert_eq!(marks.iter().map(|&(_, _, m)| m).max(), Some(115));
+}
+
+#[test]
 fn a_folded_increment_allocates_nothing() {
     // The engine's clients fold a key's buffered increments when the floor
     // is at the top: finding the key's newest entry, summing into it and
@@ -167,7 +199,7 @@ fn a_folded_increment_allocates_nothing() {
     let store = SharedStore::new();
     store.forget_through(u64::MAX);
     let mut client = client(Box::new(store));
-    client.set_increment_folding(true);
+    client.declare_ordered_writer();
     for n in 1..=2 * FLOWS as u64 {
         packet(&mut client, n);
     }

@@ -34,6 +34,14 @@
 //! on the store's contents, on `TS` and on the last value each subscriber
 //! was sent.
 //!
+//! A fault arm ([`FaultArm`]) runs the same two clients with a finite
+//! replay floor, the folding one a declared ordered writer whose increments
+//! the store suppresses by a mark per entry. A kill drops both buffers and
+//! hands each client's state and marks to a replacement, which re-issues a
+//! suffix of the logged updates straddling what the store applied, per op,
+//! before it declares itself and folds: after the replay the stores'
+//! contents, `TS` and each subscriber's last value must agree.
+//!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is part of the case.
@@ -197,8 +205,9 @@ impl Model {
             .map(std::mem::take)
             .unwrap_or_default()
         {
-            if let Ok(r) = self.store.apply(INSTANCE, &key, &op, clock) {
-                self.notified(&key, &r.notify);
+            match self.store.apply(INSTANCE, &key, &op, clock) {
+                Ok(r) => self.notified(&key, &r.notify),
+                Err(_) => self.stats.buffered_refused += 1,
             }
         }
     }
@@ -424,7 +433,7 @@ impl FoldArm {
             client.set_write_behind(true, cap);
             client
         });
-        clients[1].set_increment_folding(true);
+        clients[1].declare_ordered_writer();
         FoldArm {
             clients,
             stores,
@@ -469,7 +478,12 @@ impl FoldArm {
         let [per_op, folded] = &mut self.clients;
         let tokens = |c: &mut StateClient| c.take_packet_tokens().collect::<Vec<u32>>();
         assert_eq!(tokens(per_op), tokens(folded), "fold arm tokens: {context}");
-        assert_eq!(per_op.stats(), folded.stats(), "fold arm stats: {context}");
+        // A refused folded entry is one refusal for all the ops it carries.
+        let stats = |c: &StateClient| StateClientStats {
+            buffered_refused: 0,
+            ..c.stats()
+        };
+        assert_eq!(stats(per_op), stats(folded), "fold arm stats: {context}");
         let wal = |c: &StateClient| c.wal().entries().to_vec();
         assert_eq!(wal(per_op), wal(folded), "fold arm WAL: {context}");
         if per_op.write_behind_depth() + folded.write_behind_depth() > 0 {
@@ -480,6 +494,123 @@ impl FoldArm {
         assert_eq!(a.ts_snapshot(), b.ts_snapshot(), "fold arm TS: {context}");
         let [per_op, folded] = &self.notified;
         assert_eq!(per_op, folded, "fold arm callbacks: {context}");
+    }
+}
+
+/// An update as the fault arm logs it, to replay it: object, scope key, op
+/// and clock.
+type Logged = (&'static str, Option<ScopeKey>, Operation, Clock);
+
+/// Two clients, `[per-op, folding]`, each on its own one-shard store whose
+/// replay floor rises, the folding one a declared ordered writer. Their
+/// buffers share a cap no schedule reaches, so both drain at the same
+/// barriers and a kill forfeits the same ops from both.
+struct FaultArm {
+    mode: ExternalizationMode,
+    clients: [StateClient; 2],
+    stores: [Arc<StoreServer>; 2],
+    notified: [HashMap<(InstanceId, String), Value>; 2],
+    /// The updates issued since the floor, which a replay may re-issue.
+    log: Vec<Logged>,
+}
+
+impl FaultArm {
+    const CAP: usize = 1 << 10;
+
+    fn new(mode: ExternalizationMode, watched: &StateKey) -> FaultArm {
+        let stores = [SharedStore::new(), SharedStore::new()];
+        stores
+            .iter()
+            .for_each(|s| s.register_callback(watched, WATCHER));
+        let mut arm = FaultArm {
+            mode,
+            clients: stores
+                .each_ref()
+                .map(|s| FaultArm::client(mode, s, INSTANCE)),
+            stores,
+            notified: Default::default(),
+            log: Vec::new(),
+        };
+        arm.clients[1].declare_ordered_writer();
+        arm
+    }
+
+    fn client(mode: ExternalizationMode, store: &Arc<StoreServer>, id: InstanceId) -> StateClient {
+        let handle = Box::new(Arc::clone(store));
+        let mut client = StateClient::new(VERTEX, id, handle, mode, CostModel::default(), &specs());
+        client.set_write_behind(true, FaultArm::CAP);
+        client
+    }
+
+    fn update(&mut self, logged: Logged, context: &str) {
+        let (name, scope_key, op, clock) = logged.clone();
+        let [per_op, folding] = &mut self.clients;
+        let issue = |c: &mut StateClient| c.update(name, scope_key, op.clone(), clock);
+        assert_eq!(issue(per_op), issue(folding), "fault arm: {context}");
+        self.log.push(logged);
+        self.collect();
+    }
+
+    fn read(&mut self, name: &str, scope_key: Option<ScopeKey>, clock: Clock, context: &str) {
+        let [per_op, folding] = &mut self.clients;
+        let (a, b) = (
+            per_op.read(name, scope_key, clock),
+            folding.read(name, scope_key, clock),
+        );
+        assert_eq!(a, b, "fault arm read: {context}");
+        self.collect();
+    }
+
+    fn collect(&mut self) {
+        for (client, notified) in self.clients.iter_mut().zip(&mut self.notified) {
+            for (to, key, value) in client.take_pending_callbacks() {
+                notified.insert((to, key.to_string()), value);
+            }
+        }
+    }
+
+    /// Drain both; then no logged update older than the `keep` newest can
+    /// be replayed, and both floors rise to the oldest kept.
+    fn drain(&mut self, keep: usize) {
+        for client in &mut self.clients {
+            client.drain_write_behind();
+        }
+        self.collect();
+        let cut = self.log.len().saturating_sub(keep);
+        if let Some(&(_, _, _, oldest)) = self.log.get(cut) {
+            self.stores
+                .iter()
+                .for_each(|s| s.forget_through(oldest.counter() - 1));
+        }
+        self.log.drain(..cut);
+    }
+
+    /// Kill both writers, buffers and all, and replace each with instance
+    /// `next`, which inherits the dead one's state and marks, replays the
+    /// logged updates from `from` on (at most up to the first the buffers
+    /// lost) per op, drains, and only then declares itself ordered.
+    fn kill_and_replay(&mut self, next: InstanceId, from: usize, context: &str) {
+        let lost = self.clients[0].write_behind_depth();
+        let from = from.min(self.log.len() - lost);
+        for (client, store) in self.clients.iter_mut().zip(&self.stores) {
+            client.drop_all_local_state();
+            store.reassign_owner(client.instance(), next);
+            *client = FaultArm::client(self.mode, store, next);
+        }
+        let replay = self.log[from..].to_vec();
+        for (name, scope_key, op, clock) in replay {
+            let [per_op, folding] = &mut self.clients;
+            let issue = |c: &mut StateClient| c.update(name, scope_key, op.clone(), clock);
+            assert_eq!(issue(per_op), issue(folding), "fault arm replay: {context}");
+            self.collect();
+        }
+        self.drain(usize::MAX);
+        self.clients[1].declare_ordered_writer();
+        let [a, b] = &self.stores;
+        assert_eq!(contents(a), contents(b), "fault arm dump: {context}");
+        assert_eq!(a.ts_snapshot(), b.ts_snapshot(), "fault arm TS: {context}");
+        let [per_op, folding] = &self.notified;
+        assert_eq!(per_op, folding, "fault arm callbacks: {context}");
     }
 }
 
@@ -638,5 +769,38 @@ proptest! {
             }
             arm.check(&context);
         }
+    }
+}
+
+proptest! {
+    /// The fault arm's schedule: updates and reads, drains that raise the
+    /// floor, and kills each followed by its replacement's replay.
+    #[test]
+    fn a_mark_folding_writer_recovers_as_a_per_op_one(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mode = ExternalizationMode::all()[rng.gen_range(0..4usize)];
+        let watched = StateKey::shared(VERTEX, ObjectKey::named(NAMES[0]));
+        let mut arm = FaultArm::new(mode, &watched);
+        let (mut name, mut scope_key, mut next) = (NAMES[0], None, INSTANCE.0);
+        for step in 1..=rng.gen_range(40..=160u64) {
+            let clock = Clock(step);
+            if rng.gen_bool(0.5) {
+                name = NAMES[rng.gen_range(0..NAMES.len())];
+                scope_key = scope_keys()[rng.gen_range(0..8usize)];
+            }
+            let context = format!("{mode:?} step {step} {name} {scope_key:?}");
+            match rng.gen_range(0..20u32) {
+                0..=12 => arm.update((name, scope_key, draw_op(&mut rng), clock), &context),
+                13 | 14 => arm.read(name, scope_key, clock, &context),
+                15..=17 => arm.drain(rng.gen_range(0..8)),
+                _ => {
+                    next += 1;
+                    let from = rng.gen_range(0..=arm.log.len());
+                    arm.kill_and_replay(InstanceId(next), from, &context);
+                }
+            }
+        }
+        next += 1;
+        arm.kill_and_replay(InstanceId(next), 0, "the last kill");
     }
 }

@@ -13,7 +13,7 @@ use crate::fault::InstanceRecovery;
 use crate::plan::InstancePlan;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
-use crate::wiring::{idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
+use crate::wiring::{forwards_in_order, idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
 use chc_core::{delete_token, InstanceCore, StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
@@ -91,6 +91,10 @@ pub(crate) fn run_instance(
 ) -> InstanceResult {
     let mut me = set_up(plan, wiring, shared);
     let recovery = replay(&mut me);
+    // Increments leave in clock order, and may fold once a replay is drained.
+    if forwards_in_order(&me.wiring.inputs) && !me.plan.core.admits_repeats() {
+        me.client.declare_ordered_writer();
+    }
     let failed = match run_batches(&mut me, &mut kill) {
         Some(killed_at_clock) => {
             let switch = kill.take().expect("fail-stop without a kill switch");
@@ -114,6 +118,7 @@ pub(crate) fn run_instance(
         batches_in: me.batches_in,
         replay_egress_gated: me.egress_gated,
         dedup_window_bytes: plan.core.window_bytes(),
+        buffered_refused: me.client.stats().buffered_refused,
     };
     InstanceResult {
         report,
@@ -161,10 +166,6 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
         // boundaries unless an op-heavy batch overflows it first.
         client.set_write_behind(true, shared.batch);
     }
-    // A store that can never be asked to suppress a duplicate needs no
-    // clock per increment, so a counter's buffered increments fold into one
-    // entry. The floor only rises: the answer holds for the whole run.
-    client.set_increment_folding(shared.server.replay_floor() == u64::MAX);
     if plan.replicas > 1 {
         // Another instance of this vertex reads and writes the same
         // cross-flow objects: a copy kept while exclusive (Table 1 row 4)

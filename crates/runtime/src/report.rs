@@ -40,6 +40,8 @@ pub struct RuntimeInstanceReport {
     /// ([`chc_core::ClockWindow`]) when the instance exited: 0 on a run
     /// without a fault plan, which tracks no duplicates at all.
     pub dedup_window_bytes: usize,
+    /// Buffered store entries refused (`StateClientStats::buffered_refused`).
+    pub buffered_refused: u64,
 }
 
 /// Result of one [`crate::run_chain_realtime`] run.
@@ -119,6 +121,12 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
+    /// Buffered store entries refused, failed instances included: 0 if correct.
+    pub fn buffered_refused(&self) -> u64 {
+        let all = self.instances.iter().chain(&self.failed_instances);
+        all.map(|i| i.buffered_refused).sum()
+    }
+
     /// End-to-end throughput in packets per second.
     pub fn pps(&self) -> f64 {
         let s = self.elapsed.as_secs_f64();

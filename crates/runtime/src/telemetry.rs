@@ -256,13 +256,11 @@ impl StateHandle for TimedHandle {
         op: &chc_store::Operation,
         clock: Option<Clock>,
     ) -> Result<chc_store::store::ApplyResult, chc_store::StoreError> {
-        if !self.timer.armed.get() {
-            return self.inner.apply(requester, key, op, clock);
-        }
-        let started = Instant::now();
+        let started = self.timer.armed.get().then(Instant::now);
         let result = self.inner.apply(requester, key, op, clock);
-        let ns = started.elapsed().as_nanos() as u64;
-        self.timer.add(ns);
+        if let Some(started) = started {
+            self.timer.add(started.elapsed().as_nanos() as u64);
+        }
         result
     }
 
@@ -289,6 +287,10 @@ impl StateHandle for TimedHandle {
 
     fn register_callback(&self, key: &StateKey, instance: InstanceId) {
         self.inner.register_callback(key, instance);
+    }
+
+    fn register_ordered_writer(&self, writer: InstanceId) -> bool {
+        self.inner.register_ordered_writer(writer)
     }
 
     fn release_ownership(

@@ -7,7 +7,7 @@ use chc_core::{
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
 use chc_runtime::spsc::ring;
-use chc_runtime::{run_chain_realtime, RuntimeConfig, RuntimeError};
+use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeError};
 use chc_store::{BackendKind, VertexId};
 use std::rc::Rc;
 use std::thread;
@@ -142,6 +142,86 @@ fn a_healthy_run_folds_each_counters_increments() {
         assert!(
             folded < most * per_op,
             "{name}: {folded:.2} of {per_op:.2} store ops a packet left"
+        );
+    }
+}
+
+/// The `failover` workload's trace (seed 97, 1,500 connections × 24
+/// packets, as the benchmark builds it).
+fn failover_trace() -> Trace {
+    TraceGenerator::new(TraceConfig {
+        seed: 97,
+        connections: 1_500,
+        mean_packets_per_connection: 24,
+        ..TraceConfig::default()
+    })
+    .generate()
+}
+
+/// The three plans of the `failover` trace that price fault mode: none; a
+/// NAT kill armed at the last counter, which puts the run in fault mode;
+/// and the benchmark's (NAT kill at N/2, the four shards checkpointed at
+/// N/8 and restarted at N/4).
+fn failover_plans(n: u64) -> [(&'static str, Option<FaultPlan>); 3] {
+    let nat = VertexId(2);
+    let mut benchmark = FaultPlan::new().kill(nat, 0, n / 2);
+    for shard in 0..4 {
+        benchmark = benchmark.restart_shard(shard, n / 4, Some(n / 8));
+    }
+    [
+        ("healthy", None),
+        (
+            "NAT kill armed at n",
+            Some(FaultPlan::new().kill(nat, 0, n)),
+        ),
+        ("benchmark plan", Some(benchmark)),
+    ]
+}
+
+/// One run of `trace` under `plan`: store ops a packet and packets a
+/// second of the whole call.
+fn failover_run(trace: &Trace, plan: Option<FaultPlan>) -> (f64, f64) {
+    let mut rt = RuntimeConfig::default();
+    if let Some(plan) = plan {
+        rt = rt.with_fault(plan);
+    }
+    let started = Instant::now();
+    let report = run_chain_realtime(&fw_nat_lb(), ChainConfig::default(), &rt, trace).unwrap();
+    let wall = started.elapsed().as_secs_f64();
+    assert_eq!(report.duplicates, 0);
+    assert_eq!(report.buffered_refused(), 0);
+    let n = trace.len() as f64;
+    (report.store_ops as f64 / n, n / wall)
+}
+
+/// Fault mode folds too: the NAT and the load balancer each have one
+/// clock-ordered input, so their counters' increments fold under a mark per
+/// entry, and an armed kill costs about what a healthy run does in store
+/// ops (3.34 a packet when every increment carried its own record).
+#[test]
+fn an_armed_kill_folds_each_counters_increments() {
+    let trace = failover_trace();
+    let [_, (_, armed), _] = failover_plans(trace.len() as u64);
+    let (ops, _) = failover_run(&trace, armed);
+    assert!(ops <= 0.8, "{ops:.2} store ops a packet with a kill armed");
+}
+
+/// What fault mode costs on the `failover` trace, per plan: store ops a
+/// packet and the median packets a second of five runs (whole-call wall
+/// time, unpinned). A measurement, not a check: `cargo test --release -p
+/// chc-runtime --test engine_smoke -- --ignored --nocapture fault_mode`.
+#[test]
+#[ignore = "a measurement; run it with --ignored --nocapture"]
+fn fault_mode_costs_on_the_failover_trace() {
+    let trace = failover_trace();
+    for (name, plan) in failover_plans(trace.len() as u64) {
+        let mut runs: Vec<(f64, f64)> =
+            (0..5).map(|_| failover_run(&trace, plan.clone())).collect();
+        runs.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let (ops, pps) = runs[2];
+        println!(
+            "{name}: {ops:.2} store ops a packet, {:.0} k pps",
+            pps / 1e3
         );
     }
 }

@@ -882,3 +882,74 @@ fn a_surviving_replica_sees_no_replay() {
     assert_eq!(after.suppressed_duplicates, 0, "the survivor saw a replay");
     assert_eq!(after.processed, before.processed);
 }
+
+/// The NAT of fw → NAT → LB has one clock-ordered input, so it folds its
+/// counters' increments and the store suppresses their duplicates by the
+/// NAT's mark on each counter. Killed mid-stream, its replacement inherits
+/// those marks with the NAT's per-flow state, then replays packets the dead
+/// NAT had already applied: clocks at or below the inherited marks, which
+/// the store emulates. So more NAT packets are processed than a healthy run
+/// processes, and the state is the healthy run's.
+#[test]
+fn a_nat_replacement_inherits_the_marks_of_the_nat_it_replaces() {
+    for seed in [53u64, 71] {
+        let trace = trace_for(seed);
+        let kill_at = (trace.len() / 2) as u64;
+        let rt = || RuntimeConfig::with_batch_size(8);
+        let healthy = run(&fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+        let plan = FaultPlan::new().kill(NAT, 0, kill_at);
+        let faulted = run(
+            &fw_nat_lb(),
+            ChainConfig::default(),
+            rt().with_fault(plan),
+            &trace,
+        );
+        assert_no_violations(&faulted);
+        assert_eq!(faulted.duplicates, 0);
+        assert_eq!(faulted.buffered_refused(), 0);
+        assert_eq!(sorted_ids(&healthy), sorted_ids(&faulted));
+        assert_eq!(
+            healthy.shared_digest(),
+            faulted.shared_digest(),
+            "seed {seed}"
+        );
+        let nat = |r: &RuntimeReport| -> u64 {
+            let all = r.instances.iter().chain(&r.failed_instances);
+            all.filter(|i| i.vertex == NAT).map(|i| i.processed).sum()
+        };
+        assert!(
+            nat(&faulted) > nat(&healthy),
+            "seed {seed}: the replacement re-issued nothing the NAT had applied"
+        );
+    }
+}
+
+/// Behind two firewall instances the NAT interleaves two rings, so its
+/// increments reach the store out of clock order: it is not an ordered
+/// writer, never folds, and its duplicates stay with the log. A store op a
+/// NAT packet at least, and the healthy state after a firewall kill.
+#[test]
+fn an_unordered_nat_never_folds_and_recovers_exactly() {
+    let trace = trace_for(59);
+    let rt = || RuntimeConfig::with_batch_size(8);
+    let healthy = run(&wide_firewall_nat(), ChainConfig::default(), rt(), &trace);
+    let plan = FaultPlan::new().kill(FW, 0, (trace.len() / 2) as u64);
+    let faulted = run(
+        &wide_firewall_nat(),
+        ChainConfig::default(),
+        rt().with_fault(plan),
+        &trace,
+    );
+    assert_no_violations(&faulted);
+    assert_eq!(faulted.buffered_refused(), 0);
+    assert_eq!(healthy.shared_digest(), faulted.shared_digest());
+    for report in [&healthy, &faulted] {
+        let nat = report.instances.iter().find(|i| i.vertex == NAT).unwrap();
+        assert!(
+            report.store_ops >= nat.processed,
+            "{} store ops for {} NAT packets: the NAT folded",
+            report.store_ops,
+            nat.processed
+        );
+    }
+}

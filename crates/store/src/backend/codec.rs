@@ -128,8 +128,8 @@ impl<'a> Enc<'a> {
 
     /// Open a [`JournalRecord::ApplyBatch`] payload: add its ops with
     /// [`Enc::batch_op`], then write how many with [`Enc::close_batch`].
-    pub(crate) fn open_batch(&mut self, requester: InstanceId) {
-        self.u8(4);
+    pub(crate) fn open_batch(&mut self, requester: InstanceId, ordered: bool) {
+        self.u8(if ordered { 7 } else { 4 });
         self.u32(requester.0);
         self.u32(0);
     }
@@ -601,8 +601,12 @@ impl JournalRecord {
                 e.u32(*slot);
                 e.value(value);
             }
-            JournalRecord::ApplyBatch { requester, ops } => {
-                e.open_batch(*requester);
+            JournalRecord::ApplyBatch {
+                requester,
+                ordered,
+                ops,
+            } => {
+                e.open_batch(*requester, *ordered);
                 for (key, op, clock) in ops {
                     e.batch_op(Named::Key(key), op, *clock);
                 }
@@ -642,14 +646,19 @@ pub(crate) fn decode_record(
                 clock,
             }
         }
-        4 => {
+        tag @ (4 | 7) => {
             let requester = InstanceId(d.u32().ok_or(Torn)?);
             let n = d.u32().ok_or(Torn)? as usize;
             let mut ops = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 ops.push(d.journaled_op(names)?);
             }
-            JournalRecord::ApplyBatch { requester, ops }
+            let ordered = tag == 7;
+            JournalRecord::ApplyBatch {
+                requester,
+                ordered,
+                ops,
+            }
         }
         tag => decode_rare(tag, &mut d).ok_or(Torn)?,
     };
@@ -864,6 +873,7 @@ mod tests {
     fn drain_batch() -> JournalRecord {
         JournalRecord::ApplyBatch {
             requester: InstanceId(9),
+            ordered: false,
             ops: (0..6)
                 .map(|i| {
                     let clock = Some(Clock::with_root(0, 100 + i));
@@ -1045,6 +1055,70 @@ mod tests {
             12, 0, 0, 0, 0, 0, 0, 0,        // clock 12
         ];
         assert_eq!(increment, pinned, "the journal frame format moved");
+    }
+
+    /// An ordered writer's history: its increments leave marks, which an
+    /// image carries as a trailing section, and its batch frame says it
+    /// raises them. Both pinned byte for byte, and the image round-trips.
+    #[test]
+    fn a_history_with_marks_encodes_to_the_pinned_bytes() {
+        let mut store = StoreInstance::new();
+        let pkts = StateKey::shared(VertexId(1), ObjectKey::named("pkt_count"));
+        let bytes = StateKey::shared(VertexId(3), ObjectKey::named("server_bytes"));
+        let mut apply = |writer: u32, key: &StateKey, op: Operation, counter: u64| {
+            let clock = Some(Clock(counter));
+            let (result, _) = store.apply_named(InstanceId(writer), key, &op, clock, true, true);
+            assert!(!result.unwrap().outcome.emulated);
+        };
+        apply(9, &pkts, Operation::Increment(3), 7);
+        apply(9, &bytes, Operation::Increment(1_500), 8);
+        apply(4, &bytes, Operation::Increment(60), 6);
+        apply(9, &pkts, Operation::Increment(1), 12);
+        apply(9, &bytes, Operation::Set(Value::Int(0)), 13);
+        let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
+        let decoded = decode_image_frame(&image, &|_| None).expect("the image decodes");
+        assert_eq!(encode_image_frame(&decoded, &mut Vec::new()), image);
+        assert_eq!(
+            (image.len(), folded_word_fnv(&image)),
+            (183, 726_723_329),
+            "the image format moved"
+        );
+        // The tail: three marks, (entry id, writer, counter) each.
+        let marks = &image[image.len() - 52..];
+        assert_eq!(marks[..4], 3u32.to_le_bytes());
+        assert_eq!(
+            marks[4..20],
+            [
+                &0u32.to_le_bytes()[..],
+                &9u32.to_le_bytes(),
+                &12u64.to_le_bytes()
+            ]
+            .concat()
+        );
+        let increment = frame(|enc| {
+            enc.open_batch(InstanceId(9), true);
+            enc.batch_op(Named::Id(0), &Operation::Increment(2), Some(Clock(14)));
+            enc.close_batch(1);
+        });
+        #[rustfmt::skip]
+        let pinned = [
+            31, 0, 0, 0, 166, 196, 64, 182, // length, checksum
+            7, 9, 0, 0, 0,                  // an ordered writer's batch, by instance 9
+            1, 0, 0, 0,                     // of one op
+            3, 0, 0, 0, 0,                  // clocked, named by entry id 0
+            3, 2, 0, 0, 0, 0, 0, 0, 0,      // increment by 2
+            14, 0, 0, 0, 0, 0, 0, 0,        // clock 14
+        ];
+        assert_eq!(increment, pinned, "the ordered batch frame format moved");
+        let record = decode_record(&increment[FRAME_HEADER..], std::slice::from_ref(&pkts));
+        let ops = vec![(pkts, Operation::Increment(2), Some(Clock(14)))];
+        let (requester, ordered) = (InstanceId(9), true);
+        let want = JournalRecord::ApplyBatch {
+            requester,
+            ordered,
+            ops,
+        };
+        assert_eq!(record, Ok(want));
     }
 
     #[test]

@@ -168,6 +168,9 @@ pub enum JournalRecord {
     ApplyBatch {
         /// Instance that issued the batch.
         requester: InstanceId,
+        /// It was an ordered writer: its clocked increments raise its marks
+        /// ([`crate::server::StoreServer::register_ordered_writer`]).
+        ordered: bool,
         /// Successfully applied ops, in submission order.
         ops: Vec<(StateKey, Operation, Option<Clock>)>,
     },
@@ -464,9 +467,13 @@ fn replay_record(
             instance.nondet_value(*clock, *slot, value.clone());
             stats.reinstalled_records += 1;
         }
-        JournalRecord::ApplyBatch { requester, ops } => {
+        JournalRecord::ApplyBatch {
+            requester,
+            ordered,
+            ops,
+        } => {
             for (key, op, clock) in ops {
-                let _ = instance.replay_journaled(*requester, key, op, *clock);
+                let _ = instance.apply_named(*requester, key, op, *clock, false, *ordered);
                 created(instance, key);
                 stats.replayed_ops += 1;
             }

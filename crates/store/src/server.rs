@@ -57,7 +57,7 @@ use crate::ops::{CustomOpFn, Operation};
 use crate::store::{ApplyResult, StoreInstance};
 use crate::value::Value;
 use crate::wal::TsSnapshot;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,6 +119,8 @@ pub struct StoreServer {
     /// the value publishes no other data, and a shard that reads a stale
     /// (lower) floor merely keeps a few log entries a little longer.
     replay_floor: AtomicU64,
+    /// See [`StoreServer::register_ordered_writer`].
+    ordered_writers: RwLock<Vec<InstanceId>>,
     /// Writes the file shards' staged bytes (`None` in memory).
     persister: Option<Arc<Persister>>,
     /// Keeps the file medium's ephemeral scratch directory alive for the
@@ -173,6 +175,7 @@ impl StoreServer {
                 .collect(),
             backend_kind: kind,
             replay_floor: AtomicU64::new(0),
+            ordered_writers: RwLock::default(),
             persister,
             _scratch: scratch,
         })
@@ -255,7 +258,7 @@ impl StoreServer {
         let since = shard.ids();
         let (result, id) = shard
             .instance_mut()
-            .apply_named(requester, key, op, clock, true);
+            .apply_named(requester, key, op, clock, true, false);
         if matches!(&result, Ok(r) if !r.outcome.emulated) {
             shard.journal(since, |e, named_below| {
                 e.apply_record(requester, named(key, id, named_below), op, clock);
@@ -328,13 +331,14 @@ impl StoreServer {
     /// element-wise, so crash/recover semantics are identical to the same
     /// ops applied sequentially. Ops on different shards may interleave with
     /// concurrent writers exactly as sequential applies would; the batch is
-    /// an amortization, not a transaction.
+    /// an amortization, not a transaction; see [`StoreServer::register_ordered_writer`].
     pub fn apply_batch(
         &self,
         requester: InstanceId,
         ops: &[(StateKey, Operation, Option<Clock>)],
     ) -> Vec<Result<ApplyResult, StoreError>> {
-        if let [(key, op, clock)] = ops {
+        let ordered = self.ordered_writers.read().contains(&requester);
+        if let ([(key, op, clock)], false) = (ops, ordered) {
             return vec![self.apply(requester, key, op, *clock)];
         }
         // Up to `ROUTED_ON_STACK` ops the only allocation of a batch is its
@@ -377,18 +381,16 @@ impl StoreServer {
                     (j, op, *clock)
                 });
                 let instance = shard.instance_mut();
-                // Only a journal names entries: a healthy shard stores no id.
-                if journaling {
-                    instance.apply_run(requester, key, run, true, |j, entry, r| {
-                        results[j] = r;
+                instance.apply_run(requester, key, run, true, ordered, |j, entry, r| {
+                    results[j] = r;
+                    // Only a journal names entries: a healthy shard stores no id.
+                    if journaling {
                         route[j].set(Route {
                             entry,
                             ..route[j].get()
                         });
-                    });
-                } else {
-                    instance.apply_run(requester, key, run, true, |j, _, r| results[j] = r);
-                }
+                    }
+                });
             }
             // `TS` once per shard: the last applied clocked op in
             // submission order, whichever run applied it.
@@ -407,7 +409,7 @@ impl StoreServer {
             // each entry replay holds before the frame; a batch whose every
             // op was emulated appends nothing.
             shard.journal(since, |e, named_below| {
-                e.open_batch(requester);
+                e.open_batch(requester, ordered);
                 let mut applied_ops = 0;
                 for (i, (key, op, clock)) in mine().filter(|&(i, _)| applied(i)) {
                     e.batch_op(named(key, route[i].get().entry, named_below), op, *clock);
@@ -437,14 +439,34 @@ impl StoreServer {
 
     /// Re-associate every per-flow object owned by `from` with `to` (NF
     /// instance failover, §5.4: the replacement instance takes over the
-    /// failed instance's externalized per-flow state).
+    /// failed instance's externalized per-flow state). An ordered `from`
+    /// hands `to` its increment marks and its registration.
     pub fn reassign_owner(&self, from: InstanceId, to: InstanceId) -> usize {
+        if self.ordered_writers.read().contains(&from) {
+            self.register_ordered_writer(to);
+        }
         let mut moved = 0;
         for mut shard in self.shards() {
             moved += shard.instance_mut().reassign_owner(from, to);
             shard.append(&JournalRecord::Reassign { from, to });
         }
         moved
+    }
+
+    /// Register `writer` as one that issues each entry's increments in clock
+    /// order: its batched clocked increments are then suppressed by its mark
+    /// on the entry, not a log record each, so its buffer may fold them.
+    pub fn register_ordered_writer(&self, writer: InstanceId) -> bool {
+        self.ordered_writers.write().push(writer);
+        true
+    }
+
+    /// Every shard's [`StoreInstance::increment_marks`].
+    pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
+        let marks = self
+            .shards_at_floor()
+            .map(|s| s.instance().increment_marks());
+        marks.flatten().collect()
     }
 
     /// Current owner of a per-flow object, if any.
@@ -951,6 +973,7 @@ mod tests {
                     }
                     let record = JournalRecord::ApplyBatch {
                         requester,
+                        ordered: false,
                         ops: applied,
                     };
                     // Every entry the frame names by id existed before it,

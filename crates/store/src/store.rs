@@ -32,6 +32,30 @@ struct Entry {
     /// Dense id, assigned at creation and stable for the instance's life
     /// (entries are never removed): how the dedup log names this object.
     id: u32,
+    /// Per ordered writer, the newest clock counter of its increments
+    /// applied here: what suppresses their duplicates instead of the log.
+    #[allow(clippy::box_collection)] // 8 bytes where there is none; a `Vec` is 24
+    marks: Option<Box<Vec<(InstanceId, u64)>>>,
+}
+
+impl Entry {
+    fn marks(&self) -> impl Iterator<Item = &(InstanceId, u64)> {
+        self.marks.iter().flat_map(|m| m.iter())
+    }
+
+    /// `writer`'s increment mark on this entry, if it has one.
+    fn mark(&self, writer: InstanceId) -> Option<u64> {
+        self.marks().find(|(w, _)| *w == writer).map(|&(_, m)| m)
+    }
+
+    /// Raise `writer`'s increment mark on this entry to `counter`.
+    fn raise_mark(&mut self, writer: InstanceId, counter: u64) {
+        let marks = self.marks.get_or_insert_with(Box::default);
+        match marks.iter_mut().find(|(w, _)| *w == writer) {
+            Some((_, m)) => *m = counter.max(*m),
+            None => marks.push((writer, counter)),
+        }
+    }
 }
 
 /// Result of applying an operation at the store.
@@ -141,10 +165,6 @@ impl StoreInstance {
         self.entries.get(key as &dyn CanonView)
     }
 
-    fn entry_mut(&mut self, key: &StateKey) -> Option<&mut Entry> {
-        self.entries.get_mut(key as &dyn CanonView)
-    }
-
     /// The entry at `key`, created empty and unowned if absent.
     fn entry_or_create(&mut self, key: &StateKey) -> &mut Entry {
         let id = self.entries.len() as u32;
@@ -171,7 +191,7 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_named(requester, key, op, clock, true).0
+        self.apply_named(requester, key, op, clock, true, false).0
     }
 
     /// Re-apply a journaled operation during shard recovery. The journal
@@ -186,7 +206,7 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
     ) -> Result<ApplyResult, StoreError> {
-        self.apply_named(requester, key, op, clock, false).0
+        self.apply_named(requester, key, op, clock, false, false).0
     }
 
     /// One op as a run of one, `TS` moved to its clock if it applied, and
@@ -199,12 +219,14 @@ impl StoreInstance {
         op: &Operation,
         clock: Option<Clock>,
         suppress_duplicates: bool,
+        ordered: bool,
     ) -> (Result<ApplyResult, StoreError>, u32) {
         let (mut result, mut id) = (Err(StoreError::Unavailable), 0);
         let run = [((), op, clock)];
-        if let Some(clock) = self.apply_run(requester, key, run, suppress_duplicates, |(), i, r| {
-            (id, result) = (i, r);
-        }) {
+        let answer = |(), i, r| (id, result) = (i, r);
+        if let Some(clock) =
+            self.apply_run(requester, key, run, suppress_duplicates, ordered, answer)
+        {
             self.set_ts(requester, clock);
         }
         (result, id)
@@ -218,16 +240,20 @@ impl StoreInstance {
     /// check and the subscriber lookup. Each op still gets its own duplicate
     /// lookup, log record and result, so a duplicate clock inside the run is
     /// emulated against the op before it. Without `suppress_duplicates`
-    /// (journal replay) no op consults the log. Nothing here hashes: the
-    /// maps are probed under the hash `key` carries. `TS` is the caller's:
-    /// the run returns its last applied clocked op, and whoever applied the
-    /// ops around it knows which of them came last.
+    /// (journal replay) no op consults the log. An `ordered` writer's clocked
+    /// increment at or above the floor is a duplicate iff its counter is at
+    /// or below the writer's mark on the entry, which applying it raises: it
+    /// takes no log record. Nothing here hashes: the maps are probed under
+    /// the hash `key` carries. `TS` is the caller's: the run returns its last
+    /// applied clocked op, and whoever applied the ops around it knows which
+    /// of them came last.
     pub(crate) fn apply_run<'o, T>(
         &mut self,
         requester: InstanceId,
         key: &StateKey,
         run: impl IntoIterator<Item = (T, &'o Operation, Option<Clock>)>,
         suppress_duplicates: bool,
+        ordered: bool,
         mut answer: impl FnMut(T, u32, Result<ApplyResult, StoreError>),
     ) -> Option<Clock> {
         if self.failed {
@@ -246,6 +272,7 @@ impl StoreInstance {
                     value: Value::None,
                     owner: key.instance,
                     id: self.entries.len() as u32,
+                    marks: None,
                 });
                 (entry, true)
             }
@@ -270,9 +297,16 @@ impl StoreInstance {
             // part in duplicate suppression. A re-issued operation is
             // recognised by (key, clock, operation).
             let replayable = clock.filter(|c| !op.is_read_only() && c.counter() >= self.floor);
-            let packet = replayable.map(|c| self.dedup.packet(c));
-            if let Some(packet) = packet.as_ref().filter(|_| suppress_duplicates && !created) {
-                if let Some(prev) = packet.find(entry.id, op) {
+            let marked = replayable.filter(|_| ordered && matches!(op, Operation::Increment(_)));
+            let packet = replayable.filter(|_| marked.is_none());
+            let packet = packet.map(|c| self.dedup.packet(c));
+            let seen = |c: &Clock| entry.mark(requester) >= Some(c.counter());
+            if suppress_duplicates && !created {
+                let prev = match &packet {
+                    Some(packet) => packet.find(entry.id, op),
+                    None => marked.filter(seen).map(|_| entry.value.clone()),
+                };
+                if let Some(prev) = prev {
                     let result = ApplyResult {
                         outcome: OpOutcome::emulated(prev),
                         notify: Vec::new(),
@@ -297,6 +331,8 @@ impl StoreInstance {
             }
             if let Some(packet) = packet {
                 packet.record(entry.id, op, &returned);
+            } else if let Some(c) = marked {
+                entry.raise_mark(requester, c.counter());
             }
             // Subscribers are sent the object. Without one — the common
             // case, one branch — the op copies nothing but its own result.
@@ -366,7 +402,7 @@ impl StoreInstance {
         instance: InstanceId,
     ) -> Result<(), StoreError> {
         self.check_available()?;
-        if let Some(entry) = self.entry_mut(key) {
+        if let Some(entry) = self.entries.get_mut(key as &dyn CanonView) {
             match entry.owner {
                 Some(o) if o == instance => entry.owner = None,
                 Some(o) => {
@@ -407,7 +443,9 @@ impl StoreInstance {
 
     /// Reassign ownership of every per-flow object currently owned by `from`
     /// to `to` (used for NF failover, where the framework re-associates the
-    /// failed instance's state with the failover instance, §5.4).
+    /// failed instance's state with the failover instance, §5.4). `to`
+    /// inherits `from`'s increment marks too, so the increments it replays
+    /// are suppressed as `from`'s would have been.
     pub fn reassign_owner(&mut self, from: InstanceId, to: InstanceId) -> usize {
         let mut n = 0;
         for entry in self.entries.values_mut() {
@@ -415,8 +453,18 @@ impl StoreInstance {
                 entry.owner = Some(to);
                 n += 1;
             }
+            let marks = entry.marks.iter_mut().flat_map(|m| m.iter_mut());
+            marks.filter(|(w, _)| *w == from).for_each(|(w, _)| *w = to);
         }
         n
+    }
+
+    /// Every live increment mark (at or above the floor) as `(key, writer,
+    /// counter)`; order is unspecified.
+    pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
+        let marks = (self.entries.iter())
+            .flat_map(|(k, e)| e.marks().map(move |&(w, m)| (k.state_key().clone(), w, m)));
+        marks.filter(|m| m.2 >= self.floor).collect()
     }
 
     /// Make `owner` the owner of `key`'s object, creating it empty if
@@ -566,7 +614,7 @@ impl StoreInstance {
             by_id[entry.id as usize] = Some((key, entry));
         }
         e.u32(by_id.len() as u32);
-        for (key, entry) in by_id.into_iter().flatten() {
+        for (key, entry) in by_id.iter().flatten() {
             e.state_key(key.state_key());
             e.value(&entry.value);
             e.opt_instance(entry.owner);
@@ -594,6 +642,19 @@ impl StoreInstance {
         e.u32(names.len() as u32);
         names.iter().for_each(|name| e.str(name));
         e.u8(u8::from(self.failed));
+        // Live increment marks, as `(entry id, writer, counter)`: a trailing
+        // section, written only when there are any.
+        let live = || {
+            let marks = by_id
+                .iter()
+                .flatten()
+                .flat_map(|(_, e)| e.marks().map(|m| (e.id, m)));
+            marks.filter(|(_, m)| m.1 >= self.floor)
+        };
+        if live().next().is_some() {
+            e.u32(live().count() as u32);
+            live().for_each(|(id, &(writer, m))| (e.u32(id), e.u32(writer.0), e.u64(m)).2);
+        }
     }
 
     /// Rebuild an instance from an image [`StoreInstance::encode_image`]
@@ -640,6 +701,14 @@ impl StoreInstance {
             }
         }
         instance.failed = d.u8()? != 0;
+        if !d.is_exhausted() {
+            let mut by_id: Vec<&mut Entry> = instance.entries.values_mut().collect();
+            by_id.sort_unstable_by_key(|e| e.id);
+            for _ in 0..d.u32()? {
+                let entry = by_id.get_mut(d.u32()? as usize)?;
+                entry.raise_mark(InstanceId(d.u32()?), d.u64()?);
+            }
+        }
         d.is_exhausted().then_some(instance)
     }
 }
@@ -752,8 +821,9 @@ mod tests {
             .collect();
         let mut together = Vec::new();
         let tagged = ops.iter().map(|(op, clock)| ((), op, *clock));
-        if let Some(last) = run.apply_run(requester, key, tagged, true, |(), _, r| together.push(r))
-        {
+        if let Some(last) = run.apply_run(requester, key, tagged, true, false, |(), _, r| {
+            together.push(r)
+        }) {
             run.set_ts(requester, last);
         }
         (one_by_one, together)

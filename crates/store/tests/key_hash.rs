@@ -167,6 +167,7 @@ proptest! {
         }
         backend.append(&JournalRecord::ApplyBatch {
             requester,
+            ordered: false,
             ops: batch
                 .iter()
                 .enumerate()

@@ -340,6 +340,11 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 report.duplicates, 0,
                 "seed {seed} {position}: runtime sink saw duplicates"
             );
+            assert_eq!(
+                report.buffered_refused(),
+                0,
+                "seed {seed} {position}: the store refused a buffered op"
+            );
             let fault = report.fault.as_ref().expect("fault report present");
             assert!(
                 fault.aborts.is_empty(),
@@ -458,6 +463,7 @@ fn write_behind_preserves_chain_output_equivalence() {
         let inv = report.invariants.as_ref().expect("sentinel on by default");
         assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
         assert_eq!(report.duplicates, 0);
+        assert_eq!(report.buffered_refused(), 0);
         let mut ids = report.delivered_ids.clone();
         ids.sort_unstable();
         let alerts: Vec<String> = report.alerts().into_iter().map(|(_, m)| m).collect();
@@ -649,6 +655,49 @@ fn two_load_balancer_instances_share_one_connection_table() {
         );
         assert_eq!(
             sim_digest(sim_state),
+            report.shared_digest(),
+            "seed {seed}: final shared state differs"
+        );
+    }
+}
+
+/// Two load-balancer instances, each with one clock-ordered input, fold the
+/// same shared byte counters in fault mode, each under a mark of its own on
+/// every counter: one writer's mark never covers the other's clocks. With
+/// instance 1 killed in the phase aimed at it, its replacement inherits its
+/// marks and replays; both must leave the simulator's single instance's
+/// state.
+#[test]
+fn two_load_balancers_fold_one_byte_counter_under_separate_marks() {
+    for seed in [5u64, 17, 43] {
+        let (trace, _) = phased_lb_trace(seed);
+        let mut chain =
+            ChainController::new(firewall_nat_lb(1), ChainConfig::default(), seed).unwrap();
+        chain.inject_trace(&trace);
+        chain.run();
+        let sim_state = sim_digest(chain.store.dump());
+
+        let kill_at = (trace.len() / 2) as u64;
+        let rt_cfg = RuntimeConfig {
+            queue_depth: LB_RING_DEPTH,
+            ..RuntimeConfig::with_batch_size(LB_BATCH)
+        }
+        .with_fault(FaultPlan::new().kill(LB_VERTEX, 1, kill_at));
+        let report =
+            run_chain_realtime(&firewall_nat_lb(2), ChainConfig::default(), &rt_cfg, &trace)
+                .unwrap();
+        let inv = report.invariants.as_ref().expect("sentinel on by default");
+        assert!(inv.ok(), "sentinel violations: {:?}", inv.violations);
+        assert_eq!(report.duplicates, 0, "seed {seed}");
+        assert_eq!(report.buffered_refused(), 0, "seed {seed}");
+        let fault = report.fault.as_ref().expect("fault report present");
+        assert_eq!(
+            fault.recoveries.len(),
+            1,
+            "seed {seed}: the kill never fired"
+        );
+        assert_eq!(
+            sim_state,
             report.shared_digest(),
             "seed {seed}: final shared state differs"
         );
