@@ -166,7 +166,9 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
     /// Forget the duplicate window through `clock`: every clock of its root
     /// at or below it counts as a repeat from then on.
     pub fn forget_through(&mut self, clock: Clock) {
-        self.window.iter_mut().for_each(|w| w.forget_through(clock));
+        if let Some(window) = &mut self.window {
+            window.forget_through(clock);
+        }
     }
 
     /// Resident bytes of the duplicate window (0 without one).

@@ -32,25 +32,26 @@ struct Entry {
     /// Dense id, assigned at creation and stable for the instance's life
     /// (entries are never removed): how the dedup log names this object.
     id: u32,
-    /// Per ordered writer, the newest clock counter of its increments
-    /// applied here: what suppresses their duplicates instead of the log.
-    #[allow(clippy::box_collection)] // 8 bytes where there is none; a `Vec` is 24
-    marks: Option<Box<Vec<(InstanceId, u64)>>>,
+    /// Where its increment marks are in `StoreInstance::marks`, plus one;
+    /// 0 while it has none. It sits in padding: the entry stays 48 bytes.
+    marks: u32,
 }
 
-impl Entry {
-    fn marks(&self) -> impl Iterator<Item = &(InstanceId, u64)> {
-        self.marks.iter().flat_map(|m| m.iter())
-    }
+/// Per ordered writer, the newest clock counter of its increments on an entry.
+type Marks = Vec<(InstanceId, u64)>;
 
-    /// `writer`'s increment mark on this entry, if it has one.
-    fn mark(&self, writer: InstanceId) -> Option<u64> {
-        self.marks().find(|(w, _)| *w == writer).map(|&(_, m)| m)
+impl Entry {
+    fn marks<'a>(&self, all: &'a [Marks]) -> &'a [(InstanceId, u64)] {
+        self.marks.checked_sub(1).map_or(&[], |i| &all[i as usize])
     }
 
     /// Raise `writer`'s increment mark on this entry to `counter`.
-    fn raise_mark(&mut self, writer: InstanceId, counter: u64) {
-        let marks = self.marks.get_or_insert_with(Box::default);
+    fn raise_mark(&mut self, all: &mut Vec<Marks>, writer: InstanceId, counter: u64) {
+        if self.marks == 0 {
+            all.push(Vec::new());
+            self.marks = all.len() as u32;
+        }
+        let marks = &mut all[self.marks as usize - 1];
         match marks.iter_mut().find(|(w, _)| *w == writer) {
             Some((_, m)) => *m = counter.max(*m),
             None => marks.push((writer, counter)),
@@ -114,6 +115,8 @@ pub struct StoreInstance {
     callbacks: CanonMap<HashSet<InstanceId>>,
     /// Fail-stop flag: a failed instance answers nothing.
     failed: bool,
+    /// The marks that suppress ordered writers' duplicates (`Entry::marks`).
+    marks: Vec<Marks>,
 }
 
 impl StoreInstance {
@@ -224,9 +227,8 @@ impl StoreInstance {
         let (mut result, mut id) = (Err(StoreError::Unavailable), 0);
         let run = [((), op, clock)];
         let answer = |(), i, r| (id, result) = (i, r);
-        if let Some(clock) =
-            self.apply_run(requester, key, run, suppress_duplicates, ordered, answer)
-        {
+        let last = self.apply_run(requester, key, run, suppress_duplicates, ordered, answer);
+        if let Some(clock) = last {
             self.set_ts(requester, clock);
         }
         (result, id)
@@ -241,12 +243,11 @@ impl StoreInstance {
     /// lookup, log record and result, so a duplicate clock inside the run is
     /// emulated against the op before it. Without `suppress_duplicates`
     /// (journal replay) no op consults the log. An `ordered` writer's clocked
-    /// increment at or above the floor is a duplicate iff its counter is at
-    /// or below the writer's mark on the entry, which applying it raises: it
-    /// takes no log record. Nothing here hashes: the maps are probed under
-    /// the hash `key` carries. `TS` is the caller's: the run returns its last
-    /// applied clocked op, and whoever applied the ops around it knows which
-    /// of them came last.
+    /// increment at or above the floor is instead a duplicate iff at or below
+    /// its mark on the entry, which applying it raises. Nothing here hashes:
+    /// the maps are probed under the hash `key` carries. `TS` is the caller's:
+    /// the run returns its last applied clocked op, and whoever applied the
+    /// ops around it knows which of them came last.
     pub(crate) fn apply_run<'o, T>(
         &mut self,
         requester: InstanceId,
@@ -272,7 +273,7 @@ impl StoreInstance {
                     value: Value::None,
                     owner: key.instance,
                     id: self.entries.len() as u32,
-                    marks: None,
+                    marks: 0,
                 });
                 (entry, true)
             }
@@ -300,7 +301,8 @@ impl StoreInstance {
             let marked = replayable.filter(|_| ordered && matches!(op, Operation::Increment(_)));
             let packet = replayable.filter(|_| marked.is_none());
             let packet = packet.map(|c| self.dedup.packet(c));
-            let seen = |c: &Clock| entry.mark(requester) >= Some(c.counter());
+            let mut marks = entry.marks(&self.marks).iter();
+            let seen = |c: &Clock| marks.any(|&(w, m)| w == requester && c.counter() <= m);
             if suppress_duplicates && !created {
                 let prev = match &packet {
                     Some(packet) => packet.find(entry.id, op),
@@ -332,7 +334,7 @@ impl StoreInstance {
             if let Some(packet) = packet {
                 packet.record(entry.id, op, &returned);
             } else if let Some(c) = marked {
-                entry.raise_mark(requester, c.counter());
+                entry.raise_mark(&mut self.marks, requester, c.counter());
             }
             // Subscribers are sent the object. Without one — the common
             // case, one branch — the op copies nothing but its own result.
@@ -453,17 +455,18 @@ impl StoreInstance {
                 entry.owner = Some(to);
                 n += 1;
             }
-            let marks = entry.marks.iter_mut().flat_map(|m| m.iter_mut());
-            marks.filter(|(w, _)| *w == from).for_each(|(w, _)| *w = to);
         }
+        let marks = self.marks.iter_mut().flatten();
+        marks.filter(|(w, _)| *w == from).for_each(|(w, _)| *w = to);
         n
     }
 
     /// Every live increment mark (at or above the floor) as `(key, writer,
     /// counter)`; order is unspecified.
     pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
-        let marks = (self.entries.iter())
-            .flat_map(|(k, e)| e.marks().map(move |&(w, m)| (k.state_key().clone(), w, m)));
+        let marks = (self.entries.iter()).flat_map(|(k, e)| {
+            (e.marks(&self.marks).iter()).map(move |&(w, m)| (k.state_key().clone(), w, m))
+        });
         marks.filter(|m| m.2 >= self.floor).collect()
     }
 
@@ -642,18 +645,15 @@ impl StoreInstance {
         e.u32(names.len() as u32);
         names.iter().for_each(|name| e.str(name));
         e.u8(u8::from(self.failed));
-        // Live increment marks, as `(entry id, writer, counter)`: a trailing
-        // section, written only when there are any.
+        // Live marks as `(entry id, writer, counter)`, a section only if any.
         let live = || {
-            let marks = by_id
-                .iter()
-                .flatten()
-                .flat_map(|(_, e)| e.marks().map(|m| (e.id, m)));
-            marks.filter(|(_, m)| m.1 >= self.floor)
+            let marks = by_id.iter().flatten();
+            let marks = marks.flat_map(|(_, e)| e.marks(&self.marks).iter().map(|m| (e.id, *m)));
+            marks.filter(|m| m.1 .1 >= self.floor)
         };
         if live().next().is_some() {
             e.u32(live().count() as u32);
-            live().for_each(|(id, &(writer, m))| (e.u32(id), e.u32(writer.0), e.u64(m)).2);
+            live().for_each(|(id, (writer, m))| (e.u32(id), e.u32(writer.0), e.u64(m)).2);
         }
     }
 
@@ -706,7 +706,7 @@ impl StoreInstance {
             by_id.sort_unstable_by_key(|e| e.id);
             for _ in 0..d.u32()? {
                 let entry = by_id.get_mut(d.u32()? as usize)?;
-                entry.raise_mark(InstanceId(d.u32()?), d.u64()?);
+                entry.raise_mark(&mut instance.marks, InstanceId(d.u32()?), d.u64()?);
             }
         }
         d.is_exhausted().then_some(instance)
