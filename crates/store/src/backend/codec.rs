@@ -653,10 +653,9 @@ pub(crate) fn decode_record(
             for _ in 0..n {
                 ops.push(d.journaled_op(names)?);
             }
-            let ordered = tag == 7;
             JournalRecord::ApplyBatch {
                 requester,
-                ordered,
+                ordered: tag == 7,
                 ops,
             }
         }

@@ -60,7 +60,7 @@ use crate::wal::TsSnapshot;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One [`Shard`] of a [`StoreServer`] behind its own lock, plus an op
@@ -119,8 +119,9 @@ pub struct StoreServer {
     /// the value publishes no other data, and a shard that reads a stale
     /// (lower) floor merely keeps a few log entries a little longer.
     replay_floor: AtomicU64,
-    /// See [`StoreServer::register_ordered_writer`].
+    /// See [`StoreServer::register_ordered_writer`]; unread until `any_ordered`.
     ordered_writers: RwLock<Vec<InstanceId>>,
+    any_ordered: AtomicBool,
     /// Writes the file shards' staged bytes (`None` in memory).
     persister: Option<Arc<Persister>>,
     /// Keeps the file medium's ephemeral scratch directory alive for the
@@ -176,6 +177,7 @@ impl StoreServer {
             backend_kind: kind,
             replay_floor: AtomicU64::new(0),
             ordered_writers: RwLock::default(),
+            any_ordered: AtomicBool::new(false),
             persister,
             _scratch: scratch,
         })
@@ -337,7 +339,8 @@ impl StoreServer {
         requester: InstanceId,
         ops: &[(StateKey, Operation, Option<Clock>)],
     ) -> Vec<Result<ApplyResult, StoreError>> {
-        let ordered = self.ordered_writers.read().contains(&requester);
+        let ordered = self.any_ordered.load(Ordering::Relaxed)
+            && self.ordered_writers.read().contains(&requester);
         if let ([(key, op, clock)], false) = (ops, ordered) {
             return vec![self.apply(requester, key, op, *clock)];
         }
@@ -453,20 +456,18 @@ impl StoreServer {
         moved
     }
 
-    /// Register `writer` as one that issues each entry's increments in clock
-    /// order: its batched clocked increments are then suppressed by its mark
-    /// on the entry, not a log record each, so its buffer may fold them.
+    /// Register `writer` as issuing each entry's increments in clock order:
+    /// its batched increments are then suppressed by its marks, so may fold.
     pub fn register_ordered_writer(&self, writer: InstanceId) -> bool {
         self.ordered_writers.write().push(writer);
+        self.any_ordered.store(true, Ordering::Relaxed);
         true
     }
 
     /// Every shard's [`StoreInstance::increment_marks`].
     pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
-        let marks = self
-            .shards_at_floor()
-            .map(|s| s.instance().increment_marks());
-        marks.flatten().collect()
+        let marks = |shard: MutexGuard<'_, Shard>| shard.instance().increment_marks();
+        self.shards_at_floor().flat_map(marks).collect()
     }
 
     /// Current owner of a per-flow object, if any.

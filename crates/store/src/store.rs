@@ -301,8 +301,9 @@ impl StoreInstance {
             let marked = replayable.filter(|_| ordered && matches!(op, Operation::Increment(_)));
             let packet = replayable.filter(|_| marked.is_none());
             let packet = packet.map(|c| self.dedup.packet(c));
-            let mut marks = entry.marks(&self.marks).iter();
-            let seen = |c: &Clock| marks.any(|&(w, m)| w == requester && c.counter() <= m);
+            let seen = |c: &Clock| {
+                (entry.marks(&self.marks).iter()).any(|&(w, m)| w == requester && c.counter() <= m)
+            };
             if suppress_duplicates && !created {
                 let prev = match &packet {
                     Some(packet) => packet.find(entry.id, op),
@@ -461,8 +462,7 @@ impl StoreInstance {
         n
     }
 
-    /// Every live increment mark (at or above the floor) as `(key, writer,
-    /// counter)`; order is unspecified.
+    /// Every live increment mark (at or above the floor): key, writer, counter.
     pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
         let marks = (self.entries.iter()).flat_map(|(k, e)| {
             (e.marks(&self.marks).iter()).map(move |&(w, m)| (k.state_key().clone(), w, m))
