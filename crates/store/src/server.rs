@@ -339,7 +339,9 @@ impl StoreServer {
         requester: InstanceId,
         ops: &[(StateKey, Operation, Option<Clock>)],
     ) -> Vec<Result<ApplyResult, StoreError>> {
-        let ordered = self.any_ordered.load(Ordering::Relaxed)
+        // At the top floor nothing is suppressed: no writer's marks matter.
+        let ordered = self.replay_floor.load(Ordering::Relaxed) < u64::MAX
+            && self.any_ordered.load(Ordering::Relaxed)
             && self.ordered_writers.read().contains(&requester);
         if let ([(key, op, clock)], false) = (ops, ordered) {
             return vec![self.apply(requester, key, op, *clock)];
@@ -384,16 +386,20 @@ impl StoreServer {
                     (j, op, *clock)
                 });
                 let instance = shard.instance_mut();
-                instance.apply_run(requester, key, run, true, ordered, |j, entry, r| {
-                    results[j] = r;
-                    // Only a journal names entries: a healthy shard stores no id.
-                    if journaling {
+                // Only a journal names entries: a healthy shard stores no id.
+                if journaling {
+                    instance.apply_run(requester, key, run, true, ordered, |j, entry, r| {
+                        results[j] = r;
                         route[j].set(Route {
                             entry,
                             ..route[j].get()
                         });
-                    }
-                });
+                    });
+                } else {
+                    instance.apply_run(requester, key, run, true, ordered, |j, _, r| {
+                        results[j] = r;
+                    });
+                }
             }
             // `TS` once per shard: the last applied clocked op in
             // submission order, whichever run applied it.
@@ -462,12 +468,6 @@ impl StoreServer {
         self.ordered_writers.write().push(writer);
         self.any_ordered.store(true, Ordering::Relaxed);
         true
-    }
-
-    /// Every shard's [`StoreInstance::increment_marks`].
-    pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
-        let marks = |shard: MutexGuard<'_, Shard>| shard.instance().increment_marks();
-        self.shards_at_floor().flat_map(marks).collect()
     }
 
     /// Current owner of a per-flow object, if any.

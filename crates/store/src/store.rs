@@ -462,14 +462,6 @@ impl StoreInstance {
         n
     }
 
-    /// Every live increment mark (at or above the floor): key, writer, counter.
-    pub fn increment_marks(&self) -> Vec<(StateKey, InstanceId, u64)> {
-        let marks = (self.entries.iter()).flat_map(|(k, e)| {
-            (e.marks(&self.marks).iter()).map(move |&(w, m)| (k.state_key().clone(), w, m))
-        });
-        marks.filter(|m| m.2 >= self.floor).collect()
-    }
-
     /// Make `owner` the owner of `key`'s object, creating it empty if
     /// absent: what a journaled ownership change replays to.
     pub(crate) fn set_owner(&mut self, key: &StateKey, owner: Option<InstanceId>) {
