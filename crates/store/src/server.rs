@@ -464,6 +464,9 @@ impl StoreServer {
 
     /// Register `writer` as issuing each entry's increments in clock order:
     /// its batched increments are then suppressed by its marks, so may fold.
+    /// Always true (the answer `StateHandle::register_ordered_writer` wants).
+    /// `Relaxed` suffices for `any_ordered`: a writer registers on its own
+    /// thread before its first batch, or before its thread is spawned.
     pub fn register_ordered_writer(&self, writer: InstanceId) -> bool {
         self.ordered_writers.write().push(writer);
         self.any_ordered.store(true, Ordering::Relaxed);
