@@ -240,9 +240,9 @@ pub struct StateClient {
     /// its cap. An entry is one op, except in an ordered writer
     /// ([`StateClient::declare_ordered_writer`]), where it may carry several
     /// increments of one key and hot counters drain at the ring-batch
-    /// boundary instead of at the cap. The WAL append and XOR token of an op
-    /// are recorded at buffer time, and each entry's clock keeps the store's
-    /// duplicate suppression (the log, or an ordered writer's marks) exact.
+    /// boundary instead of at the cap, and drain in clock order. The WAL
+    /// append and XOR token of an op are recorded at buffer time, and each
+    /// entry's clock keeps the store's duplicate suppression exact.
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
     /// Buffered entries that force an in-place drain when reached (bounds
     /// both buffer memory and the store-visible staleness window).
@@ -250,6 +250,8 @@ pub struct StateClient {
     /// Whether this is a declared ordered writer, whose buffered increments
     /// fold ([`StateClient::declare_ordered_writer`]).
     ordered: bool,
+    /// The clock of the op an ordered writer buffered last.
+    last_buffered: Option<Clock>,
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
     /// XOR tokens of store updates issued for the current packet (Figure 6).
@@ -296,6 +298,7 @@ impl StateClient {
             write_behind: None,
             write_behind_cap: 0,
             ordered: false,
+            last_buffered: None,
             charge: SimDuration::ZERO,
             packet_tokens: Vec::new(),
             pending_callbacks: Vec::new(),
@@ -349,8 +352,8 @@ impl StateClient {
     /// Declare this instance an ordered writer, which issues each entry's
     /// increments in clock order. If the store registers it (and then
     /// suppresses them by a mark per entry), a buffered `Increment` joins
-    /// its key's newest buffered entry if that is an `Increment`, which takes
-    /// the sum and the newest clock and moves to the back; never across
+    /// its newest buffered entry if an `Increment`, which takes the sum and
+    /// the newest clock where it sits (the drain sorts by clock); never across
     /// another op on the key, a drain or an `i64` overflow. A replacement
     /// declares once its replay is drained (DESIGN.md "How fault mode folds").
     pub fn declare_ordered_writer(&mut self) {
@@ -375,6 +378,16 @@ impl StateClient {
             return 0;
         }
         let mut ops = std::mem::take(buf);
+        if self.ordered {
+            // By clock, ties kept, in place: std's stable sort allocates past 20.
+            for i in 1..ops.len() {
+                let mut j = i;
+                while j > 0 && ops[j - 1].2 > ops[j].2 {
+                    ops.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+        }
         let results = self.store.apply_batch(self.instance, &ops);
         for ((key, _, _), result) in ops.iter().zip(results) {
             match result {
@@ -448,6 +461,7 @@ impl StateClient {
 
     /// Latency accumulated for the current packet; resets the accumulator.
     /// The instance runtime adds this to the packet's processing time.
+    #[inline]
     pub fn take_charge(&mut self) -> SimDuration {
         std::mem::take(&mut self.charge)
     }
@@ -457,6 +471,7 @@ impl StateClient {
     /// list keeps its allocation for the next packet). The runtime folds
     /// them into the packet's commit vector and emits the corresponding
     /// commit signals.
+    #[inline]
     pub fn take_packet_tokens(&mut self) -> Drain<'_, u32> {
         self.packet_tokens.drain(..)
     }
@@ -465,6 +480,7 @@ impl StateClient {
     /// updates (instances other than this one that registered for the changed
     /// objects); the runtime delivers them as messages. Resets the list,
     /// like [`StateClient::take_packet_tokens`].
+    #[inline]
     pub fn take_pending_callbacks(&mut self) -> Drain<'_, (InstanceId, StateKey, Value)> {
         self.pending_callbacks.drain(..)
     }
@@ -651,6 +667,11 @@ impl StateClient {
         op: Operation,
         clock: Clock,
     ) {
+        // The drain sorts an ordered writer's batch by clock, which is exact
+        // while its clocks only rise: an older one (a replay) drains first.
+        if self.ordered && self.last_buffered.replace(clock) > Some(clock) {
+            self.drain_write_behind();
+        }
         if self.fold_increment(i, scope_key, &op, clock) {
             return;
         }
@@ -673,9 +694,9 @@ impl StateClient {
 
     /// Fold `op`, in an ordered writer and if an `Increment`, into the newest
     /// buffered entry of object `i` at `scope_key` if that is an `Increment`
-    /// able to absorb it without overflow; the entry takes `clock` and moves
-    /// to the back. The op's WAL append and XOR token come from the entry's
-    /// key: a folded op builds no key. Returns whether `op` was folded.
+    /// able to absorb it without overflow; the entry takes `clock` where it
+    /// sits, and the drain sorts by clock. Its WAL append and XOR token come
+    /// from the entry's key. Returns whether `op` was folded.
     fn fold_increment(
         &mut self,
         i: usize,
@@ -688,13 +709,13 @@ impl StateClient {
         else {
             return false;
         };
-        // The key `flush_op` would build, matched field by field (every
-        // entry carries this client's vertex).
+        // The key `flush_op` would build, matched field by field: every entry
+        // carries this client's vertex, and its name is its slot's own handle.
         let slot = &self.objects[i];
         let Some(newest) = buf.iter().rposition(|(k, _, _)| {
             k.object.scope_key == scope_key
                 && k.instance == slot.owner
-                && *k.object.name == *slot.prefix.name()
+                && std::ptr::eq(k.object.name.as_ptr(), slot.prefix.name().as_ptr())
         }) else {
             return false;
         };
@@ -709,7 +730,6 @@ impl StateClient {
             self.wal.append(clock, key.clone(), op.clone());
         }
         self.packet_tokens.push(xor_token(self.instance, key));
-        buf[newest..].rotate_left(1);
         true
     }
 
@@ -818,6 +838,7 @@ mod tests {
     use super::*;
     use chc_packet::Scope;
     use chc_store::AccessPattern;
+    use std::sync::Mutex;
 
     fn specs() -> Vec<StateObjectSpec> {
         vec![
@@ -1215,10 +1236,98 @@ mod tests {
         (name.to_string(), op, counter)
     }
 
+    /// What a client hands the store, one batch per drain.
+    type Batches = Arc<Mutex<Vec<Vec<(String, Operation, u64)>>>>;
+
+    /// A store handle that records every batch before applying it, so a
+    /// test can assert on what the store receives, not on the buffer.
+    struct Recording {
+        store: Arc<StoreServer>,
+        batches: Batches,
+    }
+
+    impl StateHandle for Recording {
+        fn apply(
+            &self,
+            requester: InstanceId,
+            key: &StateKey,
+            op: &Operation,
+            clock: Option<Clock>,
+        ) -> Result<ApplyResult, StoreError> {
+            StateHandle::apply(&self.store, requester, key, op, clock)
+        }
+        fn apply_batch(
+            &self,
+            requester: InstanceId,
+            ops: &[(StateKey, Operation, Option<Clock>)],
+        ) -> Vec<Result<ApplyResult, StoreError>> {
+            let batch = ops.iter().map(|(k, op, clock)| {
+                let counter = clock.unwrap().counter();
+                (k.object.name.to_string(), op.clone(), counter)
+            });
+            self.batches.lock().unwrap().push(batch.collect());
+            StateHandle::apply_batch(&self.store, requester, ops)
+        }
+        fn register_callback(&self, key: &StateKey, instance: InstanceId) {
+            self.store.register_callback(key, instance);
+        }
+        fn release_ownership(
+            &self,
+            key: &StateKey,
+            instance: InstanceId,
+        ) -> Result<(), StoreError> {
+            self.store.release_ownership(key, instance)
+        }
+        fn acquire_ownership(
+            &self,
+            key: &StateKey,
+            instance: InstanceId,
+        ) -> Result<(), StoreError> {
+            self.store.acquire_ownership(key, instance)
+        }
+        fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
+            self.store.owner_of(key)
+        }
+        fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
+            self.store.nondet(clock, slot, candidate)
+        }
+        fn ts_snapshot(&self) -> TsSnapshot {
+            self.store.ts_snapshot()
+        }
+        fn is_failed(&self) -> bool {
+            self.store.is_failed()
+        }
+        fn register_ordered_writer(&self, writer: InstanceId) -> bool {
+            self.store.register_ordered_writer(writer)
+        }
+    }
+
+    /// A folding client over `store` whose batches are recorded.
+    fn recorded(store: &Arc<StoreServer>) -> (StateClient, Batches) {
+        let batches = Batches::default();
+        let handle = Recording {
+            store: Arc::clone(store),
+            batches: Arc::clone(&batches),
+        };
+        let mode = ExternalizationMode::ExternalizedCachedNonBlocking;
+        let specs = specs();
+        let mut c = StateClient::new(
+            VertexId(1),
+            InstanceId(0),
+            Box::new(handle),
+            mode,
+            CostModel::default(),
+            &specs,
+        );
+        c.set_write_behind(true, 64);
+        c.declare_ordered_writer();
+        (c, batches)
+    }
+
     #[test]
-    fn increments_fold_into_the_newest_entry_which_moves_to_the_back() {
+    fn increments_fold_where_they_sit_and_drain_in_clock_order() {
         let store = SharedStore::new();
-        let mut c = folding(&store, 64);
+        let (mut c, batches) = recorded(&store);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.update("port_map", None, Operation::Set(Value::Int(7)), clock(2));
         c.update("pkt_count", None, Operation::Increment(2), clock(3));
@@ -1226,16 +1335,47 @@ mod tests {
         // object logs none), and the drain leaves the sum.
         assert_eq!(c.take_packet_tokens().len(), 3);
         assert_eq!(c.wal().len(), 2);
+        assert_eq!(c.drain_write_behind(), 2);
+        // The folded entry stayed at the front; the store gets it last.
         assert_eq!(
-            buffered(&c),
-            vec![
+            *batches.lock().unwrap(),
+            [vec![
                 entry("port_map", Operation::Set(Value::Int(7)), 2),
                 entry("pkt_count", Operation::Increment(3), 3),
-            ]
+            ]]
         );
-        assert_eq!(c.drain_write_behind(), 2);
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(3));
         assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(clock(3)));
+    }
+
+    #[test]
+    fn a_fold_at_the_front_of_three_keys_drains_last() {
+        let store = SharedStore::new();
+        let (mut c, batches) = recorded(&store);
+        let sk = Some(ScopeKey::Port(3));
+        c.update("pkt_count", None, Operation::Increment(1), clock(1));
+        c.update("likelihood", None, Operation::Increment(10), clock(2));
+        c.update("port_map", sk, Operation::Set(Value::Int(5)), clock(3));
+        c.update("pkt_count", None, Operation::Increment(2), clock(4));
+        c.update("likelihood", None, Operation::Increment(20), clock(5));
+        // One packet's two ops share a clock: their entries keep buffer order.
+        c.update("port_map", sk, Operation::Increment(1), clock(6));
+        c.update("pkt_count", None, Operation::Increment(4), clock(6));
+        assert_eq!(c.drain_write_behind(), 4);
+        assert_eq!(
+            *batches.lock().unwrap(),
+            [vec![
+                entry("port_map", Operation::Set(Value::Int(5)), 3),
+                entry("likelihood", Operation::Increment(30), 5),
+                entry("pkt_count", Operation::Increment(7), 6),
+                entry("port_map", Operation::Increment(1), 6),
+            ]]
+        );
+        let value = |name, sk| store.peek(&c.state_key(name, sk));
+        assert_eq!(value("pkt_count", None), Value::Int(7));
+        assert_eq!(value("likelihood", None), Value::Int(30));
+        assert_eq!(value("port_map", sk), Value::Int(6));
+        assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(clock(6)));
     }
 
     #[test]

@@ -198,9 +198,9 @@ fn a_mark_raising_folded_increment_allocates_nothing() {
 #[test]
 fn a_folded_increment_allocates_nothing() {
     // The engine's clients fold a key's buffered increments when the floor
-    // is at the top: finding the key's newest entry, summing into it and
-    // moving it to the back reuse the buffer, and the key built for the op
-    // is dropped, not kept.
+    // is at the top: finding the key's newest entry and summing into it
+    // where it sits reuse the buffer, and the key built for the op is
+    // dropped, not kept.
     let store = SharedStore::new();
     store.forget_through(u64::MAX);
     let mut client = client(Box::new(store));
@@ -218,6 +218,45 @@ fn a_folded_increment_allocates_nothing() {
     // 32 increments in 17 entries: the counter's 16 folded into one, and
     // one per flow.
     assert_eq!(client.write_behind_depth(), 1 + FLOWS as usize);
+}
+
+#[test]
+fn an_out_of_order_drain_costs_its_result_vector_only() {
+    // An ordered writer's folds stay where they sit, and its drain puts the
+    // batch in clock order in place. 26 counters incremented in one order
+    // and then in the reverse one leave 26 entries in falling clock order:
+    // past 20 entries std's stable sort would take scratch space.
+    const COUNTERS: u64 = 26;
+    let store = SharedStore::new();
+    store.forget_through(u64::MAX);
+    let mut client = client(Box::new(Arc::clone(&store)));
+    client.declare_ordered_writer();
+    let port = |p: u64| Some(ScopeKey::Port(p as u16));
+    let round = |client: &mut StateClient, first: u64| {
+        let ascending = (0..COUNTERS).zip(first..);
+        let descending = (0..COUNTERS).rev().zip(first + COUNTERS..);
+        for (p, counter) in ascending.chain(descending) {
+            client.update(
+                "pkt_count",
+                port(p),
+                Operation::Increment(1),
+                Clock(counter),
+            );
+        }
+        let _ = client.take_packet_tokens();
+        assert_eq!(client.drain_write_behind(), COUNTERS as usize);
+    };
+    // Warm-up: every counter's entry in the store, the lists at capacity.
+    round(&mut client, 1);
+    let allocated = allocations_in(|| round(&mut client, 1_000));
+    assert_eq!(allocated, 1, "an out-of-order drain touched the allocator");
+    // `TS` names the newest clock, which only a sorted batch ends on.
+    let newest = Clock(1_000 + 2 * COUNTERS - 1);
+    assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(newest));
+    for p in 0..COUNTERS {
+        let value = store.peek(&client.state_key("pkt_count", port(p)));
+        assert_eq!(value, Value::Int(4));
+    }
 }
 
 /// [`packet`]'s client traffic as an NF, which forwards every packet.

@@ -53,16 +53,17 @@ use chc_core::{
 };
 use chc_packet::{FlowKey, Scope, ScopeKey};
 use chc_store::ops::apply_operation;
+use chc_store::store::ApplyResult;
 use chc_store::{
-    AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StateScope, StoreServer,
-    Value, VertexId,
+    AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StateScope, StoreError,
+    StoreServer, TsSnapshot, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const VERTEX: VertexId = VertexId(1);
 const INSTANCE: InstanceId = InstanceId(0);
@@ -404,6 +405,105 @@ impl Model {
     }
 }
 
+/// What a client submitted to its store, one `apply_batch` each.
+type Batches = Arc<Mutex<Vec<Vec<(StateKey, Operation, Option<Clock>)>>>>;
+
+/// A store handle that records every batch before applying it.
+struct Recording {
+    store: Arc<StoreServer>,
+    batches: Batches,
+}
+
+impl StateHandle for Recording {
+    fn apply(
+        &self,
+        requester: InstanceId,
+        key: &StateKey,
+        op: &Operation,
+        clock: Option<Clock>,
+    ) -> Result<ApplyResult, StoreError> {
+        StateHandle::apply(&self.store, requester, key, op, clock)
+    }
+    fn apply_batch(
+        &self,
+        requester: InstanceId,
+        ops: &[(StateKey, Operation, Option<Clock>)],
+    ) -> Vec<Result<ApplyResult, StoreError>> {
+        self.batches.lock().unwrap().push(ops.to_vec());
+        StateHandle::apply_batch(&self.store, requester, ops)
+    }
+    fn register_callback(&self, key: &StateKey, instance: InstanceId) {
+        self.store.register_callback(key, instance);
+    }
+    fn release_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
+        self.store.release_ownership(key, instance)
+    }
+    fn acquire_ownership(&self, key: &StateKey, instance: InstanceId) -> Result<(), StoreError> {
+        self.store.acquire_ownership(key, instance)
+    }
+    fn owner_of(&self, key: &StateKey) -> Option<InstanceId> {
+        self.store.owner_of(key)
+    }
+    fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
+        self.store.nondet(clock, slot, candidate)
+    }
+    fn ts_snapshot(&self) -> TsSnapshot {
+        self.store.ts_snapshot()
+    }
+    fn is_failed(&self) -> bool {
+        self.store.is_failed()
+    }
+    fn register_ordered_writer(&self, writer: InstanceId) -> bool {
+        self.store.register_ordered_writer(writer)
+    }
+}
+
+/// Each key's submitted ops in submission order, over a run of batches.
+fn per_key(batches: Vec<Vec<(StateKey, Operation, Option<Clock>)>>) -> Vec<PerKey> {
+    let mut keys: Vec<PerKey> = Vec::new();
+    for (key, op, clock) in batches.into_iter().flatten() {
+        let at = keys.iter().position(|(k, _)| *k == key);
+        let at = at.unwrap_or_else(|| {
+            keys.push((key, Vec::new()));
+            keys.len() - 1
+        });
+        keys[at].1.push((op, clock));
+    }
+    keys
+}
+
+/// One key's ops, each with its clock.
+type PerKey = (StateKey, Vec<(Operation, Option<Clock>)>);
+
+/// Is `folded` the per-op sequence `per_op` with runs of increments summed
+/// into one entry each, which carries the clock of the run's last?
+fn folds_from(
+    per_op: &[(Operation, Option<Clock>)],
+    folded: &[(Operation, Option<Clock>)],
+) -> bool {
+    let mut ops = per_op.iter();
+    let all_match = folded.iter().all(|(op, clock)| match op {
+        // The schedule draws positive increments, so a run's partial sums
+        // rise and meet the folded sum at most once.
+        Operation::Increment(sum) => {
+            let mut so_far = 0;
+            loop {
+                match ops.next() {
+                    Some((Operation::Increment(delta), at)) => {
+                        so_far += delta;
+                        if so_far >= *sum {
+                            break so_far == *sum && at == clock;
+                        }
+                    }
+                    _ => break false,
+                }
+            }
+        }
+        _ => ops.next() == Some(&(op.clone(), *clock)),
+    });
+    all_match && ops.next().is_none()
+}
+
 /// Two clients over one schedule, `[per-op, folded]`, each buffering with
 /// the same cap on its own one-shard store with the floor at the top: the
 /// store the engine folds against. One shard is the strictest place for
@@ -413,15 +513,23 @@ struct FoldArm {
     stores: [Arc<StoreServer>; 2],
     /// Per client, the last value each subscriber was sent for each key.
     notified: [HashMap<(InstanceId, String), Value>; 2],
+    /// Per client, the batches it submitted since both buffers were last
+    /// empty.
+    batches: [Batches; 2],
 }
 
 impl FoldArm {
     fn new(mode: ExternalizationMode, cap: usize, watched: &StateKey) -> FoldArm {
         let stores = [SharedStore::new(), SharedStore::new()];
-        let mut clients = stores.each_ref().map(|store| {
+        let batches = [Batches::default(), Batches::default()];
+        let mut clients = [0, 1].map(|i| {
+            let store = &stores[i];
             store.forget_through(u64::MAX);
             store.register_callback(watched, WATCHER);
-            let handle = Box::new(Arc::clone(store));
+            let handle = Box::new(Recording {
+                store: Arc::clone(store),
+                batches: Arc::clone(&batches[i]),
+            });
             let mut client = StateClient::new(
                 VERTEX,
                 INSTANCE,
@@ -438,6 +546,7 @@ impl FoldArm {
             clients,
             stores,
             notified: Default::default(),
+            batches,
         }
     }
 
@@ -488,6 +597,29 @@ impl FoldArm {
         assert_eq!(wal(per_op), wal(folded), "fold arm WAL: {context}");
         if per_op.write_behind_depth() + folded.write_behind_depth() > 0 {
             return;
+        }
+        // Every op issued so far has reached both stores: the folding
+        // client's batches each in clock order, and its ops on each key
+        // the per-op client's, with runs of increments summed.
+        let [per_op, folded] = self
+            .batches
+            .each_ref()
+            .map(|b| std::mem::take(&mut *b.lock().unwrap()));
+        for batch in &folded {
+            let clocks: Vec<Option<Clock>> = batch.iter().map(|(_, _, c)| *c).collect();
+            assert!(
+                clocks.is_sorted(),
+                "fold arm batch out of clock order {clocks:?}: {context}"
+            );
+        }
+        let (per_op, folded) = (per_key(per_op), per_key(folded));
+        assert_eq!(per_op.len(), folded.len(), "fold arm keys: {context}");
+        for (key, ops) in &per_op {
+            let of_key = folded.iter().find(|(k, _)| k == key).map(|(_, f)| f);
+            assert!(
+                of_key.is_some_and(|f| folds_from(ops, f)),
+                "fold arm {key}: {ops:?} vs {of_key:?}: {context}"
+            );
         }
         let [a, b] = &self.stores;
         assert_eq!(contents(a), contents(b), "fold arm dump: {context}");
@@ -673,7 +805,8 @@ proptest! {
         let (mut name, mut scope_key) = (NAMES[0], None);
         let mut recent = VecDeque::new();
         for step in 1..=steps {
-            let clock = Clock::with_root(0, step);
+            // Even, so that a step may issue a second packet right after it.
+            let clock = Clock::with_root(0, 2 * step);
             // Half the steps stay on the previous step's object, so runs of
             // operations on one copy (fill, pop, pop) are common.
             if rng.gen_bool(0.5) {
@@ -681,7 +814,7 @@ proptest! {
                 scope_key = scope_keys()[rng.gen_range(0..8usize)];
             }
             let context = format!("{mode:?} wb {write_behind:?} step {step} {name} {scope_key:?}");
-            match rng.gen_range(0..26u32) {
+            match rng.gen_range(0..28u32) {
                 0..=7 => {
                     let got = client.read(name, scope_key, clock);
                     prop_assert_eq!(got, model.read(name, scope_key, clock), "read {}", context);
@@ -707,6 +840,23 @@ proptest! {
                         let want = model.update(name, scope_key, op.clone(), clock);
                         prop_assert_eq!(got, want, "replayed {:?} at {} {}", op, clock, context);
                         arm.both(&context, |c| c.update(name, scope_key, op.clone(), clock));
+                    }
+                }
+                26 | 27 => {
+                    // Two packets of increments to the same few counters, as
+                    // the NAT and the load balancer issue them: the second
+                    // packet's folds land inside the buffer, not at its back.
+                    let counters: Vec<_> = (0..3)
+                        .map(|_| (NAMES[rng.gen_range(0..3usize)], scope_keys()[rng.gen_range(0..3usize)]))
+                        .collect();
+                    for clock in [clock, Clock(clock.counter() + 1)] {
+                        for &(name, scope_key) in &counters {
+                            let op = Operation::Increment(rng.gen_range(1..4));
+                            let got = client.update(name, scope_key, op.clone(), clock);
+                            let want = model.update(name, scope_key, op.clone(), clock);
+                            prop_assert_eq!(got, want, "packet {:?} {} {}", op, clock, context);
+                            arm.both(&context, |c| c.update(name, scope_key, op.clone(), clock));
+                        }
                     }
                 }
                 18 => {

@@ -95,9 +95,9 @@ pub struct RuntimeConfig {
     /// batches amortize queue and store-client overhead at the cost of
     /// per-packet latency (§7's hardware runs batch at the NIC; here the
     /// batch rides the SPSC rings). It is also the write-behind buffer's
-    /// cap, in entries: one per op in fault mode, one per run of a
-    /// counter's increments in a healthy run, where they fold. Varied by
-    /// `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must agree).
+    /// cap, in entries: one per op, or in an ordered writer one per run of a
+    /// counter's increments, which fold. Varied by `failover.rs` and
+    /// `engine_smoke.rs` (1 / 8 / 64 must agree).
     pub batch_size: usize,
     /// Capacity of each inter-instance ring, in packets (rounded up to a
     /// power of two, and never under two batches). Bounds memory and

@@ -61,7 +61,7 @@ pub(crate) struct VertexStageMetrics {
     /// its service span, usually 0) and one per write-behind drain that ran
     /// outside such a span.
     pub(crate) store_ns: StreamingHistogram,
-    /// Entries per write-behind drain (ops, unless a healthy run folds a
+    /// Entries per write-behind drain (ops, unless an ordered writer folds a
     /// counter's increments into one), recorded where every drain passes
     /// ([`TimedHandle::apply_batch`]); empty when write-behind is off.
     pub(crate) flush_depth: StreamingHistogram,
@@ -704,7 +704,7 @@ pub struct StageReport {
     pub store: HistSummary,
     /// Entries per write-behind drain at this stage, every drain counted
     /// (zero-count when the store fast path was off). An entry is one op,
-    /// or in a run without a fault plan one counter's folded increments.
+    /// or in an ordered writer one counter's folded increments.
     pub flush_depth: HistSummary,
 }
 
