@@ -234,7 +234,6 @@ fn client_access(c: &mut Criterion) {
             AccessPattern::ReadWriteOften,
         )],
     );
-    client.set_recovery_logging(false);
     client.set_write_behind(true, 32);
     let packet_done = |client: &mut StateClient| {
         let _ = client.take_charge();
@@ -439,7 +438,6 @@ fn client_access(c: &mut Criterion) {
             CostModel::default(),
             &objects,
         );
-        client.set_recovery_logging(false);
         client.set_write_behind(true, 32);
         if fold {
             client.declare_ordered_writer();
@@ -534,7 +532,6 @@ fn pool_pop(c: &mut Criterion) {
             AccessPattern::ReadWriteOften,
         )],
     );
-    client.set_recovery_logging(false);
     client.set_write_behind(true, 32);
     client.update("free_ports", None, Operation::Set(pool()), clock());
     group.bench_function("state_client", |b| {

@@ -264,7 +264,7 @@ impl ChainController {
         self.next_instance += 1;
         let nf = spec.build_nf();
         let objects = nf.state_objects();
-        let client = StateClient::new(
+        let mut client = StateClient::new(
             spec.id,
             instance,
             Box::new(Arc::clone(&self.store)),
@@ -272,6 +272,8 @@ impl ChainController {
             self.config.costs,
             &objects,
         );
+        // `recover_store` rebuilds the store from these logs (Figure 7).
+        client.set_recovery_logging(true);
         let params = InstanceParams {
             vertex: spec.id,
             instance,

@@ -14,10 +14,14 @@
 //! * **blocking** reads always cost a round trip.
 //!
 //! The client also maintains the metadata CHC needs for correctness: the
+//! XOR tokens of updates issued for the in-flight packet (Figure 6), the
+//! accumulated virtual-time charge that the instance runtime adds to the
+//! packet's processing latency and, where a store recovery reads them, the
 //! write-ahead log of shared-state updates and the read log of `(value, TS)`
-//! pairs used for datastore recovery (§5.4), the XOR tokens of updates issued
-//! for the in-flight packet (Figure 6), and the accumulated virtual-time
-//! charge that the instance runtime adds to the packet's processing latency.
+//! pairs (§5.4). Those two logs grow with the packet count and have one
+//! reader, the simulator's [`crate::ChainController::recover_store`]
+//! (Figure 7), so they are off unless its clients switch them on
+//! ([`StateClient::set_recovery_logging`]).
 
 use crate::cache::CacheStrategy;
 use crate::config::{CostModel, ExternalizationMode};
@@ -230,9 +234,10 @@ pub struct StateClient {
     wal: WriteAheadLog,
     /// Read log of shared-state reads with their `TS` snapshots.
     read_log: Vec<ReadLogEntry>,
-    /// Whether the WAL / read log are recorded. On by default; the
-    /// real-thread runtime disables it for long throughput runs that never
-    /// exercise store recovery, since both logs grow with the packet count.
+    /// Whether the WAL / read log are recorded. Off by default: both logs
+    /// grow with the packet count, and only a store recovery reads them
+    /// (the simulator's `ChainController::recover_store`, whose clients
+    /// switch them on).
     recovery_logging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
@@ -294,7 +299,7 @@ impl StateClient {
             callbacks_registered: HashSet::new(),
             wal: WriteAheadLog::new(),
             read_log: Vec::new(),
-            recovery_logging: true,
+            recovery_logging: false,
             write_behind: None,
             write_behind_cap: 0,
             ordered: false,
@@ -322,10 +327,10 @@ impl StateClient {
     }
 
     /// Enable or disable the client-side recovery logs (WAL + read log).
-    /// They are required for datastore recovery (§5.4) and enabled by
-    /// default; substrates that never recover a store (e.g. pure throughput
-    /// benchmarks on the real-thread runtime) switch them off so memory does
-    /// not grow with the packet count.
+    /// Off by default, since both grow with the packet count. Their one
+    /// reader is datastore recovery (§5.4): the simulator's
+    /// [`crate::ChainController::recover_store`] collects them (Figure 7),
+    /// and its clients are the only ones that switch them on.
     pub fn set_recovery_logging(&mut self, enabled: bool) {
         self.recovery_logging = enabled;
     }
@@ -1023,6 +1028,7 @@ mod tests {
     fn wal_and_read_log_cover_shared_objects_only() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::Externalized, &store);
+        c.set_recovery_logging(true);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.read("pkt_count", None, clock(2));
         let sk = Some(ScopeKey::Port(99));
@@ -1155,6 +1161,7 @@ mod tests {
     fn write_behind_buffers_flushes_until_drained() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        c.set_recovery_logging(true);
         c.set_write_behind(true, 64);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.update("pkt_count", None, Operation::Increment(1), clock(2));
@@ -1319,6 +1326,7 @@ mod tests {
             CostModel::default(),
             &specs,
         );
+        c.set_recovery_logging(true);
         c.set_write_behind(true, 64);
         c.declare_ordered_writer();
         (c, batches)

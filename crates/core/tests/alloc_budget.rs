@@ -103,7 +103,6 @@ fn objects() -> Vec<StateObjectSpec> {
 
 /// Configured like the engine's instance clients.
 fn configure(client: &mut StateClient) {
-    client.set_recovery_logging(false);
     client.set_write_behind(true, 64);
 }
 

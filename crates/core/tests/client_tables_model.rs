@@ -538,6 +538,7 @@ impl FoldArm {
                 CostModel::default(),
                 &specs(),
             );
+            client.set_recovery_logging(true);
             client.set_write_behind(true, cap);
             client
         });
@@ -792,6 +793,7 @@ proptest! {
             CostModel::default(),
             &specs(),
         );
+        client.set_recovery_logging(true);
         if let Some(cap) = write_behind {
             client.set_write_behind(true, cap);
         }

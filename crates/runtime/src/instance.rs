@@ -158,9 +158,6 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
         shared.config.costs,
         &plan.objects,
     );
-    // Client-side WAL / read logs serve a store recovery drill the engine
-    // never runs, and they grow with the packet count.
-    client.set_recovery_logging(false);
     if shared.write_behind {
         // Capped at the ring batch: the buffer drains exactly at batch
         // boundaries unless an op-heavy batch overflows it first.
