@@ -345,8 +345,8 @@ fn client_access(c: &mut Criterion) {
         ),
     ] {
         let server = StoreServer::with_backend(4, journal.unwrap_or(BackendKind::Memory));
-        if floor == Floor::Top {
-            server.forget_through(u64::MAX);
+        if floor != Floor::Top {
+            server.track_replays();
         }
         if journal.is_some() {
             for s in 0..server.shard_count() {
@@ -417,7 +417,6 @@ fn client_access(c: &mut Criterion) {
         ("buffer_drain_x32_lb_bytes_folded", Drain::LbBytes, true),
     ] {
         let server = StoreServer::with_backend(4, BackendKind::Memory);
-        server.forget_through(u64::MAX);
         let two_counters = matches!(shape, Drain::TwoCounters);
         let declare = |name, scope| {
             StateObjectSpec::cross_flow(name, scope, AccessPattern::WriteMostlyReadRarely)
@@ -501,7 +500,6 @@ fn pool_pop(c: &mut Criterion) {
     });
 
     let server = StoreServer::with_backend(4, BackendKind::Memory);
-    server.forget_through(u64::MAX);
     server
         .apply(who, &key, &Operation::Set(pool()), None)
         .unwrap();
@@ -519,7 +517,6 @@ fn pool_pop(c: &mut Criterion) {
     // and this instance's alone, so the client holds a copy of it. The push
     // is buffered and the next pop drains it ahead of itself.
     let server = StoreServer::with_backend(4, BackendKind::Memory);
-    server.forget_through(u64::MAX);
     let mut client = StateClient::new(
         VertexId(2),
         who,
@@ -557,8 +554,11 @@ fn checkpoint(c: &mut Criterion) {
     // The same image once per medium: the difference between the two
     // checkpoints is what a file costs.
     let mut instance = StoreInstance::new();
-    let media = [BackendKind::Memory, BackendKind::AppendOnly]
-        .map(|kind| StoreServer::with_backend(1, kind));
+    let media = [BackendKind::Memory, BackendKind::AppendOnly].map(|kind| {
+        let server = StoreServer::with_backend(1, kind);
+        server.track_replays();
+        server
+    });
     for n in 0..4_096 {
         let (k, op) = (key(n % 1_024), Operation::Increment(64));
         let clock = Some(Clock::with_root(0, n as u64 + 1));

@@ -193,7 +193,10 @@ impl ChainController {
         dag.topo_order()?;
         let mut sim: Simulation<Msg> = Simulation::new(seed);
         sim.set_default_link(LinkConfig::with_latency(config.costs.inter_nf_link));
+        // Failover, straggler clones and Figure 7 re-issue clocks.
         let store = SharedStore::new();
+        let declared = store.track_replays();
+        assert!(declared, "a fresh store takes the replay declaration");
         let partition = Rc::new(RefCell::new(PartitionTable::new()));
         let topology = Rc::new(RefCell::new(Topology::default()));
 
@@ -272,7 +275,8 @@ impl ChainController {
             self.config.costs,
             &objects,
         );
-        // `recover_store` rebuilds the store from these logs (Figure 7).
+        // `recover_store` rebuilds the store from these logs (Figure 7), and
+        // the actor folds the tokens into the commit vector (Figure 6).
         client.set_recovery_logging(true);
         let params = InstanceParams {
             vertex: spec.id,
@@ -575,9 +579,17 @@ impl ChainController {
     }
 
     /// Take a datastore checkpoint (used before `fail_store`/`recover_store`):
-    /// the shard's image.
+    /// the shard's image. Each client's recovery logs are cut at it (through
+    /// the image's `TS` for its instance), so they hold the updates and reads
+    /// since the latest checkpoint, not since the start.
     pub fn checkpoint_store(&mut self) {
         self.last_checkpoint = self.store.shard_image(0);
+        let ts = self.store.ts_snapshot();
+        for (_, instance, actor) in self.topology.borrow().all_instances() {
+            if let Some(a) = self.sim.actor_mut::<NfInstanceActor>(actor) {
+                a.client.truncate_recovery_logs(ts.clock_of(instance));
+            }
+        }
     }
 
     /// Kill the datastore instance (fail-stop): its state is lost and all
@@ -588,8 +600,9 @@ impl ChainController {
 
     /// Recover the datastore: shared state is rebuilt from the latest
     /// checkpoint image plus the instances' write-ahead/read logs (Figure 7),
-    /// and per-flow state is re-installed from the instances' caches. Returns
-    /// the recovery report (the replayed-operation count drives Figure 14).
+    /// per-flow state is re-installed from the instances' caches, and the
+    /// root persists its clock again. Returns the recovery report (the
+    /// replayed-operation count drives Figure 14).
     pub fn recover_store(&mut self) -> RecoveryReport {
         let mut wals = HashMap::new();
         let mut read_logs = HashMap::new();
@@ -612,6 +625,9 @@ impl ChainController {
             report.per_flow_restored += 1;
         }
         self.store.install_shard(0, recovered);
+        if let Some(root) = self.sim.actor::<RootActor>(self.handles.root) {
+            root.persist_clock_again();
+        }
         report
     }
 }

@@ -62,11 +62,10 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InlineChain<N> {
     /// Stages in topological order under `config`'s mode and costs, over a
     /// datastore of their own; stage `i` runs as instance `i`. Nothing here
     /// is ever replayed or recovered, so the store keeps no duplicate-
-    /// suppression log and the clients keep no recovery logs (their
-    /// default): no client or store structure grows with the trace.
+    /// suppression log and the clients keep no recovery logs (both their
+    /// defaults): no client or store structure grows with the trace.
     fn build(specs: impl Iterator<Item = Spec<N>>, config: &ChainConfig) -> InlineChain<N> {
         let (store, mut stages) = (SharedStore::new(), Vec::new());
-        store.forget_through(u64::MAX);
         for (i, (vertex, nf, off_path, exit, downstream)) in specs.enumerate() {
             let (handle, objects) = (Box::new(Arc::clone(&store)), nf.state_objects());
             let (mode, costs, instance) = (config.mode, config.costs, InstanceId(i as u32));

@@ -143,7 +143,8 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
         self.charge
     }
 
-    /// The XOR tokens of the store updates the last packet issued.
+    /// The XOR tokens of the store updates the last packet issued: empty
+    /// unless its client records them (`StateClient::set_recovery_logging`).
     pub fn tokens(&self) -> &[u32] {
         &self.tokens
     }
@@ -216,15 +217,18 @@ mod tests {
         }
     }
 
+    /// A client that records its update tokens, as the simulator's do.
     fn client() -> StateClient {
-        StateClient::new(
+        let mut client = StateClient::new(
             VertexId(1),
             InstanceId(0),
             Box::new(SharedStore::new()),
             ExternalizationMode::Externalized,
             CostModel::default(),
             &Counter.state_objects(),
-        )
+        );
+        client.set_recovery_logging(true);
+        client
     }
 
     fn packet(counter: u64, len: u32) -> TaggedPacket {

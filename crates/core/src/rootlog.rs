@@ -47,6 +47,11 @@ struct Page {
 }
 
 impl Page {
+    /// An empty page, out of line: the 24 KiB value it may build on the
+    /// stack before moving it into its box is then reserved by a page's
+    /// first insert alone, not by every insert's frame.
+    #[cold]
+    #[inline(never)]
     fn new() -> Box<Page> {
         Box::new(Page {
             held: 0,

@@ -14,13 +14,15 @@
 //! * **blocking** reads always cost a round trip.
 //!
 //! The client also maintains the metadata CHC needs for correctness: the
-//! XOR tokens of updates issued for the in-flight packet (Figure 6), the
 //! accumulated virtual-time charge that the instance runtime adds to the
-//! packet's processing latency and, where a store recovery reads them, the
-//! write-ahead log of shared-state updates and the read log of `(value, TS)`
-//! pairs (§5.4). Those two logs grow with the packet count and have one
-//! reader, the simulator's [`crate::ChainController::recover_store`]
-//! (Figure 7), so they are off unless its clients switch them on
+//! packet's processing latency and, where a reader is, the XOR tokens of
+//! updates issued for the in-flight packet (Figure 6), the write-ahead log
+//! of shared-state updates and the read log of `(value, TS)` pairs (§5.4).
+//! The two logs grow with the packet count and have one reader, the
+//! simulator's [`crate::ChainController::recover_store`] (Figure 7); the
+//! tokens' one reader is the simulator's instance actor, which folds them
+//! into the packet's commit vector. So all three are off unless the
+//! simulator's clients switch them on, with one switch
 //! ([`StateClient::set_recovery_logging`]).
 
 use crate::cache::CacheStrategy;
@@ -234,10 +236,11 @@ pub struct StateClient {
     wal: WriteAheadLog,
     /// Read log of shared-state reads with their `TS` snapshots.
     read_log: Vec<ReadLogEntry>,
-    /// Whether the WAL / read log are recorded. Off by default: both logs
-    /// grow with the packet count, and only a store recovery reads them
-    /// (the simulator's `ChainController::recover_store`, whose clients
-    /// switch them on).
+    /// Whether the WAL / read log and the XOR tokens are recorded. Off by
+    /// default: both logs grow with the packet count, and only the
+    /// simulator reads any of the three (`ChainController::recover_store`
+    /// the logs, its instance actor the tokens), whose clients switch them
+    /// on.
     recovery_logging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
@@ -326,13 +329,32 @@ impl StateClient {
         &self.wal
     }
 
-    /// Enable or disable the client-side recovery logs (WAL + read log).
-    /// Off by default, since both grow with the packet count. Their one
-    /// reader is datastore recovery (§5.4): the simulator's
-    /// [`crate::ChainController::recover_store`] collects them (Figure 7),
-    /// and its clients are the only ones that switch them on.
+    /// Enable or disable the client-side recovery logs (WAL + read log)
+    /// and the XOR tokens of a packet's store updates
+    /// ([`StateClient::take_packet_tokens`]). Off by default, since both
+    /// logs grow with the packet count and every op would pay for a token.
+    /// Their one reader is the simulator: datastore recovery (§5.4,
+    /// [`crate::ChainController::recover_store`], Figure 7) collects the
+    /// logs, and its instance actor folds the tokens into the packet's
+    /// commit vector (Figure 6). Its clients are the only ones that switch
+    /// them on; the engine folds one delete token per logged packet
+    /// instead.
     pub fn set_recovery_logging(&mut self, enabled: bool) {
         self.recovery_logging = enabled;
+    }
+
+    /// Drop from the recovery logs what a store checkpoint just taken made
+    /// unnecessary: the updates at or below `through`, the image's `TS` for
+    /// this instance (none if it holds none), from which recovery rolls the
+    /// image forward; and every read, each answered before the image was
+    /// taken and so no newer than it. A read kept would stay a candidate
+    /// for Figure 7's selection, whose roll-forward from its older `TS`
+    /// needs the updates cut here.
+    pub fn truncate_recovery_logs(&mut self, through: Option<Clock>) {
+        if let Some(through) = through {
+            self.wal.truncate_through(through);
+        }
+        self.read_log.clear();
     }
 
     /// Enable or disable write-behind coalescing of non-blocking flushes.
@@ -471,7 +493,8 @@ impl StateClient {
         std::mem::take(&mut self.charge)
     }
 
-    /// XOR tokens of updates issued to the store for the current packet;
+    /// XOR tokens of updates issued to the store for the current packet,
+    /// empty unless [`StateClient::set_recovery_logging`] switched them on;
     /// resets the list (dropping the returned iterator empties it, and the
     /// list keeps its allocation for the next packet). The runtime folds
     /// them into the packet's commit vector and emits the corresponding
@@ -624,7 +647,9 @@ impl StateClient {
             Err(_) => return Value::None,
         };
         self.queue_callbacks(&key, &result);
-        self.packet_tokens.push(xor_token(self.instance, &key));
+        if self.recovery_logging {
+            self.packet_tokens.push(xor_token(self.instance, &key));
+        }
         // The store returned the op's result, not the object: a local copy
         // stays coherent by whichever of three rules fits who maintains it.
         if let Entry::Occupied(mut copy) = self.objects[i].table.entry(at) {
@@ -684,7 +709,9 @@ impl StateClient {
         if self.recovery_logging && key.instance.is_none() {
             self.wal.append(clock, key.clone(), op.clone());
         }
-        self.packet_tokens.push(xor_token(self.instance, &key));
+        if self.recovery_logging {
+            self.packet_tokens.push(xor_token(self.instance, &key));
+        }
         if let Some(buf) = self.write_behind.as_mut() {
             buf.push((key, op, Some(clock)));
             if buf.len() >= self.write_behind_cap {
@@ -734,7 +761,9 @@ impl StateClient {
         if self.recovery_logging && key.instance.is_none() {
             self.wal.append(clock, key.clone(), op.clone());
         }
-        self.packet_tokens.push(xor_token(self.instance, key));
+        if self.recovery_logging {
+            self.packet_tokens.push(xor_token(self.instance, key));
+        }
         true
     }
 
@@ -983,6 +1012,7 @@ mod tests {
     #[test]
     fn after_an_offloaded_op_a_copy_follows_whoever_maintains_it() {
         let store = SharedStore::new();
+        store.track_replays();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         let in_store = |c: &StateClient, name: &str| store.peek(&c.state_key(name, None));
         let pool = |ports: &[i64]| Value::list_of_ints(ports.iter().copied());
@@ -1047,6 +1077,7 @@ mod tests {
     fn packet_tokens_track_store_updates() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
+        c.set_recovery_logging(true);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         let tokens: Vec<u32> = c.take_packet_tokens().collect();
         assert_eq!(tokens.len(), 1);
@@ -1138,6 +1169,7 @@ mod tests {
     #[test]
     fn a_sharded_server_keeps_a_nondet_value_for_its_clock() {
         let store = sharded();
+        store.track_replays();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         let mut failover = peer(&store);
         for n in 1..=8 {
@@ -1151,6 +1183,7 @@ mod tests {
     #[test]
     fn nondet_values_are_stable_across_replay() {
         let store = SharedStore::new();
+        store.track_replays();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         let v1 = c.nondet(clock(9), 0, Value::Int(111));
         let v2 = c.nondet(clock(9), 0, Value::Int(222));

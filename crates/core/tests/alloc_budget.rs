@@ -165,6 +165,7 @@ fn a_mark_raising_folded_increment_allocates_nothing() {
     // draining them and raising each entry's mark costs the drain's result
     // vector and nothing per op.
     let store = SharedStore::new();
+    store.track_replays();
     store.forget_through(0);
     let mut client = client(Box::new(Arc::clone(&store)));
     client.declare_ordered_writer();
@@ -283,8 +284,11 @@ impl NetworkFunction for Meter {
 fn a_warm_instance_step_allocates_nothing() {
     // The step around an NF and a client path that allocate nothing adds
     // nothing: not the duplicate window, not an empty alert list, not the
-    // tokens it takes from the client.
+    // tokens it takes from the client. Tokens are recorded with the
+    // recovery logs, as the simulator's clients record them; the WAL is cut
+    // after the warm-up, as a store checkpoint cuts it, and keeps its room.
     let mut client = client(Box::new(SharedStore::new()));
+    client.set_recovery_logging(true);
     let mut core: InstanceCore = InstanceCore::new(Box::new(Meter), false, true);
     core.track_duplicates(true);
     let mut step = |client: &mut StateClient, n: u64| {
@@ -298,6 +302,7 @@ fn a_warm_instance_step_allocates_nothing() {
         step(&mut client, n);
     }
     client.drain_write_behind();
+    client.truncate_recovery_logs(Some(Clock::with_root(0, 2 * FLOWS as u64)));
     let allocated = allocations_in(|| {
         for n in 100..116 {
             step(&mut client, n);
@@ -595,6 +600,7 @@ fn a_batch_past_the_stack_bound_costs_one_routing_buffer() {
 /// `entries` objects, each with one increment logged above the floor.
 fn checkpoint_allocations(kind: BackendKind, entries: u64) -> u64 {
     let server = StoreServer::with_backend(1, kind);
+    server.track_replays();
     for i in 0..entries {
         let key = StateKey::shared(
             VertexId(1),

@@ -652,6 +652,7 @@ impl FaultArm {
 
     fn new(mode: ExternalizationMode, watched: &StateKey) -> FaultArm {
         let stores = [SharedStore::new(), SharedStore::new()];
+        stores.iter().for_each(|s| _ = s.track_replays());
         stores
             .iter()
             .for_each(|s| s.register_callback(watched, WATCHER));
@@ -671,6 +672,7 @@ impl FaultArm {
     fn client(mode: ExternalizationMode, store: &Arc<StoreServer>, id: InstanceId) -> StateClient {
         let handle = Box::new(Arc::clone(store));
         let mut client = StateClient::new(VERTEX, id, handle, mode, CostModel::default(), &specs());
+        client.set_recovery_logging(true);
         client.set_write_behind(true, FaultArm::CAP);
         client
     }

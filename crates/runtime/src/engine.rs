@@ -261,11 +261,15 @@ impl EngineShared {
             // On files, before any packet thread exists to journal.
             server.start_persister();
         }
-        if !plan.fault_mode {
-            // No fault plan, no replay source: no clocked update can ever be
-            // a duplicate, so the store keeps no duplicate-suppression log
-            // at all.
-            server.forget_through(u64::MAX);
+        if plan.fault_mode {
+            // Kills, shard restarts and the re-injection drill re-issue
+            // clocks: the store logs them for duplicate suppression, and the
+            // supervisor raises its floor as the packet logs are cut. With
+            // no fault plan it keeps no log at all (its default). A server
+            // that applied an op already would refuse, and duplicates would
+            // go unsuppressed.
+            let declared = server.track_replays();
+            assert!(declared, "the store took an op before fault mode declared");
         }
         // Packet logs: the root's injection log plus one egress log per
         // armed upstream vertex, all bounded by the same capacity; and the

@@ -573,3 +573,42 @@ fn forward(
     }
     gated
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+    use crate::plan::tests::{fw_nat_lb, NAT};
+    use crate::plan::ChainPlan;
+    use crate::wiring::wire;
+    use chc_core::ChainConfig;
+    use chc_packet::{TraceConfig, TraceGenerator};
+
+    /// Only the simulator reads the XOR tokens of a packet's store updates
+    /// (Figure 6): an engine instance's client records none, though its NF
+    /// updates state.
+    #[test]
+    fn an_engine_instance_records_no_update_tokens() {
+        let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
+        let trace = TraceGenerator::new(TraceConfig::small(3)).generate();
+        let mut plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
+        let shared = EngineShared::new(&plan, config, &rt);
+        let mut wired = wire(&plan, &shared.telemetry);
+        let (mut instances, _) = plan.take_threads();
+        let slot = instances.iter().position(|p| p.vertex == NAT).unwrap();
+        let (nat, wiring) = (
+            instances.swap_remove(slot),
+            wired.instances.swap_remove(slot),
+        );
+        let mut me = set_up(nat, wiring, &shared);
+        for (n, packet) in (1..).zip(trace.packets.iter().take(64)) {
+            let mut tp = TaggedPacket::new(packet.clone(), Clock(n));
+            me.plan
+                .core
+                .on_packet(&mut tp, &mut me.client, VirtualTime::ZERO);
+            assert!(me.plan.core.tokens().is_empty());
+        }
+        let stats = me.client.stats();
+        assert!(stats.blocking_ops + stats.non_blocking_ops > 0);
+    }
+}

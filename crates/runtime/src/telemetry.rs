@@ -932,6 +932,7 @@ mod tests {
     #[test]
     fn the_dedup_bound_checks_what_the_log_spans_not_only_what_it_holds() {
         let server = StoreServer::with_backend(1, BackendKind::Memory);
+        server.track_replays();
         let key = StateKey::shared(VertexId(1), ObjectKey::named("pkt_count"));
         let log = |counter| {
             let clock = Some(Clock::with_root(0, counter));

@@ -206,6 +206,36 @@ fn an_armed_kill_folds_each_counters_increments() {
     assert!(ops <= 0.8, "{ops:.2} store ops a packet with a kill armed");
 }
 
+/// Fault mode is one of the store's two replay sources: a run with a kill
+/// armed holds a duplicate-suppression log while it runs, and a healthy
+/// run, which declares none, holds none at any sample.
+#[test]
+fn only_a_fault_mode_run_keeps_a_dedup_log() {
+    let trace = failover_trace();
+    let [(_, healthy), (_, armed), _] = failover_plans(trace.len() as u64);
+    // The most updates the monitor saw the log hold, and the final floor.
+    let sampled = |plan: Option<FaultPlan>| {
+        let mut rt = RuntimeConfig::default().with_sample_interval(Duration::from_micros(200));
+        if let Some(plan) = plan {
+            rt = rt.with_fault(plan);
+        }
+        let report = run_chain_realtime(&fw_nat_lb(), ChainConfig::default(), &rt, &trace).unwrap();
+        assert_eq!(report.duplicates, 0);
+        let series = &report.telemetry.as_ref().expect("telemetry").series;
+        let log = series.get("store.update_log_len").expect("a sampled log");
+        assert!(!log.points.is_empty(), "the monitor sampled no log length");
+        let most = log.points.iter().map(|p| p.value).fold(0.0, f64::max);
+        (most, report.store_replay_floor)
+    };
+    assert_eq!(sampled(healthy), (0.0, u64::MAX));
+    let (most, floor) = sampled(armed);
+    assert!(most > 0.0, "an armed run sampled no dedup log");
+    assert!(
+        floor < u64::MAX,
+        "the supervisor keeps a floor below the top"
+    );
+}
+
 /// What fault mode costs on the `failover` trace, per plan: store ops a
 /// packet and the median packets a second of five runs (whole-call wall
 /// time, unpinned). A measurement, not a check: `cargo test --release -p

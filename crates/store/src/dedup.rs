@@ -10,7 +10,11 @@
 //! dense entry id rather than by a copy of the key.
 //!
 //! Nothing below the **replay floor** is kept: once no packet log can
-//! replay a clock, its updates are dead weight. [`DedupLog::forget_below`]
+//! replay a clock, its updates are dead weight. A `StoreServer` keeps its
+//! floor at the top, and so this log empty, unless a replay source
+//! declares itself before the first op (`StoreServer::track_replays`):
+//! the engine in fault mode and the simulator's `ChainController` are the
+//! two there are. [`DedupLog::forget_below`]
 //! pops that prefix of the window, and the ring frees its oldest
 //! updates up to the first one still held: one comparison per update, no
 //! packet walked. [`DedupLog::forget_clock`] takes one packet's head (the

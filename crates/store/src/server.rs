@@ -30,11 +30,17 @@
 //!   crash + recovery under one lock hold so concurrent clients observe an
 //!   outage as latency, never as state loss.
 //!
-//! * **Replay floor**: the supervisor that truncates the engine's packet logs
-//!   tells the store which clocks no log can replay any more
-//!   ([`StoreServer::forget_through`]); below that floor updates are neither
-//!   looked up nor logged for duplicate suppression, and each shard prunes
-//!   its log under the lock hold it takes anyway.
+//! * **Replay floor**: below it updates are neither looked up nor logged for
+//!   duplicate suppression, and no non-deterministic value or increment mark
+//!   is kept; each shard prunes its log under the lock hold it takes anyway.
+//!   A fresh server starts with the floor at the top, `u64::MAX`: with no
+//!   replay source no clock is ever re-issued, so it keeps no log at all. A
+//!   replay source declares itself once, before the first op
+//!   ([`StoreServer::track_replays`]), which lowers the floor to 0. There
+//!   are two: the engine in fault mode (kills, shard restarts, the
+//!   re-injection drill), whose supervisor then raises the floor as it
+//!   truncates the packet logs ([`StoreServer::forget_through`]), and the
+//!   simulator's `ChainController` (failover, straggler clones, Figure 7).
 //!
 //! Each shard is a [`Shard`] (see [`crate::backend`]) over one append-only
 //! [`Engine`], whose journal segments and checkpoint image are bytes in
@@ -114,10 +120,12 @@ pub struct StoreServer {
     slots: Vec<Slot>,
     backend_kind: BackendKind,
     /// The replay floor: the lowest clock counter a packet log may still
-    /// replay; everything below is dead to duplicate suppression. Shards pick it
-    /// up lazily, under the lock hold they take anyway. `Relaxed` suffices:
-    /// the value publishes no other data, and a shard that reads a stale
-    /// (lower) floor merely keeps a few log entries a little longer.
+    /// replay; everything below is dead to duplicate suppression. `u64::MAX`
+    /// until [`StoreServer::track_replays`]. Shards pick it up lazily, under
+    /// the lock hold they take anyway. `Relaxed` suffices: the value
+    /// publishes no other data, a shard that reads a stale (lower) floor
+    /// merely keeps a few log entries a little longer, and the declaration
+    /// stores 0 while it holds every shard lock.
     replay_floor: AtomicU64,
     /// See [`StoreServer::register_ordered_writer`]; unread until `any_ordered`.
     ordered_writers: RwLock<Vec<InstanceId>>,
@@ -175,7 +183,7 @@ impl StoreServer {
                 })
                 .collect(),
             backend_kind: kind,
-            replay_floor: AtomicU64::new(0),
+            replay_floor: AtomicU64::new(u64::MAX),
             ordered_writers: RwLock::default(),
             any_ordered: AtomicBool::new(false),
             persister,
@@ -705,19 +713,43 @@ impl StoreServer {
     // The replay floor (bounding the duplicate-suppression log)
     // ------------------------------------------------------------------
 
+    /// Declare a replay source: some packet log may re-issue a clock this
+    /// server already saw, so from here on it logs clocked updates,
+    /// non-deterministic values and increment marks for duplicate
+    /// suppression. Lowers the replay floor from the top, where a fresh
+    /// server keeps it, to 0. Call it once, before the first op: it returns
+    /// `false`, and changes nothing, once any shard has been brought to a
+    /// floor above 0 (an op applied, a value logged, an image or a log
+    /// length read), since what that shard forgot cannot come back. A
+    /// repeated declaration changes nothing.
+    pub fn track_replays(&self) -> bool {
+        let shards: Vec<_> = self.shards().collect();
+        if shards.iter().any(|s| s.instance().replay_floor() > 0) {
+            return false;
+        }
+        // Under every shard lock: no shard can take the top floor between
+        // the check and the store. A floor already below the top stays.
+        let _ =
+            self.replay_floor
+                .compare_exchange(u64::MAX, 0, Ordering::Relaxed, Ordering::Relaxed);
+        true
+    }
+
     /// Declare that no packet log can replay a clock whose counter is at or
     /// below `counter` any more. From here on such clocks are neither looked
     /// up nor logged, and every shard drops what it holds for them the next
-    /// time its lock is taken. Monotonic: a lower value is ignored. A run
-    /// that can never replay anything passes `u64::MAX`.
+    /// time its lock is taken. Monotonic: a lower value is ignored, and
+    /// without [`StoreServer::track_replays`] the floor is already at the
+    /// top.
     pub fn forget_through(&self, counter: u64) {
         self.replay_floor
             .fetch_max(counter.saturating_add(1), Ordering::Relaxed);
     }
 
     /// The replay floor: the lowest clock counter a packet log may still
-    /// replay (one above the last [`StoreServer::forget_through`]; 0 while
-    /// nothing has been forgotten).
+    /// replay: `u64::MAX` on a server with no replay source, else one above
+    /// the last [`StoreServer::forget_through`], 0 while nothing has been
+    /// forgotten.
     pub fn replay_floor(&self) -> u64 {
         self.replay_floor.load(Ordering::Relaxed)
     }
@@ -867,6 +899,7 @@ mod tests {
     #[test]
     fn clocked_duplicates_suppressed_through_server() {
         let server = StoreServer::new(2);
+        server.track_replays();
         let k = key("pkt_count", 9);
         let clock = Clock::with_root(0, 7);
         let a = server
@@ -887,6 +920,8 @@ mod tests {
             seq.set_shard_journaling(s, true);
             bat.set_shard_journaling(s, true);
         }
+        seq.track_replays();
+        bat.track_replays();
         // A mixed batch spanning shards, with a clocked duplicate inside it.
         let ops: Vec<(StateKey, Operation, Option<Clock>)> = (0..24u8)
             .map(|h| {
@@ -942,6 +977,7 @@ mod tests {
         for kind in [BackendKind::Memory, BackendKind::AppendOnly] {
             let mut rng = StdRng::seed_from_u64(31);
             let server = StoreServer::with_backend(SHARDS, kind);
+            server.track_replays();
             for s in 0..SHARDS {
                 server.set_shard_journaling(s, true);
             }
@@ -1060,6 +1096,8 @@ mod tests {
                 batches = ops.chunks(32).map(<[_]>::to_vec).collect();
             }
             let (seq, bat) = (StoreServer::new(SHARDS), StoreServer::new(SHARDS));
+            seq.track_replays();
+            bat.track_replays();
             let instances = |server: &StoreServer| -> Vec<(HashMap<InstanceId, Clock>, Vec<u8>)> {
                 server
                     .slots
@@ -1229,6 +1267,7 @@ mod tests {
     #[test]
     fn journaled_shard_restart_reconstructs_state_exactly() {
         let server = StoreServer::new(2);
+        server.track_replays();
         // Journal both shards so every key is covered regardless of hashing.
         for s in 0..2 {
             server.set_shard_journaling(s, true);
@@ -1325,6 +1364,55 @@ mod tests {
         let stats = server.recover_shard(0);
         assert_eq!(stats.replayed_ops, 1);
         assert_eq!(server.peek(&k), Value::Int(7));
+    }
+
+    #[test]
+    fn a_fresh_server_keeps_no_replay_log() {
+        // No replay source declared: the floor is at the top, so clocked
+        // updates and non-deterministic values leave nothing behind, and
+        // a re-issued clock is simply applied again.
+        let server = StoreServer::new(4);
+        for c in 1..=1_000u64 {
+            let clock = Some(Clock::with_root(0, c));
+            let k = key("n", (c % 16) as u8);
+            let result = server.apply(InstanceId(0), &k, &Operation::Increment(1), clock);
+            assert!(!result.unwrap().outcome.emulated);
+            assert_eq!(
+                server.nondet(Clock::with_root(0, c), 0, Value::Int(1)),
+                Value::Int(1)
+            );
+            assert_eq!(
+                server.nondet(Clock::with_root(0, c), 0, Value::Int(2)),
+                Value::Int(2)
+            );
+        }
+        assert_eq!(server.update_log_len(), 0);
+        assert_eq!(server.update_log_span(), 0);
+        assert_eq!(server.replay_floor(), u64::MAX);
+    }
+
+    #[test]
+    fn a_late_replay_declaration_is_refused() {
+        let clock = Some(Clock::with_root(0, 1));
+        let (k, op) = (key("k", 1), Operation::Increment(1));
+        // Before the first op: taken, and repeating it changes nothing.
+        let early = StoreServer::new(2);
+        assert!(early.track_replays());
+        early.apply(InstanceId(0), &k, &op, clock).unwrap();
+        assert!(early.track_replays());
+        assert_eq!((early.replay_floor(), early.update_log_len()), (0, 1));
+        // After it: refused, and the server stays at the top, where the op
+        // it already applied left no record to suppress its repeat by.
+        let late = StoreServer::new(2);
+        late.apply(InstanceId(0), &k, &op, clock).unwrap();
+        assert!(!late.track_replays());
+        assert_eq!(late.replay_floor(), u64::MAX);
+        let again = late.apply(InstanceId(0), &k, &op, clock).unwrap();
+        assert!(!again.outcome.emulated);
+        // Reading a log length brings every shard to the floor too.
+        let read = StoreServer::new(2);
+        assert_eq!(read.update_log_len(), 0);
+        assert!(!read.track_replays());
     }
 
     #[test]

@@ -75,6 +75,7 @@ fn only_file(dir: &Path, ext: &str) -> PathBuf {
 fn journaled_restart_is_state_neutral_on_both_backends() {
     for kind in KINDS {
         let server = journaled(kind, 2);
+        server.track_replays();
         let k = key("counter", 3);
         server.register_callback(&k, InstanceId(7));
         for c in 1..=10u64 {
@@ -195,6 +196,7 @@ fn ownership_changes_survive_restart_on_both_backends() {
 fn nondet_values_survive_restart_on_both_backends() {
     for kind in KINDS {
         let server = journaled(kind, 2);
+        server.track_replays();
         let clocks: Vec<Clock> = (1..=6).map(|c| Clock::with_root(0, c)).collect();
         for (i, clock) in clocks.iter().enumerate() {
             assert_eq!(
@@ -321,6 +323,7 @@ fn restart_cost_follows_the_floor_not_the_history() {
     for kind in KINDS {
         let run = |history: u64| {
             let server = journaled(kind, 1);
+            server.track_replays();
             let write = |c: u64| {
                 server
                     .apply(
@@ -369,6 +372,7 @@ fn restart_cost_follows_the_floor_not_the_history() {
 fn emulated_duplicates_stay_out_of_the_journal() {
     for kind in KINDS {
         let server = journaled(kind, 1);
+        server.track_replays();
         let k = key("dup", 0);
         let clock = Some(Clock::with_root(0, 5));
         let op = Operation::Increment(1);
@@ -420,6 +424,8 @@ fn id_named_frames_restart_like_sequential_applies_on_both_backends() {
                 journaled(kind, 3),
                 StoreServer::with_backend(3, BackendKind::Memory),
             );
+            server.track_replays();
+            oracle.track_replays();
             let mut issued: Vec<(StateKey, Operation, Option<Clock>)> = Vec::new();
             let mut next = 1u64;
             let mut batch =
@@ -604,6 +610,8 @@ proptest! {
             let shards = rng.gen_range(1..=3usize);
             let server = journaled(kind, shards);
             let oracle = StoreServer::with_backend(shards, BackendKind::Memory);
+            server.track_replays();
+            oracle.track_replays();
             let mut issued: Vec<(StateKey, Operation, Clock)> = Vec::new();
             let mut next = 1u64;
             for _ in 0..rng.gen_range(10..=80usize) {
@@ -668,6 +676,8 @@ proptest! {
             let shards = rng.gen_range(1..=3usize);
             let server = journaled(kind, shards);
             let oracle = StoreServer::with_backend(shards, BackendKind::Memory);
+            server.track_replays();
+            oracle.track_replays();
             let mut writers = [InstanceId(1), InstanceId(2)];
             for w in writers {
                 prop_assert!(server.register_ordered_writer(w));

@@ -275,8 +275,11 @@ impl Scenario {
 
 type ApplyOutcome = Result<ApplyResult, StoreError>;
 
+/// A journaled server that suppresses re-issued clocks, as a replay
+/// source's does.
 fn journaled_server(shards: usize, kind: BackendKind) -> Arc<StoreServer> {
     let server = StoreServer::with_backend(shards, kind);
+    server.track_replays();
     for s in 0..shards {
         server.set_shard_journaling(s, true);
     }
@@ -390,6 +393,7 @@ proptest! {
             let shards = SHARD_COUNTS[rng.gen_range(0..SHARD_COUNTS.len())];
             let bat = journaled_server(shards, kind);
             let seq = StoreServer::with_backend(shards, BackendKind::Memory);
+            seq.track_replays();
             let mut issued: Vec<(StateKey, Operation, Option<Clock>)> = Vec::new();
             let mut keys = 1usize;
             for step in 0..rng.gen_range(6..12u64) {

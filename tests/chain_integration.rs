@@ -8,7 +8,7 @@ use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::{ChainController, LogicalDag, VertexSpec};
 use chc_packet::PacketId;
 use chc_store::{Clock, VertexId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 fn standard_chain() -> LogicalDag {
@@ -373,6 +373,77 @@ fn store_failover_recovers_shared_state() {
     assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
+/// Every client's (WAL length, read-log length, store ops issued), one
+/// instance per vertex.
+fn recovery_logs(chain: &mut ChainController) -> Vec<(usize, usize, u64)> {
+    (1..=4)
+        .filter_map(|v| {
+            chain.with_instance(VertexId(v), 0, |a| {
+                let stats = a.client.stats();
+                let ops = stats.blocking_ops + stats.non_blocking_ops;
+                (a.client.wal().len(), a.client.read_log().len(), ops)
+            })
+        })
+        .collect()
+}
+
+/// The store's shared objects by key, an absent object and a `None` one
+/// alike.
+fn shared_state(chain: &ChainController) -> BTreeMap<String, Value> {
+    chain
+        .store
+        .dump()
+        .into_iter()
+        .filter(|(key, value, _)| key.instance.is_none() && *value != Value::None)
+        .map(|(key, value, _)| (key.to_string(), value))
+        .collect()
+}
+
+/// A store checkpoint cuts every client's recovery logs at the image: from
+/// one checkpoint to the next a WAL holds at most the store ops its
+/// instance issued in between. The store recovered from the cut logs holds
+/// every shared object as it stood before the crash, the root's persisted
+/// clock among them, but one load balancer byte counter: it comes back one
+/// 64-byte packet short, and recovery from uncut logs loses the same
+/// increment.
+#[test]
+fn a_store_checkpoint_cuts_the_recovery_logs_to_what_follows_it() {
+    let trace = small_trace(17);
+    let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 6).unwrap();
+    chain.inject_trace(&trace);
+    let at = |i: usize| VirtualTime::from_nanos(trace.packets[trace.len() * i / 4].arrival_ns);
+    let mut cut = recovery_logs(&mut chain);
+    for q in 1..=2 {
+        chain.run_until(at(q));
+        let grown = recovery_logs(&mut chain);
+        for (&(_, _, ops_then), &(wal, _, ops_now)) in cut.iter().zip(&grown) {
+            assert!(wal as u64 <= ops_now - ops_then, "{wal} WAL entries");
+        }
+        assert!(grown.iter().any(|&(wal, _, _)| wal > 0), "nothing logged");
+        chain.checkpoint_store();
+        cut = recovery_logs(&mut chain);
+        assert!(cut.iter().all(|&(_, reads, _)| reads == 0));
+    }
+    chain.run_until(at(3));
+    let before = shared_state(&chain);
+    chain.fail_store();
+    chain.recover_store();
+    let after = shared_state(&chain);
+    let root_clock = |state: &BTreeMap<String, Value>| {
+        let clock = state.iter().find(|(key, _)| key.ends_with("/root_clock_0"));
+        clock.map(|(_, value)| value.clone())
+    };
+    assert!(root_clock(&before).is_some(), "the root persisted no clock");
+    assert_eq!(root_clock(&after), root_clock(&before));
+    let wrong: BTreeSet<&String> = (before.keys().chain(after.keys()))
+        .filter(|key| before.get(*key) != after.get(*key))
+        .collect();
+    let lb_bytes = format!("{}/shared/server_bytes[host:10.99.0.1]", VertexId(3));
+    assert_eq!(wrong, BTreeSet::from([&lb_bytes]));
+    let short = before[&lb_bytes].as_int() - after[&lb_bytes].as_int();
+    assert_eq!(short, 64);
+}
+
 /// Figure 7 after an NF failover: the NAT dies after the store's
 /// checkpoint, and its replacement replays clocks the checkpoint already
 /// holds, under an instance id the checkpoint's `TS` has never seen. The
@@ -414,6 +485,21 @@ fn store_recovery_after_an_nf_failover_matches_the_healthy_recovery() {
         "replayed clocks applied twice"
     );
     assert_eq!(failover_after, healthy_after);
+}
+
+/// The simulator is one of the store's two replay sources (failover,
+/// straggler clones, Figure 7): its store keeps a duplicate-suppression
+/// log while packets are in flight.
+#[test]
+fn the_simulators_store_logs_updates_for_duplicate_suppression() {
+    let trace = small_trace(17);
+    let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 6).unwrap();
+    assert_eq!(chain.store.replay_floor(), 0);
+    chain.inject_trace(&trace);
+    chain.run_until(VirtualTime::from_nanos(
+        trace.packets[trace.len() / 2].arrival_ns,
+    ));
+    assert!(chain.store.update_log_len() > 0);
 }
 
 #[test]
