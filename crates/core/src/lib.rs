@@ -65,7 +65,7 @@ pub use sink::SinkActor;
 pub use sink_core::{Arrival, SinkCore};
 pub use splitter::{PartitionTable, Splitter};
 pub use state::{SharedStore, StateClient, StateHandle};
-pub use vertexlog::{delete_token, replay_sources, VertexLogStats, VertexLogs, XorDeleteLedger};
+pub use vertexlog::{replay_sources, VertexLogStats, VertexLogs};
 
 // Re-export the identifiers shared with the store crate so NF authors only
 // need `chc_core` in scope.

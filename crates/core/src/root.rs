@@ -13,10 +13,11 @@
 //! ([`VertexLogs::replay`]). Deletion follows the XOR commit-vector protocol
 //! of Figure 6 so that a packet is never un-logged while some non-blocking
 //! state update it induced is still uncommitted: every commit signal and
-//! every delete request folds into the counter's cell of an
-//! [`XorDeleteLedger`], the one the engine's threads drive too, and the
-//! packet is unlogged from every row — its cell dropped with it — once the
-//! request came and the tokens cancelled.
+//! every delete request folds into the counter's cell of the root's
+//! [`XorDeleteLedger`], and the packet is unlogged from every row — its cell
+//! dropped with it — once the request came and the tokens cancelled. (The
+//! real-thread engine keeps no ledger: it cuts its logs at commit frontiers
+//! alone, `chc_runtime::replay`.)
 
 use crate::chain::Topology;
 use crate::config::ChainConfig;
@@ -24,9 +25,9 @@ use crate::instance::send_to_vertex;
 use crate::message::{Msg, TaggedPacket};
 use crate::root_core::{RootCore, CLOCK_PERSIST_PERIOD};
 use crate::splitter::PartitionTable;
-use crate::vertexlog::{VertexLogs, XorDeleteLedger};
+use crate::vertexlog::VertexLogs;
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
-use chc_store::{Clock, StoreServer, VertexId};
+use chc_store::{Clock, CounterWindow, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,6 +53,76 @@ pub struct RootStats {
     pub deleted: u64,
     /// Largest log size observed.
     pub log_high_water: usize,
+}
+
+const DELIVERED: u64 = 1 << 63;
+
+/// Figure 6's commit vector at the root: one cell per clock counter in
+/// flight, in a [`CounterWindow`]. Bit 63 records that the counter is
+/// *delivered* (its delete request came), the low 32 bits XOR the tokens of
+/// its commit signals and delete vector. A counter is *deletable* once
+/// delivered with zero residue.
+///
+/// Every fold or delivery that leaves a counter deletable also lists it, so
+/// the per-packet delete ([`XorDeleteLedger::delete_pending`]) visits what
+/// changed since it last ran, not every cell or logged packet held.
+#[derive(Debug, Default)]
+pub struct XorDeleteLedger {
+    cells: CounterWindow<u64>,
+    /// Counters an edit left deletable since the last delete pass, in the
+    /// order they became so. One may have been taken or edited again since,
+    /// or be listed twice: the pass checks each again.
+    pending: Vec<u64>,
+}
+
+impl XorDeleteLedger {
+    fn edit(&mut self, counter: u64, edit: impl FnOnce(&mut u64)) {
+        let cell = self.cells.cell(counter).get_or_insert(0);
+        edit(cell);
+        if *cell == DELIVERED {
+            self.pending.push(counter);
+        }
+    }
+
+    /// Fold a commit signal's `token` into the counter's residue.
+    pub fn fold(&mut self, counter: u64, token: u32) {
+        self.edit(counter, |cell| *cell ^= u64::from(token));
+    }
+
+    /// The counter's delete request came carrying `vector`: fold the vector
+    /// back out and mark the counter delivered. A repeat carries the same
+    /// tokens again, so it replaces the residue the first one left.
+    pub fn deliver(&mut self, counter: u64, vector: u32) {
+        self.edit(counter, |cell| {
+            let residue = if *cell & DELIVERED == 0 { *cell } else { 0 };
+            *cell = DELIVERED | (residue ^ u64::from(vector));
+        });
+    }
+
+    /// Figure 6's per-packet delete: every counter an edit left deletable
+    /// since the last call that still is — held, delivered, zero residue —
+    /// loses its cell and is handed to `delete`, which unlogs it. Visits the
+    /// counters that changed, not the cells held; how many went.
+    pub fn delete_pending(&mut self, mut delete: impl FnMut(u64)) -> usize {
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut deleted = 0;
+        for &counter in &pending {
+            if self.cells.get(counter) == Some(&DELIVERED) {
+                self.cells.take(counter);
+                delete(counter);
+                deleted += 1;
+            }
+        }
+        // The list keeps its capacity: a warm pass allocates nothing.
+        pending.clear();
+        self.pending = pending;
+        deleted
+    }
+
+    /// Every counter with a cell, lowest first.
+    pub fn counters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cells.iter().map(|(counter, _)| counter)
+    }
 }
 
 /// The root actor. See the module documentation.
@@ -172,6 +243,45 @@ mod tests {
     use crate::state::SharedStore;
     use chc_packet::Packet;
     use chc_sim::{Simulation, VirtualTime};
+
+    #[test]
+    fn ledger_confirms_and_cancels() {
+        let mut ledger = XorDeleteLedger::default();
+        let held = |l: &XorDeleteLedger| l.counters().collect::<Vec<_>>();
+        let a = 0x0003_8007;
+        ledger.fold(7, a);
+        assert_eq!(ledger.delete_pending(|_| {}), 0, "in flight");
+        // Delivered without the token in its vector: the residue stays.
+        ledger.deliver(7, 0);
+        assert_eq!(ledger.delete_pending(|_| {}), 0, "residue outstanding");
+        // A late fold cancels it (a commit after the delete request).
+        ledger.fold(7, a);
+        let mut deleted = Vec::new();
+        assert_eq!(ledger.delete_pending(|c| deleted.push(c)), 1);
+        assert_eq!((deleted, held(&ledger)), (vec![7], vec![]));
+        assert_eq!(ledger.delete_pending(|_| {}), 0, "deleted once");
+        // A repeat delivery replaces the residue the first one left.
+        ledger.deliver(8, a);
+        ledger.deliver(8, a);
+        assert_eq!(ledger.delete_pending(|_| {}), 0);
+        ledger.fold(8, a);
+        assert_eq!(ledger.delete_pending(|_| {}), 1);
+        assert!(held(&ledger).is_empty());
+    }
+
+    #[test]
+    fn two_commits_cancel_through_one_delete_vector() {
+        // Two instances updated state for the packet: the delete request
+        // carries both tokens, and the cell cancels once both commits came.
+        let mut ledger = XorDeleteLedger::default();
+        let (a, b) = (0x0003_8007, 0x0005_8007);
+        ledger.fold(2, a);
+        ledger.deliver(2, a ^ b);
+        assert_eq!(ledger.delete_pending(|_| {}), 0, "one commit outstanding");
+        ledger.fold(2, b);
+        assert_eq!(ledger.delete_pending(|_| {}), 1);
+        assert_eq!(ledger.counters().count(), 0);
+    }
 
     #[test]
     fn a_full_log_uses_up_the_rejected_arrivals_counter() {

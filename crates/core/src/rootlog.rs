@@ -7,22 +7,22 @@
 //! the buffer-bloat guard of §5 (a full log rejects new packets instead of
 //! queueing without limit).
 //!
-//! Both substrates share this type and delete entries one by one as an
-//! [`crate::XorDeleteLedger`] proves Figure 6's tokens cancelled. The
-//! real-thread engine keeps one per logging vertex ([`crate::VertexLogs`],
-//! the root's among them) and also truncates each by the commit *frontier*
-//! of the watermarks the chain components publish
+//! Both substrates share this type, one log per logging vertex
+//! ([`crate::VertexLogs`], the root's among them), and free its entries by
+//! different rules. The simulator's root deletes entries one by one
+//! ([`PacketLog::remove`]) as its [`crate::root::XorDeleteLedger`] proves
+//! Figure 6's tokens cancelled. The real-thread engine only cuts each log at
+//! the commit *frontier* of the watermarks the chain components publish
 //! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
-//! below the frontier can never need replay again — deleting the deletable
-//! ahead of it one by one ([`PacketLog::remove`]).
+//! below the frontier can never need replay again.
 //!
 //! ## Layout
 //!
 //! The root stamps the dense counters `1..=N`, so the log needs no tree: it
 //! keeps a [`CounterWindow`] of pages, page `p` holding the cells of
 //! counters `p * 256 .. (p + 1) * 256`. Logging a packet writes one cell;
-//! truncation pops whole pages and clears the cells of one boundary page; an
-//! XOR delete clears one cell and frees its page once it empties.
+//! truncation pops whole pages and clears the cells of one boundary page; a
+//! delete clears one cell and frees its page once it empties.
 //! None of them allocates but for a page's first packet (and the spine's
 //! doubling while the span grows).
 //!
@@ -113,8 +113,8 @@ impl PacketLog {
         true
     }
 
-    /// Remove one confirmed packet (Figure 6's per-packet delete, on both
-    /// substrates). Returns whether the entry existed; removed entries
+    /// Remove one confirmed packet (Figure 6's per-packet delete, which the
+    /// simulator's root runs). Returns whether the entry existed; removed entries
     /// accumulate in [`PacketLog::deleted`].
     pub fn remove(&mut self, clock: &Clock) -> bool {
         let (p, cell) = place(clock.counter());
@@ -206,7 +206,7 @@ impl PacketLog {
         self.truncated
     }
 
-    /// Entries removed by the per-packet XOR delete protocol so far.
+    /// Entries removed one by one ([`PacketLog::remove`]) so far.
     pub fn deleted(&self) -> u64 {
         self.deleted
     }

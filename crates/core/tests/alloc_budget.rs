@@ -16,11 +16,11 @@
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
 
-use chc_core::root::ROOT_VERTEX;
+use chc_core::root::{XorDeleteLedger, ROOT_VERTEX};
 use chc_core::{
-    delete_token, Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore,
-    LogicalDag, NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec,
-    Step, TaggedPacket, VertexLogs, VertexSpec, XorDeleteLedger,
+    Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore, LogicalDag,
+    NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec, Step,
+    TaggedPacket, VertexLogs, VertexSpec,
 };
 use chc_packet::{FlowKey, Packet, Scope, ScopeKey};
 use chc_sim::VirtualTime;
@@ -680,8 +680,9 @@ fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
 
 #[test]
 fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep() {
-    // The root's log as the engine drives it: one insert per injected
-    // packet, then the supervisor's pass, a frontier cut and XOR deletes.
+    // The root's log as both substrates drive it: one insert per injected
+    // packet, then the engine's frontier cut and the simulator root's
+    // one-by-one XOR deletes.
     const N: u64 = 4_096;
     const PAGE: u64 = 256;
     let logs = VertexLogs::new(1 << 20);
@@ -731,38 +732,31 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
 
 #[test]
 fn a_warm_ledger_cycle_allocates_nothing() {
-    // The engine's cycle over a steady window: an egress log folds each
-    // counter's token in, the sink folds half of them back out and marks
-    // them, and the supervisor deletes the cancelled ones and releases the
-    // ledger behind its frontier.
+    // The simulator root's cycle over a steady window: every counter's
+    // delete request comes, half of them after their commit signal and half
+    // before it, and each message is followed by the per-packet delete.
     const W: u64 = 1_024;
     let mut ledger = XorDeleteLedger::default();
     let round = |ledger: &mut XorDeleteLedger, r: u64| {
         let first = r * W + 1;
+        let token = |c: u64| 0x0001_8000 | c as u32;
         for c in first..first + W {
-            let token = delete_token(InstanceId(1), c);
-            ledger.fold(c, token);
             if c % 2 == 0 {
-                ledger.deliver(c, token);
+                ledger.fold(c, token(c));
             }
+            ledger.deliver(c, token(c));
         }
         assert_eq!(ledger.delete_pending(|_| {}), (W / 2) as usize);
-        ledger.release_through(first + W / 2 - 1);
+        for c in (first..first + W).filter(|c| c % 2 == 1) {
+            ledger.fold(c, token(c));
+        }
+        assert_eq!(ledger.delete_pending(|_| {}), (W / 2) as usize);
     };
-    // Warm-up: the window's cells grow to the span once.
+    // Warm-up: the window's cells and the pending list grow once.
     for r in 0..4 {
         round(&mut ledger, r);
     }
     let allocated = allocations_in(|| (4..20).for_each(|r| round(&mut ledger, r)));
     assert_eq!(allocated, 0, "a warm ledger cycle allocated");
-    assert_eq!(
-        ledger.counters().count(),
-        (W / 4) as usize,
-        "the undelivered upper quarter"
-    );
-    assert_eq!(
-        ledger.high_water(),
-        (W + W / 4) as usize,
-        "a round in flight"
-    );
+    assert_eq!(ledger.counters().count(), 0, "every counter was deleted");
 }

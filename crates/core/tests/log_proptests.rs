@@ -1,15 +1,16 @@
 //! Property tests for the packet-log machinery failover replays from
-//! (§5.4 commit-frontier truncation, Figure 6 XOR deletes): for arbitrary
-//! logged clock sets, commit frontiers and delete-protocol histories,
+//! (§5.4 commit-frontier truncation, the engine's one deletion rule, and the
+//! simulator root's Figure 6 XOR deletes): for arbitrary logged clock sets,
+//! commit frontiers and delete-protocol histories,
 //!
 //! * [`PacketLog::truncate_confirmed`] drops **exactly** the counters at or
 //!   below the frontier — an un-committed clock (above the frontier) is
 //!   never dropped, so a replacement can always be re-fed from the log, and
 //! * [`XorDeleteLedger::delete_pending`] unlogs, with [`PacketLog::remove`],
 //!   exactly the counters whose delete protocol completed, never one whose
-//!   envelope is still in flight, and
-//! * the [`XorDeleteLedger`], a window of cells cut at a floor, answers
-//!   like one flat slot per counter for every counter above the floor.
+//!   commit is still outstanding, and
+//! * the [`XorDeleteLedger`], a window of cells, holds and deletes like one
+//!   flat slot per counter.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -26,10 +27,10 @@
 //! operation and compares every answer, so the paged layout is held to the
 //! tree's behaviour.
 
-use chc_core::root::ROOT_VERTEX;
-use chc_core::{delete_token, PacketLog, TaggedPacket, VertexLogs, XorDeleteLedger};
+use chc_core::root::{XorDeleteLedger, ROOT_VERTEX};
+use chc_core::{PacketLog, TaggedPacket, VertexLogs};
 use chc_packet::Packet;
-use chc_store::{Clock, InstanceId, VertexId};
+use chc_store::{Clock, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,9 +87,10 @@ proptest! {
         prop_assert_eq!(logs.log(bystander).unwrap().len(), 1);
     }
 
-    /// The XOR delete sweep removes exactly the delivered-and-cancelled
-    /// counters: a clock whose token was folded in but never folded back out
-    /// by the sink (or never delivered at all) survives every sweep.
+    /// The XOR delete removes exactly the delivered-and-cancelled counters:
+    /// a clock whose commit token was folded in but never folded back out by
+    /// a delete vector (or whose delete request never came) survives every
+    /// pass.
     #[test]
     fn xor_delete_sweep_only_removes_confirmed_clocks(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -104,10 +106,10 @@ proptest! {
             }
             assert!(log.insert(tp(c)));
             logged.insert(c);
-            let token = delete_token(InstanceId(rng.gen_range(0..4)), c);
+            let token = rng.gen_range(1..=u32::MAX);
             ledger.fold(c, token);
             // Three protocol states: in flight, delivered but uncancelled
-            // (the sink never folded the envelope back out), and confirmed.
+            // (the request's vector lacks the token), and confirmed.
             match rng.gen_range(0..3u32) {
                 0 => {}
                 1 => ledger.deliver(c, 0),
@@ -269,52 +271,43 @@ proptest! {
 
 const DELIVERED: u64 = 1 << 63;
 
-/// The ledger as it was, one flat slot per counter from `base` on, with the
-/// floor and the dropped cells written beside it: a dropped slot is `None`,
-/// and a fold or delivery at or below the floor does nothing.
+/// The ledger as one flat slot per counter from `base` on: a dropped slot
+/// is `None`.
 struct FlatLedger {
     base: u64,
     slots: Vec<Option<u64>>,
-    floor: Option<u64>,
-    released_dirty: u64,
-    high_water: usize,
 }
 
 impl FlatLedger {
-    fn released(&self, c: u64) -> bool {
-        self.floor.is_some_and(|f| c <= f)
+    fn slot(&mut self, c: u64) -> &mut u64 {
+        self.slots[(c - self.base) as usize].get_or_insert(0)
     }
 
-    fn slot(&mut self, c: u64) -> Option<&mut u64> {
-        if self.released(c) {
-            return None;
+    fn held(&self) -> Vec<u64> {
+        (self.base..)
+            .zip(&self.slots)
+            .filter_map(|(c, slot)| slot.map(|_| c))
+            .collect()
+    }
+
+    /// Drop every delivered slot with zero residue, lowest counter first.
+    fn delete(&mut self) -> Vec<u64> {
+        let mut deleted = Vec::new();
+        for (c, slot) in (self.base..).zip(&mut self.slots) {
+            if *slot == Some(DELIVERED) {
+                *slot = None;
+                deleted.push(c);
+            }
         }
-        let slot = self.slots[(c - self.base) as usize].get_or_insert(0);
-        Some(slot)
-    }
-
-    fn held(&self) -> usize {
-        self.slots.iter().flatten().count()
-    }
-
-    fn answer(&self, c: u64, holds: impl Fn(u64) -> bool) -> bool {
-        self.slots[(c - self.base) as usize].is_some_and(holds)
-    }
-
-    fn dirty(v: u64) -> bool {
-        v & DELIVERED != 0 && v as u32 != 0
-    }
-
-    fn deletable(v: u64) -> bool {
-        v & DELIVERED != 0 && v as u32 == 0
+        deleted
     }
 }
 
 proptest! {
-    /// The windowed ledger answers like a flat slot per counter over random
-    /// folds, deliveries, takes, sweeps and releases: the same answer for every
-    /// counter above the floor, folds at or below it ignored, and the dirty
-    /// cells it released counted like the flat ledger's.
+    /// The windowed ledger holds and deletes like a flat slot per counter
+    /// over random folds, deliveries and per-packet deletes: the same
+    /// counters held after every step, and the same counters deleted by
+    /// every pass.
     #[test]
     fn the_ledger_answers_like_a_flat_slot_per_counter(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -328,77 +321,40 @@ proptest! {
         let mut flat = FlatLedger {
             base,
             slots: vec![None; span as usize],
-            floor: None,
-            released_dirty: 0,
-            high_water: 0,
         };
         // Few distinct tokens, so residues cancel often.
-        let token = |rng: &mut StdRng| delete_token(InstanceId(rng.gen_range(0..3)), 0);
+        let token = |rng: &mut StdRng| 0x8000 | (rng.gen_range(0..3u32) << 16);
         for step in 0..rng.gen_range(1..=800u32) {
             let c = base + rng.gen_range(0..span);
             match rng.gen_range(0..100u32) {
-                0..=34 => {
+                0..=44 => {
                     let t = token(&mut rng);
                     ledger.fold(c, t);
-                    if let Some(v) = flat.slot(c) {
-                        *v ^= u64::from(t);
-                    }
+                    *flat.slot(c) ^= u64::from(t);
                 }
-                35..=54 => {
-                    // The vector a packet carries home: its tokens, or none.
+                45..=79 => {
+                    // The vector a delete request carries: tokens, or none.
                     let vector = if rng.gen_bool(0.5) { token(&mut rng) } else { 0 };
                     ledger.deliver(c, vector);
-                    if let Some(v) = flat.slot(c) {
-                        // A repeat replaces what the first one left.
-                        let residue = if *v & DELIVERED == 0 { *v } else { 0 };
-                        *v = DELIVERED | (residue ^ u64::from(vector));
-                    }
-                }
-                55..=64 => {
-                    ledger.take(c);
-                    flat.slots[(c - base) as usize] = None;
-                }
-                65..=69 => {
-                    let before = flat.held();
-                    for slot in &mut flat.slots {
-                        if slot.is_some_and(FlatLedger::deletable) {
-                            *slot = None;
-                        }
-                    }
-                    let deleted = ledger.delete_pending(|_| {});
-                    prop_assert_eq!(deleted, before - flat.held(), "sweep at {}", step);
-                }
-                70..=77 => {
-                    let f = base.saturating_sub(2) + rng.gen_range(0..span + 4);
-                    ledger.release_through(f);
-                    if flat.floor.is_none_or(|old| f > old) {
-                        flat.floor = Some(f);
-                        for (i, slot) in flat.slots.iter_mut().enumerate() {
-                            if base + i as u64 <= f {
-                                if let Some(v) = slot.take() {
-                                    flat.released_dirty += u64::from(FlatLedger::dirty(v));
-                                }
-                            }
-                        }
-                    }
+                    // A repeat replaces what the first one left.
+                    let v = flat.slot(c);
+                    let residue = if *v & DELIVERED == 0 { *v } else { 0 };
+                    *v = DELIVERED | (residue ^ u64::from(vector));
                 }
                 _ => {
-                    let released = flat.released(c);
-                    prop_assert_eq!(ledger.confirmed(c), flat.answer(c, |v| v & DELIVERED != 0),
-                        "confirmed({}) at step {}, released {}", c, step, released);
-                    prop_assert_eq!(ledger.deletable(c), flat.answer(c, FlatLedger::deletable),
-                        "deletable({}) at step {}, released {}", c, step, released);
+                    let mut deleted = Vec::new();
+                    ledger.delete_pending(|c| deleted.push(c));
+                    deleted.sort_unstable();
+                    prop_assert_eq!(deleted, flat.delete(), "delete at step {}", step);
                 }
             }
-            flat.high_water = flat.high_water.max(flat.held());
-            prop_assert_eq!(ledger.counters().count(), flat.held(), "held after step {}", step);
+            prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), flat.held(),
+                "held after step {}", step);
         }
-        let held: Vec<u64> = (base..base + span)
-            .filter(|&c| flat.slots[(c - base) as usize].is_some())
-            .collect();
-        prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), held);
-        let dirty_held = flat.slots.iter().flatten().filter(|&&v| FlatLedger::dirty(v)).count();
-        prop_assert_eq!(ledger.dirty_confirmed(), flat.released_dirty + dirty_held as u64);
-        prop_assert_eq!(ledger.high_water(), flat.high_water);
+        let mut deleted = Vec::new();
+        ledger.delete_pending(|c| deleted.push(c));
+        deleted.sort_unstable();
+        prop_assert_eq!(deleted, flat.delete());
+        prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), flat.held());
     }
 }

@@ -43,10 +43,10 @@
 //! runs the paper's replay/failover machinery on real threads — packet logs
 //! truncated at commit frontiers, duplicate suppression at every input
 //! queue, replacement threads that replay their own log before they take
-//! live traffic, the XOR delete window for tail kills, and a root crash
-//! that loses what §5.4 says it loses before a new root resumes from the
-//! persisted clock; the crate docs give the overview and [`crate::replay`]
-//! the protocol.
+//! live traffic, the sink's window absorbing a tail kill's re-delivery,
+//! and a root crash that loses what §5.4 says it loses before a new root
+//! resumes from the persisted clock; the crate docs give the overview and
+//! [`crate::replay`] the protocol.
 //!
 //! The healthy path pays none of this: with an empty plan no log is kept,
 //! no watermark is published and no duplicate tracking runs — the store's
@@ -64,13 +64,13 @@ use crate::telemetry::{assemble_report, finalize_sentinel, run_monitor, RunTelem
 use crate::wiring::{wire, Downstream, Wired};
 use chc_core::dag::DagError;
 use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
-use chc_core::{ChainConfig, LogicalDag, VertexLogs, XorDeleteLedger};
+use chc_core::{ChainConfig, LogicalDag, VertexLogs};
 use chc_packet::Trace;
 use chc_store::{StoreServer, VertexId};
 use chc_telemetry::{EventKind, TelemetrySeries};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
@@ -219,14 +219,6 @@ pub(crate) struct EngineShared {
     /// spawn, then the rings' release/acquire edges — so whoever pops a
     /// packet sent after the fail-stop also sees the flag.
     pub(crate) fail_stopped: AtomicBool,
-    /// Failovers begun whose replacement has not finished its replay. The
-    /// supervisor raises it before the spawn, the replacement lowers it once
-    /// its replay is flushed, and truncation pauses while it is above zero,
-    /// so no XOR sweep takes a delivered entry out of a log between the
-    /// hand-off and the snapshot, or drops the ledger cell that lets a tail
-    /// replacement gate the copy. Updated `AcqRel` and read `Acquire`: a
-    /// pass that reads zero follows every replay that lowered it.
-    pub(crate) replays_running: AtomicUsize,
     /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: RunTelemetry,
     /// The packet logs, one per row of `ChainPlan::log_scopes`: the root's
@@ -239,9 +231,6 @@ pub(crate) struct EngineShared {
     /// downstream. A replacement publishes under the slot it inherits; an
     /// unpublished slot reads zero and so holds every frontier it is in.
     pub(crate) watermarks: Vec<AtomicU64>,
-    /// XOR delete ledger bounding replay re-delivery windows; present
-    /// whenever the plan kills instances. Never locked across a ring push.
-    pub(crate) ledger: Option<Mutex<XorDeleteLedger>>,
     /// Store fast path: when true every instance client buffers
     /// non-blocking store ops, up to one ring batch of them, and drains them
     /// as one batched apply at ring batch boundaries (and before every
@@ -272,10 +261,7 @@ impl EngineShared {
             assert!(declared, "the store took an op before fault mode declared");
         }
         // Packet logs: the root's injection log plus one egress log per
-        // armed upstream vertex, all bounded by the same capacity; and the
-        // XOR delete ledger that tracks, per clock counter, which logged
-        // tokens are still outstanding and whether the sink confirmed
-        // delivery.
+        // armed upstream vertex, all bounded by the same capacity.
         let mut logs = VertexLogs::new(ROOT_LOG_CAPACITY);
         for (v, _) in &plan.log_scopes {
             logs.arm(*v, ROOT_LOG_CAPACITY);
@@ -289,20 +275,13 @@ impl EngineShared {
             batch: plan.batch,
             fault_mode: plan.fault_mode,
             fail_stopped: AtomicBool::new(false),
-            replays_running: AtomicUsize::new(0),
             telemetry: RunTelemetry::new(rt.telemetry, Instant::now(), plan.topo.iter().copied()),
             logs,
             watermarks: (0..=plan.instances.len())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            ledger: plan.xor_ledger.then(Mutex::default),
             write_behind: rt.write_behind,
         }
-    }
-
-    /// The delete ledger, locked, when the plan keeps one.
-    pub(crate) fn ledger(&self) -> Option<MutexGuard<'_, XorDeleteLedger>> {
-        (self.ledger.as_ref()).map(|l| l.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Publish `slot`'s commit watermark. Monotonic: a stale publication
@@ -505,14 +484,13 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
             recoveries,
             shard_recoveries: injection.shard_recoveries,
             log_high_water: root_log.high_water,
-            log_truncated: root_log.truncated + root_log.deleted,
+            log_truncated: root_log.truncated,
             log_final_len: root_log.final_len,
             log_rejected: root_log.rejected,
             reinjected: injection.reinjected,
             root_takeover: injection.takeover,
             aborts,
             vertex_logs,
-            ledger_high_water: shared.ledger().map_or(0, |l| l.high_water()),
         }
     });
 

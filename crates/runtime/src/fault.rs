@@ -208,9 +208,8 @@ pub struct FaultReport {
     pub shard_recoveries: Vec<ShardRecovery>,
     /// Largest root packet log observed (packets).
     pub log_high_water: usize,
-    /// Entries the root's log dropped because the chain confirmed them: cut
-    /// at the commit frontier or, ahead of it, deleted one by one by the XOR
-    /// protocol (the egress logs' rows in `vertex_logs` give both counts).
+    /// Entries the root's log dropped because the chain confirmed them, cut
+    /// at the commit frontier (the egress logs' rows are in `vertex_logs`).
     pub log_truncated: u64,
     /// Packets still logged when the run ended (unconfirmed by the commit
     /// frontier; a conservative, not an exact, completion measure).
@@ -226,8 +225,6 @@ pub struct FaultReport {
     /// Per-vertex egress log statistics (one entry per armed upstream of a
     /// killed non-entry vertex; empty when every kill was at an entry).
     pub vertex_logs: Vec<VertexLogStats>,
-    /// Most counters the XOR delete ledger held at once.
-    pub ledger_high_water: usize,
 }
 
 impl FaultReport {

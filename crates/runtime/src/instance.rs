@@ -14,7 +14,7 @@ use crate::plan::InstancePlan;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{forwards_in_order, idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
-use chc_core::{delete_token, InstanceCore, StateClient, Step, TaggedPacket};
+use chc_core::{InstanceCore, StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -69,10 +69,8 @@ struct Instance<'a> {
     lane: TraceLane,
     stage: Arc<VertexStageMetrics>,
     store_timer: Rc<StoreTimer>,
-    /// Ring-transfer batches consumed, and replayed packets not re-emitted
-    /// (`RuntimeInstanceReport::replay_egress_gated`).
+    /// Ring-transfer batches consumed.
     batches_in: u64,
-    egress_gated: u64,
     /// The core's duplicate window (fault mode only) is pruned at the
     /// instance's own watermark while that watermark is exact: every input
     /// ring clock-ordered — fixed at wiring time — and nothing fail-stopped
@@ -116,7 +114,6 @@ pub(crate) fn run_instance(
         suppressed_duplicates: counters.suppressed_duplicates,
         alerts: counters.alerts.clone(),
         batches_in: me.batches_in,
-        replay_egress_gated: me.egress_gated,
         dedup_window_bytes: plan.core.window_bytes(),
         buffered_refused: me.client.stats().buffered_refused,
     };
@@ -175,7 +172,6 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
     }
     Instance {
         batches_in: 0,
-        egress_gated: 0,
         prunable: shared.fault_mode && wiring.inputs.iter().all(|r| r.ordered),
         lane: TraceLane::Vertex {
             vertex: plan.vertex.0,
@@ -245,8 +241,6 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
         instance: replacement.0 as u64,
         recovery_ns: recovery_wall.as_nanos() as u64,
     });
-    // Truncation may go on (see `EngineShared::replays_running`).
-    shared.replays_running.fetch_sub(1, Ordering::AcqRel);
     Some(InstanceRecovery {
         vertex,
         index,
@@ -416,9 +410,7 @@ impl Instance<'_> {
         let InstanceWiring {
             outs, sink_link, ..
         } = &mut self.wiring;
-        if forward(tp, step, &self.plan, shared, outs, sink_link) {
-            self.egress_gated += 1;
-        }
+        forward(tp, step, &self.plan, shared, outs, sink_link);
     }
 }
 
@@ -522,56 +514,37 @@ fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRin
     }
 }
 
-/// Forward the outcome of one processed packet. True when a tail
-/// replacement gated a replayed packet instead of re-emitting it.
+/// Forward the outcome of one processed packet.
 fn forward(
-    mut tp: TaggedPacket,
+    tp: TaggedPacket,
     step: Step,
     plan: &InstancePlan,
     shared: &EngineShared,
     outs: &mut [Downstream],
     sink_link: &mut Option<OutLink>,
-) -> bool {
+) {
     // Dropped, or consumed off the path: nothing flows onward.
-    let Step::Forward { exit } = step else {
-        return false;
-    };
+    if !matches!(step, Step::Forward { .. }) {
+        return;
+    }
     // FTMB-style egress logging: this vertex is the on-path upstream of some
     // killed non-entry vertex, so its live output stream is that kill's
-    // replay source. The XOR delete token is folded into the envelope
-    // *before* logging and forwarding, so the logged copy and the delivered
-    // copy carry identical vectors and the sink's fold cancels the ledger
-    // entry exactly (Figure 6), and precedes the watermark that covers the
-    // packet. Replayed packets are not re-logged (their tokens are already
-    // accounted; re-folding would un-cancel them).
+    // replay source. The entry is logged before the packet is forwarded, so
+    // it precedes the watermark that covers the packet. Replayed packets are
+    // not logged again: their originals are still held.
     if plan.log_egress && tp.replay_for.is_none() {
-        let token = delete_token(plan.instance, tp.clock.counter());
-        tp.absorb_update_token(token);
-        if let Some(mut ledger) = shared.ledger() {
-            ledger.fold(tp.clock.counter(), token);
-        }
         if let Some(mut log) = shared.logs.log(plan.vertex) {
             log.insert(tp.clone());
         }
     }
-    // A tail replacement bounds its re-delivery window with the XOR ledger:
-    // a replayed packet whose clock the sink already confirmed is processed
-    // for its (store-deduped) state effects but not re-emitted to the end
-    // host. Only an exit has a sink link; the ledger is unlocked by then.
-    let gated = exit
-        && tp.replay_for.is_some()
-        && shared
-            .ledger()
-            .is_some_and(|l| l.confirmed(tp.clock.counter()));
-    if !gated {
-        if let Some(link) = sink_link {
-            link.push(tp.clone(), shared.batch);
-        }
+    // A tail replacement re-emits its whole replay: the sink counts a copy
+    // of a clock it already delivered as a replay shadow.
+    if let Some(link) = sink_link {
+        link.push(tp.clone(), shared.batch);
     }
     for d in outs {
         d.route(&tp, shared.batch);
     }
-    gated
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@
 //! SPSC wiring; the replacement first replays, at the right chain depth,
 //! the copies of the killed vertex's upstream (or root) log that route to
 //! it, and only then takes live traffic ([`replay`], §5.3) —
-//! tail re-emission is bounded by the paper's per-packet XOR delete window
-//! (Figure 6), a killed root loses its clock, log and unflushed batches
+//! the sink absorbs a tail replacement's re-emission as replay shadows,
+//! a killed root loses its clock, log and unflushed batches
 //! and a new root resumes from the clock it persisted in the store
 //! ([`fault::RootTakeover`], §5.4), and store shard
 //! restarts replay per-shard write-ahead journals. Failovers that cannot

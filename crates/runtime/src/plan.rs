@@ -149,9 +149,6 @@ pub struct ChainPlan {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// True when the plan kills an instance: the XOR delete ledger then
-    /// bounds the replay re-delivery windows. A root kill replays nothing.
-    pub(crate) xor_ledger: bool,
     pub(crate) topo: Vec<VertexId>,
     pub(crate) entries: Vec<VertexId>,
     /// One splitter per vertex, the scale cut already scheduled.
@@ -308,7 +305,6 @@ impl ChainPlan {
             batch,
             depth: rt.queue_depth.max(batch * 2),
             fault_mode,
-            xor_ledger: !fault.kills.is_empty(),
             topo,
             entries,
             splitters,
@@ -505,7 +501,7 @@ pub(crate) mod tests {
         assert_eq!(entry.log_scopes, [root_row()]);
         assert!(entry.instances.iter().all(|p| !p.log_egress));
         assert_eq!(entry.instances[0].kill_at, Some(500));
-        assert!(entry.xor_ledger && entry.fault_mode);
+        assert!(entry.fault_mode);
         // The replacement is instance 3 and publishes under the dead slot.
         assert_eq!(entry.seeds[&0].instance, InstanceId(3));
         assert_eq!((entry.seeds[&0].slot(), entry.instances[1].slot()), (0, 1));
@@ -525,16 +521,16 @@ pub(crate) mod tests {
         assert_eq!(tail.log_scopes, [root_row(), (NAT, vec![2, 3])]);
         assert!(tail.instances[2].core.exit() && !tail.instances[1].core.exit());
 
-        // Root: nothing to replay into and no ledger to keep.
+        // Root: nothing to replay into.
         let root = plan(FaultPlan::new().kill_root(500));
         assert!(root.seeds.is_empty());
         assert_eq!(root.root_kill, Some(500));
-        assert!(!root.xor_ledger && root.fault_mode);
+        assert!(root.fault_mode);
         assert_eq!(root.log_scopes, [root_row()]);
 
         // No plan, no fault machinery.
         let healthy = plan(FaultPlan::new());
-        assert!(!healthy.fault_mode && !healthy.xor_ledger);
+        assert!(!healthy.fault_mode);
         assert_eq!(healthy.floor_cap, u64::MAX);
 
         // The root's id names its log, so no vertex may carry it.

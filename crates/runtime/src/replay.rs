@@ -36,10 +36,11 @@
 //! replayed copy.
 //!
 //! Replay is idempotent end to end: instances suppress duplicate clocks at
-//! their input queues, the store suppresses duplicate clocked updates, tail
-//! replacements gate re-emission on the XOR delete ledger, and the sink
-//! absorbs the residual re-delivery window into its own (separately
-//! counted) suppression — the chain's duplicate accounting stays at zero.
+//! their input queues, the store suppresses duplicate clocked updates, and
+//! the sink absorbs a tail replacement's re-delivery into its own window as
+//! replay shadows (separately counted) — the chain's duplicate accounting
+//! stays at zero. The sink's window is one bit per injected clock and is
+//! never pruned, so it covers every counter a tail replay can re-emit.
 //!
 //! **Why the replacement's snapshot is complete.** The supervisor zeroes the
 //! dead slot before the spawn. Every log the replacement reads has the dead
@@ -47,15 +48,8 @@
 //! egress log's every slot strictly downstream of the logging vertex), so
 //! from that moment on no frontier cut can drop an entry from it: the
 //! snapshot the replacement takes later holds everything one taken at the
-//! zeroing would have held. The one exception is XOR-swept entries, which
-//! the sink has already seen delivered with every token cancelled; a
-//! snapshot the supervisor took itself would race those sweeps in the same
-//! way. So the supervisor runs no pass at all while a replay runs
-//! (`EngineShared::replays_running`): a sweep between the hand-off and the
-//! snapshot would take out the delivered entries a tail replacement gates,
-//! and one during the replay would drop the ledger cells that prove them
-//! delivered, so their copies would reach the sink again as replay
-//! shadows. Each replacement reads the logs on its own thread and only pushes
+//! zeroing would have held, and truncation need not pause while it replays.
+//! Each replacement reads the logs on its own thread and only pushes
 //! downstream, so overlapping failovers need no coordination: a replay that
 //! backs up waits on a live consumer further down an acyclic chain.
 //!
@@ -65,7 +59,7 @@
 //! event and returns a [`FailoverAbort`] (surfaced through
 //! `RuntimeReport::fault`).
 //!
-//! ## Log truncation (Figure 6)
+//! ## Log truncation
 //!
 //! Every packet log — the root's is the first — is one row of
 //! `ChainPlan::log_scopes`, and between fault events the supervisor treats
@@ -73,14 +67,16 @@
 //! frontier, the lowest watermark in `EngineShared::watermarks` over the
 //! row's scope: every on-path instance and the sink for the root's log, the
 //! instances *strictly downstream* of the logging vertex plus the sink for an
-//! egress log. Then it runs the paper's per-packet XOR deletes: any entry
-//! whose clock the ledger proves delivered and fully cancelled is dropped
-//! individually, frontier or not.
+//! egress log. That cut is the engine's only deletion rule. It departs from
+//! the paper's Figure 6, which also deletes each entry once its XOR tokens
+//! cancel: on the engine those deletes freed almost nothing the frontier
+//! did not, and cost a lock per logged packet and a pause of every pass
+//! while a replay ran (DESIGN.md "Tail kills: one deletion rule on the
+//! engine").
 //!
 //! Before the first failover every ring delivers counters monotonically, so
-//! the frontier proves completion exactly; while a replay runs (above), and
-//! while further kills are still armed after a failover has begun,
-//! truncation pauses (replayed traffic
+//! the frontier proves completion exactly; while further kills are still
+//! armed after a failover has begun, truncation pauses (replayed traffic
 //! makes ring order non-monotone downstream of a replacement, so the
 //! frontier could briefly overclaim); once the last kill resolved it
 //! resumes, where truncation is unconditionally safe because no future
@@ -101,7 +97,7 @@
 //! packet, and there are exactly two kinds: a packet log and the
 //! re-injection drill's buffer. Every egress log's scope is a subset of the
 //! root's, so the root's frontier is the lowest, and right after a pass no
-//! log holds anything at or below it (XOR deletes only remove more). The
+//! log holds anything at or below it. The
 //! supervisor therefore raises [`StoreServer::forget_through`] to the root's
 //! frontier — capped below the smallest re-injection counter for as long as
 //! it runs, because a re-injected copy is in flight after it left the buffer
@@ -112,9 +108,8 @@ use crate::engine::EngineShared;
 use crate::fault::FailoverAbort;
 use crate::instance::{run_instance, DyingInstance, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
-use chc_core::root::ROOT_VERTEX;
 use chc_core::VertexLogs;
-use chc_store::{Clock, StoreServer, VertexId};
+use chc_store::{StoreServer, VertexId};
 use chc_telemetry::EventKind;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -182,10 +177,9 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             }
 
             // Frontier truncation: exact before the first failover, paused
-            // while a replay runs or more kills are armed, harmless after
-            // the last one (see module docs).
-            let replaying = self.shared.replays_running.load(Ordering::Acquire) > 0;
-            if !replaying && (!self.failed_over || self.seeds.is_empty()) {
+            // while more kills are armed, harmless after the last one (see
+            // module docs).
+            if !self.failed_over || self.seeds.is_empty() {
                 truncate_logs(self.shared, self.log_scopes, self.floor_cap);
             }
 
@@ -235,7 +229,6 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             instance: seed.instance.0 as u64,
         });
         self.failed_over = true;
-        shared.replays_running.fetch_add(1, Ordering::AcqRel);
         let handle = self
             .scope
             .spawn(move || run_instance(seed, dying.wiring, shared, None));
@@ -247,21 +240,16 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
 /// rows of `(logging vertex, commit scope)`: cut each log at the frontier of
 /// its own scope. The first row is the root's, whose scope contains every
 /// other and whose frontier is therefore the lowest: its advance is
-/// journaled, the ledger (locked for the whole pass) and the store forget
-/// what the logs forgot up to it — the store capped at `floor_cap` — and it
-/// is returned. Above it, every counter the ledger lists as newly delivered
-/// and fully cancelled leaves every log and the ledger, one by one (Figure
-/// 6's per-packet deletes, which cover what the frontier cannot): the pass
-/// visits what changed since the last one, not what the logs hold. The supervisor runs a pass between fault events. The
-/// engine runs one more after every thread joined: every surviving component
-/// has published its last watermark by then, so that cut is the tightest the
-/// commit protocol can justify.
+/// journaled, the store forgets what the logs forgot up to it — capped at
+/// `floor_cap` — and it is returned. The supervisor runs a pass between
+/// fault events. The engine runs one more after every thread joined: every
+/// surviving component has published its last watermark by then, so that
+/// cut is the tightest the commit protocol can justify.
 pub(crate) fn truncate_logs(
     shared: &EngineShared,
     log_scopes: &[(VertexId, Vec<usize>)],
     floor_cap: u64,
 ) -> u64 {
-    let mut ledger = shared.ledger();
     let mut roots_cut = None;
     for (vertex, scope) in log_scopes {
         let frontier = shared.frontier(scope);
@@ -272,18 +260,6 @@ pub(crate) fn truncate_logs(
         roots_cut.get_or_insert((frontier, dropped as u64));
     }
     let (frontier, dropped) = roots_cut.unwrap_or_default();
-    if let Some(ledger) = &mut ledger {
-        ledger.release_through(frontier);
-        ledger.delete_pending(|counter| shared.logs.remove(&Clock(counter)));
-        debug_assert!(
-            {
-                let root_log = shared.logs.log(ROOT_VERTEX).expect("the root's log");
-                ledger.counters().all(|c| root_log.contains(&Clock(c)))
-            },
-            "the delete ledger holds a counter the root's log does not"
-        );
-    }
-    drop(ledger);
     shared.telemetry.frontier_advanced(frontier, dropped);
     raise_replay_floor(&shared.server, &shared.logs, frontier.min(floor_cap));
     frontier
@@ -311,9 +287,9 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::plan::tests::{fw_nat_lb, FW, NAT};
     use chc_core::root::ROOT_VERTEX;
-    use chc_core::{delete_token, ChainConfig, TaggedPacket};
+    use chc_core::{ChainConfig, TaggedPacket};
     use chc_packet::{TraceConfig, TraceGenerator};
-    use chc_store::{Clock, InstanceId};
+    use chc_store::Clock;
 
     /// fw→nat→lb with a planned NAT kill: the firewall's egress log is
     /// armed and truncates against slots 1–3 (NAT, LB, sink), the root's
@@ -355,43 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_cuts_each_log_at_its_own_frontier_sweeps_and_raises_the_floor() {
+    fn one_pass_cuts_each_log_at_its_own_frontier_and_raises_the_floor() {
         let (plan, shared) = armed_run();
         let scopes = &plan.log_scopes;
-        let ledger = || shared.ledger().expect("a kill needs the ledger");
-        let counters = || ledger().counters().collect::<Vec<_>>();
         let trace = TraceGenerator::new(TraceConfig::small(1)).generate();
-        // Counters 1..=10 injected, and logged again — tokenized — as they
-        // left the firewall (instance 0).
-        let mut egress = Vec::new();
+        // Counters 1..=10 injected, and logged again as they left the
+        // firewall.
         for (pkt, counter) in trace.iter().zip(1..=10u64) {
-            let mut tp = TaggedPacket::new(pkt.clone(), Clock(counter));
+            let tp = TaggedPacket::new(pkt.clone(), Clock(counter));
             assert!(shared.logs.log(ROOT_VERTEX).unwrap().insert(tp.clone()));
-            let token = delete_token(InstanceId(0), counter);
-            tp.absorb_update_token(token);
-            ledger().fold(counter, token);
-            assert!(shared.logs.log(FW).expect("armed").insert(tp.clone()));
-            egress.push(tp);
+            assert!(shared.logs.log(FW).expect("armed").insert(tp));
         }
-        // Watermarks by slot, the sink's (3) among the lowest — and the end
-        // host already has counter 7, ahead of every frontier.
+        // Watermarks by slot, the sink's (3) among the lowest.
         for (slot, watermark) in [(0, 4), (1, 6), (2, 5), (3, 4)] {
             shared.publish_watermark(slot, watermark);
         }
-        ledger().deliver(7, egress[6].xor_vector);
 
         // Supervisor-style pass, the floor capped below a drill at 4. Both
-        // frontiers are the sink's 4, and the XOR sweep takes the delivered 7
-        // out of the root's log exactly as out of the firewall's. The
-        // ledger lets go of the same counters: it is released through the
-        // root's frontier and drops what the sweep took.
+        // frontiers are the sink's 4, and nothing above a frontier leaves a
+        // log.
         assert_eq!(truncate_logs(&shared, scopes, 3), 4);
-        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
-        assert_eq!(held(&shared, FW), [5, 6, 8, 9, 10]);
-        assert_eq!(counters(), [5, 6, 8, 9, 10]);
-        // A released or swept counter answers as not delivered: a frontier
-        // may overclaim once replays ran, so only a held cell proves it.
-        assert!(!ledger().confirmed(7));
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 7, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [5, 6, 7, 8, 9, 10]);
         assert_eq!(shared.server.replay_floor(), 4, "capped at 3, so 4 up");
 
         // Each log is cut at its own frontier. The firewall's watermark is
@@ -400,8 +361,8 @@ mod tests {
         // log, whose scope is through 5 once the sink is, lets it go.
         shared.publish_watermark(3, 6);
         assert_eq!(truncate_logs(&shared, scopes, 3), 4);
-        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
-        assert_eq!(held(&shared, FW), [6, 8, 9, 10]);
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 7, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [6, 7, 8, 9, 10]);
 
         // The NAT dies: `begin_failover` zeroes its slot, which is in both
         // scopes, so neither log is cut again until the replacement
@@ -411,8 +372,8 @@ mod tests {
             shared.publish_watermark(slot, 9);
         }
         assert_eq!(truncate_logs(&shared, scopes, u64::MAX), 0);
-        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 8, 9, 10]);
-        assert_eq!(held(&shared, FW), [6, 8, 9, 10]);
+        assert_eq!(held(&shared, ROOT_VERTEX), [5, 6, 7, 8, 9, 10]);
+        assert_eq!(held(&shared, FW), [6, 7, 8, 9, 10]);
         assert_eq!(shared.server.replay_floor(), 4, "the floor is monotonic");
 
         // Final-style pass: the replacement confirmed through 9 too, and
@@ -421,11 +382,8 @@ mod tests {
         assert_eq!(truncate_logs(&shared, scopes, u64::MAX), 9);
         assert_eq!(held(&shared, ROOT_VERTEX), [10]);
         assert_eq!(held(&shared, FW), [10]);
-        assert_eq!(counters(), [10]);
-        assert_eq!(ledger().high_water(), 10);
-        assert_eq!(ledger().dirty_confirmed(), 0);
         assert_eq!(shared.server.replay_floor(), 10);
         let root_row = *shared.logs.stats().last().expect("the root's row");
-        assert_eq!((root_row.truncated, root_row.deleted), (8, 1));
+        assert_eq!((root_row.truncated, root_row.deleted), (9, 0));
     }
 }

@@ -29,13 +29,6 @@ pub struct RuntimeInstanceReport {
     /// `processed / batches_in` approaches the configured batch size under
     /// load).
     pub batches_in: u64,
-    /// Replayed packets this (tail replacement) instance processed but did
-    /// not re-emit to the sink because the XOR delete ledger proved the
-    /// clock already delivered — the tail kill's re-delivery window bound.
-    /// These packets *are* processed (state effects are idempotent and
-    /// clock-deduped at the store), so they sit outside
-    /// `suppressed_duplicates`.
-    pub replay_egress_gated: u64,
     /// Resident bytes of the input queue's duplicate window
     /// ([`chc_core::ClockWindow`]) when the instance exited: 0 on a run
     /// without a fault plan, which tracks no duplicates at all.
@@ -62,9 +55,9 @@ pub struct RuntimeReport {
     /// Replay-marked copies the sink absorbed because their clock had
     /// already been delivered — the re-delivery window of mid-chain, tail
     /// and root failovers. Counted separately from `duplicates`: these are
-    /// the *expected* shadow of replay-based recovery (bounded by the XOR
-    /// delete window), not an exactly-once violation, and they never enter
-    /// `duplicate_clocks`.
+    /// the *expected* shadow of replay-based recovery (at most the copies
+    /// the replacements replayed), not an exactly-once violation, and they
+    /// never enter `duplicate_clocks`.
     pub replay_window_suppressed: u64,
     /// Bytes delivered to the sink.
     pub delivered_bytes: u64,

@@ -66,10 +66,8 @@ pub(crate) fn run_sink(
             }
             moved += n;
             // One arrival time serves the whole batch, read when its first
-            // timed packet turns up; a batch without one reads no clock. One
-            // ledger lock serves it too.
+            // timed packet turns up; a batch without one reads no clock.
             let mut batch_now: Option<u64> = None;
-            let mut ledger = shared.ledger();
             for tp in work.drain(..) {
                 input.last_counter = input.last_counter.max(tp.clock.counter());
                 let traced = tp.trace.map(|t| t.id);
@@ -79,14 +77,6 @@ pub(crate) fn run_sink(
                         deliver(id, 0, true, now_ns);
                     }
                     continue;
-                }
-                let counter = tp.clock.counter();
-                if let Some(l) = &mut ledger {
-                    // First (and only) delivery of this clock: cancel every
-                    // logged copy's token and mark the counter confirmed —
-                    // this is what lets tail replacements gate re-emission
-                    // and the supervisor delete individual log entries.
-                    l.deliver(counter, tp.xor_vector);
                 }
                 if tp.is_timed() {
                     let now_ns = *batch_now.get_or_insert_with(|| telemetry.now_ns());
@@ -109,6 +99,7 @@ pub(crate) fn run_sink(
                 if let Some(checker) = &mut flow_order {
                     if tp.replay_for.is_none() {
                         let flow = tp.packet.flow_key().0;
+                        let counter = tp.clock.counter();
                         if let Some(v) = checker.observe(flow, counter, || telemetry.now_ns()) {
                             telemetry.violation(v);
                         }

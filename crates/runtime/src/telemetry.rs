@@ -170,9 +170,8 @@ impl RunTelemetry {
 
     /// Journal the root's commit frontier if a truncation pass found it
     /// past where it was last journaled; `dropped` is what that pass cut from
-    /// the root's log. (Entries the XOR sweep deleted ahead of the frontier
-    /// are gone by the time it reaches them, so the cut alone cannot tell
-    /// whether the frontier moved.)
+    /// the root's log. (A frontier can move and cut nothing: counters a dead
+    /// root lost or a full log rejected were never logged.)
     pub(crate) fn frontier_advanced(&self, frontier: u64, dropped: u64) {
         let last = self.last_frontier.fetch_max(frontier, Ordering::Relaxed);
         if last < frontier {
@@ -637,9 +636,8 @@ fn check_dedup_log_bound(server: &StoreServer, last_counter: u64, report: Report
 }
 
 /// Fault-mode bounds on the packet logs: the root's log ends no longer than
-/// the unconfirmed suffix from the final frontier to the last counter; no
-/// log of the table — they share one capacity — ever outgrew it; and every
-/// delivered clock's XOR delete tokens cancelled.
+/// the unconfirmed suffix from the final frontier to the last counter, and
+/// no log of the table — they share one capacity — ever outgrew it.
 fn check_packet_log_bounds(
     shared: &EngineShared,
     fault: &FaultReport,
@@ -674,16 +672,6 @@ fn check_packet_log_bounds(
                 ),
             );
         }
-    }
-    // Delivered clock counters whose token residue never cancelled.
-    let xor_dirty = shared.ledger().map_or(0, |l| l.dirty_confirmed());
-    if xor_dirty > 0 {
-        report(
-            InvariantKind::XorResidue,
-            xor_dirty,
-            0,
-            format!("{xor_dirty} delivered clocks finished with nonzero XOR delete-token residue"),
-        );
     }
 }
 

@@ -256,6 +256,47 @@ fn fault_mode_costs_on_the_failover_trace() {
     }
 }
 
+/// What the commit-frontier cut, the engine's only deletion rule, leaves in
+/// the packet logs on the `failover` trace, under the benchmark's plan and
+/// under a tail kill (the load balancer at N/2): per log, its high water,
+/// the entries the cut freed and those left at the end; per run, the
+/// copies replayed and the replay shadows the sink absorbed. Three runs
+/// each. A measurement, not a check: `cargo test --release -p chc-runtime
+/// --test engine_smoke -- --ignored --nocapture packet_logs`.
+#[test]
+#[ignore = "a measurement; run it with --ignored --nocapture"]
+fn packet_logs_under_the_frontier_cut() {
+    let trace = failover_trace();
+    let n = trace.len() as u64;
+    let [_, _, (_, benchmark)] = failover_plans(n);
+    let tail = FaultPlan::new().kill(VertexId(3), 0, n / 2);
+    for (name, plan) in [("benchmark plan", benchmark), ("tail kill", Some(tail))] {
+        for run in 1..=3 {
+            let rt = RuntimeConfig::default().with_fault(plan.clone().expect("a fault plan"));
+            let report = run_chain_realtime(&fw_nat_lb(), ChainConfig::default(), &rt, &trace)
+                .expect("a valid plan");
+            assert_eq!(report.duplicates, 0);
+            let fault = report.fault.as_ref().expect("a fault report");
+            let mut logs = vec![format!(
+                "root {} high, {} cut, {} left",
+                fault.log_high_water, fault.log_truncated, fault.log_final_len
+            )];
+            logs.extend(fault.vertex_logs.iter().map(|row| {
+                format!(
+                    "{} {} high, {} cut, {} left",
+                    row.vertex, row.high_water, row.truncated, row.final_len
+                )
+            }));
+            println!(
+                "{name}, run {run}: {n} packets; {}; {} replayed, {} shadows",
+                logs.join("; "),
+                fault.packets_replayed(),
+                report.replay_window_suppressed
+            );
+        }
+    }
+}
+
 /// The root alone, over the `forward` workload's trace: stamp, wrap, route
 /// through the entry splitter and push to a ring whose consumer thread pops
 /// and drops, as the engine's root does on a healthy run (no log, no clock

@@ -33,9 +33,6 @@
 //!   which resumes at or above the counter the dead one was killed at: no
 //!   takeover without a kill, no double kill, no resume below the kill, no
 //!   kill left without a takeover at shutdown (§5.4, "root" recovery).
-//! * **XOR residue** — every delivered clock's delete-token accumulator
-//!   cancels to zero: each token a logging vertex folded in was folded back
-//!   out by the sink (Figure 6's commit vector closes).
 //!
 //! Violations are recorded as journal events (`invariant_violation`) and
 //! surfaced in the run report, so every existing failover/equivalence test
@@ -67,10 +64,6 @@ pub enum InvariantKind {
     /// kill, a takeover that resumes below the killed counter, a double
     /// kill, or a killed root no new root ever took over for.
     RootHandoff,
-    /// The XOR delete ledger finished with a delivered counter whose token
-    /// residue never cancelled (a delete token folded in but not back out,
-    /// or vice versa — Figure 6's commit vector did not close).
-    XorResidue,
     /// The store's duplicate-suppression log holds more than the packets
     /// above the replay floor can account for (entries that should have
     /// been pruned at the floor, or a healthy run that logged at all).
@@ -78,7 +71,8 @@ pub enum InvariantKind {
 }
 
 impl InvariantKind {
-    /// Stable numeric code (journal representation).
+    /// Stable numeric code (journal representation). A retired code is not
+    /// reused: 8 named the engine's XOR delete-token residue.
     pub fn code(&self) -> u32 {
         match self {
             InvariantKind::FrontierMonotonic => 1,
@@ -88,7 +82,6 @@ impl InvariantKind {
             InvariantKind::RootlogBound => 5,
             InvariantKind::FailoverPhase => 6,
             InvariantKind::RootHandoff => 7,
-            InvariantKind::XorResidue => 8,
             InvariantKind::DedupLogBound => 9,
         }
     }
@@ -103,7 +96,6 @@ impl InvariantKind {
             5 => InvariantKind::RootlogBound,
             6 => InvariantKind::FailoverPhase,
             7 => InvariantKind::RootHandoff,
-            8 => InvariantKind::XorResidue,
             9 => InvariantKind::DedupLogBound,
             _ => return None,
         })
@@ -119,7 +111,6 @@ impl InvariantKind {
             InvariantKind::RootlogBound => "rootlog_bound",
             InvariantKind::FailoverPhase => "failover_phase",
             InvariantKind::RootHandoff => "root_handoff",
-            InvariantKind::XorResidue => "xor_residue",
             InvariantKind::DedupLogBound => "dedup_log_bound",
         }
     }
@@ -724,12 +715,14 @@ mod tests {
             InvariantKind::RootlogBound,
             InvariantKind::FailoverPhase,
             InvariantKind::RootHandoff,
-            InvariantKind::XorResidue,
             InvariantKind::DedupLogBound,
         ] {
             assert_eq!(InvariantKind::from_code(k.code()), Some(k));
             assert_eq!(invariant_name(k.code()), k.name());
         }
         assert_eq!(invariant_name(999), "unknown");
+        // Code 8 named the engine's XOR delete residue; retired codes are
+        // not reused.
+        assert_eq!(InvariantKind::from_code(8), None);
     }
 }
