@@ -37,12 +37,16 @@ pub struct TelemetryConfig {
     /// kills, failover phases, frontier advances, scale cuts, shard
     /// restarts); and the invariant sentinel, which checks every event as
     /// it is recorded, the delivery stream and a copy-conservation ledger on
-    /// the rings, into `RuntimeReport::invariants`. On by default: it is
-    /// cheap, and every test asserts `violations == 0` for free.
+    /// the rings, into `RuntimeReport::invariants`. On by default, so every
+    /// test asserts `violations == 0` for free; the run pays for it. On the
+    /// repository benchmark's ladder (rung 5 − rung 4, one pinned CPU of a
+    /// 2-vCPU host) it took 24–28 % of the default engine's time per packet
+    /// on `forward`, 13–15 % on `steady` and 17–21 % on `churn` (DESIGN.md,
+    /// "What the observers cost").
     pub observers: bool,
-    /// When set, a monitor thread samples live gauges (SPSC ring occupancy,
-    /// per-shard op rates, WAL depth, packet-log level, replay progress) at
-    /// this cadence and the report carries the time series.
+    /// When set, a monitor thread samples live gauges (packets queued per
+    /// ring, per-shard op rates, WAL depth, packet-log level, replay
+    /// progress) at this cadence and the report carries the time series.
     pub sample_interval: Option<Duration>,
     /// Causal-trace sampling rate in parts per million of *flows*
     /// (`1_000_000` traces everything, `10_000` is 1%, `0` disables).
@@ -91,19 +95,22 @@ impl TelemetryConfig {
 /// "Store fast path", records the sweep that retired the last such knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
-    /// Packets moved per ring transfer and processed per wake-up. Larger
-    /// batches amortize queue and store-client overhead at the cost of
-    /// per-packet latency (§7's hardware runs batch at the NIC; here the
-    /// batch rides the SPSC rings). It is also the write-behind buffer's
-    /// cap, in entries: one per op, or in an ordered writer one per run of a
-    /// counter's increments, which fold. Varied by `failover.rs` and
-    /// `engine_smoke.rs` (1 / 8 / 64 must agree).
+    /// Packets per ring batch: the most one ring item carries, and what an
+    /// instance pops and processes per input per wake-up. Larger batches
+    /// amortize queue and store-client overhead at the cost of per-packet
+    /// latency (§7's hardware runs batch at the NIC; here the batch rides
+    /// the SPSC rings as one buffer of a link's pool). It is also the
+    /// write-behind buffer's cap, in entries: one per op, or in an ordered
+    /// writer one per run of a counter's increments, which fold. Varied by
+    /// `failover.rs` and `engine_smoke.rs` (1 / 8 / 64 must agree).
     pub batch_size: usize,
-    /// Capacity of each inter-instance ring, in packets (rounded up to a
-    /// power of two, and never under two batches). Bounds memory and
-    /// provides backpressure. A size that selects no code path; no recorded
-    /// row varies it, and `runtime_equivalence.rs` shortens it so that a ring
-    /// holds less than one phase of its two-instance load-balancer trace.
+    /// Capacity of each inter-instance ring, in packets (never under two
+    /// batches). A ring has `queue_depth / batch_size` batch slots, rounded
+    /// down to a power of two, so it never holds more than this many
+    /// packets. Bounds memory and provides backpressure. A size that
+    /// selects no code path; no recorded row varies it, and
+    /// `runtime_equivalence.rs` shortens it so that a ring holds less than
+    /// one phase of its two-instance load-balancer trace.
     pub queue_depth: usize,
     /// Number of store shards. The paper pins each object to exactly one
     /// store thread; here each shard is an independently locked instance of

@@ -13,7 +13,9 @@ use crate::fault::InstanceRecovery;
 use crate::plan::InstancePlan;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
-use crate::wiring::{forwards_in_order, idle_wait, Downstream, InputRing, InstanceWiring, OutLink};
+use crate::wiring::{
+    forwards_in_order, idle_wait, route_all, Batch, Downstream, InputRing, InstanceWiring, OutLink,
+};
 use chc_core::{InstanceCore, StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
@@ -255,43 +257,24 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
 /// instance fail-stops, `None` once every input ring is exhausted.
 fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u64> {
     let shared = me.shared;
-    let mut work: Vec<TaggedPacket> = Vec::with_capacity(shared.batch);
     let mut idle_streak = 0u32;
     loop {
         me.take_callbacks();
         let mut moved = 0usize;
         for i in 0..me.wiring.inputs.len() {
-            let n = me.wiring.inputs[i].rx.pop_batch(&mut work, shared.batch);
-            if n == 0 {
+            let Some(mut batch) = me.wiring.inputs[i].pop() else {
                 continue;
-            }
+            };
             if let Some(s) = &shared.telemetry.sentinel {
-                s.ledger.ring_popped.add(n as u64);
+                s.ledger.ring_popped.add(batch.len() as u64);
             }
-            moved += n;
+            moved += batch.len();
             me.batches_in += 1;
-            for (pos, tp) in work.drain(..).enumerate() {
-                // Fail-stop trigger: die *before* processing the packet.
-                // Everything still queued (this batch's tail included) stays
-                // in flight for the replacement; the already-popped remainder
-                // of *this* batch dies with the instance and is booked as
-                // kill-lost so conservation still closes.
-                if let Some(k) = &kill {
-                    if tp.clock.counter() >= k.at_counter {
-                        if let Some(s) = &shared.telemetry.sentinel {
-                            s.ledger.kill_lost.add((n - pos) as u64);
-                        }
-                        // Every packet processed before the kill must have
-                        // its store effects applied, exactly as on the per-op
-                        // path — the buffer is part of the process image and
-                        // would otherwise die here.
-                        drain_store_buffer(&mut me.client, shared);
-                        return Some(tp.clock.counter());
-                    }
-                }
-                let input = &mut me.wiring.inputs[i];
-                input.last_counter = input.last_counter.max(tp.clock.counter());
-                me.step(tp, true);
+            let killed = me.consume(i, &mut batch, kill.as_ref().map(|k| k.at_counter));
+            // The buffer goes back to its link's pool, on a fail-stop too.
+            me.wiring.inputs[i].recycle(batch);
+            if killed.is_some() {
+                return killed;
             }
         }
 
@@ -320,7 +303,7 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
             // the supervisor sees the fault channel disconnect.
             drain_store_buffer(&mut me.client, shared);
             me.wiring.links_mut().for_each(OutLink::flush);
-            if me.wiring.inputs.iter_mut().all(|r| r.rx.is_exhausted()) {
+            if me.wiring.inputs.iter_mut().all(|r| r.is_exhausted()) {
                 return None;
             }
             idle_streak += 1;
@@ -330,6 +313,38 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
 }
 
 impl Instance<'_> {
+    /// Put one popped ring batch from input `i` through the per-packet step,
+    /// emptying it. Returns the clock that trips the kill switch armed at
+    /// `kill_at`, if one does: the instance dies *before* processing that
+    /// packet. Everything
+    /// still queued stays in flight for the replacement; the popped
+    /// remainder of this batch dies with the instance and is booked as
+    /// kill-lost, so conservation still closes.
+    #[inline]
+    fn consume(&mut self, i: usize, batch: &mut Batch, kill_at: Option<u64>) -> Option<u64> {
+        let shared = self.shared;
+        let n = batch.len();
+        for (pos, tp) in batch.drain(..).enumerate() {
+            if let Some(at_counter) = kill_at {
+                if tp.clock.counter() >= at_counter {
+                    if let Some(s) = &shared.telemetry.sentinel {
+                        s.ledger.kill_lost.add((n - pos) as u64);
+                    }
+                    // Every packet processed before the kill must have its
+                    // store effects applied, exactly as on the per-op path —
+                    // the buffer is part of the process image and would
+                    // otherwise die here.
+                    drain_store_buffer(&mut self.client, shared);
+                    return Some(tp.clock.counter());
+                }
+            }
+            let input = &mut self.wiring.inputs[i];
+            input.last_counter = input.last_counter.max(tp.clock.counter());
+            self.step(tp, true);
+        }
+        None
+    }
+
     /// Store callbacks keep read-heavy cached objects fresh (Table 1); the
     /// rate is low, so one drain per wake-up is plenty.
     fn take_callbacks(&mut self) {
@@ -414,11 +429,12 @@ impl Instance<'_> {
     }
 }
 
-/// Fail-stop: unflushed output batches die with the process; the wiring
-/// goes to the supervisor for the replacement thread.
+/// Fail-stop: unflushed output batches die with the process (their buffers
+/// stay with their links); the wiring goes to the supervisor for the
+/// replacement thread.
 fn fail_stop(me: &mut Instance<'_>, switch: KillSwitch, killed_at_clock: u64) {
     for link in me.wiring.links_mut() {
-        link.buf.clear();
+        drop(link.discard());
     }
     // Journal the death *before* notifying the supervisor, so the kill
     // event is causally ordered before every failover event.
@@ -441,7 +457,7 @@ fn shut_down(me: &mut Instance<'_>) {
     drain_store_buffer(&mut me.client, me.shared);
     for link in me.wiring.links_mut() {
         link.flush();
-        link.producer.close();
+        link.close();
     }
     if me.shared.fault_mode {
         publish_watermark(me.shared, &me.plan, &me.wiring.inputs);
@@ -538,20 +554,23 @@ fn forward(
         }
     }
     // A tail replacement re-emits its whole replay: the sink counts a copy
-    // of a clock it already delivered as a replay shadow.
+    // of a clock it already delivered as a replay shadow. The packet moves
+    // into its last destination; only a fan-out copies it.
     if let Some(link) = sink_link {
+        if outs.is_empty() {
+            link.push(tp, shared.batch);
+            return;
+        }
         link.push(tp.clone(), shared.batch);
     }
-    for d in outs {
-        d.route(&tp, shared.batch);
-    }
+    route_all(outs, tp, shared.batch);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
-    use crate::plan::tests::{fw_nat_lb, NAT};
+    use crate::plan::tests::{fw_nat_lb, FW, NAT};
     use crate::plan::ChainPlan;
     use crate::wiring::wire;
     use chc_core::ChainConfig;
@@ -583,5 +602,56 @@ mod tests {
         }
         let stats = me.client.stats();
         assert!(stats.blocking_ops + stats.non_blocking_ops > 0);
+    }
+
+    /// A kill inside a popped ring batch loses that batch's remainder, not
+    /// its buffer: the batch goes back to its link's pool, and the dying
+    /// instance's half-filled output buffers stay with their links.
+    #[test]
+    fn a_fail_stop_mid_batch_keeps_every_link_pool_whole() {
+        let (config, rt) = (ChainConfig::default(), RuntimeConfig::with_batch_size(8));
+        let trace = TraceGenerator::new(TraceConfig::small(5)).generate();
+        let mut plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
+        let shared = EngineShared::new(&plan, config, &rt);
+        let mut wired = wire(&plan, &shared.telemetry);
+        let (mut instances, _) = plan.take_threads();
+        let slot = instances.iter().position(|p| p.vertex == FW).unwrap();
+        let (fw, wiring) = (
+            instances.swap_remove(slot),
+            wired.instances.swap_remove(slot),
+        );
+        let feed = &mut wired.root_outs[0].links[0];
+        let pool = feed.buffers_at_rest();
+        // Two and a half batches, the firewall killed at the fifth packet.
+        for (n, packet) in (1..).zip(trace.packets.iter().take(20)) {
+            feed.push(TaggedPacket::new(packet.clone(), Clock(n)), shared.batch);
+        }
+        feed.flush();
+        let (tx, rx) = mpsc::channel();
+        let mut kill = Some(KillSwitch {
+            slot,
+            at_counter: 5,
+            tx,
+        });
+        let mut me = set_up(fw, wiring, &shared);
+        assert_eq!(run_batches(&mut me, &mut kill), Some(5));
+        let switch = kill.take().unwrap();
+        fail_stop(&mut me, switch, 5);
+        let mut dying = rx.recv().unwrap();
+        assert_eq!(
+            dying.wiring.inputs[0].rx.queued(),
+            2,
+            "two batches in flight"
+        );
+        assert_eq!(feed.buffers_at_rest(), pool, "the popped batch came back");
+        for link in dying.wiring.links_mut() {
+            assert_eq!(
+                link.buffers_at_rest(),
+                pool,
+                "nothing flushed, nothing lost"
+            );
+        }
+        let ledger = &shared.telemetry.sentinel.as_ref().unwrap().ledger;
+        assert_eq!(ledger.kill_lost.get(), 4, "the popped remainder died");
     }
 }

@@ -10,8 +10,10 @@
 //! the way the paper's prototype runs on its testbed (§6–§7):
 //!
 //! * **one thread per NF instance**, connected by bounded lock-free SPSC
-//!   rings ([`spsc`]) with **batched** transfer (configurable
-//!   [`RuntimeConfig::batch_size`]),
+//!   rings ([`spsc`]) that carry **ring batches**: a ring slot holds one
+//!   buffer of up to [`RuntimeConfig::batch_size`] packets, drawn from a
+//!   fixed pool each link owns and handed back empty through a return ring
+//!   ([`wiring`]), so no hop allocates and a packet is copied once per hop,
 //! * a **root thread** that stamps per-packet logical clocks in trace order
 //!   (requirement R4) and feeds the entry splitters,
 //! * a **sharded store backend** ([`chc_store::StoreServer`]) in which each
@@ -75,7 +77,7 @@ mod root;
 mod sink;
 pub mod spsc;
 pub mod telemetry;
-mod wiring;
+pub mod wiring;
 
 pub use config::{RuntimeConfig, ScaleEvent, TelemetryConfig};
 pub use engine::{run_chain_realtime, RuntimeError};

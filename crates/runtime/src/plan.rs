@@ -142,9 +142,12 @@ pub(crate) type ShardSchedule = CounterSchedule<usize>;
 
 /// Everything decided before the first packet. See the module docs.
 pub struct ChainPlan {
-    /// Packets per ring transfer (`RuntimeConfig::batch_size`, at least 1).
+    /// Packets per ring batch, the most one ring item carries
+    /// (`RuntimeConfig::batch_size`, at least 1).
     pub(crate) batch: usize,
-    /// Ring capacity: `queue_depth`, and never under two batches.
+    /// Ring capacity in packets: `queue_depth`, and never under two
+    /// batches. A ring has `depth / batch` batch slots, rounded down to a
+    /// power of two, so it holds at most `depth` packets.
     pub(crate) depth: usize,
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).

@@ -8,8 +8,7 @@
 use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};
 use crate::plan::ChainPlan;
-use crate::spsc::Producer;
-use crate::wiring::{links_mut, Downstream, OutLink};
+use crate::wiring::{links_mut, route_all, Downstream, OutLink};
 use chc_core::{RootCore, TaggedPacket};
 use chc_packet::{flow_sampled, Packet, PacketId, Trace, TraceTag};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -33,9 +32,10 @@ pub(crate) struct Injection {
 /// so it survives a root crash.
 type Input<'a> = std::slice::Iter<'a, Packet>;
 
-/// The producer ends of the root's rings, one list per entry vertex: what
-/// survives a root crash as network.
-type Rings = Vec<Vec<Producer<TaggedPacket>>>;
+/// The root's links, one list per entry vertex, their unflushed batches
+/// emptied: what survives a root crash as network. Each carries its ring's
+/// producer end, its return ring and its batch buffers.
+type Rings = Vec<Vec<OutLink>>;
 
 /// What a root process holds: its clock, its output rings (one fan-out per
 /// entry vertex, with the unflushed batches) and the re-injection drill's
@@ -180,42 +180,34 @@ impl Root {
                     self.drill.push(tp.clone());
                 }
             }
-            self.route(&tp, shared.batch);
-        }
-    }
-
-    /// Route one stamped packet to the entry instances through the rings.
-    fn route(&mut self, tp: &TaggedPacket, batch: usize) {
-        for entry in &mut self.outs {
-            entry.route(tp, batch);
+            route_all(&mut self.outs, tp, shared.batch);
         }
     }
 
     /// Crash: the clock, the drill buffer and the unflushed output batches
     /// die with the root (its packet log too, which the new root clears).
     /// The packets in those batches are lost, like network drops; their ids
-    /// come back, once each, with the rings, which survive as network.
+    /// come back, once each, with the links, which survive as network.
     fn crash(mut self) -> (Rings, Vec<PacketId>) {
-        let unflushed = links_mut(&mut self.outs).flat_map(|link| link.buf.drain(..));
+        let unflushed = links_mut(&mut self.outs).flat_map(OutLink::discard);
         let mut lost: Vec<PacketId> = unflushed.map(|tp| tp.packet.id).collect();
         lost.sort_unstable();
         lost.dedup();
-        let producers = |entry: Downstream| entry.links.into_iter().map(|l| l.producer).collect();
-        (self.outs.into_iter().map(producers).collect(), lost)
+        (
+            self.outs.into_iter().map(|entry| entry.links).collect(),
+            lost,
+        )
     }
 
     /// A new root, built from what survives a root crash (§5.4) and nothing
     /// else: its clock from the store ([`RootCore::recovered`]), and the
-    /// rings, put behind the plan's splitters (§7.3's flow-allocation query).
+    /// links, put behind the plan's splitters (§7.3's flow-allocation query).
     /// The dead root's log died with it, so the root's log row starts empty.
     fn take_over(plan: &ChainPlan, shared: &EngineShared, rings: Rings) -> Root {
-        let sentinel = &shared.telemetry.sentinel;
         let outs = (plan.entries.iter().zip(rings))
-            .map(|(entry, producers)| Downstream {
+            .map(|(entry, links)| Downstream {
                 splitter: plan.splitters[entry].clone(),
-                links: (producers.into_iter())
-                    .map(|p| OutLink::new(p, shared.batch, sentinel.clone()))
-                    .collect(),
+                links,
             })
             .collect();
         Root {
@@ -231,13 +223,14 @@ impl Root {
     /// number of re-injected packets.
     fn finish(&mut self, batch: usize) -> u64 {
         let drill = std::mem::take(&mut self.drill);
-        for tp in &drill {
-            self.route(tp, batch);
+        let reinjected = drill.len() as u64;
+        for tp in drill {
+            route_all(&mut self.outs, tp, batch);
         }
         for link in links_mut(&mut self.outs) {
             link.flush();
-            link.producer.close();
+            link.close();
         }
-        drill.len() as u64
+        reinjected
     }
 }

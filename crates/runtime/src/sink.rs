@@ -4,7 +4,7 @@
 
 use crate::engine::EngineShared;
 use crate::wiring::{idle_wait, InputRing};
-use chc_core::{Arrival, SinkCore, TaggedPacket};
+use chc_core::{Arrival, SinkCore};
 use chc_telemetry::{FlowOrderChecker, SpanEvent, SpanKind, StreamingHistogram, TraceLane};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -28,7 +28,6 @@ pub(crate) fn run_sink(
     shared: &EngineShared,
     scale_cut: Option<u64>,
 ) -> SinkResult {
-    let batch = shared.batch;
     let telemetry = &shared.telemetry;
     // The sink's watermark slot follows every instance's.
     let commit_slot = shared.fault_mode.then(|| shared.watermarks.len() - 1);
@@ -51,24 +50,21 @@ pub(crate) fn run_sink(
     };
     let mut core = SinkCore::default();
     let latency = StreamingHistogram::new();
-    let mut work: Vec<TaggedPacket> = Vec::with_capacity(batch);
     let mut idle_streak = 0u32;
     loop {
         let mut moved = 0usize;
         for input in &mut inputs {
-            work.clear();
-            let n = input.rx.pop_batch(&mut work, batch);
-            if n == 0 {
+            let Some(mut batch) = input.pop() else {
                 continue;
-            }
+            };
             if let Some(s) = &telemetry.sentinel {
-                s.ledger.ring_popped.add(n as u64);
+                s.ledger.ring_popped.add(batch.len() as u64);
             }
-            moved += n;
+            moved += batch.len();
             // One arrival time serves the whole batch, read when its first
             // timed packet turns up; a batch without one reads no clock.
             let mut batch_now: Option<u64> = None;
-            for tp in work.drain(..) {
+            for tp in batch.drain(..) {
                 input.last_counter = input.last_counter.max(tp.clock.counter());
                 let traced = tp.trace.map(|t| t.id);
                 if core.on_packet(&tp) != Arrival::First {
@@ -106,6 +102,7 @@ pub(crate) fn run_sink(
                     }
                 }
             }
+            input.recycle(batch);
         }
         if moved > 0 {
             idle_streak = 0;
@@ -114,7 +111,7 @@ pub(crate) fn run_sink(
                 shared.publish_watermark(slot, wm);
             }
         } else {
-            if inputs.iter_mut().all(|r| r.rx.is_exhausted()) {
+            if inputs.iter_mut().all(|r| r.is_exhausted()) {
                 break;
             }
             idle_streak += 1;

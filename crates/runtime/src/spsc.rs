@@ -9,15 +9,20 @@
 //! * **index caching** — the producer caches the consumer's head (and vice
 //!   versa) and refreshes it only when the ring looks full/empty, so the
 //!   common case touches a single cache line, and
-//! * **batched transfer** — [`Producer::push_batch`] writes up to a whole
-//!   batch of items with *one* release store of the tail, and
-//!   [`Consumer::pop_batch`] mirrors that with one release store of the
-//!   head. Batching amortizes the inter-core coherence traffic the same way
-//!   the paper's prototype amortizes NIC and store-client overheads.
+//! * **batched transfer** — the engine's rings carry whole ring batches:
+//!   an item is a `Vec` of packets ([`crate::wiring::Batch`]), so one
+//!   [`Producer::push`] publishes a batch with one release store of the
+//!   tail and one [`Consumer::pop`] takes it with one release store of the
+//!   head, and no packet is copied into or out of a slot. Batching
+//!   amortizes the inter-core coherence traffic the same way the paper's
+//!   prototype amortizes NIC and store-client overheads. For a ring of
+//!   plain items, [`Producer::push_batch`] and [`Consumer::pop_batch`]
+//!   move a run of them with one publication each.
 //!
 //! Capacity is rounded up to a power of two; indices grow monotonically and
 //! are masked on access, which keeps full/empty disambiguation trivial
-//! (`tail - head` is the queue length).
+//! (`tail - head` is the queue length). Items still queued when the ring
+//! goes — pushed after the consumer was dropped — are dropped with it.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -29,7 +34,7 @@ use std::time::Duration;
 /// Pad hot atomics to their own cache line to avoid false sharing between
 /// the producer's and consumer's counters.
 #[repr(align(64))]
-struct CachePadded<T>(T);
+pub(crate) struct CachePadded<T>(pub(crate) T);
 
 struct Ring<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -99,6 +104,14 @@ pub trait RingDepth: Send + Sync {
 }
 
 impl<T> Ring<T> {
+    /// Items currently queued (approximate when read off both endpoints'
+    /// threads: the loads are relaxed).
+    fn len(&self) -> usize {
+        let tail = self.tail.0.load(Ordering::Relaxed);
+        let head = self.head.0.load(Ordering::Relaxed);
+        tail.saturating_sub(head)
+    }
+
     /// Wake the consumer if it is parked (or arming a park). Called by the
     /// producer after every tail publication and on close.
     ///
@@ -117,11 +130,22 @@ impl<T> Ring<T> {
     }
 }
 
+impl<T> Drop for Ring<T> {
+    fn drop(&mut self) {
+        // Both endpoints are gone. What the consumer did not pop — items
+        // pushed after it was dropped — is still owned by the ring.
+        let (head, tail) = (*self.head.0.get_mut(), *self.tail.0.get_mut());
+        for i in head..tail {
+            // SAFETY: slots in [head, tail) were written by the producer and
+            // never read by the consumer; no endpoint is left to touch them.
+            unsafe { self.buf[i & self.mask].get_mut().assume_init_drop() };
+        }
+    }
+}
+
 impl<T: Send> RingDepth for Ring<T> {
     fn depth(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Relaxed);
-        tail.saturating_sub(head)
+        self.len()
     }
 
     fn capacity(&self) -> usize {
@@ -190,6 +214,11 @@ impl<T> Producer<T> {
         self.ring.tail.0.store(self.tail, Ordering::Release);
         self.ring.wake();
         n
+    }
+
+    /// Items queued and not yet popped.
+    pub fn queued(&self) -> usize {
+        self.ring.len()
     }
 
     /// Mark the stream finished. The consumer drains what is queued and then
@@ -289,6 +318,11 @@ impl<T> Consumer<T> {
         thread::park_timeout(timeout);
         self.ring.waiting.store(false, Ordering::SeqCst);
         true
+    }
+
+    /// Items queued and not yet popped.
+    pub fn queued(&self) -> usize {
+        self.ring.len()
     }
 
     /// True while the producer has not closed the ring, i.e. items may
@@ -467,5 +501,21 @@ mod tests {
             }
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn items_pushed_after_the_consumer_went_are_dropped_with_the_ring() {
+        let item = Arc::new(());
+        let (mut tx, mut rx) = ring::<Arc<()>>(8);
+        tx.push(Arc::clone(&item)).unwrap();
+        assert!(rx.pop().is_some());
+        drop(rx);
+        for _ in 0..3 {
+            tx.push(Arc::clone(&item)).unwrap();
+        }
+        assert_eq!(tx.queued(), 3);
+        assert_eq!(Arc::strong_count(&item), 4, "the ring holds three clones");
+        drop(tx);
+        assert_eq!(Arc::strong_count(&item), 1, "the ring dropped its clones");
     }
 }

@@ -330,10 +330,11 @@ impl StateHandle for TimedHandle {
 /// is raised, so even a very short run yields at least two points per
 /// series. Returns the collected time series.
 ///
-/// Gauges: `ring.<edge>.depth` per labelled probe in `rings`; per-shard op
-/// rates; `shard.<i>.wal_depth` per shard of `journaled_shards`; in fault
-/// mode `rootlog.len`, plus `vertexlog.len` — total across armed vertex
-/// egress logs — when any vertex is armed.
+/// Gauges: `ring.<edge>.depth`, the packets (not batch slots) queued on
+/// each labelled link of `rings`; per-shard op rates; `shard.<i>.wal_depth`
+/// per shard of `journaled_shards`; in fault mode `rootlog.len`, plus
+/// `vertexlog.len` — total across armed vertex egress logs — when any
+/// vertex is armed.
 pub(crate) fn run_monitor(
     rings: Vec<(String, RingProbe)>,
     journaled_shards: &BTreeSet<usize>,

@@ -2,66 +2,168 @@
 //! input rings with their commit bookkeeping, and the per-downstream fan-out
 //! a thread routes through. Every thread owns its wiring outright, so the
 //! packet path reaches a ring through two `Vec` indexes and no map probe.
-//! [`wire`] lays every ring of a run from the [`ChainPlan`]: one per
+//! `wire` lays every ring of a run from the [`ChainPlan`]: one per
 //! (producer, consumer) pair of live traffic, and no other. A failover
 //! replacement reads its replay out of the packet logs itself
 //! ([`crate::replay`]), so no ring ever carries replayed copies into it.
+//!
+//! A ring carries ring batches, not packets: a slot holds one [`Batch`] of
+//! up to `batch` packets, and a link of `depth` packets has `depth / batch`
+//! slots, rounded down to a power of two, so it never holds more than
+//! `depth` packets. Each link owns a fixed pool of batch buffers, allocated
+//! when [`link`] lays it: the producer fills one in its [`OutLink`] and
+//! publishes it as one ring item, and the consumer empties it and hands it
+//! back through the link's return ring ([`InputRing::recycle`]), where the
+//! producer takes its next spare. A packet is copied once per hop, into the
+//! producer's buffer; no transfer allocates or frees, and every buffer
+//! stays in the allocator arena of the thread that laid it.
 
 use crate::plan::ChainPlan;
-use crate::spsc::{ring, Consumer, Producer, RingProbe};
+use crate::spsc::{ring, CachePadded, Consumer, Producer, RingDepth, RingProbe};
 use crate::telemetry::{RunTelemetry, SentinelState};
 use chc_core::{Splitter, TaggedPacket};
 use chc_store::VertexId;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// A buffered outgoing edge to one downstream instance.
-pub(crate) struct OutLink {
-    pub(crate) producer: Producer<TaggedPacket>,
-    pub(crate) buf: Vec<TaggedPacket>,
+/// One ring batch: up to `batch` packets, moved through a ring as one item.
+pub type Batch = Vec<TaggedPacket>;
+
+/// Slots of a link of `depth` packets in batches of `batch`: a power of
+/// two, at least two, and never more than `depth / batch`.
+fn slots(depth: usize, batch: usize) -> usize {
+    1 << (depth / batch).max(2).ilog2()
+}
+
+/// Lay one link of at most `depth` packets moved in batches of `batch`
+/// (`depth` at least two batches): its producer end and its consumer end.
+/// The pool holds a buffer for every slot, plus the one the producer fills
+/// and the one the consumer empties, so a spare is waiting whenever a push
+/// lands.
+pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
+    let pool = slots(depth, batch) + 2;
+    let (tx, rx) = ring(slots(depth, batch));
+    let (mut returns, spares) = ring(pool);
+    for _ in 1..pool {
+        let laid = returns.push(Vec::with_capacity(batch));
+        debug_assert!(laid.is_ok(), "the return ring holds the whole pool");
+    }
+    let out = OutLink {
+        tx,
+        spares,
+        buf: Vec::with_capacity(batch),
+        sentinel: None,
+        gauge: None,
+    };
+    let input = InputRing {
+        rx,
+        returns,
+        last_counter: 0,
+        ordered: false,
+        gauge: None,
+    };
+    (out, input)
+}
+
+/// Packets queued on one link, for the gauge monitor: the producer counts
+/// the packets it publishes, the consumer those it pops, each on a cache
+/// line of its own. Laid only when the monitor runs.
+struct LinkGauge {
+    pushed: CachePadded<AtomicUsize>,
+    popped: CachePadded<AtomicUsize>,
+    /// The link's capacity in packets: slots times batch.
+    capacity: usize,
+}
+
+impl RingDepth for LinkGauge {
+    /// Packets published and not yet popped. Each end counts after its own
+    /// ring publication, so a sample can run a batch ahead; it is clamped
+    /// to the capacity.
+    fn depth(&self) -> usize {
+        let pushed = self.pushed.0.load(Ordering::Relaxed);
+        let popped = self.popped.0.load(Ordering::Relaxed);
+        pushed.saturating_sub(popped).min(self.capacity)
+    }
+
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
+
+/// A buffered outgoing edge to one downstream instance: the ring's producer
+/// end, the batch being filled, and the link's spare buffers.
+pub struct OutLink {
+    tx: Producer<Batch>,
+    /// Emptied buffers the consumer handed back.
+    spares: Consumer<Batch>,
+    buf: Batch,
     /// Conservation-ledger handle, when the sentinel is on. Pushes count at
     /// flush time: copies sitting in an unflushed buffer when an instance
     /// fail-stops die with it and are deliberately never "in the network".
-    pub(crate) sentinel: Option<Arc<SentinelState>>,
+    sentinel: Option<Arc<SentinelState>>,
+    gauge: Option<Arc<LinkGauge>>,
 }
 
 impl OutLink {
-    pub(crate) fn new(
-        producer: Producer<TaggedPacket>,
-        batch: usize,
-        sentinel: Option<Arc<SentinelState>>,
-    ) -> OutLink {
-        OutLink {
-            producer,
-            buf: Vec::with_capacity(batch),
-            sentinel,
-        }
-    }
-
-    /// Queue one packet; drain the buffer through the ring once it holds a
-    /// full batch (spinning on downstream backpressure — the DAG is acyclic
-    /// and the sink always drains, so this cannot deadlock).
-    pub(crate) fn push(&mut self, tp: TaggedPacket, batch: usize) {
+    /// Queue one packet; publish the buffer once it holds a full batch.
+    #[inline]
+    pub fn push(&mut self, tp: TaggedPacket, batch: usize) {
         self.buf.push(tp);
         if self.buf.len() >= batch {
             self.flush();
         }
     }
 
-    /// Drain the buffer through the ring, yielding on downstream
-    /// backpressure: the DAG is acyclic and the sink always drains, so this
-    /// cannot deadlock. Pushed copies are booked in the conservation ledger
-    /// here, so what an unflushed buffer loses was never in the network.
-    pub(crate) fn flush(&mut self) {
-        while !self.buf.is_empty() {
-            let n = self.producer.push_batch(&mut self.buf);
-            if n == 0 {
-                thread::yield_now();
-            } else if let Some(s) = &self.sentinel {
-                s.ledger.ring_pushed.add(n as u64);
-            }
+    /// Publish the buffer as one ring item and take a spare in its place,
+    /// yielding on downstream backpressure: the DAG is acyclic and the sink
+    /// always drains, so this cannot deadlock. Pushed copies are booked in
+    /// the conservation ledger here, so what an unflushed buffer loses was
+    /// never in the network.
+    pub fn flush(&mut self) {
+        let n = self.buf.len();
+        if n == 0 {
+            return;
         }
+        let mut full = std::mem::take(&mut self.buf);
+        while let Err(back) = self.tx.push(full) {
+            full = back;
+            thread::yield_now();
+        }
+        if let Some(s) = &self.sentinel {
+            s.ledger.ring_pushed.add(n as u64);
+        }
+        if let Some(g) = &self.gauge {
+            g.pushed.0.fetch_add(n, Ordering::Relaxed);
+        }
+        // The pool keeps a spare for every push that lands, so this waits
+        // only until the consumer's hand-back is visible here.
+        self.buf = loop {
+            match self.spares.pop() {
+                Some(spare) => break spare,
+                None => thread::yield_now(),
+            }
+        };
+    }
+
+    /// Empty the unflushed buffer — what a crash of the producer loses —
+    /// keeping the buffer itself in the link's pool.
+    pub fn discard(&mut self) -> std::vec::Drain<'_, TaggedPacket> {
+        self.buf.drain(..)
+    }
+
+    /// Close the ring: the consumer drains what is queued and then sees
+    /// the stream end.
+    pub fn close(&self) {
+        self.tx.close();
+    }
+
+    /// The link's batch buffers out of its consumer's hands: the one being
+    /// filled, those queued and the spares. It is the pool size whenever the
+    /// consumer holds none.
+    pub fn buffers_at_rest(&self) -> usize {
+        1 + self.tx.queued() + self.spares.queued()
     }
 }
 
@@ -73,11 +175,23 @@ pub(crate) struct Downstream {
 }
 
 impl Downstream {
-    /// Queue a copy of `tp` on the link of the instance it routes to.
+    /// Queue `tp` on the link of the instance it routes to.
     #[inline]
-    pub(crate) fn route(&mut self, tp: &TaggedPacket, batch: usize) {
+    pub(crate) fn route(&mut self, tp: TaggedPacket, batch: usize) {
         let idx = self.splitter.instance_for(&tp.packet, tp.clock);
-        self.links[idx].push(tp.clone(), batch);
+        self.links[idx].push(tp, batch);
+    }
+}
+
+/// Queue `tp` on every fan-out of `outs`: moved into the last one, a copy
+/// into each other.
+#[inline]
+pub(crate) fn route_all(outs: &mut [Downstream], tp: TaggedPacket, batch: usize) {
+    if let Some((last, rest)) = outs.split_last_mut() {
+        for d in rest {
+            d.route(tp.clone(), batch);
+        }
+        last.route(tp, batch);
     }
 }
 
@@ -86,10 +200,12 @@ pub(crate) fn links_mut(outs: &mut [Downstream]) -> impl Iterator<Item = &mut Ou
     outs.iter_mut().flat_map(|d| d.links.iter_mut())
 }
 
-/// One input ring of an instance (or the sink), with the bookkeeping the
-/// commit protocol needs: the highest clock counter popped so far.
-pub(crate) struct InputRing {
-    pub(crate) rx: Consumer<TaggedPacket>,
+/// One input ring of an instance (or the sink), with the return ring its
+/// emptied batches go back through and the bookkeeping the commit protocol
+/// needs: the highest clock counter popped so far.
+pub struct InputRing {
+    pub(crate) rx: Consumer<Batch>,
+    returns: Producer<Batch>,
     pub(crate) last_counter: u64,
     /// True when the producer forwards one clock-ordered stream while no
     /// component has failed: the root, or an instance whose only input is
@@ -97,15 +213,33 @@ pub(crate) struct InputRing {
     /// counters out of order, so `last_counter` on a ring it feeds says
     /// nothing about the smaller counters still to come.
     pub(crate) ordered: bool,
+    gauge: Option<Arc<LinkGauge>>,
 }
 
 impl InputRing {
-    pub(crate) fn new(rx: Consumer<TaggedPacket>, ordered: bool) -> InputRing {
-        InputRing {
-            rx,
-            last_counter: 0,
-            ordered,
+    /// Take the next ring batch, if one is queued. Hand it back through
+    /// [`InputRing::recycle`] once it is done with.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Batch> {
+        let batch = self.rx.pop()?;
+        if let Some(g) = &self.gauge {
+            g.popped.0.fetch_add(batch.len(), Ordering::Relaxed);
         }
+        Some(batch)
+    }
+
+    /// True once the producer closed the ring and every batch was popped.
+    pub fn is_exhausted(&mut self) -> bool {
+        self.rx.is_exhausted()
+    }
+
+    /// Return a popped buffer to its link's pool, dropping whatever packets
+    /// it still holds.
+    #[inline]
+    pub fn recycle(&mut self, mut batch: Batch) {
+        batch.clear();
+        let returned = self.returns.push(batch);
+        debug_assert!(returned.is_ok(), "the return ring holds the whole pool");
     }
 }
 
@@ -160,13 +294,23 @@ struct RingLayer<'a> {
 }
 
 impl RingLayer<'_> {
-    fn link(&mut self, label: impl FnOnce() -> String) -> (OutLink, Consumer<TaggedPacket>) {
-        let (tx, rx) = ring(self.plan.depth);
+    fn link(&mut self, label: impl FnOnce() -> String, ordered: bool) -> (OutLink, InputRing) {
+        let (depth, batch) = (self.plan.depth, self.plan.batch);
+        let (mut out, mut input) = link(depth, batch);
+        out.sentinel = self.sentinel.clone();
+        input.ordered = ordered;
         if self.monitor_on {
-            self.wired.probes.push((label(), tx.depth_probe()));
+            let gauge = Arc::new(LinkGauge {
+                pushed: CachePadded(AtomicUsize::new(0)),
+                popped: CachePadded(AtomicUsize::new(0)),
+                capacity: slots(depth, batch) * batch,
+            });
+            self.wired
+                .probes
+                .push((label(), Arc::clone(&gauge) as RingProbe));
+            (out.gauge, input.gauge) = (Some(Arc::clone(&gauge)), Some(gauge));
         }
-        let link = OutLink::new(tx, self.plan.batch, self.sentinel.clone());
-        (link, rx)
+        (out, input)
     }
 
     /// One ring from the producer called `from` to each instance of
@@ -176,8 +320,7 @@ impl RingLayer<'_> {
         let targets = self.plan.slots_of(vertex);
         let mut links = Vec::with_capacity(targets.len());
         for (k, &target) in targets.iter().enumerate() {
-            let (link, rx) = self.link(|| format!("{from}->v{}.{k}", vertex.0));
-            let input = InputRing::new(rx, ordered);
+            let (link, input) = self.link(|| format!("{from}->v{}.{k}", vertex.0), ordered);
             self.wired.instances[target].inputs.push(input);
             links.push(link);
         }
@@ -189,9 +332,9 @@ impl RingLayer<'_> {
 
     /// One ring from the tail instance called `from` to the sink.
     fn sink_link(&mut self, from: &str) -> OutLink {
-        let (link, rx) = self.link(|| format!("{from}->sink"));
         // The sink keeps its duplicate window whole, so ring order is moot.
-        self.wired.sink_inputs.push(InputRing::new(rx, false));
+        let (link, input) = self.link(|| format!("{from}->sink"), false);
+        self.wired.sink_inputs.push(input);
         link
     }
 }
@@ -268,17 +411,25 @@ mod tests {
     #[test]
     fn an_idle_thread_parks_on_the_first_ring_still_open() {
         // How `wire` lays a merge vertex's inputs: one ring per upstream.
-        let (first_tx, first_rx) = ring::<TaggedPacket>(4);
-        let (second_tx, second_rx) = ring::<TaggedPacket>(4);
-        let inputs = [
-            InputRing::new(first_rx, true),
-            InputRing::new(second_rx, true),
-        ];
+        let (first_tx, first_rx) = link(4, 2);
+        let (second_tx, second_rx) = link(4, 2);
+        let inputs = [first_rx, second_rx];
         assert_eq!(park_target(&inputs), Some(0), "the first open ring");
         // Once the first stream ends, the second is all that can wake it.
         first_tx.close();
         assert_eq!(park_target(&inputs), Some(1), "the other open ring");
         second_tx.close();
         assert_eq!(park_target(&inputs), None, "nothing left to wait on");
+    }
+
+    #[test]
+    fn a_link_holds_at_most_its_depth_in_packets() {
+        for (depth, batch) in [(1024, 32), (32, 8), (1000, 3), (64, 1), (96, 48)] {
+            let held = slots(depth, batch) * batch;
+            assert!(held <= depth, "{held} packets on a {depth}-packet link");
+            assert!(2 * held > depth, "{held} packets on a {depth}-packet link");
+            let (out, _input) = link(depth, batch);
+            assert_eq!(out.buffers_at_rest(), slots(depth, batch) + 2);
+        }
     }
 }

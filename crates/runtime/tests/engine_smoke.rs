@@ -6,7 +6,7 @@ use chc_core::{
 };
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{Trace, TraceConfig, TraceGenerator};
-use chc_runtime::spsc::ring;
+use chc_runtime::wiring::link;
 use chc_runtime::{run_chain_realtime, FaultPlan, RuntimeConfig, RuntimeError};
 use chc_store::{BackendKind, VertexId};
 use std::rc::Rc;
@@ -298,49 +298,29 @@ fn packet_logs_under_the_frontier_cut() {
 }
 
 /// The root alone, over the `forward` workload's trace: stamp, wrap, route
-/// through the entry splitter and push to a ring whose consumer thread pops
-/// and drops, as the engine's root does on a healthy run (no log, no clock
-/// persisted). Packets a second.
+/// through the entry splitter and push to a link whose consumer thread pops
+/// and recycles each ring batch, as the engine's root does on a healthy run
+/// (no log, no clock persisted). Packets a second.
 fn root_only_pps(trace: &Trace, splitter: &Splitter, rt: &RuntimeConfig) -> f64 {
     let batch = rt.batch_size;
-    let (mut tx, mut rx) = ring::<TaggedPacket>(rt.queue_depth);
+    let (mut out, mut input) = link(rt.queue_depth, batch);
     let drain = thread::spawn(move || {
-        let (mut popped, mut idle) = (Vec::with_capacity(batch), 0);
-        loop {
-            if rx.pop_batch(&mut popped, batch) > 0 {
-                popped.clear();
-                idle = 0;
-            } else if rx.is_exhausted() {
-                return;
-            } else if idle < 4 {
-                idle += 1;
-                thread::yield_now();
-            } else {
-                rx.park_if_empty(Duration::from_micros(200));
+        while !input.is_exhausted() {
+            match input.pop() {
+                Some(popped) => input.recycle(popped),
+                None => thread::yield_now(),
             }
         }
     });
     let start = Instant::now();
     let mut root = RootCore::default();
-    let mut buf = Vec::with_capacity(batch);
-    let mut flush = |buf: &mut Vec<TaggedPacket>| {
-        while !buf.is_empty() {
-            if tx.push_batch(buf) == 0 {
-                thread::yield_now();
-            }
-        }
-    };
     for pkt in &trace.packets {
         let tp = TaggedPacket::new(pkt.clone(), root.stamp(None));
         assert_eq!(splitter.instance_for(&tp.packet, tp.clock), 0);
-        // The engine's route queues a copy, as here.
-        buf.push(tp.clone());
-        if buf.len() >= batch {
-            flush(&mut buf);
-        }
+        out.push(tp, batch);
     }
-    flush(&mut buf);
-    tx.close();
+    out.flush();
+    out.close();
     drain.join().unwrap();
     trace.len() as f64 / start.elapsed().as_secs_f64()
 }

@@ -87,6 +87,28 @@ fn monitor_collects_monotonic_gauge_series_and_shuts_down_cleanly() {
     );
 }
 
+/// A ring gauge counts packets, not batch slots, and never reads more than
+/// the ring's depth: here 64 packets, eight batches of eight.
+#[test]
+fn ring_gauges_count_packets_up_to_the_ring_depth() {
+    let trace = trace_for(17);
+    let rt = RuntimeConfig {
+        queue_depth: 64,
+        ..RuntimeConfig::with_batch_size(8).with_sample_interval(Duration::from_micros(100))
+    };
+    let report = run(rt, &trace);
+    let series = &report.telemetry.as_ref().expect("telemetry").series;
+    let samples: Vec<f64> = series
+        .with_prefix("ring.")
+        .flat_map(|g| g.points.iter().map(|p| p.value))
+        .collect();
+    assert!(!samples.is_empty());
+    assert!(
+        samples.iter().all(|&v| v <= 64.0),
+        "a ring held more than 64 packets"
+    );
+}
+
 /// On files the monitor adds the durable gauges, persist lag among them: a
 /// shard restart plan journals every faulted shard from the start, so bytes
 /// reach the files, and the lag sampled never exceeds the staging cap.
