@@ -22,9 +22,7 @@ use chc_packet::{PacketId, ScopeKey, Trace};
 use chc_sim::{
     ActorId, LinkConfig, SimDuration, Simulation, SimulationReport, Summary, VirtualTime,
 };
-use chc_store::{
-    recover_shared_state, Clock, InstanceId, RecoveryInput, RecoveryReport, StoreServer, VertexId,
-};
+use chc_store::{Clock, InstanceId, ShardRecoveryStats, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -179,8 +177,9 @@ pub struct ChainController {
     /// failover or clone instance replays from.
     logs: Rc<VertexLogs>,
     next_instance: u32,
-    /// The store's latest checkpoint image (empty: none taken).
-    last_checkpoint: Vec<u8>,
+    /// Whether [`ChainController::checkpoint_store`] ran: the store's shard
+    /// journals from its first checkpoint on.
+    store_checkpointed: bool,
 }
 
 impl ChainController {
@@ -193,7 +192,7 @@ impl ChainController {
         dag.topo_order()?;
         let mut sim: Simulation<Msg> = Simulation::new(seed);
         sim.set_default_link(LinkConfig::with_latency(config.costs.inter_nf_link));
-        // Failover, straggler clones and Figure 7 re-issue clocks.
+        // Failover and straggler clones re-issue clocks.
         let store = SharedStore::new();
         let declared = store.track_replays();
         assert!(declared, "a fresh store takes the replay declaration");
@@ -232,7 +231,7 @@ impl ChainController {
             handles: ChainHandles { root, sink },
             logs,
             next_instance: 0,
-            last_checkpoint: Vec::new(),
+            store_checkpointed: false,
         };
 
         for v in controller.dag.vertices().to_vec() {
@@ -275,8 +274,7 @@ impl ChainController {
             self.config.costs,
             &objects,
         );
-        // `recover_store` rebuilds the store from these logs (Figure 7), and
-        // the actor folds the tokens into the commit vector (Figure 6).
+        // The actor folds the update tokens into the commit vector (Figure 6).
         client.set_recovery_logging(true);
         let params = InstanceParams {
             vertex: spec.id,
@@ -579,17 +577,15 @@ impl ChainController {
     }
 
     /// Take a datastore checkpoint (used before `fail_store`/`recover_store`):
-    /// the shard's image. Each client's recovery logs are cut at it (through
-    /// the image's `TS` for its instance), so they hold the updates and reads
-    /// since the latest checkpoint, not since the start.
+    /// the shard's image, with its journal switched on and cut at it, so the
+    /// journal holds what the store applied since the latest checkpoint.
+    /// Journaling starts here, not at bring-up: each journal compaction
+    /// re-encodes the image, a cost a run that never loses its store need
+    /// not pay.
     pub fn checkpoint_store(&mut self) {
-        self.last_checkpoint = self.store.shard_image(0);
-        let ts = self.store.ts_snapshot();
-        for (_, instance, actor) in self.topology.borrow().all_instances() {
-            if let Some(a) = self.sim.actor_mut::<NfInstanceActor>(actor) {
-                a.client.truncate_recovery_logs(ts.clock_of(instance));
-            }
-        }
+        self.store.set_shard_journaling(0, true);
+        self.store.checkpoint_shard(0);
+        self.store_checkpointed = true;
     }
 
     /// Kill the datastore instance (fail-stop): its state is lost and all
@@ -598,36 +594,19 @@ impl ChainController {
         self.store.crash_shard(0);
     }
 
-    /// Recover the datastore: shared state is rebuilt from the latest
-    /// checkpoint image plus the instances' write-ahead/read logs (Figure 7),
-    /// per-flow state is re-installed from the instances' caches, and the
-    /// root persists its clock again. Returns the recovery report (the
-    /// replayed-operation count drives Figure 14).
-    pub fn recover_store(&mut self) -> RecoveryReport {
-        let mut wals = HashMap::new();
-        let mut read_logs = HashMap::new();
-        let mut per_flow = Vec::new();
-        for (_, _, actor) in self.topology.borrow().all_instances() {
-            if let Some(a) = self.sim.actor::<NfInstanceActor>(actor) {
-                wals.insert(a.client.instance(), a.client.wal().clone());
-                read_logs.insert(a.client.instance(), a.client.read_log().to_vec());
-                per_flow.extend(a.client.cached_per_flow());
-            }
-        }
-        let input = RecoveryInput {
-            image: self.last_checkpoint.clone(),
-            wals,
-            read_logs,
-        };
-        let (mut recovered, mut report) = recover_shared_state(&input);
-        for (key, value) in per_flow {
-            recovered.install(&key, value, key.instance);
-            report.per_flow_restored += 1;
-        }
-        self.store.install_shard(0, recovered);
-        if let Some(root) = self.sim.actor::<RootActor>(self.handles.root) {
-            root.persist_clock_again();
-        }
-        report
+    /// Recover the datastore as the engine restarts a shard: from its latest
+    /// checkpoint plus the journal that follows it
+    /// ([`StoreServer::recover_shard`]). Every object comes back as it stood
+    /// at the crash, with its owner and its callback registrations, the
+    /// root's persisted clock among them. Returns what the restart restored
+    /// and replayed.
+    ///
+    /// # Panics
+    ///
+    /// If [`ChainController::checkpoint_store`] never ran: the shard has
+    /// journaled nothing to recover from.
+    pub fn recover_store(&mut self) -> ShardRecoveryStats {
+        assert!(self.store_checkpointed, "recover_store needs a checkpoint");
+        self.store.recover_shard(0)
     }
 }

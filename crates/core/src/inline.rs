@@ -209,29 +209,19 @@ mod tests {
             let stats = client.stats();
             let reached = stats.blocking_ops + stats.non_blocking_ops;
             assert!(reached > 0, "stage {i} never reached the store");
-            assert_eq!(client.wal().len(), 0, "stage {i}'s write-ahead log");
-            assert!(client.read_log().is_empty(), "stage {i}'s read log");
+            assert!(chain.core(i).tokens().is_empty(), "stage {i}'s tokens");
         }
         assert_eq!(chain.store.update_log_len(), 0);
     }
 
     #[test]
-    fn the_simulators_clients_still_keep_their_recovery_logs() {
-        let trace = trace();
+    fn the_simulators_clients_still_record_their_update_tokens() {
         let mut chain = ChainController::new(fw_nat_lb(), ChainConfig::default(), 3).unwrap();
-        chain.inject_trace(&trace);
-        chain.run();
-        let logs = |a: &mut crate::instance::NfInstanceActor| {
-            (a.client.wal().len(), a.client.read_log().len())
-        };
-        let (nat_wal, _) = chain.with_instance(VertexId(2), 0, logs).expect("the NAT");
-        assert!(nat_wal > 0, "the NAT's counter updates went unlogged");
-        let (_, firewall_reads) = chain
-            .with_instance(VertexId(1), 0, logs)
-            .expect("the firewall");
-        assert!(
-            firewall_reads > 0,
-            "the firewall's blacklist reads went unlogged"
-        );
+        let tokens = chain.with_instance(VertexId(2), 0, |a| {
+            let one = chc_store::Operation::Increment(1);
+            a.client.update("pkt_count", None, one, Clock(1));
+            a.client.take_packet_tokens().len()
+        });
+        assert_eq!(tokens, Some(1), "the NAT's counter update left no token");
     }
 }

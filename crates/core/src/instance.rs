@@ -75,9 +75,8 @@ pub struct InstanceMetrics {
 pub struct NfInstanceActor {
     params: InstanceParams,
     core: InstanceCore,
-    /// Client-side datastore library (public so the chain controller can
-    /// harvest write-ahead logs, read logs and cached per-flow state during
-    /// datastore recovery).
+    /// Client-side datastore library (public so tests and experiments can
+    /// drive it and read its statistics and caches).
     pub client: StateClient,
     config: ChainConfig,
     partition: Rc<RefCell<PartitionTable>>,

@@ -16,8 +16,8 @@
 //!    store serializes shared-state updates (R1, R2, R3).
 //! 2. **Metadata** — per-packet logical clocks stamped by the chain [`root`],
 //!    root-side packet logs with the XOR commit-vector protocol of §5.4,
-//!    store-side clock-tagged update logs, and per-NF operation/read logs
-//!    (R4, R5, R6).
+//!    store-side clock-tagged update logs, and each store shard's checkpoint
+//!    plus journal, which a crashed shard restarts from (R4, R5, R6).
 //! 3. **Protocols** — scope-aware traffic partitioning ([`splitter`]), the
 //!    state-handover protocol of Figure 4 (elastic scaling), straggler
 //!    mitigation by clone-and-replay with three-way duplicate suppression

@@ -181,12 +181,6 @@ impl RootActor {
         }
     }
 
-    /// Persist the clock again into a store recovered from an older image
-    /// ([`RootCore::persist_again`]).
-    pub fn persist_clock_again(&self) {
-        self.core.persist_again(&self.store);
-    }
-
     fn handle_input(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
         tp.clock = self.core.stamp(Some(&*self.store));
         // A full log drops the packet, as on the engine's root (the chain

@@ -91,27 +91,14 @@ impl RootCore {
         self.counter
     }
 
-    /// Write into `store` again the counter the last periodic persist set
-    /// (nothing before the first one). A store recovered from a checkpoint
-    /// image and the instances' logs holds the image's older value, since
-    /// the root logs no updates of its own; a root failover reading that
-    /// value would stamp counters again.
-    pub fn persist_again(&self, store: &StoreServer) {
-        let persisted = self.counter - self.counter % CLOCK_PERSIST_PERIOD;
-        if persisted > 0 {
-            Self::set(store, &self.clock_key, persisted);
-        }
-    }
-
+    /// Set the counter in `store`. A journaled shard journals the write
+    /// like any other, so a shard restarted from its checkpoint and journal
+    /// holds the last persisted counter.
     fn persist(&self, store: &StoreServer) {
-        Self::set(store, &self.clock_key, self.counter);
-    }
-
-    fn set(store: &StoreServer, key: &StateKey, counter: u64) {
         let _ = store.apply(
             InstanceId(u32::MAX),
-            key,
-            &Operation::Set(Value::Int(counter as i64)),
+            &self.clock_key,
+            &Operation::Set(Value::Int(self.counter as i64)),
             None,
         );
     }

@@ -16,14 +16,12 @@
 //! The client also maintains the metadata CHC needs for correctness: the
 //! accumulated virtual-time charge that the instance runtime adds to the
 //! packet's processing latency and, where a reader is, the XOR tokens of
-//! updates issued for the in-flight packet (Figure 6), the write-ahead log
-//! of shared-state updates and the read log of `(value, TS)` pairs (§5.4).
-//! The two logs grow with the packet count and have one reader, the
-//! simulator's [`crate::ChainController::recover_store`] (Figure 7); the
-//! tokens' one reader is the simulator's instance actor, which folds them
-//! into the packet's commit vector. So all three are off unless the
-//! simulator's clients switch them on, with one switch
-//! ([`StateClient::set_recovery_logging`]).
+//! updates issued for the in-flight packet (Figure 6). The tokens' one
+//! reader is the simulator's instance actor, which folds them into the
+//! packet's commit vector, so they are off unless the simulator's clients
+//! switch them on ([`StateClient::set_recovery_logging`]). The client keeps
+//! no log for store recovery: a crashed store shard comes back from its own
+//! checkpoint and journal ([`StoreServer::recover_shard`]).
 
 use crate::cache::CacheStrategy;
 use crate::config::{CostModel, ExternalizationMode};
@@ -35,8 +33,8 @@ use chc_store::key::{KeyPrefix, PrehashedMap, Scoped};
 use chc_store::ops::apply_in_place;
 use chc_store::store::{shared_key, ApplyResult};
 use chc_store::{
-    BackendKind, Clock, InstanceId, Operation, ReadLogEntry, StateKey, StateScope, StoreError,
-    StoreServer, TsSnapshot, Value, VertexId, WriteAheadLog,
+    BackendKind, Clock, InstanceId, Operation, StateKey, StateScope, StoreError, StoreServer,
+    TsSnapshot, Value, VertexId,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
@@ -232,14 +230,8 @@ pub struct StateClient {
     objects: Vec<ObjectSlot>,
     /// Callback registrations already made (avoid duplicates).
     callbacks_registered: HashSet<StateKey>,
-    /// Write-ahead log of shared-state updates (store recovery, §5.4).
-    wal: WriteAheadLog,
-    /// Read log of shared-state reads with their `TS` snapshots.
-    read_log: Vec<ReadLogEntry>,
-    /// Whether the WAL / read log and the XOR tokens are recorded. Off by
-    /// default: both logs grow with the packet count, and only the
-    /// simulator reads any of the three (`ChainController::recover_store`
-    /// the logs, its instance actor the tokens), whose clients switch them
+    /// Whether the XOR tokens are recorded. Off by default: only the
+    /// simulator's instance actor reads them, and its clients switch them
     /// on.
     recovery_logging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
@@ -248,9 +240,9 @@ pub struct StateClient {
     /// its cap. An entry is one op, except in an ordered writer
     /// ([`StateClient::declare_ordered_writer`]), where it may carry several
     /// increments of one key and hot counters drain at the ring-batch
-    /// boundary instead of at the cap, and drain in clock order. The WAL
-    /// append and XOR token of an op are recorded at buffer time, and each
-    /// entry's clock keeps the store's duplicate suppression exact.
+    /// boundary instead of at the cap, and drain in clock order. The XOR
+    /// token of an op is recorded at buffer time, and each entry's clock
+    /// keeps the store's duplicate suppression exact.
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
     /// Buffered entries that force an in-place drain when reached (bounds
     /// both buffer memory and the store-visible staleness window).
@@ -300,8 +292,6 @@ impl StateClient {
             costs,
             objects,
             callbacks_registered: HashSet::new(),
-            wal: WriteAheadLog::new(),
-            read_log: Vec::new(),
             recovery_logging: false,
             write_behind: None,
             write_behind_cap: 0,
@@ -324,37 +314,17 @@ impl StateClient {
         self.stats
     }
 
-    /// The client's write-ahead log (collected by store recovery).
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
-    }
-
-    /// Enable or disable the client-side recovery logs (WAL + read log)
-    /// and the XOR tokens of a packet's store updates
-    /// ([`StateClient::take_packet_tokens`]). Off by default, since both
-    /// logs grow with the packet count and every op would pay for a token.
-    /// Their one reader is the simulator: datastore recovery (§5.4,
-    /// [`crate::ChainController::recover_store`], Figure 7) collects the
-    /// logs, and its instance actor folds the tokens into the packet's
-    /// commit vector (Figure 6). Its clients are the only ones that switch
-    /// them on; the engine folds one delete token per logged packet
-    /// instead.
+    /// Enable or disable the XOR tokens of a packet's store updates
+    /// ([`StateClient::take_packet_tokens`]); nothing else. Off by default,
+    /// since every op would pay for a token. Their one reader is the
+    /// simulator's instance actor, which folds them into the packet's
+    /// commit vector (Figure 6), and its clients are the only ones that
+    /// switch them on. The name outlives the recovery logs it once also
+    /// switched: the benchmark compiles against it, so it goes, with
+    /// `take_packet_tokens`, in the benchmark change that moves the
+    /// simulator to the engine's frontier truncation (ROADMAP item 27).
     pub fn set_recovery_logging(&mut self, enabled: bool) {
         self.recovery_logging = enabled;
-    }
-
-    /// Drop from the recovery logs what a store checkpoint just taken made
-    /// unnecessary: the updates at or below `through`, the image's `TS` for
-    /// this instance (none if it holds none), from which recovery rolls the
-    /// image forward; and every read, each answered before the image was
-    /// taken and so no newer than it. A read kept would stay a candidate
-    /// for Figure 7's selection, whose roll-forward from its older `TS`
-    /// needs the updates cut here.
-    pub fn truncate_recovery_logs(&mut self, through: Option<Clock>) {
-        if let Some(through) = through {
-            self.wal.truncate_through(through);
-        }
-        self.read_log.clear();
     }
 
     /// Enable or disable write-behind coalescing of non-blocking flushes.
@@ -439,11 +409,6 @@ impl StateClient {
                     .push((*other, key.clone(), value.clone()));
             }
         }
-    }
-
-    /// The client's read log (collected by store recovery).
-    pub fn read_log(&self) -> &[ReadLogEntry] {
-        &self.read_log
     }
 
     fn slot(&self, object: &str) -> Option<&ObjectSlot> {
@@ -535,7 +500,7 @@ impl StateClient {
             }
         }
         let key = slot.key(at);
-        let (shared, uses_callbacks) = (slot.owner.is_none(), slot.strategy.uses_callbacks());
+        let uses_callbacks = slot.strategy.uses_callbacks();
         // Blocking read from the store. Buffered write-behind ops on this
         // key (or any other) must be visible to it: drain first.
         self.drain_write_behind();
@@ -548,15 +513,6 @@ impl StateClient {
             Err(_) => return Value::None,
         };
         let value = result.outcome.returned;
-        // Record the read (value + TS) for datastore recovery, shared objects only.
-        if self.recovery_logging && shared {
-            self.read_log.push(ReadLogEntry {
-                clock,
-                key: key.clone(),
-                value: value.clone(),
-                ts: self.store.ts_snapshot(),
-            });
-        }
         // Populate the table and, for read-heavy objects, register the
         // store callback that will keep it fresh.
         if cacheable {
@@ -607,7 +563,7 @@ impl StateClient {
             self.flush_op(i, at, scope_key, op, clock);
             return returned;
         }
-        let (shared, exclusive) = (slot.owner.is_none(), slot.exclusive);
+        let exclusive = slot.exclusive;
 
         // Offloaded to the store. Blocking cost depends on the operation and
         // the externalization mode:
@@ -677,9 +633,6 @@ impl StateClient {
                 }
             }
         }
-        if self.recovery_logging && shared {
-            self.wal.append(clock, key, op);
-        }
         result.outcome.returned
     }
 
@@ -687,8 +640,8 @@ impl StateClient {
     /// with non-blocking semantics.
     ///
     /// With write-behind enabled the op is buffered, or in an ordered writer
-    /// folded ([`StateClient::declare_ordered_writer`]); the WAL append and
-    /// XOR token happen now either way (neither depends on the result).
+    /// folded ([`StateClient::declare_ordered_writer`]); the XOR token is
+    /// taken now either way (it does not depend on the result).
     fn flush_op(
         &mut self,
         i: usize,
@@ -706,9 +659,6 @@ impl StateClient {
             return;
         }
         let key = self.objects[i].key(at);
-        if self.recovery_logging && key.instance.is_none() {
-            self.wal.append(clock, key.clone(), op.clone());
-        }
         if self.recovery_logging {
             self.packet_tokens.push(xor_token(self.instance, &key));
         }
@@ -727,8 +677,8 @@ impl StateClient {
     /// Fold `op`, in an ordered writer and if an `Increment`, into the newest
     /// buffered entry of object `i` at `scope_key` if that is an `Increment`
     /// able to absorb it without overflow; the entry takes `clock` where it
-    /// sits, and the drain sorts by clock. Its WAL append and XOR token come
-    /// from the entry's key. Returns whether `op` was folded.
+    /// sits, and the drain sorts by clock. Its XOR token comes from the
+    /// entry's key. Returns whether `op` was folded.
     fn fold_increment(
         &mut self,
         i: usize,
@@ -758,9 +708,6 @@ impl StateClient {
             return false;
         };
         (*sum, *tag) = (folded, Some(clock));
-        if self.recovery_logging && key.instance.is_none() {
-            self.wal.append(clock, key.clone(), op.clone());
-        }
         if self.recovery_logging {
             self.packet_tokens.push(xor_token(self.instance, key));
         }
@@ -814,7 +761,7 @@ impl StateClient {
 
     /// Flush every cached per-flow object (and optionally release ownership),
     /// as required when the flow is reallocated to another instance
-    /// (Figure 4 step 5) or when recovering a failed store instance.
+    /// (Figure 4 step 5).
     ///
     /// Returns the number of objects flushed.
     pub fn flush_per_flow(&mut self, release_ownership: bool, clock: Clock) -> usize {
@@ -829,8 +776,8 @@ impl StateClient {
             .sum()
     }
 
-    /// Snapshot of the cached per-flow objects (used to recover a failed
-    /// store instance: the caches hold the freshest per-flow values).
+    /// Snapshot of the cached per-flow objects: the copies this instance
+    /// holds, which are the freshest per-flow values (Theorem B.5.1).
     pub fn cached_per_flow(&self) -> Vec<(StateKey, Value)> {
         self.objects
             .iter()
@@ -955,7 +902,7 @@ mod tests {
         assert!(charge < SimDuration::from_micros(2), "got {charge}");
         // The flush keeps the store authoritative.
         assert_eq!(store.peek(&c.state_key("port_map", sk)), Value::Int(8080));
-        // And it is visible for store recovery via the cached snapshot.
+        // And it is in the cached snapshot.
         assert_eq!(c.cached_per_flow().len(), 1);
     }
 
@@ -1052,25 +999,6 @@ mod tests {
         c.update("pkt_count", None, Operation::Increment(1), clock(7));
         c.set_exclusive("pkt_count", false, clock(8));
         assert_eq!(in_store(&c, "pkt_count"), Value::Int(1));
-    }
-
-    #[test]
-    fn wal_and_read_log_cover_shared_objects_only() {
-        let store = SharedStore::new();
-        let mut c = client(ExternalizationMode::Externalized, &store);
-        c.set_recovery_logging(true);
-        c.update("pkt_count", None, Operation::Increment(1), clock(1));
-        c.read("pkt_count", None, clock(2));
-        let sk = Some(ScopeKey::Port(99));
-        c.update("port_map", sk, Operation::Set(Value::Int(1)), clock(3));
-        c.read("port_map", sk, clock(4));
-        assert_eq!(
-            c.wal().len(),
-            1,
-            "only the shared counter update is WAL-logged"
-        );
-        assert_eq!(c.read_log().len(), 1, "only the shared read is TS-logged");
-        assert_eq!(c.read_log()[0].clock, clock(2));
     }
 
     #[test]
@@ -1201,8 +1129,7 @@ mod tests {
         // The store lags until the drain.
         assert_eq!(c.write_behind_depth(), 2);
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::None);
-        // WAL and XOR tokens were recorded at buffer time, not drain time.
-        assert_eq!(c.wal().len(), 2);
+        // XOR tokens were recorded at buffer time, not drain time.
         assert_eq!(c.take_packet_tokens().len(), 2);
         assert_eq!(c.drain_write_behind(), 2);
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(2));
@@ -1372,10 +1299,8 @@ mod tests {
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.update("port_map", None, Operation::Set(Value::Int(7)), clock(2));
         c.update("pkt_count", None, Operation::Increment(2), clock(3));
-        // Per op all the same: three tokens, two WAL appends (the per-flow
-        // object logs none), and the drain leaves the sum.
+        // Per op all the same: three tokens, and the drain leaves the sum.
         assert_eq!(c.take_packet_tokens().len(), 3);
-        assert_eq!(c.wal().len(), 2);
         assert_eq!(c.drain_write_behind(), 2);
         // The folded entry stayed at the front; the store gets it last.
         assert_eq!(

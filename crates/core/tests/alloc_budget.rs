@@ -284,9 +284,8 @@ impl NetworkFunction for Meter {
 fn a_warm_instance_step_allocates_nothing() {
     // The step around an NF and a client path that allocate nothing adds
     // nothing: not the duplicate window, not an empty alert list, not the
-    // tokens it takes from the client. Tokens are recorded with the
-    // recovery logs, as the simulator's clients record them; the WAL is cut
-    // after the warm-up, as a store checkpoint cuts it, and keeps its room.
+    // tokens it takes from the client. Tokens are recorded, as the
+    // simulator's clients record them.
     let mut client = client(Box::new(SharedStore::new()));
     client.set_recovery_logging(true);
     let mut core: InstanceCore = InstanceCore::new(Box::new(Meter), false, true);
@@ -302,7 +301,6 @@ fn a_warm_instance_step_allocates_nothing() {
         step(&mut client, n);
     }
     client.drain_write_behind();
-    client.truncate_recovery_logs(Some(Clock::with_root(0, 2 * FLOWS as u64)));
     let allocated = allocations_in(|| {
         for n in 100..116 {
             step(&mut client, n);

@@ -10,7 +10,7 @@
 //! clocks, exclusivity changes, per-flow flushes, callbacks (including a name
 //! first seen through one), crashes and drains — in every externalization
 //! mode, write-behind on and off — must agree on every returned value, on the
-//! statistics and logs, on `cached_per_flow()` as a set, and on the store's
+//! statistics and tokens, on `cached_per_flow()` as a set, and on the store's
 //! contents after a drain.
 //!
 //! One thing the model does not port: the old client refreshed its copy from
@@ -30,7 +30,7 @@
 //! The same schedule also drives a fold arm ([`FoldArm`]): two buffering
 //! clients, each on its own store whose replay floor is at the top, one of
 //! them folding increments. They must agree on every answer, on each
-//! packet's XOR tokens, on the WAL and, whenever both buffers are empty,
+//! packet's XOR tokens and, whenever both buffers are empty,
 //! on the store's contents, on `TS` and on the last value each subscriber
 //! was sent.
 //!
@@ -117,8 +117,6 @@ struct Model {
     cap: usize,
     stats: StateClientStats,
     tokens: usize,
-    wal_len: usize,
-    read_log_len: usize,
     pending: Vec<(InstanceId, StateKey, Value)>,
 }
 
@@ -149,8 +147,6 @@ impl Model {
             cap: write_behind.unwrap_or(0),
             stats: StateClientStats::default(),
             tokens: 0,
-            wal_len: 0,
-            read_log_len: 0,
             pending: Vec::new(),
         }
     }
@@ -236,9 +232,6 @@ impl Model {
             return Value::None;
         };
         let value = result.outcome.returned;
-        if key.instance.is_none() {
-            self.read_log_len += 1;
-        }
         if cacheable {
             self.cache.insert(slot, value.clone());
             if self.object(name).strategy.uses_callbacks()
@@ -267,9 +260,6 @@ impl Model {
     }
 
     fn flush_op(&mut self, key: StateKey, op: Operation, clock: Clock) {
-        if key.instance.is_none() {
-            self.wal_len += 1;
-        }
         self.tokens += 1;
         if let Some(buf) = self.write_behind.as_mut() {
             buf.push((key, op, Some(clock)));
@@ -324,9 +314,6 @@ impl Model {
         let Ok(result) = self.store.apply(INSTANCE, &key, &op, Some(clock)) else {
             return Value::None;
         };
-        if key.instance.is_none() {
-            self.wal_len += 1;
-        }
         self.notified(&key, &result.notify);
         self.tokens += 1;
         // The old client overwrote its copy with the value every result
@@ -594,8 +581,6 @@ impl FoldArm {
             ..c.stats()
         };
         assert_eq!(stats(per_op), stats(folded), "fold arm stats: {context}");
-        let wal = |c: &StateClient| c.wal().entries().to_vec();
-        assert_eq!(wal(per_op), wal(folded), "fold arm WAL: {context}");
         if per_op.write_behind_depth() + folded.write_behind_depth() > 0 {
             return;
         }
@@ -902,8 +887,6 @@ proptest! {
             prop_assert_eq!(client.is_exclusive(name), model.object(name).exclusive, "{}", context);
             prop_assert_eq!(client.stats(), model.stats, "{}", context);
             prop_assert_eq!(client.take_packet_tokens().count(), std::mem::take(&mut model.tokens), "{}", context);
-            prop_assert_eq!(client.wal().len(), model.wal_len, "{}", context);
-            prop_assert_eq!(client.read_log().len(), model.read_log_len, "{}", context);
             prop_assert_eq!(
                 sorted(client.take_pending_callbacks()),
                 sorted(model.pending.drain(..)),

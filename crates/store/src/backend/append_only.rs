@@ -132,8 +132,7 @@ impl Engine {
     }
 
     /// Make `instance` the newest image and truncate the journal (records
-    /// preceding a checkpoint are no longer needed for recovery — Figure 7's
-    /// "latest checkpoint"). Returns the number of objects captured.
+    /// preceding a checkpoint are no longer needed for recovery). Returns the number of objects captured.
     pub fn checkpoint(&mut self, instance: &StoreInstance) -> usize {
         // A buffer of this image's own, sized by the last one. In memory it
         // becomes the image; a buffer kept per shard across checkpoints would

@@ -23,11 +23,11 @@
 //! * [`window::CounterWindow`], the ring indexed by a dense clock counter
 //!   behind both the store's duplicate-suppression log and
 //!   `chc_core::ClockWindow`;
-//! * client-side write-ahead/read logs ([`wal`]) and the shared-state
-//!   recovery algorithm with `TS` selection (§5.4, Figure 7) in [`recovery`];
 //! * the per-shard storage engine ([`backend`]): an append-only journal with
 //!   checkpoint compaction, whose shard restart is O(ops-since-checkpoint),
-//!   over bytes in memory or flat files;
+//!   over bytes in memory or flat files. It is the one store recovery (R6,
+//!   §5.4) on both substrates: a crashed shard comes back from its
+//!   checkpoint image plus the journal that follows it;
 //! * a sharded, thread-safe server ([`server::StoreServer`]), the datastore
 //!   both substrates run on (the paper reports ≈5.1 M ops/s per store
 //!   instance).
@@ -37,20 +37,16 @@ mod dedup;
 pub mod error;
 pub mod key;
 pub mod ops;
-pub mod recovery;
 pub mod server;
 pub mod store;
 pub mod value;
-pub mod wal;
 pub mod window;
 
 pub use backend::{BackendKind, JournalRecord, ScratchDir};
 pub use error::StoreError;
 pub use key::{AccessPattern, Clock, InstanceId, ObjectKey, StateKey, StateScope, VertexId};
 pub use ops::{Condition, OpOutcome, Operation};
-pub use recovery::{recover_shared_state, select_recovery_ts, RecoveryInput, RecoveryReport};
-pub use server::{ShardRecoveryStats, StoreServer};
+pub use server::{ShardRecoveryStats, StoreServer, TsSnapshot};
 pub use store::StoreInstance;
 pub use value::Value;
-pub use wal::{ReadLogEntry, TsSnapshot, WriteAheadLog};
 pub use window::CounterWindow;

@@ -40,7 +40,7 @@
 //!   are two: the engine in fault mode (kills, shard restarts, the
 //!   re-injection drill), whose supervisor then raises the floor as it
 //!   truncates the packet logs ([`StoreServer::forget_through`]), and the
-//!   simulator's `ChainController` (failover, straggler clones, Figure 7).
+//!   simulator's `ChainController` (failover, straggler clones).
 //!
 //! Each shard is a [`Shard`] (see [`crate::backend`]) over one append-only
 //! [`Engine`], whose journal segments and checkpoint image are bytes in
@@ -54,20 +54,35 @@
 use crate::backend::codec::Named;
 pub use crate::backend::ShardRecoveryStats;
 use crate::backend::{
-    encode_image_frame, BackendKind, Engine, JournalRecord, Persister, ScratchDir, Shard,
-    DEFAULT_CHECKPOINT_INTERVAL,
+    BackendKind, Engine, JournalRecord, Persister, ScratchDir, Shard, DEFAULT_CHECKPOINT_INTERVAL,
 };
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
 use crate::ops::{CustomOpFn, Operation};
 use crate::store::{ApplyResult, StoreInstance};
 use crate::value::Value;
-use crate::wal::TsSnapshot;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The `TS` metadata: the logical clock of the last state operation the store
+/// executed on behalf of each NF instance at some point in time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TsSnapshot(pub HashMap<InstanceId, Clock>);
+
+impl TsSnapshot {
+    /// Build from a map.
+    pub fn new(map: HashMap<InstanceId, Clock>) -> TsSnapshot {
+        TsSnapshot(map)
+    }
+
+    /// The clock recorded for `instance`, if any.
+    pub fn clock_of(&self, instance: InstanceId) -> Option<Clock> {
+        self.0.get(&instance).copied()
+    }
+}
 
 /// One [`Shard`] of a [`StoreServer`] behind its own lock, plus an op
 /// counter so load skew across shards is observable. The journal append
@@ -649,30 +664,12 @@ impl StoreServer {
 
     /// Snapshot one shard into its durable checkpoint and truncate the
     /// journal: records preceding a checkpoint are no longer needed for
-    /// recovery (Figure 7's "latest checkpoint"). The snapshot is the full
+    /// recovery. The snapshot is the full
     /// shard image, so truncation loses nothing — not the callback or
     /// custom-op registrations and not the duplicate-suppression log. On
     /// files this also compacts the on-disk segments.
     pub fn checkpoint_shard(&self, shard: usize) -> usize {
         self.lock_at_floor(&self.slots[shard]).checkpoint()
-    }
-
-    /// One shard's checkpoint image, encoded from the live instance: the
-    /// bytes [`StoreServer::checkpoint_shard`] keeps, handed to the caller
-    /// instead (Figure 7 recovery rolls them forward through the clients'
-    /// logs).
-    pub fn shard_image(&self, shard: usize) -> Vec<u8> {
-        let shard = self.lock_at_floor(&self.slots[shard]);
-        encode_image_frame(shard.instance(), &mut Vec::new()).to_vec()
-    }
-
-    /// Make `instance`, which a recovery rebuilt outside the server (Figure
-    /// 7), one shard's latest checkpoint, and recover the shard from it.
-    pub fn install_shard(&self, shard: usize, instance: StoreInstance) {
-        let mut shard = self.slots[shard].shard.lock();
-        *shard.instance_mut() = instance;
-        shard.checkpoint();
-        self.recover_locked(&mut shard);
     }
 
     /// Fail-stop one shard: its in-memory state is wiped, and it answers

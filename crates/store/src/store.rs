@@ -4,9 +4,9 @@
 //! (§4.3). It serializes offloaded operations, enforces per-flow ownership,
 //! tracks callback registrations for read-heavy cached objects, logs
 //! clock-tagged updates of in-flight packets for duplicate suppression
-//! (§5.3), maintains the per-instance `TS` metadata that store recovery
-//! reads (§5.4, Figure 7), encodes itself as a checkpoint image, and
-//! computes/logs non-deterministic values (Appendix A).
+//! (§5.3), maintains the per-instance `TS` metadata (§5.4), encodes itself
+//! as a checkpoint image, and computes/logs non-deterministic values
+//! (Appendix A).
 //!
 //! The struct itself is single-threaded: it is one shard of a
 //! [`crate::server::StoreServer`], which holds it under a lock (the paper
@@ -557,14 +557,6 @@ impl StoreInstance {
             return candidate;
         }
         self.dedup.nondet_value(clock, slot, candidate)
-    }
-
-    /// Directly install a value (used when recovering per-flow state from the
-    /// caches of NF instances, which hold the freshest copy, §5.4).
-    pub fn install(&mut self, key: &StateKey, value: Value, owner: Option<InstanceId>) {
-        let entry = self.entry_or_create(key);
-        entry.value = value;
-        entry.owner = owner.or(key.instance);
     }
 
     /// Every entry's key, in dense entry-id order: what a journal frame's ids
@@ -1233,7 +1225,5 @@ mod tests {
             .apply(InstanceId(1), &k2, &Operation::Set(Value::Int(2)), None)
             .unwrap();
         assert!(store.state_bytes() >= 16);
-        store.install(&k1, Value::Int(9), None);
-        assert_eq!(store.peek(&k1), Value::Int(9));
     }
 }

@@ -34,9 +34,9 @@ fn main() {
     let failover = chain.failover_instance(VertexId(1), 0);
     println!("    failover instance {failover} takes over and replays the root's log");
 
-    // 2. Datastore failure: shared state is rebuilt from the checkpoint plus
-    //    the instances' write-ahead logs; per-flow state comes back from the
-    //    instances' caches.
+    // 2. Datastore failure: the store comes back from its checkpoint plus
+    //    its journal, every shared and per-flow object as it stood at the
+    //    crash.
     chain.run_until(quarter(2));
     let counter = StateKey::shared(VertexId(1), ObjectKey::named(chc::nf::nat::PKT_COUNT));
     let before = chain.store.peek(&counter);
@@ -48,8 +48,8 @@ fn main() {
     let report = chain.recover_store();
     let after = chain.store.peek(&counter);
     println!(
-        "    recovered: case {}, {} ops replayed, {} per-flow objects restored, pkt_count = {after}",
-        report.case, report.replayed_ops, report.per_flow_restored
+        "    recovered: {} objects restored from the checkpoint, {} ops replayed from the journal, pkt_count = {after}",
+        report.restored_from_checkpoint, report.replayed_ops
     );
 
     // 3. Root failure: the failover root reads the persisted clock and

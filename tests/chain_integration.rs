@@ -8,7 +8,7 @@ use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::{ChainController, LogicalDag, VertexSpec};
 use chc_packet::PacketId;
 use chc_store::{Clock, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 fn standard_chain() -> LogicalDag {
@@ -359,13 +359,12 @@ fn store_failover_recovers_shared_state() {
         chc_store::ObjectKey::named(chc_nf::nat::PKT_COUNT),
     );
     let before = chain.store.peek(&counter_key);
+    chain.fail_store();
+    assert!(chain.store.is_failed());
     let report = chain.recover_store();
     let after = chain.store.peek(&counter_key);
     assert_eq!(before, after, "shared counter must survive store failover");
-    assert!(
-        report.replayed_ops > 0,
-        "recovery replayed write-ahead log entries"
-    );
+    assert!(report.replayed_ops > 0, "recovery replayed no journaled op");
     // The chain keeps running correctly afterwards.
     chain.run();
     let metrics = chain.metrics();
@@ -373,83 +372,58 @@ fn store_failover_recovers_shared_state() {
     assert_eq!(metrics.sink_replay_shadows, 0);
 }
 
-/// Every client's (WAL length, read-log length, store ops issued), one
-/// instance per vertex.
-fn recovery_logs(chain: &mut ChainController) -> Vec<(usize, usize, u64)> {
-    (1..=4)
-        .filter_map(|v| {
-            chain.with_instance(VertexId(v), 0, |a| {
-                let stats = a.client.stats();
-                let ops = stats.blocking_ops + stats.non_blocking_ops;
-                (a.client.wal().len(), a.client.read_log().len(), ops)
-            })
-        })
-        .collect()
-}
-
-/// The store's shared objects by key, an absent object and a `None` one
-/// alike.
-fn shared_state(chain: &ChainController) -> BTreeMap<String, Value> {
+/// Every store object by key, with its value and owner; an absent object
+/// and a `None` one alike.
+fn store_objects(chain: &ChainController) -> BTreeMap<String, (Value, Option<InstanceId>)> {
     chain
         .store
         .dump()
         .into_iter()
-        .filter(|(key, value, _)| key.instance.is_none() && *value != Value::None)
-        .map(|(key, value, _)| (key.to_string(), value))
+        .filter(|(_, value, _)| *value != Value::None)
+        .map(|(key, value, owner)| (key.to_string(), (value, owner)))
         .collect()
 }
 
-/// A store checkpoint cuts every client's recovery logs at the image: from
-/// one checkpoint to the next a WAL holds at most the store ops its
-/// instance issued in between. The store recovered from the cut logs holds
-/// every shared object as it stood before the crash, the root's persisted
-/// clock among them, but one load balancer byte counter: it comes back one
-/// 64-byte packet short, and recovery from uncut logs loses the same
-/// increment.
+/// Two store checkpoints, then a crash: the store restarts from the latest
+/// checkpoint plus its journal and holds every object as it stood before
+/// the crash — each shared object, the root's persisted clock and the load
+/// balancer's byte counters among them, and each per-flow object with its
+/// owner. (Figure 7's roll-forward through the clients' logs brought one
+/// of those byte counters back a 64-byte packet short.)
 #[test]
-fn a_store_checkpoint_cuts_the_recovery_logs_to_what_follows_it() {
+fn a_store_restarted_from_its_latest_checkpoint_recovers_every_object() {
     let trace = small_trace(17);
     let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 6).unwrap();
     chain.inject_trace(&trace);
     let at = |i: usize| VirtualTime::from_nanos(trace.packets[trace.len() * i / 4].arrival_ns);
-    let mut cut = recovery_logs(&mut chain);
     for q in 1..=2 {
         chain.run_until(at(q));
-        let grown = recovery_logs(&mut chain);
-        for (&(_, _, ops_then), &(wal, _, ops_now)) in cut.iter().zip(&grown) {
-            assert!(wal as u64 <= ops_now - ops_then, "{wal} WAL entries");
-        }
-        assert!(grown.iter().any(|&(wal, _, _)| wal > 0), "nothing logged");
         chain.checkpoint_store();
-        cut = recovery_logs(&mut chain);
-        assert!(cut.iter().all(|&(_, reads, _)| reads == 0));
     }
     chain.run_until(at(3));
-    let before = shared_state(&chain);
-    chain.fail_store();
-    chain.recover_store();
-    let after = shared_state(&chain);
-    let root_clock = |state: &BTreeMap<String, Value>| {
-        let clock = state.iter().find(|(key, _)| key.ends_with("/root_clock_0"));
-        clock.map(|(_, value)| value.clone())
-    };
-    assert!(root_clock(&before).is_some(), "the root persisted no clock");
-    assert_eq!(root_clock(&after), root_clock(&before));
-    let wrong: BTreeSet<&String> = (before.keys().chain(after.keys()))
-        .filter(|key| before.get(*key) != after.get(*key))
-        .collect();
+    let before = store_objects(&chain);
+    assert!(
+        before.keys().any(|key| key.ends_with("/root_clock_0")),
+        "the root persisted no clock"
+    );
     let lb_bytes = format!("{}/shared/server_bytes[host:10.99.0.1]", VertexId(3));
-    assert_eq!(wrong, BTreeSet::from([&lb_bytes]));
-    let short = before[&lb_bytes].as_int() - after[&lb_bytes].as_int();
-    assert_eq!(short, 64);
+    assert!(before.contains_key(&lb_bytes));
+    assert!(before.values().any(|(_, owner)| owner.is_some()));
+    chain.fail_store();
+    let report = chain.recover_store();
+    assert_eq!(store_objects(&chain), before);
+    assert!(report.replayed_ops > 0, "nothing was journaled");
+    chain.run();
+    assert_eq!(chain.metrics().sink_duplicates, 0);
 }
 
-/// Figure 7 after an NF failover: the NAT dies after the store's
+/// Store recovery after an NF failover: the NAT dies after the store's
 /// checkpoint, and its replacement replays clocks the checkpoint already
-/// holds, under an instance id the checkpoint's `TS` has never seen. The
-/// store crashes later and recovers, and the shared counter comes back as
-/// it stood before the crash — as a recovery without the failover brings it
-/// back, not with the replayed clocks applied a second time.
+/// holds, under an instance id the checkpoint has never seen. The store
+/// crashes later and restarts from its checkpoint and journal, and the
+/// shared counter comes back as it stood before the crash — as a recovery
+/// without the failover brings it back, not with the replayed clocks
+/// applied a second time.
 #[test]
 fn store_recovery_after_an_nf_failover_matches_the_healthy_recovery() {
     let trace = small_trace(23);
@@ -487,8 +461,8 @@ fn store_recovery_after_an_nf_failover_matches_the_healthy_recovery() {
     assert_eq!(failover_after, healthy_after);
 }
 
-/// The simulator is one of the store's two replay sources (failover,
-/// straggler clones, Figure 7): its store keeps a duplicate-suppression
+/// The simulator is one of the store's two replay sources (failover and
+/// straggler clones): its store keeps a duplicate-suppression
 /// log while packets are in flight.
 #[test]
 fn the_simulators_store_logs_updates_for_duplicate_suppression() {
@@ -520,8 +494,12 @@ fn root_failover_resumes_with_larger_clocks() {
     assert!(metrics.sink_delivered > 0);
 }
 
-#[test]
-fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
+/// Instance 1 of a two-firewall chain caches a read-heavy blacklist entry,
+/// which subscribes it, before or after the store's checkpoint. The store
+/// crashes and recovers, and instance 0 blacklists the host: the recovered
+/// store still tells instance 1, whose cache would otherwise stay stale for
+/// good. A registration after the checkpoint comes back from the journal.
+fn callback_survives_store_recovery(subscribe_after_checkpoint: bool) {
     use chc_nf::firewall::BLACKLISTED;
     use chc_packet::ScopeKey;
     use chc_store::Operation;
@@ -529,15 +507,20 @@ fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
     let dag = LogicalDag::linear(vec![firewall.with_parallelism(2)]);
     let mut chain = ChainController::new(dag, ChainConfig::default(), 8).unwrap();
     let host = Some(ScopeKey::Host(std::net::Ipv4Addr::new(10, 0, 0, 5)));
-    // Instance 1 caches the read-heavy blacklist entry, which subscribes it.
-    chain.with_instance(VertexId(1), 1, |a| {
-        a.client.read(BLACKLISTED, host, Clock::with_root(0, 1))
-    });
+    let subscribe = |chain: &mut ChainController| {
+        chain.with_instance(VertexId(1), 1, |a| {
+            a.client.read(BLACKLISTED, host, Clock::with_root(0, 1))
+        })
+    };
+    if !subscribe_after_checkpoint {
+        subscribe(&mut chain);
+    }
     chain.checkpoint_store();
+    if subscribe_after_checkpoint {
+        subscribe(&mut chain);
+    }
     chain.fail_store();
     chain.recover_store();
-    // Instance 0 blacklists the host: the recovered store still tells
-    // instance 1, whose cache would otherwise stay stale for good.
     let notified: Vec<InstanceId> = chain
         .with_instance(VertexId(1), 0, |a| {
             let blacklist = Operation::Set(Value::Int(1));
@@ -550,6 +533,16 @@ fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
         })
         .unwrap();
     assert_eq!(notified, [chain.instances_of(VertexId(1))[1]]);
+}
+
+#[test]
+fn store_recovery_keeps_the_callback_registrations_its_checkpoint_holds() {
+    callback_survives_store_recovery(false);
+}
+
+#[test]
+fn store_recovery_keeps_a_callback_registered_after_its_checkpoint() {
+    callback_survives_store_recovery(true);
 }
 
 /// A diamond vertex: alerts with the length it sees when `alert`, drops
