@@ -36,7 +36,7 @@ use crate::message::TaggedPacket;
 use chc_store::{Clock, CounterWindow};
 
 /// Cells of one page: counters `p * PAGE_CELLS .. (p + 1) * PAGE_CELLS`.
-const PAGE_CELLS: usize = 256;
+pub const PAGE_CELLS: usize = 256;
 
 /// One page of the log, with a count of its held cells so that an emptied
 /// page is freed without a scan.

@@ -45,7 +45,7 @@ pub struct TelemetryConfig {
     /// "What the observers cost").
     pub observers: bool,
     /// When set, a monitor thread samples live gauges (packets queued per
-    /// ring, per-shard op rates, WAL depth, packet-log level, replay
+    /// ring, per-shard op rates, journal length, packet-log level, replay
     /// progress) at this cadence and the report carries the time series.
     pub sample_interval: Option<Duration>,
     /// Causal-trace sampling rate in parts per million of *flows*

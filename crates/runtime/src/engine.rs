@@ -13,13 +13,14 @@
 //!    [`chc_core::NetworkFunction`] against a `StateClient` backed by the
 //!    sharded [`StoreServer`], forwards through the scope-aware splitters), a
 //!    **sink** thread (`sink`: de-duplicates by clock, measures
-//!    root→sink latency on the timed packets), the gauge monitor
-//!    ([`crate::telemetry`]) when sampling is on and, under a fault plan,
-//!    the **supervisor** ([`crate::replay`]), which spawns each failover's
-//!    replacement; the calling thread is the **root** (`root`), stamping
-//!    logical clocks in trace order and feeding the entry vertices;
+//!    root→sink latency on the timed packets) and the gauge monitor
+//!    ([`crate::telemetry`]) when sampling is on; the calling thread is the
+//!    **root** (`root`), stamping logical clocks in trace order and feeding
+//!    the entry vertices. A fault plan adds no thread: a killed instance's
+//!    thread runs its failover and then its replacement ([`crate::replay`]),
+//!    and the root cuts the packet logs once per page of its log;
 //! 4. **join** — in the order the threads depend on each other
-//!    (`Running::join`);
+//!    (`Running::join`): instances, sink, monitor;
 //! 5. **report** — the final log truncation, the shutdown invariant checks
 //!    and the [`RuntimeReport`].
 //!
@@ -53,10 +54,10 @@
 //! replay floor starts at the top, so clocked updates are never logged.
 
 use crate::config::RuntimeConfig;
-use crate::fault::{FailoverAbort, FaultReport};
-use crate::instance::{run_instance, DyingInstance, Inbox, InstanceResult, KillSwitch};
+use crate::fault::FaultReport;
+use crate::instance::{run_instance, Inbox, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
-use crate::replay::{truncate_logs, Replacements, Supervisor};
+use crate::replay::{truncate_logs, CutPause};
 use crate::report::RuntimeReport;
 use crate::root::{run_root, Injection};
 use crate::sink::{run_sink, SinkResult};
@@ -68,9 +69,8 @@ use chc_core::{ChainConfig, LogicalDag, VertexLogs};
 use chc_packet::Trace;
 use chc_store::{StoreServer, VertexId};
 use chc_telemetry::{EventKind, TelemetrySeries};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
@@ -210,14 +210,14 @@ pub(crate) struct EngineShared {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// Raised by an instance as it fail-stops, before it hands its wiring
-    /// on. From then on replayed clocks can fill gaps below a watermark, so
-    /// no instance prunes its duplicate window any further. A root crash
-    /// does not raise it: nothing replays what a dead root loses.
-    /// Relaxed on both sides: the flag publishes no data, and its
-    /// visibility rides the hand-off itself — fault channel, replacement
-    /// spawn, then the rings' release/acquire edges — so whoever pops a
-    /// packet sent after the fail-stop also sees the flag.
+    /// Raised by an instance as it fail-stops, before its thread begins the
+    /// failover. From then on replayed clocks can fill gaps below a
+    /// watermark, so no instance prunes its duplicate window any further. A
+    /// root crash does not raise it: nothing replays what a dead root loses.
+    /// Relaxed on both sides: the flag publishes no data, and the thread
+    /// that raised it is the one that runs the replacement, so the rings'
+    /// release/acquire edges carry it: whoever pops a packet sent after the
+    /// fail-stop also sees the flag.
     pub(crate) fail_stopped: AtomicBool,
     /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: RunTelemetry,
@@ -231,6 +231,9 @@ pub(crate) struct EngineShared {
     /// downstream. A replacement publishes under the slot it inherits; an
     /// unpublished slot reads zero and so holds every frontier it is in.
     pub(crate) watermarks: Vec<AtomicU64>,
+    /// The cut lock: the root's truncation passes and every failover start
+    /// take it (see [`crate::replay`]).
+    pub(crate) cut_pause: Mutex<CutPause>,
     /// Store fast path: when true every instance client buffers
     /// non-blocking store ops, up to one ring batch of them, and drains them
     /// as one batched apply at ring batch boundaries (and before every
@@ -253,7 +256,7 @@ impl EngineShared {
         if plan.fault_mode {
             // Kills, shard restarts and the re-injection drill re-issue
             // clocks: the store logs them for duplicate suppression, and the
-            // supervisor raises its floor as the packet logs are cut. With
+            // root raises its floor as it cuts the packet logs. With
             // no fault plan it keeps no log at all (its default). A server
             // that applied an op already would refuse, and duplicates would
             // go unsuppressed.
@@ -266,9 +269,10 @@ impl EngineShared {
         for (v, _) in &plan.log_scopes {
             logs.arm(*v, ROOT_LOG_CAPACITY);
         }
+        let kills = plan.instances.iter().filter(|p| p.kill.is_some()).count();
         EngineShared {
             server,
-            inboxes: (0..plan.instances.len() + plan.seeds.len())
+            inboxes: (0..plan.instances.len() + kills)
                 .map(|_| Arc::new(Mutex::new(Vec::new())))
                 .collect(),
             config,
@@ -280,6 +284,10 @@ impl EngineShared {
             watermarks: (0..=plan.instances.len())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
+            cut_pause: Mutex::new(CutPause {
+                armed: kills,
+                failed_over: false,
+            }),
             write_behind: rt.write_behind,
         }
     }
@@ -312,13 +320,10 @@ pub fn run_chain_realtime(
     let shared = EngineShared::new(&plan, config, rt);
     let wired = wire(&plan, &shared.telemetry);
     let threads = plan.take_threads();
-    let done_injecting = AtomicBool::new(false);
     let joined = thread::scope(|scope| {
-        let (running, root_outs) = spawn(scope, &plan, &shared, threads, wired, &done_injecting);
-        // The calling thread is the root. The supervisor winds down once it
-        // has finished injecting.
+        let (running, root_outs) = spawn(scope, &plan, &shared, threads, wired);
+        // The calling thread is the root.
         let injection = run_root(trace, &plan, &shared, root_outs);
-        done_injecting.store(true, Ordering::Release);
         running.join(injection)
     });
     Ok(report(&shared, &plan, joined))
@@ -326,18 +331,17 @@ pub fn run_chain_realtime(
 
 /// The threads of a run, between spawn and join.
 struct Running<'scope> {
-    instances: Vec<ScopedJoinHandle<'scope, InstanceResult>>,
+    /// One per planned instance: its results, a replacement's after a
+    /// killed instance's.
+    instances: Vec<ScopedJoinHandle<'scope, Vec<InstanceResult>>>,
     sink: ScopedJoinHandle<'scope, SinkResult>,
     monitor: Option<ScopedJoinHandle<'scope, TelemetrySeries>>,
     monitor_stop: Arc<AtomicBool>,
-    supervisor: Option<ScopedJoinHandle<'scope, (Vec<FailoverAbort>, Replacements<'scope>)>>,
 }
 
 /// What the joined threads hand to the report.
 struct Joined {
     injection: Injection,
-    /// The supervisor's aborted failovers; present in fault mode.
-    aborts: Option<Vec<FailoverAbort>>,
     instances: Vec<InstanceResult>,
     sink: SinkResult,
     series: TelemetrySeries,
@@ -348,39 +352,28 @@ struct Joined {
 ///
 /// Spawn order: each `InstanceSpawn` is journaled here, in slot order,
 /// before that instance's thread starts, so it precedes anything the
-/// instance journals; the supervisor journals each `ReplacementSpawn` the
-/// same way.
+/// instance journals; a killed instance's thread journals its replacement's
+/// `ReplacementSpawn` before it runs the replacement.
 fn spawn<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     plan: &'env ChainPlan,
     shared: &'env EngineShared,
-    (instances, seeds): (Vec<InstancePlan>, HashMap<usize, InstancePlan>),
+    instances: Vec<InstancePlan>,
     wired: Wired,
-    done_injecting: &'env AtomicBool,
 ) -> (Running<'scope>, Vec<Downstream>) {
     let telemetry = &shared.telemetry;
-    let (fault_tx, fault_rx) = mpsc::channel::<DyingInstance>();
     let instances = instances
         .into_iter()
         .zip(wired.instances)
-        .enumerate()
-        .map(|(slot, (instance, wiring))| {
-            let kill = instance.kill_at.map(|at_counter| KillSwitch {
-                slot,
-                at_counter,
-                tx: fault_tx.clone(),
-            });
+        .map(|(instance, wiring)| {
             telemetry.event(EventKind::InstanceSpawn {
                 vertex: instance.vertex.0,
                 index: instance.index as u32,
                 instance: instance.instance.0 as u64,
             });
-            scope.spawn(move || run_instance(instance, wiring, shared, kill))
+            scope.spawn(move || run_instance(instance, wiring, shared))
         })
         .collect();
-    // Only armed instances hold the fault channel now: once each has fired
-    // or dropped its switch, the supervisor sees it disconnect.
-    drop(fault_tx);
 
     let (sink_inputs, scale_cut) = (wired.sink_inputs, plan.scale.map(|s| s.first_counter));
     let sink = scope.spawn(move || run_sink(sink_inputs, shared, scale_cut));
@@ -393,17 +386,11 @@ fn spawn<'scope, 'env>(
         scope.spawn(move || run_monitor(rings, shards, shared, interval, &stop))
     });
 
-    let supervisor = plan.fault_mode.then(|| {
-        let supervisor = Supervisor::new(scope, fault_rx, plan, seeds, shared);
-        scope.spawn(move || supervisor.run(done_injecting))
-    });
-
     let running = Running {
         instances,
         sink,
         monitor,
         monitor_stop,
-        supervisor,
     };
     (running, wired.root_outs)
 }
@@ -411,26 +398,14 @@ fn spawn<'scope, 'env>(
 impl Running<'_> {
     /// Join every thread, given what the root's own injection returned.
     ///
-    /// Join order: the root has finished injection and raised
-    /// `done_injecting`, which the supervisor waits on; it exits once every
-    /// planned kill resolved, and it holds the replacement handles, so it is
-    /// joined first. No instance waits on it: each exits once its input
-    /// rings are exhausted. The instances, then the replacements, then the
+    /// Join order: each thread exits once its input rings are exhausted, so
+    /// the instance threads (a replacement on its predecessor's), then the
     /// sink follow their producers; the monitor runs until told to stop,
     /// after everything it watches has finished.
     fn join(self, injection: Injection) -> Joined {
-        let supervisor = self
-            .supervisor
-            .map(|h| h.join().expect("supervisor thread panicked"));
-        let mut instances: Vec<InstanceResult> = self
-            .instances
-            .into_iter()
-            .map(|h| h.join().expect("instance thread panicked"))
+        let instances = (self.instances.into_iter())
+            .flat_map(|h| h.join().expect("instance thread panicked"))
             .collect();
-        let (aborts, replacements) = supervisor.unzip();
-        for h in replacements.into_iter().flatten() {
-            instances.push(h.join().expect("replacement thread panicked"));
-        }
         let sink = self.sink.join().expect("sink thread panicked");
         self.monitor_stop.store(true, Ordering::Release);
         let series = self
@@ -439,7 +414,6 @@ impl Running<'_> {
             .unwrap_or_default();
         Joined {
             injection,
-            aborts,
             instances,
             sink,
             series,
@@ -452,7 +426,6 @@ impl Running<'_> {
 fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeReport {
     let Joined {
         injection,
-        aborts,
         instances: results,
         sink,
         series,
@@ -471,7 +444,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
 
     let (stamped, last_counter) = (injection.stamped, injection.last_counter);
     let mut final_frontier = 0u64;
-    let fault_report = aborts.map(|aborts| {
+    let fault_report = plan.fault_mode.then(|| {
         // Nothing is in flight any more — the re-injection drill included —
         // so the last cut is uncapped.
         final_frontier = truncate_logs(shared, &plan.log_scopes, u64::MAX);
@@ -489,7 +462,7 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
             log_rejected: root_log.rejected,
             reinjected: injection.reinjected,
             root_takeover: injection.takeover,
-            aborts,
+            aborts: Vec::new(),
             vertex_logs,
         }
     });

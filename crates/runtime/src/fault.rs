@@ -7,11 +7,11 @@
 //! * **Instance kills** ([`InstanceKill`]): the target instance's thread
 //!   fail-stops the first time it dequeues a *live* packet whose logical
 //!   clock counter reaches the trigger. Its unflushed output batches are
-//!   lost (exactly what a crashed process would lose); its SPSC wiring is
-//!   handed to the supervisor, which re-associates the failed instance's
-//!   per-flow store state and spawns a replacement thread under a fresh
-//!   instance id. The replacement replays the logged packets routed to it
-//!   before it takes live traffic (see [`crate::replay`]).
+//!   lost (exactly what a crashed process would lose). The same thread
+//!   then re-associates the failed instance's per-flow store state with a
+//!   replacement under a fresh instance id and runs that replacement on the
+//!   dead instance's SPSC wiring. The replacement replays the logged packets
+//!   routed to it before it takes live traffic (see [`crate::replay`]).
 //! * **Shard restarts** ([`ShardFault`]): when the root's injection counter
 //!   reaches the trigger, the named store shard is crashed and rebuilt from
 //!   its durable checkpoint + write-ahead journal
@@ -185,8 +185,10 @@ pub struct RootTakeover {
     pub recovery_wall: Duration,
 }
 
-/// A failover the supervisor had to abandon instead of letting the run hang
-/// or panic: no replacement seed existed for the failed slot.
+/// A failover abandoned instead of letting the run hang or panic. Nothing
+/// produces one any more: every planned kill carries its replacement, so a
+/// failover cannot lack one. The type stays because the repository
+/// benchmark reads [`FaultReport::aborts`], which is always empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailoverAbort {
     /// Vertex of the failed slot (`VertexId(u32::MAX)` when the slot could
@@ -220,7 +222,8 @@ pub struct FaultReport {
     pub reinjected: u64,
     /// The new root's takeover record, when the plan killed the root.
     pub root_takeover: Option<RootTakeover>,
-    /// Failovers abandoned instead of hanging the run (normally empty).
+    /// Failovers abandoned instead of hanging the run: always empty (see
+    /// [`FailoverAbort`]).
     pub aborts: Vec<FailoverAbort>,
     /// Per-vertex egress log statistics (one entry per armed upstream of a
     /// killed non-entry vertex; empty when every kill was at an entry).

@@ -3,14 +3,16 @@
 //! runs too: duplicate suppression, the unmodified
 //! [`chc_core::NetworkFunction`] against a [`StateClient`] backed by the
 //! sharded store, alerts and counters — and forwards outputs through the
-//! scope-aware splitters. A planned kill fail-stops it mid-stream and hands
-//! its wiring to the supervisor; the replacement runs the same body on that
-//! wiring, after it has put its own replay through the same per-packet step
-//! (§5.3: replayed packets first, live traffic once the last is done).
+//! scope-aware splitters. A planned kill fail-stops it mid-stream; the same
+//! thread then begins the failover and runs the replacement its kill
+//! carried, on the same wiring, which first puts its own replay through the
+//! same per-packet step (§5.3: replayed packets first, live traffic once the
+//! last is done).
 
 use crate::engine::EngineShared;
 use crate::fault::InstanceRecovery;
 use crate::plan::InstancePlan;
+use crate::replay::begin_failover;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{
@@ -22,31 +24,13 @@ use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Callback notifications (store → instance) for read-heavy cached objects.
 /// Unlike the packet path this is many-producers → one-consumer and very low
 /// rate, so a mutexed vector is the right tool.
 pub(crate) type Inbox = Arc<Mutex<Vec<(StateKey, Value)>>>;
-
-/// What a fail-stopped instance hands to the supervisor: its complete SPSC
-/// wiring, ready for a replacement thread to take over. Unflushed output
-/// buffers have already been discarded (a crashed process loses them), and
-/// in-flight packets still queued in the input rings survive, exactly as
-/// packets in the network survive an endpoint crash.
-pub(crate) struct DyingInstance {
-    pub(crate) slot: usize,
-    pub(crate) wiring: InstanceWiring,
-}
-
-/// Arms one instance thread with its fail-stop trigger
-/// ([`InstancePlan::kill_at`]) and the channel its wiring leaves through.
-pub(crate) struct KillSwitch {
-    pub(crate) slot: usize,
-    pub(crate) at_counter: u64,
-    pub(crate) tx: mpsc::Sender<DyingInstance>,
-}
 
 /// What an instance thread hands back when it exits.
 pub(crate) struct InstanceResult {
@@ -80,32 +64,28 @@ struct Instance<'a> {
     prunable: bool,
 }
 
-/// Body of one NF instance thread — a planned instance, armed with `kill`
-/// when the fault plan targets it, or a failover replacement
-/// ([`InstancePlan::takeover`]) on its predecessor's wiring.
+/// Body of one NF instance thread: a planned instance or, on the thread of
+/// the instance it replaces, a failover replacement
+/// ([`InstancePlan::takeover`]). When the instance's kill fires, the thread
+/// begins the failover and runs the replacement on the dead instance's
+/// wiring, so it hands back both results, the dead instance's first.
 pub(crate) fn run_instance(
-    plan: InstancePlan,
+    mut plan: InstancePlan,
     wiring: InstanceWiring,
     shared: &EngineShared,
-    mut kill: Option<KillSwitch>,
-) -> InstanceResult {
+) -> Vec<InstanceResult> {
+    let kill = plan.kill.take();
     let mut me = set_up(plan, wiring, shared);
     let recovery = replay(&mut me);
     // Increments leave in clock order, and may fold once a replay is drained.
     if forwards_in_order(&me.wiring.inputs) && !me.plan.core.admits_repeats() {
         me.client.declare_ordered_writer();
     }
-    let failed = match run_batches(&mut me, &mut kill) {
-        Some(killed_at_clock) => {
-            let switch = kill.take().expect("fail-stop without a kill switch");
-            fail_stop(&mut me, switch, killed_at_clock);
-            true
-        }
-        None => {
-            shut_down(&mut me);
-            false
-        }
-    };
+    let killed_at = run_batches(&mut me, kill.as_ref().map(|k| k.at_counter));
+    match killed_at {
+        Some(clock) => fail_stop(&mut me, clock),
+        None => shut_down(&mut me),
+    }
     // Both exits report the core's counters and its duplicate window.
     let (plan, counters) = (&me.plan, me.plan.core.counters());
     let report = RuntimeInstanceReport {
@@ -119,11 +99,16 @@ pub(crate) fn run_instance(
         dedup_window_bytes: plan.core.window_bytes(),
         buffered_refused: me.client.stats().buffered_refused,
     };
-    InstanceResult {
+    let mut results = vec![InstanceResult {
         report,
-        failed,
+        failed: killed_at.is_some(),
         recovery,
+    }];
+    if let (Some(kill), Some(_)) = (kill, killed_at) {
+        let seed = begin_failover(shared, me.plan.slot(), *kill.seed);
+        results.extend(run_instance(seed, me.wiring, shared));
     }
+    results
 }
 
 /// Set-up, on the instance's own thread.
@@ -253,9 +238,9 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
     })
 }
 
-/// The batch loop. Returns the clock that tripped the kill switch when the
+/// The batch loop. Returns the clock that reached `kill_at` when the
 /// instance fail-stops, `None` once every input ring is exhausted.
-fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u64> {
+fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
     let shared = me.shared;
     let mut idle_streak = 0u32;
     loop {
@@ -270,7 +255,7 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
             }
             moved += batch.len();
             me.batches_in += 1;
-            let killed = me.consume(i, &mut batch, kill.as_ref().map(|k| k.at_counter));
+            let killed = me.consume(i, &mut batch, kill_at);
             // The buffer goes back to its link's pool, on a fail-stop too.
             me.wiring.inputs[i].recycle(batch);
             if killed.is_some() {
@@ -299,8 +284,6 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
         } else {
             // Idle: release buffered output so downstream instances are not
             // starved by a partially filled batch, then check for shutdown.
-            // An armed kill that never fired drops its switch on return, so
-            // the supervisor sees the fault channel disconnect.
             drain_store_buffer(&mut me.client, shared);
             me.wiring.links_mut().for_each(OutLink::flush);
             if me.wiring.inputs.iter_mut().all(|r| r.is_exhausted()) {
@@ -314,9 +297,8 @@ fn run_batches(me: &mut Instance<'_>, kill: &mut Option<KillSwitch>) -> Option<u
 
 impl Instance<'_> {
     /// Put one popped ring batch from input `i` through the per-packet step,
-    /// emptying it. Returns the clock that trips the kill switch armed at
-    /// `kill_at`, if one does: the instance dies *before* processing that
-    /// packet. Everything
+    /// emptying it. Returns the clock that reaches `kill_at`, if one does:
+    /// the instance dies *before* processing that packet. Everything
     /// still queued stays in flight for the replacement; the popped
     /// remainder of this batch dies with the instance and is booked as
     /// kill-lost, so conservation still closes.
@@ -430,14 +412,15 @@ impl Instance<'_> {
 }
 
 /// Fail-stop: unflushed output batches die with the process (their buffers
-/// stay with their links); the wiring goes to the supervisor for the
-/// replacement thread.
-fn fail_stop(me: &mut Instance<'_>, switch: KillSwitch, killed_at_clock: u64) {
+/// stay with their links); the wiring stays with the thread for the
+/// replacement. In-flight packets still queued in the input rings survive,
+/// exactly as packets in the network survive an endpoint crash.
+fn fail_stop(me: &mut Instance<'_>, killed_at_clock: u64) {
     for link in me.wiring.links_mut() {
         drop(link.discard());
     }
-    // Journal the death *before* notifying the supervisor, so the kill
-    // event is causally ordered before every failover event.
+    // Journal the death *before* the failover begins, so the kill event is
+    // causally ordered before every failover event.
     me.shared.telemetry.event(EventKind::InstanceKilled {
         vertex: me.plan.vertex.0,
         index: me.plan.index as u32,
@@ -445,10 +428,6 @@ fn fail_stop(me: &mut Instance<'_>, switch: KillSwitch, killed_at_clock: u64) {
         clock: killed_at_clock,
     });
     me.shared.fail_stopped.store(true, Ordering::Relaxed);
-    let _ = switch.tx.send(DyingInstance {
-        slot: switch.slot,
-        wiring: std::mem::take(&mut me.wiring),
-    });
 }
 
 /// Healthy shutdown: whatever the last (partial) batch buffered must reach
@@ -586,7 +565,7 @@ mod tests {
         let mut plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
         let shared = EngineShared::new(&plan, config, &rt);
         let mut wired = wire(&plan, &shared.telemetry);
-        let (mut instances, _) = plan.take_threads();
+        let mut instances = plan.take_threads();
         let slot = instances.iter().position(|p| p.vertex == NAT).unwrap();
         let (nat, wiring) = (
             instances.swap_remove(slot),
@@ -614,7 +593,7 @@ mod tests {
         let mut plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
         let shared = EngineShared::new(&plan, config, &rt);
         let mut wired = wire(&plan, &shared.telemetry);
-        let (mut instances, _) = plan.take_threads();
+        let mut instances = plan.take_threads();
         let slot = instances.iter().position(|p| p.vertex == FW).unwrap();
         let (fw, wiring) = (
             instances.swap_remove(slot),
@@ -627,24 +606,12 @@ mod tests {
             feed.push(TaggedPacket::new(packet.clone(), Clock(n)), shared.batch);
         }
         feed.flush();
-        let (tx, rx) = mpsc::channel();
-        let mut kill = Some(KillSwitch {
-            slot,
-            at_counter: 5,
-            tx,
-        });
         let mut me = set_up(fw, wiring, &shared);
-        assert_eq!(run_batches(&mut me, &mut kill), Some(5));
-        let switch = kill.take().unwrap();
-        fail_stop(&mut me, switch, 5);
-        let mut dying = rx.recv().unwrap();
-        assert_eq!(
-            dying.wiring.inputs[0].rx.queued(),
-            2,
-            "two batches in flight"
-        );
+        assert_eq!(run_batches(&mut me, Some(5)), Some(5));
+        fail_stop(&mut me, 5);
+        assert_eq!(me.wiring.inputs[0].rx.queued(), 2, "two batches in flight");
         assert_eq!(feed.buffers_at_rest(), pool, "the popped batch came back");
-        for link in dying.wiring.links_mut() {
+        for link in me.wiring.links_mut() {
             assert_eq!(
                 link.buffers_at_rest(),
                 pool,

@@ -35,19 +35,20 @@
 //! clock, upstreams of any killed mid-chain or tail vertex additionally
 //! keep per-vertex egress logs (FTMB-style output logging), and chain
 //! components publish commit watermarks to the engine's slot array so every
-//! log can be truncated at its own frontier. A supervisor thread executes planned
-//! instance kills by spawning a replacement thread on the dead instance's
-//! SPSC wiring; the replacement first replays, at the right chain depth,
-//! the copies of the killed vertex's upstream (or root) log that route to
-//! it, and only then takes live traffic ([`replay`], §5.3) —
+//! log can be truncated at its own frontier; the root cuts them once per
+//! page of its log. A killed instance's own thread executes its failover: it
+//! hands the dead instance's store state and watermark slot to the
+//! replacement its kill carried and runs that replacement on the same SPSC
+//! wiring; the replacement first replays, at the right chain depth, the
+//! copies of the killed vertex's upstream (or root) log that route to it,
+//! and only then takes live traffic ([`replay`], §5.3) —
 //! the sink absorbs a tail replacement's re-emission as replay shadows,
 //! a killed root loses its clock, log and unflushed batches
 //! and a new root resumes from the clock it persisted in the store
 //! ([`fault::RootTakeover`], §5.4), and store shard
-//! restarts replay per-shard write-ahead journals. Failovers that cannot
-//! complete are surfaced as [`fault::FailoverAbort`] records instead of
-//! hanging the run. Recovery metrics (packets replayed, log high-water
-//! marks, recovery wall-clock time) land in [`RuntimeReport::fault`].
+//! restarts replay per-shard journals. Recovery metrics (packets
+//! replayed, log high-water marks, recovery wall-clock time) land in
+//! [`RuntimeReport::fault`].
 //! Straggler cloning remains simulator-only; see `DESIGN.md`.
 //!
 //! **Observability** ([`TelemetryConfig`]): per-stage latency decomposition

@@ -17,8 +17,8 @@ use chc_store::{InstanceId, VertexId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
-/// Identity, role and NF code of one instance thread — a planned instance or
-/// the replacement pre-assigned to a planned kill.
+/// Identity, role and NF code of one instance — a planned instance or the
+/// replacement pre-assigned to a planned kill.
 pub(crate) struct InstancePlan {
     pub(crate) vertex: VertexId,
     pub(crate) instance: InstanceId,
@@ -28,9 +28,9 @@ pub(crate) struct InstancePlan {
     /// slot. A replacement takes a dead instance's place and adds none.
     /// Above one, no instance has a cross-flow object to itself.
     pub(crate) replicas: usize,
-    /// Fail-stop trigger: the instance dies the first time it dequeues a
-    /// live packet whose clock counter reaches this.
-    pub(crate) kill_at: Option<u64>,
+    /// The planned kill of this instance, with the replacement that takes
+    /// over from it.
+    pub(crate) kill: Option<Kill>,
     /// A replacement's takeover: whom it replaces and what it replays.
     pub(crate) takeover: Option<Takeover>,
     /// This vertex is the on-path upstream of some killed non-entry vertex:
@@ -45,8 +45,8 @@ pub(crate) struct InstancePlan {
 }
 
 impl InstancePlan {
-    /// A healthy, never-killed instance of `v`; the planner overrides
-    /// `kill_at` and `takeover` where the fault plan says so.
+    /// A healthy, never-killed instance of `v`; the planner sets `kill` and
+    /// `takeover` where the fault plan says so.
     fn new(
         dag: &LogicalDag,
         v: &VertexSpec,
@@ -64,7 +64,7 @@ impl InstancePlan {
             instance,
             index,
             replicas,
-            kill_at: None,
+            kill: None,
             takeover: None,
             log_egress,
             downstream: dag.downstream_of(v.id),
@@ -79,6 +79,17 @@ impl InstancePlan {
     pub(crate) fn slot(&self) -> usize {
         self.takeover.as_ref().map_or(self.instance, |t| t.failed).0 as usize
     }
+}
+
+/// A planned fail-stop and the replacement it hands the instance's thread
+/// to: an armed instance always holds both.
+pub(crate) struct Kill {
+    /// The instance dies the first time it dequeues a live packet whose
+    /// clock counter reaches this.
+    pub(crate) at_counter: u64,
+    /// The replacement, which runs on the dead instance's thread and
+    /// wiring.
+    pub(crate) seed: Box<InstancePlan>,
 }
 
 /// What a failover replacement takes over (§5.3): the failed instance's
@@ -96,8 +107,8 @@ pub(crate) struct Takeover {
     /// The vertex's splitter: the replacement keeps only the logged copies
     /// that route to its own index, as their originals did.
     pub(crate) splitter: Splitter,
-    /// When the supervisor began the failover (set there: the plan reads no
-    /// clock). `InstanceRecovery::recovery_wall` runs from here.
+    /// When the dying thread began the failover (set there: the plan reads
+    /// no clock). `InstanceRecovery::recovery_wall` runs from here.
     pub(crate) started: Option<Instant>,
 }
 
@@ -160,16 +171,15 @@ pub struct ChainPlan {
     /// Planned instances by slot, in `ChainController` order (vertex
     /// declaration order, then index, the scale-out instance last) so
     /// instance ids — the slot numbers — match the simulator's and per-flow
-    /// datastore keys line up across substrates. Moved into the instance
-    /// threads at spawn ([`ChainPlan::take_threads`]).
+    /// datastore keys line up across substrates. A killed slot's
+    /// replacement rides in its [`Kill`]; replacement ids follow every
+    /// planned instance, in fault-plan order — the ids the simulator hands
+    /// out when the equivalence test calls `failover_instance` in the same
+    /// order. Moved into the instance threads at spawn
+    /// ([`ChainPlan::take_threads`]).
     pub(crate) instances: Vec<InstancePlan>,
     /// Plan slots per vertex, in instance-index order.
     pub(crate) slots: HashMap<VertexId, Vec<usize>>,
-    /// The replacement for each killed slot. Ids follow every planned
-    /// instance, in fault-plan order — the ids the simulator hands out when
-    /// the equivalence test calls `failover_instance` in the same order.
-    /// Moved into the supervisor at spawn.
-    pub(crate) seeds: HashMap<usize, InstancePlan>,
     /// Every packet log of the run with the commit scope it truncates
     /// against — the plan slots (the sink is the last one) whose watermarks
     /// must all pass a counter before the log may forget it. The root's row
@@ -188,8 +198,8 @@ pub struct ChainPlan {
     /// The re-injection drill's counters, each once.
     pub(crate) reinject: CounterSchedule<()>,
     /// A re-injected copy travels the chain with no log holding it and no
-    /// watermark covering it: while the supervisor runs, the store's replay
-    /// floor stays below the drill (`min(reinject) − 1`).
+    /// watermark covering it: until the run's final truncation pass, the
+    /// store's replay floor stays below the drill (`min(reinject) − 1`).
     pub(crate) floor_cap: u64,
     /// The planned root crash: the root dies just before stamping this
     /// counter. It is the plan's only fault.
@@ -252,40 +262,36 @@ impl ChainPlan {
         let mut instances: Vec<InstancePlan> = identities
             .iter()
             .enumerate()
-            .map(|(slot, &(v, idx))| InstancePlan {
-                kill_at: killed_slots
-                    .iter()
-                    .find(|(s, _)| *s == slot)
-                    .map(|(_, kill)| kill.at_counter),
+            .map(|(slot, &(v, idx))| {
+                let log_egress = logging.contains(&v.id);
+                InstancePlan::new(dag, v, id_of(slot), idx, slots[&v.id].len(), log_egress)
+            })
+            .collect();
+        let planned = instances.len();
+        for (k, &(slot, kill)) in killed_slots.iter().enumerate() {
+            let v = identities[slot].0;
+            let dead = &mut instances[slot];
+            let seed = InstancePlan {
+                takeover: Some(Takeover {
+                    failed: dead.instance,
+                    sources: replay_sources(dag, v.id),
+                    splitter: splitters[&v.id].clone(),
+                    started: None,
+                }),
                 ..InstancePlan::new(
                     dag,
                     v,
-                    id_of(slot),
-                    idx,
-                    slots[&v.id].len(),
-                    logging.contains(&v.id),
+                    id_of(planned + k),
+                    kill.index,
+                    dead.replicas,
+                    dead.log_egress,
                 )
-            })
-            .collect();
-        let mut seeds: HashMap<usize, InstancePlan> = killed_slots
-            .iter()
-            .enumerate()
-            .map(|(k, &(slot, kill))| {
-                let v = identities[slot].0;
-                let id = id_of(instances.len() + k);
-                let dead = &instances[slot];
-                let seed = InstancePlan {
-                    takeover: Some(Takeover {
-                        failed: dead.instance,
-                        sources: replay_sources(dag, v.id),
-                        splitter: splitters[&v.id].clone(),
-                        started: None,
-                    }),
-                    ..InstancePlan::new(dag, v, id, kill.index, dead.replicas, dead.log_egress)
-                };
-                (slot, seed)
-            })
-            .collect();
+            };
+            dead.kill = Some(Kill {
+                at_counter: kill.at_counter,
+                seed: Box::new(seed),
+            });
+        }
 
         let root_scope = (ROOT_VERTEX, commit_scope(&instances, |_| true));
         let log_scopes = std::iter::once(root_scope)
@@ -299,8 +305,13 @@ impl ChainPlan {
         if fault_mode {
             // Replay and re-injection send clocks twice: every input queue
             // remembers the clocks it saw.
-            for p in instances.iter_mut().chain(seeds.values_mut()) {
+            for p in &mut instances {
                 p.core.track_duplicates(config.duplicate_suppression);
+                if let Some(kill) = &mut p.kill {
+                    kill.seed
+                        .core
+                        .track_duplicates(config.duplicate_suppression);
+                }
             }
         }
         let batch = rt.batch_size.max(1);
@@ -314,7 +325,6 @@ impl ChainPlan {
             scale: rt.scale,
             instances,
             slots,
-            seeds,
             log_scopes,
             shard_checkpoints,
             shard_restarts,
@@ -331,13 +341,10 @@ impl ChainPlan {
     }
 
     /// Move out what the threads own — the instance plans with their NF code
-    /// and the replacement seeds. What stays behind is read-only for the
-    /// rest of the run.
-    pub(crate) fn take_threads(&mut self) -> (Vec<InstancePlan>, HashMap<usize, InstancePlan>) {
-        (
-            std::mem::take(&mut self.instances),
-            std::mem::take(&mut self.seeds),
-        )
+    /// and their replacements. What stays behind is read-only for the rest
+    /// of the run.
+    pub(crate) fn take_threads(&mut self) -> Vec<InstancePlan> {
+        std::mem::take(&mut self.instances)
     }
 }
 
@@ -483,6 +490,11 @@ pub(crate) mod tests {
         ])
     }
 
+    /// The replacement armed on `slot`'s kill.
+    fn seed(p: &ChainPlan, slot: usize) -> &InstancePlan {
+        &p.instances[slot].kill.as_ref().expect("an armed slot").seed
+    }
+
     fn plan(fault: FaultPlan) -> ChainPlan {
         let rt = RuntimeConfig::default().with_fault(fault);
         ChainPlan::new(&fw_nat_lb(), &ChainConfig::default(), &rt, 1_000).expect("valid plan")
@@ -498,16 +510,19 @@ pub(crate) mod tests {
     fn the_replay_topology_follows_the_kill_position() {
         // Entry: replayed from the root's log, the only one.
         let sources =
-            |p: &ChainPlan, slot| p.seeds[&slot].takeover.as_ref().map(|t| t.sources.clone());
+            |p: &ChainPlan, slot| seed(p, slot).takeover.as_ref().map(|t| t.sources.clone());
         let entry = plan(FaultPlan::new().kill(FW, 0, 500));
         assert_eq!(sources(&entry, 0), Some(vec![ROOT_VERTEX]));
         assert_eq!(entry.log_scopes, [root_row()]);
         assert!(entry.instances.iter().all(|p| !p.log_egress));
-        assert_eq!(entry.instances[0].kill_at, Some(500));
+        assert_eq!(
+            entry.instances[0].kill.as_ref().map(|k| k.at_counter),
+            Some(500)
+        );
         assert!(entry.fault_mode);
         // The replacement is instance 3 and publishes under the dead slot.
-        assert_eq!(entry.seeds[&0].instance, InstanceId(3));
-        assert_eq!((entry.seeds[&0].slot(), entry.instances[1].slot()), (0, 1));
+        assert_eq!(seed(&entry, 0).instance, InstanceId(3));
+        assert_eq!((seed(&entry, 0).slot(), entry.instances[1].slot()), (0, 1));
 
         // Mid-chain: replayed from the firewall's egress log, which
         // truncates against everything strictly below the firewall.
@@ -526,7 +541,7 @@ pub(crate) mod tests {
 
         // Root: nothing to replay into.
         let root = plan(FaultPlan::new().kill_root(500));
-        assert!(root.seeds.is_empty());
+        assert!(root.instances.iter().all(|p| p.kill.is_none()));
         assert_eq!(root.root_kill, Some(500));
         assert!(root.fault_mode);
         assert_eq!(root.log_scopes, [root_row()]);
@@ -557,15 +572,15 @@ pub(crate) mod tests {
             .reinject([40, 7, 90]);
         let p = plan(fault);
         assert_eq!(p.instances.len(), 3);
-        // Seeds are keyed by the killed slot; ids follow fault-plan order.
-        let seed = |slot: usize| &p.seeds[&slot];
+        // Seeds ride on the killed slot; ids follow fault-plan order.
+        let seed = |slot: usize| seed(&p, slot);
         assert_eq!(seed(2).instance, InstanceId(3));
         assert_eq!(seed(0).instance, InstanceId(4));
         let failed = |slot| seed(slot).takeover.as_ref().map(|t| t.failed);
         assert_eq!(failed(2), Some(InstanceId(2)));
         assert_eq!(failed(0), Some(InstanceId(0)));
         assert_eq!((seed(2).vertex, seed(2).index), (LB, 0));
-        assert!(seed(2).kill_at.is_none() && seed(2).core.exit());
+        assert!(seed(2).kill.is_none() && seed(2).core.exit());
         // The LB's killed, so the NAT logs; the FW's replacement does not.
         assert!(!seed(0).log_egress && p.instances[1].log_egress);
         // The store's floor stays under the smallest re-injected counter.
@@ -604,18 +619,21 @@ pub(crate) mod tests {
         // The scale-out instance is slot 3, index 1 of the NAT.
         assert_eq!(p.slots_of(NAT), [1, 3]);
         assert_eq!((p.instances[3].vertex, p.instances[3].index), (NAT, 1));
-        assert_eq!(p.instances[3].kill_at, Some(700));
+        assert_eq!(
+            p.instances[3].kill.as_ref().map(|k| k.at_counter),
+            Some(700)
+        );
         // The NAT logs for the LB's kill — on both instances and on the
         // replacement of the one that dies.
         assert!(p.instances[1].log_egress && p.instances[3].log_egress);
-        assert!(p.seeds[&3].log_egress);
-        assert_eq!(p.seeds[&3].instance, InstanceId(5));
+        assert!(seed(&p, 3).log_egress);
+        assert_eq!(seed(&p, 3).instance, InstanceId(5));
         // The NAT's own kill is fed from the firewall's log. Scopes hold
         // slots, not ids: the scale-out NAT is slot 3, the sink's is 4, and
         // the killed NAT's replacement (instance 5) adds none.
         assert_eq!(p.log_scopes[0], (ROOT_VERTEX, vec![0, 1, 2, 3, 4]));
         assert_eq!(p.log_scopes[1], (FW, vec![1, 2, 3, 4]));
         assert_eq!(p.log_scopes[2], (NAT, vec![2, 4]));
-        assert_eq!((p.seeds[&3].slot(), p.seeds[&2].slot()), (3, 2));
+        assert_eq!((seed(&p, 3).slot(), seed(&p, 2).slot()), (3, 2));
     }
 }

@@ -1,25 +1,29 @@
-//! Failover supervision and log truncation for the real-thread engine.
+//! Failover and log truncation for the real-thread engine.
 //!
-//! The supervisor is a dedicated thread that touches no packet. It owns the
-//! fail-stop channel, the replacement seeds and the commit-frontier
-//! truncation of the packet logs; a replacement does its own replay.
+//! No thread of its own runs either: a killed instance's thread begins its
+//! failover and runs the replacement, which does its own replay, and the
+//! root cuts the packet logs at their commit frontiers once per page of its
+//! log.
 //!
 //! ## Failover (§5.3–§5.4 "NF instance", on wall clocks)
 //!
-//! When an armed instance fail-stops, it sends its SPSC wiring through the
-//! fault channel and exits. The supervisor then **begins** the failover:
+//! An armed instance's plan carries its kill counter and the replacement
+//! seed together. When the instance fail-stops, its thread discards its
+//! unflushed output batches, journals the kill and **begins** the failover
+//! (`begin_failover`):
 //!
-//! 1. re-associates the failed instance's per-flow store state with the
+//! 1. journals `failover_begin`,
+//! 2. re-associates the failed instance's per-flow store state with the
 //!    pre-assigned replacement id ([`StoreServer::reassign_owner`] — the
 //!    store always holds the authoritative copy because cached per-flow
 //!    updates are flushed, Theorem B.5.1),
-//! 2. zeroes the failed instance's watermark slot, which the replacement
+//! 3. zeroes the failed instance's watermark slot, which the replacement
 //!    inherits,
-//! 3. journals `replacement_spawn` and spawns the **replacement thread** on
-//!    the inherited wiring: in-flight packets still queued in the input
-//!    rings survive, exactly like packets sitting in the network across an
-//!    endpoint crash. The spawn is journaled before the thread starts, so a
-//!    fast replay cannot journal its completion first.
+//! 4. journals `replacement_spawn` and runs the **replacement** on the
+//!    same thread and the same wiring: in-flight packets still queued in
+//!    the input rings survive, exactly like packets sitting in the network
+//!    across an endpoint crash. The wiring never changes threads, and the
+//!    thread returns both instances' results, the dead one's first.
 //!
 //! The replacement **replays its own log** before it pops a live ring, as
 //! the simulator's failover instance does (§5.3: replayed packets first,
@@ -42,47 +46,54 @@
 //! stays at zero. The sink's window is one bit per injected clock and is
 //! never pruned, so it covers every counter a tail replay can re-emit.
 //!
-//! **Why the replacement's snapshot is complete.** The supervisor zeroes the
-//! dead slot before the spawn. Every log the replacement reads has the dead
-//! slot in its commit scope (the root's scope holds every on-path slot, an
-//! egress log's every slot strictly downstream of the logging vertex), so
-//! from that moment on no frontier cut can drop an entry from it: the
-//! snapshot the replacement takes later holds everything one taken at the
-//! zeroing would have held, and truncation need not pause while it replays.
-//! Each replacement reads the logs on its own thread and only pushes
+//! **Why the replacement's snapshot is complete.** The dying thread zeroes
+//! the dead slot before the replacement starts, holding the cut lock
+//! (`EngineShared::cut_pause`), the lock every truncation pass holds from
+//! its pause check to its last cut. Every log the replacement reads has the
+//! dead slot in its commit scope (the root's scope holds every on-path
+//! slot, an egress log's every slot strictly downstream of the logging
+//! vertex), so from the moment the lock is released no frontier cut can
+//! drop an entry from it: the snapshot the replacement takes later holds
+//! everything one taken at the zeroing would have held, and truncation need
+//! not pause while it replays. The lock makes passes and failover starts
+//! take turns: a pass either ends before the slot is zeroed and the pause
+//! raised, or begins after both, so a root descheduled in mid-pass cannot
+//! cut at watermarks read before a failover began once a replay has moved
+//! them. Each replacement reads the logs on its own thread and only pushes
 //! downstream, so overlapping failovers need no coordination: a replay that
 //! backs up waits on a live consumer further down an acyclic chain.
-//!
-//! A wiring hand-off with no replacement seed cannot happen (only armed
-//! instances hold the channel); if it ever does it is **aborted**, not
-//! allowed to hang the run: the supervisor journals a `failover_abort`
-//! event and returns a [`FailoverAbort`] (surfaced through
-//! `RuntimeReport::fault`).
 //!
 //! ## Log truncation
 //!
 //! Every packet log — the root's is the first — is one row of
-//! `ChainPlan::log_scopes`, and between fault events the supervisor treats
-//! every row alike (`truncate_logs`). It cuts the log at its own commit
-//! frontier, the lowest watermark in `EngineShared::watermarks` over the
-//! row's scope: every on-path instance and the sink for the root's log, the
-//! instances *strictly downstream* of the logging vertex plus the sink for an
-//! egress log. That cut is the engine's only deletion rule. It departs from
-//! the paper's Figure 6, which also deletes each entry once its XOR tokens
+//! `ChainPlan::log_scopes`, and a pass treats every row alike
+//! (`truncate_logs`). It cuts the log at its own commit frontier, the
+//! lowest watermark in `EngineShared::watermarks` over the row's scope:
+//! every on-path instance and the sink for the root's log, the instances
+//! *strictly downstream* of the logging vertex plus the sink for an egress
+//! log. That cut is the engine's only deletion rule. It departs from the
+//! paper's Figure 6, which also deletes each entry once its XOR tokens
 //! cancel: on the engine those deletes freed almost nothing the frontier
 //! did not, and cost a lock per logged packet and a pause of every pass
 //! while a replay ran (DESIGN.md "Tail kills: one deletion rule on the
 //! engine").
 //!
+//! The root runs a pass each time it starts a new page of its log
+//! (`page_pass`, every `PAGE_CELLS` = 256 counters), so a cut frees
+//! memory a page at a time, and a pass comes with the injection that grows
+//! the logs: a log stays within the rings' depth plus a page of the
+//! frontier, whichever thread the host leaves off the CPU. The engine runs
+//! one more pass once every thread has joined.
+//!
 //! Before the first failover every ring delivers counters monotonically, so
 //! the frontier proves completion exactly; while further kills are still
-//! armed after a failover has begun, truncation pauses (replayed traffic
-//! makes ring order non-monotone downstream of a replacement, so the
-//! frontier could briefly overclaim); once the last kill resolved it
-//! resumes, where truncation is unconditionally safe because no future
-//! replay exists. A replacement publishes under the dead instance's slot
-//! only once its replay is done: until then every frontier that contains
-//! the slot reads zero.
+//! armed after a failover has begun, passes pause (replayed traffic makes
+//! ring order non-monotone downstream of a replacement, so the frontier
+//! could briefly overclaim); once the last kill fired they resume, where
+//! truncation is unconditionally safe because no future replay exists. The
+//! pause state (`CutPause`) lives under the cut lock. A replacement
+//! publishes under the dead instance's slot only once its replay is done:
+//! until then every frontier that contains the slot reads zero.
 //!
 //! So a failover is a transient, not a freeze until the end of the run: as
 //! soon as the replacement has replayed and flushed, it publishes again at
@@ -97,142 +108,74 @@
 //! packet, and there are exactly two kinds: a packet log and the
 //! re-injection drill's buffer. Every egress log's scope is a subset of the
 //! root's, so the root's frontier is the lowest, and right after a pass no
-//! log holds anything at or below it. The
-//! supervisor therefore raises [`StoreServer::forget_through`] to the root's
-//! frontier — capped below the smallest re-injection counter for as long as
-//! it runs, because a re-injected copy is in flight after it left the buffer
-//! and no watermark covers it. Truncation pauses while replays may be in
-//! flight, and so does the floor.
+//! log holds anything at or below it. Each pass therefore raises
+//! [`StoreServer::forget_through`] to the root's frontier — capped below
+//! the smallest re-injection counter until the final pass, because a
+//! re-injected copy is in flight after it left the buffer and no watermark
+//! covers it. Passes pause while replays may be in flight, and so does the
+//! floor.
 
 use crate::engine::EngineShared;
-use crate::fault::FailoverAbort;
-use crate::instance::{run_instance, DyingInstance, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
 use chc_core::VertexLogs;
 use chc_store::{StoreServer, VertexId};
 use chc_telemetry::EventKind;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
-/// The replacement threads the supervisor spawned, for the engine to join.
-pub(crate) type Replacements<'scope> = Vec<thread::ScopedJoinHandle<'scope, InstanceResult>>;
-
-/// The supervisor thread's state.
-pub(crate) struct Supervisor<'scope, 'env> {
-    scope: &'scope thread::Scope<'scope, 'env>,
-    rx: mpsc::Receiver<DyingInstance>,
-    shared: &'env EngineShared,
-    log_scopes: &'env [(VertexId, Vec<usize>)],
-    floor_cap: u64,
-    /// The replacement prepared for each armed slot, until its kill fires.
-    seeds: HashMap<usize, InstancePlan>,
-    /// A failover has begun: truncation pauses while kills are still armed.
-    failed_over: bool,
-    replacements: Replacements<'scope>,
-    aborts: Vec<FailoverAbort>,
+/// The truncation pause, behind `EngineShared::cut_pause`: kills that have
+/// not fired yet, and whether a failover has begun. The root's page passes
+/// and every failover start hold its lock, so a pass never straddles the
+/// start of a failover.
+#[derive(Debug, Default)]
+pub(crate) struct CutPause {
+    pub(crate) armed: usize,
+    pub(crate) failed_over: bool,
 }
 
-impl<'scope, 'env> Supervisor<'scope, 'env> {
-    pub(crate) fn new(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        rx: mpsc::Receiver<DyingInstance>,
-        plan: &'env ChainPlan,
-        seeds: HashMap<usize, InstancePlan>,
-        shared: &'env EngineShared,
-    ) -> Self {
-        Supervisor {
-            scope,
-            rx,
-            shared,
-            log_scopes: &plan.log_scopes,
-            floor_cap: plan.floor_cap,
-            seeds,
-            failed_over: false,
-            replacements: Vec::new(),
-            aborts: Vec::new(),
-        }
-    }
-
-    /// Body of the supervisor thread. Exits once the root finished injecting
-    /// and every armed kill either executed or provably can no longer fire
-    /// (its instance drained its rings and dropped the fault channel).
-    pub(crate) fn run(
-        mut self,
-        done_injecting: &AtomicBool,
-    ) -> (Vec<FailoverAbort>, Replacements<'scope>) {
-        let mut disconnected = false;
-        loop {
-            match self.rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(dying) => self.begin_failover(dying),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    // A disconnected channel returns immediately; pace the
-                    // loop.
-                    thread::sleep(Duration::from_micros(200));
-                }
-            }
-
-            // Frontier truncation: exact before the first failover, paused
-            // while more kills are armed, harmless after the last one (see
-            // module docs).
-            if !self.failed_over || self.seeds.is_empty() {
-                truncate_logs(self.shared, self.log_scopes, self.floor_cap);
-            }
-
-            if done_injecting.load(Ordering::Acquire) && (self.seeds.is_empty() || disconnected) {
-                break;
-            }
-        }
-        (self.aborts, self.replacements)
-    }
-
-    /// Begin one failover: remove the seed, hand the failed instance's store
-    /// state and watermark slot to the replacement, and spawn the
-    /// replacement thread on the inherited wiring, which replays on its own.
-    /// Never blocks. A hand-off with no seed is recorded as an abort.
-    fn begin_failover(&mut self, dying: DyingInstance) {
-        let shared = self.shared;
-        let Some(mut seed) = self.seeds.remove(&dying.slot) else {
-            shared.telemetry.event(EventKind::FailoverAbort {
-                vertex: u32::MAX,
-                index: dying.slot as u32,
-                instance: u64::MAX,
-            });
-            self.aborts.push(FailoverAbort {
-                vertex: VertexId(u32::MAX),
-                index: dying.slot,
-                reason: "no replacement seed for the failed slot".to_string(),
-            });
-            return;
-        };
-        let takeover = seed.takeover.as_mut().expect("a seed replaces an instance");
-        takeover.started = Some(Instant::now());
-        let (vertex, index) = (seed.vertex.0, seed.index as u32);
-        shared.telemetry.event(EventKind::FailoverBegin {
-            vertex,
-            index,
-            instance: takeover.failed.0 as u64,
-        });
+/// Begin one failover, on the thread of the instance that just fail-stopped
+/// in `slot`: hand its store state and watermark slot to `seed`, the
+/// replacement its kill carried, which then runs on this thread and wiring
+/// and replays on its own. Never blocks but on the cut lock.
+pub(crate) fn begin_failover(
+    shared: &EngineShared,
+    slot: usize,
+    mut seed: InstancePlan,
+) -> InstancePlan {
+    let takeover = seed.takeover.as_mut().expect("a seed replaces an instance");
+    takeover.started = Some(Instant::now());
+    let (vertex, index) = (seed.vertex.0, seed.index as u32);
+    shared.telemetry.event(EventKind::FailoverBegin {
+        vertex,
+        index,
+        instance: takeover.failed.0 as u64,
+    });
+    {
         // The replacement takes over the failed instance's per-flow state
         // and its watermark slot, which starts over: until the replacement
         // has replayed and publishes, every frontier the slot is in stays
         // put, and so does every log the replay reads.
+        let mut pause = shared.cut_pause.lock().unwrap_or_else(|e| e.into_inner());
+        pause.armed -= 1;
+        pause.failed_over = true;
         shared.server.reassign_owner(takeover.failed, seed.instance);
-        shared.watermarks[dying.slot].store(0, Ordering::Release);
-        shared.telemetry.event(EventKind::ReplacementSpawn {
-            vertex,
-            index,
-            instance: seed.instance.0 as u64,
-        });
-        self.failed_over = true;
-        let handle = self
-            .scope
-            .spawn(move || run_instance(seed, dying.wiring, shared, None));
-        self.replacements.push(handle);
+        shared.watermarks[slot].store(0, Ordering::Release);
+    }
+    shared.telemetry.event(EventKind::ReplacementSpawn {
+        vertex,
+        index,
+        instance: seed.instance.0 as u64,
+    });
+    seed
+}
+
+/// The root's pass at each root-log page boundary: [`truncate_logs`] under
+/// the cut lock, unless a failover has begun while another kill is still
+/// armed (see the module docs).
+pub(crate) fn page_pass(shared: &EngineShared, plan: &ChainPlan) {
+    let pause = shared.cut_pause.lock().unwrap_or_else(|e| e.into_inner());
+    if !pause.failed_over || pause.armed == 0 {
+        truncate_logs(shared, &plan.log_scopes, plan.floor_cap);
     }
 }
 
@@ -241,10 +184,10 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
 /// its own scope. The first row is the root's, whose scope contains every
 /// other and whose frontier is therefore the lowest: its advance is
 /// journaled, the store forgets what the logs forgot up to it — capped at
-/// `floor_cap` — and it is returned. The supervisor runs a pass between
-/// fault events. The engine runs one more after every thread joined: every
-/// surviving component has published its last watermark by then, so that
-/// cut is the tightest the commit protocol can justify.
+/// `floor_cap` — and it is returned. The root runs a pass once per page of
+/// its log ([`page_pass`]). The engine runs one more after every thread
+/// joined: every surviving component has published its last watermark by
+/// then, so that cut is the tightest the commit protocol can justify.
 pub(crate) fn truncate_logs(
     shared: &EngineShared,
     log_scopes: &[(VertexId, Vec<usize>)],
@@ -347,7 +290,7 @@ mod tests {
             shared.publish_watermark(slot, watermark);
         }
 
-        // Supervisor-style pass, the floor capped below a drill at 4. Both
+        // A page pass, the floor capped below a drill at 4. Both
         // frontiers are the sink's 4, and nothing above a frontier leaves a
         // log.
         assert_eq!(truncate_logs(&shared, scopes, 3), 4);

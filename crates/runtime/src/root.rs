@@ -1,6 +1,7 @@
 //! The root: stamps logical clocks in trace order through
-//! [`chc_core::RootCore`], logs and injects, and executes the shard faults
-//! keyed on its counter. The calling thread runs it ([`run_root`]). When the
+//! [`chc_core::RootCore`], logs and injects, executes the shard faults keyed
+//! on its counter and, once per page of its log, cuts every packet log at
+//! its commit frontier ([`crate::replay::page_pass`]). The calling thread runs it ([`run_root`]). When the
 //! plan kills the root, the same thread then builds a new root from what a
 //! crashed root leaves behind (§5.4) and finishes the trace with it.
 //! Nothing else of the dead root is handed on.
@@ -8,7 +9,9 @@
 use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};
 use crate::plan::ChainPlan;
+use crate::replay::page_pass;
 use crate::wiring::{links_mut, route_all, Downstream, OutLink};
+use chc_core::rootlog::PAGE_CELLS;
 use chc_core::{RootCore, TaggedPacket};
 use chc_packet::{flow_sampled, Packet, PacketId, Trace, TraceTag};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -117,6 +120,10 @@ impl Root {
             }
             let Some(pkt) = input.next() else { return };
             if shared.fault_mode {
+                // A cut frees the log a page at a time.
+                if next.is_multiple_of(PAGE_CELLS as u64) {
+                    page_pass(shared, plan);
+                }
                 for &s in plan.shard_checkpoints.due(&mut checkpoints, next) {
                     shared.server.checkpoint_shard(s);
                 }

@@ -331,7 +331,7 @@ impl StateHandle for TimedHandle {
 /// series. Returns the collected time series.
 ///
 /// Gauges: `ring.<edge>.depth`, the packets (not batch slots) queued on
-/// each labelled link of `rings`; per-shard op rates; `shard.<i>.wal_depth`
+/// each labelled link of `rings`; per-shard op rates; `shard.<i>.journal_len`
 /// per shard of `journaled_shards`; in fault mode `rootlog.len`, plus
 /// `vertexlog.len` — total across armed vertex egress logs — when any
 /// vertex is armed.
@@ -356,10 +356,10 @@ pub(crate) fn run_monitor(
         out.series
             .push(GaugeSeries::new(format!("shard.{s}.ops_per_sec")));
     }
-    let wal_base = out.series.len();
+    let journal_base = out.series.len();
     for s in journaled_shards {
         out.series
-            .push(GaugeSeries::new(format!("shard.{s}.wal_depth")));
+            .push(GaugeSeries::new(format!("shard.{s}.journal_len")));
     }
     let log_idx = log.is_some().then(|| {
         out.series.push(GaugeSeries::new("rootlog.len"));
@@ -416,7 +416,7 @@ pub(crate) fn run_monitor(
         *prev_t_ns = t_ns;
         *first = false;
         for (j, &s) in journaled_shards.iter().enumerate() {
-            out.series[wal_base + j].push(t_ns, server.shard_journal_len(s) as f64);
+            out.series[journal_base + j].push(t_ns, server.shard_journal_len(s) as f64);
         }
         if let (Some(idx), Some(log)) = (log_idx, log) {
             let rows = log.stats();

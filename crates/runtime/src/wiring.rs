@@ -249,9 +249,9 @@ pub(crate) fn forwards_in_order(inputs: &[InputRing]) -> bool {
     matches!(inputs, [only] if only.ordered)
 }
 
-/// The complete SPSC wiring of one instance thread. A fail-stopped instance
-/// hands exactly this to the supervisor, and its replacement runs on it once
-/// its own replay is done.
+/// The complete SPSC wiring of one instance thread. A fail-stopped
+/// instance's replacement runs on exactly this, on the same thread, once its
+/// own replay is done.
 #[derive(Default)]
 pub(crate) struct InstanceWiring {
     pub(crate) inputs: Vec<InputRing>,

@@ -74,9 +74,9 @@ fn monitor_collects_monotonic_gauge_series_and_shuts_down_cleanly() {
     assert!(series.with_prefix("ring.").count() > 0);
     let rates: Vec<_> = series.with_prefix("shard.").collect();
     assert!(rates.iter().any(|g| g.name.ends_with(".ops_per_sec")));
-    // Healthy run: no fault plan, so no WAL/packet-log gauges, and replay
+    // Healthy run: no fault plan, so no journal or packet-log gauges, and replay
     // progress stays flat at zero.
-    assert!(!rates.iter().any(|g| g.name.ends_with(".wal_depth")));
+    assert!(!rates.iter().any(|g| g.name.ends_with(".journal_len")));
     assert!(series.get("rootlog.len").is_none());
     let replay = series.get("replay.packets").expect("replay gauge");
     assert!(replay.points.iter().all(|p| p.value == 0.0));

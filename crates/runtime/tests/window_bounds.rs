@@ -145,43 +145,36 @@ fn the_frontier_alone_bounds_every_packet_log() {
     // A mid-chain NAT kill, which arms the firewall's egress log, and a
     // tail kill. The engine cuts each log at its own commit frontier and
     // deletes nothing else, yet a log holds an eighth of the trace at most:
-    // the root's and the armed upstream's stay within the rings' depth and
-    // a truncation pass of the frontier. A pass is the supervisor thread's
-    // wake-up, and a host that leaves it unscheduled for milliseconds lets
-    // every log grow with the stall (a few runs in a thousand, with or
-    // without per-packet deletes), so each plan runs three times and the
-    // median of each log's high water is held to the bound.
+    // the root cuts every log once per page of its own, so the root's and
+    // the armed upstream's stay within the rings' depth and a page of the
+    // frontier. A stalled thread stalls the rings and with them the root's
+    // injection, so the bound holds on every run; each plan runs three
+    // times.
     let trace = long_trace(7);
     let n = trace.len() as u64;
     for (len, plan) in [(3, "mid-chain"), (2, "tail")] {
-        let runs: Vec<[(VertexId, usize); 2]> = (0..3)
-            .map(|_| {
-                let rt = RuntimeConfig::with_batch_size(32).with_fault(FaultPlan::new().kill(
-                    VertexId(2),
-                    0,
-                    n / 2,
-                ));
-                let report = run_on(&chain(len), rt, &trace);
-                assert_eq!(report.injected, n);
-                let fault = report.fault.as_ref().expect("a fault report");
-                let [egress] = fault.vertex_logs[..] else {
-                    panic!("{plan}: not one armed egress log: {:?}", fault.vertex_logs);
-                };
-                [
-                    (ROOT_VERTEX, fault.log_high_water),
-                    (egress.vertex, egress.high_water),
-                ]
-            })
-            .collect();
-        for log in 0..2 {
-            let vertex = runs[0][log].0;
-            let mut high: Vec<usize> = runs.iter().map(|run| run[log].1).collect();
-            high.sort_unstable();
-            assert!(high[0] > 0, "{plan}: log {vertex} never held a packet");
-            assert!(
-                high[1] as u64 * 8 < n,
-                "{plan}: log {vertex} held {high:?} of {n} packets"
-            );
+        for _ in 0..3 {
+            let rt = RuntimeConfig::with_batch_size(32).with_fault(FaultPlan::new().kill(
+                VertexId(2),
+                0,
+                n / 2,
+            ));
+            let report = run_on(&chain(len), rt, &trace);
+            assert_eq!(report.injected, n);
+            let fault = report.fault.as_ref().expect("a fault report");
+            let [egress] = fault.vertex_logs[..] else {
+                panic!("{plan}: not one armed egress log: {:?}", fault.vertex_logs);
+            };
+            for (vertex, high) in [
+                (ROOT_VERTEX, fault.log_high_water),
+                (egress.vertex, egress.high_water),
+            ] {
+                assert!(high > 0, "{plan}: log {vertex} never held a packet");
+                assert!(
+                    high as u64 * 8 < n,
+                    "{plan}: log {vertex} held {high} of {n} packets"
+                );
+            }
         }
     }
 }

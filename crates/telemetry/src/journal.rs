@@ -29,7 +29,7 @@ pub enum EventKind {
         instance: u64,
         clock: u64,
     },
-    /// The supervisor accepted a death notice and began failover.
+    /// The killed instance's thread began its failover.
     FailoverBegin {
         vertex: u32,
         index: u32,
@@ -51,7 +51,7 @@ pub enum EventKind {
         packets_replayed: u64,
     },
     /// Failover completed end to end; `recovery_ns` is the wall time from
-    /// the supervisor's death notice to the replacement's replay done.
+    /// the failover's begin to the replacement's replay done.
     FailoverEnd {
         vertex: u32,
         index: u32,
@@ -73,15 +73,6 @@ pub enum EventKind {
     /// above the persisted clock, after the crash lost `packets_lost`
     /// packets.
     RootTakeover { resumed_at: u64, packets_lost: u64 },
-    /// A failover was abandoned mid-flight (replay ring stalled because the
-    /// replacement stopped draining, or no replacement seed existed for the
-    /// failed slot). The run continues degraded instead of hanging; the
-    /// human-readable reason lives in `FaultReport::aborts`.
-    FailoverAbort {
-        vertex: u32,
-        index: u32,
-        instance: u64,
-    },
     /// The invariant sentinel detected a violation. `code` is the stable
     /// [`crate::sentinel::InvariantKind`] code; `observed`/`expected` carry
     /// the offending value and the bound it broke (kept numeric so the
@@ -108,7 +99,6 @@ impl EventKind {
             EventKind::ShardRestart { .. } => "shard_restart",
             EventKind::RootKilled { .. } => "root_killed",
             EventKind::RootTakeover { .. } => "root_takeover",
-            EventKind::FailoverAbort { .. } => "failover_abort",
             EventKind::InvariantViolation { .. } => "invariant_violation",
         }
     }
@@ -165,11 +155,6 @@ impl Event {
                 instance,
             }
             | EventKind::ReplacementSpawn {
-                vertex,
-                index,
-                instance,
-            }
-            | EventKind::FailoverAbort {
                 vertex,
                 index,
                 instance,

@@ -27,8 +27,7 @@
 //!   `injected − frontier` (§5, buffer-bloat bound).
 //! * **Failover phase order** — for each failed slot: killed → failover
 //!   begin → replacement spawned → replay complete → failover end (§5.4,
-//!   "NF instance" recovery protocol). An explicit `failover_abort`
-//!   discharges the slot (degraded by design, not a hang).
+//!   "NF instance" recovery protocol).
 //! * **Root handoff** — a killed root is followed by exactly one new root,
 //!   which resumes at or above the counter the dead one was killed at: no
 //!   takeover without a kill, no double kill, no resume below the kill, no
@@ -268,12 +267,6 @@ impl Sentinel {
                     Some(_) => {}
                 }
                 self.root_recovered = true;
-            }
-            // An aborted failover discharges the slot's phase obligation —
-            // the run continues degraded by design, so the slot must not
-            // count as an unfinished failover at shutdown.
-            EventKind::FailoverAbort { vertex, index, .. } => {
-                self.phases.remove(&(vertex, index));
             }
             // Spawns, scale cuts, shard restarts and our own violation
             // events carry no phase obligations.
@@ -680,29 +673,6 @@ mod tests {
             packets_lost: 0,
         };
         assert!(s.observe(&ev(1, resumed)).is_empty());
-    }
-
-    #[test]
-    fn failover_abort_discharges_the_slot() {
-        let mut s = Sentinel::new();
-        let evs = failover_events(1, 0);
-        assert!(s.observe(&ev(0, evs[0])).is_empty());
-        assert!(s.observe(&ev(1, evs[1])).is_empty());
-        assert_eq!(s.unfinished_failovers(), vec![(1, 0)]);
-        assert!(s
-            .observe(&ev(
-                2,
-                EventKind::FailoverAbort {
-                    vertex: 1,
-                    index: 0,
-                    instance: 8,
-                },
-            ))
-            .is_empty());
-        assert!(
-            s.unfinished_failovers().is_empty(),
-            "aborted slot owes no further phases"
-        );
     }
 
     #[test]
