@@ -276,8 +276,8 @@ fn client_access(c: &mut Criterion) {
     // The other end of a buffered op: one write-behind drain of 32 ops on
     // the sharded server. Below the floor nothing is looked up or logged.
     // Above it every op is logged for duplicate suppression, and the log is
-    // pruned either as the floor trails 1,024 packets behind, as the
-    // supervisor's truncation keeps it, or only once per 65,536 packets: a
+    // pruned either as the floor trails 1,024 packets behind, as the root's
+    // truncation passes keep it, or only once per 65,536 packets: a
     // frozen floor, as in an inline pass over a trace of that length and on
     // every packet after a failover. The journaled drains trail the floor
     // too, with every shard's journal on, as a faulted run has them. The

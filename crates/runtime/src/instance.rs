@@ -105,8 +105,12 @@ pub(crate) fn run_instance(
         recovery,
     }];
     if let (Some(kill), Some(_)) = (kill, killed_at) {
-        let seed = begin_failover(shared, me.plan.slot(), *kill.seed);
-        results.extend(run_instance(seed, me.wiring, shared));
+        // The dead instance's NF, client and cache die with it; its wiring
+        // goes on to the replacement.
+        let (slot, wiring) = (me.plan.slot(), std::mem::take(&mut me.wiring));
+        drop(me);
+        let seed = begin_failover(shared, slot, *kill.seed);
+        results.extend(run_instance(seed, wiring, shared));
     }
     results
 }

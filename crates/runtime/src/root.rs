@@ -1,10 +1,10 @@
 //! The root: stamps logical clocks in trace order through
 //! [`chc_core::RootCore`], logs and injects, executes the shard faults keyed
 //! on its counter and, once per page of its log, cuts every packet log at
-//! its commit frontier ([`crate::replay::page_pass`]). The calling thread runs it ([`run_root`]). When the
-//! plan kills the root, the same thread then builds a new root from what a
-//! crashed root leaves behind (§5.4) and finishes the trace with it.
-//! Nothing else of the dead root is handed on.
+//! its commit frontier ([`crate::replay::page_pass`]). The calling thread
+//! runs it ([`run_root`]). When the plan kills the root, the same thread
+//! then builds a new root from what a crashed root leaves behind (§5.4) and
+//! finishes the trace with it. Nothing else of the dead root is handed on.
 
 use crate::engine::EngineShared;
 use crate::fault::{RootTakeover, ShardRecovery};

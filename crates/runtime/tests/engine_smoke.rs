@@ -232,7 +232,7 @@ fn only_a_fault_mode_run_keeps_a_dedup_log() {
     assert!(most > 0.0, "an armed run sampled no dedup log");
     assert!(
         floor < u64::MAX,
-        "the supervisor keeps a floor below the top"
+        "the truncation passes keep a floor below the top"
     );
 }
 

@@ -625,7 +625,7 @@ fn frontier_moves_after_a_mid_kill_on(backend: BackendKind) {
     // need not pass the kill: the LB's and the sink's watermarks can still
     // sit at the last batch boundary below it, waiting for the replacement's
     // output, when the NAT's slot unfreezes. What must hold is that the
-    // supervisor carries it past the kill while the trace runs.
+    // root's page passes carry it past the kill while the trace runs.
     assert!(
         after.windows(2).all(|w| w[0] < w[1]),
         "{backend:?}: frontier advances after the failover do not increase: {after:?}"

@@ -204,7 +204,7 @@ fn failover_journal_records_the_recovery_in_causal_order() {
 
     // The journal holds exactly one event of each failover phase, and their
     // sequence numbers order them causally: the kill strictly precedes the
-    // supervisor's begin → spawn, then the replacement's replay → end.
+    // failover's begin → spawn, then the replacement's replay → end.
     let seq_of = |name: &str| -> u64 {
         let found = telemetry.events_named(name);
         assert_eq!(found.len(), 1, "expected exactly one {name} event");

@@ -38,7 +38,7 @@
 //!   replay source declares itself once, before the first op
 //!   ([`StoreServer::track_replays`]), which lowers the floor to 0. There
 //!   are two: the engine in fault mode (kills, shard restarts, the
-//!   re-injection drill), whose supervisor then raises the floor as it
+//!   re-injection drill), whose root then raises the floor as it
 //!   truncates the packet logs ([`StoreServer::forget_through`]), and the
 //!   simulator's `ChainController` (failover, straggler clones).
 //!

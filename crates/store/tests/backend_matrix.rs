@@ -313,7 +313,7 @@ fn restart_replays_only_the_suffix_on_both_backends() {
 }
 
 /// Restart cost follows the replay floor, not the history: with the floor
-/// trailing the writer the way the runtime's supervisor moves it, a shard
+/// trailing the writer the way the runtime's truncation passes move it, a shard
 /// with 32k operations behind it checkpoints, restores and replays exactly
 /// what one with 2k does — the image carries no duplicate-suppression entry
 /// below the floor, so on files it is byte-for-byte as small.
