@@ -81,9 +81,10 @@
 //! The root runs a pass each time it starts a new page of its log
 //! (`page_pass`, every `PAGE_CELLS` = 256 counters), so a cut frees
 //! memory a page at a time, and a pass comes with the injection that grows
-//! the logs: a log stays within the rings' depth plus a page of the
-//! frontier, whichever thread the host leaves off the CPU. The engine runs
-//! one more pass once every thread has joined.
+//! the logs: outside the pause below, a log stays within the rings' depth
+//! plus a page of the frontier, whichever thread the host leaves off the
+//! CPU, since a stalled instance stalls the rings and with them the root.
+//! The engine runs one more pass once every thread has joined.
 //!
 //! Before the first failover every ring delivers counters monotonically, so
 //! the frontier proves completion exactly; while further kills are still
@@ -127,7 +128,6 @@ use std::time::Instant;
 /// not fired yet, and whether a failover has begun. The root's page passes
 /// and every failover start hold its lock, so a pass never straddles the
 /// start of a failover.
-#[derive(Debug, Default)]
 pub(crate) struct CutPause {
     pub(crate) armed: usize,
     pub(crate) failed_over: bool,
@@ -136,7 +136,7 @@ pub(crate) struct CutPause {
 /// Begin one failover, on the thread of the instance that just fail-stopped
 /// in `slot`: hand its store state and watermark slot to `seed`, the
 /// replacement its kill carried, which then runs on this thread and wiring
-/// and replays on its own. Never blocks but on the cut lock.
+/// and replays on its own.
 pub(crate) fn begin_failover(
     shared: &EngineShared,
     slot: usize,
