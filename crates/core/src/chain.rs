@@ -278,7 +278,6 @@ impl ChainController {
         client.set_recovery_logging(true);
         let params = InstanceParams {
             vertex: spec.id,
-            instance,
             downstream: self.dag.downstream_of(spec.id),
             awaiting_replay,
             logs: Rc::clone(&self.logs),

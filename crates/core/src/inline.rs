@@ -99,7 +99,7 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InlineChain<N> {
         for i in 0..self.stages.len() {
             let (stage, later) = self.stages[i..].split_first_mut().expect("stage i");
             for mut tp in stage.queue.drain(..) {
-                let step = stage.core.on_packet(&mut tp, &mut stage.client, now);
+                let step = stage.core.on_packet(&mut tp, &mut stage.client, now, false);
                 stage.client.take_pending_callbacks();
                 let Step::Forward { exit } = step else {
                     continue;

@@ -14,8 +14,8 @@
 //!   [`Msg::Replay`] the instance takes its own snapshot of the packet logs
 //!   and processes it before the live traffic it buffered meanwhile,
 //! * egress logging: an instance of a vertex some other vertex replays from
-//!   copies each live packet it forwards into its vertex's row of the shared
-//!   [`VertexLogs`],
+//!   copies each packet it forwards, replayed ones included, into its
+//!   vertex's row of the shared [`VertexLogs`] ([`VertexLogs::log_forwarded`]),
 //! * commit-signal emission for the root's XOR delete protocol (Figure 6),
 //! * callback delivery for read-heavy cached objects, and
 //! * chain-tail duties: the "delete-before-output" rule of §5.4.
@@ -45,8 +45,6 @@ const WORKERS: usize = 8;
 pub struct InstanceParams {
     /// Logical vertex this instance belongs to.
     pub vertex: VertexId,
-    /// This instance's id.
-    pub instance: InstanceId,
     /// Downstream vertices (on-path and off-path) to forward to.
     pub downstream: Vec<VertexId>,
     /// True when the instance starts as a straggler clone or failover target:
@@ -55,7 +53,7 @@ pub struct InstanceParams {
     pub awaiting_replay: bool,
     /// The chain's packet logs: the instance replays from them, and when its
     /// vertex has a row (some vertex replays from its egress) it logs there
-    /// every live packet it forwards.
+    /// every packet it forwards.
     pub logs: Rc<VertexLogs>,
 }
 
@@ -172,23 +170,21 @@ impl NfInstanceActor {
                 return;
             }
         }
-        self.process_packet(tp, ctx);
+        self.process_packet(tp, false, ctx);
     }
 
     /// A clone or failover instance's replay (§5.3): it takes its own
-    /// snapshot of the logs and puts each logged copy, marked as replayed
-    /// for this instance, through the per-packet step; only then does it
-    /// drain the live packets buffered meanwhile. An empty replay opens the
-    /// gate at once.
+    /// snapshot of the logs and puts each logged copy through the per-packet
+    /// step as a replay; only then does it drain the live packets buffered
+    /// meanwhile. An empty replay opens the gate at once.
     fn replay(&mut self, sources: &[VertexId], index: usize, ctx: &mut Ctx<'_, Msg>) {
         let packets = {
             let table = self.partition.borrow();
             let splitter = table.splitter(self.params.vertex).expect("a splitter");
             self.params.logs.replay(sources, splitter, index)
         };
-        for mut tp in packets {
-            tp.replay_for = Some(self.params.instance);
-            self.process_packet(tp, ctx);
+        for tp in packets {
+            self.process_packet(tp, true, ctx);
         }
         self.awaiting_replay = false;
         self.drain_buffer(ctx);
@@ -204,9 +200,9 @@ impl NfInstanceActor {
     }
 
     /// Process one packet through the NF (all gating already done).
-    fn process_packet(&mut self, mut tp: TaggedPacket, ctx: &mut Ctx<'_, Msg>) {
+    fn process_packet(&mut self, mut tp: TaggedPacket, replay: bool, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        let step = self.core.on_packet(&mut tp, &mut self.client, now);
+        let step = self.core.on_packet(&mut tp, &mut self.client, now, replay);
         if step == Step::Suppressed {
             return;
         }
@@ -263,13 +259,7 @@ impl NfInstanceActor {
         match step {
             Step::Dropped if !off_path => ctx.send_with_extra_delay(self.root, delete, delay),
             Step::Forward { exit } => {
-                // A replayed or replicated copy is not logged: another
-                // instance of the vertex may process the same clock.
-                if tp.replay_for.is_none() && !tp.replicated {
-                    if let Some(mut log) = self.params.logs.log(self.params.vertex) {
-                        log.insert(tp.clone());
-                    }
-                }
+                self.params.logs.log_forwarded(self.params.vertex, &tp);
                 if exit {
                     ctx.send_with_extra_delay(self.root, delete, delay);
                     ctx.send_with_extra_delay(self.sink, Msg::Delivered(tp.clone()), delay);

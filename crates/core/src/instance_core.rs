@@ -90,17 +90,18 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
     }
 
     /// Run one packet: admit or suppress it at the input queue (a repeated
-    /// clock is a replayed or replicated copy, §5.3), run the NF, record its
+    /// clock is a replayed or replicated copy, §5.3), mark an admitted one
+    /// [`TaggedPacket::replayed`] if this is a replay, run the NF, record its
     /// alerts under the packet's clock, take the packet's charge and update
     /// tokens from the client so no driver can leave them behind, and
-    /// classify the outcome (§5.4). A forwarded packet replaces the input in
-    /// `tp`.
+    /// classify the outcome (§5.4). The output replaces the input in `tp`.
     #[inline]
     pub fn on_packet(
         &mut self,
         tp: &mut TaggedPacket,
         client: &mut StateClient,
         now: VirtualTime,
+        replayed: bool,
     ) -> Step {
         self.tokens.clear();
         let duplicate = self.window.as_mut().is_some_and(|w| !w.insert(tp.clock));
@@ -111,6 +112,7 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
             }
             self.counters.duplicate_packets += 1;
         }
+        tp.replayed = replayed;
         let mut ctx = NfContext::new(client, tp.clock, now);
         let action = self.nf.process(&tp.packet, &mut ctx);
         for alert in ctx.take_alerts() {
@@ -241,7 +243,7 @@ mod tests {
     }
 
     fn step(core: &mut InstanceCore, client: &mut StateClient, tp: &mut TaggedPacket) -> Step {
-        core.on_packet(tp, client, VirtualTime::ZERO)
+        core.on_packet(tp, client, VirtualTime::ZERO, false)
     }
 
     #[test]

@@ -27,13 +27,13 @@ pub struct TaggedPacket {
     /// XOR of `(instance id ‖ object id)` for every state update the packet
     /// induced so far (§5.4, Figure 6).
     pub xor_vector: u32,
-    /// When this is a replayed packet, the instance (clone or failover) that
-    /// replayed it out of its own snapshot of the packet logs. No NF upstream
-    /// of that instance sees the copy; a downstream NF admits it like any
-    /// packet and suppresses it if it saw the clock before (§5.3, "Duplicate
-    /// upstream processing"). The sink counts a replayed copy of a clock it
-    /// already has as a replay shadow.
-    pub replay_for: Option<InstanceId>,
+    /// The sender processed this copy as a replay, out of a clone's or
+    /// failover instance's own snapshot of the packet logs (§5.3). The bit
+    /// lasts one hop: a downstream instance admits the copy like any packet,
+    /// or suppresses a clock it saw, and sends its output untagged
+    /// ([`crate::InstanceCore::on_packet`]), so replay shadows at the sink
+    /// come from a replaying chain exit alone.
+    pub replayed: bool,
     /// True when this copy was replicated to a straggler's clone (the
     /// original still flows to the straggler).
     pub replicated: bool,
@@ -62,7 +62,7 @@ impl TaggedPacket {
             packet,
             clock,
             xor_vector: 0,
-            replay_for: None,
+            replayed: false,
             replicated: false,
             first_of_move: false,
             trace: None,

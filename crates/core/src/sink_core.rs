@@ -16,7 +16,7 @@ pub enum Arrival {
     First,
     /// An unmarked repeat: a duplicate the end host received.
     Duplicate,
-    /// A replay-marked repeat: the bounded shadow of replay recovery.
+    /// A repeat the exit replayed: the bounded shadow of a tail failover.
     ReplayShadow,
 }
 
@@ -31,11 +31,11 @@ pub struct SinkCore {
     pub arrivals: u64,
     /// Bytes of the first copies.
     pub bytes: u64,
-    /// Repeats that were not replay-marked.
+    /// Repeats the exit did not replay.
     pub duplicates: u64,
     /// The clock of every duplicate, in arrival order.
     pub duplicate_clocks: Vec<Clock>,
-    /// Replay-marked repeats; they never reach `duplicate_clocks`.
+    /// Repeats the exit replayed; they never reach `duplicate_clocks`.
     pub replay_shadows: u64,
 }
 
@@ -48,7 +48,7 @@ impl SinkCore {
             self.delivered_ids.push(tp.packet.id);
             self.bytes += tp.packet.len as u64;
             Arrival::First
-        } else if tp.replay_for.is_some() {
+        } else if tp.replayed {
             self.replay_shadows += 1;
             Arrival::ReplayShadow
         } else {
@@ -80,12 +80,11 @@ impl SinkCore {
 mod tests {
     use super::*;
     use chc_packet::Packet;
-    use chc_store::InstanceId;
 
     fn copy(id: u64, counter: u64, replay: bool) -> TaggedPacket {
         let pkt = Packet::builder().id(id).len(100 + id as u32).build();
         let mut tp = TaggedPacket::new(pkt, Clock::with_root(0, counter));
-        tp.replay_for = replay.then_some(InstanceId(7));
+        tp.replayed = replay;
         tp
     }
 

@@ -97,6 +97,15 @@ impl VertexLogs {
             .map(|(_, log)| lock(log))
     }
 
+    /// Log a copy an instance of `vertex` forwards into its row, if armed:
+    /// every copy, replays included (FTMB's output logging, §5.3), but one
+    /// mirrored to a straggler's clone, whose original the straggler logs.
+    pub fn log_forwarded(&self, vertex: VertexId, tp: &TaggedPacket) {
+        if let Some(mut log) = self.log(vertex).filter(|_| !tp.replicated) {
+            log.insert(tp.clone());
+        }
+    }
+
     /// Every logging vertex, in id order (so the root comes last).
     pub fn armed(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.logs.iter().map(|(v, _)| *v)

@@ -293,7 +293,7 @@ fn a_warm_instance_step_allocates_nothing() {
     let mut step = |client: &mut StateClient, n: u64| {
         let packet = Packet::builder().id(n).build();
         let mut tp = TaggedPacket::new(packet, Clock::with_root(0, n));
-        let step = core.on_packet(&mut tp, client, VirtualTime::ZERO);
+        let step = core.on_packet(&mut tp, client, VirtualTime::ZERO, false);
         assert_eq!(step, Step::Forward { exit: true });
         assert_eq!(core.tokens().len(), 2);
     };

@@ -180,10 +180,10 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
 
 /// A replacement's first job (§5.3): take a snapshot of its vertex's replay
 /// sources, keep the copies that route to its own index, and put each
-/// through the per-packet step, marked as replayed for it. Its store
-/// effects land and its outputs are flushed before the replay is journaled
-/// complete; only then does the caller pop a live ring. A planned instance
-/// has nothing to replay.
+/// through the per-packet step as a replay. Its store effects land and its
+/// outputs are flushed before the replay is journaled complete; only then
+/// does the caller pop a live ring. A planned instance has nothing to
+/// replay.
 fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
     let shared = me.shared;
     let (vertex, index, replacement) = (me.plan.vertex, me.plan.index, me.plan.instance);
@@ -195,14 +195,13 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
         .logs
         .replay(&takeover.sources, &takeover.splitter, index);
     let packets_replayed = snapshot.len() as u64;
-    for (i, mut tp) in snapshot.into_iter().enumerate() {
+    for (i, tp) in snapshot.into_iter().enumerate() {
         if i % shared.batch == 0 {
             // Ring-batch strides, as the batch loop pops: store callbacks
             // and buffered store ops land at every boundary.
             drain_store_buffer(&mut me.client, shared);
             me.take_callbacks();
         }
-        tp.replay_for = Some(replacement);
         if let Some(tag) = tp.trace {
             shared.telemetry.trace_span(SpanEvent {
                 trace_id: tag.id,
@@ -363,7 +362,8 @@ impl Instance<'_> {
         // The wall clock is the cost on threads: the core's charge is left
         // unread.
         let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
-        let step = self.plan.core.on_packet(&mut tp, &mut self.client, now);
+        let (core, client) = (&mut self.plan.core, &mut self.client);
+        let step = core.on_packet(&mut tp, client, now, !live);
         if step == Step::Suppressed {
             // A repeated clock is a replay or a re-injection (§5.3): the
             // core counted it, and nothing else happens to it.
@@ -527,14 +527,11 @@ fn forward(
         return;
     }
     // FTMB-style egress logging: this vertex is the on-path upstream of some
-    // killed non-entry vertex, so its live output stream is that kill's
-    // replay source. The entry is logged before the packet is forwarded, so
-    // it precedes the watermark that covers the packet. Replayed packets are
-    // not logged again: their originals are still held.
-    if plan.log_egress && tp.replay_for.is_none() {
-        if let Some(mut log) = shared.logs.log(plan.vertex) {
-            log.insert(tp.clone());
-        }
+    // killed non-entry vertex, so its output stream, replays included, is
+    // that kill's replay source. The entry is logged before the packet is
+    // forwarded, so it precedes the watermark that covers the packet.
+    if plan.log_egress {
+        shared.logs.log_forwarded(plan.vertex, &tp);
     }
     // A tail replacement re-emits its whole replay: the sink counts a copy
     // of a clock it already delivered as a replay shadow. The packet moves
@@ -553,11 +550,13 @@ fn forward(
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
-    use crate::plan::tests::{fw_nat_lb, FW, NAT};
+    use crate::fault::FaultPlan;
+    use crate::plan::tests::{fw_nat_lb, FW, LB, NAT};
     use crate::plan::ChainPlan;
     use crate::wiring::wire;
     use chc_core::ChainConfig;
-    use chc_packet::{TraceConfig, TraceGenerator};
+    use chc_packet::{Trace, TraceConfig, TraceGenerator};
+    use chc_store::VertexId;
 
     /// Only the simulator reads the XOR tokens of a packet's store updates
     /// (Figure 6): an engine instance's client records none, though its NF
@@ -580,7 +579,7 @@ mod tests {
             let mut tp = TaggedPacket::new(packet.clone(), Clock(n));
             me.plan
                 .core
-                .on_packet(&mut tp, &mut me.client, VirtualTime::ZERO);
+                .on_packet(&mut tp, &mut me.client, VirtualTime::ZERO, false);
             assert!(me.plan.core.tokens().is_empty());
         }
         let stats = me.client.stats();
@@ -624,5 +623,101 @@ mod tests {
         }
         let ledger = &shared.telemetry.sentinel.as_ref().unwrap().ledger;
         assert_eq!(ledger.kill_lost.get(), 4, "the popped remainder died");
+    }
+
+    /// A run of fw → NAT → LB that kills the NAT and the LB: the firewall
+    /// logs its egress for the NAT's replacement, and the NAT, planned or
+    /// replacement, for the LB's. Slot 1 is the NAT's.
+    fn nat_and_lb_killed() -> (ChainPlan, EngineShared, Trace) {
+        let trace = TraceGenerator::new(TraceConfig::small(3)).generate();
+        let kills = FaultPlan::new().kill(NAT, 0, 500).kill(LB, 0, 600);
+        let (config, rt) = (ChainConfig::default(), RuntimeConfig::with_batch_size(8));
+        let rt = rt.with_fault(kills);
+        let plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
+        let shared = EngineShared::new(&plan, config, &rt);
+        (plan, shared, trace)
+    }
+
+    /// The copies `vertex`'s row holds: each counter and its replay bit.
+    fn row(shared: &EngineShared, vertex: VertexId) -> Vec<(u64, bool)> {
+        let log = shared.logs.log(vertex).expect("an armed row").snapshot();
+        log.iter()
+            .map(|tp| (tp.clock.counter(), tp.replayed))
+            .collect()
+    }
+
+    /// Packets the NAT forwarded, out of its counters.
+    fn forwarded(me: &Instance<'_>) -> usize {
+        let c = me.plan.core.counters();
+        (c.processed - c.dropped_by_nf) as usize
+    }
+
+    /// A survivor that meets a replayed copy for the first time processes
+    /// it live: it logs the copy it forwards, and logs it untagged, since the
+    /// replay bit lasts one hop.
+    #[test]
+    fn a_survivor_logs_a_replayed_copy_it_forwards_untagged() {
+        let (mut plan, shared, trace) = nat_and_lb_killed();
+        let mut wired = wire(&plan, &shared.telemetry);
+        let nat = plan.take_threads().swap_remove(1);
+        let mut me = set_up(nat, wired.instances.swap_remove(1), &shared);
+        for (n, packet) in (1..).zip(trace.packets.iter().take(6)) {
+            let mut tp = TaggedPacket::new(packet.clone(), Clock(n));
+            tp.replayed = true;
+            me.step(tp, true);
+        }
+        let logged = row(&shared, NAT);
+        assert!(forwarded(&me) > 0);
+        assert_eq!(logged.len(), forwarded(&me));
+        assert!(logged.iter().all(|&(_, replayed)| !replayed), "{logged:?}");
+    }
+
+    /// A replacement logs what it forwards out of its replay, tagged: a
+    /// replacement of the vertex it logs for may need those copies.
+    #[test]
+    fn a_replacement_logs_its_replay_tagged() {
+        let (mut plan, shared, trace) = nat_and_lb_killed();
+        let mut wired = wire(&plan, &shared.telemetry);
+        let kill = plan.take_threads().swap_remove(1).kill;
+        let seed = *kill.expect("the NAT's kill").seed;
+        // What the firewall forwarded before the NAT died.
+        for (n, packet) in (1..).zip(trace.packets.iter().take(6)) {
+            let tp = TaggedPacket::new(packet.clone(), Clock(n));
+            shared.logs.log_forwarded(FW, &tp);
+        }
+        let mut me = set_up(seed, wired.instances.swap_remove(1), &shared);
+        let recovery = replay(&mut me).expect("a replacement replays");
+        assert_eq!(recovery.packets_replayed, 6);
+        let logged = row(&shared, NAT);
+        assert!(forwarded(&me) > 0);
+        assert_eq!(logged.len(), forwarded(&me));
+        assert!(logged.iter().all(|&(_, replayed)| replayed), "{logged:?}");
+    }
+
+    /// A replacement treats every clock at or below its predecessor's last
+    /// watermark as done: a copy of one, which the logs it replays may no
+    /// longer hold, is suppressed, not processed and sent on again.
+    #[test]
+    fn a_replacement_suppresses_what_its_predecessor_committed() {
+        let (mut plan, shared, trace) = nat_and_lb_killed();
+        let mut wired = wire(&plan, &shared.telemetry);
+        let kill = plan.take_threads().swap_remove(1).kill;
+        shared.publish_watermark(1, 4);
+        let seed = begin_failover(&shared, 1, *kill.expect("the NAT's kill").seed);
+        let mut me = set_up(seed, wired.instances.swap_remove(1), &shared);
+        let steps: Vec<Step> = (3..=6u64)
+            .map(|n| {
+                let mut tp = TaggedPacket::new(trace.packets[n as usize].clone(), Clock(n));
+                me.plan
+                    .core
+                    .on_packet(&mut tp, &mut me.client, VirtualTime::ZERO, true)
+            })
+            .collect();
+        assert_eq!(steps[..2], [Step::Suppressed; 2]);
+        assert!(
+            steps[2..].iter().all(|s| *s != Step::Suppressed),
+            "{steps:?}"
+        );
+        assert_eq!(shared.watermarks[1].load(Ordering::Acquire), 0);
     }
 }

@@ -34,7 +34,7 @@ pub(crate) struct InstancePlan {
     /// A replacement's takeover: whom it replaces and what it replays.
     pub(crate) takeover: Option<Takeover>,
     /// This vertex is the on-path upstream of some killed non-entry vertex:
-    /// every live Forward it emits is tokenized and copied into its egress
+    /// every Forward it emits, replays included, is copied into its egress
     /// log, the replay source for that kill.
     pub(crate) log_egress: bool,
     pub(crate) downstream: Vec<VertexId>,
@@ -472,7 +472,7 @@ pub(crate) mod tests {
 
     pub(crate) const FW: VertexId = VertexId(1);
     pub(crate) const NAT: VertexId = VertexId(2);
-    const LB: VertexId = VertexId(3);
+    pub(crate) const LB: VertexId = VertexId(3);
 
     pub(crate) fn fw_nat_lb() -> LogicalDag {
         LogicalDag::linear(vec![

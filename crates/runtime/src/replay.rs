@@ -18,7 +18,7 @@
 //!    store always holds the authoritative copy because cached per-flow
 //!    updates are flushed, Theorem B.5.1),
 //! 3. zeroes the failed instance's watermark slot, which the replacement
-//!    inherits,
+//!    inherits, and makes the slot's last value its duplicate floor,
 //! 4. journals `replacement_spawn` and runs the **replacement** on the
 //!    same thread and the same wiring: in-flight packets still queued in
 //!    the input rings survive, exactly like packets sitting in the network
@@ -32,12 +32,12 @@
 //! for an entry vertex, the merged egress logs of its on-path upstream
 //! vertices (FTMB-style output logging) otherwise, so the replay enters the
 //! chain at the killed vertex's depth — keeps the copies its vertex's
-//! splitter routes to its own index, marks them `replay_for = replacement`
-//! and puts each through the per-packet step the batch loop runs. Then it
-//! lands its store effects, flushes its outputs, journals `replay_complete`
-//! and `failover_end`, and reports its [`crate::fault::InstanceRecovery`]
-//! when it exits. A surviving replica of the same vertex never sees a
-//! replayed copy.
+//! splitter routes to its own index and puts each through the per-packet
+//! step the batch loop runs, as a replay, logging what it forwards like any
+//! output. Then it lands its store effects, flushes its outputs, journals
+//! `replay_complete` and `failover_end`, and reports its
+//! [`crate::fault::InstanceRecovery`] when it exits. A surviving replica of
+//! the same vertex never sees a replayed copy.
 //!
 //! Replay is idempotent end to end: instances suppress duplicate clocks at
 //! their input queues, the store suppresses duplicate clocked updates, and
@@ -119,7 +119,7 @@
 use crate::engine::EngineShared;
 use crate::plan::{ChainPlan, InstancePlan};
 use chc_core::VertexLogs;
-use chc_store::{StoreServer, VertexId};
+use chc_store::{Clock, StoreServer, VertexId};
 use chc_telemetry::EventKind;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -152,14 +152,16 @@ pub(crate) fn begin_failover(
     });
     {
         // The replacement takes over the failed instance's per-flow state
-        // and its watermark slot, which starts over: until the replacement
-        // has replayed and publishes, every frontier the slot is in stays
-        // put, and so does every log the replay reads.
+        // and its watermark slot, which starts over: until it has replayed
+        // and publishes, every frontier the slot is in stays put, and so
+        // does every log the replay reads. A clock at or below the old
+        // watermark was done here, so a later copy of it is a repeat.
         let mut pause = shared.cut_pause.lock().unwrap_or_else(|e| e.into_inner());
         pause.armed -= 1;
         pause.failed_over = true;
         shared.server.reassign_owner(takeover.failed, seed.instance);
-        shared.watermarks[slot].store(0, Ordering::Release);
+        seed.core
+            .forget_through(Clock(shared.watermarks[slot].swap(0, Ordering::AcqRel)));
     }
     shared.telemetry.event(EventKind::ReplacementSpawn {
         vertex,

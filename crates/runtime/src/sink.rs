@@ -89,11 +89,11 @@ pub(crate) fn run_sink(
                         deliver(id, wait_ns, false, now_ns);
                     }
                 }
-                // Per-flow clock-order invariant, first-copy live arrivals
-                // only: replayed copies are recovery traffic and may
-                // legitimately arrive late.
+                // Per-flow clock-order invariant on first copies the exit
+                // processed live: a tail replacement's replay may arrive
+                // late, a survivor's output may not, replayed input or not.
                 if let Some(checker) = &mut flow_order {
-                    if tp.replay_for.is_none() {
+                    if !tp.replayed {
                         let flow = tp.packet.flow_key().0;
                         let counter = tp.clock.counter();
                         if let Some(v) = checker.observe(flow, counter, || telemetry.now_ns()) {

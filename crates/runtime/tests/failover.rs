@@ -838,6 +838,120 @@ fn overlapping_kills_do_not_double_count_duplicates() {
     );
 }
 
+/// A two-kill run against the healthy run at the same batch size: the same
+/// ids and shared state, both recoveries, no duplicate, no violation.
+fn assert_two_kills_exact(healthy: &RuntimeReport, faulted: &RuntimeReport, what: &str) {
+    let inv = faulted.invariants.as_ref().expect("sentinel on by default");
+    assert!(
+        inv.ok(),
+        "{what}: sentinel violations: {:?}",
+        inv.violations
+    );
+    assert_eq!(
+        faulted.duplicates, 0,
+        "{what}: {:?}",
+        faulted.duplicate_clocks
+    );
+    assert_eq!(
+        sorted_ids(healthy),
+        sorted_ids(faulted),
+        "{what}: ids differ"
+    );
+    assert_eq!(
+        healthy.shared_digest(),
+        faulted.shared_digest(),
+        "{what}: state differs"
+    );
+    let fault = faulted.fault.as_ref().expect("fault report missing");
+    assert_eq!(fault.recoveries.len(), 2, "{what}");
+    assert!(fault.aborts.is_empty(), "{what}: {:?}", fault.aborts);
+}
+
+/// ROADMAP item 23's plan. The firewall's replacement replays copies the
+/// NAT forwards for the first time; the NAT must log them like any copy, or
+/// the LB's replacement misses in the NAT's row the batch the dead LB lost,
+/// with no duplicate and no violation to show for it.
+#[test]
+fn a_firewall_kill_then_a_load_balancer_kill_lose_nothing() {
+    let trace = trace_for(37);
+    for batch in [1usize, 8, 64] {
+        let rt = || RuntimeConfig::with_batch_size(batch);
+        let healthy = run(&fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+        let plan = FaultPlan::new().kill(FW, 0, 1_280).kill(LB, 0, 1_680);
+        let faulted = run(
+            &fw_nat_lb(),
+            ChainConfig::default(),
+            rt().with_fault(plan),
+            &trace,
+        );
+        assert_two_kills_exact(&healthy, &faulted, &format!("batch {batch}"));
+    }
+}
+
+/// A deterministic slice of two-kill plans: every ordered pair of the
+/// three vertices, the second kill 1, 9 or 401 counters after the first at
+/// the trace's middle, at ring batches 1, 8 and 64, on two seeds.
+#[test]
+fn every_ordered_pair_of_kills_matches_the_healthy_run() {
+    let pairs = [
+        (FW, NAT),
+        (FW, LB),
+        (NAT, FW),
+        (NAT, LB),
+        (LB, FW),
+        (LB, NAT),
+    ];
+    for seed in [7u64, 59] {
+        let trace = trace_for(seed);
+        let first = (trace.len() / 2) as u64;
+        for batch in [1usize, 8, 64] {
+            let rt = || RuntimeConfig::with_batch_size(batch);
+            let healthy = run(&fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+            for (a, b) in pairs {
+                for gap in [0u64, 8, 400] {
+                    let plan = FaultPlan::new()
+                        .kill(a, 0, first)
+                        .kill(b, 0, first + gap + 1);
+                    let faulted = run(
+                        &fw_nat_lb(),
+                        ChainConfig::default(),
+                        rt().with_fault(plan),
+                        &trace,
+                    );
+                    let what = format!("seed {seed} batch {batch} {a:?}→{b:?} gap {gap}");
+                    assert_two_kills_exact(&healthy, &faulted, &what);
+                }
+            }
+        }
+    }
+}
+
+/// ROADMAP item 23(d): a logger dies right after the vertex it logs for.
+/// The LB's replacement replays from the NAT's row while the NAT's own
+/// replacement replays from the firewall's and logs what it forwards, so
+/// the copies the dead NAT never sent reach the new LB live, and nothing
+/// the LB owed is missing.
+#[test]
+fn a_logger_killed_after_the_vertex_it_logs_for_loses_nothing() {
+    for seed in [37u64, 71] {
+        let trace = trace_for(seed);
+        let at = (trace.len() / 2) as u64;
+        for batch in [1usize, 8, 64] {
+            let rt = || RuntimeConfig::with_batch_size(batch);
+            let healthy = run(&fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+            let plan = FaultPlan::new().kill(LB, 0, at).kill(NAT, 0, at + 1);
+            let faulted = run(
+                &fw_nat_lb(),
+                ChainConfig::default(),
+                rt().with_fault(plan),
+                &trace,
+            );
+            let what = format!("seed {seed} batch {batch}");
+            assert_two_kills_exact(&healthy, &faulted, &what);
+        }
+    }
+}
+
 #[test]
 fn a_surviving_replica_sees_no_replay() {
     // §5.3: the replacement replays its own log, the copies routed to its
