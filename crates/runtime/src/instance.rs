@@ -277,8 +277,14 @@ fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
             if shared.fault_mode {
                 // Commit implies durable: flush the batched outputs before
                 // publishing the watermark, so a crash after publication can
-                // never lose a confirmed packet's effects.
-                me.wiring.links_mut().for_each(OutLink::flush);
+                // never lose a confirmed packet's effects. The flush carries
+                // the watermark to a consumer that cannot read it off the
+                // clocks.
+                let frontier = watermark(&me.wiring.inputs);
+                for link in me.wiring.links_mut() {
+                    link.set_frontier(frontier);
+                    link.flush();
+                }
                 publish_watermark(shared, &me.plan, &me.wiring.inputs);
                 if me.prunable {
                     prune_seen(&mut me.plan.core, shared, &me.wiring.inputs);
@@ -323,10 +329,10 @@ impl Instance<'_> {
                     return Some(tp.clock.counter());
                 }
             }
-            let input = &mut self.wiring.inputs[i];
-            input.last_counter = input.last_counter.max(tp.clock.counter());
+            self.wiring.inputs[i].note(tp.clock.counter());
             self.step(tp, true);
         }
+        self.wiring.inputs[i].done();
         None
     }
 
@@ -438,7 +444,11 @@ fn fail_stop(me: &mut Instance<'_>, killed_at_clock: u64) {
 /// the store before the streams close and the final watermark.
 fn shut_down(me: &mut Instance<'_>) {
     drain_store_buffer(&mut me.client, me.shared);
+    let frontier = watermark(&me.wiring.inputs);
     for link in me.wiring.links_mut() {
+        if me.shared.fault_mode {
+            link.set_frontier(frontier);
+        }
         link.flush();
         link.close();
     }
@@ -476,9 +486,8 @@ fn drain_store_buffer(client: &mut StateClient, shared: &EngineShared) {
 }
 
 /// The highest counter such that every packet with a smaller-or-equal
-/// counter routed to this instance has been popped: each ring delivers
-/// counters monotonically, so the minimum of the per-ring maxima is exactly
-/// that frontier.
+/// counter routed to this instance has been popped: the minimum of the
+/// rings' frontiers ([`InputRing::last_counter`]).
 fn watermark(inputs: &[InputRing]) -> u64 {
     inputs.iter().map(|r| r.last_counter).min().unwrap_or(0)
 }
@@ -526,13 +535,11 @@ fn forward(
     if !matches!(step, Step::Forward { .. }) {
         return;
     }
-    // FTMB-style egress logging: this vertex is the on-path upstream of some
-    // killed non-entry vertex, so its output stream, replays included, is
+    // FTMB-style egress logging, if this vertex is the on-path upstream of
+    // some killed non-entry vertex: its output stream, replays included, is
     // that kill's replay source. The entry is logged before the packet is
     // forwarded, so it precedes the watermark that covers the packet.
-    if plan.log_egress {
-        shared.logs.log_forwarded(plan.vertex, &tp);
-    }
+    shared.logs.log_forwarded(plan.vertex, &tp);
     // A tail replacement re-emits its whole replay: the sink counts a copy
     // of a clock it already delivered as a replay shadow. The packet moves
     // into its last destination; only a fan-out copies it.

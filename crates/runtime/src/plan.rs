@@ -33,10 +33,6 @@ pub(crate) struct InstancePlan {
     pub(crate) kill: Option<Kill>,
     /// A replacement's takeover: whom it replaces and what it replays.
     pub(crate) takeover: Option<Takeover>,
-    /// This vertex is the on-path upstream of some killed non-entry vertex:
-    /// every Forward it emits, replays included, is copied into its egress
-    /// log, the replay source for that kill.
-    pub(crate) log_egress: bool,
     pub(crate) downstream: Vec<VertexId>,
     /// The NF and its per-packet step, with the instance's role: off the
     /// path, or a chain exit.
@@ -53,7 +49,6 @@ impl InstancePlan {
         instance: InstanceId,
         index: usize,
         replicas: usize,
-        log_egress: bool,
     ) -> InstancePlan {
         // Built on the planning thread: NF factories are `Rc`-based and must
         // not cross threads; the NF they build is `Send`.
@@ -66,7 +61,6 @@ impl InstancePlan {
             replicas,
             kill: None,
             takeover: None,
-            log_egress,
             downstream: dag.downstream_of(v.id),
             core: InstanceCore::new(nf, v.off_path, dag.exits().contains(&v.id)),
             objects,
@@ -263,8 +257,7 @@ impl ChainPlan {
             .iter()
             .enumerate()
             .map(|(slot, &(v, idx))| {
-                let log_egress = logging.contains(&v.id);
-                InstancePlan::new(dag, v, id_of(slot), idx, slots[&v.id].len(), log_egress)
+                InstancePlan::new(dag, v, id_of(slot), idx, slots[&v.id].len())
             })
             .collect();
         let planned = instances.len();
@@ -278,14 +271,7 @@ impl ChainPlan {
                     splitter: splitters[&v.id].clone(),
                     started: None,
                 }),
-                ..InstancePlan::new(
-                    dag,
-                    v,
-                    id_of(planned + k),
-                    kill.index,
-                    dead.replicas,
-                    dead.log_egress,
-                )
+                ..InstancePlan::new(dag, v, id_of(planned + k), kill.index, dead.replicas)
             };
             dead.kill = Some(Kill {
                 at_counter: kill.at_counter,
@@ -514,7 +500,6 @@ pub(crate) mod tests {
         let entry = plan(FaultPlan::new().kill(FW, 0, 500));
         assert_eq!(sources(&entry, 0), Some(vec![ROOT_VERTEX]));
         assert_eq!(entry.log_scopes, [root_row()]);
-        assert!(entry.instances.iter().all(|p| !p.log_egress));
         assert_eq!(
             entry.instances[0].kill.as_ref().map(|k| k.at_counter),
             Some(500)
@@ -529,8 +514,6 @@ pub(crate) mod tests {
         let mid = plan(FaultPlan::new().kill(NAT, 0, 500));
         assert_eq!(sources(&mid, 1), Some(vec![FW]));
         assert_eq!(mid.log_scopes, [root_row(), (FW, vec![1, 2, 3])]);
-        let logging: Vec<bool> = mid.instances.iter().map(|p| p.log_egress).collect();
-        assert_eq!(logging, [true, false, false]);
 
         // Tail: replayed from the NAT's log; its scope is the LB and the
         // sink, never the logging vertex itself.
@@ -581,8 +564,9 @@ pub(crate) mod tests {
         assert_eq!(failed(0), Some(InstanceId(0)));
         assert_eq!((seed(2).vertex, seed(2).index), (LB, 0));
         assert!(seed(2).kill.is_none() && seed(2).core.exit());
-        // The LB's killed, so the NAT logs; the FW's replacement does not.
-        assert!(!seed(0).log_egress && p.instances[1].log_egress);
+        // The LB's killed, so the NAT logs; the FW's kill adds no row.
+        let rows: Vec<VertexId> = p.log_scopes.iter().map(|(v, _)| *v).collect();
+        assert_eq!(rows, [ROOT_VERTEX, NAT]);
         // The store's floor stays under the smallest re-injected counter.
         assert_eq!(p.floor_cap, 6);
         assert_eq!(p.reinject.counters().collect::<Vec<_>>(), [7, 40, 90]);
@@ -623,10 +607,8 @@ pub(crate) mod tests {
             p.instances[3].kill.as_ref().map(|k| k.at_counter),
             Some(700)
         );
-        // The NAT logs for the LB's kill — on both instances and on the
-        // replacement of the one that dies.
-        assert!(p.instances[1].log_egress && p.instances[3].log_egress);
-        assert!(seed(&p, 3).log_egress);
+        // The NAT logs for the LB's kill: one row for the vertex, which
+        // both instances and the replacement of the one that dies log into.
         assert_eq!(seed(&p, 3).instance, InstanceId(5));
         // The NAT's own kill is fed from the firewall's log. Scopes hold
         // slots, not ids: the scale-out NAT is slot 3, the sink's is 4, and

@@ -31,6 +31,12 @@ pub(crate) fn run_sink(
     let telemetry = &shared.telemetry;
     // The sink's watermark slot follows every instance's.
     let commit_slot = shared.fault_mode.then(|| shared.watermarks.len() - 1);
+    let publish = |inputs: &[InputRing]| {
+        if let Some(slot) = commit_slot {
+            let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
+            shared.publish_watermark(slot, wm);
+        }
+    };
     // Per-flow delivery-order checking rides this thread (one map lookup per
     // live arrival); a scale cut exempts cross-cut pairs because the cut
     // re-routes flows.
@@ -65,7 +71,7 @@ pub(crate) fn run_sink(
             // timed packet turns up; a batch without one reads no clock.
             let mut batch_now: Option<u64> = None;
             for tp in batch.drain(..) {
-                input.last_counter = input.last_counter.max(tp.clock.counter());
+                input.note(tp.clock.counter());
                 let traced = tp.trace.map(|t| t.id);
                 if core.on_packet(&tp) != Arrival::First {
                     if let Some(id) = traced {
@@ -102,14 +108,12 @@ pub(crate) fn run_sink(
                     }
                 }
             }
+            input.done();
             input.recycle(batch);
         }
         if moved > 0 {
             idle_streak = 0;
-            if let Some(slot) = commit_slot {
-                let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
-                shared.publish_watermark(slot, wm);
-            }
+            publish(&inputs);
         } else {
             if inputs.iter_mut().all(|r| r.is_exhausted()) {
                 break;
@@ -118,6 +122,8 @@ pub(crate) fn run_sink(
             idle_wait(idle_streak, &mut inputs);
         }
     }
+    // A ring's last stamp may come in an empty batch.
+    publish(&inputs);
     if let (Some(checker), Some(state)) = (&flow_order, &telemetry.sentinel) {
         state
             .deliveries_checked

@@ -17,6 +17,10 @@
 //! producer takes its next spare. A packet is copied once per hop, into the
 //! producer's buffer; no transfer allocates or frees, and every buffer
 //! stays in the allocator arena of the thread that laid it.
+//!
+//! A ring item also carries a stamp, the producer's commit frontier when it
+//! published the batch. Only a consumer whose ring is not clock-ordered
+//! ([`InputRing::ordered`]) reads it; on every other link it stays 0.
 
 use crate::plan::ChainPlan;
 use crate::spsc::{ring, CachePadded, Consumer, Producer, RingDepth, RingProbe};
@@ -54,6 +58,8 @@ pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
         tx,
         spares,
         buf: Vec::with_capacity(batch),
+        frontier: None,
+        sent: 0,
         sentinel: None,
         gauge: None,
     };
@@ -61,6 +67,7 @@ pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
         rx,
         returns,
         last_counter: 0,
+        stamp: 0,
         ordered: false,
         gauge: None,
     };
@@ -95,10 +102,16 @@ impl RingDepth for LinkGauge {
 /// A buffered outgoing edge to one downstream instance: the ring's producer
 /// end, the batch being filled, and the link's spare buffers.
 pub struct OutLink {
-    tx: Producer<Batch>,
+    tx: Producer<(u64, Batch)>,
     /// Emptied buffers the consumer handed back.
     spares: Consumer<Batch>,
     buf: Batch,
+    /// The stamp of the next batch published, on a link whose consumer's
+    /// ring is not clock-ordered ([`OutLink::set_frontier`]); `None` on
+    /// every other link.
+    frontier: Option<u64>,
+    /// The stamp the last published batch carried.
+    sent: u64,
     /// Conservation-ledger handle, when the sentinel is on. Pushes count at
     /// flush time: copies sitting in an unflushed buffer when an instance
     /// fail-stops die with it and are deliberately never "in the network".
@@ -121,16 +134,20 @@ impl OutLink {
     /// always drains, so this cannot deadlock. Pushed copies are booked in
     /// the conservation ledger here, so what an unflushed buffer loses was
     /// never in the network.
+    ///
+    /// A stamp that moved goes out in an empty batch if nothing else does.
     pub fn flush(&mut self) {
         let n = self.buf.len();
-        if n == 0 {
+        let stamp = self.frontier.unwrap_or(0);
+        if n == 0 && stamp == self.sent {
             return;
         }
-        let mut full = std::mem::take(&mut self.buf);
+        let mut full = (stamp, std::mem::take(&mut self.buf));
         while let Err(back) = self.tx.push(full) {
             full = back;
             thread::yield_now();
         }
+        self.sent = stamp;
         if let Some(s) = &self.sentinel {
             s.ledger.ring_pushed.add(n as u64);
         }
@@ -145,6 +162,16 @@ impl OutLink {
                 None => thread::yield_now(),
             }
         };
+    }
+
+    /// Stamp the batches published from now on with `frontier`, the
+    /// producer's commit watermark: every clock at or below it that the
+    /// producer sends on this link is queued by the next publication. Only
+    /// a link whose consumer's ring is not clock-ordered keeps it.
+    pub(crate) fn set_frontier(&mut self, frontier: u64) {
+        if let Some(stamp) = &mut self.frontier {
+            *stamp = frontier;
+        }
     }
 
     /// Empty the unflushed buffer — what a crash of the producer loses —
@@ -202,16 +229,23 @@ pub(crate) fn links_mut(outs: &mut [Downstream]) -> impl Iterator<Item = &mut Ou
 
 /// One input ring of an instance (or the sink), with the return ring its
 /// emptied batches go back through and the bookkeeping the commit protocol
-/// needs: the highest clock counter popped so far.
+/// needs: the ring's frontier, below which every clock the ring will ever
+/// carry has been popped.
 pub struct InputRing {
-    pub(crate) rx: Consumer<Batch>,
+    pub(crate) rx: Consumer<(u64, Batch)>,
     returns: Producer<Batch>,
+    /// The frontier: on an ordered ring the highest clock counter popped
+    /// ([`InputRing::note`]), on any other the highest stamp of a batch done
+    /// with ([`InputRing::done`]).
     pub(crate) last_counter: u64,
+    /// The stamp of the batch popped last.
+    stamp: u64,
     /// True when the producer forwards one clock-ordered stream while no
     /// component has failed: the root, or an instance whose only input is
     /// itself ordered. An instance that interleaves several inputs emits
-    /// counters out of order, so `last_counter` on a ring it feeds says
-    /// nothing about the smaller counters still to come.
+    /// counters out of order, so the highest counter popped from a ring it
+    /// feeds says nothing about the smaller counters still to come: its
+    /// batches carry its commit watermark instead.
     pub(crate) ordered: bool,
     gauge: Option<Arc<LinkGauge>>,
 }
@@ -221,11 +255,29 @@ impl InputRing {
     /// [`InputRing::recycle`] once it is done with.
     #[inline]
     pub fn pop(&mut self) -> Option<Batch> {
-        let batch = self.rx.pop()?;
+        let (stamp, batch) = self.rx.pop()?;
+        self.stamp = stamp;
         if let Some(g) = &self.gauge {
             g.popped.0.fetch_add(batch.len(), Ordering::Relaxed);
         }
         Some(batch)
+    }
+
+    /// Note the clock of a popped packet before it is processed: on an
+    /// ordered ring every smaller clock has been popped.
+    #[inline]
+    pub(crate) fn note(&mut self, counter: u64) {
+        if self.ordered {
+            self.last_counter = self.last_counter.max(counter);
+        }
+    }
+
+    /// The batch popped last has been processed whole: on a ring that is
+    /// not ordered, every clock up to the stamp it carried has been popped.
+    pub(crate) fn done(&mut self) {
+        if !self.ordered {
+            self.last_counter = self.last_counter.max(self.stamp);
+        }
     }
 
     /// True once the producer closed the ring and every batch was popped.
@@ -298,6 +350,7 @@ impl RingLayer<'_> {
         let (depth, batch) = (self.plan.depth, self.plan.batch);
         let (mut out, mut input) = link(depth, batch);
         out.sentinel = self.sentinel.clone();
+        out.frontier = (!ordered).then_some(0);
         input.ordered = ordered;
         if self.monitor_on {
             let gauge = Arc::new(LinkGauge {
@@ -331,9 +384,9 @@ impl RingLayer<'_> {
     }
 
     /// One ring from the tail instance called `from` to the sink.
-    fn sink_link(&mut self, from: &str) -> OutLink {
-        // The sink keeps its duplicate window whole, so ring order is moot.
-        let (link, input) = self.link(|| format!("{from}->sink"), false);
+    /// `ordered` is [`InputRing::ordered`].
+    fn sink_link(&mut self, from: &str, ordered: bool) -> OutLink {
+        let (link, input) = self.link(|| format!("{from}->sink"), ordered);
         self.wired.sink_inputs.push(input);
         link
     }
@@ -372,7 +425,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
             rings.wired.instances[i].outs.push(out);
         }
         if p.core.exit() {
-            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from));
+            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from, ordered));
         }
     }
     rings.wired
@@ -431,5 +484,52 @@ mod tests {
             let (out, _input) = link(depth, batch);
             assert_eq!(out.buffers_at_rest(), slots(depth, batch) + 2);
         }
+    }
+
+    fn packet(counter: u64) -> TaggedPacket {
+        let packet = chc_packet::PacketBuilder::default().id(counter).build();
+        TaggedPacket::new(packet, chc_store::Clock(counter))
+    }
+
+    /// Pop one batch and process it whole, as a consumer does: the clocks it
+    /// held.
+    fn consume(input: &mut InputRing) -> Vec<u64> {
+        let mut batch = input.pop().expect("a batch");
+        let clocks = batch.drain(..).map(|tp| tp.clock.counter()).collect();
+        for &c in &clocks {
+            input.note(c);
+        }
+        input.done();
+        input.recycle(batch);
+        clocks
+    }
+
+    /// Behind an instance that interleaves two inputs, 3 comes after 4: the
+    /// consumer's frontier is the stamp its producer sent, not the highest
+    /// clock, and a stamp that moved travels alone if no packet does.
+    #[test]
+    fn an_unordered_ring_advances_by_its_producers_stamps() {
+        let (mut out, mut input) = link(8, 2);
+        out.frontier = Some(0);
+        out.push(packet(4), 2);
+        out.set_frontier(2);
+        out.push(packet(3), 2);
+        assert_eq!(consume(&mut input), [4, 3]);
+        assert_eq!(input.last_counter, 2, "the stamp, not clock 4");
+        out.set_frontier(4);
+        out.flush();
+        assert_eq!(consume(&mut input), [] as [u64; 0]);
+        assert_eq!(input.last_counter, 4);
+        out.flush();
+        assert!(input.pop().is_none(), "an unmoved stamp sends nothing");
+
+        // An ordered ring reads its frontier off the clocks, per packet.
+        let (mut out, mut input) = link(8, 2);
+        input.ordered = true;
+        out.set_frontier(9);
+        out.push(packet(1), 2);
+        out.push(packet(2), 2);
+        assert_eq!(consume(&mut input), [1, 2]);
+        assert_eq!(input.last_counter, 2);
     }
 }

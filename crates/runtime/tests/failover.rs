@@ -7,6 +7,7 @@
 //! state digest, with zero duplicates at the sink (R1/R6).
 
 use chc_core::{ChainConfig, LogicalDag, VertexSpec};
+use chc_nf::loadbalancer::SERVER_BYTES;
 use chc_nf::nat::{FREE_PORTS, PORT_MAP};
 use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{PacketId, Trace, TraceConfig, TraceGenerator};
@@ -15,6 +16,7 @@ use chc_runtime::{
 };
 use chc_store::{BackendKind, InstanceId, Value, VertexId};
 use chc_telemetry::EventKind;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const FW: VertexId = VertexId(1);
@@ -58,6 +60,44 @@ fn wide_firewall_nat() -> LogicalDag {
         .with_parallelism(2),
         VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
     ])
+}
+
+/// fw → NAT → LB behind two firewall instances: the NAT interleaves two
+/// rings, so the LB's one input ring is not clock-ordered.
+fn wide_fw_nat_lb() -> LogicalDag {
+    LogicalDag::linear(vec![
+        VertexSpec::new(
+            1,
+            "firewall",
+            Rc::new(|| Box::new(Firewall::with_default_policy())),
+        )
+        .with_parallelism(2),
+        VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
+        VertexSpec::new(
+            3,
+            "lb",
+            Rc::new(|| Box::new(LoadBalancer::with_default_backends())),
+        ),
+    ])
+}
+
+/// The shared digest of a run of [`wide_fw_nat_lb`], the LB's byte counters
+/// folded into their total: the backend a connection picks depends on the
+/// order connections reach the LB, which the NAT's interleaving of two rings
+/// leaves to thread timing, so two healthy runs may split the bytes
+/// differently. Each packet still adds its bytes once.
+fn wide_digest(report: &RuntimeReport) -> BTreeMap<String, String> {
+    let mut digest = report.shared_digest();
+    let per_backend: Vec<String> = (digest.keys())
+        .filter(|k| k.contains(SERVER_BYTES))
+        .cloned()
+        .collect();
+    let total: i64 = (per_backend.iter())
+        .map(|k| digest.remove(k).and_then(|v| v.parse::<i64>().ok()))
+        .map(|bytes| bytes.expect("a byte count"))
+        .sum();
+    digest.insert(SERVER_BYTES.to_owned(), total.to_string());
+    digest
 }
 
 fn nat_only() -> LogicalDag {
@@ -838,9 +878,15 @@ fn overlapping_kills_do_not_double_count_duplicates() {
     );
 }
 
-/// A two-kill run against the healthy run at the same batch size: the same
-/// ids and shared state, both recoveries, no duplicate, no violation.
-fn assert_two_kills_exact(healthy: &RuntimeReport, faulted: &RuntimeReport, what: &str) {
+/// A faulted run against the healthy run at the same batch size: the same
+/// ids and shared state, one recovery a kill, no duplicate, no violation.
+fn assert_recovers_exactly(
+    healthy: &RuntimeReport,
+    faulted: &RuntimeReport,
+    kills: usize,
+    digest: fn(&RuntimeReport) -> BTreeMap<String, String>,
+    what: &str,
+) {
     let inv = faulted.invariants.as_ref().expect("sentinel on by default");
     assert!(
         inv.ok(),
@@ -857,13 +903,9 @@ fn assert_two_kills_exact(healthy: &RuntimeReport, faulted: &RuntimeReport, what
         sorted_ids(faulted),
         "{what}: ids differ"
     );
-    assert_eq!(
-        healthy.shared_digest(),
-        faulted.shared_digest(),
-        "{what}: state differs"
-    );
+    assert_eq!(digest(healthy), digest(faulted), "{what}: state differs");
     let fault = faulted.fault.as_ref().expect("fault report missing");
-    assert_eq!(fault.recoveries.len(), 2, "{what}");
+    assert_eq!(fault.recoveries.len(), kills, "{what}");
     assert!(fault.aborts.is_empty(), "{what}: {:?}", fault.aborts);
 }
 
@@ -884,7 +926,13 @@ fn a_firewall_kill_then_a_load_balancer_kill_lose_nothing() {
             rt().with_fault(plan),
             &trace,
         );
-        assert_two_kills_exact(&healthy, &faulted, &format!("batch {batch}"));
+        assert_recovers_exactly(
+            &healthy,
+            &faulted,
+            2,
+            RuntimeReport::shared_digest,
+            &format!("batch {batch}"),
+        );
     }
 }
 
@@ -919,7 +967,13 @@ fn every_ordered_pair_of_kills_matches_the_healthy_run() {
                         &trace,
                     );
                     let what = format!("seed {seed} batch {batch} {a:?}→{b:?} gap {gap}");
-                    assert_two_kills_exact(&healthy, &faulted, &what);
+                    assert_recovers_exactly(
+                        &healthy,
+                        &faulted,
+                        2,
+                        RuntimeReport::shared_digest,
+                        &what,
+                    );
                 }
             }
         }
@@ -947,7 +1001,7 @@ fn a_logger_killed_after_the_vertex_it_logs_for_loses_nothing() {
                 &trace,
             );
             let what = format!("seed {seed} batch {batch}");
-            assert_two_kills_exact(&healthy, &faulted, &what);
+            assert_recovers_exactly(&healthy, &faulted, 2, RuntimeReport::shared_digest, &what);
         }
     }
 }
@@ -1062,5 +1116,36 @@ fn an_unordered_nat_never_folds_and_recovers_exactly() {
             report.store_ops,
             nat.processed
         );
+    }
+}
+
+/// Behind two firewall instances the NAT interleaves two rings, so the dead
+/// LB's watermark may pass clocks still queued in the ring its replacement
+/// inherits: the replacement must process them, not take its predecessor's
+/// watermark for a floor of repeats. An LB kill alone, and one after a kill
+/// of firewall instance 0.
+#[test]
+fn a_load_balancer_behind_an_interleaving_nat_recovers_exactly() {
+    for seed in [7u64, 37, 59] {
+        let trace = trace_for(seed);
+        let at = (trace.len() / 2) as u64;
+        for batch in [1usize, 8, 64] {
+            let rt = || RuntimeConfig::with_batch_size(batch);
+            let healthy = run(&wide_fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+            let plans = [
+                (1, FaultPlan::new().kill(LB, 0, at)),
+                (2, FaultPlan::new().kill(FW, 0, at).kill(LB, 0, at + 400)),
+            ];
+            for (kills, plan) in plans {
+                let faulted = run(
+                    &wide_fw_nat_lb(),
+                    ChainConfig::default(),
+                    rt().with_fault(plan),
+                    &trace,
+                );
+                let what = format!("seed {seed} batch {batch} kills {kills}");
+                assert_recovers_exactly(&healthy, &faulted, kills, wide_digest, &what);
+            }
+        }
     }
 }
