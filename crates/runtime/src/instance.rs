@@ -16,7 +16,8 @@ use crate::replay::begin_failover;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{
-    forwards_in_order, idle_wait, route_all, Batch, Downstream, InputRing, InstanceWiring, OutLink,
+    forwards_in_order, frontier, idle_wait, route_all, Batch, Downstream, InputRing,
+    InstanceWiring, OutLink,
 };
 use chc_core::{InstanceCore, StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
@@ -57,11 +58,6 @@ struct Instance<'a> {
     store_timer: Rc<StoreTimer>,
     /// Ring-transfer batches consumed.
     batches_in: u64,
-    /// The core's duplicate window (fault mode only) is pruned at the
-    /// instance's own watermark while that watermark is exact: every input
-    /// ring clock-ordered — fixed at wiring time — and nothing fail-stopped
-    /// yet (see `prune_seen`).
-    prunable: bool,
 }
 
 /// Body of one NF instance thread: a planned instance or, on the thread of
@@ -163,7 +159,6 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
     }
     Instance {
         batches_in: 0,
-        prunable: shared.fault_mode && wiring.inputs.iter().all(|r| r.ordered),
         lane: TraceLane::Vertex {
             vertex: plan.vertex.0,
             instance: plan.instance.0 as u64,
@@ -280,15 +275,13 @@ fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
                 // never lose a confirmed packet's effects. The flush carries
                 // the watermark to a consumer that cannot read it off the
                 // clocks.
-                let frontier = watermark(&me.wiring.inputs);
+                let frontier = frontier(&me.wiring.inputs);
                 for link in me.wiring.links_mut() {
                     link.set_frontier(frontier);
                     link.flush();
                 }
                 publish_watermark(shared, &me.plan, &me.wiring.inputs);
-                if me.prunable {
-                    prune_seen(&mut me.plan.core, shared, &me.wiring.inputs);
-                }
+                prune_seen(&mut me.plan.core, shared, &me.wiring.inputs);
             }
         } else {
             // Idle: release buffered output so downstream instances are not
@@ -444,7 +437,7 @@ fn fail_stop(me: &mut Instance<'_>, killed_at_clock: u64) {
 /// the store before the streams close and the final watermark.
 fn shut_down(me: &mut Instance<'_>) {
     drain_store_buffer(&mut me.client, me.shared);
-    let frontier = watermark(&me.wiring.inputs);
+    let frontier = frontier(&me.wiring.inputs);
     for link in me.wiring.links_mut() {
         if me.shared.fault_mode {
             link.set_frontier(frontier);
@@ -454,9 +447,7 @@ fn shut_down(me: &mut Instance<'_>) {
     }
     if me.shared.fault_mode {
         publish_watermark(me.shared, &me.plan, &me.wiring.inputs);
-        if me.prunable {
-            prune_seen(&mut me.plan.core, me.shared, &me.wiring.inputs);
-        }
+        prune_seen(&mut me.plan.core, me.shared, &me.wiring.inputs);
     }
 }
 
@@ -485,29 +476,21 @@ fn drain_store_buffer(client: &mut StateClient, shared: &EngineShared) {
     }
 }
 
-/// The highest counter such that every packet with a smaller-or-equal
-/// counter routed to this instance has been popped: the minimum of the
-/// rings' frontiers ([`InputRing::last_counter`]).
-fn watermark(inputs: &[InputRing]) -> u64 {
-    inputs.iter().map(|r| r.last_counter).min().unwrap_or(0)
-}
-
-/// Publish this instance's commit watermark ([`watermark`], after the
+/// Publish this instance's commit watermark ([`frontier`], after the
 /// caller processed and flushed everything it popped). A replacement only
 /// gets here once its replay is done, after which its inherited watermark
 /// is true again because every logged packet routed to it has been
 /// re-flushed.
 fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &[InputRing]) {
     if !plan.core.off_path() {
-        shared.publish_watermark(plan.slot(), watermark(inputs));
+        shared.publish_watermark(plan.slot(), frontier(inputs));
     }
 }
 
 /// Forget the duplicate window up to the instance's own watermark. Sound
-/// only for an instance whose input rings are all clock-ordered (the caller's
-/// `prunable`) and only until the first fail-stop anywhere in the chain: each
-/// ordered ring has then delivered every clock at or below its maximum,
-/// routing is clock-pure, so every clock at or below the watermark that can
+/// only until the first fail-stop anywhere in the chain: each ring has then
+/// delivered every clock at or below its frontier that routes here, routing
+/// is clock-pure, so every clock at or below the watermark that can
 /// still arrive here — a replay, a re-injection — was already processed
 /// here. After a fail-stop that no longer holds: the packets that died in
 /// the failed component's output buffers come back *below* the watermarks
@@ -518,7 +501,7 @@ fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &[Input
 /// sees it raised.
 fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRing]) {
     if !shared.fail_stopped.load(Ordering::Relaxed) {
-        core.forget_through(Clock(watermark(inputs)));
+        core.forget_through(Clock(frontier(inputs)));
     }
 }
 

@@ -3,7 +3,7 @@
 //! latency on the timed packets from the stamps their envelopes carry.
 
 use crate::engine::EngineShared;
-use crate::wiring::{idle_wait, InputRing};
+use crate::wiring::{frontier, idle_wait, InputRing};
 use chc_core::{Arrival, SinkCore};
 use chc_telemetry::{FlowOrderChecker, SpanEvent, SpanKind, StreamingHistogram, TraceLane};
 use std::sync::atomic::Ordering;
@@ -33,8 +33,7 @@ pub(crate) fn run_sink(
     let commit_slot = shared.fault_mode.then(|| shared.watermarks.len() - 1);
     let publish = |inputs: &[InputRing]| {
         if let Some(slot) = commit_slot {
-            let wm = inputs.iter().map(|r| r.last_counter).min().unwrap_or(0);
-            shared.publish_watermark(slot, wm);
+            shared.publish_watermark(slot, frontier(inputs));
         }
     };
     // Per-flow delivery-order checking rides this thread (one map lookup per

@@ -17,10 +17,6 @@
 //! producer takes its next spare. A packet is copied once per hop, into the
 //! producer's buffer; no transfer allocates or frees, and every buffer
 //! stays in the allocator arena of the thread that laid it.
-//!
-//! A ring item also carries a stamp, the producer's commit frontier when it
-//! published the batch. Only a consumer whose ring is not clock-ordered
-//! ([`InputRing::ordered`]) reads it; on every other link it stays 0.
 
 use crate::plan::ChainPlan;
 use crate::spsc::{ring, CachePadded, Consumer, Producer, RingDepth, RingProbe};
@@ -106,9 +102,8 @@ pub struct OutLink {
     /// Emptied buffers the consumer handed back.
     spares: Consumer<Batch>,
     buf: Batch,
-    /// The stamp of the next batch published, on a link whose consumer's
-    /// ring is not clock-ordered ([`OutLink::set_frontier`]); `None` on
-    /// every other link.
+    /// The stamp of the next batch published, on a link into a ring that is
+    /// not [`InputRing::ordered`]; `None` on every other.
     frontier: Option<u64>,
     /// The stamp the last published batch carried.
     sent: u64,
@@ -164,10 +159,8 @@ impl OutLink {
         };
     }
 
-    /// Stamp the batches published from now on with `frontier`, the
-    /// producer's commit watermark: every clock at or below it that the
-    /// producer sends on this link is queued by the next publication. Only
-    /// a link whose consumer's ring is not clock-ordered keeps it.
+    /// Stamp the batches published from now on with the producer's commit
+    /// watermark, if the link keeps a stamp.
     pub(crate) fn set_frontier(&mut self, frontier: u64) {
         if let Some(stamp) = &mut self.frontier {
             *stamp = frontier;
@@ -293,6 +286,13 @@ impl InputRing {
         let returned = self.returns.push(batch);
         debug_assert!(returned.is_ok(), "the return ring holds the whole pool");
     }
+}
+
+/// The highest counter such that every packet with a smaller-or-equal
+/// counter routed to the consumer of `inputs` has been popped: the minimum
+/// of the rings' frontiers ([`InputRing::last_counter`]).
+pub(crate) fn frontier(inputs: &[InputRing]) -> u64 {
+    inputs.iter().map(|r| r.last_counter).min().unwrap_or(0)
 }
 
 /// Whether an instance fed by `inputs` emits a clock-ordered stream (see
