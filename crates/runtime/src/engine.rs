@@ -42,12 +42,13 @@
 //!
 //! When [`RuntimeConfig::fault`] schedules failures, the engine additionally
 //! runs the paper's replay/failover machinery on real threads — packet logs
-//! truncated at commit frontiers, duplicate suppression at every input
-//! queue, replacement threads that replay their own log before they take
-//! live traffic, the sink's window absorbing a tail kill's re-delivery,
-//! and a root crash that loses what §5.4 says it loses before a new root
-//! resumes from the persisted clock; the crate docs give the overview and
-//! [`crate::replay`] the protocol.
+//! truncated at commit frontiers that advance only by ring stamps
+//! ([`crate::wiring`]) and never pause, duplicate suppression at every input
+//! queue, pruned at the same frontiers, replacements that replay their own
+//! log before they take live traffic, the sink's window absorbing a tail
+//! kill's re-delivery, and a root crash that loses what §5.4 says it loses
+//! before a new root resumes from the persisted clock; the crate docs give
+//! the overview and [`crate::replay`] the protocol.
 //!
 //! The healthy path pays none of this: with an empty plan no log is kept,
 //! no watermark is published and no duplicate tracking runs — the store's
@@ -57,7 +58,7 @@ use crate::config::RuntimeConfig;
 use crate::fault::FaultReport;
 use crate::instance::{run_instance, Inbox, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
-use crate::replay::{truncate_logs, CutPause};
+use crate::replay::truncate_logs;
 use crate::report::RuntimeReport;
 use crate::root::{run_root, Injection};
 use crate::sink::{run_sink, SinkResult};
@@ -210,15 +211,6 @@ pub(crate) struct EngineShared {
     /// True when a fault plan is active: the commit protocol runs and
     /// flushes happen at every batch boundary (commit implies durable).
     pub(crate) fault_mode: bool,
-    /// Raised by an instance as it fail-stops, before its thread begins the
-    /// failover. From then on replayed clocks can fill gaps below a
-    /// watermark, so no instance prunes its duplicate window any further. A
-    /// root crash does not raise it: nothing replays what a dead root loses.
-    /// Relaxed on both sides: the flag publishes no data, and the thread
-    /// that raised it is the one that runs the replacement, so the rings'
-    /// release/acquire edges carry it: whoever pops a packet sent after the
-    /// fail-stop also sees the flag.
-    pub(crate) fail_stopped: AtomicBool,
     /// Run-wide telemetry: stage histograms, event journal, trace collector.
     pub(crate) telemetry: RunTelemetry,
     /// The packet logs, one per row of `ChainPlan::log_scopes`: the root's
@@ -232,8 +224,8 @@ pub(crate) struct EngineShared {
     /// unpublished slot reads zero and so holds every frontier it is in.
     pub(crate) watermarks: Vec<AtomicU64>,
     /// The cut lock: the root's truncation passes and every failover start
-    /// take it (see [`crate::replay`]).
-    pub(crate) cut_pause: Mutex<CutPause>,
+    /// take turns under it (see [`crate::replay`]).
+    pub(crate) cut_lock: Mutex<()>,
     /// Store fast path: when true every instance client buffers
     /// non-blocking store ops, up to one ring batch of them, and drains them
     /// as one batched apply at ring batch boundaries (and before every
@@ -278,16 +270,12 @@ impl EngineShared {
             config,
             batch: plan.batch,
             fault_mode: plan.fault_mode,
-            fail_stopped: AtomicBool::new(false),
             telemetry: RunTelemetry::new(rt.telemetry, Instant::now(), plan.topo.iter().copied()),
             logs,
             watermarks: (0..=plan.instances.len())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            cut_pause: Mutex::new(CutPause {
-                armed: kills,
-                failed_over: false,
-            }),
+            cut_lock: Mutex::new(()),
             write_behind: rt.write_behind,
         }
     }

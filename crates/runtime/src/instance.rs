@@ -7,7 +7,9 @@
 //! thread then begins the failover and runs the replacement its kill
 //! carried, on the same wiring, which first puts its own replay through the
 //! same per-packet step (§5.3: replayed packets first, live traffic once the
-//! last is done).
+//! last is done). At each batch boundary in fault mode an instance flushes
+//! its outputs stamped with its watermark, publishes the watermark and
+//! prunes its duplicate window to it, whether or not anything has failed.
 
 use crate::engine::EngineShared;
 use crate::fault::InstanceRecovery;
@@ -15,16 +17,12 @@ use crate::plan::InstancePlan;
 use crate::replay::begin_failover;
 use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
-use crate::wiring::{
-    forwards_in_order, frontier, idle_wait, route_all, Batch, Downstream, InputRing,
-    InstanceWiring, OutLink,
-};
-use chc_core::{InstanceCore, StateClient, Step, TaggedPacket};
+use crate::wiring::{frontier, idle_wait, route_all, Batch, Downstream, InstanceWiring, OutLink};
+use chc_core::{StateClient, Step, TaggedPacket};
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -74,7 +72,7 @@ pub(crate) fn run_instance(
     let mut me = set_up(plan, wiring, shared);
     let recovery = replay(&mut me);
     // Increments leave in clock order, and may fold once a replay is drained.
-    if forwards_in_order(&me.wiring.inputs) && !me.plan.core.admits_repeats() {
+    if me.plan.in_order && !me.plan.core.admits_repeats() {
         me.client.declare_ordered_writer();
     }
     let killed_at = run_batches(&mut me, kill.as_ref().map(|k| k.at_counter));
@@ -190,13 +188,23 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
         .logs
         .replay(&takeover.sources, &takeover.splitter, index);
     let packets_replayed = snapshot.len() as u64;
+    // The stamp follows the clock-ordered replay. The snapshot holds all the
+    // predecessor popped (logged upstream before it was forwarded) and, for
+    // an instance in order, which replays one log written in clock order,
+    // every copy routed here below one it holds.
+    let popped = frontier(&me.wiring.inputs);
+    let cap = if me.plan.in_order { u64::MAX } else { popped };
+    let mut replayed = popped;
     for (i, tp) in snapshot.into_iter().enumerate() {
         if i % shared.batch == 0 {
             // Ring-batch strides, as the batch loop pops: store callbacks
             // and buffered store ops land at every boundary.
             drain_store_buffer(&mut me.client, shared);
             me.take_callbacks();
+            let below = tp.clock.counter().saturating_sub(1).min(cap);
+            me.wiring.links_mut().for_each(|l| l.set_frontier(below));
         }
+        replayed = replayed.max(tp.clock.counter().min(cap));
         if let Some(tag) = tp.trace {
             shared.telemetry.trace_span(SpanEvent {
                 trace_id: tag.id,
@@ -210,7 +218,10 @@ fn replay(me: &mut Instance<'_>) -> Option<InstanceRecovery> {
         me.step(tp, false);
     }
     drain_store_buffer(&mut me.client, shared);
-    me.wiring.links_mut().for_each(OutLink::flush);
+    for link in me.wiring.links_mut() {
+        link.set_frontier(replayed);
+        link.flush();
+    }
 
     let (vertex_id, index_id) = (vertex.0, index as u32);
     shared.telemetry.event(EventKind::ReplayComplete {
@@ -253,7 +264,7 @@ fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
             }
             moved += batch.len();
             me.batches_in += 1;
-            let killed = me.consume(i, &mut batch, kill_at);
+            let killed = me.consume(&mut batch, kill_at);
             // The buffer goes back to its link's pool, on a fail-stop too.
             me.wiring.inputs[i].recycle(batch);
             if killed.is_some() {
@@ -273,15 +284,13 @@ fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
                 // Commit implies durable: flush the batched outputs before
                 // publishing the watermark, so a crash after publication can
                 // never lose a confirmed packet's effects. The flush carries
-                // the watermark to a consumer that cannot read it off the
-                // clocks.
+                // the watermark to every consumer as its ring's stamp.
                 let frontier = frontier(&me.wiring.inputs);
                 for link in me.wiring.links_mut() {
                     link.set_frontier(frontier);
                     link.flush();
                 }
-                publish_watermark(shared, &me.plan, &me.wiring.inputs);
-                prune_seen(&mut me.plan.core, shared, &me.wiring.inputs);
+                commit(shared, &mut me.plan, frontier);
             }
         } else {
             // Idle: release buffered output so downstream instances are not
@@ -298,14 +307,14 @@ fn run_batches(me: &mut Instance<'_>, kill_at: Option<u64>) -> Option<u64> {
 }
 
 impl Instance<'_> {
-    /// Put one popped ring batch from input `i` through the per-packet step,
+    /// Put one popped ring batch through the per-packet step,
     /// emptying it. Returns the clock that reaches `kill_at`, if one does:
     /// the instance dies *before* processing that packet. Everything
     /// still queued stays in flight for the replacement; the popped
     /// remainder of this batch dies with the instance and is booked as
     /// kill-lost, so conservation still closes.
     #[inline]
-    fn consume(&mut self, i: usize, batch: &mut Batch, kill_at: Option<u64>) -> Option<u64> {
+    fn consume(&mut self, batch: &mut Batch, kill_at: Option<u64>) -> Option<u64> {
         let shared = self.shared;
         let n = batch.len();
         for (pos, tp) in batch.drain(..).enumerate() {
@@ -322,10 +331,8 @@ impl Instance<'_> {
                     return Some(tp.clock.counter());
                 }
             }
-            self.wiring.inputs[i].note(tp.clock.counter());
             self.step(tp, true);
         }
-        self.wiring.inputs[i].done();
         None
     }
 
@@ -430,7 +437,6 @@ fn fail_stop(me: &mut Instance<'_>, killed_at_clock: u64) {
         instance: me.plan.instance.0 as u64,
         clock: killed_at_clock,
     });
-    me.shared.fail_stopped.store(true, Ordering::Relaxed);
 }
 
 /// Healthy shutdown: whatever the last (partial) batch buffered must reach
@@ -446,8 +452,7 @@ fn shut_down(me: &mut Instance<'_>) {
         link.close();
     }
     if me.shared.fault_mode {
-        publish_watermark(me.shared, &me.plan, &me.wiring.inputs);
-        prune_seen(&mut me.plan.core, me.shared, &me.wiring.inputs);
+        commit(me.shared, &mut me.plan, frontier);
     }
 }
 
@@ -476,33 +481,18 @@ fn drain_store_buffer(client: &mut StateClient, shared: &EngineShared) {
     }
 }
 
-/// Publish this instance's commit watermark ([`frontier`], after the
-/// caller processed and flushed everything it popped). A replacement only
-/// gets here once its replay is done, after which its inherited watermark
-/// is true again because every logged packet routed to it has been
-/// re-flushed.
-fn publish_watermark(shared: &EngineShared, plan: &InstancePlan, inputs: &[InputRing]) {
+/// Commit through `watermark`, the instance's input [`frontier`], once it
+/// processed and flushed everything it popped: publish it, and forget the
+/// duplicate window up to it, since every clock at or below it that can
+/// still arrive — a replay, a re-injection — was processed here. That holds
+/// through a fail-stop upstream: what died in the failed producer's output
+/// buffers lies above its last stamp. A replacement only gets here once its
+/// replay is done and re-flushed, which makes its inherited watermark true.
+fn commit(shared: &EngineShared, plan: &mut InstancePlan, watermark: u64) {
     if !plan.core.off_path() {
-        shared.publish_watermark(plan.slot(), frontier(inputs));
+        shared.publish_watermark(plan.slot(), watermark);
     }
-}
-
-/// Forget the duplicate window up to the instance's own watermark. Sound
-/// only until the first fail-stop anywhere in the chain: each ring has then
-/// delivered every clock at or below its frontier that routes here, routing
-/// is clock-pure, so every clock at or below the watermark that can
-/// still arrive here — a replay, a re-injection — was already processed
-/// here. After a fail-stop that no longer holds: the packets that died in
-/// the failed component's output buffers come back *below* the watermarks
-/// of everything downstream, which has meanwhile seen newer traffic, and
-/// must not be mistaken for repeats — so from then on the window only grows
-/// (one bit per packet). The flag is read after the pops that fed the
-/// watermark, so a watermark that includes post-failure traffic always
-/// sees it raised.
-fn prune_seen(core: &mut InstanceCore, shared: &EngineShared, inputs: &[InputRing]) {
-    if !shared.fail_stopped.load(Ordering::Relaxed) {
-        core.forget_through(Clock(frontier(inputs)));
-    }
+    plan.core.forget_through(Clock(watermark));
 }
 
 /// Forward the outcome of one processed packet.
@@ -547,6 +537,7 @@ mod tests {
     use chc_core::ChainConfig;
     use chc_packet::{Trace, TraceConfig, TraceGenerator};
     use chc_store::VertexId;
+    use std::sync::atomic::Ordering;
 
     /// Only the simulator reads the XOR tokens of a packet's store updates
     /// (Figure 6): an engine instance's client records none, though its NF

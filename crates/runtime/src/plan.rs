@@ -38,17 +38,23 @@ pub(crate) struct InstancePlan {
     /// path, or a chain exit.
     pub(crate) core: InstanceCore,
     pub(crate) objects: Vec<StateObjectSpec>,
+    /// The instance consumes and forwards one clock-ordered stream: it has
+    /// one input ring, fed by the root or by an instance that is itself in
+    /// order. Its increments may then fold (`StateClient::declare_ordered_writer`),
+    /// and its replay is one log written in clock order.
+    pub(crate) in_order: bool,
 }
 
 impl InstancePlan {
-    /// A healthy, never-killed instance of `v`; the planner sets `kill` and
-    /// `takeover` where the fault plan says so.
+    /// A healthy, never-killed instance of `v`, in order or not; the planner
+    /// sets `kill` and `takeover` where the fault plan says so.
     fn new(
         dag: &LogicalDag,
         v: &VertexSpec,
         instance: InstanceId,
         index: usize,
         replicas: usize,
+        in_order: bool,
     ) -> InstancePlan {
         // Built on the planning thread: NF factories are `Rc`-based and must
         // not cross threads; the NF they build is `Send`.
@@ -64,6 +70,7 @@ impl InstancePlan {
             downstream: dag.downstream_of(v.id),
             core: InstanceCore::new(nf, v.off_path, dag.exits().contains(&v.id)),
             objects,
+            in_order,
         }
     }
 
@@ -247,6 +254,7 @@ impl ChainPlan {
         let reinject = CounterSchedule::new(drill);
 
         let entries = dag.entries();
+        let in_order = in_order_vertices(dag, &topo, &slots);
         // The vertices that log their egress: every replay source of a
         // killed vertex but the root.
         let logging: BTreeSet<VertexId> = (fault.kills.iter())
@@ -257,7 +265,8 @@ impl ChainPlan {
             .iter()
             .enumerate()
             .map(|(slot, &(v, idx))| {
-                InstancePlan::new(dag, v, id_of(slot), idx, slots[&v.id].len())
+                let (replicas, in_order) = (slots[&v.id].len(), in_order.contains(&v.id));
+                InstancePlan::new(dag, v, id_of(slot), idx, replicas, in_order)
             })
             .collect();
         let planned = instances.len();
@@ -271,7 +280,14 @@ impl ChainPlan {
                     splitter: splitters[&v.id].clone(),
                     started: None,
                 }),
-                ..InstancePlan::new(dag, v, id_of(planned + k), kill.index, dead.replicas)
+                ..InstancePlan::new(
+                    dag,
+                    v,
+                    id_of(planned + k),
+                    kill.index,
+                    dead.replicas,
+                    dead.in_order,
+                )
             };
             dead.kill = Some(Kill {
                 at_counter: kill.at_counter,
@@ -425,6 +441,32 @@ fn shard_schedule(
         ShardSchedule::new(checkpoints),
         ShardSchedule::new(restarts),
     ))
+}
+
+/// The vertices whose instances forward one clock-ordered stream: an entry
+/// (one ring, from the root), or a vertex whose one predecessor has one
+/// instance, on the path and itself in order. Any other instance
+/// interleaves several rings, or takes one ring out of order.
+fn in_order_vertices(
+    dag: &LogicalDag,
+    topo: &[VertexId],
+    slots: &HashMap<VertexId, Vec<usize>>,
+) -> HashSet<VertexId> {
+    let mut in_order = HashSet::new();
+    for &v in topo {
+        let fed_in_order = match dag.upstream_of(v)[..] {
+            [] => true,
+            [u] => {
+                let on_path = dag.vertex(u).is_some_and(|u| !u.off_path);
+                on_path && slots[&u].len() == 1 && in_order.contains(&u)
+            }
+            _ => false,
+        };
+        if fed_in_order {
+            in_order.insert(v);
+        }
+    }
+    in_order
 }
 
 /// The slots of the `instances` whose vertex passes `covers` — the on-path
@@ -592,6 +634,34 @@ pub(crate) mod tests {
         // Entries at one counter keep plan order.
         assert_eq!(walk(&p.shard_checkpoints), [(300, 2), (300, 0)]);
         assert_eq!(walk(&p.shard_restarts), [(400, 0), (400, 1), (600, 2)]);
+    }
+
+    /// One ring from the root or from an instance in order keeps an
+    /// instance in order; two rings, or one from an instance out of order,
+    /// do not. A replacement runs on its predecessor's rings.
+    #[test]
+    fn an_instance_is_in_order_behind_one_ring_in_order() {
+        let in_order =
+            |p: &ChainPlan| -> Vec<bool> { p.instances.iter().map(|i| i.in_order).collect() };
+        let kills = FaultPlan::new().kill(LB, 0, 500);
+        let narrow = plan(kills.clone());
+        assert_eq!(in_order(&narrow), [true; 3]);
+        assert!(seed(&narrow, 2).in_order);
+
+        // Two firewall instances: each has the root's ring, the NAT has
+        // two rings, and the LB is fed by the NAT alone but out of order.
+        let mut wide = LogicalDag::new();
+        for v in fw_nat_lb().vertices() {
+            let parallelism = if v.id == FW { 2 } else { 1 };
+            wide.add_vertex(v.clone().with_parallelism(parallelism));
+        }
+        wide.add_edge(FW, NAT);
+        wide.add_edge(NAT, LB);
+        let rt = RuntimeConfig::default().with_fault(kills);
+        let wide = ChainPlan::new(&wide, &ChainConfig::default(), &rt, 1_000).unwrap();
+        assert_eq!(wide.slots_of(FW), [0, 1]);
+        assert_eq!(in_order(&wide), [true, true, false, false]);
+        assert!(!seed(&wide, 3).in_order);
     }
 
     #[test]

@@ -48,20 +48,21 @@
 //!
 //! **Why the replacement's snapshot is complete.** The dying thread zeroes
 //! the dead slot before the replacement starts, holding the cut lock
-//! (`EngineShared::cut_pause`), the lock every truncation pass holds from
-//! its pause check to its last cut. Every log the replacement reads has the
-//! dead slot in its commit scope (the root's scope holds every on-path
+//! (`EngineShared::cut_lock`), the lock every truncation pass holds from its
+//! first watermark read to its last cut. Every log the replacement reads has
+//! the dead slot in its commit scope (the root's scope holds every on-path
 //! slot, an egress log's every slot strictly downstream of the logging
 //! vertex), so from the moment the lock is released no frontier cut can
 //! drop an entry from it: the snapshot the replacement takes later holds
 //! everything one taken at the zeroing would have held, and truncation need
 //! not pause while it replays. The lock makes passes and failover starts
-//! take turns: a pass either ends before the slot is zeroed and the pause
-//! raised, or begins after both, so a root descheduled in mid-pass cannot
-//! cut at watermarks read before a failover began once a replay has moved
-//! them. Each replacement reads the logs on its own thread and only pushes
-//! downstream, so overlapping failovers need no coordination: a replay that
-//! backs up waits on a live consumer further down an acyclic chain.
+//! take turns: a pass either ends before the slot is zeroed or begins
+//! after, so a root descheduled in mid-pass cannot cut at watermarks read
+//! before a failover began once a replay has moved them. That is the lock's
+//! one job. Each replacement reads the logs on its own thread and only
+//! pushes downstream, so overlapping failovers need no coordination: a
+//! replay that backs up waits on a live consumer further down an acyclic
+//! chain.
 //!
 //! ## Log truncation
 //!
@@ -81,20 +82,19 @@
 //! The root runs a pass each time it starts a new page of its log
 //! (`page_pass`, every `PAGE_CELLS` = 256 counters), so a cut frees
 //! memory a page at a time, and a pass comes with the injection that grows
-//! the logs: outside the pause below, a log stays within the rings' depth
-//! plus a page of the frontier, whichever thread the host leaves off the
-//! CPU, since a stalled instance stalls the rings and with them the root.
-//! The engine runs one more pass once every thread has joined.
+//! the logs: a log stays within the rings' depth plus a page of the
+//! frontier, whichever thread the host leaves off the CPU, since a stalled
+//! instance stalls the rings and with them the root. The engine runs one
+//! more pass once every thread has joined.
 //!
-//! Before the first failover every ring delivers counters monotonically, so
-//! the frontier proves completion exactly; while further kills are still
-//! armed after a failover has begun, passes pause (replayed traffic makes
-//! ring order non-monotone downstream of a replacement, so the frontier
-//! could briefly overclaim); once the last kill fired they resume, where
-//! truncation is unconditionally safe because no future replay exists. The
-//! pause state (`CutPause`) lives under the cut lock. A replacement
-//! publishes under the dead instance's slot only once its replay is done:
-//! until then every frontier that contains the slot reads zero.
+//! The frontier never overclaims, through a failover or after one: a ring's
+//! frontier is its producer's stamp ([`crate::wiring`]), and a producer
+//! stamps only what it has published, so no copy a replay still owes lies
+//! at or below it. So passes never pause, however many kills are still
+//! armed. A
+//! replacement publishes under the dead instance's slot only once its
+//! replay is done: until then every frontier that contains the slot reads
+//! zero.
 //!
 //! So a failover is a transient, not a freeze until the end of the run: as
 //! soon as the replacement has replayed and flushed, it publishes again at
@@ -113,8 +113,7 @@
 //! [`StoreServer::forget_through`] to the root's frontier — capped below
 //! the smallest re-injection counter until the final pass, because a
 //! re-injected copy is in flight after it left the buffer and no watermark
-//! covers it. Passes pause while replays may be in flight, and so does the
-//! floor.
+//! covers it.
 
 use crate::engine::EngineShared;
 use crate::plan::{ChainPlan, InstancePlan};
@@ -123,15 +122,6 @@ use chc_store::{Clock, StoreServer, VertexId};
 use chc_telemetry::EventKind;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-
-/// The truncation pause, behind `EngineShared::cut_pause`: kills that have
-/// not fired yet, and whether a failover has begun. The root's page passes
-/// and every failover start hold its lock, so a pass never straddles the
-/// start of a failover.
-pub(crate) struct CutPause {
-    pub(crate) armed: usize,
-    pub(crate) failed_over: bool,
-}
 
 /// Begin one failover, on the thread of the instance that just fail-stopped
 /// in `slot`: hand its store state and watermark slot to `seed`, the
@@ -156,9 +146,7 @@ pub(crate) fn begin_failover(
         // and publishes, every frontier the slot is in stays put, and so
         // does every log the replay reads. A clock at or below the old
         // watermark was done here, so a later copy of it is a repeat.
-        let mut pause = shared.cut_pause.lock().unwrap_or_else(|e| e.into_inner());
-        pause.armed -= 1;
-        pause.failed_over = true;
+        let _cut = shared.cut_lock.lock().unwrap_or_else(|e| e.into_inner());
         shared.server.reassign_owner(takeover.failed, seed.instance);
         seed.core
             .forget_through(Clock(shared.watermarks[slot].swap(0, Ordering::AcqRel)));
@@ -172,13 +160,10 @@ pub(crate) fn begin_failover(
 }
 
 /// The root's pass at each root-log page boundary: [`truncate_logs`] under
-/// the cut lock, unless a failover has begun while another kill is still
-/// armed (see the module docs).
+/// the cut lock (see the module docs).
 pub(crate) fn page_pass(shared: &EngineShared, plan: &ChainPlan) {
-    let pause = shared.cut_pause.lock().unwrap_or_else(|e| e.into_inner());
-    if !pause.failed_over || pause.armed == 0 {
-        truncate_logs(shared, &plan.log_scopes, plan.floor_cap);
-    }
+    let _cut = shared.cut_lock.lock().unwrap_or_else(|e| e.into_inner());
+    truncate_logs(shared, &plan.log_scopes, plan.floor_cap);
 }
 
 /// One truncation pass (see the module docs) over `log_scopes`, the plan's

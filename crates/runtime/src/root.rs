@@ -1,7 +1,9 @@
 //! The root: stamps logical clocks in trace order through
 //! [`chc_core::RootCore`], logs and injects, executes the shard faults keyed
 //! on its counter and, once per page of its log, cuts every packet log at
-//! its commit frontier ([`crate::replay::page_pass`]). The calling thread
+//! its commit frontier ([`crate::replay::page_pass`]). In fault mode it
+//! stamps every ring batch with its counter, the ring frontier its entry
+//! instances commit from ([`crate::wiring`]). The calling thread
 //! runs it ([`run_root`]). When the plan kills the root, the same thread
 //! then builds a new root from what a crashed root leaves behind (§5.4) and
 //! finishes the trace with it. Nothing else of the dead root is handed on.
@@ -188,6 +190,13 @@ impl Root {
                 }
             }
             route_all(&mut self.outs, tp, shared.batch);
+            if shared.fault_mode {
+                // Every clock up to this one is queued on the link it routes
+                // to: the next batch each link publishes covers them.
+                for link in links_mut(&mut self.outs) {
+                    link.set_frontier(counter);
+                }
+            }
         }
     }
 

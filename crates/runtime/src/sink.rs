@@ -70,7 +70,6 @@ pub(crate) fn run_sink(
             // timed packet turns up; a batch without one reads no clock.
             let mut batch_now: Option<u64> = None;
             for tp in batch.drain(..) {
-                input.note(tp.clock.counter());
                 let traced = tp.trace.map(|t| t.id);
                 if core.on_packet(&tp) != Arrival::First {
                     if let Some(id) = traced {
@@ -107,7 +106,6 @@ pub(crate) fn run_sink(
                     }
                 }
             }
-            input.done();
             input.recycle(batch);
         }
         if moved > 0 {

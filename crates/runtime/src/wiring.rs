@@ -17,6 +17,12 @@
 //! producer takes its next spare. A packet is copied once per hop, into the
 //! producer's buffer; no transfer allocates or frees, and every buffer
 //! stays in the allocator arena of the thread that laid it.
+//!
+//! In fault mode a ring's commit frontier advances only by its producer's
+//! stamps, one per ring batch: the root's counter, an instance's watermark
+//! or how far its replay has come. A stamp promises that every clock at or
+//! below it that will ever travel the ring is in this batch or an earlier
+//! one, whatever order the producer emits in.
 
 use crate::plan::ChainPlan;
 use crate::spsc::{ring, CachePadded, Consumer, Producer, RingDepth, RingProbe};
@@ -54,7 +60,7 @@ pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
         tx,
         spares,
         buf: Vec::with_capacity(batch),
-        frontier: None,
+        frontier: 0,
         sent: 0,
         sentinel: None,
         gauge: None,
@@ -62,9 +68,7 @@ pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
     let input = InputRing {
         rx,
         returns,
-        last_counter: 0,
-        stamp: 0,
-        ordered: false,
+        frontier: 0,
         gauge: None,
     };
     (out, input)
@@ -102,9 +106,8 @@ pub struct OutLink {
     /// Emptied buffers the consumer handed back.
     spares: Consumer<Batch>,
     buf: Batch,
-    /// The stamp of the next batch published, on a link into a ring that is
-    /// not [`InputRing::ordered`]; `None` on every other.
-    frontier: Option<u64>,
+    /// The stamp of the next batch published (see the module docs).
+    frontier: u64,
     /// The stamp the last published batch carried.
     sent: u64,
     /// Conservation-ledger handle, when the sentinel is on. Pushes count at
@@ -115,13 +118,16 @@ pub struct OutLink {
 }
 
 impl OutLink {
-    /// Queue one packet; publish the buffer once it holds a full batch.
+    /// Queue one packet, publishing the buffer first if it holds a full
+    /// batch. A full buffer waits for the next push or flush, so the batch
+    /// an instance fills from one input batch goes out at its batch
+    /// boundary, with the stamp that covers it.
     #[inline]
     pub fn push(&mut self, tp: TaggedPacket, batch: usize) {
-        self.buf.push(tp);
         if self.buf.len() >= batch {
             self.flush();
         }
+        self.buf.push(tp);
     }
 
     /// Publish the buffer as one ring item and take a spare in its place,
@@ -133,7 +139,7 @@ impl OutLink {
     /// A stamp that moved goes out in an empty batch if nothing else does.
     pub fn flush(&mut self) {
         let n = self.buf.len();
-        let stamp = self.frontier.unwrap_or(0);
+        let stamp = self.frontier;
         if n == 0 && stamp == self.sent {
             return;
         }
@@ -159,12 +165,12 @@ impl OutLink {
         };
     }
 
-    /// Stamp the batches published from now on with the producer's commit
-    /// watermark, if the link keeps a stamp.
+    /// Stamp the batches published from now on with `frontier` — the
+    /// root's counter, an instance's commit watermark or how far its replay
+    /// has come — unless the stamp is already higher: it never goes back.
+    #[inline]
     pub(crate) fn set_frontier(&mut self, frontier: u64) {
-        if let Some(stamp) = &mut self.frontier {
-            *stamp = frontier;
-        }
+        self.frontier = self.frontier.max(frontier);
     }
 
     /// Empty the unflushed buffer — what a crash of the producer loses —
@@ -222,55 +228,28 @@ pub(crate) fn links_mut(outs: &mut [Downstream]) -> impl Iterator<Item = &mut Ou
 
 /// One input ring of an instance (or the sink), with the return ring its
 /// emptied batches go back through and the bookkeeping the commit protocol
-/// needs: the ring's frontier, below which every clock the ring will ever
-/// carry has been popped.
+/// needs: the ring's frontier, at or below which every clock the ring will
+/// ever carry has been popped.
 pub struct InputRing {
     pub(crate) rx: Consumer<(u64, Batch)>,
     returns: Producer<Batch>,
-    /// The frontier: on an ordered ring the highest clock counter popped
-    /// ([`InputRing::note`]), on any other the highest stamp of a batch done
-    /// with ([`InputRing::done`]).
-    pub(crate) last_counter: u64,
-    /// The stamp of the batch popped last.
-    stamp: u64,
-    /// True when the producer forwards one clock-ordered stream while no
-    /// component has failed: the root, or an instance whose only input is
-    /// itself ordered. An instance that interleaves several inputs emits
-    /// counters out of order, so the highest counter popped from a ring it
-    /// feeds says nothing about the smaller counters still to come: its
-    /// batches carry its commit watermark instead.
-    pub(crate) ordered: bool,
+    /// The frontier: the highest stamp of a batch popped.
+    pub(crate) frontier: u64,
     gauge: Option<Arc<LinkGauge>>,
 }
 
 impl InputRing {
-    /// Take the next ring batch, if one is queued. Hand it back through
-    /// [`InputRing::recycle`] once it is done with.
+    /// Take the next ring batch, if one is queued, and raise the frontier to
+    /// its stamp. Hand it back through [`InputRing::recycle`] once it is
+    /// done with.
     #[inline]
     pub fn pop(&mut self) -> Option<Batch> {
         let (stamp, batch) = self.rx.pop()?;
-        self.stamp = stamp;
+        self.frontier = self.frontier.max(stamp);
         if let Some(g) = &self.gauge {
             g.popped.0.fetch_add(batch.len(), Ordering::Relaxed);
         }
         Some(batch)
-    }
-
-    /// Note the clock of a popped packet before it is processed: on an
-    /// ordered ring every smaller clock has been popped.
-    #[inline]
-    pub(crate) fn note(&mut self, counter: u64) {
-        if self.ordered {
-            self.last_counter = self.last_counter.max(counter);
-        }
-    }
-
-    /// The batch popped last has been processed whole: on a ring that is
-    /// not ordered, every clock up to the stamp it carried has been popped.
-    pub(crate) fn done(&mut self) {
-        if !self.ordered {
-            self.last_counter = self.last_counter.max(self.stamp);
-        }
     }
 
     /// True once the producer closed the ring and every batch was popped.
@@ -290,15 +269,9 @@ impl InputRing {
 
 /// The highest counter such that every packet with a smaller-or-equal
 /// counter routed to the consumer of `inputs` has been popped: the minimum
-/// of the rings' frontiers ([`InputRing::last_counter`]).
+/// of the rings' frontiers ([`InputRing::frontier`]).
 pub(crate) fn frontier(inputs: &[InputRing]) -> u64 {
-    inputs.iter().map(|r| r.last_counter).min().unwrap_or(0)
-}
-
-/// Whether an instance fed by `inputs` emits a clock-ordered stream (see
-/// [`InputRing::ordered`]).
-pub(crate) fn forwards_in_order(inputs: &[InputRing]) -> bool {
-    matches!(inputs, [only] if only.ordered)
+    inputs.iter().map(|r| r.frontier).min().unwrap_or(0)
 }
 
 /// The complete SPSC wiring of one instance thread. A fail-stopped
@@ -346,12 +319,10 @@ struct RingLayer<'a> {
 }
 
 impl RingLayer<'_> {
-    fn link(&mut self, label: impl FnOnce() -> String, ordered: bool) -> (OutLink, InputRing) {
+    fn link(&mut self, label: impl FnOnce() -> String) -> (OutLink, InputRing) {
         let (depth, batch) = (self.plan.depth, self.plan.batch);
         let (mut out, mut input) = link(depth, batch);
         out.sentinel = self.sentinel.clone();
-        out.frontier = (!ordered).then_some(0);
-        input.ordered = ordered;
         if self.monitor_on {
             let gauge = Arc::new(LinkGauge {
                 pushed: CachePadded(AtomicUsize::new(0)),
@@ -368,12 +339,11 @@ impl RingLayer<'_> {
 
     /// One ring from the producer called `from` to each instance of
     /// `vertex`, in instance-index order, behind that vertex's splitter.
-    /// `ordered` is [`InputRing::ordered`].
-    fn fan_out(&mut self, from: &str, vertex: VertexId, ordered: bool) -> Downstream {
+    fn fan_out(&mut self, from: &str, vertex: VertexId) -> Downstream {
         let targets = self.plan.slots_of(vertex);
         let mut links = Vec::with_capacity(targets.len());
         for (k, &target) in targets.iter().enumerate() {
-            let (link, input) = self.link(|| format!("{from}->v{}.{k}", vertex.0), ordered);
+            let (link, input) = self.link(|| format!("{from}->v{}.{k}", vertex.0));
             self.wired.instances[target].inputs.push(input);
             links.push(link);
         }
@@ -384,9 +354,8 @@ impl RingLayer<'_> {
     }
 
     /// One ring from the tail instance called `from` to the sink.
-    /// `ordered` is [`InputRing::ordered`].
-    fn sink_link(&mut self, from: &str, ordered: bool) -> OutLink {
-        let (link, input) = self.link(|| format!("{from}->sink"), ordered);
+    fn sink_link(&mut self, from: &str) -> OutLink {
+        let (link, input) = self.link(|| format!("{from}->sink"));
         self.wired.sink_inputs.push(input);
         link
     }
@@ -405,27 +374,25 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
         .instances
         .resize_with(plan.instances.len(), InstanceWiring::default);
     for entry in &plan.entries {
-        let out = rings.fan_out("root", *entry, true);
+        let out = rings.fan_out("root", *entry);
         rings.wired.root_outs.push(out);
     }
     // Instance → downstream instances (on-path producers only; off-path
     // vertices consume copies and emit nothing, as in the simulator), then
-    // tail instances → sink. In topological order, so an instance's inputs
-    // are complete — and its output order known — before its outputs are
-    // wired.
+    // tail instances → sink, in topological order: each instance's input
+    // rings are laid in the order of their producers' slots.
     for &i in plan.topo.iter().flat_map(|v| plan.slots_of(*v)) {
         let p = &plan.instances[i];
         if p.core.off_path() {
             continue;
         }
         let from = format!("v{}.{}", p.vertex.0, p.index);
-        let ordered = forwards_in_order(&rings.wired.instances[i].inputs);
         for d in &p.downstream {
-            let out = rings.fan_out(&from, *d, ordered);
+            let out = rings.fan_out(&from, *d);
             rings.wired.instances[i].outs.push(out);
         }
         if p.core.exit() {
-            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from, ordered));
+            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from));
         }
     }
     rings.wired
@@ -496,40 +463,32 @@ mod tests {
     fn consume(input: &mut InputRing) -> Vec<u64> {
         let mut batch = input.pop().expect("a batch");
         let clocks = batch.drain(..).map(|tp| tp.clock.counter()).collect();
-        for &c in &clocks {
-            input.note(c);
-        }
-        input.done();
         input.recycle(batch);
         clocks
     }
 
     /// Behind an instance that interleaves two inputs, 3 comes after 4: the
     /// consumer's frontier is the stamp its producer sent, not the highest
-    /// clock, and a stamp that moved travels alone if no packet does.
+    /// clock. A full buffer goes out with the stamp of the moment it is
+    /// published, and a stamp that moved travels alone if no packet does.
     #[test]
-    fn an_unordered_ring_advances_by_its_producers_stamps() {
+    fn a_ring_advances_by_its_producers_stamps() {
         let (mut out, mut input) = link(8, 2);
-        out.frontier = Some(0);
         out.push(packet(4), 2);
-        out.set_frontier(2);
         out.push(packet(3), 2);
+        out.set_frontier(2);
+        out.push(packet(5), 2);
         assert_eq!(consume(&mut input), [4, 3]);
-        assert_eq!(input.last_counter, 2, "the stamp, not clock 4");
-        out.set_frontier(4);
+        assert_eq!(input.frontier, 2, "the stamp, not clock 4");
+        out.set_frontier(5);
+        out.flush();
+        assert_eq!(consume(&mut input), [5]);
+        assert_eq!(input.frontier, 5);
+        out.set_frontier(6);
         out.flush();
         assert_eq!(consume(&mut input), [] as [u64; 0]);
-        assert_eq!(input.last_counter, 4);
+        assert_eq!(input.frontier, 6);
         out.flush();
         assert!(input.pop().is_none(), "an unmoved stamp sends nothing");
-
-        // An ordered ring reads its frontier off the clocks, per packet.
-        let (mut out, mut input) = link(8, 2);
-        input.ordered = true;
-        out.set_frontier(9);
-        out.push(packet(1), 2);
-        out.push(packet(2), 2);
-        assert_eq!(consume(&mut input), [1, 2]);
-        assert_eq!(input.last_counter, 2);
     }
 }

@@ -1,9 +1,9 @@
 //! The duplicate windows have a bound: the sink keeps one bit per injected
 //! clock, and an instance's input-queue window (fault mode) is pruned at the
-//! instance's own watermark until the first fail-stop, after which it grows
-//! by one bit per packet. Both exits, healthy and fail-stopped, report it.
-//! The packet logs, cut at their commit frontiers alone, never hold more
-//! than a small fraction of the trace.
+//! instance's own watermark, through every failover and after it. Both
+//! exits, healthy and fail-stopped, report it. The packet logs, cut at their
+//! commit frontiers alone, never hold more than a small fraction of the
+//! trace, however many kills a run has.
 
 use chc_core::root::ROOT_VERTEX;
 use chc_core::{ChainConfig, ClockWindow, LogicalDag, VertexSpec};
@@ -81,8 +81,20 @@ fn sink_window_is_a_bit_per_injected_packet() {
     assert!(report.instances.iter().all(|i| i.dedup_window_bytes == 0));
 }
 
+/// Every instance's window, the dead ones' included, holds one page.
+fn assert_windows_one_page(report: &RuntimeReport, what: &str) {
+    for inst in report.instances.iter().chain(&report.failed_instances) {
+        assert!(
+            inst.dedup_window_bytes <= ClockWindow::PAGE_BYTES,
+            "{what}: instance {:?} kept {} bytes",
+            inst.instance,
+            inst.dedup_window_bytes
+        );
+    }
+}
+
 #[test]
-fn instance_window_is_pruned_at_the_watermark_until_something_fails() {
+fn instance_window_is_pruned_at_the_watermark_through_a_kill() {
     let trace = long_trace(6);
     let n = trace.len() as u64;
 
@@ -109,22 +121,15 @@ fn instance_window_is_pruned_at_the_watermark_until_something_fails() {
         );
     }
 
-    // With a kill the windows stop pruning at the fail-stop (replayed clocks
-    // may then fill gaps below a watermark), so they grow — by a bit per
-    // packet, never past the whole-window bound.
+    // A kill changes nothing: a ring's frontier is its producer's stamp,
+    // which never passes a copy the dead firewall lost, so the NAT prunes
+    // on through the failover, and so does the replacement.
     let kill = run(
         RuntimeConfig::with_batch_size(32).with_fault(FaultPlan::new().kill(VertexId(1), 0, n / 2)),
         &trace,
     );
-    let nat = kill
-        .instances
-        .iter()
-        .find(|i| i.vertex == VertexId(2))
-        .expect("nat survived");
-    assert!(nat.dedup_window_bytes > ClockWindow::PAGE_BYTES);
-    for inst in kill.instances.iter().chain(&kill.failed_instances) {
-        assert!(inst.dedup_window_bytes <= whole_window_bound(n));
-    }
+    assert!(kill.instances.iter().any(|i| i.vertex == VertexId(2)));
+    assert_windows_one_page(&kill, "firewall kill");
 
     // A fail-stopped instance reports the window it died with, too.
     let nat_kill = run(
@@ -137,7 +142,7 @@ fn instance_window_is_pruned_at_the_watermark_until_something_fails() {
         .find(|i| i.vertex == VertexId(2))
         .expect("the killed nat reports");
     assert!(killed.dedup_window_bytes > 0);
-    assert!(killed.dedup_window_bytes <= whole_window_bound(n));
+    assert_windows_one_page(&nat_kill, "NAT kill");
 }
 
 #[test]
@@ -176,5 +181,42 @@ fn the_frontier_alone_bounds_every_packet_log() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn two_kills_leave_every_log_and_window_bounded() {
+    // The firewall killed at n/4 and the load balancer at 3n/4: the root's
+    // log feeds the first replay, the NAT's egress log the second. Every
+    // log is cut at its frontier and every window pruned at its watermark
+    // through both failovers and between them, so each log holds an eighth
+    // of the trace at most and each window one page. Three runs.
+    let trace = long_trace(7);
+    let n = trace.len() as u64;
+    for run_no in 0..3 {
+        let plan = FaultPlan::new()
+            .kill(VertexId(1), 0, n / 4)
+            .kill(VertexId(3), 0, 3 * n / 4);
+        let rt = RuntimeConfig::with_batch_size(32).with_fault(plan);
+        let report = run_on(&chain(3), rt, &trace);
+        let what = format!("run {run_no}");
+        assert_eq!(report.injected, n);
+        let fault = report.fault.as_ref().expect("a fault report");
+        assert_eq!(fault.recoveries.len(), 2, "{what}");
+        let [egress] = fault.vertex_logs[..] else {
+            panic!("{what}: not one armed egress log: {:?}", fault.vertex_logs);
+        };
+        assert_eq!(egress.vertex, VertexId(2), "{what}: the NAT logs");
+        for (vertex, high) in [
+            (ROOT_VERTEX, fault.log_high_water),
+            (egress.vertex, egress.high_water),
+        ] {
+            assert!(high > 0, "{what}: log {vertex} never held a packet");
+            assert!(
+                high as u64 * 8 <= n,
+                "{what}: log {vertex} held {high} of {n} packets"
+            );
+        }
+        assert_windows_one_page(&report, &what);
     }
 }
