@@ -71,6 +71,32 @@ impl ClockWindow {
         self.pages.pop_below(self.floor / Self::PAGE_BITS, drop);
     }
 
+    /// The highest counter inserted and not forgotten (0 if none), and every
+    /// counter from the floor (1 at least) below it that was never
+    /// inserted, in order. A word of 64 inserted counters costs one test.
+    pub fn gaps(&self) -> (u64, Vec<u64>) {
+        let top = (self.pages.iter())
+            .filter_map(|(page, words)| {
+                let (w, word) = words.iter().enumerate().rfind(|(_, w)| **w != 0)?;
+                Some(page * Self::PAGE_BITS + w as u64 * 64 + 63 - word.leading_zeros() as u64)
+            })
+            .last()
+            .unwrap_or(0);
+        let mut gaps = Vec::new();
+        let mut counter = self.floor.max(1);
+        while counter <= top {
+            let bit = counter % Self::PAGE_BITS;
+            let page = self.pages.get(counter / Self::PAGE_BITS);
+            let word = page.map_or(0, |words| words[(bit / 64) as usize]);
+            let last = (counter | 63).min(top);
+            if word != u64::MAX {
+                gaps.extend((counter..=last).filter(|c| word >> (c % 64) & 1 == 0));
+            }
+            counter = last + 1;
+        }
+        (top, gaps)
+    }
+
     /// Pages currently allocated.
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().count()

@@ -113,12 +113,19 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
             self.counters.duplicate_packets += 1;
         }
         tp.replayed = replayed;
+        // Only a replay sets the flag, so a live packet pays one branch.
+        if replayed {
+            client.set_replaying(true);
+        }
         let mut ctx = NfContext::new(client, tp.clock, now);
         let action = self.nf.process(&tp.packet, &mut ctx);
         for alert in ctx.take_alerts() {
             self.counters.alerts.push((tp.clock, alert));
         }
         self.counters.processed += 1;
+        if replayed {
+            client.set_replaying(false);
+        }
         self.charge = client.take_charge();
         self.tokens.extend(client.take_packet_tokens());
         if duplicate {

@@ -64,6 +64,12 @@ impl SinkCore {
         self.delivered_ids.len() - self.duplicates as usize
     }
 
+    /// The highest clock delivered, and every counter below it never
+    /// delivered ([`ClockWindow::gaps`]).
+    pub fn undelivered(&self) -> (u64, Vec<u64>) {
+        self.seen.gaps()
+    }
+
     /// Resident bytes of the delivered-clock window.
     pub fn window_bytes(&self) -> usize {
         self.seen.resident_bytes()

@@ -252,6 +252,9 @@ pub struct StateClient {
     ordered: bool,
     /// The clock of the op an ordered writer buffered last.
     last_buffered: Option<Clock>,
+    /// The packet being processed is a replay
+    /// ([`StateClient::set_replaying`]).
+    replaying: bool,
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
     /// XOR tokens of store updates issued for the current packet (Figure 6).
@@ -297,6 +300,7 @@ impl StateClient {
             write_behind_cap: 0,
             ordered: false,
             last_buffered: None,
+            replaying: false,
             charge: SimDuration::ZERO,
             packet_tokens: Vec::new(),
             pending_callbacks: Vec::new(),
@@ -355,6 +359,15 @@ impl StateClient {
     /// declares once its replay is drained (DESIGN.md "How fault mode folds").
     pub fn declare_ordered_writer(&mut self) {
         self.ordered = self.store.register_ordered_writer(self.instance);
+    }
+
+    /// Say whether the packet about to be processed is a replay. A replayed
+    /// packet's update may be one the store already applied, which it then
+    /// only emulates, so none goes to a copy this client maintains before
+    /// the store has answered: it takes the offloaded path, which moves the
+    /// copy only by an op the store applied.
+    pub fn set_replaying(&mut self, replaying: bool) {
+        self.replaying = replaying;
     }
 
     /// Entries currently sitting in the write-behind buffer (ops, unless
@@ -553,7 +566,7 @@ impl StateClient {
         // op it issues (a `CacheWithCallbacks` copy is the store's to keep).
         let maintained = slot.cacheable(mode) && strategy != CacheStrategy::CacheWithCallbacks;
 
-        if maintained && !blocking_required {
+        if maintained && !blocking_required && !self.replaying {
             // Apply to the local copy; flush to the store with non-blocking
             // semantics (the flush keeps the store authoritative for fault
             // tolerance but is off the packet's critical path).

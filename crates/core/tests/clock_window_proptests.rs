@@ -44,6 +44,18 @@ impl Oracle {
         *floor = (*floor).max(clock.counter());
     }
 
+    /// The highest clock remembered, and every counter from the floor up
+    /// to it never offered.
+    fn gaps(&self) -> (u64, Vec<u64>) {
+        let floor = self.forgotten_through.map_or(1, |f| f + 1).max(1);
+        let held = |c: &u64| self.seen.contains(&Clock(*c));
+        let top = (self.seen.iter().map(|c| c.counter()))
+            .filter(|&c| c >= floor)
+            .max()
+            .unwrap_or(0);
+        (top, (floor..=top).filter(|c| !held(c)).collect())
+    }
+
     /// Pages that must still be resident: touched, and not wholly at or
     /// below the forgotten counter.
     fn resident_pages(&self) -> usize {
@@ -122,6 +134,7 @@ proptest! {
             window.resident_bytes(),
             oracle.resident_pages() * ClockWindow::PAGE_BYTES
         );
+        prop_assert_eq!(window.gaps(), oracle.gaps());
     }
 }
 

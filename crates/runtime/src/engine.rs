@@ -62,7 +62,7 @@ use crate::replay::truncate_logs;
 use crate::report::RuntimeReport;
 use crate::root::{run_root, Injection};
 use crate::sink::{run_sink, SinkResult};
-use crate::telemetry::{assemble_report, finalize_sentinel, run_monitor, RunTelemetry};
+use crate::telemetry::{assemble_report, finalize_sentinel, run_monitor, Books, RunTelemetry};
 use crate::wiring::{wire, Downstream, Wired};
 use chc_core::dag::DagError;
 use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
@@ -314,7 +314,7 @@ pub fn run_chain_realtime(
         let injection = run_root(trace, &plan, &shared, root_outs);
         running.join(injection)
     });
-    Ok(report(&shared, &plan, joined))
+    Ok(report(&shared, &plan, joined, trace))
 }
 
 /// The threads of a run, between spawn and join.
@@ -411,7 +411,7 @@ impl Running<'_> {
 
 /// Assemble the run's report: the final truncation pass, the shutdown
 /// invariant checks, the telemetry section and the store's final state.
-fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeReport {
+fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined, trace: &Trace) -> RuntimeReport {
     let Joined {
         injection,
         instances: results,
@@ -419,9 +419,10 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
         series,
     } = joined;
     let (mut instances, mut failed_instances) = (Vec::new(), Vec::new());
-    let mut recoveries = Vec::new();
+    let (mut recoveries, mut dropped) = (Vec::new(), Vec::new());
     for r in results {
         recoveries.extend(r.recovery);
+        dropped.extend(r.dropped_ids);
         if r.failed {
             failed_instances.push(r.report);
         } else {
@@ -480,10 +481,15 @@ fn report(shared: &EngineShared, plan: &ChainPlan, joined: Joined) -> RuntimeRep
     };
     // Shutdown invariant pass — before the telemetry section is assembled,
     // so violation events it journals appear in the report's event list.
+    let books = Books {
+        trace: &trace.packets,
+        undelivered: sink.undelivered,
+        dropped,
+    };
     run.invariants = finalize_sentinel(
         shared,
         &run,
-        sink.core.arrivals,
+        (sink.core.arrivals, books),
         (last_counter, final_frontier),
     );
     if !shared.telemetry.config.is_disabled() {

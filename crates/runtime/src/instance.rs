@@ -19,6 +19,7 @@ use crate::report::RuntimeInstanceReport;
 use crate::telemetry::{StoreTimer, TimedHandle, VertexStageMetrics};
 use crate::wiring::{frontier, idle_wait, route_all, Batch, Downstream, InstanceWiring, OutLink};
 use chc_core::{StateClient, Step, TaggedPacket};
+use chc_packet::PacketId;
 use chc_sim::VirtualTime;
 use chc_store::{Clock, StateKey, StateScope, Value};
 use chc_telemetry::{EventKind, SpanEvent, SpanKind, TraceLane};
@@ -38,6 +39,9 @@ pub(crate) struct InstanceResult {
     pub(crate) failed: bool,
     /// A replacement's failover record, once its replay is done.
     pub(crate) recovery: Option<InstanceRecovery>,
+    /// The ids of the packets its NF dropped, for the sentinel's books;
+    /// recorded only on the path and while the sentinel is on.
+    pub(crate) dropped_ids: Vec<PacketId>,
 }
 
 /// One instance thread's state between set-up and exit.
@@ -56,6 +60,8 @@ struct Instance<'a> {
     store_timer: Rc<StoreTimer>,
     /// Ring-transfer batches consumed.
     batches_in: u64,
+    /// Ids of the packets the NF dropped, when the sentinel keeps books.
+    dropped_ids: Option<Vec<PacketId>>,
 }
 
 /// Body of one NF instance thread: a planned instance or, on the thread of
@@ -97,6 +103,7 @@ pub(crate) fn run_instance(
         report,
         failed: killed_at.is_some(),
         recovery,
+        dropped_ids: me.dropped_ids.take().unwrap_or_default(),
     }];
     if let (Some(kill), Some(_)) = (kill, killed_at) {
         // The dead instance's NF, client and cache die with it; its wiring
@@ -155,8 +162,10 @@ fn set_up(plan: InstancePlan, wiring: InstanceWiring, shared: &EngineShared) -> 
             }
         }
     }
+    let books = shared.telemetry.sentinel.is_some() && !plan.core.off_path();
     Instance {
         batches_in: 0,
+        dropped_ids: books.then(Vec::new),
         lane: TraceLane::Vertex {
             vertex: plan.vertex.0,
             instance: plan.instance.0 as u64,
@@ -370,6 +379,9 @@ impl Instance<'_> {
         let now = VirtualTime::from_nanos(tp.packet.arrival_ns);
         let (core, client) = (&mut self.plan.core, &mut self.client);
         let step = core.on_packet(&mut tp, client, now, !live);
+        if let (Step::Dropped, Some(ids)) = (step, &mut self.dropped_ids) {
+            ids.push(tp.packet.id);
+        }
         if step == Step::Suppressed {
             // A repeated clock is a replay or a re-injection (§5.3): the
             // core counted it, and nothing else happens to it.

@@ -17,6 +17,9 @@ pub(crate) struct SinkResult {
     pub(crate) finished_at: Duration,
     /// Resident bytes of the duplicate window at exit.
     pub(crate) window_bytes: usize,
+    /// The highest clock delivered and every counter below it that was not,
+    /// for the sentinel's books; read from the window before it is freed.
+    pub(crate) undelivered: (u64, Vec<u64>),
 }
 
 /// Body of the sink thread. In fault mode the sink also publishes its
@@ -127,6 +130,9 @@ pub(crate) fn run_sink(
             .store(checker.checked, Ordering::Relaxed);
     }
     SinkResult {
+        undelivered: (telemetry.sentinel.as_ref())
+            .map(|_| core.undelivered())
+            .unwrap_or_default(),
         // Freed here: pages left to be freed after this thread exits raised
         // `steady`'s benchmark peak RSS by up to 22 % on a 2-vCPU host.
         window_bytes: core.free_window(),

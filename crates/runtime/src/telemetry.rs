@@ -35,6 +35,7 @@ use crate::report::RuntimeReport;
 use crate::spsc::RingProbe;
 use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
 use chc_core::StateHandle;
+use chc_packet::{Packet, PacketId};
 use chc_store::{Clock, InstanceId, StateKey, StoreServer, Value, VertexId};
 use chc_telemetry::{
     ConservationLedger, Counter, Event, EventJournal, EventKind, GaugeSeries, HistSummary,
@@ -457,19 +458,31 @@ pub(crate) fn run_monitor(
     out
 }
 
+/// What the books invariant reads beside the report.
+pub(crate) struct Books<'a> {
+    /// The trace the root took its packets from, in order.
+    pub(crate) trace: &'a [Packet],
+    /// The highest clock the sink delivered, and every counter below it
+    /// that it did not deliver.
+    pub(crate) undelivered: (u64, Vec<u64>),
+    /// The ids of the packets an on-path NF dropped, in any order and
+    /// possibly repeated (a replacement drops again what it replays).
+    pub(crate) dropped: Vec<PacketId>,
+}
+
 /// Shutdown pass of the invariant sentinel over the report the run is about
 /// to return: the whole-run invariants that only close at shutdown —
 /// failover completion, packet conservation, exactly-once delivery, the
-/// dedup-log bound and the packet-log bounds. `sink_arrivals` counts every
-/// copy the sink popped (duplicates included); `last_counter` is the last
-/// clock counter stamped, the highest (above `run.injected` once a new root
-/// resumed past a crashed one); `frontier` is the final commit frontier (0
-/// outside fault mode). Returns the sentinel section of the report, or
-/// `None` when the sentinel was off.
+/// books, the dedup-log bound and the packet-log bounds. `sink_arrivals`
+/// counts every copy the sink popped (duplicates included); `last_counter`
+/// is the last clock counter stamped, the highest (above `run.injected` once
+/// a new root resumed past a crashed one); `frontier` is the final commit
+/// frontier (0 outside fault mode). Returns the sentinel section of the
+/// report, or `None` when the sentinel was off.
 pub(crate) fn finalize_sentinel(
     shared: &EngineShared,
     run: &RuntimeReport,
-    sink_arrivals: u64,
+    (sink_arrivals, books): (u64, Books<'_>),
     (last_counter, frontier): (u64, u64),
 ) -> Option<SentinelReport> {
     let telemetry = &shared.telemetry;
@@ -500,6 +513,7 @@ pub(crate) fn finalize_sentinel(
     check_failover_completion(state, &violation);
     check_conservation(&out, &violation);
     check_exactly_once(run, &violation);
+    check_books(run, books, last_counter, &violation);
     check_dedup_log_bound(&shared.server, last_counter, &violation);
     if let Some(fault) = &run.fault {
         check_packet_log_bounds(shared, fault, (last_counter, frontier), &violation);
@@ -592,6 +606,51 @@ fn check_exactly_once(run: &RuntimeReport, report: Report<'_>) {
             format!(
                 "{} duplicate clocks reached the sink without a re-injection drill",
                 run.duplicates
+            ),
+        );
+    }
+}
+
+/// Every packet the root took is accounted for: delivered, or else by its
+/// id dropped by an on-path NF or lost with a crashed root
+/// (`RootTakeover::lost`). A full root log records no ids, so what is left
+/// may be at most the count it rejected. Ids, not counts, so a packet
+/// dropped twice cannot hide one lost. The sink names what it delivered by
+/// clock, the root's name for each packet it took; the trace maps the
+/// counters it did not deliver to ids, so no check reads the whole trace.
+fn check_books(run: &RuntimeReport, books: Books<'_>, last_counter: u64, report: Report<'_>) {
+    let fault = run.fault.as_ref();
+    let takeover = fault.and_then(|f| f.root_takeover.as_ref());
+    let rejected = fault.map_or(0, |f| f.log_rejected);
+    let mut accounted = books.dropped;
+    accounted.extend(takeover.iter().flat_map(|t| &t.lost));
+    accounted.sort_unstable();
+    // A new root resumes above counters nobody stamped; the trace goes on.
+    let (skip, resumed) = takeover.map_or((u64::MAX, 0), |t| (t.killed_at, t.resumed_at));
+    let position = |c: u64| {
+        if c < skip {
+            c - 1
+        } else {
+            c - resumed + skip - 1
+        }
+    };
+    let (top, mut gaps) = books.undelivered;
+    gaps.extend(top + 1..=last_counter);
+    let missing: Vec<PacketId> = (gaps.into_iter())
+        .filter(|&c| !(skip..resumed).contains(&c))
+        .filter_map(|c| books.trace.get(position(c) as usize).map(|p| p.id))
+        .filter(|id| accounted.binary_search(id).is_err())
+        .collect();
+    let unaccounted = missing.len() as u64;
+    if unaccounted > rejected {
+        report(
+            InvariantKind::Books,
+            unaccounted,
+            rejected,
+            format!(
+                "{unaccounted} packets the root took were neither delivered, dropped by an NF \
+                 nor lost with a root, and a full root log rejected {rejected}; the first: {:?}",
+                &missing[..missing.len().min(8)]
             ),
         );
     }
@@ -796,6 +855,7 @@ pub(crate) fn assemble_report(
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
+    use crate::fault::RootTakeover;
     use crate::plan::tests::fw_nat_lb;
     use crate::plan::ChainPlan;
     use chc_core::ChainConfig;
@@ -866,11 +926,60 @@ mod tests {
                 }
             )
         );
-        let report = finalize_sentinel(&shared, &RuntimeReport::default(), 0, (0, 0));
+        let books = Books {
+            trace: &[],
+            undelivered: (0, Vec::new()),
+            dropped: Vec::new(),
+        };
+        let report = finalize_sentinel(&shared, &RuntimeReport::default(), (0, books), (0, 0));
         let report = report.expect("sentinel on");
         let flagged: Vec<_> = report.violations.iter().map(|v| v.invariant).collect();
         assert_eq!(flagged, [InvariantKind::FrontierMonotonic]);
         assert_eq!((report.events_checked, report.frontier_advances), (3, 2));
+    }
+
+    /// Six packets taken, counters 1–6; the sink delivered 1–3, and there
+    /// are three drop records, which a count would take for the other three.
+    /// But 4 was dropped twice (its replay dropped it again) and 6 never
+    /// turns up: the books name it, unless a full root log rejected one
+    /// packet or a root crash lost 6.
+    #[test]
+    fn the_books_compare_ids_not_counts() {
+        let trace: Vec<Packet> = (1..=6).map(|id| Packet::builder().id(id).build()).collect();
+        let mut run = RuntimeReport::default();
+        let flagged = |run: &RuntimeReport| {
+            let seen = RefCell::new(Vec::new());
+            let books = Books {
+                trace: &trace,
+                undelivered: (3, Vec::new()),
+                dropped: [4, 5, 4].map(PacketId).to_vec(),
+            };
+            check_books(run, books, 6, &|kind, observed, expected, detail| {
+                seen.borrow_mut().push((kind, observed, expected, detail));
+            });
+            seen.into_inner()
+        };
+        let missing = flagged(&run);
+        assert_eq!(missing.len(), 1);
+        assert_eq!(missing[0].0, InvariantKind::Books);
+        assert_eq!((missing[0].1, missing[0].2), (1, 0));
+        assert!(missing[0].3.contains("[PacketId(6)]"), "{}", missing[0].3);
+
+        let mut fault = FaultReport {
+            log_rejected: 1,
+            ..FaultReport::default()
+        };
+        run.fault = Some(fault.clone());
+        assert!(flagged(&run).is_empty(), "a full root log rejected it");
+        fault.log_rejected = 0;
+        fault.root_takeover = Some(RootTakeover {
+            killed_at: 7,
+            resumed_at: 101,
+            lost: vec![PacketId(6)],
+            recovery_wall: Duration::ZERO,
+        });
+        run.fault = Some(fault);
+        assert!(flagged(&run).is_empty(), "the dead root lost it");
     }
 
     #[test]

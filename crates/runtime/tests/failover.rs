@@ -1089,6 +1089,33 @@ fn a_nat_replacement_inherits_the_marks_of_the_nat_it_replaces() {
     }
 }
 
+/// A load balancer's replacement replays packets its predecessor had
+/// already processed, against a connection table that already holds their
+/// effects. Their updates go to the store, which only emulates them, and
+/// the replacement's copy of the table moves only by what the store
+/// applied, so a replayed close does not take a connection off twice. One
+/// LB kill of the seed-37 trace, at the counters where the copy used to
+/// drift (ROADMAP item 4(a); the kill at 640 with 64-packet batches still
+/// diverges).
+#[test]
+fn a_load_balancer_replacement_moves_its_table_only_by_the_store() {
+    let trace = trace_for(37);
+    for (batch, kills) in [(8usize, &[320u64][..]), (64, &[320, 480, 800])] {
+        let rt = || RuntimeConfig::with_batch_size(batch);
+        let healthy = run(&fw_nat_lb(), ChainConfig::default(), rt(), &trace);
+        for &at in kills {
+            let faulted = run(
+                &fw_nat_lb(),
+                ChainConfig::default(),
+                rt().with_fault(FaultPlan::new().kill(LB, 0, at)),
+                &trace,
+            );
+            let what = format!("batch {batch} kill at {at}");
+            assert_recovers_exactly(&healthy, &faulted, 1, RuntimeReport::shared_digest, &what);
+        }
+    }
+}
+
 /// Behind two firewall instances the NAT interleaves two rings, so its
 /// increments reach the store out of clock order: it is not an ordered
 /// writer, never folds, and its duplicates stay with the log. A store op a

@@ -67,6 +67,10 @@ pub enum InvariantKind {
     /// above the replay floor can account for (entries that should have
     /// been pruned at the floor, or a healthy run that logged at all).
     DedupLogBound,
+    /// A packet the root took is unaccounted for: neither delivered,
+    /// dropped by an on-path NF, lost with a crashed root nor rejected by a
+    /// full root log.
+    Books,
 }
 
 impl InvariantKind {
@@ -82,6 +86,7 @@ impl InvariantKind {
             InvariantKind::FailoverPhase => 6,
             InvariantKind::RootHandoff => 7,
             InvariantKind::DedupLogBound => 9,
+            InvariantKind::Books => 10,
         }
     }
 
@@ -96,6 +101,7 @@ impl InvariantKind {
             6 => InvariantKind::FailoverPhase,
             7 => InvariantKind::RootHandoff,
             9 => InvariantKind::DedupLogBound,
+            10 => InvariantKind::Books,
             _ => return None,
         })
     }
@@ -111,6 +117,7 @@ impl InvariantKind {
             InvariantKind::FailoverPhase => "failover_phase",
             InvariantKind::RootHandoff => "root_handoff",
             InvariantKind::DedupLogBound => "dedup_log_bound",
+            InvariantKind::Books => "books",
         }
     }
 }
@@ -686,6 +693,7 @@ mod tests {
             InvariantKind::FailoverPhase,
             InvariantKind::RootHandoff,
             InvariantKind::DedupLogBound,
+            InvariantKind::Books,
         ] {
             assert_eq!(InvariantKind::from_code(k.code()), Some(k));
             assert_eq!(invariant_name(k.code()), k.name());
