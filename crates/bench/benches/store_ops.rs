@@ -237,7 +237,6 @@ fn client_access(c: &mut Criterion) {
     client.set_write_behind(true, 32);
     let packet_done = |client: &mut StateClient| {
         let _ = client.take_charge();
-        let _ = client.take_packet_tokens();
     };
     for i in 0..FLOWS {
         client.update(
@@ -455,7 +454,6 @@ fn client_access(c: &mut Criterion) {
                 client.update(loadbalancer::SERVER_BYTES, at, bytes, clock);
             }
             let _ = client.take_charge();
-            let _ = client.take_packet_tokens();
         };
         let packets = if two_counters { 16 } else { 32 };
         group.bench_function(name, |b| {
@@ -536,7 +534,6 @@ fn pool_pop(c: &mut Criterion) {
             let port = client.update("free_ports", None, Operation::PopFront, clock());
             client.update("free_ports", None, Operation::PushBack(port), clock());
             let _ = client.take_charge();
-            let _ = client.take_packet_tokens();
         })
     });
     group.finish();

@@ -266,7 +266,7 @@ impl ChainController {
         self.next_instance += 1;
         let nf = spec.build_nf();
         let objects = nf.state_objects();
-        let mut client = StateClient::new(
+        let client = StateClient::new(
             spec.id,
             instance,
             Box::new(Arc::clone(&self.store)),
@@ -274,8 +274,6 @@ impl ChainController {
             self.config.costs,
             &objects,
         );
-        // The actor folds the update tokens into the commit vector (Figure 6).
-        client.set_recovery_logging(true);
         let params = InstanceParams {
             vertex: spec.id,
             downstream: self.dag.downstream_of(spec.id),

@@ -16,9 +16,10 @@
 //! * egress logging: an instance of a vertex some other vertex replays from
 //!   copies each packet it forwards, replayed ones included, into its
 //!   vertex's row of the shared [`VertexLogs`] ([`VertexLogs::log_forwarded`]),
-//! * commit-signal emission for the root's XOR delete protocol (Figure 6),
 //! * callback delivery for read-heavy cached objects, and
-//! * chain-tail duties: the "delete-before-output" rule of §5.4.
+//! * delete requests: the chain exit, or the on-path instance that drops a
+//!   packet, tells the root to unlog it, an exit before it releases the
+//!   output ("delete-before-output", §5.4).
 
 use crate::chain::Topology;
 use crate::config::ChainConfig;
@@ -224,24 +225,9 @@ impl NfInstanceActor {
         self.metrics.series.push(now, delay.as_micros_f64());
         self.metrics.throughput.record(finish, tp.packet.len as u64);
 
-        // Commit tokens: fold into the packet's XOR vector and signal the
-        // root (the store signals commits; one store→root hop of latency).
-        // Off-path NFs process *copies* whose vectors never reach the chain
-        // tail, so they do not participate in the delete protocol.
-        let off_path = self.core.off_path();
+        // Callbacks produced by our updates to read-heavy shared objects
+        // (the store notifies: one store hop of latency).
         let via_store = delay + self.config.costs.store_one_way;
-        if !off_path {
-            for &token in self.core.tokens() {
-                tp.absorb_update_token(token);
-                let signal = Msg::CommitSignal {
-                    clock: tp.clock,
-                    token,
-                };
-                ctx.send_with_extra_delay(self.root, signal, via_store);
-            }
-        }
-
-        // Callbacks produced by our updates to read-heavy shared objects.
         for (other, key, value) in self.client.take_pending_callbacks() {
             if let Some(actor) = self.topology.borrow().actor_of_instance(other) {
                 ctx.send_with_extra_delay(actor, Msg::CallbackUpdate { key, value }, via_store);
@@ -251,13 +237,13 @@ impl NfInstanceActor {
         // Forwarding. A dropped packet's journey through the chain ends here
         // (even if this is not the chain tail), so the root may unlog it;
         // an exit sends its delete request before the output packet is
-        // released towards the end host (§5.4).
-        let delete = Msg::DeleteRequest {
-            clock: tp.clock,
-            xor_vector: tp.xor_vector,
-        };
+        // released towards the end host (§5.4). Off-path NFs process
+        // *copies*, whose fate confirms nothing.
+        let delete = Msg::DeleteRequest { clock: tp.clock };
         match step {
-            Step::Dropped if !off_path => ctx.send_with_extra_delay(self.root, delete, delay),
+            Step::Dropped if !self.core.off_path() => {
+                ctx.send_with_extra_delay(self.root, delete, delay);
+            }
             Step::Forward { exit } => {
                 self.params.logs.log_forwarded(self.params.vertex, &tp);
                 if exit {

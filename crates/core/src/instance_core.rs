@@ -40,7 +40,8 @@ pub struct InstanceCounters {
     pub suppressed_duplicates: u64,
     /// Repeated clocks the NF processed: suppression is off.
     pub duplicate_packets: u64,
-    /// State updates issued while processing those duplicates.
+    /// State updates issued while processing those duplicates
+    /// ([`crate::state::StateClientStats::store_updates`]).
     pub duplicate_state_updates: u64,
     /// Alerts raised by the NF, with the clock of the packet that raised it.
     pub alerts: Vec<(Clock, String)>,
@@ -55,9 +56,8 @@ pub struct InstanceCore<N = Box<dyn NetworkFunction>> {
     window: Option<ClockWindow>,
     /// Drop a repeat instead of processing it again.
     suppress: bool,
-    /// The last packet's state-access charge and update tokens.
+    /// The last packet's state-access charge.
     charge: SimDuration,
-    tokens: Vec<u32>,
     counters: InstanceCounters,
 }
 
@@ -72,7 +72,6 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
             window: None,
             suppress: false,
             charge: SimDuration::ZERO,
-            tokens: Vec::new(),
             counters: InstanceCounters::default(),
         }
     }
@@ -92,9 +91,9 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
     /// Run one packet: admit or suppress it at the input queue (a repeated
     /// clock is a replayed or replicated copy, §5.3), mark an admitted one
     /// [`TaggedPacket::replayed`] if this is a replay, run the NF, record its
-    /// alerts under the packet's clock, take the packet's charge and update
-    /// tokens from the client so no driver can leave them behind, and
-    /// classify the outcome (§5.4). The output replaces the input in `tp`.
+    /// alerts under the packet's clock, take the packet's charge from the
+    /// client so no driver can leave it behind, and classify the outcome
+    /// (§5.4). The output replaces the input in `tp`.
     #[inline]
     pub fn on_packet(
         &mut self,
@@ -103,7 +102,6 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
         now: VirtualTime,
         replayed: bool,
     ) -> Step {
-        self.tokens.clear();
         let duplicate = self.window.as_mut().is_some_and(|w| !w.insert(tp.clock));
         if duplicate {
             if self.suppress {
@@ -112,6 +110,7 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
             }
             self.counters.duplicate_packets += 1;
         }
+        let updates = duplicate.then(|| client.stats().store_updates);
         tp.replayed = replayed;
         // Only a replay sets the flag, so a live packet pays one branch.
         if replayed {
@@ -127,9 +126,8 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
             client.set_replaying(false);
         }
         self.charge = client.take_charge();
-        self.tokens.extend(client.take_packet_tokens());
-        if duplicate {
-            self.counters.duplicate_state_updates += self.tokens.len() as u64;
+        if let Some(before) = updates {
+            self.counters.duplicate_state_updates += client.stats().store_updates - before;
         }
         match action {
             Action::Drop => {
@@ -150,12 +148,6 @@ impl<'n, N: DerefMut<Target = dyn NetworkFunction + 'n>> InstanceCore<N> {
     /// The state-access charge of the last packet the NF processed.
     pub fn charge(&self) -> SimDuration {
         self.charge
-    }
-
-    /// The XOR tokens of the store updates the last packet issued: empty
-    /// unless its client records them (`StateClient::set_recovery_logging`).
-    pub fn tokens(&self) -> &[u32] {
-        &self.tokens
     }
 
     /// True for an off-path instance.
@@ -226,18 +218,15 @@ mod tests {
         }
     }
 
-    /// A client that records its update tokens, as the simulator's do.
     fn client() -> StateClient {
-        let mut client = StateClient::new(
+        StateClient::new(
             VertexId(1),
             InstanceId(0),
             Box::new(SharedStore::new()),
             ExternalizationMode::Externalized,
             CostModel::default(),
             &Counter.state_objects(),
-        );
-        client.set_recovery_logging(true);
-        client
+        )
     }
 
     fn packet(counter: u64, len: u32) -> TaggedPacket {
@@ -270,12 +259,12 @@ mod tests {
         let (mut core, mut client) = (core(false, false), client());
         core.track_duplicates(true);
         step(&mut core, &mut client, &mut packet(7, 80));
-        let (stats, tokens) = (client.stats(), core.tokens().to_vec());
+        let stats = client.stats();
+        assert_eq!(stats.store_updates, 1);
         let mut repeat = packet(7, 80);
         assert_eq!(step(&mut core, &mut client, &mut repeat), Step::Suppressed);
         assert_eq!(client.stats(), stats, "the client saw traffic");
         assert_eq!(repeat, packet(7, 80), "a suppressed packet is untouched");
-        assert!(core.tokens().is_empty() && !tokens.is_empty());
         let c = core.counters();
         assert_eq!((c.processed, c.suppressed_duplicates), (1, 1));
         assert!(core.window_bytes() > 0);
@@ -329,12 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn the_step_takes_the_charge_and_the_tokens_from_the_client() {
+    fn the_step_takes_the_charge_from_the_client() {
         let (mut core, mut client) = (core(false, false), client());
         step(&mut core, &mut client, &mut packet(1, 80));
         assert!(core.charge() > SimDuration::ZERO);
-        assert_eq!(core.tokens().len(), 1);
         assert_eq!(client.take_charge(), SimDuration::ZERO);
-        assert_eq!(client.take_packet_tokens().len(), 0);
     }
 }

@@ -15,7 +15,7 @@
 //!    non-blocking update strategies of Table 1 and offloads operations so the
 //!    store serializes shared-state updates (R1, R2, R3).
 //! 2. **Metadata** — per-packet logical clocks stamped by the chain [`root`],
-//!    root-side packet logs with the XOR commit-vector protocol of §5.4,
+//!    per-vertex packet logs freed once the chain confirms a packet (§5.4),
 //!    store-side clock-tagged update logs, and each store shard's checkpoint
 //!    plus journal, which a crashed shard restarts from (R4, R5, R6).
 //! 3. **Protocols** — scope-aware traffic partitioning ([`splitter`]), the

@@ -1,5 +1,5 @@
 //! Messages exchanged between chain components and the framework envelope
-//! that wraps packets (clock, handover mark, XOR commit vector).
+//! that wraps packets (clock, replay and handover marks, span stamps).
 
 use chc_packet::{Packet, TraceTag};
 use chc_store::{Clock, InstanceId, StateKey, Value, VertexId};
@@ -14,19 +14,15 @@ pub const TIMED_PERIOD: u64 = 16;
 
 /// A packet wrapped in the CHC framework envelope.
 ///
-/// The envelope carries the logical clock stamped by the root, the XOR
-/// commit vector of §5.4 (16-bit instance id ‖ 16-bit object id per update),
-/// replay/clone annotations, the handover mark and the span stamps of a timed
-/// packet. NFs never see the envelope; the instance runtime unwraps it.
+/// The envelope carries the logical clock stamped by the root, replay/clone
+/// annotations, the handover mark and the span stamps of a timed packet.
+/// NFs never see the envelope; the instance runtime unwraps it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaggedPacket {
     /// The packet as NFs see it.
     pub packet: Packet,
     /// Logical clock stamped by the root: its counter, `1..=N`.
     pub clock: Clock,
-    /// XOR of `(instance id ‖ object id)` for every state update the packet
-    /// induced so far (§5.4, Figure 6).
-    pub xor_vector: u32,
     /// The sender processed this copy as a replay, out of a clone's or
     /// failover instance's own snapshot of the packet logs (§5.3). The bit
     /// lasts one hop: a downstream instance admits the copy like any packet,
@@ -61,7 +57,6 @@ impl TaggedPacket {
         TaggedPacket {
             packet,
             clock,
-            xor_vector: 0,
             replayed: false,
             replicated: false,
             first_of_move: false,
@@ -78,20 +73,6 @@ impl TaggedPacket {
     pub fn is_timed(&self) -> bool {
         self.trace.is_some() || self.clock.counter().is_multiple_of(TIMED_PERIOD)
     }
-
-    /// Fold one state update's token into the XOR commit vector.
-    pub fn absorb_update_token(&mut self, token: u32) {
-        self.xor_vector ^= token;
-    }
-}
-
-/// The token XORed into packet vectors and signalled by the store when the
-/// corresponding update commits: high 16 bits = instance id, low 16 bits =
-/// the low 16 bits of the hash of the object identity that the key carries
-/// (§5.4). Nothing is hashed here.
-pub fn xor_token(instance: InstanceId, key: &StateKey) -> u32 {
-    let obj = (key.shard_hash() & 0xffff) as u32;
-    ((instance.0 & 0xffff) << 16) | obj
 }
 
 /// Messages exchanged by chain components over the simulated network.
@@ -99,22 +80,11 @@ pub fn xor_token(instance: InstanceId, key: &StateKey) -> u32 {
 pub enum Msg {
     /// A data packet travelling the chain.
     Data(TaggedPacket),
-    /// Chain-tail → root: processing of `clock` finished; the final XOR
-    /// vector must match the commit signals received by the root before the
-    /// log entry is deleted (§5.4, Figure 6 step 3).
+    /// Chain exit, or the on-path vertex that dropped the packet → root:
+    /// processing of `clock` finished, so the root unlogs it (§5.4).
     DeleteRequest {
         /// Clock of the finished packet.
         clock: Clock,
-        /// Final XOR vector accumulated along the chain.
-        xor_vector: u32,
-    },
-    /// Store → root: an update induced by `clock` was committed; the token
-    /// is XORed out of the root's pending vector (Figure 6 step 2).
-    CommitSignal {
-        /// Clock of the inducing packet.
-        clock: Clock,
-        /// `(instance ‖ object)` token of the committed update.
-        token: u32,
     },
     /// Store → NF instance: a cached read-heavy object changed (Table 1
     /// callback path).
@@ -155,38 +125,4 @@ pub enum Msg {
     },
     /// Sink → nowhere: emitted packet reached the end host (used in tests).
     Delivered(TaggedPacket),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use chc_store::ObjectKey;
-
-    #[test]
-    fn xor_vector_cancels_out() {
-        let pkt = Packet::builder().id(1).build();
-        let mut tp = TaggedPacket::new(pkt, Clock(1));
-        let k1 = StateKey::shared(VertexId(1), ObjectKey::named("a"));
-        let k2 = StateKey::shared(VertexId(2), ObjectKey::named("b"));
-        let t1 = xor_token(InstanceId(3), &k1);
-        let t2 = xor_token(InstanceId(5), &k2);
-        tp.absorb_update_token(t1);
-        tp.absorb_update_token(t2);
-        assert_ne!(tp.xor_vector, 0);
-        // The root XORs in the commit signals; when every update committed
-        // the vector returns to zero.
-        tp.absorb_update_token(t1);
-        tp.absorb_update_token(t2);
-        assert_eq!(tp.xor_vector, 0);
-    }
-
-    #[test]
-    fn xor_token_separates_instance_and_object() {
-        let k = StateKey::shared(VertexId(1), ObjectKey::named("a"));
-        let t1 = xor_token(InstanceId(1), &k);
-        let t2 = xor_token(InstanceId(2), &k);
-        assert_ne!(t1, t2);
-        assert_eq!(t1 & 0xffff, t2 & 0xffff, "object part identical");
-        assert_ne!(t1 >> 16, t2 >> 16, "instance part differs");
-    }
 }

@@ -1,23 +1,25 @@
-//! The chain root: logical clocks, packet logging, the delete/commit
-//! protocol, and root failover (§5, §5.4).
+//! The chain root: logical clocks, packet logging, the delete request,
+//! and root failover (§5, §5.4).
 //!
 //! The root is a special splitter at the chain entry. For every input packet
 //! it (1) stamps a unique logical clock through its [`RootCore`], which
 //! persists the clock and recovers it, (2) logs the packet through the same
 //! core, in the [`ROOT_VERTEX`] row of the [`VertexLogs`] it shares with the
-//! instances, until the chain tail confirms that processing — and every
-//! state update the packet induced — has finished, and (3)
+//! instances, until the chain confirms that processing has finished, and (3)
 //! forwards it to the entry vertex chosen by scope-aware partitioning. The
 //! root replays nothing itself: a failover or straggler clone instance of
 //! an entry vertex takes its replay out of the root's row
-//! ([`VertexLogs::replay`]). Deletion follows the XOR commit-vector protocol
-//! of Figure 6 so that a packet is never un-logged while some non-blocking
-//! state update it induced is still uncommitted: every commit signal and
-//! every delete request folds into the counter's cell of the root's
-//! [`XorDeleteLedger`], and the packet is unlogged from every row — its cell
-//! dropped with it — once the request came and the tokens cancelled. (The
-//! real-thread engine keeps no ledger: it cuts its logs at commit frontiers
-//! alone, `chc_runtime::replay`.)
+//! ([`VertexLogs::replay`]).
+//!
+//! The chain confirms a packet with one delete request, from its exit or
+//! from the on-path vertex that dropped it; the root then unlogs it from
+//! every row and drops its store dedup record. The paper's Figure 6 also
+//! waits for the XOR of the packet's update tokens to cancel, because a
+//! non-blocking update commits later at a remote store. The simulator's
+//! store applies each update when it is issued, so by the time the request
+//! lands every update the packet induced has committed, and the request
+//! alone is the rule. (The real-thread engine sends no requests: it cuts
+//! its logs at commit frontiers alone, `chc_runtime::replay`.)
 
 use crate::chain::Topology;
 use crate::config::ChainConfig;
@@ -27,7 +29,7 @@ use crate::root_core::{RootCore, CLOCK_PERSIST_PERIOD};
 use crate::splitter::PartitionTable;
 use crate::vertexlog::VertexLogs;
 use chc_sim::{Actor, ActorId, Ctx, SimDuration};
-use chc_store::{Clock, CounterWindow, StoreServer, VertexId};
+use chc_store::{Clock, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -49,80 +51,10 @@ pub struct RootStats {
     pub packets_in: u64,
     /// Packets dropped because the log exceeded its capacity.
     pub dropped: u64,
-    /// Log entries deleted after chain-tail confirmation.
+    /// Packets unlogged on their delete request, each once.
     pub deleted: u64,
     /// Largest log size observed.
     pub log_high_water: usize,
-}
-
-const DELIVERED: u64 = 1 << 63;
-
-/// Figure 6's commit vector at the root: one cell per clock counter in
-/// flight, in a [`CounterWindow`]. Bit 63 records that the counter is
-/// *delivered* (its delete request came), the low 32 bits XOR the tokens of
-/// its commit signals and delete vector. A counter is *deletable* once
-/// delivered with zero residue.
-///
-/// Every fold or delivery that leaves a counter deletable also lists it, so
-/// the per-packet delete ([`XorDeleteLedger::delete_pending`]) visits what
-/// changed since it last ran, not every cell or logged packet held.
-#[derive(Debug, Default)]
-pub struct XorDeleteLedger {
-    cells: CounterWindow<u64>,
-    /// Counters an edit left deletable since the last delete pass, in the
-    /// order they became so. One may have been taken or edited again since,
-    /// or be listed twice: the pass checks each again.
-    pending: Vec<u64>,
-}
-
-impl XorDeleteLedger {
-    fn edit(&mut self, counter: u64, edit: impl FnOnce(&mut u64)) {
-        let cell = self.cells.cell(counter).get_or_insert(0);
-        edit(cell);
-        if *cell == DELIVERED {
-            self.pending.push(counter);
-        }
-    }
-
-    /// Fold a commit signal's `token` into the counter's residue.
-    pub fn fold(&mut self, counter: u64, token: u32) {
-        self.edit(counter, |cell| *cell ^= u64::from(token));
-    }
-
-    /// The counter's delete request came carrying `vector`: fold the vector
-    /// back out and mark the counter delivered. A repeat carries the same
-    /// tokens again, so it replaces the residue the first one left.
-    pub fn deliver(&mut self, counter: u64, vector: u32) {
-        self.edit(counter, |cell| {
-            let residue = if *cell & DELIVERED == 0 { *cell } else { 0 };
-            *cell = DELIVERED | (residue ^ u64::from(vector));
-        });
-    }
-
-    /// Figure 6's per-packet delete: every counter an edit left deletable
-    /// since the last call that still is — held, delivered, zero residue —
-    /// loses its cell and is handed to `delete`, which unlogs it. Visits the
-    /// counters that changed, not the cells held; how many went.
-    pub fn delete_pending(&mut self, mut delete: impl FnMut(u64)) -> usize {
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut deleted = 0;
-        for &counter in &pending {
-            if self.cells.get(counter) == Some(&DELIVERED) {
-                self.cells.take(counter);
-                delete(counter);
-                deleted += 1;
-            }
-        }
-        // The list keeps its capacity: a warm pass allocates nothing.
-        pending.clear();
-        self.pending = pending;
-        deleted
-    }
-
-    /// Every counter with a cell, lowest first.
-    pub fn counters(&self) -> impl Iterator<Item = u64> + '_ {
-        self.cells.iter().map(|(counter, _)| counter)
-    }
 }
 
 /// The root actor. See the module documentation.
@@ -137,9 +69,6 @@ pub struct RootActor {
     /// The chain's packet logs: the root logs into the [`ROOT_VERTEX`] row
     /// what is still being processed somewhere in the chain.
     logs: Rc<VertexLogs>,
-    /// Figure 6's residue per counter: commit tokens and delete vectors
-    /// fold in, a delete request marks the counter finished.
-    ledger: XorDeleteLedger,
     /// The counts the actor keeps; `stats()` fills `dropped` and `log_high_water` from the log.
     stats: RootStats,
 }
@@ -166,7 +95,6 @@ impl RootActor {
             topology,
             store,
             logs,
-            ledger: XorDeleteLedger::default(),
             stats: RootStats::default(),
         }
     }
@@ -199,18 +127,15 @@ impl RootActor {
         }
     }
 
-    /// Unlog every packet whose delete request came and whose every token
-    /// cancelled: the ledger lists those the last message left so. The
-    /// counter's cell goes with it, so a straggler's repeat request starts
-    /// afresh.
-    fn delete_cancelled(&mut self) {
-        let (logs, store, stats) = (&self.logs, &self.store, &mut self.stats);
-        self.ledger.delete_pending(|counter| {
-            let clock = Clock(counter);
-            logs.remove(&clock);
-            store.forget_clock(clock);
-            stats.deleted += 1;
-        });
+    /// The chain confirmed `clock`: its exit sent it on, or an on-path
+    /// vertex dropped it. Unlog it from every row and drop its store dedup
+    /// record. A repeat request (a straggler clone's or a replay's copy)
+    /// finds nothing to unlog.
+    fn delete(&mut self, clock: Clock) {
+        if self.logs.remove(&clock) {
+            self.stats.deleted += 1;
+        }
+        self.store.forget_clock(clock);
     }
 }
 
@@ -218,14 +143,7 @@ impl Actor<Msg> for RootActor {
     fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_input(tp, ctx),
-            Msg::DeleteRequest { clock, xor_vector } => {
-                self.ledger.deliver(clock.counter(), xor_vector);
-                self.delete_cancelled();
-            }
-            Msg::CommitSignal { clock, token } => {
-                self.ledger.fold(clock.counter(), token);
-                self.delete_cancelled();
-            }
+            Msg::DeleteRequest { clock } => self.delete(clock),
             _ => {}
         }
     }
@@ -237,45 +155,6 @@ mod tests {
     use crate::state::SharedStore;
     use chc_packet::Packet;
     use chc_sim::{Simulation, VirtualTime};
-
-    #[test]
-    fn ledger_confirms_and_cancels() {
-        let mut ledger = XorDeleteLedger::default();
-        let held = |l: &XorDeleteLedger| l.counters().collect::<Vec<_>>();
-        let a = 0x0003_8007;
-        ledger.fold(7, a);
-        assert_eq!(ledger.delete_pending(|_| {}), 0, "in flight");
-        // Delivered without the token in its vector: the residue stays.
-        ledger.deliver(7, 0);
-        assert_eq!(ledger.delete_pending(|_| {}), 0, "residue outstanding");
-        // A late fold cancels it (a commit after the delete request).
-        ledger.fold(7, a);
-        let mut deleted = Vec::new();
-        assert_eq!(ledger.delete_pending(|c| deleted.push(c)), 1);
-        assert_eq!((deleted, held(&ledger)), (vec![7], vec![]));
-        assert_eq!(ledger.delete_pending(|_| {}), 0, "deleted once");
-        // A repeat delivery replaces the residue the first one left.
-        ledger.deliver(8, a);
-        ledger.deliver(8, a);
-        assert_eq!(ledger.delete_pending(|_| {}), 0);
-        ledger.fold(8, a);
-        assert_eq!(ledger.delete_pending(|_| {}), 1);
-        assert!(held(&ledger).is_empty());
-    }
-
-    #[test]
-    fn two_commits_cancel_through_one_delete_vector() {
-        // Two instances updated state for the packet: the delete request
-        // carries both tokens, and the cell cancels once both commits came.
-        let mut ledger = XorDeleteLedger::default();
-        let (a, b) = (0x0003_8007, 0x0005_8007);
-        ledger.fold(2, a);
-        ledger.deliver(2, a ^ b);
-        assert_eq!(ledger.delete_pending(|_| {}), 0, "one commit outstanding");
-        ledger.fold(2, b);
-        assert_eq!(ledger.delete_pending(|_| {}), 1);
-        assert_eq!(ledger.counters().count(), 0);
-    }
 
     #[test]
     fn a_full_log_uses_up_the_rejected_arrivals_counter() {
@@ -300,11 +179,11 @@ mod tests {
             sim.inject_at(VirtualTime::from_micros(id), at, arrival(id));
         }
         // Confirming clock 1 frees a slot for the fourth arrival.
-        let (clock, xor_vector) = (Clock::with_root(0, 1), 0);
+        let clock = Clock::with_root(0, 1);
         sim.inject_at(
             VirtualTime::from_micros(4),
             at,
-            Msg::DeleteRequest { clock, xor_vector },
+            Msg::DeleteRequest { clock },
         );
         sim.inject_at(VirtualTime::from_micros(5), at, arrival(4));
         sim.run();
@@ -324,11 +203,14 @@ mod tests {
         assert_eq!(stats.log_high_water, 2);
     }
 
-    /// Figure 6's orderings, one counter each, in the order the messages
-    /// reach the root: what stays logged and how many deletes the root
-    /// counts.
+    /// A delete request unlogs its packet from every row at once; a repeat
+    /// (a straggler clone's or a replay's copy) finds nothing and is not
+    /// counted, and a packet no request names stays logged.
     #[test]
-    fn figure_6_orderings_delete_once_the_tokens_cancel() {
+    fn a_delete_request_unlogs_its_packet_from_every_row_once() {
+        let mut logs = VertexLogs::new(ROOT_LOG_CAPACITY);
+        logs.arm(VertexId(2), ROOT_LOG_CAPACITY);
+        let logs = Rc::new(logs);
         let root = RootActor::new(
             RootCore::default(),
             ChainConfig::default(),
@@ -336,7 +218,7 @@ mod tests {
             Rc::default(),
             Rc::default(),
             SharedStore::new(),
-            Rc::new(VertexLogs::new(ROOT_LOG_CAPACITY)),
+            Rc::clone(&logs),
         );
         let mut sim: Simulation<Msg> = Simulation::new(1);
         let at = sim.add_actor(Box::new(root));
@@ -345,60 +227,31 @@ mod tests {
             t += 1;
             sim.inject_at(VirtualTime::from_micros(t), at, msg);
         };
-        for id in 1..=7 {
+        for id in 1..=4 {
             let pkt = Packet::builder().id(id).build();
+            let tp = TaggedPacket::new(pkt, Clock::with_root(0, id));
+            logs.log_forwarded(VertexId(2), &tp);
             send(
                 &mut sim,
-                Msg::Data(TaggedPacket::new(pkt, Clock::default())),
+                Msg::Data(TaggedPacket::new(tp.packet, Clock::default())),
             );
         }
-        let clock = |c| Clock::with_root(0, c);
-        let delete = |c, xor_vector| Msg::DeleteRequest {
-            clock: clock(c),
-            xor_vector,
+        let delete = |c| Msg::DeleteRequest {
+            clock: Clock::with_root(0, c),
         };
-        let commit = |c, token| Msg::CommitSignal {
-            clock: clock(c),
-            token,
-        };
-        let (a, b) = (0x0001_0007, 0x0002_0009);
-        // 1: the commit arrives before the delete request.
-        send(&mut sim, commit(1, a));
-        send(&mut sim, delete(1, a));
-        // 2: the delete request arrives before the commit.
-        send(&mut sim, delete(2, a));
-        send(&mut sim, commit(2, a));
-        // 3: two commits after the delete; only the second completes it.
-        send(&mut sim, delete(3, a ^ b));
-        send(&mut sim, commit(3, a));
-        // 4: as 3, but the second commit never comes: 4 stays logged.
-        send(&mut sim, delete(4, a ^ b));
-        send(&mut sim, commit(4, a));
-        send(&mut sim, commit(3, b));
-        // 5: a repeat delete request after the first completed (a straggler
-        // clone's copy): the counter starts fresh and is deleted again.
-        send(&mut sim, delete(5, 0));
-        send(&mut sim, delete(5, 0));
-        // 6: a commit after the delete, then a repeat request that carries
-        // it: deleted again.
-        send(&mut sim, delete(6, 0));
-        send(&mut sim, commit(6, b));
-        send(&mut sim, delete(6, b));
-        // 7: a repeat request while the first still waits replaces its
-        // vector rather than cancelling it: 7 stays logged for its commit.
-        send(&mut sim, delete(7, a));
-        send(&mut sim, delete(7, a));
+        for c in [1, 3, 3, 1, 9] {
+            send(&mut sim, delete(c));
+        }
         sim.run();
         let root = sim.actor::<RootActor>(at).unwrap();
-        let logged: Vec<_> = (root.logs.log(ROOT_VERTEX).unwrap())
-            .snapshot()
-            .iter()
-            .map(|tp| tp.clock.counter())
-            .collect();
-        assert_eq!(logged, [4, 7]);
-        assert_eq!(root.ledger.counters().collect::<Vec<_>>(), [4, 7]);
+        let logged = |v| -> Vec<u64> {
+            let log = logs.log(v).unwrap();
+            log.snapshot().iter().map(|tp| tp.clock.counter()).collect()
+        };
+        assert_eq!(logged(ROOT_VERTEX), [2, 4]);
+        assert_eq!(logged(VertexId(2)), [2, 4]);
         let stats = root.stats();
-        assert_eq!((stats.packets_in, stats.deleted), (7, 7));
-        assert_eq!(stats.log_high_water, 7);
+        assert_eq!((stats.packets_in, stats.deleted), (4, 2));
+        assert_eq!(stats.log_high_water, 4);
     }
 }

@@ -10,8 +10,8 @@
 //! Both substrates share this type, one log per logging vertex
 //! ([`crate::VertexLogs`], the root's among them), and free its entries by
 //! different rules. The simulator's root deletes entries one by one
-//! ([`PacketLog::remove`]) as its [`crate::root::XorDeleteLedger`] proves
-//! Figure 6's tokens cancelled. The real-thread engine only cuts each log at
+//! ([`PacketLog::remove`]) as the chain's delete requests land. The
+//! real-thread engine only cuts each log at
 //! the commit *frontier* of the watermarks the chain components publish
 //! ([`PacketLog::truncate_confirmed`]) — coarse, but sound: a counter at or
 //! below the frontier can never need replay again.
@@ -113,8 +113,8 @@ impl PacketLog {
         true
     }
 
-    /// Remove one confirmed packet (Figure 6's per-packet delete, which the
-    /// simulator's root runs). Returns whether the entry existed; removed entries
+    /// Remove one confirmed packet (the per-packet delete the simulator's
+    /// root runs). Returns whether the entry existed; removed entries
     /// accumulate in [`PacketLog::deleted`].
     pub fn remove(&mut self, clock: &Clock) -> bool {
         let (p, cell) = place(clock.counter());
@@ -134,7 +134,7 @@ impl PacketLog {
     }
 
     /// Drop every entry with counter `<= up_to` (frontier-based truncation:
-    /// the commit vector proves those packets fully processed). Returns how
+    /// the commit frontier proves those packets fully processed). Returns how
     /// many entries were dropped.
     pub fn truncate_confirmed(&mut self, up_to: u64) -> usize {
         if up_to == 0 {

@@ -13,20 +13,15 @@
 //!   externalization mode (§7.1 models #1–#3),
 //! * **blocking** reads always cost a round trip.
 //!
-//! The client also maintains the metadata CHC needs for correctness: the
-//! accumulated virtual-time charge that the instance runtime adds to the
-//! packet's processing latency and, where a reader is, the XOR tokens of
-//! updates issued for the in-flight packet (Figure 6). The tokens' one
-//! reader is the simulator's instance actor, which folds them into the
-//! packet's commit vector, so they are off unless the simulator's clients
-//! switch them on ([`StateClient::set_recovery_logging`]). The client keeps
-//! no log for store recovery: a crashed store shard comes back from its own
-//! checkpoint and journal ([`StoreServer::recover_shard`]).
+//! The client also keeps the accumulated virtual-time charge that the
+//! instance runtime adds to the packet's processing latency. It keeps no
+//! per-packet update tokens (Figure 6's commit vector: no substrate deletes
+//! by it) and no log for store recovery: a crashed store shard comes back
+//! from its own checkpoint and journal ([`StoreServer::recover_shard`]).
 
 use crate::cache::CacheStrategy;
 use crate::config::{CostModel, ExternalizationMode};
 use crate::dag::StateObjectSpec;
-use crate::message::xor_token;
 use chc_packet::ScopeKey;
 use chc_sim::SimDuration;
 use chc_store::key::{KeyPrefix, PrehashedMap, Scoped};
@@ -38,6 +33,7 @@ use chc_store::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
+use std::iter::Empty;
 use std::sync::Arc;
 use std::vec::Drain;
 
@@ -148,6 +144,9 @@ pub struct StateClientStats {
     pub local_ops: u64,
     /// Buffered entries the store refused at a drain: 0 in a correct run.
     pub buffered_refused: u64,
+    /// Updates issued to the store: applied, buffered or folded into a
+    /// buffered increment, one per op.
+    pub store_updates: u64,
 }
 
 /// One object the client knows: what its declaration resolves to and the
@@ -230,19 +229,14 @@ pub struct StateClient {
     objects: Vec<ObjectSlot>,
     /// Callback registrations already made (avoid duplicates).
     callbacks_registered: HashSet<StateKey>,
-    /// Whether the XOR tokens are recorded. Off by default: only the
-    /// simulator's instance actor reads them, and its clients switch them
-    /// on.
-    recovery_logging: bool,
     /// Write-behind buffer: non-blocking flushes coalesced for one batched
     /// `apply_batch` round trip instead of a store call per op. Off by
     /// default; the real-thread runtime enables it with the ring batch as
     /// its cap. An entry is one op, except in an ordered writer
     /// ([`StateClient::declare_ordered_writer`]), where it may carry several
     /// increments of one key and hot counters drain at the ring-batch
-    /// boundary instead of at the cap, and drain in clock order. The XOR
-    /// token of an op is recorded at buffer time, and each entry's clock
-    /// keeps the store's duplicate suppression exact.
+    /// boundary instead of at the cap, and drain in clock order. Each
+    /// entry's clock keeps the store's duplicate suppression exact.
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
     /// Buffered entries that force an in-place drain when reached (bounds
     /// both buffer memory and the store-visible staleness window).
@@ -257,8 +251,6 @@ pub struct StateClient {
     replaying: bool,
     /// Latency charged to the packet currently being processed.
     charge: SimDuration,
-    /// XOR tokens of store updates issued for the current packet (Figure 6).
-    packet_tokens: Vec<u32>,
     /// Callback notifications the store produced for *other* instances while
     /// this client updated shared objects; the instance runtime turns them
     /// into `CallbackUpdate` messages.
@@ -295,14 +287,12 @@ impl StateClient {
             costs,
             objects,
             callbacks_registered: HashSet::new(),
-            recovery_logging: false,
             write_behind: None,
             write_behind_cap: 0,
             ordered: false,
             last_buffered: None,
             replaying: false,
             charge: SimDuration::ZERO,
-            packet_tokens: Vec::new(),
             pending_callbacks: Vec::new(),
             stats: StateClientStats::default(),
         }
@@ -318,18 +308,11 @@ impl StateClient {
         self.stats
     }
 
-    /// Enable or disable the XOR tokens of a packet's store updates
-    /// ([`StateClient::take_packet_tokens`]); nothing else. Off by default,
-    /// since every op would pay for a token. Their one reader is the
-    /// simulator's instance actor, which folds them into the packet's
-    /// commit vector (Figure 6), and its clients are the only ones that
-    /// switch them on. The name outlives the recovery logs it once also
-    /// switched: the benchmark compiles against it, so it goes, with
-    /// `take_packet_tokens`, in the benchmark change that moves the
-    /// simulator to the engine's frontier truncation (ROADMAP item 27).
-    pub fn set_recovery_logging(&mut self, enabled: bool) {
-        self.recovery_logging = enabled;
-    }
+    /// Records nothing: clients keep neither recovery logs nor Figure 6's
+    /// update tokens. Kept only because the repository benchmark compiles
+    /// against it, with [`StateClient::take_packet_tokens`] (ROADMAP item
+    /// 4(d)).
+    pub fn set_recovery_logging(&mut self, _enabled: bool) {}
 
     /// Enable or disable write-behind coalescing of non-blocking flushes.
     /// `cap` bounds the buffer; reaching it drains in place. Disabling
@@ -471,21 +454,18 @@ impl StateClient {
         std::mem::take(&mut self.charge)
     }
 
-    /// XOR tokens of updates issued to the store for the current packet,
-    /// empty unless [`StateClient::set_recovery_logging`] switched them on;
-    /// resets the list (dropping the returned iterator empties it, and the
-    /// list keeps its allocation for the next packet). The runtime folds
-    /// them into the packet's commit vector and emits the corresponding
-    /// commit signals.
+    /// Yields nothing: the client records no update tokens. Kept, like
+    /// [`StateClient::set_recovery_logging`], only for the repository
+    /// benchmark (ROADMAP item 4(d)).
     #[inline]
-    pub fn take_packet_tokens(&mut self) -> Drain<'_, u32> {
-        self.packet_tokens.drain(..)
+    pub fn take_packet_tokens(&mut self) -> Empty<u32> {
+        std::iter::empty()
     }
 
     /// Callback notifications produced by the store while this client issued
     /// updates (instances other than this one that registered for the changed
-    /// objects); the runtime delivers them as messages. Resets the list,
-    /// like [`StateClient::take_packet_tokens`].
+    /// objects); the runtime delivers them as messages. Resets the list
+    /// (dropping the returned iterator empties it).
     #[inline]
     pub fn take_pending_callbacks(&mut self) -> Drain<'_, (InstanceId, StateKey, Value)> {
         self.pending_callbacks.drain(..)
@@ -616,9 +596,7 @@ impl StateClient {
             Err(_) => return Value::None,
         };
         self.queue_callbacks(&key, &result);
-        if self.recovery_logging {
-            self.packet_tokens.push(xor_token(self.instance, &key));
-        }
+        self.stats.store_updates += 1;
         // The store returned the op's result, not the object: a local copy
         // stays coherent by whichever of three rules fits who maintains it.
         if let Entry::Occupied(mut copy) = self.objects[i].table.entry(at) {
@@ -653,8 +631,8 @@ impl StateClient {
     /// with non-blocking semantics.
     ///
     /// With write-behind enabled the op is buffered, or in an ordered writer
-    /// folded ([`StateClient::declare_ordered_writer`]); the XOR token is
-    /// taken now either way (it does not depend on the result).
+    /// folded ([`StateClient::declare_ordered_writer`]); it counts as one
+    /// store update either way.
     fn flush_op(
         &mut self,
         i: usize,
@@ -663,6 +641,7 @@ impl StateClient {
         op: Operation,
         clock: Clock,
     ) {
+        self.stats.store_updates += 1;
         // The drain sorts an ordered writer's batch by clock, which is exact
         // while its clocks only rise: an older one (a replay) drains first.
         if self.ordered && self.last_buffered.replace(clock) > Some(clock) {
@@ -672,9 +651,6 @@ impl StateClient {
             return;
         }
         let key = self.objects[i].key(at);
-        if self.recovery_logging {
-            self.packet_tokens.push(xor_token(self.instance, &key));
-        }
         if let Some(buf) = self.write_behind.as_mut() {
             buf.push((key, op, Some(clock)));
             if buf.len() >= self.write_behind_cap {
@@ -690,8 +666,7 @@ impl StateClient {
     /// Fold `op`, in an ordered writer and if an `Increment`, into the newest
     /// buffered entry of object `i` at `scope_key` if that is an `Increment`
     /// able to absorb it without overflow; the entry takes `clock` where it
-    /// sits, and the drain sorts by clock. Its XOR token comes from the
-    /// entry's key. Returns whether `op` was folded.
+    /// sits, and the drain sorts by clock. Returns whether `op` was folded.
     fn fold_increment(
         &mut self,
         i: usize,
@@ -714,16 +689,13 @@ impl StateClient {
         }) else {
             return false;
         };
-        let (key, Operation::Increment(sum), tag) = &mut buf[newest] else {
+        let (_, Operation::Increment(sum), tag) = &mut buf[newest] else {
             return false;
         };
         let Some(folded) = sum.checked_add(*delta) else {
             return false;
         };
         (*sum, *tag) = (folded, Some(clock));
-        if self.recovery_logging {
-            self.packet_tokens.push(xor_token(self.instance, key));
-        }
         true
     }
 
@@ -1015,15 +987,18 @@ mod tests {
     }
 
     #[test]
-    fn packet_tokens_track_store_updates() {
+    fn store_updates_count_every_update_that_leaves_the_client() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
         c.set_recovery_logging(true);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
-        let tokens: Vec<u32> = c.take_packet_tokens().collect();
-        assert_eq!(tokens.len(), 1);
-        assert_ne!(tokens[0], 0);
-        assert_eq!(c.take_packet_tokens().len(), 0, "taking resets the list");
+        c.read("pkt_count", None, clock(2));
+        assert_eq!(c.stats().store_updates, 1, "a read is no update");
+        assert_eq!(c.take_packet_tokens().count(), 0, "no tokens recorded");
+        // In traditional mode an update never leaves the client.
+        let mut local = client(ExternalizationMode::Traditional, &store);
+        local.update("pkt_count", None, Operation::Increment(1), clock(3));
+        assert_eq!(local.stats().store_updates, 0);
     }
 
     #[test]
@@ -1135,15 +1110,14 @@ mod tests {
     fn write_behind_buffers_flushes_until_drained() {
         let store = SharedStore::new();
         let mut c = client(ExternalizationMode::ExternalizedCachedNonBlocking, &store);
-        c.set_recovery_logging(true);
         c.set_write_behind(true, 64);
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.update("pkt_count", None, Operation::Increment(1), clock(2));
         // The store lags until the drain.
         assert_eq!(c.write_behind_depth(), 2);
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::None);
-        // XOR tokens were recorded at buffer time, not drain time.
-        assert_eq!(c.take_packet_tokens().len(), 2);
+        // Updates count at buffer time, not drain time.
+        assert_eq!(c.stats().store_updates, 2);
         assert_eq!(c.drain_write_behind(), 2);
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(2));
         assert_eq!(c.write_behind_depth(), 0);
@@ -1299,7 +1273,6 @@ mod tests {
             CostModel::default(),
             &specs,
         );
-        c.set_recovery_logging(true);
         c.set_write_behind(true, 64);
         c.declare_ordered_writer();
         (c, batches)
@@ -1312,8 +1285,8 @@ mod tests {
         c.update("pkt_count", None, Operation::Increment(1), clock(1));
         c.update("port_map", None, Operation::Set(Value::Int(7)), clock(2));
         c.update("pkt_count", None, Operation::Increment(2), clock(3));
-        // Per op all the same: three tokens, and the drain leaves the sum.
-        assert_eq!(c.take_packet_tokens().len(), 3);
+        // Per op all the same: three updates, and the drain leaves the sum.
+        assert_eq!(c.stats().store_updates, 3);
         assert_eq!(c.drain_write_behind(), 2);
         // The folded entry stayed at the front; the store gets it last.
         assert_eq!(

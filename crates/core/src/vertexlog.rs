@@ -20,10 +20,10 @@
 //!   truncation pops pages (see [`crate::PacketLog`]).
 //!
 //! The substrates free log entries by different rules. The simulator's root
-//! follows Figure 6 and unlogs a packet from every row once its XOR tokens
-//! cancelled ([`crate::root::XorDeleteLedger`], [`VertexLogs::remove`]). The
-//! real-thread engine cuts each log at its own commit frontier and nothing
-//! else (`chc_runtime::replay`).
+//! unlogs a packet from every row when the chain confirms it: its delete
+//! request, from the exit or from the on-path vertex that dropped it, lands
+//! ([`VertexLogs::remove`]). The real-thread engine cuts each log at its own
+//! commit frontier and nothing else (`chc_runtime::replay`).
 
 use crate::dag::LogicalDag;
 use crate::message::TaggedPacket;
@@ -131,12 +131,14 @@ impl VertexLogs {
     }
 
     /// Unlog `clock` from every log: the simulator's root deletes a packet
-    /// the chain confirmed (Figure 6) everywhere at once, which keeps each
-    /// egress log no larger than the root's.
-    pub fn remove(&self, clock: &Clock) {
-        for (_, log) in &self.logs {
-            lock(log).remove(clock);
+    /// the chain confirmed everywhere at once, which keeps each egress log
+    /// no larger than the root's. Returns whether the root's log held it.
+    pub fn remove(&self, clock: &Clock) -> bool {
+        let mut held = false;
+        for (v, log) in &self.logs {
+            held |= lock(log).remove(clock) && *v == ROOT_VERTEX;
         }
+        held
     }
 
     /// Statistics for every log, in id order.

@@ -2,7 +2,7 @@
 //!
 //! A steady-state operation on an already-seen key must not touch the
 //! allocator: not in [`StateClient`] (key resolution, cache, write-behind
-//! buffer, token list), not in the instance step around it
+//! buffer), not in the instance step around it
 //! ([`InstanceCore::on_packet`]), not in the run-to-completion driver around
 //! that ([`InlineChain::step`]) and not in [`StoreInstance::apply`] once the
 //! packet's clock is below the replay floor. Above the floor the only
@@ -16,7 +16,7 @@
 //! Allocations are counted per thread (the test harness runs tests on
 //! parallel threads), by a counting wrapper around the system allocator.
 
-use chc_core::root::{XorDeleteLedger, ROOT_VERTEX};
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{
     Action, ChainConfig, CostModel, ExternalizationMode, InlineChain, InstanceCore, LogicalDag,
     NetworkFunction, NfContext, SharedStore, StateClient, StateHandle, StateObjectSpec, Step,
@@ -129,7 +129,6 @@ fn packet(client: &mut StateClient, n: u64) {
     client.update("conn_bytes", flow, Operation::Increment(64), clock);
     assert!(client.read("conn_bytes", flow, clock).as_int() > 0);
     let _ = client.take_charge();
-    let _ = client.take_packet_tokens();
     let _ = client.take_pending_callbacks();
 }
 
@@ -243,7 +242,6 @@ fn an_out_of_order_drain_costs_its_result_vector_only() {
                 Clock(counter),
             );
         }
-        let _ = client.take_packet_tokens();
         assert_eq!(client.drain_write_behind(), COUNTERS as usize);
     };
     // Warm-up: every counter's entry in the store, the lists at capacity.
@@ -283,11 +281,8 @@ impl NetworkFunction for Meter {
 #[test]
 fn a_warm_instance_step_allocates_nothing() {
     // The step around an NF and a client path that allocate nothing adds
-    // nothing: not the duplicate window, not an empty alert list, not the
-    // tokens it takes from the client. Tokens are recorded, as the
-    // simulator's clients record them.
+    // nothing: not the duplicate window, not an empty alert list.
     let mut client = client(Box::new(SharedStore::new()));
-    client.set_recovery_logging(true);
     let mut core: InstanceCore = InstanceCore::new(Box::new(Meter), false, true);
     core.track_duplicates(true);
     let mut step = |client: &mut StateClient, n: u64| {
@@ -295,7 +290,6 @@ fn a_warm_instance_step_allocates_nothing() {
         let mut tp = TaggedPacket::new(packet, Clock::with_root(0, n));
         let step = core.on_packet(&mut tp, client, VirtualTime::ZERO, false);
         assert_eq!(step, Step::Forward { exit: true });
-        assert_eq!(core.tokens().len(), 2);
     };
     for n in 1..=2 * FLOWS as u64 {
         step(&mut client, n);
@@ -365,7 +359,6 @@ fn an_undeclared_object_allocates_on_its_first_access_only() {
             scope,
             "a registered name resolves through its slot"
         );
-        let _ = client.take_packet_tokens();
     };
     assert!(allocations_in(|| access(&mut client, 1)) > 0);
     assert!(!client.is_exclusive("surprise"));
@@ -402,7 +395,6 @@ fn a_blocking_pop_on_a_pool_the_client_holds_copies_nothing() {
             Clock::with_root(0, n),
         );
         let _ = client.take_charge();
-        let _ = client.take_packet_tokens();
         port
     };
     client.update("free_ports", None, seed, Clock::with_root(0, 1));
@@ -680,7 +672,7 @@ fn a_journaled_drain_costs_its_result_vector_and_nothing_per_op() {
 fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep() {
     // The root's log as both substrates drive it: one insert per injected
     // packet, then the engine's frontier cut and the simulator root's
-    // one-by-one XOR deletes.
+    // one-by-one deletes.
     const N: u64 = 4_096;
     const PAGE: u64 = 256;
     let logs = VertexLogs::new(1 << 20);
@@ -713,7 +705,7 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
         "{allocated} allocations for {N} logged packets, budget {budget}"
     );
 
-    // One truncation plus the XOR deletes ahead of it: pages are freed,
+    // One truncation plus the deletes ahead of it: pages are freed,
     // nothing is taken.
     let allocated = allocations_in(|| {
         let mut log = logs.log(ROOT_VERTEX).unwrap();
@@ -724,37 +716,6 @@ fn the_packet_log_allocates_a_page_per_256_counters_and_nothing_to_cut_or_sweep(
             .count();
         assert!(swept > (PAGE as usize), "{swept} swept");
     });
-    assert_eq!(allocated, 0, "a frontier cut or an XOR sweep allocated");
+    assert_eq!(allocated, 0, "a frontier cut or a delete allocated");
     assert!(logs.log(ROOT_VERTEX).unwrap().resident_pages() as u64 <= N / 2 / PAGE);
-}
-
-#[test]
-fn a_warm_ledger_cycle_allocates_nothing() {
-    // The simulator root's cycle over a steady window: every counter's
-    // delete request comes, half of them after their commit signal and half
-    // before it, and each message is followed by the per-packet delete.
-    const W: u64 = 1_024;
-    let mut ledger = XorDeleteLedger::default();
-    let round = |ledger: &mut XorDeleteLedger, r: u64| {
-        let first = r * W + 1;
-        let token = |c: u64| 0x0001_8000 | c as u32;
-        for c in first..first + W {
-            if c % 2 == 0 {
-                ledger.fold(c, token(c));
-            }
-            ledger.deliver(c, token(c));
-        }
-        assert_eq!(ledger.delete_pending(|_| {}), (W / 2) as usize);
-        for c in (first..first + W).filter(|c| c % 2 == 1) {
-            ledger.fold(c, token(c));
-        }
-        assert_eq!(ledger.delete_pending(|_| {}), (W / 2) as usize);
-    };
-    // Warm-up: the window's cells and the pending list grow once.
-    for r in 0..4 {
-        round(&mut ledger, r);
-    }
-    let allocated = allocations_in(|| (4..20).for_each(|r| round(&mut ledger, r)));
-    assert_eq!(allocated, 0, "a warm ledger cycle allocated");
-    assert_eq!(ledger.counters().count(), 0, "every counter was deleted");
 }

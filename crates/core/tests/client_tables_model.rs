@@ -10,8 +10,8 @@
 //! clocks, exclusivity changes, per-flow flushes, callbacks (including a name
 //! first seen through one), crashes and drains — in every externalization
 //! mode, write-behind on and off — must agree on every returned value, on the
-//! statistics and tokens, on `cached_per_flow()` as a set, and on the store's
-//! contents after a drain.
+//! statistics (store updates included), on `cached_per_flow()` as a set, and
+//! on the store's contents after a drain.
 //!
 //! One thing the model does not port: the old client refreshed its copy from
 //! the object every store result carried. The store now returns an op's
@@ -29,8 +29,8 @@
 //!
 //! The same schedule also drives a fold arm ([`FoldArm`]): two buffering
 //! clients, each on its own store whose replay floor is at the top, one of
-//! them folding increments. They must agree on every answer, on each
-//! packet's XOR tokens and, whenever both buffers are empty,
+//! them folding increments. They must agree on every answer, on their
+//! statistics and, whenever both buffers are empty,
 //! on the store's contents, on `TS` and on the last value each subscriber
 //! was sent.
 //!
@@ -116,7 +116,6 @@ struct Model {
     write_behind: Option<Vec<(StateKey, Operation, Option<Clock>)>>,
     cap: usize,
     stats: StateClientStats,
-    tokens: usize,
     pending: Vec<(InstanceId, StateKey, Value)>,
 }
 
@@ -146,7 +145,6 @@ impl Model {
             write_behind: write_behind.map(|_| Vec::new()),
             cap: write_behind.unwrap_or(0),
             stats: StateClientStats::default(),
-            tokens: 0,
             pending: Vec::new(),
         }
     }
@@ -260,7 +258,7 @@ impl Model {
     }
 
     fn flush_op(&mut self, key: StateKey, op: Operation, clock: Clock) {
-        self.tokens += 1;
+        self.stats.store_updates += 1;
         if let Some(buf) = self.write_behind.as_mut() {
             buf.push((key, op, Some(clock)));
             if buf.len() >= self.cap {
@@ -315,7 +313,7 @@ impl Model {
             return Value::None;
         };
         self.notified(&key, &result.notify);
-        self.tokens += 1;
+        self.stats.store_updates += 1;
         // The old client overwrote its copy with the value every result
         // carried. The store now sends that value to subscribers only, so a
         // copy is refreshed by whoever maintains it, or dropped.
@@ -525,7 +523,6 @@ impl FoldArm {
                 CostModel::default(),
                 &specs(),
             );
-            client.set_recovery_logging(true);
             client.set_write_behind(true, cap);
             client
         });
@@ -564,7 +561,7 @@ impl FoldArm {
         }
     }
 
-    /// The end of a packet: its tokens agree; once nothing is buffered,
+    /// The end of a packet: the statistics agree; once nothing is buffered,
     /// so do the stores, `TS` and what each subscriber last heard.
     fn check(&mut self, context: &str) {
         for (client, notified) in self.clients.iter_mut().zip(&mut self.notified) {
@@ -572,9 +569,7 @@ impl FoldArm {
                 notified.insert((to, key.to_string()), value);
             }
         }
-        let [per_op, folded] = &mut self.clients;
-        let tokens = |c: &mut StateClient| c.take_packet_tokens().collect::<Vec<u32>>();
-        assert_eq!(tokens(per_op), tokens(folded), "fold arm tokens: {context}");
+        let [per_op, folded] = &self.clients;
         // A refused folded entry is one refusal for all the ops it carries.
         let stats = |c: &StateClient| StateClientStats {
             buffered_refused: 0,
@@ -657,7 +652,6 @@ impl FaultArm {
     fn client(mode: ExternalizationMode, store: &Arc<StoreServer>, id: InstanceId) -> StateClient {
         let handle = Box::new(Arc::clone(store));
         let mut client = StateClient::new(VERTEX, id, handle, mode, CostModel::default(), &specs());
-        client.set_recovery_logging(true);
         client.set_write_behind(true, FaultArm::CAP);
         client
     }
@@ -780,7 +774,6 @@ proptest! {
             CostModel::default(),
             &specs(),
         );
-        client.set_recovery_logging(true);
         if let Some(cap) = write_behind {
             client.set_write_behind(true, cap);
         }
@@ -886,7 +879,6 @@ proptest! {
             prop_assert_eq!(key.shard_hash(), model.key(name, scope_key).shard_hash());
             prop_assert_eq!(client.is_exclusive(name), model.object(name).exclusive, "{}", context);
             prop_assert_eq!(client.stats(), model.stats, "{}", context);
-            prop_assert_eq!(client.take_packet_tokens().count(), std::mem::take(&mut model.tokens), "{}", context);
             prop_assert_eq!(
                 sorted(client.take_pending_callbacks()),
                 sorted(model.pending.drain(..)),

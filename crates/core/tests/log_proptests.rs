@@ -1,33 +1,30 @@
 //! Property tests for the packet-log machinery failover replays from
 //! (§5.4 commit-frontier truncation, the engine's one deletion rule, and the
-//! simulator root's Figure 6 XOR deletes): for arbitrary logged clock sets,
-//! commit frontiers and delete-protocol histories,
+//! simulator root's per-packet deletes): for arbitrary logged clock sets,
+//! commit frontiers and delete requests,
 //!
 //! * [`PacketLog::truncate_confirmed`] drops **exactly** the counters at or
 //!   below the frontier — an un-committed clock (above the frontier) is
 //!   never dropped, so a replacement can always be re-fed from the log, and
-//! * [`XorDeleteLedger::delete_pending`] unlogs, with [`PacketLog::remove`],
-//!   exactly the counters whose delete protocol completed, never one whose
-//!   commit is still outstanding, and
-//! * the [`XorDeleteLedger`], a window of cells, holds and deletes like one
-//!   flat slot per counter.
+//! * [`VertexLogs::remove`] unlogs exactly the confirmed counters from every
+//!   row, never one no request named, and a repeat request finds nothing.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
 //! stay reproducible because the seed is the whole scenario.
 //!
-//! Each case runs against one log of a [`VertexLogs`] table, reached through
-//! `log(v)` — the root's under [`ROOT_VERTEX`] or a vertex's egress log, by
-//! the seed: the table treats them alike, and the log beside the one under
-//! test must come out untouched. Counters span several of the log's
-//! 256-counter pages.
+//! A truncation case runs against one log of a [`VertexLogs`] table, reached
+//! through `log(v)` — the root's under [`ROOT_VERTEX`] or a vertex's egress
+//! log, by the seed: the table treats them alike, and the log beside the one
+//! under test must come out untouched. A delete case fills both. Counters
+//! span several of the log's 256-counter pages.
 //!
 //! A model check drives one [`PacketLog`] and a `BTreeMap<Clock,
 //! TaggedPacket>` oracle through the same random interleaving of every
 //! operation and compares every answer, so the paged layout is held to the
 //! tree's behaviour.
 
-use chc_core::root::{XorDeleteLedger, ROOT_VERTEX};
+use chc_core::root::ROOT_VERTEX;
 use chc_core::{PacketLog, TaggedPacket, VertexLogs};
 use chc_packet::Packet;
 use chc_store::{Clock, VertexId};
@@ -87,51 +84,42 @@ proptest! {
         prop_assert_eq!(logs.log(bystander).unwrap().len(), 1);
     }
 
-    /// The XOR delete removes exactly the delivered-and-cancelled counters:
-    /// a clock whose commit token was folded in but never folded back out by
-    /// a delete vector (or whose delete request never came) survives every
-    /// pass.
+    /// A delete request unlogs exactly the confirmed clocks, from every
+    /// row: a clock no request named survives in each, and the root counts
+    /// a clock once, however many requests name it.
     #[test]
-    fn xor_delete_sweep_only_removes_confirmed_clocks(seed in 0u64..1_000_000) {
+    fn deletes_unlog_exactly_the_confirmed_clocks_from_every_row(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let max = rng.gen_range(1..=900u64);
-        let mut ledger = XorDeleteLedger::default();
-        let (logs, under_test, bystander) = table(&mut rng);
-        let mut log = logs.log(under_test).unwrap();
-        let mut logged = BTreeSet::new();
-        let mut cancelled = BTreeSet::new();
+        let mut logs = VertexLogs::new(1_024);
+        logs.arm(EGRESS, 1_024);
+        let rows = [ROOT_VERTEX, EGRESS];
+        let mut logged: [BTreeSet<u64>; 2] = Default::default();
         for c in 1..=max {
-            if !rng.gen_bool(0.7) {
-                continue;
-            }
-            assert!(log.insert(tp(c)));
-            logged.insert(c);
-            let token = rng.gen_range(1..=u32::MAX);
-            ledger.fold(c, token);
-            // Three protocol states: in flight, delivered but uncancelled
-            // (the request's vector lacks the token), and confirmed.
-            match rng.gen_range(0..3u32) {
-                0 => {}
-                1 => ledger.deliver(c, 0),
-                _ => {
-                    ledger.deliver(c, token);
-                    cancelled.insert(c);
+            for (row, held) in rows.iter().zip(&mut logged) {
+                if rng.gen_bool(0.7) {
+                    assert!(logs.log(*row).unwrap().insert(tp(c)));
+                    held.insert(c);
                 }
             }
         }
-        let delete = |ledger: &mut XorDeleteLedger, log: &mut PacketLog| {
-            ledger.delete_pending(|c| assert!(log.remove(&Clock::with_root(0, c))))
-        };
-        let swept = delete(&mut ledger, &mut log);
-        let kept: BTreeSet<u64> =
-            log.snapshot().iter().map(|t| t.clock.counter()).collect();
-        let expected_kept: BTreeSet<u64> =
-            logged.difference(&cancelled).copied().collect();
-        prop_assert_eq!(&kept, &expected_kept);
-        prop_assert_eq!(swept, cancelled.len());
-        // Sweeping is idempotent: a second pass finds nothing new.
-        prop_assert_eq!(delete(&mut ledger, &mut log), 0);
-        prop_assert!(logs.log(bystander).unwrap().is_empty());
+        // Requests for some clocks, repeats and never-logged ones among them.
+        let mut confirmed = BTreeSet::new();
+        let mut counted = 0;
+        for _ in 0..rng.gen_range(0..=max) {
+            let c = rng.gen_range(1..=max + 5);
+            confirmed.insert(c);
+            counted += usize::from(logs.remove(&Clock::with_root(0, c)));
+        }
+        prop_assert_eq!(counted, logged[0].intersection(&confirmed).count());
+        for (row, held) in rows.iter().zip(&logged) {
+            let log = logs.log(*row).unwrap();
+            let kept: BTreeSet<u64> =
+                log.snapshot().iter().map(|t| t.clock.counter()).collect();
+            let expected_kept: BTreeSet<u64> = held.difference(&confirmed).copied().collect();
+            prop_assert_eq!(&kept, &expected_kept);
+            prop_assert_eq!(log.deleted() as usize, held.len() - kept.len());
+        }
     }
 }
 
@@ -190,7 +178,7 @@ fn confirmed_by(salt: u64, modulus: u64) -> impl Fn(&Clock) -> bool {
 proptest! {
     /// Every answer of the paged log equals the tree model's, over random
     /// interleavings of inserts (fresh and replacing), removes,
-    /// truncations, XOR-style sweeps and capacity rejections.
+    /// truncations, sweeps and capacity rejections.
     #[test]
     fn the_log_answers_like_a_clock_keyed_tree(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -266,95 +254,5 @@ proptest! {
             (oracle.high_water, oracle.truncated, oracle.deleted, oracle.rejected)
         );
         prop_assert_eq!(log.capacity(), capacity);
-    }
-}
-
-const DELIVERED: u64 = 1 << 63;
-
-/// The ledger as one flat slot per counter from `base` on: a dropped slot
-/// is `None`.
-struct FlatLedger {
-    base: u64,
-    slots: Vec<Option<u64>>,
-}
-
-impl FlatLedger {
-    fn slot(&mut self, c: u64) -> &mut u64 {
-        self.slots[(c - self.base) as usize].get_or_insert(0)
-    }
-
-    fn held(&self) -> Vec<u64> {
-        (self.base..)
-            .zip(&self.slots)
-            .filter_map(|(c, slot)| slot.map(|_| c))
-            .collect()
-    }
-
-    /// Drop every delivered slot with zero residue, lowest counter first.
-    fn delete(&mut self) -> Vec<u64> {
-        let mut deleted = Vec::new();
-        for (c, slot) in (self.base..).zip(&mut self.slots) {
-            if *slot == Some(DELIVERED) {
-                *slot = None;
-                deleted.push(c);
-            }
-        }
-        deleted
-    }
-}
-
-proptest! {
-    /// The windowed ledger holds and deletes like a flat slot per counter
-    /// over random folds, deliveries and per-packet deletes: the same
-    /// counters held after every step, and the same counters deleted by
-    /// every pass.
-    #[test]
-    fn the_ledger_answers_like_a_flat_slot_per_counter(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = match rng.gen_range(0..3u32) {
-            0 => 0,
-            1 => rng.gen_range(1..512u64),
-            _ => rng.gen_range(1..1u64 << 40),
-        };
-        let span = rng.gen_range(1..=700u64);
-        let mut ledger = XorDeleteLedger::default();
-        let mut flat = FlatLedger {
-            base,
-            slots: vec![None; span as usize],
-        };
-        // Few distinct tokens, so residues cancel often.
-        let token = |rng: &mut StdRng| 0x8000 | (rng.gen_range(0..3u32) << 16);
-        for step in 0..rng.gen_range(1..=800u32) {
-            let c = base + rng.gen_range(0..span);
-            match rng.gen_range(0..100u32) {
-                0..=44 => {
-                    let t = token(&mut rng);
-                    ledger.fold(c, t);
-                    *flat.slot(c) ^= u64::from(t);
-                }
-                45..=79 => {
-                    // The vector a delete request carries: tokens, or none.
-                    let vector = if rng.gen_bool(0.5) { token(&mut rng) } else { 0 };
-                    ledger.deliver(c, vector);
-                    // A repeat replaces what the first one left.
-                    let v = flat.slot(c);
-                    let residue = if *v & DELIVERED == 0 { *v } else { 0 };
-                    *v = DELIVERED | (residue ^ u64::from(vector));
-                }
-                _ => {
-                    let mut deleted = Vec::new();
-                    ledger.delete_pending(|c| deleted.push(c));
-                    deleted.sort_unstable();
-                    prop_assert_eq!(deleted, flat.delete(), "delete at step {}", step);
-                }
-            }
-            prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), flat.held(),
-                "held after step {}", step);
-        }
-        let mut deleted = Vec::new();
-        ledger.delete_pending(|c| deleted.push(c));
-        deleted.sort_unstable();
-        prop_assert_eq!(deleted, flat.delete());
-        prop_assert_eq!(ledger.counters().collect::<Vec<_>>(), flat.held());
     }
 }

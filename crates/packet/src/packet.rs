@@ -1,8 +1,8 @@
 //! The [`Packet`] type processed by NFs and moved through CHC chains.
 //!
 //! A packet carries the parsed header fields NFs care about plus the payload
-//! length. CHC-specific metadata (logical clocks, replay marks, the XOR commit
-//! vector of §5.4) is deliberately *not* part of this type: the framework
+//! length. CHC-specific metadata (logical clocks, replay and handover marks)
+//! is deliberately *not* part of this type: the framework
 //! wraps packets in its own envelope (`chc_core::message::TaggedPacket`), just
 //! as the real system attaches metadata outside the NF-visible packet.
 

@@ -551,34 +551,6 @@ mod tests {
     use chc_store::VertexId;
     use std::sync::atomic::Ordering;
 
-    /// Only the simulator reads the XOR tokens of a packet's store updates
-    /// (Figure 6): an engine instance's client records none, though its NF
-    /// updates state.
-    #[test]
-    fn an_engine_instance_records_no_update_tokens() {
-        let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
-        let trace = TraceGenerator::new(TraceConfig::small(3)).generate();
-        let mut plan = ChainPlan::new(&fw_nat_lb(), &config, &rt, trace.len()).unwrap();
-        let shared = EngineShared::new(&plan, config, &rt);
-        let mut wired = wire(&plan, &shared.telemetry);
-        let mut instances = plan.take_threads();
-        let slot = instances.iter().position(|p| p.vertex == NAT).unwrap();
-        let (nat, wiring) = (
-            instances.swap_remove(slot),
-            wired.instances.swap_remove(slot),
-        );
-        let mut me = set_up(nat, wiring, &shared);
-        for (n, packet) in (1..).zip(trace.packets.iter().take(64)) {
-            let mut tp = TaggedPacket::new(packet.clone(), Clock(n));
-            me.plan
-                .core
-                .on_packet(&mut tp, &mut me.client, VirtualTime::ZERO, false);
-            assert!(me.plan.core.tokens().is_empty());
-        }
-        let stats = me.client.stats();
-        assert!(stats.blocking_ops + stats.non_blocking_ops > 0);
-    }
-
     /// A kill inside a popped ring batch loses that batch's remainder, not
     /// its buffer: the batch goes back to its link's pool, and the dying
     /// instance's half-filled output buffers stay with their links.

@@ -76,8 +76,8 @@
 //! paper's Figure 6, which also deletes each entry once its XOR tokens
 //! cancel: on the engine those deletes freed almost nothing the frontier
 //! did not, and cost a lock per logged packet and a pause of every pass
-//! while a replay ran (DESIGN.md "Tail kills: one deletion rule on the
-//! engine").
+//! while a replay ran (DESIGN.md "Tail kills: one deletion rule on each
+//! substrate").
 //!
 //! The root runs a pass each time it starts a new page of its log
 //! (`page_pass`, every `PAGE_CELLS` = 256 counters), so a cut frees

@@ -495,7 +495,7 @@ fn fault_plans_are_validated() {
         Err(RuntimeError::UnknownFaultVertex(VertexId(9)))
     );
     // Non-entry and tail kills are accepted (per-vertex egress logs replay
-    // at the right depth, the XOR delete window bounds tail re-delivery).
+    // at the right depth, the sink's window absorbs tail re-delivery).
     assert_eq!(plan_with(FaultPlan::new().kill(NAT, 0, 10)), Ok(()));
     assert_eq!(
         plan_with(FaultPlan::new().kill_root(0)),

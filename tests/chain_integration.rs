@@ -70,8 +70,8 @@ fn chain_delivers_traffic_and_matches_ideal_chain() {
         .count();
     assert_eq!(trojan_alerts, 2);
 
-    // The root eventually unlogged every packet it accepted (the XOR commit
-    // protocol converged).
+    // The root eventually unlogged every packet it accepted: each one's
+    // delete request landed.
     assert_eq!(metrics.root.deleted, metrics.root.packets_in);
 }
 

@@ -59,6 +59,24 @@ fn firewall_nat() -> LogicalDag {
     ])
 }
 
+/// Three on-path vertices so entry, mid and tail are distinct positions: a
+/// firewall in front of a double NAT (enterprise NAT behind a carrier-grade
+/// one). Every NF here keeps order-insensitive shared state (counters and
+/// port *pools*, compared as multisets), so the digest is comparable across
+/// substrates — a load balancer's arrival-order-dependent byte counters
+/// would not be.
+fn firewall_nat_cgnat() -> LogicalDag {
+    LogicalDag::linear(vec![
+        VertexSpec::new(
+            1,
+            "firewall",
+            Rc::new(|| Box::new(Firewall::with_default_policy())),
+        ),
+        VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
+        VertexSpec::new(3, "cgnat", Rc::new(|| Box::new(Nat::default()))),
+    ])
+}
+
 fn trace_for(seed: u64) -> Trace {
     TraceGenerator::new(TraceConfig::small(seed)).generate()
 }
@@ -272,23 +290,6 @@ fn runtime_matches_simulator_across_instance_failure_and_recovery() {
 fn runtime_failure_matrix_matches_simulator_at_every_position() {
     const MID_VERTEX: VertexId = VertexId(2);
     const TAIL_VERTEX: VertexId = VertexId(3);
-    // Three on-path vertices so entry, mid and tail are distinct positions:
-    // a firewall in front of a double NAT (enterprise NAT behind a
-    // carrier-grade one). Every NF here keeps order-insensitive shared
-    // state (counters and port *pools*, compared as multisets), so the
-    // digest is comparable across substrates — a load balancer's
-    // arrival-order-dependent byte counters would not be.
-    let matrix_chain = || {
-        LogicalDag::linear(vec![
-            VertexSpec::new(
-                1,
-                "firewall",
-                Rc::new(|| Box::new(Firewall::with_default_policy())),
-            ),
-            VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
-            VertexSpec::new(3, "cgnat", Rc::new(|| Box::new(Nat::default()))),
-        ])
-    };
 
     // Root crashes that lost at least one packet.
     let mut lossy_root_kills = 0;
@@ -297,7 +298,8 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
         let len = trace.len();
 
         // Simulator yardstick: one healthy run of the same trace.
-        let mut chain = ChainController::new(matrix_chain(), ChainConfig::default(), seed).unwrap();
+        let mut chain =
+            ChainController::new(firewall_nat_cgnat(), ChainConfig::default(), seed).unwrap();
         chain.inject_trace(&trace);
         chain.run();
         let metrics = chain.metrics();
@@ -338,9 +340,13 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             let rt_cfg = RuntimeConfig::with_batch_size(16)
                 .with_store_backend(backend)
                 .with_fault(plan.clone());
-            let report =
-                run_chain_realtime(&matrix_chain(), ChainConfig::default(), &rt_cfg, &trace)
-                    .unwrap();
+            let report = run_chain_realtime(
+                &firewall_nat_cgnat(),
+                ChainConfig::default(),
+                &rt_cfg,
+                &trace,
+            )
+            .unwrap();
             let inv = report.invariants.as_ref().expect("sentinel on by default");
             assert!(
                 inv.ok(),
@@ -383,7 +389,8 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 let mut survivors = trace.clone();
                 survivors.packets.retain(|p| !takeover.lost.contains(&p.id));
                 let mut chain =
-                    ChainController::new(matrix_chain(), ChainConfig::default(), seed).unwrap();
+                    ChainController::new(firewall_nat_cgnat(), ChainConfig::default(), seed)
+                        .unwrap();
                 chain.inject_trace(&survivors);
                 chain.run();
                 assert_eq!(chain.metrics().sink_duplicates, 0);
@@ -416,7 +423,7 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
                 continue;
             }
             let mut chain =
-                ChainController::new(matrix_chain(), ChainConfig::default(), seed).unwrap();
+                ChainController::new(firewall_nat_cgnat(), ChainConfig::default(), seed).unwrap();
             chain.inject_trace(&trace);
             for kill in &plan.kills {
                 let at = trace.packets[(kill.at_counter - 1) as usize].arrival_ns;
@@ -428,10 +435,11 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             let metrics = chain.metrics();
             if plan.kills.len() > 1 {
                 // The simulator loses nothing to two kills, but is exact on
-                // fewer plans than the engine. Its root's Figure 6 delete
-                // unlogs a confirmed clock from every row and drops its
-                // store dedup record while a replay's copy of it can still
-                // reach a second, fresh replacement: that replacement
+                // fewer plans than the engine. Its root unlogs a confirmed
+                // clock from every row and drops its store dedup record
+                // when the clock's delete request lands, while a replay's
+                // copy of it can still reach a second, fresh replacement:
+                // that replacement
                 // applies the copy's updates again and, at the tail, sends
                 // it to the end host again (ROADMAP item 27).
                 let mut kill_ids = chain.delivered_ids();
@@ -449,6 +457,11 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
             assert_eq!(
                 metrics.sink_duplicates, 0,
                 "seed {seed} {position}: simulator sink saw duplicates"
+            );
+            assert_eq!(
+                metrics.root.deleted + metrics.root.dropped,
+                metrics.root.packets_in,
+                "seed {seed} {position}: the simulator's root kept packets logged"
             );
             if plan.kills.iter().any(|kill| kill.vertex == TAIL_VERTEX) {
                 let shadows = metrics.sink_replay_shadows;
@@ -477,6 +490,33 @@ fn runtime_failure_matrix_matches_simulator_at_every_position() {
         }
     }
     assert!(lossy_root_kills > 0, "no root crash lost a packet");
+}
+
+/// A mid-chain kill leaks nothing on the simulator: once the run drains,
+/// the root has unlogged every packet it took (each is confirmed by the
+/// exit or by the vertex that dropped it), and the store's duplicate
+/// suppression holds no update — though the NAT's replacement replays
+/// clocks whose updates the store already applied.
+#[test]
+fn a_mid_chain_kill_leaves_no_packet_logged_on_the_simulator() {
+    for seed in [7u64, 19, 37] {
+        let trace = trace_for(seed);
+        let mut chain =
+            ChainController::new(firewall_nat_cgnat(), ChainConfig::default(), seed).unwrap();
+        chain.inject_trace(&trace);
+        let at = trace.packets[trace.len() / 2].arrival_ns;
+        chain.run_until(VirtualTime::from_nanos(at));
+        chain.fail_instance(NAT_VERTEX, 0);
+        chain.failover_instance(NAT_VERTEX, 0);
+        chain.run();
+        let root = chain.metrics().root;
+        assert_eq!(
+            root.deleted + root.dropped,
+            root.packets_in,
+            "seed {seed}: the root kept packets logged"
+        );
+        assert_eq!(chain.store.update_log_len(), 0, "seed {seed}");
+    }
 }
 
 /// The write-behind store fast path is an amortization, not a semantic
