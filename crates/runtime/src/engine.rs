@@ -369,7 +369,7 @@ fn spawn<'scope, 'env>(
     // The monitor samples the gauges until `monitor_stop` is raised.
     let monitor_stop = Arc::new(AtomicBool::new(false));
     let monitor = telemetry.config.sample_interval.map(|interval| {
-        let (rings, shards) = (wired.probes, &plan.journaled_shards);
+        let (rings, shards) = (wired.gauges, &plan.journaled_shards);
         let stop = Arc::clone(&monitor_stop);
         scope.spawn(move || run_monitor(rings, shards, shared, interval, &stop))
     });

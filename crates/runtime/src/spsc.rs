@@ -93,16 +93,6 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     )
 }
 
-/// Read-only occupancy view of a ring, for the telemetry monitor thread.
-/// Estimates only: the loads are relaxed and unsynchronized with the
-/// endpoints, which is fine for a gauge sampled at millisecond cadence.
-pub trait RingDepth: Send + Sync {
-    /// Items currently queued (approximate).
-    fn depth(&self) -> usize;
-    /// Ring capacity in items.
-    fn capacity(&self) -> usize;
-}
-
 impl<T> Ring<T> {
     /// Items currently queued (approximate when read off both endpoints'
     /// threads: the loads are relaxed).
@@ -142,20 +132,6 @@ impl<T> Drop for Ring<T> {
         }
     }
 }
-
-impl<T: Send> RingDepth for Ring<T> {
-    fn depth(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-}
-
-/// A type-erased occupancy probe, detachable from the ring's endpoints so
-/// the monitor thread can watch rings whose handles live on other threads.
-pub type RingProbe = Arc<dyn RingDepth>;
 
 /// The writing end of a ring.
 pub struct Producer<T> {
@@ -226,13 +202,6 @@ impl<T> Producer<T> {
     pub fn close(&self) {
         self.ring.closed.store(true, Ordering::Release);
         self.ring.wake();
-    }
-}
-
-impl<T: Send + 'static> Producer<T> {
-    /// Detach an occupancy probe for the telemetry monitor.
-    pub fn depth_probe(&self) -> RingProbe {
-        Arc::clone(&self.ring) as RingProbe
     }
 }
 
@@ -426,23 +395,6 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(expected, N);
-    }
-
-    #[test]
-    fn depth_probe_tracks_occupancy() {
-        let (mut tx, mut rx) = ring::<u32>(8);
-        let probe = tx.depth_probe();
-        assert_eq!(probe.capacity(), 8);
-        assert_eq!(probe.depth(), 0);
-        for i in 0..5 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(probe.depth(), 5);
-        rx.pop();
-        rx.pop();
-        assert_eq!(probe.depth(), 3);
-        drop((tx, rx));
-        assert_eq!(probe.depth(), 0, "consumer drop drains the ring");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::config::TelemetryConfig;
 use crate::engine::EngineShared;
 use crate::fault::FaultReport;
 use crate::report::RuntimeReport;
-use crate::spsc::RingProbe;
+use crate::wiring::LinkGauge;
 use chc_core::root::{ROOT_LOG_CAPACITY, ROOT_VERTEX};
 use chc_core::StateHandle;
 use chc_packet::{Packet, PacketId};
@@ -337,7 +337,7 @@ impl StateHandle for TimedHandle {
 /// `vertexlog.len` — total across armed vertex egress logs — when any
 /// vertex is armed.
 pub(crate) fn run_monitor(
-    rings: Vec<(String, RingProbe)>,
+    rings: Vec<(String, Arc<LinkGauge>)>,
     journaled_shards: &BTreeSet<usize>,
     shared: &EngineShared,
     interval: Duration,
@@ -400,8 +400,8 @@ pub(crate) fn run_monitor(
                   prev_t_ns: &mut u64,
                   first: &mut bool| {
         let t_ns = telemetry.now_ns();
-        for (i, (_, probe)) in rings.iter().enumerate() {
-            out.series[i].push(t_ns, probe.depth() as f64);
+        for (i, (_, gauge)) in rings.iter().enumerate() {
+            out.series[i].push(t_ns, gauge.depth() as f64);
         }
         let ops = server.ops_per_shard();
         let dt_s = (t_ns.saturating_sub(*prev_t_ns)) as f64 / 1e9;

@@ -25,7 +25,7 @@
 //! one, whatever order the producer emits in.
 
 use crate::plan::ChainPlan;
-use crate::spsc::{ring, CachePadded, Consumer, Producer, RingDepth, RingProbe};
+use crate::spsc::{ring, CachePadded, Consumer, Producer};
 use crate::telemetry::{RunTelemetry, SentinelState};
 use chc_core::{Splitter, TaggedPacket};
 use chc_store::VertexId;
@@ -77,25 +77,22 @@ pub fn link(depth: usize, batch: usize) -> (OutLink, InputRing) {
 /// Packets queued on one link, for the gauge monitor: the producer counts
 /// the packets it publishes, the consumer those it pops, each on a cache
 /// line of its own. Laid only when the monitor runs.
-struct LinkGauge {
+pub(crate) struct LinkGauge {
     pushed: CachePadded<AtomicUsize>,
     popped: CachePadded<AtomicUsize>,
     /// The link's capacity in packets: slots times batch.
     capacity: usize,
 }
 
-impl RingDepth for LinkGauge {
+impl LinkGauge {
     /// Packets published and not yet popped. Each end counts after its own
     /// ring publication, so a sample can run a batch ahead; it is clamped
-    /// to the capacity.
-    fn depth(&self) -> usize {
+    /// to the capacity. The loads are relaxed: an estimate, which is fine
+    /// for a gauge sampled at millisecond cadence.
+    pub(crate) fn depth(&self) -> usize {
         let pushed = self.pushed.0.load(Ordering::Relaxed);
         let popped = self.popped.0.load(Ordering::Relaxed);
         pushed.saturating_sub(popped).min(self.capacity)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -302,9 +299,9 @@ pub(crate) struct Wired {
     /// Per plan slot.
     pub(crate) instances: Vec<InstanceWiring>,
     pub(crate) sink_inputs: Vec<InputRing>,
-    /// Occupancy probes for the gauge monitor, labelled by edge; collected
-    /// only when the monitor runs.
-    pub(crate) probes: Vec<(String, RingProbe)>,
+    /// Occupancy gauges for the monitor, labelled by edge; collected only
+    /// when the monitor runs.
+    pub(crate) gauges: Vec<(String, Arc<LinkGauge>)>,
 }
 
 /// The rings of one run while they are being laid: each new ring's consumer
@@ -329,9 +326,7 @@ impl RingLayer<'_> {
                 popped: CachePadded(AtomicUsize::new(0)),
                 capacity: slots(depth, batch) * batch,
             });
-            self.wired
-                .probes
-                .push((label(), Arc::clone(&gauge) as RingProbe));
+            self.wired.gauges.push((label(), Arc::clone(&gauge)));
             (out.gauge, input.gauge) = (Some(Arc::clone(&gauge)), Some(gauge));
         }
         (out, input)
