@@ -57,7 +57,7 @@ use chc_store::backend::{decode_image_frame, encode_image_frame, Engine};
 use chc_store::store::ApplyResult;
 use chc_store::{
     AccessPattern, BackendKind, Clock, InstanceId, JournalRecord, ObjectKey, Operation, ScratchDir,
-    StateKey, StoreError, StoreInstance, StoreServer, TsSnapshot, Value, VertexId,
+    StateKey, StoreError, StoreInstance, StoreServer, Value, VertexId,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -176,9 +176,6 @@ impl StateHandle for NullStore {
     }
     fn nondet(&self, _: Clock, _: u32, candidate: Value) -> Value {
         candidate
-    }
-    fn ts_snapshot(&self) -> TsSnapshot {
-        TsSnapshot::default()
     }
     fn is_failed(&self) -> bool {
         false
@@ -569,7 +566,7 @@ fn checkpoint(c: &mut Criterion) {
         b.iter(|| encode_image_frame(&instance, &mut Vec::with_capacity(frame.len())).len())
     });
     group.bench_function("image_decode_1k", |b| {
-        b.iter(|| decode_image_frame(&frame, &|_| None).map(|s| s.len()))
+        b.iter(|| decode_image_frame(&frame).map(|s| s.len()))
     });
     for (name, server) in ["checkpoint_memory_1k", "checkpoint_append_only_1k"]
         .into_iter()

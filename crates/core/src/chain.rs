@@ -177,8 +177,8 @@ pub struct ChainController {
     /// failover or clone instance replays from.
     logs: Rc<VertexLogs>,
     next_instance: u32,
-    /// Whether [`ChainController::checkpoint_store`] ran: the store's shard
-    /// journals from its first checkpoint on.
+    /// Whether [`ChainController::checkpoint_store`] took a checkpoint: the
+    /// store's shard journals from its first checkpoint on.
     store_checkpointed: bool,
 }
 
@@ -578,11 +578,12 @@ impl ChainController {
     /// journal holds what the store applied since the latest checkpoint.
     /// Journaling starts here, not at bring-up: each journal compaction
     /// re-encodes the image, a cost a run that never loses its store need
-    /// not pay.
+    /// not pay. On a failed store it takes none: it captures nothing and
+    /// leaves the latest checkpoint and journal to `recover_store`.
     pub fn checkpoint_store(&mut self) {
         self.store.set_shard_journaling(0, true);
+        self.store_checkpointed |= !self.store.is_failed();
         self.store.checkpoint_shard(0);
-        self.store_checkpointed = true;
     }
 
     /// Kill the datastore instance (fail-stop): its state is lost and all
@@ -600,8 +601,8 @@ impl ChainController {
     ///
     /// # Panics
     ///
-    /// If [`ChainController::checkpoint_store`] never ran: the shard has
-    /// journaled nothing to recover from.
+    /// If [`ChainController::checkpoint_store`] never took a checkpoint: the
+    /// shard has journaled nothing to recover from.
     pub fn recover_store(&mut self) -> ShardRecoveryStats {
         assert!(self.store_checkpointed, "recover_store needs a checkpoint");
         self.store.recover_shard(0)

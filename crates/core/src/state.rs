@@ -65,8 +65,11 @@ pub trait StateHandle {
     fn owner_of(&self, key: &StateKey) -> Option<InstanceId>;
     /// Store-computed non-deterministic value (Appendix A).
     fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value;
-    /// Current `TS` metadata (last clock per instance).
-    fn ts_snapshot(&self) -> TsSnapshot;
+    /// An empty [`TsSnapshot`], kept with its type until the benchmark
+    /// stops naming both (ROADMAP 4(d)).
+    fn ts_snapshot(&self) -> TsSnapshot {
+        TsSnapshot
+    }
     /// True if the store instance is currently failed.
     fn is_failed(&self) -> bool;
     /// Register an ordered writer ([`StoreServer::register_ordered_writer`]); default: refused.
@@ -119,9 +122,6 @@ impl StateHandle for Arc<StoreServer> {
     }
     fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
         StoreServer::nondet(self, clock, slot, candidate)
-    }
-    fn ts_snapshot(&self) -> TsSnapshot {
-        StoreServer::ts_snapshot(self)
     }
     fn is_failed(&self) -> bool {
         StoreServer::is_failed(self)
@@ -189,7 +189,7 @@ impl ObjectSlot {
     fn apply_local(&mut self, at: Scoped, op: &Operation) -> Value {
         let (prefix, owner) = (&self.prefix, self.owner);
         let cached = self.table.entry(at).or_default();
-        match apply_in_place(|| prefix.key(owner, at), cached, op, None) {
+        match apply_in_place(|| prefix.key(owner, at), cached, op) {
             Ok((returned, _)) => returned,
             Err(_) => Value::None,
         }
@@ -613,7 +613,7 @@ impl StateClient {
                 // neither.
                 None if maintained => {
                     if !result.outcome.emulated {
-                        let _ = apply_in_place(|| key.clone(), copy.get_mut(), &op, None);
+                        let _ = apply_in_place(|| key.clone(), copy.get_mut(), &op);
                     }
                 }
                 // Nobody keeps this copy current (a callback filed it for
@@ -1058,31 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sharded_server_reports_each_instances_latest_clock_across_shards() {
-        let store = sharded();
-        // One key per shard, found by probing.
-        let mut on_shard = vec![None; 4];
-        for port in 0.. {
-            let key = shared_key(VertexId(1), "c", Some(ScopeKey::Port(port)));
-            let shard = store.shard_index(&key);
-            on_shard[shard].get_or_insert(key);
-            if on_shard.iter().all(Option::is_some) {
-                break;
-            }
-        }
-        let keys: Vec<StateKey> = on_shard.into_iter().flatten().collect();
-        // Instance 0 ends on the last shard, instance 1 on the first.
-        for (i, key) in keys.iter().enumerate() {
-            let incr = Operation::Increment(1);
-            let at = Some(clock(i as u64 + 1));
-            StateHandle::apply(&store, InstanceId(0), key, &incr, at).unwrap();
-            StateHandle::apply(&store, InstanceId(1), &keys[3 - i], &incr, at).unwrap();
-        }
-        let latest = [(InstanceId(0), clock(4)), (InstanceId(1), clock(4))];
-        assert_eq!(store.ts_snapshot(), TsSnapshot::new(latest.into()));
-    }
-
-    #[test]
     fn a_sharded_server_keeps_a_nondet_value_for_its_clock() {
         let store = sharded();
         store.track_replays();
@@ -1245,9 +1220,6 @@ mod tests {
         fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
             self.store.nondet(clock, slot, candidate)
         }
-        fn ts_snapshot(&self) -> TsSnapshot {
-            self.store.ts_snapshot()
-        }
         fn is_failed(&self) -> bool {
             self.store.is_failed()
         }
@@ -1297,7 +1269,6 @@ mod tests {
             ]]
         );
         assert_eq!(store.peek(&c.state_key("pkt_count", None)), Value::Int(3));
-        assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(clock(3)));
     }
 
     #[test]
@@ -1327,7 +1298,6 @@ mod tests {
         assert_eq!(value("pkt_count", None), Value::Int(7));
         assert_eq!(value("likelihood", None), Value::Int(30));
         assert_eq!(value("port_map", sk), Value::Int(6));
-        assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(clock(6)));
     }
 
     #[test]

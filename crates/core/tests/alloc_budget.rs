@@ -248,9 +248,6 @@ fn an_out_of_order_drain_costs_its_result_vector_only() {
     round(&mut client, 1);
     let allocated = allocations_in(|| round(&mut client, 1_000));
     assert_eq!(allocated, 1, "an out-of-order drain touched the allocator");
-    // `TS` names the newest clock, which only a sorted batch ends on.
-    let newest = Clock(1_000 + 2 * COUNTERS - 1);
-    assert_eq!(store.ts_snapshot().clock_of(InstanceId(0)), Some(newest));
     for p in 0..COUNTERS {
         let value = store.peek(&client.state_key("pkt_count", port(p)));
         assert_eq!(value, Value::Int(4));
@@ -439,7 +436,7 @@ fn store_apply_below_the_floor_allocates_nothing_and_above_it_only_to_grow_the_w
             .unwrap();
     }
 
-    // Below the floor: `TS` moves, nothing is looked up, nothing is logged.
+    // Below the floor: nothing is looked up, nothing is logged.
     store.forget_through(10_000);
     let allocated = allocations_in(|| {
         for n in 0..ROUNDS {

@@ -31,8 +31,7 @@
 //! clients, each on its own store whose replay floor is at the top, one of
 //! them folding increments. They must agree on every answer, on their
 //! statistics and, whenever both buffers are empty,
-//! on the store's contents, on `TS` and on the last value each subscriber
-//! was sent.
+//! on the store's contents and on the last value each subscriber was sent.
 //!
 //! A fault arm ([`FaultArm`]) runs the same two clients with a finite
 //! replay floor, the folding one a declared ordered writer whose increments
@@ -40,7 +39,7 @@
 //! hands each client's state and marks to a replacement, which re-issues a
 //! suffix of the logged updates straddling what the store applied, per op,
 //! before it declares itself and folds: after the replay the stores'
-//! contents, `TS` and each subscriber's last value must agree.
+//! contents and each subscriber's last value must agree.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -56,7 +55,7 @@ use chc_store::ops::apply_operation;
 use chc_store::store::ApplyResult;
 use chc_store::{
     AccessPattern, Clock, InstanceId, ObjectKey, Operation, StateKey, StateScope, StoreError,
-    StoreServer, TsSnapshot, Value, VertexId,
+    StoreServer, Value, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -248,7 +247,7 @@ impl Model {
         op: &Operation,
     ) -> Value {
         let cached = self.cache.entry(slot).or_default();
-        match apply_operation(key, cached, op, None) {
+        match apply_operation(key, cached, op) {
             Ok((new, returned)) => {
                 *cached = new;
                 returned
@@ -432,9 +431,6 @@ impl StateHandle for Recording {
     fn nondet(&self, clock: Clock, slot: u32, candidate: Value) -> Value {
         self.store.nondet(clock, slot, candidate)
     }
-    fn ts_snapshot(&self) -> TsSnapshot {
-        self.store.ts_snapshot()
-    }
     fn is_failed(&self) -> bool {
         self.store.is_failed()
     }
@@ -491,8 +487,7 @@ fn folds_from(
 
 /// Two clients over one schedule, `[per-op, folded]`, each buffering with
 /// the same cap on its own one-shard store with the floor at the top: the
-/// store the engine folds against. One shard is the strictest place for
-/// `TS`, which then names the last applied clocked op of the whole drain.
+/// store the engine folds against.
 struct FoldArm {
     clients: [StateClient; 2],
     stores: [Arc<StoreServer>; 2],
@@ -562,7 +557,7 @@ impl FoldArm {
     }
 
     /// The end of a packet: the statistics agree; once nothing is buffered,
-    /// so do the stores, `TS` and what each subscriber last heard.
+    /// so do the stores and what each subscriber last heard.
     fn check(&mut self, context: &str) {
         for (client, notified) in self.clients.iter_mut().zip(&mut self.notified) {
             for (to, key, value) in client.take_pending_callbacks() {
@@ -604,7 +599,6 @@ impl FoldArm {
         }
         let [a, b] = &self.stores;
         assert_eq!(contents(a), contents(b), "fold arm dump: {context}");
-        assert_eq!(a.ts_snapshot(), b.ts_snapshot(), "fold arm TS: {context}");
         let [per_op, folded] = &self.notified;
         assert_eq!(per_op, folded, "fold arm callbacks: {context}");
     }
@@ -722,7 +716,6 @@ impl FaultArm {
         self.clients[1].declare_ordered_writer();
         let [a, b] = &self.stores;
         assert_eq!(contents(a), contents(b), "fault arm dump: {context}");
-        assert_eq!(a.ts_snapshot(), b.ts_snapshot(), "fault arm TS: {context}");
         let [per_op, folding] = &self.notified;
         assert_eq!(per_op, folding, "fault arm callbacks: {context}");
     }

@@ -90,6 +90,13 @@ impl TelemetryConfig {
     }
 }
 
+/// Number of store shards of every engine run. The paper pins each object
+/// to exactly one store thread; here each shard is an independently locked
+/// instance of the sharded [`chc_store::StoreServer`]. Nothing varies it: a
+/// size that selects no code path, and the benchmark's shard faults assume
+/// it.
+pub const STORE_SHARDS: usize = 4;
+
 /// Configuration of one real-thread run. Every field names who needs it
 /// settable; a value nothing varies is fixed in the code instead (DESIGN.md,
 /// "Store fast path", records the sweep that retired the last such knobs).
@@ -112,12 +119,6 @@ pub struct RuntimeConfig {
     /// `runtime_equivalence.rs` shortens it so that a ring holds less than
     /// one phase of its two-instance load-balancer trace.
     pub queue_depth: usize,
-    /// Number of store shards. The paper pins each object to exactly one
-    /// store thread; here each shard is an independently locked instance of
-    /// the sharded [`chc_store::StoreServer`]. A size that selects no code
-    /// path; no recorded row varies it (the benchmark's shard faults assume
-    /// the default 4).
-    pub store_shards: usize,
     /// Medium the store server's shard engines keep their bytes on.
     /// Defaults to the medium named by the `CHC_STORE_BACKEND` environment
     /// variable (the CI knob), which is memory unless overridden. Set by
@@ -155,7 +156,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             batch_size: 32,
             queue_depth: 1024,
-            store_shards: 4,
             store_backend: BackendKind::from_env(),
             scale: None,
             fault: FaultPlan::default(),
@@ -233,7 +233,6 @@ mod tests {
     fn defaults_and_builders() {
         let cfg = RuntimeConfig::default();
         assert!(cfg.batch_size > 0 && cfg.queue_depth >= cfg.batch_size);
-        assert!(cfg.store_shards > 0);
         let cfg = RuntimeConfig::with_batch_size(0);
         assert_eq!(cfg.batch_size, 1);
         let cfg = cfg.with_scale(VertexId(2), 500);

@@ -54,7 +54,7 @@
 //! no watermark is published and no duplicate tracking runs — the store's
 //! replay floor starts at the top, so clocked updates are never logged.
 
-use crate::config::RuntimeConfig;
+use crate::config::{RuntimeConfig, STORE_SHARDS};
 use crate::fault::FaultReport;
 use crate::instance::{run_instance, Inbox, InstanceResult};
 use crate::plan::{ChainPlan, InstancePlan};
@@ -237,7 +237,7 @@ impl EngineShared {
     /// Open what the threads of a run share: the store, telemetry, the
     /// packet logs and the callback inboxes.
     pub(crate) fn new(plan: &ChainPlan, config: ChainConfig, rt: &RuntimeConfig) -> EngineShared {
-        let server = StoreServer::with_backend(rt.store_shards, rt.store_backend);
+        let server = StoreServer::with_backend(STORE_SHARDS, rt.store_backend);
         for &shard in &plan.journaled_shards {
             server.set_shard_journaling(shard, true);
         }

@@ -6,7 +6,7 @@
 //! and reads no clock — and it is the only place a [`RuntimeError`] is
 //! raised, so a fault plan can be validated without running anything.
 
-use crate::config::{RuntimeConfig, ScaleEvent};
+use crate::config::{RuntimeConfig, ScaleEvent, STORE_SHARDS};
 use crate::engine::RuntimeError;
 use crate::fault::{FaultPlan, InstanceKill};
 use chc_core::root::ROOT_VERTEX;
@@ -242,8 +242,7 @@ impl ChainPlan {
 
         let fault = &rt.fault;
         let killed_slots = validate_kills(dag, fault, &slots, trace_len)?;
-        let shards = rt.store_shards.max(1);
-        let (shard_checkpoints, shard_restarts) = shard_schedule(fault, shards, trace_len)?;
+        let (shard_checkpoints, shard_restarts) = shard_schedule(fault, STORE_SHARDS, trace_len)?;
         if let Some(&counter) = fault.reinject.iter().find(|&&c| outside(c, trace_len)) {
             return Err(RuntimeError::ReinjectOutsideTrace { counter, trace_len });
         }

@@ -317,10 +317,6 @@ impl StateHandle for TimedHandle {
         StateHandle::nondet(&self.inner, clock, slot, candidate)
     }
 
-    fn ts_snapshot(&self) -> chc_store::TsSnapshot {
-        StateHandle::ts_snapshot(&self.inner)
-    }
-
     fn is_failed(&self) -> bool {
         StateHandle::is_failed(&self.inner)
     }

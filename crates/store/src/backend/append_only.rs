@@ -34,7 +34,6 @@ use super::files::Files;
 use super::persister::Persister;
 use super::{ImageRejected, JournalRecord, ReplayStopped};
 use crate::key::StateKey;
-use crate::ops::CustomOpResolver;
 use crate::store::StoreInstance;
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -144,18 +143,12 @@ impl Engine {
         instance.len()
     }
 
-    /// The instance the newest image holds, if there is one, with the
-    /// custom-op names it captured resolved through `resolve`; an error if
+    /// The instance the newest image holds, if there is one; an error if
     /// there is one and it does not decode.
-    pub(crate) fn restore(
-        &self,
-        resolve: CustomOpResolver<'_>,
-    ) -> Result<Option<StoreInstance>, ImageRejected> {
+    pub(crate) fn restore(&self) -> Result<Option<StoreInstance>, ImageRejected> {
         match self.medium.image() {
             None => Ok(None),
-            Some(image) => decode_image_frame(&image, resolve)
-                .map(Some)
-                .ok_or(ImageRejected),
+            Some(image) => decode_image_frame(&image).map(Some).ok_or(ImageRejected),
         }
     }
 

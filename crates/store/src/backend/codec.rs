@@ -39,7 +39,7 @@
 
 use super::JournalRecord;
 use crate::key::{Clock, InstanceId, ObjectKey, StateKey, VertexId};
-use crate::ops::{Condition, CustomOpResolver, Operation};
+use crate::ops::{Condition, Operation};
 use crate::store::StoreInstance;
 use crate::value::Value;
 use chc_packet::{FlowKey, ScopeKey};
@@ -283,11 +283,6 @@ impl<'a> Enc<'a> {
                 self.condition(condition);
                 self.value(new);
             }
-            Operation::Custom { name, arg } => {
-                self.u8(11);
-                self.str(name);
-                self.value(arg);
-            }
         }
     }
 
@@ -430,10 +425,6 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.take(len)?).ok()
     }
 
-    pub(crate) fn str(&mut self) -> Option<String> {
-        self.borrowed_str().map(String::from)
-    }
-
     pub(crate) fn value(&mut self) -> Option<Value> {
         Some(match self.u8()? {
             0 => Value::None,
@@ -477,10 +468,6 @@ impl<'a> Dec<'a> {
             10 => Operation::CompareAndUpdate {
                 condition: self.condition()?,
                 new: self.value()?,
-            },
-            11 => Operation::Custom {
-                name: self.str()?,
-                arg: self.value()?,
             },
             _ => return None,
         })
@@ -581,10 +568,6 @@ impl JournalRecord {
                 e.u32(instance.0);
                 e.state_key(key);
             }
-            JournalRecord::CustomOp { name } => {
-                e.u8(2);
-                e.str(name);
-            }
             JournalRecord::Reassign { from, to } => {
                 e.u8(3);
                 e.u32(from.0);
@@ -671,7 +654,6 @@ fn decode_rare(tag: u8, d: &mut Dec<'_>) -> Option<JournalRecord> {
             instance: InstanceId(d.u32()?),
             key: d.state_key()?,
         },
-        2 => JournalRecord::CustomOp { name: d.str()? },
         3 => JournalRecord::Reassign {
             from: InstanceId(d.u32()?),
             to: InstanceId(d.u32()?),
@@ -714,13 +696,12 @@ pub fn encode_image_frame<'a>(instance: &StoreInstance, buf: &'a mut Vec<u8>) ->
     e.finish()
 }
 
-/// The instance an image frame holds, decoded in place, with the custom-op
-/// names it captured resolved through `resolve`. `None` unless `frame` is
-/// exactly one intact frame holding exactly one image.
-pub fn decode_image_frame(frame: &[u8], resolve: CustomOpResolver<'_>) -> Option<StoreInstance> {
+/// The instance an image frame holds, decoded in place. `None` unless
+/// `frame` is exactly one intact frame holding exactly one image.
+pub fn decode_image_frame(frame: &[u8]) -> Option<StoreInstance> {
     let mut d = Dec::new(frame);
     let payload = d.frame().filter(|_| d.is_exhausted())?;
-    StoreInstance::decode_image(&mut Dec::new(payload), resolve)
+    StoreInstance::decode_image(&mut Dec::new(payload))
 }
 
 #[cfg(test)]
@@ -806,10 +787,6 @@ mod tests {
             Operation::CompareAndUpdate {
                 condition: Condition::Absent,
                 new: Value::Int(1),
-            },
-            Operation::Custom {
-                name: "clamp".into(),
-                arg: Value::Int(100),
             },
         ];
         let keys = [
@@ -921,9 +898,6 @@ mod tests {
                 key: flow_key(2),
                 instance: InstanceId(4),
             },
-            JournalRecord::CustomOp {
-                name: "clamp".into(),
-            },
             JournalRecord::Reassign {
                 from: InstanceId(3),
                 to: InstanceId(5),
@@ -961,8 +935,10 @@ mod tests {
         }
         .to_frame();
         let middle = drain_batch().to_frame();
-        let last = JournalRecord::CustomOp {
-            name: "clamp".into(),
+        let last = JournalRecord::Nondet {
+            clock: Clock(5),
+            slot: 0,
+            value: Value::Int(-1),
         }
         .to_frame();
         let scan = |middle: &[u8]| {
@@ -1038,7 +1014,7 @@ mod tests {
         let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
         assert_eq!(
             (image.len(), folded_word_fnv(&image)),
-            (282, 701_471_888),
+            (261, 3_944_192_442),
             "the image format moved"
         );
         let increment = frame(|enc| {
@@ -1075,11 +1051,11 @@ mod tests {
         apply(9, &pkts, Operation::Increment(1), 12);
         apply(9, &bytes, Operation::Set(Value::Int(0)), 13);
         let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
-        let decoded = decode_image_frame(&image, &|_| None).expect("the image decodes");
+        let decoded = decode_image_frame(&image).expect("the image decodes");
         assert_eq!(encode_image_frame(&decoded, &mut Vec::new()), image);
         assert_eq!(
             (image.len(), folded_word_fnv(&image)),
-            (183, 726_723_329),
+            (150, 3_694_796_655),
             "the image format moved"
         );
         // The tail: three marks, (entry id, writer, counter) each.

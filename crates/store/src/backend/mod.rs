@@ -4,13 +4,12 @@
 //! The paper's consistency protocol (operation offloading, duplicate
 //! suppression, checkpoint + journal recovery, §4.3/§5.4) is independent of
 //! *where* a shard persists its state. A [`Shard`] is what the server locks:
-//! the live [`StoreInstance`], the journaling switch, the resident custom-op
-//! table, the one buffer its journal records are encoded into, and the one
-//! recovery routine — restore the latest checkpoint, re-register the custom
-//! ops, re-apply every later record through `replay_record`. Its [`Engine`]
-//! is where the shard's history goes: it appends journal frames, writes and
-//! restores checkpoint images, and hands back the records past the latest
-//! one.
+//! the live [`StoreInstance`], the journaling switch, the one buffer its
+//! journal records are encoded into, and the one recovery routine — restore
+//! the latest checkpoint, re-apply every later record through
+//! `replay_record`. Its [`Engine`] is where the shard's history goes: it
+//! appends journal frames, writes and restores checkpoint images, and hands
+//! back the records past the latest one.
 //!
 //! A journal record and a checkpoint image are bytes. The shard encodes a
 //! record once, under its lock, straight from the borrowed key and operation
@@ -49,7 +48,7 @@ pub(crate) use persister::Persister;
 pub(crate) use persister::HARD_CAP;
 
 use crate::key::{Clock, InstanceId, StateKey};
-use crate::ops::{CustomOpFn, Operation};
+use crate::ops::Operation;
 use crate::store::StoreInstance;
 use crate::value::Value;
 use codec::Enc;
@@ -98,9 +97,9 @@ impl BackendKind {
 
 /// One durable record of a shard's write-ahead journal, decoded. The journal
 /// captures everything needed to rebuild a shard's in-memory state exactly:
-/// applied operations with their duplicate-suppression clocks, callback and
-/// custom-op registrations, per-flow ownership changes and logged
-/// non-deterministic values.
+/// applied operations with their duplicate-suppression clocks, callback
+/// registrations, per-flow ownership changes and logged non-deterministic
+/// values.
 ///
 /// This is the form recovery replays, not the form the journal keeps: the
 /// engine holds records as frames of bytes. The hot records, `Apply` and
@@ -127,14 +126,6 @@ pub enum JournalRecord {
         key: StateKey,
         /// Instance to notify.
         instance: InstanceId,
-    },
-    /// A custom-operation registration, by name: a function pointer cannot
-    /// be persisted, so replay resolves the name through the shard's
-    /// resident table (production stores re-register custom ops from code at
-    /// boot the same way).
-    CustomOp {
-        /// Registered name.
-        name: String,
     },
     /// A bulk per-flow ownership reassignment (NF failover, §5.4).
     Reassign {
@@ -184,8 +175,7 @@ pub struct ShardRecoveryStats {
     pub restored_from_checkpoint: usize,
     /// Journal operations re-applied on top of the checkpoint.
     pub replayed_ops: usize,
-    /// Callback, custom-op, ownership and non-determinism records
-    /// re-installed.
+    /// Callback, ownership and non-determinism records re-installed.
     pub reinstalled_records: usize,
     /// The latest checkpoint image failed its frame check or decode. The
     /// journal suffix was replayed over an empty instance up to its first
@@ -220,15 +210,11 @@ pub(crate) enum ReplayStopped {
 }
 
 /// One store shard: the live [`StoreInstance`], the journaling switch, the
-/// resident custom-op table, the journal's frame buffer and recovery, over
-/// the [`Engine`] that keeps its history.
+/// journal's frame buffer and recovery, over the [`Engine`] that keeps its
+/// history.
 pub struct Shard {
     instance: StoreInstance,
     journaling: bool,
-    /// Every custom operation registered on this shard. Function pointers
-    /// cannot be persisted, so recovery re-installs them from here, whether
-    /// or not journaling was on when they were registered.
-    custom_ops: Vec<(String, CustomOpFn)>,
     /// The buffer every journal record of this shard is encoded into. It is
     /// reused, so it stops allocating once it has held the largest record;
     /// it starts empty, so a shard that never journals never allocates it.
@@ -250,7 +236,6 @@ impl Shard {
         Shard {
             instance: StoreInstance::new(),
             journaling: false,
-            custom_ops: Vec::new(),
             frame: Vec::new(),
             replay_ids: engine.is_empty().then_some(0),
             engine,
@@ -335,19 +320,14 @@ impl Shard {
         });
     }
 
-    /// Register a custom operation: installs it on the live instance, keeps
-    /// it for every later recovery, and journals the registration.
-    pub(crate) fn register_custom_op(&mut self, name: &str, f: CustomOpFn) {
-        self.instance.register_custom_op(name, f);
-        self.custom_ops.retain(|(n, _)| n != name);
-        self.custom_ops.push((name.to_string(), f));
-        self.append(&JournalRecord::CustomOp {
-            name: name.to_string(),
-        });
-    }
-
     /// Checkpoint the live instance; returns the number of objects captured.
+    /// A failed instance is empty, not the shard's state: the image and the
+    /// journal it would replace are what recovery rebuilds the shard from,
+    /// so they stay, and nothing is captured.
     pub(crate) fn checkpoint(&mut self) -> usize {
+        if self.instance.is_failed() {
+            return 0;
+        }
         self.replay_ids = Some(self.ids());
         self.engine.checkpoint(&self.instance)
     }
@@ -360,8 +340,8 @@ impl Shard {
         self.instance.set_failed(true);
     }
 
-    /// Rebuild the instance: restore the latest checkpoint, re-register the
-    /// resident custom ops, then re-apply every later record. Re-applying
+    /// Rebuild the instance: restore the latest checkpoint, then re-apply
+    /// every later record. Re-applying
     /// journal records with their original duplicate-suppression clocks
     /// reconstructs both the values and the metadata exactly as they stood
     /// before the crash. A frame names an object by the id the entry had
@@ -370,8 +350,8 @@ impl Shard {
     /// instance may sit below the server's replay floor (it starts at zero);
     /// the server raises it before releasing the shard.
     pub fn recover(&mut self) -> ShardRecoveryStats {
-        let (instance, table) = (&mut self.instance, &self.custom_ops);
-        let restored = self.engine.restore(&|name| resolve(table, name));
+        let instance = &mut self.instance;
+        let restored = self.engine.restore();
         let image_rejected = restored.is_err();
         *instance = restored.ok().flatten().unwrap_or_default();
         let mut stats = ShardRecoveryStats {
@@ -379,9 +359,6 @@ impl Shard {
             image_rejected,
             ..ShardRecoveryStats::default()
         };
-        for (name, f) in table {
-            instance.register_custom_op(name, *f);
-        }
         // Entry ids count from the image's entries, so a rejected image
         // leaves every id the suffix names unresolvable, those of the
         // entries it creates too: replay stops at the first.
@@ -390,13 +367,7 @@ impl Shard {
         let replayed = self
             .engine
             .for_each_record(&mut names, &mut |record, names| {
-                replay_record(
-                    instance,
-                    table,
-                    record,
-                    &mut stats,
-                    anchored.then_some(names),
-                );
+                replay_record(instance, record, &mut stats, anchored.then_some(names));
             });
         match replayed {
             Ok(()) => {}
@@ -408,11 +379,6 @@ impl Shard {
     }
 }
 
-/// The function registered as `name` in a resident custom-op table.
-fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
-    table.iter().find(|(n, _)| n == name).map(|(_, f)| *f)
-}
-
 /// The journal-replay step: re-apply one record to `instance`, updating
 /// `stats`, and add each entry it creates to `names`, if ids resolve at
 /// all. Applies go through
@@ -421,7 +387,6 @@ fn resolve(table: &[(String, CustomOpFn)], name: &str) -> Option<CustomOpFn> {
 /// duplicate-suppression log.
 fn replay_record(
     instance: &mut StoreInstance,
-    custom_ops: &[(String, CustomOpFn)],
     record: &JournalRecord,
     stats: &mut ShardRecoveryStats,
     mut names: Option<&mut Vec<StateKey>>,
@@ -446,12 +411,6 @@ fn replay_record(
         }
         JournalRecord::Callback { key, instance: who } => {
             instance.register_callback(key, *who);
-            stats.reinstalled_records += 1;
-        }
-        JournalRecord::CustomOp { name } => {
-            if let Some(f) = resolve(custom_ops, name) {
-                instance.register_custom_op(name, f);
-            }
             stats.reinstalled_records += 1;
         }
         JournalRecord::Reassign { from, to } => {

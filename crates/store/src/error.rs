@@ -27,8 +27,6 @@ pub enum StoreError {
         /// Operation name.
         op: &'static str,
     },
-    /// A custom operation name was not registered.
-    UnknownCustomOp(String),
     /// The store instance has failed (fail-stop) and cannot serve requests.
     Unavailable,
 }
@@ -48,7 +46,6 @@ impl fmt::Display for StoreError {
             StoreError::TypeMismatch { key, op } => {
                 write!(f, "operation {op} not applicable to value at {key}")
             }
-            StoreError::UnknownCustomOp(name) => write!(f, "unknown custom operation {name:?}"),
             StoreError::Unavailable => write!(f, "store instance unavailable"),
         }
     }
@@ -69,8 +66,5 @@ mod tests {
         let e = StoreError::TypeMismatch { key, op: "pop" };
         assert!(e.to_string().contains("pop"));
         assert!(StoreError::Unavailable.to_string().contains("unavailable"));
-        assert!(StoreError::UnknownCustomOp("x".into())
-            .to_string()
-            .contains('x'));
     }
 }

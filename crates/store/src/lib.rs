@@ -13,13 +13,12 @@
 //!   are keyed `vertexID + instanceID + objKey` (only the owning instance may
 //!   update them), shared objects `vertexID + objKey`;
 //! * values and offloadable operations ([`value`], [`ops`]) — increment /
-//!   decrement, push / pop, compare-and-update, plus registrable custom
-//!   operations (Table 2);
+//!   decrement, push / pop, compare-and-update (Table 2);
 //! * a single store instance ([`store::StoreInstance`]) implementing
 //!   operation serialization, ownership checks, callback registration for
 //!   read-heavy cached objects, clock-tagged update logging used for
-//!   duplicate suppression (§5.3), the `TS` metadata, checkpoint images and
-//!   store-computed non-deterministic values (Appendix A);
+//!   duplicate suppression (§5.3), checkpoint images and store-computed
+//!   non-deterministic values (Appendix A);
 //! * [`window::CounterWindow`], the ring indexed by a dense clock counter
 //!   behind both the store's duplicate-suppression log and
 //!   `chc_core::ClockWindow`;

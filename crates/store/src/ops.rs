@@ -3,7 +3,7 @@
 //! In CHC an NF instance does not read-modify-write shared state under a
 //! lock; it sends the *operation* to the datastore, which serializes and
 //! applies operations from all instances in the background (§4.3,
-//! "Offloading operations"). Developers can also register custom operations.
+//! "Offloading operations").
 
 use crate::error::StoreError;
 use crate::key::StateKey;
@@ -67,14 +67,6 @@ pub enum Operation {
         /// Value written when the predicate holds.
         new: Value,
     },
-    /// A developer-registered custom operation, looked up by name in the
-    /// store's custom-operation registry, with an argument value.
-    Custom {
-        /// Registered operation name.
-        name: String,
-        /// Operation argument.
-        arg: Value,
-    },
 }
 
 impl Operation {
@@ -107,7 +99,6 @@ impl Operation {
             Operation::PopFront => "popf",
             Operation::PopBack => "popb",
             Operation::CompareAndUpdate { .. } => "cau",
-            Operation::Custom { .. } => "custom",
         }
     }
 }
@@ -148,13 +139,6 @@ impl OpOutcome {
     }
 }
 
-/// Signature of a registered custom operation: given the current value and an
-/// argument, produce `(new_value, returned_value)`.
-pub type CustomOpFn = fn(&Value, &Value) -> (Value, Value);
-
-/// Resolver mapping a custom-operation name to its registered function.
-pub type CustomOpResolver<'a> = &'a dyn Fn(&str) -> Option<CustomOpFn>;
-
 /// Apply `op` to the stored `value` in place. Returns the value handed back
 /// to the caller and whether the stored value changed (what decides callback
 /// notifications). On error `value` is untouched.
@@ -171,7 +155,6 @@ pub fn apply_in_place(
     key: impl FnOnce() -> StateKey,
     value: &mut Value,
     op: &Operation,
-    custom: Option<CustomOpResolver<'_>>,
 ) -> Result<(Value, bool), StoreError> {
     // Scalar results are built first and compared against the stored value;
     // list operations know whether they changed anything without comparing.
@@ -233,14 +216,6 @@ pub fn apply_in_place(
             let changed = condition.eval(value) && replace(value, new.clone());
             (value.clone(), changed)
         }
-        Operation::Custom { name, arg } => {
-            let f = custom
-                .and_then(|resolve| resolve(name))
-                .ok_or_else(|| StoreError::UnknownCustomOp(name.clone()))?;
-            let (new, returned) = f(value, arg);
-            let changed = replace(value, new);
-            (returned, changed)
-        }
     })
 }
 
@@ -250,10 +225,9 @@ pub fn apply_operation(
     key: &StateKey,
     current: &Value,
     op: &Operation,
-    custom: Option<CustomOpResolver<'_>>,
 ) -> Result<(Value, Value), StoreError> {
     let mut value = current.clone();
-    let (returned, _) = apply_in_place(|| key.clone(), &mut value, op, custom)?;
+    let (returned, _) = apply_in_place(|| key.clone(), &mut value, op)?;
     Ok((value, returned))
 }
 
@@ -282,7 +256,7 @@ mod tests {
     }
 
     fn apply(current: &Value, op: Operation) -> (Value, Value) {
-        apply_operation(&key(), current, &op, None).unwrap()
+        apply_operation(&key(), current, &op).unwrap()
     }
 
     #[test]
@@ -317,13 +291,8 @@ mod tests {
 
     #[test]
     fn push_to_non_list_is_type_mismatch() {
-        let err = apply_operation(
-            &key(),
-            &Value::Int(1),
-            &Operation::PushBack(Value::Int(2)),
-            None,
-        )
-        .unwrap_err();
+        let err = apply_operation(&key(), &Value::Int(1), &Operation::PushBack(Value::Int(2)))
+            .unwrap_err();
         assert!(matches!(err, StoreError::TypeMismatch { .. }));
     }
 
@@ -358,35 +327,6 @@ mod tests {
         let (v, r) = apply(&v, Operation::Delete);
         assert_eq!(v, Value::None);
         assert_eq!(r, Value::Int(5));
-    }
-
-    #[test]
-    fn custom_ops_resolution() {
-        fn max_op(current: &Value, arg: &Value) -> (Value, Value) {
-            let v = Value::Int(current.as_int().max(arg.as_int()));
-            (v.clone(), v)
-        }
-        let resolver = |name: &str| -> Option<CustomOpFn> {
-            if name == "max" {
-                Some(max_op)
-            } else {
-                None
-            }
-        };
-        let op = Operation::Custom {
-            name: "max".into(),
-            arg: Value::Int(9),
-        };
-        let (v, _) = apply_operation(&key(), &Value::Int(4), &op, Some(&resolver)).unwrap();
-        assert_eq!(v, Value::Int(9));
-        let unknown = Operation::Custom {
-            name: "nope".into(),
-            arg: Value::None,
-        };
-        assert!(matches!(
-            apply_operation(&key(), &Value::None, &unknown, Some(&resolver)),
-            Err(StoreError::UnknownCustomOp(_))
-        ));
     }
 
     #[test]

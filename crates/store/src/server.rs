@@ -13,14 +13,13 @@
 //! (`benches/store_ops.rs`) measures this type directly. Both substrates run
 //! on it: the simulator on one shard in memory, the engine on several. An
 //! object's owner lives on its shard, a non-deterministic value on the shard
-//! its clock picks, and `TS` is read as each instance's latest clock across
-//! shards.
+//! its clock picks.
 //!
 //! Two fault-tolerance facilities back the real-thread failover protocols:
 //!
 //! * **Per-shard journaling** (§5.4): with journaling enabled, every applied
-//!   operation (plus callback and custom-op registrations, ownership
-//!   changes and logged non-deterministic values) is appended to a
+//!   operation (plus callback registrations, ownership changes and logged
+//!   non-deterministic values) is appended to a
 //!   shard-local write-ahead journal that models the durable log a
 //!   production store keeps on disk. [`StoreServer::checkpoint_shard`]
 //!   snapshots a shard and truncates its journal;
@@ -58,31 +57,18 @@ use crate::backend::{
 };
 use crate::error::StoreError;
 use crate::key::{Clock, InstanceId, StateKey};
-use crate::ops::{CustomOpFn, Operation};
+use crate::ops::Operation;
 use crate::store::{ApplyResult, StoreInstance};
 use crate::value::Value;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The `TS` metadata: the logical clock of the last state operation the store
-/// executed on behalf of each NF instance at some point in time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TsSnapshot(pub HashMap<InstanceId, Clock>);
-
-impl TsSnapshot {
-    /// Build from a map.
-    pub fn new(map: HashMap<InstanceId, Clock>) -> TsSnapshot {
-        TsSnapshot(map)
-    }
-
-    /// The clock recorded for `instance`, if any.
-    pub fn clock_of(&self, instance: InstanceId) -> Option<Clock> {
-        self.0.get(&instance).copied()
-    }
-}
+/// An empty type the benchmark still names, kept until it stops
+/// (ROADMAP 4(d)); the store holds nothing for it to carry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TsSnapshot;
 
 /// One [`Shard`] of a [`StoreServer`] behind its own lock, plus an op
 /// counter so load skew across shards is observable. The journal append
@@ -258,12 +244,6 @@ impl StoreServer {
         self.slots.iter().map(|s| self.lock_at_floor(s))
     }
 
-    /// Register a custom operation on every shard.
-    pub fn register_custom_op(&self, name: &str, f: CustomOpFn) {
-        self.shards()
-            .for_each(|mut s| s.register_custom_op(name, f));
-    }
-
     /// Apply an operation on one shard, journaling it when the shard's
     /// journal is enabled and the operation mutated something — an emulated
     /// duplicate changes nothing, and replaying it after its original's log
@@ -349,8 +329,7 @@ impl StoreServer {
     /// routing pass — is applied as one run (`StoreInstance::apply_run`) at
     /// the position of its first op. Only ops of other objects move
     /// across it, so every result, value and log entry is what sequential
-    /// applies give. `TS` is set once per shard, to the last applied clocked
-    /// op in submission order. The shard's journal receives a single
+    /// applies give. The shard's journal receives a single
     /// [`JournalRecord::ApplyBatch`] covering the batch's applied ops in
     /// submission order, encoded straight from `ops` — replayed
     /// element-wise, so crash/recover semantics are identical to the same
@@ -424,15 +403,6 @@ impl StoreServer {
                     });
                 }
             }
-            // `TS` once per shard: the last applied clocked op in
-            // submission order, whichever run applied it.
-            let applied = |i: usize| matches!(&results[i], Ok(r) if !r.outcome.emulated);
-            let last = mine()
-                .rev()
-                .find_map(|(i, (_, _, c))| c.filter(|_| applied(i)));
-            if let Some(clock) = last {
-                shard.instance_mut().set_ts(requester, clock);
-            }
             // Journal append under the shard lock hold, like
             // `apply_on_shard`: the record lists the applied ops in
             // submission order, which replays to what they left in the order
@@ -441,6 +411,7 @@ impl StoreServer {
             // each entry replay holds before the frame; a batch whose every
             // op was emulated appends nothing.
             shard.journal(since, |e, named_below| {
+                let applied = |i: usize| matches!(&results[i], Ok(r) if !r.outcome.emulated);
                 e.open_batch(requester, ordered);
                 let mut applied_ops = 0;
                 for (i, (key, op, clock)) in mine().filter(|&(i, _)| applied(i)) {
@@ -553,20 +524,6 @@ impl StoreServer {
         value
     }
 
-    /// The `TS` metadata: each instance's latest clock across shards. A
-    /// shard keeps the clock of the last op it applied for each instance,
-    /// and an instance issues its ops in clock order.
-    pub fn ts_snapshot(&self) -> TsSnapshot {
-        let mut ts: HashMap<InstanceId, Clock> = HashMap::new();
-        for shard in self.shards() {
-            for (&instance, &clock) in shard.instance().ts() {
-                let latest = ts.entry(instance).or_insert(clock);
-                *latest = (*latest).max(clock);
-            }
-        }
-        TsSnapshot::new(ts)
-    }
-
     /// True while some shard is crashed and not yet recovered: it answers
     /// nothing.
     pub fn is_failed(&self) -> bool {
@@ -664,10 +621,12 @@ impl StoreServer {
 
     /// Snapshot one shard into its durable checkpoint and truncate the
     /// journal: records preceding a checkpoint are no longer needed for
-    /// recovery. The snapshot is the full
-    /// shard image, so truncation loses nothing — not the callback or
-    /// custom-op registrations and not the duplicate-suppression log. On
-    /// files this also compacts the on-disk segments.
+    /// recovery. The snapshot is the full shard image, so truncation loses
+    /// nothing — not the callback registrations and not the
+    /// duplicate-suppression log. On files this also compacts the on-disk
+    /// segments. Returns the number of objects captured. A crashed shard
+    /// holds nothing of its history, so checkpointing it captures nothing
+    /// and leaves its image and journal as they are, for recovery.
     pub fn checkpoint_shard(&self, shard: usize) -> usize {
         self.lock_at_floor(&self.slots[shard]).checkpoint()
     }
@@ -1038,12 +997,11 @@ mod tests {
     }
 
     /// Shard by shard, batches full of runs leave each `StoreInstance` as
-    /// sequential applies do: the same `TS` — the last applied clocked op in
-    /// submission order, though a run applied later ops first — and the same
-    /// answers when every op is re-issued. Where every packet touches its
-    /// keys in one order and no batch splits a packet, the checkpoint images
-    /// are equal byte for byte; otherwise they may differ in the order of a
-    /// packet's updates only, which no answer observes.
+    /// sequential applies do: the same answers when every op is re-issued.
+    /// Where every packet touches its keys in one order and no batch splits
+    /// a packet, the checkpoint images are equal byte for byte; otherwise
+    /// they may differ in the order of a packet's updates only, which no
+    /// answer observes.
     #[test]
     fn runs_leave_every_shard_instance_as_sequential_applies_do() {
         use crate::backend::codec::encode_image_frame;
@@ -1095,14 +1053,12 @@ mod tests {
             let (seq, bat) = (StoreServer::new(SHARDS), StoreServer::new(SHARDS));
             seq.track_replays();
             bat.track_replays();
-            let instances = |server: &StoreServer| -> Vec<(HashMap<InstanceId, Clock>, Vec<u8>)> {
+            let images = |server: &StoreServer| -> Vec<Vec<u8>> {
                 server
                     .slots
                     .iter()
                     .map(|slot| {
-                        let shard = slot.shard.lock();
-                        let image = encode_image_frame(shard.instance(), &mut Vec::new()).to_vec();
-                        (shard.instance().ts().clone(), image)
+                        encode_image_frame(slot.shard.lock().instance(), &mut Vec::new()).to_vec()
                     })
                     .collect()
             };
@@ -1116,11 +1072,9 @@ mod tests {
                     .flat_map(|batch| bat.apply_batch(requester, batch))
                     .collect();
                 assert_eq!(seq_results, bat_results, "seed {seed}, {round}");
-                for (s, (seq, bat)) in instances(&seq).into_iter().zip(instances(&bat)).enumerate()
-                {
-                    assert_eq!(seq.0, bat.0, "seed {seed}, {round}: TS of shard {s}");
-                    if one_order {
-                        assert!(seq.1 == bat.1, "seed {seed}, {round}: image of shard {s}");
+                if one_order {
+                    for (s, (seq, bat)) in images(&seq).iter().zip(images(&bat)).enumerate() {
+                        assert!(*seq == bat, "seed {seed}, {round}: image of shard {s}");
                     }
                 }
             }

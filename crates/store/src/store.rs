@@ -4,9 +4,8 @@
 //! (§4.3). It serializes offloaded operations, enforces per-flow ownership,
 //! tracks callback registrations for read-heavy cached objects, logs
 //! clock-tagged updates of in-flight packets for duplicate suppression
-//! (§5.3), maintains the per-instance `TS` metadata (§5.4), encodes itself
-//! as a checkpoint image, and computes/logs non-deterministic values
-//! (Appendix A).
+//! (§5.3), encodes itself as a checkpoint image, and computes/logs
+//! non-deterministic values (Appendix A).
 //!
 //! The struct itself is single-threaded: it is one shard of a
 //! [`crate::server::StoreServer`], which holds it under a lock (the paper
@@ -17,9 +16,9 @@ use crate::backend::codec::{Dec, Enc};
 use crate::dedup::DedupLog;
 use crate::error::StoreError;
 use crate::key::{CanonKey, CanonMap, CanonView, Clock, InstanceId, ObjectKey, StateKey, VertexId};
-use crate::ops::{apply_in_place, CustomOpFn, CustomOpResolver, OpOutcome, Operation};
+use crate::ops::{apply_in_place, OpOutcome, Operation};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// An entry stored at a canonical key.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -99,7 +98,6 @@ fn refusing_owner(entry: &Entry, key: &StateKey, requester: InstanceId) -> Optio
 #[derive(Default, Clone)]
 pub struct StoreInstance {
     entries: CanonMap<Entry>,
-    custom_ops: HashMap<String, CustomOpFn>,
     /// Duplicate-suppression log: per packet clock, the updates it induced
     /// here and what each returned, in a window indexed by clock counter.
     /// Kept only while some packet log could still replay the packet — the
@@ -109,8 +107,6 @@ pub struct StoreInstance {
     /// replay. Updates of packets below it cannot be duplicates, so they
     /// are neither looked up nor logged. Zero until someone raises it.
     floor: u64,
-    /// Last operation clock per requesting instance (the `TS` metadata).
-    ts: HashMap<InstanceId, Clock>,
     /// Callback registrations per canonical key.
     callbacks: CanonMap<HashSet<InstanceId>>,
     /// Fail-stop flag: a failed instance answers nothing.
@@ -123,12 +119,6 @@ impl StoreInstance {
     /// Create an empty store instance.
     pub fn new() -> StoreInstance {
         StoreInstance::default()
-    }
-
-    /// Register a custom operation under `name` (Table 2, "Developers can
-    /// also load custom operations").
-    pub fn register_custom_op(&mut self, name: &str, f: CustomOpFn) {
-        self.custom_ops.insert(name.to_string(), f);
     }
 
     /// Mark the instance failed / recovered.
@@ -181,12 +171,12 @@ impl StoreInstance {
     /// `StoreInstance::apply_run`).
     ///
     /// `clock` is the logical clock of the packet that induced the operation;
-    /// when present it drives the `TS` metadata and duplicate suppression:
-    /// if an update for the same `(key, clock)` was already applied the store
-    /// *emulates* the operation, returning the previously returned value
-    /// without mutating state (§5.3, Figure 5b). A clock below the replay
-    /// floor ([`StoreInstance::forget_through`]) cannot be a duplicate: it
-    /// still moves `TS`, but is neither looked up nor logged.
+    /// when present it drives duplicate suppression: if an update for the
+    /// same `(key, clock)` was already applied the store *emulates* the
+    /// operation, returning the previously returned value without mutating
+    /// state (§5.3, Figure 5b). A clock below the replay floor
+    /// ([`StoreInstance::forget_through`]) cannot be a duplicate: it is
+    /// neither looked up nor logged.
     pub fn apply(
         &mut self,
         requester: InstanceId,
@@ -212,9 +202,8 @@ impl StoreInstance {
         self.apply_named(requester, key, op, clock, false, false).0
     }
 
-    /// One op as a run of one, `TS` moved to its clock if it applied, and
-    /// the dense id of the entry it went to handed back with its result:
-    /// what a journal frame names the entry by.
+    /// One op as a run of one, the dense id of the entry it went to handed
+    /// back with its result: what a journal frame names the entry by.
     pub(crate) fn apply_named(
         &mut self,
         requester: InstanceId,
@@ -227,10 +216,7 @@ impl StoreInstance {
         let (mut result, mut id) = (Err(StoreError::Unavailable), 0);
         let run = [((), op, clock)];
         let answer = |(), i, r| (id, result) = (i, r);
-        let last = self.apply_run(requester, key, run, suppress_duplicates, ordered, answer);
-        if let Some(clock) = last {
-            self.set_ts(requester, clock);
-        }
+        self.apply_run(requester, key, run, suppress_duplicates, ordered, answer);
         (result, id)
     }
 
@@ -245,9 +231,7 @@ impl StoreInstance {
     /// (journal replay) no op consults the log. An `ordered` writer's clocked
     /// increment at or above the floor is instead a duplicate iff at or below
     /// its mark on the entry, which applying it raises. Nothing here hashes:
-    /// the maps are probed under the hash `key` carries. `TS` is the caller's:
-    /// the run returns its last applied clocked op, and whoever applied the
-    /// ops around it knows which of them came last.
+    /// the maps are probed under the hash `key` carries.
     pub(crate) fn apply_run<'o, T>(
         &mut self,
         requester: InstanceId,
@@ -256,12 +240,12 @@ impl StoreInstance {
         suppress_duplicates: bool,
         ordered: bool,
         mut answer: impl FnMut(T, u32, Result<ApplyResult, StoreError>),
-    ) -> Option<Clock> {
+    ) {
         if self.failed {
             for (tag, _, _) in run {
                 answer(tag, 0, Err(StoreError::Unavailable));
             }
-            return None;
+            return;
         }
         // A missing object is built on the side and only installed once an
         // operation succeeded (a failed first touch leaves no entry behind).
@@ -280,9 +264,6 @@ impl StoreInstance {
         };
         let mut refused = refusing_owner(entry, key, requester);
         let subscribers = subscribers(&self.callbacks, key);
-        let custom = &self.custom_ops;
-        let resolver = |name: &str| custom.get(name).copied();
-        let mut last_clock = None;
 
         for (tag, op, clock) in run {
             if let Some(owner) = refused {
@@ -320,18 +301,14 @@ impl StoreInstance {
                 }
             }
 
-            let (returned, changed) =
-                match apply_in_place(|| key.clone(), &mut entry.value, op, Some(&resolver)) {
-                    Ok(applied) => applied,
-                    Err(err) => {
-                        answer(tag, entry.id, Err(err));
-                        continue;
-                    }
-                };
+            let (returned, changed) = match apply_in_place(|| key.clone(), &mut entry.value, op) {
+                Ok(applied) => applied,
+                Err(err) => {
+                    answer(tag, entry.id, Err(err));
+                    continue;
+                }
+            };
             created = false;
-            if clock.is_some() {
-                last_clock = clock;
-            }
             if let Some(packet) = packet {
                 packet.record(entry.id, op, &returned);
             } else if let Some(c) = marked {
@@ -368,23 +345,11 @@ impl StoreInstance {
         if let Some(fresh) = fresh.filter(|_| !created) {
             self.entries.insert(CanonKey::of(key), fresh);
         }
-        last_clock
-    }
-
-    /// Set `requester`'s `TS` (the clock of its last applied clocked op)
-    /// to `clock`.
-    pub(crate) fn set_ts(&mut self, requester: InstanceId, clock: Clock) {
-        self.ts.insert(requester, clock);
     }
 
     /// Read a value without touching metadata (used by reports and tests).
     pub fn peek(&self, key: &StateKey) -> Value {
         self.entry(key).map(|e| e.value.clone()).unwrap_or_default()
-    }
-
-    /// Current `TS` metadata (last clock applied per instance).
-    pub fn ts(&self) -> &HashMap<InstanceId, Clock> {
-        &self.ts
     }
 
     // ------------------------------------------------------------------
@@ -585,16 +550,15 @@ impl StoreInstance {
     // ------------------------------------------------------------------
 
     /// Write the *complete* instance as a checkpoint image — values,
-    /// ownership, `TS`, the duplicate-suppression log, logged
-    /// non-determinism, callback registrations, custom-op names and the
-    /// fail-stop flag — straight from the live maps, with no owned copy in
-    /// between. Entries go in dense entry-id order as `(key, value, owner)`,
-    /// so the log names its objects by id, as it does in memory: no key is
-    /// printed, cloned or sorted per entry or per update. The log holds
-    /// nothing below the replay floor, so neither does the image. Custom
-    /// operations are captured by name only; `TS`, callbacks and names are
-    /// small and sorted, so the same instance always encodes to the same
-    /// bytes.
+    /// ownership, the duplicate-suppression log, logged non-determinism,
+    /// callback registrations and increment marks — straight from the live
+    /// maps, with no owned copy in between. Entries go in dense entry-id
+    /// order as `(key, value, owner)`, so the log names its objects by id,
+    /// as it does in memory: no key is printed, cloned or sorted per entry or
+    /// per update. The log holds nothing below the replay floor, so neither
+    /// does the image. Callbacks are few and sorted, so the same instance
+    /// always encodes to the same bytes. A failed instance is never imaged
+    /// (`Shard::checkpoint`), so an image holds no fail-stop flag.
     pub(crate) fn encode_image(&self, e: &mut Enc<'_>) {
         let mut by_id = vec![None; self.entries.len()];
         for (key, entry) in &self.entries {
@@ -605,13 +569,6 @@ impl StoreInstance {
             e.state_key(key.state_key());
             e.value(&entry.value);
             e.opt_instance(entry.owner);
-        }
-        let mut ts: Vec<(&InstanceId, &Clock)> = self.ts.iter().collect();
-        ts.sort_unstable();
-        e.u32(ts.len() as u32);
-        for (instance, clock) in ts {
-            e.u32(instance.0);
-            e.u64(clock.0);
         }
         self.dedup.encode(e);
         let mut callbacks: Vec<_> = self.callbacks.iter().collect();
@@ -624,11 +581,6 @@ impl StoreInstance {
             e.u32(who.len() as u32);
             who.iter().for_each(|i| e.u32(i.0));
         }
-        let mut names: Vec<&String> = self.custom_ops.keys().collect();
-        names.sort_unstable();
-        e.u32(names.len() as u32);
-        names.iter().for_each(|name| e.str(name));
-        e.u8(u8::from(self.failed));
         // Live marks as `(entry id, writer, counter)`, a section only if any.
         let live = || {
             let marks = by_id.iter().flatten();
@@ -645,16 +597,11 @@ impl StoreInstance {
     /// wrote, re-creating its entries in image order so that every entry id
     /// — what the log names objects by — survives. `None` unless `d` holds
     /// exactly one well-formed image: among others, a log entry naming an
-    /// id past the entries is rejected. `resolve` maps the captured custom-op
-    /// names back to functions (a name it cannot resolve is dropped; the
-    /// shard re-registers its resident table on top regardless). The replay
-    /// floor is the server's knowledge, not the image's: the rebuilt
+    /// id past the entries is rejected. The rebuilt instance is live. The
+    /// replay floor is the server's knowledge, not the image's: the rebuilt
     /// instance starts at floor zero and the server raises it again under
     /// the lock hold that recovered the shard.
-    pub(crate) fn decode_image(
-        d: &mut Dec<'_>,
-        resolve: CustomOpResolver<'_>,
-    ) -> Option<StoreInstance> {
+    pub(crate) fn decode_image(d: &mut Dec<'_>) -> Option<StoreInstance> {
         let mut instance = StoreInstance::new();
         let entries = d.u32()?;
         instance.entries.reserve(entries.min(1 << 16) as usize);
@@ -667,9 +614,6 @@ impl StoreInstance {
             entry.value = d.value()?;
             entry.owner = d.opt_instance()?;
         }
-        for _ in 0..d.u32()? {
-            instance.ts.insert(InstanceId(d.u32()?), Clock(d.u64()?));
-        }
         instance.dedup = DedupLog::decode(d, instance.entries.len())?;
         for _ in 0..d.u32()? {
             let key = CanonKey::of(&d.state_key()?);
@@ -678,13 +622,6 @@ impl StoreInstance {
                 .collect::<Option<_>>()?;
             instance.callbacks.insert(key, who);
         }
-        for _ in 0..d.u32()? {
-            let name = d.str()?;
-            if let Some(f) = resolve(&name) {
-                instance.custom_ops.insert(name, f);
-            }
-        }
-        instance.failed = d.u8()? != 0;
         if !d.is_exhausted() {
             let mut by_id: Vec<&mut Entry> = instance.entries.values_mut().collect();
             by_id.sort_unstable_by_key(|e| e.id);
@@ -805,16 +742,14 @@ mod tests {
             .collect();
         let mut together = Vec::new();
         let tagged = ops.iter().map(|(op, clock)| ((), op, *clock));
-        if let Some(last) = run.apply_run(requester, key, tagged, true, false, |(), _, r| {
+        run.apply_run(requester, key, tagged, true, false, |(), _, r| {
             together.push(r)
-        }) {
-            run.set_ts(requester, last);
-        }
+        });
         (one_by_one, together)
     }
 
     #[test]
-    fn a_run_answers_each_op_as_its_own_apply_and_reports_its_last_applied_clock() {
+    fn a_run_answers_each_op_as_its_own_apply() {
         use crate::backend::codec::encode_image_frame;
         let (mut seq, mut run) = (StoreInstance::new(), StoreInstance::new());
         let key = shared("pkt_count");
@@ -834,14 +769,12 @@ mod tests {
         assert_eq!(one_by_one, together);
         assert!(together[3].as_ref().unwrap().outcome.emulated);
         assert_eq!(run.peek(&key), Value::Int(10));
-        assert_eq!(run.ts()[&InstanceId(4)], Clock::with_root(0, 3));
-        assert_eq!(seq.ts(), run.ts());
         assert_eq!(
             encode_image_frame(&seq, &mut Vec::new()),
             encode_image_frame(&run, &mut Vec::new())
         );
-        // Re-issued, every clocked op is a duplicate; `TS` names the last op
-        // that applied, the unclocked one, which leaves it where it was.
+        // Re-issued, every clocked op is a duplicate; the unclocked one
+        // applies again.
         let (one_by_one, together) =
             sequential_and_run(&mut seq, &mut run, InstanceId(4), &key, &ops);
         assert_eq!(one_by_one, together);
@@ -850,8 +783,11 @@ mod tests {
             .map(|r| r.as_ref().unwrap().outcome.emulated)
             .collect();
         assert_eq!(emulated, [true, true, true, true, false, true]);
-        assert_eq!(run.ts()[&InstanceId(4)], Clock::with_root(0, 3));
-        assert_eq!(seq.ts(), run.ts());
+        assert_eq!(run.peek(&key), Value::Int(15));
+        assert_eq!(
+            encode_image_frame(&seq, &mut Vec::new()),
+            encode_image_frame(&run, &mut Vec::new())
+        );
     }
 
     #[test]
@@ -934,13 +870,12 @@ mod tests {
         store.forget_through(4);
         assert_eq!(store.replay_floor(), 5);
         assert_eq!(store.update_log_len(), 2);
-        // Below the floor an update cannot be a duplicate: it applies, moves
-        // `TS`, and leaves no trace in the log.
+        // Below the floor an update cannot be a duplicate: it applies and
+        // leaves no trace in the log.
         let late = Clock::with_root(0, 3);
         let r = store.apply(InstanceId(7), &key, &incr, Some(late)).unwrap();
         assert!(!r.outcome.emulated);
         assert_eq!(store.peek(&key), Value::Int(7));
-        assert_eq!(store.ts()[&InstanceId(7)], late);
         assert_eq!(store.update_log_len(), 2);
         // At and above it, suppression works as before.
         let live = Clock(5);
@@ -980,38 +915,6 @@ mod tests {
             .unwrap();
         assert!(!r1.outcome.emulated && !r2.outcome.emulated);
         assert_eq!(r2.outcome.returned, Value::Int(3));
-    }
-
-    #[test]
-    fn ts_metadata_tracks_last_clock_per_instance() {
-        let mut store = StoreInstance::new();
-        let key = shared("x");
-        store
-            .apply(
-                InstanceId(1),
-                &key,
-                &Operation::Increment(1),
-                Some(Clock::with_root(0, 5)),
-            )
-            .unwrap();
-        store
-            .apply(
-                InstanceId(2),
-                &key,
-                &Operation::Increment(1),
-                Some(Clock::with_root(0, 9)),
-            )
-            .unwrap();
-        store
-            .apply(
-                InstanceId(1),
-                &key,
-                &Operation::Increment(1),
-                Some(Clock::with_root(0, 11)),
-            )
-            .unwrap();
-        assert_eq!(store.ts()[&InstanceId(1)], Clock::with_root(0, 11));
-        assert_eq!(store.ts()[&InstanceId(2)], Clock::with_root(0, 9));
     }
 
     #[test]
@@ -1100,10 +1003,9 @@ mod tests {
             .apply(InstanceId(1), &key, &Operation::Increment(1), None)
             .unwrap();
         assert_eq!(store.peek(&key), Value::Int(8));
-        let recovered = decode_image_frame(&image, &|_| None).unwrap();
+        let recovered = decode_image_frame(&image).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered.peek(&key), Value::Int(7));
-        assert_eq!(recovered.ts()[&InstanceId(1)], Clock::with_root(0, 3));
     }
 
     #[test]
@@ -1117,14 +1019,13 @@ mod tests {
             .unwrap();
         let mut image = encode_image_frame(&store, &mut Vec::new()).to_vec();
         // The logged update's entry id (a one-byte varint), then its kind,
-        // argument and answer (one byte each), three empty tables and the
-        // fail-stop flag.
-        let at = image.len() - (1 + 1 + 1 + 1 + 3 * 4 + 1);
+        // argument and answer (one byte each) and the empty callback table.
+        let at = image.len() - (1 + 1 + 1 + 1 + 4);
         assert_eq!(image[at..at + 2], [0, 0], "entry 0, an increment");
         image[at] = 1;
         let sum = folded_word_fnv(&image[HEADER..]).to_le_bytes();
         image[4..HEADER].copy_from_slice(&sum);
-        assert!(decode_image_frame(&image, &|_| None).is_none());
+        assert!(decode_image_frame(&image).is_none());
     }
 
     #[test]
@@ -1189,24 +1090,6 @@ mod tests {
             .apply(InstanceId(7), &key2, &Operation::Increment(1), None)
             .unwrap();
         assert_eq!(store.peek(&key2), Value::Int(4));
-    }
-
-    #[test]
-    fn custom_op_via_store() {
-        fn clamp_add(current: &Value, arg: &Value) -> (Value, Value) {
-            let v = Value::Int((current.as_int() + arg.as_int()).min(100));
-            (v.clone(), v)
-        }
-        let mut store = StoreInstance::new();
-        store.register_custom_op("clamp_add", clamp_add);
-        let key = shared("score");
-        let op = Operation::Custom {
-            name: "clamp_add".into(),
-            arg: Value::Int(80),
-        };
-        store.apply(InstanceId(0), &key, &op, None).unwrap();
-        store.apply(InstanceId(0), &key, &op, None).unwrap();
-        assert_eq!(store.peek(&key), Value::Int(100));
     }
 
     #[test]

@@ -215,66 +215,34 @@ fn nondet_values_survive_restart_on_both_backends() {
     }
 }
 
-/// Custom operations journal by name on files and survive a
-/// restart on both media.
+/// Checkpointing a crashed shard captures nothing and cuts nothing, on
+/// both media: the image and the journal its recovery reads stay as they
+/// were, so the shard comes back live with every write it took.
 #[test]
-fn custom_ops_survive_restart_on_both_backends() {
-    fn saturating_double(current: &Value, arg: &Value) -> (Value, Value) {
-        let cap = arg.as_int();
-        let doubled = (current.as_int() * 2).min(cap);
-        (Value::Int(doubled), Value::Int(doubled))
-    }
+fn a_crashed_shards_checkpoint_keeps_its_history_on_both_backends() {
     for kind in KINDS {
-        let server = journaled(kind, 2);
-        server.register_custom_op("sat_double", saturating_double);
-        let k = key("tok", 0);
-        server
-            .apply(InstanceId(0), &k, &Operation::Set(Value::Int(3)), None)
-            .unwrap();
-        let shard = server.shard_index(&k);
-        server.restart_shard(shard);
-        let r = server
-            .apply(
-                InstanceId(0),
-                &k,
-                &Operation::Custom {
-                    name: "sat_double".into(),
-                    arg: Value::Int(100),
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(
-            r.outcome.returned,
-            Value::Int(6),
-            "{kind:?}: custom op lost"
-        );
-    }
-}
-
-/// Custom ops registered before journaling is switched on live in the
-/// shard's resident table, not in the journal: a recovery without a
-/// checkpoint still resolves them, on both media.
-#[test]
-fn custom_op_registered_before_journaling_survives_recovery_on_both_backends() {
-    fn bump(current: &Value, _arg: &Value) -> (Value, Value) {
-        let next = Value::Int(current.as_int() + 1);
-        (next.clone(), next)
-    }
-    for kind in KINDS {
-        let server = StoreServer::with_backend(1, kind);
-        server.register_custom_op("bump", bump);
-        server.set_shard_journaling(0, true);
-        let k = key("early", 0);
-        let op = Operation::Custom {
-            name: "bump".into(),
-            arg: Value::None,
+        let server = journaled(kind, 1);
+        let k = key("c", 0);
+        let bump = || {
+            let r = server.apply(InstanceId(0), &k, &Operation::Increment(1), None);
+            assert!(r.is_ok(), "{kind:?}");
         };
-        server.apply(InstanceId(0), &k, &op, None).unwrap();
-        assert_eq!(server.peek(&k), Value::Int(1), "{kind:?}");
+        (0..5).for_each(|_| bump());
+        assert_eq!(server.checkpoint_shard(0), 1, "{kind:?}");
+        bump();
         server.crash_shard(0);
-        server.recover_shard(0);
-        assert_eq!(server.peek(&k), Value::Int(1), "{kind:?}: recovered value");
+        assert_eq!(server.checkpoint_shard(0), 0, "{kind:?}");
+        let stats = server.recover_shard(0);
+        assert_eq!(
+            (stats.restored_from_checkpoint, stats.replayed_ops),
+            (1, 1),
+            "{kind:?}"
+        );
+        assert!(
+            !server.is_failed(),
+            "{kind:?}: recovery yields a live shard"
+        );
+        assert_eq!(server.peek(&k), Value::Int(6), "{kind:?}");
     }
 }
 
@@ -412,7 +380,7 @@ fn emulated_duplicates_stay_out_of_the_journal() {
 /// Batches that mix both kinds, with clocked duplicates among them, restart
 /// twice on both media — once from an image plus the suffix past it, once
 /// from a suffix alone, whose every entry a frame created — and after each
-/// restart the state, `TS` and the answer to every op re-issued equal a
+/// restart the state and the answer to every op re-issued equal a
 /// never-crashed server's that took the same ops one by one.
 #[test]
 fn id_named_frames_restart_like_sequential_applies_on_both_backends() {
@@ -470,11 +438,6 @@ fn id_named_frames_restart_like_sequential_applies_on_both_backends() {
                 assert_eq!(
                     sorted_dump(&server),
                     sorted_dump(&oracle),
-                    "{kind:?} round {round}"
-                );
-                assert_eq!(
-                    server.ts_snapshot(),
-                    oracle.ts_snapshot(),
                     "{kind:?} round {round}"
                 );
             }

@@ -52,7 +52,7 @@ impl Oracle {
                 return (prev.clone(), true, current);
             }
         }
-        let (new_value, returned) = apply_operation(key, &current, op, None).expect("typed ops");
+        let (new_value, returned) = apply_operation(key, &current, op).expect("typed ops");
         self.values.insert(key.clone(), new_value.clone());
         if let Some(c) = replayable {
             self.log
@@ -203,7 +203,7 @@ fn store_agrees_with_the_oracle(seed: u64, counters: Counters) {
     // The checkpoint image carries the same log: rebuilt from it, the store
     // makes the same decisions.
     let image = encode_image_frame(&store, &mut Vec::new()).to_vec();
-    let mut rebuilt = decode_image_frame(&image, &|_| None).expect("an image decodes");
+    let mut rebuilt = decode_image_frame(&image).expect("an image decodes");
     if store.replay_floor() > 0 {
         rebuilt.forget_through(store.replay_floor() - 1);
     }

@@ -5,12 +5,13 @@
 //! restores it by decoding that frame straight into a new one
 //! ([`decode_image_frame`]). Random instances — per-flow owners, logged
 //! updates that are not integer increments, non-deterministic values,
-//! callbacks, custom ops, the fail-stop flag and a raised replay floor —
-//! must come back equal: the same entries, `TS`, log length and span and
-//! callback registrations; every update they were
-//! issued answers the same on both, so each logged one is emulated with what
-//! it first returned; and the decoded instance encodes to the same bytes.
-//! Every strict prefix and every single-byte flip of a frame is rejected.
+//! callbacks and a raised replay floor — must come back equal: the same
+//! entries, log length and span and callback registrations; every update
+//! they were issued answers the same on both, so each logged one is emulated
+//! with what it first returned; and the decoded instance encodes to the same
+//! bytes. An image is a function of the state alone: the same updates of
+//! shared objects issued by another instance image to the same bytes. Every
+//! strict prefix and every single-byte flip of a frame is rejected.
 //!
 //! The vendored proptest shim has no collection strategies, so each case
 //! draws a seed and derives its random scenario from a `StdRng` — failures
@@ -18,7 +19,6 @@
 
 use chc_packet::{FlowKey, ScopeKey};
 use chc_store::backend::{decode_image_frame, encode_image_frame};
-use chc_store::ops::CustomOpFn;
 use chc_store::{
     Clock, InstanceId, ObjectKey, Operation, StateKey, StoreInstance, Value, VertexId,
 };
@@ -26,22 +26,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-fn clamp_add(current: &Value, arg: &Value) -> (Value, Value) {
-    let v = Value::Int((current.as_int() + arg.as_int()).min(100));
-    (v.clone(), v)
-}
-
-fn negate(current: &Value, _: &Value) -> (Value, Value) {
-    let v = Value::Int(-current.as_int());
-    (v.clone(), v)
-}
-
-const CUSTOM_OPS: [(&str, CustomOpFn); 2] = [("clamp_add", clamp_add), ("negate", negate)];
-
-fn resolve(name: &str) -> Option<CustomOpFn> {
-    CUSTOM_OPS.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
-}
 
 const KEYS: usize = 9;
 
@@ -68,13 +52,9 @@ fn draw_op(rng: &mut StdRng, list: bool) -> Operation {
             _ => Operation::Get,
         }
     } else {
-        match rng.gen_range(0..6u32) {
+        match rng.gen_range(0..5u32) {
             0..=2 => Operation::Increment(rng.gen_range(1..4)),
             3 => Operation::Set(Value::Pair(rng.gen_range(0..4), 1)),
-            4 => Operation::Custom {
-                name: CUSTOM_OPS[rng.gen_range(0..2usize)].0.into(),
-                arg: Value::Int(rng.gen_range(0..50)),
-            },
             _ => Operation::Get,
         }
     }
@@ -86,9 +66,6 @@ type Issued = (InstanceId, StateKey, Operation, Option<Clock>);
 /// A random instance and every update it was issued.
 fn random_instance(rng: &mut StdRng) -> (StoreInstance, Vec<Issued>) {
     let mut store = StoreInstance::new();
-    for (name, f) in CUSTOM_OPS {
-        store.register_custom_op(name, f);
-    }
     let top = rng.gen_range(8..=40u64);
     let clock = |rng: &mut StdRng| Clock(rng.gen_range(1..=top));
     let mut issued = Vec::new();
@@ -116,7 +93,6 @@ fn random_instance(rng: &mut StdRng) -> (StoreInstance, Vec<Issued>) {
             }
         }
     }
-    store.set_failed(rng.gen_bool(0.2));
     (store, issued)
 }
 
@@ -143,25 +119,37 @@ fn round_trip(seed: u64) {
     let (store, issued) = random_instance(&mut rng);
     let mut buf = Vec::new();
     let frame = encode_image_frame(&store, &mut buf).to_vec();
-    let mut decoded = decode_image_frame(&frame, &resolve).expect("an image decodes");
+    let mut decoded = decode_image_frame(&frame).expect("an image decodes");
 
     prop_assert_eq!(entries(&decoded), entries(&store));
-    prop_assert_eq!(decoded.ts(), store.ts());
     prop_assert_eq!(decoded.update_log_len(), store.update_log_len());
     prop_assert_eq!(decoded.update_log_span(), store.update_log_span());
     prop_assert_eq!(callbacks(&decoded), callbacks(&store));
-    prop_assert_eq!(decoded.is_failed(), store.is_failed());
     let mut again = Vec::new();
     prop_assert_eq!(encode_image_frame(&decoded, &mut again), &frame[..]);
+
+    // The updates of shared objects, issued by instance 1 or by instance 2
+    // to fresh instances, logged or not (the top floor, a server with no
+    // replay source): the two images are the same bytes.
+    for top_floor in [false, true] {
+        let image_by = |who: u32| {
+            let mut store = StoreInstance::new();
+            if top_floor {
+                store.forget_through(u64::MAX);
+            }
+            for (_, key, op, clock) in issued.iter().filter(|i| i.1.instance.is_none()) {
+                let _ = store.apply(InstanceId(who), key, op, *clock);
+            }
+            encode_image_frame(&store, &mut Vec::new()).to_vec()
+        };
+        prop_assert_eq!(image_by(1), image_by(2), "top floor: {}", top_floor);
+    }
 
     // What the server does after a restore: raise the floor again.
     if store.replay_floor() > 0 {
         decoded.forget_through(store.replay_floor() - 1);
     }
     let mut live = store.clone();
-    for instance in [&mut live, &mut decoded] {
-        instance.set_failed(false);
-    }
     // A logged non-deterministic value is answered instead of the candidate
     // (which no draw logs).
     let candidate = Value::Int(-1);
@@ -197,7 +185,7 @@ fn rejections(seed: u64) {
     let frame = encode_image_frame(&store, &mut buf).to_vec();
     for cut in 0..frame.len() {
         prop_assert!(
-            decode_image_frame(&frame[..cut], &resolve).is_none(),
+            decode_image_frame(&frame[..cut]).is_none(),
             "prefix {}",
             cut
         );
@@ -207,7 +195,7 @@ fn rejections(seed: u64) {
         let flip = rng.gen_range(1..=u8::MAX);
         corrupt[at] ^= flip;
         prop_assert!(
-            decode_image_frame(&corrupt, &resolve).is_none(),
+            decode_image_frame(&corrupt).is_none(),
             "byte {} ^ {:#04x}",
             at,
             flip
@@ -216,7 +204,7 @@ fn rejections(seed: u64) {
     }
     // Nor does a frame with anything behind it decode.
     corrupt.push(0);
-    prop_assert!(decode_image_frame(&corrupt, &resolve).is_none());
+    prop_assert!(decode_image_frame(&corrupt).is_none());
 }
 
 proptest! {

@@ -369,6 +369,21 @@ fn store_failover_recovers_shared_state() {
 
 /// Every store object by key, with its value and owner; an absent object
 /// and a `None` one alike.
+/// A checkpoint asked of a crashed store takes none: with no earlier one,
+/// recovery refuses to stand an empty store in for the one that crashed.
+#[test]
+#[should_panic(expected = "recover_store needs a checkpoint")]
+fn a_checkpoint_of_a_crashed_store_is_no_checkpoint_to_recover_from() {
+    let trace = small_trace(17);
+    let mut chain = ChainController::new(standard_chain(), ChainConfig::default(), 6).unwrap();
+    chain.inject_trace(&trace);
+    let mid = trace.packets[trace.len() / 2].arrival_ns;
+    chain.run_until(VirtualTime::from_nanos(mid));
+    chain.fail_store();
+    chain.checkpoint_store();
+    chain.recover_store();
+}
+
 fn store_objects(chain: &ChainController) -> BTreeMap<String, (Value, Option<InstanceId>)> {
     chain
         .store
