@@ -19,21 +19,18 @@ use crate::splitter::{PartitionTable, Splitter};
 use crate::state::{SharedStore, StateClient};
 use crate::vertexlog::{replay_sources, VertexLogs};
 use chc_packet::{PacketId, ScopeKey, Trace};
-use chc_sim::{
-    ActorId, LinkConfig, SimDuration, Simulation, SimulationReport, Summary, VirtualTime,
-};
+use chc_sim::{ActorId, SimDuration, Simulation, SimulationReport, Summary, VirtualTime};
 use chc_store::{Clock, InstanceId, ShardRecoveryStats, StoreServer, VertexId};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Deployment map: which actors host which instances of which vertex.
+/// Deployment map: each vertex's instances in index order, with the actor
+/// hosting each.
 #[derive(Debug, Default)]
 pub struct Topology {
-    actors: HashMap<VertexId, Vec<ActorId>>,
-    instance_ids: HashMap<VertexId, Vec<InstanceId>>,
-    directory: HashMap<InstanceId, ActorId>,
+    instances: HashMap<VertexId, Vec<(InstanceId, ActorId)>>,
 }
 
 impl Topology {
@@ -44,57 +41,40 @@ impl Topology {
         instance: InstanceId,
         actor: ActorId,
     ) -> usize {
-        self.actors.entry(vertex).or_default().push(actor);
-        self.instance_ids.entry(vertex).or_default().push(instance);
-        self.directory.insert(instance, actor);
-        self.actors[&vertex].len() - 1
+        let row = self.instances.entry(vertex).or_default();
+        row.push((instance, actor));
+        row.len() - 1
     }
 
-    /// Replace the instance at `index` of `vertex` (failover keeps the same
-    /// actor slot so routing indices stay valid).
-    pub fn replace_instance(
-        &mut self,
-        vertex: VertexId,
-        index: usize,
-        instance: InstanceId,
-        actor: ActorId,
-    ) {
-        if let Some(ids) = self.instance_ids.get_mut(&vertex) {
-            if let Some(old) = ids.get(index).copied() {
-                self.directory.remove(&old);
-            }
-            ids[index] = instance;
-        }
-        if let Some(actors) = self.actors.get_mut(&vertex) {
-            actors[index] = actor;
-        }
-        self.directory.insert(instance, actor);
+    /// Put `instance` at `index` of `vertex`, in its predecessor's actor
+    /// slot (failover keeps the slot so routing indices stay valid).
+    pub fn replace_instance(&mut self, vertex: VertexId, index: usize, instance: InstanceId) {
+        self.instances.get_mut(&vertex).expect("a deployed vertex")[index].0 = instance;
     }
 
     /// The actor hosting instance `index` of `vertex`.
     pub fn actor_of(&self, vertex: VertexId, index: usize) -> Option<ActorId> {
-        self.actors.get(&vertex).and_then(|v| v.get(index)).copied()
+        let (_, actor) = self.instances.get(&vertex)?.get(index)?;
+        Some(*actor)
     }
 
     /// The actor hosting `instance`.
     pub fn actor_of_instance(&self, instance: InstanceId) -> Option<ActorId> {
-        self.directory.get(&instance).copied()
+        let mut all = self.instances.values().flatten();
+        all.find(|(id, _)| *id == instance).map(|(_, actor)| *actor)
     }
 
     /// Instance ids of a vertex in index order.
     pub fn instances_of(&self, vertex: VertexId) -> Vec<InstanceId> {
-        self.instance_ids.get(&vertex).cloned().unwrap_or_default()
+        let row = self.instances.get(&vertex).into_iter().flatten();
+        row.map(|(id, _)| *id).collect()
     }
 
     /// Every deployed instance as `(vertex, instance, actor)`.
     pub fn all_instances(&self) -> Vec<(VertexId, InstanceId, ActorId)> {
-        let mut out = Vec::new();
-        for (vertex, ids) in &self.instance_ids {
-            for (idx, id) in ids.iter().enumerate() {
-                out.push((*vertex, *id, self.actors[vertex][idx]));
-            }
-        }
-        out
+        let rows = self.instances.iter();
+        rows.flat_map(|(v, row)| row.iter().map(|(id, actor)| (*v, *id, *actor)))
+            .collect()
     }
 }
 
@@ -183,15 +163,15 @@ pub struct ChainController {
 }
 
 impl ChainController {
-    /// Compile and deploy a logical DAG.
+    /// Compile and deploy a logical DAG. The simulation is deterministic:
+    /// `seed` selects nothing.
     pub fn new(
         dag: LogicalDag,
         config: ChainConfig,
-        seed: u64,
+        _seed: u64,
     ) -> Result<ChainController, DagError> {
         dag.topo_order()?;
-        let mut sim: Simulation<Msg> = Simulation::new(seed);
-        sim.set_default_link(LinkConfig::with_latency(config.costs.inter_nf_link));
+        let mut sim: Simulation<Msg> = Simulation::new(config.costs.inter_nf_link);
         // Failover and straggler clones re-issue clocks.
         let store = SharedStore::new();
         let declared = store.track_replays();
@@ -306,7 +286,7 @@ impl ChainController {
                     actor.workers = old.workers.successor();
                 }
                 self.sim.replace_actor(slot, actor);
-                topology.replace_instance(spec.id, index, instance, slot);
+                topology.replace_instance(spec.id, index, instance);
                 (instance, index)
             }
         }
@@ -445,6 +425,8 @@ impl ChainController {
     /// `to_index`, running the Figure 4 handover: the splitter redirects and
     /// marks the moved flows, and each previous owner is told to flush its
     /// cached per-flow state, release ownership and notify the new owner.
+    /// The flush request is step 1's "last" marker: it reaches the previous
+    /// owner behind every message already sent to it, from any upstream.
     pub fn move_flows(&mut self, vertex: VertexId, keys: &[ScopeKey], to_index: usize) {
         let new_instance = self
             .topology
@@ -462,20 +444,12 @@ impl ChainController {
                 None => Vec::new(),
             }
         };
-        // Group moved keys by previous owner and send one flush each.
-        let mut by_old: HashMap<usize, Vec<ScopeKey>> = HashMap::new();
-        for (key, old) in moved {
-            by_old.entry(old).or_default().push(key);
-        }
-        for (old_index, _keys) in by_old {
+        // One flush per previous owner, in index order.
+        let old_owners: BTreeSet<usize> = moved.into_iter().map(|(_, old)| old).collect();
+        for old_index in old_owners {
             if let Some(actor) = self.topology.borrow().actor_of(vertex, old_index) {
-                self.sim.inject_after(
-                    SimDuration::ZERO,
-                    actor,
-                    Msg::FlushRequest {
-                        notify: new_instance,
-                    },
-                );
+                let notify = new_instance;
+                self.sim.inject_behind(actor, Msg::FlushRequest { notify });
             }
         }
     }

@@ -248,7 +248,7 @@ impl NfInstanceActor {
                 self.params.logs.log_forwarded(self.params.vertex, &tp);
                 if exit {
                     ctx.send_with_extra_delay(self.root, delete, delay);
-                    ctx.send_with_extra_delay(self.sink, Msg::Delivered(tp.clone()), delay);
+                    ctx.send_with_extra_delay(self.sink, Msg::Data(tp.clone()), delay);
                 }
                 for &vertex in &self.params.downstream {
                     send_to_vertex(&self.partition, &self.topology, vertex, &tp, delay, ctx);
@@ -312,7 +312,7 @@ pub(crate) fn send_to_vertex(
 }
 
 impl Actor<Msg> for NfInstanceActor {
-    fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_data(tp, ctx),
             Msg::CallbackUpdate { key, value } => self.client.handle_callback(&key, value),

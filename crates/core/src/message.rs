@@ -78,7 +78,8 @@ impl TaggedPacket {
 /// Messages exchanged by chain components over the simulated network.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// A data packet travelling the chain.
+    /// A data packet travelling the chain, or leaving it at an exit for
+    /// the end-host sink.
     Data(TaggedPacket),
     /// Chain exit, or the on-path vertex that dropped the packet → root:
     /// processing of `clock` finished, so the root unlogs it (§5.4).
@@ -99,10 +100,12 @@ pub enum Msg {
     HandoverComplete,
     /// Framework → NF instance: flush cached per-flow state and release its
     /// ownership (sent to the *old* instance when traffic is reallocated away
-    /// from it). Plays the role of the "last" marker of Figure 4 step 1: it
-    /// arrives after all previously forwarded packets on the same link, so
-    /// the old instance has processed everything destined to it before it
-    /// flushes.
+    /// from it). Plays the role of the "last" marker of Figure 4 step 1:
+    /// the controller queues it behind every message already sent to the
+    /// old instance ([`chc_sim::Simulation::inject_behind`]). So before it
+    /// flushes, the old instance has processed every packet routed to it
+    /// before the move, whether the root or an upstream instance with a
+    /// worker backlog sent it.
     FlushRequest {
         /// Instance to notify with [`Msg::HandoverComplete`] once the flush
         /// and release are done (the *new* owner of the moved flows).
@@ -123,6 +126,4 @@ pub enum Msg {
         /// Extra delay added to every packet.
         extra_nanos: u64,
     },
-    /// Sink → nowhere: emitted packet reached the end host (used in tests).
-    Delivered(TaggedPacket),
 }

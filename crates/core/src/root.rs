@@ -28,7 +28,7 @@ use crate::message::{Msg, TaggedPacket};
 use crate::root_core::{RootCore, CLOCK_PERSIST_PERIOD};
 use crate::splitter::PartitionTable;
 use crate::vertexlog::VertexLogs;
-use chc_sim::{Actor, ActorId, Ctx, SimDuration};
+use chc_sim::{Actor, Ctx, SimDuration};
 use chc_store::{Clock, StoreServer, VertexId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -140,7 +140,7 @@ impl RootActor {
 }
 
 impl Actor<Msg> for RootActor {
-    fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Data(tp) => self.handle_input(tp, ctx),
             Msg::DeleteRequest { clock } => self.delete(clock),
@@ -167,7 +167,7 @@ mod tests {
             SharedStore::new(),
             Rc::new(VertexLogs::new(2)),
         );
-        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let mut sim: Simulation<Msg> = Simulation::new(SimDuration::ZERO);
         let at = sim.add_actor(Box::new(root));
         let arrival = |id| {
             Msg::Data(TaggedPacket::new(
@@ -220,7 +220,7 @@ mod tests {
             SharedStore::new(),
             Rc::clone(&logs),
         );
-        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let mut sim: Simulation<Msg> = Simulation::new(SimDuration::ZERO);
         let at = sim.add_actor(Box::new(root));
         let mut t = 0;
         let mut send = |sim: &mut Simulation<Msg>, msg| {

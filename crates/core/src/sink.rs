@@ -4,7 +4,7 @@
 
 use crate::message::Msg;
 use crate::sink_core::SinkCore;
-use chc_sim::{Actor, ActorId, Ctx};
+use chc_sim::{Actor, Ctx};
 
 /// Collects everything that leaves the chain towards the end host.
 #[derive(Default)]
@@ -14,8 +14,8 @@ pub struct SinkActor {
 }
 
 impl Actor<Msg> for SinkActor {
-    fn on_message(&mut self, _from: Option<ActorId>, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
-        if let Msg::Delivered(tp) | Msg::Data(tp) = msg {
+    fn on_message(&mut self, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
+        if let Msg::Data(tp) = msg {
             self.core.on_packet(&tp);
         }
     }
@@ -26,30 +26,22 @@ mod tests {
     use super::*;
     use crate::message::TaggedPacket;
     use chc_packet::{Packet, PacketId};
-    use chc_sim::{Simulation, VirtualTime};
+    use chc_sim::{SimDuration, Simulation, VirtualTime};
     use chc_store::Clock;
 
     #[test]
     fn counts_deliveries_and_duplicates() {
-        let mut sim: Simulation<Msg> = Simulation::new(1);
+        let mut sim: Simulation<Msg> = Simulation::new(SimDuration::ZERO);
         let sink = sim.add_actor(Box::new(SinkActor::default()));
         let pkt = Packet::builder().id(5).len(1000).build();
         let tp = TaggedPacket::new(pkt, Clock::with_root(0, 1));
-        sim.inject_at(
-            VirtualTime::from_micros(1),
-            sink,
-            Msg::Delivered(tp.clone()),
-        );
-        sim.inject_at(
-            VirtualTime::from_micros(2),
-            sink,
-            Msg::Delivered(tp.clone()),
-        );
+        sim.inject_at(VirtualTime::from_micros(1), sink, Msg::Data(tp.clone()));
+        sim.inject_at(VirtualTime::from_micros(2), sink, Msg::Data(tp.clone()));
         let pkt2 = Packet::builder().id(6).len(500).build();
         sim.inject_at(
             VirtualTime::from_micros(3),
             sink,
-            Msg::Delivered(TaggedPacket::new(pkt2, Clock::with_root(0, 2))),
+            Msg::Data(TaggedPacket::new(pkt2, Clock::with_root(0, 2))),
         );
         sim.run();
         let s = &sim.actor::<SinkActor>(sink).unwrap().core;

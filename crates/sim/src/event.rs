@@ -1,4 +1,4 @@
-//! Event queue internals: actor identifiers, timer tags and the ordered queue.
+//! Event queue internals: actor identifiers and the ordered queue.
 
 use crate::time::VirtualTime;
 use std::cmp::Ordering;
@@ -15,28 +15,14 @@ impl fmt::Display for ActorId {
     }
 }
 
-/// Application-chosen tag identifying a timer.
-pub type TimerTag = u64;
-
-/// What is delivered when an event fires.
-#[derive(Debug)]
-pub(crate) enum EventKind<M> {
-    /// Deliver a message to the destination actor.
-    Message { from: Option<ActorId>, msg: M },
-    /// Fire a timer previously scheduled by the destination actor.
-    Timer(TimerTag),
-    /// Kill the destination actor (fail-stop).
-    Fail,
-}
-
-/// An entry in the event queue.
+/// A message in the event queue, delivered to `dst` at `at`.
 #[derive(Debug)]
 pub(crate) struct Event<M> {
     pub at: VirtualTime,
     /// Tie-breaker preserving insertion order for equal timestamps.
     pub seq: u64,
     pub dst: ActorId,
-    pub kind: EventKind<M>,
+    pub msg: M,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -79,10 +65,10 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    pub fn push(&mut self, at: VirtualTime, dst: ActorId, kind: EventKind<M>) {
+    pub fn push(&mut self, at: VirtualTime, dst: ActorId, msg: M) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, dst, kind });
+        self.heap.push(Event { at, seq, dst, msg });
     }
 
     pub fn pop(&mut self) -> Option<Event<M>> {
@@ -93,8 +79,13 @@ impl<M> EventQueue<M> {
         self.heap.peek().map(|e| e.at)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// When the last message queued for `dst` is due, if any is.
+    pub fn last_due(&self, dst: ActorId) -> Option<VirtualTime> {
+        self.heap
+            .iter()
+            .filter(|e| e.dst == dst)
+            .map(|e| e.at)
+            .max()
     }
 }
 
@@ -105,20 +96,17 @@ mod tests {
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
         let mut q: EventQueue<u32> = EventQueue::default();
-        let a = ActorId(0);
-        q.push(VirtualTime::from_nanos(50), a, EventKind::Timer(1));
-        q.push(VirtualTime::from_nanos(10), a, EventKind::Timer(2));
-        q.push(VirtualTime::from_nanos(10), a, EventKind::Timer(3));
-        q.push(VirtualTime::from_nanos(30), a, EventKind::Timer(4));
-        let order: Vec<TimerTag> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Timer(t) => t,
-                _ => unreachable!(),
-            })
-            .collect();
-        // Equal timestamps (tags 2 and 3) preserve insertion order.
+        let (a, b) = (ActorId(0), ActorId(1));
+        q.push(VirtualTime::from_nanos(50), a, 1);
+        q.push(VirtualTime::from_nanos(10), b, 2);
+        q.push(VirtualTime::from_nanos(10), a, 3);
+        q.push(VirtualTime::from_nanos(30), b, 4);
+        assert_eq!(q.last_due(a), Some(VirtualTime::from_nanos(50)));
+        assert_eq!(q.last_due(b), Some(VirtualTime::from_nanos(30)));
+        assert_eq!(q.last_due(ActorId(2)), None);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
+        // Equal timestamps (messages 2 and 3) preserve insertion order.
         assert_eq!(order, vec![2, 3, 4, 1]);
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
     }
 }

@@ -9,29 +9,24 @@
 //! * virtual time in nanoseconds ([`VirtualTime`], [`SimDuration`]),
 //! * an actor-style executor ([`Simulation`]) that delivers typed messages to
 //!   registered [`Actor`]s in timestamp order over one link — the same
-//!   latency for every hop, with an optional drop probability
-//!   ([`LinkConfig`]),
-//! * timers and externally injected events,
-//! * fail-stop failure injection and recovery (actors can be killed at a
-//!   chosen virtual time and replaced later, matching the paper's §5.4
-//!   failure model), and
+//!   latency for every hop — and externally injected messages,
+//! * fail-stop failure injection and recovery (actors can be killed and
+//!   replaced later, matching the paper's §5.4 failure model), and
 //! * measurement utilities ([`metrics`]): percentile histograms, time series
 //!   and throughput accounting used by the benchmark harnesses, and
 //! * the multi-worker capacity model of one NF instance ([`WorkerPool`]).
 //!
-//! Determinism: all randomness comes from a single seeded RNG owned by the
-//! simulation, and ties in the event queue are broken by insertion sequence
-//! numbers, so a given (seed, program) pair always produces the same history.
+//! Determinism: the simulation draws no random numbers, and ties in the
+//! event queue are broken in insertion order, so a given program always
+//! produces the same history.
 
 pub mod event;
-pub mod link;
 pub mod metrics;
 pub mod sim;
 pub mod time;
 pub mod workers;
 
-pub use event::{ActorId, TimerTag};
-pub use link::LinkConfig;
+pub use event::ActorId;
 pub use metrics::{Histogram, Summary, Throughput, TimeSeries};
 pub use sim::{Actor, Ctx, Simulation, SimulationReport};
 pub use time::{SimDuration, VirtualTime};

@@ -6,7 +6,7 @@
 use chc::prelude::*;
 use chc_core::coe::{coe_violations, run_ideal_chain};
 use chc_core::{ChainController, LogicalDag, VertexSpec};
-use chc_packet::PacketId;
+use chc_packet::{PacketId, Scope};
 use chc_store::{Clock, VertexId};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -180,6 +180,83 @@ fn elastic_scale_up_moves_flows_without_loss_or_reorder() {
         "COE violations after scale-up: {violations:?}"
     );
     assert_eq!(metrics.sink_replay_shadows, 0);
+}
+
+/// Scale one vertex of a `nat → portscan → lb` chain up at the middle
+/// packet's arrival and move its `moved` lowest `scope` keys onto the new
+/// instance; returns the run's chain-output-equivalence violations, loss
+/// included.
+fn move_flows_mid_trace(
+    vertex: u32,
+    parallelism: usize,
+    seed: u64,
+    scope: Scope,
+    moved: usize,
+) -> Vec<String> {
+    let spec = |id, name, nf: chc_core::dag::NfFactory| {
+        let n = if id == vertex { parallelism } else { 1 };
+        VertexSpec::new(id, name, nf).with_parallelism(n)
+    };
+    let dag = LogicalDag::linear(vec![
+        spec(1, "nat", Rc::new(|| Box::new(Nat::default()))),
+        spec(
+            2,
+            "portscan",
+            Rc::new(|| Box::new(PortscanDetector::default())),
+        ),
+        spec(
+            3,
+            "lb",
+            Rc::new(|| Box::new(LoadBalancer::with_default_backends())),
+        ),
+    ]);
+    let trace = TraceGenerator::new(TraceConfig::small(seed)).generate();
+    let ideal = run_ideal_chain(&dag, &trace);
+    let mut chain = ChainController::new(dag, ChainConfig::default(), seed).unwrap();
+    chain.inject_trace(&trace);
+    let midpoint = trace.packets[trace.len() / 2].arrival_ns;
+    chain.run_until(VirtualTime::from_nanos(midpoint));
+    let (_, new_index) = chain.scale_up(VertexId(vertex));
+    let keys: Vec<_> = (trace.packets.iter())
+        .map(|p| scope.key_of(p))
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .take(moved)
+        .collect();
+    chain.move_flows(VertexId(vertex), &keys, new_index);
+    chain.run();
+    let metrics = chain.metrics();
+    let delivered = chain.delivered_ids();
+    coe_violations(
+        &ideal,
+        &delivered,
+        metrics.sink_duplicates,
+        &metrics.alerts(),
+        false,
+    )
+}
+
+/// Figure 4 step 1: the flush request is the "last" marker, so it reaches
+/// the old instance behind every packet already sent to it, by the root
+/// (a NAT move) or by an instance with a worker backlog (a portscan move).
+/// Were it to overtake them, the old instance would take a moved flow's
+/// late packets after its flush, and the new instance would wait for a
+/// handover that had already come, with the flow's packets stuck in its
+/// buffer.
+#[test]
+fn a_flow_move_loses_no_packet_behind_the_flush() {
+    let cases = [
+        (1, 1, 19, Scope::FiveTuple, 60),
+        (1, 2, 19, Scope::FiveTuple, 60),
+        (2, 1, 11, Scope::SrcIp, 20),
+    ];
+    for (vertex, parallelism, seed, scope, moved) in cases {
+        let violations = move_flows_mid_trace(vertex, parallelism, seed, scope, moved);
+        assert!(
+            violations.is_empty(),
+            "vertex {vertex} ×{parallelism}, seed {seed}: {violations:?}"
+        );
+    }
 }
 
 #[test]
