@@ -40,8 +40,8 @@ pub struct TelemetryConfig {
     /// the rings, into `RuntimeReport::invariants`. On by default, so every
     /// test asserts `violations == 0` for free; the run pays for it. On the
     /// repository benchmark's ladder (rung 5 − rung 4, one pinned CPU of a
-    /// 2-vCPU host) it took 24–28 % of the default engine's time per packet
-    /// on `forward`, 13–15 % on `steady` and 17–21 % on `churn` (DESIGN.md,
+    /// 2-vCPU host) it takes 12–15 % of the default engine's time per packet
+    /// on `forward`, 10–12 % on `steady` and 9–13 % on `churn` (DESIGN.md,
     /// "What the observers cost").
     pub observers: bool,
     /// When set, a monitor thread samples live gauges (packets queued per

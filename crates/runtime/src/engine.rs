@@ -363,8 +363,9 @@ fn spawn<'scope, 'env>(
         })
         .collect();
 
-    let (sink_inputs, scale_cut) = (wired.sink_inputs, plan.scale.map(|s| s.first_counter));
-    let sink = scope.spawn(move || run_sink(sink_inputs, shared, scale_cut));
+    let (sink_inputs, ordered) = (wired.sink_inputs, wired.sink_ordered);
+    let scale_cut = plan.scale.map(|s| s.first_counter);
+    let sink = scope.spawn(move || run_sink(sink_inputs, &ordered, shared, scale_cut));
 
     // The monitor samples the gauges until `monitor_stop` is raised.
     let monitor_stop = Arc::new(AtomicBool::new(false));

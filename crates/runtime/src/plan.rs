@@ -493,6 +493,8 @@ fn strictly_downstream(dag: &LogicalDag, u: VertexId) -> HashSet<VertexId> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::engine::EngineShared;
+    use crate::wiring::wire;
     use chc_core::dag::DagError;
     use chc_nf::{Firewall, LoadBalancer, Nat};
     use std::rc::Rc;
@@ -635,6 +637,38 @@ pub(crate) mod tests {
         assert_eq!(walk(&p.shard_restarts), [(400, 0), (400, 1), (600, 2)]);
     }
 
+    /// fw → NAT → LB behind two firewall instances.
+    fn wide_fw_nat_lb() -> LogicalDag {
+        let mut wide = LogicalDag::new();
+        for v in fw_nat_lb().vertices() {
+            let parallelism = if v.id == FW { 2 } else { 1 };
+            wide.add_vertex(v.clone().with_parallelism(parallelism));
+        }
+        wide.add_edge(FW, NAT);
+        wide.add_edge(NAT, LB);
+        wide
+    }
+
+    /// The sink checks order per ring behind an exit in order, and per flow
+    /// behind the LB that the NAT's interleaving puts out of order.
+    #[test]
+    fn a_sink_ring_is_ordered_behind_an_exit_in_order() {
+        let sink_ordered = |dag: &LogicalDag| {
+            let (config, rt) = (ChainConfig::default(), RuntimeConfig::default());
+            let plan = ChainPlan::new(dag, &config, &rt, 1_000).expect("valid plan");
+            let shared = EngineShared::new(&plan, config, &rt);
+            wire(&plan, &shared.telemetry).sink_ordered
+        };
+        let fw = fw_nat_lb().vertex(FW).expect("a firewall").clone();
+        let firewall = LogicalDag::linear(vec![fw.clone()]);
+        assert_eq!(sink_ordered(&firewall), [true]);
+        // Each firewall instance forwards the root's ring alone.
+        let two_firewalls = LogicalDag::linear(vec![fw.with_parallelism(2)]);
+        assert_eq!(sink_ordered(&two_firewalls), [true, true]);
+        assert_eq!(sink_ordered(&fw_nat_lb()), [true]);
+        assert_eq!(sink_ordered(&wide_fw_nat_lb()), [false]);
+    }
+
     /// One ring from the root or from an instance in order keeps an
     /// instance in order; two rings, or one from an instance out of order,
     /// do not. A replacement runs on its predecessor's rings.
@@ -649,15 +683,8 @@ pub(crate) mod tests {
 
         // Two firewall instances: each has the root's ring, the NAT has
         // two rings, and the LB is fed by the NAT alone but out of order.
-        let mut wide = LogicalDag::new();
-        for v in fw_nat_lb().vertices() {
-            let parallelism = if v.id == FW { 2 } else { 1 };
-            wide.add_vertex(v.clone().with_parallelism(parallelism));
-        }
-        wide.add_edge(FW, NAT);
-        wide.add_edge(NAT, LB);
         let rt = RuntimeConfig::default().with_fault(kills);
-        let wide = ChainPlan::new(&wide, &ChainConfig::default(), &rt, 1_000).unwrap();
+        let wide = ChainPlan::new(&wide_fw_nat_lb(), &ChainConfig::default(), &rt, 1_000).unwrap();
         assert_eq!(wide.slots_of(FW), [0, 1]);
         assert_eq!(in_order(&wide), [true, true, false, false]);
         assert!(!seed(&wide, 3).in_order);

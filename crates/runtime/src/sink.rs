@@ -24,10 +24,12 @@ pub(crate) struct SinkResult {
 
 /// Body of the sink thread. In fault mode the sink also publishes its
 /// delivery frontier so the root's packet log can be truncated: a packet is
-/// confirmed only once the *end host* has it. `scale_cut` is the first
-/// counter of a pre-planned scale-out, if any.
+/// confirmed only once the *end host* has it. `ordered` says, per input,
+/// whether its producer is in order; `scale_cut` is the first counter of a
+/// pre-planned scale-out, if any.
 pub(crate) fn run_sink(
     mut inputs: Vec<InputRing>,
+    ordered: &[bool],
     shared: &EngineShared,
     scale_cut: Option<u64>,
 ) -> SinkResult {
@@ -39,13 +41,14 @@ pub(crate) fn run_sink(
             shared.publish_watermark(slot, frontier(inputs));
         }
     };
-    // Per-flow delivery-order checking rides this thread (one map lookup per
-    // live arrival); a scale cut exempts cross-cut pairs because the cut
+    // Delivery-order checking rides this thread: one compare per live
+    // arrival on an ordered ring, one map lookup behind an interleaving
+    // exit, where a scale cut exempts cross-cut pairs because the cut
     // re-routes flows.
     let mut flow_order = telemetry
         .sentinel
         .is_some()
-        .then(|| FlowOrderChecker::new(scale_cut));
+        .then(|| FlowOrderChecker::new(scale_cut, ordered));
     let spans = telemetry.config.observers;
     let deliver = |trace_id, wait_ns, duplicate, t_ns| {
         telemetry.trace_span(SpanEvent {
@@ -61,7 +64,7 @@ pub(crate) fn run_sink(
     let mut idle_streak = 0u32;
     loop {
         let mut moved = 0usize;
-        for input in &mut inputs {
+        for (ring, input) in inputs.iter_mut().enumerate() {
             let Some(mut batch) = input.pop() else {
                 continue;
             };
@@ -96,16 +99,14 @@ pub(crate) fn run_sink(
                         deliver(id, wait_ns, false, now_ns);
                     }
                 }
-                // Per-flow clock-order invariant on first copies the exit
-                // processed live: a tail replacement's replay may arrive
-                // late, a survivor's output may not, replayed input or not.
-                if let Some(checker) = &mut flow_order {
-                    if !tp.replayed {
-                        let flow = tp.packet.flow_key().0;
-                        let counter = tp.clock.counter();
-                        if let Some(v) = checker.observe(flow, counter, || telemetry.now_ns()) {
-                            telemetry.violation(v);
-                        }
+                // Clock-order invariant on first copies the exit processed
+                // live: a tail replacement's replay may arrive late, a
+                // survivor's output may not, replayed input or not.
+                if let (Some(checker), false) = (&mut flow_order, tp.replayed) {
+                    let flow = || tp.packet.flow_key().0;
+                    let now = || telemetry.now_ns();
+                    if let Some(v) = checker.observe(ring, flow, tp.clock.counter(), now) {
+                        telemetry.violation(v);
                     }
                 }
             }

@@ -79,7 +79,7 @@ pub(crate) struct SentinelState {
     /// The event checker; [`RunTelemetry::event`] numbers, journals and
     /// checks each event under this lock.
     pub(crate) checker: Mutex<Sentinel>,
-    /// Sink arrivals put through the per-flow order checker.
+    /// Sink arrivals put through the delivery-order checker.
     pub(crate) deliveries_checked: AtomicU64,
 }
 

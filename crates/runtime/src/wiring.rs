@@ -299,6 +299,10 @@ pub(crate) struct Wired {
     /// Per plan slot.
     pub(crate) instances: Vec<InstanceWiring>,
     pub(crate) sink_inputs: Vec<InputRing>,
+    /// Beside each sink input: whether its producer forwards one
+    /// clock-ordered stream ([`InstancePlan::in_order`](crate::plan::InstancePlan)),
+    /// which the sink then checks per ring instead of per flow.
+    pub(crate) sink_ordered: Vec<bool>,
     /// Occupancy gauges for the monitor, labelled by edge; collected only
     /// when the monitor runs.
     pub(crate) gauges: Vec<(String, Arc<LinkGauge>)>,
@@ -348,10 +352,12 @@ impl RingLayer<'_> {
         }
     }
 
-    /// One ring from the tail instance called `from` to the sink.
-    fn sink_link(&mut self, from: &str) -> OutLink {
+    /// One ring from the tail instance called `from` to the sink, ordered
+    /// if that instance is in order.
+    fn sink_link(&mut self, from: &str, ordered: bool) -> OutLink {
         let (link, input) = self.link(|| format!("{from}->sink"));
         self.wired.sink_inputs.push(input);
+        self.wired.sink_ordered.push(ordered);
         link
     }
 }
@@ -387,7 +393,7 @@ pub(crate) fn wire(plan: &ChainPlan, telemetry: &RunTelemetry) -> Wired {
             rings.wired.instances[i].outs.push(out);
         }
         if p.core.exit() {
-            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from));
+            rings.wired.instances[i].sink_link = Some(rings.sink_link(&from, p.in_order));
         }
     }
     rings.wired

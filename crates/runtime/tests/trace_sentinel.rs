@@ -5,7 +5,7 @@
 //! commit-frontier regression.
 
 use chc_core::{ChainConfig, LogicalDag, VertexSpec, TIMED_PERIOD};
-use chc_nf::{Firewall, Nat};
+use chc_nf::{Firewall, LoadBalancer, Nat};
 use chc_packet::{flow_sampled, Trace, TraceConfig, TraceGenerator, TRACE_PPM_FULL};
 use chc_runtime::{
     chrome_trace_json, run_chain_realtime, validate_chrome_trace, FaultPlan, InvariantKind,
@@ -25,6 +25,25 @@ fn firewall_nat() -> LogicalDag {
             Rc::new(|| Box::new(Firewall::with_default_policy())),
         ),
         VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
+    ])
+}
+
+/// fw → NAT → LB behind two firewall instances: the NAT interleaves two
+/// rings, so the sink checks the LB's ring per flow.
+fn wide_fw_nat_lb() -> LogicalDag {
+    LogicalDag::linear(vec![
+        VertexSpec::new(
+            1,
+            "firewall",
+            Rc::new(|| Box::new(Firewall::with_default_policy())),
+        )
+        .with_parallelism(2),
+        VertexSpec::new(2, "nat", Rc::new(|| Box::new(Nat::default()))),
+        VertexSpec::new(
+            3,
+            "lb",
+            Rc::new(|| Box::new(LoadBalancer::with_default_backends())),
+        ),
     ])
 }
 
@@ -213,6 +232,21 @@ fn flow_sampling_is_deterministic_and_flow_complete() {
 
     // And the export still validates at partial sampling.
     validate_chrome_trace(&chrome_trace_json(spans)).expect("invalid Chrome trace");
+}
+
+/// Behind an interleaving exit the sink checks every delivery per flow, as
+/// behind an ordered one it checks every delivery per ring.
+#[test]
+fn a_healthy_run_checks_every_delivery_behind_an_interleaving_exit() {
+    let trace = trace_for(37);
+    let rt = RuntimeConfig::with_batch_size(8);
+    let report =
+        run_chain_realtime(&wide_fw_nat_lb(), ChainConfig::default(), &rt, &trace).unwrap();
+    assert_sentinel_clean(&report);
+    assert_eq!(
+        report.invariants.as_ref().unwrap().deliveries_checked as usize,
+        report.delivered
+    );
 }
 
 #[test]

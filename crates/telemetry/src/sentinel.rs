@@ -12,9 +12,13 @@
 //! * **Per-flow delivery order** — the sink must observe each flow's live
 //!   packets in clock order: CHC's root clock serializes state updates, and
 //!   SPSC ring FIFO per route preserves it end to end (requirement R4,
-//!   "ordered updates"). Replayed copies and pre/post scale-cut pairs are
-//!   exempt (recovery traffic may legitimately arrive late; a scale cut
-//!   re-routes a flow to a different instance).
+//!   "ordered updates"). On a sink ring whose producer forwards one
+//!   clock-ordered stream this is checked per ring (splitters route
+//!   flow-pure, so each flow leaves by one ring and ring order implies flow
+//!   order); behind an interleaving exit it is checked per flow. Replayed
+//!   copies are exempt (recovery traffic may legitimately arrive late), and
+//!   so are pre/post scale-cut pairs of one flow on the per-flow path (a
+//!   scale cut re-routes a flow to a different instance).
 //! * **Packet conservation** — every packet copy pushed into an SPSC ring
 //!   is eventually popped, and every popped copy is accounted: processed,
 //!   suppressed as a duplicate (§5.3), destroyed by a fail-stop kill, or
@@ -324,19 +328,39 @@ impl Sentinel {
     }
 }
 
-/// Streaming per-flow delivery-order checker, fed by the sink with every
-/// non-duplicate live arrival.
+/// Streaming delivery-order checker, fed by the sink with every
+/// non-duplicate live arrival and the index of the sink ring it came by.
+///
+/// An *ordered* ring's producer forwards one clock-ordered stream
+/// (`InstancePlan::in_order` in the engine's plan), so its live counters
+/// must rise: one compare with the ring's last counter, no flow key. As
+/// splitters route flow-pure, each flow leaves by one ring, and ring order
+/// implies flow order; the compare also catches an ordered ring that broke
+/// that promise across flows. An *interleaving* ring is checked per flow,
+/// one map probe per arrival.
 ///
 /// `scale_cut` is the clock counter of a pre-planned scale-out event, if
 /// any: the cut legitimately re-routes flows to a different instance, so
-/// pre-cut and post-cut packets of one flow may interleave at the sink;
-/// ordering is only required within each side of the cut.
+/// pre-cut and post-cut packets of one flow may interleave behind an
+/// interleaving exit; ordering is only required within each side of the
+/// cut. An ordered ring's stream stays in clock order across the cut.
 #[derive(Debug, Default)]
 pub struct FlowOrderChecker {
+    /// Per sink ring, in the sink's input order.
+    rings: Vec<SinkRing>,
     last: HashMap<u128, u64, FlowKeyHash>,
     scale_cut: Option<u64>,
     /// Arrivals checked.
     pub checked: u64,
+}
+
+/// How the checker holds one sink ring to order.
+#[derive(Debug, Clone, Copy)]
+enum SinkRing {
+    /// The last live counter checked on the ring, once there is one.
+    Ordered(Option<u64>),
+    /// Checked per flow.
+    Interleaving,
 }
 
 /// Hash state for the checker's 128-bit flow keys: one seeded multiply-fold
@@ -390,25 +414,59 @@ impl Hasher for FlowKeyHasher {
 }
 
 impl FlowOrderChecker {
-    /// A checker; `scale_cut` per the type docs.
-    pub fn new(scale_cut: Option<u64>) -> FlowOrderChecker {
+    /// A checker over sink rings that are ordered where `ordered` says so;
+    /// `scale_cut` per the type docs.
+    pub fn new(scale_cut: Option<u64>, ordered: &[bool]) -> FlowOrderChecker {
+        let ring = |&ordered| match ordered {
+            true => SinkRing::Ordered(None),
+            false => SinkRing::Interleaving,
+        };
         FlowOrderChecker {
+            rings: ordered.iter().map(ring).collect(),
             scale_cut,
             ..FlowOrderChecker::default()
         }
     }
 
-    /// Observe a live (non-replay, non-duplicate) delivery of flow `flow`
-    /// with clock counter `counter`. `t_ns` supplies the violation's
-    /// timestamp and is only called when there is one, so a correct run
-    /// reads no clock here.
+    /// Observe a live (non-replay, non-duplicate) delivery with clock
+    /// counter `counter` from sink ring `ring`. `flow` names the packet's
+    /// flow and is only called on an interleaving ring; `t_ns` supplies the
+    /// violation's timestamp and is only called when there is one, so a
+    /// correct run reads no clock here.
     pub fn observe(
         &mut self,
-        flow: u128,
+        ring: usize,
+        flow: impl FnOnce() -> u128,
         counter: u64,
         t_ns: impl FnOnce() -> u64,
     ) -> Option<Violation> {
         self.checked += 1;
+        let (prev, flow) = match &mut self.rings[ring] {
+            SinkRing::Ordered(last) => (last.replace(counter.max(last.unwrap_or(0)))?, None),
+            SinkRing::Interleaving => {
+                let flow = flow();
+                (self.flow_prev(flow, counter)?, Some(flow))
+            }
+        };
+        if counter > prev {
+            return None;
+        }
+        let on = match flow {
+            Some(flow) => format!("flow {flow:#x}"),
+            None => format!("ring {ring}"),
+        };
+        Some(Violation {
+            invariant: InvariantKind::FlowOrdering,
+            t_ns: t_ns(),
+            observed: counter,
+            expected: prev + 1,
+            detail: format!("{on}: clock {counter} delivered after {prev}"),
+        })
+    }
+
+    /// The highest counter `flow` delivered before `counter`, if it is on
+    /// the same side of the scale cut; records `counter` if it is higher.
+    fn flow_prev(&mut self, flow: u128, counter: u64) -> Option<u64> {
         let prev = match self.last.entry(flow) {
             Entry::Vacant(slot) => {
                 slot.insert(counter);
@@ -422,20 +480,10 @@ impl FlowOrderChecker {
                 prev
             }
         };
-        let same_side = match self.scale_cut {
-            Some(cut) => (prev >= cut) == (counter >= cut),
-            None => true,
-        };
-        if same_side && counter <= prev {
-            return Some(Violation {
-                invariant: InvariantKind::FlowOrdering,
-                t_ns: t_ns(),
-                observed: counter,
-                expected: prev + 1,
-                detail: format!("flow {flow:#x}: clock {counter} delivered after {prev}"),
-            });
+        match self.scale_cut {
+            Some(cut) if (prev >= cut) != (counter >= cut) => None,
+            _ => Some(prev),
         }
-        None
     }
 }
 
@@ -472,7 +520,7 @@ pub struct SentinelReport {
     pub events_checked: u64,
     /// `commit_frontier` advances observed.
     pub frontier_advances: u64,
-    /// Sink arrivals put through the per-flow order checker.
+    /// Sink arrivals put through the delivery-order checker.
     pub deliveries_checked: u64,
     /// Copies pushed into SPSC rings over the run.
     pub ring_pushed: u64,
@@ -593,27 +641,88 @@ mod tests {
         assert_eq!(s.frontier_advances, 5);
     }
 
+    /// Sink ring 0 ordered, ring 1 interleaving.
+    fn two_rings(scale_cut: Option<u64>) -> FlowOrderChecker {
+        FlowOrderChecker::new(scale_cut, &[true, false])
+    }
+
+    /// The flow key of a delivery on an ordered ring, which is never built.
+    fn unread() -> u128 {
+        panic!("an ordered ring builds no flow key")
+    }
+
+    #[test]
+    fn an_ordered_ring_flags_a_regression_within_one_flow() {
+        // One flow's deliveries, all by ring 0.
+        let mut c = two_rings(None);
+        assert!(c.observe(0, unread, 5, || 0).is_none());
+        assert!(c.observe(0, unread, 9, || 0).is_none());
+        let v = c.observe(0, unread, 8, || 77).expect("regression caught");
+        assert_eq!(v.invariant, InvariantKind::FlowOrdering);
+        assert_eq!((v.observed, v.expected, v.t_ns), (8, 10, 77));
+        assert!(c.observe(0, unread, 9, || 0).is_some(), "a repeat of 9");
+        assert!(c.observe(0, unread, 10, || 0).is_none());
+        assert_eq!(c.checked, 5);
+    }
+
+    #[test]
+    fn an_ordered_ring_flags_a_regression_across_two_flows() {
+        // Flows 0xaa and 0xbb leave by one ordered ring: 7 after 9 breaks
+        // the ring's clock order though each flow alone is in order.
+        let mut c = two_rings(None);
+        assert!(c.observe(0, unread, 9, || 0).is_none());
+        let v = c
+            .observe(0, unread, 7, || 0)
+            .expect("cross-flow regression");
+        assert_eq!((v.observed, v.expected), (7, 10));
+        assert!(v.detail.starts_with("ring 0"), "{}", v.detail);
+        // The interleaving ring beside it holds no counter of ring 0's.
+        assert!(c.observe(1, || 0xaa, 3, || 0).is_none());
+    }
+
+    #[test]
+    fn an_interleaving_ring_does_not_flag_a_regression_across_two_flows() {
+        let mut c = two_rings(None);
+        assert!(c.observe(1, || 0xaa, 9, || 0).is_none());
+        assert!(
+            c.observe(1, || 0xbb, 7, || 0).is_none(),
+            "flows independent"
+        );
+        assert!(c.observe(1, || 0xbb, 8, || 0).is_none());
+        assert_eq!(c.checked, 3);
+    }
+
+    #[test]
+    fn an_interleaving_ring_flags_a_regression_within_a_flow() {
+        let mut c = two_rings(None);
+        assert!(c.observe(1, || 0xaa, 5, || 0).is_none());
+        assert!(c.observe(1, || 0xaa, 9, || 0).is_none());
+        assert!(c.observe(1, || 0xbb, 7, || 0).is_none());
+        let v = c.observe(1, || 0xaa, 8, || 0).expect("regression caught");
+        assert_eq!(v.invariant, InvariantKind::FlowOrdering);
+        assert_eq!((v.observed, v.expected), (8, 10));
+        assert!(v.detail.starts_with("flow 0xaa"), "{}", v.detail);
+    }
+
     #[test]
     fn flow_order_checker_flags_regressions_only_within_a_side() {
-        let mut c = FlowOrderChecker::new(None);
-        assert!(c.observe(0xaa, 5, || 0).is_none());
-        assert!(c.observe(0xaa, 9, || 0).is_none());
-        assert!(c.observe(0xbb, 7, || 0).is_none(), "other flow independent");
-        let v = c.observe(0xaa, 8, || 0).expect("regression caught");
-        assert_eq!(v.invariant, InvariantKind::FlowOrdering);
-        assert_eq!(c.checked, 4);
-
         // With a scale cut at 100, pre-cut stragglers may trail post-cut
-        // packets (the flow moved instances) — but order within each side
-        // still holds.
-        let mut c = FlowOrderChecker::new(Some(100));
-        assert!(c.observe(0xcc, 150, || 0).is_none());
-        assert!(c.observe(0xcc, 90, || 0).is_none(), "cross-cut is exempt");
-        assert!(c.observe(0xcc, 160, || 0).is_none());
+        // packets of their flow behind an interleaving exit (the flow moved
+        // instances) — but order within each side still holds.
+        let mut c = two_rings(Some(100));
+        assert!(c.observe(1, || 0xcc, 150, || 0).is_none());
         assert!(
-            c.observe(0xcc, 155, || 0).is_some(),
+            c.observe(1, || 0xcc, 90, || 0).is_none(),
+            "cross-cut is exempt"
+        );
+        assert!(c.observe(1, || 0xcc, 160, || 0).is_none());
+        assert!(
+            c.observe(1, || 0xcc, 155, || 0).is_some(),
             "post-cut regression still caught"
         );
+        // An ordered ring's stream stays in clock order across the cut.
+        assert!(c.observe(0, unread, 150, || 0).is_none());
+        assert!(c.observe(0, unread, 90, || 0).is_some(), "no exemption");
     }
 
     #[test]
